@@ -18,21 +18,15 @@ are exactly as confidential as the server's RAM (i.e. safe to hold at
 the honest-but-curious server, revealing nothing beyond what query
 processing already revealed).
 
-Version history (server snapshots): version 1 omitted
-``bytes_shipped`` and ``record_stats``; version 2 adds both.
-Version-1 snapshots restore with the old defaults (zero bytes shipped,
-stats recording on).
-
-Catalog snapshots version independently: catalog version 1 carried
-only the column map; version 2 adds the ``shards`` registry (logical
-sharded columns — geometry plus ordered shard column names), so a
-restored endpoint keeps validating shard consistency and re-exports
-the ``catalog.shards`` gauge.  Version 3 adds the per-column mutation
-``epochs`` map and the optional ``wal_seq`` watermark — the fence WAL
-replay uses to skip entries the snapshot already contains.  Version-1
-catalog snapshots restore with an empty registry; pre-3 snapshots
-restore with every epoch at 0 (correct for a snapshot taken with no
-WAL, whose replay starts from entry 1).
+Formats: a server snapshot (``SNAPSHOT_VERSION``) carries the engine
+configuration, rows, tree, pending buffer and transfer counters; a
+catalog snapshot (``CATALOG_SNAPSHOT_VERSION``, versioned
+independently) carries the column map, the ``shards`` registry
+(logical sharded columns — geometry plus ordered shard column names),
+the per-column mutation ``epochs`` — the fence WAL replay uses to skip
+entries the snapshot already contains — and the optional ``wal_seq``
+watermark.  Only the current version of each is read: no other version
+was ever released, and anything else is rejected with a typed error.
 
 The file layer (:func:`save_snapshot` / :func:`load_snapshot` /
 :func:`recover_catalog` / :func:`checkpoint_catalog`) adds durability:
@@ -58,20 +52,18 @@ from repro.core.wal import (
 )
 from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
 from repro.crypto.serialization import ciphertext_from_dict, ciphertext_to_dict
-from repro.errors import PersistenceError, SerializationError, UpdateError
+from repro.errors import (
+    PersistenceError,
+    ReproError,
+    SerializationError,
+    UpdateError,
+)
 from repro.net.catalog import ColumnCatalog
 from repro.obs import Observability
 from repro.store.updates import PendingUpdates
 
 SNAPSHOT_VERSION = 2
 CATALOG_SNAPSHOT_VERSION = 3
-
-#: Snapshot versions the read path accepts (older ones restore with
-#: documented defaults for the fields they predate).
-SUPPORTED_VERSIONS = (1, 2)
-
-#: Catalog snapshot versions the read path accepts.
-SUPPORTED_CATALOG_VERSIONS = (1, 2, 3)
 
 #: File name of the catalog snapshot inside a server data directory
 #: (next to the ``wal-*.seg`` segments).
@@ -104,9 +96,6 @@ def snapshot_server(server: SecureServer) -> Dict[str, Any]:
         "engine_kind": server.engine_kind,
         "min_piece_size": getattr(engine, "_min_piece", 1),
         "use_three_way": getattr(engine, "_use_three_way", False),
-        "use_paper_tree_algorithms": getattr(
-            engine, "_use_paper_algorithms", False
-        ),
         "record_stats": getattr(engine, "_record_stats", True),
         "rows": rows,
         "row_ids": [int(i) for i in column.row_ids],
@@ -132,9 +121,7 @@ def restore_server(
     The restored server answers every query identically to the
     original: the column keeps its cracked physical order and the AVL
     tree its bounds and positions (rebalanced shape may differ — shape
-    is not part of the contract).  Accepts any version in
-    :data:`SUPPORTED_VERSIONS`; fields a version predates restore to
-    their historical defaults.
+    is not part of the contract).
 
     Raises:
         SerializationError: on a malformed or wrong-kind snapshot.
@@ -143,7 +130,7 @@ def restore_server(
         raise SerializationError(
             "expected a secure_server snapshot, got %r" % snapshot.get("kind")
         )
-    if snapshot.get("version") not in SUPPORTED_VERSIONS:
+    if snapshot.get("version") != SNAPSHOT_VERSION:
         raise SerializationError(
             "unsupported snapshot version: %r" % snapshot.get("version")
         )
@@ -157,8 +144,7 @@ def restore_server(
             auto_merge_threshold=snapshot.get("auto_merge_threshold"),
             min_piece_size=snapshot["min_piece_size"],
             use_three_way=snapshot["use_three_way"],
-            use_paper_tree_algorithms=snapshot["use_paper_tree_algorithms"],
-            record_stats=bool(snapshot.get("record_stats", True)),
+            record_stats=bool(snapshot["record_stats"]),
             obs=obs,
         )
         engine = server.engine
@@ -184,9 +170,13 @@ def restore_server(
         )
         server.queries_served = int(snapshot["queries_served"])
         server.rows_shipped = int(snapshot["rows_shipped"])
-        server.bytes_shipped = int(snapshot.get("bytes_shipped", 0))
+        server.bytes_shipped = int(snapshot["bytes_shipped"])
         return server
-    except (KeyError, TypeError, ValueError) as exc:
+    except SerializationError:
+        raise
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        # ReproError: the engine refusing a corrupted configuration
+        # value (unknown engine kind, non-positive merge threshold).
         raise SerializationError("malformed snapshot: %s" % exc) from exc
 
 
@@ -238,7 +228,7 @@ def restore_catalog(
         raise SerializationError(
             "expected a column_catalog snapshot, got %r" % snapshot.get("kind")
         )
-    if snapshot.get("version") not in SUPPORTED_CATALOG_VERSIONS:
+    if snapshot.get("version") != CATALOG_SNAPSHOT_VERSION:
         raise SerializationError(
             "unsupported catalog snapshot version: %r"
             % snapshot.get("version")
@@ -247,11 +237,10 @@ def restore_catalog(
     try:
         columns = snapshot["columns"]
         items = sorted(columns.items())
+        epochs = snapshot["epochs"]
+        shards = snapshot["shards"]
     except (AttributeError, KeyError, TypeError) as exc:
         raise SerializationError("malformed catalog snapshot: %s" % exc) from exc
-    # Pre-3 snapshots predate epochs: 0 for every column is correct
-    # (their replay, if any, starts from the first WAL entry).
-    epochs = snapshot.get("epochs", {})
     if not isinstance(epochs, dict):
         raise SerializationError("catalog snapshot epochs must be an object")
     for name, epoch in epochs.items():
@@ -268,6 +257,7 @@ def restore_catalog(
         try:
             config = dict(entry["config"])
             server_snapshot = entry["server"]
+            epoch = epochs[name]
         except (KeyError, TypeError) as exc:
             raise SerializationError(
                 "malformed catalog snapshot column %r: %s" % (name, exc)
@@ -276,10 +266,8 @@ def restore_catalog(
             name,
             restore_server(server_snapshot, obs=catalog.obs),
             config,
-            epoch=epochs.get(name, 0),
+            epoch=epoch,
         )
-    # Version-1 snapshots predate the registry: empty is correct.
-    shards = snapshot.get("shards", {})
     if not isinstance(shards, dict):
         raise SerializationError("catalog snapshot shards must be an object")
     for logical, meta in sorted(shards.items()):

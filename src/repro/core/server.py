@@ -67,8 +67,8 @@ class SecureServer:
             into the main column as soon as it exceeds this many rows
             (bounding the per-query pending-scan cost); None keeps
             merging fully manual.
-        min_piece_size / use_three_way / use_paper_tree_algorithms /
-            record_stats: forwarded to the adaptive engine.
+        min_piece_size / use_three_way / record_stats: forwarded to
+            the adaptive engine.
     """
 
     def __init__(
@@ -79,7 +79,6 @@ class SecureServer:
         auto_merge_threshold: int = None,
         min_piece_size: int = 1,
         use_three_way: bool = False,
-        use_paper_tree_algorithms: bool = False,
         record_stats: bool = True,
         obs: Observability = None,
     ) -> None:
@@ -95,7 +94,6 @@ class SecureServer:
                 column,
                 min_piece_size=min_piece_size,
                 use_three_way=use_three_way,
-                use_paper_tree_algorithms=use_paper_tree_algorithms,
                 record_stats=record_stats,
                 obs=self._obs,
             )

@@ -65,9 +65,8 @@ class OutsourcedDatabase:
             the endpoint (sessions sharing one endpoint pick distinct
             names).
         codec: wire frame codec — ``"auto"`` (default) negotiates the
-            compact binary codec with the endpoint and falls back to
-            JSON against old peers; ``"json"`` / ``"binary"`` force
-            one.
+            compact binary codec with the endpoint; ``"json"`` /
+            ``"binary"`` force one.
         shards: ``0`` (default) registers one catalog column; ``N >= 1``
             spreads the column over N catalog shards behind a
             :class:`~repro.net.shard.ShardedRemoteColumn` — every query
@@ -75,8 +74,8 @@ class OutsourcedDatabase:
             independently under its own lock.  ``shards=1`` is the
             sharded machinery with identity routing (byte-identical
             results to an unsharded column).
-        min_piece_size / use_three_way / use_paper_tree_algorithms /
-            record_stats: forwarded to the server engine.
+        min_piece_size / use_three_way / record_stats: forwarded to
+            the server engine.
     """
 
     def __init__(
@@ -93,7 +92,6 @@ class OutsourcedDatabase:
         auto_merge_threshold: int = None,
         min_piece_size: int = 1,
         use_three_way: bool = False,
-        use_paper_tree_algorithms: bool = False,
         record_stats: bool = True,
         obs: Observability = None,
         transport: Transport = None,
@@ -128,7 +126,6 @@ class OutsourcedDatabase:
             auto_merge_threshold=auto_merge_threshold,
             min_piece_size=min_piece_size,
             use_three_way=use_three_way,
-            use_paper_tree_algorithms=use_paper_tree_algorithms,
             record_stats=record_stats,
         )
         if transport is None:

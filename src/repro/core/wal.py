@@ -3,7 +3,8 @@
 The server's durability story before this module was a manual snapshot:
 a crash lost every crack, insert, and rotation since the last save.
 The WAL closes that gap by reusing what the wire protocol already
-guarantees — every mutation (``create_column`` / ``insert_request`` /
+guarantees — every mutation (the request kinds the protocol registry
+marks ``journaled``: ``create_column`` / ``insert_request`` /
 ``delete_request`` / ``merge_request`` / ``rotate_apply``) is a
 deterministic, versioned envelope dict — and journaling exactly those
 envelopes to disk as they commit.  Restart = restore the last snapshot,
@@ -80,15 +81,6 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 #: Accepted fsync policies.
 FSYNC_POLICIES = ("always", "batch", "never")
 
-#: Request kinds the WAL journals (the protocol's mutations).
-MUTATION_KINDS = (
-    "create_column",
-    "insert_request",
-    "delete_request",
-    "merge_request",
-    "rotate_apply",
-)
-
 
 def entry_from_wire(data: Any) -> Dict[str, Any]:
     """Validate one WAL/replication entry dict's shape.
@@ -96,8 +88,12 @@ def entry_from_wire(data: Any) -> Dict[str, Any]:
     Raises:
         PersistenceError: on anything but
             ``{"seq": int>=1, "column": str, "epoch": int>=0,
-            "request": dict}``.
+            "request": dict}`` whose request is of a kind the protocol
+            registry marks ``journaled``.
     """
+    # Imported here: repro.net.protocol itself imports repro.core.
+    from repro.net.protocol import request_spec
+
     if not isinstance(data, dict):
         raise PersistenceError("WAL entry must be an object, got %s"
                                % type(data).__name__)
@@ -122,7 +118,8 @@ def entry_from_wire(data: Any) -> Dict[str, Any]:
         )
     if not isinstance(request, dict):
         raise PersistenceError("WAL entry request must be an envelope dict")
-    if request.get("kind") not in MUTATION_KINDS:
+    spec = request_spec(request.get("kind"))
+    if spec is None or not spec.journaled:
         raise PersistenceError(
             "WAL entry carries a non-mutation envelope: %r"
             % request.get("kind")

@@ -55,21 +55,16 @@ from repro.net.protocol import (
     CODECS,
     CONFIG_DEFAULTS,
     PROTOCOL_VERSION,
-    BatchRequest,
-    BatchResponse,
     CreateColumnRequest,
     CreateColumnResponse,
     DeleteRequest,
-    DeleteResponse,
     ErrorResponse,
     FetchRequest,
     FetchResponse,
     HelloRequest,
     HelloResponse,
     InsertRequest,
-    InsertResponse,
     MergeRequest,
-    MergeResponse,
     QueryRequest,
     QueryResponse,
     ReplicateAckRequest,
@@ -79,7 +74,6 @@ from repro.net.protocol import (
     ReplicateSubscribeRequest,
     ReplicateSubscribeResponse,
     RotateApplyRequest,
-    RotateApplyResponse,
     RotateBeginRequest,
     RotateBeginResponse,
     TelemetryRequest,
@@ -88,6 +82,7 @@ from repro.net.protocol import (
     request_from_dict,
     request_to_dict,
     response_to_dict,
+    spec_of,
     trace_from_wire,
 )
 from repro.obs import Observability, SlowQueryLog, Span
@@ -99,24 +94,6 @@ from repro.obs.telemetry import (
 #: Cap on entries per ``replicate_entries`` reply: bounds frame size
 #: regardless of what limit the replica asks for.
 MAX_REPLICATION_BATCH = 256
-
-#: Request envelopes that mutate catalog state — the kinds a read
-#: replica refuses and the WAL journals.
-_MUTATION_REQUESTS = (
-    CreateColumnRequest,
-    InsertRequest,
-    DeleteRequest,
-    MergeRequest,
-    RotateBeginRequest,
-    RotateApplyRequest,
-)
-
-
-def _request_kind_name(request) -> str:
-    """The wire ``kind`` of a request envelope, for error messages."""
-    from repro.net.protocol import _REQUEST_KINDS
-
-    return _REQUEST_KINDS.get(type(request), type(request).__name__)
 
 
 class ColumnCatalog:
@@ -178,6 +155,23 @@ class ColumnCatalog:
         # Replica progress reported through replicate_ack:
         # replica_id -> {"seq", "epochs", "lag_epochs"}.
         self._replicas: Dict[str, Dict[str, Any]] = {}
+        # Request type -> bound handler: the whole of dispatch.  Column
+        # operations run under their column's lock (see _on_column).
+        self._handlers: Dict[type, Callable] = {
+            HelloRequest: self._hello,
+            TelemetryRequest: self._telemetry,
+            ReplicateSubscribeRequest: self._serve_replicate_subscribe,
+            ReplicateEntriesRequest: self._serve_replicate_entries,
+            ReplicateAckRequest: self._serve_replicate_ack,
+            CreateColumnRequest: self._create,
+            QueryRequest: self._on_column(self._query),
+            FetchRequest: self._on_column(self._fetch),
+            InsertRequest: self._on_column(self._insert),
+            DeleteRequest: self._on_column(self._delete),
+            MergeRequest: self._on_column(self._merge),
+            RotateBeginRequest: self._on_column(self._rotate_begin),
+            RotateApplyRequest: self._on_column(self._rotate_apply),
+        }
 
     @property
     def obs(self) -> Observability:
@@ -228,22 +222,8 @@ class ColumnCatalog:
         if shard is not None:
             self._check_shard(shard)
         server = SecureServer(list(rows), row_ids, obs=self._obs, **merged)
-        with self._registry_lock:
-            if name in self._servers:
-                raise UpdateError("column %r already exists" % name)
-            self._servers[name] = server
-            self._configs[name] = merged
-            self._locks[name] = threading.Lock()
-            self._epochs[name] = 0
+        self.adopt_column(name, server, merged, shard=shard)
         self._obs.metrics.add("net.columns_created")
-        if shard is not None:
-            try:
-                self.register_shard(name, shard)
-            except UpdateError:
-                # Shard registration is part of creation: a geometry
-                # mismatch must not leave a half-registered column.
-                self._forget_column(name)
-                raise
         return server
 
     def adopt_column(
@@ -254,7 +234,8 @@ class ColumnCatalog:
         shard: Dict[str, Any] = None,
         epoch: int = 0,
     ) -> None:
-        """Install an already-built server under a name (restore path).
+        """Install an already-built server under a name (the restore
+        path, and the registration half of :meth:`create_column`).
 
         ``epoch`` restores the column's mutation epoch from a snapshot,
         so WAL replay can fence out entries the snapshot already
@@ -275,6 +256,8 @@ class ColumnCatalog:
             try:
                 self.register_shard(name, shard)
             except UpdateError:
+                # Shard registration is part of creation: a geometry
+                # mismatch must not leave a half-registered column.
                 self._forget_column(name)
                 raise
 
@@ -629,14 +612,7 @@ class ColumnCatalog:
             servers = dict(other._servers)
             configs = {name: dict(cfg) for name, cfg in other._configs.items()}
             epochs = dict(other._epochs)
-            shards = {
-                logical: {
-                    "count": meta["count"],
-                    "physical_per_value": meta["physical_per_value"],
-                    "columns": list(meta["columns"]),
-                }
-                for logical, meta in other._shards.items()
-            }
+        shards = other.shards()
         with self._registry_lock:
             self._servers = servers
             self._configs = configs
@@ -853,18 +829,11 @@ class ColumnCatalog:
     def _serve_one(self, request_dict: Dict[str, Any]):
         """Decode and execute one envelope dict; errors become typed
         error envelopes, never exceptions."""
-        metrics = self._obs.metrics
         try:
             return self.handle(request_from_dict(request_dict))
-        except ReproError as exc:
-            metrics.add("net.errors")
+        except Exception as exc:  # a serving thread must survive anything
+            self._obs.metrics.add("net.errors")
             return error_response_for(exc)
-        except Exception as exc:  # defensive: a serving thread must survive
-            metrics.add("net.errors")
-            return ErrorResponse(
-                code="internal",
-                message="%s: %s" % (type(exc).__name__, exc),
-            )
 
     def _serve_batch(self, request_dict: Dict[str, Any]) -> Dict[str, Any]:
         """Execute every sub-envelope of a batch, isolating failures.
@@ -880,23 +849,13 @@ class ColumnCatalog:
         """
         metrics = self._obs.metrics
         if request_dict.get("version") != PROTOCOL_VERSION:
-            metrics.add("net.errors")
-            return response_to_dict(
-                ErrorResponse(
-                    code="serialization",
-                    message="unsupported protocol version: %r"
-                    % (request_dict.get("version"),),
-                )
+            return self._refuse(
+                "unsupported protocol version: %r"
+                % (request_dict.get("version"),)
             )
         items = request_dict.get("requests")
         if not isinstance(items, list):
-            metrics.add("net.errors")
-            return response_to_dict(
-                ErrorResponse(
-                    code="serialization",
-                    message="batch requests must be a list",
-                )
-            )
+            return self._refuse("batch requests must be a list")
         # Group slot indices by target column.  Slots without a usable
         # column string (malformed envelopes, create/hello) form
         # singleton groups: they carry no per-column ordering contract.
@@ -942,6 +901,14 @@ class ColumnCatalog:
             "responses": responses,
         }
 
+    def _refuse(self, message: str) -> Dict[str, Any]:
+        """A counted ``serialization`` error envelope dict, for batch
+        envelopes rejected before any slot is decoded."""
+        self._obs.metrics.add("net.errors")
+        return response_to_dict(
+            ErrorResponse(code="serialization", message=message)
+        )
+
     def _serve_slot(self, item: Any,
                     context: Optional[Dict[str, Any]] = None
                     ) -> Dict[str, Any]:
@@ -954,12 +921,7 @@ class ColumnCatalog:
         tagged sub-envelopes individually) is the fallback.
         """
         if isinstance(item, dict) and item.get("kind") == "batch_request":
-            self._obs.metrics.add("net.errors")
-            return response_to_dict(
-                ErrorResponse(
-                    code="serialization", message="batch requests cannot nest"
-                )
-            )
+            return self._refuse("batch requests cannot nest")
         if context is None and isinstance(item, dict):
             context = trace_from_wire(item.get("trace"))
         kind = item.get("kind") if isinstance(item, dict) else None
@@ -995,122 +957,117 @@ class ColumnCatalog:
     def handle(self, request):
         """Execute one decoded request envelope against its column.
 
-        On a read replica (:meth:`set_read_only`) every mutation is
-        refused with a typed :class:`~repro.errors.ReadOnlyError`
-        naming the primary — including ``rotate_begin``, which merges
-        pending state even though it is not itself journaled.  With a
-        WAL bound (:meth:`bind_wal`), each committed mutation's
+        On a read replica (:meth:`set_read_only`) every envelope the
+        protocol registry marks ``mutates`` is refused with a typed
+        :class:`~repro.errors.ReadOnlyError` naming the primary.  With
+        a WAL bound (:meth:`bind_wal`), each committed mutation's
         envelope is appended under the column lock before the response
         is returned, and mutation responses carry the column's new
-        epoch as a replica-read fence.
+        epoch as a replica-read fence.  Batches never reach this
+        method: :meth:`dispatch` unpacks them slot by slot.
         """
-        if isinstance(request, HelloRequest):
-            return HelloResponse(codecs=CODECS)
-        if isinstance(request, TelemetryRequest):
-            return TelemetryResponse(sections=self.telemetry(request.sections))
-        if isinstance(request, ReplicateSubscribeRequest):
-            return self._serve_replicate_subscribe(request)
-        if isinstance(request, ReplicateEntriesRequest):
-            return self._serve_replicate_entries(request)
-        if isinstance(request, ReplicateAckRequest):
-            return self._serve_replicate_ack(request)
+        spec = spec_of(request)
         primary = self._read_only_primary
-        if (primary is not None and isinstance(request, _MUTATION_REQUESTS)
+        if (primary is not None and spec.mutates
                 and not self._is_replaying()):
             self._obs.metrics.add("replication.mutations_refused")
             raise ReadOnlyError(
                 "this endpoint is a read replica; send %s to the primary "
-                "at %s" % (_request_kind_name(request), primary)
+                "at %s" % (spec.kind, primary)
             )
-        if isinstance(request, BatchRequest):
-            responses = []
-            for sub in request.requests:
-                try:
-                    responses.append(self.handle(sub))
-                except ReproError as exc:
-                    responses.append(error_response_for(exc))
-                except Exception as exc:  # same isolation as dispatch
-                    responses.append(
-                        ErrorResponse(
-                            code="internal",
-                            message="%s: %s" % (type(exc).__name__, exc),
-                        )
-                    )
-            return BatchResponse(responses=tuple(responses))
-        if isinstance(request, CreateColumnRequest):
-            server = self.create_column(
-                request.column,
-                request.rows,
-                request.row_ids,
-                request.config,
-                shard=request.shard,
-            )
-            # Logged outside the (brand-new) column lock: a mutation can
-            # only race this append if its issuer learned the column
-            # name before our response — i.e. out of band.
-            self._log_mutation(request.column, 0, request)
-            return CreateColumnResponse(
-                column=request.column, rows_stored=len(server), epoch=0
-            )
-        lock = self._column_lock(request.column)
-        with lock:
-            server = self.server(request.column)
-            if isinstance(request, QueryRequest):
-                return QueryResponse(response=server.execute(request.query))
-            if isinstance(request, FetchRequest):
-                return FetchResponse(
-                    rows=tuple(
-                        server.engine.column.rows_by_ids(request.row_ids)
-                    )
-                )
-            if isinstance(request, InsertRequest):
-                row_ids = tuple(server.insert(list(request.rows)))
-                epoch = self._bump_epoch(request.column)
-                self._log_mutation(request.column, epoch, request)
-                return InsertResponse(row_ids=row_ids, epoch=epoch)
-            if isinstance(request, DeleteRequest):
-                server.delete(request.row_ids)
-                epoch = self._bump_epoch(request.column)
-                self._log_mutation(request.column, epoch, request)
-                return DeleteResponse(
-                    deleted=len(request.row_ids), epoch=epoch
-                )
-            if isinstance(request, MergeRequest):
-                delta = server.merge_pending()
-                epoch = self._bump_epoch(request.column)
-                self._log_mutation(request.column, epoch, request)
-                return MergeResponse(delta=delta, epoch=epoch)
-            if isinstance(request, RotateBeginRequest):
-                # The merge below is part of the snapshot, so the fence
-                # is read *after* it: only mutations arriving between
-                # begin and apply can invalidate the token.
-                server.merge_pending()
-                everything = server.execute(EncryptedQuery(low=None, high=None))
-                return RotateBeginResponse(
-                    response=everything, fence=self.epoch(request.column)
-                )
-            if isinstance(request, RotateApplyRequest):
-                current = self.epoch(request.column)
-                if request.fence is not None and request.fence != current:
-                    self._obs.metrics.add("net.rotation_conflicts")
-                    raise RotationConflictError(
-                        "column %r mutated since rotate_begin "
-                        "(epoch %d, fence %d); restart the rotation"
-                        % (request.column, current, request.fence)
-                    )
-                rebuilt = SecureServer(
-                    list(request.rows),
-                    list(request.row_ids),
-                    obs=self._obs,
-                    **self.config(request.column),
-                )
-                with self._registry_lock:
-                    self._servers[request.column] = rebuilt
-                    self._epochs[request.column] = current + 1
-                self._log_mutation(request.column, current + 1, request)
-                return RotateApplyResponse(
-                    rows_stored=len(rebuilt), epoch=current + 1
-                )
-        raise ProtocolError(
-            "unhandled request type: %s" % type(request).__name__
+        handler = self._handlers.get(type(request))
+        if handler is None:
+            raise ProtocolError("unhandled request kind: %s" % spec.kind)
+        return handler(request)
+
+    def _on_column(self, operation: Callable) -> Callable:
+        """Turn a ``(request, server)`` column operation into a handler
+        that runs it under the addressed column's lock."""
+
+        def handler(request):
+            with self._column_lock(request.column):
+                return operation(request, self.server(request.column))
+
+        return handler
+
+    def _commit(self, request, **result):
+        """Commit the mutation ``request`` just applied (the caller
+        holds the column lock): bump the column's epoch, journal the
+        envelope at that epoch, and answer with the request's reply
+        type carrying ``result`` plus the epoch."""
+        epoch = self._bump_epoch(request.column)
+        self._log_mutation(request.column, epoch, request)
+        return spec_of(request).reply(epoch=epoch, **result)
+
+    def _hello(self, request: HelloRequest) -> HelloResponse:
+        return HelloResponse(codecs=CODECS)
+
+    def _telemetry(self, request: TelemetryRequest) -> TelemetryResponse:
+        return TelemetryResponse(sections=self.telemetry(request.sections))
+
+    def _create(self, request: CreateColumnRequest) -> CreateColumnResponse:
+        server = self.create_column(
+            request.column,
+            request.rows,
+            request.row_ids,
+            request.config,
+            shard=request.shard,
         )
+        # Logged outside the (brand-new) column lock: a mutation can
+        # only race this append if its issuer learned the column name
+        # before our response — i.e. out of band.
+        self._log_mutation(request.column, 0, request)
+        return CreateColumnResponse(
+            column=request.column, rows_stored=len(server), epoch=0
+        )
+
+    def _query(self, request: QueryRequest, server: SecureServer):
+        return QueryResponse(response=server.execute(request.query))
+
+    def _fetch(self, request: FetchRequest, server: SecureServer):
+        return FetchResponse(
+            rows=tuple(server.engine.column.rows_by_ids(request.row_ids))
+        )
+
+    def _insert(self, request: InsertRequest, server: SecureServer):
+        return self._commit(
+            request, row_ids=tuple(server.insert(list(request.rows)))
+        )
+
+    def _delete(self, request: DeleteRequest, server: SecureServer):
+        server.delete(request.row_ids)
+        return self._commit(request, deleted=len(request.row_ids))
+
+    def _merge(self, request: MergeRequest, server: SecureServer):
+        return self._commit(request, delta=server.merge_pending())
+
+    def _rotate_begin(self, request: RotateBeginRequest,
+                      server: SecureServer) -> RotateBeginResponse:
+        # The merge below is part of the snapshot, so the fence is read
+        # *after* it: only mutations arriving between begin and apply
+        # can invalidate the token.
+        server.merge_pending()
+        everything = server.execute(EncryptedQuery(low=None, high=None))
+        return RotateBeginResponse(
+            response=everything, fence=self.epoch(request.column)
+        )
+
+    def _rotate_apply(self, request: RotateApplyRequest,
+                      server: SecureServer):
+        current = self.epoch(request.column)
+        if request.fence is not None and request.fence != current:
+            self._obs.metrics.add("net.rotation_conflicts")
+            raise RotationConflictError(
+                "column %r mutated since rotate_begin "
+                "(epoch %d, fence %d); restart the rotation"
+                % (request.column, current, request.fence)
+            )
+        rebuilt = SecureServer(
+            list(request.rows),
+            list(request.row_ids),
+            obs=self._obs,
+            **self.config(request.column),
+        )
+        with self._registry_lock:
+            self._servers[request.column] = rebuilt
+        return self._commit(request, rows_stored=len(rebuilt))

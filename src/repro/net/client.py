@@ -17,21 +17,24 @@ the codec.
 
 Codec negotiation: with the default ``codec="auto"`` the handle's
 first exchange is a JSON-framed ``hello`` listing the codecs this
-client speaks; a server answering with ``binary`` upgrades every
-subsequent frame to the compact :mod:`repro.net.binframe` codec, while
-an old JSON-only peer (which answers hello with an error envelope)
-leaves the handle on JSON.  The outcome is cached on the transport, so
-many handles sharing one connection negotiate once — and the cache is
-*cleared* when the transport closes (including after a mid-exchange
-connection loss), so a reconnect renegotiates from JSON instead of
-shipping binary frames to a peer that may no longer understand them.
+client speaks, and every subsequent frame uses the first of them the
+server offers back (the compact :mod:`repro.net.binframe` codec
+against this repo's endpoint).  The outcome is cached on the
+transport, so many handles sharing one connection negotiate once — and
+the cache is *cleared* when the transport closes (including after a
+mid-exchange connection loss), so a reconnect renegotiates from JSON.
 
-Retry: idempotent request kinds (hello, query, fetch) are flagged
-``retryable`` to the transport, which — when configured with
-``retries > 0`` — re-sends them after a mid-exchange connection loss
-with capped exponential backoff.  Mutating kinds (insert, delete,
-merge, rotate) are never retried automatically: a lost response leaves
-their server-side effect unknown.
+Retry: request kinds the protocol registry marks ``idempotent`` (they
+read state, negotiate, or report progress the primary stores
+idempotently) are flagged ``retryable`` to the transport, which — when
+configured with ``retries > 0`` — re-sends them after a mid-exchange
+connection loss with capped exponential backoff.  The others (insert,
+delete, merge, the rotation pair, batches) are never retried
+automatically: a lost response leaves their server-side effect unknown.
+
+Replies are checked against the registry too: a response that is
+neither an error envelope nor the request's registered reply type
+raises :class:`~repro.errors.ProtocolError`.
 """
 
 from __future__ import annotations
@@ -40,31 +43,18 @@ from typing import Any, Dict, List, Sequence
 
 from repro.core.query import EncryptedQuery
 from repro.core.server import ServerResponse
-from repro.errors import (
-    ProtocolError,
-    ReproError,
-    ServerBusyError,
-    TransportError,
-)
+from repro.errors import ProtocolError
 from repro.net.protocol import (
     CODECS,
     BatchRequest,
-    BatchResponse,
     CreateColumnRequest,
-    CreateColumnResponse,
     DeleteRequest,
-    DeleteResponse,
     ErrorResponse,
     FetchRequest,
-    FetchResponse,
     HelloRequest,
-    HelloResponse,
     InsertRequest,
-    InsertResponse,
     MergeRequest,
-    MergeResponse,
     QueryRequest,
-    QueryResponse,
     ReplicateAckRequest,
     ReplicateAckResponse,
     ReplicateEntriesRequest,
@@ -72,36 +62,19 @@ from repro.net.protocol import (
     ReplicateSubscribeRequest,
     ReplicateSubscribeResponse,
     RotateApplyRequest,
-    RotateApplyResponse,
     RotateBeginRequest,
     RotateBeginResponse,
     TelemetryRequest,
-    TelemetryResponse,
     attach_trace,
     decode_frame,
     encode_frame,
     raise_error_response,
     request_to_dict,
     response_from_dict,
+    spec_of,
 )
 from repro.net.transport import Transport
 from repro.obs import Observability
-
-#: Request kinds the transport may safely re-send after a connection
-#: loss: they read state (or negotiate) without mutating it.  Insert,
-#: delete, merge, and the rotation pair are deliberately absent — a
-#: lost response leaves their effect unknown.
-IDEMPOTENT_REQUESTS = (
-    HelloRequest,
-    QueryRequest,
-    FetchRequest,
-    TelemetryRequest,
-    # Replication envelopes read WAL state (subscribe/entries) or
-    # report progress the primary stores idempotently (ack).
-    ReplicateSubscribeRequest,
-    ReplicateEntriesRequest,
-    ReplicateAckRequest,
-)
 
 
 class RemoteColumn:
@@ -154,16 +127,15 @@ class RemoteColumn:
     def _ensure_codec(self) -> None:
         """Resolve ``codec="auto"`` against the transport's cache.
 
-        A peer that answers hello with ``binary`` upgrades the handle;
-        a peer that rejects the hello envelope (an old JSON-only
-        server) leaves it on JSON.  Transport failures propagate — the
-        peer is unreachable, not merely old.
+        The handle adopts the first of its own codecs the peer's
+        ``hello_response`` offers.  Any failure of the hello exchange
+        propagates (and nothing is cached), so the next call
+        renegotiates.
 
         The negotiated codec lives on the *transport*, which clears it
         on close (and therefore after any connection loss).  Checking
         the cache on every call — not once per handle — is what makes
-        a reconnect renegotiate: the restarted peer may be older than
-        the one that agreed to binary.
+        a reconnect renegotiate with the restarted peer.
         """
         if not self._auto:
             return
@@ -172,19 +144,8 @@ class RemoteColumn:
             self._codec = cached
             return
         self._codec = "json"  # hello itself always ships as JSON
-        try:
-            response = self._exchange(HelloRequest(codecs=CODECS))
-            if isinstance(response, HelloResponse):
-                offered = set(response.codecs)
-                self._codec = next(
-                    (c for c in CODECS if c in offered), "json"
-                )
-        except TransportError:
-            raise  # unreachable peer: renegotiate on the next call
-        except ServerBusyError:
-            raise  # loaded, not old: renegotiate on the next call
-        except ReproError:
-            self._codec = "json"  # peer predates the hello envelope
+        offered = set(self._exchange(HelloRequest(codecs=CODECS)).codecs)
+        self._codec = next((c for c in CODECS if c in offered), "json")
         self._transport.negotiated_codec = self._codec
 
     def call(self, request):
@@ -201,8 +162,12 @@ class RemoteColumn:
         for the caller to raise or tolerate — one bad item never
         poisons the batch.
         """
-        response = self.call(BatchRequest(requests=tuple(requests)))
-        return list(self._expect(response, BatchResponse).responses)
+        requests = tuple(requests)
+        responses = self.call(BatchRequest(requests=requests)).responses
+        for request, response in zip(requests, responses):
+            if not isinstance(response, ErrorResponse):
+                self._check_reply(request, response)
+        return list(responses)
 
     def _exchange(self, request):
         kind = type(request).__name__
@@ -222,7 +187,7 @@ class RemoteColumn:
                 )
             if self._codec == "binary":
                 self._net_frames_binary.add(1)
-            retryable = isinstance(request, IDEMPOTENT_REQUESTS)
+            retryable = spec_of(request).idempotent
             retries_before = getattr(self._transport, "retry_count", 0)
             try:
                 reply = self._transport.exchange(frame, retryable=retryable)
@@ -241,13 +206,17 @@ class RemoteColumn:
         self._net_round_trips.add(1)
         if isinstance(response, ErrorResponse):
             raise_error_response(response)
-        return response
+        return self._check_reply(request, response)
 
-    def _expect(self, response, expected_type):
-        if not isinstance(response, expected_type):
+    @staticmethod
+    def _check_reply(request, response):
+        """``response`` if it is the reply type the registry pairs
+        with ``request``; a :class:`ProtocolError` otherwise."""
+        expected = spec_of(request).reply
+        if not isinstance(response, expected):
             raise ProtocolError(
                 "expected %s, got %s"
-                % (expected_type.__name__, type(response).__name__)
+                % (expected.__name__, type(response).__name__)
             )
         return response
 
@@ -268,12 +237,11 @@ class RemoteColumn:
                 config=dict(config or {}),
             )
         )
-        return self._expect(response, CreateColumnResponse).rows_stored
+        return response.rows_stored
 
     def query(self, query: EncryptedQuery) -> ServerResponse:
         """Run one encrypted query; returns the qualifying rows."""
-        response = self.call(QueryRequest(column=self.column, query=query))
-        return self._expect(response, QueryResponse).response
+        return self.call(QueryRequest(column=self.column, query=query)).response
 
     def query_many(
         self, queries: Sequence[EncryptedQuery]
@@ -289,7 +257,7 @@ class RemoteColumn:
         ):
             if isinstance(response, ErrorResponse):
                 raise_error_response(response)
-            out.append(self._expect(response, QueryResponse).response)
+            out.append(response.response)
         return out
 
     def fetch(self, row_ids: Sequence[int]) -> List:
@@ -299,14 +267,14 @@ class RemoteColumn:
                 column=self.column, row_ids=tuple(int(i) for i in row_ids)
             )
         )
-        return list(self._expect(response, FetchResponse).rows)
+        return list(response.rows)
 
     def insert(self, rows: Sequence) -> List[int]:
         """Buffer new encrypted rows; returns their assigned ids."""
         response = self.call(
             InsertRequest(column=self.column, rows=tuple(rows))
         )
-        return list(self._expect(response, InsertResponse).row_ids)
+        return list(response.row_ids)
 
     def delete(self, row_ids: Sequence[int]) -> int:
         """Tombstone rows by physical id; returns the count processed."""
@@ -315,12 +283,11 @@ class RemoteColumn:
                 column=self.column, row_ids=tuple(int(i) for i in row_ids)
             )
         )
-        return self._expect(response, DeleteResponse).deleted
+        return response.deleted
 
     def merge(self) -> int:
         """Merge the pending buffer; returns the row-count delta."""
-        response = self.call(MergeRequest(column=self.column))
-        return self._expect(response, MergeResponse).delta
+        return self.call(MergeRequest(column=self.column)).delta
 
     def telemetry(self, sections: Sequence[str] = None) -> Dict[str, Any]:
         """Fetch the endpoint's live telemetry snapshot.
@@ -335,43 +302,37 @@ class RemoteColumn:
             sections=None if sections is None
             else tuple(str(s) for s in sections)
         )
-        response = self.call(request)
-        return self._expect(response, TelemetryResponse).sections
+        return self.call(request).sections
 
     # -- replication (replica-to-primary feed) -----------------------------------
 
     def replicate_subscribe(self, replica_id: str) -> ReplicateSubscribeResponse:
         """Join the primary's WAL feed; returns snapshot + its seq."""
-        response = self.call(
-            ReplicateSubscribeRequest(replica_id=str(replica_id))
-        )
-        return self._expect(response, ReplicateSubscribeResponse)
+        return self.call(ReplicateSubscribeRequest(replica_id=str(replica_id)))
 
     def replicate_entries(
         self, replica_id: str, after_seq: int, limit: int = None
     ) -> ReplicateEntriesResponse:
         """Pull WAL entries after ``after_seq`` (``reset`` = resubscribe)."""
-        response = self.call(
+        return self.call(
             ReplicateEntriesRequest(
                 replica_id=str(replica_id),
                 after_seq=int(after_seq),
                 limit=None if limit is None else int(limit),
             )
         )
-        return self._expect(response, ReplicateEntriesResponse)
 
     def replicate_ack(
         self, replica_id: str, seq: int, epochs: Dict[str, int]
     ) -> ReplicateAckResponse:
         """Report applied progress; returns the primary's lag estimate."""
-        response = self.call(
+        return self.call(
             ReplicateAckRequest(
                 replica_id=str(replica_id),
                 seq=int(seq),
                 epochs={str(k): int(v) for k, v in dict(epochs).items()},
             )
         )
-        return self._expect(response, ReplicateAckResponse)
 
     def rotate_begin(self) -> RotateBeginResponse:
         """Merge pending state and fetch every live row for rotation.
@@ -380,8 +341,7 @@ class RemoteColumn:
         ``.fence`` the mutation-epoch token to echo into
         :meth:`rotate_apply`.
         """
-        response = self.call(RotateBeginRequest(column=self.column))
-        return self._expect(response, RotateBeginResponse)
+        return self.call(RotateBeginRequest(column=self.column))
 
     def rotate_apply(
         self,
@@ -403,7 +363,7 @@ class RemoteColumn:
                 fence=None if fence is None else int(fence),
             )
         )
-        return self._expect(response, RotateApplyResponse).rows_stored
+        return response.rows_stored
 
     def close(self) -> None:
         """Close the underlying transport."""

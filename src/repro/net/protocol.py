@@ -21,8 +21,16 @@ are deterministic — the same envelope always encodes to the same bytes
 for the same workload (pinned by tests), and measured frame lengths
 are meaningful transfer accounting.  :func:`decode_frame` auto-detects
 the codec by the first byte, and peers negotiate the preferred codec
-with a ``hello`` envelope (old JSON-only peers answer it with an error
-envelope, which downgrades the client to JSON).
+with a ``hello`` envelope.
+
+What a message *is* is stated once, in the envelope registry below
+(:data:`ENVELOPES`): one row per envelope giving its wire ``kind``, its
+fields (each a named :class:`FieldType` owning that field's encode,
+decode and validation), the reply it is answered with, and how it is
+classified (retried? served by a replica? refused by one? journaled?).
+The four ``*_to_dict`` / ``*_from_dict`` codecs, the catalog's
+dispatch, the client's retry and reply checks, replica read routing
+and the WAL's entry validation all read that table.
 
 Pipelining: a ``batch_request`` envelope carries N independent
 sub-request envelopes in one frame; the catalog answers with a
@@ -38,8 +46,8 @@ backed by its own :class:`~repro.core.server.SecureServer` engine.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields as dataclass_fields
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.query import EncryptedQuery
 from repro.core.server import ServerResponse
@@ -84,9 +92,251 @@ CONFIG_DEFAULTS: Dict[str, Any] = {
     "auto_merge_threshold": None,
     "min_piece_size": 1,
     "use_three_way": False,
-    "use_paper_tree_algorithms": False,
     "record_stats": True,
 }
+
+
+# -- field types -----------------------------------------------------------------
+
+
+def _column_from_wire(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise SerializationError("column name must be a non-empty string")
+    return value
+
+
+def _rows_to_list(rows) -> List[Dict[str, Any]]:
+    return [ciphertext_to_dict(row) for row in rows]
+
+
+def _rows_from_list(items) -> Tuple[ValueCiphertext, ...]:
+    rows = tuple(ciphertext_from_dict(item) for item in items)
+    if not all(isinstance(row, ValueCiphertext) for row in rows):
+        raise SerializationError("column rows must be value ciphertexts")
+    return rows
+
+
+def _ids_to_list(ids) -> List[int]:
+    return [int(i) for i in ids]
+
+
+def _ids_from_list(items) -> Tuple[int, ...]:
+    return tuple(int(i) for i in items)
+
+
+def _strings_to_list(items) -> List[str]:
+    return [str(item) for item in items]
+
+
+def _strings_from_list(items) -> Tuple[str, ...]:
+    if not isinstance(items, list) or not all(
+        isinstance(item, str) for item in items
+    ):
+        raise SerializationError("expected a list of strings")
+    return tuple(items)
+
+
+def _flag_from_wire(value) -> bool:
+    if not isinstance(value, bool):
+        raise SerializationError("expected a boolean")
+    return value
+
+
+def _sections_payload(data) -> Dict[str, Any]:
+    if not isinstance(data, dict) or not all(
+        isinstance(key, str) for key in data
+    ):
+        raise SerializationError(
+            "telemetry sections must be an object with string keys"
+        )
+    return dict(data)
+
+
+def _snapshot_payload(data) -> Dict[str, Any]:
+    if not isinstance(data, dict):
+        raise SerializationError("replication snapshot must be an object")
+    return data
+
+
+#: Keys a shard descriptor carries on the wire.
+_SHARD_KEYS = ("of", "index", "count", "physical_per_value")
+
+
+def _shard_descriptor(data) -> Dict[str, Any]:
+    """Validate a shard descriptor (the same check in both directions)."""
+    if not isinstance(data, dict):
+        raise SerializationError("shard metadata must be an object")
+    unknown = set(data) - set(_SHARD_KEYS)
+    if unknown:
+        raise SerializationError(
+            "unknown shard metadata keys: %s" % ", ".join(sorted(unknown))
+        )
+    logical = data.get("of")
+    if not isinstance(logical, str) or not logical:
+        raise SerializationError("shard 'of' must be a non-empty string")
+    try:
+        count = int(data["count"])
+        index = int(data["index"])
+        per_value = int(data.get("physical_per_value", 1))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError("malformed shard metadata: %s" % exc) from exc
+    if count < 1 or not 0 <= index < count or per_value not in (1, 2):
+        raise SerializationError(
+            "inconsistent shard metadata: index=%r count=%r "
+            "physical_per_value=%r" % (index, count, per_value)
+        )
+    return {
+        "of": logical,
+        "index": index,
+        "count": count,
+        "physical_per_value": per_value,
+    }
+
+
+def _replica_id_from_wire(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise SerializationError("replica_id must be a non-empty string")
+    return value
+
+
+def _epochs_to_dict(epochs) -> Dict[str, int]:
+    return {str(name): int(epoch) for name, epoch in epochs.items()}
+
+
+def _epochs_from_dict(data) -> Dict[str, int]:
+    if not isinstance(data, dict):
+        raise SerializationError("epochs must be an object")
+    epochs = {}
+    for name, epoch in data.items():
+        if not isinstance(name, str) or not name:
+            raise SerializationError("epoch keys must be column names")
+        if (not isinstance(epoch, int) or isinstance(epoch, bool)
+                or epoch < 0):
+            raise SerializationError(
+                "epoch for column %r must be an int >= 0" % name
+            )
+        epochs[name] = epoch
+    return epochs
+
+
+def _wal_entries_to_list(entries) -> List[Dict[str, Any]]:
+    return [dict(entry) for entry in entries]
+
+
+def _wal_entries_from_list(items) -> Tuple[Dict[str, Any], ...]:
+    # Imported here: repro.core.wal owns the entry shape, and a
+    # module-level import would tie every protocol user to the WAL
+    # machinery.
+    from repro.core.wal import entry_from_wire
+
+    if not isinstance(items, list):
+        raise SerializationError("replication entries must be a list")
+    return tuple(entry_from_wire(item) for item in items)
+
+
+def _config_from_dict(data) -> Dict[str, Any]:
+    if not isinstance(data, dict):
+        raise SerializationError("column config must be an object")
+    unknown = set(data) - set(CONFIG_DEFAULTS)
+    if unknown:
+        raise SerializationError(
+            "unknown column config keys: %s" % ", ".join(sorted(unknown))
+        )
+    return dict(data)
+
+
+def _sub_requests_to_list(requests) -> List[Dict[str, Any]]:
+    if any(isinstance(sub, BatchRequest) for sub in requests):
+        raise SerializationError("batch requests cannot nest")
+    return [request_to_dict(sub) for sub in requests]
+
+
+def _sub_requests_from_list(items) -> Tuple[Any, ...]:
+    if not isinstance(items, list):
+        raise SerializationError("batch requests must be a list")
+    if any(isinstance(item, dict) and item.get("kind") == "batch_request"
+           for item in items):
+        raise SerializationError("batch requests cannot nest")
+    return tuple(request_from_dict(item) for item in items)
+
+
+def _sub_responses_to_list(responses) -> List[Dict[str, Any]]:
+    return [response_to_dict(sub) for sub in responses]
+
+
+def _sub_responses_from_list(items) -> Tuple[Any, ...]:
+    if not isinstance(items, list):
+        raise SerializationError("batch responses must be a list")
+    return tuple(response_from_dict(item) for item in items)
+
+
+#: ``FieldType.absent`` of a type whose every value goes on the wire.
+_ALWAYS_SENT = object()
+
+
+@dataclass(frozen=True)
+class FieldType:
+    """A named wire field type: owns one field's encode, decode and
+    validation.  ``decode`` raises ``SerializationError`` (or
+    ``KeyError`` / ``TypeError`` / ``ValueError``, which the envelope
+    decoder wraps) on a malformed wire value.  ``absent`` is the
+    attribute value an *optional* field leaves off the wire."""
+
+    name: str
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+    absent: Any = _ALWAYS_SENT
+
+
+def _nullable(base: FieldType) -> FieldType:
+    """``OPT_<base>``: ``None`` stays off the wire and a wire ``null``
+    decodes to ``None``."""
+    return FieldType(
+        "OPT_" + base.name,
+        base.encode,
+        lambda value: None if value is None else base.decode(value),
+        absent=None,
+    )
+
+
+def _as_is(value):
+    return value
+
+
+COLUMN = FieldType("COLUMN", _as_is, _column_from_wire)
+STR = FieldType("STR", _as_is, str)
+INT = FieldType("INT", int, int)
+FLAG = FieldType("FLAG", bool, _flag_from_wire, absent=False)
+IDS = FieldType("IDS", _ids_to_list, _ids_from_list)
+ROWS = FieldType("ROWS", _rows_to_list, _rows_from_list)
+QUERY = FieldType("QUERY", query_to_dict, query_from_dict)
+SERVER_RESPONSE = FieldType(
+    "SERVER_RESPONSE", server_response_to_dict, server_response_from_dict
+)
+STR_LIST = FieldType("STR_LIST", _strings_to_list, _strings_from_list)
+CONFIG = FieldType("CONFIG", dict, _config_from_dict)
+SHARD = FieldType("SHARD", _shard_descriptor, _shard_descriptor)
+REPLICA_ID = FieldType("REPLICA_ID", str, _replica_id_from_wire)
+EPOCHS = FieldType("EPOCHS", _epochs_to_dict, _epochs_from_dict)
+SECTIONS = FieldType("SECTIONS", _sections_payload, _sections_payload)
+SNAPSHOT = FieldType("SNAPSHOT", _snapshot_payload, _snapshot_payload)
+WAL_ENTRIES = FieldType(
+    "WAL_ENTRIES", _wal_entries_to_list, _wal_entries_from_list
+)
+REQUESTS = FieldType("REQUESTS", _sub_requests_to_list, _sub_requests_from_list)
+RESPONSES = FieldType(
+    "RESPONSES", _sub_responses_to_list, _sub_responses_from_list
+)
+OPT_INT = _nullable(INT)
+OPT_STR_LIST = _nullable(STR_LIST)
+OPT_SHARD = _nullable(SHARD)
+
+
+def wire(ftype: FieldType, key: str = "", optional: bool = False, **default):
+    """Declare an envelope attribute's wire form on the dataclass
+    field itself (see :class:`Field` for ``key`` and ``optional``);
+    ``default`` / ``default_factory`` pass through to the dataclass."""
+    return field(metadata={"wire": (ftype, key, optional)}, **default)
 
 
 # -- request envelopes ----------------------------------------------------------
@@ -98,7 +348,7 @@ class HelloRequest:
     preference order.  The one column-less request envelope — it
     addresses the endpoint, not a column."""
 
-    codecs: Tuple[str, ...] = CODECS
+    codecs: Tuple[str, ...] = wire(STR_LIST, default=CODECS)
 
 
 @dataclass(frozen=True)
@@ -108,7 +358,7 @@ class BatchRequest:
     Sub-requests may address different columns; batches never nest.
     """
 
-    requests: Tuple[Any, ...]
+    requests: Tuple[Any, ...] = wire(REQUESTS)
 
 
 @dataclass(frozen=True)
@@ -123,7 +373,9 @@ class TelemetryRequest:
     servers that export fewer sections.
     """
 
-    sections: Optional[Tuple[str, ...]] = None
+    sections: Optional[Tuple[str, ...]] = wire(
+        OPT_STR_LIST, optional=True, default=None
+    )
 
 
 @dataclass(frozen=True)
@@ -136,19 +388,23 @@ class CreateColumnRequest:
     ``None``, so unsharded frames stay byte-identical to older peers'.
     """
 
-    column: str
-    rows: Tuple[ValueCiphertext, ...]
-    row_ids: Tuple[int, ...]
-    config: Dict[str, Any] = field(default_factory=dict)
-    shard: Optional[Dict[str, Any]] = None
+    column: str = wire(COLUMN)
+    rows: Tuple[ValueCiphertext, ...] = wire(ROWS)
+    row_ids: Tuple[int, ...] = wire(IDS)
+    config: Dict[str, Any] = wire(
+        CONFIG, optional=True, default_factory=dict
+    )
+    shard: Optional[Dict[str, Any]] = wire(
+        OPT_SHARD, optional=True, default=None
+    )
 
 
 @dataclass(frozen=True)
 class QueryRequest:
     """One range/point query against a named column."""
 
-    column: str
-    query: EncryptedQuery
+    column: str = wire(COLUMN)
+    query: EncryptedQuery = wire(QUERY)
 
 
 @dataclass(frozen=True)
@@ -156,31 +412,31 @@ class FetchRequest:
     """Materialise rows of a named column by physical id (tuple
     reconstruction)."""
 
-    column: str
-    row_ids: Tuple[int, ...]
+    column: str = wire(COLUMN)
+    row_ids: Tuple[int, ...] = wire(IDS)
 
 
 @dataclass(frozen=True)
 class InsertRequest:
     """Buffer newly encrypted rows into a named column."""
 
-    column: str
-    rows: Tuple[ValueCiphertext, ...]
+    column: str = wire(COLUMN)
+    rows: Tuple[ValueCiphertext, ...] = wire(ROWS)
 
 
 @dataclass(frozen=True)
 class DeleteRequest:
     """Tombstone rows of a named column by physical id."""
 
-    column: str
-    row_ids: Tuple[int, ...]
+    column: str = wire(COLUMN)
+    row_ids: Tuple[int, ...] = wire(IDS)
 
 
 @dataclass(frozen=True)
 class MergeRequest:
     """Fold a named column's pending buffer into its cracked column."""
 
-    column: str
+    column: str = wire(COLUMN)
 
 
 @dataclass(frozen=True)
@@ -188,7 +444,7 @@ class RotateBeginRequest:
     """Start a key rotation: merge pending state and return every live
     row of the column (the client re-encrypts them under a new key)."""
 
-    column: str
+    column: str = wire(COLUMN)
 
 
 @dataclass(frozen=True)
@@ -204,10 +460,10 @@ class RotateApplyRequest:
     are never silently erased by the rebuild.  ``None`` (a pre-fence
     client) skips the check."""
 
-    column: str
-    rows: Tuple[ValueCiphertext, ...]
-    row_ids: Tuple[int, ...]
-    fence: Optional[int] = None
+    column: str = wire(COLUMN)
+    rows: Tuple[ValueCiphertext, ...] = wire(ROWS)
+    row_ids: Tuple[int, ...] = wire(IDS)
+    fence: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -220,7 +476,7 @@ class ReplicateSubscribeRequest:
     entries.  ``replica_id`` names the replica in the primary's
     telemetry (``replication.lag_epochs.<replica_id>``)."""
 
-    replica_id: str
+    replica_id: str = wire(REPLICA_ID)
 
 
 @dataclass(frozen=True)
@@ -233,9 +489,9 @@ class ReplicateEntriesRequest:
     retained log (compacted away), the reply carries ``reset`` and the
     replica must re-subscribe from a fresh snapshot."""
 
-    replica_id: str
-    after_seq: int
-    limit: Optional[int] = None
+    replica_id: str = wire(REPLICA_ID)
+    after_seq: int = wire(INT)
+    limit: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -245,9 +501,11 @@ class ReplicateAckRequest:
     them against its own epochs to publish the per-replica
     ``replication.lag_epochs`` gauge."""
 
-    replica_id: str
-    seq: int
-    epochs: Dict[str, int] = field(default_factory=dict)
+    replica_id: str = wire(REPLICA_ID)
+    seq: int = wire(INT)
+    epochs: Dict[str, int] = wire(
+        EPOCHS, optional=True, default_factory=dict
+    )
 
 
 # -- response envelopes ---------------------------------------------------------
@@ -258,7 +516,7 @@ class HelloResponse:
     """Codecs the server supports; the client upgrades to the first
     one both sides share (preferring its own order)."""
 
-    codecs: Tuple[str, ...] = CODECS
+    codecs: Tuple[str, ...] = wire(STR_LIST, default=CODECS)
 
 
 @dataclass(frozen=True)
@@ -269,7 +527,7 @@ class BatchResponse:
     others carry their normal typed responses.
     """
 
-    responses: Tuple[Any, ...]
+    responses: Tuple[Any, ...] = wire(RESPONSES)
 
 
 @dataclass(frozen=True)
@@ -281,7 +539,7 @@ class TelemetryResponse:
     summaries, slow-query rings, pool state are all plain dicts).
     """
 
-    sections: Dict[str, Any]
+    sections: Dict[str, Any] = wire(SECTIONS)
 
 
 @dataclass(frozen=True)
@@ -294,23 +552,23 @@ class CreateColumnResponse:
     bytes.  Clients use it as a read-your-writes fence when routing
     reads across replicas."""
 
-    column: str
-    rows_stored: int
-    epoch: Optional[int] = None
+    column: str = wire(STR)
+    rows_stored: int = wire(INT)
+    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
 class QueryResponse:
     """The qualifying rows of one query, in a single round."""
 
-    response: ServerResponse
+    response: ServerResponse = wire(SERVER_RESPONSE, key="body")
 
 
 @dataclass(frozen=True)
 class FetchResponse:
     """Rows materialised by id, parallel to the requested ids."""
 
-    rows: Tuple[ValueCiphertext, ...]
+    rows: Tuple[ValueCiphertext, ...] = wire(ROWS)
 
 
 @dataclass(frozen=True)
@@ -320,8 +578,8 @@ class InsertResponse:
     ``epoch`` is the column's mutation epoch after the insert (the
     replica-read fence); omitted from the wire when ``None``."""
 
-    row_ids: Tuple[int, ...]
-    epoch: Optional[int] = None
+    row_ids: Tuple[int, ...] = wire(IDS)
+    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -330,8 +588,8 @@ class DeleteResponse:
 
     ``epoch`` as on :class:`InsertResponse`."""
 
-    deleted: int
-    epoch: Optional[int] = None
+    deleted: int = wire(INT)
+    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -340,8 +598,8 @@ class MergeResponse:
 
     ``epoch`` as on :class:`InsertResponse`."""
 
-    delta: int
-    epoch: Optional[int] = None
+    delta: int = wire(INT)
+    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -353,8 +611,8 @@ class RotateBeginResponse:
     rebuild if the column mutated in between.  ``None`` only from a
     pre-fence server."""
 
-    response: ServerResponse
-    fence: Optional[int] = None
+    response: ServerResponse = wire(SERVER_RESPONSE, key="body")
+    fence: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -363,8 +621,8 @@ class RotateApplyResponse:
 
     ``epoch`` as on :class:`InsertResponse`."""
 
-    rows_stored: int
-    epoch: Optional[int] = None
+    rows_stored: int = wire(INT)
+    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -373,8 +631,8 @@ class ReplicateSubscribeResponse:
     captures.  The replica restores the snapshot and pulls entries
     after ``seq``."""
 
-    snapshot: Dict[str, Any]
-    seq: int
+    snapshot: Dict[str, Any] = wire(SNAPSHOT)
+    seq: int = wire(INT)
 
 
 @dataclass(frozen=True)
@@ -387,9 +645,9 @@ class ReplicateEntriesResponse:
     (omitted from the wire when false) means the requested range was
     compacted away and the replica must re-subscribe."""
 
-    entries: Tuple[Dict[str, Any], ...]
-    seq: int
-    reset: bool = False
+    entries: Tuple[Dict[str, Any], ...] = wire(WAL_ENTRIES)
+    seq: int = wire(INT)
+    reset: bool = wire(FLAG, optional=True, default=False)
 
 
 @dataclass(frozen=True)
@@ -397,7 +655,7 @@ class ReplicateAckResponse:
     """Acknowledges a progress report with the lag the primary computed
     from it (total epochs the replica is behind, summed over columns)."""
 
-    lag_epochs: int
+    lag_epochs: int = wire(INT)
 
 
 @dataclass(frozen=True)
@@ -408,8 +666,8 @@ class ErrorResponse:
     :data:`ERROR_CLASSES`); ``message`` is the server-side detail.
     """
 
-    code: str
-    message: str
+    code: str = wire(STR)
+    message: str = wire(STR)
 
 
 #: Wire ``code`` -> exception class raised at the client.  Unknown
@@ -457,108 +715,216 @@ def raise_error_response(error: ErrorResponse) -> None:
     raise ERROR_CLASSES.get(error.code, ProtocolError)(error.message)
 
 
+# -- the envelope registry ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Field:
+    """One envelope attribute on the wire (declared with :func:`wire`).
+
+    ``key`` is the wire key (the attribute name unless given).  An
+    ``optional`` field may be missing from a frame — the attribute then
+    keeps its dataclass default — and is left off the wire while it
+    holds its type's ``absent`` value, so frames that never use the
+    field keep their exact bytes.
+    """
+
+    attribute: str
+    type: FieldType
+    key: str
+    optional: bool
+
+
+@dataclass(frozen=True)
+class EnvelopeSpec:
+    """One row of the registry — everything the code base knows about
+    one message kind.
+
+    ``fields`` are the dataclass's :func:`wire` declarations, in
+    order.  ``reply`` is the response type a request is answered with;
+    a row without one describes a response envelope.  The flags
+    classify requests: ``idempotent`` (the transport may re-send it
+    after a connection loss), ``replica_readable`` (a read replica may
+    answer it in the primary's stead), ``mutates`` (changes column
+    state: a read replica refuses it) and ``journaled`` (the WAL
+    records it — every mutation but ``rotate_begin``, which merges
+    pending rows yet bumps no epoch and leaves no log entry).
+    """
+
+    cls: type
+    kind: str
+    fields: Tuple[Field, ...]
+    reply: Optional[type] = None
+    idempotent: bool = False
+    replica_readable: bool = False
+    mutates: bool = False
+    journaled: bool = False
+
+    @property
+    def is_request(self) -> bool:
+        return self.reply is not None
+
+
+#: Envelope dataclass -> its registry row: the one definition the
+#: codecs, the catalog, the client, replica routing and the WAL read.
+ENVELOPES: Dict[type, EnvelopeSpec] = {}
+
+#: Wire ``kind`` -> row, per direction (the decoders' lookup).
+_REQUEST_SPECS: Dict[str, EnvelopeSpec] = {}
+_RESPONSE_SPECS: Dict[str, EnvelopeSpec] = {}
+
+
+def register(cls: type, kind: str, reply: type = None, **flags) -> None:
+    """Add one envelope to the protocol: a dataclass whose every field
+    is declared with :func:`wire`, its wire ``kind``, and — for a
+    request — the reply type and classification flags."""
+    fields = []
+    for declared in dataclass_fields(cls):
+        ftype, key, optional = declared.metadata["wire"]
+        fields.append(
+            Field(declared.name, ftype, key or declared.name, optional)
+        )
+    spec = EnvelopeSpec(cls, kind, tuple(fields), reply, **flags)
+    ENVELOPES[cls] = spec
+    (_REQUEST_SPECS if spec.is_request else _RESPONSE_SPECS)[kind] = spec
+
+
+def spec_of(envelope) -> EnvelopeSpec:
+    """The registry row of an envelope object."""
+    try:
+        return ENVELOPES[type(envelope)]
+    except KeyError:
+        raise SerializationError(
+            "%s is not a protocol envelope" % type(envelope).__name__
+        ) from None
+
+
+def request_spec(kind) -> Optional[EnvelopeSpec]:
+    """The registry row of a request ``kind`` read off an envelope
+    dict, or ``None`` for anything that is not a known request kind."""
+    return _REQUEST_SPECS.get(kind) if isinstance(kind, str) else None
+
+
+register(HelloRequest, "hello", HelloResponse, idempotent=True)
+register(BatchRequest, "batch_request", BatchResponse)
+register(TelemetryRequest, "telemetry_request", TelemetryResponse,
+         idempotent=True)
+register(CreateColumnRequest, "create_column", CreateColumnResponse,
+         mutates=True, journaled=True)
+register(QueryRequest, "query_request", QueryResponse,
+         idempotent=True, replica_readable=True)
+register(FetchRequest, "fetch_request", FetchResponse,
+         idempotent=True, replica_readable=True)
+register(InsertRequest, "insert_request", InsertResponse,
+         mutates=True, journaled=True)
+register(DeleteRequest, "delete_request", DeleteResponse,
+         mutates=True, journaled=True)
+register(MergeRequest, "merge_request", MergeResponse,
+         mutates=True, journaled=True)
+register(RotateBeginRequest, "rotate_begin", RotateBeginResponse,
+         mutates=True)
+register(RotateApplyRequest, "rotate_apply", RotateApplyResponse,
+         mutates=True, journaled=True)
+register(ReplicateSubscribeRequest, "replicate_subscribe",
+         ReplicateSubscribeResponse, idempotent=True)
+register(ReplicateEntriesRequest, "replicate_entries",
+         ReplicateEntriesResponse, idempotent=True)
+register(ReplicateAckRequest, "replicate_ack", ReplicateAckResponse,
+         idempotent=True)
+
+register(HelloResponse, "hello_response")
+register(BatchResponse, "batch_response")
+register(TelemetryResponse, "telemetry_response")
+register(CreateColumnResponse, "create_column_response")
+register(QueryResponse, "query_response")
+register(FetchResponse, "fetch_response")
+register(InsertResponse, "insert_response")
+register(DeleteResponse, "delete_response")
+register(MergeResponse, "merge_response")
+register(RotateBeginResponse, "rotate_begin_response")
+register(RotateApplyResponse, "rotate_apply_response")
+register(ReplicateSubscribeResponse, "replicate_subscribe_response")
+register(ReplicateEntriesResponse, "replicate_entries_response")
+register(ReplicateAckResponse, "replicate_ack_response")
+register(ErrorResponse, "error_response")
+
+
 # -- dict codecs ----------------------------------------------------------------
 
-_REQUEST_KINDS = {
-    HelloRequest: "hello",
-    BatchRequest: "batch_request",
-    TelemetryRequest: "telemetry_request",
-    CreateColumnRequest: "create_column",
-    QueryRequest: "query_request",
-    FetchRequest: "fetch_request",
-    InsertRequest: "insert_request",
-    DeleteRequest: "delete_request",
-    MergeRequest: "merge_request",
-    RotateBeginRequest: "rotate_begin",
-    RotateApplyRequest: "rotate_apply",
-    ReplicateSubscribeRequest: "replicate_subscribe",
-    ReplicateEntriesRequest: "replicate_entries",
-    ReplicateAckRequest: "replicate_ack",
-}
 
-_RESPONSE_KINDS = {
-    HelloResponse: "hello_response",
-    BatchResponse: "batch_response",
-    TelemetryResponse: "telemetry_response",
-    CreateColumnResponse: "create_column_response",
-    QueryResponse: "query_response",
-    FetchResponse: "fetch_response",
-    InsertResponse: "insert_response",
-    DeleteResponse: "delete_response",
-    MergeResponse: "merge_response",
-    RotateBeginResponse: "rotate_begin_response",
-    RotateApplyResponse: "rotate_apply_response",
-    ReplicateSubscribeResponse: "replicate_subscribe_response",
-    ReplicateEntriesResponse: "replicate_entries_response",
-    ReplicateAckResponse: "replicate_ack_response",
-    ErrorResponse: "error_response",
-}
-
-
-def _envelope(kind: str, **fields) -> Dict[str, Any]:
-    payload = {"kind": kind, "version": PROTOCOL_VERSION}
-    payload.update(fields)
-    return payload
-
-
-def _check_envelope(data: Dict[str, Any], expected: Optional[str] = None) -> str:
+def _check_envelope(data: Dict[str, Any]) -> str:
     if not isinstance(data, dict):
         raise SerializationError("envelope must be a JSON object")
-    kind = data.get("kind")
-    if expected is not None and kind != expected:
-        raise SerializationError(
-            "expected envelope kind %r, got %r" % (expected, kind)
-        )
     if data.get("version") != PROTOCOL_VERSION:
         raise SerializationError(
             "unsupported protocol version: %r" % (data.get("version"),)
         )
+    kind = data.get("kind")
     if not isinstance(kind, str):
         raise SerializationError("envelope kind must be a string")
     return kind
 
 
-def _rows_to_list(rows) -> List[Dict[str, Any]]:
-    return [ciphertext_to_dict(row) for row in rows]
+def _direction(is_request: bool) -> str:
+    return "request" if is_request else "response"
 
 
-def _rows_from_list(items) -> Tuple[ValueCiphertext, ...]:
-    rows = tuple(ciphertext_from_dict(item) for item in items)
-    if not all(isinstance(row, ValueCiphertext) for row in rows):
-        raise SerializationError("column rows must be value ciphertexts")
-    return rows
-
-
-def _ids_from_list(items) -> Tuple[int, ...]:
-    return tuple(int(i) for i in items)
-
-
-def _codecs_from_list(items) -> Tuple[str, ...]:
-    if not isinstance(items, list) or not all(
-        isinstance(item, str) for item in items
-    ):
-        raise SerializationError("codecs must be a list of strings")
-    return tuple(items)
-
-
-def _sections_filter_from_list(items) -> Tuple[str, ...]:
-    if not isinstance(items, list) or not all(
-        isinstance(item, str) for item in items
-    ):
+def _to_dict(envelope, is_request: bool) -> Dict[str, Any]:
+    spec = ENVELOPES.get(type(envelope))
+    if spec is None or spec.is_request is not is_request:
         raise SerializationError(
-            "telemetry sections filter must be a list of strings"
+            "cannot serialize %s of type %s"
+            % (_direction(is_request), type(envelope).__name__)
         )
-    return tuple(items)
+    payload = {"kind": spec.kind, "version": PROTOCOL_VERSION}
+    for field_ in spec.fields:
+        value = getattr(envelope, field_.attribute)
+        if field_.optional and value is field_.type.absent:
+            continue
+        payload[field_.key] = field_.type.encode(value)
+    return payload
 
 
-def _sections_payload_from_dict(data) -> Dict[str, Any]:
-    if not isinstance(data, dict) or not all(
-        isinstance(key, str) for key in data
-    ):
+def _from_dict(data: Dict[str, Any], is_request: bool):
+    kind = _check_envelope(data)
+    spec = (_REQUEST_SPECS if is_request else _RESPONSE_SPECS).get(kind)
+    if spec is None:
         raise SerializationError(
-            "telemetry sections must be an object with string keys"
+            "unknown %s kind: %r" % (_direction(is_request), kind)
         )
-    return dict(data)
+    values = {}
+    try:
+        for field_ in spec.fields:
+            if field_.optional and field_.key not in data:
+                continue
+            values[field_.attribute] = field_.type.decode(data[field_.key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(
+            "malformed %s payload: %s" % (kind, exc)
+        ) from exc
+    return spec.cls(**values)
+
+
+def request_to_dict(request) -> Dict[str, Any]:
+    """Serialize any request envelope to a JSON-compatible dict."""
+    return _to_dict(request, True)
+
+
+def request_from_dict(data: Dict[str, Any]):
+    """Reconstruct a request envelope; raises ``SerializationError`` on
+    any malformed payload (never ``KeyError``/``TypeError``)."""
+    return _from_dict(data, True)
+
+
+def response_to_dict(response) -> Dict[str, Any]:
+    """Serialize any response envelope to a JSON-compatible dict."""
+    return _to_dict(response, False)
+
+
+def response_from_dict(data: Dict[str, Any]):
+    """Reconstruct a response envelope; raises ``SerializationError``
+    on any malformed payload."""
+    return _from_dict(data, False)
 
 
 # -- trace-context propagation ---------------------------------------------
@@ -610,418 +976,6 @@ def attach_trace(payload: Dict[str, Any],
             if isinstance(sub, dict):
                 sub["trace"] = dict(context)
     return payload
-
-
-#: Keys a shard descriptor carries on the wire.
-_SHARD_KEYS = ("of", "index", "count", "physical_per_value")
-
-
-def _shard_to_dict(shard) -> Dict[str, Any]:
-    if not isinstance(shard, dict):
-        raise SerializationError("shard metadata must be an object")
-    return _shard_from_dict(shard)
-
-
-def _shard_from_dict(data) -> Dict[str, Any]:
-    if not isinstance(data, dict):
-        raise SerializationError("shard metadata must be an object")
-    unknown = set(data) - set(_SHARD_KEYS)
-    if unknown:
-        raise SerializationError(
-            "unknown shard metadata keys: %s" % ", ".join(sorted(unknown))
-        )
-    logical = data.get("of")
-    if not isinstance(logical, str) or not logical:
-        raise SerializationError("shard 'of' must be a non-empty string")
-    try:
-        count = int(data["count"])
-        index = int(data["index"])
-        per_value = int(data.get("physical_per_value", 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError("malformed shard metadata: %s" % exc) from exc
-    if count < 1 or not 0 <= index < count or per_value not in (1, 2):
-        raise SerializationError(
-            "inconsistent shard metadata: index=%r count=%r "
-            "physical_per_value=%r" % (index, count, per_value)
-        )
-    return {
-        "of": logical,
-        "index": index,
-        "count": count,
-        "physical_per_value": per_value,
-    }
-
-
-def _replica_id_from_wire(value) -> str:
-    if not isinstance(value, str) or not value:
-        raise SerializationError("replica_id must be a non-empty string")
-    return value
-
-
-def _epochs_from_dict(data) -> Dict[str, int]:
-    if not isinstance(data, dict):
-        raise SerializationError("epochs must be an object")
-    epochs = {}
-    for name, epoch in data.items():
-        if not isinstance(name, str) or not name:
-            raise SerializationError("epoch keys must be column names")
-        if (not isinstance(epoch, int) or isinstance(epoch, bool)
-                or epoch < 0):
-            raise SerializationError(
-                "epoch for column %r must be an int >= 0" % name
-            )
-        epochs[name] = epoch
-    return epochs
-
-
-def _wal_entries_from_list(items) -> Tuple[Dict[str, Any], ...]:
-    # Imported here: repro.core.wal owns the entry shape, and a
-    # module-level import would tie every protocol user to the WAL
-    # machinery.
-    from repro.core.wal import entry_from_wire
-
-    if not isinstance(items, list):
-        raise SerializationError("replication entries must be a list")
-    return tuple(entry_from_wire(item) for item in items)
-
-
-def _config_from_dict(data) -> Dict[str, Any]:
-    if not isinstance(data, dict):
-        raise SerializationError("column config must be an object")
-    unknown = set(data) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise SerializationError(
-            "unknown column config keys: %s" % ", ".join(sorted(unknown))
-        )
-    return dict(data)
-
-
-def request_to_dict(request) -> Dict[str, Any]:
-    """Serialize any request envelope to a JSON-compatible dict."""
-    kind = _REQUEST_KINDS.get(type(request))
-    if kind is None:
-        raise SerializationError(
-            "cannot serialize request of type %s" % type(request).__name__
-        )
-    if isinstance(request, HelloRequest):
-        return _envelope(kind, codecs=[str(c) for c in request.codecs])
-    if isinstance(request, BatchRequest):
-        items = []
-        for sub in request.requests:
-            if isinstance(sub, BatchRequest):
-                raise SerializationError("batch requests cannot nest")
-            items.append(request_to_dict(sub))
-        return _envelope(kind, requests=items)
-    if isinstance(request, TelemetryRequest):
-        payload = _envelope(kind)
-        # Omitted when None (= all sections) to keep the frame minimal.
-        if request.sections is not None:
-            payload["sections"] = [str(s) for s in request.sections]
-        return payload
-    if isinstance(request, ReplicateSubscribeRequest):
-        return _envelope(kind, replica_id=str(request.replica_id))
-    if isinstance(request, ReplicateEntriesRequest):
-        payload = _envelope(
-            kind,
-            replica_id=str(request.replica_id),
-            after_seq=int(request.after_seq),
-        )
-        # Omitted when None (= server default) to keep the frame minimal.
-        if request.limit is not None:
-            payload["limit"] = int(request.limit)
-        return payload
-    if isinstance(request, ReplicateAckRequest):
-        return _envelope(
-            kind,
-            replica_id=str(request.replica_id),
-            seq=int(request.seq),
-            epochs={str(k): int(v) for k, v in request.epochs.items()},
-        )
-    if isinstance(request, CreateColumnRequest):
-        payload = _envelope(
-            kind,
-            column=request.column,
-            rows=_rows_to_list(request.rows),
-            row_ids=[int(i) for i in request.row_ids],
-            config=dict(request.config),
-        )
-        # Omitted when absent so unsharded frames keep their old bytes.
-        if request.shard is not None:
-            payload["shard"] = _shard_to_dict(request.shard)
-        return payload
-    if isinstance(request, QueryRequest):
-        return _envelope(
-            kind, column=request.column, query=query_to_dict(request.query)
-        )
-    if isinstance(request, (FetchRequest, DeleteRequest)):
-        return _envelope(
-            kind,
-            column=request.column,
-            row_ids=[int(i) for i in request.row_ids],
-        )
-    if isinstance(request, InsertRequest):
-        return _envelope(
-            kind, column=request.column, rows=_rows_to_list(request.rows)
-        )
-    if isinstance(request, (MergeRequest, RotateBeginRequest)):
-        return _envelope(kind, column=request.column)
-    # RotateApplyRequest; the fence is omitted when absent so pre-fence
-    # frames stay byte-identical.
-    payload = _envelope(
-        kind,
-        column=request.column,
-        rows=_rows_to_list(request.rows),
-        row_ids=[int(i) for i in request.row_ids],
-    )
-    if request.fence is not None:
-        payload["fence"] = int(request.fence)
-    return payload
-
-
-def request_from_dict(data: Dict[str, Any]):
-    """Reconstruct a request envelope; raises ``SerializationError`` on
-    any malformed payload (never ``KeyError``/``TypeError``)."""
-    kind = _check_envelope(data)
-    try:
-        if kind == "hello":
-            return HelloRequest(codecs=_codecs_from_list(data["codecs"]))
-        if kind == "batch_request":
-            items = data["requests"]
-            if not isinstance(items, list):
-                raise SerializationError("batch requests must be a list")
-            subs = []
-            for item in items:
-                if isinstance(item, dict) and item.get("kind") == "batch_request":
-                    raise SerializationError("batch requests cannot nest")
-                subs.append(request_from_dict(item))
-            return BatchRequest(requests=tuple(subs))
-        if kind == "telemetry_request":
-            sections = data.get("sections")
-            return TelemetryRequest(
-                sections=None if sections is None
-                else _sections_filter_from_list(sections)
-            )
-        if kind == "replicate_subscribe":
-            return ReplicateSubscribeRequest(
-                replica_id=_replica_id_from_wire(data["replica_id"])
-            )
-        if kind == "replicate_entries":
-            limit = data.get("limit")
-            return ReplicateEntriesRequest(
-                replica_id=_replica_id_from_wire(data["replica_id"]),
-                after_seq=int(data["after_seq"]),
-                limit=None if limit is None else int(limit),
-            )
-        if kind == "replicate_ack":
-            return ReplicateAckRequest(
-                replica_id=_replica_id_from_wire(data["replica_id"]),
-                seq=int(data["seq"]),
-                epochs=_epochs_from_dict(data.get("epochs", {})),
-            )
-        column = data["column"]
-        if not isinstance(column, str) or not column:
-            raise SerializationError("column name must be a non-empty string")
-        if kind == "create_column":
-            shard = data.get("shard")
-            return CreateColumnRequest(
-                column=column,
-                rows=_rows_from_list(data["rows"]),
-                row_ids=_ids_from_list(data["row_ids"]),
-                config=_config_from_dict(data.get("config", {})),
-                shard=None if shard is None else _shard_from_dict(shard),
-            )
-        if kind == "query_request":
-            return QueryRequest(column=column, query=query_from_dict(data["query"]))
-        if kind == "fetch_request":
-            return FetchRequest(column=column, row_ids=_ids_from_list(data["row_ids"]))
-        if kind == "insert_request":
-            return InsertRequest(column=column, rows=_rows_from_list(data["rows"]))
-        if kind == "delete_request":
-            return DeleteRequest(column=column, row_ids=_ids_from_list(data["row_ids"]))
-        if kind == "merge_request":
-            return MergeRequest(column=column)
-        if kind == "rotate_begin":
-            return RotateBeginRequest(column=column)
-        if kind == "rotate_apply":
-            fence = data.get("fence")
-            return RotateApplyRequest(
-                column=column,
-                rows=_rows_from_list(data["rows"]),
-                row_ids=_ids_from_list(data["row_ids"]),
-                fence=None if fence is None else int(fence),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError("malformed %s payload: %s" % (kind, exc)) from exc
-    raise SerializationError("unknown request kind: %r" % kind)
-
-
-def response_to_dict(response) -> Dict[str, Any]:
-    """Serialize any response envelope to a JSON-compatible dict."""
-    kind = _RESPONSE_KINDS.get(type(response))
-    if kind is None:
-        raise SerializationError(
-            "cannot serialize response of type %s" % type(response).__name__
-        )
-    if isinstance(response, HelloResponse):
-        return _envelope(kind, codecs=[str(c) for c in response.codecs])
-    if isinstance(response, BatchResponse):
-        return _envelope(
-            kind, responses=[response_to_dict(sub) for sub in response.responses]
-        )
-    if isinstance(response, TelemetryResponse):
-        return _envelope(
-            kind, sections=_sections_payload_from_dict(response.sections)
-        )
-    if isinstance(response, CreateColumnResponse):
-        payload = _envelope(
-            kind, column=response.column, rows_stored=int(response.rows_stored)
-        )
-        return _with_epoch(payload, response.epoch)
-    if isinstance(response, QueryResponse):
-        return _envelope(kind, body=server_response_to_dict(response.response))
-    if isinstance(response, RotateBeginResponse):
-        payload = _envelope(
-            kind, body=server_response_to_dict(response.response)
-        )
-        if response.fence is not None:
-            payload["fence"] = int(response.fence)
-        return payload
-    if isinstance(response, FetchResponse):
-        return _envelope(kind, rows=_rows_to_list(response.rows))
-    if isinstance(response, InsertResponse):
-        return _with_epoch(
-            _envelope(kind, row_ids=[int(i) for i in response.row_ids]),
-            response.epoch,
-        )
-    if isinstance(response, DeleteResponse):
-        return _with_epoch(
-            _envelope(kind, deleted=int(response.deleted)), response.epoch
-        )
-    if isinstance(response, MergeResponse):
-        return _with_epoch(
-            _envelope(kind, delta=int(response.delta)), response.epoch
-        )
-    if isinstance(response, RotateApplyResponse):
-        return _with_epoch(
-            _envelope(kind, rows_stored=int(response.rows_stored)),
-            response.epoch,
-        )
-    if isinstance(response, ReplicateSubscribeResponse):
-        if not isinstance(response.snapshot, dict):
-            raise SerializationError("replication snapshot must be an object")
-        return _envelope(
-            kind, snapshot=response.snapshot, seq=int(response.seq)
-        )
-    if isinstance(response, ReplicateEntriesResponse):
-        payload = _envelope(
-            kind,
-            entries=[dict(entry) for entry in response.entries],
-            seq=int(response.seq),
-        )
-        # Omitted when false so steady-state frames stay minimal.
-        if response.reset:
-            payload["reset"] = True
-        return payload
-    if isinstance(response, ReplicateAckResponse):
-        return _envelope(kind, lag_epochs=int(response.lag_epochs))
-    # ErrorResponse
-    return _envelope(kind, code=response.code, message=response.message)
-
-
-def _with_epoch(payload: Dict[str, Any],
-                epoch: Optional[int]) -> Dict[str, Any]:
-    """Attach a mutation response's epoch fence, omitted when ``None``
-    so pre-replication frames keep their exact bytes."""
-    if epoch is not None:
-        payload["epoch"] = int(epoch)
-    return payload
-
-
-def _epoch_from_wire(data: Dict[str, Any]) -> Optional[int]:
-    """Decode a mutation response's optional ``epoch`` fence."""
-    epoch = data.get("epoch")
-    return None if epoch is None else int(epoch)
-
-
-def response_from_dict(data: Dict[str, Any]):
-    """Reconstruct a response envelope; raises ``SerializationError``
-    on any malformed payload."""
-    kind = _check_envelope(data)
-    try:
-        if kind == "hello_response":
-            return HelloResponse(codecs=_codecs_from_list(data["codecs"]))
-        if kind == "batch_response":
-            items = data["responses"]
-            if not isinstance(items, list):
-                raise SerializationError("batch responses must be a list")
-            return BatchResponse(
-                responses=tuple(response_from_dict(item) for item in items)
-            )
-        if kind == "telemetry_response":
-            return TelemetryResponse(
-                sections=_sections_payload_from_dict(data["sections"])
-            )
-        if kind == "create_column_response":
-            return CreateColumnResponse(
-                column=str(data["column"]),
-                rows_stored=int(data["rows_stored"]),
-                epoch=_epoch_from_wire(data),
-            )
-        if kind == "query_response":
-            return QueryResponse(response=server_response_from_dict(data["body"]))
-        if kind == "fetch_response":
-            return FetchResponse(rows=_rows_from_list(data["rows"]))
-        if kind == "insert_response":
-            return InsertResponse(
-                row_ids=_ids_from_list(data["row_ids"]),
-                epoch=_epoch_from_wire(data),
-            )
-        if kind == "delete_response":
-            return DeleteResponse(
-                deleted=int(data["deleted"]), epoch=_epoch_from_wire(data)
-            )
-        if kind == "merge_response":
-            return MergeResponse(
-                delta=int(data["delta"]), epoch=_epoch_from_wire(data)
-            )
-        if kind == "rotate_begin_response":
-            fence = data.get("fence")
-            return RotateBeginResponse(
-                response=server_response_from_dict(data["body"]),
-                fence=None if fence is None else int(fence),
-            )
-        if kind == "rotate_apply_response":
-            return RotateApplyResponse(
-                rows_stored=int(data["rows_stored"]),
-                epoch=_epoch_from_wire(data),
-            )
-        if kind == "replicate_subscribe_response":
-            snapshot = data["snapshot"]
-            if not isinstance(snapshot, dict):
-                raise SerializationError(
-                    "replication snapshot must be an object"
-                )
-            return ReplicateSubscribeResponse(
-                snapshot=snapshot, seq=int(data["seq"])
-            )
-        if kind == "replicate_entries_response":
-            reset = data.get("reset", False)
-            if not isinstance(reset, bool):
-                raise SerializationError("reset must be a boolean")
-            return ReplicateEntriesResponse(
-                entries=_wal_entries_from_list(data["entries"]),
-                seq=int(data["seq"]),
-                reset=reset,
-            )
-        if kind == "replicate_ack_response":
-            return ReplicateAckResponse(lag_epochs=int(data["lag_epochs"]))
-        if kind == "error_response":
-            return ErrorResponse(
-                code=str(data["code"]), message=str(data["message"])
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError("malformed %s payload: %s" % (kind, exc)) from exc
-    raise SerializationError("unknown response kind: %r" % kind)
 
 
 # -- frames ---------------------------------------------------------------------

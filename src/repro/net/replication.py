@@ -40,14 +40,11 @@ from repro.net.protocol import (
     TelemetryRequest,
     decode_frame,
     encode_frame,
+    request_spec,
     request_to_dict,
 )
 from repro.net.transport import Transport
 from repro.obs import Observability
-
-#: Request kinds a replica can serve (everything else goes — or is
-#: refused with ``read_only`` — to the primary).
-READ_KINDS = ("query_request", "fetch_request")
 
 #: Default seconds between entry polls when the replica is caught up.
 DEFAULT_POLL_INTERVAL = 0.05
@@ -361,24 +358,23 @@ class ReplicaSet(Transport):
     def _read_columns(payload: Dict[str, Any],
                       kind: Any) -> Optional[List[str]]:
         """Columns a read-only frame addresses, or ``None`` when the
-        frame must go to the primary (mutations, hello, telemetry,
-        replication, malformed)."""
-        if kind in READ_KINDS:
-            column = payload.get("column")
-            return [column] if isinstance(column, str) else None
-        if kind != "batch_request":
-            return None
-        items = payload.get("requests")
-        if not isinstance(items, list) or not items:
-            return None
+        frame must go to the primary: anything but envelopes the
+        protocol registry marks ``replica_readable`` (and batches made
+        only of them), or a malformed frame."""
+        if kind == "batch_request":
+            items = payload.get("requests")
+            if not isinstance(items, list) or not items:
+                return None
+        else:
+            items = [payload]
         columns: List[str] = []
         for item in items:
             if not isinstance(item, dict):
                 return None
-            if item.get("kind") not in READ_KINDS:
-                return None
+            spec = request_spec(item.get("kind"))
             column = item.get("column")
-            if not isinstance(column, str):
+            if (spec is None or not spec.replica_readable
+                    or not isinstance(column, str)):
                 return None
             columns.append(column)
         return columns

@@ -44,26 +44,18 @@ import numpy as np
 
 from repro.core.query import EncryptedQuery
 from repro.core.server import ServerResponse
-from repro.errors import ProtocolError, RotationConflictError, UpdateError
+from repro.errors import RotationConflictError, UpdateError
 from repro.net.client import RemoteColumn
 from repro.net.protocol import (
     CreateColumnRequest,
-    CreateColumnResponse,
     DeleteRequest,
-    DeleteResponse,
     ErrorResponse,
     FetchRequest,
-    FetchResponse,
     InsertRequest,
-    InsertResponse,
     MergeRequest,
-    MergeResponse,
     QueryRequest,
-    QueryResponse,
     RotateApplyRequest,
-    RotateApplyResponse,
     RotateBeginRequest,
-    RotateBeginResponse,
     raise_error_response,
 )
 from repro.net.transport import Transport
@@ -196,15 +188,6 @@ class ShardedRemoteColumn:
                 raise_error_response(response)
         return responses
 
-    @staticmethod
-    def _expect(response, expected_type):
-        if not isinstance(response, expected_type):
-            raise ProtocolError(
-                "expected %s, got %s"
-                % (expected_type.__name__, type(response).__name__)
-            )
-        return response
-
     # -- typed operations --------------------------------------------------------
 
     def create(
@@ -244,10 +227,7 @@ class ShardedRemoteColumn:
             )
         ]
         responses = self._call_many(requests, fanout=self.shard_count)
-        return sum(
-            self._expect(r, CreateColumnResponse).rows_stored
-            for r in responses
-        )
+        return sum(r.rows_stored for r in responses)
 
     def query(self, query: EncryptedQuery) -> ServerResponse:
         """Fan one encrypted query out to every shard; merge results."""
@@ -283,7 +263,7 @@ class ShardedRemoteColumn:
         id_parts: List[np.ndarray] = []
         rows: List = []
         for shard, response in enumerate(responses):
-            body = self._expect(response, QueryResponse).response
+            body = response.response
             id_parts.append(self._to_global_array(shard, body.row_ids))
             rows.extend(body.rows)
         if id_parts:
@@ -323,7 +303,7 @@ class ShardedRemoteColumn:
         )
         out: List = [None] * len(row_ids)
         for shard, response in zip(shards, responses):
-            rows = self._expect(response, FetchResponse).rows
+            rows = response.rows
             for position, row in zip(groups[shard][0], rows):
                 out[position] = row
         return out
@@ -356,7 +336,7 @@ class ShardedRemoteColumn:
         response = self._carrier.call(
             InsertRequest(column=self.shard_names[shard], rows=tuple(rows))
         )
-        local_ids = self._expect(response, InsertResponse).row_ids
+        local_ids = response.row_ids
         return [self.to_global(shard, local_id) for local_id in local_ids]
 
     def delete(self, row_ids: Sequence[int]) -> int:
@@ -376,9 +356,7 @@ class ShardedRemoteColumn:
             ],
             fanout=len(shards),
         )
-        return sum(
-            self._expect(r, DeleteResponse).deleted for r in responses
-        )
+        return sum(r.deleted for r in responses)
 
     def merge(self) -> int:
         """Merge every shard's pending buffer; returns the summed delta."""
@@ -386,7 +364,7 @@ class ShardedRemoteColumn:
             [MergeRequest(column=name) for name in self.shard_names],
             fanout=self.shard_count,
         )
-        return sum(self._expect(r, MergeResponse).delta for r in responses)
+        return sum(r.delta for r in responses)
 
     # -- rotation ----------------------------------------------------------------
 
@@ -418,10 +396,7 @@ class ShardedRemoteColumn:
         for shard, name in enumerate(self.shard_names):
             attempts_left = max(0, int(retries))
             while True:
-                begin = self._expect(
-                    self._carrier.call(RotateBeginRequest(column=name)),
-                    RotateBeginResponse,
-                )
+                begin = self._carrier.call(RotateBeginRequest(column=name))
                 local_ids = [int(i) for i in begin.response.row_ids]
                 global_ids = [self.to_global(shard, l) for l in local_ids]
                 new_rows, new_global_ids = reencrypt(
@@ -446,9 +421,7 @@ class ShardedRemoteColumn:
                             fence=begin.fence,
                         )
                     )
-                    total += self._expect(
-                        response, RotateApplyResponse
-                    ).rows_stored
+                    total += response.rows_stored
                     break
                 except RotationConflictError:
                     if attempts_left <= 0:

@@ -200,8 +200,12 @@ class TestKillNineRecovery:
         served["start"]()
         # Every acked insert is in the recovered pending buffer: the
         # epoch counts them all, and merging surfaces every value.
-        epochs = column_epochs(served["port"])
-        assert epochs["t"] >= 1 + len(acked_values)  # create-run merges too
+        # create_column is epoch 0 and nothing merges (the session sets
+        # no merge threshold), so the epoch is exactly one per logged
+        # insert: the acked ones, plus at most the one in flight when
+        # the kill landed.
+        epoch = column_epochs(served["port"])["t"]
+        assert len(acked_values) <= epoch <= len(acked_values) + 1
         db.merge()
         # The insert that was in flight when the kill landed may or may
         # not have been logged before the crash; its value is exactly

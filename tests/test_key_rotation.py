@@ -25,7 +25,6 @@ class TestConfigSurvivesRotation:
             auto_merge_threshold=5,
             min_piece_size=8,
             use_three_way=True,
-            use_paper_tree_algorithms=True,
             record_stats=False,
         )
         db.rotate_key(new_seed=2)
@@ -33,7 +32,6 @@ class TestConfigSurvivesRotation:
         engine = db.server.engine
         assert engine._min_piece == 8
         assert engine._use_three_way is True
-        assert engine._use_paper_algorithms is True
         assert engine._record_stats is False
         # The restored config still behaves: auto-merge fires past the
         # threshold instead of letting the pending buffer grow forever.

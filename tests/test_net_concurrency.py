@@ -14,7 +14,6 @@ Covers the three PR-5 guarantees:
   insert between the two messages was silently erased by the rebuild).
 """
 
-import socket
 import threading
 import time
 
@@ -23,6 +22,7 @@ import pytest
 
 from repro.core.session import OutsourcedDatabase
 from repro.errors import (
+    ProtocolError,
     ReproError,
     RotationConflictError,
     ServerBusyError,
@@ -32,14 +32,16 @@ from repro.net import ColumnCatalog, RemoteColumn, serve
 from repro.net.protocol import (
     DeleteRequest,
     ErrorResponse,
+    HelloResponse,
     InsertRequest,
+    MergeResponse,
     decode_frame,
     encode_frame,
+    frame_codec,
     response_to_dict,
 )
 from repro.net.server import CatalogTCPServer
 from repro.net.transport import (
-    LENGTH_PREFIX,
     LoopbackTransport,
     TcpTransport,
     Transport,
@@ -354,7 +356,11 @@ class TestWorkerPool:
         """More concurrent sessions than workers: the bounded pool
         serves them all correctly, one connection's frames strictly
         serialized."""
-        server = serve(workers=3)
+        # Each connection has at most one frame in flight, so 9 slots
+        # can never overflow with 9 sessions; the default (2 x workers)
+        # can, before an idle worker is scheduled, and busy
+        # back-pressure has its own test above.
+        server = serve(workers=3, queue_size=9)
         thread = start(server)
         host, port = server.server_address
         errors = []
@@ -508,10 +514,10 @@ class TestReconnect:
             server.stop()
             thread.join(timeout=5)
 
-    def test_reconnect_downgrades_to_json_only_peer(self):
-        """Restart the endpoint as an old JSON-only peer: the client
-        renegotiates from scratch instead of shipping binary frames the
-        restarted server cannot parse."""
+    def test_reconnect_renegotiates_the_codec(self):
+        """A connection loss clears the transport's codec cache, so the
+        next call after a restart negotiates from scratch (a JSON hello)
+        rather than assuming what the previous peer agreed to."""
         server, thread = self._endpoint()
         host, port = server.server_address
         transport = TcpTransport(host, port, retries=2, backoff=0.01)
@@ -520,109 +526,75 @@ class TestReconnect:
         assert transport.negotiated_codec == "binary"
         server.stop()
         thread.join(timeout=5)
-        # With no endpoint at all, the query fails — and the connection
-        # loss clears the transport's codec cache.
         with pytest.raises(TransportError):
             db.query(5, 30)
         assert transport.negotiated_codec is None
-        peer = _JsonOnlyPeer((host, port), server.catalog)
-        peer.start()
+        revived = CatalogTCPServer((host, port), server.catalog)
+        revived_thread = start(revived)
         try:
+            hellos = revived.catalog.obs.metrics.counter_value("net.requests")
             assert sorted(db.query(5, 30).values.tolist()) == expected
-            assert transport.negotiated_codec == "json"
-            assert peer.hello_rejections == 1
-            assert peer.binary_frames == 0  # never shipped binary
+            assert transport.negotiated_codec == "binary"
+            # hello + the query itself
+            assert (revived.catalog.obs.metrics.counter_value("net.requests")
+                    == hellos + 2)
         finally:
-            peer.stop()
+            revived.stop()
+            revived_thread.join(timeout=5)
             transport.close()
 
 
-class _JsonOnlyPeer:
-    """A minimal pre-hello endpoint: rejects codec negotiation with an
-    error envelope and only ever speaks JSON frames."""
+class _ScriptedTransport(Transport):
+    """Answers every frame with the next scripted response envelope."""
 
-    def __init__(self, address, catalog):
-        self.catalog = catalog
-        self.hello_rejections = 0
-        self.binary_frames = 0
-        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.listener.bind(address)
-        self.listener.listen(4)
-        self._threads = []
+    def __init__(self, *responses):
+        self.responses = list(responses)
+        self.sent = []
+        self.negotiated_codec = None
 
-    def start(self):
-        accepter = threading.Thread(target=self._accept_loop, daemon=True)
-        accepter.start()
-        self._threads.append(accepter)
+    def exchange(self, frame, retryable=False):
+        self.sent.append(frame)
+        return encode_frame(
+            response_to_dict(self.responses.pop(0)), codec=frame_codec(frame)
+        )
 
-    def _accept_loop(self):
-        while True:
-            try:
-                sock, _ = self.listener.accept()
-            except OSError:
-                return
-            worker = threading.Thread(
-                target=self._serve, args=(sock,), daemon=True
-            )
-            worker.start()
-            self._threads.append(worker)
+    def close(self):
+        self.negotiated_codec = None
 
-    def _serve(self, sock):
-        try:
-            while True:
-                header = self._recv(sock, LENGTH_PREFIX.size)
-                if header is None:
-                    return
-                (length,) = LENGTH_PREFIX.unpack(header)
-                payload = self._recv(sock, length)
-                if payload is None:
-                    return
-                if not payload.startswith(b"{"):
-                    self.binary_frames += 1
-                    response = ErrorResponse(
-                        code="serialization", message="cannot parse frame"
-                    )
-                    reply = encode_frame(
-                        response_to_dict(response), codec="json"
-                    )
-                elif decode_frame(payload).get("kind") == "hello":
-                    self.hello_rejections += 1
-                    response = ErrorResponse(
-                        code="protocol", message="unknown kind: hello"
-                    )
-                    reply = encode_frame(
-                        response_to_dict(response), codec="json"
-                    )
-                else:
-                    reply = encode_frame(
-                        self.catalog.dispatch(decode_frame(payload)),
-                        codec="json",
-                    )
-                sock.sendall(LENGTH_PREFIX.pack(len(reply)) + reply)
-        except OSError:
-            return
-        finally:
-            sock.close()
 
-    @staticmethod
-    def _recv(sock, count):
-        chunks = []
-        remaining = count
-        while remaining:
-            try:
-                chunk = sock.recv(remaining)
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+class TestCodecNegotiation:
+    MERGED = MergeResponse(delta=0, epoch=1)
 
-    def stop(self):
-        try:
-            self.listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.listener.close()
+    @pytest.mark.parametrize("offered, chosen", [
+        (("binary", "json"), "binary"),
+        (("json", "binary"), "binary"),  # the client's own order wins
+        (("json",), "json"),
+        (("zstd",), "json"),
+    ])
+    def test_first_shared_codec_is_adopted(self, offered, chosen):
+        transport = _ScriptedTransport(
+            HelloResponse(codecs=offered), self.MERGED
+        )
+        remote = RemoteColumn(transport, "c")
+        assert remote.merge() == 0
+        assert remote.codec == transport.negotiated_codec == chosen
+        assert [frame_codec(f) for f in transport.sent] == ["json", chosen]
+
+    @pytest.mark.parametrize("code, error", [
+        ("busy", ServerBusyError),
+        ("transport", TransportError),
+        ("protocol", ProtocolError),
+    ])
+    def test_a_failed_hello_propagates_and_caches_nothing(self, code, error):
+        """No peer predates ``hello``: an error envelope in answer to
+        it is a failure, not a JSON-only server."""
+        transport = _ScriptedTransport(
+            ErrorResponse(code=code, message="no"),
+            HelloResponse(codecs=("binary",)), self.MERGED,
+        )
+        remote = RemoteColumn(transport, "c")
+        with pytest.raises(error):
+            remote.merge()
+        assert transport.negotiated_codec is None
+        assert remote.merge() == 0  # the next call negotiates afresh
+        assert transport.negotiated_codec == "binary"

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.session import OutsourcedDatabase
 from repro.net import ColumnCatalog, TcpTransport, serve
-from repro.net.protocol import _REQUEST_KINDS
+from repro.net.protocol import ENVELOPES
 from repro.obs import Observability, load_trace_jsonl, merge_traces
 
 VALUES = list(np.random.default_rng(123).permutation(400))
@@ -23,7 +23,7 @@ WORKLOAD = [(20, 80), (150, 260), (0, 399), (42, 43)]
 
 #: Client rpc spans label themselves with the request class name; the
 #: server's rpc-serve spans with the wire kind.  Same registry.
-WIRE_KIND = {cls.__name__: kind for cls, kind in _REQUEST_KINDS.items()}
+WIRE_KIND = {cls.__name__: spec.kind for cls, spec in ENVELOPES.items()}
 
 
 @pytest.fixture()

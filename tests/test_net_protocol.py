@@ -471,3 +471,78 @@ class TestIntArrayFastPath:
         body.append(0x7F)  # count=127 -> needs 1016 bytes; none follow
         with pytest.raises(SerializationError, match="exceeds"):
             self._decode(bytes(body))
+
+
+class TestEnvelopeRegistry:
+    """The registry is the one definition of what a message is; these
+    tests pin its classification and keep the documentation equal to
+    it."""
+
+    FLAGS = ("idempotent", "replica_readable", "mutates", "journaled")
+
+    @staticmethod
+    def flagged(flag):
+        from repro.net.protocol import ENVELOPES
+
+        return {
+            spec.kind for spec in ENVELOPES.values() if getattr(spec, flag)
+        }
+
+    def test_request_classification_is_pinned(self):
+        journaled = {
+            "create_column", "insert_request", "delete_request",
+            "merge_request", "rotate_apply",
+        }
+        assert self.flagged("journaled") == journaled
+        # A replica refuses one kind more than the WAL records:
+        # rotate_begin merges pending rows but leaves no log entry.
+        assert self.flagged("mutates") == journaled | {"rotate_begin"}
+        assert self.flagged("replica_readable") == {
+            "query_request", "fetch_request",
+        }
+        assert self.flagged("idempotent") == {
+            "hello", "telemetry_request", "query_request", "fetch_request",
+            "replicate_subscribe", "replicate_entries", "replicate_ack",
+        }
+
+    def test_every_request_has_a_registered_reply(self):
+        from repro.net.protocol import ENVELOPES
+
+        requests = [s for s in ENVELOPES.values() if s.is_request]
+        replies = {ENVELOPES[s.reply].kind for s in requests}
+        assert len(requests) == 14
+        # Every response but the error envelope answers one request.
+        assert replies == {
+            s.kind for s in ENVELOPES.values() if not s.is_request
+        } - {"error_response"}
+        for spec in ENVELOPES.values():
+            if not spec.is_request:
+                assert not any(getattr(spec, flag) for flag in self.FLAGS)
+
+    def test_protocol_doc_table_equals_the_registry(self):
+        import os
+
+        from repro.net.protocol import ENVELOPES
+
+        def cell(items):
+            return ", ".join(items) or "—"
+
+        expected = []
+        for spec in ENVELOPES.values():
+            expected.append("| `%s` | %s | %s | %s | %s |" % (
+                spec.kind,
+                cell("`%s: %s`" % (f.key, f.type.name) for f in spec.fields),
+                cell("`%s`" % f.key for f in spec.fields if f.optional),
+                "`%s`" % ENVELOPES[spec.reply].kind if spec.is_request
+                else "—",
+                cell(flag for flag in self.FLAGS if getattr(spec, flag)),
+            ))
+        path = os.path.join(
+            os.path.dirname(__file__), os.pardir, "docs", "protocol.md"
+        )
+        with open(path, encoding="utf-8") as handle:
+            documented = [
+                line.rstrip("\n") for line in handle
+                if line.startswith("| `") and line.count("|") == 6
+            ]
+        assert documented == expected

@@ -84,11 +84,21 @@ class TestSnapshot:
         with pytest.raises(SerializationError):
             restore_server({"kind": "something"})
 
-    def test_wrong_version_rejected(self):
+    @pytest.mark.parametrize("version", [1, 99, None])
+    def test_any_other_version_rejected(self, version):
         db = warmed_db()
         snapshot = snapshot_server(db.server)
-        snapshot["version"] = 99
-        with pytest.raises(SerializationError):
+        snapshot["version"] = version
+        with pytest.raises(SerializationError, match="version"):
+            restore_server(snapshot)
+
+    @pytest.mark.parametrize("key, value", [
+        ("engine_kind", "vdaptive"), ("auto_merge_threshold", 0),
+    ])
+    def test_engine_refusing_its_config_is_a_typed_rejection(self, key, value):
+        snapshot = snapshot_server(warmed_db().server)
+        snapshot[key] = value
+        with pytest.raises(SerializationError, match="malformed snapshot"):
             restore_server(snapshot)
 
     def test_truncated_snapshot_rejected(self):
@@ -146,9 +156,7 @@ class TestKeyRotation:
 
 
 class TestSnapshotVersioning:
-    """Version-2 snapshots carry ``bytes_shipped`` and
-    ``record_stats``; version-1 snapshots restore with the historical
-    defaults (zero bytes shipped, stats recording on)."""
+    """Snapshots carry ``bytes_shipped`` and ``record_stats``."""
 
     def test_bytes_shipped_survives(self):
         db = warmed_db()
@@ -164,21 +172,6 @@ class TestSnapshotVersioning:
         assert not restored.record_stats
         restored.execute(db.client.make_query(0, 50))
         assert restored.stats_log == []
-
-    def test_version_1_snapshot_still_restores(self):
-        db = warmed_db()
-        snapshot = snapshot_server(db.server)
-        # Reconstruct what a version-1 writer produced.
-        del snapshot["bytes_shipped"]
-        del snapshot["record_stats"]
-        snapshot["version"] = 1
-        restored = restore_server(snapshot)
-        assert restored.bytes_shipped == 0
-        assert restored.record_stats
-        query = db.client.make_query(50, 120)
-        assert sorted(map(int, restored.execute(query).row_ids)) == sorted(
-            map(int, db.server.execute(db.client.make_query(50, 120)).row_ids)
-        )
 
     def test_current_version_is_2(self):
         from repro.core.persistence import SNAPSHOT_VERSION
@@ -243,9 +236,10 @@ class TestCatalogSnapshot:
         from repro.core.persistence import restore_catalog
 
         with pytest.raises(SerializationError):
-            restore_catalog(
-                {"kind": "column_catalog", "version": 1, "columns": {"a": {}}}
-            )
+            restore_catalog({
+                "kind": "column_catalog", "version": 3,
+                "columns": {"a": {}}, "epochs": {"a": 0}, "shards": {},
+            })
 
 
 class TestSessionServerRestore:
@@ -278,8 +272,8 @@ class TestSessionServerRestore:
 
 
 class TestCatalogSnapshotV3:
-    """Version-3 catalog snapshots carry per-column mutation epochs
-    (the WAL replay fence); v1/v2 snapshots restore with epoch 0."""
+    """Catalog snapshots carry per-column mutation epochs (the WAL
+    replay fence); only the current version is read."""
 
     def make_warm_catalog(self):
         from repro.net.catalog import ColumnCatalog
@@ -322,15 +316,27 @@ class TestCatalogSnapshotV3:
         snapshot = snapshot_catalog(catalog, wal_seq=17)
         assert snapshot["wal_seq"] == 17
 
-    def test_v2_snapshot_restores_with_zero_epochs(self):
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_any_other_version_rejected(self, version):
         from repro.core.persistence import restore_catalog, snapshot_catalog
+        from repro.errors import SerializationError
 
         catalog, _ = self.make_warm_catalog()
         snapshot = snapshot_catalog(catalog)
-        del snapshot["epochs"]
-        snapshot["version"] = 2
-        restored = restore_catalog(snapshot)
-        assert restored.epochs() == {"t": 0}
+        snapshot["version"] = version
+        with pytest.raises(SerializationError, match="version"):
+            restore_catalog(snapshot)
+
+    @pytest.mark.parametrize("missing", ["epochs", "shards", "columns"])
+    def test_missing_sections_rejected(self, missing):
+        from repro.core.persistence import restore_catalog, snapshot_catalog
+        from repro.errors import SerializationError
+
+        catalog, _ = self.make_warm_catalog()
+        snapshot = snapshot_catalog(catalog)
+        del snapshot[missing]
+        with pytest.raises(SerializationError):
+            restore_catalog(snapshot)
 
     def test_epochs_for_unknown_columns_rejected(self):
         from repro.core.persistence import restore_catalog, snapshot_catalog

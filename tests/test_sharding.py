@@ -536,15 +536,6 @@ class TestPersistenceShards:
         )
         assert sorted(int(v) for v in result.values) == sorted(values)
 
-    def test_version_1_restores_with_empty_registry(self):
-        db = OutsourcedDatabase([1, 2, 3], seed=37)
-        snapshot = snapshot_catalog(db._catalog)
-        snapshot["version"] = 1
-        del snapshot["shards"]
-        restored = restore_catalog(snapshot)
-        assert restored.shards() == {}
-        assert restored.column_names == ["values"]
-
     def test_missing_referenced_column_rejected(self):
         db = OutsourcedDatabase([1, 2, 3, 4], seed=41, shards=2)
         snapshot = snapshot_catalog(db._catalog)

@@ -19,7 +19,6 @@ import pytest
 from repro.core.wal import (
     DEFAULT_SEGMENT_BYTES,
     FSYNC_POLICIES,
-    MUTATION_KINDS,
     RECORD_HEADER,
     WalReader,
     WalWriter,
@@ -60,11 +59,22 @@ class TestEntryFromWire:
         with pytest.raises(PersistenceError):
             entry_from_wire(bad)
 
-    def test_mutation_kinds_are_the_journaled_set(self):
-        assert set(MUTATION_KINDS) == {
-            "create_column", "insert_request", "delete_request",
-            "merge_request", "rotate_apply",
-        }
+    @pytest.mark.parametrize("kind", [
+        "create_column", "insert_request", "delete_request",
+        "merge_request", "rotate_apply",
+    ])
+    def test_every_journaled_kind_is_accepted(self, kind):
+        entry = {"seq": 1, "column": "c", "epoch": 1,
+                 "request": {"kind": kind}}
+        assert entry_from_wire(entry) == entry
+
+    @pytest.mark.parametrize("kind", [
+        "rotate_begin", "hello", "create_column_response", None, ["x"],
+    ])
+    def test_unjournaled_kinds_are_refused(self, kind):
+        with pytest.raises(PersistenceError, match="non-mutation"):
+            entry_from_wire({"seq": 1, "column": "c", "epoch": 1,
+                             "request": {"kind": kind}})
 
 
 class TestWriterReader:
