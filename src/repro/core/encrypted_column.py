@@ -1,14 +1,17 @@
 """Encrypted cracker column: ciphertext rows in a fixed-width dense array.
 
-The server-side twin of :class:`repro.cracking.column.CrackerColumn`:
-each row is a length-``l`` integer vector (an ``Ev``-mode ciphertext's
-numerators) with a positive denominator, held in a numpy ``object``
-matrix so Python big-ints flow through vectorised arithmetic without
-overflow — the reproduction's analogue of the paper's GMP arrays.
+The server-side instance of
+:class:`repro.cracking.column.CrackableColumn`: each row is a
+length-``l`` integer vector (an ``Ev``-mode ciphertext's numerators)
+with a positive denominator, held in a numpy ``object`` matrix so
+Python big-ints flow through vectorised arithmetic without overflow —
+the reproduction's analogue of the paper's GMP arrays.
 
-All row classification happens through scalar products against an
-``Eb``-mode bound (``sign(Eb . Ev) == sign(v - b)``); the column never
-compares two of its own rows, mirroring the scheme's central
+Cracks, three-way cracks, edge scans and partition checks are the
+shared base's; this class supplies only the classification primitive,
+:meth:`EncryptedColumn.below`, as the sign of scalar products against
+an ``Eb``-mode bound (``sign(Eb . Ev) == sign(v - b)``).  The column
+never compares two of its own rows, mirroring the scheme's central
 restriction.
 
 Scalar products are routed through the two-tier kernel of
@@ -25,15 +28,11 @@ reorganisation so cracks and edge-piece scans share products.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cracking.algorithms import (
-    crack_in_two,
-    partition_order,
-    three_way_partition_order,
-)
+from repro.cracking.column import CrackableColumn
 from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
 from repro.errors import IndexStateError
 from repro.linalg.kernels import (
@@ -45,7 +44,7 @@ from repro.linalg.kernels import (
 from repro.obs import Observability
 
 
-class EncryptedColumn:
+class EncryptedColumn(CrackableColumn):
     """Dense array of encrypted rows, physically reorganised by cracking.
 
     Args:
@@ -210,124 +209,15 @@ class EncryptedColumn:
             self._mirror = self._matrix.astype(np.int64)
         return self._mirror[piece_lo:piece_hi]
 
-    # -- cracking ----------------------------------------------------------------
-
-    def crack(
-        self,
-        piece_lo: int,
-        piece_hi: int,
-        bound: BoundCiphertext,
-        inclusive: bool,
-    ) -> int:
-        """Reorganise ``[piece_lo, piece_hi)`` around an encrypted bound.
-
-        Rows with ``v < b`` (``<= b`` when ``inclusive``) move to the
-        front of the piece; returns the split position.  Classification
-        is by product sign only — the server learns which side each row
-        falls on (that is the point of on-demand indexing) but nothing
-        about distances.
-        """
-        self._check_range(piece_lo, piece_hi)
-        if self._use_inplace:
-            return self._crack_inplace(piece_lo, piece_hi, bound, inclusive)
-        products = self.products(piece_lo, piece_hi, bound)
-        mask = products <= 0 if inclusive else products < 0
-        mask = mask.astype(bool)
-        order = partition_order(mask)
-        self._apply_order(piece_lo, piece_hi, order)
-        return piece_lo + int(np.count_nonzero(mask))
-
-    def crack_three(
-        self,
-        piece_lo: int,
-        piece_hi: int,
-        low: BoundCiphertext,
-        low_inclusive: bool,
-        high: BoundCiphertext,
-        high_inclusive: bool,
-    ) -> Tuple[int, int]:
-        """Three-way reorganisation around two encrypted bounds.
-
-        Region 0: rows below the range (``v < low`` / ``v <= low``);
-        region 2: rows above (``v > high`` / ``v >= high``); region 1:
-        the qualifying middle.  Returns ``(split0, split1)``.
-        """
-        self._check_range(piece_lo, piece_hi)
-        low_products = self.products(piece_lo, piece_hi, low)
-        high_products = self.products(piece_lo, piece_hi, high)
-        below = (
-            low_products < 0 if low_inclusive else low_products <= 0
-        ).astype(bool)
-        above = (
-            high_products > 0 if high_inclusive else high_products >= 0
-        ).astype(bool)
-        regions = np.where(below, 0, np.where(above, 2, 1))
-        order, count0, count01 = three_way_partition_order(regions)
-        self._apply_order(piece_lo, piece_hi, order)
-        return piece_lo + count0, piece_lo + count01
-
-    def _crack_inplace(
-        self,
-        piece_lo: int,
-        piece_hi: int,
-        bound: BoundCiphertext,
-        inclusive: bool,
-    ) -> int:
-        """Algorithm 1 path over encrypted rows (per-row dot products)."""
-        vector = bound.vector
-        matrix = self._matrix
-        # Swaps bypass _apply_order, so cached product orderings for the
-        # piece cannot be maintained incrementally; drop them up front.
-        if self._product_cache is not None:
-            self._product_cache.invalidate()
-
-        def belongs_left(i: int) -> bool:
-            product = sum(a * b for a, b in zip(matrix[i], vector))
-            return product <= 0 if inclusive else product < 0
-
-        def swap(i: int, j: int) -> None:
-            matrix[[i, j]] = matrix[[j, i]]
-            self._denominators[[i, j]] = self._denominators[[j, i]]
-            self._row_ids[[i, j]] = self._row_ids[[j, i]]
-            self._position_of_id[int(self._row_ids[i])] = i
-            self._position_of_id[int(self._row_ids[j])] = j
-            if self._mirror is not None:
-                self._mirror[[i, j]] = self._mirror[[j, i]]
-
-        return crack_in_two(belongs_left, swap, piece_lo, piece_hi - 1)
-
-    # -- scans ----------------------------------------------------------------------
-
-    def scan_qualifying(
-        self,
-        piece_lo: int,
-        piece_hi: int,
-        low: BoundCiphertext,
-        low_inclusive: bool,
-        high: BoundCiphertext,
-        high_inclusive: bool,
+    def below(
+        self, piece_lo: int, piece_hi: int, bound: BoundCiphertext, inclusive: bool
     ) -> np.ndarray:
-        """Physical indices in ``[piece_lo, piece_hi)`` inside the range.
-
-        Used for sub-threshold edge pieces: the server evaluates the
-        full predicate per row with two scalar products (it can do so
-        exactly because the client shipped both bounds in ``Eb`` mode).
-        Either bound may be None (one-sided queries), costing one
-        product per row instead of two.
-        """
-        self._check_range(piece_lo, piece_hi)
-        mask = np.ones(piece_hi - piece_lo, dtype=bool)
-        if low is not None:
-            low_products = self.products(piece_lo, piece_hi, low)
-            mask &= (
-                low_products >= 0 if low_inclusive else low_products > 0
-            ).astype(bool)
-        if high is not None:
-            high_products = self.products(piece_lo, piece_hi, high)
-            mask &= (
-                high_products <= 0 if high_inclusive else high_products < 0
-            ).astype(bool)
-        return piece_lo + np.flatnonzero(mask)
+        """Rows of ``[piece_lo, piece_hi)`` with ``v < b`` (``<= b`` when
+        ``inclusive``), read off the product signs — the server can
+        evaluate this exactly because the client shipped the bound in
+        ``Eb`` mode."""
+        products = self.products(piece_lo, piece_hi, bound)
+        return (products <= 0 if inclusive else products < 0).astype(bool)
 
     # -- row access -------------------------------------------------------------------
 
@@ -447,22 +337,23 @@ class EncryptedColumn:
 
     # -- internals ----------------------------------------------------------------------
 
+    def _parallel_arrays(self):
+        arrays = (self._matrix, self._denominators, self._row_ids, self._mirror)
+        return [array for array in arrays if array is not None]
+
     def _apply_order(self, piece_lo: int, piece_hi: int, order: np.ndarray) -> None:
-        self._matrix[piece_lo:piece_hi] = self._matrix[piece_lo:piece_hi][order]
-        self._denominators[piece_lo:piece_hi] = self._denominators[piece_lo:piece_hi][
-            order
-        ]
-        self._row_ids[piece_lo:piece_hi] = self._row_ids[piece_lo:piece_hi][order]
+        for array in self._parallel_arrays():
+            array[piece_lo:piece_hi] = array[piece_lo:piece_hi][order]
         for index in range(piece_lo, piece_hi):
             self._position_of_id[int(self._row_ids[index])] = index
-        if self._mirror is not None:
-            self._mirror[piece_lo:piece_hi] = self._mirror[piece_lo:piece_hi][order]
         if self._product_cache is not None:
             self._product_cache.apply_order(piece_lo, piece_hi, order)
 
-    def _check_range(self, piece_lo: int, piece_hi: int) -> None:
-        if not 0 <= piece_lo <= piece_hi <= len(self):
-            raise IndexStateError(
-                "piece [%d, %d) out of bounds for column of size %d"
-                % (piece_lo, piece_hi, len(self))
-            )
+    def _swap(self, i: int, j: int) -> None:
+        for array in self._parallel_arrays():
+            array[[i, j]] = array[[j, i]]
+        self._position_of_id[int(self._row_ids[i])] = i
+        self._position_of_id[int(self._row_ids[j])] = j
+        # Cached product orderings cannot follow single exchanges.
+        if self._product_cache is not None:
+            self._product_cache.invalidate()

@@ -73,6 +73,7 @@ SNAPSHOT_FILENAME = "snapshot.json"
 def snapshot_server(server: SecureServer) -> Dict[str, Any]:
     """Serialize a server's full state to a JSON-compatible dict."""
     engine = server.engine
+    config = server.config
     column = engine.column
     rows = [
         ciphertext_to_dict(column.row(index)) for index in range(len(column))
@@ -93,14 +94,14 @@ def snapshot_server(server: SecureServer) -> Dict[str, Any]:
     return {
         "kind": "secure_server",
         "version": SNAPSHOT_VERSION,
-        "engine_kind": server.engine_kind,
-        "min_piece_size": getattr(engine, "_min_piece", 1),
-        "use_three_way": getattr(engine, "_use_three_way", False),
-        "record_stats": getattr(engine, "_record_stats", True),
+        "engine_kind": config["engine"],
+        "min_piece_size": config["min_piece_size"],
+        "use_three_way": config["use_three_way"],
+        "record_stats": config["record_stats"],
         "rows": rows,
         "row_ids": [int(i) for i in column.row_ids],
         "tree": tree_nodes,
-        "auto_merge_threshold": server._auto_merge_threshold,
+        "auto_merge_threshold": config["auto_merge_threshold"],
         "pending": [
             {"row_id": row_id, "row": ciphertext_to_dict(row)}
             for row_id, row in updates.pending

@@ -1,15 +1,23 @@
 """Secure adaptive indexing engine (the paper's contribution).
 
-Mirrors the plaintext :class:`repro.cracking.index.AdaptiveIndex`
-query flow — locate the two bound cracks, reorganise at most two
-pieces, return the qualifying contiguous area — but every comparison
-runs through scalar products on ciphertexts:
+The query flow — locate the two bound cracks, reorganise at most two
+pieces, return the qualifying contiguous area — is the shared
+:class:`repro.cracking.index.CrackingEngine` driver, untouched; what
+makes it secure is only how two things are compared:
 
 * data rows are classified against a query bound via
-  ``sign(Eb(b) . Ev(v))``;
+  ``sign(Eb(b) . Ev(v))``
+  (:meth:`repro.core.encrypted_column.EncryptedColumn.below`);
 * AVL keys (previous bounds, stored in ``Ev`` mode) are compared to a
   new bound (arriving in ``Eb`` mode) the same way — the double
-  encryption of Section 4.3.
+  encryption of Section 4.3
+  (:func:`repro.core.query.compare_encrypted_keys`).
+
+On top of the driver this module adds what only a server over
+ciphertexts needs: the per-query product cache and kernel-tier
+accounting, the leakage-audit events, the pseudocode-literal tree
+procedures as a test oracle, and the ripple insert/delete of the
+update path.
 
 The engine works identically whether rows came from plain or ambiguous
 encryption: fake interpretations are just rows whose pseudo-values the
@@ -18,32 +26,24 @@ client will discard.  Nothing here touches a key or a plaintext.
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.cracking.avl import AVLTree
-from repro.cracking.cracker_tree import add_crack, find_piece
-from repro.cracking.index import (
-    MeteredQueryStats,
-    QueryStats,
-    _BoundResolution,
-)
+from repro.cracking.index import CrackingEngine
 from repro.core.encrypted_avl import add_crack_encrypted, find_piece_encrypted
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.query import (
-    EncryptedBound,
     EncryptedBoundKey,
     EncryptedQuery,
     compare_encrypted_keys,
 )
-from repro.errors import IndexStateError
+from repro.crypto.ciphertext import BoundCiphertext
 from repro.linalg.kernels import ProductCache, single_product
 from repro.obs import Observability
 
 
-class SecureAdaptiveIndex:
+class SecureAdaptiveIndex(CrackingEngine):
     """Query-triggered cracking over an :class:`EncryptedColumn`.
 
     Args:
@@ -75,32 +75,17 @@ class SecureAdaptiveIndex:
         record_stats: bool = True,
         obs: Observability = None,
     ) -> None:
-        self._column = column
-        self._tree = AVLTree(compare_encrypted_keys)
-        self._min_piece = max(1, int(min_piece_size))
-        self._use_three_way = use_three_way
-        self._use_paper_algorithms = use_paper_tree_algorithms
-        self._record_stats = record_stats
-        self._obs = obs if obs is not None else column.obs
-        self.stats_log: List[QueryStats] = []
-
-    @property
-    def obs(self) -> Observability:
-        """The engine's observability bundle."""
-        return self._obs
-
-    def __len__(self) -> int:
-        return len(self._column)
-
-    @property
-    def column(self) -> EncryptedColumn:
-        """The underlying encrypted column."""
-        return self._column
-
-    @property
-    def tree(self) -> AVLTree:
-        """The encrypted AVL cracker index."""
-        return self._tree
+        super().__init__(
+            column,
+            compare_encrypted_keys,
+            min_piece_size,
+            use_three_way,
+            record_stats,
+            obs if obs is not None else column.obs,
+        )
+        if use_paper_tree_algorithms:
+            self._find_piece = find_piece_encrypted
+            self._add_crack = add_crack_encrypted
 
     # -- querying ---------------------------------------------------------------
 
@@ -111,244 +96,63 @@ class SecureAdaptiveIndex:
         and returns ``(row_ids, ciphertext_rows)`` of the qualifying
         tuples — the single-round response of paper requirement 5.
         """
-        indices, stats = self._answer(query)
-        row_ids = self._column.row_ids_at(indices)
-        rows = self._column.rows_at(indices)
-        stats.result_count = len(row_ids)
-        if self._record_stats:
-            self.stats_log.append(stats)
-        return row_ids, rows
+        indices = self.qualifying_indices(query)
+        return self._column.row_ids_at(indices), self._column.rows_at(indices)
 
     def qualifying_indices(self, query: EncryptedQuery) -> np.ndarray:
         """Physical indices of qualifying rows (cracks as a side effect).
 
         Lower-level hook used by the server for tombstone filtering
         before materialising ciphertexts.
+
+        The query runs under a fresh product cache, so a crack's
+        products are reused by a subsequent edge-piece scan over the
+        same bound (the column permutes the cached arrays alongside
+        every reorganisation); kernel tier counts and cache hits land
+        on the query's :class:`QueryStats`.  Client-supplied pivots
+        (stochastic mode) are cracked on first, as strict bounds.
         """
-        indices, stats = self._answer(query)
-        stats.result_count = len(indices)
-        if self._record_stats:
-            self.stats_log.append(stats)
-        return indices
-
-    # -- internals --------------------------------------------------------------
-
-    def _answer(
-        self, query: EncryptedQuery
-    ) -> Tuple[np.ndarray, QueryStats]:
-        """Run one query under a fresh product cache; returns its stats.
-
-        The cache lives for exactly this query, so a crack's products
-        are reused by a subsequent edge-piece scan over the same bound
-        (the column permutes the cached arrays alongside every
-        reorganisation); kernel tier counts and cache hits land on the
-        query's :class:`QueryStats`.
-        """
-        stats = MeteredQueryStats(self._obs.metrics)
-        fast_before, exact_before = self._column.kernel_counters.snapshot()
-        tree_comparisons_before = self._tree.comparison_count
+        counters = self._column.kernel_counters
+        fast_before, exact_before = counters.snapshot()
         with self._obs.span("engine-query", pivots=len(query.pivots)):
             with self._column.use_product_cache(ProductCache()) as cache:
-                for pivot in query.pivots:
-                    self._crack_pivot(pivot, stats)
-                indices = self._execute(query, stats)
-        stats.comparisons += (
-            self._tree.comparison_count - tree_comparisons_before
-        )
-        fast_after, exact_after = self._column.kernel_counters.snapshot()
+                indices, stats = self._answer(
+                    query.left_key,
+                    query.right_key,
+                    [EncryptedBoundKey(pivot, inclusive=False)
+                     for pivot in query.pivots],
+                )
+        fast_after, exact_after = counters.snapshot()
         stats.kernel_fast_products = fast_after - fast_before
         stats.kernel_exact_products = exact_after - exact_before
         stats.product_cache_hits = cache.hits
-        metrics = self._obs.metrics
-        metrics.observe("query.cracks_per_query", stats.cracks)
-        metrics.set("index.avl_depth", self._tree.height())
-        metrics.set("index.pieces", len(self._tree) + 1)
-        return indices, stats
-
-    def _execute(self, query: EncryptedQuery, stats: QueryStats) -> np.ndarray:
-        size = len(self._column)
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        left_key = query.left_key
-        right_key = query.right_key
-        if self._use_three_way and left_key is not None and right_key is not None:
-            three_way = self._try_three_way(query, stats)
-            if three_way is not None:
-                return np.arange(three_way[0], three_way[1], dtype=np.int64)
-        if left_key is None:
-            left = _BoundResolution(position=0)
-        else:
-            left = self._resolve(left_key, stats)
-        if right_key is None:
-            right = _BoundResolution(position=size)
-        else:
-            right = self._resolve(right_key, stats)
-        if (
-            not left.is_exact
-            and not right.is_exact
-            and left.piece == right.piece
-        ):
-            return self._timed_scan(left.piece, query, stats)
-        segments: List[np.ndarray] = []
-        if left.is_exact:
-            start = left.position
-        else:
-            start = left.piece[1]
-            segments.append(self._timed_scan(left.piece, query, stats))
-        end = right.position if right.is_exact else right.piece[0]
-        if start < end:
-            segments.append(np.arange(start, end, dtype=np.int64))
-        if not right.is_exact:
-            segments.append(self._timed_scan(right.piece, query, stats))
-        if not segments:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(segments)
-
-    def _resolve(
-        self, key: EncryptedBoundKey, stats: QueryStats
-    ) -> _BoundResolution:
-        """Exact crack position for ``key``, cracking the piece if needed."""
-        size = len(self._column)
-        audit = self._obs.audit
-        tick = time.perf_counter()
-        with self._obs.span("find-piece"):
-            node = self._tree.find(key)
-            if node is None:
-                piece_lo, piece_hi = self._find_piece(key, size)
-        stats.search_seconds += time.perf_counter() - tick
-        if node is not None:
-            if audit.enabled:
-                audit.record("find", bound=audit.ref(key.bound.eb),
-                             position=node.position)
-            return _BoundResolution(position=node.position)
-        if audit.enabled:
-            audit.record("find", bound=audit.ref(key.bound.eb),
-                         lo=piece_lo, hi=piece_hi)
-        if piece_hi - piece_lo <= self._min_piece:
-            return _BoundResolution(piece=(piece_lo, piece_hi))
-        rows = piece_hi - piece_lo
-        tick = time.perf_counter()
-        with self._obs.span("crack", lo=piece_lo, hi=piece_hi, rows=rows):
-            split = self._column.crack(
-                piece_lo, piece_hi, key.bound.eb, key.inclusive
-            )
-        stats.crack_seconds += time.perf_counter() - tick
-        stats.cracked_rows += rows
-        stats.cracks += 1
-        stats.comparisons += rows
-        self._obs.metrics.observe("index.piece_rows", rows)
-        if audit.enabled:
-            audit.record("crack", lo=piece_lo, hi=piece_hi, splits=[split],
-                         bound=audit.ref(key.bound.eb),
-                         inclusive=key.inclusive)
-        tick = time.perf_counter()
-        with self._obs.span("insert-bound", position=split):
-            self._add_crack(key, split, size)
-        stats.insert_seconds += time.perf_counter() - tick
-        return _BoundResolution(position=split)
-
-    def _crack_pivot(self, pivot: EncryptedBound, stats: QueryStats) -> None:
-        """Crack on a client-supplied auxiliary pivot (stochastic mode)."""
-        self._resolve(EncryptedBoundKey(pivot, inclusive=False), stats)
-
-    def _try_three_way(
-        self, query: EncryptedQuery, stats: QueryStats
-    ) -> Optional[Tuple[int, int]]:
-        """One-pass three-way crack when both bounds share a raw piece."""
-        size = len(self._column)
-        left_key, right_key = query.left_key, query.right_key
-        tick = time.perf_counter()
-        known = (
-            self._tree.find(left_key) is not None
-            or self._tree.find(right_key) is not None
-        )
-        left_piece = self._find_piece(left_key, size)
-        right_piece = self._find_piece(right_key, size)
-        stats.search_seconds += time.perf_counter() - tick
-        if known or left_piece != right_piece:
-            return None
-        piece_lo, piece_hi = left_piece
-        if piece_hi - piece_lo <= self._min_piece:
-            return None
-        rows = piece_hi - piece_lo
-        audit = self._obs.audit
-        tick = time.perf_counter()
-        with self._obs.span("crack", lo=piece_lo, hi=piece_hi, rows=rows,
-                            three_way=True):
-            split0, split1 = self._column.crack_three(
-                piece_lo,
-                piece_hi,
-                query.low.eb,
-                query.low_inclusive,
-                query.high.eb,
-                query.high_inclusive,
-            )
-        stats.crack_seconds += time.perf_counter() - tick
-        stats.cracked_rows += rows
-        stats.cracks += 1
-        stats.comparisons += 2 * rows
-        self._obs.metrics.observe("index.piece_rows", rows)
-        if audit.enabled:
-            audit.record("crack", lo=piece_lo, hi=piece_hi,
-                         splits=[split0, split1],
-                         bound=audit.ref(query.low.eb),
-                         bound_high=audit.ref(query.high.eb),
-                         three_way=True)
-        tick = time.perf_counter()
-        with self._obs.span("insert-bound", position=split0):
-            self._add_crack(left_key, split0, size)
-        with self._obs.span("insert-bound", position=split1):
-            self._add_crack(right_key, split1, size)
-        stats.insert_seconds += time.perf_counter() - tick
-        return split0, split1
-
-    def _timed_scan(self, piece, query: EncryptedQuery, stats: QueryStats) -> np.ndarray:
-        tick = time.perf_counter()
-        low_eb = query.low.eb if query.low is not None else None
-        high_eb = query.high.eb if query.high is not None else None
-        with self._obs.span("edge-scan", lo=piece[0], hi=piece[1]):
-            indices = self._column.scan_qualifying(
-                piece[0],
-                piece[1],
-                low_eb,
-                query.low_inclusive,
-                high_eb,
-                query.high_inclusive,
-            )
-        stats.scan_seconds += time.perf_counter() - tick
-        sides = (low_eb is not None) + (high_eb is not None)
-        stats.comparisons += sides * (piece[1] - piece[0])
-        audit = self._obs.audit
-        if audit.enabled:
-            audit.record("scan", lo=piece[0], hi=piece[1],
-                         bound=audit.ref(low_eb),
-                         bound_high=audit.ref(high_eb),
-                         matched=len(indices))
         return indices
 
-    def _find_piece(self, key: EncryptedBoundKey, size: int) -> Tuple[int, int]:
-        if self._use_paper_algorithms:
-            return find_piece_encrypted(self._tree, key, size)
-        return find_piece(self._tree, key, size)
+    def _cut(self, key: EncryptedBoundKey) -> Tuple[BoundCiphertext, bool]:
+        return key.bound.eb, key.inclusive
 
-    def _add_crack(self, key: EncryptedBoundKey, split: int, size: int):
-        if self._use_paper_algorithms:
-            return add_crack_encrypted(self._tree, key, split, size)
-        return add_crack(self._tree, key, split, size)
+    def _audit(self, kind: str, **fields) -> None:
+        audit = self._obs.audit
+        if audit.enabled:
+            for name in ("bound", "bound_high"):
+                if name in fields:
+                    fields[name] = audit.ref(fields[name])
+            audit.record(kind, **fields)
 
     # -- updates -------------------------------------------------------------------
 
-    def locate_piece_for_row(self, row) -> Tuple[int, int]:
-        """Piece ``[lo, hi)`` where a new encrypted row belongs.
+    def _route_row(self, row):
+        """Walk a new encrypted row down the tree: its piece ``[lo, hi)``
+        and the first node right of it in key order (None at the far
+        right).
 
-        Routes the row down the tree comparing it against each node's
-        ``Eb`` form (``sign(Eb(b_node) . Ev(v_new)) == sign(v_new -
-        b_node)``) — the server can do this without learning
-        ``v_new``.  Used by the ripple merge of pending inserts.  Each
+        The row is compared against each node's ``Eb`` form
+        (``sign(Eb(b_node) . Ev(v_new)) == sign(v_new - b_node)``) —
+        the server can do this without learning ``v_new``.  Each
         comparison goes through the scalar-product kernel so it shares
         the column's per-tier accounting.
         """
-        node = self._tree.root
+        node, successor = self._tree.root, None
         piece_lo, piece_hi = 0, len(self._column)
         while node is not None:
             eb = node.key.bound.eb
@@ -359,28 +163,35 @@ class SecureAdaptiveIndex:
                 row.max_abs,
                 self._column.kernel_counters,
             )
-            sign = (product > 0) - (product < 0)
-            belongs_left = sign < 0 or (sign == 0 and node.key.inclusive)
-            if belongs_left:
-                piece_hi = node.position
+            if product < 0 or (product == 0 and node.key.inclusive):
+                piece_hi, successor = node.position, node
                 node = node.left
             else:
                 piece_lo = node.position
                 node = node.right
-        return piece_lo, piece_hi
+        return piece_lo, piece_hi, successor
+
+    def locate_piece_for_row(self, row) -> Tuple[int, int]:
+        """Piece ``[lo, hi)`` where a new encrypted row belongs (used by
+        the ripple merge of pending inserts)."""
+        return self._route_row(row)[:2]
 
     def insert_row(self, row, row_id: int) -> int:
         """Ripple-insert one row into its piece; returns the position.
 
         Physically inserts at the upper edge of the target piece and
-        shifts every crack position at or beyond it by one, keeping all
-        tree invariants intact.
+        shifts by one every crack that sorts above the row.  Cracks are
+        shifted by *key order*, not by position: deletes can empty a
+        piece, leaving several cracks on one position, and the ones the
+        row sorts above must stay put.
         """
         with self._obs.span("ripple-insert", row_id=row_id):
-            __, piece_hi = self.locate_piece_for_row(row)
+            __, piece_hi, successor = self._route_row(row)
             self._column.insert_at(piece_hi, row, row_id)
+            above = False
             for node in self._tree.in_order():
-                if node.position >= piece_hi:
+                above = above or node is successor
+                if above:
                     node.position += 1
         self._obs.metrics.add("index.ripple_inserts")
         audit = self._obs.audit
@@ -400,36 +211,3 @@ class SecureAdaptiveIndex:
         if audit.enabled:
             audit.record("row-delete", row_id=row_id, position=position)
         return position
-
-    # -- introspection ----------------------------------------------------------------
-
-    def piece_boundaries(self) -> List[int]:
-        """Sorted crack positions including column ends (leakage input)."""
-        positions = sorted({node.position for node in self._tree.in_order()})
-        return [0] + positions + [len(self._column)]
-
-    def check_invariants(self) -> None:
-        """Assert every indexed crack still partitions the column.
-
-        Notably the *server* can run this check itself — each node
-        stores the bound's ``Eb`` form, so partition membership is a
-        sign test.  (It learns nothing new: the partition is exactly
-        what cracking already revealed.)
-
-        Raises:
-            AssertionError: on any violated invariant.
-        """
-        self._tree.check_invariants()
-        size = len(self._column)
-        for node in self._tree.in_order():
-            if not 0 <= node.position <= size:
-                raise IndexStateError("node position out of range")
-            products = self._column.products(0, size, node.key.bound.eb)
-            if node.key.inclusive:
-                left_ok = np.all(products[: node.position] <= 0)
-                right_ok = np.all(products[node.position:] > 0)
-            else:
-                left_ok = np.all(products[: node.position] < 0)
-                right_ok = np.all(products[node.position:] >= 0)
-            assert left_ok, "rows before the crack violate its predicate"
-            assert right_ok, "rows after the crack violate its predicate"

@@ -84,9 +84,15 @@ class SecureServer:
     ) -> None:
         if auto_merge_threshold is not None and auto_merge_threshold < 1:
             raise UpdateError("auto-merge threshold must be positive")
-        self._auto_merge_threshold = auto_merge_threshold
         if engine not in ENGINES:
             raise ProtocolError("unknown engine %r; pick from %s" % (engine, ENGINES))
+        self._config = {
+            "engine": engine,
+            "auto_merge_threshold": auto_merge_threshold,
+            "min_piece_size": max(1, int(min_piece_size)),
+            "use_three_way": use_three_way,
+            "record_stats": bool(record_stats),
+        }
         self._obs = obs if obs is not None else Observability()
         column = EncryptedColumn(rows, row_ids, obs=self._obs)
         if engine == "adaptive":
@@ -134,9 +140,15 @@ class SecureServer:
         return len(self._updates)
 
     @property
+    def config(self) -> dict:
+        """The engine configuration this server was built with, keyed
+        like :data:`repro.net.protocol.CONFIG_DEFAULTS` (a copy)."""
+        return dict(self._config)
+
+    @property
     def record_stats(self) -> bool:
         """Whether the engine records per-query cost breakdowns."""
-        return bool(getattr(self._engine, "_record_stats", True))
+        return self._config["record_stats"]
 
     # -- query path ---------------------------------------------------------------
 
@@ -206,10 +218,8 @@ class SecureServer:
         self._obs.metrics.add("server.rows_inserted", len(assigned))
         if self._obs.audit.enabled:
             self._obs.audit.record("insert", rows=len(assigned))
-        if (
-            self._auto_merge_threshold is not None
-            and len(self._updates) > self._auto_merge_threshold
-        ):
+        threshold = self._config["auto_merge_threshold"]
+        if threshold is not None and len(self._updates) > threshold:
             self.merge_pending()
         return assigned
 
@@ -272,7 +282,7 @@ class SecureServer:
         they are routed to the registry directly instead of being lost.
         """
         log = self._engine.stats_log
-        if getattr(self._engine, "_record_stats", False) and log:
+        if self.record_stats and log:
             stats = log[-1]
             stats.kernel_fast_products += after[0] - before[0]
             stats.kernel_exact_products += after[1] - before[1]

@@ -11,7 +11,8 @@ encrypted engine:
 * :mod:`repro.cracking.cracker_tree` — the paper's ``findpiece`` and
   ``addCrack`` procedures, generic over the key comparator.
 * :mod:`repro.cracking.column` / :mod:`repro.cracking.index` — the
-  plaintext cracker column and adaptive index engine.
+  crack/scan kernel and the query driver both engines run, with their
+  plaintext instances (cracker column, adaptive index).
 * :mod:`repro.cracking.stochastic` — random-pivot (stochastic)
   cracking, the robustness variant the paper cites.
 * :mod:`repro.cracking.baselines` — full scan and sort-once baselines.

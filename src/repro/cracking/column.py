@@ -1,13 +1,21 @@
-"""Plaintext cracker column.
+"""Cracker columns: the one crack/scan kernel, and its plaintext instance.
 
 The paper's prototype "receives a column of values (fixed-width dense
 array) as input and returns a set of positions that mark qualifying
-values" (Section 5).  :class:`CrackerColumn` is that fixed-width dense
-array: a numpy ``int64`` value array plus the parallel *base position*
-array recording where each tuple lived in the original column — the
-cracker-index copy of Figure 1 ("the original column A (including
-positions) is copied into a cracker index column, which is then
-continuously reorganized").
+values" (Section 5).  Everything a cracking engine asks of such an
+array reduces to one question — *which rows of piece* ``[lo, hi)``
+*fall left of a crack* ``(bound, inclusive)``, i.e. satisfy
+``v < bound`` (``v <= bound`` when ``inclusive``).  A crack moves those
+rows to the front of the piece, a three-way crack does so for two
+cracks at once, an edge scan keeps the rows right of the low crack and
+left of the high one, a partition check asks it either side of a split.
+
+:class:`CrackableColumn` implements those once over the abstract
+:meth:`~CrackableColumn.below` mask.  :class:`CrackerColumn` answers it
+with one ``int64`` comparison;
+:class:`repro.core.encrypted_column.EncryptedColumn` with the sign of
+``Eb . Ev`` scalar products — the *only* difference between the
+plaintext and the encrypted engine.
 """
 
 from __future__ import annotations
@@ -24,8 +32,139 @@ from repro.cracking.algorithms import (
 from repro.errors import IndexStateError
 
 
-class CrackerColumn:
-    """A dense value column physically reorganised by cracking.
+class CrackableColumn:
+    """A dense column physically reorganised by cracking.
+
+    Subclasses provide ``__len__``, :meth:`below`, :meth:`_apply_order`
+    and :meth:`_swap`, and set ``_use_inplace`` (route two-way cracks
+    through the pointer-faithful Algorithm 1 — slower; fidelity tests).
+    """
+
+    _use_inplace = False
+
+    def below(self, piece_lo: int, piece_hi: int, bound, inclusive: bool) -> np.ndarray:
+        """Boolean mask over ``[piece_lo, piece_hi)``: True where the row
+        falls left of the crack — ``v < bound``, or ``v <= bound`` when
+        ``inclusive``."""
+        raise NotImplementedError
+
+    def _apply_order(self, piece_lo: int, piece_hi: int, order: np.ndarray) -> None:
+        """Permute every parallel array of ``[piece_lo, piece_hi)``."""
+        raise NotImplementedError
+
+    def _swap(self, i: int, j: int) -> None:
+        """Exchange rows ``i`` and ``j`` (Algorithm 1's tuple exchange)."""
+        raise NotImplementedError
+
+    # -- cracking -----------------------------------------------------------
+
+    def crack(self, piece_lo: int, piece_hi: int, bound, inclusive: bool) -> int:
+        """Reorganise ``[piece_lo, piece_hi)`` around ``bound``.
+
+        After the call, rows with ``v < bound`` (``<= bound`` when
+        ``inclusive``) occupy ``[piece_lo, split)`` and the rest
+        ``[split, piece_hi)``.  Over ciphertexts the classification is
+        by product sign only — the server learns which side each row
+        falls on (that is the point of on-demand indexing) but nothing
+        about distances.
+
+        Returns:
+            The split position.
+        """
+        self._check_range(piece_lo, piece_hi)
+        if self._use_inplace:
+            # Algorithm 1: converging cursors classifying one row at a
+            # time and exchanging misplaced tuples.
+            return crack_in_two(
+                lambda i: bool(self.below(i, i + 1, bound, inclusive)[0]),
+                self._swap,
+                piece_lo,
+                piece_hi - 1,
+            )
+        mask = self.below(piece_lo, piece_hi, bound, inclusive)
+        self._apply_order(piece_lo, piece_hi, partition_order(mask))
+        return piece_lo + int(np.count_nonzero(mask))
+
+    def crack_three(
+        self,
+        piece_lo: int,
+        piece_hi: int,
+        low,
+        low_inclusive: bool,
+        high,
+        high_inclusive: bool,
+    ) -> Tuple[int, int]:
+        """Three-way reorganisation of ``[piece_lo, piece_hi)`` in one pass.
+
+        Region 0 holds rows below the range (failing the ``low`` side),
+        region 1 rows inside ``[low, high]`` (respecting inclusiveness),
+        region 2 rows above.  Realises the paper's split-into-three
+        optimisation for a two-sided predicate landing in one piece.
+
+        Returns:
+            ``(split0, split1)``: the range rows occupy
+            ``[split0, split1)``.
+        """
+        self._check_range(piece_lo, piece_hi)
+        before = self.below(piece_lo, piece_hi, low, not low_inclusive)
+        within = self.below(piece_lo, piece_hi, high, high_inclusive)
+        regions = np.where(before, 0, np.where(within, 1, 2))
+        order, count0, count01 = three_way_partition_order(regions)
+        self._apply_order(piece_lo, piece_hi, order)
+        return piece_lo + count0, piece_lo + count01
+
+    # -- scans ----------------------------------------------------------------
+
+    def scan_qualifying(
+        self,
+        piece_lo: int,
+        piece_hi: int,
+        low,
+        low_inclusive: bool,
+        high,
+        high_inclusive: bool,
+    ) -> np.ndarray:
+        """Physical indices in ``[piece_lo, piece_hi)`` inside the range.
+
+        Used for edge pieces below the cracking threshold (Section 2.2:
+        "when a piece becomes small enough ... we scan the data at
+        virtually no overhead"): the full predicate is evaluated per
+        row.  Either bound may be None (one-sided queries), costing one
+        comparison per row instead of two.
+        """
+        self._check_range(piece_lo, piece_hi)
+        mask = np.ones(piece_hi - piece_lo, dtype=bool)
+        if low is not None:
+            mask &= ~self.below(piece_lo, piece_hi, low, not low_inclusive)
+        if high is not None:
+            mask &= self.below(piece_lo, piece_hi, high, high_inclusive)
+        return piece_lo + np.flatnonzero(mask)
+
+    # -- verification -------------------------------------------------------
+
+    def check_partition(self, split: int, bound, inclusive: bool,
+                        piece_lo: int = 0, piece_hi: int = None) -> bool:
+        """Whether ``[piece_lo, split)`` / ``[split, piece_hi)`` respects ``bound``."""
+        if piece_hi is None:
+            piece_hi = len(self)
+        mask = self.below(piece_lo, piece_hi, bound, inclusive)
+        left = split - piece_lo
+        return bool(mask[:left].all() and not mask[left:].any())
+
+    def _check_range(self, piece_lo: int, piece_hi: int) -> None:
+        if not 0 <= piece_lo <= piece_hi <= len(self):
+            raise IndexStateError(
+                "piece [%d, %d) out of bounds for column of size %d"
+                % (piece_lo, piece_hi, len(self))
+            )
+
+
+class CrackerColumn(CrackableColumn):
+    """The plaintext cracker column: a numpy ``int64`` value array plus
+    the parallel *base position* array recording where each tuple lived
+    in the original column — the cracker-index copy of Figure 1 ("the
+    original column A (including positions) is copied into a cracker
+    index column, which is then continuously reorganized").
 
     Args:
         values: one-dimensional integer array-like; copied.
@@ -56,78 +195,20 @@ class CrackerColumn:
         view.flags.writeable = False
         return view
 
-    # -- cracking -----------------------------------------------------------
-
-    def crack(self, piece_lo: int, piece_hi: int, bound: int, inclusive: bool) -> int:
-        """Reorganise ``[piece_lo, piece_hi)`` around ``bound``.
-
-        After the call, rows with ``value < bound`` (``<= bound`` when
-        ``inclusive``) occupy ``[piece_lo, split)`` and the rest
-        ``[split, piece_hi)``.
-
-        Returns:
-            The split position.
-        """
-        self._check_range(piece_lo, piece_hi)
-        if self._use_inplace:
-            return self._crack_inplace(piece_lo, piece_hi, bound, inclusive)
+    def below(self, piece_lo: int, piece_hi: int, bound: int, inclusive: bool) -> np.ndarray:
+        """One ``int64`` comparison over the piece's values."""
         chunk = self._values[piece_lo:piece_hi]
-        mask = chunk <= bound if inclusive else chunk < bound
-        order = partition_order(mask)
-        self._values[piece_lo:piece_hi] = chunk[order]
-        self._positions[piece_lo:piece_hi] = self._positions[piece_lo:piece_hi][order]
-        return piece_lo + int(np.count_nonzero(mask))
+        return chunk <= bound if inclusive else chunk < bound
 
-    def _crack_inplace(
-        self, piece_lo: int, piece_hi: int, bound: int, inclusive: bool
-    ) -> int:
-        """Algorithm 1 path: converging cursors with tuple exchanges."""
-        values, positions = self._values, self._positions
+    def _apply_order(self, piece_lo: int, piece_hi: int, order: np.ndarray) -> None:
+        for array in (self._values, self._positions):
+            array[piece_lo:piece_hi] = array[piece_lo:piece_hi][order]
 
-        if inclusive:
-            def belongs_left(i: int) -> bool:
-                return values[i] <= bound
-        else:
-            def belongs_left(i: int) -> bool:
-                return values[i] < bound
+    def _swap(self, i: int, j: int) -> None:
+        for array in (self._values, self._positions):
+            array[i], array[j] = array[j], array[i]
 
-        def swap(i: int, j: int) -> None:
-            values[i], values[j] = values[j], values[i]
-            positions[i], positions[j] = positions[j], positions[i]
-
-        return crack_in_two(belongs_left, swap, piece_lo, piece_hi - 1)
-
-    def crack_three(
-        self,
-        piece_lo: int,
-        piece_hi: int,
-        low: int,
-        low_inclusive: bool,
-        high: int,
-        high_inclusive: bool,
-    ) -> Tuple[int, int]:
-        """Three-way reorganisation of ``[piece_lo, piece_hi)`` in one pass.
-
-        Region 0 holds rows below the range (failing the ``low`` side),
-        region 1 rows inside ``[low, high]`` (respecting inclusiveness),
-        region 2 rows above.  Realises the paper's split-into-three
-        optimisation for a two-sided predicate landing in one piece.
-
-        Returns:
-            ``(split0, split1)``: the range rows occupy
-            ``[split0, split1)``.
-        """
-        self._check_range(piece_lo, piece_hi)
-        chunk = self._values[piece_lo:piece_hi]
-        below = chunk < low if low_inclusive else chunk <= low
-        above = chunk > high if high_inclusive else chunk >= high
-        regions = np.where(below, 0, np.where(above, 2, 1))
-        order, count0, count01 = three_way_partition_order(regions)
-        self._values[piece_lo:piece_hi] = chunk[order]
-        self._positions[piece_lo:piece_hi] = self._positions[piece_lo:piece_hi][order]
-        return piece_lo + count0, piece_lo + count01
-
-    # -- scans ----------------------------------------------------------------
+    # -- base positions ---------------------------------------------------------
 
     def scan_positions(
         self,
@@ -138,43 +219,15 @@ class CrackerColumn:
         high: int = None,
         high_inclusive: bool = True,
     ) -> np.ndarray:
-        """Base positions of rows in ``[piece_lo, piece_hi)`` within range.
-
-        ``low`` / ``high`` of None mean unbounded on that side.  Used
-        for edge pieces below the cracking threshold (Section 2.2:
-        "when a piece becomes small enough ... we scan the data at
-        virtually no overhead").
-        """
-        self._check_range(piece_lo, piece_hi)
-        chunk = self._values[piece_lo:piece_hi]
-        mask = np.ones(len(chunk), dtype=bool)
-        if low is not None:
-            mask &= chunk >= low if low_inclusive else chunk > low
-        if high is not None:
-            mask &= chunk <= high if high_inclusive else chunk < high
-        return self._positions[piece_lo:piece_hi][mask]
+        """Base positions of rows in ``[piece_lo, piece_hi)`` within range
+        (:meth:`scan_qualifying`, mapped to where the rows came from)."""
+        return self._positions[
+            self.scan_qualifying(
+                piece_lo, piece_hi, low, low_inclusive, high, high_inclusive
+            )
+        ]
 
     def positions_in(self, piece_lo: int, piece_hi: int) -> np.ndarray:
         """Base positions of every row in ``[piece_lo, piece_hi)``."""
         self._check_range(piece_lo, piece_hi)
         return self._positions[piece_lo:piece_hi].copy()
-
-    # -- verification -------------------------------------------------------
-
-    def check_partition(self, split: int, bound: int, inclusive: bool,
-                        piece_lo: int = 0, piece_hi: int = None) -> bool:
-        """Whether ``[piece_lo, split)`` / ``[split, piece_hi)`` respects ``bound``."""
-        if piece_hi is None:
-            piece_hi = len(self)
-        left = self._values[piece_lo:split]
-        right = self._values[split:piece_hi]
-        if inclusive:
-            return bool(np.all(left <= bound) and np.all(right > bound))
-        return bool(np.all(left < bound) and np.all(right >= bound))
-
-    def _check_range(self, piece_lo: int, piece_hi: int) -> None:
-        if not 0 <= piece_lo <= piece_hi <= len(self):
-            raise IndexStateError(
-                "piece [%d, %d) out of bounds for column of size %d"
-                % (piece_lo, piece_hi, len(self))
-            )

@@ -1,30 +1,36 @@
-"""Plaintext adaptive index: cracking select operator + AVL cracker tree.
+"""The cracking engine: one query driver, and its plaintext instance.
 
-This is the paper's baseline system (Section 2.2): a select operator
-that answers a range query *and*, as a side effect, physically
-reorganises the touched pieces and refines the AVL cracker index.  The
-"Plain" curves of Figures 6-8 and 11 are produced by this engine; the
-secure engine of :mod:`repro.core.secure_index` mirrors its structure
-with encrypted comparisons.
+Section 2.2's select operator answers a range query *and*, as a side
+effect, physically reorganises the touched pieces and refines the AVL
+cracker index.  :class:`CrackingEngine` is that operator, written once
+over tree keys and physical index ranges.  It never looks inside a key
+— keys are ordered by the tree's comparator and classified against
+rows by the column's
+:meth:`~repro.cracking.column.CrackableColumn.below` mask — so the
+paper's server runs it "as with a non-encrypted database" (Section
+3.3): :class:`repro.core.secure_index.SecureAdaptiveIndex` is the same
+driver over double-encrypted bounds and ciphertext rows.
 
-Query semantics: ``query(low, high, low_inclusive, high_inclusive)``
-returns the *base positions* (original row ids) of qualifying tuples —
-the column-store select interface of Section 5 ("returns a set of
-positions that mark qualifying values").
+:class:`AdaptiveIndex` is the plaintext instance, the paper's baseline
+system (the "Plain" curves of Figures 6-8 and 11).  Its
+``query(low, high, low_inclusive, high_inclusive)`` returns the *base
+positions* (original row ids) of qualifying tuples — the column-store
+select interface of Section 5 ("returns a set of positions that mark
+qualifying values").
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cracking.avl import AVLTree
-from repro.cracking.column import CrackerColumn
+from repro.cracking.column import CrackableColumn, CrackerColumn
 from repro.cracking.cracker_tree import add_crack, find_piece
-from repro.errors import QueryError
+from repro.errors import IndexStateError, QueryError
 from repro.obs import Observability
 
 #: Tree key: (bound, inclusive).  Node semantics: every row before the
@@ -161,11 +167,18 @@ class _BoundResolution:
         return self.position is not None
 
 
-class AdaptiveIndex:
-    """Self-organising cracking index over a plaintext integer column.
+class CrackingEngine:
+    """Query-triggered cracking over a column and an AVL cracker tree.
+
+    A tree key stands for the crack "every row before my position falls
+    left of me"; a range query is the rows right of its *left key* (the
+    crack excluding too-low rows) and left of its *right key*.
+    Subclasses build the keys, say how one is handed to the column
+    (:meth:`_cut`) and ship the physical indices :meth:`_answer` finds.
 
     Args:
-        values: the column (copied).
+        column: the column to crack (owned by the engine thereafter).
+        compare_keys: total order on tree keys (``-1/0/1``).
         min_piece_size: pieces at or below this size are scanned rather
             than cracked (Section 2.2's cache-size threshold — also the
             mechanism that keeps the index from ever leaking a total
@@ -174,27 +187,28 @@ class AdaptiveIndex:
             bounds land in the same piece (instead of two two-way
             cracks).
         record_stats: append a :class:`QueryStats` to :attr:`stats_log`
-            for every query.
-        obs: observability bundle (tracing spans + metrics); a private
-            one is created when omitted.  Metric counters are always
-            recorded (stats objects are materialised from them);
-            ``record_stats`` only controls the :attr:`stats_log`.
+            for every query.  Metric counters are recorded regardless
+            (stats objects are materialised from them).
+        obs: observability bundle (tracing spans + metrics + audit).
     """
 
     def __init__(
         self,
-        values,
-        min_piece_size: int = 1,
-        use_three_way: bool = False,
-        record_stats: bool = True,
-        obs: Observability = None,
+        column: CrackableColumn,
+        compare_keys,
+        min_piece_size: int,
+        use_three_way: bool,
+        record_stats: bool,
+        obs: Observability,
     ) -> None:
-        self._column = CrackerColumn(values)
-        self._tree = AVLTree(_compare_bound_keys)
+        self._column = column
+        self._tree = AVLTree(compare_keys)
         self._min_piece = max(1, int(min_piece_size))
         self._use_three_way = use_three_way
         self._record_stats = record_stats
-        self._obs = obs if obs is not None else Observability()
+        self._obs = obs
+        # The paper's findpiece / addCrack, as ``f(tree, key, ...)``.
+        self._find_piece, self._add_crack = find_piece, add_crack
         self.stats_log: List[QueryStats] = []
 
     @property
@@ -206,7 +220,7 @@ class AdaptiveIndex:
         return len(self._column)
 
     @property
-    def column(self) -> CrackerColumn:
+    def column(self) -> CrackableColumn:
         """The underlying cracker column (read access for analysis)."""
         return self._column
 
@@ -215,7 +229,251 @@ class AdaptiveIndex:
         """The AVL cracker index (read access for analysis)."""
         return self._tree
 
-    # -- querying -------------------------------------------------------------
+    # -- subclass hooks -----------------------------------------------------------
+
+    def _cut(self, key) -> Tuple[object, bool]:
+        """``(bound, inclusive)`` of a tree key, as ``column.below`` takes them."""
+        raise NotImplementedError
+
+    def _audit(self, kind: str, **fields) -> None:
+        """Leakage-audit hook: one ``find`` / ``crack`` / ``scan`` event,
+        column-level bounds under ``bound`` / ``bound_high``.  Only an
+        engine a curious server runs has anything to record."""
+
+    # -- the driver -----------------------------------------------------------------
+
+    def _answer(
+        self, left_key, right_key, pivot_keys: Iterable = ()
+    ) -> Tuple[np.ndarray, QueryStats]:
+        """Physical indices of the rows between the two keys and the
+        query's cost breakdown; cracks as a side effect.  Either key may
+        be None (one-sided: at most one piece is cracked); ``pivot_keys``
+        are cracked on first and do not affect the result."""
+        stats = MeteredQueryStats(self._obs.metrics)
+        tree_comparisons_before = self._tree.comparison_count
+        for key in pivot_keys:
+            self._resolve(key, stats)
+        indices = self._execute(left_key, right_key, stats)
+        stats.result_count = len(indices)
+        stats.comparisons += (
+            self._tree.comparison_count - tree_comparisons_before
+        )
+        metrics = self._obs.metrics
+        metrics.observe("query.cracks_per_query", stats.cracks)
+        metrics.set("index.avl_depth", self._tree.height())
+        metrics.set("index.pieces", len(self._tree) + 1)
+        if self._record_stats:
+            self.stats_log.append(stats)
+        return indices, stats
+
+    def _execute(self, left_key, right_key, stats: QueryStats) -> np.ndarray:
+        size = len(self._column)
+        if size == 0:
+            return np.empty(0, dtype=np.int64)
+        if self._use_three_way and left_key is not None and right_key is not None:
+            three_way = self._try_three_way(left_key, right_key, stats)
+            if three_way is not None:
+                return np.arange(three_way[0], three_way[1], dtype=np.int64)
+        if left_key is None:
+            left = _BoundResolution(position=0)
+        else:
+            left = self._resolve(left_key, stats)
+        if right_key is None:
+            right = _BoundResolution(position=size)
+        else:
+            right = self._resolve(right_key, stats)
+        keys = (left_key, right_key)
+        if not left.is_exact and not right.is_exact and left.piece == right.piece:
+            return self._timed_scan(left.piece, keys, stats)
+        segments: List[np.ndarray] = []
+        if left.is_exact:
+            start = left.position
+        else:
+            start = left.piece[1]
+            segments.append(self._timed_scan(left.piece, keys, stats))
+        end = right.position if right.is_exact else right.piece[0]
+        if start < end:
+            segments.append(np.arange(start, end, dtype=np.int64))
+        if not right.is_exact:
+            segments.append(self._timed_scan(right.piece, keys, stats))
+        if not segments:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(segments)
+
+    def _resolve(self, key, stats: QueryStats) -> _BoundResolution:
+        """Find the exact crack position for ``key``, cracking if needed."""
+        size = len(self._column)
+        bound = self._cut(key)[0]
+        tick = time.perf_counter()
+        with self._obs.span("find-piece"):
+            node = self._tree.find(key)
+            if node is None:
+                piece_lo, piece_hi = self._find_piece(self._tree, key, size)
+        stats.search_seconds += time.perf_counter() - tick
+        if node is not None:
+            self._audit("find", bound=bound, position=node.position)
+            return _BoundResolution(position=node.position)
+        self._audit("find", bound=bound, lo=piece_lo, hi=piece_hi)
+        if piece_hi - piece_lo <= self._min_piece:
+            return _BoundResolution(piece=(piece_lo, piece_hi))
+        return self._crack_piece(key, piece_lo, piece_hi, stats)
+
+    def _crack_piece(
+        self, key, piece_lo: int, piece_hi: int, stats: QueryStats
+    ) -> _BoundResolution:
+        """Crack the raw piece ``key`` falls in and index the split."""
+        bound, inclusive = self._cut(key)
+        rows = piece_hi - piece_lo
+        tick = time.perf_counter()
+        with self._obs.span("crack", lo=piece_lo, hi=piece_hi, rows=rows):
+            split = self._column.crack(piece_lo, piece_hi, bound, inclusive)
+        stats.crack_seconds += time.perf_counter() - tick
+        self._count_crack(stats, rows, sides=1)
+        self._audit("crack", lo=piece_lo, hi=piece_hi, splits=[split],
+                    bound=bound, inclusive=inclusive)
+        tick = time.perf_counter()
+        with self._obs.span("insert-bound", position=split):
+            self._add_crack(self._tree, key, split, len(self._column))
+        stats.insert_seconds += time.perf_counter() - tick
+        return _BoundResolution(position=split)
+
+    def _try_three_way(
+        self, left_key, right_key, stats: QueryStats
+    ) -> Optional[Tuple[int, int]]:
+        """One-pass three-way crack when both bounds share a raw piece.
+
+        Returns the qualifying physical range on success, None when the
+        preconditions fail (either bound already indexed, different
+        pieces, or the piece is below the cracking threshold).
+        """
+        size = len(self._column)
+        tick = time.perf_counter()
+        known = (
+            self._tree.find(left_key) is not None
+            or self._tree.find(right_key) is not None
+        )
+        left_piece = self._find_piece(self._tree, left_key, size)
+        right_piece = self._find_piece(self._tree, right_key, size)
+        stats.search_seconds += time.perf_counter() - tick
+        if known or left_piece != right_piece:
+            return None
+        piece_lo, piece_hi = left_piece
+        rows = piece_hi - piece_lo
+        if rows <= self._min_piece:
+            return None
+        low, low_inclusive, high, high_inclusive = self._range(left_key, right_key)
+        tick = time.perf_counter()
+        with self._obs.span("crack", lo=piece_lo, hi=piece_hi, rows=rows,
+                            three_way=True):
+            split0, split1 = self._column.crack_three(
+                piece_lo, piece_hi, low, low_inclusive, high, high_inclusive
+            )
+        stats.crack_seconds += time.perf_counter() - tick
+        self._count_crack(stats, rows, sides=2)
+        self._audit("crack", lo=piece_lo, hi=piece_hi, splits=[split0, split1],
+                    bound=low, bound_high=high, three_way=True)
+        tick = time.perf_counter()
+        with self._obs.span("insert-bound", position=split0):
+            self._add_crack(self._tree, left_key, split0, size)
+        with self._obs.span("insert-bound", position=split1):
+            self._add_crack(self._tree, right_key, split1, size)
+        stats.insert_seconds += time.perf_counter() - tick
+        return split0, split1
+
+    def _timed_scan(self, piece, keys, stats: QueryStats) -> np.ndarray:
+        """Filter one sub-threshold edge piece with the full predicate."""
+        low, low_inclusive, high, high_inclusive = self._range(*keys)
+        tick = time.perf_counter()
+        with self._obs.span("edge-scan", lo=piece[0], hi=piece[1]):
+            indices = self._column.scan_qualifying(
+                piece[0], piece[1], low, low_inclusive, high, high_inclusive
+            )
+        stats.scan_seconds += time.perf_counter() - tick
+        sides = (low is not None) + (high is not None)
+        stats.comparisons += sides * (piece[1] - piece[0])
+        self._audit("scan", lo=piece[0], hi=piece[1], bound=low,
+                    bound_high=high, matched=len(indices))
+        return indices
+
+    def _range(self, left_key, right_key):
+        """The two crack keys as the ``(low, low_inclusive, high,
+        high_inclusive)`` the column's scan and three-way crack take."""
+        low, low_cut = (None, False) if left_key is None else self._cut(left_key)
+        high, high_cut = (None, True) if right_key is None else self._cut(right_key)
+        return low, not low_cut, high, high_cut
+
+    def _count_crack(self, stats: QueryStats, rows: int, sides: int) -> None:
+        stats.cracked_rows += rows
+        stats.cracks += 1
+        stats.comparisons += sides * rows
+        self._obs.metrics.observe("index.piece_rows", rows)
+
+    # -- introspection ----------------------------------------------------------
+
+    def piece_boundaries(self) -> List[int]:
+        """Sorted crack positions, including the column ends.
+
+        Consecutive entries delimit the current pieces; the leakage
+        analysis of Section 4.1 works from this structure.
+        """
+        positions = sorted({node.position for node in self._tree.in_order()})
+        return [0] + positions + [len(self._column)]
+
+    def check_invariants(self) -> None:
+        """Assert every indexed crack still partitions the column.
+
+        Notably the *server* can run this check itself — each node
+        stores the bound in the form ``below`` takes, so partition
+        membership is a sign test.  (It learns nothing new: the
+        partition is exactly what cracking already revealed.)
+
+        Raises:
+            AssertionError: on any violated cracking invariant.
+        """
+        self._tree.check_invariants()
+        size = len(self._column)
+        for node in self._tree.in_order():
+            if not 0 <= node.position <= size:
+                raise IndexStateError("node position out of range")
+            below = self._column.below(0, size, *self._cut(node.key))
+            assert below[: node.position].all(), (
+                "rows before the crack violate its predicate"
+            )
+            assert not below[node.position:].any(), (
+                "rows after the crack violate its predicate"
+            )
+
+
+class AdaptiveIndex(CrackingEngine):
+    """Self-organising cracking index over a plaintext integer column.
+
+    Args:
+        values: the column (copied).
+        min_piece_size / use_three_way / record_stats: see
+            :class:`CrackingEngine`.
+        obs: observability bundle; a private one is created when
+            omitted.
+    """
+
+    def __init__(
+        self,
+        values,
+        min_piece_size: int = 1,
+        use_three_way: bool = False,
+        record_stats: bool = True,
+        obs: Observability = None,
+    ) -> None:
+        super().__init__(
+            CrackerColumn(values),
+            _compare_bound_keys,
+            min_piece_size,
+            use_three_way,
+            record_stats,
+            obs if obs is not None else Observability(),
+        )
+
+    def _cut(self, key: BoundKey) -> BoundKey:
+        return key
 
     def query(
         self,
@@ -235,201 +493,15 @@ class AdaptiveIndex:
         """
         if low is not None and high is not None and low > high:
             raise QueryError("inverted range: low=%r > high=%r" % (low, high))
-        stats = MeteredQueryStats(self._obs.metrics)
-        tree_comparisons_before = self._tree.comparison_count
         # The crack separating non-qualifying low rows: rows with
         # v < low (inclusive query) or v <= low (exclusive query).
         left_key: BoundKey = None if low is None else (low, not low_inclusive)
         # The crack whose left side is the qualifying high side.
         right_key: BoundKey = None if high is None else (high, high_inclusive)
         with self._obs.span("query", engine="plain-adaptive"):
-            result = self._execute(left_key, right_key, low, high,
-                                   low_inclusive, high_inclusive, stats)
-        stats.result_count = len(result)
-        stats.comparisons += (
-            self._tree.comparison_count - tree_comparisons_before
-        )
-        metrics = self._obs.metrics
-        metrics.observe("query.cracks_per_query", stats.cracks)
-        metrics.set("index.avl_depth", self._tree.height())
-        metrics.set("index.pieces", len(self._tree) + 1)
-        if self._record_stats:
-            self.stats_log.append(stats)
-        return result
+            indices, __ = self._answer(left_key, right_key)
+        return self._column.positions[indices]
 
     def query_point(self, value: int) -> np.ndarray:
         """Answer an equality query (``A == value``)."""
         return self.query(value, value, True, True)
-
-    # -- internals -------------------------------------------------------------
-
-    def _execute(
-        self,
-        left_key: BoundKey,
-        right_key: BoundKey,
-        low: int,
-        high: int,
-        low_inclusive: bool,
-        high_inclusive: bool,
-        stats: QueryStats,
-    ) -> np.ndarray:
-        size = len(self._column)
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        if self._use_three_way and left_key is not None and right_key is not None:
-            three_way = self._try_three_way(left_key, right_key, stats)
-            if three_way is not None:
-                return self._column.positions_in(*three_way)
-        if left_key is None:
-            left = _BoundResolution(position=0)
-        else:
-            left = self._resolve(left_key, stats)
-        if right_key is None:
-            right = _BoundResolution(position=size)
-        else:
-            right = self._resolve(right_key, stats)
-        scan_args = dict(
-            low=low,
-            low_inclusive=low_inclusive,
-            high=high,
-            high_inclusive=high_inclusive,
-        )
-        if (
-            not left.is_exact
-            and not right.is_exact
-            and left.piece == right.piece
-        ):
-            return self._timed_scan(left.piece, scan_args, stats)
-        segments: List[np.ndarray] = []
-        if left.is_exact:
-            start = left.position
-        else:
-            start = left.piece[1]
-            segments.append(self._timed_scan(left.piece, scan_args, stats))
-        if right.is_exact:
-            end = right.position
-        else:
-            end = right.piece[0]
-            # Scanned below, after the contiguous middle.
-        if start < end:
-            segments.append(self._column.positions_in(start, end))
-        if not right.is_exact:
-            segments.append(self._timed_scan(right.piece, scan_args, stats))
-        if not segments:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(segments)
-
-    def _resolve(self, key: BoundKey, stats: QueryStats) -> _BoundResolution:
-        """Find the exact crack position for ``key``, cracking if needed."""
-        size = len(self._column)
-        tick = time.perf_counter()
-        with self._obs.span("find-piece"):
-            node = self._tree.find(key)
-            if node is None:
-                piece_lo, piece_hi = find_piece(self._tree, key, size)
-        stats.search_seconds += time.perf_counter() - tick
-        if node is not None:
-            return _BoundResolution(position=node.position)
-        if piece_hi - piece_lo <= self._min_piece:
-            return _BoundResolution(piece=(piece_lo, piece_hi))
-        bound, inclusive = key
-        tick = time.perf_counter()
-        with self._obs.span("crack", lo=piece_lo, hi=piece_hi,
-                            rows=piece_hi - piece_lo):
-            split = self._column.crack(piece_lo, piece_hi, bound, inclusive)
-        stats.crack_seconds += time.perf_counter() - tick
-        stats.cracked_rows += piece_hi - piece_lo
-        stats.cracks += 1
-        stats.comparisons += piece_hi - piece_lo
-        self._obs.metrics.observe("index.piece_rows", piece_hi - piece_lo)
-        tick = time.perf_counter()
-        with self._obs.span("insert-bound", position=split):
-            add_crack(self._tree, key, split, size)
-        stats.insert_seconds += time.perf_counter() - tick
-        return _BoundResolution(position=split)
-
-    def _try_three_way(
-        self, left_key: BoundKey, right_key: BoundKey, stats: QueryStats
-    ) -> Optional[Tuple[int, int]]:
-        """One-pass three-way crack when both bounds share a raw piece.
-
-        Returns the qualifying physical range on success, None when the
-        preconditions fail (either bound already indexed, different
-        pieces, or the piece is below the cracking threshold).
-        """
-        size = len(self._column)
-        tick = time.perf_counter()
-        left_known = self._tree.find(left_key) is not None
-        right_known = self._tree.find(right_key) is not None
-        left_piece = find_piece(self._tree, left_key, size)
-        right_piece = find_piece(self._tree, right_key, size)
-        stats.search_seconds += time.perf_counter() - tick
-        if left_known or right_known or left_piece != right_piece:
-            return None
-        piece_lo, piece_hi = left_piece
-        if piece_hi - piece_lo <= self._min_piece:
-            return None
-        tick = time.perf_counter()
-        with self._obs.span("crack", lo=piece_lo, hi=piece_hi,
-                            rows=piece_hi - piece_lo, three_way=True):
-            split0, split1 = self._column.crack_three(
-                piece_lo,
-                piece_hi,
-                left_key[0],
-                not left_key[1],
-                right_key[0],
-                right_key[1],
-            )
-        stats.crack_seconds += time.perf_counter() - tick
-        stats.cracked_rows += piece_hi - piece_lo
-        stats.cracks += 1
-        stats.comparisons += 2 * (piece_hi - piece_lo)
-        self._obs.metrics.observe("index.piece_rows", piece_hi - piece_lo)
-        tick = time.perf_counter()
-        with self._obs.span("insert-bound", position=split0):
-            add_crack(self._tree, left_key, split0, size)
-        with self._obs.span("insert-bound", position=split1):
-            add_crack(self._tree, right_key, split1, size)
-        stats.insert_seconds += time.perf_counter() - tick
-        return split0, split1
-
-    def _timed_scan(self, piece, scan_args, stats: QueryStats) -> np.ndarray:
-        tick = time.perf_counter()
-        with self._obs.span("edge-scan", lo=piece[0], hi=piece[1]):
-            result = self._column.scan_positions(piece[0], piece[1], **scan_args)
-        stats.scan_seconds += time.perf_counter() - tick
-        sides = (scan_args.get("low") is not None) + (
-            scan_args.get("high") is not None
-        )
-        stats.comparisons += sides * (piece[1] - piece[0])
-        return result
-
-    # -- introspection ----------------------------------------------------------
-
-    def piece_boundaries(self) -> List[int]:
-        """Sorted crack positions, including the column ends.
-
-        Consecutive entries delimit the current pieces; the leakage
-        analysis of Section 4.1 works from this structure.
-        """
-        positions = sorted({node.position for node in self._tree.in_order()})
-        return [0] + positions + [len(self._column)]
-
-    def check_invariants(self) -> None:
-        """Assert every indexed crack still partitions the column.
-
-        Raises:
-            AssertionError: on any violated cracking invariant.
-        """
-        self._tree.check_invariants()
-        values = self._column.values
-        for node in self._tree.in_order():
-            bound, inclusive = node.key
-            left = values[: node.position]
-            right = values[node.position:]
-            if inclusive:
-                assert np.all(left <= bound), "left side violates <= bound"
-                assert np.all(right > bound), "right side violates > bound"
-            else:
-                assert np.all(left < bound), "left side violates < bound"
-                assert np.all(right >= bound), "right side violates >= bound"

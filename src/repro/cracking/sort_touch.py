@@ -27,7 +27,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.cracking.cracker_tree import add_crack
+from repro.cracking.cracker_tree import add_crack, find_piece
 from repro.cracking.index import AdaptiveIndex, BoundKey, QueryStats, _BoundResolution
 
 
@@ -62,8 +62,6 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
         return sum(hi - lo for lo, hi in self._sorted_ranges)
 
     def _resolve(self, key: BoundKey, stats: QueryStats) -> _BoundResolution:
-        from repro.cracking.cracker_tree import find_piece
-
         size = len(self._column)
         tick = time.perf_counter()
         node = self._tree.find(key)
@@ -73,7 +71,6 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
         if node is not None:
             return _BoundResolution(position=node.position)
 
-        bound, inclusive = key
         sorted_range = self._containing_sorted_range(piece_lo, piece_hi)
         if sorted_range is None and piece_hi - piece_lo <= self._sort_threshold:
             tick = time.perf_counter()
@@ -83,20 +80,16 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
             stats.comparisons += piece_hi - piece_lo  # ~n log n, order-of
             sorted_range = (piece_lo, piece_hi)
 
+        if sorted_range is None:
+            return self._crack_piece(key, piece_lo, piece_hi, stats)
+        bound, inclusive = key
         tick = time.perf_counter()
-        if sorted_range is not None:
-            side = "right" if inclusive else "left"
-            values = self._column.values
-            split = piece_lo + int(
-                np.searchsorted(values[piece_lo:piece_hi], bound, side=side)
-            )
-            stats.search_seconds += time.perf_counter() - tick
-        else:
-            split = self._column.crack(piece_lo, piece_hi, bound, inclusive)
-            stats.crack_seconds += time.perf_counter() - tick
-            stats.cracked_rows += piece_hi - piece_lo
-            stats.cracks += 1
-            stats.comparisons += piece_hi - piece_lo
+        side = "right" if inclusive else "left"
+        values = self._column.values
+        split = piece_lo + int(
+            np.searchsorted(values[piece_lo:piece_hi], bound, side=side)
+        )
+        stats.search_seconds += time.perf_counter() - tick
         tick = time.perf_counter()
         add_crack(self._tree, key, split, size)
         stats.insert_seconds += time.perf_counter() - tick
@@ -104,11 +97,8 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
 
     def _sort_piece(self, piece_lo: int, piece_hi: int) -> None:
         """Sort one piece in place (values and base positions together)."""
-        values = self._column._values
-        positions = self._column._positions
-        order = np.argsort(values[piece_lo:piece_hi], kind="stable")
-        values[piece_lo:piece_hi] = values[piece_lo:piece_hi][order]
-        positions[piece_lo:piece_hi] = positions[piece_lo:piece_hi][order]
+        order = np.argsort(self._column.values[piece_lo:piece_hi], kind="stable")
+        self._column._apply_order(piece_lo, piece_hi, order)
         self._sorted_ranges.append((piece_lo, piece_hi))
         self._sorted_ranges.sort()
 

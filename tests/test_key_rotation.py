@@ -28,11 +28,13 @@ class TestConfigSurvivesRotation:
             record_stats=False,
         )
         db.rotate_key(new_seed=2)
-        assert db.server._auto_merge_threshold == 5
-        engine = db.server.engine
-        assert engine._min_piece == 8
-        assert engine._use_three_way is True
-        assert engine._record_stats is False
+        assert db.server.config == {
+            "engine": "adaptive",
+            "auto_merge_threshold": 5,
+            "min_piece_size": 8,
+            "use_three_way": True,
+            "record_stats": False,
+        }
         # The restored config still behaves: auto-merge fires past the
         # threshold instead of letting the pending buffer grow forever.
         for value in range(1000, 1007):
@@ -139,7 +141,7 @@ class TestRotationUnderUpdatesAndAmbiguity:
         db.rotate_key(new_seed=13)
         db.query(20, 70)
         db.rotate_key(new_seed=14)
-        assert db.server.engine._use_three_way is True
+        assert db.server.config["use_three_way"] is True
         assert sorted(db.query().values.tolist()) == sorted(VALUES)
 
 

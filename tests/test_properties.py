@@ -155,29 +155,51 @@ class TestEngineProperties:
     @given(
         data=st.lists(st.integers(0, 200), min_size=1, max_size=40),
         queries=st.lists(
-            st.tuples(st.integers(0, 200), st.integers(0, 40)),
+            st.tuples(
+                st.integers(0, 200),
+                st.integers(0, 40),
+                st.booleans(),
+                st.booleans(),
+                st.sampled_from(["both", "low", "high"]),
+            ),
             min_size=1,
-            max_size=5,
+            max_size=6,
         ),
+        min_piece=st.sampled_from([1, 4, 16]),
+        three_way=st.booleans(),
     )
-    @settings(max_examples=15, deadline=None)
-    def test_secure_index_matches_plain(self, data, queries):
+    @settings(max_examples=25, deadline=None)
+    def test_secure_index_matches_plain(self, data, queries, min_piece, three_way):
+        """The two engines are one driver: same results, same physical
+        reorganisation, same cost counters, query by query."""
         from repro.core.client import TrustedClient
         from repro.core.encrypted_column import EncryptedColumn
         from repro.core.secure_index import SecureAdaptiveIndex
 
         client = TrustedClient(key=_KEY, seed=5)
         rows, row_ids = client.encrypt_dataset(data)
-        secure = SecureAdaptiveIndex(EncryptedColumn(rows, row_ids))
-        plain = AdaptiveIndex(data)
-        for low, span in queries:
-            high = low + span
-            secure_ids, __ = secure.query(client.make_query(low, high))
-            plain_ids = plain.query(low, high)
+        config = dict(min_piece_size=min_piece, use_three_way=three_way)
+        secure = SecureAdaptiveIndex(EncryptedColumn(rows, row_ids), **config)
+        plain = AdaptiveIndex(data, **config)
+        for low, span, low_inclusive, high_inclusive, sides in queries:
+            args = dict(low_inclusive=low_inclusive, high_inclusive=high_inclusive)
+            if sides != "high":
+                args["low"] = low
+            if sides != "low":
+                args["high"] = low + span
+            secure_ids, __ = secure.query(client.make_query(**args))
+            plain_ids = plain.query(**args)
             assert sorted(int(i) for i in secure_ids) == sorted(
                 plain_ids.tolist()
             )
+            assert secure.piece_boundaries() == plain.piece_boundaries()
+            for name in ("cracks", "cracked_rows", "comparisons", "result_count"):
+                assert getattr(secure.stats_log[-1], name) == getattr(
+                    plain.stats_log[-1], name
+                ), name
+        assert secure.column.row_ids.tolist() == plain.column.positions.tolist()
         secure.check_invariants()
+        plain.check_invariants()
 
 
 class TestOneSidedProperties:

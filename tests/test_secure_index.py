@@ -182,3 +182,45 @@ class TestUpdateRouting:
         engine.check_invariants()
         ids, __ = run_query(engine, client, 50, 100)
         assert victim not in ids
+
+
+class TestRippleMergeFuzz:
+    """Seeded insert/delete/query/merge mix against a sorted-multiset
+    model.  Sparse free-floating ranges plus ripple deletes leave empty
+    pieces — several cracks on one position — which is where a ripple
+    insert must shift cracks by key order, not by position."""
+
+    @pytest.mark.parametrize("ambiguity", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_updates_match_model(self, seed, ambiguity):
+        from repro.core.session import OutsourcedDatabase
+
+        rng = random.Random(seed)
+        model = dict(enumerate(rng.sample(range(100000), 300)))
+        db = OutsourcedDatabase(
+            list(model.values()), seed=11, ambiguity=ambiguity
+        )
+        for step in range(1, 601):
+            draw = rng.random()
+            if draw < 0.4:
+                value = rng.randrange(100000)
+                model[db.insert(value)] = value
+            elif draw < 0.5 and model:
+                victim = rng.choice(sorted(model))
+                db.delete(victim)
+                del model[victim]
+            else:
+                low = rng.randrange(100000)
+                high = low + rng.randrange(1, 300)
+                result = db.query(low, high)
+                expected = sorted(
+                    (i, v) for i, v in model.items() if low <= v <= high
+                )
+                assert sorted(
+                    zip(result.logical_ids.tolist(), result.values.tolist())
+                ) == expected
+            if step % 40 == 0:
+                db.merge()
+                db.server.engine.check_invariants()
+        result = db.query()
+        assert sorted(result.values.tolist()) == sorted(model.values())
