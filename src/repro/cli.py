@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=9045)
     serve.add_argument(
         "--workers", type=int, default=8,
-        help="dispatch worker threads (the bound on concurrent engine "
-             "work; default 8)",
+        help="dispatch slots (the bound on concurrent engine work; "
+             "default 8)",
     )
     serve.add_argument(
         "--max-connections", type=int, default=128,
@@ -158,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--queue-size", type=int, default=None,
-        help="request-queue bound before `busy` backpressure "
-             "(default: 2x workers)",
+        help="frames that may wait for a dispatch slot before `busy` "
+             "backpressure (default: 2x workers)",
     )
     serve.add_argument(
         "--batch-workers", type=int, default=8,

@@ -19,9 +19,10 @@ mechanical.  It has three layers:
 * :mod:`repro.net.catalog` / :mod:`repro.net.server` — the server
   side: a :class:`ColumnCatalog` hosting many named columns (one
   :class:`~repro.core.server.SecureServer` each) behind a single
-  dispatcher, fronted by a bounded worker-pool TCP endpoint
-  (:class:`CatalogTCPServer`: accept loop + N dispatch workers over a
-  bounded queue, ``busy`` backpressure, graceful drain).
+  dispatcher, fronted by a bounded TCP endpoint
+  (:class:`CatalogTCPServer`: accept loop + one thread per connection
+  serving its own frames behind N dispatch slots, ``busy``
+  backpressure, graceful drain).
 
 :class:`~repro.net.client.RemoteColumn` is the client-side handle
 sessions hold instead of a server reference;
@@ -68,7 +69,6 @@ from repro.net.protocol import (
 from repro.net.replication import ReplicaSet, ReplicationClient
 from repro.net.server import (
     CatalogTCPServer,
-    ThreadPerConnectionServer,
     serve,
 )
 from repro.net.shard import ShardedRemoteColumn, shard_column_names
@@ -96,7 +96,6 @@ __all__ = [
     "TcpTransport",
     "TelemetryRequest",
     "TelemetryResponse",
-    "ThreadPerConnectionServer",
     "Transport",
     "attach_trace",
     "decode_binary_frame",

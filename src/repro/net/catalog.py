@@ -327,13 +327,15 @@ class ColumnCatalog:
                     % (index, logical, entry["columns"][index])
                 )
             entry["columns"][index] = name
-            total = sum(
-                1
-                for meta in self._shards.values()
-                for column in meta["columns"]
-                if column is not None
-            )
-        self._obs.metrics.set("catalog.shards", total)
+            self._set_shards_gauge()
+
+    def _set_shards_gauge(self) -> None:
+        """Write ``catalog.shards``; the caller holds the registry lock."""
+        self._obs.metrics.set("catalog.shards", sum(
+            column is not None
+            for meta in self._shards.values()
+            for column in meta["columns"]
+        ))
 
     def shards(self) -> Dict[str, Dict[str, Any]]:
         """Copy of the shard registry: logical name -> geometry +
@@ -619,6 +621,7 @@ class ColumnCatalog:
             self._locks = {name: threading.Lock() for name in servers}
             self._epochs = epochs
             self._shards = shards
+            self._set_shards_gauge()
 
     def _require_wal(self):
         if self._wal is None:
@@ -799,8 +802,8 @@ class ColumnCatalog:
         Built-in sections: ``metrics`` (registry snapshot), ``tracer``
         (enabled flag, span count, per-name totals), ``slow_queries``
         (the ring snapshot), ``catalog`` (hosted columns and shard
-        geometry).  Registered providers add more (the worker-pool
-        server exports ``pool``).  ``sections=None`` serves all;
+        geometry).  Registered providers add more (the TCP server
+        exports ``pool``).  ``sections=None`` serves all;
         unknown names are silently skipped so older servers stay
         compatible with newer clients.
         """

@@ -295,7 +295,7 @@ class RemoteColumn:
         Returns the section dict served by the endpoint's catalog:
         ``metrics`` (registry snapshot), ``tracer`` (span totals),
         ``slow_queries`` (the bounded slow-dispatch ring), ``catalog``,
-        and — for a worker-pool endpoint — ``pool``.  ``sections``
+        and — for a TCP endpoint — ``pool``.  ``sections``
         restricts the reply; unknown names are ignored server-side.
         """
         request = TelemetryRequest(

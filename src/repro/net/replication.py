@@ -133,29 +133,7 @@ class ReplicationClient:
         with self._lock:
             response = self._remote.replicate_subscribe(self.replica_id)
             fresh = restore_catalog(response.snapshot, obs=None)
-            if len(self.catalog) == 0:
-                for name in fresh.column_names:
-                    self.catalog.adopt_column(
-                        name,
-                        fresh.server(name),
-                        fresh.config(name),
-                        epoch=fresh.epoch(name),
-                    )
-                for logical, meta in fresh.shards().items():
-                    for index, column in enumerate(meta["columns"]):
-                        if column is not None:
-                            self.catalog.register_shard(
-                                column,
-                                {
-                                    "of": logical,
-                                    "index": index,
-                                    "count": meta["count"],
-                                    "physical_per_value":
-                                        meta["physical_per_value"],
-                                },
-                            )
-            else:
-                self.catalog.reset_state_from(fresh)
+            self.catalog.reset_state_from(fresh)
             self._applied_seq = int(response.seq)
             self._head_seq = int(response.seq)
             self._subscribed = True

@@ -1,109 +1,70 @@
 """TCP endpoint hosting a column catalog (``repro serve``).
 
-:class:`CatalogTCPServer` is a bounded worker-pool front: an accept
-loop admits at most ``max_connections`` persistent connections, a
-lightweight per-connection reader parses length-prefixed frames, and a
-fixed pool of ``workers`` threads executes
-:meth:`~repro.net.catalog.ColumnCatalog.dispatch` over a bounded
-request queue.  The pool — not the connection count — is the
-concurrency limit on engine work, so a thousand idle connections cost
-a thousand parked reader threads and nothing more, while dispatch
-parallelism stays at ``workers``.
+:class:`CatalogTCPServer` is the one server front: an accept loop
+admits at most ``max_connections`` persistent connections, and the
+thread accepted for a connection reads its length-prefixed frames and
+serves them itself (:func:`~repro.net.transport.serve_frame`, as the
+loopback transport does) behind one lock-guarded admission gate.  The
+gate — not the connection count — is the concurrency limit on engine
+work: at most ``workers`` frames hold a dispatch slot and at most
+``queue_size`` more wait for one, so a thousand idle connections cost
+a thousand parked threads and nothing more.
 
-Backpressure is explicit: when the request queue is full (or the
-server is draining), the offending frame is answered immediately with
-a typed ``busy`` error envelope — the request is *never dispatched*,
-so the client may safely retry after a backoff, even for mutations.
-Connections beyond ``max_connections`` are refused at accept.
+Backpressure is explicit: a frame that finds every slot taken and the
+waiting room full (or the server draining) is answered immediately
+with a typed ``busy`` error envelope — the request is *never
+dispatched*, so the client may safely retry after a backoff, even for
+mutations.  Connections beyond ``max_connections`` are refused at
+accept.
 
 :meth:`CatalogTCPServer.stop` drains gracefully: the listener closes,
-readers refuse new frames with ``busy``, queued and in-flight requests
-finish and their responses are written, and only then are the
-connections torn down.
+new frames are refused with ``busy``, frames already running or
+waiting for a slot finish and their responses are written, and only
+then are the connections torn down.
 
-Each connection processes its frames strictly in order (the reader
-waits for the response of frame *n* before reading frame *n+1*),
-matching the client's one-outstanding-request protocol and making
-response mis-pairing impossible even against a misbehaving client.
+Each connection processes its frames strictly in order (its thread
+writes the response of frame *n* before reading frame *n+1*), matching
+the client's one-outstanding-request protocol and making response
+mis-pairing impossible even against a misbehaving client.
 
 Server-side failures never cross the wire as exceptions: malformed
-frames and engine errors are answered with typed error envelopes, and
-a connection that turns into garbage (bad length prefix, oversized
-frame) is simply closed.
-
-:class:`ThreadPerConnectionServer` is the pre-worker-pool front —
-unbounded thread-per-connection with no backpressure — kept as the
-baseline the transport benchmark measures the pool against.
+frames, engine errors and defects below the catalog's own error
+isolation are answered with typed error envelopes, and a connection
+that turns into garbage (bad length prefix, oversized frame) is simply
+closed.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
-import socketserver
 import threading
 
-from repro.errors import SerializationError
 from repro.net.catalog import ColumnCatalog
 from repro.net.protocol import (
     ErrorResponse,
-    decode_frame,
     encode_frame,
+    error_response_for,
     frame_codec,
     response_to_dict,
 )
-from repro.net.transport import LENGTH_PREFIX, MAX_FRAME_BYTES
-
-#: Worker shutdown sentinel; never visible to readers.
-_STOP = object()
-
-
-class _Connection:
-    """One accepted client socket plus its write lock.
-
-    ``done`` is the reader/worker handoff event; one per connection
-    (not per frame) because a connection has at most one frame in
-    flight — the reader clears it before each enqueue.
-    """
-
-    __slots__ = ("sock", "address", "write_lock", "done")
-
-    def __init__(self, sock: socket.socket, address) -> None:
-        self.sock = sock
-        self.address = address
-        self.write_lock = threading.Lock()
-        self.done = threading.Event()
-
-    def write_frame(self, frame: bytes) -> None:
-        with self.write_lock:
-            self.sock.sendall(LENGTH_PREFIX.pack(len(frame)) + frame)
-
-    def close(self) -> None:
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - close is best effort
-            pass
+from repro.net.transport import LENGTH_PREFIX, MAX_FRAME_BYTES, serve_frame
 
 
 class CatalogTCPServer:
-    """Bounded worker-pool TCP server in front of one :class:`ColumnCatalog`.
+    """Bounded TCP server in front of one :class:`ColumnCatalog`.
 
     Args:
         address: ``(host, port)``; port 0 picks an ephemeral port
             (read it back from :attr:`server_address`).
         catalog: the endpoint's column catalog; a fresh empty one is
             created when omitted.
-        workers: dispatch threads — the bound on concurrent engine
+        workers: dispatch slots — the bound on concurrent engine
             work.
         max_connections: accepted connections beyond this are closed
             immediately (``net.connections_refused``).
-        queue_size: request-queue bound; beyond it frames are answered
-            ``busy`` (``net.busy_rejected``).  Defaults to
-            ``2 * workers``.
+        queue_size: bound on frames waiting for a dispatch slot;
+            beyond it frames are answered ``busy``
+            (``net.busy_rejected``).  Defaults to ``2 * workers``.
     """
 
     def __init__(
@@ -121,22 +82,17 @@ class CatalogTCPServer:
             max(1, int(queue_size)) if queue_size is not None
             else 2 * self.workers
         )
-        self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_size)
         self._metrics = self.catalog.obs.metrics
-        # Queue depth is tracked with an explicit lock-guarded counter
-        # (incremented on enqueue, decremented on dequeue) rather than
-        # sampling qsize(): the last update always writes the true
-        # depth, so the gauge decays back to 0 when the queue drains
-        # instead of sticking at its high-water mark.
-        self._depth = 0
-        self._depth_lock = threading.Lock()
-        self._connections = set()
-        self._connections_lock = threading.Lock()
-        self._reader_threads = set()
-        self._worker_threads = []
-        self._draining = threading.Event()
-        self._stopped = False
-        self._state_lock = threading.Lock()
+        # One lock guards the whole front — the slot counts, the drain
+        # flag and the connection table — so "admitted" and "draining"
+        # can never disagree, and the gauges are written under it: the
+        # last update always writes the true value, so they decay back
+        # to 0 instead of sticking at a high-water mark.
+        self._gate = threading.Condition()
+        self._running = 0  # frames holding a dispatch slot
+        self._waiting = 0  # frames admitted, waiting for a slot
+        self._draining = False
+        self._connections = {}  # accepted socket -> its serving thread
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -153,49 +109,27 @@ class CatalogTCPServer:
         self.catalog.register_telemetry_provider("pool", self._pool_telemetry)
 
     def _pool_telemetry(self) -> dict:
-        """The ``pool`` telemetry section: live worker-pool state."""
-        with self._depth_lock:
-            depth = self._depth
-        with self._connections_lock:
-            active = len(self._connections)
-        return {
-            "workers": self.workers,
-            "queue_size": self.queue_size,
-            "queue_depth": depth,
-            "max_connections": self.max_connections,
-            "active_connections": active,
-            "draining": self._draining.is_set(),
-        }
-
-    def _track_depth(self, delta: int) -> None:
-        with self._depth_lock:
-            self._depth = max(0, self._depth + delta)
-            self._metrics.set("net.queue_depth", self._depth)
+        """The ``pool`` telemetry section: live admission-gate state."""
+        with self._gate:
+            return {
+                "workers": self.workers,
+                "queue_size": self.queue_size,
+                "queue_depth": self._waiting,
+                "max_connections": self.max_connections,
+                "active_connections": len(self._connections),
+                "draining": self._draining,
+            }
 
     # -- serving -----------------------------------------------------------------
 
     def serve_forever(self) -> None:
         """Run the accept loop in the calling thread until :meth:`stop`."""
-        self._start_workers()
-        while not self._draining.is_set():
+        while True:
             try:
                 sock, address = self._listener.accept()
             except OSError:
-                break  # listener closed by stop()
+                return  # listener closed by stop()
             self._admit(sock, address)
-
-    def _start_workers(self) -> None:
-        with self._state_lock:
-            if self._worker_threads or self._stopped:
-                return
-            for index in range(self.workers):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name="catalog-worker-%d" % index,
-                    daemon=True,
-                )
-                thread.start()
-                self._worker_threads.append(thread)
 
     def _admit(self, sock: socket.socket, address) -> None:
         # Accepted sockets carry SO_REUSEADDR too, so sockets lingering
@@ -205,296 +139,200 @@ class CatalogTCPServer:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         except OSError:  # pragma: no cover
             pass
-        with self._connections_lock:
+        with self._gate:
             admitted = (
-                not self._draining.is_set()
+                not self._draining
                 and len(self._connections) < self.max_connections
             )
             if admitted:
-                connection = _Connection(sock, address)
-                self._connections.add(connection)
-                count = len(self._connections)
+                thread = self._connections[sock] = threading.Thread(
+                    target=self._serve_connection,
+                    args=(sock,),
+                    name="catalog-connection-%s:%s" % address[:2],
+                    daemon=True,
+                )
+                self._metrics.set(
+                    "net.active_connections", len(self._connections)
+                )
+                # Started under the lock, so stop() can never find (and
+                # join) a registered thread that has not started yet.
+                thread.start()
         if not admitted:
             self._metrics.add("net.connections_refused")
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-            return
-        self._metrics.set("net.active_connections", count)
-        thread = threading.Thread(
-            target=self._reader_loop,
-            args=(connection,),
-            name="catalog-reader-%s:%s" % address[:2],
-            daemon=True,
-        )
-        with self._connections_lock:
-            self._reader_threads.add(thread)
-        thread.start()
+            _close(sock)
 
-    def _reader_loop(self, connection: _Connection) -> None:
-        """Parse frames off one connection, strictly one at a time.
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """Serve one connection's frames, strictly one at a time.
 
-        The reader never dispatches: it hands each frame to the worker
-        pool and waits for its completion before reading the next, so
+        The thread reads a frame, takes a dispatch slot, serves the
+        frame and writes the reply before it reads the next, so
         responses can never be mis-paired and one connection can hold
-        at most one queue slot.
+        at most one slot (or one place in the waiting room).
         """
-        sock = connection.sock
         try:
             while True:
-                header = self._recv_exact(sock, LENGTH_PREFIX.size)
+                header = _recv_exact(sock, LENGTH_PREFIX.size)
                 if header is None:
                     return  # client closed the connection
                 (length,) = LENGTH_PREFIX.unpack(header)
                 if length > MAX_FRAME_BYTES:
                     return  # corrupt stream; drop the connection
-                payload = self._recv_exact(sock, length)
+                payload = _recv_exact(sock, length)
                 if payload is None:
                     return
-                if self._draining.is_set():
-                    # Graceful drain: new frames are refused (never
-                    # silently dropped) and the connection closes.
-                    self._refuse(connection, payload, "endpoint draining")
+                refusal = self._take_slot()
+                if refusal is None:
+                    try:
+                        alive = self._serve(sock, payload)
+                    finally:
+                        self._release_slot()
+                else:
+                    # The request never reached the catalog, so the
+                    # client may retry it — even a mutation — once the
+                    # endpoint has capacity.  During a graceful drain
+                    # the frame is refused the same way (never silently
+                    # dropped) and the connection then closes.
+                    alive = _write_frame(sock, _error_frame(
+                        ErrorResponse(code="busy", message=refusal), payload
+                    )) and not self._draining
+                if not alive:
                     return
-                done = connection.done
-                done.clear()
-                try:
-                    self._queue.put_nowait((connection, payload, done))
-                except queue.Full:
-                    self._metrics.add("net.busy_rejected")
-                    self._refuse(
-                        connection, payload,
-                        "request queue full (%d workers, queue %d)"
-                        % (self.workers, self.queue_size),
-                    )
-                    continue
-                self._track_depth(+1)
-                done.wait()
         finally:
-            self._forget(connection)
-            with self._connections_lock:
-                self._reader_threads.discard(threading.current_thread())
+            with self._gate:
+                if self._connections.pop(sock, None) is not None:
+                    self._metrics.set(
+                        "net.active_connections", len(self._connections)
+                    )
+            _close(sock)
 
-    def _worker_loop(self) -> None:
-        obs = self.catalog.obs
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            self._track_depth(-1)
-            connection, payload, done = item
-            try:
-                # The span records the exception type on exit, so a
-                # swallowed failure still shows up in the trace.
-                with obs.span("serve-frame"):
-                    self._serve_frame(connection, payload)
-            except Exception:
-                # A connection-level failure (or a defect in an engine
-                # below the catalog's own isolation) must never kill a
-                # pool worker — but it is counted, never silent.
-                self._metrics.add("net.worker_errors")
-            finally:
-                done.set()
+    def _take_slot(self) -> str | None:
+        """Admit one frame: ``None`` once it holds a dispatch slot, or
+        the reason it is refused ``busy`` without being dispatched.
 
-    def _serve_frame(self, connection: _Connection, payload: bytes) -> None:
-        try:
-            request = decode_frame(payload)
-        except SerializationError as exc:
-            response = response_to_dict(
-                ErrorResponse(code="serialization", message=str(exc))
-            )
-        else:
-            response = self.catalog.dispatch(request)
-        # Answer in the codec the request arrived in, so JSON-only
-        # clients never see binary frames.
-        frame = encode_frame(response, codec=frame_codec(payload))
-        try:
-            connection.write_frame(frame)
-        except OSError:
-            self._forget(connection)  # client went away mid-response
-
-    def _refuse(
-        self, connection: _Connection, payload: bytes, detail: str
-    ) -> None:
-        """Answer a frame with a ``busy`` envelope without dispatching.
-
-        The request never reached the catalog, so the client may retry
-        it — even a mutation — once the endpoint has capacity.
+        A frame is refused only when every slot is taken *and* the
+        waiting room is full (or the server is draining); one admitted
+        before a drain began keeps its place and is served.
         """
-        response = response_to_dict(
-            ErrorResponse(code="busy", message=detail)
-        )
+        with self._gate:
+            if self._draining:
+                return "endpoint draining"
+            if self._running >= self.workers:
+                if self._waiting >= self.queue_size:
+                    self._metrics.add("net.busy_rejected")
+                    return (
+                        "request queue full (%d workers, queue %d)"
+                        % (self.workers, self.queue_size)
+                    )
+                self._waiting += 1
+                self._metrics.set("net.queue_depth", self._waiting)
+                while self._running >= self.workers:
+                    self._gate.wait()
+                self._waiting -= 1
+                self._metrics.set("net.queue_depth", self._waiting)
+            self._running += 1
+            return None
+
+    def _release_slot(self) -> None:
+        with self._gate:
+            self._running -= 1
+            # Wakes the frames waiting for a slot, and stop() waiting
+            # for the front to fall idle.
+            self._gate.notify_all()
+
+    def _serve(self, sock: socket.socket, payload: bytes) -> bool:
+        """Serve one admitted frame; False when the client went away."""
         try:
-            connection.write_frame(
-                encode_frame(response, codec=frame_codec(payload))
+            # The span records the exception type on exit, so a failure
+            # answered below still shows up in the trace.
+            with self.catalog.obs.span("serve-frame"):
+                return _write_frame(sock, serve_frame(self.catalog, payload))
+        except Exception as exc:
+            # A defect in an engine below the catalog's own isolation
+            # must cost the client neither its answer nor its
+            # connection: it is counted, never silent, and answered
+            # with a typed ``internal`` envelope.
+            self._metrics.add("net.worker_errors")
+            return _write_frame(
+                sock, _error_frame(error_response_for(exc), payload)
             )
-        except OSError:
-            self._forget(connection)
-
-    @staticmethod
-    def _recv_exact(sock: socket.socket, count: int):
-        chunks = []
-        remaining = count
-        while remaining:
-            try:
-                chunk = sock.recv(remaining)
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def _forget(self, connection: _Connection) -> None:
-        with self._connections_lock:
-            if connection not in self._connections:
-                return
-            self._connections.discard(connection)
-            count = len(self._connections)
-        connection.close()
-        self._metrics.set("net.active_connections", count)
 
     # -- shutdown ----------------------------------------------------------------
 
     def stop(self) -> None:
-        """Drain and stop: finish in-flight work, then tear down.
+        """Drain and stop: finish admitted work, then tear down.
 
-        The listener closes first (no new connections), readers refuse
-        any frame arriving after this point with a ``busy`` envelope,
-        queued and in-flight requests complete and their responses are
-        written, and finally every connection is closed — so a client
-        blocked on an already-accepted exchange gets its answer, while
-        the next exchange raises
+        The listener closes first (no new connections), any frame
+        arriving after this point is refused with a ``busy`` envelope,
+        frames already running or waiting for a slot complete and
+        their responses are written, and finally every connection is
+        closed — so a client blocked on an already-admitted exchange
+        gets its answer, while the next exchange raises
         :class:`~repro.errors.TransportError`.
         """
-        with self._state_lock:
-            if self._stopped:
+        with self._gate:
+            if self._draining:
                 return
-            self._stopped = True
-            workers = list(self._worker_threads)
-        self._draining.set()
+            self._draining = True
         # shutdown() before close(): closing the fd alone does not wake
         # a thread blocked in accept(), and that blocked syscall keeps
         # the kernel socket alive in LISTEN state (blocking rebinds).
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:  # pragma: no cover - already disconnected
-            pass
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
-        # Sentinels queue up *behind* the remaining backlog, so workers
-        # finish every accepted request before exiting.
-        for _ in workers:
-            self._queue.put(_STOP)
-        for thread in workers:
-            thread.join(timeout=30)
-        # A reader racing the drain flag may have enqueued behind the
-        # sentinels; refuse those frames so no client is left hanging.
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _STOP:
-                continue
-            self._track_depth(-1)
-            connection, payload, done = item
-            self._refuse(connection, payload, "endpoint draining")
-            done.set()
-        with self._connections_lock:
-            connections = list(self._connections)
+        _close(self._listener)
+        with self._gate:
+            # Bounded, so a frame wedged in an engine cannot hang the
+            # shutdown with it.
+            self._gate.wait_for(
+                lambda: not (self._running or self._waiting), timeout=30
+            )
+            connections = dict(self._connections)
             self._connections.clear()
-        for connection in connections:
-            connection.close()
-        # All workers are drained, so no batch can be in flight: shut
-        # down the catalog's parallel-batch pool with them.
+            self._metrics.set("net.active_connections", 0)
+        for sock in connections:
+            _close(sock)
+        # The front is idle, so no batch can be in flight: shut down
+        # the catalog's parallel-batch pool with it.
         self.catalog.close()
-        self._metrics.set("net.active_connections", 0)
-        with self._connections_lock:
-            readers = list(self._reader_threads)
-        for thread in readers:
+        for thread in connections.values():
             thread.join(timeout=5)
 
 
-class _CatalogRequestHandler(socketserver.StreamRequestHandler):
-    """Frame loop for one client connection (baseline server)."""
-
-    def handle(self) -> None:
-        while True:
-            header = self.rfile.read(LENGTH_PREFIX.size)
-            if len(header) < LENGTH_PREFIX.size:
-                return  # client closed the connection
-            (length,) = LENGTH_PREFIX.unpack(header)
-            if length > MAX_FRAME_BYTES:
-                return  # corrupt stream; drop the connection
-            payload = self.rfile.read(length)
-            if len(payload) < length:
-                return
-            try:
-                request = decode_frame(payload)
-            except SerializationError as exc:
-                response = response_to_dict(
-                    ErrorResponse(code="serialization", message=str(exc))
-                )
-            else:
-                response = self.server.catalog.dispatch(request)
-            frame = encode_frame(response, codec=frame_codec(payload))
-            try:
-                self.wfile.write(LENGTH_PREFIX.pack(len(frame)) + frame)
-                self.wfile.flush()
-            except OSError:
-                return  # client went away mid-response
+def _error_frame(error: ErrorResponse, payload: bytes) -> bytes:
+    """An error envelope encoded in the codec ``payload`` arrived in."""
+    return encode_frame(response_to_dict(error), codec=frame_codec(payload))
 
 
-class ThreadPerConnectionServer(socketserver.ThreadingTCPServer):
-    """The pre-worker-pool front: one unbounded thread per connection.
+def _write_frame(sock: socket.socket, frame: bytes) -> bool:
+    """Send one length-prefixed frame; False when the client went away."""
+    try:
+        sock.sendall(LENGTH_PREFIX.pack(len(frame)) + frame)
+    except OSError:
+        return False
+    return True
 
-    No request queue, no backpressure, no graceful drain — kept as the
-    baseline ``benchmarks/bench_transport.py`` measures the worker
-    pool against.  Not used by ``repro serve``.
-    """
 
-    allow_reuse_address = True
-    daemon_threads = True
+def _recv_exact(sock: socket.socket, count: int):
+    chunks = []
+    remaining = count
+    while remaining:
+        try:
+            chunk = sock.recv(remaining)
+        except OSError:
+            return None
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
 
-    def __init__(self, address, catalog: ColumnCatalog = None) -> None:
-        self.catalog = catalog if catalog is not None else ColumnCatalog()
-        self._connections = set()
-        self._connections_lock = threading.Lock()
-        super().__init__(address, _CatalogRequestHandler)
 
-    def get_request(self):
-        request, client_address = super().get_request()
-        with self._connections_lock:
-            self._connections.add(request)
-        return request, client_address
-
-    def close_request(self, request) -> None:
-        with self._connections_lock:
-            self._connections.discard(request)
-        super().close_request(request)
-
-    def stop(self) -> None:
-        """Stop serving and drop every open connection immediately."""
-        self.shutdown()
-        with self._connections_lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
-        self.server_close()
-        self.catalog.close()
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - close is best effort
+        pass
 
 
 def serve(

@@ -27,8 +27,14 @@ import threading
 import time
 from abc import ABC, abstractmethod
 
-from repro.errors import TransportError
-from repro.net.protocol import decode_frame, encode_frame, frame_codec
+from repro.errors import SerializationError, TransportError
+from repro.net.protocol import (
+    ErrorResponse,
+    decode_frame,
+    encode_frame,
+    frame_codec,
+    response_to_dict,
+)
 
 #: Frame length prefix: 4-byte unsigned big-endian.
 LENGTH_PREFIX = struct.Struct(">I")
@@ -38,6 +44,27 @@ LENGTH_PREFIX = struct.Struct(">I")
 #: client send path refuses to ship one (the receiver would kill the
 #: connection anyway — failing before the write keeps it alive).
 MAX_FRAME_BYTES = 1 << 30
+
+
+def serve_frame(catalog, payload: bytes) -> bytes:
+    """The endpoint half of one exchange: request frame in, reply out.
+
+    The one place a frame meets
+    :meth:`~repro.net.catalog.ColumnCatalog.dispatch`, under every
+    transport: an undecodable frame is answered with a typed
+    ``serialization`` envelope, and the reply is encoded in the codec
+    the request arrived in, so JSON-only clients never see binary
+    frames.
+    """
+    try:
+        request = decode_frame(payload)
+    except SerializationError as exc:
+        response = response_to_dict(
+            ErrorResponse(code="serialization", message=str(exc))
+        )
+    else:
+        response = catalog.dispatch(request)
+    return encode_frame(response, codec=frame_codec(payload))
 
 
 class Transport(ABC):
@@ -87,10 +114,11 @@ class LoopbackTransport(Transport):
     """In-process transport over a local
     :class:`~repro.net.catalog.ColumnCatalog`.
 
-    Both directions pass through the real frame codec: the catalog
-    dispatcher only ever sees decoded envelope dicts, exactly as it
-    would behind a socket.  The response is encoded with the same codec
-    the request arrived in, mirroring the TCP endpoint.
+    Both directions pass through the real frame codec
+    (:func:`serve_frame`, the function the TCP endpoint serves with):
+    the catalog dispatcher only ever sees decoded envelope dicts, and
+    every request gets byte for byte the reply it would get behind a
+    socket.
     """
 
     def __init__(self, catalog) -> None:
@@ -102,10 +130,7 @@ class LoopbackTransport(Transport):
         return self._catalog
 
     def exchange(self, frame: bytes, retryable: bool = False) -> bytes:
-        return encode_frame(
-            self._catalog.dispatch(decode_frame(frame)),
-            codec=frame_codec(frame),
-        )
+        return serve_frame(self._catalog, frame)
 
 
 class TcpTransport(Transport):

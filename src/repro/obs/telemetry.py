@@ -9,7 +9,7 @@ of where the time went (``Tracer.subtree_summary`` of the dispatch's
 
 The buffer is bounded (a ring: oldest entries fall off) and
 lock-guarded, so a long-running server holds constant memory and the
-worker pool can record concurrently.  Its snapshot is one of the
+connection threads can record concurrently.  Its snapshot is one of the
 sections served by the ``telemetry_request`` envelope and rendered by
 ``repro stats --connect`` / ``repro top``.
 """

@@ -212,7 +212,7 @@ class Tracer:
     """Factory and store for spans.
 
     Concurrency-safe: the active-span stack is per-thread (spans opened
-    on a worker-pool thread nest among themselves, never across
+    on a connection's thread nest among themselves, never across
     threads) and the shared ``spans`` record list is appended under a
     lock, so ``index`` assignment stays race-free.
 

@@ -6,14 +6,15 @@ Covers the three PR-5 guarantees:
   threads/columns never interleaves frame bytes or mis-pairs
   responses (regression: pre-lock, concurrent ``exchange`` calls
   corrupted the length-prefixed stream);
-* worker-pool front — bounded workers with ``busy`` backpressure and
-  graceful drain (in-flight requests finish, late frames get a typed
+* server front — bounded dispatch slots with ``busy`` backpressure and
+  graceful drain (admitted requests finish, late frames get a typed
   refusal, nothing hangs);
 * rotation fencing — ``rotate_apply`` is refused when the column
   mutated after ``rotate_begin`` (regression: pre-fence, a concurrent
   insert between the two messages was silently erased by the rebuild).
 """
 
+import sys
 import threading
 import time
 
@@ -57,10 +58,15 @@ def start(server):
     return thread
 
 
+def pool_state(server):
+    """The endpoint's public ``pool`` telemetry section."""
+    return server.catalog.telemetry(["pool"])["pool"]
+
+
 class GatedCatalog(ColumnCatalog):
     """Catalog whose dispatch blocks on a gate for selected kinds.
 
-    Lets a test park a worker mid-request deterministically, so queue
+    Lets a test park a frame mid-dispatch deterministically, so slot
     occupancy / drain windows can be asserted without sleeps.
     """
 
@@ -75,6 +81,25 @@ class GatedCatalog(ColumnCatalog):
             self.entered.release()
             self.gate.wait()
         return super().dispatch(request_dict)
+
+
+class CountingCatalog(ColumnCatalog):
+    """Catalog recording the high-water mark of concurrent dispatches."""
+
+    def __init__(self):
+        super().__init__()
+        self._count_lock = threading.Lock()
+        self.active = self.peak = 0
+
+    def dispatch(self, request_dict):
+        with self._count_lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            return super().dispatch(request_dict)
+        finally:
+            with self._count_lock:
+                self.active -= 1
 
 
 # -- shared transport ----------------------------------------------------------
@@ -273,7 +298,8 @@ class TestWorkerPool:
             queued = threading.Thread(target=fetch_one, args=(handle(),))
             queued.start()
             deadline = time.monotonic() + 10
-            while server._queue.qsize() < 1:  # the one queue slot fills
+            # the one place in the waiting room fills
+            while pool_state(server)["queue_depth"] < 1:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             # Worker busy + queue full: the next request is refused
@@ -293,9 +319,15 @@ class TestWorkerPool:
             for transport in transports:
                 transport.close()
 
-    def test_drain_finishes_in_flight_and_refuses_late_frames(self):
+    @pytest.mark.parametrize("workers, waiting", [(2, 0), (1, 1)])
+    def test_drain_finishes_in_flight_and_refuses_late_frames(
+        self, workers, waiting
+    ):
+        """Every frame admitted before ``stop()`` — running, or still
+        waiting for a dispatch slot — gets its real answer; a frame
+        arriving after gets ``busy``."""
         catalog = GatedCatalog()
-        server = CatalogTCPServer(("127.0.0.1", 0), catalog, workers=2)
+        server = CatalogTCPServer(("127.0.0.1", 0), catalog, workers=workers)
         thread = start(server)
         host, port = server.server_address
         transports = []
@@ -313,33 +345,42 @@ class TestWorkerPool:
             )
             assert len(bystander.fetch([0])) == 1  # connection established
             catalog.gated_kinds = {"fetch_request"}
-            in_flight_result = []
-            inflight_transport = TcpTransport(host, port)
-            transports.append(inflight_transport)
-            in_flight_handle = RemoteColumn(
-                inflight_transport, "values", codec="json"
-            )
+            admitted_results = []
 
-            def in_flight():
-                in_flight_result.append(in_flight_handle.fetch([1]))
+            def admitted():
+                transport = TcpTransport(host, port)
+                transports.append(transport)
+                handle = RemoteColumn(transport, "values", codec="json")
+                admitted_results.append(handle.fetch([1]))
 
-            worker = threading.Thread(target=in_flight)
-            worker.start()
-            assert catalog.entered.acquire(timeout=10)
+            clients = [
+                threading.Thread(target=admitted) for _ in range(1 + waiting)
+            ]
+            clients[0].start()
+            assert catalog.entered.acquire(timeout=10)  # holds a slot
+            for client in clients[1:]:
+                client.start()
+            deadline = time.monotonic() + 10
+            while pool_state(server)["queue_depth"] < waiting:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             stopper = threading.Thread(target=server.stop)
             stopper.start()
-            deadline = time.monotonic() + 10
-            while not server._draining.is_set():
+            while not pool_state(server)["draining"]:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             # A frame arriving during the drain gets a typed refusal.
             with pytest.raises(ServerBusyError, match="draining"):
                 bystander.fetch([0])
-            # ... while the in-flight request still completes.
+            # ... while every admitted request still completes.
             catalog.gate.set()
-            worker.join(timeout=10)
+            for client in clients:
+                client.join(timeout=10)
             stopper.join(timeout=30)
-            assert in_flight_result and len(in_flight_result[0]) == 1
+            assert not stopper.is_alive()
+            assert len(admitted_results) == 1 + waiting
+            assert all(len(rows) == 1 for rows in admitted_results)
+            assert catalog.obs.metrics.gauge("net.queue_depth").value == 0
             # The endpoint is really gone afterwards.
             probe = TcpTransport(host, port, connect_timeout=2.0)
             transports.append(probe)
@@ -356,14 +397,20 @@ class TestWorkerPool:
         """More concurrent sessions than workers: the bounded pool
         serves them all correctly, one connection's frames strictly
         serialized."""
-        # Each connection has at most one frame in flight, so 9 slots
-        # can never overflow with 9 sessions; the default (2 x workers)
-        # can, before an idle worker is scheduled, and busy
-        # back-pressure has its own test above.
-        server = serve(workers=3, queue_size=9)
+        # Each connection has at most one frame in flight, so 9
+        # sessions can never overflow 3 dispatch slots plus the default
+        # 6 places in the waiting room: no frame is refused ``busy``
+        # while there is room for it.
+        catalog = CountingCatalog()
+        server = serve(catalog, workers=3)
         thread = start(server)
         host, port = server.server_address
         errors = []
+        # More runnable threads than cores, switching often: a lost
+        # update to the slot counts would show as a fourth concurrent
+        # dispatch or a waiting count that never returns to 0.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
 
         def session(index):
             values = [index * 10000 + v for v in range(120)]
@@ -393,8 +440,12 @@ class TestWorkerPool:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
             assert not errors, errors
+            assert 1 <= catalog.peak <= 3
+            assert pool_state(server)["queue_depth"] == 0
         finally:
+            sys.setswitchinterval(switch_interval)
             server.stop()
             thread.join(timeout=5)
 

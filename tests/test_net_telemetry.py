@@ -9,18 +9,20 @@ Three concerns:
 * *telemetry envelopes* — ``telemetry_request``/``telemetry_response``
   round-trip both codecs, dispatch column-lessly through the catalog,
   and support provider registration.
-* *worker-pool accounting* — the ``net.queue_depth`` gauge decays to
-  zero after a drain and swallowed worker exceptions are counted
-  (``net.worker_errors``), with the failing span keeping the error.
+* *server-front accounting* — the ``net.queue_depth`` gauge decays to
+  zero after a drain and a frame whose serving raises is counted
+  (``net.worker_errors``) and answered, with the failing span keeping
+  the error.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.session import OutsourcedDatabase
-from repro.errors import SerializationError
+from repro.errors import ProtocolError, SerializationError
 from repro.net import (
     ColumnCatalog,
     LoopbackTransport,
@@ -299,8 +301,9 @@ class TestLiveTelemetry:
 
     def test_worker_errors_are_counted_not_silent(self, endpoint):
         """Satellite: a frame whose serving *raises* (below the
-        catalog's own isolation) is counted and the span keeps the
-        error — the worker survives for the next frame."""
+        catalog's own isolation) is counted, the span keeps the error,
+        and the client gets a prompt typed answer on a connection that
+        stays usable."""
         host, port = endpoint.server_address
         catalog = endpoint.catalog
         obs = catalog.obs
@@ -313,13 +316,19 @@ class TestLiveTelemetry:
                 return original(request_dict)
 
             catalog.dispatch = exploding
-            with TcpTransport(host, port, timeout=2.0) as transport:
+            with TcpTransport(host, port) as transport:
                 db = OutsourcedDatabase(VALUES[:60], seed=17,
                                         transport=transport)
-                # The worker swallows the exception without answering,
-                # so the client's merge times out at the socket layer.
-                with pytest.raises(Exception):
+                # Answered with an ``internal`` envelope at once, not
+                # left to the socket timeout (30 s here).
+                started = time.monotonic()
+                with pytest.raises(ProtocolError, match="RuntimeError"):
                     db.merge()
+                assert time.monotonic() - started < 5.0
+                # ... and the same connection serves the next request.
+                assert sorted(db.query(0, 299).values.tolist()) == sorted(
+                    int(v) for v in VALUES[:60]
+                )
         finally:
             catalog.dispatch = original
             obs.tracer.disable()
@@ -328,7 +337,7 @@ class TestLiveTelemetry:
                   if s.name == "serve-frame" and s.error]
         assert failed and "RuntimeError" in failed[0].error
 
-        # The pool survived: the endpoint still serves new connections.
+        # The endpoint still serves new connections.
         with TcpTransport(host, port) as transport:
             remote = RemoteColumn(transport, "telemetry")
             counters = remote.telemetry(["metrics"])["metrics"]["counters"]

@@ -8,7 +8,14 @@ import pytest
 
 from repro.core.session import OutsourcedDatabase
 from repro.errors import ProtocolError, QueryError, TransportError
-from repro.net import is_binary_frame, serve
+from repro.net import ColumnCatalog, is_binary_frame, serve
+from repro.net.protocol import (
+    MergeRequest,
+    decode_frame,
+    encode_frame,
+    frame_codec,
+    request_to_dict,
+)
 from repro.net.transport import LoopbackTransport, TcpTransport, Transport
 
 VALUES = list(np.random.default_rng(77).permutation(400))
@@ -16,6 +23,16 @@ VALUES = list(np.random.default_rng(77).permutation(400))
 # A fig-9-style burst: random ranges over the domain, hammering the
 # adaptive index from cold.
 WORKLOAD = [(30, 90), (200, 260), (10, 350), (120, 121), (0, 399), (55, 180)]
+
+BINARY_MERGE = encode_frame(
+    request_to_dict(MergeRequest(column="values")), codec="binary"
+)
+MALFORMED_FRAMES = {
+    "garbage": b"\x00\xffnot a frame",
+    "truncated-binary": BINARY_MERGE[:-3],
+    # the binary header, then 70 one-element lists nested in each other
+    "over-deep-binary": BINARY_MERGE[:3] + b"\x08\x01" * 70 + b"\x00",
+}
 
 
 @pytest.fixture()
@@ -93,6 +110,25 @@ class TestLoopbackTcpEquivalence:
         assert local.sent == tcp.sent[2:]
         assert local.received == tcp.received[2:]
         tcp.close()
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FRAMES))
+    def test_malformed_frames_get_the_same_reply(self, endpoint, name):
+        """Both transports serve through one function: an undecodable
+        frame is answered — never raised — with the same typed
+        ``serialization`` envelope, in the codec it arrived in."""
+        frame = MALFORMED_FRAMES[name]
+        host, port = endpoint.server_address
+        with TcpTransport(host, port) as tcp:
+            replies = [
+                LoopbackTransport(ColumnCatalog()).exchange(frame),
+                tcp.exchange(frame),
+            ]
+        assert replies[0] == replies[1]
+        assert frame_codec(replies[0]) == frame_codec(frame)
+        reply = decode_frame(replies[0])
+        assert (reply["kind"], reply["code"]) == (
+            "error_response", "serialization"
+        )
 
     def test_updates_and_rotation_over_tcp(self, endpoint):
         host, port = endpoint.server_address

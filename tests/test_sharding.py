@@ -24,7 +24,9 @@ from repro.errors import (
     SerializationError,
     UpdateError,
 )
+from repro.core.wal import WalWriter
 from repro.net.catalog import ColumnCatalog
+from repro.net.replication import ReplicationClient
 from repro.net.shard import _MIX, ShardedRemoteColumn, shard_column_names
 from repro.net.transport import LoopbackTransport
 from repro.obs import Observability
@@ -563,3 +565,26 @@ class TestPersistenceShards:
         snapshot["shards"] = ["nope"]
         with pytest.raises(SerializationError, match="must be an object"):
             restore_catalog(snapshot)
+
+
+class TestReplicatedShards:
+    def test_subscribe_and_resubscribe_carry_the_registry(self, tmp_path):
+        """A replica joins — and re-joins over live state — through one
+        path: both leave it with the primary's shard registry and a
+        ``catalog.shards`` gauge that matches it."""
+        primary = ColumnCatalog()
+        primary.bind_wal(WalWriter(str(tmp_path), fsync="never"))
+        obs = Observability()
+        replica = ColumnCatalog(obs=obs)
+        replica.set_read_only("primary.example:9045")
+        client = ReplicationClient(replica, LoopbackTransport(primary), "r1")
+        for column, shards, registered in (("a", 2, 2), ("b", 3, 5)):
+            OutsourcedDatabase(
+                list(range(0, 70, 10)), seed=31, column=column,
+                shards=shards, transport=LoopbackTransport(primary),
+            )
+            client.subscribe()
+            assert replica.shards() == primary.shards()
+            assert replica.column_names == primary.column_names
+            assert obs.metrics.gauge("catalog.shards").value == registered
+
