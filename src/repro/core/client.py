@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.crypto.ciphertext import ValueCiphertext
+from repro.crypto.ciphertext import RowBlock, ValueCiphertext
 from repro.crypto.key import SecretKey, generate_key
 from repro.crypto.scheme import Encryptor, generate_steerable_key
 from repro.core.query import EncryptedBound, EncryptedQuery
@@ -107,10 +108,11 @@ class TrustedClient:
 
     def encrypt_dataset(
         self, values: Iterable[int]
-    ) -> Tuple[List[ValueCiphertext], List[int]]:
+    ) -> Tuple[RowBlock, List[int]]:
         """Encrypt a column for upload.
 
-        Returns ``(physical_rows, row_ids)``.  Without ambiguity,
+        Returns ``(physical_rows, row_ids)``, the rows as one
+        :class:`~repro.crypto.ciphertext.RowBlock`.  Without ambiguity,
         logical value ``i`` becomes physical row id ``i``.  With it,
         value ``i`` spawns physical ids ``2i`` and ``2i + 1`` — the
         two interpretations the server will manage separately; which of
@@ -131,16 +133,13 @@ class TrustedClient:
                     seed=None if self._seed is None else self._seed + 1,
                 )
                 self._key_was_auto_generated = False
-        rows: List[ValueCiphertext] = []
-        row_ids: List[int] = []
-        for logical_id, value in enumerate(values):
-            rows_for_value = self.encrypt_value(value)
-            for offset, row in enumerate(rows_for_value):
-                rows.append(row)
-                row_ids.append(
-                    2 * logical_id + offset if self.ambiguity else logical_id
-                )
-        return rows, row_ids
+        if self.ambiguity:
+            rows = RowBlock.from_rows(
+                [row for value in values for row in self.encrypt_value(value)]
+            )
+        else:
+            rows = self._encryptor.encrypt_values(values)
+        return rows, list(range(len(rows)))
 
     def encrypt_value(self, value: int) -> List[ValueCiphertext]:
         """Physical rows for one value (two when ambiguity is on).
@@ -213,7 +212,10 @@ class TrustedClient:
 
         Args:
             row_ids: physical ids parallel to ``rows``.
-            rows: the returned ciphertexts.
+            rows: the returned ciphertexts — a row block as responses
+                carry it, or any sequence of rows; opened with one
+                matrix product either way
+                (:meth:`~repro.crypto.scheme.Encryptor.decrypt_block`).
             id_mapper: physical-to-logical id translation; defaults to
                 :meth:`logical_id` (sessions with inserts pass their
                 own mapping, since inserted ids leave the formulaic
@@ -222,16 +224,11 @@ class TrustedClient:
         if id_mapper is None:
             id_mapper = self.logical_id
         tick = time.perf_counter()
-        values: List[int] = []
-        logical_ids: List[int] = []
-        false_positives = 0
-        for row_id, row in zip(row_ids, rows):
-            decrypted = self._encryptor.decrypt_row(row)
-            if decrypted.is_real:
-                values.append(decrypted.value)
-                logical_ids.append(id_mapper(int(row_id)))
-            else:
-                false_positives += 1
+        is_real, values, _ = self._encryptor.decrypt_block(rows)
+        logical_ids = [
+            id_mapper(row_id)
+            for row_id in compress(np.asarray(row_ids).tolist(), is_real)
+        ]
         elapsed = time.perf_counter() - tick
         try:
             values_array = np.array(values, dtype=np.int64)
@@ -242,7 +239,7 @@ class TrustedClient:
         return ClientResult(
             values=values_array,
             logical_ids=np.array(logical_ids, dtype=np.int64),
-            false_positives=false_positives,
-            returned_rows=len(rows),
+            false_positives=len(is_real) - len(values),
+            returned_rows=len(is_real),
             decrypt_seconds=elapsed,
         )

@@ -28,12 +28,12 @@ reorganisation so cracks and edge-piece scans share products.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.cracking.column import CrackableColumn
-from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
+from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.errors import IndexStateError
 from repro.linalg.kernels import (
     INT64_MAX,
@@ -48,7 +48,9 @@ class EncryptedColumn(CrackableColumn):
     """Dense array of encrypted rows, physically reorganised by cracking.
 
     Args:
-        rows: the ciphertext rows in upload order.
+        rows: the ciphertext rows in upload order — a
+            :class:`~repro.crypto.ciphertext.RowBlock` (as uploads
+            arrive off the wire) or any sequence of rows.
         row_ids: stable identifiers parallel to ``rows``; defaults to
             ``0..n-1``.  With ambiguity enabled upstream, two physical
             rows share one logical origin — the id convention is the
@@ -70,20 +72,14 @@ class EncryptedColumn(CrackableColumn):
         use_inplace_algorithm: bool = False,
         obs: Observability = None,
     ) -> None:
-        rows = list(rows)
-        if rows:
-            length = rows[0].length
-            if any(row.length != length for row in rows):
-                raise IndexStateError("rows must share one ciphertext length")
-            self._length = length
-        else:
-            self._length = 0
-        self._matrix = np.empty((len(rows), self._length), dtype=object)
-        for i, row in enumerate(rows):
-            self._matrix[i, :] = row.numerators
-        self._denominators = np.array(
-            [row.denominator for row in rows], dtype=object
-        )
+        try:
+            rows = RowBlock.from_rows(rows)
+        except ValueError as exc:
+            raise IndexStateError(str(exc)) from exc
+        self._length = rows.length
+        # Copies: cracking permutes these in place.
+        self._matrix = rows.numerators.copy()
+        self._denominators = rows.denominators.copy()
         if row_ids is None:
             self._row_ids = np.arange(len(rows), dtype=np.int64)
         else:
@@ -104,7 +100,7 @@ class EncryptedColumn(CrackableColumn):
         # kernel to the exact tier), a lazily built int64 mirror kept
         # aligned through every reorganisation, per-tier counters, and
         # the per-query product cache slot.
-        self._max_abs = max((row.max_abs for row in rows), default=0)
+        self._max_abs = rows.max_abs
         self._mirror: Optional[np.ndarray] = None
         self._obs = obs if obs is not None else Observability()
         self.kernel_counters = KernelCounters(metrics=self._obs.metrics)
@@ -227,9 +223,11 @@ class EncryptedColumn(CrackableColumn):
             tuple(self._matrix[index]), int(self._denominators[index])
         )
 
-    def rows_at(self, indices: Iterable[int]) -> List[ValueCiphertext]:
-        """Ciphertexts at the given physical indices."""
-        return [self.row(int(i)) for i in indices]
+    def rows_at(self, indices: Iterable[int]) -> RowBlock:
+        """Ciphertexts at the given physical indices, as one block (a
+        single fancy index into the dense matrix)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return RowBlock(self._matrix[indices], self._denominators[indices])
 
     def row_ids_at(self, indices) -> np.ndarray:
         """Row ids at the given physical indices."""
@@ -324,7 +322,7 @@ class EncryptedColumn(CrackableColumn):
         except KeyError:
             raise IndexStateError("row id %d not present" % row_id) from None
 
-    def rows_by_ids(self, row_ids: Iterable[int]) -> List[ValueCiphertext]:
+    def rows_by_ids(self, row_ids: Iterable[int]) -> RowBlock:
         """Ciphertexts for the given row ids, in the given order.
 
         Positional tuple reconstruction across sibling columns: a
@@ -333,7 +331,9 @@ class EncryptedColumn(CrackableColumn):
         lookup, regardless of how differently each column has been
         cracked.
         """
-        return [self.row(self.physical_index_of(row_id)) for row_id in row_ids]
+        return self.rows_at(
+            [self.physical_index_of(row_id) for row_id in row_ids]
+        )
 
     # -- internals ----------------------------------------------------------------------
 

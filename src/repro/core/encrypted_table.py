@@ -38,8 +38,13 @@ import numpy as np
 from repro.core.client import TrustedClient
 from repro.core.query import EncryptedQuery
 from repro.core.secure_index import SecureAdaptiveIndex
-from repro.crypto.ciphertext import ValueCiphertext
-from repro.errors import ProtocolError, QueryError, UpdateError
+from repro.crypto.ciphertext import RowBlock, ValueCiphertext
+from repro.errors import (
+    DecryptionError,
+    ProtocolError,
+    QueryError,
+    UpdateError,
+)
 from repro.net.catalog import ColumnCatalog
 from repro.net.client import RemoteColumn
 from repro.net.protocol import (
@@ -139,7 +144,7 @@ class SecureTableServer:
         response = self._catalog.server(self._namespace + name).execute(query)
         return response.row_ids, response.rows
 
-    def fetch(self, name: str, row_ids: Iterable[int]) -> List[ValueCiphertext]:
+    def fetch(self, name: str, row_ids: Iterable[int]) -> RowBlock:
         """Materialise one column's rows by id (tuple reconstruction)."""
         self.requests_served += 1
         return self.engine(name).column.rows_by_ids(row_ids)
@@ -368,7 +373,7 @@ class OutsourcedTable:
                 raise ProtocolError(
                     "expected FetchResponse, got %s" % type(response).__name__
                 )
-            out[name] = self._decrypt_fetched(list(response.rows))
+            out[name] = self._decrypt_fetched(response.rows)
         return out
 
     def _physical_ids(self, logical_ids: Sequence[int]) -> List[int]:
@@ -381,19 +386,18 @@ class OutsourcedTable:
                 physical_ids.append(logical)
         return physical_ids
 
-    def _decrypt_fetched(self, rows: List[ValueCiphertext]) -> np.ndarray:
+    def _decrypt_fetched(self, rows: Sequence[ValueCiphertext]) -> np.ndarray:
         """Decrypt fetched rows, resolving two-faced pairs under
-        ambiguity."""
-        values: List[int] = []
-        if self.client.ambiguity:
-            for pair_index in range(0, len(rows), 2):
-                first = self.client.encryptor.decrypt_row(rows[pair_index])
-                second = self.client.encryptor.decrypt_row(rows[pair_index + 1])
-                real = first if first.is_real else second
-                values.append(real.value)
-        else:
-            for row in rows:
-                values.append(self.client.encryptor.decrypt_value(row))
+        ambiguity (exactly one face of every pair is real)."""
+        is_real, values, _ = self.client.encryptor.decrypt_block(rows)
+        faces = 2 if self.client.ambiguity else 1
+        if len(is_real) % faces or any(
+            sum(is_real[start:start + faces]) != 1
+            for start in range(0, len(is_real), faces)
+        ):
+            raise DecryptionError(
+                "a fetched value did not open to exactly one real row"
+            )
         return np.array(values, dtype=np.int64)
 
     def select_tuples(

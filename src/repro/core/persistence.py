@@ -19,7 +19,10 @@ the honest-but-curious server, revealing nothing beyond what query
 processing already revealed).
 
 Formats: a server snapshot (``SNAPSHOT_VERSION``) carries the engine
-configuration, rows, tree, pending buffer and transfer counters; a
+configuration, rows, tree, pending buffer and transfer counters — the
+column's rows and the pending rows each as one row block, the same
+value the wire carries
+(:func:`repro.crypto.serialization.rows_to_dict`); a
 catalog snapshot (``CATALOG_SNAPSHOT_VERSION``, versioned
 independently) carries the column map, the ``shards`` registry
 (logical sharded columns — geometry plus ordered shard column names),
@@ -51,7 +54,13 @@ from repro.core.wal import (
     write_json_atomic,
 )
 from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
-from repro.crypto.serialization import ciphertext_from_dict, ciphertext_to_dict
+from repro.crypto.serialization import (
+    ciphertext_from_dict,
+    ciphertext_to_dict,
+    ints_from_wire,
+    rows_from_dict,
+    rows_to_dict,
+)
 from repro.errors import (
     PersistenceError,
     ReproError,
@@ -62,7 +71,7 @@ from repro.net.catalog import ColumnCatalog
 from repro.obs import Observability
 from repro.store.updates import PendingUpdates
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 CATALOG_SNAPSHOT_VERSION = 3
 
 #: File name of the catalog snapshot inside a server data directory
@@ -75,9 +84,6 @@ def snapshot_server(server: SecureServer) -> Dict[str, Any]:
     engine = server.engine
     config = server.config
     column = engine.column
-    rows = [
-        ciphertext_to_dict(column.row(index)) for index in range(len(column))
-    ]
     tree_nodes = []
     if hasattr(engine, "tree"):
         for node in engine.tree.in_order():
@@ -90,7 +96,7 @@ def snapshot_server(server: SecureServer) -> Dict[str, Any]:
                     "position": node.position,
                 }
             )
-    updates = server._updates
+    pending = server._updates.pending
     return {
         "kind": "secure_server",
         "version": SNAPSHOT_VERSION,
@@ -98,16 +104,16 @@ def snapshot_server(server: SecureServer) -> Dict[str, Any]:
         "min_piece_size": config["min_piece_size"],
         "use_three_way": config["use_three_way"],
         "record_stats": config["record_stats"],
-        "rows": rows,
-        "row_ids": [int(i) for i in column.row_ids],
+        "rows": rows_to_dict(column.rows_at(range(len(column)))),
+        "row_ids": column.row_ids.tolist(),
         "tree": tree_nodes,
         "auto_merge_threshold": config["auto_merge_threshold"],
-        "pending": [
-            {"row_id": row_id, "row": ciphertext_to_dict(row)}
-            for row_id, row in updates.pending
-        ],
-        "tombstones": sorted(updates.tombstones),
-        "next_row_id": updates.next_row_id,
+        "pending": {
+            "row_ids": [row_id for row_id, _ in pending],
+            "rows": rows_to_dict([row for _, row in pending]),
+        },
+        "tombstones": sorted(server._updates.tombstones),
+        "next_row_id": server._updates.next_row_id,
         "queries_served": server.queries_served,
         "rows_shipped": server.rows_shipped,
         "bytes_shipped": server.bytes_shipped,
@@ -126,21 +132,22 @@ def restore_server(
 
     Raises:
         SerializationError: on a malformed or wrong-kind snapshot.
+        PersistenceError: on a snapshot of any other format version
+            (version 2 stored one ciphertext object per row; there is
+            no second reader).
     """
     if snapshot.get("kind") != "secure_server":
         raise SerializationError(
             "expected a secure_server snapshot, got %r" % snapshot.get("kind")
         )
     if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise SerializationError(
+        raise PersistenceError(
             "unsupported snapshot version: %r" % snapshot.get("version")
         )
     try:
-        rows = [ciphertext_from_dict(data) for data in snapshot["rows"]]
-        row_ids = [int(i) for i in snapshot["row_ids"]]
         server = SecureServer(
-            rows,
-            row_ids,
+            rows_from_dict(snapshot["rows"]),
+            ints_from_wire(snapshot["row_ids"], "row ids"),
             engine=snapshot["engine_kind"],
             auto_merge_threshold=snapshot.get("auto_merge_threshold"),
             min_piece_size=snapshot["min_piece_size"],
@@ -161,12 +168,15 @@ def restore_server(
                 inclusive=bool(node_data["inclusive"]),
             )
             engine.tree.insert(key, int(node_data["position"]))
+        pending_ids = ints_from_wire(
+            snapshot["pending"]["row_ids"], "pending row ids"
+        )
+        pending_rows = rows_from_dict(snapshot["pending"]["rows"])
+        if len(pending_ids) != len(pending_rows):
+            raise SerializationError("pending row ids and rows differ in length")
         server._updates = PendingUpdates.restore(
             int(snapshot["next_row_id"]),
-            [
-                (int(entry["row_id"]), ciphertext_from_dict(entry["row"]))
-                for entry in snapshot["pending"]
-            ],
+            list(zip(pending_ids, pending_rows)),
             {int(i) for i in snapshot["tombstones"]},
         )
         server.queries_served = int(snapshot["queries_served"])

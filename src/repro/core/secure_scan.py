@@ -16,7 +16,11 @@ import numpy as np
 
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.query import EncryptedQuery
-from repro.cracking.index import MeteredQueryStats, QueryStats
+from repro.cracking.index import (
+    MeteredQueryStats,
+    QueryStats,
+    stats_counters,
+)
 from repro.linalg.kernels import ProductCache
 from repro.obs import Observability
 
@@ -33,6 +37,7 @@ class SecureScan:
         self._column = column
         self._record_stats = record_stats
         self._obs = obs if obs is not None else column.obs
+        self._stats_counters = stats_counters(self._obs.metrics)
         self.stats_log: List[QueryStats] = []
 
     @property
@@ -81,7 +86,7 @@ class SecureScan:
             )
         if self._record_stats:
             fast_after, exact_after = self._column.kernel_counters.snapshot()
-            stats = MeteredQueryStats(self._obs.metrics)
+            stats = MeteredQueryStats(self._stats_counters)
             stats.scan_seconds = time.perf_counter() - tick
             stats.result_count = len(indices)
             stats.kernel_fast_products = fast_after - fast_before

@@ -15,11 +15,11 @@ volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.crypto.ciphertext import ValueCiphertext
+from repro.crypto.ciphertext import RowBlock, ValueCiphertext
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.query import EncryptedQuery
 from repro.core.secure_index import SecureAdaptiveIndex
@@ -37,21 +37,26 @@ ROW_ID_BYTES = 8
 
 @dataclass(frozen=True)
 class ServerResponse:
-    """One query's response: qualifying rows, in a single round."""
+    """One query's response: qualifying rows, in a single round.
+
+    ``rows`` is a :class:`~repro.crypto.ciphertext.RowBlock` parallel
+    to ``row_ids`` (any sequence of rows passed in is packed into one).
+    """
 
     row_ids: np.ndarray
-    rows: List[ValueCiphertext]
+    rows: RowBlock
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", RowBlock.from_rows(self.rows))
 
     @property
     def size_bytes(self) -> int:
         """Estimated wire size of the response (ciphertext rows plus
         row ids, under a compact binary coding).  Transports measure
-        the real encoded frame lengths; this estimate feeds the
-        server-side ``bytes_shipped`` ledger, which exists even when no
-        transport is watching."""
-        return sum(row.size_bytes for row in self.rows) + ROW_ID_BYTES * len(
-            self.row_ids
-        )
+        the real encoded frame lengths; this estimate is what the
+        server-side ``bytes_shipped`` ledger accumulates, which exists
+        even when no transport is watching."""
+        return self.rows.size_bytes + ROW_ID_BYTES * len(self.row_ids)
 
 
 class SecureServer:
@@ -173,36 +178,40 @@ class SecureServer:
             indices = self._engine.qualifying_indices(query)
             column = self._engine.column
             row_ids = column.row_ids_at(indices)
-            live = [
-                (int(row_id), column.row(int(index)))
-                for row_id, index in zip(row_ids, indices)
-                if not self._updates.is_deleted(int(row_id))
-            ]
+            live = ~self._updates.deleted_mask(row_ids)
+            if not live.all():
+                indices, row_ids = indices[live], row_ids[live]
+            rows = column.rows_at(indices)
             counters = column.kernel_counters
             fast_before, exact_before = counters.snapshot()
             pending_cache = ProductCache()
             with self._obs.span("pending-scan", pending=len(self._updates)):
-                for row_id, row in self._updates.pending:
-                    if self._updates.is_deleted(row_id):
-                        continue
-                    if _row_qualifies(row, row_id, query, pending_cache, counters):
-                        live.append((row_id, row))
+                pending = [
+                    (row_id, row)
+                    for row_id, row in self._updates.pending
+                    if not self._updates.is_deleted(row_id)
+                    and _row_qualifies(row, row_id, query, pending_cache, counters)
+                ]
+            if pending:
+                row_ids = np.concatenate(
+                    (row_ids, np.array([i for i, _ in pending], dtype=np.int64))
+                )
+                rows += [row for _, row in pending]
             self._merge_pending_scan_stats(
                 counters.snapshot(), (fast_before, exact_before), pending_cache
             )
+        response = ServerResponse(row_ids=row_ids, rows=rows)
+        shipped = response.size_bytes
         self.queries_served += 1
-        self.rows_shipped += len(live)
-        shipped = sum(row.size_bytes for _, row in live)
+        self.rows_shipped += len(rows)
         self.bytes_shipped += shipped
         metrics = self._obs.metrics
         metrics.add("server.queries_served")
-        metrics.add("server.rows_shipped", len(live))
+        metrics.add("server.rows_shipped", len(rows))
         metrics.add("server.bytes_shipped", shipped)
         if audit.enabled:
-            audit.record("response", rows=len(live))
-        ids = np.array([row_id for row_id, _ in live], dtype=np.int64)
-        rows = [row for _, row in live]
-        return ServerResponse(row_ids=ids, rows=rows)
+            audit.record("response", rows=len(rows))
+        return response
 
     # -- update path -----------------------------------------------------------------
 

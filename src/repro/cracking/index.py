@@ -137,13 +137,16 @@ class MeteredQueryStats(QueryStats):
     never drift.  Engines (and their subclasses — stochastic cracking,
     sort-touch) keep mutating plain dataclass fields; the forwarding is
     transparent.
+
+    Args:
+        counters: ``field -> Counter``, from :func:`stats_counters`.
+            An engine resolves it once and shares it between all its
+            stats objects — one is kept per query in ``stats_log``, so
+            a private map each is memory that grows with the log.
     """
 
-    def __init__(self, metrics) -> None:
-        object.__setattr__(self, "_counters", {
-            field: metrics.counter(name)
-            for field, name in STATS_METRIC_OF_FIELD.items()
-        })
+    def __init__(self, counters) -> None:
+        object.__setattr__(self, "_counters", counters)
         super().__init__()
 
     def __setattr__(self, name, value):
@@ -153,6 +156,15 @@ class MeteredQueryStats(QueryStats):
             if delta:
                 counter.add(delta)
         object.__setattr__(self, name, value)
+
+
+def stats_counters(metrics) -> dict:
+    """The registry counters a :class:`MeteredQueryStats` forwards to,
+    keyed by stats field."""
+    return {
+        field: metrics.counter(name)
+        for field, name in STATS_METRIC_OF_FIELD.items()
+    }
 
 
 @dataclass
@@ -207,6 +219,7 @@ class CrackingEngine:
         self._use_three_way = use_three_way
         self._record_stats = record_stats
         self._obs = obs
+        self._stats_counters = stats_counters(obs.metrics)
         # The paper's findpiece / addCrack, as ``f(tree, key, ...)``.
         self._find_piece, self._add_crack = find_piece, add_crack
         self.stats_log: List[QueryStats] = []
@@ -249,7 +262,7 @@ class CrackingEngine:
         query's cost breakdown; cracks as a side effect.  Either key may
         be None (one-sided: at most one piece is cracked); ``pivot_keys``
         are cracked on first and do not affect the result."""
-        stats = MeteredQueryStats(self._obs.metrics)
+        stats = MeteredQueryStats(self._stats_counters)
         tree_comparisons_before = self._tree.comparison_count
         for key in pivot_keys:
             self._resolve(key, stats)

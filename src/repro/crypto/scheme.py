@@ -25,18 +25,21 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.crypto.ciphertext import (
     AmbiguousCiphertext,
     BoundCiphertext,
+    RowBlock,
     ValueCiphertext,
 )
 from repro.crypto.key import SecretKey, generate_key
 from repro.errors import AmbiguityError, DecryptionError, EncryptionError
 from repro.linalg.intmat import mat_vec, mat_transpose
 from repro.linalg.solve import solve_affine
-from repro.linalg.vectors import IntVector, dot, orthogonal_vector, scale
+from repro.linalg.vectors import IntVector, orthogonal_vector, scale
 
 
 def compare(bound: BoundCiphertext, value: ValueCiphertext) -> int:
@@ -99,6 +102,19 @@ class Encryptor:
         self._multiplier_bound = multiplier_bound
         self._noise_magnitude = noise_magnitude
         self._matrix_t = mat_transpose(key.matrix)
+        # Row sets are encrypted and opened as matrices (paper 3.3:
+        # ``Ev`` multiplies by ``M^-1``, decryption by ``M``).  Opening
+        # reads only three projections of ``M @ x``: the two payload
+        # slots — ``x[p1]`` negated, so the column yields ``xi``'s
+        # numerator directly — and ``u . noise(M @ x)``, which is the
+        # key's precomputed ambiguity row.
+        p0, p1 = key.payload_positions
+        self._inverse_t = _object_matrix(mat_transpose(key.matrix_inverse))
+        self._open_matrix = _object_matrix(mat_transpose((
+            key.matrix[p0],
+            tuple(-entry for entry in key.matrix[p1]),
+            key.ambiguity_row,
+        )))
         #: Count of ambiguous encryptions that fell back to an
         #: unsteered counterfeit (see generate_steerable_key).
         self.steering_fallbacks = 0
@@ -106,22 +122,39 @@ class Encryptor:
     # -- mode Ev: values ------------------------------------------------
 
     def encrypt_value(self, value: int) -> ValueCiphertext:
-        """Encrypt an attribute value in mode ``Ev`` (Section 3.3).
+        """Encrypt an attribute value in mode ``Ev`` (Section 3.3) —
+        the one-row view of :meth:`encrypt_values`."""
+        return self.encrypt_values((value,))[0]
+
+    def encrypt_values(self, values: Iterable[int]) -> RowBlock:
+        """Encrypt attribute values in mode ``Ev``, as one row block.
 
         ``Ev(v) = M^-1 @ (xi * (payload(v) + noise_perp))`` with the
         multiplier ``xi`` odd and positive (the oddness carries the
         real/fake convention of Section 4.2 even for rows that are
-        never wrapped in ambiguity).
+        never wrapped in ambiguity).  ``xi`` and the noise are drawn
+        per value, in order; the pre-images then go through ``M^-1``
+        in a single matrix product.
         """
-        value = int(value)  # exact big-int arithmetic, never numpy scalars
-        xi = self._draw_odd_multiplier()
-        noise = orthogonal_vector(
-            self.key.u, self._rng, magnitude=self._noise_magnitude
+        pre_images = []
+        for value in values:
+            value = int(value)  # exact big-int arithmetic, never numpy scalars
+            xi = self._draw_odd_multiplier()
+            noise = orthogonal_vector(
+                self.key.u, self._rng, magnitude=self._noise_magnitude
+            )
+            pre_images.append(
+                self.key.assemble(xi * value, -xi, scale(noise, xi))
+            )
+        denominators = np.empty(len(pre_images), dtype=object)
+        denominators[:] = 1
+        if not pre_images:
+            return RowBlock(
+                np.empty((0, self.key.length), dtype=object), denominators
+            )
+        return RowBlock(
+            _object_matrix(pre_images) @ self._inverse_t, denominators
         )
-        pre_image = self.key.assemble(
-            xi * value, -xi, scale(noise, xi)
-        )
-        return ValueCiphertext(mat_vec(self.key.matrix_inverse, pre_image))
 
     def encrypt_value_ambiguous(
         self,
@@ -179,9 +212,10 @@ class Encryptor:
             prefix, suffix = ambiguous.interpretations()
             real_row = prefix if theta_as_suffix else suffix
             fake_row = suffix if theta_as_suffix else prefix
-            if not self.decrypt_row(real_row).is_real:
+            is_real, _, _ = self.decrypt_block((real_row, fake_row))
+            if not is_real[0]:
                 raise AmbiguityError("real branch failed the odd-xi check")
-            if not self.decrypt_row(fake_row).is_real:
+            if not is_real[1]:
                 return ambiguous
         raise AmbiguityError(
             "fake branch kept decrypting like a real row after %d attempts"
@@ -231,11 +265,13 @@ class Encryptor:
                 prefix, suffix = ambiguous.interpretations()
                 real_row = prefix if theta_as_suffix else suffix
                 fake_row = suffix if theta_as_suffix else prefix
-                real = self.decrypt_row(real_row)
-                fake = self.decrypt_row(fake_row)
-                if not real.is_real or real.value != value:
+                is_real, values, xi = self.decrypt_block((real_row, fake_row))
+                if not is_real[0] or values[0] != value:
                     continue
-                if fake.is_real or fake.multiplier <= 0:
+                # The counterfeit must fail the odd-integer convention
+                # yet keep a positive multiplier (xi's numerator is over
+                # a positive denominator).
+                if is_real[1] or xi[1] <= 0:
                     continue
                 return ambiguous
         if strict:
@@ -492,12 +528,24 @@ class Encryptor:
 
     # -- decryption -------------------------------------------------------
 
-    def decrypt_row(self, row: ValueCiphertext) -> DecryptedRow:
-        """Decrypt one server row, classifying real vs fake.
+    def decrypt_block(
+        self, rows: Iterable[ValueCiphertext]
+    ) -> Tuple[List[bool], List[int], List[int]]:
+        """Open a row set — a :class:`RowBlock` or any sequence of
+        rows — with one matrix product, classifying real vs fake.
 
         Multiplies back by ``M``, reads the payload slots, and applies
         the odd-integer convention: a row is real iff the recovered
         ``xi`` is an odd positive integer; then ``v = x[p0] / xi``.
+        After the product the checks are one pass of integer
+        remainders over its three columns, so the counterfeit half of
+        an ambiguity result costs a few comparisons per row, not a
+        rational decrypt.
+
+        Returns ``(is_real, values, xi_numerators)``: per row whether
+        it is real; the plaintexts of the real rows, in row order; and
+        per row the numerator of ``xi`` over the row's denominator —
+        zero where the noise check failed.
 
         A row is real iff (a) its noise contents are orthogonal to the
         secret direction ``u`` — every honestly produced row (real or
@@ -511,25 +559,37 @@ class Encryptor:
         resamples at encryption time whenever a fake passes all
         checks).
         """
-        pre_image = mat_vec(self.key.matrix, row.numerators)
-        payload0, payload1 = self.key.payload_projection(pre_image)
-        noise = self.key.noise_projection(pre_image)
-        if dot(self.key.u, noise) != 0:
-            return DecryptedRow(
-                value=None, multiplier=Fraction(0), is_real=False
+        block = RowBlock.from_rows(rows)
+        is_real, values, xi_numerators = [], [], []
+        if not len(block):
+            return is_real, values, xi_numerators
+        opened = (block.numerators @ self._open_matrix).tolist()
+        for (payload0, xi, noise), denominator in zip(
+            opened, block.denominators.tolist()
+        ):
+            if noise:
+                xi = 0
+            real = (
+                xi > 0
+                and xi % denominator == 0
+                and xi // denominator % 2 == 1
+                and payload0 % xi == 0
             )
-        multiplier = Fraction(-payload1, row.denominator)
-        xi_is_odd_integer = (
-            multiplier > 0
-            and multiplier.denominator == 1
-            and multiplier.numerator % 2 == 1
+            is_real.append(real)
+            xi_numerators.append(xi)
+            if real:
+                values.append(payload0 // xi)
+        return is_real, values, xi_numerators
+
+    def decrypt_row(self, row: ValueCiphertext) -> DecryptedRow:
+        """Decrypt one server row — the one-row view of
+        :meth:`decrypt_block`, with ``xi`` as an exact rational."""
+        is_real, values, xi = self.decrypt_block((row,))
+        return DecryptedRow(
+            value=values[0] if is_real[0] else None,
+            multiplier=Fraction(xi[0], row.denominator),
+            is_real=is_real[0],
         )
-        if not xi_is_odd_integer:
-            return DecryptedRow(value=None, multiplier=multiplier, is_real=False)
-        value = Fraction(payload0, -payload1)
-        if value.denominator != 1:
-            return DecryptedRow(value=None, multiplier=multiplier, is_real=False)
-        return DecryptedRow(value=int(value), multiplier=multiplier, is_real=True)
 
     def decrypt_value(self, row: ValueCiphertext) -> int:
         """Decrypt a row known to be real; raise on fakes.
@@ -571,6 +631,14 @@ class Encryptor:
         bound = self._multiplier_bound
         draw = self._rng.randint(1, 2 * bound)
         return draw - bound - 1 if draw <= bound else draw - bound
+
+
+def _object_matrix(rows) -> np.ndarray:
+    """Equal-length int sequences as a 2-d object-dtype matrix (Python
+    big ints flow through ``@`` exactly)."""
+    matrix = np.empty((len(rows), len(rows[0])), dtype=object)
+    matrix[:] = rows
+    return matrix
 
 
 def probe_steerable(

@@ -12,11 +12,14 @@ Python's ``json`` module), each tagged with a ``kind`` and a format
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Union
+
+import numpy as np
 
 from repro.crypto.ciphertext import (
     AmbiguousCiphertext,
     BoundCiphertext,
+    RowBlock,
     ValueCiphertext,
 )
 from repro.crypto.key import SecretKey
@@ -91,25 +94,93 @@ def ciphertext_to_dict(ciphertext: Ciphertext) -> Dict[str, Any]:
     )
 
 
+def ints_from_wire(items, what: str) -> List[int]:
+    """``items`` if it is a list of plain ints, else a typed error.
+
+    The trust-boundary integer check: ``"7"``, ``1.9`` and ``True``
+    all pass ``int()``, so a tampered frame would silently become a
+    *different* ciphertext or row id.  Only ``type(x) is int`` is an
+    integer on the wire.
+    """
+    if type(items) is not list or not set(map(type, items)) <= {int}:
+        raise SerializationError("%s must be a list of integers" % what)
+    return items
+
+
 def ciphertext_from_dict(data: Dict[str, Any]) -> Ciphertext:
     """Reconstruct a ciphertext from its dictionary form."""
     kind = data.get("kind")
     try:
         if kind == "value":
             return ValueCiphertext(
-                tuple(int(x) for x in data["numerators"]),
-                int(data["denominator"]),
+                tuple(ints_from_wire(data["numerators"], "numerators")),
+                ints_from_wire([data["denominator"]], "denominator")[0],
             )
         if kind == "bound":
-            return BoundCiphertext(tuple(int(x) for x in data["vector"]))
+            return BoundCiphertext(
+                tuple(ints_from_wire(data["vector"], "bound vector"))
+            )
         if kind == "ambiguous":
             return AmbiguousCiphertext(
-                tuple(int(x) for x in data["numerators"]),
-                int(data["denominator"]),
+                tuple(ints_from_wire(data["numerators"], "numerators")),
+                ints_from_wire([data["denominator"]], "denominator")[0],
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError("malformed ciphertext payload: %s" % exc) from exc
     raise SerializationError("unknown ciphertext kind: %r" % (kind,))
+
+
+def rows_to_dict(rows) -> Dict[str, Any]:
+    """Serialize a row set — a :class:`RowBlock` or any sequence of
+    value ciphertexts — as one flat block of plain ints:
+    ``{"length": l, "numerators": [n * l ints, row-major]}`` plus
+    ``"denominators": [n ints]`` unless every denominator is 1.  The
+    one row-set encoding of the code base: frames, WAL entries and
+    snapshots all carry this value."""
+    try:
+        block = RowBlock.from_rows(rows)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SerializationError("cannot serialize rows: %s" % exc) from exc
+    data = {
+        "length": block.length,
+        "numerators": block.numerators.ravel().tolist(),
+    }
+    denominators = block.denominators.tolist()
+    if denominators.count(1) != len(denominators):
+        data["denominators"] = denominators
+    return data
+
+
+def rows_from_dict(data: Dict[str, Any]) -> RowBlock:
+    """Reconstruct a row block; the only failure is a typed
+    :class:`SerializationError`."""
+    if not isinstance(data, dict):
+        raise SerializationError("rows must be a block object")
+    length = data.get("length")
+    if type(length) is not int or length < 0:
+        raise SerializationError("block length must be an integer >= 0")
+    numerators = ints_from_wire(data.get("numerators"), "block numerators")
+    denominators = ints_from_wire(
+        data.get("denominators", []), "block denominators"
+    )
+    count, ragged = divmod(len(numerators), length) if length else (0, 0)
+    if ragged or (not length and numerators):
+        raise SerializationError(
+            "%d numerators do not fill rows of length %d"
+            % (len(numerators), length)
+        )
+    if not denominators:
+        denominators = [1] * count
+    elif len(denominators) != count or min(denominators) <= 0:
+        raise SerializationError(
+            "a block of %d rows needs %d positive denominators"
+            % (count, count)
+        )
+    matrix = np.empty((count, length), dtype=object)
+    matrix.ravel()[:] = numerators
+    vector = np.empty(count, dtype=object)
+    vector[:] = denominators
+    return RowBlock(matrix, vector)
 
 
 def dumps(obj: Union[SecretKey, Ciphertext]) -> str:
@@ -203,29 +274,30 @@ def response_to_dict(response) -> Dict[str, Any]:
     return {
         "kind": "response",
         "version": FORMAT_VERSION,
-        "row_ids": [int(i) for i in response.row_ids],
-        "rows": [ciphertext_to_dict(row) for row in response.rows],
+        "row_ids": np.asarray(response.row_ids, dtype=np.int64).tolist(),
+        "rows": rows_to_dict(response.rows),
     }
 
 
 def response_from_dict(data: Dict[str, Any]):
     """Reconstruct a server response."""
-    import numpy as np
-
     from repro.core.server import ServerResponse
 
     _check_kind(data, "response")
     try:
-        rows = [ciphertext_from_dict(row) for row in data["rows"]]
-        if not all(isinstance(row, ValueCiphertext) for row in rows):
-            raise SerializationError("responses carry value rows only")
-        return ServerResponse(
-            row_ids=np.array([int(i) for i in data["row_ids"]], dtype=np.int64),
-            rows=rows,
+        rows = rows_from_dict(data["rows"])
+        row_ids = np.array(
+            ints_from_wire(data["row_ids"], "row ids"), dtype=np.int64
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, OverflowError) as exc:
         # OverflowError: a fuzzed row id exceeding int64 must surface as
         # a typed serialization failure, not a raw numpy error.
         raise SerializationError(
             "malformed response payload: %s" % exc
         ) from exc
+    if len(row_ids) != len(rows):
+        raise SerializationError(
+            "response carries %d row ids for %d rows"
+            % (len(row_ids), len(rows))
+        )
+    return ServerResponse(row_ids=row_ids, rows=rows)

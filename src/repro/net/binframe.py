@@ -24,6 +24,8 @@ Frame layout::
              | 0x09 varint(count) (string value)*    # dict, keys sorted
              | 0x0A width_code(1B) varint(count)     # homogeneous int
                payload                               #   array fast path
+             | 0x0A 0x04 width(1B) varint(count)     # ... wide mode: ints
+               payload                               #   beyond int64
 
 Three properties do the heavy lifting:
 
@@ -37,10 +39,15 @@ Three properties do the heavy lifting:
 * **Int-array fast path (tag 0x0A)** — a list of 4+ plain ints whose
   range fits a fixed signed width (1/2/4/8 bytes, picked per array)
   ships as one ``struct``-packed big-endian block instead of per-value
-  tag dispatch.  Row-id arrays — the longest flat lists on the wire —
-  encode and decode in a single C call each, which is what closes the
-  CPU gap the byte savings alone could not (the per-value Python loop
-  used to cost more than JSON's optimized C encoder saved).
+  tag dispatch.  Row-id arrays encode and decode in a single C call
+  each, which is what closes the CPU gap the byte savings alone could
+  not (the per-value Python loop used to cost more than JSON's
+  optimized C encoder saved).  Arrays that range beyond int64 — the
+  numerator run of a row block, ~77 bits per entry under the default
+  key — use the *wide mode* (width code 0x04): one explicit width byte
+  (the two's-complement width of the array's largest magnitude,
+  9..255), then ``count`` fixed-width signed big-endian integers back to back,
+  with no per-value tag, sign or length byte.
 
 Encoding is a pure function of the envelope dict (keys sorted, intern
 table in deterministic encounter order), so binary frames are
@@ -96,6 +103,13 @@ _INTARRAY_WIDTHS = (
     (8, "q", 1 << 63),
 )
 
+#: Width code of the wide mode: an explicit byte width follows.
+_INTARRAY_WIDE = len(_INTARRAY_WIDTHS)
+
+#: Widest wide-mode integer (the width travels in one byte); an array
+#: ranging beyond 2040 bits falls back to per-value big ints.
+_INTARRAY_MAX_WIDTH = 255
+
 #: Shortest list worth the fast path; below this the per-value tags are
 #: as compact and the range scan is pure overhead.
 _INTARRAY_MIN_LEN = 4
@@ -132,26 +146,40 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _write_intarray(out: bytearray, value: Any) -> bool:
-    """Write ``value`` as a struct-packed int array if eligible.
+    """Write ``value`` as a packed int array if eligible.
 
     Eligible means every element is a plain ``int`` (bools are a
-    subclass and are excluded — they must round-trip as bools) and the
-    range fits one of the fixed signed widths.  Returns False without
-    touching ``out`` when the generic list encoding must be used, e.g.
-    for arrays containing ints beyond 64 bits.
+    subclass and are excluded — they must round-trip as bools).  The
+    narrowest fixed signed width the range fits is struct-packed;
+    beyond int64 the wide mode ships fixed-width two's-complement
+    integers.  Returns False without touching ``out`` when the generic
+    list encoding must be used (mixed types, or a range too wide even
+    for the wide mode).
     """
-    if not all(type(item) is int for item in value):
+    if not set(map(type, value)) <= {int}:
         return False
-    lo = min(value)
-    hi = max(value)
-    for code, (width, fmt, bound) in enumerate(_INTARRAY_WIDTHS):
-        if -bound <= lo and hi < bound:
-            out.append(_TAG_INTARRAY)
-            out.append(code)
-            _write_varint(out, len(value))
-            out.extend(struct.pack(">%d%s" % (len(value), fmt), *value))
-            return True
-    return False
+    bits = max(map(int.bit_length, value))
+    if bits <= 64:
+        lo = min(value)
+        hi = max(value)
+        for code, (width, fmt, bound) in enumerate(_INTARRAY_WIDTHS):
+            if -bound <= lo and hi < bound:
+                out.append(_TAG_INTARRAY)
+                out.append(code)
+                _write_varint(out, len(value))
+                out.extend(struct.pack(">%d%s" % (len(value), fmt), *value))
+                return True
+    # Two's complement of a ``bits``-bit magnitude needs a sign bit too.
+    width = bits // 8 + 1
+    if width > _INTARRAY_MAX_WIDTH:
+        return False
+    out.append(_TAG_INTARRAY)
+    out.append(_INTARRAY_WIDE)
+    out.append(width)
+    _write_varint(out, len(value))
+    out.extend(b"".join([item.to_bytes(width, "big", signed=True)
+                         for item in value]))
+    return True
 
 
 def _write_value(out: bytearray, value: Any, interned: Dict[str, int],
@@ -325,17 +353,28 @@ def _read_value(reader: _Reader, depth: int) -> Any:
         return [_read_value(reader, depth + 1) for _ in range(count)]
     if tag == _TAG_INTARRAY:
         code = reader.byte()
-        if code >= len(_INTARRAY_WIDTHS):
+        if code > _INTARRAY_WIDE:
             raise SerializationError(
                 "invalid int-array width code: %d" % code
             )
-        width, fmt, _bound = _INTARRAY_WIDTHS[code]
+        if code == _INTARRAY_WIDE:
+            width = reader.byte()
+            if width < 1:
+                raise SerializationError("int-array width must be >= 1")
+        else:
+            width, fmt, _bound = _INTARRAY_WIDTHS[code]
         count = reader.varint()
         if count * width > reader.remaining:
             raise SerializationError(
                 "int-array count %d exceeds remaining frame bytes" % count
             )
         payload = reader.take(count * width)
+        if code == _INTARRAY_WIDE:
+            return [
+                int.from_bytes(payload[start:start + width], "big",
+                               signed=True)
+                for start in range(0, len(payload), width)
+            ]
         return list(struct.unpack(">%d%s" % (count, fmt), payload))
     if tag == _TAG_DICT:
         count = reader.varint()

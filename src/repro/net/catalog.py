@@ -221,7 +221,7 @@ class ColumnCatalog:
             )
         if shard is not None:
             self._check_shard(shard)
-        server = SecureServer(list(rows), row_ids, obs=self._obs, **merged)
+        server = SecureServer(rows, row_ids, obs=self._obs, **merged)
         self.adopt_column(name, server, merged, shard=shard)
         self._obs.metrics.add("net.columns_created")
         return server
@@ -1029,12 +1029,12 @@ class ColumnCatalog:
 
     def _fetch(self, request: FetchRequest, server: SecureServer):
         return FetchResponse(
-            rows=tuple(server.engine.column.rows_by_ids(request.row_ids))
+            rows=server.engine.column.rows_by_ids(request.row_ids)
         )
 
     def _insert(self, request: InsertRequest, server: SecureServer):
         return self._commit(
-            request, row_ids=tuple(server.insert(list(request.rows)))
+            request, row_ids=tuple(server.insert(request.rows))
         )
 
     def _delete(self, request: DeleteRequest, server: SecureServer):
@@ -1066,7 +1066,7 @@ class ColumnCatalog:
                 % (request.column, current, request.fence)
             )
         rebuilt = SecureServer(
-            list(request.rows),
+            request.rows,
             list(request.row_ids),
             obs=self._obs,
             **self.config(request.column),

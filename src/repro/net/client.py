@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Sequence
 
 from repro.core.query import EncryptedQuery
 from repro.core.server import ServerResponse
+from repro.crypto.ciphertext import RowBlock
 from repro.errors import ProtocolError
 from repro.net.protocol import (
     CODECS,
@@ -232,7 +233,7 @@ class RemoteColumn:
         response = self.call(
             CreateColumnRequest(
                 column=self.column,
-                rows=tuple(rows),
+                rows=rows,
                 row_ids=tuple(int(i) for i in row_ids),
                 config=dict(config or {}),
             )
@@ -260,19 +261,19 @@ class RemoteColumn:
             out.append(response.response)
         return out
 
-    def fetch(self, row_ids: Sequence[int]) -> List:
+    def fetch(self, row_ids: Sequence[int]) -> RowBlock:
         """Materialise rows by physical id (tuple reconstruction)."""
         response = self.call(
             FetchRequest(
                 column=self.column, row_ids=tuple(int(i) for i in row_ids)
             )
         )
-        return list(response.rows)
+        return response.rows
 
     def insert(self, rows: Sequence) -> List[int]:
         """Buffer new encrypted rows; returns their assigned ids."""
         response = self.call(
-            InsertRequest(column=self.column, rows=tuple(rows))
+            InsertRequest(column=self.column, rows=rows)
         )
         return list(response.row_ids)
 
@@ -358,7 +359,7 @@ class RemoteColumn:
         response = self.call(
             RotateApplyRequest(
                 column=self.column,
-                rows=tuple(rows),
+                rows=rows,
                 row_ids=tuple(int(i) for i in row_ids),
                 fence=None if fence is None else int(fence),
             )

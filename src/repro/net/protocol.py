@@ -12,10 +12,10 @@ dictionaries built on the :mod:`repro.crypto.serialization` codecs
 :class:`ErrorResponse` that carries typed failures across the wire.
 
 A *frame* is the canonical encoding of one envelope.  Two codecs
-exist: ``"json"`` (compact UTF-8 JSON with sorted keys — the v1 wire
-format, always understood) and ``"binary"`` (the compact
+exist: ``"json"`` (compact UTF-8 JSON with sorted keys — the debug
+codec, always understood) and ``"binary"`` (the compact
 :mod:`repro.net.binframe` codec: magic + version + codec-id header,
-varint lengths, big-int numerators as sign + magnitude bytes).  Both
+varint lengths, a row block's numerators as one fixed-width run).  Both
 are deterministic — the same envelope always encodes to the same bytes
 — so the loopback and TCP transports produce byte-identical traffic
 for the same workload (pinned by tests), and measured frame lengths
@@ -47,18 +47,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.query import EncryptedQuery
 from repro.core.server import ServerResponse
 from repro.crypto.ciphertext import ValueCiphertext
 from repro.crypto.serialization import (
-    ciphertext_from_dict,
-    ciphertext_to_dict,
+    ints_from_wire,
     query_from_dict,
     query_to_dict,
     response_from_dict as server_response_from_dict,
     response_to_dict as server_response_to_dict,
+    rows_from_dict,
+    rows_to_dict,
 )
 from repro.errors import (
     PersistenceError,
@@ -79,8 +80,11 @@ from repro.net.binframe import (
     is_binary_frame,
 )
 
-#: Version tag carried by every envelope on the wire.
-PROTOCOL_VERSION = 1
+#: Version tag carried by every envelope on the wire.  2: row sets
+#: (``ROWS`` fields and the ``SERVER_RESPONSE`` body) travel as one
+#: flat block instead of a list of per-row ciphertext objects; a
+#: version-1 frame is refused with a typed error, never reinterpreted.
+PROTOCOL_VERSION = 2
 
 #: Frame codecs this peer can speak, preference-ordered for hello.
 CODECS: Tuple[str, ...] = ("binary", "json")
@@ -105,23 +109,12 @@ def _column_from_wire(value) -> str:
     return value
 
 
-def _rows_to_list(rows) -> List[Dict[str, Any]]:
-    return [ciphertext_to_dict(row) for row in rows]
-
-
-def _rows_from_list(items) -> Tuple[ValueCiphertext, ...]:
-    rows = tuple(ciphertext_from_dict(item) for item in items)
-    if not all(isinstance(row, ValueCiphertext) for row in rows):
-        raise SerializationError("column rows must be value ciphertexts")
-    return rows
-
-
 def _ids_to_list(ids) -> List[int]:
     return [int(i) for i in ids]
 
 
 def _ids_from_list(items) -> Tuple[int, ...]:
-    return tuple(int(i) for i in items)
+    return tuple(ints_from_wire(items, "row ids"))
 
 
 def _strings_to_list(items) -> List[str]:
@@ -308,7 +301,10 @@ STR = FieldType("STR", _as_is, str)
 INT = FieldType("INT", int, int)
 FLAG = FieldType("FLAG", bool, _flag_from_wire, absent=False)
 IDS = FieldType("IDS", _ids_to_list, _ids_from_list)
-ROWS = FieldType("ROWS", _rows_to_list, _rows_from_list)
+#: A row set: any sequence of value ciphertexts encodes, as one flat
+#: block (see :func:`repro.crypto.serialization.rows_to_dict`); it
+#: decodes to a :class:`~repro.crypto.ciphertext.RowBlock`.
+ROWS = FieldType("ROWS", rows_to_dict, rows_from_dict)
 QUERY = FieldType("QUERY", query_to_dict, query_from_dict)
 SERVER_RESPONSE = FieldType(
     "SERVER_RESPONSE", server_response_to_dict, server_response_from_dict
@@ -389,7 +385,7 @@ class CreateColumnRequest:
     """
 
     column: str = wire(COLUMN)
-    rows: Tuple[ValueCiphertext, ...] = wire(ROWS)
+    rows: Sequence[ValueCiphertext] = wire(ROWS)
     row_ids: Tuple[int, ...] = wire(IDS)
     config: Dict[str, Any] = wire(
         CONFIG, optional=True, default_factory=dict
@@ -421,7 +417,7 @@ class InsertRequest:
     """Buffer newly encrypted rows into a named column."""
 
     column: str = wire(COLUMN)
-    rows: Tuple[ValueCiphertext, ...] = wire(ROWS)
+    rows: Sequence[ValueCiphertext] = wire(ROWS)
 
 
 @dataclass(frozen=True)
@@ -461,7 +457,7 @@ class RotateApplyRequest:
     client) skips the check."""
 
     column: str = wire(COLUMN)
-    rows: Tuple[ValueCiphertext, ...] = wire(ROWS)
+    rows: Sequence[ValueCiphertext] = wire(ROWS)
     row_ids: Tuple[int, ...] = wire(IDS)
     fence: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
@@ -568,7 +564,7 @@ class QueryResponse:
 class FetchResponse:
     """Rows materialised by id, parallel to the requested ids."""
 
-    rows: Tuple[ValueCiphertext, ...] = wire(ROWS)
+    rows: Sequence[ValueCiphertext] = wire(ROWS)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.core.query import EncryptedQuery
 from repro.core.server import ServerResponse
+from repro.crypto.ciphertext import RowBlock
 from repro.errors import RotationConflictError, UpdateError
 from repro.net.client import RemoteColumn
 from repro.net.protocol import (
@@ -124,9 +125,10 @@ class ShardedRemoteColumn:
         """The shard a global physical id lives on."""
         return (int(global_id) // self.physical_per_value) % self.shard_count
 
-    def to_local(self, global_id: int) -> Tuple[int, int]:
-        """``(shard, local id)`` for one global physical id."""
-        pair, offset = divmod(int(global_id), self.physical_per_value)
+    def to_local(self, global_id):
+        """``(shard, local id)`` for one global physical id (or, given
+        an id array, the two parallel arrays)."""
+        pair, offset = divmod(global_id, self.physical_per_value)
         shard, local_pair = pair % self.shard_count, pair // self.shard_count
         return shard, local_pair * self.physical_per_value + offset
 
@@ -201,31 +203,28 @@ class ShardedRemoteColumn:
         Every shard is created even when its partition is empty, so the
         geometry at the catalog always matches the routing table here.
         """
-        buckets: List[Tuple[List, List[int]]] = [
-            ([], []) for _ in range(self.shard_count)
-        ]
-        for row, global_id in zip(rows, row_ids):
-            shard, local_id = self.to_local(int(global_id))
-            buckets[shard][0].append(row)
-            buckets[shard][1].append(local_id)
+        rows = RowBlock.from_rows(rows)
+        shard_of, local_ids = self.to_local(
+            np.asarray(row_ids, dtype=np.int64)
+        )
         config = dict(config or {})
-        requests = [
-            CreateColumnRequest(
-                column=name,
-                rows=tuple(shard_rows),
-                row_ids=tuple(shard_ids),
-                config=config,
-                shard={
-                    "of": self.column,
-                    "index": index,
-                    "count": self.shard_count,
-                    "physical_per_value": self.physical_per_value,
-                },
+        requests = []
+        for index, name in enumerate(self.shard_names):
+            mine = np.flatnonzero(shard_of == index)
+            requests.append(
+                CreateColumnRequest(
+                    column=name,
+                    rows=rows.take(mine),
+                    row_ids=tuple(local_ids[mine].tolist()),
+                    config=config,
+                    shard={
+                        "of": self.column,
+                        "index": index,
+                        "count": self.shard_count,
+                        "physical_per_value": self.physical_per_value,
+                    },
+                )
             )
-            for index, (name, (shard_rows, shard_ids)) in enumerate(
-                zip(self.shard_names, buckets)
-            )
-        ]
         responses = self._call_many(requests, fanout=self.shard_count)
         return sum(r.rows_stored for r in responses)
 
@@ -260,17 +259,15 @@ class ShardedRemoteColumn:
     def _merge_query_responses(self, responses: Sequence) -> ServerResponse:
         """Concatenate per-shard responses in shard order, mapping each
         shard's local row ids back to global ids."""
-        id_parts: List[np.ndarray] = []
-        rows: List = []
-        for shard, response in enumerate(responses):
-            body = response.response
-            id_parts.append(self._to_global_array(shard, body.row_ids))
-            rows.extend(body.rows)
-        if id_parts:
-            row_ids = np.concatenate(id_parts)
-        else:  # pragma: no cover - shard_count >= 1 always yields parts
-            row_ids = np.array([], dtype=np.int64)
-        return ServerResponse(row_ids=row_ids, rows=rows)
+        return ServerResponse(
+            row_ids=np.concatenate([
+                self._to_global_array(shard, response.response.row_ids)
+                for shard, response in enumerate(responses)
+            ]),
+            rows=RowBlock.concatenate(
+                [response.response.rows for response in responses]
+            ),
+        )
 
     def _group_by_shard(
         self, global_ids: Sequence[int]
@@ -284,11 +281,11 @@ class ShardedRemoteColumn:
             locals_.append(local_id)
         return groups
 
-    def fetch(self, row_ids: Sequence[int]) -> List:
+    def fetch(self, row_ids: Sequence[int]) -> RowBlock:
         """Materialise rows by global id, preserving input order."""
         row_ids = [int(i) for i in row_ids]
         if not row_ids:
-            return []
+            return RowBlock.from_rows(())
         groups = self._group_by_shard(row_ids)
         shards = sorted(groups)
         responses = self._call_many(
@@ -301,12 +298,12 @@ class ShardedRemoteColumn:
             ],
             fanout=len(shards),
         )
-        out: List = [None] * len(row_ids)
-        for shard, response in zip(shards, responses):
-            rows = response.rows
-            for position, row in zip(groups[shard][0], rows):
-                out[position] = row
-        return out
+        # The gathered block is in shard order; each group remembers
+        # the input positions its rows came from.
+        positions = [p for shard in shards for p in groups[shard][0]]
+        return RowBlock.concatenate(
+            [response.rows for response in responses]
+        ).take(np.argsort(positions))
 
     def insert(self, rows: Sequence, key_hint: int = None) -> List[int]:
         """Insert one value's physical rows on one shard.

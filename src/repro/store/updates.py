@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Generic, List, Set, Tuple, TypeVar
 
+import numpy as np
+
 from repro.errors import UpdateError
 
 Payload = TypeVar("Payload")
@@ -80,6 +82,16 @@ class PendingUpdates(Generic[Payload]):
     def is_deleted(self, row_id: int) -> bool:
         """Whether a row id is tombstoned."""
         return row_id in self._tombstones
+
+    def deleted_mask(self, row_ids: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``row_ids``: which of them are tombstoned."""
+        if not self._tombstones:
+            return np.zeros(len(row_ids), dtype=bool)
+        return np.fromiter(
+            map(self._tombstones.__contains__, row_ids.tolist()),
+            dtype=bool,
+            count=len(row_ids),
+        )
 
     @classmethod
     def restore(

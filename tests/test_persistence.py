@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.persistence import restore_server, snapshot_server
 from repro.core.session import OutsourcedDatabase
-from repro.errors import SerializationError
+from repro.errors import PersistenceError, SerializationError
 
 VALUES = list(np.random.default_rng(14).permutation(300))
 
@@ -84,12 +84,14 @@ class TestSnapshot:
         with pytest.raises(SerializationError):
             restore_server({"kind": "something"})
 
-    @pytest.mark.parametrize("version", [1, 99, None])
+    @pytest.mark.parametrize("version", [1, 2, 99, None])
     def test_any_other_version_rejected(self, version):
+        """Version 2 (one ciphertext object per row) included: blocks
+        replaced it and there is no second reader."""
         db = warmed_db()
         snapshot = snapshot_server(db.server)
         snapshot["version"] = version
-        with pytest.raises(SerializationError, match="version"):
+        with pytest.raises(PersistenceError, match="version"):
             restore_server(snapshot)
 
     @pytest.mark.parametrize("key, value", [
@@ -173,12 +175,30 @@ class TestSnapshotVersioning:
         restored.execute(db.client.make_query(0, 50))
         assert restored.stats_log == []
 
-    def test_current_version_is_2(self):
+    def test_current_version_is_3(self):
         from repro.core.persistence import SNAPSHOT_VERSION
 
         db = warmed_db()
-        assert SNAPSHOT_VERSION == 2
-        assert snapshot_server(db.server)["version"] == 2
+        assert SNAPSHOT_VERSION == 3
+        assert snapshot_server(db.server)["version"] == 3
+
+    def test_rows_and_pending_rows_are_wire_blocks(self):
+        """One row-set encoding: a snapshot stores the column and the
+        pending buffer as the same flat block a frame carries."""
+        from repro.crypto.serialization import rows_from_dict, rows_to_dict
+
+        db = warmed_db()
+        db.insert(77)
+        snapshot = json.loads(json.dumps(snapshot_server(db.server)))
+        column = db.server.engine.column
+        assert snapshot["rows"] == rows_to_dict(
+            [column.row(i) for i in range(len(column))]
+        )
+        assert set(snapshot["pending"]) == {"row_ids", "rows"}
+        assert len(rows_from_dict(snapshot["pending"]["rows"])) == 1
+        snapshot["pending"]["row_ids"] = []
+        with pytest.raises(SerializationError, match="pending"):
+            restore_server(snapshot)
 
 
 class TestCatalogSnapshot:

@@ -1,0 +1,369 @@
+"""Row blocks end to end: result pin, decrypt reference, hot-path guard.
+
+A result set is an ``n x l`` integer matrix plus a denominator vector
+(:class:`repro.crypto.ciphertext.RowBlock`) from the engine's column to
+the wire to ``TrustedClient.decrypt_results``.  Three pins keep that
+path honest:
+
+* the decrypted result stream of a fixed-seed session hashes to the
+  value the per-row path produced at the commit before blocks existed;
+* batch decryption equals a per-row reference kept *here* (the
+  ``Fraction`` decrypt the block kernel replaced), Hypothesis-driven;
+* a warmed query round trip constructs no ``ValueCiphertext`` and no
+  ``Fraction`` — a count, so the per-row path cannot creep back
+  unnoticed by a timing test.
+"""
+
+import hashlib
+import random
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.client import TrustedClient
+from repro.core.server import ROW_ID_BYTES, SecureServer, ServerResponse
+from repro.core.session import OutsourcedDatabase
+from repro.crypto.ciphertext import RowBlock, ValueCiphertext
+from repro.crypto.key import generate_key
+from repro.crypto.scheme import Encryptor
+from repro.linalg.intmat import mat_vec
+from repro.linalg.vectors import dot, orthogonal_vector
+
+#: sha256 over the decrypted ``ClientResult`` stream of
+#: :func:`session_script` in all eight configurations, computed at the
+#: parent of the row-block PR (per-row wire form, per-row decrypt).
+RESULT_STREAM_SHA256 = (
+    "c906a220f923e4eca6e990d96f48c89581467972d0b06d12b68c2b844d50a0e0"
+)
+
+PIN_CONFIGS = [
+    (ambiguity, codec, shards)
+    for ambiguity in (False, True)
+    for codec in ("json", "binary")
+    for shards in (0, 4)
+]
+
+
+def session_script(ambiguity, codec, shards):
+    """Yield every ``ClientResult`` of one fixed-seed session: ranges,
+    points, one-sided and batched queries around inserts, deletes, a
+    merge and a key rotation."""
+    rng = random.Random(20160626)
+    values = [rng.randrange(0, 5000) for _ in range(400)]
+    db = OutsourcedDatabase(
+        values, ambiguity=ambiguity, seed=11, codec=codec, shards=shards,
+        min_piece_size=4,
+    )
+    inserted = []
+    for step in range(60):
+        low = rng.randrange(0, 4800)
+        kind = step % 6
+        if kind == 0:
+            yield db.query(low, low + rng.randrange(1, 400))
+        elif kind == 1:
+            yield db.query_point(values[rng.randrange(len(values))])
+        elif kind == 2:
+            inserted.append(db.insert(rng.randrange(0, 5000)))
+            yield db.query_below(low, inclusive=False)
+        elif kind == 3:
+            db.delete(rng.randrange(len(values)))
+            if inserted and rng.random() < 0.5:
+                db.delete(inserted.pop())
+            yield db.query_above(low)
+        elif kind == 4:
+            yield from db.query_many(
+                [(low, low + 150), (low + 100, low + 700, False, True)]
+            )
+        else:
+            if step == 29:
+                db.merge()
+            if step == 47:
+                db.rotate_key(new_seed=12)
+            yield db.query(low, low + 60, False, False)
+    yield db.query()
+
+
+def _digest_result(digest, result):
+    digest.update(
+        repr((
+            [int(v) for v in result.values],
+            [int(i) for i in result.logical_ids],
+            int(result.false_positives),
+            int(result.returned_rows),
+        )).encode()
+    )
+
+
+def test_decrypted_result_stream_matches_the_per_row_parent():
+    digest = hashlib.sha256()
+    for config in PIN_CONFIGS:
+        digest.update(repr(config).encode())
+        for result in session_script(*config):
+            _digest_result(digest, result)
+    assert digest.hexdigest() == RESULT_STREAM_SHA256
+
+
+#: sha256 over ``TrustedClient.encrypt_dataset`` output (rows, ids and
+#: the next RNG draw) for l in {3, 4, 6} x ambiguity {off, on},
+#: computed at the same parent: the batched ``@ M^-1`` upload draws
+#: ``xi`` and noise in the per-value order and yields the same bits.
+ENCRYPT_DATASET_SHA256 = (
+    "cea326d1938374567b394bdbf9bd967da3fb1a474cbf77f17b8e1cd1f6af1e1e"
+)
+
+
+def test_encrypt_dataset_is_bit_identical_to_the_per_value_parent():
+    rng = random.Random(7)
+    values = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(300)]
+    values += [2 ** 70, -2 ** 65]
+    digest = hashlib.sha256()
+    for ambiguity in (False, True):
+        for key_length in (3, 4, 6):
+            client = TrustedClient(
+                seed=5, ambiguity=ambiguity, key_length=key_length
+            )
+            rows, ids = client.encrypt_dataset(values)
+            assert isinstance(rows, RowBlock)
+            digest.update(repr(
+                [(row.numerators, row.denominator) for row in rows]
+            ).encode())
+            digest.update(repr(list(ids)).encode())
+            digest.update(repr(client.encryptor._rng.random()).encode())
+    assert digest.hexdigest() == ENCRYPT_DATASET_SHA256
+
+
+# -- batch decryption against the per-row reference ------------------------------
+
+
+def reference_decrypt_row(key, row):
+    """``Encryptor.decrypt_row`` as it was before blocks: one exact
+    mat-vec and ``Fraction`` arithmetic per row.  Returns ``(value,
+    multiplier, is_real)``."""
+    pre_image = mat_vec(key.matrix, row.numerators)
+    payload0, payload1 = key.payload_projection(pre_image)
+    if dot(key.u, key.noise_projection(pre_image)) != 0:
+        return None, Fraction(0), False
+    multiplier = Fraction(-payload1, row.denominator)
+    if not (multiplier > 0 and multiplier.denominator == 1
+            and multiplier.numerator % 2 == 1):
+        return None, multiplier, False
+    value = Fraction(payload0, -payload1)
+    if value.denominator != 1:
+        return None, multiplier, False
+    return int(value), multiplier, True
+
+
+def reference_decrypt_results(key, row_ids, rows, id_mapper):
+    values, logical_ids, false_positives = [], [], 0
+    for row_id, row in zip(row_ids, rows):
+        value, _, is_real = reference_decrypt_row(key, row)
+        if is_real:
+            values.append(value)
+            logical_ids.append(id_mapper(int(row_id)))
+        else:
+            false_positives += 1
+    try:
+        values_array = np.array(values, dtype=np.int64)
+    except OverflowError:
+        values_array = np.array(values, dtype=object)
+    return values_array, logical_ids, false_positives
+
+
+KEYS = {length: generate_key(length=length, seed=900 + length)
+        for length in (3, 4, 5, 6)}
+
+ROW_KINDS = ("plain", "ambiguous", "tampered", "zero_xi", "scaled",
+             "half_scaled", "even_xi", "fractional_value")
+
+recipes = st.lists(
+    st.tuples(
+        st.sampled_from(ROW_KINDS),
+        st.one_of(
+            st.integers(-(2 ** 20), 2 ** 20),
+            st.integers(2 ** 63, 2 ** 90),       # object-dtype values
+            st.integers(-(2 ** 90), -(2 ** 63) - 1),
+        ),
+        st.integers(2, 9),
+    ),
+    max_size=8,
+)
+
+
+def build_rows(key, seed, recipe):
+    """Honest rows, counterfeits, and every way a row fails to open."""
+    encryptor = Encryptor(key, seed=seed)
+    rng = random.Random(seed)
+    rows = []
+    for kind, value, factor in recipe:
+        if kind == "ambiguous":
+            steer = {"fake_domain": (value - 50, value + 50)} \
+                if key.length >= 4 else {}
+            rows.extend(
+                encryptor.encrypt_value_ambiguous(value, **steer)
+                .interpretations()
+            )
+            continue
+        row = encryptor.encrypt_value(value)
+        numerators = list(row.numerators)
+        if kind == "tampered":
+            # r[0] != 0 by key construction, so this breaks u . noise.
+            numerators[0] += factor
+            row = ValueCiphertext(tuple(numerators))
+        elif kind == "scaled":  # the same rational row, denominator != 1
+            row = ValueCiphertext(
+                tuple(n * factor for n in numerators), factor
+            )
+        elif kind == "half_scaled":  # xi / factor: not integral
+            row = ValueCiphertext(tuple(numerators), 2 * factor)
+        elif kind in ("zero_xi", "even_xi", "fractional_value"):
+            xi, payload0 = {
+                "zero_xi": (0, value),               # payload1 == 0
+                "even_xi": (2 * factor, 2 * factor * value),
+                "fractional_value": (2 * factor + 1, value * 2 * factor + 1),
+            }[kind]
+            noise = orthogonal_vector(key.u, rng)
+            row = ValueCiphertext(mat_vec(
+                key.matrix_inverse, key.assemble(payload0, -xi, noise)
+            ))
+        rows.append(row)
+    return rows
+
+
+class TestBlockDecryptMatchesPerRowReference:
+    @given(length=st.sampled_from(sorted(KEYS)), seed=st.integers(0, 2 ** 16),
+           recipe=recipes, as_block=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_decrypt_results(self, length, seed, recipe, as_block):
+        key = KEYS[length]
+        rows = build_rows(key, seed, recipe)
+        row_ids = [3 * i + 1 for i in range(len(rows))]
+        client = TrustedClient(key=key, seed=seed)
+        result = client.decrypt_results(
+            row_ids, RowBlock.from_rows(rows) if as_block else rows,
+            id_mapper=lambda row_id: row_id * 2,
+        )
+        values, logical_ids, false_positives = reference_decrypt_results(
+            key, row_ids, rows, lambda row_id: row_id * 2
+        )
+        assert result.values.dtype == values.dtype
+        assert result.values.tolist() == values.tolist()
+        assert result.logical_ids.dtype == np.int64
+        assert result.logical_ids.tolist() == logical_ids
+        assert result.false_positives == false_positives
+        assert result.returned_rows == len(rows)
+        # ... and row by row, multiplier included.
+        for row in rows:
+            opened = client.encryptor.decrypt_row(row)
+            assert (opened.value, opened.multiplier, opened.is_real) \
+                == reference_decrypt_row(key, row)
+
+    @pytest.mark.parametrize("length", sorted(KEYS))
+    def test_every_failure_mode_is_rejected(self, length):
+        key = KEYS[length]
+        recipe = [(kind, 1234, 3) for kind in ROW_KINDS]
+        rows = build_rows(key, 5, recipe)
+        is_real, values, _ = Encryptor(key).decrypt_block(rows)
+        # plain, the real face of the ambiguous pair, and scaled open;
+        # nothing else does (the noise check rejects the tampered row).
+        assert values == [1234, 1234, 1234]
+        assert sum(is_real) == 3
+        assert is_real[0] and sum(is_real[1:3]) == 1 and is_real[5]
+
+    def test_empty_and_one_row_blocks(self):
+        client = TrustedClient(seed=3)
+        for rows in ((), RowBlock.from_rows(())):
+            empty = client.decrypt_results([], rows)
+            assert empty.values.dtype == np.int64 and len(empty.values) == 0
+            assert (empty.returned_rows, empty.false_positives) == (0, 0)
+        one = client.decrypt_results([7], client.encrypt_value(41))
+        assert one.values.tolist() == [41] and one.logical_ids.tolist() == [7]
+
+    def test_values_beyond_int64_stay_exact(self):
+        client = TrustedClient(seed=3)
+        rows, ids = client.encrypt_dataset([5, 2 ** 80, -(2 ** 64)])
+        result = client.decrypt_results(ids, rows)
+        assert result.values.dtype == object
+        assert result.values.tolist() == [5, 2 ** 80, -(2 ** 64)]
+
+
+# -- one definition of shipped bytes ---------------------------------------------
+
+
+class TestShippedBytes:
+    def test_block_size_is_the_sum_of_its_rows(self):
+        client = TrustedClient(seed=4, ambiguity=True)
+        rows, _ = client.encrypt_dataset([1, 2 ** 70, -9, 0])
+        assert any(row.denominator != 1 for row in rows)
+        assert rows.size_bytes == sum(row.size_bytes for row in rows)
+        assert RowBlock.from_rows(()).size_bytes == 0
+
+    def test_execute_accumulates_the_response_estimate(self):
+        db = OutsourcedDatabase(range(200), seed=6)
+        db.insert(50)  # a pending row rides in the same block
+        server = db.server
+        before = server.bytes_shipped
+        response = server.execute(db.client.make_query(10, 80))
+        assert len(response.rows) == 72
+        assert response.size_bytes == (
+            sum(row.size_bytes for row in response.rows)
+            + ROW_ID_BYTES * len(response.row_ids)
+        )
+        assert server.bytes_shipped - before == response.size_bytes
+        assert server.obs.metrics.counter_value("server.bytes_shipped") \
+            == server.bytes_shipped
+
+    def test_a_response_packs_whatever_rows_it_is_given(self):
+        client = TrustedClient(seed=4)
+        rows = [client.encryptor.encrypt_value(v) for v in (1, 2)]
+        response = ServerResponse(row_ids=np.array([0, 1]), rows=rows)
+        assert isinstance(response.rows, RowBlock)
+        assert response.rows == rows
+
+
+# -- the hot path builds no row objects --------------------------------------------
+
+
+def test_query_round_trip_builds_no_row_objects(monkeypatch):
+    """From ``SecureServer.execute`` to the decrypted ``ClientResult``
+    of a warmed 150-row query (loopback, binary codec): not one
+    ``ValueCiphertext``, not one ``Fraction``."""
+    values = list(np.random.default_rng(18).permutation(3000))
+    db = OutsourcedDatabase(values, seed=18, codec="binary")
+    for _ in range(2):  # crack, then converge
+        assert db.query(1000, 1149).returned_rows == 150
+    counts = Counter()
+    armed = []
+
+    def counting(cls, real):
+        def wrapper(*args, **kwargs):
+            if armed:
+                counts[cls.__name__] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        ValueCiphertext, "__init__",
+        counting(ValueCiphertext, ValueCiphertext.__init__),
+    )
+    monkeypatch.setattr(
+        Fraction, "__new__", counting(Fraction, Fraction.__new__)
+    )
+    real_execute = SecureServer.execute
+
+    def execute(self, query):
+        armed.append(True)
+        return real_execute(self, query)
+
+    monkeypatch.setattr(SecureServer, "execute", execute)
+    result = db.query(1000, 1149)
+    armed.clear()
+    assert result.returned_rows == 150
+    assert sorted(result.values.tolist()) == list(range(1000, 1150))
+    assert counts == {}
+    # The guard is live: one row materialised on purpose is counted.
+    armed.append(True)
+    db.server.engine.column.row(0)
+    assert counts == {"ValueCiphertext": 1}
