@@ -14,33 +14,21 @@ an ``Eb``-mode bound (``sign(Eb . Ev) == sign(v - b)``).  The column
 never compares two of its own rows, mirroring the scheme's central
 restriction.
 
-Scalar products are routed through the two-tier kernel of
-:mod:`repro.linalg.kernels`: the column tracks the largest absolute
-component of its dense matrix (``max_abs``) and keeps an int64 mirror
-of the matrix, so products proven not to overflow 64 bits run as a
-native matmul while everything else falls back to the exact
-object-dtype path.  An optional per-query
-:class:`~repro.linalg.kernels.ProductCache` (installed by the engines
-via :meth:`use_product_cache`) is kept physically aligned through every
-reorganisation so cracks and edge-piece scans share products.
+Scalar products have one implementation, :meth:`EncryptedColumn.products`:
+an exact object-dtype matmul.  At the paper's Section 5 parameters the
+components reach ~2^56 and the products pass 2^63, so no machine-word
+path can serve them.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.cracking.column import CrackableColumn
 from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.errors import IndexStateError
-from repro.linalg.kernels import (
-    INT64_MAX,
-    KernelCounters,
-    ProductCache,
-    matrix_products,
-)
 from repro.obs import Observability
 
 
@@ -59,10 +47,9 @@ class EncryptedColumn(CrackableColumn):
         use_inplace_algorithm: route cracks through the
             pointer-faithful Algorithm 1 (slower; fidelity tests).
         obs: observability bundle shared with the owning engine/server;
-            a private one is created when omitted.  The column binds
-            its kernel counters to the bundle's metrics registry and
-            emits ``kernel-product`` spans / ``products`` audit events
-            from :meth:`products`.
+            a private one is created when omitted.  :meth:`products`
+            counts on its ``kernel.exact_products`` counter and emits
+            ``kernel-product`` spans / ``products`` audit events.
     """
 
     def __init__(
@@ -95,16 +82,12 @@ class EncryptedColumn(CrackableColumn):
         }
         if len(self._position_of_id) != len(self._row_ids):
             raise IndexStateError("row ids must be unique")
-        # Kernel metadata: a conservative magnitude bound on the dense
-        # matrix (deletes never lower it — that can only demote the
-        # kernel to the exact tier), a lazily built int64 mirror kept
-        # aligned through every reorganisation, per-tier counters, and
-        # the per-query product cache slot.
-        self._max_abs = rows.max_abs
-        self._mirror: Optional[np.ndarray] = None
         self._obs = obs if obs is not None else Observability()
-        self.kernel_counters = KernelCounters(metrics=self._obs.metrics)
-        self._product_cache: Optional[ProductCache] = None
+        #: Every ``Eb . Ev`` product the server computes — the batched
+        #: ones here, the one-row ones of ripple routing and the
+        #: pending-buffer scan at their call sites — counts on this
+        #: registry counter.
+        self.exact_products = self._obs.metrics.counter("kernel.exact_products")
 
     @property
     def obs(self) -> Observability:
@@ -128,38 +111,13 @@ class EncryptedColumn(CrackableColumn):
 
     # -- scalar products -------------------------------------------------------
 
-    @property
-    def max_abs(self) -> int:
-        """Conservative bound on the matrix's absolute components."""
-        return self._max_abs
-
-    @contextmanager
-    def use_product_cache(self, cache: ProductCache):
-        """Install a per-query product cache for the duration of a query.
-
-        The column keeps the cache physically aligned: cracks permute
-        cached arrays alongside the matrix, structural changes drop
-        them.  Engines install a fresh cache per query and read its hit
-        counter into :class:`~repro.cracking.index.QueryStats`.
-        """
-        previous = self._product_cache
-        self._product_cache = cache
-        try:
-            yield cache
-        finally:
-            self._product_cache = previous
-
     def products(
         self, piece_lo: int, piece_hi: int, bound: BoundCiphertext
     ) -> np.ndarray:
         """Exact products ``Eb . Ev`` for rows in ``[piece_lo, piece_hi)``.
 
         Denominators are positive, so the signs of these integers equal
-        the signs of the exact rational comparisons.  Served by the
-        int64 fast path when the magnitude bounds prove it exact, from
-        the active per-query cache when the same ``(bound, piece)``
-        products were already computed, and by the exact object-dtype
-        matmul otherwise — the three sources are bit-for-bit identical.
+        the signs of the exact rational comparisons.
         """
         self._check_range(piece_lo, piece_hi)
         audit = self._obs.audit
@@ -173,37 +131,11 @@ class EncryptedColumn(CrackableColumn):
                 hi=piece_hi,
                 rows=piece_hi - piece_lo,
             )
-        cache = self._product_cache
-        if cache is not None:
-            cached = cache.lookup(bound, piece_lo, piece_hi)
-            if cached is not None:
-                return cached
+        self.exact_products.add(piece_hi - piece_lo)
         with self._obs.span("kernel-product", rows=piece_hi - piece_lo):
-            products = matrix_products(
-                self._matrix[piece_lo:piece_hi],
-                self._mirror_slice(piece_lo, piece_hi),
-                bound.vector,
-                self._max_abs,
-                bound.max_abs,
-                self.kernel_counters,
+            return self._matrix[piece_lo:piece_hi] @ np.asarray(
+                bound.vector, dtype=object
             )
-        if cache is not None:
-            cache.store(bound, piece_lo, piece_hi, products)
-        return products
-
-    def _mirror_slice(self, piece_lo: int, piece_hi: int) -> Optional[np.ndarray]:
-        """Int64 view of ``[piece_lo, piece_hi)``; None when unavailable.
-
-        The mirror is built lazily the first time the matrix is known
-        to fit int64 and then kept aligned by every reorganisation, so
-        steady-state queries pay no conversion cost.
-        """
-        if self._max_abs > INT64_MAX:
-            self._mirror = None
-            return None
-        if self._mirror is None:
-            self._mirror = self._matrix.astype(np.int64)
-        return self._mirror[piece_lo:piece_hi]
 
     def below(
         self, piece_lo: int, piece_hi: int, bound: BoundCiphertext, inclusive: bool
@@ -257,7 +189,6 @@ class EncryptedColumn(CrackableColumn):
         else:
             self._length = row.length
             self._matrix = np.empty((0, self._length), dtype=object)
-            self._mirror = None  # any zero-width mirror is now mis-shaped
         if int(row_id) in self._position_of_id:
             raise IndexStateError("row id %d already present" % row_id)
         new_row = np.empty((1, self._length), dtype=object)
@@ -281,20 +212,6 @@ class EncryptedColumn(CrackableColumn):
         )
         for index in range(position, len(self._row_ids)):
             self._position_of_id[int(self._row_ids[index])] = index
-        self._max_abs = max(self._max_abs, row.max_abs)
-        if self._mirror is not None:
-            if row.max_abs <= INT64_MAX:
-                self._mirror = np.concatenate(
-                    (
-                        self._mirror[:position],
-                        np.array([row.numerators], dtype=np.int64),
-                        self._mirror[position:],
-                    )
-                )
-            else:
-                self._mirror = None
-        if self._product_cache is not None:
-            self._product_cache.invalidate()
 
     def delete_at(self, position: int) -> None:
         """Physically remove the row at ``position`` (O(n) memmove)."""
@@ -306,10 +223,10 @@ class EncryptedColumn(CrackableColumn):
         self._row_ids = np.delete(self._row_ids, position)
         for index in range(position, len(self._row_ids)):
             self._position_of_id[int(self._row_ids[index])] = index
-        if self._mirror is not None:
-            self._mirror = np.delete(self._mirror, position, axis=0)
-        if self._product_cache is not None:
-            self._product_cache.invalidate()
+
+    def __contains__(self, row_id: int) -> bool:
+        """Whether a row with this id is in the column (O(1))."""
+        return int(row_id) in self._position_of_id
 
     def physical_index_of(self, row_id: int) -> int:
         """Current physical index of a row id (O(1) through the id map).
@@ -338,22 +255,16 @@ class EncryptedColumn(CrackableColumn):
     # -- internals ----------------------------------------------------------------------
 
     def _parallel_arrays(self):
-        arrays = (self._matrix, self._denominators, self._row_ids, self._mirror)
-        return [array for array in arrays if array is not None]
+        return self._matrix, self._denominators, self._row_ids
 
     def _apply_order(self, piece_lo: int, piece_hi: int, order: np.ndarray) -> None:
         for array in self._parallel_arrays():
             array[piece_lo:piece_hi] = array[piece_lo:piece_hi][order]
         for index in range(piece_lo, piece_hi):
             self._position_of_id[int(self._row_ids[index])] = index
-        if self._product_cache is not None:
-            self._product_cache.apply_order(piece_lo, piece_hi, order)
 
     def _swap(self, i: int, j: int) -> None:
         for array in self._parallel_arrays():
             array[[i, j]] = array[[j, i]]
         self._position_of_id[int(self._row_ids[i])] = i
         self._position_of_id[int(self._row_ids[j])] = j
-        # Cached product orderings cannot follow single exchanges.
-        if self._product_cache is not None:
-            self._product_cache.invalidate()

@@ -14,10 +14,9 @@ makes it secure is only how two things are compared:
   (:func:`repro.core.query.compare_encrypted_keys`).
 
 On top of the driver this module adds what only a server over
-ciphertexts needs: the per-query product cache and kernel-tier
-accounting, the leakage-audit events, the pseudocode-literal tree
-procedures as a test oracle, and the ripple insert/delete of the
-update path.
+ciphertexts needs: per-query scalar-product accounting, the
+leakage-audit events, the pseudocode-literal tree procedures as a test
+oracle, and the ripple insert/delete of the update path.
 
 The engine works identically whether rows came from plain or ambiguous
 encryption: fake interpretations are just rows whose pseudo-values the
@@ -39,7 +38,6 @@ from repro.core.query import (
     compare_encrypted_keys,
 )
 from repro.crypto.ciphertext import BoundCiphertext
-from repro.linalg.kernels import ProductCache, single_product
 from repro.obs import Observability
 
 
@@ -59,10 +57,10 @@ class SecureAdaptiveIndex(CrackingEngine):
         record_stats: append per-query :class:`QueryStats` to
             :attr:`stats_log`.
         obs: observability bundle (tracing + metrics + audit); the
-            engine adopts its column's bundle when omitted, so kernel
-            tier accounting and engine accounting always share one
-            metrics registry.  Metric counters are recorded regardless
-            of ``record_stats`` — that flag only controls the
+            engine adopts its column's bundle when omitted, so product
+            accounting and engine accounting always share one metrics
+            registry.  Metric counters are recorded regardless of
+            ``record_stats`` — that flag only controls the
             :attr:`stats_log` view.
     """
 
@@ -105,27 +103,21 @@ class SecureAdaptiveIndex(CrackingEngine):
         Lower-level hook used by the server for tombstone filtering
         before materialising ciphertexts.
 
-        The query runs under a fresh product cache, so a crack's
-        products are reused by a subsequent edge-piece scan over the
-        same bound (the column permutes the cached arrays alongside
-        every reorganisation); kernel tier counts and cache hits land
-        on the query's :class:`QueryStats`.  Client-supplied pivots
-        (stochastic mode) are cracked on first, as strict bounds.
+        The scalar products it computes land on the query's
+        :class:`QueryStats`.  Client-supplied pivots (stochastic mode)
+        are cracked on first, as strict bounds.
         """
-        counters = self._column.kernel_counters
-        fast_before, exact_before = counters.snapshot()
+        products_before = self._column.exact_products.value
         with self._obs.span("engine-query", pivots=len(query.pivots)):
-            with self._column.use_product_cache(ProductCache()) as cache:
-                indices, stats = self._answer(
-                    query.left_key,
-                    query.right_key,
-                    [EncryptedBoundKey(pivot, inclusive=False)
-                     for pivot in query.pivots],
-                )
-        fast_after, exact_after = counters.snapshot()
-        stats.kernel_fast_products = fast_after - fast_before
-        stats.kernel_exact_products = exact_after - exact_before
-        stats.product_cache_hits = cache.hits
+            indices, stats = self._answer(
+                query.left_key,
+                query.right_key,
+                [EncryptedBoundKey(pivot, inclusive=False)
+                 for pivot in query.pivots],
+            )
+        stats.kernel_exact_products = (
+            self._column.exact_products.value - products_before
+        )
         return indices
 
     def _cut(self, key: EncryptedBoundKey) -> Tuple[BoundCiphertext, bool]:
@@ -148,22 +140,14 @@ class SecureAdaptiveIndex(CrackingEngine):
 
         The row is compared against each node's ``Eb`` form
         (``sign(Eb(b_node) . Ev(v_new)) == sign(v_new - b_node)``) —
-        the server can do this without learning ``v_new``.  Each
-        comparison goes through the scalar-product kernel so it shares
-        the column's per-tier accounting.
+        the server can do this without learning ``v_new``.
         """
         node, successor = self._tree.root, None
         piece_lo, piece_hi = 0, len(self._column)
         while node is not None:
-            eb = node.key.bound.eb
-            product = single_product(
-                eb.vector,
-                row.numerators,
-                eb.max_abs,
-                row.max_abs,
-                self._column.kernel_counters,
-            )
-            if product < 0 or (product == 0 and node.key.inclusive):
+            self._column.exact_products.add()
+            sign = node.key.bound.eb.product_sign(row)
+            if sign < 0 or (sign == 0 and node.key.inclusive):
                 piece_hi, successor = node.position, node
                 node = node.left
             else:

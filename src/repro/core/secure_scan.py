@@ -21,7 +21,6 @@ from repro.cracking.index import (
     QueryStats,
     stats_counters,
 )
-from repro.linalg.kernels import ProductCache
 from repro.obs import Observability
 
 
@@ -60,18 +59,17 @@ class SecureScan:
 
     def qualifying_indices(self, query: EncryptedQuery) -> np.ndarray:
         """Physical indices of qualifying rows (no side effects)."""
-        fast_before, exact_before = self._column.kernel_counters.snapshot()
+        products_before = self._column.exact_products.value
         tick = time.perf_counter()
         with self._obs.span("full-scan", rows=len(self._column)):
-            with self._column.use_product_cache(ProductCache()) as cache:
-                indices = self._column.scan_qualifying(
-                    0,
-                    len(self._column),
-                    query.low.eb if query.low is not None else None,
-                    query.low_inclusive,
-                    query.high.eb if query.high is not None else None,
-                    query.high_inclusive,
-                )
+            indices = self._column.scan_qualifying(
+                0,
+                len(self._column),
+                query.low.eb if query.low is not None else None,
+                query.low_inclusive,
+                query.high.eb if query.high is not None else None,
+                query.high_inclusive,
+            )
         audit = self._obs.audit
         if audit.enabled:
             audit.record(
@@ -85,12 +83,11 @@ class SecureScan:
                 matched=len(indices),
             )
         if self._record_stats:
-            fast_after, exact_after = self._column.kernel_counters.snapshot()
             stats = MeteredQueryStats(self._stats_counters)
             stats.scan_seconds = time.perf_counter() - tick
             stats.result_count = len(indices)
-            stats.kernel_fast_products = fast_after - fast_before
-            stats.kernel_exact_products = exact_after - exact_before
-            stats.product_cache_hits = cache.hits
+            stats.kernel_exact_products = (
+                self._column.exact_products.value - products_before
+            )
             self.stats_log.append(stats)
         return indices

@@ -25,7 +25,6 @@ from repro.core.query import EncryptedQuery
 from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.secure_scan import SecureScan
 from repro.errors import ProtocolError, UpdateError
-from repro.linalg.kernels import ProductCache, single_product
 from repro.obs import Observability
 from repro.store.updates import PendingUpdates
 
@@ -182,24 +181,27 @@ class SecureServer:
             if not live.all():
                 indices, row_ids = indices[live], row_ids[live]
             rows = column.rows_at(indices)
-            counters = column.kernel_counters
-            fast_before, exact_before = counters.snapshot()
-            pending_cache = ProductCache()
+            products = column.exact_products
+            products_before = products.value
             with self._obs.span("pending-scan", pending=len(self._updates)):
                 pending = [
                     (row_id, row)
                     for row_id, row in self._updates.pending
                     if not self._updates.is_deleted(row_id)
-                    and _row_qualifies(row, row_id, query, pending_cache, counters)
+                    and _row_qualifies(row, query, products)
                 ]
             if pending:
                 row_ids = np.concatenate(
                     (row_ids, np.array([i for i, _ in pending], dtype=np.int64))
                 )
                 rows += [row for _, row in pending]
-            self._merge_pending_scan_stats(
-                counters.snapshot(), (fast_before, exact_before), pending_cache
-            )
+            # The engine appended this query's stats entry inside
+            # ``qualifying_indices``; the pending scan's products (already
+            # on the registry counter) belong on the same entry.
+            if self.record_stats:
+                self._engine.stats_log[-1].kernel_exact_products += (
+                    products.value - products_before
+                )
         response = ServerResponse(row_ids=row_ids, rows=rows)
         shipped = response.size_bytes
         self.queries_served += 1
@@ -253,10 +255,8 @@ class SecureServer:
             "merge-pending", pending=len(pending), tombstones=len(tombstones)
         ):
             column = self._engine.column
-            present = set(int(i) for i in column.row_ids)
-            for row_id in sorted(tombstones):
-                if row_id not in present:
-                    continue
+            reclaimed = sorted(i for i in tombstones if i in column)
+            for row_id in reclaimed:
                 if self.engine_kind == "adaptive":
                     self._engine.delete_row(row_id)
                 else:
@@ -271,63 +271,19 @@ class SecureServer:
             self._obs.audit.record(
                 "merge", pending=len(pending), tombstones=len(tombstones)
             )
-        return len(pending) - len(tombstones & present)
-
-    def _merge_pending_scan_stats(
-        self, after, before, pending_cache: ProductCache
-    ) -> None:
-        """Fold pending-scan kernel counts into the query's stats entry.
-
-        The engine appended this query's :class:`QueryStats` inside
-        ``qualifying_indices``; the pending-buffer scan happens after
-        that, so its products are accounted onto the same entry.
-
-        The per-tier product counts already reached the metrics
-        registry at multiply time (the column's
-        :class:`~repro.linalg.kernels.KernelCounters` is registry-bound),
-        so only the per-query view needs the fold here.  Cache hits are
-        counted client-side of the kernel, so when there is no stats
-        entry to fold into — stats recording off, or an empty log —
-        they are routed to the registry directly instead of being lost.
-        """
-        log = self._engine.stats_log
-        if self.record_stats and log:
-            stats = log[-1]
-            stats.kernel_fast_products += after[0] - before[0]
-            stats.kernel_exact_products += after[1] - before[1]
-            stats.product_cache_hits += pending_cache.hits
-        elif pending_cache.hits:
-            self._obs.metrics.add("kernel.cache_hits", pending_cache.hits)
+        return len(pending) - len(reclaimed)
 
 
-def _pending_product(
-    bound, row: ValueCiphertext, row_id: int, cache: ProductCache, counters
-) -> int:
-    """One kernel-routed ``Eb . Ev`` product for a pending-buffer row,
-    memoised per ``(bound, row)`` in the per-query cache."""
-    cached = cache.lookup_scalar(bound, row_id)
-    if cached is not None:
-        return cached
-    product = single_product(
-        bound.vector, row.numerators, bound.max_abs, row.max_abs, counters
-    )
-    cache.store_scalar(bound, row_id, product)
-    return product
-
-
-def _row_qualifies(
-    row: ValueCiphertext,
-    row_id: int,
-    query: EncryptedQuery,
-    cache: ProductCache,
-    counters,
-) -> bool:
-    """Evaluate the full range predicate on one row via scalar products."""
+def _row_qualifies(row: ValueCiphertext, query: EncryptedQuery, products) -> bool:
+    """Evaluate the full range predicate on one pending-buffer row via
+    scalar products, each counted on the ``products`` counter."""
     if query.low is not None:
-        low_product = _pending_product(query.low.eb, row, row_id, cache, counters)
-        if not (low_product >= 0 if query.low_inclusive else low_product > 0):
+        products.add()
+        sign = query.low.eb.product_sign(row)
+        if not (sign >= 0 if query.low_inclusive else sign > 0):
             return False
     if query.high is None:
         return True
-    high_product = _pending_product(query.high.eb, row, row_id, cache, counters)
-    return high_product <= 0 if query.high_inclusive else high_product < 0
+    products.add()
+    sign = query.high.eb.product_sign(row)
+    return sign <= 0 if query.high_inclusive else sign < 0

@@ -27,7 +27,8 @@ pivot values provided by the client").
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +40,11 @@ from repro.net.client import RemoteColumn
 from repro.net.shard import ShardedRemoteColumn
 from repro.net.transport import LoopbackTransport, Transport
 from repro.obs import Observability
+
+#: Most recent query results :attr:`OutsourcedDatabase.client_stats`
+#: keeps (each holds its decrypted arrays, so an unbounded log grows
+#: with throughput).
+CLIENT_STATS_KEPT = 4096
 
 
 class OutsourcedDatabase:
@@ -165,7 +171,7 @@ class OutsourcedDatabase:
         # Inserted rows leave the formulaic id space; track explicitly.
         self._inserted_physical_to_logical: Dict[int, int] = {}
         self._logical_to_physical: Dict[int, List[int]] = {}
-        self.client_stats: List[ClientResult] = []
+        self.client_stats: Deque[ClientResult] = deque(maxlen=CLIENT_STATS_KEPT)
 
     def __len__(self) -> int:
         return self._logical_count

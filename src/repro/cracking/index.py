@@ -68,14 +68,8 @@ class QueryStats:
             scalar product): one per row classified by a crack, two per
             row filtered by a two-sided scan, one per AVL key
             comparison.
-        kernel_fast_products: scalar products served by the int64 fast
-            path of :mod:`repro.linalg.kernels` (secure engines only;
-            0 for plaintext engines).
-        kernel_exact_products: scalar products that fell back to the
-            exact big-int path.
-        product_cache_hits: scalar products reused from the per-query
-            :class:`~repro.linalg.kernels.ProductCache` instead of
-            being recomputed.
+        kernel_exact_products: exact big-int scalar products computed
+            (secure engines only; 0 for plaintext engines).
     """
 
     search_seconds: float = 0.0
@@ -86,9 +80,7 @@ class QueryStats:
     cracked_rows: int = 0
     cracks: int = 0
     comparisons: int = 0
-    kernel_fast_products: int = 0
     kernel_exact_products: int = 0
-    product_cache_hits: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -102,11 +94,11 @@ class QueryStats:
 
 
 #: QueryStats field -> metrics-registry counter fed by that field.
-#: ``kernel_fast_products`` / ``kernel_exact_products`` are absent on
-#: purpose: their events originate inside the scalar-product kernel
-#: (:class:`repro.linalg.kernels.KernelCounters` bound to the same
-#: registry), and the stats fields are *derived from* those counters —
-#: forwarding them again would double-count.
+#: ``kernel_exact_products`` is absent on purpose: its events originate
+#: where the products are computed
+#: (:attr:`repro.core.encrypted_column.EncryptedColumn.exact_products`,
+#: a counter of the same registry), and the stats field is *derived
+#: from* that counter — forwarding it again would double-count.
 STATS_METRIC_OF_FIELD = {
     "search_seconds": "query.search_seconds",
     "crack_seconds": "query.crack_seconds",
@@ -116,14 +108,12 @@ STATS_METRIC_OF_FIELD = {
     "cracked_rows": "query.cracked_rows",
     "cracks": "query.cracks",
     "comparisons": "query.comparisons",
-    "product_cache_hits": "kernel.cache_hits",
 }
 
 #: Metric names whose per-query registry delta defines a query's
 #: :class:`QueryStats` (the acceptance contract tested in
 #: ``tests/test_obs_integration.py``).
 QUERY_METRIC_NAMES = tuple(STATS_METRIC_OF_FIELD.values()) + (
-    "kernel.fast_products",
     "kernel.exact_products",
 )
 

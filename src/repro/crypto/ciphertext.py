@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Tuple
 
 import numpy as np
@@ -68,13 +67,6 @@ class ValueCiphertext:
             (self.denominator,)
         )
 
-    @cached_property
-    def max_abs(self) -> int:
-        """Largest absolute numerator — the magnitude bound the scalar
-        product kernel uses to prove int64 safety (see
-        :mod:`repro.linalg.kernels`)."""
-        return max((abs(int(x)) for x in self.numerators), default=0)
-
 
 @dataclass(frozen=True)
 class BoundCiphertext:
@@ -91,11 +83,6 @@ class BoundCiphertext:
     def size_bytes(self) -> int:
         """Wire-size estimate."""
         return _vector_size_bytes(self.vector)
-
-    @cached_property
-    def max_abs(self) -> int:
-        """Largest absolute component (kernel overflow-proof metadata)."""
-        return max((abs(int(x)) for x in self.vector), default=0)
 
     def product_sign(self, value: ValueCiphertext) -> int:
         """Sign of ``Eb(b) . Ev(v)``, i.e. of ``xi(v) * (v - b)``.
@@ -238,12 +225,6 @@ class RowBlock(Sequence):
         return 2 * len(components) + sum(
             [x.bit_length() >> 3 for x in components]
         )
-
-    @property
-    def max_abs(self) -> int:
-        """Largest absolute numerator in the block (kernel overflow-proof
-        metadata, as :attr:`ValueCiphertext.max_abs`)."""
-        return max(map(abs, self.numerators.ravel().tolist()), default=0)
 
     def take(self, indices) -> "RowBlock":
         """The rows at ``indices`` (any numpy index: positions or a

@@ -12,10 +12,6 @@ arbitrary-precision integers:
 * :mod:`repro.linalg.structured` — the structured matrices of the
   paper's Table 1 (expansion, permutation, complementary permutation,
   and cyclic shift), used by the ambiguity layer.
-* :mod:`repro.linalg.kernels` — the two-tier scalar-product kernel: a
-  native int64 matmul fast path taken when a magnitude bound proves
-  the products cannot overflow 64 bits, the exact object-dtype path as
-  fallback, and the per-query product cache.
 """
 
 from repro.linalg.vectors import (
@@ -34,17 +30,6 @@ from repro.linalg.intmat import (
     mat_transpose,
     random_unimodular,
     determinant,
-)
-from repro.linalg.kernels import (
-    INT64_MAX,
-    KernelCounters,
-    ProductCache,
-    kernel_disabled,
-    kernel_enabled,
-    matrix_products,
-    products_fit_int64,
-    set_kernel_enabled,
-    single_product,
 )
 from repro.linalg.structured import (
     expansion_matrix,
@@ -68,15 +53,6 @@ __all__ = [
     "mat_transpose",
     "random_unimodular",
     "determinant",
-    "INT64_MAX",
-    "KernelCounters",
-    "ProductCache",
-    "kernel_disabled",
-    "kernel_enabled",
-    "matrix_products",
-    "products_fit_int64",
-    "set_kernel_enabled",
-    "single_product",
     "expansion_matrix",
     "permutation_matrix",
     "complementary_permutation_matrix",

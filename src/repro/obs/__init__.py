@@ -20,7 +20,7 @@ through the stack: ``OutsourcedDatabase`` creates one per session and
 hands it to its server, which hands it to its engine and column, so a
 whole deployment reports into one registry.  Components constructed
 standalone create their own private bundle; engines adopt their
-column's bundle so kernel-tier accounting and engine accounting always
+column's bundle so product accounting and engine accounting always
 share a registry.
 
 Span names, the metric catalogue, and the audit-event schema are

@@ -9,8 +9,8 @@ from one another.
 
 Three instrument kinds cover everything the evaluation needs:
 
-* :class:`Counter` — monotonically accumulated totals (products per
-  kernel tier, bytes sent/received, cracks, phase seconds).  Values may
+* :class:`Counter` — monotonically accumulated totals (scalar
+  products, bytes sent/received, cracks, phase seconds).  Values may
   be ints or floats; fractional "counters" are how phase *durations*
   accumulate.
 * :class:`Gauge` — a last-written value (current AVL depth, current
@@ -198,7 +198,7 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create registry of named instruments.
 
-    Names are dotted strings (``kernel.fast_products``); the catalogue
+    Names are dotted strings (``kernel.exact_products``); the catalogue
     actually emitted by the system is documented in
     ``docs/observability.md``.  A name identifies exactly one
     instrument — asking for a counter and a gauge under the same name

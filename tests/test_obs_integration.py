@@ -15,6 +15,8 @@ Covers the cross-cutting contracts:
 """
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.server import SecureServer
 from repro.core.session import OutsourcedDatabase
 from repro.cracking.index import QUERY_METRIC_NAMES, STATS_METRIC_OF_FIELD
-from repro.linalg.kernels import ProductCache
 from repro.obs import Observability
 
 VALUES = [int(v) for v in np.random.default_rng(5).permutation(512)]
@@ -128,7 +129,6 @@ class TestStatsEqualRegistryDeltas:
             assert delta[metric] == pytest.approx(getattr(stats, field)), (
                 "field %s drifted from metric %s" % (field, metric)
             )
-        assert delta["kernel.fast_products"] == stats.kernel_fast_products
         assert delta["kernel.exact_products"] == stats.kernel_exact_products
 
     def test_query_insert_delete_merge_rotate(self, db):
@@ -153,11 +153,7 @@ class TestStatsEqualRegistryDeltas:
         before = _registry_values(db.obs)
         db.merge()
         merge_delta = _delta(before, _registry_values(db.obs))
-        kernel_during_merge = (
-            merge_delta["kernel.fast_products"]
-            + merge_delta["kernel.exact_products"]
-        )
-        assert kernel_during_merge > 0
+        assert merge_delta["kernel.exact_products"] > 0
         assert merge_delta["query.cracks"] == 0
 
         # Key rotation rebuilds the server around the same registry:
@@ -180,6 +176,25 @@ class TestStatsEqualRegistryDeltas:
             assert db.obs.metrics.counter_value(metric) == pytest.approx(
                 total
             )
+
+
+    def test_documented_query_metrics_equal_the_emitted_ones(self):
+        """The ``kernel.*`` / ``query.*`` rows of the metric table in
+        ``docs/observability.md`` are exactly ``QUERY_METRIC_NAMES``."""
+        path = os.path.join(
+            os.path.dirname(__file__), os.pardir, "docs", "observability.md"
+        )
+        with open(path, encoding="utf-8") as handle:
+            name_cells = [
+                line.split("|")[1] for line in handle if line.startswith("| `")
+            ]
+        documented = [
+            name
+            for cell in name_cells
+            for name in re.findall(r"`([^`]+)`", cell)
+            if name.startswith(("kernel.", "query."))
+        ]
+        assert sorted(documented) == sorted(QUERY_METRIC_NAMES)
 
 
 class TestProtocolBytes:
@@ -218,34 +233,15 @@ class TestPendingScanHardening:
     def test_pending_products_reach_registry_without_stats(self):
         client, server = self._server(record_stats=False)
         server.execute(client.make_query(0, 100))
-        metrics = server.obs.metrics
-        total = (
-            metrics.counter_value("kernel.fast_products")
-            + metrics.counter_value("kernel.exact_products")
-        )
-        assert total > 0
+        assert server.obs.metrics.counter_value("kernel.exact_products") > 0
         assert server.stats_log == []  # the view is off, the events not
 
     def test_pending_products_fold_into_stats_when_recording(self):
         client, server = self._server(record_stats=True)
         server.execute(client.make_query(0, 100))
-        stats = server.stats_log[-1]
-        kernel_in_stats = (
-            stats.kernel_fast_products + stats.kernel_exact_products
+        assert server.stats_log[-1].kernel_exact_products == (
+            server.obs.metrics.counter_value("kernel.exact_products")
         )
-        metrics = server.obs.metrics
-        assert kernel_in_stats == (
-            metrics.counter_value("kernel.fast_products")
-            + metrics.counter_value("kernel.exact_products")
-        )
-
-    def test_empty_stats_log_routes_cache_hits_to_registry(self):
-        client, server = self._server(record_stats=True)
-        server.engine.stats_log.clear()  # the previously dead branch
-        cache = ProductCache()
-        cache.hits = 3
-        server._merge_pending_scan_stats((5, 2), (5, 2), cache)
-        assert server.obs.metrics.counter_value("kernel.cache_hits") == 3
 
 
 class TestAuditMatchesLeakageAnalysis:
@@ -302,15 +298,14 @@ class TestCliObservability:
                      "--stats"]) == 0
         out = capsys.readouterr().out
         assert "bytes sent" in out and "bytes received" in out
-        assert "fast products" in out and "exact products" in out
+        assert "exact products" in out
 
     def test_stats_subcommand_renders_snapshot(self, column_file, capsys):
         from repro.cli import main
 
         assert main(["stats", column_file, "--range", "5", "60"]) == 0
         out = capsys.readouterr().out
-        for metric in ("kernel.fast_products", "kernel.exact_products",
-                       "kernel.cache_hits", "protocol.bytes_sent",
+        for metric in ("kernel.exact_products", "protocol.bytes_sent",
                        "protocol.bytes_received"):
             assert metric in out
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.session import OutsourcedDatabase
+from repro.core.session import CLIENT_STATS_KEPT, OutsourcedDatabase
 from repro.errors import QueryError, UpdateError
 
 from conftest import reference_positions
@@ -150,3 +150,10 @@ class TestKeyReuse:
         db.query(0, 2)
         db.query(0, 3)
         assert len(db.client_stats) == 2
+
+    def test_client_stats_keep_only_the_newest_results(self):
+        db = OutsourcedDatabase([1, 2, 3], seed=7)
+        for _ in range(5000):
+            result = db.query(2, 2)
+        assert len(db.client_stats) == CLIENT_STATS_KEPT == 4096
+        assert db.client_stats[-1] is result
