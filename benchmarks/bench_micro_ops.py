@@ -5,11 +5,20 @@ encryption in both modes, ambiguous (steered) encryption, decryption,
 the scalar-product comparison, a full-column vectorised comparison
 sweep, and an AVL search over encrypted keys.  Run across key sizes to
 see the O(l) comparison cost of Figure 12 at the operation level.
+
+Two cases at the default key time the column's bookkeeping rather than
+its arithmetic: one crack of a fresh 100k-row column (the shape of the
+e2e ``crack_cold`` workload) and one merge of 256 pending rows + 32
+tombstones into a 12k-row column holding ~1k cracks (``mixed_wal``).
 """
+
+import random
 
 import pytest
 
+from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
+from repro.core.server import SecureServer
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor, generate_steerable_key
 
@@ -61,3 +70,46 @@ def test_encrypt_ambiguous_steered(benchmark):
 def test_encrypt_ambiguous_unsteered(benchmark):
     encryptor = Encryptor(generate_key(4, seed=2), seed=3)
     benchmark(lambda: encryptor.encrypt_value_ambiguous(123456))
+
+
+@pytest.fixture(scope="module")
+def client():
+    return TrustedClient(seed=4)
+
+
+def test_crack_100k_rows_once(client, benchmark):
+    rows, row_ids = client.encrypt_dataset(
+        random.Random(1).sample(range(10**6), 100_000)
+    )
+    bound = client.encryptor.encrypt_bound(500_000)
+
+    def crack(column):
+        split = column.crack(0, len(column), bound, False)
+        assert 0 < split < len(column)
+
+    benchmark.pedantic(
+        crack, setup=lambda: ((EncryptedColumn(rows, row_ids),), {}), rounds=3
+    )
+
+
+def test_merge_256_pending_into_1k_cracks(client, benchmark):
+    rng = random.Random(2)
+    rows, row_ids = client.encrypt_dataset(rng.sample(range(10**6), 12_000))
+
+    def cracked_server_with_pending():
+        server = SecureServer(rows, row_ids)
+        for _ in range(700):
+            low = rng.randrange(10**6)
+            server.execute(client.make_query(low, low + 100))
+        for _ in range(256):
+            server.insert(client.encrypt_value(rng.randrange(10**6)))
+        server.delete(rng.sample(range(12_000), 32))
+        return (server,), {}
+
+    def merge(server):
+        cracks = len(server.engine.tree)
+        assert server.merge_pending() == 256 - 32
+        assert len(server.engine.tree) == cracks >= 1000
+        assert server.pending_count == 0
+
+    benchmark.pedantic(merge, setup=cracked_server_with_pending, rounds=3)

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.query import EncryptedQuery
 from repro.cracking.column import CrackableColumn
 from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.errors import IndexStateError
@@ -74,19 +75,14 @@ class EncryptedColumn(CrackableColumn):
             if len(self._row_ids) != len(rows):
                 raise IndexStateError("row_ids length mismatch")
         self._use_inplace = use_inplace_algorithm
-        # id -> current physical index; maintained through every
-        # reorganisation so positional tuple reconstruction across
-        # sibling columns stays O(1) per row.
-        self._position_of_id = {
-            int(row_id): index for index, row_id in enumerate(self._row_ids)
-        }
-        if len(self._position_of_id) != len(self._row_ids):
+        if len(np.unique(self._row_ids)) != len(self._row_ids):
             raise IndexStateError("row ids must be unique")
+        # (sorted row ids, their physical indices), built on demand.
+        self._id_order = None
         self._obs = obs if obs is not None else Observability()
-        #: Every ``Eb . Ev`` product the server computes — the batched
-        #: ones here, the one-row ones of ripple routing and the
-        #: pending-buffer scan at their call sites — counts on this
-        #: registry counter.
+        #: Every ``Eb . Ev`` product the server computes counts on this
+        #: registry counter: the batched ones here (main or pending
+        #: column), the one-row ones of merge routing at their call site.
         self.exact_products = self._obs.metrics.counter("kernel.exact_products")
 
     @property
@@ -147,6 +143,18 @@ class EncryptedColumn(CrackableColumn):
         products = self.products(piece_lo, piece_hi, bound)
         return (products <= 0 if inclusive else products < 0).astype(bool)
 
+    def scan_query(self, query: EncryptedQuery) -> np.ndarray:
+        """Physical indices of every row inside ``query``'s range — the
+        whole column scanned, an absent bound costing nothing."""
+        return self.scan_qualifying(
+            0,
+            len(self),
+            query.low.eb if query.low is not None else None,
+            query.low_inclusive,
+            query.high.eb if query.high is not None else None,
+            query.high_inclusive,
+        )
+
     # -- row access -------------------------------------------------------------------
 
     def row(self, index: int) -> ValueCiphertext:
@@ -165,92 +173,104 @@ class EncryptedColumn(CrackableColumn):
         """Row ids at the given physical indices."""
         return self._row_ids[np.asarray(indices, dtype=np.int64)]
 
-    def row_ids_in(self, piece_lo: int, piece_hi: int) -> np.ndarray:
-        """Row ids of every row in ``[piece_lo, piece_hi)``."""
-        self._check_range(piece_lo, piece_hi)
-        return self._row_ids[piece_lo:piece_hi].copy()
-
     # -- updates -----------------------------------------------------------------------
 
-    def insert_at(self, position: int, row: ValueCiphertext, row_id: int) -> None:
-        """Physically insert one row at ``position`` (O(n) memmove).
+    def insert_block(self, positions, block: RowBlock, row_ids) -> None:
+        """Physically insert ``block``'s rows in one pass: row ``k`` lands
+        before the row now at ``positions[k]`` (``len(self)`` appends),
+        rows sharing a position in block order.  A refusal changes nothing.
 
-        The ciphertext length is validated against the established
-        ``_length`` whenever one exists — including after deletes have
-        emptied the column, which must not let a wrong-length row reset
-        the column's width mid-life.  Only a column that never held a
-        row adopts the incoming row's length.
+        The ciphertext length must be the established ``_length`` —
+        also once deletes have emptied the column; only a column that
+        never held a row adopts the incoming length.
         """
-        if not 0 <= position <= len(self):
+        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
+        if not len(positions) == len(block) == len(row_ids):
+            raise IndexStateError("positions, rows and row ids differ in length")
+        if not len(block):
+            return
+        if positions.min() < 0 or positions.max() > len(self):
             raise IndexStateError("insert position out of range")
-        if self._length:
-            if row.length != self._length:
-                raise IndexStateError("row has wrong ciphertext length")
-        else:
-            self._length = row.length
+        if block.length != (self._length or block.length):
+            raise IndexStateError("row has wrong ciphertext length")
+        merged_ids = np.concatenate((self._row_ids, row_ids))
+        if len(np.unique(merged_ids)) != len(merged_ids):
+            raise IndexStateError("row id already present or repeated")
+        if not self._length:
+            self._length = block.length
             self._matrix = np.empty((0, self._length), dtype=object)
-        if int(row_id) in self._position_of_id:
-            raise IndexStateError("row id %d already present" % row_id)
-        new_row = np.empty((1, self._length), dtype=object)
-        new_row[0, :] = row.numerators
-        self._matrix = np.concatenate(
-            (self._matrix[:position], new_row, self._matrix[position:])
+        self._matrix = np.insert(self._matrix, positions, block.numerators, axis=0)
+        self._denominators = np.insert(
+            self._denominators, positions, block.denominators
         )
-        self._denominators = np.concatenate(
-            (
-                self._denominators[:position],
-                np.array([row.denominator], dtype=object),
-                self._denominators[position:],
-            )
-        )
-        self._row_ids = np.concatenate(
-            (
-                self._row_ids[:position],
-                np.array([row_id], dtype=np.int64),
-                self._row_ids[position:],
-            )
-        )
-        for index in range(position, len(self._row_ids)):
-            self._position_of_id[int(self._row_ids[index])] = index
+        self._row_ids = np.insert(self._row_ids, positions, row_ids)
+        self._id_order = None
+
+    def insert_at(self, position: int, row: ValueCiphertext, row_id: int) -> None:
+        """Insert one row at ``position`` (:meth:`insert_block` of one)."""
+        self.insert_block([position], RowBlock.from_rows([row]), [row_id])
+
+    def delete_positions(self, positions) -> None:
+        """Physically remove the rows at ``positions`` in one pass."""
+        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        if len(positions) and (positions.min() < 0 or positions.max() >= len(self)):
+            raise IndexStateError("delete position out of range")
+        self._matrix = np.delete(self._matrix, positions, axis=0)
+        self._denominators = np.delete(self._denominators, positions)
+        self._row_ids = np.delete(self._row_ids, positions)
+        self._id_order = None
 
     def delete_at(self, position: int) -> None:
-        """Physically remove the row at ``position`` (O(n) memmove)."""
-        if not 0 <= position < len(self):
-            raise IndexStateError("delete position out of range")
-        del self._position_of_id[int(self._row_ids[position])]
-        self._matrix = np.delete(self._matrix, position, axis=0)
-        self._denominators = np.delete(self._denominators, position)
-        self._row_ids = np.delete(self._row_ids, position)
-        for index in range(position, len(self._row_ids)):
-            self._position_of_id[int(self._row_ids[index])] = index
+        """Remove the row at ``position`` (:meth:`delete_positions` of one)."""
+        self.delete_positions([position])
 
-    def __contains__(self, row_id: int) -> bool:
-        """Whether a row with this id is in the column (O(1))."""
-        return int(row_id) in self._position_of_id
+    # -- row ids to positions ----------------------------------------------------------
 
-    def physical_index_of(self, row_id: int) -> int:
-        """Current physical index of a row id (O(1) through the id map).
+    def positions_of(self, row_ids: Iterable[int]) -> np.ndarray:
+        """Current physical indices of the given row ids, in their order
+        — derived from :attr:`row_ids` (one argsort, memoised until the
+        next crack, insert or delete).
 
         Raises:
-            IndexStateError: if the id is not present.
+            IndexStateError: if any id is not present.
         """
         try:
-            return self._position_of_id[int(row_id)]
-        except KeyError:
-            raise IndexStateError("row id %d not present" % row_id) from None
+            row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
+        except OverflowError:
+            raise IndexStateError("row id beyond int64 not present") from None
+        if self._id_order is None:
+            order = np.argsort(self._row_ids, kind="stable")
+            self._id_order = (self._row_ids[order], order)
+        sorted_ids, order = self._id_order
+        slots = np.searchsorted(sorted_ids, row_ids)
+        absent = slots == len(order)
+        absent[~absent] = sorted_ids[slots[~absent]] != row_ids[~absent]
+        if absent.any():
+            raise IndexStateError("row id %d not present" % row_ids[absent][0])
+        return order[slots]
+
+    def __contains__(self, row_id: int) -> bool:
+        """Whether a row with this id is in the column."""
+        try:
+            self.positions_of([row_id])
+        except IndexStateError:
+            return False
+        return True
+
+    def physical_index_of(self, row_id: int) -> int:
+        """Current physical index of one row id (:meth:`positions_of`)."""
+        return int(self.positions_of([row_id])[0])
 
     def rows_by_ids(self, row_ids: Iterable[int]) -> RowBlock:
         """Ciphertexts for the given row ids, in the given order.
 
         Positional tuple reconstruction across sibling columns: a
         select on one attribute returns qualifying ids; siblings
-        materialise the other attributes through this O(1)-per-row
-        lookup, regardless of how differently each column has been
-        cracked.
+        materialise the other attributes through this lookup,
+        regardless of how differently each column has been cracked.
         """
-        return self.rows_at(
-            [self.physical_index_of(row_id) for row_id in row_ids]
-        )
+        return self.rows_at(self.positions_of(row_ids))
 
     # -- internals ----------------------------------------------------------------------
 
@@ -260,11 +280,9 @@ class EncryptedColumn(CrackableColumn):
     def _apply_order(self, piece_lo: int, piece_hi: int, order: np.ndarray) -> None:
         for array in self._parallel_arrays():
             array[piece_lo:piece_hi] = array[piece_lo:piece_hi][order]
-        for index in range(piece_lo, piece_hi):
-            self._position_of_id[int(self._row_ids[index])] = index
+        self._id_order = None
 
     def _swap(self, i: int, j: int) -> None:
         for array in self._parallel_arrays():
             array[[i, j]] = array[[j, i]]
-        self._position_of_id[int(self._row_ids[i])] = i
-        self._position_of_id[int(self._row_ids[j])] = j
+        self._id_order = None

@@ -69,7 +69,6 @@ from repro.errors import (
 )
 from repro.net.catalog import ColumnCatalog
 from repro.obs import Observability
-from repro.store.updates import PendingUpdates
 
 SNAPSHOT_VERSION = 3
 CATALOG_SNAPSHOT_VERSION = 3
@@ -96,7 +95,7 @@ def snapshot_server(server: SecureServer) -> Dict[str, Any]:
                     "position": node.position,
                 }
             )
-    pending = server._updates.pending
+    pending = server.pending
     return {
         "kind": "secure_server",
         "version": SNAPSHOT_VERSION,
@@ -109,11 +108,14 @@ def snapshot_server(server: SecureServer) -> Dict[str, Any]:
         "tree": tree_nodes,
         "auto_merge_threshold": config["auto_merge_threshold"],
         "pending": {
-            "row_ids": [row_id for row_id, _ in pending],
-            "rows": rows_to_dict([row for _, row in pending]),
+            "row_ids": pending.row_ids.tolist(),
+            # Version 3 writes an empty buffer as the width-less empty block.
+            "rows": rows_to_dict(
+                pending.rows_at(range(len(pending))) if len(pending) else ()
+            ),
         },
-        "tombstones": sorted(server._updates.tombstones),
-        "next_row_id": server._updates.next_row_id,
+        "tombstones": sorted(server.updates.tombstones),
+        "next_row_id": server.updates.next_row_id,
         "queries_served": server.queries_served,
         "rows_shipped": server.rows_shipped,
         "bytes_shipped": server.bytes_shipped,
@@ -174,10 +176,11 @@ def restore_server(
         pending_rows = rows_from_dict(snapshot["pending"]["rows"])
         if len(pending_ids) != len(pending_rows):
             raise SerializationError("pending row ids and rows differ in length")
-        server._updates = PendingUpdates.restore(
+        server.restore_updates(
             int(snapshot["next_row_id"]),
-            list(zip(pending_ids, pending_rows)),
-            {int(i) for i in snapshot["tombstones"]},
+            pending_rows,
+            pending_ids,
+            snapshot["tombstones"],
         )
         server.queries_served = int(snapshot["queries_served"])
         server.rows_shipped = int(snapshot["rows_shipped"])

@@ -16,7 +16,7 @@ makes it secure is only how two things are compared:
 On top of the driver this module adds what only a server over
 ciphertexts needs: per-query scalar-product accounting, the
 leakage-audit events, the pseudocode-literal tree procedures as a test
-oracle, and the ripple insert/delete of the update path.
+oracle, and the one-pass ripple merge of the update path.
 
 The engine works identically whether rows came from plain or ambiguous
 encryption: fake interpretations are just rows whose pseudo-values the
@@ -37,7 +37,7 @@ from repro.core.query import (
     EncryptedQuery,
     compare_encrypted_keys,
 )
-from repro.crypto.ciphertext import BoundCiphertext
+from repro.crypto.ciphertext import BoundCiphertext, RowBlock
 from repro.obs import Observability
 
 
@@ -134,64 +134,80 @@ class SecureAdaptiveIndex(CrackingEngine):
     # -- updates -------------------------------------------------------------------
 
     def _route_row(self, row):
-        """Walk a new encrypted row down the tree: its piece ``[lo, hi)``
-        and the first node right of it in key order (None at the far
-        right).
+        """Walk a new encrypted row down the tree: the first node right
+        of it in key order (None at the far right), whose position is
+        the upper edge of the row's piece.
 
         The row is compared against each node's ``Eb`` form
         (``sign(Eb(b_node) . Ev(v_new)) == sign(v_new - b_node)``) —
         the server can do this without learning ``v_new``.
         """
         node, successor = self._tree.root, None
-        piece_lo, piece_hi = 0, len(self._column)
         while node is not None:
             self._column.exact_products.add()
             sign = node.key.bound.eb.product_sign(row)
             if sign < 0 or (sign == 0 and node.key.inclusive):
-                piece_hi, successor = node.position, node
-                node = node.left
+                successor, node = node, node.left
             else:
-                piece_lo = node.position
                 node = node.right
-        return piece_lo, piece_hi, successor
+        return successor
 
-    def locate_piece_for_row(self, row) -> Tuple[int, int]:
-        """Piece ``[lo, hi)`` where a new encrypted row belongs (used by
-        the ripple merge of pending inserts)."""
-        return self._route_row(row)[:2]
+    def merge(self, block: RowBlock, row_ids, reclaimed_ids) -> None:
+        """Land a whole merge in one pass: drop the rows ``reclaimed_ids``
+        name, ripple ``block``'s rows (ids ``row_ids``) each to the upper
+        edge of its piece — the outcome of deleting, then rippling the
+        rows in one at a time.
 
-    def insert_row(self, row, row_id: int) -> int:
-        """Ripple-insert one row into its piece; returns the position.
-
-        Physically inserts at the upper edge of the target piece and
-        shifts by one every crack that sorts above the row.  Cracks are
-        shifted by *key order*, not by position: deletes can empty a
-        piece, leaving several cracks on one position, and the ones the
-        row sorts above must stay put.
+        Rows are ordered, and cracks shifted, by *key order*, not by
+        position: deletes can empty a piece, leaving several cracks on
+        one position, and a row lands between the cracks it sorts
+        between.  Everything that can refuse (id lookup, routing, the
+        column's width and id checks) runs before the first array is
+        replaced, so a refused merge changes nothing.
         """
-        with self._obs.span("ripple-insert", row_id=row_id):
-            __, piece_hi, successor = self._route_row(row)
-            self._column.insert_at(piece_hi, row, row_id)
-            above = False
-            for node in self._tree.in_order():
-                above = above or node is successor
-                if above:
-                    node.position += 1
-        self._obs.metrics.add("index.ripple_inserts")
+        column, nodes = self._column, list(self._tree.in_order())
+        row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
+        doomed = np.sort(column.positions_of(reclaimed_ids))
+        doomed_ids = column.row_ids_at(doomed)
+        with self._obs.span("ripple-insert", rows=len(block)):
+            rank_of = {node: rank for rank, node in enumerate(nodes)}
+            ranks = np.array(
+                [rank_of.get(self._route_row(row), len(nodes)) for row in block],
+                dtype=np.int64,
+            )
+            order = np.argsort(ranks, kind="stable")
+            ranks = ranks[order]
+            # Crack positions in key order (the column end standing in
+            # for "right of every crack"), moved by two prefix counts:
+            # down by the doomed rows left, up by the new rows at or below.
+            cracks = np.array(
+                [node.position for node in nodes] + [len(column)], dtype=np.int64
+            )
+            kept = cracks - np.searchsorted(doomed, cracks)
+            settled = kept + np.searchsorted(
+                ranks, np.arange(len(cracks)), side="right"
+            )
+            targets = cracks[ranks]
+            column.insert_block(targets, block.take(order), row_ids[order])
+            column.delete_positions(
+                doomed + np.searchsorted(targets, doomed, side="right")
+            )
+            for node, position in zip(nodes, settled.tolist()):
+                node.position = position
+        self._obs.metrics.add("index.row_deletes", len(doomed))
+        self._obs.metrics.add("index.ripple_inserts", len(block))
         audit = self._obs.audit
         if audit.enabled:
-            audit.record("ripple-insert", row_id=row_id, position=piece_hi)
-        return piece_hi
+            for row_id, position in zip(doomed_ids.tolist(), doomed.tolist()):
+                audit.record("row-delete", row_id=row_id, position=position)
+            landed = kept[ranks] + np.arange(len(ranks))
+            for row_id, position in zip(row_ids[order].tolist(), landed.tolist()):
+                audit.record("ripple-insert", row_id=row_id, position=position)
 
-    def delete_row(self, row_id: int) -> int:
-        """Physically remove a row by id; returns its old position."""
-        position = self._column.physical_index_of(row_id)
-        self._column.delete_at(position)
-        for node in self._tree.in_order():
-            if node.position > position:
-                node.position -= 1
-        self._obs.metrics.add("index.row_deletes")
-        audit = self._obs.audit
-        if audit.enabled:
-            audit.record("row-delete", row_id=row_id, position=position)
-        return position
+    def insert_row(self, row, row_id: int) -> None:
+        """Ripple-insert one row into its piece (:meth:`merge` of one)."""
+        self.merge(RowBlock.from_rows([row]), [row_id], ())
+
+    def delete_row(self, row_id: int) -> None:
+        """Physically remove a row by id (:meth:`merge` of one)."""
+        self.merge(self._column.rows_at(()), (), [row_id])

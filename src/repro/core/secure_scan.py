@@ -62,14 +62,7 @@ class SecureScan:
         products_before = self._column.exact_products.value
         tick = time.perf_counter()
         with self._obs.span("full-scan", rows=len(self._column)):
-            indices = self._column.scan_qualifying(
-                0,
-                len(self._column),
-                query.low.eb if query.low is not None else None,
-                query.low_inclusive,
-                query.high.eb if query.high is not None else None,
-                query.high_inclusive,
-            )
+            indices = self._column.scan_query(query)
         audit = self._obs.audit
         if audit.enabled:
             audit.record(

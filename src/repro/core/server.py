@@ -4,8 +4,9 @@ The server holds only ciphertext rows and the encrypted AVL index; it
 executes queries "as with a non-encrypted database" (Section 3.3) —
 locate pieces, crack, return the qualifying rows — plus the update
 path of requirement 6: newly arriving encrypted rows land in a pending
-buffer that is scanned per query until a merge ripples them into their
-pieces (routing each row down the tree with scalar products).
+column (a second, never-cracked :class:`EncryptedColumn`) that is
+scanned per query until a merge ripples them into their pieces in one
+pass (routing each row down the tree with scalar products).
 
 Every response is a single message containing exactly the qualifying
 rows (requirement 5); :attr:`rows_shipped` accounts for the transfer
@@ -24,7 +25,7 @@ from repro.core.encrypted_column import EncryptedColumn
 from repro.core.query import EncryptedQuery
 from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.secure_scan import SecureScan
-from repro.errors import ProtocolError, UpdateError
+from repro.errors import IndexStateError, ProtocolError, UpdateError
 from repro.obs import Observability
 from repro.store.updates import PendingUpdates
 
@@ -110,18 +111,16 @@ class SecureServer:
         else:
             self._engine = SecureScan(column, record_stats=record_stats, obs=self._obs)
         self.engine_kind = engine
-        if row_ids is None:
-            next_id = len(rows)
-        else:
-            ids = [int(i) for i in row_ids]
-            next_id = max(ids) + 1 if ids else 0
-        self._updates: PendingUpdates[ValueCiphertext] = PendingUpdates(next_id)
+        next_id = int(column.row_ids.max()) + 1 if len(column) else 0
+        self._updates = PendingUpdates(next_id)
+        # The main column's width: unmergeable rows are refused on arrival.
+        self._pending = EncryptedColumn(column.rows_at(()), obs=self._obs)
         self.queries_served = 0
         self.rows_shipped = 0
         self.bytes_shipped = 0
 
     def __len__(self) -> int:
-        return len(self._engine.column) + len(self._updates)
+        return len(self._engine.column) + len(self._pending)
 
     @property
     def obs(self) -> Observability:
@@ -139,9 +138,19 @@ class SecureServer:
         return self._engine.stats_log
 
     @property
+    def pending(self) -> EncryptedColumn:
+        """The pending rows in arrival order, as a never-cracked column."""
+        return self._pending
+
+    @property
     def pending_count(self) -> int:
-        """Rows waiting in the pending buffer."""
-        return len(self._updates)
+        """Rows waiting in the pending column."""
+        return len(self._pending)
+
+    @property
+    def updates(self) -> PendingUpdates:
+        """The update ledger: next row id, tombstones since the last merge."""
+        return self._updates
 
     @property
     def config(self) -> dict:
@@ -171,9 +180,10 @@ class SecureServer:
                 bound_high=audit.ref(
                     query.high.eb if query.high is not None else None
                 ),
-                pending=len(self._updates),
+                pending=len(self._pending),
             )
-        with self._obs.span("server-execute", pending=len(self._updates)):
+        pending = self._pending
+        with self._obs.span("server-execute", pending=len(pending)):
             indices = self._engine.qualifying_indices(query)
             column = self._engine.column
             row_ids = column.row_ids_at(indices)
@@ -183,18 +193,13 @@ class SecureServer:
             rows = column.rows_at(indices)
             products = column.exact_products
             products_before = products.value
-            with self._obs.span("pending-scan", pending=len(self._updates)):
-                pending = [
-                    (row_id, row)
-                    for row_id, row in self._updates.pending
-                    if not self._updates.is_deleted(row_id)
-                    and _row_qualifies(row, query, products)
-                ]
-            if pending:
-                row_ids = np.concatenate(
-                    (row_ids, np.array([i for i, _ in pending], dtype=np.int64))
-                )
-                rows += [row for _, row in pending]
+            with self._obs.span("pending-scan", pending=len(pending)):
+                if len(pending):
+                    matched = pending.scan_query(query)
+                    pending_ids = pending.row_ids_at(matched)
+                    live = ~self._updates.deleted_mask(pending_ids)
+                    row_ids = np.concatenate((row_ids, pending_ids[live]))
+                    rows += pending.rows_at(matched[live])
             # The engine appended this query's stats entry inside
             # ``qualifying_indices``; the pending scan's products (already
             # on the registry counter) belong on the same entry.
@@ -222,68 +227,73 @@ class SecureServer:
 
         With ``auto_merge_threshold`` configured, crossing it triggers
         an immediate merge (the inserted rows stay visible throughout).
+
+        Raises:
+            UpdateError: no rows, or rows not of the column's ciphertext
+                length; nothing has changed.
         """
         if not rows:
             raise UpdateError("insert requires at least one row")
-        assigned = [self._updates.insert(row) for row in rows]
+        pending = self._pending
+        try:
+            block = RowBlock.from_rows(rows)
+            assigned = self._updates.next_row_id + np.arange(len(block))
+            pending.insert_block(np.full(len(block), len(pending)), block, assigned)
+        except (ValueError, IndexStateError) as exc:
+            raise UpdateError(str(exc)) from exc
+        self._updates.assign(len(block))
         self._obs.metrics.add("server.rows_inserted", len(assigned))
         if self._obs.audit.enabled:
             self._obs.audit.record("insert", rows=len(assigned))
         threshold = self._config["auto_merge_threshold"]
-        if threshold is not None and len(self._updates) > threshold:
+        if threshold is not None and len(pending) > threshold:
             self.merge_pending()
-        return assigned
+        return assigned.tolist()
 
     def delete(self, row_ids: Sequence[int]) -> None:
-        """Tombstone rows by physical id."""
-        for row_id in row_ids:
-            self._updates.delete(int(row_id))
+        """Tombstone rows by physical id — all of them or, on a bad id, none."""
+        self._updates.delete(row_ids)
         self._obs.metrics.add("server.rows_deleted", len(row_ids))
         if self._obs.audit.enabled:
             self._obs.audit.record("delete", rows=len(row_ids))
 
     def merge_pending(self) -> int:
-        """Fold the pending buffer into the main column; returns row delta.
+        """Fold the pending column into the main one; returns row delta.
 
-        Under the adaptive engine each pending row is *rippled* into
-        its piece (tree-routed by scalar products); under the scan
-        engine rows are appended (order is irrelevant to a scan).
-        Tombstoned rows are physically reclaimed.
+        Under the adaptive engine the pending rows are *rippled* into
+        their pieces (tree-routed by scalar products); under the scan
+        engine they are appended (order is irrelevant to a scan).
+        Tombstoned rows are physically reclaimed.  The pending column
+        and the ledger are cleared only once the engine's merge landed.
         """
-        pending, tombstones = self._updates.drain()
+        pending, tombstones = self._pending, self._updates.tombstones
+        live = np.flatnonzero(~self._updates.deleted_mask(pending.row_ids))
         with self._obs.span(
-            "merge-pending", pending=len(pending), tombstones=len(tombstones)
+            "merge-pending", pending=len(live), tombstones=len(tombstones)
         ):
             column = self._engine.column
-            reclaimed = sorted(i for i in tombstones if i in column)
-            for row_id in reclaimed:
-                if self.engine_kind == "adaptive":
-                    self._engine.delete_row(row_id)
-                else:
-                    column.delete_at(column.physical_index_of(row_id))
-            for row_id, row in pending:
-                if self.engine_kind == "adaptive":
-                    self._engine.insert_row(row, row_id)
-                else:
-                    column.insert_at(len(column), row, row_id)
+            dead = np.fromiter(tombstones, dtype=np.int64, count=len(tombstones))
+            reclaimed = dead[np.isin(dead, column.row_ids)]
+            rows, row_ids = pending.rows_at(live), pending.row_ids_at(live)
+            if self.engine_kind == "adaptive":
+                self._engine.merge(rows, row_ids, reclaimed)
+            else:
+                column.insert_block(np.full(len(live), len(column)), rows, row_ids)
+                column.delete_positions(column.positions_of(reclaimed))
+            pending.delete_positions(np.arange(len(pending)))
+            self._updates.drain()
         self._obs.metrics.add("server.merges")
         if self._obs.audit.enabled:
             self._obs.audit.record(
-                "merge", pending=len(pending), tombstones=len(tombstones)
+                "merge", pending=len(live), tombstones=len(tombstones)
             )
-        return len(pending) - len(reclaimed)
+        return len(live) - len(reclaimed)
 
-
-def _row_qualifies(row: ValueCiphertext, query: EncryptedQuery, products) -> bool:
-    """Evaluate the full range predicate on one pending-buffer row via
-    scalar products, each counted on the ``products`` counter."""
-    if query.low is not None:
-        products.add()
-        sign = query.low.eb.product_sign(row)
-        if not (sign >= 0 if query.low_inclusive else sign > 0):
-            return False
-    if query.high is None:
-        return True
-    products.add()
-    sign = query.high.eb.product_sign(row)
-    return sign <= 0 if query.high_inclusive else sign < 0
+    def restore_updates(
+        self, next_row_id: int, rows: RowBlock, row_ids, tombstones
+    ) -> None:
+        """Adopt persisted update state on a freshly built server (see
+        :mod:`repro.core.persistence`)."""
+        self._pending.insert_block(np.zeros(len(rows), dtype=np.int64), rows, row_ids)
+        self._updates = PendingUpdates(next_row_id)
+        self._updates.delete(tombstones)

@@ -8,8 +8,8 @@ fixed-width dense arrays".  This package provides that substrate:
   operator shared across engines.
 * :mod:`repro.store.table` — named columns, tables, positional tuple
   reconstruction, and per-column adaptive indexes.
-* :mod:`repro.store.updates` — the pending-insert / tombstone buffer
-  used to accommodate updates gracefully (paper requirement 6).
+* :mod:`repro.store.updates` — the row-id / tombstone ledger behind
+  the graceful updates of paper requirement 6.
 """
 
 from repro.store.select import RangePredicate, scan_select

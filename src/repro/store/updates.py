@@ -1,34 +1,28 @@
-"""Pending-update buffer: graceful inserts and deletes.
+"""Update ledger: row-id assignment and tombstones.
 
 The scheme must "gracefully accommodate newly arriving data values and
-support updates in the encrypted data" (paper requirement 6).  The
-adaptive-indexing literature handles updates with pending buffers that
-are merged into the cracked column lazily (Idreos et al., *Updating a
-cracked database*); this module provides the generic buffer shared by
-the engines:
+support updates in the encrypted data" (paper requirement 6).  As in
+the adaptive-indexing literature (Idreos et al., *Updating a cracked
+database*), inserts land in a pending area scanned per query until a
+lazy merge, and deletes are tombstones on row ids, filtered from every
+result and physically reclaimed on merge.
 
-* inserts land in an append-only pending area, scanned per query until
-  merged;
-* deletes are tombstones on row ids, filtered from every result and
-  physically reclaimed on merge.
-
-The buffer is payload-agnostic: the plain engine stores integers, the
-secure server stores ciphertext rows.
+The pending *rows* are the secure server's (a second, never-cracked
+encrypted column); this module keeps the two facts about updates that
+are not rows: which id the next arrival gets, and which ids are dead.
 """
 
 from __future__ import annotations
 
-from typing import Generic, List, Set, Tuple, TypeVar
+from typing import Iterable, Set
 
 import numpy as np
 
 from repro.errors import UpdateError
 
-Payload = TypeVar("Payload")
 
-
-class PendingUpdates(Generic[Payload]):
-    """Append-only insert buffer plus a tombstone set.
+class PendingUpdates:
+    """The id counter plus the tombstone set.
 
     Row ids for inserted rows continue the base column's id space, so
     positional results remain unambiguous across merges.
@@ -41,16 +35,7 @@ class PendingUpdates(Generic[Payload]):
         if next_row_id < 0:
             raise UpdateError("row ids must be non-negative")
         self._next_row_id = next_row_id
-        self._pending: List[Tuple[int, Payload]] = []
         self._tombstones: Set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def pending(self) -> List[Tuple[int, Payload]]:
-        """Snapshot of pending ``(row_id, payload)`` inserts."""
-        return list(self._pending)
 
     @property
     def tombstones(self) -> Set[int]:
@@ -62,26 +47,23 @@ class PendingUpdates(Generic[Payload]):
         """The id the next insert will receive."""
         return self._next_row_id
 
-    def insert(self, payload: Payload) -> int:
-        """Buffer one new row; returns its assigned row id."""
-        row_id = self._next_row_id
-        self._next_row_id += 1
-        self._pending.append((row_id, payload))
-        return row_id
+    def assign(self, count: int) -> np.ndarray:
+        """Ids for ``count`` newly arriving rows, in arrival order."""
+        first = self._next_row_id
+        self._next_row_id += count
+        return np.arange(first, self._next_row_id, dtype=np.int64)
 
-    def delete(self, row_id: int) -> None:
-        """Tombstone a row id (base or pending).
+    def delete(self, row_ids: Iterable[int]) -> None:
+        """Tombstone row ids (base or pending), all of them or none.
 
         Deleting an id that was never assigned is an error; deleting
         twice is idempotent.
         """
-        if row_id < 0 or row_id >= self._next_row_id:
-            raise UpdateError("row id %d was never assigned" % row_id)
-        self._tombstones.add(row_id)
-
-    def is_deleted(self, row_id: int) -> bool:
-        """Whether a row id is tombstoned."""
-        return row_id in self._tombstones
+        row_ids = [int(row_id) for row_id in row_ids]
+        for row_id in row_ids:
+            if not 0 <= row_id < self._next_row_id:
+                raise UpdateError("row id %d was never assigned" % row_id)
+        self._tombstones.update(row_ids)
 
     def deleted_mask(self, row_ids: np.ndarray) -> np.ndarray:
         """Boolean mask over ``row_ids``: which of them are tombstoned."""
@@ -93,33 +75,8 @@ class PendingUpdates(Generic[Payload]):
             count=len(row_ids),
         )
 
-    @classmethod
-    def restore(
-        cls,
-        next_row_id: int,
-        pending: List[Tuple[int, Payload]],
-        tombstones: Set[int],
-    ) -> "PendingUpdates[Payload]":
-        """Rebuild a buffer from persisted state (see
-        :mod:`repro.core.persistence`)."""
-        buffer: PendingUpdates[Payload] = cls(next_row_id)
-        buffer._pending = [(int(row_id), payload) for row_id, payload in pending]
-        buffer._tombstones = {int(row_id) for row_id in tombstones}
-        return buffer
-
-    def drain(self) -> Tuple[List[Tuple[int, Payload]], Set[int]]:
-        """Hand over and clear the buffered state (called by merges).
-
-        Returns:
-            ``(pending_inserts, tombstones)`` — pending inserts exclude
-            rows that were inserted and deleted before any merge.
-        """
-        live = [
-            (row_id, payload)
-            for row_id, payload in self._pending
-            if row_id not in self._tombstones
-        ]
-        tombstones = self._tombstones
-        self._pending = []
-        self._tombstones = set()
-        return live, tombstones
+    def drain(self) -> Set[int]:
+        """Hand over and clear the tombstones (called once a merge has
+        landed; the id counter runs on)."""
+        tombstones, self._tombstones = self._tombstones, set()
+        return tombstones

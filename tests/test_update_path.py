@@ -1,0 +1,543 @@
+"""The columnar update path, pinned against the per-row path it replaced.
+
+Until PR 20 a merge deleted and ripple-inserted one row at a time
+(``delete_at`` / ``insert_at`` rebuilding the column per row, one
+in-order tree walk per row) and the column kept an id -> position dict
+beside ``row_ids``.  Those per-row bodies live on here, verbatim but for
+the dict upkeep, as the reference the one-pass merge is checked against:
+same final physical order, same crack positions, same products spent on
+routing, same counters, same audit events.
+
+Also here: the id -> position lookups against a dict rebuilt from
+``row_ids``, the snapshot pin (sha256 computed at the parent commit),
+and the regressions for the refused-mutation and mid-merge-failure bugs.
+"""
+
+import collections
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.client import TrustedClient
+from repro.core.encrypted_column import EncryptedColumn
+from repro.core.persistence import (
+    SNAPSHOT_VERSION,
+    recover_catalog,
+    snapshot_server,
+)
+from repro.core.server import SecureServer
+from repro.core.session import OutsourcedDatabase
+from repro.core.wal import WalWriter
+from repro.crypto.ciphertext import RowBlock, ValueCiphertext
+from repro.errors import IndexStateError, UpdateError
+from repro.net.catalog import ColumnCatalog
+from repro.net.client import RemoteColumn
+from repro.net.transport import LoopbackTransport
+from repro.obs import Observability
+
+# -- the parent's per-row update path (the reference) -------------------------
+
+
+def ref_insert_at(column, position, row, row_id):
+    """``EncryptedColumn.insert_at`` as it was: three concatenates."""
+    new_row = np.empty((1, column._length), dtype=object)
+    new_row[0, :] = row.numerators
+    column._matrix = np.concatenate(
+        (column._matrix[:position], new_row, column._matrix[position:])
+    )
+    column._denominators = np.concatenate(
+        (
+            column._denominators[:position],
+            np.array([row.denominator], dtype=object),
+            column._denominators[position:],
+        )
+    )
+    column._row_ids = np.concatenate(
+        (
+            column._row_ids[:position],
+            np.array([row_id], dtype=np.int64),
+            column._row_ids[position:],
+        )
+    )
+    column._id_order = None
+
+
+def ref_delete_at(column, position):
+    """``EncryptedColumn.delete_at`` as it was."""
+    column._matrix = np.delete(column._matrix, position, axis=0)
+    column._denominators = np.delete(column._denominators, position)
+    column._row_ids = np.delete(column._row_ids, position)
+    column._id_order = None
+
+
+def ref_route_row(engine, row):
+    node, successor = engine._tree.root, None
+    piece_lo, piece_hi = 0, len(engine._column)
+    while node is not None:
+        engine._column.exact_products.add()
+        sign = node.key.bound.eb.product_sign(row)
+        if sign < 0 or (sign == 0 and node.key.inclusive):
+            piece_hi, successor = node.position, node
+            node = node.left
+        else:
+            piece_lo = node.position
+            node = node.right
+    return piece_lo, piece_hi, successor
+
+
+def ref_insert_row(engine, row, row_id):
+    """``SecureAdaptiveIndex.insert_row`` as it was: route, insert at the
+    piece's upper edge, walk the whole tree to bump what sorts above."""
+    __, piece_hi, successor = ref_route_row(engine, row)
+    ref_insert_at(engine._column, piece_hi, row, row_id)
+    above = False
+    for node in engine._tree.in_order():
+        above = above or node is successor
+        if above:
+            node.position += 1
+    engine._obs.metrics.add("index.ripple_inserts")
+    audit = engine._obs.audit
+    if audit.enabled:
+        audit.record("ripple-insert", row_id=row_id, position=piece_hi)
+    return piece_hi
+
+
+def ref_delete_row(engine, row_id):
+    """``SecureAdaptiveIndex.delete_row`` as it was."""
+    position = engine._column.physical_index_of(row_id)
+    ref_delete_at(engine._column, position)
+    for node in engine._tree.in_order():
+        if node.position > position:
+            node.position -= 1
+    engine._obs.metrics.add("index.row_deletes")
+    audit = engine._obs.audit
+    if audit.enabled:
+        audit.record("row-delete", row_id=row_id, position=position)
+    return position
+
+
+def ref_merge_pending(server):
+    """``SecureServer.merge_pending`` as it was for the adaptive engine:
+    reclaim tombstoned rows in id order, then ripple the live pending
+    rows in arrival order."""
+    engine, pending, tombstones = server.engine, server.pending, server.updates.tombstones
+    arrivals = [
+        (int(row_id), pending.row(index))
+        for index, row_id in enumerate(pending.row_ids)
+        if int(row_id) not in tombstones
+    ]
+    for row_id in sorted(i for i in tombstones if i in engine.column):
+        ref_delete_row(engine, row_id)
+    for row_id, row in arrivals:
+        ref_insert_row(engine, row, row_id)
+    pending.delete_positions(np.arange(len(pending)))
+    server.updates.drain()
+
+
+# -- block merge == per-row reference -----------------------------------------
+
+CLIENTS = {}
+
+
+def client_for(ambiguity):
+    if ambiguity not in CLIENTS:
+        CLIENTS[ambiguity] = TrustedClient(seed=5, ambiguity=ambiguity)
+    return CLIENTS[ambiguity]
+
+
+def node_positions(server):
+    return [node.position for node in server.engine.tree.in_order()]
+
+
+def structural_events(server):
+    return collections.Counter(
+        (event.kind, event.data["row_id"])
+        for event in server.obs.audit.events
+        if event.kind in ("ripple-insert", "row-delete")
+    )
+
+
+def counters(server):
+    return server.obs.metrics.counter_values(
+        ("kernel.exact_products", "index.ripple_inserts", "index.row_deletes")
+    )
+
+
+VALUE = st.integers(0, 60)
+RANGE = st.tuples(VALUE, st.integers(0, 12))
+OP = st.one_of(
+    st.tuples(st.just("insert"), VALUE),
+    st.tuples(
+        st.sampled_from(["delete-base", "delete-pending", "empty-piece", "empty-piece"]),
+        st.integers(0, 10**6),
+    ),
+)
+
+
+class TestBlockMergeMatchesPerRowReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ambiguity=st.booleans(),
+        min_piece_size=st.sampled_from([1, 8]),
+        values=st.lists(VALUE, min_size=4, max_size=30),
+        cracks=st.lists(RANGE, min_size=2, max_size=10),
+        batches=st.lists(
+            st.tuples(st.lists(OP, min_size=2, max_size=16),
+                      st.lists(RANGE, max_size=3)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_differential(self, ambiguity, min_piece_size, values, cracks, batches):
+        client = client_for(ambiguity)
+        rows, row_ids = client.encrypt_dataset(values)
+        block, reference = (
+            SecureServer(rows, row_ids, min_piece_size=min_piece_size,
+                         obs=Observability(audit=True))
+            for _ in range(2)
+        )
+
+        def run_queries(ranges):
+            for low, width in ranges:
+                query = client.make_query(low, low + width)
+                answers = [
+                    sorted(server.execute(query).row_ids.tolist())
+                    for server in (block, reference)
+                ]
+                assert answers[0] == answers[1]
+
+        run_queries(cracks)
+        for ops, more_cracks in batches:
+            for kind, draw in ops:
+                column, pending = block.engine.column, block.pending
+                if kind == "insert":
+                    new_rows = client.encrypt_value(draw)
+                    assert block.insert(new_rows) == reference.insert(new_rows)
+                    continue
+                if kind == "delete-base" and len(column):
+                    doomed = [int(column.row_ids[draw % len(column)])]
+                elif kind == "delete-pending" and len(pending):
+                    doomed = [int(pending.row_ids[draw % len(pending)])]
+                elif kind == "empty-piece":
+                    edges = block.engine.piece_boundaries()
+                    piece = draw % (len(edges) - 1)
+                    doomed = column.row_ids[edges[piece]:edges[piece + 1]].tolist()
+                else:
+                    continue
+                block.delete(doomed)
+                reference.delete(doomed)
+
+            before_ids = block.engine.column.row_ids.tolist()
+            for server in (block, reference):
+                server.obs.audit.clear()
+            spent = [counters(block), counters(reference)]
+            block.merge_pending()
+            ref_merge_pending(reference)
+            spent = [
+                {name: after[name] - before[name] for name in after}
+                for before, after in zip(spent, (counters(block), counters(reference)))
+            ]
+
+            merged_ids = block.engine.column.row_ids.tolist()
+            assert merged_ids == reference.engine.column.row_ids.tolist()
+            assert block.engine.column.rows_at(range(len(merged_ids))) == (
+                reference.engine.column.rows_at(range(len(merged_ids)))
+            )
+            assert block.engine.piece_boundaries() == (
+                reference.engine.piece_boundaries()
+            )
+            assert node_positions(block) == node_positions(reference)
+            block.engine.check_invariants()
+            reference.engine.check_invariants()
+            assert spent[0] == spent[1]
+            assert structural_events(block) == structural_events(reference)
+            assert block.pending_count == 0 and block.updates.tombstones == set()
+            # ``position``: a reclaimed row's index in the column before
+            # the merge, a new row's index in the merged column.
+            for event in block.obs.audit.events:
+                if event.kind == "row-delete":
+                    assert before_ids[event.data["position"]] == event.data["row_id"]
+                elif event.kind == "ripple-insert":
+                    assert merged_ids[event.data["position"]] == event.data["row_id"]
+            run_queries(more_cracks)
+
+
+class TestMergeIsOnePass:
+    def test_column_arrays_rebuilt_once_per_merge(self, monkeypatch):
+        client = TrustedClient(seed=9)
+        server = SecureServer(*client.encrypt_dataset(list(range(0, 600, 3))))
+        for low in range(20, 580, 40):
+            server.execute(client.make_query(low, low + 15))
+        for value in range(1, 600, 10):  # 60 arrivals
+            server.insert(client.encrypt_value(value))
+        server.delete([5, 50, 100, 150])
+        calls = collections.Counter()
+        for name in ("insert", "delete", "concatenate"):
+            original = getattr(np, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        assert server.merge_pending() == 56
+        monkeypatch.undo()
+        # One call per parallel array (numerators, denominators, ids),
+        # for the main column's insert and delete and for emptying the
+        # pending column — whatever the number of rows.
+        assert calls["insert"] == 3
+        assert calls["delete"] == 6
+        assert calls["concatenate"] == 1  # the ids, for the uniqueness check
+        server.engine.check_invariants()
+
+
+# -- positions are derived from row_ids -----------------------------------------
+
+COLUMN_OP = st.one_of(
+    st.tuples(st.just("crack"), VALUE, st.booleans()),
+    st.tuples(st.just("crack-three"), VALUE, st.integers(0, 15)),
+    st.tuples(st.just("insert"), VALUE, st.integers(0, 10**6)),
+    st.tuples(st.just("insert-block"), st.lists(VALUE, min_size=1, max_size=4),
+              st.integers(0, 10**6)),
+    st.tuples(st.just("delete"), st.lists(st.integers(0, 10**6), max_size=3)),
+)
+
+
+class TestPositionsDerivedFromRowIds:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(VALUE, min_size=1, max_size=25),
+        inplace=st.booleans(),
+        ops=st.lists(COLUMN_OP, max_size=12),
+    )
+    def test_lookups_agree_with_a_rebuilt_dict(self, values, inplace, ops):
+        encryptor = client_for(False).encryptor
+        column = EncryptedColumn(
+            [encryptor.encrypt_value(v) for v in values],
+            row_ids=[3 * i + 1 for i in range(len(values))],
+            use_inplace_algorithm=inplace,  # cracks go through ``_swap``
+        )
+        next_id = 3 * len(values) + 1
+
+        def check():
+            expected = {int(r): i for i, r in enumerate(column.row_ids)}
+            ids = list(expected)[::-1]
+            assert column.positions_of(ids).tolist() == [expected[i] for i in ids]
+            assert column.rows_by_ids(ids) == column.rows_at([expected[i] for i in ids])
+            for row_id in ids[:3]:
+                assert row_id in column
+                assert column.physical_index_of(row_id) == expected[row_id]
+            for absent in (0, next_id, -4, 2**70):
+                assert absent not in column
+                with pytest.raises(IndexStateError):
+                    column.physical_index_of(absent)
+                with pytest.raises(IndexStateError):
+                    column.positions_of(ids + [absent])
+                with pytest.raises(IndexStateError):
+                    column.rows_by_ids([absent])
+
+        check()
+        for op in ops:
+            size = len(column)
+            if op[0] == "crack" and size:
+                column.crack(0, size, encryptor.encrypt_bound(op[1]), op[2])
+            elif op[0] == "crack-three" and size:
+                column.crack_three(
+                    0, size, encryptor.encrypt_bound(op[1]), True,
+                    encryptor.encrypt_bound(op[1] + op[2]), True,
+                )
+            elif op[0] == "insert":
+                column.insert_at(
+                    op[2] % (size + 1), encryptor.encrypt_value(op[1]), next_id
+                )
+                next_id += 3
+            elif op[0] == "insert-block":
+                rows = [encryptor.encrypt_value(v) for v in op[1]]
+                new_ids = [next_id + 3 * k for k in range(len(rows))]
+                positions = [(op[2] + 7 * k) % (size + 1) for k in range(len(rows))]
+                before = column.row_ids.tolist()
+                column.insert_block(positions, RowBlock.from_rows(rows), new_ids)
+                # np.insert semantics, stated without np.insert: row k
+                # sits before what was at positions[k], ties in order.
+                merged = []
+                for index in range(size + 1):
+                    merged += [i for p, i in zip(positions, new_ids) if p == index]
+                    merged += before[index:index + 1]
+                assert column.row_ids.tolist() == merged
+                next_id += 3 * len(rows)
+            elif op[0] == "delete" and size:
+                doomed = sorted({d % size for d in op[1]})
+                if len(doomed) == 1:
+                    column.delete_at(doomed[0])
+                else:
+                    column.delete_positions(doomed)
+            check()
+
+    def test_refusals_change_nothing(self):
+        column = EncryptedColumn(
+            [ValueCiphertext((1, 2, 3)), ValueCiphertext((4, 5, 6))], row_ids=[7, 9]
+        )
+        block = column.rows_at([0, 1])
+        for positions, rows, ids in (
+            ([0, 3], block, [1, 2]),  # position out of range
+            ([0, -1], block, [1, 2]),
+            ([0, 0], block, [1, 7]),  # id already present
+            ([0, 0], block, [1, 1]),  # ids repeat
+            ([0], block, [1, 2]),  # lengths differ
+            ([0], [ValueCiphertext((1, 2))], [1]),  # wrong width
+        ):
+            with pytest.raises(IndexStateError):
+                column.insert_block(positions, RowBlock.from_rows(rows), ids)
+        for positions in ([2], [-1], [0, 5]):
+            with pytest.raises(IndexStateError):
+                column.delete_positions(positions)
+        assert column.row_ids.tolist() == [7, 9]
+        assert column.rows_at([0, 1]) == block
+
+
+# -- snapshot bytes ---------------------------------------------------------------
+
+
+def pinned_server():
+    client = TrustedClient(seed=77)
+    rows, row_ids = client.encrypt_dataset(list(range(0, 400, 5)))
+    server = SecureServer(rows, row_ids, min_piece_size=4)
+    for low in (30, 120, 250, 310):
+        server.execute(client.make_query(low, low + 40))
+    for value in (33, 121, 121, 399):
+        server.insert(client.encrypt_value(value))
+    server.delete([3, 17, 81, 40])
+    return client, server
+
+
+def snapshot_digest(server):
+    return hashlib.sha256(
+        json.dumps(snapshot_server(server), sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestSnapshotBytesPinned:
+    """sha256 of ``snapshot_server`` computed with the parent commit's
+    list-of-tuples pending buffer and per-row merge."""
+
+    def test_cracks_pending_rows_and_tombstones(self):
+        client, server = pinned_server()
+        assert SNAPSHOT_VERSION == 3
+        assert snapshot_digest(server) == (
+            "7dd933e2db495fd7c9fc3f8197863d836dac89044e4519a925bec9a2cbc1945f"
+        )
+        server.merge_pending()  # empty pending block, merged physical order
+        assert snapshot_digest(server) == (
+            "7f8704b03c7767c288a9efa70fafdc9186e4fdac3421b931205a291f0c8385d7"
+        )
+        server.insert(client.encrypt_value(7))
+        server.execute(client.make_query(0, 50))
+        assert snapshot_digest(server) == (
+            "61c0bff694b31f0948bb44cf4f80d8e9a335cd51d3b99cc421ece4dec3dd1333"
+        )
+
+
+# -- a refused mutation leaves no trace ---------------------------------------------
+
+
+def answers(server, client):
+    return [
+        sorted(server.execute(client.make_query(low, high)).row_ids.tolist())
+        for low, high in ((0, 1000), (10, 40), (55, 55))
+    ]
+
+
+class TestRefusedMutationLeavesNoTrace:
+    def make_server(self, **kwargs):
+        client = TrustedClient(seed=31)
+        server = SecureServer(*client.encrypt_dataset([50, 10, 80, 30, 60]), **kwargs)
+        server.execute(client.make_query(20, 70))
+        return client, server
+
+    @pytest.mark.parametrize("engine", ["adaptive", "scan"])
+    def test_wrong_width_insert_refused(self, engine):
+        client, server = self.make_server(engine=engine)
+        server.insert(client.encrypt_value(55))
+        narrow = TrustedClient(seed=32, key_length=3).encrypt_value(56)
+        before = answers(server, client)
+        for rows in (narrow, client.encrypt_value(57) + narrow):
+            with pytest.raises(UpdateError):
+                server.insert(rows)
+        assert server.pending_count == 1
+        assert server.updates.next_row_id == 6
+        assert answers(server, client) == before
+        # The rows behind the refused one still merge.
+        server.insert(client.encrypt_value(58))
+        assert server.merge_pending() == 2
+        assert len(answers(server, client)[0]) == 7
+
+    def test_delete_validates_every_id_first(self):
+        client, server = self.make_server()
+        before = answers(server, client)
+        for doomed in ([0, 10**9], [0, -1], [0, 5]):
+            with pytest.raises(UpdateError):
+                server.delete(doomed)
+        assert server.updates.tombstones == set()
+        assert answers(server, client) == before
+
+    def test_refused_over_the_wire_with_a_wal(self, tmp_path):
+        catalog = ColumnCatalog()
+        catalog.bind_wal(WalWriter(str(tmp_path), fsync="never"))
+        db = OutsourcedDatabase(
+            list(range(0, 100)), seed=23, column="t",
+            transport=LoopbackTransport(catalog),
+        )
+        db.insert(42)
+        remote = RemoteColumn(LoopbackTransport(catalog), "t")
+        server, client = catalog.server("t"), db.client
+        before = answers(server, client)
+        epoch, journaled = catalog.epoch("t"), catalog.wal.last_seq
+        with pytest.raises(UpdateError):
+            remote.insert(TrustedClient(seed=32, key_length=3).encrypt_value(7))
+        with pytest.raises(UpdateError):
+            remote.delete([0, 10**9])
+        assert len(before[0]) == 101
+        assert answers(server, client) == before
+        assert (catalog.epoch("t"), catalog.wal.last_seq) == (epoch, journaled)
+        remote.merge()
+        recovered, __ = recover_catalog(str(tmp_path))
+        assert recovered.epochs() == catalog.epochs()
+        assert answers(recovered.server("t"), client) == answers(server, client)
+
+
+class TestMergeIsAllOrNothing:
+    @pytest.mark.parametrize("engine", ["adaptive", "scan"])
+    def test_failed_merge_keeps_buffer_ledger_and_index(self, engine, monkeypatch):
+        client = TrustedClient(seed=31)
+        server = SecureServer(
+            *client.encrypt_dataset(list(range(0, 200, 4))), engine=engine
+        )
+        for low in (20, 90, 150):
+            server.execute(client.make_query(low, low + 25))
+        for value in (33, 91, 199):
+            server.insert(client.encrypt_value(value))
+        server.delete([2, 11, 51])  # two base rows, one pending row
+        before = answers(server, client)
+        pieces = (
+            server.engine.piece_boundaries() if engine == "adaptive" else None
+        )
+
+        def refuse(self, *args, **kwargs):
+            raise IndexStateError("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EncryptedColumn, "insert_block", refuse)
+            with pytest.raises(IndexStateError, match="injected"):
+                server.merge_pending()
+        assert server.pending_count == 3
+        assert server.updates.tombstones == {2, 11, 51}
+        assert answers(server, client) == before
+        if engine == "adaptive":
+            assert server.engine.piece_boundaries() == pieces
+            server.engine.check_invariants()
+        # ... and the same merge then lands.
+        assert server.merge_pending() == 2 - 2
+        assert server.pending_count == 0 and server.updates.tombstones == set()
+        assert answers(server, client) == before
