@@ -71,10 +71,9 @@ def test_hot_cold(benchmark):
     # the ~5% cold queries still carve the cold region a little, so
     # the bound is an eighth of it rather than a quarter)...
     assert largest_piece > (SIZE - hot_rows) / 8
-    # ...and the hot path converges.
-    assert float(np.mean(trace.seconds[-QUERIES // 5:])) < float(
-        np.mean(trace.seconds[:3])
-    )
+    # ...and the hot path converges (in scalar products: on a small
+    # column the first cracks cost about what a round trip does).
+    assert np.mean(trace.products[-QUERIES // 5:]) < np.mean(trace.products[:3])
 
     probe = queries[0]
     benchmark(lambda: session.query(*probe.as_args()))

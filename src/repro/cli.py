@@ -452,8 +452,9 @@ def _run_query(args) -> int:
         metrics = db.obs.metrics
         print("protocol: %d round trips, %d bytes sent, %d bytes received"
               % (db.round_trips, db.bytes_sent, db.bytes_received))
-        print("kernel:   %d exact products"
-              % metrics.counter_value("kernel.exact_products"))
+        print("kernel:   %d fast products, %d exact products"
+              % (metrics.counter_value("kernel.fast_products"),
+                 metrics.counter_value("kernel.exact_products")))
     return 0
 
 

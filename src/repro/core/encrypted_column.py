@@ -14,15 +14,42 @@ an ``Eb``-mode bound (``sign(Eb . Ev) == sign(v - b)``).  The column
 never compares two of its own rows, mirroring the scheme's central
 restriction.
 
-Scalar products have one implementation, :meth:`EncryptedColumn.products`:
-an exact object-dtype matmul.  At the paper's Section 5 parameters the
-components reach ~2^56 and the products pass 2^63, so no machine-word
-path can serve them.
+Scalar products have one implementation, :meth:`EncryptedColumn.products`,
+and it is exact.  The noise terms of ``Eb . Ev`` cancel, so at the
+paper's Section 5 parameters 50- to 66-bit numerators (the key draw
+decides) against ~31-bit bound components give products of at most ~46
+bits: the *product* fits a machine word although the operands, let
+alone their partial sums, need not.  The column
+therefore keeps a word-sized mirror of its numerators — two planes of
+the matrix's shape, each numerator's two's-complement low 64 bits
+(``int64``) and its float64 rounding — and proves, row by row, that the
+wrapped word product is the true one:
+
+* ``w = low(rows) @ low(b)`` in wrapping 64-bit arithmetic is ``P mod
+  2^64`` exactly, i.e. ``P = w + k * 2^64`` for some integer ``k``;
+* ``f = float(rows) @ float(b)`` satisfies ``|P - f| <= E`` with ``E =
+  gamma_(l+2) * l * 2^(abits + bbits)``, the standard dot-product
+  rounding bound (``gamma_k = k u / (1 - k u)``, ``u = 2^-53``: one
+  rounding per operand conversion plus ``l`` in the accumulation, in
+  any order, fused or not) over operands below ``2^abits`` and
+  ``2^bbits``;
+* a row with ``|f - w| <= 2^63 - E`` has ``|P - w| <= |P - f| + |f - w|
+  <= 2^63 < 2^64``, which forces ``k = 0``: ``P = w``.
+
+Rows that fail the test (their product does not fit a word) are
+computed by the object-dtype big-int matmul — the reproduction's
+analogue of the paper's GMP arrays — as is everything when ``E >= 2^62``
+(a product that fits is no longer sure to pass, so the attempt could be
+wasted; ambiguity rows, whose numerators carry a 58-bit denominator,
+are the case in point).  Both bit-lengths are read off data the server
+holds anyway; nothing selects a kernel.  The mirror is built when the
+first bound it can serve is multiplied, and from then on its planes are
+two more of the parallel arrays a crack permutes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +58,43 @@ from repro.cracking.column import CrackableColumn
 from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.errors import IndexStateError
 from repro.obs import Observability
+
+_WORD_MASK = (1 << 64) - 1
+#: Rows per step when the mirror is built: bounds the Python-int
+#: temporaries of ``numerators & _WORD_MASK``.
+_MIRROR_CHUNK = 4096
+#: Rounding bounds at or past this rule the mirror out (module docstring).
+_ROUNDING_LIMIT = 1 << 62
+#: Added to every rounding bound: the acceptance test itself runs in
+#: float64 (``w`` converted, one subtraction, the threshold rounded),
+#: which moves ``|f - w|`` by less than 2^12.
+_TEST_SLACK = 1 << 14
+
+
+def _rounding_bound(length: int, bits: int) -> int:
+    """``E``: how far the float64 dot product of two length-``length``
+    integer vectors whose componentwise products stay below ``2^bits``
+    can lie from the exact one (rounded up, test slack included)."""
+    steps = length + 2
+    return (steps * length << bits) // ((1 << 53) - steps) + 1 + _TEST_SLACK
+
+
+def _bit_length(integers: Iterable[int]) -> int:
+    """The largest ``bit_length`` among ``integers`` (0 for none)."""
+    return max(map(int.bit_length, integers), default=0)
+
+
+def _word_planes(numerators: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The word-sized mirror of a big-int matrix: per numerator its
+    two's-complement low 64 bits (``int64``) and its ``float64``
+    rounding, each a plane of the matrix's shape."""
+    low = np.empty(numerators.shape, dtype=np.int64)
+    for start in range(0, len(numerators), _MIRROR_CHUNK):
+        stop = start + _MIRROR_CHUNK
+        low[start:stop] = (
+            (numerators[start:stop] & _WORD_MASK).astype(np.uint64).view(np.int64)
+        )
+    return low, numerators.astype(np.float64)
 
 
 class EncryptedColumn(CrackableColumn):
@@ -49,7 +113,8 @@ class EncryptedColumn(CrackableColumn):
             pointer-faithful Algorithm 1 (slower; fidelity tests).
         obs: observability bundle shared with the owning engine/server;
             a private one is created when omitted.  :meth:`products`
-            counts on its ``kernel.exact_products`` counter and emits
+            counts on its ``kernel.fast_products`` /
+            ``kernel.exact_products`` counters and emits
             ``kernel-product`` spans / ``products`` audit events.
     """
 
@@ -79,10 +144,25 @@ class EncryptedColumn(CrackableColumn):
             raise IndexStateError("row ids must be unique")
         # (sorted row ids, their physical indices), built on demand.
         self._id_order = None
+        # The word-sized mirror of ``_matrix`` (module docstring),
+        # ``(low words, floats)``, under ``_bits``, the largest
+        # numerator bit-length the column has held since it was first
+        # measured.  Both wait for the first product asked of the
+        # column, the mirror for the first bound it can serve (an
+        # ambiguity column never builds one).  Not here: an upload's
+        # transients are still alive, and a long-lived array allocated
+        # above them pins the heap (measured on a 100k-row column:
+        # +8 % peak RSS built here, +4 % there).
+        self._mirror = None
+        self._bits = None
         self._obs = obs if obs is not None else Observability()
-        #: Every ``Eb . Ev`` product the server computes counts on this
-        #: registry counter: the batched ones here (main or pending
-        #: column), the one-row ones of merge routing at their call site.
+        #: Every ``Eb . Ev`` product the server computes counts on one
+        #: of these two registry counters: a batched one (main or
+        #: pending column) on ``fast_products`` when its word-sized
+        #: value was proven, on ``exact_products`` when the big-int
+        #: matmul computed it; the one-row ones of merge routing on
+        #: ``exact_products`` at their call site.
+        self.fast_products = self._obs.metrics.counter("kernel.fast_products")
         self.exact_products = self._obs.metrics.counter("kernel.exact_products")
 
     @property
@@ -110,12 +190,15 @@ class EncryptedColumn(CrackableColumn):
     def products(
         self, piece_lo: int, piece_hi: int, bound: BoundCiphertext
     ) -> np.ndarray:
-        """Exact products ``Eb . Ev`` for rows in ``[piece_lo, piece_hi)``.
+        """Exact products ``Eb . Ev`` for rows in ``[piece_lo, piece_hi)``
+        — ``int64`` when every row's word-sized product was proven,
+        Python integers otherwise.
 
         Denominators are positive, so the signs of these integers equal
         the signs of the exact rational comparisons.
         """
         self._check_range(piece_lo, piece_hi)
+        rows = piece_hi - piece_lo
         audit = self._obs.audit
         if audit.enabled:
             # The access-pattern observation: which positions were
@@ -125,13 +208,66 @@ class EncryptedColumn(CrackableColumn):
                 bound=audit.ref(bound),
                 lo=piece_lo,
                 hi=piece_hi,
-                rows=piece_hi - piece_lo,
+                rows=rows,
             )
-        self.exact_products.add(piece_hi - piece_lo)
-        with self._obs.span("kernel-product", rows=piece_hi - piece_lo):
-            return self._matrix[piece_lo:piece_hi] @ np.asarray(
-                bound.vector, dtype=object
-            )
+        vector = bound.vector
+        with self._obs.span("kernel-product", rows=rows):
+            proven = self._word_products(piece_lo, piece_hi, vector)
+            if proven is None:
+                self.exact_products.add(rows)
+                return self._big_products(slice(piece_lo, piece_hi), vector)
+            words, accepted = proven
+            if accepted.all():
+                self.fast_products.add(rows)
+                return words
+            missed = np.flatnonzero(~accepted)
+            self.fast_products.add(rows - len(missed))
+            self.exact_products.add(len(missed))
+            products = words.astype(object)
+            products[missed] = self._big_products(piece_lo + missed, vector)
+            return products
+
+    def _big_products(self, rows, vector) -> np.ndarray:
+        """The object-dtype big-int matmul over ``rows`` (a slice or
+        physical indices): the verifier of last resort."""
+        return self._matrix[rows] @ np.asarray(vector, dtype=object)
+
+    def product_counts(self) -> Tuple[int, int]:
+        """``(fast, exact)``: the two product counters' totals."""
+        return self.fast_products.value, self.exact_products.value
+
+    def charge_products(self, stats, since: Tuple[int, int]) -> None:
+        """Add the products computed since ``since`` (an earlier
+        :meth:`product_counts`) to a query's ``stats`` entry."""
+        fast, exact = self.product_counts()
+        stats.kernel_fast_products += fast - since[0]
+        stats.kernel_exact_products += exact - since[1]
+
+    def _provable(self) -> bool:
+        """Whether any bound at all (the narrowest) would leave the
+        rounding bound where a row can be proven."""
+        return _rounding_bound(self._length, self._bits or 0) < _ROUNDING_LIMIT
+
+    def _word_products(self, piece_lo: int, piece_hi: int, vector):
+        """``(words, accepted)``: the wrapped 64-bit products of the
+        piece and, per row, whether the acceptance inequality proves
+        the word is the product (module docstring).  None when the
+        operands' bit-lengths rule the mirror out."""
+        if self._bits is None:
+            self._bits = _bit_length(self._matrix.flat)
+        bound = _rounding_bound(self._length, self._bits + _bit_length(vector))
+        if bound >= _ROUNDING_LIMIT:
+            return None
+        if self._mirror is None:
+            self._mirror = _word_planes(self._matrix)
+        low, floats = self._mirror
+        # Unsigned views: wrap-around is the arithmetic wanted here.
+        words = (
+            low[piece_lo:piece_hi].view(np.uint64)
+            @ np.array([x & _WORD_MASK for x in vector], dtype=np.uint64)
+        ).view(np.int64)
+        approx = floats[piece_lo:piece_hi] @ np.array(vector, dtype=np.float64)
+        return words, np.abs(approx - words) <= float((1 << 63) - bound)
 
     def below(
         self, piece_lo: int, piece_hi: int, bound: BoundCiphertext, inclusive: bool
@@ -197,15 +333,23 @@ class EncryptedColumn(CrackableColumn):
         merged_ids = np.concatenate((self._row_ids, row_ids))
         if len(np.unique(merged_ids)) != len(merged_ids):
             raise IndexStateError("row id already present or repeated")
-        if not self._length:
+        adopted = not self._length
+        if adopted:
             self._length = block.length
             self._matrix = np.empty((0, self._length), dtype=object)
-        self._matrix = np.insert(self._matrix, positions, block.numerators, axis=0)
-        self._denominators = np.insert(
-            self._denominators, positions, block.denominators
+        incoming = (block.numerators, block.denominators, row_ids)
+        if self._bits is not None:
+            self._bits = max(self._bits, _bit_length(block.numerators.flat))
+        if adopted or not self._provable():
+            # No mirror of another width; none of rows so wide that
+            # nothing is converted (2^1024 has no float64).
+            self._mirror = None
+        if self._mirror is not None:
+            incoming += _word_planes(block.numerators)
+        self._replace_arrays(
+            np.insert(array, positions, new, axis=0)
+            for array, new in zip(self._parallel_arrays(), incoming)
         )
-        self._row_ids = np.insert(self._row_ids, positions, row_ids)
-        self._id_order = None
 
     def insert_at(self, position: int, row: ValueCiphertext, row_id: int) -> None:
         """Insert one row at ``position`` (:meth:`insert_block` of one)."""
@@ -216,10 +360,9 @@ class EncryptedColumn(CrackableColumn):
         positions = np.asarray(positions, dtype=np.int64).reshape(-1)
         if len(positions) and (positions.min() < 0 or positions.max() >= len(self)):
             raise IndexStateError("delete position out of range")
-        self._matrix = np.delete(self._matrix, positions, axis=0)
-        self._denominators = np.delete(self._denominators, positions)
-        self._row_ids = np.delete(self._row_ids, positions)
-        self._id_order = None
+        self._replace_arrays(
+            np.delete(array, positions, axis=0) for array in self._parallel_arrays()
+        )
 
     def delete_at(self, position: int) -> None:
         """Remove the row at ``position`` (:meth:`delete_positions` of one)."""
@@ -272,10 +415,42 @@ class EncryptedColumn(CrackableColumn):
         """
         return self.rows_at(self.positions_of(row_ids))
 
+    # -- verification -----------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Assert the parallel arrays are parallel and the word-sized
+        mirror is the one the numerators define, under a bit-length
+        that covers them — what :meth:`products` rests its proof on.
+
+        Raises:
+            AssertionError: on any violated invariant.
+        """
+        assert {len(array) for array in self._parallel_arrays()} == {len(self)}, (
+            "parallel arrays differ in length"
+        )
+        if self._bits is not None:
+            assert _bit_length(self._matrix.flat) <= self._bits, (
+                "a numerator is wider than the tracked bit-length"
+            )
+        if self._mirror is not None:
+            assert self._provable(), "mirror kept for rows no bound can serve"
+            expected = _word_planes(self._matrix)
+            for name, held, plane in zip(("low-word", "float"), self._mirror, expected):
+                assert np.array_equal(held, plane), "%s mirror drifted" % name
+
     # -- internals ----------------------------------------------------------------------
 
     def _parallel_arrays(self):
-        return self._matrix, self._denominators, self._row_ids
+        return (self._matrix, self._denominators, self._row_ids) + (
+            self._mirror or ()
+        )
+
+    def _replace_arrays(self, arrays) -> None:
+        """Adopt rebuilt parallel arrays, in :meth:`_parallel_arrays` order."""
+        self._matrix, self._denominators, self._row_ids, *mirror = arrays
+        if mirror:
+            self._mirror = tuple(mirror)
+        self._id_order = None
 
     def _apply_order(self, piece_lo: int, piece_hi: int, order: np.ndarray) -> None:
         for array in self._parallel_arrays():

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
+from repro.linalg.vectors import dot
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,11 @@ def compare_encrypted_keys(a: EncryptedBoundKey, b: EncryptedBoundKey) -> int:
     flag.  This is the only value-to-value comparison in the system and
     it is possible *only* because each bound was shipped in both modes.
     """
-    sign = a.bound.eb.product_sign(b.bound.ev)
-    if sign > 0:
+    product = dot(a.bound.eb.vector, b.bound.ev.numerators)
+    if product > 0:
         # b_value > a_value  ->  a orders first.
         return -1
-    if sign < 0:
+    if product < 0:
         return 1
     return int(a.inclusive) - int(b.inclusive)
 

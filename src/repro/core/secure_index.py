@@ -82,8 +82,13 @@ class SecureAdaptiveIndex(CrackingEngine):
             obs if obs is not None else column.obs,
         )
         if use_paper_tree_algorithms:
-            self._find_piece = find_piece_encrypted
-            self._add_crack = add_crack_encrypted
+            # The transcriptions walk the tree themselves.
+            self._find_piece = lambda tree, key, size, located: (
+                find_piece_encrypted(tree, key, size)
+            )
+            self._add_crack = lambda tree, key, position, size, located: (
+                add_crack_encrypted(tree, key, position, size)
+            )
 
     # -- querying ---------------------------------------------------------------
 
@@ -107,7 +112,7 @@ class SecureAdaptiveIndex(CrackingEngine):
         :class:`QueryStats`.  Client-supplied pivots (stochastic mode)
         are cracked on first, as strict bounds.
         """
-        products_before = self._column.exact_products.value
+        products_before = self._column.product_counts()
         with self._obs.span("engine-query", pivots=len(query.pivots)):
             indices, stats = self._answer(
                 query.left_key,
@@ -115,9 +120,7 @@ class SecureAdaptiveIndex(CrackingEngine):
                 [EncryptedBoundKey(pivot, inclusive=False)
                  for pivot in query.pivots],
             )
-        stats.kernel_exact_products = (
-            self._column.exact_products.value - products_before
-        )
+        self._column.charge_products(stats, products_before)
         return indices
 
     def _cut(self, key: EncryptedBoundKey) -> Tuple[BoundCiphertext, bool]:

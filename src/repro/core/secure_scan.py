@@ -59,7 +59,7 @@ class SecureScan:
 
     def qualifying_indices(self, query: EncryptedQuery) -> np.ndarray:
         """Physical indices of qualifying rows (no side effects)."""
-        products_before = self._column.exact_products.value
+        products_before = self._column.product_counts()
         tick = time.perf_counter()
         with self._obs.span("full-scan", rows=len(self._column)):
             indices = self._column.scan_query(query)
@@ -79,8 +79,6 @@ class SecureScan:
             stats = MeteredQueryStats(self._stats_counters)
             stats.scan_seconds = time.perf_counter() - tick
             stats.result_count = len(indices)
-            stats.kernel_exact_products = (
-                self._column.exact_products.value - products_before
-            )
+            self._column.charge_products(stats, products_before)
             self.stats_log.append(stats)
         return indices

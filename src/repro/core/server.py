@@ -191,8 +191,7 @@ class SecureServer:
             if not live.all():
                 indices, row_ids = indices[live], row_ids[live]
             rows = column.rows_at(indices)
-            products = column.exact_products
-            products_before = products.value
+            products_before = column.product_counts()
             with self._obs.span("pending-scan", pending=len(pending)):
                 if len(pending):
                     matched = pending.scan_query(query)
@@ -204,9 +203,7 @@ class SecureServer:
             # ``qualifying_indices``; the pending scan's products (already
             # on the registry counter) belong on the same entry.
             if self.record_stats:
-                self._engine.stats_log[-1].kernel_exact_products += (
-                    products.value - products_before
-                )
+                column.charge_products(self._engine.stats_log[-1], products_before)
         response = ServerResponse(row_ids=row_ids, rows=rows)
         shipped = response.size_bytes
         self.queries_served += 1

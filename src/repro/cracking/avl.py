@@ -17,7 +17,7 @@ and searching operations are O(log n).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, TypeVar
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 Key = TypeVar("Key")
 Comparator = Callable[[Key, Key], int]
@@ -70,6 +70,34 @@ class AVLTree:
         return self._root
 
     # -- queries ---------------------------------------------------------
+
+    def locate(self, key) -> Tuple[
+        Optional[AVLNode], Optional[AVLNode], Optional[AVLNode], list
+    ]:
+        """One descent for ``key``: ``(exact, floor, ceiling, path)``.
+
+        ``exact`` is the node with this key, ``floor`` the largest node
+        with ``node.key <= key``, ``ceiling`` the smallest with
+        ``node.key >= key`` (each None when there is none; all three the
+        same node on an exact match).  ``path`` is the ``(node,
+        went_left)`` steps from the root to where ``key`` would hang:
+        hand it to :meth:`insert` and a cracked bound is looked up,
+        located in its piece and registered down this one walk.
+        """
+        compare = self._comparator
+        node, floor, ceiling, path = self._root, None, None, []
+        while node is not None:
+            self.comparison_count += 1
+            sign = compare(key, node.key)
+            if sign == 0:
+                floor = ceiling = node
+                break
+            path.append((node, sign < 0))
+            if sign < 0:
+                ceiling, node = node, node.left
+            else:
+                floor, node = node, node.right
+        return node, floor, ceiling, path
 
     def find(self, key) -> Optional[AVLNode]:
         """Return the node with exactly this key, or None."""
@@ -185,37 +213,34 @@ class AVLTree:
 
     # -- mutation ---------------------------------------------------------
 
-    def insert(self, key, position: int) -> AVLNode:
+    def insert(self, key, position: int, path: list = None) -> AVLNode:
         """Insert ``key -> position``; update position if key exists.
 
+        ``path`` is the key's :meth:`locate` path when the caller has
+        just walked it, found no exact match and left the tree alone
+        since; the key's place is looked up here otherwise.  The node
+        hangs where the path ends and the tree rebalances back up it.
         Returns the (new or existing) node.
         """
-        inserted: List[AVLNode] = []
-        self._root = self._insert(self._root, key, position, inserted)
-        return inserted[0]
-
-    def _insert(
-        self,
-        node: Optional[AVLNode],
-        key,
-        position: int,
-        inserted: List[AVLNode],
-    ) -> AVLNode:
-        if node is None:
-            fresh = AVLNode(key, position)
-            inserted.append(fresh)
-            self._size += 1
-            return fresh
-        sign = self._cmp(key, node.key)
-        if sign == 0:
-            node.position = position
-            inserted.append(node)
-            return node
-        if sign < 0:
-            node.left = self._insert(node.left, key, position, inserted)
+        if path is None:
+            exact, __, __, path = self.locate(key)
+            if exact is not None:
+                exact.position = position
+                return exact
+        fresh = subtree = AVLNode(key, position)
+        for node, went_left in reversed(path):
+            if went_left:
+                node.left = subtree
+            else:
+                node.right = subtree
+            height = node.height
+            subtree = self._rebalance(node)
+            if subtree is node and node.height == height:
+                break  # as tall as before: nothing above can change
         else:
-            node.right = self._insert(node.right, key, position, inserted)
-        return self._rebalance(node)
+            self._root = subtree
+        self._size += 1
+        return fresh
 
     # -- balancing ----------------------------------------------------------
 

@@ -142,6 +142,10 @@ class CrackableColumn:
 
     # -- verification -------------------------------------------------------
 
+    def check_invariants(self) -> None:
+        """Assert whatever redundancy the column keeps beside its rows
+        is coherent (a plain value array keeps none)."""
+
     def check_partition(self, split: int, bound, inclusive: bool,
                         piece_lo: int = 0, piece_hi: int = None) -> bool:
         """Whether ``[piece_lo, split)`` / ``[split, piece_hi)`` respects ``bound``."""

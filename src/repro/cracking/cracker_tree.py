@@ -11,6 +11,10 @@ A tree node ``(key, position)`` records that a past crack partitioned
 the column at ``position`` around the bound ``key``: every row before
 ``position`` satisfies the bound's predicate, every row from
 ``position`` on does not.
+
+Both read one :meth:`~repro.cracking.avl.AVLTree.locate` descent — the
+caller's, when it hands one over: the engine looks a bound up, finds
+its piece and registers its crack down a single walk.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from typing import Optional, Tuple
 from repro.cracking.avl import AVLNode, AVLTree
 
 
-def find_piece(tree: AVLTree, key, total_size: int) -> Tuple[int, int]:
+def find_piece(
+    tree: AVLTree, key, total_size: int, located=None
+) -> Tuple[int, int]:
     """Locate the piece ``[pos_lo, pos_hi)`` in which ``key`` falls.
 
     Equivalent to the paper's ``findpiece``: the lower bound comes from
@@ -31,19 +37,19 @@ def find_piece(tree: AVLTree, key, total_size: int) -> Tuple[int, int]:
 
     For an exact match both ends collapse onto the node's position,
     which callers treat as "already indexed, nothing to crack".
+
+    ``located`` is ``tree.locate(key)`` when the caller already has it.
     """
-    pos_lo, pos_hi = 0, total_size
-    floor_node = tree.floor(key)
-    if floor_node is not None:
-        pos_lo = floor_node.position
-    ceiling_node = tree.ceiling(key)
-    if ceiling_node is not None:
-        pos_hi = ceiling_node.position
+    if located is None:
+        located = tree.locate(key)
+    __, floor_node, ceiling_node, __ = located
+    pos_lo = floor_node.position if floor_node is not None else 0
+    pos_hi = ceiling_node.position if ceiling_node is not None else total_size
     return pos_lo, pos_hi
 
 
 def add_crack(
-    tree: AVLTree, key, position: int, total_size: int
+    tree: AVLTree, key, position: int, total_size: int, located=None
 ) -> Optional[AVLNode]:
     """Register a crack ``key -> position``; return the node, or None.
 
@@ -58,17 +64,20 @@ def add_crack(
       empty, so the new bound adds no discriminating power (Cases 1-2);
     * otherwise a fresh node is inserted, rebalancing as needed
       (Case 4).
+
+    ``located`` is ``tree.locate(key)`` when the caller already has it
+    and the tree has not changed since.
     """
     if position <= 0 or position >= total_size:
         return None
-    existing = tree.find(key)
+    if located is None:
+        located = tree.locate(key)
+    existing, floor_node, ceiling_node, path = located
     if existing is not None:
         existing.position = position
         return existing
-    floor_node = tree.floor(key)
     if floor_node is not None and floor_node.position == position:
         return floor_node
-    ceiling_node = tree.ceiling(key)
     if ceiling_node is not None and ceiling_node.position == position:
         return ceiling_node
-    return tree.insert(key, position)
+    return tree.insert(key, position, path)

@@ -68,8 +68,11 @@ class QueryStats:
             scalar product): one per row classified by a crack, two per
             row filtered by a two-sided scan, one per AVL key
             comparison.
-        kernel_exact_products: exact big-int scalar products computed
-            (secure engines only; 0 for plaintext engines).
+        kernel_fast_products: scalar products whose word-sized value
+            was proven exact (secure engines only; 0 for plaintext
+            engines).
+        kernel_exact_products: scalar products computed in big-int
+            arithmetic (likewise).
     """
 
     search_seconds: float = 0.0
@@ -80,6 +83,7 @@ class QueryStats:
     cracked_rows: int = 0
     cracks: int = 0
     comparisons: int = 0
+    kernel_fast_products: int = 0
     kernel_exact_products: int = 0
 
     @property
@@ -94,11 +98,12 @@ class QueryStats:
 
 
 #: QueryStats field -> metrics-registry counter fed by that field.
-#: ``kernel_exact_products`` is absent on purpose: its events originate
-#: where the products are computed
-#: (:attr:`repro.core.encrypted_column.EncryptedColumn.exact_products`,
-#: a counter of the same registry), and the stats field is *derived
-#: from* that counter — forwarding it again would double-count.
+#: The two ``kernel_*_products`` fields are absent on purpose: their
+#: events originate where the products are computed
+#: (:attr:`repro.core.encrypted_column.EncryptedColumn.fast_products` /
+#: ``exact_products``, counters of the same registry), and the stats
+#: fields are *derived from* those counters — forwarding them again
+#: would double-count.
 STATS_METRIC_OF_FIELD = {
     "search_seconds": "query.search_seconds",
     "crack_seconds": "query.crack_seconds",
@@ -114,6 +119,7 @@ STATS_METRIC_OF_FIELD = {
 #: :class:`QueryStats` (the acceptance contract tested in
 #: ``tests/test_obs_integration.py``).
 QUERY_METRIC_NAMES = tuple(STATS_METRIC_OF_FIELD.values()) + (
+    "kernel.fast_products",
     "kernel.exact_products",
 )
 
@@ -210,7 +216,8 @@ class CrackingEngine:
         self._record_stats = record_stats
         self._obs = obs
         self._stats_counters = stats_counters(obs.metrics)
-        # The paper's findpiece / addCrack, as ``f(tree, key, ...)``.
+        # The paper's findpiece / addCrack, as ``f(tree, key, ...,
+        # located)``: the last argument is the key's ``tree.locate``.
         self._find_piece, self._add_crack = find_piece, add_crack
         self.stats_log: List[QueryStats] = []
 
@@ -309,9 +316,12 @@ class CrackingEngine:
         bound = self._cut(key)[0]
         tick = time.perf_counter()
         with self._obs.span("find-piece"):
-            node = self._tree.find(key)
+            located = self._tree.locate(key)
+            node = located[0]
             if node is None:
-                piece_lo, piece_hi = self._find_piece(self._tree, key, size)
+                piece_lo, piece_hi = self._find_piece(
+                    self._tree, key, size, located
+                )
         stats.search_seconds += time.perf_counter() - tick
         if node is not None:
             self._audit("find", bound=bound, position=node.position)
@@ -319,12 +329,13 @@ class CrackingEngine:
         self._audit("find", bound=bound, lo=piece_lo, hi=piece_hi)
         if piece_hi - piece_lo <= self._min_piece:
             return _BoundResolution(piece=(piece_lo, piece_hi))
-        return self._crack_piece(key, piece_lo, piece_hi, stats)
+        return self._crack_piece(key, piece_lo, piece_hi, stats, located)
 
     def _crack_piece(
-        self, key, piece_lo: int, piece_hi: int, stats: QueryStats
+        self, key, piece_lo: int, piece_hi: int, stats: QueryStats, located=None
     ) -> _BoundResolution:
-        """Crack the raw piece ``key`` falls in and index the split."""
+        """Crack the raw piece ``key`` falls in and index the split
+        (down ``located``, the key's ``tree.locate``, when given)."""
         bound, inclusive = self._cut(key)
         rows = piece_hi - piece_lo
         tick = time.perf_counter()
@@ -336,7 +347,7 @@ class CrackingEngine:
                     bound=bound, inclusive=inclusive)
         tick = time.perf_counter()
         with self._obs.span("insert-bound", position=split):
-            self._add_crack(self._tree, key, split, len(self._column))
+            self._add_crack(self._tree, key, split, len(self._column), located)
         stats.insert_seconds += time.perf_counter() - tick
         return _BoundResolution(position=split)
 
@@ -351,16 +362,19 @@ class CrackingEngine:
         """
         size = len(self._column)
         tick = time.perf_counter()
-        known = (
-            self._tree.find(left_key) is not None
-            or self._tree.find(right_key) is not None
-        )
-        left_piece = self._find_piece(self._tree, left_key, size)
-        right_piece = self._find_piece(self._tree, right_key, size)
+        tree = self._tree
+        located = tree.locate(left_key)
+        same_piece = False
+        if located[0] is None:
+            right = tree.locate(right_key)
+            piece = self._find_piece(tree, left_key, size, located)
+            same_piece = right[0] is None and piece == self._find_piece(
+                tree, right_key, size, right
+            )
         stats.search_seconds += time.perf_counter() - tick
-        if known or left_piece != right_piece:
+        if not same_piece:
             return None
-        piece_lo, piece_hi = left_piece
+        piece_lo, piece_hi = piece
         rows = piece_hi - piece_lo
         if rows <= self._min_piece:
             return None
@@ -377,9 +391,10 @@ class CrackingEngine:
                     bound=low, bound_high=high, three_way=True)
         tick = time.perf_counter()
         with self._obs.span("insert-bound", position=split0):
-            self._add_crack(self._tree, left_key, split0, size)
+            self._add_crack(self._tree, left_key, split0, size, located)
         with self._obs.span("insert-bound", position=split1):
-            self._add_crack(self._tree, right_key, split1, size)
+            # Located afresh: the left key may just have joined the tree.
+            self._add_crack(self._tree, right_key, split1, size, None)
         stats.insert_seconds += time.perf_counter() - tick
         return split0, split1
 
@@ -434,6 +449,8 @@ class CrackingEngine:
             AssertionError: on any violated cracking invariant.
         """
         self._tree.check_invariants()
+        # Before the partition checks: they classify through the column.
+        self._column.check_invariants()
         size = len(self._column)
         for node in self._tree.in_order():
             if not 0 <= node.position <= size:

@@ -10,6 +10,7 @@ All functions are pure and allocate fresh tuples; nothing is mutated.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Sequence, Tuple
 
@@ -30,7 +31,7 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
         raise ValueError(
             "dot product requires equal lengths, got %d and %d" % (len(a), len(b))
         )
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def scale(a: Sequence[int], factor: int) -> IntVector:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.cracking.avl import AVLTree
+from repro.cracking.avl import AVLNode, AVLTree
 
 
 def int_cmp(a, b):
@@ -129,3 +129,131 @@ class TestCustomComparator:
         tree.insert((5, False), 1)
         tree.insert((5, True), 2)
         assert [n.key for n in tree.in_order()] == [(5, False), (5, True)]
+
+
+# -- one descent per key ------------------------------------------------------
+
+
+def ref_find(tree, key):
+    """``AVLTree.find`` / ``floor`` / ``ceiling`` as the three separate
+    walks they were before ``locate``: the reference it is held to."""
+    node = tree.root
+    while node is not None:
+        sign = tree._comparator(key, node.key)
+        if sign == 0:
+            return node
+        node = node.left if sign < 0 else node.right
+    return None
+
+
+def ref_floor(tree, key):
+    node, best = tree.root, None
+    while node is not None:
+        sign = tree._comparator(key, node.key)
+        if sign == 0:
+            return node
+        if sign > 0:
+            best, node = node, node.right
+        else:
+            node = node.left
+    return best
+
+
+def ref_ceiling(tree, key):
+    node, best = tree.root, None
+    while node is not None:
+        sign = tree._comparator(key, node.key)
+        if sign == 0:
+            return node
+        if sign < 0:
+            best, node = node, node.left
+        else:
+            node = node.right
+    return best
+
+
+def ref_insert(tree, node, key, position):
+    """The recursive insert ``AVLTree.insert`` replaced (same rebalancing
+    calls, bottom-up along the search path)."""
+    if node is None:
+        return AVLNode(key, position)
+    sign = tree._comparator(key, node.key)
+    if sign == 0:
+        node.position = position
+        return node
+    if sign < 0:
+        node.left = ref_insert(tree, node.left, key, position)
+    else:
+        node.right = ref_insert(tree, node.right, key, position)
+    return tree._rebalance(node)
+
+
+def shape(node):
+    if node is None:
+        return None
+    return (node.key, node.position, node.height, shape(node.left), shape(node.right))
+
+
+def assert_locate_agrees(tree, key):
+    located = tree.locate(key)[:3]
+    assert located == (ref_find(tree, key), ref_floor(tree, key), ref_ceiling(tree, key))
+    assert (tree.find(key), tree.floor(key), tree.ceiling(key)) == located
+
+
+class TestLocate:
+    def test_agrees_with_the_three_walks_on_random_trees(self):
+        rng = random.Random(3)
+        for size in (0, 1, 2, 7, 60, 300):
+            tree = AVLTree(int_cmp)
+            for key in rng.sample(range(0, 2000, 2), size):
+                tree.insert(key, key)
+            for probe in rng.sample(range(-3, 2003), 150):
+                assert_locate_agrees(tree, probe)
+
+    def test_tuple_keys_with_ties(self):
+        tree = AVLTree(int_cmp)
+        rng = random.Random(4)
+        keys = [(rng.randrange(40), rng.random() < 0.5) for _ in range(80)]
+        for key in keys:
+            tree.insert(key, 0)
+            for probe in ((key[0], False), (key[0], True), (key[0] + 1, False)):
+                assert_locate_agrees(tree, probe)
+
+    def test_one_descent_serves_lookup_neighbours_and_insert(self, tree):
+        for key in range(0, 200, 2):
+            tree.insert(key, key)
+        before = tree.comparison_count
+        exact, floor_node, ceiling_node, path = tree.locate(101)
+        walked = tree.comparison_count - before
+        assert (exact, floor_node.key, ceiling_node.key) == (None, 100, 102)
+        assert 0 < walked == len(path) <= tree.height()
+        # Inserting down the located path compares nothing further.
+        node = tree.insert(101, 7, path)
+        assert tree.comparison_count - before == walked
+        assert tree.find(101) is node and node.position == 7
+        tree.check_invariants()
+
+    def test_an_exact_match_ends_the_path_at_the_node(self, tree):
+        for key in (10, 20, 30):
+            tree.insert(key, key)
+        node, floor_node, ceiling_node, __ = tree.locate(20)
+        assert node is floor_node is ceiling_node and node.key == 20
+        assert tree.insert(20, 99) is node and node.position == 99
+        assert len(tree) == 3
+
+    def test_same_shape_as_the_recursive_insert(self):
+        rng = random.Random(5)
+        for trial in range(30):
+            tree, reference = AVLTree(int_cmp), AVLTree(int_cmp)
+            root = None
+            for _ in range(rng.randrange(1, 120)):
+                key, position = rng.randrange(150), rng.randrange(1000)
+                exact, __, __, path = tree.locate(key)
+                if exact is None and rng.random() < 0.5:
+                    tree.insert(key, position, path)  # down the located path
+                else:
+                    tree.insert(key, position)
+                root = ref_insert(reference, root, key, position)
+                assert shape(tree.root) == shape(root)
+            tree.check_invariants()
+            assert len(tree) == len({n.key for n in tree.in_order()})

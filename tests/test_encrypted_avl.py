@@ -134,3 +134,45 @@ class TestPaperLiteralEquivalence:
         node = add_crack_encrypted(tree, make_key(encryptor, 10), 60, 100)
         assert len(tree) == 1
         assert node.position == 60
+
+
+class TestLocateOverEncryptedKeys:
+    """``locate`` against the order the plaintext bounds define: the
+    scalar-product comparator walks one path, the integers say where it
+    must end."""
+
+    def test_agrees_with_the_plaintext_order(self, encryptor, rng):
+        tree = AVLTree(compare_encrypted_keys)
+        indexed = {}
+        for bound in rng.sample(range(0, 5000, 3), 40):
+            inclusive = rng.random() < 0.5
+            key = make_key(encryptor, bound, inclusive)
+            indexed[(bound, inclusive)] = tree.insert(key, bound)
+        ordered = sorted(indexed)
+        probes = [(b, f) for b in rng.sample(range(-2, 5003), 80)
+                  for f in (False, True)] + ordered[:10]
+        for probe in probes:
+            exact, floor_node, ceiling_node, __ = tree.locate(
+                make_key(encryptor, *probe)
+            )
+            assert exact is indexed.get(probe)
+            below = [k for k in ordered if k <= probe]
+            above = [k for k in ordered if k >= probe]
+            assert floor_node is (indexed[below[-1]] if below else None)
+            assert ceiling_node is (indexed[above[0]] if above else None)
+
+    def test_a_cracked_bound_walks_the_tree_once(self, encryptor, rng):
+        tree = AVLTree(compare_encrypted_keys)
+        for bound in rng.sample(range(0, 100000, 7), 50):
+            add_crack(tree, make_key(encryptor, bound), bound, 10 ** 6)
+        key = make_key(encryptor, 50001)
+        expected_piece = find_piece_encrypted(tree, key, 10 ** 6)
+        before = tree.comparison_count
+        # Lookup, piece and registration, as the engine issues them.
+        located = tree.locate(key)
+        assert located[0] is None
+        assert find_piece(tree, key, 10 ** 6, located) == expected_piece
+        node = add_crack(tree, key, 50001, 10 ** 6, located)
+        assert 0 < tree.comparison_count - before <= tree.height()
+        assert tree.locate(key)[0] is node
+        tree.check_invariants()

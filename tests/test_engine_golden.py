@@ -20,10 +20,22 @@ from repro.core.secure_index import SecureAdaptiveIndex
 from repro.cracking.index import AdaptiveIndex
 from repro.obs import Observability
 
-#: sha256 of ``golden_trace()``, computed with the two hand-synchronised
-#: engines of the commit *before* the shared driver replaced them.
+#: sha256 of ``golden_trace(pin_comparisons=False)`` — results, cracks,
+#: cracked rows, piece boundaries and the audit sequence — computed at
+#: the commit *before* the tree learned to locate a bound in one descent
+#: (where the full trace still hashed to the pre-driver golden
+#: ``16018dfa...a28abcb``).
+GOLDEN_BEHAVIOUR_SHA256 = (
+    "6881457a7e8580d6ddf366cef68f2de9653406dcc64763365a5b326d80bdafcb"
+)
+
+#: sha256 of ``golden_trace()``: the same plus ``comparisons``.  Re-pinned
+#: once, with the single descent: a cracked bound now costs one tree walk
+#: where it cost seven, so only that column moved (the secure two-way
+#: configurations count 3 338 / 3 002 / 3 975 comparisons where they
+#: counted 5 430 / 3 985 / 7 182).
 GOLDEN_TRACE_SHA256 = (
-    "16018dfa129e330cf739461433910f35b561bcd47b63833882153ca57a28abcb"
+    "852b1e7dae8f09d5f12dd32832409ffbd24bb479682b183bd619350b8ed47438"
 )
 
 ROWS = 400
@@ -60,7 +72,7 @@ def stats_record(engine, pin_comparisons=True):
     return record
 
 
-def golden_trace():
+def golden_trace(pin_comparisons=True):
     """One record per (engine, three-way, threshold, shape) configuration."""
     data_rng = random.Random(20160626)
     values = [data_rng.randrange(0, 250) for _ in range(ROWS)]
@@ -81,7 +93,8 @@ def golden_trace():
             for args, pivots in queries:
                 ids, __ = engine.query(client.make_query(pivots=pivots, **args))
                 steps.append([sorted(int(i) for i in ids),
-                              engine.piece_boundaries(), stats_record(engine)])
+                              engine.piece_boundaries(),
+                              stats_record(engine, pin_comparisons)])
             engine.check_invariants()
             steps.append(obs.audit.to_dicts())
         else:
@@ -96,10 +109,22 @@ def golden_trace():
                 # (test_properties pins it to the secure engine's).
                 steps.append([sorted(int(i) for i in ids),
                               engine.piece_boundaries(),
-                              stats_record(engine, not three_way)])
+                              stats_record(engine,
+                                           pin_comparisons and not three_way)])
             engine.check_invariants()
         records.append([secure, three_way, min_piece, shape, steps])
     return records
+
+
+def trace_sha256(records):
+    encoded = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+def test_behaviour_matches_the_pre_single_descent_golden():
+    assert trace_sha256(golden_trace(pin_comparisons=False)) == (
+        GOLDEN_BEHAVIOUR_SHA256
+    )
 
 
 def test_seeded_trace_matches_the_pre_driver_golden():
@@ -110,5 +135,4 @@ def test_seeded_trace_matches_the_pre_driver_golden():
         event["event"] for record in records if record[0] for event in record[4][-1]
     }
     assert {"find", "crack", "scan", "products"} <= audit_kinds
-    encoded = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(encoded.encode()).hexdigest() == GOLDEN_TRACE_SHA256
+    assert trace_sha256(records) == GOLDEN_TRACE_SHA256

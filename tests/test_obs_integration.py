@@ -129,6 +129,7 @@ class TestStatsEqualRegistryDeltas:
             assert delta[metric] == pytest.approx(getattr(stats, field)), (
                 "field %s drifted from metric %s" % (field, metric)
             )
+        assert delta["kernel.fast_products"] == stats.kernel_fast_products > 0
         assert delta["kernel.exact_products"] == stats.kernel_exact_products
 
     def test_query_insert_delete_merge_rotate(self, db):
@@ -233,15 +234,21 @@ class TestPendingScanHardening:
     def test_pending_products_reach_registry_without_stats(self):
         client, server = self._server(record_stats=False)
         server.execute(client.make_query(0, 100))
-        assert server.obs.metrics.counter_value("kernel.exact_products") > 0
+        assert server.obs.metrics.counter_value("kernel.fast_products") > 0
         assert server.stats_log == []  # the view is off, the events not
 
     def test_pending_products_fold_into_stats_when_recording(self):
         client, server = self._server(record_stats=True)
         server.execute(client.make_query(0, 100))
-        assert server.stats_log[-1].kernel_exact_products == (
-            server.obs.metrics.counter_value("kernel.exact_products")
+        stats = server.stats_log[-1]
+        assert stats.kernel_fast_products == (
+            server.obs.metrics.counter_value("kernel.fast_products")
         )
+        # Two pending rows, two bounds, on top of the engine's own.
+        assert stats.kernel_fast_products >= stats.cracked_rows + 4
+        assert stats.kernel_exact_products == (
+            server.obs.metrics.counter_value("kernel.exact_products")
+        ) == 0
 
 
 class TestAuditMatchesLeakageAnalysis:
@@ -298,15 +305,15 @@ class TestCliObservability:
                      "--stats"]) == 0
         out = capsys.readouterr().out
         assert "bytes sent" in out and "bytes received" in out
-        assert "exact products" in out
+        assert "fast products" in out and "exact products" in out
 
     def test_stats_subcommand_renders_snapshot(self, column_file, capsys):
         from repro.cli import main
 
         assert main(["stats", column_file, "--range", "5", "60"]) == 0
         out = capsys.readouterr().out
-        for metric in ("kernel.exact_products", "protocol.bytes_sent",
-                       "protocol.bytes_received"):
+        for metric in ("kernel.fast_products", "kernel.exact_products",
+                       "protocol.bytes_sent", "protocol.bytes_received"):
             assert metric in out
 
     def test_stats_subcommand_json(self, column_file, capsys):

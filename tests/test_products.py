@@ -1,25 +1,72 @@
 """The one scalar-product kernel: ``EncryptedColumn.products``.
 
-Every server-side decision is the sign of an exact ``Eb . Ev`` product;
-at the default key those products pass 2^63, so the kernel is big-int
-arithmetic only.  ``filterwarnings = error::RuntimeWarning`` is the
-tripwire for an int64 leaking back into it.
+Every server-side decision is the sign of an exact ``Eb . Ev`` product.
+A row's product is taken from the word-sized mirror (wrapping 64-bit
+matmul) only when the float64 acceptance inequality proves the word is
+the product; every other row is big-int arithmetic.  The mirror runs on
+arrays only, so ``filterwarnings = error::RuntimeWarning`` is still the
+tripwire for an int64 *scalar* leaking into the ciphertext path.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
+from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.server import SecureServer
 from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
 
 NUMERATORS = st.integers(-(2 ** 256), 2 ** 256)
+INT64 = range(-(2 ** 63), 2 ** 63)
+
+
+def _column(rows, denominators=None):
+    denominators = denominators or [1] * len(rows)
+    return EncryptedColumn(
+        [ValueCiphertext(tuple(row), d) for row, d in zip(rows, denominators)]
+    )
 
 
 def _products(rows, vector):
-    column = EncryptedColumn([ValueCiphertext(tuple(row)) for row in rows])
-    return column.products(0, len(rows), BoundCiphertext(tuple(vector)))
+    return _column(rows).products(0, len(rows), BoundCiphertext(tuple(vector)))
+
+
+def _dot(row, vector):
+    return sum(x * y for x, y in zip(row, vector))
+
+
+@st.composite
+def boundary_case(draw):
+    """Rows whose products sit on chosen targets — one step inside and
+    one step past each end of int64, and a few anywhere — under operand
+    widths that take the rounding bound from far below to past 2^62."""
+    length = draw(st.integers(2, 5))
+    row_bits = draw(st.integers(8, 100))
+    bound_bits = draw(st.integers(1, 40))
+    wide = st.integers(-(2 ** row_bits), 2 ** row_bits)
+    vector = [1] + draw(st.lists(
+        st.integers(-(2 ** bound_bits), 2 ** bound_bits),
+        min_size=length - 1, max_size=length - 1,
+    ))
+    targets = draw(st.lists(
+        st.one_of(
+            st.sampled_from([2 ** 63 - 1, 2 ** 63, -(2 ** 63), -(2 ** 63) - 1, 0]),
+            st.integers(-(2 ** 70), 2 ** 70),
+        ),
+        min_size=1, max_size=8,
+    ))
+    rows = []
+    for target in targets:
+        tail = draw(st.lists(wide, min_size=length - 1, max_size=length - 1))
+        # The noise cancels, as in the scheme: the first component
+        # absorbs whatever the others add up to.
+        rows.append([target - _dot(tail, vector[1:])] + tail)
+    denominators = draw(st.lists(
+        st.integers(2, 2 ** 62), min_size=len(rows), max_size=len(rows)
+    ))
+    return rows, denominators, vector, targets
 
 
 class TestExactProducts:
@@ -39,22 +86,181 @@ class TestExactProducts:
     def test_products_are_python_int_dot_products(self, case):
         rows, vector = case
         products = _products(rows, vector)
-        assert products.dtype == object
-        assert products.tolist() == [
-            sum(x * y for x, y in zip(row, vector)) for row in rows
-        ]
+        assert products.tolist() == [_dot(row, vector) for row in rows]
 
     def test_exact_on_both_sides_of_the_int64_boundary(self):
         # Operands that fit a machine word, products one step inside
-        # and one step past each end of int64: a native accumulator
-        # would wrap the outer two to the opposite sign.
+        # and one step past each end of int64: the wrapped word of the
+        # outer two has the opposite sign, so they must be refused by
+        # the acceptance test and computed in big-int arithmetic.
         half = 2 ** 62
         rows = [[half, half - 1], [half, half], [-half, -half], [-half, -half - 1]]
-        products = _products(rows, [1, 1])
+        column = _column(rows)
+        products = column.products(0, 4, BoundCiphertext((1, 1)))
         assert products.dtype == object
         assert products.tolist() == [
             2 ** 63 - 1, 2 ** 63, -(2 ** 63), -(2 ** 63) - 1,
         ]
+        assert column.product_counts() == (2, 2)
+        inner = column.products(0, 1, BoundCiphertext((1, 1)))
+        assert inner.dtype == np.int64 and inner.tolist() == [2 ** 63 - 1]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(boundary_case())
+    def test_value_equal_at_the_representable_boundary(self, case):
+        rows, denominators, vector, targets = case
+        column = _column(rows, denominators)
+        products = column.products(0, len(rows), BoundCiphertext(tuple(vector)))
+        assert products.tolist() == targets == [_dot(row, vector) for row in rows]
+        fast, exact = column.product_counts()
+        assert fast + exact == len(rows)
+        # A word-sized answer is only ever given for a product that
+        # fits the word.
+        assert fast <= sum(target in INT64 for target in targets)
+        if products.dtype != object:
+            assert (products.dtype, exact) == (np.int64, 0)
+        column.check_invariants()
+
+    def test_default_key_products_are_all_proven(self):
+        client = TrustedClient(seed=3)
+        rows, row_ids = client.encrypt_dataset(list(range(0, 2 ** 31, 2 ** 21)))
+        column = EncryptedColumn(rows, row_ids)
+        bound = client.encrypt_query_bound(2 ** 30).eb
+        products = column.products(0, len(column), bound)
+        assert products.dtype == np.int64
+        assert column.product_counts() == (len(column), 0)
+        assert products.tolist() == [
+            _dot(row.numerators, bound.vector) for row in rows
+        ]
+
+    @pytest.mark.parametrize("numerator", [2 ** 256, 2 ** 1024, -(2 ** 2000)])
+    def test_wide_numerators_skip_the_mirror(self, numerator):
+        # Past the bit bound nothing is converted (2^1024 has no
+        # float64) and no product is attempted in words.
+        column = _column([[numerator, 3], [5, 7]])
+        assert column.products(0, 2, BoundCiphertext((1, 2))).tolist() == [
+            numerator + 6, 19,
+        ]
+        assert column.product_counts() == (0, 2)
+        # ... and a narrow column gives its mirror up for good once a
+        # wide row arrives.
+        column = _column([[5, 7]])
+        assert column.products(0, 1, BoundCiphertext((1, 2))).tolist() == [19]
+        column.insert_at(1, ValueCiphertext((numerator, 3)), 1)
+        assert column.products(0, 2, BoundCiphertext((1, 2))).tolist() == [
+            19, numerator + 6,
+        ]
+        assert column.product_counts() == (1, 2)
+        assert column._mirror is None
+        column.check_invariants()
+
+    def test_ambiguity_rows_never_build_a_mirror(self):
+        # Over the paper's 2^31 domain, numerators on a ~58-bit
+        # denominator reach ~109 bits: no real bound keeps the rounding
+        # bound under 2^62, so nothing is built, permuted or attempted
+        # — the column is measured, once.
+        client = TrustedClient(seed=3, ambiguity=True)
+        values = np.random.default_rng(1).integers(0, 2 ** 31, 1000)
+        rows, row_ids = client.encrypt_dataset([int(v) for v in values])
+        column = EncryptedColumn(rows, row_ids)
+        bound = client.encrypt_query_bound(2 ** 30).eb
+        split = column.crack(0, len(column), bound, True)
+        assert column.check_partition(split, bound, True)
+        assert column._mirror is None and column._bits > 100
+        assert len(column._parallel_arrays()) == 3
+        assert column.product_counts() == (0, 2 * len(column))
+        column.check_invariants()
+
+    def test_wide_bound_skips_the_mirror(self):
+        column = _column([[5, 7], [1, -1]])
+        bound = BoundCiphertext((2 ** 1024, 1))
+        assert column.products(0, 2, bound).tolist() == [
+            5 * 2 ** 1024 + 7, 2 ** 1024 - 1,
+        ]
+        assert column.product_counts() == (0, 2)
+
+
+class TestForgedMirror:
+    """The mirror is redundant state: one that disagrees with the rows
+    is refused by the acceptance test or reported by
+    ``check_invariants`` — the two planes vouch for each other only as
+    far as the invariant ties both to the numerators."""
+
+    def _column(self, key_length=4):
+        client = TrustedClient(seed=3, key_length=key_length)
+        values = list(range(0, 4000, 37))
+        rows, row_ids = client.encrypt_dataset(values)
+        column = EncryptedColumn(rows, row_ids)
+        assert column._mirror is None  # nothing until a product is asked for
+        column.products(0, 0, client.encrypt_query_bound(0).eb)
+        return client, values, rows, column
+
+    def test_two_planes_whatever_the_numerator_width(self):
+        # Numerators inside a word and past it are mirrored alike (the
+        # default key draws either: seed 3 gives 58 bits, seed 11 has 64).
+        for seed, fits in ((3, True), (11, False)):
+            client = TrustedClient(seed=seed)
+            values = list(range(0, 2 ** 31, 2 ** 22))
+            column = EncryptedColumn(*client.encrypt_dataset(values))
+            bound = client.encrypt_query_bound(2 ** 30).eb
+            assert column.below(0, len(column), bound, True).tolist() == [
+                v <= 2 ** 30 for v in values
+            ]
+            assert (column._bits <= 63) == fits
+            low, floats = column._mirror
+            assert (low.dtype, floats.dtype) == (np.int64, np.float64)
+            assert column.product_counts() == (len(column), 0)
+            column.check_invariants()
+        # A wider arrival joins the planes like any other row.
+        narrow = _column([[5, 7], [1, -1]])
+        assert narrow.products(0, 2, BoundCiphertext((1, 1))).tolist() == [12, 0]
+        narrow.insert_at(1, ValueCiphertext((2 ** 70, 3)), 2)
+        narrow.check_invariants()
+        assert narrow._mirror[0][1].tolist() == [0, 3]
+        assert narrow.products(0, 3, BoundCiphertext((0, 1))).tolist() == [7, 3, -1]
+        assert narrow.product_counts() == (5, 0)
+
+    def test_a_low_word_off_by_half_the_ring_is_refused(self):
+        client, values, rows, column = self._column()
+        bound = client.encrypt_query_bound(2000).eb
+        truth = [_dot(row.numerators, bound.vector) for row in rows]
+        component = int(np.argmax([x % 2 for x in bound.vector]))  # an odd one
+        column._mirror[0][5, component] ^= np.int64(-(2 ** 63))
+        products = column.products(0, len(column), bound)
+        assert products.tolist() == truth
+        assert column.product_counts() == (len(column) - 1, 1)
+        assert column.below(0, len(column), bound, True).tolist() == [
+            v <= 2000 for v in values
+        ]
+        with pytest.raises(AssertionError, match="low-word mirror drifted"):
+            column.check_invariants()
+
+    @pytest.mark.parametrize("plane, forged", [(0, 1), (1, 0.0)])
+    def test_any_drift_fails_the_invariant_check(self, plane, forged):
+        __, __, __, column = self._column()
+        column.check_invariants()
+        column._mirror[plane][7, 1] = forged
+        with pytest.raises(AssertionError, match="mirror drifted"):
+            column.check_invariants()
+
+    def test_a_numerator_past_the_tracked_bit_length_is_reported(self):
+        __, __, __, column = self._column()
+        column._matrix[3, 0] = 1 << (column._bits + 1)
+        with pytest.raises(AssertionError, match="tracked bit-length"):
+            column.check_invariants()
+
+    def test_engine_check_runs_the_column_check_first(self):
+        client, __, rows, column = self._column()
+        engine = SecureAdaptiveIndex(column)
+        engine.query(client.make_query(100, 900))
+        engine.check_invariants()
+        # Forge the mirror consistently: products for this row are now
+        # wrong *and* accepted — only the invariant can tell.
+        for plane in column._mirror:
+            plane[0] = plane[1]
+        with pytest.raises(AssertionError, match="mirror drifted"):
+            engine.check_invariants()
 
 
 class TestBelowAtTheBound:
@@ -78,8 +284,11 @@ class TestBelowAtTheBound:
 
 
 class TestStatsEqualRegistryDelta:
-    """``QueryStats.kernel_exact_products`` is the per-query delta of the
-    ``kernel.exact_products`` counter, whichever code path multiplied."""
+    """``QueryStats.kernel_fast_products`` / ``kernel_exact_products``
+    are the per-query deltas of the two ``kernel.*_products`` counters,
+    whichever code path multiplied.  At the default key every batched
+    product is proven in words; only merge routing multiplies one row
+    at a time, in big-int arithmetic."""
 
     VALUES = [int(v) for v in np.random.default_rng(5).permutation(512)]
 
@@ -89,18 +298,22 @@ class TestStatsEqualRegistryDelta:
         return client, SecureServer(rows, row_ids, **config)
 
     def _query_delta(self, client, server, low, high):
-        counter = server.engine.column.exact_products
-        before = counter.value
+        column = server.engine.column
+        before = column.product_counts()
         server.execute(client.make_query(low, high))
         stats = server.stats_log[-1]
-        assert stats.kernel_exact_products == counter.value - before
+        after = column.product_counts()
+        assert (stats.kernel_fast_products, stats.kernel_exact_products) == (
+            after[0] - before[0], after[1] - before[1],
+        )
+        assert stats.kernel_exact_products == 0
         return stats
 
     def test_crack_query(self):
         client, server = self._server()
         stats = self._query_delta(client, server, 100, 200)
         assert stats.cracks == 2
-        assert stats.kernel_exact_products == stats.cracked_rows
+        assert stats.kernel_fast_products == stats.cracked_rows
 
     def test_edge_scan_query(self):
         client, server = self._server(min_piece_size=16)
@@ -108,7 +321,7 @@ class TestStatsEqualRegistryDelta:
         # a piece at the threshold, which is scanned on both bounds.
         stats = self._query_delta(client, server, 496, 510)
         assert (stats.cracks, stats.cracked_rows) == (1, 512)
-        assert stats.kernel_exact_products == 512 + 2 * 16
+        assert stats.kernel_fast_products == 512 + 2 * 16
 
     def test_query_with_pending_rows(self):
         client, server = self._server()
@@ -117,18 +330,20 @@ class TestStatsEqualRegistryDelta:
         server.insert(client.encrypt_value(150))
         server.insert(client.encrypt_value(50))
         stats = self._query_delta(client, server, 100, 200)
-        assert stats.kernel_exact_products == stats.cracked_rows + 4
+        assert stats.kernel_fast_products == stats.cracked_rows + 4
 
     def test_ripple_insert_counts_on_the_registry_only(self):
         client, server = self._server()
         for low in (100, 300):
             self._query_delta(client, server, low, low + 50)
-        counter = server.engine.column.exact_products
-        before = counter.value
+        column = server.engine.column
+        before = column.product_counts()
         server.engine.insert_row(client.encrypt_value(1000)[0], 1000)
-        routed = counter.value - before
+        routed = column.exact_products.value - before[1]
         assert 0 < routed <= len(server.engine.tree)
+        assert column.fast_products.value == before[0]
         self._query_delta(client, server, 150, 250)
-        assert counter.value == routed + sum(
-            stats.kernel_exact_products for stats in server.stats_log
+        assert column.product_counts() == (
+            sum(stats.kernel_fast_products for stats in server.stats_log),
+            routed,
         )

@@ -42,9 +42,15 @@ from repro.obs import Observability
 
 
 def ref_insert_at(column, position, row, row_id):
-    """``EncryptedColumn.insert_at`` as it was: three concatenates."""
+    """``EncryptedColumn.insert_at`` as it was: three concatenates —
+    and, once the column mirrors its numerators in machine words, the
+    one row's mirror entries written out from their definition."""
     new_row = np.empty((1, column._length), dtype=object)
     new_row[0, :] = row.numerators
+    if column._bits is not None:
+        column._bits = max([column._bits] + [x.bit_length() for x in row.numerators])
+    if column._mirror is not None:
+        ref_mirror_insert(column, position, row)
     column._matrix = np.concatenate(
         (column._matrix[:position], new_row, column._matrix[position:])
     )
@@ -65,8 +71,27 @@ def ref_insert_at(column, position, row, row_id):
     column._id_order = None
 
 
+def ref_mirror_insert(column, position, row):
+    if not column._provable():  # the arrival is too wide for any proof
+        column._mirror = None
+        return
+    new_planes = (
+        np.array([[((x + 2**63) % 2**64) - 2**63 for x in row.numerators]],
+                 dtype=np.int64),
+        np.array([[float(x) for x in row.numerators]]),
+    )
+    column._mirror = tuple(
+        np.concatenate((plane[:position], new, plane[position:]))
+        for plane, new in zip(column._mirror, new_planes)
+    )
+
+
 def ref_delete_at(column, position):
     """``EncryptedColumn.delete_at`` as it was."""
+    if column._mirror is not None:
+        column._mirror = tuple(
+            np.delete(plane, position, axis=0) for plane in column._mirror
+        )
     column._matrix = np.delete(column._matrix, position, axis=0)
     column._denominators = np.delete(column._denominators, position)
     column._row_ids = np.delete(column._row_ids, position)
@@ -162,7 +187,8 @@ def structural_events(server):
 
 def counters(server):
     return server.obs.metrics.counter_values(
-        ("kernel.exact_products", "index.ripple_inserts", "index.row_deletes")
+        ("kernel.fast_products", "kernel.exact_products",
+         "index.ripple_inserts", "index.row_deletes")
     )
 
 
@@ -249,8 +275,10 @@ class TestBlockMergeMatchesPerRowReference:
                 reference.engine.piece_boundaries()
             )
             assert node_positions(block) == node_positions(reference)
+            # ... which includes "mirror == recomputed mirror" on both.
             block.engine.check_invariants()
             reference.engine.check_invariants()
+            block.pending.check_invariants()
             assert spent[0] == spent[1]
             assert structural_events(block) == structural_events(reference)
             assert block.pending_count == 0 and block.updates.tombstones == set()
@@ -272,6 +300,7 @@ class TestMergeIsOnePass:
             server.execute(client.make_query(low, low + 15))
         for value in range(1, 600, 10):  # 60 arrivals
             server.insert(client.encrypt_value(value))
+        server.execute(client.make_query(0, 10))  # the pending column scanned
         server.delete([5, 50, 100, 150])
         calls = collections.Counter()
         for name in ("insert", "delete", "concatenate"):
@@ -284,11 +313,12 @@ class TestMergeIsOnePass:
             monkeypatch.setattr(np, name, counting)
         assert server.merge_pending() == 56
         monkeypatch.undo()
-        # One call per parallel array (numerators, denominators, ids),
-        # for the main column's insert and delete and for emptying the
-        # pending column — whatever the number of rows.
-        assert calls["insert"] == 3
-        assert calls["delete"] == 6
+        # One call per parallel array (numerators, denominators, ids
+        # and the mirror's two planes), for the main column's insert and
+        # delete and for emptying the pending column — whatever the
+        # number of rows.
+        assert calls["insert"] == 5
+        assert calls["delete"] == 10
         assert calls["concatenate"] == 1  # the ids, for the uniqueness check
         server.engine.check_invariants()
 
@@ -322,6 +352,7 @@ class TestPositionsDerivedFromRowIds:
         next_id = 3 * len(values) + 1
 
         def check():
+            column.check_invariants()
             expected = {int(r): i for i, r in enumerate(column.row_ids)}
             ids = list(expected)[::-1]
             assert column.positions_of(ids).tolist() == [expected[i] for i in ids]
