@@ -38,17 +38,32 @@ def test_figure11(grid_traces, benchmark):
     save_report("fig11_crack_time.txt", report)
     print("\n" + report)
 
-    # First-query crack time grows with size for every data type.
+    # The paper's claims, asserted in rows cracked — the size of the
+    # phase timed above, one comparison per row for plain and one
+    # scalar product per row for the encrypted kinds.  Seconds are the
+    # machine's business (the series above report them): on the smoke
+    # grid's 500- and 1 000-row columns a first crack is tens of
+    # microseconds and fixed per-call costs decide which is longer.
+    tail = max(5, QUERY_COUNT // 10)
     for kind in ("plain", "encrypted", "ambiguous"):
-        first = [grid_traces[(kind, size)].crack_seconds[0] for size in SIZES]
-        assert first[-1] > first[0], kind
-    # And the data-type ordering holds at the largest size.
-    largest = SIZES[-1]
-    assert (
-        grid_traces[("plain", largest)].crack_seconds[0]
-        < grid_traces[("encrypted", largest)].crack_seconds[0]
-        < grid_traces[("ambiguous", largest)].crack_seconds[0]
+        # The first query's crack grows with size...
+        first = [grid_traces[(kind, size)].cracked_rows[0] for size in SIZES]
+        assert first == sorted(set(first)), kind
+        # ...and every size shows the same decaying trend.
+        for size in SIZES:
+            rows = grid_traces[(kind, size)].cracked_rows
+            assert np.mean(rows[-tail:]) < np.mean(rows[:5]) / 3, (kind, size)
+    # The data types at the largest size: encryption shifts the curve
+    # by the unit of work, not by the rows (the same cracks, each row a
+    # scalar product instead of a comparison); ambiguity doubles the rows.
+    plain, encrypted, ambiguous = (
+        grid_traces[(kind, SIZES[-1])]
+        for kind in ("plain", "encrypted", "ambiguous")
     )
+    assert encrypted.cracked_rows == plain.cracked_rows
+    assert not any(plain.products)
+    assert all(p >= r for p, r in zip(encrypted.products, encrypted.cracked_rows))
+    assert sum(ambiguous.cracked_rows) > 1.5 * sum(encrypted.cracked_rows)
 
     from repro.core.client import TrustedClient
     from repro.core.encrypted_column import EncryptedColumn

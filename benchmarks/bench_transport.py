@@ -278,9 +278,7 @@ def _hot_column_rps(
 
     try:
         creator = connect()
-        creator.create(
-            rows, row_ids, {"engine": "scan", "record_stats": False}
-        )
+        creator.create(rows, row_ids, {"engine": "scan"})
         handles = [connect() for _ in range(connections)]
         barrier = threading.Barrier(connections + 1)
         errors = []

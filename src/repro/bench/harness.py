@@ -18,7 +18,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.session import OutsourcedDatabase
-from repro.cracking.index import AdaptiveIndex
+from repro.cracking.index import AdaptiveIndex, QueryStats
 from repro.cracking.baselines import FullScanIndex, FullSortIndex
 from repro.cracking.stochastic import StochasticAdaptiveIndex
 from repro.workloads.generators import RangeQuery
@@ -38,6 +38,9 @@ class QueryTrace:
             the per-operation breakdown of Figures 8-10.
         products: scalar products the server computed per query (its
             machine-independent unit of work; 0 for plain engines).
+        cracked_rows: rows physically reorganised per query (the
+            machine-independent size of the crack phase, for plain and
+            encrypted engines alike).
         result_counts: rows returned per query.
         client_seconds: client decrypt-and-filter time per query
             (sessions only; Figure 13b).
@@ -53,6 +56,7 @@ class QueryTrace:
     insert_seconds: List[float] = field(default_factory=list)
     scan_seconds: List[float] = field(default_factory=list)
     products: List[int] = field(default_factory=list)
+    cracked_rows: List[int] = field(default_factory=list)
     result_counts: List[int] = field(default_factory=list)
     client_seconds: List[float] = field(default_factory=list)
     false_positive_rates: List[float] = field(default_factory=list)
@@ -76,12 +80,11 @@ def run_plain_sequence(engine, queries: Sequence[RangeQuery]) -> QueryTrace:
     """
     trace = QueryTrace()
     for query in queries:
-        before = len(getattr(engine, "stats_log", []))
         tick = time.perf_counter()
         result = engine.query(*query.as_args())
         trace.seconds.append(time.perf_counter() - tick)
         trace.result_counts.append(len(result))
-        _harvest_stats(engine, before, trace)
+        _harvest_stats(engine, trace)
     return trace
 
 
@@ -92,28 +95,30 @@ def run_session_sequence(
     trace = QueryTrace()
     server_engine = session.server.engine
     for query in queries:
-        before = len(getattr(server_engine, "stats_log", []))
         tick = time.perf_counter()
         result = session.query(*query.as_args())
         trace.seconds.append(time.perf_counter() - tick)
         trace.result_counts.append(len(result.values))
         trace.client_seconds.append(result.decrypt_seconds)
         trace.false_positive_rates.append(result.false_positive_rate)
-        _harvest_stats(server_engine, before, trace)
+        _harvest_stats(server_engine, trace)
     return trace
 
 
-def _harvest_stats(engine, log_offset: int, trace: QueryTrace) -> None:
-    """Fold freshly appended engine stats into the trace."""
-    stats_log = getattr(engine, "stats_log", [])
-    fresh = stats_log[log_offset:]
-    trace.crack_seconds.append(sum(s.crack_seconds for s in fresh))
-    trace.search_seconds.append(sum(s.search_seconds for s in fresh))
-    trace.insert_seconds.append(sum(s.insert_seconds for s in fresh))
-    trace.scan_seconds.append(sum(s.scan_seconds for s in fresh))
+def _harvest_stats(engine, trace: QueryTrace) -> None:
+    """Fold the entry the query just logged into the trace (engines log
+    one per query and trim their log, so offsets into it do not last;
+    an engine without a log counts as zeros)."""
+    log = getattr(engine, "stats_log", None)
+    stats = log[-1] if log else QueryStats()
+    trace.crack_seconds.append(stats.crack_seconds)
+    trace.search_seconds.append(stats.search_seconds)
+    trace.insert_seconds.append(stats.insert_seconds)
+    trace.scan_seconds.append(stats.scan_seconds)
     trace.products.append(
-        sum(s.kernel_fast_products + s.kernel_exact_products for s in fresh)
+        stats.kernel_fast_products + stats.kernel_exact_products
     )
+    trace.cracked_rows.append(stats.cracked_rows)
 
 
 def build_plain_engine(values, kind: str = "adaptive", **kwargs):

@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.client import ClientResult
-from repro.cracking.index import QueryStats
+from repro.cracking.index import QueryStats, record_query_stats
 from repro.crypto.opes import OpesCipher, generate_opes_key
 from repro.errors import QueryError
 
@@ -36,13 +36,12 @@ from repro.errors import QueryError
 class OpesServer:
     """Server over OPES ciphertexts: sort once, binary-search forever."""
 
-    def __init__(self, ciphertexts: Sequence[int], record_stats: bool = True) -> None:
+    def __init__(self, ciphertexts: Sequence[int]) -> None:
         base = np.array(ciphertexts, dtype=np.int64).reshape(-1)
         tick = time.perf_counter()
         self._order = np.argsort(base, kind="stable")
         self._sorted = base[self._order]
         self.build_seconds = time.perf_counter() - tick
-        self._record_stats = record_stats
         self.stats_log: List[QueryStats] = []
 
     def __len__(self) -> int:
@@ -74,13 +73,10 @@ class OpesServer:
         )
         row_ids = self._order[start:end].copy()
         ciphertexts = self._sorted[start:end].copy()
-        if self._record_stats:
-            self.stats_log.append(
-                QueryStats(
-                    search_seconds=time.perf_counter() - tick,
-                    result_count=len(row_ids),
-                )
-            )
+        stats = QueryStats(
+            search_seconds=time.perf_counter() - tick, result_count=len(row_ids)
+        )
+        record_query_stats(self.stats_log, stats)
         return row_ids, ciphertexts
 
     def piece_boundaries(self) -> List[int]:
@@ -96,7 +92,6 @@ class OpesOutsourcedDatabase:
         values: Sequence[int],
         seed: int = 0,
         domain: Tuple[int, int] = None,
-        record_stats: bool = True,
     ) -> None:
         values = [int(v) for v in values]
         if domain is None:
@@ -107,7 +102,7 @@ class OpesOutsourcedDatabase:
         tick = time.perf_counter()
         ciphertexts = [self.cipher.encrypt(v) for v in values]
         self.encrypt_seconds = time.perf_counter() - tick
-        self.server = OpesServer(ciphertexts, record_stats=record_stats)
+        self.server = OpesServer(ciphertexts)
         self.round_trips = 0
 
     def __len__(self) -> int:

@@ -9,9 +9,8 @@ encrypted bound and position), the pending-update buffer — into a
 JSON-compatible dictionary, and restores an equivalent server from it.
 :func:`snapshot_catalog` / :func:`restore_catalog` do the same for a
 whole endpoint: every named column of a
-:class:`~repro.net.catalog.ColumnCatalog`, with its create-time engine
-configuration, so a ``repro serve`` process can come back exactly
-where it crashed.
+:class:`~repro.net.catalog.ColumnCatalog`, so a ``repro serve`` process
+can come back exactly where it crashed.
 
 Everything in a snapshot is ciphertext or public structure; snapshots
 are exactly as confidential as the server's RAM (i.e. safe to hold at
@@ -19,14 +18,16 @@ the honest-but-curious server, revealing nothing beyond what query
 processing already revealed).
 
 Formats: a server snapshot (``SNAPSHOT_VERSION``) carries the engine
-configuration, rows, tree, pending buffer and transfer counters — the
-column's rows and the pending rows each as one row block, the same
-value the wire carries
-(:func:`repro.crypto.serialization.rows_to_dict`); a
-catalog snapshot (``CATALOG_SNAPSHOT_VERSION``, versioned
-independently) carries the column map, the ``shards`` registry
-(logical sharded columns — geometry plus ordered shard column names),
-the per-column mutation ``epochs`` — the fence WAL replay uses to skip
+configuration (``config``, keyed like
+:data:`~repro.net.protocol.CONFIG_DEFAULTS`), rows, tree and pending
+buffer — the column's rows and the pending rows each as one row block,
+the same value the wire carries
+(:func:`repro.crypto.serialization.rows_to_dict`).  Counts live in the
+metrics registry, not in snapshots.  A catalog snapshot
+(``CATALOG_SNAPSHOT_VERSION``, versioned independently) carries the
+column map (name to server snapshot), the ``shards`` registry (logical
+sharded columns — geometry plus ordered shard column names), the
+per-column mutation ``epochs`` — the fence WAL replay uses to skip
 entries the snapshot already contains — and the optional ``wal_seq``
 watermark.  Only the current version of each is read: no other version
 was ever released, and anything else is rejected with a typed error.
@@ -70,8 +71,8 @@ from repro.errors import (
 from repro.net.catalog import ColumnCatalog
 from repro.obs import Observability
 
-SNAPSHOT_VERSION = 3
-CATALOG_SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
+CATALOG_SNAPSHOT_VERSION = 4
 
 #: File name of the catalog snapshot inside a server data directory
 #: (next to the ``wal-*.seg`` segments).
@@ -81,7 +82,6 @@ SNAPSHOT_FILENAME = "snapshot.json"
 def snapshot_server(server: SecureServer) -> Dict[str, Any]:
     """Serialize a server's full state to a JSON-compatible dict."""
     engine = server.engine
-    config = server.config
     column = engine.column
     tree_nodes = []
     if hasattr(engine, "tree"):
@@ -99,26 +99,19 @@ def snapshot_server(server: SecureServer) -> Dict[str, Any]:
     return {
         "kind": "secure_server",
         "version": SNAPSHOT_VERSION,
-        "engine_kind": config["engine"],
-        "min_piece_size": config["min_piece_size"],
-        "use_three_way": config["use_three_way"],
-        "record_stats": config["record_stats"],
+        "config": server.config,
         "rows": rows_to_dict(column.rows_at(range(len(column)))),
         "row_ids": column.row_ids.tolist(),
         "tree": tree_nodes,
-        "auto_merge_threshold": config["auto_merge_threshold"],
         "pending": {
             "row_ids": pending.row_ids.tolist(),
-            # Version 3 writes an empty buffer as the width-less empty block.
+            # An empty buffer is written as the width-less empty block.
             "rows": rows_to_dict(
                 pending.rows_at(range(len(pending))) if len(pending) else ()
             ),
         },
         "tombstones": sorted(server.updates.tombstones),
         "next_row_id": server.updates.next_row_id,
-        "queries_served": server.queries_served,
-        "rows_shipped": server.rows_shipped,
-        "bytes_shipped": server.bytes_shipped,
     }
 
 
@@ -135,8 +128,7 @@ def restore_server(
     Raises:
         SerializationError: on a malformed or wrong-kind snapshot.
         PersistenceError: on a snapshot of any other format version
-            (version 2 stored one ciphertext object per row; there is
-            no second reader).
+            (there is no second reader).
     """
     if snapshot.get("kind") != "secure_server":
         raise SerializationError(
@@ -150,12 +142,8 @@ def restore_server(
         server = SecureServer(
             rows_from_dict(snapshot["rows"]),
             ints_from_wire(snapshot["row_ids"], "row ids"),
-            engine=snapshot["engine_kind"],
-            auto_merge_threshold=snapshot.get("auto_merge_threshold"),
-            min_piece_size=snapshot["min_piece_size"],
-            use_three_way=snapshot["use_three_way"],
-            record_stats=bool(snapshot["record_stats"]),
             obs=obs,
+            **snapshot["config"],
         )
         engine = server.engine
         for node_data in snapshot["tree"]:
@@ -182,15 +170,13 @@ def restore_server(
             pending_ids,
             snapshot["tombstones"],
         )
-        server.queries_served = int(snapshot["queries_served"])
-        server.rows_shipped = int(snapshot["rows_shipped"])
-        server.bytes_shipped = int(snapshot["bytes_shipped"])
         return server
     except SerializationError:
         raise
     except (KeyError, TypeError, ValueError, ReproError) as exc:
         # ReproError: the engine refusing a corrupted configuration
-        # value (unknown engine kind, non-positive merge threshold).
+        # value (unknown engine kind, non-positive merge threshold);
+        # TypeError also covers a configuration key it does not take.
         raise SerializationError("malformed snapshot: %s" % exc) from exc
 
 
@@ -207,16 +193,13 @@ def snapshot_catalog(
     :meth:`~repro.net.catalog.ColumnCatalog.quiesced` — for a
     crash-consistent cut — as :func:`checkpoint_catalog` does.
     """
-    columns = {}
-    for name in catalog.column_names:
-        columns[name] = {
-            "config": catalog.config(name),
-            "server": snapshot_server(catalog.server(name)),
-        }
     snapshot = {
         "kind": "column_catalog",
         "version": CATALOG_SNAPSHOT_VERSION,
-        "columns": columns,
+        "columns": {
+            name: snapshot_server(catalog.server(name))
+            for name in catalog.column_names
+        },
         "shards": catalog.shards(),
         "epochs": catalog.epochs(),
     }
@@ -267,20 +250,15 @@ def restore_catalog(
             raise SerializationError(
                 "catalog snapshot epoch for missing column %r" % name
             )
-    for name, entry in items:
-        try:
-            config = dict(entry["config"])
-            server_snapshot = entry["server"]
-            epoch = epochs[name]
-        except (KeyError, TypeError) as exc:
+    for name, server_snapshot in items:
+        if name not in epochs or not isinstance(server_snapshot, dict):
             raise SerializationError(
-                "malformed catalog snapshot column %r: %s" % (name, exc)
-            ) from exc
+                "malformed catalog snapshot column %r" % name
+            )
         catalog.adopt_column(
             name,
             restore_server(server_snapshot, obs=catalog.obs),
-            config,
-            epoch=epoch,
+            epoch=epochs[name],
         )
     if not isinstance(shards, dict):
         raise SerializationError("catalog snapshot shards must be an object")

@@ -33,11 +33,6 @@ class EncryptedBound:
     eb: BoundCiphertext
     ev: ValueCiphertext
 
-    @property
-    def size_bytes(self) -> int:
-        """Wire-size estimate of the double-encrypted bound."""
-        return self.eb.size_bytes + self.ev.size_bytes
-
 
 @dataclass(frozen=True)
 class EncryptedBoundKey:
@@ -93,15 +88,6 @@ class EncryptedQuery:
     low_inclusive: bool = True
     high_inclusive: bool = True
     pivots: Tuple[EncryptedBound, ...] = field(default_factory=tuple)
-
-    @property
-    def size_bytes(self) -> int:
-        """Wire-size estimate of the whole query message."""
-        total = 2  # inclusiveness flags
-        for bound in (self.low, self.high) + self.pivots:
-            if bound is not None:
-                total += bound.size_bytes
-        return total
 
     @property
     def left_key(self) -> Optional[EncryptedBoundKey]:

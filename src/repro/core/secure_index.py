@@ -54,14 +54,10 @@ class SecureAdaptiveIndex(CrackingEngine):
         use_paper_tree_algorithms: route piece localisation through the
             pseudocode-literal transcriptions of Section 4.3 instead of
             the generic helpers (identical results; fidelity mode).
-        record_stats: append per-query :class:`QueryStats` to
-            :attr:`stats_log`.
         obs: observability bundle (tracing + metrics + audit); the
             engine adopts its column's bundle when omitted, so product
             accounting and engine accounting always share one metrics
-            registry.  Metric counters are recorded regardless of
-            ``record_stats`` — that flag only controls the
-            :attr:`stats_log` view.
+            registry.
     """
 
     def __init__(
@@ -70,7 +66,6 @@ class SecureAdaptiveIndex(CrackingEngine):
         min_piece_size: int = 1,
         use_three_way: bool = False,
         use_paper_tree_algorithms: bool = False,
-        record_stats: bool = True,
         obs: Observability = None,
     ) -> None:
         super().__init__(
@@ -78,7 +73,6 @@ class SecureAdaptiveIndex(CrackingEngine):
             compare_encrypted_keys,
             min_piece_size,
             use_three_way,
-            record_stats,
             obs if obs is not None else column.obs,
         )
         if use_paper_tree_algorithms:
@@ -113,15 +107,17 @@ class SecureAdaptiveIndex(CrackingEngine):
         are cracked on first, as strict bounds.
         """
         products_before = self._column.product_counts()
-        with self._obs.span("engine-query", pivots=len(query.pivots)):
-            indices, stats = self._answer(
-                query.left_key,
-                query.right_key,
-                [EncryptedBoundKey(pivot, inclusive=False)
-                 for pivot in query.pivots],
-            )
-        self._column.charge_products(stats, products_before)
-        return indices
+        try:
+            with self._obs.span("engine-query", pivots=len(query.pivots)):
+                return self._answer(
+                    query.left_key,
+                    query.right_key,
+                    [EncryptedBoundKey(pivot, inclusive=False)
+                     for pivot in query.pivots],
+                )
+        finally:
+            # ``_answer`` logged this query's entry, returning or raising.
+            self._column.charge_products(self.stats_log[-1], products_before)
 
     def _cut(self, key: EncryptedBoundKey) -> Tuple[BoundCiphertext, bool]:
         return key.bound.eb, key.inclusive

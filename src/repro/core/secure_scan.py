@@ -16,11 +16,7 @@ import numpy as np
 
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.query import EncryptedQuery
-from repro.cracking.index import (
-    MeteredQueryStats,
-    QueryStats,
-    stats_counters,
-)
+from repro.cracking.index import QueryStats, record_query_stats
 from repro.obs import Observability
 
 
@@ -30,13 +26,10 @@ class SecureScan:
     def __init__(
         self,
         column: EncryptedColumn,
-        record_stats: bool = True,
         obs: Observability = None,
     ) -> None:
         self._column = column
-        self._record_stats = record_stats
         self._obs = obs if obs is not None else column.obs
-        self._stats_counters = stats_counters(self._obs.metrics)
         self.stats_log: List[QueryStats] = []
 
     @property
@@ -59,10 +52,17 @@ class SecureScan:
 
     def qualifying_indices(self, query: EncryptedQuery) -> np.ndarray:
         """Physical indices of qualifying rows (no side effects)."""
+        stats = QueryStats()
         products_before = self._column.product_counts()
         tick = time.perf_counter()
-        with self._obs.span("full-scan", rows=len(self._column)):
-            indices = self._column.scan_query(query)
+        try:
+            with self._obs.span("full-scan", rows=len(self._column)):
+                indices = self._column.scan_query(query)
+            stats.result_count = len(indices)
+        finally:
+            stats.scan_seconds = time.perf_counter() - tick
+            self._column.charge_products(stats, products_before)
+            record_query_stats(self.stats_log, stats, self._obs.metrics)
         audit = self._obs.audit
         if audit.enabled:
             audit.record(
@@ -75,10 +75,4 @@ class SecureScan:
                 ),
                 matched=len(indices),
             )
-        if self._record_stats:
-            stats = MeteredQueryStats(self._stats_counters)
-            stats.scan_seconds = time.perf_counter() - tick
-            stats.result_count = len(indices)
-            self._column.charge_products(stats, products_before)
-            self.stats_log.append(stats)
         return indices

@@ -9,8 +9,9 @@ scanned per query until a merge ripples them into their pieces in one
 pass (routing each row down the tree with scalar products).
 
 Every response is a single message containing exactly the qualifying
-rows (requirement 5); :attr:`rows_shipped` accounts for the transfer
-volume.
+rows (requirement 5); the ``server.queries_served`` /
+``server.rows_shipped`` registry counters account for the transfer
+volume (in bytes: :func:`repro.net.transport.serve_frame`).
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from repro.store.updates import PendingUpdates
 
 ENGINES = ("adaptive", "scan")
 
-#: Wire cost of one row id in a response (int64, as serialised).
-ROW_ID_BYTES = 8
-
 
 @dataclass(frozen=True)
 class ServerResponse:
@@ -49,15 +47,6 @@ class ServerResponse:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", RowBlock.from_rows(self.rows))
 
-    @property
-    def size_bytes(self) -> int:
-        """Estimated wire size of the response (ciphertext rows plus
-        row ids, under a compact binary coding).  Transports measure
-        the real encoded frame lengths; this estimate is what the
-        server-side ``bytes_shipped`` ledger accumulates, which exists
-        even when no transport is watching."""
-        return self.rows.size_bytes + ROW_ID_BYTES * len(self.row_ids)
-
 
 class SecureServer:
     """Server-side endpoint: encrypted storage, indexing, updates.
@@ -72,8 +61,8 @@ class SecureServer:
             into the main column as soon as it exceeds this many rows
             (bounding the per-query pending-scan cost); None keeps
             merging fully manual.
-        min_piece_size / use_three_way / record_stats: forwarded to
-            the adaptive engine.
+        min_piece_size / use_three_way: forwarded to the adaptive
+            engine.
     """
 
     def __init__(
@@ -84,7 +73,6 @@ class SecureServer:
         auto_merge_threshold: int = None,
         min_piece_size: int = 1,
         use_three_way: bool = False,
-        record_stats: bool = True,
         obs: Observability = None,
     ) -> None:
         if auto_merge_threshold is not None and auto_merge_threshold < 1:
@@ -96,7 +84,6 @@ class SecureServer:
             "auto_merge_threshold": auto_merge_threshold,
             "min_piece_size": max(1, int(min_piece_size)),
             "use_three_way": use_three_way,
-            "record_stats": bool(record_stats),
         }
         self._obs = obs if obs is not None else Observability()
         column = EncryptedColumn(rows, row_ids, obs=self._obs)
@@ -105,19 +92,14 @@ class SecureServer:
                 column,
                 min_piece_size=min_piece_size,
                 use_three_way=use_three_way,
-                record_stats=record_stats,
                 obs=self._obs,
             )
         else:
-            self._engine = SecureScan(column, record_stats=record_stats, obs=self._obs)
-        self.engine_kind = engine
+            self._engine = SecureScan(column, obs=self._obs)
         next_id = int(column.row_ids.max()) + 1 if len(column) else 0
         self._updates = PendingUpdates(next_id)
         # The main column's width: unmergeable rows are refused on arrival.
         self._pending = EncryptedColumn(column.rows_at(()), obs=self._obs)
-        self.queries_served = 0
-        self.rows_shipped = 0
-        self.bytes_shipped = 0
 
     def __len__(self) -> int:
         return len(self._engine.column) + len(self._pending)
@@ -158,11 +140,6 @@ class SecureServer:
         like :data:`repro.net.protocol.CONFIG_DEFAULTS` (a copy)."""
         return dict(self._config)
 
-    @property
-    def record_stats(self) -> bool:
-        """Whether the engine records per-query cost breakdowns."""
-        return self._config["record_stats"]
-
     # -- query path ---------------------------------------------------------------
 
     def execute(self, query: EncryptedQuery) -> ServerResponse:
@@ -202,20 +179,13 @@ class SecureServer:
             # The engine appended this query's stats entry inside
             # ``qualifying_indices``; the pending scan's products (already
             # on the registry counter) belong on the same entry.
-            if self.record_stats:
-                column.charge_products(self._engine.stats_log[-1], products_before)
-        response = ServerResponse(row_ids=row_ids, rows=rows)
-        shipped = response.size_bytes
-        self.queries_served += 1
-        self.rows_shipped += len(rows)
-        self.bytes_shipped += shipped
+            column.charge_products(self._engine.stats_log[-1], products_before)
         metrics = self._obs.metrics
         metrics.add("server.queries_served")
         metrics.add("server.rows_shipped", len(rows))
-        metrics.add("server.bytes_shipped", shipped)
         if audit.enabled:
             audit.record("response", rows=len(rows))
-        return response
+        return ServerResponse(row_ids=row_ids, rows=rows)
 
     # -- update path -----------------------------------------------------------------
 
@@ -272,7 +242,7 @@ class SecureServer:
             dead = np.fromiter(tombstones, dtype=np.int64, count=len(tombstones))
             reclaimed = dead[np.isin(dead, column.row_ids)]
             rows, row_ids = pending.rows_at(live), pending.row_ids_at(live)
-            if self.engine_kind == "adaptive":
+            if self._config["engine"] == "adaptive":
                 self._engine.merge(rows, row_ids, reclaimed)
             else:
                 column.insert_block(np.full(len(live), len(column)), rows, row_ids)

@@ -80,8 +80,8 @@ class OutsourcedDatabase:
             independently under its own lock.  ``shards=1`` is the
             sharded machinery with identity routing (byte-identical
             results to an unsharded column).
-        min_piece_size / use_three_way / record_stats: forwarded to
-            the server engine.
+        min_piece_size / use_three_way: forwarded to the server
+            engine.
     """
 
     def __init__(
@@ -98,7 +98,6 @@ class OutsourcedDatabase:
         auto_merge_threshold: int = None,
         min_piece_size: int = 1,
         use_three_way: bool = False,
-        record_stats: bool = True,
         obs: Observability = None,
         transport: Transport = None,
         column: str = "values",
@@ -124,15 +123,13 @@ class OutsourcedDatabase:
             fake_domain=fake_domain,
         )
         rows, row_ids = self.client.encrypt_dataset(values)
-        # The full server configuration is kept on the session (and at
-        # the catalog) so maintenance operations rebuilding the column
-        # (key rotation) restore every knob, not just a subset.
-        self._server_config = dict(
+        # The server keeps this configuration: a key rotation rebuilds
+        # the column with every knob intact.
+        server_config = dict(
             engine=engine,
             auto_merge_threshold=auto_merge_threshold,
             min_piece_size=min_piece_size,
             use_three_way=use_three_way,
-            record_stats=record_stats,
         )
         if transport is None:
             # Loopback deployment: the session owns a private endpoint,
@@ -159,7 +156,7 @@ class OutsourcedDatabase:
             self._remote = RemoteColumn(
                 transport, column, obs=self._obs, codec=codec
             )
-        self._remote.create(rows, row_ids, self._server_config)
+        self._remote.create(rows, row_ids, server_config)
         self._jitter_pivots = int(jitter_pivots)
         if pivot_domain is None and values:
             pivot_domain = (min(values), max(values) + 1)

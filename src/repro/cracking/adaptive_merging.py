@@ -35,7 +35,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.cracking.index import QueryStats
+from repro.cracking.index import QueryStats, record_query_stats
 from repro.errors import QueryError
 
 
@@ -46,13 +46,13 @@ class AdaptiveMergingIndex:
         values: the column (copied).
         run_count: number of initial sorted runs (models memory-sized
             sort batches).
-        record_stats: append per-query :class:`QueryStats` to
-            :attr:`stats_log` (extraction time is booked as
-            ``crack_seconds`` — it is the physical-reorganisation cost
-            of this method).
+
+    Every query appends its :class:`QueryStats` to :attr:`stats_log`
+    (extraction time is booked as ``crack_seconds`` — it is the
+    physical-reorganisation cost of this method).
     """
 
-    def __init__(self, values, run_count: int = 16, record_stats: bool = True) -> None:
+    def __init__(self, values, run_count: int = 16) -> None:
         base = np.array(values, dtype=np.int64).reshape(-1)
         if run_count < 1:
             raise QueryError("need at least one run")
@@ -68,7 +68,6 @@ class AdaptiveMergingIndex:
         self._final_values = np.empty(0, dtype=np.int64)
         self._final_positions = np.empty(0, dtype=np.int64)
         self.build_seconds = time.perf_counter() - tick
-        self._record_stats = record_stats
         self.stats_log: List[QueryStats] = []
 
     def __len__(self) -> int:
@@ -141,8 +140,7 @@ class AdaptiveMergingIndex:
         result = self._final_positions[start:end].copy()
         stats.search_seconds = time.perf_counter() - tick
         stats.result_count = len(result)
-        if self._record_stats:
-            self.stats_log.append(stats)
+        record_query_stats(self.stats_log, stats)
         return result
 
     def query_point(self, value: int) -> np.ndarray:

@@ -18,16 +18,15 @@ from typing import List
 
 import numpy as np
 
-from repro.cracking.index import QueryStats
+from repro.cracking.index import QueryStats, record_query_stats
 from repro.errors import QueryError
 
 
 class FullScanIndex:
     """No index at all: every query scans the whole column."""
 
-    def __init__(self, values, record_stats: bool = True) -> None:
+    def __init__(self, values) -> None:
         self._values = np.array(values, dtype=np.int64).reshape(-1)
-        self._record_stats = record_stats
         self.stats_log: List[QueryStats] = []
 
     def __len__(self) -> int:
@@ -55,10 +54,9 @@ class FullScanIndex:
                 self._values <= high if high_inclusive else self._values < high
             )
         result = np.flatnonzero(mask)
-        if self._record_stats:
-            stats = QueryStats(scan_seconds=time.perf_counter() - tick,
-                               result_count=len(result))
-            self.stats_log.append(stats)
+        stats = QueryStats(scan_seconds=time.perf_counter() - tick,
+                           result_count=len(result))
+        record_query_stats(self.stats_log, stats)
         return result
 
     def query_point(self, value: int) -> np.ndarray:
@@ -77,13 +75,12 @@ class FullSortIndex:
     leaking the total order (Section 2.1).
     """
 
-    def __init__(self, values, record_stats: bool = True) -> None:
+    def __init__(self, values) -> None:
         base = np.array(values, dtype=np.int64).reshape(-1)
         tick = time.perf_counter()
         self._order = np.argsort(base, kind="stable")
         self._sorted = base[self._order]
         self.build_seconds = time.perf_counter() - tick
-        self._record_stats = record_stats
         self.stats_log: List[QueryStats] = []
 
     def __len__(self) -> int:
@@ -116,10 +113,9 @@ class FullSortIndex:
                 self._sorted, high, side="right" if high_inclusive else "left"
             )
         result = self._order[start:end].copy()
-        if self._record_stats:
-            stats = QueryStats(search_seconds=time.perf_counter() - tick,
-                               result_count=len(result))
-            self.stats_log.append(stats)
+        stats = QueryStats(search_seconds=time.perf_counter() - tick,
+                           result_count=len(result))
+        record_query_stats(self.stats_log, stats)
         return result
 
     def query_point(self, value: int) -> np.ndarray:

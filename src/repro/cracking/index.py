@@ -22,7 +22,7 @@ qualifying values").
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -124,43 +124,22 @@ QUERY_METRIC_NAMES = tuple(STATS_METRIC_OF_FIELD.values()) + (
 )
 
 
-class MeteredQueryStats(QueryStats):
-    """A :class:`QueryStats` that is a view over metric events.
-
-    Every mutation of a mapped field forwards its delta to the bound
-    :class:`repro.obs.metrics.MetricsRegistry`, so the per-query stats
-    object and the registry are written by the *same* statement and can
-    never drift.  Engines (and their subclasses — stochastic cracking,
-    sort-touch) keep mutating plain dataclass fields; the forwarding is
-    transparent.
-
-    Args:
-        counters: ``field -> Counter``, from :func:`stats_counters`.
-            An engine resolves it once and shares it between all its
-            stats objects — one is kept per query in ``stats_log``, so
-            a private map each is memory that grows with the log.
-    """
-
-    def __init__(self, counters) -> None:
-        object.__setattr__(self, "_counters", counters)
-        super().__init__()
-
-    def __setattr__(self, name, value):
-        counter = self._counters.get(name)
-        if counter is not None:
-            delta = value - getattr(self, name, 0)
-            if delta:
-                counter.add(delta)
-        object.__setattr__(self, name, value)
+#: Entries a ``stats_log`` keeps: it is trimmed back to its newest
+#: ``STATS_KEPT`` whenever it grows to twice that, so an engine's memory
+#: does not rise with the number of queries it has served.
+STATS_KEPT = 4096
 
 
-def stats_counters(metrics) -> dict:
-    """The registry counters a :class:`MeteredQueryStats` forwards to,
-    keyed by stats field."""
-    return {
-        field: metrics.counter(name)
-        for field, name in STATS_METRIC_OF_FIELD.items()
-    }
+def record_query_stats(stats_log: list, stats: QueryStats, metrics=None) -> None:
+    """Book one query, finished or failed: add each mapped field to its
+    counter in ``metrics`` (the only write those counters get; None for
+    an engine without a registry) and append the entry to ``stats_log``."""
+    if metrics is not None:
+        for name, metric in STATS_METRIC_OF_FIELD.items():
+            metrics.add(metric, getattr(stats, name))
+    stats_log.append(stats)
+    if len(stats_log) >= 2 * STATS_KEPT:
+        del stats_log[:-STATS_KEPT]
 
 
 @dataclass
@@ -194,10 +173,10 @@ class CrackingEngine:
         use_three_way: crack with one three-way pass when both query
             bounds land in the same piece (instead of two two-way
             cracks).
-        record_stats: append a :class:`QueryStats` to :attr:`stats_log`
-            for every query.  Metric counters are recorded regardless
-            (stats objects are materialised from them).
         obs: observability bundle (tracing spans + metrics + audit).
+
+    Every query appends its :class:`QueryStats` to :attr:`stats_log`
+    (the newest :data:`STATS_KEPT` are kept).
     """
 
     def __init__(
@@ -206,16 +185,13 @@ class CrackingEngine:
         compare_keys,
         min_piece_size: int,
         use_three_way: bool,
-        record_stats: bool,
         obs: Observability,
     ) -> None:
         self._column = column
         self._tree = AVLTree(compare_keys)
         self._min_piece = max(1, int(min_piece_size))
         self._use_three_way = use_three_way
-        self._record_stats = record_stats
         self._obs = obs
-        self._stats_counters = stats_counters(obs.metrics)
         # The paper's findpiece / addCrack, as ``f(tree, key, ...,
         # located)``: the last argument is the key's ``tree.locate``.
         self._find_piece, self._add_crack = find_piece, add_crack
@@ -254,27 +230,29 @@ class CrackingEngine:
 
     def _answer(
         self, left_key, right_key, pivot_keys: Iterable = ()
-    ) -> Tuple[np.ndarray, QueryStats]:
-        """Physical indices of the rows between the two keys and the
-        query's cost breakdown; cracks as a side effect.  Either key may
-        be None (one-sided: at most one piece is cracked); ``pivot_keys``
-        are cracked on first and do not affect the result."""
-        stats = MeteredQueryStats(self._stats_counters)
+    ) -> np.ndarray:
+        """Physical indices of the rows between the two keys; cracks as
+        a side effect and logs the query's cost breakdown, whether it
+        returns or raises.  Either key may be None (one-sided: at most
+        one piece is cracked); ``pivot_keys`` are cracked on first and
+        do not affect the result."""
+        stats = QueryStats()
         tree_comparisons_before = self._tree.comparison_count
-        for key in pivot_keys:
-            self._resolve(key, stats)
-        indices = self._execute(left_key, right_key, stats)
-        stats.result_count = len(indices)
-        stats.comparisons += (
-            self._tree.comparison_count - tree_comparisons_before
-        )
+        try:
+            for key in pivot_keys:
+                self._resolve(key, stats)
+            indices = self._execute(left_key, right_key, stats)
+            stats.result_count = len(indices)
+        finally:
+            stats.comparisons += (
+                self._tree.comparison_count - tree_comparisons_before
+            )
+            record_query_stats(self.stats_log, stats, self._obs.metrics)
         metrics = self._obs.metrics
         metrics.observe("query.cracks_per_query", stats.cracks)
         metrics.set("index.avl_depth", self._tree.height())
         metrics.set("index.pieces", len(self._tree) + 1)
-        if self._record_stats:
-            self.stats_log.append(stats)
-        return indices, stats
+        return indices
 
     def _execute(self, left_key, right_key, stats: QueryStats) -> np.ndarray:
         size = len(self._column)
@@ -469,8 +447,7 @@ class AdaptiveIndex(CrackingEngine):
 
     Args:
         values: the column (copied).
-        min_piece_size / use_three_way / record_stats: see
-            :class:`CrackingEngine`.
+        min_piece_size / use_three_way: see :class:`CrackingEngine`.
         obs: observability bundle; a private one is created when
             omitted.
     """
@@ -480,7 +457,6 @@ class AdaptiveIndex(CrackingEngine):
         values,
         min_piece_size: int = 1,
         use_three_way: bool = False,
-        record_stats: bool = True,
         obs: Observability = None,
     ) -> None:
         super().__init__(
@@ -488,7 +464,6 @@ class AdaptiveIndex(CrackingEngine):
             _compare_bound_keys,
             min_piece_size,
             use_three_way,
-            record_stats,
             obs if obs is not None else Observability(),
         )
 
@@ -519,7 +494,7 @@ class AdaptiveIndex(CrackingEngine):
         # The crack whose left side is the qualifying high side.
         right_key: BoundKey = None if high is None else (high, high_inclusive)
         with self._obs.span("query", engine="plain-adaptive"):
-            indices, __ = self._answer(left_key, right_key)
+            indices = self._answer(left_key, right_key)
         return self._column.positions[indices]
 
     def query_point(self, value: int) -> np.ndarray:

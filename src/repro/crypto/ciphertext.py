@@ -36,14 +36,6 @@ import numpy as np
 from repro.linalg.vectors import IntVector, dot
 
 
-def _vector_size_bytes(components) -> int:
-    """Wire-size estimate of an integer vector: minimal two's-complement
-    bytes per component plus a one-byte length prefix each."""
-    return sum(
-        (abs(int(x)).bit_length() + 8) // 8 + 1 for x in components
-    )
-
-
 @dataclass(frozen=True)
 class ValueCiphertext:
     """An ``Ev``-mode row: integer numerators over a positive denominator."""
@@ -60,13 +52,6 @@ class ValueCiphertext:
         """Ciphertext length ``l``."""
         return len(self.numerators)
 
-    @property
-    def size_bytes(self) -> int:
-        """Wire-size estimate (numerators + denominator)."""
-        return _vector_size_bytes(self.numerators) + _vector_size_bytes(
-            (self.denominator,)
-        )
-
 
 @dataclass(frozen=True)
 class BoundCiphertext:
@@ -78,11 +63,6 @@ class BoundCiphertext:
     def length(self) -> int:
         """Ciphertext length ``l``."""
         return len(self.vector)
-
-    @property
-    def size_bytes(self) -> int:
-        """Wire-size estimate."""
-        return _vector_size_bytes(self.vector)
 
     def product_sign(self, value: ValueCiphertext) -> int:
         """Sign of ``Eb(b) . Ev(v)``, i.e. of ``xi(v) * (v - b)``.
@@ -123,13 +103,6 @@ class AmbiguousCiphertext:
     def length(self) -> int:
         """Underlying ciphertext length ``l`` (stored vector is ``l + 1``)."""
         return len(self.numerators) - 1
-
-    @property
-    def size_bytes(self) -> int:
-        """Wire-size estimate (numerators + denominator)."""
-        return _vector_size_bytes(self.numerators) + _vector_size_bytes(
-            (self.denominator,)
-        )
 
     def interpretations(self) -> Tuple[ValueCiphertext, ValueCiphertext]:
         """Return the two possible rows: ``(l-prefix, l-suffix)``.
@@ -214,17 +187,6 @@ class RowBlock(Sequence):
     def length(self) -> int:
         """Ciphertext length ``l`` (0 for a block that never held a row)."""
         return self.numerators.shape[1]
-
-    @property
-    def size_bytes(self) -> int:
-        """Wire-size estimate of the whole block — the sum of its rows'
-        :attr:`ValueCiphertext.size_bytes`, in one pass."""
-        components = self.numerators.ravel().tolist()
-        components += self.denominators.tolist()
-        # _vector_size_bytes per component: (bits + 8) // 8 + 1.
-        return 2 * len(components) + sum(
-            [x.bit_length() >> 3 for x in components]
-        )
 
     def take(self, indices) -> "RowBlock":
         """The rows at ``indices`` (any numpy index: positions or a

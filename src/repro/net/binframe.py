@@ -1,12 +1,12 @@
 """Compact binary frame codec for protocol envelopes.
 
-The JSON frame codec is deterministic and debuggable but pays a 3-4x
-size tax over the compact estimate (``size_bytes``): every big-int
-ciphertext numerator round-trips through base-10 digits and every field
-name is spelled out per row.  This module is the second wire codec: a
-self-describing binary encoding of the *same* envelope dictionaries the
-JSON codec carries, so ``decode(encode(d)) == d`` holds for both codecs
-on any envelope — the invariant the fuzz and differential suites pin.
+The JSON frame codec is deterministic and debuggable but pays a size
+tax: every big-int ciphertext numerator round-trips through base-10
+digits and every field name is spelled out per row.  This module is the
+second wire codec: a self-describing binary encoding of the *same*
+envelope dictionaries the JSON codec carries, so ``decode(encode(d)) ==
+d`` holds for both codecs on any envelope — the invariant the fuzz and
+differential suites pin.
 
 Frame layout::
 

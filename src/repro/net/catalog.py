@@ -38,6 +38,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.query import EncryptedQuery
@@ -96,6 +97,18 @@ from repro.obs.telemetry import (
 MAX_REPLICATION_BATCH = 256
 
 
+@dataclass
+class _Column:
+    """One hosted column: its engine (which holds the create-time
+    configuration), the lock its requests serialize under, and its
+    mutation epoch — bumped by every state-changing request and compared
+    by the rotation fence, so a rebuild never erases concurrent writes."""
+
+    server: SecureServer
+    epoch: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
 class ColumnCatalog:
     """Hosts named encrypted columns behind one dispatch entry point.
 
@@ -126,15 +139,7 @@ class ColumnCatalog:
         # a JSON-compatible payload); the TCP server registers "pool".
         self._telemetry_providers: Dict[str, Callable[[], Any]] = {}
         self._registry_lock = threading.Lock()
-        self._servers: Dict[str, SecureServer] = {}
-        self._configs: Dict[str, Dict[str, Any]] = {}
-        self._locks: Dict[str, threading.Lock] = {}
-        # Per-column mutation epoch: bumped by every state-changing
-        # request (insert/delete/merge/rotate_apply/restore).  The
-        # rotation fence compares it against the epoch snapshotted at
-        # ``rotate_begin`` so a rebuild can never erase concurrent
-        # writes.
-        self._epochs: Dict[str, int] = {}
+        self._columns: Dict[str, _Column] = {}
         # Logical sharded columns: logical name -> {"count", \
         # "physical_per_value", "columns": [shard column names]}.
         self._shards: Dict[str, Dict[str, Any]] = {}
@@ -182,11 +187,11 @@ class ColumnCatalog:
     def column_names(self) -> List[str]:
         """Names of all hosted columns."""
         with self._registry_lock:
-            return sorted(self._servers)
+            return sorted(self._columns)
 
     def __len__(self) -> int:
         with self._registry_lock:
-            return len(self._servers)
+            return len(self._columns)
 
     # -- column registry ---------------------------------------------------------
 
@@ -201,7 +206,7 @@ class ColumnCatalog:
         """Create a named column from uploaded ciphertext rows.
 
         ``config`` takes the :class:`SecureServer` engine knobs (see
-        :data:`~repro.net.protocol.CONFIG_DEFAULTS`); the catalog keeps
+        :data:`~repro.net.protocol.CONFIG_DEFAULTS`); the server keeps
         it so key rotation can rebuild the engine with every knob
         intact.  ``shard`` optionally declares this column one slice of
         a logical sharded column (see :meth:`register_shard`).
@@ -222,7 +227,7 @@ class ColumnCatalog:
         if shard is not None:
             self._check_shard(shard)
         server = SecureServer(rows, row_ids, obs=self._obs, **merged)
-        self.adopt_column(name, server, merged, shard=shard)
+        self.adopt_column(name, server, shard=shard)
         self._obs.metrics.add("net.columns_created")
         return server
 
@@ -230,7 +235,6 @@ class ColumnCatalog:
         self,
         name: str,
         server: SecureServer,
-        config: Dict[str, Any],
         shard: Dict[str, Any] = None,
         epoch: int = 0,
     ) -> None:
@@ -246,28 +250,18 @@ class ColumnCatalog:
         if shard is not None:
             self._check_shard(shard)
         with self._registry_lock:
-            if name in self._servers:
+            if name in self._columns:
                 raise UpdateError("column %r already exists" % name)
-            self._servers[name] = server
-            self._configs[name] = dict(config)
-            self._locks[name] = threading.Lock()
-            self._epochs[name] = max(0, int(epoch))
+            self._columns[name] = _Column(server, max(0, int(epoch)))
         if shard is not None:
             try:
                 self.register_shard(name, shard)
             except UpdateError:
                 # Shard registration is part of creation: a geometry
                 # mismatch must not leave a half-registered column.
-                self._forget_column(name)
+                with self._registry_lock:
+                    self._columns.pop(name, None)
                 raise
-
-    def _forget_column(self, name: str) -> None:
-        """Undo a registry insert whose shard registration failed."""
-        with self._registry_lock:
-            self._servers.pop(name, None)
-            self._configs.pop(name, None)
-            self._locks.pop(name, None)
-            self._epochs.pop(name, None)
 
     @staticmethod
     def _check_shard(shard: Dict[str, Any]) -> None:
@@ -350,70 +344,59 @@ class ColumnCatalog:
                 for logical, meta in self._shards.items()
             }
 
-    def server(self, name: str) -> SecureServer:
-        """The engine behind one column.
+    def _column(self, name: str) -> _Column:
+        """The record of one hosted column.
 
         Raises:
             QueryError: for unknown names.
         """
         with self._registry_lock:
             try:
-                return self._servers[name]
+                return self._columns[name]
             except KeyError:
                 raise QueryError("unknown column: %r" % name) from None
+
+    def server(self, name: str) -> SecureServer:
+        """The engine behind one column (:class:`QueryError` for
+        unknown names, as for every per-column accessor below)."""
+        return self._column(name).server
 
     def replace_server(self, name: str, server: SecureServer) -> None:
         """Swap the engine behind an *existing* column in place.
 
-        The snapshot-restore path: the column keeps its name, config,
-        and lock; only the engine state changes.
+        The snapshot-restore path of a session's private endpoint: the
+        column keeps its name and lock, and its epoch moves on.  The
+        swap has no journal entry, so a journaled catalog refuses it —
+        the next logged mutation would sit two epochs past the last
+        and recovery would refuse the directory as gapped.
 
         Raises:
             QueryError: for unknown names.
+            UpdateError: while a WAL is bound.
         """
+        column = self._column(name)
+        if self._wal is not None:
+            raise UpdateError(
+                "column %r is journaled: replacing its server would bump "
+                "the epoch without a WAL entry" % name
+            )
         with self._registry_lock:
-            if name not in self._servers:
-                raise QueryError("unknown column: %r" % name)
-            self._servers[name] = server
-            self._epochs[name] = self._epochs.get(name, 0) + 1
+            column.server = server
+            column.epoch += 1
 
     def config(self, name: str) -> Dict[str, Any]:
         """The create-time engine configuration of one column."""
-        with self._registry_lock:
-            try:
-                return dict(self._configs[name])
-            except KeyError:
-                raise QueryError("unknown column: %r" % name) from None
-
-    def _column_lock(self, name: str) -> threading.Lock:
-        with self._registry_lock:
-            try:
-                return self._locks[name]
-            except KeyError:
-                raise QueryError("unknown column: %r" % name) from None
+        return self._column(name).server.config
 
     def epoch(self, name: str) -> int:
-        """The column's current mutation epoch (rotation-fence token).
-
-        Raises:
-            QueryError: for unknown names.
-        """
-        with self._registry_lock:
-            try:
-                return self._epochs[name]
-            except KeyError:
-                raise QueryError("unknown column: %r" % name) from None
-
-    def _bump_epoch(self, name: str) -> int:
-        with self._registry_lock:
-            self._epochs[name] = self._epochs.get(name, 0) + 1
-            return self._epochs[name]
+        """The column's current mutation epoch (rotation-fence token)."""
+        return self._column(name).epoch
 
     def epochs(self) -> Dict[str, int]:
         """Every column's current mutation epoch (the replication
         watermark a replica reports and a client routes reads by)."""
         with self._registry_lock:
-            return dict(self._epochs)
+            return {name: column.epoch for name, column in self._columns.items()}
 
     @contextmanager
     def quiesced(self):
@@ -426,7 +409,7 @@ class ColumnCatalog:
         sorted acquisition order cannot deadlock.
         """
         with self._registry_lock:
-            locks = [self._locks[name] for name in sorted(self._locks)]
+            locks = [self._columns[name].lock for name in sorted(self._columns)]
         for lock in locks:
             lock.acquire()
         try:
@@ -523,19 +506,19 @@ class ColumnCatalog:
                 "WAL entry %d carries a malformed %r envelope: %s"
                 % (entry["seq"], entry["request"].get("kind"), exc)
             ) from exc
+        with self._registry_lock:
+            hosted = self._columns.get(column)
         if isinstance(request, CreateColumnRequest):
-            with self._registry_lock:
-                if column in self._servers:
-                    return False
+            if hosted is not None:
+                return False
             self._apply_replayed(request, entry)
             return True
-        with self._registry_lock:
-            current = self._epochs.get(column)
-        if current is None:
+        if hosted is None:
             raise PersistenceError(
                 "WAL entry %d mutates unknown column %r"
                 % (entry["seq"], column)
             )
+        current = hosted.epoch
         if epoch <= current:
             return False
         if epoch != current + 1:
@@ -611,15 +594,13 @@ class ColumnCatalog:
         pre-reset data one last time.
         """
         with other._registry_lock:
-            servers = dict(other._servers)
-            configs = {name: dict(cfg) for name, cfg in other._configs.items()}
-            epochs = dict(other._epochs)
+            columns = {
+                name: _Column(column.server, column.epoch)
+                for name, column in other._columns.items()
+            }
         shards = other.shards()
         with self._registry_lock:
-            self._servers = servers
-            self._configs = configs
-            self._locks = {name: threading.Lock() for name in servers}
-            self._epochs = epochs
+            self._columns = columns
             self._shards = shards
             self._set_shards_gauge()
 
@@ -988,8 +969,10 @@ class ColumnCatalog:
         that runs it under the addressed column's lock."""
 
         def handler(request):
-            with self._column_lock(request.column):
-                return operation(request, self.server(request.column))
+            column = self._column(request.column)
+            with column.lock:
+                # Read under the lock: a rotation swaps the server.
+                return operation(request, column.server)
 
         return handler
 
@@ -998,7 +981,10 @@ class ColumnCatalog:
         holds the column lock): bump the column's epoch, journal the
         envelope at that epoch, and answer with the request's reply
         type carrying ``result`` plus the epoch."""
-        epoch = self._bump_epoch(request.column)
+        with self._registry_lock:
+            column = self._columns[request.column]
+            column.epoch += 1
+            epoch = column.epoch
         self._log_mutation(request.column, epoch, request)
         return spec_of(request).reply(epoch=epoch, **result)
 
@@ -1069,8 +1055,8 @@ class ColumnCatalog:
             request.rows,
             list(request.row_ids),
             obs=self._obs,
-            **self.config(request.column),
+            **server.config,
         )
         with self._registry_lock:
-            self._servers[request.column] = rebuilt
+            self._columns[request.column].server = rebuilt
         return self._commit(request, rows_stored=len(rebuilt))

@@ -96,7 +96,6 @@ CONFIG_DEFAULTS: Dict[str, Any] = {
     "auto_merge_threshold": None,
     "min_piece_size": 1,
     "use_three_way": False,
-    "record_stats": True,
 }
 
 

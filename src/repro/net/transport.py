@@ -54,7 +54,8 @@ def serve_frame(catalog, payload: bytes) -> bytes:
     transport: an undecodable frame is answered with a typed
     ``serialization`` envelope, and the reply is encoded in the codec
     the request arrived in, so JSON-only clients never see binary
-    frames.
+    frames.  ``server.bytes_shipped`` counts the reply's length: every
+    byte the endpoint ships, measured, under either transport.
     """
     try:
         request = decode_frame(payload)
@@ -64,7 +65,9 @@ def serve_frame(catalog, payload: bytes) -> bytes:
         )
     else:
         response = catalog.dispatch(request)
-    return encode_frame(response, codec=frame_codec(payload))
+    reply = encode_frame(response, codec=frame_codec(payload))
+    catalog.obs.metrics.add("server.bytes_shipped", len(reply))
+    return reply
 
 
 class Transport(ABC):

@@ -8,9 +8,9 @@ first-class and permanent:
 * :class:`~repro.obs.tracing.Tracer` — nested, timed spans with a
   true no-op fast path when disabled (``with obs.span("crack"):``).
 * :class:`~repro.obs.metrics.MetricsRegistry` — named counters,
-  gauges, and exact-percentile histograms; always on (it is the
-  substrate per-query :class:`~repro.cracking.index.QueryStats` are
-  materialised from, so the two can never drift).
+  gauges, and exact-percentile histograms; always on (it is the one
+  ledger: each query's :class:`~repro.cracking.index.QueryStats` is
+  flushed to it once, when the query ends).
 * :class:`~repro.obs.audit.AuditLog` — the server-side record of
   exactly what an honest-but-curious server observes, feeding
   :mod:`repro.analysis.leakage` with real traces.

@@ -1,11 +1,11 @@
 """Named counters, gauges, and histograms (zero-dependency).
 
-The registry is the system's single source of numeric truth: engines,
-the server, the protocol session, and the scalar-product kernel all
-emit their events here, and every other view — per-query
-:class:`~repro.cracking.index.QueryStats`, CLI output, benchmark
-reports — is derived from the same counters, so the views cannot drift
-from one another.
+The registry is the system's one ledger: engines, the server, the
+transports, the protocol session, and the scalar-product kernel each
+record a count once, here, where the event happens — a query's
+:class:`~repro.cracking.index.QueryStats` is flushed to it when the
+query ends — and CLI output, telemetry and benchmark reports read the
+same counters, so no two views can disagree.
 
 Three instrument kinds cover everything the evaluation needs:
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.cracking.index import AdaptiveIndex
+from repro.cracking.index import STATS_KEPT, AdaptiveIndex
 from repro.errors import QueryError
 
 from conftest import reference_positions
@@ -181,7 +181,13 @@ class TestStats:
         assert stats.total_seconds >= stats.crack_seconds
         assert stats.result_count == len(index.query(10, 20))
 
-    def test_stats_disabled(self, small_values):
-        index = AdaptiveIndex(small_values, record_stats=False)
-        index.query(10, 20)
-        assert index.stats_log == []
+    def test_stats_log_keeps_the_newest_entries_only(self, index):
+        """Memory does not rise with queries served: the log is cut
+        back to its newest ``STATS_KEPT`` whenever it doubles, and the
+        last entry is always the last query."""
+        for query in range(2 * STATS_KEPT + 40):
+            width = query % 7
+            index.query(100, 100 + width)
+            assert len(index.stats_log) <= 2 * STATS_KEPT
+            assert index.stats_log[-1].result_count == width + 1
+        assert STATS_KEPT <= len(index.stats_log) < 2 * STATS_KEPT

@@ -17,7 +17,15 @@ import time
 
 import pytest
 
+from repro.core.persistence import (
+    recover_catalog,
+    restore_server,
+    snapshot_server,
+)
 from repro.core.session import OutsourcedDatabase
+from repro.core.wal import WalWriter
+from repro.errors import UpdateError
+from repro.net.catalog import ColumnCatalog
 from repro.net.client import RemoteColumn
 from repro.net.transport import LoopbackTransport, TcpTransport
 
@@ -236,3 +244,21 @@ class TestKillNineRecovery:
 
         served["start"]()
         assert [sorted(db.query(lo, hi).values) for lo, hi in QUERIES] == live
+
+
+def test_replace_server_cannot_open_an_epoch_gap(tmp_path):
+    """create, insert, ``replace_server``, insert, recover: the swap
+    used to bump the epoch with no journal entry, so the second insert
+    was logged two epochs past the first and recovery refused the
+    directory as gapped.  A journaled catalog refuses the swap."""
+    catalog = ColumnCatalog()
+    catalog.bind_wal(WalWriter(str(tmp_path)))
+    db = OutsourcedDatabase(
+        VALUES, seed=SEED, transport=LoopbackTransport(catalog), column="c"
+    )
+    db.insert(42)
+    with pytest.raises(UpdateError, match="journaled"):
+        catalog.replace_server("c", restore_server(snapshot_server(catalog.server("c"))))
+    db.insert(7)
+    recovered, __ = recover_catalog(str(tmp_path))
+    assert recovered.epochs() == catalog.epochs() == {"c": 2}

@@ -25,7 +25,6 @@ class TestConfigSurvivesRotation:
             auto_merge_threshold=5,
             min_piece_size=8,
             use_three_way=True,
-            record_stats=False,
         )
         db.rotate_key(new_seed=2)
         assert db.server.config == {
@@ -33,7 +32,6 @@ class TestConfigSurvivesRotation:
             "auto_merge_threshold": 5,
             "min_piece_size": 8,
             "use_three_way": True,
-            "record_stats": False,
         }
         # The restored config still behaves: auto-merge fires past the
         # threshold instead of letting the pending buffer grow forever.
@@ -44,11 +42,11 @@ class TestConfigSurvivesRotation:
     def test_scan_engine_survives(self):
         db = OutsourcedDatabase(VALUES, seed=1, engine="scan")
         db.rotate_key(new_seed=2)
-        assert db.server.engine_kind == "scan"
+        assert db.server.config["engine"] == "scan"
         assert sorted(db.query(0, 200).values.tolist()) == sorted(VALUES)
 
     def test_record_stats_kept_on(self):
-        db = OutsourcedDatabase(VALUES, seed=1, record_stats=True)
+        db = OutsourcedDatabase(VALUES, seed=1)
         db.rotate_key(new_seed=2)
         db.query(10, 50)
         assert len(db.server.stats_log) == 1

@@ -309,5 +309,5 @@ class TestParallelBatch:
 class TestAdopt:
     def test_adopt_rejects_duplicates(self, loaded):
         server = loaded.server("prices")
-        with pytest.raises(UpdateError):
-            loaded.adopt_column("prices", server, {})
+        with pytest.raises(UpdateError, match="already exists"):
+            loaded.adopt_column("prices", server)

@@ -266,34 +266,6 @@ class TestErrorEnvelopes:
 
 
 class TestSizeEstimates:
-    """``size_bytes`` is a compact-binary estimate; the JSON wire
-    encoding costs a documented factor more (decimal digits plus field
-    names).  The contract pinned here: actual encoded length stays
-    within 2x-6x of the estimate, for ciphertexts and bounds alike."""
-
-    LOW, HIGH = 2.0, 6.0
-
-    def test_value_ciphertext_estimate(self, client):
-        for value in (0, 1, -5, 123456, 2 ** 31 - 1, -(2 ** 31)):
-            ct = client.encryptor.encrypt_value(value)
-            wire = len(encode_frame(ciphertext_to_dict(ct)))
-            assert self.LOW <= wire / ct.size_bytes <= self.HIGH
-
-    def test_encrypted_bound_estimate(self, client):
-        query = client.make_query(10, 2 ** 30)
-        for bound in (query.low, query.high):
-            wire = len(encode_frame(ciphertext_to_dict(bound.eb))) + len(
-                encode_frame(ciphertext_to_dict(bound.ev))
-            )
-            assert self.LOW <= wire / bound.size_bytes <= self.HIGH
-
-    def test_server_response_estimate(self, client, rows):
-        body = ServerResponse(
-            row_ids=np.arange(len(rows), dtype=np.int64), rows=list(rows)
-        )
-        wire = len(encode_frame(response_to_dict(QueryResponse(body))))
-        assert self.LOW <= wire / body.size_bytes <= self.HIGH
-
     def test_config_defaults_match_server_signature(self):
         from inspect import signature
 

@@ -6,12 +6,14 @@ Covers the cross-cutting contracts:
   edge-scan / kernel-product spans whose summed durations reconcile
   with the query's :class:`QueryStats.total_seconds`;
 * :class:`QueryStats` equals the per-operation metrics-registry deltas
-  (the two are written by the same statements) across query, insert,
-  delete, merge, and key rotation;
+  (an entry is flushed to the registry once, when its query ends —
+  by returning or by raising) across query, insert, delete, merge, and
+  key rotation;
 * the server-side audit log matches the access pattern predicted by
   :mod:`repro.analysis.leakage`;
 * the session counts bytes in both directions;
-* pending-scan kernel counts survive ``record_stats=False``.
+* the pending scan's kernel counts land on the query's stats entry;
+* the metric table of ``docs/observability.md`` names what is emitted.
 """
 
 import json
@@ -114,7 +116,7 @@ class TestTracedQueryAcceptance:
 
 
 class TestStatsEqualRegistryDeltas:
-    """QueryStats is a view over metric events — per-op deltas match."""
+    """A query's QueryStats is what it added to the registry."""
 
     @pytest.fixture()
     def db(self):
@@ -168,6 +170,34 @@ class TestStatsEqualRegistryDeltas:
         )
         self._check_query_delta(db, 150, 250)
 
+    def test_a_query_that_raises_midway_is_booked_too(self, db, monkeypatch):
+        """The left bound cracks the column, the right bound's crack
+        raises: the entry is logged and flushed by the ``finally``."""
+        server = db.server
+        column = server.engine.column
+        crack, calls = column.crack, []
+
+        def crack_once(*args):
+            if calls:
+                raise RuntimeError("disk on fire")
+            calls.append(args)
+            return crack(*args)
+
+        monkeypatch.setattr(column, "crack", crack_once)
+        before = _registry_values(db.obs)
+        with pytest.raises(RuntimeError):
+            server.execute(db.client.make_query(100, 200))
+        delta = _delta(before, _registry_values(db.obs))
+        assert len(server.stats_log) == 1
+        stats = server.stats_log[-1]
+        assert (stats.cracks, stats.cracked_rows) == (1, len(VALUES))
+        assert stats.search_seconds > 0 and stats.result_count == 0
+        for field, metric in STATS_METRIC_OF_FIELD.items():
+            assert delta[metric] == pytest.approx(getattr(stats, field))
+        assert delta["kernel.fast_products"] == stats.kernel_fast_products
+        assert stats.kernel_fast_products == len(VALUES)
+        assert delta["kernel.exact_products"] == stats.kernel_exact_products
+
     def test_stats_log_sums_equal_registry_for_query_only_workload(self):
         db = OutsourcedDatabase(VALUES, seed=21, min_piece_size=8)
         for low in (50, 200, 350, 125):
@@ -179,9 +209,10 @@ class TestStatsEqualRegistryDeltas:
             )
 
 
-    def test_documented_query_metrics_equal_the_emitted_ones(self):
-        """The ``kernel.*`` / ``query.*`` rows of the metric table in
-        ``docs/observability.md`` are exactly ``QUERY_METRIC_NAMES``."""
+    @staticmethod
+    def _documented(*prefixes):
+        """Names with one of ``prefixes`` in the first column of the
+        tables of ``docs/observability.md``, sorted."""
         path = os.path.join(
             os.path.dirname(__file__), os.pardir, "docs", "observability.md"
         )
@@ -189,13 +220,33 @@ class TestStatsEqualRegistryDeltas:
             name_cells = [
                 line.split("|")[1] for line in handle if line.startswith("| `")
             ]
-        documented = [
+        return sorted(
             name
             for cell in name_cells
             for name in re.findall(r"`([^`]+)`", cell)
-            if name.startswith(("kernel.", "query."))
-        ]
-        assert sorted(documented) == sorted(QUERY_METRIC_NAMES)
+            if name.startswith(prefixes)
+        )
+
+    def test_documented_query_metrics_equal_the_emitted_ones(self):
+        """The ``kernel.*`` / ``query.*`` rows of the metric table in
+        ``docs/observability.md`` are exactly ``QUERY_METRIC_NAMES``."""
+        assert self._documented("kernel.", "query.") == sorted(
+            QUERY_METRIC_NAMES
+        )
+
+    def test_documented_server_and_protocol_metrics_are_emitted(self, db):
+        """Its ``server.*`` / ``protocol.*`` rows are exactly what a
+        session's registry holds after it used every operation."""
+        db.query(100, 200)
+        db.delete(db.insert(1000))
+        db.insert(1001)
+        db.merge()
+        emitted = sorted(
+            name
+            for name in db.obs.metrics.snapshot()["counters"]
+            if name.startswith(("server.", "protocol."))
+        )
+        assert self._documented("server.", "protocol.") == emitted
 
 
 class TestProtocolBytes:
@@ -223,22 +274,12 @@ class TestProtocolBytes:
 
 
 class TestPendingScanHardening:
-    def _server(self, record_stats):
+    def test_pending_products_fold_into_stats_when_recording(self):
         client = TrustedClient(seed=31)
         rows, row_ids = client.encrypt_dataset(VALUES[:64])
-        server = SecureServer(rows, row_ids, record_stats=record_stats)
+        server = SecureServer(rows, row_ids)
         server.insert(client.encrypt_value(17))
         server.insert(client.encrypt_value(900))
-        return client, server
-
-    def test_pending_products_reach_registry_without_stats(self):
-        client, server = self._server(record_stats=False)
-        server.execute(client.make_query(0, 100))
-        assert server.obs.metrics.counter_value("kernel.fast_products") > 0
-        assert server.stats_log == []  # the view is off, the events not
-
-    def test_pending_products_fold_into_stats_when_recording(self):
-        client, server = self._server(record_stats=True)
         server.execute(client.make_query(0, 100))
         stats = server.stats_log[-1]
         assert stats.kernel_fast_products == (

@@ -60,10 +60,17 @@ class TestSnapshot:
         assert 5555 in values
 
     def test_accounting_survives(self):
+        """Counts live in the registry, not in the snapshot: a server
+        restored into the same bundle keeps counting where the
+        original left off."""
         db = warmed_db()
-        restored = restore_server(snapshot_server(db.server))
-        assert restored.queries_served == db.server.queries_served
-        assert restored.rows_shipped == db.server.rows_shipped
+        counted = db.obs.metrics.counter_value
+        served = counted("server.queries_served")
+        shipped = counted("server.rows_shipped")
+        restored = restore_server(snapshot_server(db.server), obs=db.obs)
+        response = restored.execute(db.client.make_query(50, 120))
+        assert counted("server.queries_served") == served + 1 == 3
+        assert counted("server.rows_shipped") == shipped + len(response.rows)
 
     def test_json_compatible(self):
         db = warmed_db()
@@ -84,10 +91,9 @@ class TestSnapshot:
         with pytest.raises(SerializationError):
             restore_server({"kind": "something"})
 
-    @pytest.mark.parametrize("version", [1, 2, 99, None])
+    @pytest.mark.parametrize("version", [1, 2, 3, 99, None])
     def test_any_other_version_rejected(self, version):
-        """Version 2 (one ciphertext object per row) included: blocks
-        replaced it and there is no second reader."""
+        """There is no second reader."""
         db = warmed_db()
         snapshot = snapshot_server(db.server)
         snapshot["version"] = version
@@ -99,7 +105,8 @@ class TestSnapshot:
     ])
     def test_engine_refusing_its_config_is_a_typed_rejection(self, key, value):
         snapshot = snapshot_server(warmed_db().server)
-        snapshot[key] = value
+        # ``engine_kind`` is not a key the engine takes at all.
+        snapshot["config"][key] = value
         with pytest.raises(SerializationError, match="malformed snapshot"):
             restore_server(snapshot)
 
@@ -158,29 +165,20 @@ class TestKeyRotation:
 
 
 class TestSnapshotVersioning:
-    """Snapshots carry ``bytes_shipped`` and ``record_stats``."""
-
-    def test_bytes_shipped_survives(self):
-        db = warmed_db()
-        assert db.server.bytes_shipped > 0
-        restored = restore_server(snapshot_server(db.server))
-        assert restored.bytes_shipped == db.server.bytes_shipped
-
-    def test_record_stats_survives(self):
-        db = OutsourcedDatabase(VALUES[:40], seed=18, record_stats=False)
-        db.query(0, 100)
-        assert not db.server.record_stats
-        restored = restore_server(snapshot_server(db.server))
-        assert not restored.record_stats
-        restored.execute(db.client.make_query(0, 50))
-        assert restored.stats_log == []
-
-    def test_current_version_is_3(self):
+    def test_current_version_is_4(self):
+        """Version 4 holds state only: the engine configuration under
+        ``config`` (keyed like ``CONFIG_DEFAULTS``) and no counts —
+        those live in the metrics registry."""
         from repro.core.persistence import SNAPSHOT_VERSION
+        from repro.net.protocol import CONFIG_DEFAULTS
 
-        db = warmed_db()
-        assert SNAPSHOT_VERSION == 3
-        assert snapshot_server(db.server)["version"] == 3
+        snapshot = snapshot_server(warmed_db().server)
+        assert SNAPSHOT_VERSION == snapshot["version"] == 4
+        assert set(snapshot) == {
+            "kind", "version", "config", "rows", "row_ids", "tree",
+            "pending", "tombstones", "next_row_id",
+        }
+        assert set(snapshot["config"]) == set(CONFIG_DEFAULTS)
 
     def test_rows_and_pending_rows_are_wire_blocks(self):
         """One row-set encoding: a snapshot stores the column and the
@@ -257,7 +255,7 @@ class TestCatalogSnapshot:
 
         with pytest.raises(SerializationError):
             restore_catalog({
-                "kind": "column_catalog", "version": 3,
+                "kind": "column_catalog", "version": 4,
                 "columns": {"a": {}}, "epochs": {"a": 0}, "shards": {},
             })
 
@@ -309,15 +307,18 @@ class TestCatalogSnapshotV3:
         db.merge()
         return catalog, db
 
-    def test_current_catalog_version_is_3(self):
+    def test_current_catalog_version_is_4(self):
+        """Version 4 maps a column name straight to its server
+        snapshot (which carries the configuration)."""
         from repro.core.persistence import (
             CATALOG_SNAPSHOT_VERSION,
             snapshot_catalog,
         )
 
         catalog, _ = self.make_warm_catalog()
-        assert CATALOG_SNAPSHOT_VERSION == 3
-        assert snapshot_catalog(catalog)["version"] == 3
+        snapshot = snapshot_catalog(catalog)
+        assert CATALOG_SNAPSHOT_VERSION == snapshot["version"] == 4
+        assert snapshot["columns"]["t"]["kind"] == "secure_server"
 
     def test_epochs_round_trip(self):
         from repro.core.persistence import restore_catalog, snapshot_catalog
@@ -336,7 +337,7 @@ class TestCatalogSnapshotV3:
         snapshot = snapshot_catalog(catalog, wal_seq=17)
         assert snapshot["wal_seq"] == 17
 
-    @pytest.mark.parametrize("version", [1, 2, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 99])
     def test_any_other_version_rejected(self, version):
         from repro.core.persistence import restore_catalog, snapshot_catalog
         from repro.errors import SerializationError

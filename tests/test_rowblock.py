@@ -24,11 +24,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.client import TrustedClient
-from repro.core.server import ROW_ID_BYTES, SecureServer, ServerResponse
+from repro.core.server import SecureServer, ServerResponse
 from repro.core.session import OutsourcedDatabase
 from repro.crypto.ciphertext import RowBlock, ValueCiphertext
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor
+from repro.errors import UpdateError
 from repro.linalg.intmat import mat_vec
 from repro.linalg.vectors import dot, orthogonal_vector
 
@@ -293,27 +294,31 @@ class TestBlockDecryptMatchesPerRowReference:
 
 
 class TestShippedBytes:
-    def test_block_size_is_the_sum_of_its_rows(self):
-        client = TrustedClient(seed=4, ambiguity=True)
-        rows, _ = client.encrypt_dataset([1, 2 ** 70, -9, 0])
-        assert any(row.denominator != 1 for row in rows)
-        assert rows.size_bytes == sum(row.size_bytes for row in rows)
-        assert RowBlock.from_rows(()).size_bytes == 0
-
-    def test_execute_accumulates_the_response_estimate(self):
+    def test_bytes_shipped_is_the_reply_frames_the_client_received(self):
+        """``server.bytes_shipped`` is measured where reply frames are
+        encoded, so on a loopback session (one registry for both ends)
+        it equals the client's ``net.bytes_received`` byte for byte —
+        hello and create included, error replies too."""
         db = OutsourcedDatabase(range(200), seed=6)
-        db.insert(50)  # a pending row rides in the same block
-        server = db.server
-        before = server.bytes_shipped
-        response = server.execute(db.client.make_query(10, 80))
-        assert len(response.rows) == 72
-        assert response.size_bytes == (
-            sum(row.size_bytes for row in response.rows)
-            + ROW_ID_BYTES * len(response.row_ids)
-        )
-        assert server.bytes_shipped - before == response.size_bytes
-        assert server.obs.metrics.counter_value("server.bytes_shipped") \
-            == server.bytes_shipped
+        counted = db.obs.metrics.counter_value
+
+        def check():
+            assert counted("server.bytes_shipped") == counted("net.bytes_received")
+
+        check()
+        db.insert(50)  # a pending row rides in the next reply's block
+        check()
+        before = counted("server.bytes_shipped")
+        assert len(db.query(10, 80).values) == 72
+        assert counted("server.bytes_shipped") - before == db.remote.last_received_bytes
+        check()
+        db.query(high=5)
+        assert len(db.remote.fetch([3, 4, 5])) == 3
+        check()
+        with pytest.raises(UpdateError):
+            db.remote.delete([10 ** 6])
+        assert counted("net.errors") == 1
+        check()
 
     def test_a_response_packs_whatever_rows_it_is_given(self):
         client = TrustedClient(seed=4)

@@ -39,8 +39,9 @@ class TestQueryPath:
         server = make_server(client)
         server.execute(client.make_query(25, 65))
         server.execute(client.make_query(0, 100))
-        assert server.queries_served == 2
-        assert server.rows_shipped == 4 + 8
+        counted = server.obs.metrics.counter_value
+        assert counted("server.queries_served") == 2
+        assert counted("server.rows_shipped") == 4 + 8
 
     def test_response_is_single_message(self, client):
         server = make_server(client)

@@ -450,23 +450,27 @@ def snapshot_digest(server):
 
 
 class TestSnapshotBytesPinned:
-    """sha256 of ``snapshot_server`` computed with the parent commit's
-    list-of-tuples pending buffer and per-row merge."""
+    """sha256 of ``snapshot_server``, each derived from the output of
+    the commit before snapshot version 4: that commit's dict with its
+    ``queries_served`` / ``rows_shipped`` / ``bytes_shipped`` /
+    ``record_stats`` keys deleted, its four engine-configuration keys
+    gathered under ``config`` (``engine_kind`` as ``engine``) and
+    ``version`` 3 read 4 — nothing else may have moved."""
 
     def test_cracks_pending_rows_and_tombstones(self):
         client, server = pinned_server()
-        assert SNAPSHOT_VERSION == 3
+        assert SNAPSHOT_VERSION == 4
         assert snapshot_digest(server) == (
-            "7dd933e2db495fd7c9fc3f8197863d836dac89044e4519a925bec9a2cbc1945f"
+            "d40f7552023996c8cf1cf7d8c2fd577f619363917353af1076eeb3fbd36a3f2b"
         )
         server.merge_pending()  # empty pending block, merged physical order
         assert snapshot_digest(server) == (
-            "7f8704b03c7767c288a9efa70fafdc9186e4fdac3421b931205a291f0c8385d7"
+            "40760157f7561fa91c8bb5a0e0f371d853158b9978b8021f9b179493cdcf6de7"
         )
         server.insert(client.encrypt_value(7))
         server.execute(client.make_query(0, 50))
         assert snapshot_digest(server) == (
-            "61c0bff694b31f0948bb44cf4f80d8e9a335cd51d3b99cc421ece4dec3dd1333"
+            "afb22b1398b2727c4fb3311780e5ed38b61213dd62d449e2eb477364abf2e802"
         )
 
 
