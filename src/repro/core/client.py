@@ -133,16 +133,11 @@ class TrustedClient:
                     seed=None if self._seed is None else self._seed + 1,
                 )
                 self._key_was_auto_generated = False
-        if self.ambiguity:
-            rows = RowBlock.from_rows(
-                [row for value in values for row in self.encrypt_value(value)]
-            )
-        else:
-            rows = self._encryptor.encrypt_values(values)
+        rows = self._encrypt_rows(values)
         return rows, list(range(len(rows)))
 
-    def encrypt_value(self, value: int) -> List[ValueCiphertext]:
-        """Physical rows for one value (two when ambiguity is on).
+    def _encrypt_rows(self, values: Iterable[int]) -> RowBlock:
+        """The physical rows of ``values`` as one block.
 
         Counterfeit branches are steered into :attr:`fake_domain` when
         one is known (set explicitly or learned from the dataset) and
@@ -150,15 +145,14 @@ class TrustedClient:
         construction is used.
         """
         if not self.ambiguity:
-            return [self._encryptor.encrypt_value(value)]
-        if self.fake_domain is not None and self.key.length >= 4:
-            ambiguous = self._encryptor.encrypt_value_ambiguous(
-                value, fake_domain=self.fake_domain
-            )
-        else:
-            ambiguous = self._encryptor.encrypt_value_ambiguous(value)
-        prefix, suffix = ambiguous.interpretations()
-        return [prefix, suffix]
+            return self._encryptor.encrypt_values(values)
+        return self._encryptor.encrypt_values_ambiguous(
+            values, self.fake_domain if self.key.length >= 4 else None
+        )
+
+    def encrypt_value(self, value: int) -> List[ValueCiphertext]:
+        """Physical rows for one value (two when ambiguity is on)."""
+        return list(self._encrypt_rows((value,)))
 
     def logical_id(self, physical_row_id: int) -> int:
         """Map a server row id back to the logical value index."""

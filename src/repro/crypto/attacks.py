@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
 from repro.errors import AttackError
-from repro.linalg.solve import solve_affine
+from repro.linalg.solve import integer_nullspace
 from repro.linalg.vectors import IntVector
 
 
@@ -154,21 +154,23 @@ class BoundRecoveryAttack:
     def fit(self) -> bool:
         """Solve ``w . Eb_i = b_i`` exactly; return True on success.
 
-        Runs rational Gaussian elimination on the observed system.  An
-        inconsistent system (impossible for genuine observations under
-        one key) returns False, as does an underdetermined system whose
+        The system is homogenised — ``w . Eb_i - b_i * 1 = 0`` — and
+        read off the integer nullspace: the basis vector that frees the
+        constant's column is ``scale * (w, 1)`` with every other free
+        unknown at zero.  An inconsistent system (impossible for
+        genuine observations under one key) has no such vector and
+        returns False, as does an underdetermined system whose
         particular solution fails self-validation on the observations.
         """
         if not self._observations:
             return False
         length = self._observations[0][1].length
-        rows = [
-            [Fraction(x) for x in ct.vector] + [Fraction(b)]
-            for b, ct in self._observations
-        ]
-        solution = _solve_rational(rows, length)
-        if solution is None:
+        basis, scale = integer_nullspace(
+            [list(ct.vector) + [-int(b)] for b, ct in self._observations]
+        )
+        if not basis or basis[-1][length] == 0:
             return False
+        solution = [Fraction(x, scale) for x in basis[-1][:length]]
         for b, ct in self._observations:
             if sum(w * x for w, x in zip(solution, ct.vector)) != b:
                 return False
@@ -200,8 +202,8 @@ class ValueRecoveryAttack:
 
     def __init__(self) -> None:
         self._observations: List[Tuple[int, "ValueCiphertext"]] = []
-        self._w1: Optional[Tuple[Fraction, ...]] = None
-        self._w2: Optional[Tuple[Fraction, ...]] = None
+        self._w1: Optional[Tuple[int, ...]] = None
+        self._w2: Optional[Tuple[int, ...]] = None
 
     @property
     def observation_count(self) -> int:
@@ -221,9 +223,10 @@ class ValueRecoveryAttack:
     def fit(self) -> bool:
         """Find ``(w1, w2)`` with ``w1 . Ev = v * (w2 . Ev)`` on all pairs.
 
-        The system is homogeneous; the basis of its nullspace is
-        searched for an element whose ``w2`` component does not vanish
-        on the observations (a ratio needs a nonzero denominator).
+        The system is homogeneous; the (integer, commonly scaled)
+        basis of its nullspace is searched for an element whose ``w2``
+        component does not vanish on the observations (a ratio needs a
+        nonzero denominator, and is indifferent to the scale).
         With too few pairs the nullspace is large and the returned
         functional usually fails on fresh ciphertexts — callers should
         validate on held-out pairs, as :func:`pairs_needed_to_break`
@@ -232,17 +235,11 @@ class ValueRecoveryAttack:
         if not self._observations:
             return False
         length = self._observations[0][1].length
-        rows = []
-        for value, ciphertext in self._observations:
-            numerators = ciphertext.numerators
-            rows.append(
-                [Fraction(x) for x in numerators]
-                + [Fraction(-value * x) for x in numerators]
-            )
-        solution = solve_affine(rows, [Fraction(0)] * len(rows))
-        if solution is None:
-            return False
-        __, basis = solution
+        basis, __ = integer_nullspace([
+            list(ciphertext.numerators)
+            + [-int(value) * x for x in ciphertext.numerators]
+            for value, ciphertext in self._observations
+        ])
         for candidate in basis:
             w1, w2 = candidate[:length], candidate[length:]
             if all(x == 0 for x in w2):
@@ -307,50 +304,6 @@ def pairs_needed_to_break(attack, pair_stream, holdout, limit: int) -> Optional[
         except AttackError:
             continue
     return None
-
-
-def _solve_rational(
-    augmented: List[List[Fraction]], unknowns: int
-) -> Optional[List[Fraction]]:
-    """Gaussian elimination over Q; free variables are set to zero.
-
-    Args:
-        augmented: rows ``[a_1 .. a_n | rhs]``.
-        unknowns: number of unknowns ``n``.
-
-    Returns:
-        A particular solution, or None when the system is inconsistent.
-    """
-    rows = [row[:] for row in augmented]
-    pivot_cols: List[int] = []
-    row_index = 0
-    for col in range(unknowns):
-        pivot_row = next(
-            (r for r in range(row_index, len(rows)) if rows[r][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        rows[row_index], rows[pivot_row] = rows[pivot_row], rows[row_index]
-        pivot = rows[row_index][col]
-        rows[row_index] = [x / pivot for x in rows[row_index]]
-        for r in range(len(rows)):
-            if r != row_index and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [
-                    x - factor * y for x, y in zip(rows[r], rows[row_index])
-                ]
-        pivot_cols.append(col)
-        row_index += 1
-        if row_index == len(rows):
-            break
-    # Inconsistency: a zero row with nonzero right-hand side.
-    for r in range(row_index, len(rows)):
-        if all(x == 0 for x in rows[r][:unknowns]) and rows[r][unknowns] != 0:
-            return None
-    solution = [Fraction(0)] * unknowns
-    for r, col in enumerate(pivot_cols):
-        solution[col] = rows[r][unknowns]
-    return solution
 
 
 def rank_matching_attack(

@@ -36,10 +36,19 @@ from repro.crypto.ciphertext import (
     ValueCiphertext,
 )
 from repro.crypto.key import SecretKey, generate_key
-from repro.errors import AmbiguityError, DecryptionError, EncryptionError
+from repro.errors import (
+    AmbiguityError,
+    DecryptionError,
+    EncryptionError,
+    KeyGenerationError,
+)
 from repro.linalg.intmat import mat_vec, mat_transpose
-from repro.linalg.solve import solve_affine
-from repro.linalg.vectors import IntVector, orthogonal_vector, scale
+from repro.linalg.solve import integer_nullspace
+from repro.linalg.vectors import IntVector, dot, orthogonal_vector, scale
+
+#: Uniform counterfeit targets a steering attempt draws before it falls
+#: back to the root candidates of :meth:`Encryptor._pick_parameter`.
+UNIFORM_TARGET_TRIES = 12
 
 
 def compare(bound: BoundCiphertext, value: ValueCiphertext) -> int:
@@ -115,6 +124,24 @@ class Encryptor:
             tuple(-entry for entry in key.matrix[p1]),
             key.ambiguity_row,
         )))
+        # Steering (Section 4.2) constrains the two length-l windows of
+        # an (l+1)-vector: per window offset, the rows reading payload
+        # slot 0, payload slot 1 (and its negation, which reads xi) and
+        # the noise check ``r`` off the window — functions of the key
+        # alone, so built here and not per value.
+        payload0, payload1, noise = (
+            tuple(
+                (0,) * offset + tuple(row) + (0,) * (1 - offset)
+                for offset in (0, 1)
+            )
+            for row in (key.matrix[p0], key.matrix[p1], key.ambiguity_row)
+        )
+        self._windows = (
+            payload0,
+            payload1,
+            tuple(scale(row, -1) for row in payload1),
+            noise,
+        )
         #: Count of ambiguous encryptions that fell back to an
         #: unsteered counterfeit (see generate_steerable_key).
         self.steering_fallbacks = 0
@@ -179,10 +206,10 @@ class Encryptor:
         client-side evaluation (Figure 13a) shows fakes qualifying for
         range queries about as often as real rows — i.e. counterfeit
         pseudo-values distributed like the data.  Passing
-        ``fake_domain`` (half-open) draws a counterfeit uniformly from
-        it and uses the owner's free encryption parameters (noise
-        orientation and multipliers) to make the fake branch decode to
-        exactly that counterfeit, with a positive (so
+        ``fake_domain`` (half-open, not empty) draws a counterfeit
+        uniformly from it and uses the owner's free encryption
+        parameters (noise orientation and multipliers) to make the fake
+        branch decode to exactly that counterfeit, with a positive (so
         comparison-consistent) but never odd-integral multiplier;
         ``fake_value`` pins the counterfeit instead.  With neither, the
         fake branch is left unsteered (structurally valid but decoding
@@ -193,79 +220,135 @@ class Encryptor:
 
         Raises:
             AmbiguityError: when no admissible ciphertext is found
-                within ``max_attempts`` (or steering is requested at
-                ``l = 3``).
+                within ``max_attempts``, steering is requested at
+                ``l = 3``, or ``fake_domain`` is empty.
         """
+        numerators, denominator = self._ambiguous_vector(
+            value, fake_domain, fake_value, max_attempts
+        )
+        return AmbiguousCiphertext(numerators, denominator)
+
+    def encrypt_values_ambiguous(
+        self, values: Iterable[int], fake_domain: Tuple[int, int] = None
+    ) -> RowBlock:
+        """Encrypt values with the Section 4.2 layer, as one row block.
+
+        The sibling of :meth:`encrypt_values`: value ``i`` becomes rows
+        ``2i`` (the ``l``-prefix of its ambiguity vector) and ``2i + 1``
+        (the ``l``-suffix), counterfeits steered into ``fake_domain``
+        when one is given.  Every random draw and the owner's
+        verification stay per value, in order — a rejected draw retries
+        before the next value draws — so the block is exactly what
+        :meth:`encrypt_value_ambiguous` produces value by value.
+        """
+        solved = [
+            self._ambiguous_vector(value, fake_domain) for value in values
+        ]
+        numerators = np.empty((2 * len(solved), self.key.length), dtype=object)
+        denominators = np.empty(2 * len(solved), dtype=object)
+        if solved:
+            numerators[0::2] = [vector[:-1] for vector, _ in solved]
+            numerators[1::2] = [vector[1:] for vector, _ in solved]
+            denominators[0::2] = denominators[1::2] = [
+                denominator for _, denominator in solved
+            ]
+        return RowBlock(numerators, denominators)
+
+    def _ambiguous_vector(
+        self,
+        value: int,
+        fake_domain: Tuple[int, int] = None,
+        fake_value: int = None,
+        max_attempts: int = 64,
+    ) -> Tuple[IntVector, int]:
+        """One ambiguity vector as ``(numerators, denominator)`` —
+        :meth:`encrypt_value_ambiguous` before the container."""
         value = int(value)  # exact big-int arithmetic, never numpy scalars
-        if fake_value is not None or fake_domain is not None:
-            if fake_value is not None:
-                fake_value = int(fake_value)
-            if fake_domain is not None:
-                fake_domain = (int(fake_domain[0]), int(fake_domain[1]))
-            return self._encrypt_ambiguous_steered(
-                value, fake_domain, fake_value, max_attempts
+        if fake_domain is not None:
+            fake_domain = _checked_domain(fake_domain)
+        if fake_value is not None:
+            fake_domain = (int(fake_value), int(fake_value) + 1)
+        if fake_domain is not None:
+            return self._steered_vector(
+                value, fake_domain, fake_value is not None, max_attempts
             )
+        return self._unsteered_vector(value, max_attempts)
+
+    def _unsteered_vector(
+        self, value: int, max_attempts: int
+    ) -> Tuple[IntVector, int]:
+        """Ambiguity vector whose fake branch decodes wherever theta
+        puts it."""
         for _ in range(max_attempts):
             real = self.encrypt_value(value)
             theta_as_suffix = bool(self._rng.getrandbits(1))
             ambiguous = self._attach_theta(real, theta_as_suffix)
-            prefix, suffix = ambiguous.interpretations()
-            real_row = prefix if theta_as_suffix else suffix
-            fake_row = suffix if theta_as_suffix else prefix
-            is_real, _, _ = self.decrypt_block((real_row, fake_row))
+            vector = ambiguous.numerators, ambiguous.denominator
+            is_real, _, _ = self._open_windows(
+                *vector, 0 if theta_as_suffix else 1
+            )
             if not is_real[0]:
                 raise AmbiguityError("real branch failed the odd-xi check")
             if not is_real[1]:
-                return ambiguous
+                return vector
         raise AmbiguityError(
             "fake branch kept decrypting like a real row after %d attempts"
             % max_attempts
         )
 
-    def _encrypt_ambiguous_steered(
+    def _open_windows(
+        self, numerators: IntVector, denominator: int, real_offset: int
+    ) -> Tuple[List[bool], List[int], List[int]]:
+        """:meth:`decrypt_block` over the (real, fake) windows of an
+        ambiguity vector — the owner's check of Section 4.2."""
+        length = self.key.length
+        fake_offset = 1 - real_offset
+        windows = _object_matrix((
+            numerators[real_offset:real_offset + length],
+            numerators[fake_offset:fake_offset + length],
+        ))
+        denominators = np.empty(2, dtype=object)
+        denominators[:] = denominator
+        return self.decrypt_block(RowBlock(windows, denominators))
+
+    def _steered_vector(
         self,
         value: int,
         fake_domain: Tuple[int, int],
-        fake_value: int,
+        strict: bool,
         max_attempts: int,
-    ) -> AmbiguousCiphertext:
-        """Two-interpretation ciphertext with a chosen counterfeit.
+    ) -> Tuple[IntVector, int]:
+        """Two-interpretation vector with a chosen counterfeit.
 
-        Solves, exactly over the rationals, for a length-``(l+1)``
-        vector ``a`` such that (with ``ro``/``fo`` the real/fake window
-        offsets and ``r`` the key's ambiguity row):
+        Solves, exactly, for a length-``(l+1)`` vector ``a`` such that
+        (with ``ro``/``fo`` the real/fake window offsets and ``r`` the
+        key's ambiguity row):
 
         1. ``M @ a[ro:ro+l]`` carries payload ``(xi*v, -xi)``  (real);
         2. ``r . a[ro:ro+l] = 0``   (real noise orthogonal to ``u``);
         3. ``r . a[fo:fo+l] = 0``   (fake noise orthogonal — the theta
            condition of Section 4.2);
-        4. ``M @ a[fo:fo+l]`` has payload ratio ``fake_value`` (the
+        4. ``M @ a[fo:fo+l]`` has payload ratio in ``fake_domain`` (the
            counterfeit).
 
         Free solution dimensions (``l > 4``) are randomised; attempts
         are rejected until the fake multiplier is positive (so the
         counterfeit row compares consistently, like a genuinely
         inserted record) and fails the odd-integer convention.
+        ``strict`` (a pinned counterfeit) raises where a domain would
+        fall back to the unsteered construction.
         """
         if self.key.length < 4:
             raise AmbiguityError(
                 "steered counterfeits need ciphertext length >= 4"
             )
-        strict = fake_value is not None
-        if fake_value is not None:
-            fake_domain = (fake_value, fake_value + 1)
         for _ in range(max_attempts):
-            first_variant = bool(self._rng.getrandbits(1))
-            for theta_as_suffix in (first_variant, not first_variant):
-                ambiguous = self._solve_steered(
-                    value, fake_domain, theta_as_suffix
-                )
-                if ambiguous is None:
+            first_offset = 0 if self._rng.getrandbits(1) else 1
+            for real_offset in (first_offset, 1 - first_offset):
+                solved = self._solve_steered(value, fake_domain, real_offset)
+                if solved is None:
                     continue
-                prefix, suffix = ambiguous.interpretations()
-                real_row = prefix if theta_as_suffix else suffix
-                fake_row = suffix if theta_as_suffix else prefix
-                is_real, values, xi = self.decrypt_block((real_row, fake_row))
+                is_real, values, xi = self._open_windows(*solved, real_offset)
                 if not is_real[0] or values[0] != value:
                     continue
                 # The counterfeit must fail the odd-integer convention
@@ -273,7 +356,7 @@ class Encryptor:
                 # a positive denominator).
                 if is_real[1] or xi[1] <= 0:
                     continue
-                return ambiguous
+                return solved
         if strict:
             raise AmbiguityError(
                 "no admissible steered ciphertext in %d attempts" % max_attempts
@@ -284,14 +367,14 @@ class Encryptor:
         # fail — the row stays two-faced, the counterfeit just never
         # matches realistic queries.
         self.steering_fallbacks += 1
-        return self.encrypt_value_ambiguous(value, max_attempts=max_attempts)
+        return self._unsteered_vector(value, max_attempts)
 
     def _solve_steered(
         self,
         value: int,
         fake_domain: Tuple[int, int],
-        theta_as_suffix: bool,
-    ) -> Optional[AmbiguousCiphertext]:
+        real_offset: int,
+    ) -> Optional[Tuple[IntVector, int]]:
         """One steering attempt; None when this draw is inadmissible.
 
         The *structural* constraints on the ambiguity vector ``a`` —
@@ -301,88 +384,59 @@ class Encryptor:
         ``a(t) = b1 + t * b2`` inside it is drawn; along the pencil the
         real and fake multipliers are linear in ``t`` and the fake
         pseudo-value is a fractional-linear function of ``t``, so
+        :meth:`_pick_parameter` can aim ``t`` at a counterfeit.
 
-        * sampling a counterfeit target uniformly from the domain and
-          inverting the fractional-linear map yields the unique ``t``
-          realising it (accepted when both multipliers then share a
-          sign — the global flip makes them positive), and
-        * when uniform targets keep failing, the exactly-computed
-          feasible ``t`` region (two quadratic sign conditions with
-          rational roots) provides a fallback point whose counterfeit
-          still lands inside the domain.
-
-        The surviving vector is flipped positive, then scaled so the
-        real multiplier is a random odd integer — the scale freedom is
-        exactly the paper's ``xi(v)``.
+        Everything is a Python int: the nullspace basis comes scaled by
+        one common factor ``D``, which scales ``b1``, ``b2`` and all six
+        coefficients alike and cancels from ``t`` (a ratio), from every
+        sign test (a product of two) and from the result.  The surviving
+        vector is flipped positive and scaled so the real multiplier is
+        a random odd integer — the scale freedom is exactly the paper's
+        ``xi(v)`` — i.e. ``xi * (den*b1 + num*b2) / (p*den + q*num)`` at
+        ``t = num/den``, reduced to lowest terms.
         """
-        length = self.key.length
-        p0, p1 = self.key.payload_positions
-        matrix = self.key.matrix
-        r = self.key.ambiguity_row
-        real_offset = 0 if theta_as_suffix else 1
+        payload0, payload1, payload1_negated, noise = self._windows
         fake_offset = 1 - real_offset
-        unknowns = length + 1
-
-        def window_row(coeffs, offset: int) -> list:
-            row = [Fraction(0)] * unknowns
-            for j, c in enumerate(coeffs):
-                row[offset + j] += c
-            return row
-
-        real_payload0 = window_row(matrix[p0], real_offset)
-        real_payload1 = window_row(matrix[p1], real_offset)
-        coefficients = [
+        basis, _ = integer_nullspace((
             # payload0 + v * payload1 == 0: the real window decodes to v.
-            [a + value * b for a, b in zip(real_payload0, real_payload1)],
-            window_row(r, real_offset),
-            window_row(r, fake_offset),
-        ]
-        solution = solve_affine(coefficients, [Fraction(0)] * len(coefficients))
-        if solution is None:
-            return None
-        __, basis = solution
-        if len(basis) < 2:
-            return None
+            [
+                a + value * b
+                for a, b in zip(payload0[real_offset], payload1[real_offset])
+            ],
+            noise[real_offset],
+            noise[fake_offset],
+        ))
         b1, b2 = self._random_pencil(basis)
-
-        def form(row) -> Tuple[Fraction, Fraction]:
-            """A linear functional of a(t) as (constant, slope) in t."""
-            return (
-                sum(m * x for m, x in zip(row, b1)),
-                sum(m * x for m, x in zip(row, b2)),
-            )
-
         # mu_re(t) = p + q t, mu_fk(t) = c0 + c1 t, P0_fk(t) = a0 + a1 t.
-        p, q = form([-x for x in real_payload1])
-        c0, c1 = form([-x for x in window_row(matrix[p1], fake_offset)])
-        a0, a1 = form(window_row(matrix[p0], fake_offset))
-        t = self._pick_parameter(fake_domain, p, q, c0, c1, a0, a1)
-        if t is None:
+        real_xi = payload1_negated[real_offset]
+        fake_xi = payload1_negated[fake_offset]
+        fake_payload0 = payload0[fake_offset]
+        p, q = dot(real_xi, b1), dot(real_xi, b2)
+        c0, c1 = dot(fake_xi, b1), dot(fake_xi, b2)
+        a0, a1 = dot(fake_payload0, b1), dot(fake_payload0, b2)
+        parameter = self._pick_parameter(fake_domain, p, q, c0, c1, a0, a1)
+        if parameter is None:
             return None
-        vector = [x + t * y for x, y in zip(b1, b2)]
-        real_multiplier = p + q * t
+        num, den = parameter
+        real_multiplier = p * den + q * num
         if real_multiplier == 0:
             return None
-        if real_multiplier < 0:
-            vector = [-x for x in vector]
-            real_multiplier = -real_multiplier
-        # Scale so the real multiplier becomes a random odd integer.
-        scale_factor = Fraction(self._draw_odd_multiplier()) / real_multiplier
-        vector = [x * scale_factor for x in vector]
-        denominator = 1
-        for entry in vector:
-            denominator = denominator * entry.denominator // gcd(
-                denominator, entry.denominator
-            )
-        numerators = tuple(int(entry * denominator) for entry in vector)
-        if all(n == 0 for n in numerators):
+        xi = self._draw_odd_multiplier()
+        if real_multiplier < 0:  # flip the vector, not the multiplier
+            xi, real_multiplier = -xi, -real_multiplier
+        vector = [xi * (den * x + num * y) for x, y in zip(b1, b2)]
+        if not any(vector):
             return None
-        return AmbiguousCiphertext(numerators, denominator)
+        common = gcd(real_multiplier, *vector)
+        return (
+            tuple(x // common for x in vector),
+            real_multiplier // common,
+        )
 
     def _random_pencil(self, basis) -> Tuple[list, list]:
         """Two random independent combinations of the nullspace basis."""
         if len(basis) == 2:
-            return list(basis[0]), list(basis[1])
+            return basis[0], basis[1]
         while True:
             coeffs1 = [self._rng.randint(-8, 8) for _ in basis]
             coeffs2 = [self._rng.randint(-8, 8) for _ in basis]
@@ -395,29 +449,23 @@ class Encryptor:
             )
             if not cross_ok:
                 continue
-            b1 = [
-                sum(c * row[k] for c, row in zip(coeffs1, basis))
-                for k in range(len(basis[0]))
-            ]
-            b2 = [
-                sum(c * row[k] for c, row in zip(coeffs2, basis))
-                for k in range(len(basis[0]))
-            ]
+            b1 = [dot(coeffs1, column) for column in zip(*basis)]
+            b2 = [dot(coeffs2, column) for column in zip(*basis)]
             if any(b1) and any(b2):
                 return b1, b2
 
     def _pick_parameter(
         self,
         fake_domain: Tuple[int, int],
-        p: Fraction,
-        q: Fraction,
-        c0: Fraction,
-        c1: Fraction,
-        a0: Fraction,
-        a1: Fraction,
-        uniform_tries: int = 12,
-    ) -> Optional[Fraction]:
-        """Find t with sign(mu_re) == sign(mu_fk) and counterfeit in domain.
+        p: int,
+        q: int,
+        c0: int,
+        c1: int,
+        a0: int,
+        a1: int,
+    ) -> Optional[Tuple[int, int]]:
+        """Find ``t = num/den`` with sign(mu_re) == sign(mu_fk) and the
+        counterfeit in the domain.
 
         Conditions on ``t``::
 
@@ -428,47 +476,47 @@ class Encryptor:
         condition is multiplied through by ``mu_fk^2``, so it is
         sign-safe).  Uniform counterfeit targets are tried first (their
         acceptance keeps the counterfeit distribution uniform over the
-        feasible part of the domain); the fallback tests the O(1)
-        rational candidate points defined by the roots of the four
-        linear factors.
+        feasible part of the domain), as integer sign tests with
+        ``f(t)`` multiplied through by ``den^2``.  The rare fallback
+        tests the O(1) rational candidate points defined by the roots
+        of the four linear factors — the one place steering still
+        builds :class:`~fractions.Fraction` objects; the roots are
+        ratios of the (commonly scaled) coefficients, so the candidates
+        are those of the unscaled system.
         """
-        domain_lo = Fraction(fake_domain[0])
-        domain_hi = Fraction(fake_domain[1] - 1)
-        if domain_hi < domain_lo:
-            domain_hi = domain_lo
-
-        def feasible(t: Fraction, strict_domain: bool = False) -> bool:
-            mu_re = p + q * t
-            mu_fk = c0 + c1 * t
-            if mu_re * mu_fk <= 0:
-                return False
-            payload0 = a0 + a1 * t
-            lower = payload0 - domain_lo * mu_fk
-            upper = payload0 - domain_hi * mu_fk
-            return lower * upper <= 0
-
+        domain_lo, domain_hi = fake_domain[0], fake_domain[1] - 1
+        span = fake_domain[1] - domain_lo
         # Accept-reject on uniform integer counterfeits: invert the
         # fractional-linear map c = P0 / mu_fk at the target.
-        span = fake_domain[1] - fake_domain[0]
-        for _ in range(uniform_tries):
-            target = fake_domain[0] + self._rng.randrange(max(1, span))
-            denominator = a1 - target * c1
-            if denominator == 0:
+        for _ in range(UNIFORM_TARGET_TRIES):
+            target = domain_lo + self._rng.randrange(span)
+            den = a1 - target * c1
+            if den == 0:
                 continue
-            t = Fraction(target * c0 - a0, denominator)
-            if (p + q * t) * (c0 + c1 * t) > 0:
-                return t
+            num = target * c0 - a0
+            if (p * den + q * num) * (c0 * den + c1 * num) > 0:
+                return num, den
+
+        def feasible(t: Fraction) -> bool:
+            mu_fk = c0 + c1 * t
+            if (p + q * t) * mu_fk <= 0:
+                return False
+            payload0 = a0 + a1 * t
+            return (payload0 - domain_lo * mu_fk) * (
+                payload0 - domain_hi * mu_fk
+            ) <= 0
+
         # Fallback: candidate points around the roots of all factors.
-        roots = []
-        for constant, slope in (
-            (p, q),
-            (c0, c1),
-            (a0 - domain_lo * c0, a1 - domain_lo * c1),
-            (a0 - domain_hi * c0, a1 - domain_hi * c1),
-        ):
-            if slope != 0:
-                roots.append(-constant / slope)
-        roots = sorted(set(roots))
+        roots = sorted({
+            Fraction(-constant, slope)
+            for constant, slope in (
+                (p, q),
+                (c0, c1),
+                (a0 - domain_lo * c0, a1 - domain_lo * c1),
+                (a0 - domain_hi * c0, a1 - domain_hi * c1),
+            )
+            if slope != 0
+        })
         candidates = []
         if roots:
             candidates.append(roots[0] - 1)
@@ -481,7 +529,8 @@ class Encryptor:
         feasible_points = [t for t in candidates if feasible(t)]
         if not feasible_points:
             return None
-        return feasible_points[self._rng.randrange(len(feasible_points))]
+        t = feasible_points[self._rng.randrange(len(feasible_points))]
+        return t.numerator, t.denominator
 
     def _attach_theta(
         self, real: ValueCiphertext, theta_as_suffix: bool
@@ -641,6 +690,17 @@ def _object_matrix(rows) -> np.ndarray:
     return matrix
 
 
+def _checked_domain(fake_domain: Tuple[int, int]) -> Tuple[int, int]:
+    """A counterfeit domain as a pair of ints; an empty one is refused
+    (it is half-open, so ``lo`` itself would lie outside it)."""
+    low, high = int(fake_domain[0]), int(fake_domain[1])
+    if high <= low:
+        raise AmbiguityError(
+            "fake_domain [%d, %d) is empty" % (low, high)
+        )
+    return low, high
+
+
 def probe_steerable(
     key: SecretKey,
     fake_domain: Tuple[int, int],
@@ -656,17 +716,20 @@ def probe_steerable(
     its projective line).  Empirically the property is binary per key:
     either counterfeits across the whole domain are reachable or none
     are.  This probes a handful of values spread over the domain.
+
+    Raises:
+        AmbiguityError: if ``fake_domain`` is empty.
     """
+    low, high = fake_domain = _checked_domain(fake_domain)
     if key.length < 4:
         return False
     encryptor = Encryptor(key, seed=seed)
-    low, high = fake_domain
     span = max(1, high - low - 1)
     probe_values = [low + span * i // max(1, probes - 1) for i in range(probes)]
     for value in probe_values:
         try:
-            encryptor._encrypt_ambiguous_steered(
-                value, fake_domain, None, max_attempts=4
+            encryptor._steered_vector(
+                value, fake_domain, False, max_attempts=4
             )
         except AmbiguityError:
             return False
@@ -692,8 +755,6 @@ def generate_steerable_key(
         KeyGenerationError: if no steerable key is found within the
             attempt budget.
     """
-    from repro.errors import KeyGenerationError
-
     base = 0 if seed is None else seed
     for attempt in range(max_attempts):
         key = generate_key(length=length, seed=base + attempt if seed is not None else None)

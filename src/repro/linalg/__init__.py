@@ -12,6 +12,8 @@ arbitrary-precision integers:
 * :mod:`repro.linalg.structured` — the structured matrices of the
   paper's Table 1 (expansion, permutation, complementary permutation,
   and cyclic shift), used by the ambiguity layer.
+* :mod:`repro.linalg.solve` — the fraction-free integer nullspace
+  behind counterfeit steering and the known-plaintext attacks.
 """
 
 from repro.linalg.vectors import (

@@ -1,75 +1,79 @@
-"""Exact rational linear system solving.
+"""Exact nullspaces of integer matrices.
 
 Shared by the ambiguity layer (steering the fake branch of a
 two-interpretation ciphertext onto a chosen counterfeit value) and the
-known-plaintext attack simulations: Gauss-Jordan elimination over
-:class:`fractions.Fraction`, returning a particular solution together
-with a nullspace basis so callers can randomise over the solution
-space.
+known-plaintext attack simulations.  Both pose homogeneous systems with
+integer coefficients and read only the solution space, so the one
+elimination here is fraction-free Gauss-Jordan over Python ints: every
+intermediate entry is a minor of the input, every division is exact,
+and no :class:`fractions.Fraction` is ever built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-FractionRow = List[Fraction]
+from typing import List, Sequence, Tuple
 
 
-def solve_affine(
-    coefficients: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-) -> Optional[Tuple[List[Fraction], List[List[Fraction]]]]:
-    """Solve ``A x = b`` exactly over the rationals.
+def integer_nullspace(
+    rows: Sequence[Sequence[int]],
+) -> Tuple[List[List[int]], int]:
+    """Basis of ``{x : A x = 0}`` for an integer matrix, in integers.
 
-    Returns:
-        ``(particular, nullspace_basis)`` — any solution plus a basis
-        of the homogeneous solution space (empty when the solution is
-        unique) — or None when the system is inconsistent.
+    Returns ``(basis, scale)``: ``basis / scale`` is the nullspace
+    basis read off the reduced row echelon form of ``A`` — one vector
+    per free column ``f`` (leftmost independent columns are the
+    pivots), holding 1 at ``f``, 0 at every other free column and
+    ``-rref[r][f]`` at the pivot column of row ``r``.  ``scale`` is a
+    positive integer common to the whole basis, so ``basis[k][f_k] ==
+    scale``.  The RREF of a matrix is unique, hence so is
+    ``basis / scale``; ``scale`` itself (a minor of ``A`` over the
+    pivot columns) is not when ``A`` is rank deficient.
+
+    Raises:
+        ValueError: rows of different lengths.
     """
-    rows = [
-        [Fraction(c) for c in row] + [Fraction(b)]
-        for row, b in zip(coefficients, rhs)
-    ]
-    if len(rows) != len(rhs):
-        raise ValueError("coefficient rows and rhs lengths differ")
-    unknowns = len(rows[0]) - 1 if rows else 0
-    if any(len(row) != unknowns + 1 for row in rows):
+    matrix = [list(row) for row in rows]
+    unknowns = len(matrix[0]) if matrix else 0
+    if any(len(row) != unknowns for row in matrix):
         raise ValueError("ragged coefficient matrix")
 
+    # Bareiss' update applied to every other row (Gauss-Jordan): after
+    # each step the pivot rows all carry the newest pivot in their
+    # pivot column and zero in the others', and dividing by the pivot
+    # before it is exact.
+    height = len(matrix)
     pivot_cols: List[int] = []
-    rank = 0
+    scale = 1
     for col in range(unknowns):
+        rank = len(pivot_cols)
+        if rank == height:
+            break
         pivot_row = next(
-            (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
+            (r for r in range(rank, height) if matrix[r][col]), None
         )
         if pivot_row is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        rows[rank] = [x / pivot for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        pivot_line = matrix[rank]
+        pivot = pivot_line[col]
+        for r, row in enumerate(matrix):
+            if r != rank:
+                factor = row[col]
+                matrix[r] = [
+                    (pivot * x - factor * y) // scale
+                    for x, y in zip(row, pivot_line)
+                ]
+        scale = pivot
         pivot_cols.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    for r in range(rank, len(rows)):
-        if all(x == 0 for x in rows[r][:unknowns]) and rows[r][unknowns] != 0:
-            return None
 
-    particular = [Fraction(0)] * unknowns
-    for r, col in enumerate(pivot_cols):
-        particular[col] = rows[r][unknowns]
-
-    free_cols = [c for c in range(unknowns) if c not in pivot_cols]
-    basis: List[List[Fraction]] = []
-    for free in free_cols:
-        vector = [Fraction(0)] * unknowns
-        vector[free] = Fraction(1)
+    sign = -1 if scale < 0 else 1
+    basis: List[List[int]] = []
+    for free in range(unknowns):
+        if free in pivot_cols:
+            continue
+        vector = [0] * unknowns
+        vector[free] = sign * scale
         for r, col in enumerate(pivot_cols):
-            vector[col] = -rows[r][free]
+            vector[col] = -sign * matrix[r][free]
         basis.append(vector)
-    return particular, basis
+    return basis, sign * scale

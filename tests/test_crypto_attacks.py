@@ -115,6 +115,16 @@ class TestBoundRecovery:
         with pytest.raises(AttackError):
             attack.decrypt_bound(encryptor.encrypt_bound(1))
 
+    def test_inconsistent_observations_do_not_fit(self, encryptor):
+        # One ciphertext claimed under two plaintexts: no functional
+        # satisfies both, and the fit says so instead of guessing.
+        attack = BoundRecoveryAttack()
+        ciphertext = encryptor.encrypt_bound(7)
+        attack.observe(7, ciphertext)
+        assert attack.fit() and attack.decrypt_bound(ciphertext) == 7
+        attack.observe(8, ciphertext)
+        assert not attack.fit() and attack.functional is None
+
     def test_mixed_lengths_rejected(self, encryptor, encryptor8):
         attack = BoundRecoveryAttack()
         attack.observe(1, encryptor.encrypt_bound(1))
