@@ -10,6 +10,10 @@ Two cases at the default key time the column's bookkeeping rather than
 its arithmetic: one crack of a fresh 100k-row column (the shape of the
 e2e ``crack_cold`` workload) and one merge of 256 pending rows + 32
 tombstones into a 12k-row column holding ~1k cracks (``mixed_wal``).
+Three more time what a 150-row reply costs after the engine is done
+with it (``range_tcp``): the server's frame encode, the client's frame
+decode and its decrypt — the last asserting that every row opened in
+proven 64-bit words.
 """
 
 import random
@@ -21,6 +25,13 @@ from repro.core.encrypted_column import EncryptedColumn
 from repro.core.server import SecureServer
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor, generate_steerable_key
+from repro.net.protocol import (
+    QueryResponse,
+    decode_frame,
+    encode_frame,
+    response_from_dict,
+    response_to_dict,
+)
 
 KEY_LENGTHS = (4, 16, 64)
 
@@ -113,3 +124,48 @@ def test_merge_256_pending_into_1k_cracks(client, benchmark):
         assert server.pending_count == 0
 
     benchmark.pedantic(merge, setup=cracked_server_with_pending, rounds=3)
+
+
+@pytest.fixture(scope="module")
+def reply_150_rows():
+    """A 150-row query reply under the e2e harness's key (``KEY_SEED``
+    11: 64-bit numerators, two limbs each) and its binary frame."""
+    client = TrustedClient(seed=11)
+    rows, row_ids = client.encrypt_dataset(
+        random.Random(3).sample(range(2 ** 31), 15_000)
+    )
+    server = SecureServer(rows, row_ids)
+    everything = sorted(client.decrypt_results(row_ids, rows).values.tolist())
+    reply = QueryResponse(
+        response=server.execute(client.make_query(everything[700], everything[849]))
+    )
+    assert len(reply.response.rows) == 150
+    return client, reply, encode_frame(response_to_dict(reply), codec="binary")
+
+
+def test_response_encode_150_rows(reply_150_rows, benchmark):
+    _, reply, frame = reply_150_rows
+    encoded = benchmark(
+        lambda: encode_frame(response_to_dict(reply), codec="binary")
+    )
+    assert encoded == frame
+
+
+def test_response_decode_150_rows(reply_150_rows, benchmark):
+    _, reply, frame = reply_150_rows
+    decoded = benchmark(lambda: response_from_dict(decode_frame(frame)))
+    assert decoded.response.rows == reply.response.rows
+
+
+def test_decrypt_150_rows(reply_150_rows, benchmark):
+    client, reply, _ = reply_150_rows
+    response = reply.response
+    encryptor = client.encryptor
+    opened = encryptor.fast_rows, encryptor.exact_rows
+    result = benchmark(
+        lambda: client.decrypt_results(response.row_ids, response.rows)
+    )
+    assert len(result.values) == 150
+    fast = encryptor.fast_rows - opened[0]
+    exact = encryptor.exact_rows - opened[1]
+    assert fast / (fast + exact) >= 0.99, (fast, exact)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -151,11 +150,19 @@ class TrustedClient:
         )
 
     def encrypt_value(self, value: int) -> List[ValueCiphertext]:
-        """Physical rows for one value (two when ambiguity is on)."""
-        return list(self._encrypt_rows((value,)))
+        """Physical rows for one value (two when ambiguity is on) —
+        what :meth:`_encrypt_rows` makes of it, as the rows themselves."""
+        if not self.ambiguity:
+            return [self._encryptor.encrypt_value(value)]
+        return list(
+            self._encryptor.encrypt_value_ambiguous(
+                value, self.fake_domain if self.key.length >= 4 else None
+            ).interpretations()
+        )
 
-    def logical_id(self, physical_row_id: int) -> int:
-        """Map a server row id back to the logical value index."""
+    def logical_id(self, physical_row_id):
+        """Map a server row id — or an integer array of them — back to
+        the logical value index."""
         return physical_row_id // 2 if self.ambiguity else physical_row_id
 
     # -- queries -------------------------------------------------------------------
@@ -209,8 +216,10 @@ class TrustedClient:
             rows: the returned ciphertexts — a row block as responses
                 carry it, or any sequence of rows; opened with one
                 matrix product either way
-                (:meth:`~repro.crypto.scheme.Encryptor.decrypt_block`).
-            id_mapper: physical-to-logical id translation; defaults to
+                (:meth:`~repro.crypto.scheme.Encryptor.open_block`).
+            id_mapper: physical-to-logical id translation, called once
+                with the ``int64`` array of the real rows' physical ids
+                and returning their logical ids; defaults to
                 :meth:`logical_id` (sessions with inserts pass their
                 own mapping, since inserted ids leave the formulaic
                 space).
@@ -218,14 +227,13 @@ class TrustedClient:
         if id_mapper is None:
             id_mapper = self.logical_id
         tick = time.perf_counter()
-        is_real, values, _ = self._encryptor.decrypt_block(rows)
-        logical_ids = [
-            id_mapper(row_id)
-            for row_id in compress(np.asarray(row_ids).tolist(), is_real)
-        ]
+        is_real, values, _ = self._encryptor.open_block(RowBlock.from_rows(rows))
+        logical_ids = id_mapper(
+            np.asarray(row_ids, dtype=np.int64)[np.asarray(is_real, dtype=bool)]
+        )
         elapsed = time.perf_counter() - tick
         try:
-            values_array = np.array(values, dtype=np.int64)
+            values_array = np.asarray(values, dtype=np.int64)
         except OverflowError:
             # The scheme is arbitrary precision; values outside the
             # machine-word range stay exact as a Python big-int array.

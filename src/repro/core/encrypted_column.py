@@ -3,9 +3,13 @@
 The server-side instance of
 :class:`repro.cracking.column.CrackableColumn`: each row is a
 length-``l`` integer vector (an ``Ev``-mode ciphertext's numerators)
-with a positive denominator, held in a numpy ``object`` matrix so
-Python big-ints flow through vectorised arithmetic without overflow —
-the reproduction's analogue of the paper's GMP arrays.
+with a positive denominator, held as the limbs of a
+:class:`~repro.crypto.ciphertext.RowBlock` — an ``n x (l + 1) x k``
+``uint64`` array, the reproduction's analogue of the paper's GMP
+arrays.  That array is the column's only copy of its rows: a crack
+permutes it, a fetch gathers from it, an insert or delete splices it,
+all as plain fixed-width array operations, and Python ints are made
+only for rows the exact fallback below must verify.
 
 Cracks, three-way cracks, edge scans and partition checks are the
 shared base's; this class supplies only the classification primitive,
@@ -19,32 +23,23 @@ and it is exact.  The noise terms of ``Eb . Ev`` cancel, so at the
 paper's Section 5 parameters 50- to 66-bit numerators (the key draw
 decides) against ~31-bit bound components give products of at most ~46
 bits: the *product* fits a machine word although the operands, let
-alone their partial sums, need not.  The column
-therefore keeps a word-sized mirror of its numerators — two planes of
-the matrix's shape, each numerator's two's-complement low 64 bits
-(``int64``) and its float64 rounding — and proves, row by row, that the
-wrapped word product is the true one:
+alone their partial sums, need not.  Limb 0 of the store is each
+numerator's two's-complement low word, so the column multiplies that in
+wrapping 64-bit arithmetic and proves, row by row, that the wrapped
+word is the true product — against a ``float64`` plane derived from
+the limbs in numpy, under the rounding bound of
+:mod:`repro.linalg.limbs` (where the rule and its proof live; the
+client's decrypt shares it).
 
-* ``w = low(rows) @ low(b)`` in wrapping 64-bit arithmetic is ``P mod
-  2^64`` exactly, i.e. ``P = w + k * 2^64`` for some integer ``k``;
-* ``f = float(rows) @ float(b)`` satisfies ``|P - f| <= E`` with ``E =
-  gamma_(l+2) * l * 2^(abits + bbits)``, the standard dot-product
-  rounding bound (``gamma_k = k u / (1 - k u)``, ``u = 2^-53``: one
-  rounding per operand conversion plus ``l`` in the accumulation, in
-  any order, fused or not) over operands below ``2^abits`` and
-  ``2^bbits``;
-* a row with ``|f - w| <= 2^63 - E`` has ``|P - w| <= |P - f| + |f - w|
-  <= 2^63 < 2^64``, which forces ``k = 0``: ``P = w``.
-
-Rows that fail the test (their product does not fit a word) are
-computed by the object-dtype big-int matmul — the reproduction's
-analogue of the paper's GMP arrays — as is everything when ``E >= 2^62``
-(a product that fits is no longer sure to pass, so the attempt could be
-wasted; ambiguity rows, whose numerators carry a 58-bit denominator,
-are the case in point).  Both bit-lengths are read off data the server
-holds anyway; nothing selects a kernel.  The mirror is built when the
-first bound it can serve is multiplied, and from then on its planes are
-two more of the parallel arrays a crack permutes.
+Rows that fail the test (their product does not fit a word) are boxed
+and computed by the object-dtype big-int matmul, as is everything when
+the bound reaches ``2^62`` (a product that fits is no longer sure to
+pass, so the attempt could be wasted; ambiguity rows, whose numerators
+carry a 58-bit denominator, are the case in point).  Both bit-lengths
+are read off data the server holds anyway; nothing selects a kernel.
+The float plane is built when the first bound it can serve is
+multiplied, and from then on it is one more of the parallel arrays a
+crack permutes.
 """
 
 from __future__ import annotations
@@ -58,43 +53,18 @@ from repro.cracking.column import CrackableColumn
 from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.errors import IndexStateError
 from repro.obs import Observability
-
-_WORD_MASK = (1 << 64) - 1
-#: Rows per step when the mirror is built: bounds the Python-int
-#: temporaries of ``numerators & _WORD_MASK``.
-_MIRROR_CHUNK = 4096
-#: Rounding bounds at or past this rule the mirror out (module docstring).
-_ROUNDING_LIMIT = 1 << 62
-#: Added to every rounding bound: the acceptance test itself runs in
-#: float64 (``w`` converted, one subtraction, the threshold rounded),
-#: which moves ``|f - w|`` by less than 2^12.
-_TEST_SLACK = 1 << 14
-
-
-def _rounding_bound(length: int, bits: int) -> int:
-    """``E``: how far the float64 dot product of two length-``length``
-    integer vectors whose componentwise products stay below ``2^bits``
-    can lie from the exact one (rounded up, test slack included)."""
-    steps = length + 2
-    return (steps * length << bits) // ((1 << 53) - steps) + 1 + _TEST_SLACK
-
-
-def _bit_length(integers: Iterable[int]) -> int:
-    """The largest ``bit_length`` among ``integers`` (0 for none)."""
-    return max(map(int.bit_length, integers), default=0)
-
-
-def _word_planes(numerators: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The word-sized mirror of a big-int matrix: per numerator its
-    two's-complement low 64 bits (``int64``) and its ``float64``
-    rounding, each a plane of the matrix's shape."""
-    low = np.empty(numerators.shape, dtype=np.int64)
-    for start in range(0, len(numerators), _MIRROR_CHUNK):
-        stop = start + _MIRROR_CHUNK
-        low[start:stop] = (
-            (numerators[start:stop] & _WORD_MASK).astype(np.uint64).view(np.int64)
-        )
-    return low, numerators.astype(np.float64)
+from repro.linalg.limbs import (
+    ROUNDING_LIMIT,
+    bit_length,
+    common_width,
+    int_bit_length,
+    proven_products,
+    rounding_bound,
+    to_float,
+    to_objects,
+    top_bits,
+    word_operand,
+)
 
 
 class EncryptedColumn(CrackableColumn):
@@ -130,9 +100,8 @@ class EncryptedColumn(CrackableColumn):
         except ValueError as exc:
             raise IndexStateError(str(exc)) from exc
         self._length = rows.length
-        # Copies: cracking permutes these in place.
-        self._matrix = rows.numerators.copy()
-        self._denominators = rows.denominators.copy()
+        # A copy: cracking permutes it in place.
+        self._limbs = rows.limbs.copy()
         if row_ids is None:
             self._row_ids = np.arange(len(rows), dtype=np.int64)
         else:
@@ -144,17 +113,16 @@ class EncryptedColumn(CrackableColumn):
             raise IndexStateError("row ids must be unique")
         # (sorted row ids, their physical indices), built on demand.
         self._id_order = None
-        # The word-sized mirror of ``_matrix`` (module docstring),
-        # ``(low words, floats)``, under ``_bits``, the largest
-        # numerator bit-length the column has held since it was first
-        # measured.  Both wait for the first product asked of the
-        # column, the mirror for the first bound it can serve (an
-        # ambiguity column never builds one).  Not here: an upload's
-        # transients are still alive, and a long-lived array allocated
-        # above them pins the heap (measured on a 100k-row column:
-        # +8 % peak RSS built here, +4 % there).
-        self._mirror = None
-        self._bits = None
+        #: An upper bound on the bit-length of every numerator the
+        #: column has held: measured here, raised from the top limbs
+        #: alone (at most two bits loose) as rows arrive.
+        self._bits = bit_length(self._numerators)
+        # The float64 plane of the numerators (module docstring),
+        # derived from the limbs by the first product a bound it can
+        # serve asks for (an ambiguity column never builds one).  Not
+        # here: an upload's transients are still alive, and a long-lived
+        # array allocated above them pins the heap.
+        self._floats = None
         self._obs = obs if obs is not None else Observability()
         #: Every ``Eb . Ev`` product the server computes counts on one
         #: of these two registry counters: a batched one (main or
@@ -171,7 +139,12 @@ class EncryptedColumn(CrackableColumn):
         return self._obs
 
     def __len__(self) -> int:
-        return self._matrix.shape[0]
+        return self._limbs.shape[0]
+
+    @property
+    def _numerators(self) -> np.ndarray:
+        """The numerator limbs, ``n x l x k`` (a view of the store)."""
+        return self._limbs[:, :-1]
 
     @property
     def ciphertext_length(self) -> int:
@@ -229,8 +202,9 @@ class EncryptedColumn(CrackableColumn):
 
     def _big_products(self, rows, vector) -> np.ndarray:
         """The object-dtype big-int matmul over ``rows`` (a slice or
-        physical indices): the verifier of last resort."""
-        return self._matrix[rows] @ np.asarray(vector, dtype=object)
+        physical indices), boxed for the occasion: the verifier of last
+        resort."""
+        return to_objects(self._limbs[rows, :-1]) @ np.asarray(vector, dtype=object)
 
     def product_counts(self) -> Tuple[int, int]:
         """``(fast, exact)``: the two product counters' totals."""
@@ -243,31 +217,29 @@ class EncryptedColumn(CrackableColumn):
         stats.kernel_fast_products += fast - since[0]
         stats.kernel_exact_products += exact - since[1]
 
-    def _provable(self) -> bool:
-        """Whether any bound at all (the narrowest) would leave the
-        rounding bound where a row can be proven."""
-        return _rounding_bound(self._length, self._bits or 0) < _ROUNDING_LIMIT
+    def _rounding_bound(self, bits: int, bound_bits: int = 0) -> int:
+        """The rounding bound of this column's products, were its
+        widest numerator ``bits`` bits, against a ``bound_bits`` bound."""
+        return rounding_bound(
+            self._length, bits, bound_bits, self._limbs.shape[2]
+        )
 
     def _word_products(self, piece_lo: int, piece_hi: int, vector):
         """``(words, accepted)``: the wrapped 64-bit products of the
         piece and, per row, whether the acceptance inequality proves
-        the word is the product (module docstring).  None when the
-        operands' bit-lengths rule the mirror out."""
-        if self._bits is None:
-            self._bits = _bit_length(self._matrix.flat)
-        bound = _rounding_bound(self._length, self._bits + _bit_length(vector))
-        if bound >= _ROUNDING_LIMIT:
+        the word is the product (:mod:`repro.linalg.limbs`).  None when
+        the operands' bit-lengths rule the proof out."""
+        bound = self._rounding_bound(self._bits, int_bit_length(vector))
+        if bound >= ROUNDING_LIMIT:
             return None
-        if self._mirror is None:
-            self._mirror = _word_planes(self._matrix)
-        low, floats = self._mirror
-        # Unsigned views: wrap-around is the arithmetic wanted here.
-        words = (
-            low[piece_lo:piece_hi].view(np.uint64)
-            @ np.array([x & _WORD_MASK for x in vector], dtype=np.uint64)
-        ).view(np.int64)
-        approx = floats[piece_lo:piece_hi] @ np.array(vector, dtype=np.float64)
-        return words, np.abs(approx - words) <= float((1 << 63) - bound)
+        if self._floats is None:
+            self._floats = to_float(self._numerators)
+        return proven_products(
+            self._limbs[piece_lo:piece_hi, :-1, 0],
+            self._floats[piece_lo:piece_hi],
+            word_operand(vector),
+            bound,
+        )
 
     def below(
         self, piece_lo: int, piece_hi: int, bound: BoundCiphertext, inclusive: bool
@@ -295,15 +267,12 @@ class EncryptedColumn(CrackableColumn):
 
     def row(self, index: int) -> ValueCiphertext:
         """The ciphertext currently at a physical index."""
-        return ValueCiphertext(
-            tuple(self._matrix[index]), int(self._denominators[index])
-        )
+        return self.rows_at([index])[0]
 
     def rows_at(self, indices: Iterable[int]) -> RowBlock:
         """Ciphertexts at the given physical indices, as one block (a
-        single fancy index into the dense matrix)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return RowBlock(self._matrix[indices], self._denominators[indices])
+        single fancy index into the store)."""
+        return RowBlock._of(self._limbs[np.asarray(indices, dtype=np.int64)])
 
     def row_ids_at(self, indices) -> np.ndarray:
         """Row ids at the given physical indices."""
@@ -333,23 +302,27 @@ class EncryptedColumn(CrackableColumn):
         merged_ids = np.concatenate((self._row_ids, row_ids))
         if len(np.unique(merged_ids)) != len(merged_ids):
             raise IndexStateError("row id already present or repeated")
-        adopted = not self._length
-        if adopted:
-            self._length = block.length
-            self._matrix = np.empty((0, self._length), dtype=object)
-        incoming = (block.numerators, block.denominators, row_ids)
-        if self._bits is not None:
-            self._bits = max(self._bits, _bit_length(block.numerators.flat))
-        if adopted or not self._provable():
-            # No mirror of another width; none of rows so wide that
-            # nothing is converted (2^1024 has no float64).
-            self._mirror = None
-        if self._mirror is not None:
-            incoming += _word_planes(block.numerators)
-        self._replace_arrays(
-            np.insert(array, positions, new, axis=0)
-            for array, new in zip(self._parallel_arrays(), incoming)
-        )
+        store = self._limbs
+        if not self._length:
+            store = store[:, :0].reshape(0, block.length + 1, store.shape[2])
+        store, incoming = common_width((store, block.limbs))
+        floats = self._floats
+        bits = max(self._bits, top_bits(block.limbs[:, :-1]))
+        if store is not self._limbs or (
+            self._rounding_bound(bits) >= ROUNDING_LIMIT
+        ):
+            # No plane of another shape (a wider store recombines
+            # anew); none of rows so wide that no bound can be proven
+            # against them (2^1024 has no float64).
+            floats = None
+        if floats is not None:
+            floats = np.insert(
+                floats, positions, to_float(incoming[:, :-1]), axis=0
+            )
+        self._length, self._bits, self._floats = block.length, bits, floats
+        self._limbs = np.insert(store, positions, incoming, axis=0)
+        self._row_ids = np.insert(self._row_ids, positions, row_ids)
+        self._id_order = None
 
     def insert_at(self, position: int, row: ValueCiphertext, row_id: int) -> None:
         """Insert one row at ``position`` (:meth:`insert_block` of one)."""
@@ -360,9 +333,11 @@ class EncryptedColumn(CrackableColumn):
         positions = np.asarray(positions, dtype=np.int64).reshape(-1)
         if len(positions) and (positions.min() < 0 or positions.max() >= len(self)):
             raise IndexStateError("delete position out of range")
-        self._replace_arrays(
-            np.delete(array, positions, axis=0) for array in self._parallel_arrays()
-        )
+        self._limbs = np.delete(self._limbs, positions, axis=0)
+        self._row_ids = np.delete(self._row_ids, positions)
+        if self._floats is not None:
+            self._floats = np.delete(self._floats, positions, axis=0)
+        self._id_order = None
 
     def delete_at(self, position: int) -> None:
         """Remove the row at ``position`` (:meth:`delete_positions` of one)."""
@@ -418,9 +393,9 @@ class EncryptedColumn(CrackableColumn):
     # -- verification -----------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert the parallel arrays are parallel and the word-sized
-        mirror is the one the numerators define, under a bit-length
-        that covers them — what :meth:`products` rests its proof on.
+        """Assert the parallel arrays are parallel, the tracked
+        bit-length covers the numerators and the float plane is the one
+        the limbs define — what :meth:`products` rests its proof on.
 
         Raises:
             AssertionError: on any violated invariant.
@@ -428,29 +403,23 @@ class EncryptedColumn(CrackableColumn):
         assert {len(array) for array in self._parallel_arrays()} == {len(self)}, (
             "parallel arrays differ in length"
         )
-        if self._bits is not None:
-            assert _bit_length(self._matrix.flat) <= self._bits, (
-                "a numerator is wider than the tracked bit-length"
+        assert bit_length(self._numerators) <= self._bits, (
+            "a numerator is wider than the tracked bit-length"
+        )
+        if self._floats is not None:
+            assert self._rounding_bound(self._bits) < ROUNDING_LIMIT, (
+                "float plane kept for rows no bound can serve"
             )
-        if self._mirror is not None:
-            assert self._provable(), "mirror kept for rows no bound can serve"
-            expected = _word_planes(self._matrix)
-            for name, held, plane in zip(("low-word", "float"), self._mirror, expected):
-                assert np.array_equal(held, plane), "%s mirror drifted" % name
+            assert np.array_equal(self._floats, to_float(self._numerators)), (
+                "float plane drifted from the limbs"
+            )
 
     # -- internals ----------------------------------------------------------------------
 
     def _parallel_arrays(self):
-        return (self._matrix, self._denominators, self._row_ids) + (
-            self._mirror or ()
-        )
-
-    def _replace_arrays(self, arrays) -> None:
-        """Adopt rebuilt parallel arrays, in :meth:`_parallel_arrays` order."""
-        self._matrix, self._denominators, self._row_ids, *mirror = arrays
-        if mirror:
-            self._mirror = tuple(mirror)
-        self._id_order = None
+        if self._floats is None:
+            return self._limbs, self._row_ids
+        return self._limbs, self._row_ids, self._floats
 
     def _apply_order(self, piece_lo: int, piece_hi: int, order: np.ndarray) -> None:
         for array in self._parallel_arrays():

@@ -115,6 +115,8 @@ class OutsourcedDatabase:
         self._bytes_sent = metrics.counter("protocol.bytes_sent")
         self._bytes_received = metrics.counter("protocol.bytes_received")
         self._decrypt_seconds = metrics.counter("client.decrypt_seconds")
+        self._fast_rows = metrics.counter("client.fast_rows")
+        self._exact_rows = metrics.counter("client.exact_rows")
         self.client = TrustedClient(
             key=key,
             seed=seed,
@@ -288,10 +290,7 @@ class OutsourcedDatabase:
             response = self._remote.query(message)
             self._round_trips.add(1)
             self._account_exchange()
-            result = self.client.decrypt_results(
-                response.row_ids, response.rows, id_mapper=self._map_physical_id
-            )
-            self._decrypt_seconds.add(result.decrypt_seconds)
+            result = self._decrypt(response)
         self.client_stats.append(result)
         return result
 
@@ -325,15 +324,7 @@ class OutsourcedDatabase:
             responses = self._remote.query_many(messages)
             self._round_trips.add(1)
             self._account_exchange()
-            results = []
-            for response in responses:
-                result = self.client.decrypt_results(
-                    response.row_ids,
-                    response.rows,
-                    id_mapper=self._map_physical_id,
-                )
-                self._decrypt_seconds.add(result.decrypt_seconds)
-                results.append(result)
+            results = [self._decrypt(response) for response in responses]
         self.client_stats.extend(results)
         return results
 
@@ -429,7 +420,7 @@ class OutsourcedDatabase:
         begin = self._remote.rotate_begin()
         response = begin.response
         everything = self.client.decrypt_results(
-            response.row_ids, response.rows, id_mapper=self._map_physical_id
+            response.row_ids, response.rows, id_mapper=self._map_physical_ids
         )
         old_ids = [int(i) for i in everything.logical_ids]
         values = [int(v) for v in everything.values]
@@ -484,7 +475,7 @@ class OutsourcedDatabase:
             # *same* physical ids (ambiguity pairs included: the fresh
             # pair lands on the pair's original two ids).
             result = old_client.decrypt_results(
-                global_ids, rows, id_mapper=self._map_physical_id
+                global_ids, rows, id_mapper=self._map_physical_ids
             )
             new_rows: List = []
             new_ids: List[int] = []
@@ -515,15 +506,40 @@ class OutsourcedDatabase:
             self._pivot_rng.randrange(low, high) for _ in range(self._jitter_pivots)
         )
 
-    def _map_physical_id(self, physical_id: int) -> int:
-        if physical_id < self._base_physical_count:
-            return self.client.logical_id(physical_id)
-        try:
-            return self._inserted_physical_to_logical[physical_id]
-        except KeyError:
-            raise QueryError(
-                "server returned unknown row id %d" % physical_id
-            ) from None
+    def _decrypt(self, response) -> ClientResult:
+        """Decrypt one query response, accounting its time and how its
+        rows were opened (``client.fast_rows`` / ``client.exact_rows``:
+        in proven 64-bit words / in big-int arithmetic)."""
+        encryptor = self.client.encryptor
+        fast, exact = encryptor.fast_rows, encryptor.exact_rows
+        result = self.client.decrypt_results(
+            response.row_ids, response.rows, id_mapper=self._map_physical_ids
+        )
+        self._decrypt_seconds.add(result.decrypt_seconds)
+        self._fast_rows.add(encryptor.fast_rows - fast)
+        self._exact_rows.add(encryptor.exact_rows - exact)
+        return result
+
+    def _map_physical_ids(self, physical_ids: np.ndarray) -> np.ndarray:
+        """Logical ids of an array of physical row ids: the formulaic
+        ones (below the uploaded count) by one array operation, the
+        inserted ones through the session's own map."""
+        logical_ids = self.client.logical_id(physical_ids)
+        inserted = np.flatnonzero(physical_ids >= self._base_physical_count)
+        if len(inserted):
+            logical_ids = logical_ids.copy()
+            for slot, physical_id in zip(
+                inserted.tolist(), physical_ids[inserted].tolist()
+            ):
+                try:
+                    logical_ids[slot] = self._inserted_physical_to_logical[
+                        physical_id
+                    ]
+                except KeyError:
+                    raise QueryError(
+                        "server returned unknown row id %d" % physical_id
+                    ) from None
+        return logical_ids
 
     def _physical_ids_of(self, logical_id: int) -> List[int]:
         if logical_id < 0 or logical_id >= self._logical_count:

@@ -14,10 +14,11 @@ every layer passes them around in:
   Section 4.2, whose ``l``-prefix and ``l``-suffix are *both* valid
   value rows; exactly one (secret) branch is real.
 * :class:`RowBlock` — a *set* of value rows as what it is (paper §3.3,
-  §4.2, §5.4): an ``n x l`` integer numerator matrix plus a denominator
-  vector.  The server's column hands out blocks by one fancy index, the
-  wire ships a block as one flat integer run, and the client opens one
-  with a single matrix product; a :class:`ValueCiphertext` is the
+  §4.2, §5.4): one fixed-width word array, ``l`` numerators and a
+  denominator per row, each a few ``uint64`` limbs.  The owner's
+  encryption produces it, the server's column hands out blocks by one
+  fancy index, the wire ships its bytes, and the client opens one with
+  a single word-sized matrix product; a :class:`ValueCiphertext` is the
   one-row view of it.
 
 All containers are immutable.  Because denominators are positive, the
@@ -33,7 +34,10 @@ from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
+from repro.linalg.limbs import common_width, from_ints, to_objects, widen
 from repro.linalg.vectors import IntVector, dot
+
+_SIGN_SHIFT = np.uint64(63)
 
 
 @dataclass(frozen=True)
@@ -116,32 +120,114 @@ class AmbiguousCiphertext:
         return prefix, suffix
 
 
-class RowBlock(Sequence):
-    """A set of ``Ev``-mode rows: numerator matrix + denominator vector.
+def flatten_rows(rows: Iterable[ValueCiphertext]):
+    """``(length, numerators, denominators)`` of a row set — a block or
+    a sequence of value ciphertexts — in Python ints: the numerators as
+    one flat row-major list, the denominators as another.
 
-    ``numerators`` is an ``n x l`` object-dtype matrix of Python ints
-    (row ``i`` is the numerator vector of row ``i``) and
-    ``denominators`` the parallel length-``n`` vector of positive ints.
-    The block behaves as a ``Sequence[ValueCiphertext]`` — ``len``,
-    iteration, indexing and equality against any other row sequence —
-    but builds a :class:`ValueCiphertext` only when a caller asks for
-    one row, so the query path never does.  Immutable like the other
-    containers: the block marks both arrays read-only.
+    Raises:
+        ValueError: rows of different ciphertext lengths, or something
+            that is not a :class:`ValueCiphertext`.
+    """
+    if isinstance(rows, RowBlock):
+        boxed = to_objects(rows.limbs).tolist()
+        return (
+            rows.length,
+            [x for row in boxed for x in row[:-1]],
+            [row[-1] for row in boxed],
+        )
+    rows = list(rows)
+    if not all(type(row) is ValueCiphertext for row in rows):
+        raise ValueError("a row block holds value ciphertexts only")
+    length = rows[0].length if rows else 0
+    if any(row.length != length for row in rows):
+        raise ValueError("rows must share one ciphertext length")
+    return (
+        length,
+        [x for row in rows for x in row.numerators],
+        [row.denominator for row in rows],
+    )
+
+
+class RowBlock(Sequence):
+    """A set of ``Ev``-mode rows as one word array.
+
+    ``limbs`` is an ``n x (l + 1) x k`` array of ``uint64`` limbs
+    (:mod:`repro.linalg.limbs`: two's complement, least significant
+    first, ``k`` read off the widest integer): row ``i`` is
+    ``limbs[i]``, its ``l`` numerators followed by its positive
+    denominator.  That array is the block — the owner's encryption
+    produces it, the server's column stores, permutes and gathers it,
+    a binary frame carries its bytes and the client opens it in words —
+    so taking, concatenating and comparing blocks are fixed-width array
+    operations.  The block behaves as a ``Sequence[ValueCiphertext]`` —
+    ``len``, iteration, indexing and equality against any other row
+    sequence — but makes Python ints only when a caller asks for a row
+    (or for :attr:`numerators` / :attr:`denominators`), so the query
+    path never does.  Immutable like the other containers: the block
+    marks its array read-only.
     """
 
-    __slots__ = ("numerators", "denominators")
+    __slots__ = ("limbs",)
 
-    def __init__(self, numerators: np.ndarray, denominators: np.ndarray) -> None:
-        if numerators.ndim != 2 or denominators.shape != numerators.shape[:1]:
+    def __init__(self, limbs: np.ndarray) -> None:
+        if limbs.ndim != 3 or limbs.dtype != np.uint64 or not limbs.shape[1]:
             raise ValueError(
-                "a row block is an n x l matrix with n denominators"
+                "a row block is an n x (l + 1) x k array of uint64 limbs"
             )
-        if len(denominators) and min(denominators.tolist()) <= 0:
+        denominators = limbs[:, -1]
+        if (denominators[:, -1] >> _SIGN_SHIFT).any() or not (
+            denominators.any(axis=1).all()
+        ):
             raise ValueError("ciphertext denominator must be positive")
-        numerators.flags.writeable = False
-        denominators.flags.writeable = False
-        self.numerators = numerators
-        self.denominators = denominators
+        limbs.flags.writeable = False
+        self.limbs = limbs
+
+    @classmethod
+    def _of(cls, limbs: np.ndarray) -> "RowBlock":
+        """The block over ``limbs`` cut from blocks already checked (or
+        built with denominators of one): nothing to validate again."""
+        block = cls.__new__(cls)
+        limbs.flags.writeable = False
+        block.limbs = limbs
+        return block
+
+    @classmethod
+    def from_ints(
+        cls, length: int, numerators: Sequence[int], denominators: Sequence[int]
+    ) -> "RowBlock":
+        """The block of ``len(denominators)`` rows whose numerators are
+        the flat row-major run ``numerators`` (``length`` per row) —
+        Python ints in, limbs out, in one conversion."""
+        if len(denominators) and min(denominators) <= 0:
+            raise ValueError("ciphertext denominator must be positive")
+        rows = []
+        for row, denominator in enumerate(denominators):
+            rows += numerators[row * length:(row + 1) * length]
+            rows.append(denominator)
+        limbs = from_ints(rows)
+        return cls._of(
+            limbs.reshape(len(denominators), length + 1, limbs.shape[1])
+        )
+
+    @classmethod
+    def from_limbs(
+        cls, length: int, numerators: np.ndarray, denominators: np.ndarray = None
+    ) -> "RowBlock":
+        """The block of ``n x length x k`` numerator limbs over
+        ``n x k'`` denominator limbs (all ones when omitted)."""
+        rows = len(numerators)
+        k = numerators.shape[-1]
+        if denominators is not None:
+            k = max(k, denominators.shape[-1])
+        block = np.empty((rows, length + 1, k), dtype=np.uint64)
+        block[:, :length] = widen(numerators, k)
+        if denominators is None:
+            block[:, length] = 0
+            block[:, length, 0] = 1
+            return cls._of(block)
+        block[:, length] = widen(denominators, k)
+        return cls(block)
 
     @classmethod
     def from_rows(cls, rows: Iterable[ValueCiphertext]) -> "RowBlock":
@@ -153,18 +239,7 @@ class RowBlock(Sequence):
         """
         if isinstance(rows, RowBlock):
             return rows
-        rows = list(rows)
-        if not all(type(row) is ValueCiphertext for row in rows):
-            raise ValueError("a row block holds value ciphertexts only")
-        length = rows[0].length if rows else 0
-        if any(row.length != length for row in rows):
-            raise ValueError("rows must share one ciphertext length")
-        numerators = np.empty((len(rows), length), dtype=object)
-        if rows and length:
-            numerators[:] = [row.numerators for row in rows]
-        denominators = np.empty(len(rows), dtype=object)
-        denominators[:] = [row.denominator for row in rows]
-        return cls(numerators, denominators)
+        return cls.from_ints(*flatten_rows(rows))
 
     @classmethod
     def concatenate(cls, blocks: Iterable["RowBlock"]) -> "RowBlock":
@@ -178,35 +253,47 @@ class RowBlock(Sequence):
             return blocks[0] if blocks else cls.from_rows(())
         if len({block.length for block in parts}) > 1:
             raise ValueError("rows must share one ciphertext length")
-        return cls(
-            np.concatenate([block.numerators for block in parts]),
-            np.concatenate([block.denominators for block in parts]),
+        return cls._of(
+            np.concatenate(common_width([block.limbs for block in parts]))
         )
 
     @property
     def length(self) -> int:
         """Ciphertext length ``l`` (0 for a block that never held a row)."""
-        return self.numerators.shape[1]
+        return self.limbs.shape[1] - 1
+
+    @property
+    def numerators(self) -> np.ndarray:
+        """The numerators as a fresh read-only ``n x l`` object matrix
+        of Python ints (row ``i`` is the numerator vector of row ``i``)."""
+        matrix = to_objects(self.limbs[:, :-1])
+        matrix.flags.writeable = False
+        return matrix
+
+    @property
+    def denominators(self) -> np.ndarray:
+        """The denominators as a fresh read-only object vector of
+        Python ints."""
+        vector = to_objects(self.limbs[:, -1])
+        vector.flags.writeable = False
+        return vector
 
     def take(self, indices) -> "RowBlock":
         """The rows at ``indices`` (any numpy index: positions or a
         boolean mask), as a new block."""
-        return RowBlock(self.numerators[indices], self.denominators[indices])
+        return RowBlock._of(self.limbs[indices])
 
     def __len__(self) -> int:
-        return self.numerators.shape[0]
+        return self.limbs.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self.take(index)
-        return ValueCiphertext(
-            tuple(self.numerators[index]), self.denominators[index]
-        )
+        *numerators, denominator = to_objects(self.limbs[index]).tolist()
+        return ValueCiphertext(tuple(numerators), denominator)
 
     def __iter__(self) -> Iterator[ValueCiphertext]:
-        for numerators, denominator in zip(
-            self.numerators.tolist(), self.denominators.tolist()
-        ):
+        for *numerators, denominator in to_objects(self.limbs).tolist():
             yield ValueCiphertext(tuple(numerators), denominator)
 
     def __add__(self, other) -> "RowBlock":
@@ -216,10 +303,12 @@ class RowBlock(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RowBlock):
-            return (
-                len(self) == len(other)
-                and self.numerators.tolist() == other.numerators.tolist()
-                and self.denominators.tolist() == other.denominators.tolist()
+            if len(self) != len(other):
+                return False
+            if not len(self):
+                return True
+            return self.length == other.length and np.array_equal(
+                *common_width((self.limbs, other.limbs))
             )
         if isinstance(other, (list, tuple)):
             return len(self) == len(other) and all(

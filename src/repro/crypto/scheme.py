@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 from math import gcd
 from typing import Iterable, List, Optional, Tuple
 
@@ -43,12 +44,32 @@ from repro.errors import (
     KeyGenerationError,
 )
 from repro.linalg.intmat import mat_vec, mat_transpose
+from repro.linalg.limbs import (
+    ROUNDING_LIMIT,
+    from_ints,
+    int_bit_length,
+    proven_products,
+    rounding_bound,
+    to_float,
+    to_objects,
+    top_bits,
+    word_operand,
+)
 from repro.linalg.solve import integer_nullspace
 from repro.linalg.vectors import IntVector, dot, orthogonal_vector, scale
 
 #: Uniform counterfeit targets a steering attempt draws before it falls
 #: back to the root candidates of :meth:`Encryptor._pick_parameter`.
 UNIFORM_TARGET_TRIES = 12
+
+#: Shortest block :meth:`Encryptor.open_block` opens in words: that
+#: path is ~40 array calls whatever the row count, a boxed row a few
+#: microseconds of big-int arithmetic.
+_WORDS_MIN_ROWS = 32
+
+#: Values :meth:`Encryptor.encrypt_values` /
+#: :meth:`Encryptor.encrypt_values_ambiguous` turn into limbs at a time.
+_ENCRYPT_CHUNK = 4096
 
 
 def compare(bound: BoundCiphertext, value: ValueCiphertext) -> int:
@@ -119,11 +140,19 @@ class Encryptor:
         # key's precomputed ambiguity row.
         p0, p1 = key.payload_positions
         self._inverse_t = _object_matrix(mat_transpose(key.matrix_inverse))
-        self._open_matrix = _object_matrix(mat_transpose((
+        open_rows = mat_transpose((
             key.matrix[p0],
             tuple(-entry for entry in key.matrix[p1]),
             key.ambiguity_row,
-        )))
+        ))
+        self._open_matrix = _object_matrix(open_rows)
+        # The same matrix as the word-sized operand of a proven product
+        # (:mod:`repro.linalg.limbs`); None for a key so wide that no
+        # block could be opened in words.
+        self._open_bits = int_bit_length(self._open_matrix.flat)
+        self._open_operand = None
+        if rounding_bound(key.length, 0, self._open_bits) < ROUNDING_LIMIT:
+            self._open_operand = word_operand(open_rows)
         # Steering (Section 4.2) constrains the two length-l windows of
         # an (l+1)-vector: per window offset, the rows reading payload
         # slot 0, payload slot 1 (and its negation, which reads xi) and
@@ -145,13 +174,31 @@ class Encryptor:
         #: Count of ambiguous encryptions that fell back to an
         #: unsteered counterfeit (see generate_steerable_key).
         self.steering_fallbacks = 0
+        #: Rows :meth:`decrypt_block` opened in proven 64-bit words /
+        #: in big-int arithmetic.
+        self.fast_rows = 0
+        self.exact_rows = 0
 
     # -- mode Ev: values ------------------------------------------------
 
     def encrypt_value(self, value: int) -> ValueCiphertext:
         """Encrypt an attribute value in mode ``Ev`` (Section 3.3) —
-        the one-row view of :meth:`encrypt_values`."""
-        return self.encrypt_values((value,))[0]
+        one row of :meth:`encrypt_values`, in Python ints throughout (a
+        query bound's ``Ev`` form is a key for the server's tree, not a
+        row of a block)."""
+        return ValueCiphertext(
+            mat_vec(self.key.matrix_inverse, self._pre_image(value))
+        )
+
+    def _pre_image(self, value: int) -> IntVector:
+        """``xi * (payload(v) + noise_perp)``, ``xi`` and the noise
+        freshly drawn: what ``M^-1`` turns into ``Ev(v)``."""
+        value = int(value)  # exact big-int arithmetic, never numpy scalars
+        xi = self._draw_odd_multiplier()
+        noise = orthogonal_vector(
+            self.key.u, self._rng, magnitude=self._noise_magnitude
+        )
+        return self.key.assemble(xi * value, -xi, scale(noise, xi))
 
     def encrypt_values(self, values: Iterable[int]) -> RowBlock:
         """Encrypt attribute values in mode ``Ev``, as one row block.
@@ -163,25 +210,32 @@ class Encryptor:
         per value, in order; the pre-images then go through ``M^-1``
         in a single matrix product.
         """
-        pre_images = []
-        for value in values:
-            value = int(value)  # exact big-int arithmetic, never numpy scalars
-            xi = self._draw_odd_multiplier()
-            noise = orthogonal_vector(
-                self.key.u, self._rng, magnitude=self._noise_magnitude
+        length = self.key.length
+
+        def encrypt(chunk):
+            pre_images = [self._pre_image(value) for value in chunk]
+            images = _object_matrix(pre_images) @ self._inverse_t
+            limbs = from_ints(images.ravel().tolist())
+            return RowBlock.from_limbs(
+                length, limbs.reshape(len(chunk), length, limbs.shape[1])
             )
-            pre_images.append(
-                self.key.assemble(xi * value, -xi, scale(noise, xi))
-            )
-        denominators = np.empty(len(pre_images), dtype=object)
-        denominators[:] = 1
-        if not pre_images:
-            return RowBlock(
-                np.empty((0, self.key.length), dtype=object), denominators
-            )
-        return RowBlock(
-            _object_matrix(pre_images) @ self._inverse_t, denominators
-        )
+
+        return self._encrypt_chunked(values, encrypt)
+
+    def _encrypt_chunked(self, values: Iterable[int], encrypt) -> RowBlock:
+        """One block of ``encrypt(chunk)`` over ``values`` in order,
+        :data:`_ENCRYPT_CHUNK` at a time: the boxed Python ints of a
+        chunk are gone before the next one's are made."""
+        values = iter(values)
+        blocks = []
+        while True:
+            chunk = list(islice(values, _ENCRYPT_CHUNK))
+            if not chunk:
+                break
+            blocks.append(encrypt(chunk))
+        if not blocks:
+            return RowBlock.from_ints(self.key.length, (), ())
+        return RowBlock.concatenate(blocks)
 
     def encrypt_value_ambiguous(
         self,
@@ -241,18 +295,26 @@ class Encryptor:
         before the next value draws — so the block is exactly what
         :meth:`encrypt_value_ambiguous` produces value by value.
         """
-        solved = [
-            self._ambiguous_vector(value, fake_domain) for value in values
-        ]
-        numerators = np.empty((2 * len(solved), self.key.length), dtype=object)
-        denominators = np.empty(2 * len(solved), dtype=object)
-        if solved:
-            numerators[0::2] = [vector[:-1] for vector, _ in solved]
-            numerators[1::2] = [vector[1:] for vector, _ in solved]
-            denominators[0::2] = denominators[1::2] = [
-                denominator for _, denominator in solved
+        def encrypt(chunk):
+            solved = [
+                self._ambiguous_vector(value, fake_domain) for value in chunk
             ]
-        return RowBlock(numerators, denominators)
+            return RowBlock.from_ints(
+                self.key.length,
+                [
+                    x
+                    for vector, _ in solved
+                    for window in (vector[:-1], vector[1:])
+                    for x in window
+                ],
+                [
+                    denominator
+                    for _, denominator in solved
+                    for _ in range(2)
+                ],
+            )
+
+        return self._encrypt_chunked(values, encrypt)
 
     def _ambiguous_vector(
         self,
@@ -299,17 +361,15 @@ class Encryptor:
     def _open_windows(
         self, numerators: IntVector, denominator: int, real_offset: int
     ) -> Tuple[List[bool], List[int], List[int]]:
-        """:meth:`decrypt_block` over the (real, fake) windows of an
-        ambiguity vector — the owner's check of Section 4.2."""
+        """The (real, fake) windows of an ambiguity vector opened as
+        :meth:`decrypt_block` opens rows no word holds — the owner's
+        check of Section 4.2, on the Python ints it was solved in."""
         length = self.key.length
         fake_offset = 1 - real_offset
-        windows = _object_matrix((
-            numerators[real_offset:real_offset + length],
-            numerators[fake_offset:fake_offset + length],
-        ))
-        denominators = np.empty(2, dtype=object)
-        denominators[:] = denominator
-        return self.decrypt_block(RowBlock(windows, denominators))
+        return self._open_exact(_object_matrix((
+            numerators[real_offset:real_offset + length] + (denominator,),
+            numerators[fake_offset:fake_offset + length] + (denominator,),
+        )))
 
     def _steered_vector(
         self,
@@ -608,14 +668,103 @@ class Encryptor:
         resamples at encryption time whenever a fake passes all
         checks).
         """
-        block = RowBlock.from_rows(rows)
-        is_real, values, xi_numerators = [], [], []
+        return tuple(
+            part.tolist() if isinstance(part, np.ndarray) else part
+            for part in self.open_block(RowBlock.from_rows(rows))
+        )
+
+    def open_block(self, block: RowBlock):
+        """:meth:`decrypt_block` of a block, each of its three results
+        left as the ``numpy`` array it was computed as when every row
+        opened in words (lists otherwise) — for a caller that goes on
+        in arrays (:meth:`repro.core.client.TrustedClient.decrypt_results`)."""
         if not len(block):
-            return is_real, values, xi_numerators
-        opened = (block.numerators @ self._open_matrix).tolist()
-        for (payload0, xi, noise), denominator in zip(
-            opened, block.denominators.tolist()
-        ):
+            return [], [], []
+        opened = None
+        if len(block) >= _WORDS_MIN_ROWS:
+            opened = self._open_words(block)
+        if opened is None:
+            self.exact_rows += len(block)
+            return self._open_exact(to_objects(block.limbs))
+        (payload0, xi, noise), denominators, proven = opened
+        all_proven = bool(proven.all())
+        if not all_proven:
+            # A refused row's words are noise: keep it out of the
+            # divisions below.
+            denominators = np.where(proven, denominators, 1)
+        # The checks of the docstring, on int64: every operand is a
+        # proven word, and a divisor is never 0.
+        xi = np.where(noise == 0, xi, 0)
+        positive = xi > 0
+        divisor = np.where(positive, xi, 1)
+        quotient, remainder = np.divmod(xi, denominators)
+        real = (
+            positive
+            & (remainder == 0)
+            & (quotient & 1 == 1)
+            & (payload0 % divisor == 0)
+        )
+        if all_proven:
+            self.fast_rows += len(block)
+            return real, payload0[real] // xi[real], xi
+        # Rows no word holds are opened in big ints and spliced back in.
+        refused = np.flatnonzero(~proven)
+        self.fast_rows += len(block) - len(refused)
+        self.exact_rows += len(refused)
+        exact_real, exact_values, exact_xi = self._open_exact(
+            to_objects(block.limbs[refused])
+        )
+        is_real, xi_numerators = real.tolist(), xi.tolist()
+        plaintexts = (payload0 // divisor).tolist()
+        exact_values = iter(exact_values)
+        for row, row_real, row_xi in zip(refused.tolist(), exact_real, exact_xi):
+            is_real[row], xi_numerators[row] = row_real, row_xi
+            if row_real:
+                plaintexts[row] = next(exact_values)
+        return is_real, list(compress(plaintexts, is_real)), xi_numerators
+
+    def _open_words(self, block: RowBlock):
+        """``M``'s three projections of ``block`` in wrapping 64-bit
+        words: ``((payload0, xi, noise), denominators, proven)``, all
+        ``int64`` but the last, which says per row whether the float
+        product proves none of its three words wrapped
+        (:func:`repro.linalg.limbs.proven_products`) and its
+        denominator is a word too.  None when the bit-lengths of key
+        and block rule the proof out — ambiguity's 87-bit opened values
+        are the case in point."""
+        if self._open_operand is None:
+            return None
+        limbs, length = block.limbs, block.length
+        numerators = limbs[:, :-1]
+        bound = rounding_bound(
+            length, top_bits(numerators), self._open_bits, limbs.shape[2]
+        )
+        if bound >= ROUNDING_LIMIT:
+            return None
+        words, accepted = proven_products(
+            numerators[:, :, 0], to_float(numerators), self._open_operand, bound
+        )
+        proven = accepted.all(axis=1)
+        # Denominators are positive: one is a word when its limb 0 is
+        # non-negative as int64 and it has no other.
+        denominators = limbs[:, -1]
+        low = denominators[:, 0].view(np.int64)
+        if denominators.shape[1] > 1:
+            proven &= low >= 0
+            proven &= ~denominators[:, 1:].any(axis=1)
+        return words.T, low, proven
+
+    def _open_exact(
+        self, rows: np.ndarray
+    ) -> Tuple[List[bool], List[int], List[int]]:
+        """:meth:`decrypt_block` in big-int arithmetic over an ``n x (l
+        + 1)`` object matrix of rows (numerators, then the denominator):
+        the reference every word-sized result is proven equal to, and
+        the path of every row no word holds."""
+        numerators, denominators = rows[:, :-1], rows[:, -1].tolist()
+        is_real, values, xi_numerators = [], [], []
+        opened = (numerators @ self._open_matrix).tolist()
+        for (payload0, xi, noise), denominator in zip(opened, denominators):
             if noise:
                 xi = 0
             real = (

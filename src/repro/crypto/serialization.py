@@ -12,7 +12,7 @@ Python's ``json`` module), each tagged with a ``kind`` and a format
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
@@ -21,9 +21,11 @@ from repro.crypto.ciphertext import (
     BoundCiphertext,
     RowBlock,
     ValueCiphertext,
+    flatten_rows,
 )
 from repro.crypto.key import SecretKey
 from repro.errors import SerializationError
+from repro.linalg.limbs import PACKED_MIN_LEN, PackedInts, fits_word, from_ints
 
 FORMAT_VERSION = 1
 
@@ -94,14 +96,18 @@ def ciphertext_to_dict(ciphertext: Ciphertext) -> Dict[str, Any]:
     )
 
 
-def ints_from_wire(items, what: str) -> List[int]:
-    """``items`` if it is a list of plain ints, else a typed error.
+def ints_from_wire(items, what: str):
+    """``items`` if it is a list of plain ints — or the packed run of
+    them a binary frame decodes to — else a typed error.
 
     The trust-boundary integer check: ``"7"``, ``1.9`` and ``True``
     all pass ``int()``, so a tampered frame would silently become a
     *different* ciphertext or row id.  Only ``type(x) is int`` is an
-    integer on the wire.
+    integer on the wire (a :class:`~repro.linalg.limbs.PackedInts`
+    holds nothing else).
     """
+    if type(items) is PackedInts:
+        return items
     if type(items) is not list or not set(map(type, items)) <= {int}:
         raise SerializationError("%s must be a list of integers" % what)
     return items
@@ -132,21 +138,34 @@ def ciphertext_from_dict(data: Dict[str, Any]) -> Ciphertext:
 
 def rows_to_dict(rows) -> Dict[str, Any]:
     """Serialize a row set — a :class:`RowBlock` or any sequence of
-    value ciphertexts — as one flat block of plain ints:
+    value ciphertexts — as one flat block of integers:
     ``{"length": l, "numerators": [n * l ints, row-major]}`` plus
     ``"denominators": [n ints]`` unless every denominator is 1.  The
     one row-set encoding of the code base: frames, WAL entries and
-    snapshots all carry this value."""
-    try:
-        block = RowBlock.from_rows(rows)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise SerializationError("cannot serialize rows: %s" % exc) from exc
-    data = {
-        "length": block.length,
-        "numerators": block.numerators.ravel().tolist(),
-    }
-    denominators = block.denominators.tolist()
-    if denominators.count(1) != len(denominators):
+    snapshots all carry this value.  The runs of a block of
+    :data:`~repro.linalg.limbs.PACKED_MIN_LEN` numerators or more are
+    :class:`~repro.linalg.limbs.PackedInts` over its own limbs — the
+    lists of ints they stand for, stored as limbs: ``json`` writes them
+    as any list, the binary frame codec without boxing an integer."""
+    if isinstance(rows, RowBlock) and len(rows) * rows.length >= PACKED_MIN_LEN:
+        length, k = rows.length, rows.limbs.shape[2]
+        numerators = PackedInts(rows.limbs[:, :-1].reshape(-1, k))
+        denominators = PackedInts(rows.limbs[:, -1])
+        unit = not (
+            (denominators.limbs[:, 0] != 1).any()
+            or denominators.limbs[:, 1:].any()
+        )
+    else:
+        # Rows already in Python ints stay in them; a block too short
+        # to be worth packing (a handful of array calls cost more than
+        # its integers) is boxed whole.
+        try:
+            length, numerators, denominators = flatten_rows(rows)
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SerializationError("cannot serialize rows: %s" % exc) from exc
+        unit = denominators.count(1) == len(denominators)
+    data = {"length": length, "numerators": numerators}
+    if not unit:
         data["denominators"] = denominators
     return data
 
@@ -164,23 +183,35 @@ def rows_from_dict(data: Dict[str, Any]) -> RowBlock:
         data.get("denominators", []), "block denominators"
     )
     count, ragged = divmod(len(numerators), length) if length else (0, 0)
-    if ragged or (not length and numerators):
+    if ragged or (not length and len(numerators)):
         raise SerializationError(
             "%d numerators do not fill rows of length %d"
             % (len(numerators), length)
         )
-    if not denominators:
-        denominators = [1] * count
-    elif len(denominators) != count or min(denominators) <= 0:
+    try:
+        if len(denominators) not in (0, count):
+            raise ValueError("denominator count")
+        if type(numerators) is not PackedInts:
+            # A short run arrived as Python ints: one conversion.
+            return RowBlock.from_ints(
+                length, numerators, list(denominators) or [1] * count
+            )
+        limbs = numerators.limbs
+        return RowBlock.from_limbs(
+            length,
+            limbs.reshape(count, length, limbs.shape[1]),
+            _limbs_of(denominators) if len(denominators) else None,
+        )
+    except ValueError:
         raise SerializationError(
             "a block of %d rows needs %d positive denominators"
             % (count, count)
-        )
-    matrix = np.empty((count, length), dtype=object)
-    matrix.ravel()[:] = numerators
-    vector = np.empty(count, dtype=object)
-    vector[:] = denominators
-    return RowBlock(matrix, vector)
+        ) from None
+
+
+def _limbs_of(items) -> np.ndarray:
+    """The limbs of a wire run of integers (:func:`ints_from_wire`)."""
+    return items.limbs if type(items) is PackedInts else from_ints(items)
 
 
 def dumps(obj: Union[SecretKey, Ciphertext]) -> str:
@@ -269,12 +300,21 @@ def query_from_dict(data: Dict[str, Any]):
         raise SerializationError("malformed query payload: %s" % exc) from exc
 
 
+def _ids_to_wire(row_ids):
+    """Row ids for an envelope dict: packed as they are (one ``int64``
+    limb each) when the run is long enough to be worth it."""
+    row_ids = np.asarray(row_ids, dtype=np.int64)
+    if len(row_ids) < PACKED_MIN_LEN:
+        return row_ids.tolist()
+    return PackedInts(row_ids.view(np.uint64).reshape(-1, 1))
+
+
 def response_to_dict(response) -> Dict[str, Any]:
     """Serialize a :class:`repro.core.server.ServerResponse`."""
     return {
         "kind": "response",
         "version": FORMAT_VERSION,
-        "row_ids": np.asarray(response.row_ids, dtype=np.int64).tolist(),
+        "row_ids": _ids_to_wire(response.row_ids),
         "rows": rows_to_dict(response.rows),
     }
 
@@ -286,9 +326,11 @@ def response_from_dict(data: Dict[str, Any]):
     _check_kind(data, "response")
     try:
         rows = rows_from_dict(data["rows"])
-        row_ids = np.array(
-            ints_from_wire(data["row_ids"], "row ids"), dtype=np.int64
-        )
+        row_ids = ints_from_wire(data["row_ids"], "row ids")
+        if type(row_ids) is PackedInts and fits_word(row_ids.limbs):
+            row_ids = row_ids.limbs[:, 0].view(np.int64)
+        else:
+            row_ids = np.array(row_ids, dtype=np.int64)
     except (KeyError, OverflowError) as exc:
         # OverflowError: a fuzzed row id exceeding int64 must surface as
         # a typed serialization failure, not a raw numpy error.

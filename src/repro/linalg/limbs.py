@@ -1,0 +1,329 @@
+"""Big integers as fixed-width limbs: the store, the wire and the proof.
+
+A ciphertext numerator needs 50 to ~130 bits, one Python object each.
+A *set* of them — a row block, a column, the numerator run of a frame —
+is held here as what the paper's GMP arrays are: an ``... x k`` array of
+``uint64`` limbs, two's complement, least significant limb first, ``k``
+read off the widest integer of the set.  Gathers, permutations,
+concatenation and equality are then plain fixed-width array operations,
+and Python ints are made only where one is asked for.
+
+Three things rest on that layout:
+
+* **The wire.**  :func:`to_wire` / :func:`from_wire` turn limbs into the
+  fixed-width big-endian run of a binary frame's int array and back with
+  numpy — the same bytes ``int.to_bytes`` per integer produces, so
+  frames did not change.  :class:`PackedInts` is the value an envelope
+  dict carries for such a run: the list of ints it stands for, stored
+  as limbs.
+* **The float plane.**  :func:`to_float` recombines limbs into one
+  ``float64`` per integer: ``k`` conversions and ``k - 1`` additions.
+* **The proof.**  :func:`proven_products` multiplies in wrapping 64-bit
+  words — limb 0 *is* the low word — and accepts a product only where
+  the float plane proves the word did not wrap, under
+  :func:`rounding_bound`.  The server's sign kernel
+  (:mod:`repro.core.encrypted_column`) and the client's decrypt
+  (:meth:`repro.crypto.scheme.Encryptor.decrypt_block`) share that one
+  rule.
+
+The rule.  For integer vectors ``a`` (rows, ``k`` limbs each, below
+``2^abits``) and ``b`` (below ``2^bbits``) of length ``l`` with exact
+product ``P``:
+
+* ``w = low(a) @ low(b)`` in wrapping 64-bit arithmetic is ``P mod
+  2^64`` exactly, i.e. ``P = w + j * 2^64`` for some integer ``j``;
+* ``f = float(a) @ float(b)`` satisfies ``|P - f| <= E`` with ``E =
+  gamma_s * l * 2^(abits + bbits)``, the standard dot-product rounding
+  bound (``gamma_s = s u / (1 - s u)``, ``u = 2^-53``) over ``s``
+  roundings per term: ``l`` in the accumulation (in any order, fused or
+  not), one converting ``b``, and for ``a`` one when ``k = 1`` but
+  ``3 k`` when it is recombined from limbs — the ``k`` conversions and
+  ``k - 1`` additions are each relative to ``S = |top limb| 2^(64(k-1))
+  + (lower limbs)``, not to ``|a|`` (a small negative number is a large
+  cancellation), and ``S < |a| + 2 * 2^(64(k-1)) <= 3 * 2^abits`` once
+  ``abits`` is taken no smaller than ``64 (k - 1)``;
+* a row with ``|f - w| <= 2^63 - E`` has ``|P - w| <= |P - f| + |f - w|
+  <= 2^63 < 2^64``, which forces ``j = 0``: ``P = w``.
+
+At ``E >= 2^62`` (:data:`ROUNDING_LIMIT`) a product that fits is no
+longer sure to pass, so nothing is attempted in words.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
+
+#: Rounding bounds at or past this rule the word-sized product out.
+ROUNDING_LIMIT = 1 << 62
+#: Added to every rounding bound: the acceptance test itself runs in
+#: float64 (``w`` converted, one subtraction, the threshold rounded),
+#: which moves ``|f - w|`` by less than 2^12.
+_TEST_SLACK = 1 << 14
+_WORD_MASK = (1 << 64) - 1
+_ALL_ONES = np.uint64(_WORD_MASK)
+_TWO_64 = float(1 << 64)
+
+
+# -- Python ints <-> limbs ---------------------------------------------------------
+
+
+def limb_count(bits: int) -> int:
+    """Limbs a two's-complement integer of ``bits`` magnitude bits needs."""
+    return bits // 64 + 1
+
+
+def int_bit_length(integers: Iterable[int]) -> int:
+    """The largest ``bit_length`` among Python ``integers`` (0 for none)."""
+    return max(map(int.bit_length, integers), default=0)
+
+
+def from_ints(values: Sequence[int]) -> np.ndarray:
+    """``len(values) x k`` limbs of a sequence of Python ints, ``k`` the
+    fewest that hold the widest (read-only: it views the packed bytes).
+
+    Raises:
+        TypeError: an element that is not an ``int``.
+    """
+    size = 8 * limb_count(int_bit_length(values))
+    data = b"".join([v.to_bytes(size, "little", signed=True) for v in values])
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), size // 8)
+
+
+def to_objects(limbs: np.ndarray) -> np.ndarray:
+    """The Python ints of ``limbs`` (``... x k``) as an object array of
+    shape ``...`` — the edge where integers are boxed."""
+    k = limbs.shape[-1]
+    total = limbs[..., k - 1].view(np.int64).astype(object)
+    for j in range(k - 2, -1, -1):
+        total = (total << 64) | limbs[..., j].astype(object)
+    return total
+
+
+def widen(limbs: np.ndarray, k: int) -> np.ndarray:
+    """``limbs`` sign-extended to ``k`` limbs (itself when it has them)."""
+    have = limbs.shape[-1]
+    if have == k:
+        return limbs
+    wide = np.empty(limbs.shape[:-1] + (k,), dtype=np.uint64)
+    wide[..., :have] = limbs
+    # Arithmetic shift of the top limb: 0 or all ones.
+    wide[..., have:] = (
+        limbs[..., have - 1:].view(np.int64) >> np.int64(63)
+    ).view(np.uint64)
+    return wide
+
+
+def common_width(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """``arrays`` sign-extended to the widest limb count among them."""
+    k = max(array.shape[-1] for array in arrays)
+    return [widen(array, k) for array in arrays]
+
+
+def fits_word(limbs: np.ndarray) -> bool:
+    """Whether every integer of ``limbs`` lies in int64: its higher
+    limbs are the sign extension of limb 0."""
+    if limbs.shape[-1] == 1:
+        return True
+    sign = (limbs[..., :1].view(np.int64) >> np.int64(63)).view(np.uint64)
+    return bool((limbs[..., 1:] == sign).all())
+
+
+def bit_length(limbs: np.ndarray) -> int:
+    """The largest ``int.bit_length`` among the integers of ``limbs``
+    (``... x k``; 0 for none) — of the magnitudes, as Python counts."""
+    k = limbs.shape[-1]
+    flat = limbs.reshape(-1, k)
+    if not len(flat):
+        return 0
+    # Folded on the sign: |x| for x >= 0, |x| - 1 for x < 0.
+    sign = (flat[:, k - 1:].view(np.int64) >> np.int64(63)).view(np.uint64)
+    folded = flat ^ sign
+    # Limb by limb: a reduction down the short axis is the slow one.
+    tops = [int(folded[:, j].max()) for j in range(k)]
+    j = max((j for j in range(k) if tops[j]), default=0)
+    top = tops[j]
+    bits = 64 * j + top.bit_length()
+    if top & (top + 1) == 0:
+        # The widest folded value may be 2^bits - 1: if it is, and
+        # folds a negative number, that number is -2^bits, one bit more.
+        power = (folded[:, j] == np.uint64(top)) & (sign[:, 0] != 0)
+        for lower in range(j):
+            power &= folded[:, lower] == _ALL_ONES
+        bits += bool(power.any())
+    return bits
+
+
+def top_bits(limbs: np.ndarray) -> int:
+    """An upper bound on :func:`bit_length` from the top limbs alone —
+    two reductions instead of a pass over every limb: an integer with
+    signed top limb ``t`` lies below ``(|t| + 1) * 2^(64(k-1))`` in
+    magnitude.  At most two bits above the larger of the true
+    bit-length and ``64 (k - 1)``, the floor :func:`rounding_bound`
+    puts under ``abits`` anyway."""
+    if not limbs.size:
+        return 0
+    k = limbs.shape[-1]
+    top = limbs[..., k - 1].view(np.int64)
+    peak = max(int(top.max()), -int(top.min()))
+    return 64 * (k - 1) + (peak + 1).bit_length()
+
+
+# -- the wire ----------------------------------------------------------------------
+
+
+def to_wire(limbs: np.ndarray, width: int) -> bytes:
+    """``limbs`` (``n x k``) as ``n`` signed big-endian integers of
+    ``width`` bytes back to back — ``int.to_bytes(width, "big",
+    signed=True)`` of each.  ``width`` must hold every one of them."""
+    size = 8 * limbs.shape[-1]
+    if width > size:
+        limbs = widen(limbs, (width + 7) // 8)
+        size = 8 * limbs.shape[-1]
+    octets = limbs[:, ::-1].astype(">u8").view(np.uint8)
+    return octets[:, size - width:].tobytes()
+
+
+def from_wire(payload: bytes, width: int) -> np.ndarray:
+    """The inverse of :func:`to_wire`: ``len(payload) // width`` limbs
+    rows of ``ceil(width / 8)`` limbs, sign-extended."""
+    octets = np.frombuffer(payload, dtype=np.uint8).reshape(-1, width)
+    pad = -width % 8
+    if pad:
+        padded = np.empty((len(octets), width + pad), dtype=np.uint8)
+        padded[:, pad:] = octets
+        # 0x00 or 0xFF by each integer's sign bit.
+        padded[:, :pad] = (octets[:, :1].view(np.int8) >> 7).view(np.uint8)
+        octets = padded
+    return octets.view(">u8")[:, ::-1].astype(np.uint64)
+
+
+#: Shortest run of integers worth packing: writing or reading limbs
+#: with numpy takes ~10 array calls whatever the count, one
+#: ``to_bytes`` / ``from_bytes`` ~0.2 us — a query's bounds, an insert's
+#: row and a 12-row reply (4 to 48 integers) stay lists of Python ints,
+#: a 150-row reply (600) is packed.
+PACKED_MIN_LEN = 64
+
+
+class PackedInts(list):
+    """A run of integers as ``n x k`` limbs: what an envelope dict
+    carries where it used to carry a list of Python ints.
+
+    A ``list`` whose items live in :attr:`limbs` until someone asks for
+    one (its own storage stays empty): length, indexing, iteration,
+    membership and equality against any list of ints — either way
+    round — read the limbs, so ``json`` writes it, the fuzz suites
+    compare it and ``isinstance(x, list)`` checks pass it as the list
+    it stands for, while the binary frame codec writes and reads the
+    limbs without boxing an integer.  Read-only: it is never appended
+    to or sorted.
+    """
+
+    __slots__ = ("limbs",)
+
+    def __init__(self, limbs: np.ndarray) -> None:
+        super().__init__()
+        self.limbs = limbs
+
+    def __len__(self) -> int:
+        return len(self.limbs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.tolist()[index]
+        return int(to_objects(self.limbs[index]))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.tolist())
+
+    def __contains__(self, value) -> bool:
+        return value in self.tolist()
+
+    def tolist(self) -> List[int]:
+        """The integers as a plain list of Python ints."""
+        if self.limbs.shape[-1] == 1:
+            return self.limbs[:, 0].view(np.int64).tolist()
+        return to_objects(self.limbs).tolist()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedInts):
+            return np.array_equal(*common_width((self.limbs, other.limbs)))
+        if isinstance(other, list):
+            return self.tolist() == other
+        return NotImplemented
+
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "PackedInts(%r)" % self.tolist()
+
+
+# -- the float plane and the proven product ------------------------------------------
+
+
+def to_float(limbs: np.ndarray) -> np.ndarray:
+    """One ``float64`` per integer of ``limbs`` (``... x k``): the signed
+    top limb and the unsigned lower ones recombined by Horner's rule
+    (module docstring: ``3 k`` roundings' worth of error for ``k > 1``).
+    Only for limbs :func:`rounding_bound` admits — ``2^1024`` has no
+    ``float64``."""
+    k = limbs.shape[-1]
+    total = limbs[..., k - 1].view(np.int64).astype(np.float64)
+    for j in range(k - 2, -1, -1):
+        total *= _TWO_64
+        total += limbs[..., j]
+    return total
+
+
+def rounding_bound(length: int, abits: int, bbits: int, limbs: int = 1) -> int:
+    """``E``: how far the float64 dot product of two length-``length``
+    integer vectors below ``2^abits`` and ``2^bbits`` can lie from the
+    exact one, the first recombined from ``limbs`` limbs by
+    :func:`to_float` (module docstring; rounded up, test slack
+    included)."""
+    steps = length + 2
+    if limbs > 1:
+        steps = length + 1 + 3 * limbs
+        abits = max(abits, 64 * (limbs - 1))
+    return (
+        (steps * length << (abits + bbits)) // ((1 << 53) - steps)
+        + 1 + _TEST_SLACK
+    )
+
+
+def word_operand(integers) -> Tuple[np.ndarray, np.ndarray]:
+    """The right-hand operand of a proven product — a vector of Python
+    ints, or a matrix as a sequence of rows — as ``(low words,
+    floats)``."""
+    if len(integers) and isinstance(integers[0], int):
+        low = [x & _WORD_MASK for x in integers]
+    else:
+        low = [[x & _WORD_MASK for x in row] for row in integers]
+    return (
+        np.array(low, dtype=np.uint64),
+        np.array(integers, dtype=np.float64),
+    )
+
+
+def proven_products(
+    low: np.ndarray,
+    floats: np.ndarray,
+    operand: Tuple[np.ndarray, np.ndarray],
+    bound: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(words, accepted)``: the wrapped 64-bit products ``low @
+    operand`` as ``int64`` and, per product, whether the acceptance
+    inequality under the rounding bound ``bound`` proves the word is
+    the exact product (module docstring).  ``low`` is limb 0 of the
+    rows, ``floats`` their float plane."""
+    operand_low, operand_floats = operand
+    # Unsigned: wrap-around is the arithmetic wanted here.
+    words = (low @ operand_low).view(np.int64)
+    approx = floats @ operand_floats
+    return words, np.abs(approx - words) <= float((1 << 63) - bound)

@@ -47,7 +47,12 @@ Three properties do the heavy lifting:
   key — use the *wide mode* (width code 0x04): one explicit width byte
   (the two's-complement width of the array's largest magnitude,
   9..255), then ``count`` fixed-width signed big-endian integers back to back,
-  with no per-value tag, sign or length byte.
+  with no per-value tag, sign or length byte.  A run handed over as
+  :class:`~repro.linalg.limbs.PackedInts` (a row block's numerators,
+  a response's row ids) is written from its limbs with numpy and, from
+  :data:`~repro.linalg.limbs.PACKED_MIN_LEN` integers up, read back
+  into one with ``np.frombuffer`` — the same bytes either way, without
+  a Python int per value.
 
 Encoding is a pure function of the envelope dict (keys sorted, intern
 table in deterministic encounter order), so binary frames are
@@ -66,7 +71,17 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import SerializationError
+from repro.linalg.limbs import (
+    PACKED_MIN_LEN,
+    PackedInts,
+    bit_length,
+    fits_word,
+    from_wire,
+    to_wire,
+)
 
 #: First frame byte; cannot collide with JSON frames (which start with
 #: ``{`` = 0x7B) because 0xAE is never the first byte of valid UTF-8.
@@ -95,12 +110,13 @@ _TAG_INTARRAY = 0x0A
 _FLOAT64 = struct.Struct(">d")
 
 #: Int-array width codes: code -> (byte width, struct format char,
-#: inclusive signed bound).  Width is picked per array from its range.
+#: inclusive signed bound, big-endian numpy dtype).  Width is picked
+#: per array from its range.
 _INTARRAY_WIDTHS = (
-    (1, "b", 1 << 7),
-    (2, "h", 1 << 15),
-    (4, "i", 1 << 31),
-    (8, "q", 1 << 63),
+    (1, "b", 1 << 7, np.dtype(">i1")),
+    (2, "h", 1 << 15, np.dtype(">i2")),
+    (4, "i", 1 << 31, np.dtype(">i4")),
+    (8, "q", 1 << 63, np.dtype(">i8")),
 )
 
 #: Width code of the wide mode: an explicit byte width follows.
@@ -162,7 +178,7 @@ def _write_intarray(out: bytearray, value: Any) -> bool:
     if bits <= 64:
         lo = min(value)
         hi = max(value)
-        for code, (width, fmt, bound) in enumerate(_INTARRAY_WIDTHS):
+        for code, (width, fmt, bound, _) in enumerate(_INTARRAY_WIDTHS):
             if -bound <= lo and hi < bound:
                 out.append(_TAG_INTARRAY)
                 out.append(code)
@@ -179,6 +195,34 @@ def _write_intarray(out: bytearray, value: Any) -> bool:
     _write_varint(out, len(value))
     out.extend(b"".join([item.to_bytes(width, "big", signed=True)
                          for item in value]))
+    return True
+
+
+def _write_packed(out: bytearray, value: PackedInts) -> bool:
+    """:func:`_write_intarray` for integers already held as limbs: the
+    same bytes, by the same rules, with numpy — no integer is boxed."""
+    limbs = value.limbs
+    # One limb is int64 as it stands; more are measured, and lie in
+    # int64 only below 64 bits (or at 64, when -2^63 is the widest).
+    bits = bit_length(limbs) if limbs.shape[1] > 1 else 0
+    if bits < 64 or (bits == 64 and fits_word(limbs)):
+        words = limbs[:, 0].view(np.int64)
+        lo, hi = int(words.min()), int(words.max())
+        for code, (_, _, bound, dtype) in enumerate(_INTARRAY_WIDTHS):
+            if -bound <= lo and hi < bound:
+                out.append(_TAG_INTARRAY)
+                out.append(code)
+                _write_varint(out, len(words))
+                out.extend(words.astype(dtype).tobytes())
+                return True
+    width = bits // 8 + 1
+    if width > _INTARRAY_MAX_WIDTH:
+        return False
+    out.append(_TAG_INTARRAY)
+    out.append(_INTARRAY_WIDE)
+    out.append(width)
+    _write_varint(out, len(limbs))
+    out.extend(to_wire(limbs, width))
     return True
 
 
@@ -217,6 +261,9 @@ def _write_value(out: bytearray, value: Any, interned: Dict[str, int],
             out.append(_TAG_STR)
             _write_varint(out, len(payload))
             out.extend(payload)
+    elif isinstance(value, PackedInts):
+        if len(value) < PACKED_MIN_LEN or not _write_packed(out, value):
+            _write_value(out, value.tolist(), interned, depth)
     elif isinstance(value, (list, tuple)):
         if len(value) >= _INTARRAY_MIN_LEN and _write_intarray(out, value):
             return
@@ -362,20 +409,24 @@ def _read_value(reader: _Reader, depth: int) -> Any:
             if width < 1:
                 raise SerializationError("int-array width must be >= 1")
         else:
-            width, fmt, _bound = _INTARRAY_WIDTHS[code]
+            width, fmt, _bound, dtype = _INTARRAY_WIDTHS[code]
         count = reader.varint()
         if count * width > reader.remaining:
             raise SerializationError(
                 "int-array count %d exceeds remaining frame bytes" % count
             )
         payload = reader.take(count * width)
-        if code == _INTARRAY_WIDE:
-            return [
-                int.from_bytes(payload[start:start + width], "big",
-                               signed=True)
-                for start in range(0, len(payload), width)
-            ]
-        return list(struct.unpack(">%d%s" % (count, fmt), payload))
+        if count >= PACKED_MIN_LEN:
+            if code == _INTARRAY_WIDE:
+                return PackedInts(from_wire(payload, width))
+            words = np.frombuffer(payload, dtype=dtype).astype(np.int64)
+            return PackedInts(words.view(np.uint64).reshape(count, 1))
+        if code != _INTARRAY_WIDE:
+            return list(struct.unpack(">%d%s" % (count, fmt), payload))
+        return [
+            int.from_bytes(payload[start:start + width], "big", signed=True)
+            for start in range(0, len(payload), width)
+        ]
     if tag == _TAG_DICT:
         count = reader.varint()
         if 2 * count > reader.remaining:  # every entry costs >= 2 bytes

@@ -109,6 +109,20 @@ class _Column:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
+def _on_column(operation: Callable) -> Callable:
+    """Turn a ``(catalog, request, server)`` column operation into a
+    handler ``(catalog, request)`` that runs it under the addressed
+    column's lock."""
+
+    def handler(catalog, request):
+        column = catalog._column(request.column)
+        with column.lock:
+            # Read under the lock: a rotation swaps the server.
+            return operation(catalog, request, column.server)
+
+    return handler
+
+
 class ColumnCatalog:
     """Hosts named encrypted columns behind one dispatch entry point.
 
@@ -160,24 +174,6 @@ class ColumnCatalog:
         # Replica progress reported through replicate_ack:
         # replica_id -> {"seq", "epochs", "lag_epochs"}.
         self._replicas: Dict[str, Dict[str, Any]] = {}
-        # Request type -> bound handler: the whole of dispatch.  Column
-        # operations run under their column's lock (see _on_column).
-        self._handlers: Dict[type, Callable] = {
-            HelloRequest: self._hello,
-            TelemetryRequest: self._telemetry,
-            ReplicateSubscribeRequest: self._serve_replicate_subscribe,
-            ReplicateEntriesRequest: self._serve_replicate_entries,
-            ReplicateAckRequest: self._serve_replicate_ack,
-            CreateColumnRequest: self._create,
-            QueryRequest: self._on_column(self._query),
-            FetchRequest: self._on_column(self._fetch),
-            InsertRequest: self._on_column(self._insert),
-            DeleteRequest: self._on_column(self._delete),
-            MergeRequest: self._on_column(self._merge),
-            RotateBeginRequest: self._on_column(self._rotate_begin),
-            RotateApplyRequest: self._on_column(self._rotate_apply),
-        }
-
     @property
     def obs(self) -> Observability:
         """The endpoint-wide observability bundle."""
@@ -959,22 +955,10 @@ class ColumnCatalog:
                 "this endpoint is a read replica; send %s to the primary "
                 "at %s" % (spec.kind, primary)
             )
-        handler = self._handlers.get(type(request))
+        handler = self._HANDLERS.get(type(request))
         if handler is None:
             raise ProtocolError("unhandled request kind: %s" % spec.kind)
-        return handler(request)
-
-    def _on_column(self, operation: Callable) -> Callable:
-        """Turn a ``(request, server)`` column operation into a handler
-        that runs it under the addressed column's lock."""
-
-        def handler(request):
-            column = self._column(request.column)
-            with column.lock:
-                # Read under the lock: a rotation swaps the server.
-                return operation(request, column.server)
-
-        return handler
+        return handler(self, request)
 
     def _commit(self, request, **result):
         """Commit the mutation ``request`` just applied (the caller
@@ -1060,3 +1044,25 @@ class ColumnCatalog:
         with self._registry_lock:
             self._columns[request.column].server = rebuilt
         return self._commit(request, rows_stored=len(rebuilt))
+
+    #: Request type -> handler ``(catalog, request)``: the whole of
+    #: dispatch.  Column operations run under their column's lock (see
+    #: ``_on_column``).  Plain functions on the class, not bound methods
+    #: on the instance: a catalog that held its own bound methods would
+    #: be a reference cycle, freed (with its servers and their columns)
+    #: only by a full cyclic collection.
+    _HANDLERS: Dict[type, Callable] = {
+        HelloRequest: _hello,
+        TelemetryRequest: _telemetry,
+        ReplicateSubscribeRequest: _serve_replicate_subscribe,
+        ReplicateEntriesRequest: _serve_replicate_entries,
+        ReplicateAckRequest: _serve_replicate_ack,
+        CreateColumnRequest: _create,
+        QueryRequest: _on_column(_query),
+        FetchRequest: _on_column(_fetch),
+        InsertRequest: _on_column(_insert),
+        DeleteRequest: _on_column(_delete),
+        MergeRequest: _on_column(_merge),
+        RotateBeginRequest: _on_column(_rotate_begin),
+        RotateApplyRequest: _on_column(_rotate_apply),
+    }

@@ -1,0 +1,263 @@
+"""Limbs: the fixed-width store under blocks, columns and frames.
+
+``repro.linalg.limbs`` holds sets of big integers as ``uint64`` limb
+arrays.  Everything above it assumes three things, each pinned here
+against Python's own integers: the conversions are exact both ways
+(bit-lengths, sign extension and wire bytes included), the float plane
+stays within the error the rounding bound charges for it, and a
+:class:`PackedInts` is the list of ints it stands for.  The last
+section feeds the binary frame codec hostile wide int-arrays: the only
+acceptable failure is a typed ``SerializationError``.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import SerializationError
+from repro.linalg import limbs as L
+from repro.net.binframe import decode_binary_frame, encode_binary_frame
+
+#: Integers that sit on every edge the limb arithmetic has.
+EDGES = sorted(
+    {sign * (2 ** bits + delta)
+     for bits in (0, 1, 7, 8, 62, 63, 64, 65, 126, 127, 128, 129, 191, 192)
+     for delta in (-1, 0, 1) for sign in (1, -1)}
+)
+INTS = st.one_of(st.sampled_from(EDGES), st.integers(-(2 ** 200), 2 ** 200))
+RUNS = st.lists(INTS, min_size=1, max_size=12)
+
+
+class TestConversions:
+    @given(RUNS, st.integers(0, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_bit_length_and_sign_extension(self, values, extra):
+        limbs = L.from_ints(values)
+        bits = max(v.bit_length() for v in values)
+        assert limbs.shape == (len(values), bits // 64 + 1)
+        assert limbs.dtype == np.uint64
+        wide = L.widen(limbs, limbs.shape[1] + extra)
+        for array in (limbs, wide):
+            assert L.to_objects(array).tolist() == values
+            assert L.bit_length(array) == bits
+            assert bits <= L.top_bits(array) <= max(
+                bits, 64 * (array.shape[1] - 1)
+            ) + 2
+            assert L.fits_word(array) == all(
+                -(2 ** 63) <= v < 2 ** 63 for v in values
+            )
+        assert L.bit_length(limbs[:0]) == 0
+
+    @given(RUNS)
+    @settings(max_examples=300, deadline=None)
+    def test_wire_bytes_are_to_bytes_of_each_integer(self, values):
+        limbs = L.from_ints(values)
+        width = L.bit_length(limbs) // 8 + 1
+        for width in (width, width + 1, width + 9):
+            payload = L.to_wire(limbs, width)
+            assert payload == b"".join(
+                v.to_bytes(width, "big", signed=True) for v in values
+            )
+            back = L.from_wire(payload, width)
+            assert back.shape == (len(values), (width + 7) // 8)
+            assert L.to_objects(back).tolist() == values
+
+    def test_the_most_negative_value_of_a_limb_count(self):
+        # -2^63 in one limb: Python counts 64 bits, so the canonical
+        # width is 9 bytes — one more than the limb holds.
+        limbs = np.array([[1 << 63]], dtype=np.uint64)
+        assert L.to_objects(limbs).tolist() == [-(2 ** 63)]
+        assert L.bit_length(limbs) == 64
+        assert L.to_wire(limbs, 9) == (-(2 ** 63)).to_bytes(9, "big", signed=True)
+
+
+class TestPackedInts:
+    VALUES = [0, -1, 2 ** 64, -(2 ** 100), 7]
+
+    def test_it_is_the_list_it_stands_for(self):
+        packed = L.PackedInts(L.from_ints(self.VALUES))
+        assert isinstance(packed, list) and len(packed) == 5
+        assert packed == self.VALUES and self.VALUES == packed
+        assert not packed != self.VALUES and packed != self.VALUES[:-1]
+        assert {"run": packed} == {"run": self.VALUES}
+        assert list(packed) == self.VALUES and tuple(packed) == tuple(self.VALUES)
+        assert packed[1] == -1 and packed[-1] == 7 and packed[1:3] == [-1, 2 ** 64]
+        assert 2 ** 64 in packed and 5 not in packed
+        assert json.dumps(packed) == json.dumps(self.VALUES)
+        assert json.loads(json.dumps({"x": packed}, indent=1)) == {"x": self.VALUES}
+        assert packed == L.PackedInts(L.widen(packed.limbs, 4))
+        assert repr(packed) == "PackedInts(%r)" % self.VALUES
+        with pytest.raises(TypeError):
+            hash(packed)
+        assert not L.PackedInts(L.from_ints([])) and L.PackedInts(
+            L.from_ints([])
+        ) == []
+
+    @given(st.lists(INTS, max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_binary_frames_are_byte_identical_to_the_list_form(self, values):
+        packed = L.PackedInts(L.from_ints(values))
+        frame = encode_binary_frame({"run": packed})
+        assert frame == encode_binary_frame({"run": values})
+        decoded = decode_binary_frame(frame)["run"]
+        assert decoded == values and isinstance(decoded, list)
+        # Long runs come back packed, short ones as plain lists.
+        assert (type(decoded) is L.PackedInts) == (
+            len(values) >= L.PACKED_MIN_LEN
+        )
+
+
+class TestFloatPlane:
+    @given(RUNS, st.integers(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_to_float_stays_within_the_error_the_bound_charges(self, values, extra):
+        limbs = L.from_ints(values)
+        k = limbs.shape[1] + extra
+        if k > 4:
+            return
+        floats = L.to_float(L.widen(limbs, k))
+        # |a~ - a| <= gamma_k * S with S < |a| + 2 * 2^(64(k-1)).
+        gamma = Fraction(k, 2 ** 53 - k)
+        for value, approx in zip(values, floats.tolist()):
+            slack = abs(value) + (2 * 2 ** (64 * (k - 1)) if k > 1 else 0)
+            assert abs(Fraction(approx) - value) <= gamma * slack
+
+    def test_rounding_bound_charges_the_recombination(self):
+        one = L.rounding_bound(4, 60, 31)
+        assert one == (6 * 4 << 91) // (2 ** 53 - 6) + 1 + (1 << 14)
+        # Two limbs: 3k roundings for the row operand, abits >= 64.
+        assert L.rounding_bound(4, 60, 31, 2) == L.rounding_bound(4, 64, 31, 2)
+        assert L.rounding_bound(4, 66, 31, 2) == (
+            (11 * 4 << 97) // (2 ** 53 - 11) + 1 + (1 << 14)
+        )
+        assert L.rounding_bound(4, 0, 17, 3) >= L.ROUNDING_LIMIT
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-(2 ** 66), 2 ** 66),
+                      st.integers(-(2 ** 66), 2 ** 66)),
+            min_size=1, max_size=10,
+        ),
+        st.tuples(st.integers(-(2 ** 31), 2 ** 31),
+                  st.integers(-(2 ** 31), 2 ** 31)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_an_accepted_word_is_the_exact_product(self, rows, vector):
+        limbs = L.from_ints([x for row in rows for x in row]).reshape(
+            len(rows), 2, -1
+        )
+        bound = L.rounding_bound(
+            2, L.bit_length(limbs), L.int_bit_length(vector), limbs.shape[2]
+        )
+        assert bound < L.ROUNDING_LIMIT
+        words, accepted = L.proven_products(
+            limbs[:, :, 0], L.to_float(limbs), L.word_operand(vector), bound
+        )
+        exact = [a * vector[0] + b * vector[1] for a, b in rows]
+        for word, ok, product in zip(words.tolist(), accepted.tolist(), exact):
+            assert word == (product + 2 ** 63) % 2 ** 64 - 2 ** 63
+            if ok:
+                assert word == product
+            if abs(product) < 2 ** 62:
+                assert ok  # a product that fits with room is never refused
+
+
+# -- hostile wide int-arrays -----------------------------------------------------------
+
+_HEADER = bytes((0xAE, 1, 1))
+_WIDE = bytes((0x0A, 0x04))
+
+
+def _frame(array_bytes):
+    """A frame ``{"x": <int array>}`` around raw int-array bytes."""
+    return _HEADER + bytes((0x09, 1, 0x06, 1)) + b"x" + array_bytes
+
+
+def _varint(value):
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        out.append(byte | 0x80 if value else byte)
+        if not value:
+            return bytes(out)
+
+
+class TestHostileWideArrays:
+    def test_the_frame_builder_builds_what_the_encoder_does(self):
+        values = [2 ** 70 + i for i in range(100)]
+        body = b"".join(v.to_bytes(9, "big", signed=True) for v in values)
+        frame = _frame(_WIDE + bytes((9,)) + _varint(100) + body)
+        assert frame == encode_binary_frame({"x": values})
+        assert decode_binary_frame(frame) == {"x": values}
+
+    @pytest.mark.parametrize("count", [4, 100, 2 ** 40, 2 ** 62])
+    def test_width_zero(self, count):
+        with pytest.raises(SerializationError, match="width must be >= 1"):
+            decode_binary_frame(_frame(_WIDE + bytes((0,)) + _varint(count)))
+
+    @pytest.mark.parametrize("width", [9, 16, 255])
+    @pytest.mark.parametrize("count", [100, 2 ** 31, 2 ** 62])
+    def test_count_times_width_past_the_buffer(self, width, count):
+        # Refused on the arithmetic, before anything is allocated.
+        frame = _frame(_WIDE + bytes((width,)) + _varint(count) + bytes(64))
+        with pytest.raises(SerializationError, match="exceeds remaining"):
+            decode_binary_frame(frame)
+
+    @pytest.mark.parametrize("count", [3, 100])
+    def test_truncation_mid_limb(self, count):
+        values = [-(2 ** 100) - i for i in range(count)]
+        frame = encode_binary_frame({"x": values})
+        for cut in (1, 7, 8, 13, 14):
+            with pytest.raises(SerializationError):
+                decode_binary_frame(frame[:-cut])
+
+    @pytest.mark.parametrize("count", [4, 70])
+    def test_width_255_is_the_widest_array(self, count):
+        values = [(-1) ** i * (2 ** 2039 - 1 - i) for i in range(count)]
+        frame = encode_binary_frame({"x": values})
+        assert frame[8:11] == _WIDE + bytes((255,))
+        assert decode_binary_frame(frame) == {"x": values}
+        packed = L.PackedInts(L.from_ints(values))
+        assert encode_binary_frame({"x": packed}) == frame
+        with pytest.raises(SerializationError):
+            decode_binary_frame(frame[:-200])
+
+    @pytest.mark.parametrize("count", [4, 70])
+    def test_beyond_2040_bits_falls_back_to_per_value_big_ints(self, count):
+        values = [2 ** 2040 + i for i in range(count)]
+        frame = encode_binary_frame({"x": values})
+        assert frame[8] == 0x08  # a generic list of tagged big ints
+        assert decode_binary_frame(frame) == {"x": values}
+        packed = L.PackedInts(L.from_ints(values))
+        assert encode_binary_frame({"x": packed}) == frame
+
+    def test_non_canonical_widths_decode_by_value(self):
+        # A peer may pad: width 16 for 65-bit values, width 3 for bytes.
+        values = [(-1) ** i * (2 ** 64 + i) for i in range(80)]
+        body = b"".join(v.to_bytes(16, "big", signed=True) for v in values)
+        frame = _frame(_WIDE + bytes((16,)) + _varint(80) + body)
+        assert decode_binary_frame(frame) == {"x": values}
+        small = [(-1) ** i * i for i in range(80)]
+        body = b"".join(v.to_bytes(3, "big", signed=True) for v in small)
+        frame = _frame(_WIDE + bytes((3,)) + _varint(80) + body)
+        decoded = decode_binary_frame(frame)
+        assert decoded == {"x": small}
+        # ... and re-encodes canonically (narrow mode, one byte each).
+        assert encode_binary_frame(decoded) == encode_binary_frame({"x": small})
+
+    def test_every_failure_is_typed_under_random_corruption(self):
+        rng = np.random.default_rng(20160626)
+        values = [int(v) * 2 ** 40 for v in rng.integers(-(2 ** 62), 2 ** 62, 90)]
+        frame = bytearray(encode_binary_frame({"x": values, "y": values[:5]}))
+        for _ in range(600):
+            mutated = bytearray(frame)
+            for _ in range(int(rng.integers(1, 4))):
+                mutated[int(rng.integers(3, 40))] = int(rng.integers(0, 256))
+            try:
+                decode_binary_frame(bytes(mutated))
+            except SerializationError:
+                pass  # anything else fails the test

@@ -311,3 +311,35 @@ class TestAdopt:
         server = loaded.server("prices")
         with pytest.raises(UpdateError, match="already exists"):
             loaded.adopt_column("prices", server)
+
+
+class TestLifetime:
+    def test_a_dropped_catalog_dies_by_reference_count(self):
+        """A catalog nobody holds is freed at once — with its server
+        and both of the server's columns — not at CPython's next full
+        cyclic collection: dispatch keeps no bound method of the
+        catalog on the catalog."""
+        import gc
+        import weakref
+
+        from repro.core.session import OutsourcedDatabase
+
+        gc.collect()
+        gc.disable()
+        try:
+            db = OutsourcedDatabase(list(range(200)), seed=3)
+            db.query(10, 50)
+            db.insert(5)
+            db.query(0, 20)
+            server = db.server
+            alive = [
+                weakref.ref(target)
+                for target in (
+                    db._catalog, server, server.engine,
+                    server.engine.column, server.pending,
+                )
+            ]
+            del db, server
+            assert [ref() for ref in alive] == [None] * len(alive)
+        finally:
+            gc.enable()

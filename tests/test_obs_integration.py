@@ -235,8 +235,9 @@ class TestStatsEqualRegistryDeltas:
         )
 
     def test_documented_server_and_protocol_metrics_are_emitted(self, db):
-        """Its ``server.*`` / ``protocol.*`` rows are exactly what a
-        session's registry holds after it used every operation."""
+        """Its ``server.*`` / ``protocol.*`` / ``client.*`` rows are
+        exactly what a session's registry holds after it used every
+        operation."""
         db.query(100, 200)
         db.delete(db.insert(1000))
         db.insert(1001)
@@ -244,9 +245,9 @@ class TestStatsEqualRegistryDeltas:
         emitted = sorted(
             name
             for name in db.obs.metrics.snapshot()["counters"]
-            if name.startswith(("server.", "protocol."))
+            if name.startswith(("server.", "protocol.", "client."))
         )
-        assert self._documented("server.", "protocol.") == emitted
+        assert self._documented("server.", "protocol.", "client.") == emitted
 
 
 class TestProtocolBytes:

@@ -1,11 +1,12 @@
 """The one scalar-product kernel: ``EncryptedColumn.products``.
 
 Every server-side decision is the sign of an exact ``Eb . Ev`` product.
-A row's product is taken from the word-sized mirror (wrapping 64-bit
+A row's product is taken in words (limb 0 of the store, wrapping 64-bit
 matmul) only when the float64 acceptance inequality proves the word is
-the product; every other row is big-int arithmetic.  The mirror runs on
-arrays only, so ``filterwarnings = error::RuntimeWarning`` is still the
-tripwire for an int64 *scalar* leaking into the ciphertext path.
+the product; every other row is boxed and multiplied in big-int
+arithmetic.  The word path runs on arrays only, so ``filterwarnings =
+error::RuntimeWarning`` is still the tripwire for an int64 *scalar*
+leaking into the ciphertext path.
 """
 
 import numpy as np
@@ -136,15 +137,15 @@ class TestExactProducts:
 
     @pytest.mark.parametrize("numerator", [2 ** 256, 2 ** 1024, -(2 ** 2000)])
     def test_wide_numerators_skip_the_mirror(self, numerator):
-        # Past the bit bound nothing is converted (2^1024 has no
+        # Past the bit bound no float plane is derived (2^1024 has no
         # float64) and no product is attempted in words.
         column = _column([[numerator, 3], [5, 7]])
         assert column.products(0, 2, BoundCiphertext((1, 2))).tolist() == [
             numerator + 6, 19,
         ]
         assert column.product_counts() == (0, 2)
-        # ... and a narrow column gives its mirror up for good once a
-        # wide row arrives.
+        # ... and a narrow column gives its float plane up for good
+        # once a wide row arrives.
         column = _column([[5, 7]])
         assert column.products(0, 1, BoundCiphertext((1, 2))).tolist() == [19]
         column.insert_at(1, ValueCiphertext((numerator, 3)), 1)
@@ -152,7 +153,7 @@ class TestExactProducts:
             19, numerator + 6,
         ]
         assert column.product_counts() == (1, 2)
-        assert column._mirror is None
+        assert column._floats is None
         column.check_invariants()
 
     def test_ambiguity_rows_never_build_a_mirror(self):
@@ -167,8 +168,8 @@ class TestExactProducts:
         bound = client.encrypt_query_bound(2 ** 30).eb
         split = column.crack(0, len(column), bound, True)
         assert column.check_partition(split, bound, True)
-        assert column._mirror is None and column._bits > 100
-        assert len(column._parallel_arrays()) == 3
+        assert column._floats is None and column._bits > 100
+        assert len(column._parallel_arrays()) == 2
         assert column.product_counts() == (0, 2 * len(column))
         column.check_invariants()
 
@@ -182,24 +183,26 @@ class TestExactProducts:
 
 
 class TestForgedMirror:
-    """The mirror is redundant state: one that disagrees with the rows
-    is refused by the acceptance test or reported by
-    ``check_invariants`` — the two planes vouch for each other only as
-    far as the invariant ties both to the numerators."""
+    """The limbs are the rows; the float plane is the one piece of
+    redundant state left beside them.  A plane that disagrees with the
+    limbs makes the acceptance test refuse the row or is reported by
+    ``check_invariants`` — the proof holds only as far as the invariant
+    ties the plane to the limbs."""
 
     def _column(self, key_length=4):
         client = TrustedClient(seed=3, key_length=key_length)
         values = list(range(0, 4000, 37))
         rows, row_ids = client.encrypt_dataset(values)
         column = EncryptedColumn(rows, row_ids)
-        assert column._mirror is None  # nothing until a product is asked for
+        assert column._floats is None  # nothing until a product is asked for
         column.products(0, 0, client.encrypt_query_bound(0).eb)
         return client, values, rows, column
 
     def test_two_planes_whatever_the_numerator_width(self):
-        # Numerators inside a word and past it are mirrored alike (the
-        # default key draws either: seed 3 gives 58 bits, seed 11 has 64).
-        for seed, fits in ((3, True), (11, False)):
+        # Numerators inside a word and past it are served alike (the
+        # default key draws either: seed 3 gives 58 bits in one limb,
+        # seed 11 has 64 in two) — limb 0 and the float plane.
+        for seed, limbs in ((3, 1), (11, 2)):
             client = TrustedClient(seed=seed)
             values = list(range(0, 2 ** 31, 2 ** 22))
             column = EncryptedColumn(*client.encrypt_dataset(values))
@@ -207,46 +210,56 @@ class TestForgedMirror:
             assert column.below(0, len(column), bound, True).tolist() == [
                 v <= 2 ** 30 for v in values
             ]
-            assert (column._bits <= 63) == fits
-            low, floats = column._mirror
-            assert (low.dtype, floats.dtype) == (np.int64, np.float64)
+            assert (column._bits <= 63) == (limbs == 1)
+            assert column._limbs.shape == (len(values), 5, limbs)
+            assert (column._limbs.dtype, column._floats.dtype) == (
+                np.uint64, np.float64,
+            )
             assert column.product_counts() == (len(column), 0)
             column.check_invariants()
-        # A wider arrival joins the planes like any other row.
+        # A wider arrival widens the store and joins it like any other row.
         narrow = _column([[5, 7], [1, -1]])
         assert narrow.products(0, 2, BoundCiphertext((1, 1))).tolist() == [12, 0]
+        assert narrow._limbs.shape == (2, 3, 1)
         narrow.insert_at(1, ValueCiphertext((2 ** 70, 3)), 2)
         narrow.check_invariants()
-        assert narrow._mirror[0][1].tolist() == [0, 3]
+        assert narrow._limbs.shape == (3, 3, 2)
+        assert narrow._limbs[1, :-1, 0].tolist() == [0, 3]
         assert narrow.products(0, 3, BoundCiphertext((0, 1))).tolist() == [7, 3, -1]
         assert narrow.product_counts() == (5, 0)
+        narrow.check_invariants()
 
     def test_a_low_word_off_by_half_the_ring_is_refused(self):
         client, values, rows, column = self._column()
         bound = client.encrypt_query_bound(2000).eb
         truth = [_dot(row.numerators, bound.vector) for row in rows]
         component = int(np.argmax([x % 2 for x in bound.vector]))  # an odd one
-        column._mirror[0][5, component] ^= np.int64(-(2 ** 63))
+        # The stored numerator moves by 2^63 under a float plane that
+        # still describes the old one: the word is off by half the ring
+        # from what the plane predicts, so the row is refused — and
+        # computed, exactly, from the limbs as they now are.
+        column._limbs[5, component, 0] ^= np.uint64(2 ** 63)
+        moved = int(column.rows_at([5])[0].numerators[component])
+        truth[5] += (moved - rows[5].numerators[component]) * bound.vector[component]
         products = column.products(0, len(column), bound)
         assert products.tolist() == truth
         assert column.product_counts() == (len(column) - 1, 1)
-        assert column.below(0, len(column), bound, True).tolist() == [
-            v <= 2000 for v in values
-        ]
-        with pytest.raises(AssertionError, match="low-word mirror drifted"):
+        # (In a one-limb store bit 63 is the sign: the forged numerator
+        # also outgrows the tracked bit-length, which is checked first.)
+        with pytest.raises(AssertionError, match="tracked bit-length"):
             column.check_invariants()
 
     @pytest.mark.parametrize("plane, forged", [(0, 1), (1, 0.0)])
     def test_any_drift_fails_the_invariant_check(self, plane, forged):
         __, __, __, column = self._column()
         column.check_invariants()
-        column._mirror[plane][7, 1] = forged
-        with pytest.raises(AssertionError, match="mirror drifted"):
+        (column._limbs[:, :-1, 0], column._floats)[plane][7, 1] = forged
+        with pytest.raises(AssertionError, match="float plane drifted"):
             column.check_invariants()
 
     def test_a_numerator_past_the_tracked_bit_length_is_reported(self):
         __, __, __, column = self._column()
-        column._matrix[3, 0] = 1 << (column._bits + 1)
+        column._limbs[3, 0, 0] = 1 << (column._bits + 1)
         with pytest.raises(AssertionError, match="tracked bit-length"):
             column.check_invariants()
 
@@ -255,11 +268,11 @@ class TestForgedMirror:
         engine = SecureAdaptiveIndex(column)
         engine.query(client.make_query(100, 900))
         engine.check_invariants()
-        # Forge the mirror consistently: products for this row are now
-        # wrong *and* accepted — only the invariant can tell.
-        for plane in column._mirror:
-            plane[0] = plane[1]
-        with pytest.raises(AssertionError, match="mirror drifted"):
+        # A plane entry that vouches for another row's numerators: the
+        # partition checks classify through ``below`` and would trust
+        # it — the column's own check must come first and tell.
+        column._floats[0] = column._floats[1]
+        with pytest.raises(AssertionError, match="float plane drifted"):
             engine.check_invariants()
 
 

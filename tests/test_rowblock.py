@@ -1,14 +1,19 @@
 """Row blocks end to end: result pin, decrypt reference, hot-path guard.
 
-A result set is an ``n x l`` integer matrix plus a denominator vector
-(:class:`repro.crypto.ciphertext.RowBlock`) from the engine's column to
-the wire to ``TrustedClient.decrypt_results``.  Three pins keep that
-path honest:
+A result set is one array of ``uint64`` limbs — ``l`` numerators and a
+denominator per row (:class:`repro.crypto.ciphertext.RowBlock`) — from
+the owner's encryption to the engine's column to the wire to
+``TrustedClient.decrypt_results``.  These pins keep that path honest:
 
 * the decrypted result stream of a fixed-seed session hashes to the
   value the per-row path produced at the commit before blocks existed;
 * batch decryption equals a per-row reference kept *here* (the
   ``Fraction`` decrypt the block kernel replaced), Hypothesis-driven;
+* a block opened in 64-bit words equals the big-int loop it replaced
+  (kept *here*), tampered limbs included, and no row whose opened
+  values leave a word is ever answered from one;
+* blocks of different limb counts compare, add, take and concatenate
+  by value (sign extension), and a wider row widens a narrower column;
 * a warmed query round trip constructs no ``ValueCiphertext`` and no
   ``Fraction`` — a count, so the per-row path cannot creep back
   unnoticed by a timing test.
@@ -24,13 +29,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.client import TrustedClient
+from repro.core.encrypted_column import EncryptedColumn
 from repro.core.server import SecureServer, ServerResponse
 from repro.core.session import OutsourcedDatabase
-from repro.crypto.ciphertext import RowBlock, ValueCiphertext
+from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor
 from repro.errors import UpdateError
 from repro.linalg.intmat import mat_vec
+from repro.linalg.limbs import widen
 from repro.linalg.vectors import dot, orthogonal_vector
 
 #: sha256 over the decrypted ``ClientResult`` stream of
@@ -288,6 +295,184 @@ class TestBlockDecryptMatchesPerRowReference:
         result = client.decrypt_results(ids, rows)
         assert result.values.dtype == object
         assert result.values.tolist() == [5, 2 ** 80, -(2 ** 64)]
+
+
+# -- opening a block in words --------------------------------------------------------
+
+
+def reference_open_block(encryptor, rows):
+    """``Encryptor.decrypt_block`` as it was before blocks were opened
+    in words: one big-int matrix product, then a Python loop of integer
+    remainders.  Returns its three results and the opened triples."""
+    key = encryptor.key
+    p0, p1 = key.payload_positions
+    open_rows = (
+        key.matrix[p0], tuple(-x for x in key.matrix[p1]), key.ambiguity_row,
+    )
+    is_real, values, xi_numerators, opened = [], [], [], []
+    for row in rows:
+        payload0, xi, noise = (dot(r, row.numerators) for r in open_rows)
+        opened.append((payload0, xi, noise))
+        if noise:
+            xi = 0
+        real = (
+            xi > 0
+            and xi % row.denominator == 0
+            and xi // row.denominator % 2 == 1
+            and payload0 % xi == 0
+        )
+        is_real.append(real)
+        xi_numerators.append(xi)
+        if real:
+            values.append(payload0 // xi)
+    return (is_real, values, xi_numerators), opened
+
+
+#: Plaintexts from the comfortable middle of the domain out to where
+#: ``xi * v`` leaves a machine word and beyond.
+WIDE_PLAINTEXTS = (
+    [0, 1, -1, 2 ** 31 - 1, -(2 ** 31)]
+    + [sign * (2 ** bits + delta)
+       for bits in (46, 47, 48, 62, 63, 64, 70)
+       for sign in (1, -1) for delta in (-1, 0, 1)]
+)
+SMALL_PLAINTEXTS = list(range(0, 2 ** 31, 2 ** 25 + 12345))[:48]
+
+
+class TestWordSizedOpenMatchesBigInts:
+    """``decrypt_block`` over 32+ rows multiplies limb 0 in wrapping
+    64-bit words and keeps a row's result only where the float plane
+    proves no word wrapped; every other row — and every block whose
+    bit-lengths rule the proof out — is the big-int loop above."""
+
+    @pytest.mark.parametrize("limbs", [1, 2, 3])
+    @pytest.mark.parametrize("ambiguity", [False, True])
+    @pytest.mark.parametrize("length", [3, 4, 8, 16, 32])
+    def test_differential(self, length, ambiguity, limbs):
+        encryptor = Encryptor(generate_key(length=length, seed=3), seed=7)
+        plaintexts = SMALL_PLAINTEXTS + (WIDE_PLAINTEXTS if limbs > 1 else [])
+        if ambiguity:
+            block = encryptor.encrypt_values_ambiguous(plaintexts)
+        else:
+            block = encryptor.encrypt_values(plaintexts)
+        # One bit flipped in a high limb, a low limb and a denominator.
+        store = widen(block.limbs, max(limbs, block.limbs.shape[2])).copy()
+        store[3, 1, -1] ^= np.uint64(1 << 9)
+        store[5, 0, 0] ^= np.uint64(1 << 3)
+        store[7, -1, 0] ^= np.uint64(1 << 1)
+        block = RowBlock(store)
+        rows = list(block)
+
+        refused = []
+        open_exact = encryptor._open_exact
+        encryptor._open_exact = lambda boxed: (
+            refused.extend(boxed.tolist()), open_exact(boxed)
+        )[1]
+        before = encryptor.fast_rows, encryptor.exact_rows
+        result = encryptor.decrypt_block(block)
+        fast = encryptor.fast_rows - before[0]
+        exact = encryptor.exact_rows - before[1]
+
+        expected, opened = reference_open_block(encryptor, rows)
+        assert result == expected
+        assert fast + exact == len(rows) and exact == len(refused)
+        refused = {tuple(row) for row in refused}
+        word = range(-(2 ** 63), 2 ** 63)
+        for row, triple in zip(rows, opened):
+            if not (all(x in word for x in triple) and row.denominator in word):
+                # Never answered from a word it does not fit.
+                assert row.numerators + (row.denominator,) in refused
+        if store.shape[2] > 1:
+            # The high limb's flip moves a numerator by 2^73 or more.
+            assert rows[3].numerators + (rows[3].denominator,) in refused
+        if (length, ambiguity) == (4, False) and limbs < 3:
+            # The paper's parameters: only rows that leave a word are
+            # opened in big ints.
+            assert exact == sum(
+                not all(x in word for x in triple) for triple in opened
+            )
+            assert fast >= len(SMALL_PLAINTEXTS) - 1
+
+    def test_ambiguity_blocks_and_three_limbs_are_all_exact(self):
+        # 87-bit opened values, and a store whose limb count alone puts
+        # the rounding bound past 2^62: nothing is attempted in words.
+        client = TrustedClient(seed=11, ambiguity=True)
+        rows, _ = client.encrypt_dataset(SMALL_PLAINTEXTS)
+        encryptor = client.encryptor
+        is_real, values, _ = encryptor.decrypt_block(rows)
+        assert sorted(values) == SMALL_PLAINTEXTS and sum(is_real) == len(values)
+        assert encryptor.fast_rows == 0
+        plain = TrustedClient(seed=11)
+        block, _ = plain.encrypt_dataset(SMALL_PLAINTEXTS)
+        assert plain.encryptor.decrypt_block(block)[1] == SMALL_PLAINTEXTS
+        assert plain.encryptor.fast_rows == len(block)
+        wide = RowBlock(widen(block.limbs, 3))
+        assert plain.encryptor.decrypt_block(wide)[1] == SMALL_PLAINTEXTS
+        assert plain.encryptor.fast_rows == len(block)  # unmoved
+
+    def test_short_blocks_are_opened_in_big_ints(self):
+        client = TrustedClient(seed=11)
+        block, _ = client.encrypt_dataset(SMALL_PLAINTEXTS[:12])
+        assert client.encryptor.decrypt_block(block)[1] == SMALL_PLAINTEXTS[:12]
+        assert (client.encryptor.fast_rows, client.encryptor.exact_rows) == (0, 12)
+
+
+# -- blocks of different limb counts ------------------------------------------------------
+
+
+class TestLimbCounts:
+    NARROW = [ValueCiphertext((5, -7, 0), 1), ValueCiphertext((-1, 2 ** 62, 3), 2)]
+    WIDE = [ValueCiphertext((2 ** 64, -(2 ** 127), -1), 2 ** 70)]
+
+    def test_equality_is_by_value_whatever_the_limb_count(self):
+        narrow = RowBlock.from_rows(self.NARROW)
+        assert narrow.limbs.shape == (2, 4, 1)
+        for k in (2, 3):
+            widened = RowBlock(widen(narrow.limbs, k))
+            assert widened.limbs.shape == (2, 4, k)
+            assert widened == narrow and narrow == widened
+            assert widened == self.NARROW and list(widened) == self.NARROW
+        assert narrow != RowBlock.from_rows(self.NARROW[::-1])
+        assert RowBlock.from_rows(self.WIDE).limbs.shape == (1, 4, 3)
+
+    def test_add_take_and_concatenate_sign_extend(self):
+        narrow, wide = RowBlock.from_rows(self.NARROW), RowBlock.from_rows(self.WIDE)
+        both = narrow + wide
+        assert both.limbs.shape == (3, 4, 3)
+        assert both == self.NARROW + self.WIDE
+        assert both.numerators.tolist() == [
+            list(row.numerators) for row in self.NARROW + self.WIDE
+        ]
+        assert both.denominators.tolist() == [1, 2, 2 ** 70]
+        assert RowBlock.concatenate((wide, narrow, wide)) == (
+            self.WIDE + self.NARROW + self.WIDE
+        )
+        assert both.take([2, 0]) == [self.WIDE[0], self.NARROW[0]]
+        assert both.take(np.array([False, True, False])) == self.NARROW[1:]
+        assert both[1:] == self.NARROW[1:] + self.WIDE
+        assert narrow + self.WIDE == both  # a list joins like a block
+
+    def test_a_wider_row_widens_a_narrower_column(self):
+        column = EncryptedColumn(self.NARROW, [10, 11])
+        bound = BoundCiphertext((1, 0, 1))
+        assert column.products(0, 2, bound).tolist() == [5, 2]
+        assert column._limbs.shape == (2, 4, 1) and column._floats is not None
+        column.insert_block([1], RowBlock.from_rows(self.WIDE), [12])
+        assert column._limbs.shape == (3, 4, 3)
+        assert column.row_ids.tolist() == [10, 12, 11]
+        assert column.rows_at([0, 1, 2]) == [
+            self.NARROW[0], self.WIDE[0], self.NARROW[1],
+        ]
+        assert column.products(0, 3, bound).tolist() == [5, 2 ** 64 - 1, 2]
+        column.check_invariants()
+        # ... and a narrower block joins a wider column as it is.
+        column.insert_block([3], RowBlock.from_rows(self.NARROW[:1]), [13])
+        assert column.rows_at([3]) == self.NARROW[:1]
+        column.delete_positions([1])
+        assert column.rows_at(range(3)) == [
+            self.NARROW[0], self.NARROW[1], self.NARROW[0],
+        ]
+        column.check_invariants()
 
 
 # -- one definition of shipped bytes ---------------------------------------------

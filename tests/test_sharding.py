@@ -534,7 +534,7 @@ class TestPersistenceShards:
         )
         response = handle.query(db.client.make_query(None, None))
         result = db.client.decrypt_results(
-            response.row_ids, response.rows, id_mapper=db._map_physical_id
+            response.row_ids, response.rows, id_mapper=db._map_physical_ids
         )
         assert sorted(int(v) for v in result.values) == sorted(values)
 

@@ -33,6 +33,7 @@ from repro.core.session import OutsourcedDatabase
 from repro.core.wal import WalWriter
 from repro.crypto.ciphertext import RowBlock, ValueCiphertext
 from repro.errors import IndexStateError, UpdateError
+from repro.linalg.limbs import ROUNDING_LIMIT, widen
 from repro.net.catalog import ColumnCatalog
 from repro.net.client import RemoteColumn
 from repro.net.transport import LoopbackTransport
@@ -41,25 +42,45 @@ from repro.obs import Observability
 # -- the parent's per-row update path (the reference) -------------------------
 
 
+def ref_limbs(value, k):
+    """``value`` as ``k`` two's-complement ``uint64`` limbs, least
+    significant first — from the definition, one Python int at a time."""
+    return [(value >> (64 * j)) % 2**64 for j in range(k)]
+
+
+def ref_float(value, k):
+    """The float plane's entry for ``value`` in a ``k``-limb store, from
+    its definition: the signed top limb and the unsigned lower ones
+    recombined by Horner's rule, in IEEE doubles."""
+    *lower, top = ref_limbs(value, k)
+    total = float(top - 2**64 if top >= 2**63 else top)
+    for limb in reversed(lower):
+        total = total * 2.0**64 + float(limb)
+    return total
+
+
 def ref_insert_at(column, position, row, row_id):
-    """``EncryptedColumn.insert_at`` as it was: three concatenates —
-    and, once the column mirrors its numerators in machine words, the
-    one row's mirror entries written out from their definition."""
-    new_row = np.empty((1, column._length), dtype=object)
-    new_row[0, :] = row.numerators
-    if column._bits is not None:
-        column._bits = max([column._bits] + [x.bit_length() for x in row.numerators])
-    if column._mirror is not None:
-        ref_mirror_insert(column, position, row)
-    column._matrix = np.concatenate(
-        (column._matrix[:position], new_row, column._matrix[position:])
+    """``EncryptedColumn.insert_at`` as it was: one concatenate per
+    parallel array, the one row's limbs — and, once the column derives
+    a float plane from them, its plane entries — written out from their
+    definition."""
+    width = max([column._bits] + [x.bit_length() for x in row.numerators])
+    k = max(
+        column._limbs.shape[2],
+        max(x.bit_length() for x in row.numerators + (row.denominator,)) // 64 + 1,
     )
-    column._denominators = np.concatenate(
-        (
-            column._denominators[:position],
-            np.array([row.denominator], dtype=object),
-            column._denominators[position:],
-        )
+    if k != column._limbs.shape[2]:  # a wider store recombines anew
+        column._limbs = widen(column._limbs, k)
+        column._floats = None
+    column._bits = width
+    if column._floats is not None:
+        ref_plane_insert(column, position, row, k)
+    new_row = np.array(
+        [[ref_limbs(x, k) for x in row.numerators + (row.denominator,)]],
+        dtype=np.uint64,
+    )
+    column._limbs = np.concatenate(
+        (column._limbs[:position], new_row, column._limbs[position:])
     )
     column._row_ids = np.concatenate(
         (
@@ -71,29 +92,21 @@ def ref_insert_at(column, position, row, row_id):
     column._id_order = None
 
 
-def ref_mirror_insert(column, position, row):
-    if not column._provable():  # the arrival is too wide for any proof
-        column._mirror = None
+def ref_plane_insert(column, position, row, k):
+    if column._rounding_bound(column._bits) >= ROUNDING_LIMIT:
+        column._floats = None  # the arrival is too wide for any proof
         return
-    new_planes = (
-        np.array([[((x + 2**63) % 2**64) - 2**63 for x in row.numerators]],
-                 dtype=np.int64),
-        np.array([[float(x) for x in row.numerators]]),
-    )
-    column._mirror = tuple(
-        np.concatenate((plane[:position], new, plane[position:]))
-        for plane, new in zip(column._mirror, new_planes)
+    new = np.array([[ref_float(x, k) for x in row.numerators]])
+    column._floats = np.concatenate(
+        (column._floats[:position], new, column._floats[position:])
     )
 
 
 def ref_delete_at(column, position):
     """``EncryptedColumn.delete_at`` as it was."""
-    if column._mirror is not None:
-        column._mirror = tuple(
-            np.delete(plane, position, axis=0) for plane in column._mirror
-        )
-    column._matrix = np.delete(column._matrix, position, axis=0)
-    column._denominators = np.delete(column._denominators, position)
+    if column._floats is not None:
+        column._floats = np.delete(column._floats, position, axis=0)
+    column._limbs = np.delete(column._limbs, position, axis=0)
     column._row_ids = np.delete(column._row_ids, position)
     column._id_order = None
 
@@ -275,7 +288,7 @@ class TestBlockMergeMatchesPerRowReference:
                 reference.engine.piece_boundaries()
             )
             assert node_positions(block) == node_positions(reference)
-            # ... which includes "mirror == recomputed mirror" on both.
+            # ... which includes "float plane == recomputed plane" on both.
             block.engine.check_invariants()
             reference.engine.check_invariants()
             block.pending.check_invariants()
@@ -313,12 +326,11 @@ class TestMergeIsOnePass:
             monkeypatch.setattr(np, name, counting)
         assert server.merge_pending() == 56
         monkeypatch.undo()
-        # One call per parallel array (numerators, denominators, ids
-        # and the mirror's two planes), for the main column's insert and
-        # delete and for emptying the pending column — whatever the
-        # number of rows.
-        assert calls["insert"] == 5
-        assert calls["delete"] == 10
+        # One call per parallel array (limbs, ids and the float plane),
+        # for the main column's insert and delete and for emptying the
+        # pending column — whatever the number of rows.
+        assert calls["insert"] == 3
+        assert calls["delete"] == 6
         assert calls["concatenate"] == 1  # the ids, for the uniqueness check
         server.engine.check_invariants()
 
