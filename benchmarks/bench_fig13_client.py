@@ -9,9 +9,9 @@ selectivity groups (0.1%, 0.3%, 0.9%, 2.7%, 8.1%) over 10M rows;
 * (13b) decrypt-and-filter runtime doubles under ambiguity, is stable
   within a selectivity group, and climbs one log-step per group.
 
-Here the doubling holds in rows; in seconds ambiguity costs more than
-twice, because its 87-bit opened values keep it on big-int arithmetic
-while an unambiguous reply of 32+ rows is opened in 64-bit words.
+Here the doubling holds in rows; in seconds ambiguity costs ~3x, because
+its ~110-bit opened values take exact 32-bit digit arithmetic (64+ rows)
+where an unambiguous reply of 32+ rows is opened in 64-bit words.
 """
 
 import os
@@ -70,14 +70,11 @@ def test_figure13(benchmark):
     assert all(0.3 < m < 0.7 for m in group_means)
     assert max(group_means) - min(group_means) < 0.25
     assert all(r == 0 for r in encrypted.false_positive_rates)
-    # 13b: ambiguity at least doubles the decrypt work — twice the rows
-    # (13a), and each of them opened in big-int arithmetic where an
-    # unambiguous block of 32+ rows opens in 64-bit words, so in seconds
-    # the factor is past the paper's 2x (EXPERIMENTS.md, PR 24); cost
-    # grows with selectivity (more rows to decrypt).
+    # 13b: ambiguity roughly doubles the decrypt cost; cost grows with
+    # selectivity (more rows to decrypt).
     total_encrypted = float(np.sum(encrypted.client_seconds))
     total_ambiguous = float(np.sum(ambiguous.client_seconds))
-    assert 1.3 * total_encrypted < total_ambiguous
+    assert 1.3 * total_encrypted < total_ambiguous < 6 * total_encrypted
     assert np.mean(ambiguous.client_seconds[-PER_GROUP:]) > np.mean(
         ambiguous.client_seconds[:PER_GROUP]
     )

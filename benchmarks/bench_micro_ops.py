@@ -13,7 +13,9 @@ tombstones into a 12k-row column holding ~1k cracks (``mixed_wal``).
 Three more time what a 150-row reply costs after the engine is done
 with it (``range_tcp``): the server's frame encode, the client's frame
 decode and its decrypt — the last asserting that every row opened in
-proven 64-bit words.
+proven 64-bit words — and one the decrypt of a 120-row ambiguity reply
+(``ambiguity_range``), which no word holds: every row must open in
+exact digits, none boxed.
 """
 
 import random
@@ -169,3 +171,15 @@ def test_decrypt_150_rows(reply_150_rows, benchmark):
     fast = encryptor.fast_rows - opened[0]
     exact = encryptor.exact_rows - opened[1]
     assert fast / (fast + exact) >= 0.99, (fast, exact)
+
+
+def test_decrypt_120_ambiguous_rows(benchmark):
+    client = TrustedClient(seed=11, ambiguity=True)
+    values = random.Random(3).sample(range(300_000), 60)
+    rows, row_ids = client.encrypt_dataset(values)
+    assert len(rows) == 120
+    encryptor = client.encryptor
+    result = benchmark(lambda: client.decrypt_results(row_ids, rows))
+    assert sorted(result.values.tolist()) == sorted(values)
+    assert result.false_positives == 60
+    assert (encryptor.exact_rows, encryptor.fast_rows % 120) == (0, 0)

@@ -227,19 +227,13 @@ class TrustedClient:
         if id_mapper is None:
             id_mapper = self.logical_id
         tick = time.perf_counter()
-        is_real, values, _ = self._encryptor.open_block(RowBlock.from_rows(rows))
-        logical_ids = id_mapper(
-            np.asarray(row_ids, dtype=np.int64)[np.asarray(is_real, dtype=bool)]
-        )
+        # The scheme is arbitrary precision: values outside the
+        # machine-word range arrive exact, as a Python big-int array.
+        is_real, values = self._encryptor.open_block(RowBlock.from_rows(rows))
+        logical_ids = id_mapper(np.asarray(row_ids, dtype=np.int64)[is_real])
         elapsed = time.perf_counter() - tick
-        try:
-            values_array = np.asarray(values, dtype=np.int64)
-        except OverflowError:
-            # The scheme is arbitrary precision; values outside the
-            # machine-word range stay exact as a Python big-int array.
-            values_array = np.array(values, dtype=object)
         return ClientResult(
-            values=values_array,
+            values=values,
             logical_ids=np.array(logical_ids, dtype=np.int64),
             false_positives=len(is_real) - len(values),
             returned_rows=len(is_real),

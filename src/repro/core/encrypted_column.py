@@ -31,12 +31,16 @@ the limbs in numpy, under the rounding bound of
 :mod:`repro.linalg.limbs` (where the rule and its proof live; the
 client's decrypt shares it).
 
-Rows that fail the test (their product does not fit a word) are boxed
-and computed by the object-dtype big-int matmul, as is everything when
-the bound reaches ``2^62`` (a product that fits is no longer sure to
-pass, so the attempt could be wasted; ambiguity rows, whose numerators
-carry a 58-bit denominator, are the case in point).  Both bit-lengths
-are read off data the server holds anyway; nothing selects a kernel.
+Rows that fail the test (their product does not fit a word) are
+computed exactly some other way, as is everything when the bound
+reaches ``2^62`` (a product that fits is no longer sure to pass, so the
+attempt could be wasted; ambiguity rows, whose numerators carry a
+58-bit denominator, are the case in point): 96 rows or more in 32-bit
+digits (:func:`repro.linalg.limbs.exact_products` — carries, no
+rounding, nothing boxed when only signs are wanted), fewer by boxing
+them for the object-dtype big-int matmul.  Bit-lengths and the row
+count are read off data the server holds anyway; nothing selects a
+kernel.
 The float plane is built when the first bound it can serve is
 multiplied, and from then on it is one more of the parallel arrays a
 crack permutes.
@@ -57,14 +61,25 @@ from repro.linalg.limbs import (
     ROUNDING_LIMIT,
     bit_length,
     common_width,
+    digit_operand,
+    digits_sign,
+    digits_to_limbs,
+    exact_products,
     int_bit_length,
     proven_products,
     rounding_bound,
+    to_digits,
     to_float,
     to_objects,
     top_bits,
     word_operand,
 )
+
+
+#: Fewest rows :meth:`EncryptedColumn.products` multiplies in digits
+#: where no word holds the product (~50 array calls, against ~0.7 us a
+#: row boxed and multiplied as Python ints).
+_DIGITS_MIN_ROWS = 96
 
 
 class EncryptedColumn(CrackableColumn):
@@ -161,11 +176,18 @@ class EncryptedColumn(CrackableColumn):
     # -- scalar products -------------------------------------------------------
 
     def products(
-        self, piece_lo: int, piece_hi: int, bound: BoundCiphertext
+        self,
+        piece_lo: int,
+        piece_hi: int,
+        bound: BoundCiphertext,
+        signs: bool = False,
     ) -> np.ndarray:
         """Exact products ``Eb . Ev`` for rows in ``[piece_lo, piece_hi)``
         — ``int64`` when every row's word-sized product was proven,
-        Python integers otherwise.
+        Python integers otherwise.  A caller that reads nothing but the
+        sign (:meth:`below`) says so with ``signs``, and a row no word
+        holds may then be answered by its product's sign alone (-1, 0
+        or 1) instead of the boxed product.
 
         Denominators are positive, so the signs of these integers equal
         the signs of the exact rational comparisons.
@@ -188,7 +210,9 @@ class EncryptedColumn(CrackableColumn):
             proven = self._word_products(piece_lo, piece_hi, vector)
             if proven is None:
                 self.exact_products.add(rows)
-                return self._big_products(slice(piece_lo, piece_hi), vector)
+                return self._big_products(
+                    slice(piece_lo, piece_hi), vector, signs
+                )
             words, accepted = proven
             if accepted.all():
                 self.fast_products.add(rows)
@@ -196,15 +220,28 @@ class EncryptedColumn(CrackableColumn):
             missed = np.flatnonzero(~accepted)
             self.fast_products.add(rows - len(missed))
             self.exact_products.add(len(missed))
-            products = words.astype(object)
-            products[missed] = self._big_products(piece_lo + missed, vector)
+            exact = self._big_products(piece_lo + missed, vector, signs)
+            products = words.astype(exact.dtype)
+            products[missed] = exact
             return products
 
-    def _big_products(self, rows, vector) -> np.ndarray:
-        """The object-dtype big-int matmul over ``rows`` (a slice or
-        physical indices), boxed for the occasion: the verifier of last
-        resort."""
-        return to_objects(self._limbs[rows, :-1]) @ np.asarray(vector, dtype=object)
+    def _big_products(self, rows, vector, signs: bool = False) -> np.ndarray:
+        """The products of ``rows`` (a slice or physical indices) no
+        word holds.  Enough of them to repay the array calls are
+        multiplied exactly in 32-bit digits
+        (:func:`repro.linalg.limbs.exact_products`) and only the
+        products boxed — or, with ``signs``, nothing at all; a few are
+        boxed for the occasion and go through the object-dtype big-int
+        matmul, the verifier of last resort."""
+        numerators = self._limbs[rows, :-1]
+        if len(numerators) >= _DIGITS_MIN_ROWS:
+            operand = digit_operand(vector)
+            if operand is not None:
+                digits = exact_products(to_digits(numerators), operand)[..., 0]
+                if signs:
+                    return digits_sign(digits)
+                return to_objects(digits_to_limbs(digits))
+        return to_objects(numerators) @ np.asarray(vector, dtype=object)
 
     def product_counts(self) -> Tuple[int, int]:
         """``(fast, exact)``: the two product counters' totals."""
@@ -248,7 +285,7 @@ class EncryptedColumn(CrackableColumn):
         ``inclusive``), read off the product signs — the server can
         evaluate this exactly because the client shipped the bound in
         ``Eb`` mode."""
-        products = self.products(piece_lo, piece_hi, bound)
+        products = self.products(piece_lo, piece_hi, bound, signs=True)
         return (products <= 0 if inclusive else products < 0).astype(bool)
 
     def scan_query(self, query: EncryptedQuery) -> np.ndarray:

@@ -509,7 +509,8 @@ class OutsourcedDatabase:
     def _decrypt(self, response) -> ClientResult:
         """Decrypt one query response, accounting its time and how its
         rows were opened (``client.fast_rows`` / ``client.exact_rows``:
-        in proven 64-bit words / in big-int arithmetic)."""
+        in fixed-width arrays — proven 64-bit words or exact digits —
+        / one by one in big-int arithmetic)."""
         encryptor = self.client.encryptor
         fast, exact = encryptor.fast_rows, encryptor.exact_rows
         result = self.client.decrypt_results(

@@ -121,21 +121,14 @@ class AmbiguousCiphertext:
 
 
 def flatten_rows(rows: Iterable[ValueCiphertext]):
-    """``(length, numerators, denominators)`` of a row set — a block or
-    a sequence of value ciphertexts — in Python ints: the numerators as
-    one flat row-major list, the denominators as another.
+    """``(length, numerators, denominators)`` of a sequence of value
+    ciphertexts, in the Python ints they hold: the numerators as one
+    flat row-major list, the denominators as another.
 
     Raises:
         ValueError: rows of different ciphertext lengths, or something
             that is not a :class:`ValueCiphertext`.
     """
-    if isinstance(rows, RowBlock):
-        boxed = to_objects(rows.limbs).tolist()
-        return (
-            rows.length,
-            [x for row in boxed for x in row[:-1]],
-            [row[-1] for row in boxed],
-        )
     rows = list(rows)
     if not all(type(row) is ValueCiphertext for row in rows):
         raise ValueError("a row block holds value ciphertexts only")
@@ -162,10 +155,9 @@ class RowBlock(Sequence):
     so taking, concatenating and comparing blocks are fixed-width array
     operations.  The block behaves as a ``Sequence[ValueCiphertext]`` —
     ``len``, iteration, indexing and equality against any other row
-    sequence — but makes Python ints only when a caller asks for a row
-    (or for :attr:`numerators` / :attr:`denominators`), so the query
-    path never does.  Immutable like the other containers: the block
-    marks its array read-only.
+    sequence — but makes Python ints only when a caller asks for a row,
+    so the query path never does.  Immutable like the other containers:
+    the block marks its array read-only.
     """
 
     __slots__ = ("limbs",)
@@ -261,22 +253,6 @@ class RowBlock(Sequence):
     def length(self) -> int:
         """Ciphertext length ``l`` (0 for a block that never held a row)."""
         return self.limbs.shape[1] - 1
-
-    @property
-    def numerators(self) -> np.ndarray:
-        """The numerators as a fresh read-only ``n x l`` object matrix
-        of Python ints (row ``i`` is the numerator vector of row ``i``)."""
-        matrix = to_objects(self.limbs[:, :-1])
-        matrix.flags.writeable = False
-        return matrix
-
-    @property
-    def denominators(self) -> np.ndarray:
-        """The denominators as a fresh read-only object vector of
-        Python ints."""
-        vector = to_objects(self.limbs[:, -1])
-        vector.flags.writeable = False
-        return vector
 
     def take(self, indices) -> "RowBlock":
         """The rows at ``indices`` (any numpy index: positions or a

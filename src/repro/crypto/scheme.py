@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import islice
 from math import gcd
 from typing import Iterable, List, Optional, Tuple
 
@@ -45,11 +45,21 @@ from repro.errors import (
 )
 from repro.linalg.intmat import mat_vec, mat_transpose
 from repro.linalg.limbs import (
+    DIGIT_FACTOR_LIMIT,
+    FLOAT_DIGITS,
     ROUNDING_LIMIT,
+    digit_multiples,
+    digit_operand,
+    digits_magnitude,
+    digits_sign,
+    digits_to_float,
+    digits_to_limbs,
+    exact_products,
     from_ints,
     int_bit_length,
     proven_products,
     rounding_bound,
+    to_digits,
     to_float,
     to_objects,
     top_bits,
@@ -66,6 +76,10 @@ UNIFORM_TARGET_TRIES = 12
 #: path is ~40 array calls whatever the row count, a boxed row a few
 #: microseconds of big-int arithmetic.
 _WORDS_MIN_ROWS = 32
+#: Shortest block it opens in digits where words will not do: ~110
+#: array calls, which run cold inside a query, against ~2.9 us a row
+#: boxed and opened in big ints there.
+_DIGITS_MIN_ROWS = 64
 
 #: Values :meth:`Encryptor.encrypt_values` /
 #: :meth:`Encryptor.encrypt_values_ambiguous` turn into limbs at a time.
@@ -153,6 +167,9 @@ class Encryptor:
         self._open_operand = None
         if rounding_bound(key.length, 0, self._open_bits) < ROUNDING_LIMIT:
             self._open_operand = word_operand(open_rows)
+        # And as the operand of an exact product in digits, for blocks
+        # no word can open (None past that arithmetic's headroom).
+        self._digit_operand = digit_operand(open_rows)
         # Steering (Section 4.2) constrains the two length-l windows of
         # an (l+1)-vector: per window offset, the rows reading payload
         # slot 0, payload slot 1 (and its negation, which reads xi) and
@@ -174,8 +191,9 @@ class Encryptor:
         #: Count of ambiguous encryptions that fell back to an
         #: unsteered counterfeit (see generate_steerable_key).
         self.steering_fallbacks = 0
-        #: Rows :meth:`decrypt_block` opened in proven 64-bit words /
-        #: in big-int arithmetic.
+        #: Rows :meth:`decrypt_block` opened in fixed-width arrays
+        #: (proven 64-bit words, or exact digits) / one by one in
+        #: big-int arithmetic.
         self.fast_rows = 0
         self.exact_rows = 0
 
@@ -668,70 +686,90 @@ class Encryptor:
         resamples at encryption time whenever a fake passes all
         checks).
         """
-        return tuple(
-            part.tolist() if isinstance(part, np.ndarray) else part
-            for part in self.open_block(RowBlock.from_rows(rows))
-        )
+        is_real, values, xi = self._open(RowBlock.from_rows(rows), True)
+        return is_real.tolist(), values.tolist(), xi.tolist()
 
-    def open_block(self, block: RowBlock):
-        """:meth:`decrypt_block` of a block, each of its three results
-        left as the ``numpy`` array it was computed as when every row
-        opened in words (lists otherwise) — for a caller that goes on
-        in arrays (:meth:`repro.core.client.TrustedClient.decrypt_results`)."""
+    def open_block(self, block: RowBlock) -> Tuple[np.ndarray, np.ndarray]:
+        """``(is_real, values)`` of :meth:`decrypt_block` as arrays —
+        a ``bool`` per row and the plaintexts of the real ones, ``int64``
+        (``object`` when one of them needs more) — for a caller that
+        goes on in arrays
+        (:meth:`repro.core.client.TrustedClient.decrypt_results`)."""
+        return self._open(block, False)[:2]
+
+    def _open(self, block: RowBlock, multipliers: bool):
+        """:meth:`decrypt_block` in arrays, the ``xi`` numerators only
+        when ``multipliers`` asks for them (None otherwise).
+
+        A block long enough to repay the array calls is opened without
+        boxing an integer — in proven 64-bit words
+        (:meth:`_open_words`), then, for what no word holds, in exact
+        32-bit digits (:meth:`_open_digits`) — and counted on
+        :attr:`fast_rows`; the rows neither decides, and every short
+        block, are boxed for :meth:`_open_exact` and count on
+        :attr:`exact_rows`.
+        """
         if not len(block):
-            return [], [], []
-        opened = None
+            empty = np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=bool), empty, empty
         if len(block) >= _WORDS_MIN_ROWS:
             opened = self._open_words(block)
-        if opened is None:
-            self.exact_rows += len(block)
-            return self._open_exact(to_objects(block.limbs))
-        (payload0, xi, noise), denominators, proven = opened
-        all_proven = bool(proven.all())
-        if not all_proven:
-            # A refused row's words are noise: keep it out of the
-            # divisions below.
-            denominators = np.where(proven, denominators, 1)
-        # The checks of the docstring, on int64: every operand is a
-        # proven word, and a divisor is never 0.
-        xi = np.where(noise == 0, xi, 0)
-        positive = xi > 0
-        divisor = np.where(positive, xi, 1)
-        quotient, remainder = np.divmod(xi, denominators)
-        real = (
-            positive
-            & (remainder == 0)
-            & (quotient & 1 == 1)
-            & (payload0 % divisor == 0)
+            if opened is not None:
+                return self._settle(block, opened, multipliers, self._open_wide)
+        return self._open_wide(block, multipliers)
+
+    def _open_wide(self, block: RowBlock, multipliers: bool):
+        """:meth:`_open` of rows no word holds: in digits, else boxed."""
+        if len(block) >= _DIGITS_MIN_ROWS:
+            opened = self._open_digits(block, multipliers)
+            if opened is not None:
+                return self._settle(block, opened, multipliers, self._open_boxed)
+        return self._open_boxed(block, multipliers)
+
+    def _open_boxed(self, block: RowBlock, multipliers: bool):
+        """:meth:`_open` by :meth:`_open_exact`, the rows boxed for it."""
+        self.exact_rows += len(block)
+        is_real, values, xi = self._open_exact(to_objects(block.limbs))
+        return (
+            np.array(is_real, dtype=bool),
+            _int_array(values),
+            _int_array(xi) if multipliers else None,
         )
-        if all_proven:
+
+    def _settle(self, block: RowBlock, opened, multipliers: bool, fallback):
+        """The result of :meth:`_open` from what :meth:`_open_words` or
+        :meth:`_open_digits` ``opened``: the rows it left undecided are
+        opened by ``fallback`` and spliced back in (rare — tampered
+        rows, plaintexts past 31 bits under ambiguity — so Python lists
+        will do)."""
+        is_real, plaintexts, xi, undecided = opened
+        if undecided is None:
             self.fast_rows += len(block)
-            return real, payload0[real] // xi[real], xi
-        # Rows no word holds are opened in big ints and spliced back in.
-        refused = np.flatnonzero(~proven)
-        self.fast_rows += len(block) - len(refused)
-        self.exact_rows += len(refused)
-        exact_real, exact_values, exact_xi = self._open_exact(
-            to_objects(block.limbs[refused])
+            return is_real, plaintexts[is_real], xi
+        left = np.flatnonzero(undecided)
+        self.fast_rows += len(block) - len(left)
+        left_real, left_values, left_xi = fallback(
+            RowBlock._of(block.limbs[left]), multipliers
         )
-        is_real, xi_numerators = real.tolist(), xi.tolist()
-        plaintexts = (payload0 // divisor).tolist()
-        exact_values = iter(exact_values)
-        for row, row_real, row_xi in zip(refused.tolist(), exact_real, exact_xi):
-            is_real[row], xi_numerators[row] = row_real, row_xi
-            if row_real:
-                plaintexts[row] = next(exact_values)
-        return is_real, list(compress(plaintexts, is_real)), xi_numerators
+        is_real[left] = left_real
+        plaintexts = plaintexts.astype(object)
+        plaintexts[left[left_real]] = left_values
+        if multipliers:
+            xi = xi.astype(object)
+            xi[left] = left_xi
+            xi = _int_array(xi.tolist())
+        return is_real, _int_array(plaintexts[is_real].tolist()), xi
 
     def _open_words(self, block: RowBlock):
-        """``M``'s three projections of ``block`` in wrapping 64-bit
-        words: ``((payload0, xi, noise), denominators, proven)``, all
-        ``int64`` but the last, which says per row whether the float
-        product proves none of its three words wrapped
-        (:func:`repro.linalg.limbs.proven_products`) and its
-        denominator is a word too.  None when the bit-lengths of key
-        and block rule the proof out — ambiguity's 87-bit opened values
-        are the case in point."""
+        """The block opened in wrapping 64-bit words: ``(is_real,
+        plaintexts, xi, refused)``, one entry per row — ``plaintexts``
+        meaningful where ``is_real``, ``refused`` (None when empty) the
+        rows whose three words the float product does not prove
+        unwrapped (:func:`repro.linalg.limbs.proven_products`) or whose
+        denominator is no word, for which the other three say nothing.
+        None when the bit-lengths of key and block rule the proof out —
+        ambiguity's ~110-bit opened values are the case in point — or
+        when it holds for fewer than a quarter of the rows."""
         if self._open_operand is None:
             return None
         limbs, length = block.limbs, block.length
@@ -745,14 +783,92 @@ class Encryptor:
             numerators[:, :, 0], to_float(numerators), self._open_operand, bound
         )
         proven = accepted.all(axis=1)
+        if 4 * np.count_nonzero(proven) < len(block):
+            # Mostly values no word holds (narrow ambiguity rows pass
+            # the precondition and then open past 2^63): digits' block.
+            return None
         # Denominators are positive: one is a word when its limb 0 is
         # non-negative as int64 and it has no other.
-        denominators = limbs[:, -1]
-        low = denominators[:, 0].view(np.int64)
-        if denominators.shape[1] > 1:
-            proven &= low >= 0
-            proven &= ~denominators[:, 1:].any(axis=1)
-        return words.T, low, proven
+        denominators = limbs[:, -1, 0].view(np.int64)
+        if limbs.shape[2] > 1:
+            proven &= denominators >= 0
+            proven &= ~limbs[:, -1, 1:].any(axis=1)
+        refused = None
+        if not proven.all():
+            # A refused row's words are noise: keep it out of the
+            # divisions below.
+            refused = ~proven
+            denominators = np.where(proven, denominators, 1)
+        # The checks of decrypt_block's docstring, on int64: every
+        # operand is a proven word, and a divisor is never 0.
+        payload0, xi, noise = words.T
+        xi = np.where(noise == 0, xi, 0)
+        positive = xi > 0
+        divisor = np.where(positive, xi, 1)
+        quotient, remainder = np.divmod(xi, denominators)
+        is_real = (
+            positive
+            & (remainder == 0)
+            & (quotient & 1 == 1)
+            & (payload0 % divisor == 0)
+        )
+        return is_real, payload0 // divisor, xi, refused
+
+    def _open_digits(self, block: RowBlock, multipliers: bool):
+        """The block opened in exact base-2^32 digits
+        (:func:`repro.linalg.limbs.exact_products`), whatever the width
+        of its rows: ``(is_real, plaintexts, xi, undecided)`` as
+        :meth:`_open_words` returns them, ``xi`` boxed only when
+        ``multipliers`` asks.  None for a key or block past the digit
+        arithmetic's headroom.
+
+        The products are exact, so the noise test and ``xi > 0`` are
+        read off their digits.  The two divisibility tests need no
+        division: a real row has ``xi = q * denominator`` and
+        ``|payload0| = |v| * xi`` for integers ``q`` and ``v``, and
+        where those are below ``2^31`` the ``float64`` quotient of the
+        operands (each within ``J u`` of its integer, ``J <= 31`` digits)
+        rounds to them — so the rounded quotient is multiplied back in
+        digits and compared, and a mismatch proves there is no integer
+        quotient at all.  Rows whose quotient is not that small (no
+        honest ``xi``; a plaintext past 31 bits) stay undecided.
+        """
+        operand = self._digit_operand
+        if operand is None:
+            return None
+        digits = to_digits(block.limbs)
+        opened = exact_products(digits[..., :-1], operand)
+        if len(opened) > FLOAT_DIGITS:
+            return None
+        payload0, xi, noise = opened.transpose(2, 0, 1)
+        clean = ~noise.any(axis=0)
+        candidate = clean & (digits_sign(xi) > 0)
+        magnitude, negative = digits_magnitude(payload0)
+        # (|payload0|, xi, denominator) side by side, digit-major: the
+        # first two are what the last two must divide.
+        trio = np.zeros((len(opened), 3, len(block)), dtype=np.int64)
+        trio[:, 0], trio[:, 1] = magnitude, xi
+        trio[:len(digits), 2] = digits[..., -1]
+        floats = digits_to_float(trio)
+        ratios = np.zeros((2, len(block)))
+        np.divide(floats[:2], floats[1:], out=ratios, where=candidate)
+        small = (ratios < DIGIT_FACTOR_LIMIT).all(axis=0)
+        factors = np.rint(np.where(small, ratios, 0)).astype(np.int64)
+        is_real = (
+            candidate
+            & small
+            & (factors[1] & 1 == 1)
+            & digit_multiples(factors, trio[:, 1:], trio[:, :2]).all(axis=0)
+        )
+        undecided = candidate & ~small
+        if multipliers:
+            xi = to_objects(digits_to_limbs(np.where(clean, xi, 0)))
+        return (
+            is_real,
+            np.where(negative, -factors[0], factors[0]),
+            xi if multipliers else None,
+            undecided if undecided.any() else None,
+        )
 
     def _open_exact(
         self, rows: np.ndarray
@@ -837,6 +953,17 @@ def _object_matrix(rows) -> np.ndarray:
     matrix = np.empty((len(rows), len(rows[0])), dtype=object)
     matrix[:] = rows
     return matrix
+
+
+def _int_array(integers: List[int]) -> np.ndarray:
+    """``integers`` as an ``int64`` array — an ``object`` one when the
+    scheme's arbitrary precision takes one of them past a word."""
+    try:
+        return np.array(integers, dtype=np.int64)
+    except OverflowError:
+        boxed = np.empty(len(integers), dtype=object)
+        boxed[:] = integers
+        return boxed
 
 
 def _checked_domain(fake_domain: Tuple[int, int]) -> Tuple[int, int]:

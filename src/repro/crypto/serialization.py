@@ -25,7 +25,7 @@ from repro.crypto.ciphertext import (
 )
 from repro.crypto.key import SecretKey
 from repro.errors import SerializationError
-from repro.linalg.limbs import PACKED_MIN_LEN, PackedInts, fits_word, from_ints
+from repro.linalg.limbs import PackedInts, fits_word, from_ints
 
 FORMAT_VERSION = 1
 
@@ -142,12 +142,12 @@ def rows_to_dict(rows) -> Dict[str, Any]:
     ``{"length": l, "numerators": [n * l ints, row-major]}`` plus
     ``"denominators": [n ints]`` unless every denominator is 1.  The
     one row-set encoding of the code base: frames, WAL entries and
-    snapshots all carry this value.  The runs of a block of
-    :data:`~repro.linalg.limbs.PACKED_MIN_LEN` numerators or more are
+    snapshots all carry this value.  A block's runs are
     :class:`~repro.linalg.limbs.PackedInts` over its own limbs — the
     lists of ints they stand for, stored as limbs: ``json`` writes them
-    as any list, the binary frame codec without boxing an integer."""
-    if isinstance(rows, RowBlock) and len(rows) * rows.length >= PACKED_MIN_LEN:
+    as any list, the binary frame codec without boxing an integer
+    (or integer by integer when the run is short: its choice)."""
+    if isinstance(rows, RowBlock):
         length, k = rows.length, rows.limbs.shape[2]
         numerators = PackedInts(rows.limbs[:, :-1].reshape(-1, k))
         denominators = PackedInts(rows.limbs[:, -1])
@@ -156,9 +156,7 @@ def rows_to_dict(rows) -> Dict[str, Any]:
             or denominators.limbs[:, 1:].any()
         )
     else:
-        # Rows already in Python ints stay in them; a block too short
-        # to be worth packing (a handful of array calls cost more than
-        # its integers) is boxed whole.
+        # Rows already in Python ints stay in them.
         try:
             length, numerators, denominators = flatten_rows(rows)
         except (TypeError, ValueError, AttributeError) as exc:
@@ -300,12 +298,10 @@ def query_from_dict(data: Dict[str, Any]):
         raise SerializationError("malformed query payload: %s" % exc) from exc
 
 
-def _ids_to_wire(row_ids):
-    """Row ids for an envelope dict: packed as they are (one ``int64``
-    limb each) when the run is long enough to be worth it."""
+def _ids_to_wire(row_ids) -> PackedInts:
+    """Row ids for an envelope dict, as they are: one ``int64`` limb
+    each."""
     row_ids = np.asarray(row_ids, dtype=np.int64)
-    if len(row_ids) < PACKED_MIN_LEN:
-        return row_ids.tolist()
     return PackedInts(row_ids.view(np.uint64).reshape(-1, 1))
 
 

@@ -8,7 +8,7 @@ read off the widest integer of the set.  Gathers, permutations,
 concatenation and equality are then plain fixed-width array operations,
 and Python ints are made only where one is asked for.
 
-Three things rest on that layout:
+Four things rest on that layout:
 
 * **The wire.**  :func:`to_wire` / :func:`from_wire` turn limbs into the
   fixed-width big-endian run of a binary frame's int array and back with
@@ -25,6 +25,10 @@ Three things rest on that layout:
   (:mod:`repro.core.encrypted_column`) and the client's decrypt
   (:meth:`repro.crypto.scheme.Encryptor.decrypt_block`) share that one
   rule.
+* **Exact digits.**  Where no word holds a product,
+  :func:`exact_products` still multiplies without boxing or rounding:
+  limbs viewed as 32-bit digits, one integer matmul, one carry pass
+  (last section of this module).
 
 The rule.  For integer vectors ``a`` (rows, ``k`` limbs each, below
 ``2^abits``) and ``b`` (below ``2^bbits``) of length ``l`` with exact
@@ -199,14 +203,6 @@ def from_wire(payload: bytes, width: int) -> np.ndarray:
     return octets.view(">u8")[:, ::-1].astype(np.uint64)
 
 
-#: Shortest run of integers worth packing: writing or reading limbs
-#: with numpy takes ~10 array calls whatever the count, one
-#: ``to_bytes`` / ``from_bytes`` ~0.2 us — a query's bounds, an insert's
-#: row and a 12-row reply (4 to 48 integers) stay lists of Python ints,
-#: a 150-row reply (600) is packed.
-PACKED_MIN_LEN = 64
-
-
 class PackedInts(list):
     """A run of integers as ``n x k`` limbs: what an envelope dict
     carries where it used to carry a list of Python ints.
@@ -217,8 +213,11 @@ class PackedInts(list):
     round — read the limbs, so ``json`` writes it, the fuzz suites
     compare it and ``isinstance(x, list)`` checks pass it as the list
     it stands for, while the binary frame codec writes and reads the
-    limbs without boxing an integer.  Read-only: it is never appended
-    to or sorted.
+    limbs without boxing an integer.  Every other reading ``list``
+    method (``+``, ``*``, ``reversed``, ordering, ``copy``, ``count``,
+    ``index``) answers from :meth:`tolist`, and every mutating one
+    raises ``TypeError`` — nothing inherited is left to act on the
+    empty storage.
     """
 
     __slots__ = ("limbs",)
@@ -262,6 +261,36 @@ class PackedInts(list):
 
     def __repr__(self) -> str:
         return "PackedInts(%r)" % self.tolist()
+
+    def __radd__(self, other):
+        return other + self.tolist()
+
+
+def _plain(value):
+    return value.tolist() if isinstance(value, PackedInts) else value
+
+
+def _answers_as_list(name: str):
+    def method(self, *args):
+        return getattr(self.tolist(), name)(*map(_plain, args))
+    method.__name__ = name
+    return method
+
+
+def _refuses(name: str):
+    def method(self, *args, **kwargs):
+        raise TypeError("PackedInts is read-only: %s is not supported" % name)
+    method.__name__ = name
+    return method
+
+
+for _name in ("__add__", "__mul__", "__rmul__", "__reversed__", "__lt__",
+              "__le__", "__gt__", "__ge__", "copy", "count", "index"):
+    setattr(PackedInts, _name, _answers_as_list(_name))
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append",
+              "clear", "extend", "insert", "pop", "remove", "reverse", "sort"):
+    setattr(PackedInts, _name, _refuses(_name))
+del _name
 
 
 # -- the float plane and the proven product ------------------------------------------
@@ -327,3 +356,168 @@ def proven_products(
     words = (low @ operand_low).view(np.int64)
     approx = floats @ operand_floats
     return words, np.abs(approx - words) <= float((1 << 63) - bound)
+
+
+# -- exact products in base-2^32 digits ------------------------------------------------
+#
+# Where no word holds a product (ambiguity rows: ~115-bit numerators,
+# ~110-bit products), it is still computed without boxing an integer:
+# every limb splits into two 32-bit digits, a digit times a small
+# operand digit fits ``int64`` with room to add ``l`` of them, and the
+# carries are propagated once, digit by digit, over whole columns.
+# Nothing is rounded and nothing wraps, so there is nothing to prove
+# per row — only the headroom, from bit-lengths, before starting.
+#
+# Digit arrays are digit-major (``J x ...``, least significant first).
+# *Canonical* digits lie in ``[0, 2^32)`` except the last, a signed
+# carry: the integer is ``sum(d[j] * 2^(32 j))``, its sign the sign of
+# ``d[-1]`` (or, at 0, of anything below), and two integers are equal
+# exactly when their canonical digits are.
+
+_DIGIT_BITS = np.int64(32)
+_DIGIT_MASK = np.int64(0xFFFFFFFF)
+_OPERAND_DIGIT_BITS = 16
+#: Largest factor :func:`digit_multiples` takes: times a digit, plus a
+#: carry, it stays inside ``int64``.
+DIGIT_FACTOR_LIMIT = (1 << 31) - 1
+#: Most digits :func:`digits_to_float` weighs (``2^(32 * 31)`` is still
+#: a ``float64``), and their weights.
+FLOAT_DIGITS = 31
+_DIGIT_WEIGHTS = np.ldexp(1.0, 32 * np.arange(FLOAT_DIGITS))
+
+
+def to_digits(limbs: np.ndarray) -> np.ndarray:
+    """The ``2k x ...`` canonical digits of ``limbs`` (``... x k``,
+    contiguous along ``k``): its 32-bit halves, the top one signed."""
+    halves = limbs.astype("<u8", copy=False).view("<u4")
+    digits = np.empty(halves.shape[-1:] + halves.shape[:-1], dtype=np.int64)
+    # Digit-major: the last axis first.
+    digits[...] = halves.transpose(halves.ndim - 1, *range(halves.ndim - 1))
+    digits[-1] = halves.view("<i4")[..., -1]
+    return digits
+
+
+def carry_digits(sums: np.ndarray) -> np.ndarray:
+    """The ``(J + 1) x ...`` canonical digits of the integer whose
+    digit *sums* — signed, each at most ``2^63 - 2^31`` in magnitude —
+    are ``sums`` (``J x ...``)."""
+    digits = np.empty((len(sums) + 1,) + sums.shape[1:], dtype=np.int64)
+    carried = 0
+    for j, plane in enumerate(sums):
+        plane = plane + carried
+        np.bitwise_and(plane, _DIGIT_MASK, out=digits[j])
+        # Arithmetic shift: floor division, so the digit is >= 0.
+        carried = plane >> _DIGIT_BITS
+    digits[-1] = carried
+    return digits
+
+
+def digit_operand(integers):
+    """The right-hand operand of :func:`exact_products` — a vector of
+    ``l`` Python ints, or an ``l``-row matrix as a sequence of rows — as
+    an ``l x m x d`` ``int64`` array of its entries' digits: the entry
+    itself (``d = 1``) when a 32-bit digit times it, summed ``l``
+    times, stays below ``2^62``; signed 16-bit digits otherwise.  None
+    when even those leave no headroom."""
+    if len(integers) and isinstance(integers[0], int):
+        integers = [(x,) for x in integers]
+    length = len(integers)
+    bits = int_bit_length(x for row in integers for x in row)
+    if 32 + bits + (length - 1).bit_length() <= 62:
+        return np.array(integers, dtype=np.int64)[:, :, None]
+    step = _OPERAND_DIGIT_BITS
+    count = bits // step + 1
+    if length * count >= 1 << 12:
+        return None
+    mask = (1 << step) - 1
+    return np.array(
+        [
+            [
+                [(x >> step * i) & mask for i in range(count - 1)]
+                + [x >> step * (count - 1)]
+                for x in row
+            ]
+            for row in integers
+        ],
+        dtype=np.int64,
+    )
+
+
+def exact_products(digits: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """``rows @ matrix`` exactly: the canonical digits (``J x n x m``)
+    of the products of ``n`` rows of ``l`` integers, given by their
+    :func:`to_digits` (``2k x n x l``), with the ``l x m`` integer
+    matrix whose :func:`digit_operand` is ``operand``.
+
+    With ``T[j, i]`` the row digits ``j`` times the operand digits
+    ``i`` (one integer matmul; below ``l * 2^48`` each when the operand
+    has several digits), the product is ``sum(T[j, i] * 2^(32 j + 16
+    i))``: the even ``i`` land on digit boundaries and are summed in
+    place, the odd ``i`` are summed the same way, carried, and added
+    shifted by half a digit (``< 2^48``) — every partial sum stays
+    below ``l * d * 2^47 + 2^49 < 2^62``.
+    """
+    length, columns, count = operand.shape
+    partial = (digits @ operand.reshape(length, columns * count)).reshape(
+        digits.shape[:2] + (columns, count)
+    )
+    if count == 1:
+        return carry_digits(partial[..., 0])
+    width = len(digits) + count // 2
+    halves = []
+    for parity in (0, 1):
+        sums = np.zeros((width,) + partial.shape[1:3], dtype=np.int64)
+        for offset, i in enumerate(range(parity, count, 2)):
+            sums[offset:offset + len(digits)] += partial[..., i]
+        halves.append(sums)
+    even, odd = halves
+    even += carry_digits(odd[:-1]) << np.int64(_OPERAND_DIGIT_BITS)
+    return carry_digits(even)
+
+
+def digits_to_limbs(digits: np.ndarray) -> np.ndarray:
+    """Canonical ``digits`` (``J x ...``) as two's-complement limbs
+    (``... x ceil(J / 2)``)."""
+    if len(digits) % 2:
+        # The signed top digit alone in the top limb: sign-extended.
+        digits = np.concatenate((digits, digits[-1:] >> _DIGIT_BITS))
+    limbs = digits[0::2] | (digits[1::2] << _DIGIT_BITS)
+    return limbs.transpose(*range(1, limbs.ndim), 0).view(np.uint64)
+
+
+def digits_sign(digits: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 per integer of canonical ``digits``, as ``int64``."""
+    top = digits[-1]
+    return np.sign(top) + ((top == 0) & digits[:-1].any(axis=0))
+
+
+def digits_magnitude(digits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(|digits|, negative)``: canonical digits of the absolute
+    values and which integers were below zero."""
+    negative = digits[-1] < 0
+    if negative.any():
+        flipped = carry_digits(-digits[:-1])
+        flipped[-1] -= digits[-1]
+        digits = np.where(negative, flipped, digits)
+    return digits, negative
+
+
+def digits_to_float(digits: np.ndarray) -> np.ndarray:
+    """One ``float64`` per integer of non-negative canonical ``digits``
+    (:data:`FLOAT_DIGITS` of them at most): ``J`` exact terms of one
+    sign, so within ``J u`` of it relatively."""
+    weights = _DIGIT_WEIGHTS[:len(digits)]
+    floats = weights @ digits.reshape(len(digits), -1).astype(np.float64)
+    return floats.reshape(digits.shape[1:])
+
+
+def digit_multiples(
+    factors: np.ndarray, digits: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Per integer, whether ``factors * digits == targets``: ``factors``
+    ``int64`` in ``[0, DIGIT_FACTOR_LIMIT]``, ``digits`` and ``targets``
+    canonical, non-negative, with as many digits each.  Factor times
+    digit plus a carry is below ``2^63``, so the product is carried
+    exactly, and equal canonical digits are equal integers."""
+    scaled = carry_digits(factors * digits)
+    return (scaled[:-1] == targets).all(axis=0) & (scaled[-1] == 0)

@@ -49,10 +49,10 @@ Three properties do the heavy lifting:
   9..255), then ``count`` fixed-width signed big-endian integers back to back,
   with no per-value tag, sign or length byte.  A run handed over as
   :class:`~repro.linalg.limbs.PackedInts` (a row block's numerators,
-  a response's row ids) is written from its limbs with numpy and, from
-  :data:`~repro.linalg.limbs.PACKED_MIN_LEN` integers up, read back
-  into one with ``np.frombuffer`` — the same bytes either way, without
-  a Python int per value.
+  a response's row ids) of :data:`PACKED_MIN_LEN` integers or more is
+  written from its limbs with numpy, and an array that long is read
+  back into one with ``np.frombuffer`` — the same bytes as integer by
+  integer, without a Python int per value.
 
 Encoding is a pure function of the envelope dict (keys sorted, intern
 table in deterministic encounter order), so binary frames are
@@ -75,7 +75,6 @@ import numpy as np
 
 from repro.errors import SerializationError
 from repro.linalg.limbs import (
-    PACKED_MIN_LEN,
     PackedInts,
     bit_length,
     fits_word,
@@ -129,6 +128,15 @@ _INTARRAY_MAX_WIDTH = 255
 #: Shortest list worth the fast path; below this the per-value tags are
 #: as compact and the range scan is pure overhead.
 _INTARRAY_MIN_LEN = 4
+
+#: Shortest int array written from, or read into, limbs with numpy —
+#: the one place that choice is made: a block's runs always arrive as
+#: :class:`~repro.linalg.limbs.PackedInts`, and what a frame's array
+#: decodes to depends on its count alone.  Either way takes ~10 array
+#: calls whatever the count, one ``to_bytes`` / ``from_bytes`` ~0.2 us:
+#: a query's bounds, an insert's row and a 12-row reply (4 to 48
+#: integers) go integer by integer, a 150-row reply (600) in one piece.
+PACKED_MIN_LEN = 64
 
 #: ints with |v| below this encode as zigzag varints; larger ones as
 #: sign + magnitude bytes.

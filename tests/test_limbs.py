@@ -19,7 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SerializationError
 from repro.linalg import limbs as L
-from repro.net.binframe import decode_binary_frame, encode_binary_frame
+from repro.net.binframe import (
+    PACKED_MIN_LEN,
+    decode_binary_frame,
+    encode_binary_frame,
+)
 
 #: Integers that sit on every edge the limb arithmetic has.
 EDGES = sorted(
@@ -96,6 +100,41 @@ class TestPackedInts:
             L.from_ints([])
         ) == []
 
+    def test_no_list_method_acts_on_the_empty_storage(self):
+        values = self.VALUES
+        packed = L.PackedInts(L.from_ints(values))
+        twin = L.PackedInts(L.widen(packed.limbs, 3))
+        assert list(reversed(packed)) == values[::-1]
+        assert packed + [1] == values + [1] and [1] + packed == [1] + values
+        assert packed + twin == values + values
+        assert packed * 2 == values * 2 == 2 * packed
+        assert packed.copy() == values and type(packed.copy()) is list
+        assert packed.count(7) == 1 and packed.index(2 ** 64) == 2
+        assert sorted(packed) == sorted(values) and max(packed) == 2 ** 64
+        assert (packed < [1], packed <= twin, packed > twin, packed >= [0]) \
+            == (values < [1], True, False, values >= [0])
+        assert np.array(packed[:2] + [3]).tolist() == [0, -1, 3]
+        for mutate in (
+            lambda: packed.append(1), lambda: packed.extend([1]),
+            lambda: packed.insert(0, 1), lambda: packed.pop(),
+            lambda: packed.remove(7), lambda: packed.clear(),
+            lambda: packed.sort(), lambda: packed.reverse(),
+            lambda: packed.__setitem__(0, 1), lambda: packed.__delitem__(0),
+            lambda: packed.__iadd__([1]), lambda: packed.__imul__(2),
+        ):
+            with pytest.raises(TypeError):
+                mutate()
+        assert packed == values
+        # Every public method ``list`` has is either overridden here or
+        # object's: a new one in a later Python fails this, not a user.
+        inherited = {
+            name for name in dir(list)
+            if getattr(L.PackedInts, name) is getattr(list, name)
+            and getattr(list, name) is not getattr(object, name, None)
+        }
+        assert inherited <= {"__class_getitem__", "__sizeof__", "__new__",
+                             "__getattribute__", "__hash__"}, inherited
+
     @given(st.lists(INTS, max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_binary_frames_are_byte_identical_to_the_list_form(self, values):
@@ -106,7 +145,7 @@ class TestPackedInts:
         assert decoded == values and isinstance(decoded, list)
         # Long runs come back packed, short ones as plain lists.
         assert (type(decoded) is L.PackedInts) == (
-            len(values) >= L.PACKED_MIN_LEN
+            len(values) >= PACKED_MIN_LEN
         )
 
 
@@ -163,6 +202,137 @@ class TestFloatPlane:
                 assert word == product
             if abs(product) < 2 ** 62:
                 assert ok  # a product that fits with room is never refused
+
+
+# -- exact products in digits ------------------------------------------------------------
+
+
+def _canonical(value, count):
+    """The ``count`` canonical base-2^32 digits of ``value``."""
+    digits = [(value >> 32 * j) & 0xFFFFFFFF for j in range(count - 1)]
+    return digits + [value >> 32 * (count - 1)]
+
+
+class TestDigits:
+    @given(RUNS, st.integers(0, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_digits_round_trip_and_carry(self, values, extra):
+        limbs = L.from_ints(values)
+        limbs = L.widen(limbs, limbs.shape[1] + extra)
+        digits = L.to_digits(limbs)
+        assert digits.dtype == np.int64 and digits.shape == (
+            2 * limbs.shape[1], len(values),
+        )
+        assert digits.T.tolist() == [
+            _canonical(v, len(digits)) for v in values
+        ]
+        assert L.to_objects(L.digits_to_limbs(digits)).tolist() == values
+        assert L.digits_sign(digits).tolist() == [
+            (v > 0) - (v < 0) for v in values
+        ]
+        magnitude, negative = L.digits_magnitude(digits)
+        assert negative.tolist() == [v < 0 for v in values]
+        assert L.to_objects(L.digits_to_limbs(magnitude)).tolist() == [
+            abs(v) for v in values
+        ]
+        floats = L.digits_to_float(magnitude).tolist()
+        for value, approx in zip(values, floats):
+            assert abs(Fraction(approx) - abs(value)) * 2 ** 53 <= (
+                len(digits) * abs(value)
+            )
+        # Any signed sums below 2^62 carry to the same canonical form.
+        sums = digits * 3 - 5
+        carried = L.carry_digits(sums)
+        assert carried.T.tolist() == [
+            _canonical(
+                sum(int(d) * 2 ** (32 * j) for j, d in enumerate(column)),
+                len(carried),
+            )
+            for column in sums.T.tolist()
+        ]
+        # An odd digit count packs the signed top digit on its own.
+        assert L.to_objects(L.digits_to_limbs(carried)).tolist() == [
+            3 * v - 5 * sum(2 ** (32 * j) for j in range(len(digits)))
+            for v in values
+        ]
+
+    @given(
+        st.integers(1, 6), st.integers(1, 3), st.integers(1, 3),
+        st.sampled_from([3, 17, 28, 29, 37, 64, 90, 200]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_products_are_python_products(self, length, columns, k, bits, rng):
+        rows = [
+            [rng.choice(EDGES + [rng.randrange(-(2 ** (64 * k - 1)), 2 ** (64 * k - 1))])
+             for _ in range(length)]
+            for _ in range(5)
+        ]
+        rows = [[x if -(2 ** (64 * k - 1)) < x < 2 ** (64 * k - 1) else 1
+                 for x in row] for row in rows]
+        matrix = [
+            tuple(rng.randrange(-(2 ** bits) + 1, 2 ** bits) for _ in range(columns))
+            for _ in range(length)
+        ]
+        limbs = L.widen(L.from_ints([x for row in rows for x in row]), k)
+        limbs = limbs.reshape(5, length, k)
+        operand = L.digit_operand(matrix)
+        assert (operand.shape[2] == 1) == (
+            32 + L.int_bit_length(x for row in matrix for x in row)
+            + (length - 1).bit_length() <= 62
+        )
+        digits = L.exact_products(L.to_digits(limbs), operand)
+        assert digits.shape[1:] == (5, columns)
+        assert ((digits[:-1] >= 0) & (digits[:-1] < 2 ** 32)).all()
+        expected = [
+            [sum(a * row[c] for a, row in zip(numerators, matrix))
+             for c in range(columns)]
+            for numerators in rows
+        ]
+        assert L.to_objects(L.digits_to_limbs(digits)).tolist() == expected
+        assert L.digits_sign(digits).tolist() == [
+            [(p > 0) - (p < 0) for p in row] for row in expected
+        ]
+        if columns == 1:
+            vector = [row[0] for row in matrix]
+            assert np.array_equal(
+                L.exact_products(
+                    L.to_digits(limbs), L.digit_operand(vector)
+                ),
+                digits,
+            )
+
+    def test_an_operand_past_the_headroom_is_refused(self):
+        assert L.digit_operand([2 ** 2000] * 40) is None
+        assert L.digit_operand([2 ** 2000] * 4).shape == (4, 1, 126)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 150),
+                      st.integers(-3, 3)),
+            min_size=1, max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_digit_multiples_is_integer_equality(self, cases):
+        factors = np.array([f for f, _, _ in cases], dtype=np.int64)
+        count = 8  # 224 bits and the carry digit: room for every product
+        digits = np.array([_canonical(x, count) for _, x, _ in cases]).T
+        targets = np.array(
+            [_canonical(max(f * x + off, 0), count) for f, x, off in cases]
+        ).T
+        assert L.digit_multiples(factors, digits, targets).tolist() == [
+            f * x == max(f * x + off, 0) for f, x, off in cases
+        ]
+        # A product that outgrows the digits equals nothing they hold —
+        # not even the digits it leaves behind.
+        factor, value = 2 ** 31 - 1, 2 ** 185
+        left = [(factor * value >> 32 * j) & 0xFFFFFFFF for j in range(6)]
+        assert left[-1] and not L.digit_multiples(
+            np.array([factor]),
+            np.array([_canonical(value, 6)]).T,
+            np.array([left]).T,
+        ).any()
 
 
 # -- hostile wide int-arrays -----------------------------------------------------------

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import encrypted_column
 from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.server import SecureServer
 from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
+from repro.linalg.limbs import to_objects
 
 NUMERATORS = st.integers(-(2 ** 256), 2 ** 256)
 INT64 = range(-(2 ** 63), 2 ** 63)
@@ -134,6 +136,48 @@ class TestExactProducts:
         assert products.tolist() == [
             _dot(row.numerators, bound.vector) for row in rows
         ]
+
+    @pytest.mark.parametrize("bound_bits", [20, 37, 130])
+    def test_long_pieces_no_word_holds_are_multiplied_in_digits(
+        self, bound_bits, monkeypatch
+    ):
+        # Ambiguity-sized operands: 96+ rows are multiplied exactly in
+        # 32-bit digits (one-digit and several-digit bounds), fewer are
+        # boxed; the products are the same integers, the signs theirs,
+        # and all of them count as exact.
+        rng = np.random.default_rng(bound_bits)
+        rows = [
+            [int(x) << 53 | 1 for x in rng.integers(-(2 ** 62), 2 ** 62, 4)]
+            for _ in range(200)
+        ]
+        rows[7] = [0, 0, 0, 0]
+        vector = [int(x) << (bound_bits - 20)
+                  for x in rng.integers(-(2 ** 19), 2 ** 19, 4)]
+        bound = BoundCiphertext(tuple(vector))
+        truth = [_dot(row, vector) for row in rows]
+        column = _column(rows)
+        boxed = []
+        monkeypatch.setattr(
+            encrypted_column, "to_objects",
+            lambda limbs: (boxed.append(limbs.shape), to_objects(limbs))[1],
+        )
+        for lo, hi in ((0, 200), (3, 99), (10, 50)):
+            products = column.products(lo, hi, bound)
+            assert products.dtype == object
+            assert products.tolist() == truth[lo:hi]
+            # In digits only the products are boxed, not the rows.
+            (shape,) = boxed
+            assert (len(shape) == 3) == (hi - lo < 96), shape
+            boxed.clear()
+            for inclusive in (False, True):
+                below = column.below(lo, hi, bound, inclusive)
+                assert below.tolist() == [
+                    p <= 0 if inclusive else p < 0 for p in truth[lo:hi]
+                ]
+                assert (not boxed) == (hi - lo >= 96)
+                boxed.clear()
+        assert column.product_counts() == (0, 3 * (200 + 96 + 40))
+        assert column._floats is None
 
     @pytest.mark.parametrize("numerator", [2 ** 256, 2 ** 1024, -(2 ** 2000)])
     def test_wide_numerators_skip_the_mirror(self, numerator):

@@ -37,7 +37,13 @@ from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor
 from repro.errors import UpdateError
 from repro.linalg.intmat import mat_vec
-from repro.linalg.limbs import widen
+from repro.linalg.limbs import (
+    ROUNDING_LIMIT,
+    rounding_bound,
+    to_objects,
+    top_bits,
+    widen,
+)
 from repro.linalg.vectors import dot, orthogonal_vector
 
 #: sha256 over the decrypted ``ClientResult`` stream of
@@ -342,8 +348,9 @@ SMALL_PLAINTEXTS = list(range(0, 2 ** 31, 2 ** 25 + 12345))[:48]
 class TestWordSizedOpenMatchesBigInts:
     """``decrypt_block`` over 32+ rows multiplies limb 0 in wrapping
     64-bit words and keeps a row's result only where the float plane
-    proves no word wrapped; every other row — and every block whose
-    bit-lengths rule the proof out — is the big-int loop above."""
+    proves no word wrapped; a block of 64+ rows whose bit-lengths rule
+    that proof out is multiplied exactly in 32-bit digits; every other
+    row and block is the big-int loop above."""
 
     @pytest.mark.parametrize("limbs", [1, 2, 3])
     @pytest.mark.parametrize("ambiguity", [False, True])
@@ -363,11 +370,17 @@ class TestWordSizedOpenMatchesBigInts:
         block = RowBlock(store)
         rows = list(block)
 
-        refused = []
+        refused, in_words, in_digits = [], [], []
         open_exact = encryptor._open_exact
         encryptor._open_exact = lambda boxed: (
             refused.extend(boxed.tolist()), open_exact(boxed)
         )[1]
+        for name, seen in (("_open_words", in_words), ("_open_digits", in_digits)):
+            def spy(*args, _opener=getattr(encryptor, name), _seen=seen):
+                result = _opener(*args)
+                _seen.append(result is not None)
+                return result
+            setattr(encryptor, name, spy)
         before = encryptor.fast_rows, encryptor.exact_rows
         result = encryptor.decrypt_block(block)
         fast = encryptor.fast_rows - before[0]
@@ -378,43 +391,142 @@ class TestWordSizedOpenMatchesBigInts:
         assert fast + exact == len(rows) and exact == len(refused)
         refused = {tuple(row) for row in refused}
         word = range(-(2 ** 63), 2 ** 63)
-        for row, triple in zip(rows, opened):
-            if not (all(x in word for x in triple) and row.denominator in word):
-                # Never answered from a word it does not fit.
-                assert row.numerators + (row.denominator,) in refused
-        if store.shape[2] > 1:
-            # The high limb's flip moves a numerator by 2^73 or more.
-            assert rows[3].numerators + (rows[3].denominator,) in refused
+        if in_words == [True]:
+            assert not in_digits
+            for row, triple in zip(rows, opened):
+                if not (
+                    all(x in word for x in triple) and row.denominator in word
+                ):
+                    # Never answered from a word it does not fit.
+                    assert row.numerators + (row.denominator,) in refused
+            if store.shape[2] > 1:
+                # The high limb's flip moves a numerator by 2^73 or more.
+                assert rows[3].numerators + (rows[3].denominator,) in refused
+        elif len(rows) >= 64:
+            # No word could open it: exact digits did, and left to the
+            # big-int loop only rows whose quotients leave 31 bits.
+            assert in_words == [False] and in_digits == [True]
+            small = range(2 ** 31 - 1)
+            for row, (payload0, xi, noise) in zip(rows, opened):
+                decided = noise or xi <= 0 or (
+                    xi // row.denominator in small
+                    and abs(payload0) // xi in small
+                )
+                assert (
+                    row.numerators + (row.denominator,) in refused
+                ) == (not decided)
+        else:
+            assert exact == len(rows)
         if (length, ambiguity) == (4, False) and limbs < 3:
             # The paper's parameters: only rows that leave a word are
             # opened in big ints.
+            assert in_words == [True]
             assert exact == sum(
                 not all(x in word for x in triple) for triple in opened
             )
             assert fast >= len(SMALL_PLAINTEXTS) - 1
 
-    def test_ambiguity_blocks_and_three_limbs_are_all_exact(self):
+    def test_ambiguity_blocks_and_three_limbs_open_in_digits(self):
         # 87-bit opened values, and a store whose limb count alone puts
-        # the rounding bound past 2^62: nothing is attempted in words.
+        # the rounding bound past 2^62: nothing is attempted in words,
+        # and nothing is boxed either.
         client = TrustedClient(seed=11, ambiguity=True)
         rows, _ = client.encrypt_dataset(SMALL_PLAINTEXTS)
         encryptor = client.encryptor
+        assert encryptor._open_words(rows) is None
         is_real, values, _ = encryptor.decrypt_block(rows)
         assert sorted(values) == SMALL_PLAINTEXTS and sum(is_real) == len(values)
-        assert encryptor.fast_rows == 0
+        assert (encryptor.fast_rows, encryptor.exact_rows) == (len(rows), 0)
         plain = TrustedClient(seed=11)
-        block, _ = plain.encrypt_dataset(SMALL_PLAINTEXTS)
-        assert plain.encryptor.decrypt_block(block)[1] == SMALL_PLAINTEXTS
+        block, _ = plain.encrypt_dataset(SMALL_PLAINTEXTS * 2)
+        assert plain.encryptor.decrypt_block(block)[1] == SMALL_PLAINTEXTS * 2
         assert plain.encryptor.fast_rows == len(block)
         wide = RowBlock(widen(block.limbs, 3))
-        assert plain.encryptor.decrypt_block(wide)[1] == SMALL_PLAINTEXTS
-        assert plain.encryptor.fast_rows == len(block)  # unmoved
+        assert plain.encryptor._open_words(wide) is None
+        assert plain.encryptor.decrypt_block(wide)[1] == SMALL_PLAINTEXTS * 2
+        assert plain.encryptor.fast_rows == 2 * len(block)
+        assert plain.encryptor.exact_rows == 0
+
+    def test_words_hand_a_block_they_mostly_cannot_hold_to_digits(self):
+        # The narrowest ambiguity rows pass the word path's bit-length
+        # precondition, then open to values past 2^63: it declines the
+        # block and digits open it whole.
+        client = TrustedClient(seed=11, ambiguity=True)
+        values = list(range(0, 300_000, 300))
+        rows, _ = client.encrypt_dataset(values)
+        tops = np.abs(rows.limbs[:, :-1, -1].view(np.int64)).max(axis=1)
+        block = rows.take(np.sort(np.argsort(tops)[:100]))
+        encryptor = client.encryptor
+        assert rounding_bound(
+            4, top_bits(block.limbs[:, :-1]), encryptor._open_bits, 2
+        ) < ROUNDING_LIMIT
+        assert encryptor._open_words(block) is None
+        assert encryptor.decrypt_block(block) == reference_open_block(
+            encryptor, list(block)
+        )[0]
+        assert (encryptor.fast_rows, encryptor.exact_rows) == (100, 0)
+
+    def test_rows_words_refuse_go_to_digits_when_there_are_enough(self):
+        # 150 rows the words prove and 70 they cannot (plaintexts whose
+        # xi * v leaves a word): the 70 are opened in digits, and what
+        # digits leave undecided (quotients past 31 bits: all of them
+        # here) in big ints — every stage splicing into the one before.
+        encryptor = Encryptor(generate_key(length=4, seed=3), seed=7)
+        values = SMALL_PLAINTEXTS * 3 + [0, 1, -1, -5, 7, 2 ** 30] \
+            + [2 ** 62 + i for i in range(70)]
+        block = encryptor.encrypt_values(values)
+        stages = []
+        for name in ("_open_words", "_open_digits", "_open_exact"):
+            def spy(rows, *args, _opener=getattr(encryptor, name), _name=name):
+                stages.append((_name, len(rows)))
+                return _opener(rows, *args)
+            setattr(encryptor, name, spy)
+        is_real, opened, xi = encryptor.decrypt_block(block)
+        assert opened == values and all(is_real)
+        assert xi == reference_open_block(encryptor, list(block))[0][2]
+        assert stages == [
+            ("_open_words", 220), ("_open_digits", 70), ("_open_exact", 70),
+        ]
+        assert (encryptor.fast_rows, encryptor.exact_rows) == (150, 70)
+        # ... and with small quotients digits settle what words refused:
+        # rows scaled by 2^24 keep the precondition and open past a word.
+        stages.clear()
+        scaled = RowBlock.from_rows([
+            ValueCiphertext(
+                tuple(x << 24 for x in row.numerators), row.denominator << 24
+            )
+            for row in encryptor.encrypt_values(SMALL_PLAINTEXTS * 2)
+        ])
+        block = RowBlock.concatenate(
+            (encryptor.encrypt_values(SMALL_PLAINTEXTS), scaled)
+        )
+        assert encryptor.decrypt_block(block)[1] == SMALL_PLAINTEXTS * 3
+        (words, rows), (digits, refused) = stages
+        assert (words, rows, digits) == ("_open_words", 144, "_open_digits")
+        assert 64 <= refused <= 96
+        assert (encryptor.fast_rows, encryptor.exact_rows) == (150 + 144, 70)
 
     def test_short_blocks_are_opened_in_big_ints(self):
         client = TrustedClient(seed=11)
         block, _ = client.encrypt_dataset(SMALL_PLAINTEXTS[:12])
         assert client.encryptor.decrypt_block(block)[1] == SMALL_PLAINTEXTS[:12]
         assert (client.encryptor.fast_rows, client.encryptor.exact_rows) == (0, 12)
+        ambiguous = TrustedClient(seed=11, ambiguity=True)
+        block, _ = ambiguous.encrypt_dataset(SMALL_PLAINTEXTS[:24])
+        assert len(block) == 48  # past the word floor, under the digit one
+        assert sorted(ambiguous.encryptor.decrypt_block(block)[1]) \
+            == SMALL_PLAINTEXTS[:24]
+        assert (ambiguous.encryptor.fast_rows, ambiguous.encryptor.exact_rows) \
+            == (0, 48)
+
+    def test_open_block_returns_arrays_whichever_path_ran(self):
+        for ambiguity, count in ((False, 4), (False, 40), (True, 8), (True, 40)):
+            client = TrustedClient(seed=11, ambiguity=ambiguity)
+            block, _ = client.encrypt_dataset(SMALL_PLAINTEXTS[:count])
+            is_real, values = client.encryptor.open_block(block)
+            assert (is_real.dtype, values.dtype) == (bool, np.int64)
+            assert sorted(values.tolist()) == SMALL_PLAINTEXTS[:count]
+            assert is_real.sum() == count
 
 
 # -- blocks of different limb counts ------------------------------------------------------
@@ -440,10 +552,10 @@ class TestLimbCounts:
         both = narrow + wide
         assert both.limbs.shape == (3, 4, 3)
         assert both == self.NARROW + self.WIDE
-        assert both.numerators.tolist() == [
-            list(row.numerators) for row in self.NARROW + self.WIDE
+        assert to_objects(both.limbs).tolist() == [
+            list(row.numerators) + [row.denominator]
+            for row in self.NARROW + self.WIDE
         ]
-        assert both.denominators.tolist() == [1, 2, 2 ** 70]
         assert RowBlock.concatenate((wide, narrow, wide)) == (
             self.WIDE + self.NARROW + self.WIDE
         )

@@ -31,7 +31,7 @@ class TestInsert:
             server.pending.row_ids[0] = 99
         block = server.pending.rows_at([0])
         with pytest.raises(ValueError):
-            block.numerators[0, 0] = 0
+            block.limbs[0, 0, 0] = 0
         server.updates.tombstones.add(0)
         assert server.updates.tombstones == set()
         assert server.pending_count == 1
