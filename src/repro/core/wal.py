@@ -256,6 +256,7 @@ class WalWriter:
         self._handle = None
         self._segment_first_seq = None
         self._segment_length = 0
+        self._segments = 0
         self._unsynced = 0
         os.makedirs(directory, exist_ok=True)
         self._recover_tail()
@@ -273,6 +274,7 @@ class WalWriter:
         """Position after the last valid record, truncating a torn one."""
         segments = _segment_files(self.directory)
         self.last_seq = 0
+        self._segments = len(segments)
         if not segments:
             return
         for index, (first_seq, path) in enumerate(segments):
@@ -289,6 +291,7 @@ class WalWriter:
                 if not entries:
                     # A segment holding nothing valid carries no state.
                     os.remove(path)
+                    self._segments -= 1
                     return
                 self._segment_first_seq = first_seq
                 self._segment_length = valid_length
@@ -355,11 +358,10 @@ class WalWriter:
             self._close_handle_locked()
             self._segment_first_seq = None
         if self._handle is None:
-            if self._segment_first_seq is None:
-                self._segment_first_seq = seq
-                self._segment_length = 0
+            fresh = self._segment_first_seq is None
             path = os.path.join(
-                self.directory, SEGMENT_PATTERN % self._segment_first_seq
+                self.directory,
+                SEGMENT_PATTERN % (seq if fresh else self._segment_first_seq),
             )
             try:
                 self._handle = open(path, "ab")
@@ -367,6 +369,10 @@ class WalWriter:
                 raise PersistenceError(
                     "cannot open WAL segment %r: %s" % (path, exc)
                 ) from exc
+            if fresh:
+                self._segment_first_seq = seq
+                self._segment_length = 0
+                self._segments += 1
         return self._handle
 
     def _fsync_locked(self) -> None:
@@ -425,6 +431,7 @@ class WalWriter:
                     break  # never delete the live tail segment
                 os.remove(path)
                 removed += 1
+            self._segments -= removed
         return removed
 
     def _open_path_locked(self) -> Optional[str]:
@@ -435,9 +442,10 @@ class WalWriter:
         )
 
     def segment_count(self) -> int:
-        """Number of segment files currently on disk."""
-        with self._lock:
-            return len(_segment_files(self.directory))
+        """Number of segment files on disk, as the writer — which
+        creates, rolls, compacts and recovers them — has counted;
+        :meth:`stats` lists the directory."""
+        return self._segments
 
     def stats(self) -> Dict[str, Any]:
         """JSON-compatible writer state for telemetry."""

@@ -29,6 +29,10 @@ from repro.linalg.limbs import PackedInts, fits_word, from_ints
 
 FORMAT_VERSION = 1
 
+#: Layout version of the query payload.  2: one flat block (see
+#: :func:`query_to_dict`) instead of nested per-ciphertext objects.
+QUERY_VERSION = 2
+
 Ciphertext = Union[ValueCiphertext, BoundCiphertext, AmbiguousCiphertext]
 
 
@@ -232,70 +236,133 @@ def loads(text: str) -> Union[SecretKey, Ciphertext]:
     return ciphertext_from_dict(data)
 
 
-def _check_kind(data: Dict[str, Any], expected: str) -> None:
+def _check_kind(data: Dict[str, Any], expected: str,
+                version: int = FORMAT_VERSION) -> None:
     """Validate the ``kind`` tag and format version of a payload."""
     if data.get("kind") != expected:
         raise SerializationError(
             "expected kind %r, got %r" % (expected, data.get("kind"))
         )
-    if data.get("version") != FORMAT_VERSION:
+    if data.get("version") != version:
         raise SerializationError(
             "unsupported format version: %r" % (data.get("version"),)
         )
 
 
+def flag_from_wire(value) -> bool:
+    """``value`` if it is a boolean, else a typed error.  The strict
+    check for flags at the trust boundary: ``bool()`` turns ``"false"``
+    into ``True`` and a tampered frame into a different predicate."""
+    if type(value) is not bool:
+        raise SerializationError("expected a boolean")
+    return value
+
+
+#: Which of a query's two sides carry a bound, as spelled on the wire.
+_QUERY_SIDES = {
+    (True, True): "both",
+    (True, False): "low",
+    (False, True): "high",
+    (False, False): "none",
+}
+_SIDES_FROM_WIRE = {name: sides for sides, name in _QUERY_SIDES.items()}
+
+
 def query_to_dict(query) -> Dict[str, Any]:
-    """Serialize an :class:`repro.core.query.EncryptedQuery` message.
+    """Serialize an :class:`repro.core.query.EncryptedQuery` message as
+    one flat block, the way :func:`rows_to_dict` ships a row set: the
+    ciphertext ``length``, which ``sides`` carry a bound (``"low"``,
+    ``"high"`` or ``"none"``; left out when both do), the two
+    inclusiveness flags, and two plain integer runs over the bounds in
+    the order low, high, pivots — ``eb`` (``length`` integers per
+    bound) and ``ev`` (``length`` numerators then the denominator per
+    bound).  The pivot count is what the runs hold beyond the sides.
 
-    Completes the wire format: with this and :func:`response_to_dict`
-    the whole client/server protocol is JSON-transportable.
+    Every bound of a query has the query's one ``length``; a query
+    that mixes lengths (no engine could answer it) does not encode.
     """
-    def bound_to_dict(bound):
-        if bound is None:
-            return None
-        return {
-            "eb": ciphertext_to_dict(bound.eb),
-            "ev": ciphertext_to_dict(bound.ev),
-        }
-
-    return {
+    try:
+        bounds = [b for b in (query.low, query.high) if b is not None]
+        bounds += query.pivots
+        length = len(bounds[0].eb.vector) if bounds else 0
+        eb: list = []
+        ev: list = []
+        for bound in bounds:
+            vector, value = bound.eb.vector, bound.ev
+            if len(vector) != length or len(value.numerators) != length:
+                raise SerializationError(
+                    "every bound of a query must have its length (%d)"
+                    % length
+                )
+            eb += vector
+            ev += value.numerators
+            ev.append(value.denominator)
+    except (AttributeError, TypeError) as exc:
+        raise SerializationError("cannot serialize query: %s" % exc) from exc
+    data = {
         "kind": "query",
-        "version": FORMAT_VERSION,
-        "low": bound_to_dict(query.low),
-        "high": bound_to_dict(query.high),
+        "version": QUERY_VERSION,
+        "length": length,
         "low_inclusive": query.low_inclusive,
         "high_inclusive": query.high_inclusive,
-        "pivots": [bound_to_dict(p) for p in query.pivots],
+        "eb": eb,
+        "ev": ev,
     }
+    sides = _QUERY_SIDES[query.low is not None, query.high is not None]
+    if sides != "both":
+        data["sides"] = sides
+    return data
 
 
 def query_from_dict(data: Dict[str, Any]):
-    """Reconstruct an encrypted query message."""
+    """Reconstruct an encrypted query message; the only failure is a
+    typed :class:`SerializationError`."""
     from repro.core.query import EncryptedBound, EncryptedQuery
 
-    _check_kind(data, "query")
-
-    def bound_from_dict(payload):
-        if payload is None:
-            return None
-        eb = ciphertext_from_dict(payload["eb"])
-        ev = ciphertext_from_dict(payload["ev"])
-        if not isinstance(eb, BoundCiphertext) or not isinstance(
-            ev, ValueCiphertext
-        ):
-            raise SerializationError("malformed encrypted bound")
-        return EncryptedBound(eb=eb, ev=ev)
-
-    try:
-        return EncryptedQuery(
-            low=bound_from_dict(data["low"]),
-            high=bound_from_dict(data["high"]),
-            low_inclusive=bool(data["low_inclusive"]),
-            high_inclusive=bool(data["high_inclusive"]),
-            pivots=tuple(bound_from_dict(p) for p in data["pivots"]),
+    if not isinstance(data, dict):
+        raise SerializationError("query must be an object")
+    _check_kind(data, "query", QUERY_VERSION)
+    length = data.get("length")
+    if type(length) is not int or length < 0:
+        raise SerializationError("query length must be an integer >= 0")
+    sides = data.get("sides", "both")
+    if type(sides) is not str or sides not in _SIDES_FROM_WIRE:
+        raise SerializationError("unknown query sides: %r" % (sides,))
+    has_low, has_high = _SIDES_FROM_WIRE[sides]
+    sided = has_low + has_high
+    low_inclusive = flag_from_wire(data.get("low_inclusive"))
+    high_inclusive = flag_from_wire(data.get("high_inclusive"))
+    eb = list(ints_from_wire(data.get("eb"), "query eb run"))
+    ev = list(ints_from_wire(data.get("ev"), "query ev run"))
+    count, ragged = divmod(len(eb), length) if length else (0, len(eb))
+    if ragged or len(ev) != count * (length + 1):
+        raise SerializationError(
+            "runs of %d and %d integers are not whole bounds of length %d"
+            % (len(eb), len(ev), length)
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError("malformed query payload: %s" % exc) from exc
+    if count < sided:
+        raise SerializationError(
+            "query declares sides %r but ships %d bounds" % (sides, count)
+        )
+    bounds = []
+    for index in range(count):
+        start, value = index * length, index * (length + 1)
+        denominator = ev[value + length]
+        if denominator <= 0:
+            raise SerializationError(
+                "query bound denominator must be positive"
+            )
+        bounds.append(EncryptedBound(
+            BoundCiphertext(tuple(eb[start:start + length])),
+            ValueCiphertext(tuple(ev[value:value + length]), denominator),
+        ))
+    return EncryptedQuery(
+        low=bounds[0] if has_low else None,
+        high=bounds[sided - 1] if has_high else None,
+        low_inclusive=low_inclusive,
+        high_inclusive=high_inclusive,
+        pivots=tuple(bounds[sided:]),
+    )
 
 
 def _ids_to_wire(row_ids) -> PackedInts:

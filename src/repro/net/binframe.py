@@ -182,10 +182,9 @@ def _write_intarray(out: bytearray, value: Any) -> bool:
     """
     if not set(map(type, value)) <= {int}:
         return False
-    bits = max(map(int.bit_length, value))
-    if bits <= 64:
-        lo = min(value)
-        hi = max(value)
+    lo = min(value)
+    hi = max(value)
+    if -_SMALL_INT_LIMIT <= lo and hi < _SMALL_INT_LIMIT:
         for code, (width, fmt, bound, _) in enumerate(_INTARRAY_WIDTHS):
             if -bound <= lo and hi < bound:
                 out.append(_TAG_INTARRAY)
@@ -193,6 +192,8 @@ def _write_intarray(out: bytearray, value: Any) -> bool:
                 _write_varint(out, len(value))
                 out.extend(struct.pack(">%d%s" % (len(value), fmt), *value))
                 return True
+    # The widest magnitude is at one of the two ends.
+    bits = max(lo.bit_length(), hi.bit_length())
     # Two's complement of a ``bits``-bit magnitude needs a sign bit too.
     width = bits // 8 + 1
     if width > _INTARRAY_MAX_WIDTH:
@@ -234,68 +235,109 @@ def _write_packed(out: bytearray, value: PackedInts) -> bool:
     return True
 
 
+def _write_int(out: bytearray, value: int) -> None:
+    if -_SMALL_INT_LIMIT < value < _SMALL_INT_LIMIT:
+        out.append(_TAG_INT)
+        raw = (value << 1) ^ (value >> 63)
+        if raw < 0x80:
+            out.append(raw)
+        else:
+            _write_varint(out, raw)
+    else:
+        magnitude = abs(value)
+        payload = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
+        out.append(_TAG_BIGINT)
+        out.append(1 if value < 0 else 0)
+        _write_varint(out, len(payload))
+        out += payload
+
+
+def _write_str(out: bytearray, value: str, interned: Dict[str, int]) -> None:
+    """A string, or the back-reference to its first occurrence — all a
+    dict key can be."""
+    index = interned.get(value)
+    if index is None:
+        interned[value] = len(interned)
+        payload = value.encode("utf-8")
+        out.append(_TAG_STR)
+        if len(payload) < 0x80:
+            out.append(len(payload))
+        else:
+            _write_varint(out, len(payload))
+        out += payload
+    else:
+        out.append(_TAG_STRREF)
+        if index < 0x80:
+            out.append(index)
+        else:
+            _write_varint(out, index)
+
+
+def _write_list(out: bytearray, value: Any, interned: Dict[str, int],
+                depth: int) -> None:
+    if len(value) >= _INTARRAY_MIN_LEN and _write_intarray(out, value):
+        return
+    out.append(_TAG_LIST)
+    _write_varint(out, len(value))
+    depth += 1
+    for item in value:
+        _write_value(out, item, interned, depth)
+
+
+def _write_dict(out: bytearray, value: Dict[str, Any],
+                interned: Dict[str, int], depth: int) -> None:
+    out.append(_TAG_DICT)
+    _write_varint(out, len(value))
+    try:
+        keys = sorted(value)
+    except TypeError as exc:
+        raise SerializationError(
+            "binary frames require string dict keys: %s" % exc
+        ) from exc
+    depth += 1
+    for key in keys:
+        if not isinstance(key, str):
+            raise SerializationError(
+                "binary frames require string dict keys, got %s"
+                % type(key).__name__
+            )
+        _write_str(out, key, interned)
+        _write_value(out, value[key], interned, depth)
+
+
 def _write_value(out: bytearray, value: Any, interned: Dict[str, int],
                  depth: int) -> None:
     if depth > _MAX_DEPTH:
         raise SerializationError("frame nesting exceeds %d levels" % _MAX_DEPTH)
-    if value is None:
+    # The exact types envelopes are made of, most frequent first ...
+    kind = type(value)
+    if kind is str:
+        _write_str(out, value, interned)
+    elif kind is int:
+        _write_int(out, value)
+    elif kind is dict:
+        _write_dict(out, value, interned, depth)
+    elif kind is list:
+        _write_list(out, value, interned, depth)
+    elif kind is bool:
+        out.append(_TAG_TRUE if value else _TAG_FALSE)
+    elif value is None:
         out.append(_TAG_NONE)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif value is False:
-        out.append(_TAG_FALSE)
+    elif kind is PackedInts:
+        if len(value) < PACKED_MIN_LEN or not _write_packed(out, value):
+            _write_list(out, value.tolist(), interned, depth)
+    # ... then the rarer ones, and subclasses of any.
     elif isinstance(value, int):
-        if -_SMALL_INT_LIMIT < value < _SMALL_INT_LIMIT:
-            out.append(_TAG_INT)
-            _write_varint(out, (value << 1) ^ (value >> 63))
-        else:
-            magnitude = abs(value)
-            payload = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
-            out.append(_TAG_BIGINT)
-            out.append(1 if value < 0 else 0)
-            _write_varint(out, len(payload))
-            out.extend(payload)
+        _write_int(out, value)
     elif isinstance(value, float):
         out.append(_TAG_FLOAT)
         out.extend(_FLOAT64.pack(value))
     elif isinstance(value, str):
-        index = interned.get(value)
-        if index is not None:
-            out.append(_TAG_STRREF)
-            _write_varint(out, index)
-        else:
-            interned[value] = len(interned)
-            payload = value.encode("utf-8")
-            out.append(_TAG_STR)
-            _write_varint(out, len(payload))
-            out.extend(payload)
-    elif isinstance(value, PackedInts):
-        if len(value) < PACKED_MIN_LEN or not _write_packed(out, value):
-            _write_value(out, value.tolist(), interned, depth)
+        _write_str(out, value, interned)
     elif isinstance(value, (list, tuple)):
-        if len(value) >= _INTARRAY_MIN_LEN and _write_intarray(out, value):
-            return
-        out.append(_TAG_LIST)
-        _write_varint(out, len(value))
-        for item in value:
-            _write_value(out, item, interned, depth + 1)
+        _write_list(out, value, interned, depth)
     elif isinstance(value, dict):
-        out.append(_TAG_DICT)
-        _write_varint(out, len(value))
-        try:
-            keys = sorted(value)
-        except TypeError as exc:
-            raise SerializationError(
-                "binary frames require string dict keys: %s" % exc
-            ) from exc
-        for key in keys:
-            if not isinstance(key, str):
-                raise SerializationError(
-                    "binary frames require string dict keys, got %s"
-                    % type(key).__name__
-                )
-            _write_value(out, key, interned, depth + 1)
-            _write_value(out, value[key], interned, depth + 1)
+        _write_dict(out, value, interned, depth)
     else:
         raise SerializationError(
             "unencodable frame value of type %s" % type(value).__name__
@@ -351,6 +393,11 @@ class _Reader:
         return value
 
     def varint(self) -> int:
+        # One byte holds nearly every count, length and back-reference.
+        buf, pos = self.buf, self.pos
+        if pos < len(buf) and buf[pos] < 0x80:
+            self.pos = pos + 1
+            return buf[pos]
         result = 0
         shift = 0
         for count in range(_MAX_VARINT_BYTES):
@@ -365,31 +412,73 @@ class _Reader:
 def _read_value(reader: _Reader, depth: int) -> Any:
     if depth > _MAX_DEPTH:
         raise SerializationError("frame nesting exceeds %d levels" % _MAX_DEPTH)
-    tag = reader.byte()
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_FALSE:
-        return False
-    if tag == _TAG_TRUE:
-        return True
-    if tag == _TAG_INT:
-        raw = reader.varint()
-        return (raw >> 1) ^ -(raw & 1)
-    if tag == _TAG_BIGINT:
-        sign = reader.byte()
-        if sign not in (0, 1):
-            raise SerializationError("invalid big-int sign byte: %d" % sign)
-        length = reader.varint()
-        magnitude = int.from_bytes(reader.take(length), "big")
-        return -magnitude if sign else magnitude
-    if tag == _TAG_FLOAT:
-        return _FLOAT64.unpack(reader.take(8))[0]
+    # The tag and every one-byte varint (nearly all of them) are read
+    # from locals; the reader takes over for anything longer.
+    buf = reader.buf
+    pos = reader.pos
+    try:
+        tag = buf[pos]
+        if tag == _TAG_INT:
+            raw = buf[pos + 1]
+            if raw < 0x80:
+                reader.pos = pos + 2
+            else:
+                reader.pos = pos + 1
+                raw = reader.varint()
+            return (raw >> 1) ^ -(raw & 1)
+        if tag == _TAG_DICT:
+            count = buf[pos + 1]
+            if count < 0x80:
+                pos += 2
+            else:
+                reader.pos = pos + 1
+                count = reader.varint()
+                pos = reader.pos
+            if 2 * count > len(buf) - pos:  # every entry costs >= 2 bytes
+                raise SerializationError(
+                    "dict count %d exceeds remaining frame bytes" % count
+                )
+            out: Dict[str, Any] = {}
+            strings = reader.strings
+            depth += 1
+            for _ in range(count):
+                # A key is a string or a back-reference, nothing else.
+                tag = buf[pos]
+                size = buf[pos + 1]
+                if size < 0x80:
+                    pos += 2
+                else:
+                    reader.pos = pos + 1
+                    size = reader.varint()
+                    pos = reader.pos
+                if tag == _TAG_STR:
+                    if size > len(buf) - pos:
+                        raise SerializationError("truncated binary frame")
+                    key = _decode_utf8(buf[pos:pos + size])
+                    strings.append(key)
+                    pos += size
+                elif tag == _TAG_STRREF:
+                    if size >= len(strings):
+                        raise SerializationError(
+                            "dangling string back-reference: %d" % size
+                        )
+                    key = strings[size]
+                else:
+                    raise SerializationError(
+                        "dict key must be a string, got tag 0x%02x" % tag
+                    )
+                if key in out:
+                    raise SerializationError("duplicate dict key: %r" % key)
+                reader.pos = pos
+                out[key] = _read_value(reader, depth)
+                pos = reader.pos
+            reader.pos = pos
+            return out
+    except IndexError:
+        raise SerializationError("truncated binary frame") from None
+    reader.pos = pos + 1
     if tag == _TAG_STR:
-        length = reader.varint()
-        try:
-            text = reader.take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SerializationError("invalid utf-8 in frame: %s" % exc) from exc
+        text = _decode_utf8(reader.take(reader.varint()))
         reader.strings.append(text)
         return text
     if tag == _TAG_STRREF:
@@ -399,13 +488,6 @@ def _read_value(reader: _Reader, depth: int) -> Any:
                 "dangling string back-reference: %d" % index
             )
         return reader.strings[index]
-    if tag == _TAG_LIST:
-        count = reader.varint()
-        if count > reader.remaining:  # every element costs >= 1 byte
-            raise SerializationError(
-                "list count %d exceeds remaining frame bytes" % count
-            )
-        return [_read_value(reader, depth + 1) for _ in range(count)]
     if tag == _TAG_INTARRAY:
         code = reader.byte()
         if code > _INTARRAY_WIDE:
@@ -435,24 +517,37 @@ def _read_value(reader: _Reader, depth: int) -> Any:
             int.from_bytes(payload[start:start + width], "big", signed=True)
             for start in range(0, len(payload), width)
         ]
-    if tag == _TAG_DICT:
+    if tag == _TAG_LIST:
         count = reader.varint()
-        if 2 * count > reader.remaining:  # every entry costs >= 2 bytes
+        if count > reader.remaining:  # every element costs >= 1 byte
             raise SerializationError(
-                "dict count %d exceeds remaining frame bytes" % count
+                "list count %d exceeds remaining frame bytes" % count
             )
-        out: Dict[str, Any] = {}
-        for _ in range(count):
-            key = _read_value(reader, depth + 1)
-            if not isinstance(key, str):
-                raise SerializationError(
-                    "dict key must be a string, got %s" % type(key).__name__
-                )
-            if key in out:
-                raise SerializationError("duplicate dict key: %r" % key)
-            out[key] = _read_value(reader, depth + 1)
-        return out
+        depth += 1
+        return [_read_value(reader, depth) for _ in range(count)]
+    if tag == _TAG_TRUE:
+        return True
+    if tag == _TAG_FALSE:
+        return False
+    if tag == _TAG_NONE:
+        return None
+    if tag == _TAG_BIGINT:
+        sign = reader.byte()
+        if sign not in (0, 1):
+            raise SerializationError("invalid big-int sign byte: %d" % sign)
+        length = reader.varint()
+        magnitude = int.from_bytes(reader.take(length), "big")
+        return -magnitude if sign else magnitude
+    if tag == _TAG_FLOAT:
+        return _FLOAT64.unpack(reader.take(8))[0]
     raise SerializationError("unknown binary frame tag: 0x%02x" % tag)
+
+
+def _decode_utf8(payload: bytes) -> str:
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError("invalid utf-8 in frame: %s" % exc) from exc
 
 
 def decode_binary_frame(frame: bytes) -> Dict[str, Any]:

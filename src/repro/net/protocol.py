@@ -53,6 +53,7 @@ from repro.core.query import EncryptedQuery
 from repro.core.server import ServerResponse
 from repro.crypto.ciphertext import ValueCiphertext
 from repro.crypto.serialization import (
+    flag_from_wire,
     ints_from_wire,
     query_from_dict,
     query_to_dict,
@@ -82,9 +83,10 @@ from repro.net.binframe import (
 
 #: Version tag carried by every envelope on the wire.  2: row sets
 #: (``ROWS`` fields and the ``SERVER_RESPONSE`` body) travel as one
-#: flat block instead of a list of per-row ciphertext objects; a
-#: version-1 frame is refused with a typed error, never reinterpreted.
-PROTOCOL_VERSION = 2
+#: flat block instead of a list of per-row ciphertext objects.  3: so
+#: does a query (the ``QUERY`` field).  A frame of an older version is
+#: refused with a typed error, never reinterpreted.
+PROTOCOL_VERSION = 3
 
 #: Frame codecs this peer can speak, preference-ordered for hello.
 CODECS: Tuple[str, ...] = ("binary", "json")
@@ -126,12 +128,6 @@ def _strings_from_list(items) -> Tuple[str, ...]:
     ):
         raise SerializationError("expected a list of strings")
     return tuple(items)
-
-
-def _flag_from_wire(value) -> bool:
-    if not isinstance(value, bool):
-        raise SerializationError("expected a boolean")
-    return value
 
 
 def _sections_payload(data) -> Dict[str, Any]:
@@ -298,7 +294,7 @@ def _as_is(value):
 COLUMN = FieldType("COLUMN", _as_is, _column_from_wire)
 STR = FieldType("STR", _as_is, str)
 INT = FieldType("INT", int, int)
-FLAG = FieldType("FLAG", bool, _flag_from_wire, absent=False)
+FLAG = FieldType("FLAG", bool, flag_from_wire, absent=False)
 IDS = FieldType("IDS", _ids_to_list, _ids_from_list)
 #: A row set: any sequence of value ciphertexts encodes, as one flat
 #: block (see :func:`repro.crypto.serialization.rows_to_dict`); it

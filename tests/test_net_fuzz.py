@@ -107,21 +107,25 @@ def make_value_ct(rng, width=None):
     )
 
 
-def make_bound(rng):
-    width = rng.randint(1, 6)
+def make_bound(rng, width):
     return EncryptedBound(
         eb=BoundCiphertext(vector=tuple(big_int(rng) for _ in range(width))),
-        ev=make_value_ct(rng),
+        ev=make_value_ct(rng, width),
     )
 
 
 def make_query(rng):
+    """A query: one ciphertext length for all its bounds (they travel
+    as two flat runs), any subset of sides, a few pivots."""
+    width = rng.randint(1, 6)
     return EncryptedQuery(
-        low=make_bound(rng) if rng.random() < 0.8 else None,
-        high=make_bound(rng) if rng.random() < 0.8 else None,
+        low=make_bound(rng, width) if rng.random() < 0.8 else None,
+        high=make_bound(rng, width) if rng.random() < 0.8 else None,
         low_inclusive=rng.random() < 0.5,
         high_inclusive=rng.random() < 0.5,
-        pivots=tuple(make_bound(rng) for _ in range(rng.randint(0, 3))),
+        pivots=tuple(
+            make_bound(rng, width) for _ in range(rng.randint(0, 3))
+        ),
     )
 
 
@@ -421,15 +425,26 @@ class TestHypotheticalEnvelope:
 GOLDEN_CASES = 12
 
 #: sha256 over the frames (JSON then binary, per envelope) of the
-#: seeded corpus below.  It moves only if the wire format, the
-#: registry's rows, or a generator changes.  Re-pinned by the row-block
-#: PR, which changed all three on purpose: row sets travel as one flat
-#: block (``ROWS`` / ``SERVER_RESPONSE``), every envelope says
-#: ``version: 2``, binframe packs beyond-int64 runs in its wide mode,
-#: and ``make_rows`` draws one ciphertext length per row set (a ragged
-#: set is no longer encodable).  Until then it was the digest the
-#: hand-written pre-registry codecs produced (``1e5143aa...``).
-GOLDEN_CORPUS_SHA256 = "e11f631eede4b31119ef03accca9a45769290d8d4103b0023029885efb0846e7"
+#: seeded corpus below, in two halves.  Each moves only if the wire
+#: format, the registry's rows, or a generator changes.
+#:
+#: The first half is the 27 kinds that cannot carry a query.  It was
+#: computed at f4a3f82 — the commit before queries went flat — with
+#: that commit's ``PROTOCOL_VERSION`` set to 3 and nothing else
+#: touched: apart from the version tag every envelope states, the flat
+#: query and the rewritten binframe loops changed no byte of any other
+#: frame (so none of a WAL record, which holds such envelopes, either).
+GOLDEN_CORPUS_SHA256 = "efaf2c8a38b88a23d190d0e9fa686dd21ace6825d0dc298cc352648003ec72c2"
+
+#: The second half: the kinds that can carry a query —
+#: ``query_request``, and ``batch_request``, whose seeded stream
+#: shifts for good at the first one it holds.  Re-pinned by the
+#: flat-query PR, which changed the ``QUERY`` field type and
+#: ``make_query`` (one ciphertext length per query; bounds of
+#: different lengths no longer encode) on purpose.
+GOLDEN_QUERY_CORPUS_SHA256 = "6b84cc135de2d5914cc6660bc7b7d9dad6da33653a5074ec8dbff7f1326452dc"
+
+QUERY_KINDS = ("query_request", "batch_request")
 
 
 def golden_corpus():
@@ -442,15 +457,18 @@ def golden_corpus():
 
 
 def test_seeded_corpus_frames_match_the_pre_registry_golden():
-    digest = hashlib.sha256()
+    digests = {False: hashlib.sha256(), True: hashlib.sha256()}
     kinds = set()
     for spec, envelope in golden_corpus():
         kinds.add(spec.kind)
         payload = to_dict(spec, envelope)
         for codec in ("json", "binary"):
-            digest.update(encode_frame(payload, codec=codec))
+            digests[spec.kind in QUERY_KINDS].update(
+                encode_frame(payload, codec=codec)
+            )
     assert len(kinds) == 29
-    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+    assert digests[False].hexdigest() == GOLDEN_CORPUS_SHA256
+    assert digests[True].hexdigest() == GOLDEN_QUERY_CORPUS_SHA256
 
 
 # -- mutation fuzzing -----------------------------------------------------------
@@ -566,6 +584,117 @@ class TestMutationFuzz:
                     "case %d: %s escaped the codec: %s"
                     % (case, type(exc).__name__, exc)
                 )
+
+
+class TestBinaryInnerLoops:
+    """The cases the binary codec's fast paths introduce: a dict key
+    is read by a key-only path, one-byte varints without the loop, and
+    values are told apart by exact type."""
+
+    HEADER = b"\xae\x01\x01"
+
+    @pytest.mark.parametrize("key", [
+        b"\x03\x02",              # an int
+        b"\x08\x00",              # a list
+        b"\x09\x00",              # a nested dict
+        b"\x0a\x00\x00",          # an int array
+        b"\x00", b"\x01", b"\x02",  # None, False, True
+        b"\x05" + b"\x00" * 8,     # a float
+        b"\x0b",                  # no tag at all
+    ], ids=lambda key: key.hex())
+    def test_a_dict_key_is_a_string_or_nothing(self, key):
+        frame = self.HEADER + b"\x09\x01" + key + b"\x00"
+        with pytest.raises(SerializationError, match="dict key"):
+            decode_frame(frame)
+        for cut in range(len(self.HEADER), len(frame)):
+            with pytest.raises(SerializationError):
+                decode_frame(frame[:cut])
+
+    def test_a_key_back_reference_past_the_table(self):
+        one = self.HEADER + b"\x09\x02\x06\x01a\x00"
+        assert decode_frame(one + b"\x06\x01b\x07\x00") == {
+            "a": None, "b": "a"}
+        for index in (b"\x01", b"\x7f", b"\x80\x01", b"\xff\xff\x03"):
+            with pytest.raises(SerializationError, match="back-reference"):
+                decode_frame(one + b"\x07" + index + b"\x00")
+        # ... and a key that repeats one by reference is a duplicate.
+        with pytest.raises(SerializationError, match="duplicate"):
+            decode_frame(one + b"\x07\x00\x00")
+
+    def test_two_byte_varints_where_one_is_typical(self):
+        # What the encoder writes once a count, a length or a
+        # back-reference passes 127 ...
+        names = ["k%03d" % index for index in range(200)]
+        payload = {
+            "wide": {name: index for index, name in enumerate(names)},
+            "refs": names,
+            "long key " * 20: "long value " * 20,
+            "ints": [127, 128, -64, -65, 63, 64, 2 ** 14, -2 ** 14],
+        }
+        assert_frame_round_trip(payload)
+        # ... and what it never writes but the grammar allows: a small
+        # number padded to two bytes reads as the one-byte form does.
+        plain = self.HEADER + b"\x09\x01\x06\x01a\x03\x02"
+        padded = self.HEADER + b"\x09\x81\x00\x06\x81\x00a\x03\x82\x00"
+        assert decode_frame(plain) == decode_frame(padded) == {"a": 1}
+        padded_ref = (self.HEADER + b"\x09\x02\x06\x01a\x00"
+                      b"\x06\x01b\x07\x80\x00")
+        assert decode_frame(padded_ref) == {"a": None, "b": "a"}
+        with pytest.raises(SerializationError, match="varint"):
+            decode_frame(self.HEADER + b"\x09" + b"\x80" * 10 + b"\x00")
+
+    def test_an_int_is_not_a_bool_anywhere(self):
+        payload = {
+            "one": 1, "yes": True, "zero": 0, "no": False,
+            "mixed": [1, True, 0, False],
+            "ints": [1, 0, 1, 0],
+            "flags": [True, False, True, False],
+        }
+        for codec in ("json", "binary"):
+            decoded = decode_frame(encode_frame(payload, codec=codec))
+            assert decoded == payload
+            for key, value in payload.items():
+                got = decoded[key]
+                if isinstance(value, list):
+                    assert list(map(type, got)) == list(map(type, value))
+                else:
+                    assert type(got) is type(value)
+        # Only the run of plain ints may take the packed-array form.
+        from repro.net.binframe import _TAG_INTARRAY, encode_binary_frame
+
+        assert _TAG_INTARRAY in encode_binary_frame({"a": [1, 0, 1, 0]})[3:]
+        for run in ([1, True, 0, False], [True, False, True, False]):
+            assert bytes([_TAG_INTARRAY]) not in encode_binary_frame(
+                {"a": run})[3:]
+
+    def test_subclasses_encode_as_what_they_are(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            HIGH = 7
+
+        class Name(str):
+            pass
+
+        class Items(list):
+            pass
+
+        class Table(dict):
+            pass
+
+        fancy = Table({Name("key"): Items([Level.HIGH, Name("text"), 1.5]),
+                       "tuple": (1, 2)})
+        plain = {"key": [7, "text", 1.5], "tuple": [1, 2]}
+        assert encode_frame(fancy, codec="binary") == encode_frame(
+            plain, codec="binary")
+
+    @pytest.mark.parametrize("payload", [
+        {1: "a"}, {"a": {2: "b"}}, {"a": 1, 2: "b"}, {"a": {None: 1}},
+        {"a": {("t",): 1}}, {"a": object()}, {"a": {1, 2}}, {"a": b"bytes"},
+    ], ids=repr)
+    def test_what_does_not_encode_is_a_typed_error(self, payload):
+        with pytest.raises(SerializationError):
+            encode_frame(payload, codec="binary")
 
 
 # -- differential codec test ----------------------------------------------------
@@ -860,10 +989,11 @@ class TestRowBlockWire:
             protocol.InsertRequest(column="c",
                                    rows=(ValueCiphertext((1, 2, 3)),))
         )
-        assert payload["version"] == PROTOCOL_VERSION == 2
-        payload["version"] = 1
-        with pytest.raises(SerializationError, match="version"):
-            request_from_dict(payload)
+        assert payload["version"] == PROTOCOL_VERSION == 3
+        for older in (1, 2):
+            payload["version"] = older
+            with pytest.raises(SerializationError, match="version"):
+                request_from_dict(payload)
 
     def test_mutated_block_frames_never_escape_typed_errors(self, fuzz_cases):
         """The mutation fuzz, aimed at block-carrying frames of both

@@ -339,6 +339,30 @@ class TestBinaryFrames:
             encode_frame(payload, codec="json")
         )
 
+    def test_a_query_request_is_one_flat_block(self, monkeypatch):
+        """The count-based gate CI runs by name.  Under the e2e
+        benchmark's key a two-sided query is 18 integers; nested one
+        object per ciphertext they were 59 generic values and 372
+        bytes, and going back there only reads slower, so it fails
+        here instead."""
+        from repro.net import binframe
+
+        query = TrustedClient(seed=11).make_query(1000, 1010)
+        payload = request_to_dict(QueryRequest(column="values", query=query))
+        write_value = binframe._write_value
+        written = []
+
+        def counted(out, value, interned, depth):
+            written.append(value)
+            write_value(out, value, interned, depth)
+
+        monkeypatch.setattr(binframe, "_write_value", counted)
+        frame = encode_frame(payload, codec="binary")
+        assert len(frame) <= 280
+        assert len(written) <= 20
+        runs = [value for value in written if type(value) is list]
+        assert len(runs) == 2 and sum(map(len, runs)) == 18
+
     def test_unknown_codec_rejected(self):
         with pytest.raises(SerializationError, match="codec"):
             encode_frame({"kind": "merge_request", "version": 1}, codec="xml")

