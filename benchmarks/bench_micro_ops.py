@@ -10,6 +10,9 @@ Two cases at the default key time the column's bookkeeping rather than
 its arithmetic: one crack of a fresh 100k-row column (the shape of the
 e2e ``crack_cold`` workload) and one merge of 256 pending rows + 32
 tombstones into a 12k-row column holding ~1k cracks (``mixed_wal``).
+One times what the owner pays before any of that: the ``Ev``
+encryption of those 100k values under the e2e harness's key, drawn per
+value and multiplied through ``M^-1`` a chunk at a time.
 Two time what every query pays before the engine sees it: the client's
 request encode and the server's decode.  Three more time what a reply
 costs after the engine is done with it — the server's frame encode, the
@@ -108,6 +111,18 @@ def test_crack_100k_rows_once(client, benchmark):
 
     benchmark.pedantic(
         crack, setup=lambda: ((EncryptedColumn(rows, row_ids),), {}), rounds=3
+    )
+
+
+def test_encrypt_values_100k(benchmark):
+    client = TrustedClient(seed=11)  # the e2e harness's KEY_SEED
+    values = random.Random(1).sample(range(10**7), 100_000)
+    block = benchmark.pedantic(
+        lambda: client.encryptor.encrypt_values(values), rounds=3
+    )
+    assert (len(block), block.length) == (100_000, 4)
+    assert client.decrypt_results(range(5), block[:5]).values.tolist() == (
+        values[:5]
     )
 
 

@@ -24,9 +24,15 @@ import numpy as np
 
 from repro.crypto.ciphertext import RowBlock, ValueCiphertext
 from repro.crypto.key import SecretKey, generate_key
-from repro.crypto.scheme import Encryptor, generate_steerable_key
+from repro.crypto.scheme import (
+    Encryptor,
+    as_integer,
+    as_integers,
+    generate_steerable_key,
+)
 from repro.core.query import EncryptedBound, EncryptedQuery
-from repro.errors import QueryError
+from repro.errors import EncryptionError, QueryError
+from repro.linalg.limbs import PackedInts
 
 
 @dataclass(frozen=True)
@@ -111,13 +117,20 @@ class TrustedClient:
         """Encrypt a column for upload.
 
         Returns ``(physical_rows, row_ids)``, the rows as one
-        :class:`~repro.crypto.ciphertext.RowBlock`.  Without ambiguity,
+        :class:`~repro.crypto.ciphertext.RowBlock` and the ids
+        ``0 .. n - 1`` as one :class:`~repro.linalg.limbs.PackedInts`
+        run (the list it stands for, held as the ``int64`` words a
+        frame carries).  Without ambiguity,
         logical value ``i`` becomes physical row id ``i``.  With it,
         value ``i`` spawns physical ids ``2i`` and ``2i + 1`` — the
         two interpretations the server will manage separately; which of
         the two is real varies per value and stays secret.
+
+        Raises:
+            EncryptionError: a value that is not an integer (the scheme
+                is exact: nothing is rounded on the way in).
         """
-        values = [int(v) for v in values]
+        values = as_integers(values)
         if self.ambiguity and self.fake_domain is None and values:
             self.fake_domain = (min(values), max(values) + 1)
             if self._key_was_auto_generated and self.key.length >= 4:
@@ -133,7 +146,8 @@ class TrustedClient:
                 )
                 self._key_was_auto_generated = False
         rows = self._encrypt_rows(values)
-        return rows, list(range(len(rows)))
+        row_ids = np.arange(len(rows), dtype=np.uint64)
+        return rows, PackedInts(row_ids.reshape(-1, 1))
 
     def _encrypt_rows(self, values: Iterable[int]) -> RowBlock:
         """The physical rows of ``values`` as one block.
@@ -190,7 +204,17 @@ class TrustedClient:
         everything.  ``pivots`` are optional extra bounds for
         client-assisted stochastic cracking; the server may crack on
         them but they do not affect the result set.
+
+        Raises:
+            QueryError: an inverted range, or a bound or pivot that is
+                not an integer.
         """
+        try:
+            low = None if low is None else as_integer(low)
+            high = None if high is None else as_integer(high)
+            pivots = as_integers(pivots)
+        except EncryptionError as exc:
+            raise QueryError("query bounds are integers: %s" % exc) from None
         if low is not None and high is not None and low > high:
             raise QueryError("inverted range: low=%r > high=%r" % (low, high))
         return EncryptedQuery(

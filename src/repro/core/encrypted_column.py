@@ -124,7 +124,10 @@ class EncryptedColumn(CrackableColumn):
             if len(self._row_ids) != len(rows):
                 raise IndexStateError("row_ids length mismatch")
         self._use_inplace = use_inplace_algorithm
-        if len(np.unique(self._row_ids)) != len(self._row_ids):
+        ids = self._row_ids
+        # Ascending ids (an upload's 0 .. n - 1) are unique at a
+        # glance; any other order is sorted to find out.
+        if not (ids[1:] > ids[:-1]).all() and len(np.unique(ids)) != len(ids):
             raise IndexStateError("row ids must be unique")
         # (sorted row ids, their physical indices), built on demand.
         self._id_order = None

@@ -74,7 +74,10 @@ class OpesServer:
         row_ids = self._order[start:end].copy()
         ciphertexts = self._sorted[start:end].copy()
         stats = QueryStats(
-            search_seconds=time.perf_counter() - tick, result_count=len(row_ids)
+            search_seconds=time.perf_counter() - tick,
+            result_count=len(row_ids),
+            # Two binary searches over n sorted ciphertexts.
+            comparisons=2 * len(self._sorted).bit_length(),
         )
         record_query_stats(self.stats_log, stats)
         return row_ids, ciphertexts

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.client import ClientResult, TrustedClient
 from repro.crypto.key import SecretKey
+from repro.crypto.scheme import as_integer, as_integers
 from repro.errors import ProtocolError, QueryError, UpdateError
 from repro.net.catalog import ColumnCatalog
 from repro.net.client import RemoteColumn
@@ -104,7 +105,7 @@ class OutsourcedDatabase:
         codec: str = "auto",
         shards: int = 0,
     ) -> None:
-        values = [int(v) for v in values]
+        values = as_integers(values)
         if jitter_pivots and engine != "adaptive":
             raise QueryError("jitter pivots require the adaptive engine")
         self._obs = obs if obs is not None else Observability()
@@ -347,12 +348,17 @@ class OutsourcedDatabase:
     # -- updates --------------------------------------------------------------------
 
     def insert(self, value: int) -> int:
-        """Encrypt and insert a new value; returns its logical id."""
-        rows = self.client.encrypt_value(int(value))
+        """Encrypt and insert a new value; returns its logical id.
+
+        Raises:
+            EncryptionError: ``value`` is not an integer.
+        """
+        value = as_integer(value)
+        rows = self.client.encrypt_value(value)
         if self._shards:
             # The plaintext key hint routes the insert to its shard;
             # only the trusted client side ever sees it.
-            physical_ids = self._remote.insert(rows, key_hint=int(value))
+            physical_ids = self._remote.insert(rows, key_hint=value)
         else:
             physical_ids = self._remote.insert(rows)
         self._account_exchange()

@@ -24,9 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import gcd
-from typing import Iterable, List, Optional, Tuple
+from functools import partial
+from itertools import combinations, islice
+from math import gcd, inf
+from operator import index, mul
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +50,8 @@ from repro.linalg.limbs import (
     DIGIT_FACTOR_LIMIT,
     FLOAT_DIGITS,
     ROUNDING_LIMIT,
+    bit_length,
+    carry_digits,
     digit_multiples,
     digit_operand,
     digits_magnitude,
@@ -57,6 +61,7 @@ from repro.linalg.limbs import (
     exact_products,
     from_ints,
     int_bit_length,
+    limb_count,
     proven_products,
     rounding_bound,
     to_digits,
@@ -66,7 +71,7 @@ from repro.linalg.limbs import (
     word_operand,
 )
 from repro.linalg.solve import integer_nullspace
-from repro.linalg.vectors import IntVector, dot, orthogonal_vector, scale
+from repro.linalg.vectors import IntVector, dot, scale
 
 #: Uniform counterfeit targets a steering attempt draws before it falls
 #: back to the root candidates of :meth:`Encryptor._pick_parameter`.
@@ -84,6 +89,10 @@ _DIGITS_MIN_ROWS = 64
 #: Values :meth:`Encryptor.encrypt_values` /
 #: :meth:`Encryptor.encrypt_values_ambiguous` turn into limbs at a time.
 _ENCRYPT_CHUNK = 4096
+
+#: Draws of ``w`` a value gets before its noise is the key's fixed
+#: vector orthogonal to ``u`` (:meth:`Encryptor._draw`).
+_NOISE_ATTEMPTS = 64
 
 
 def compare(bound: BoundCiphertext, value: ValueCiphertext) -> int:
@@ -141,11 +150,40 @@ class Encryptor:
     ) -> None:
         if multiplier_bound < 1:
             raise EncryptionError("multiplier bound must be >= 1")
+        if noise_magnitude < 0:
+            raise EncryptionError("noise magnitude must be >= 0")
         self.key = key
         self._rng = rng if rng is not None else random.Random(seed)
         self._multiplier_bound = multiplier_bound
         self._noise_magnitude = noise_magnitude
-        self._matrix_t = mat_transpose(key.matrix)
+        # What a value's draws (:meth:`_draw`) read of key and
+        # parameters: xi = 2 r + 1 with r below ``_xi_span``, a noise
+        # sample below ``_noise_span`` less the magnitude; whether the
+        # generator is the one whose ``randrange`` is known word for
+        # word; the test for "w collinear with u" (the first nonzero
+        # ``u_p`` and the other ``(i, u_i)``); how often w is redrawn —
+        # never at l = 3, where u's complement is {0} and the "fixed
+        # vector" below is zero — and what replaces it after that.
+        u = key.u
+        self._xi_span = (multiplier_bound + 1) // 2
+        self._noise_span = 2 * noise_magnitude + 1
+        self._word_draws = type(self._rng) is random.Random
+        pivot = next(i for i, u_i in enumerate(u) if u_i)
+        self._collinearity = (
+            pivot,
+            u[pivot],
+            tuple((i, u_i) for i, u_i in enumerate(u) if i != pivot),
+        )
+        self._noise_attempts = range(_NOISE_ATTEMPTS if len(u) > 1 else 0)
+        self._spent_noise = _fixed_orthogonal(u)
+        # And what the arithmetic after them reads (:meth:`_images`).
+        self._u_squared = dot(u, u)
+        self._noise_bound = max(1, noise_magnitude) * (
+            self._u_squared + sum(map(abs, u)) * max(map(abs, u))
+        )
+        self._inverse_operand = digit_operand(
+            mat_transpose(key.matrix_inverse)
+        )
         # Row sets are encrypted and opened as matrices (paper 3.3:
         # ``Ev`` multiplies by ``M^-1``, decryption by ``M``).  Opening
         # reads only three projections of ``M @ x``: the two payload
@@ -204,19 +242,105 @@ class Encryptor:
         one row of :meth:`encrypt_values`, in Python ints throughout (a
         query bound's ``Ev`` form is a key for the server's tree, not a
         row of a block)."""
-        return ValueCiphertext(
-            mat_vec(self.key.matrix_inverse, self._pre_image(value))
-        )
+        pre_image = self._pre_image(as_integer(value))
+        return ValueCiphertext(tuple(
+            [sum(map(mul, row, pre_image)) for row in self.key.matrix_inverse]
+        ))
 
-    def _pre_image(self, value: int) -> IntVector:
+    def _pre_image(self, value: int) -> List[int]:
         """``xi * (payload(v) + noise_perp)``, ``xi`` and the noise
         freshly drawn: what ``M^-1`` turns into ``Ev(v)``."""
-        value = int(value)  # exact big-int arithmetic, never numpy scalars
-        xi = self._draw_odd_multiplier()
-        noise = orthogonal_vector(
-            self.key.u, self._rng, magnitude=self._noise_magnitude
-        )
-        return self.key.assemble(xi * value, -xi, scale(noise, xi))
+        (xi,), w, spent = self._draw(1)
+        return self._assemble(value, xi, None if spent else w)
+
+    def _draw(self, count: int) -> Tuple[List[int], List[int], List[int]]:
+        """The random part of ``count`` value encryptions, value by
+        value: ``(xis, ws, spent)`` — per value its multiplier ``xi``
+        (odd, in ``[1, multiplier_bound]``), then in the flat run ``ws``
+        its ``l - 2`` components of ``w``, uniform in ``[-noise_magnitude,
+        noise_magnitude]``, whose projection ``(u.u) w - (u.w) u`` is the
+        noise orthogonal to ``u`` (paper 3.1: "any vector orthogonal to
+        u will suffice").
+
+        The order is the contract.  Every sha256 pin, snapshot and
+        golden trace of this repository fixes the ciphertexts a seed
+        yields, so the generator is read exactly as
+        ``rng.randrange(half)`` followed by ``l - 2`` calls of
+        ``rng.randint(-magnitude, magnitude)`` would read it.  A ``w``
+        collinear with ``u`` (zero included) projects to no noise at
+        all and is drawn again *before* the next value draws anything,
+        up to :data:`_NOISE_ATTEMPTS` times; a value that spends them
+        all is listed in ``spent`` (its ``w`` left zero) and takes the
+        key's fixed orthogonal vector instead.
+
+        For a plain :class:`random.Random` those two calls are
+        ``r = getrandbits(stop.bit_length())`` repeated while ``r >=
+        stop`` (CPython's ``Random._randbelow``) — written out here, so
+        a value costs three C calls and no Python frame.  Any subclass
+        is called as written and its answers are taken as given.
+        """
+        rng = self._rng
+        half, span = self._xi_span, self._noise_span
+        magnitude = self._noise_magnitude
+        if self._word_draws:
+            draw_xi = draw_w = rng.getrandbits
+            xi_arg, w_arg = half.bit_length(), span.bit_length()
+            shift = magnitude
+        else:
+            draw_xi, xi_arg = rng.randrange, half
+            draw_w, w_arg = partial(rng.randint, -magnitude), magnitude
+            half = span = inf  # no answer is rejected
+            shift = 0
+        u = self.key.u
+        pivot, u_pivot, others = self._collinearity
+        attempts = self._noise_attempts
+        zero = [0] * len(u)
+        xis, ws, spent = [], [], []
+        for row in range(count):
+            r = draw_xi(xi_arg)
+            while r >= half:
+                r = draw_xi(xi_arg)
+            xis.append(2 * r + 1)
+            for _ in attempts:
+                w = []
+                for _ in u:
+                    r = draw_w(w_arg)
+                    while r >= span:
+                        r = draw_w(w_arg)
+                    w.append(r - shift)
+                # w = c u  <=>  w_i u_p == w_p u_i for all i (u_p != 0).
+                w_pivot = w[pivot]
+                for i, u_i in others:
+                    if w[i] * u_pivot != w_pivot * u_i:
+                        break
+                else:
+                    continue
+                ws += w
+                break
+            else:
+                ws += zero
+                spent.append(row)
+        return xis, ws, spent
+
+    def _assemble(self, value: int, xi: int, w: Optional[List[int]]) -> List[int]:
+        """The pre-image ``xi * (payload(v) + noise)`` of one value in
+        Python ints: noise the projection of ``w``, or the key's fixed
+        orthogonal vector for a value whose draws were spent (``w`` is
+        None)."""
+        key = self.key
+        if w is None:
+            noise = self._spent_noise
+        else:
+            u, uu = key.u, self._u_squared
+            uw = sum(map(mul, u, w))
+            noise = [uu * w_i - uw * u_i for w_i, u_i in zip(w, u)]
+        pre_image = [0] * key.length
+        p0, p1 = key.payload_positions
+        pre_image[p0] = xi * value
+        pre_image[p1] = -xi
+        for position, component in zip(key.noise_positions, noise):
+            pre_image[position] = xi * component
+        return pre_image
 
     def encrypt_values(self, values: Iterable[int]) -> RowBlock:
         """Encrypt attribute values in mode ``Ev``, as one row block.
@@ -224,27 +348,28 @@ class Encryptor:
         ``Ev(v) = M^-1 @ (xi * (payload(v) + noise_perp))`` with the
         multiplier ``xi`` odd and positive (the oddness carries the
         real/fake convention of Section 4.2 even for rows that are
-        never wrapped in ambiguity).  ``xi`` and the noise are drawn
-        per value, in order; the pre-images then go through ``M^-1``
-        in a single matrix product.
+        never wrapped in ambiguity).  Only the draws are per value
+        (:meth:`_draw`); everything after them is arithmetic over the
+        chunk's arrays (:meth:`_images`), or — where the owner cannot
+        prove that arithmetic has head-room — the same pre-images boxed
+        and sent through ``M^-1`` as one big-int matrix product.
         """
         length = self.key.length
 
         def encrypt(chunk):
-            pre_images = [self._pre_image(value) for value in chunk]
-            images = _object_matrix(pre_images) @ self._inverse_t
-            limbs = from_ints(images.ravel().tolist())
-            return RowBlock.from_limbs(
-                length, limbs.reshape(len(chunk), length, limbs.shape[1])
-            )
+            drawn = self._draw(len(chunk))
+            limbs = self._images(chunk, *drawn)
+            if limbs is None:
+                limbs = self._boxed_images(chunk, *drawn)
+            return RowBlock.from_limbs(length, limbs)
 
         return self._encrypt_chunked(values, encrypt)
 
     def _encrypt_chunked(self, values: Iterable[int], encrypt) -> RowBlock:
         """One block of ``encrypt(chunk)`` over ``values`` in order,
-        :data:`_ENCRYPT_CHUNK` at a time: the boxed Python ints of a
-        chunk are gone before the next one's are made."""
-        values = iter(values)
+        :data:`_ENCRYPT_CHUNK` at a time: the arrays (or boxed Python
+        ints) of a chunk are gone before the next one's are made."""
+        values = iter(as_integers(values))
         blocks = []
         while True:
             chunk = list(islice(values, _ENCRYPT_CHUNK))
@@ -254,6 +379,89 @@ class Encryptor:
         if not blocks:
             return RowBlock.from_ints(self.key.length, (), ())
         return RowBlock.concatenate(blocks)
+
+    def _images(self, values, xis, ws, spent) -> Optional[np.ndarray]:
+        """``n x l x k`` limbs of the ``Ev`` rows of a chunk, from its
+        draws, without boxing an integer — or None where the bounds
+        below do not prove every step exact.
+
+        With ``B = noise_magnitude``, ``|w_i| <= B`` gives ``|u . w| <=
+        B sum|u_i|`` and every term and result of ``n = (u.u) w - (u.w)
+        u`` at most ``N = B (u.u + sum|u_i| max|u_i|)``
+        (:attr:`_noise_bound`, which ``__init__`` also puts over ``u.u``
+        and the fixed vector's ``|u_i|``): ``N < 2^63`` keeps the noise
+        in ``int64``.  The payload slots hold ``v`` and ``-1``, so the
+        unscaled pre-image is a word exactly when every ``v`` is —
+        numpy refuses the conversion otherwise.  ``xi <=
+        multiplier_bound``: where ``bits(multiplier_bound) + bits(max(N,
+        |v|)) <= 63`` the scaled pre-image is a word too and is split
+        into two 32-bit digits; past that (Figure 12's ``l = 32, 64``)
+        each unscaled digit, below ``2^32`` in magnitude, times ``xi
+        <= 2^31 - 1`` stays inside ``carry_digits``' ``2^63 - 2^31`` and
+        the pre-image is carried in three.  The product with ``M^-1^T``
+        is :func:`~repro.linalg.limbs.exact_products`, whose own
+        head-room :func:`~repro.linalg.limbs.digit_operand` decided for
+        this key.  All of it presumes draws inside their ranges: a
+        generator that is not exactly :class:`random.Random` proves
+        nothing.
+        """
+        operand = self._inverse_operand
+        if (
+            operand is None
+            or not self._word_draws
+            or self._noise_bound >> 63
+            or self._multiplier_bound > DIGIT_FACTOR_LIMIT
+        ):
+            return None
+        try:
+            plain = np.array(values, dtype=np.int64)
+        except OverflowError:
+            return None
+        key = self.key
+        u = np.array(key.u, dtype=np.int64)
+        xi = np.array(xis, dtype=np.int64)[:, None]
+        w = np.array(ws, dtype=np.int64).reshape(len(plain), len(u))
+        noise = self._u_squared * w - np.outer(w @ u, u)
+        if spent:
+            noise[spent] = self._spent_noise
+        pre_images = np.empty((len(plain), key.length), dtype=np.int64)
+        pre_images[:, key.noise_positions] = noise
+        pre_images[:, key.payload_positions[0]] = plain
+        pre_images[:, key.payload_positions[1]] = -1
+        widest = max(
+            self._noise_bound, int(plain.max()), -int(plain.min())
+        )
+        if self._multiplier_bound.bit_length() + widest.bit_length() <= 63:
+            pre_images *= xi
+            digits = to_digits(pre_images.view(np.uint64)[..., None])
+        else:
+            digits = carry_digits(
+                xi * to_digits(pre_images.view(np.uint64)[..., None])
+            )
+        limbs = digits_to_limbs(exact_products(digits, operand))
+        # The fewest limbs that hold the widest, as from_ints counts.
+        return limbs[..., :limb_count(bit_length(limbs))]
+
+    def _boxed_images(self, values, xis, ws, spent) -> np.ndarray:
+        """:meth:`_images` in Python ints — the pre-images assembled one
+        by one and multiplied by ``M^-1`` as an object matrix: the
+        reference the array path is pinned to, and the path of every
+        chunk it declines (a value past a word, parameters or a key
+        past its head-room, a generator that is not a plain
+        :class:`random.Random`)."""
+        width = len(self.key.u)
+        spent = set(spent)
+        pre_images = [
+            self._assemble(
+                value,
+                xis[row],
+                None if row in spent else ws[row * width:(row + 1) * width],
+            )
+            for row, value in enumerate(values)
+        ]
+        images = _object_matrix(pre_images) @ self._inverse_t
+        limbs = from_ints(images.ravel().tolist())
+        return limbs.reshape(len(values), self.key.length, limbs.shape[1])
 
     def encrypt_value_ambiguous(
         self,
@@ -343,7 +551,7 @@ class Encryptor:
     ) -> Tuple[IntVector, int]:
         """One ambiguity vector as ``(numerators, denominator)`` —
         :meth:`encrypt_value_ambiguous` before the container."""
-        value = int(value)  # exact big-int arithmetic, never numpy scalars
+        value = as_integer(value)
         if fake_domain is not None:
             fake_domain = _checked_domain(fake_domain)
         if fake_value is not None:
@@ -646,12 +854,20 @@ class Encryptor:
     def encrypt_bound(self, bound: int) -> BoundCiphertext:
         """Encrypt a query bound in mode ``Eb`` (Section 3.3).
 
-        ``Eb(b) = M^T @ (payload(1, b) + lambda * u)``.
+        ``Eb(b) = M^T @ (payload(1, b) + lambda * u)`` — by linearity
+        row ``p0`` of ``M``, plus ``b`` times row ``p1``, plus
+        ``lambda`` times the key's ambiguity row (``u`` at the noise
+        positions, through ``M^T``).
         """
-        bound = int(bound)  # exact big-int arithmetic, never numpy scalars
+        bound = as_integer(bound)
         lam = self._draw_nonzero()
-        pre_image = self.key.assemble(1, bound, scale(self.key.u, lam))
-        return BoundCiphertext(mat_vec(self._matrix_t, pre_image))
+        p0, p1 = self.key.payload_positions
+        matrix = self.key.matrix
+        return BoundCiphertext(tuple([
+            one + bound * slope + lam * noise
+            for one, slope, noise
+            in zip(matrix[p0], matrix[p1], self.key.ambiguity_row)
+        ]))
 
     # -- decryption -------------------------------------------------------
 
@@ -937,14 +1153,61 @@ class Encryptor:
 
     def _draw_odd_multiplier(self) -> int:
         """Draw ``xi``: odd, positive, uniform over ``[1, bound]``."""
-        half = (self._multiplier_bound + 1) // 2
-        return 2 * self._rng.randrange(half) + 1
+        return 2 * self._rng.randrange(self._xi_span) + 1
 
     def _draw_nonzero(self) -> int:
         """Draw ``lambda``: nonzero, uniform over ``[-bound, bound]``."""
         bound = self._multiplier_bound
         draw = self._rng.randint(1, 2 * bound)
         return draw - bound - 1 if draw <= bound else draw - bound
+
+
+def as_integer(value) -> int:
+    """``value`` as the Python int it is — the scheme is exact over the
+    integers, so what :func:`operator.index` refuses (a float, a
+    string, a ``Fraction``) is refused here rather than rounded.
+
+    Raises:
+        EncryptionError: ``value`` is not an integer.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise EncryptionError(
+            "the scheme encrypts integers, got %r" % (value,)
+        ) from None
+
+
+def as_integers(values: Iterable) -> List[int]:
+    """:func:`as_integer` of every element, as a list — ``values``
+    itself when it already is a list of plain ints, so a column checked
+    at one entry point costs the next one a scan, not a copy."""
+    if type(values) is list and set(map(type, values)) <= {int}:
+        return values
+    if (
+        isinstance(values, np.ndarray)
+        and values.ndim == 1
+        and values.dtype.kind in "iu"
+    ):
+        return values.tolist()
+    try:
+        return list(map(index, values))
+    except TypeError as exc:
+        raise EncryptionError(
+            "the scheme encrypts integers: %s" % exc
+        ) from None
+
+
+def _fixed_orthogonal(u: Sequence[int]) -> IntVector:
+    """The vector orthogonal to ``u`` that needs no draw: ``(u_j,
+    -u_i)`` at the first positions ``i < j`` where ``u`` does not
+    vanish, zero elsewhere (all zero for a one-component ``u``)."""
+    fixed = [0] * len(u)
+    for i, j in combinations(range(len(u)), 2):
+        if u[i] or u[j]:
+            fixed[i], fixed[j] = u[j], -u[i]
+            break
+    return tuple(fixed)
 
 
 def _object_matrix(rows) -> np.ndarray:

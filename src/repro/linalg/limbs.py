@@ -242,9 +242,21 @@ class PackedInts(list):
 
     def tolist(self) -> List[int]:
         """The integers as a plain list of Python ints."""
+        return self.__array__().tolist()
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The integers as an array — the ``int64`` words themselves
+        (read-only) when one limb holds each, boxed otherwise — so
+        ``np.array(run, dtype=np.int64)`` is a copy of the words and
+        not a walk over the items."""
         if self.limbs.shape[-1] == 1:
-            return self.limbs[:, 0].view(np.int64).tolist()
-        return to_objects(self.limbs).tolist()
+            words = self.limbs[:, 0].view(np.int64)
+            words.flags.writeable = False
+        else:
+            words = to_objects(self.limbs)
+        if dtype is not None:
+            words = words.astype(dtype, copy=False)
+        return words.copy() if copy else words
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PackedInts):

@@ -77,6 +77,13 @@ def orthogonal_vector(
 
     which satisfies ``u . n = 0`` exactly.
 
+    No encryption path calls this any more:
+    :meth:`repro.crypto.scheme.Encryptor._draw` reads the generator in
+    the same order with the per-``u`` work (``u . u``, the collinearity
+    test, the fallback vector) done once per key.  It stays as the
+    plain statement of the construction — the reference the tests hold
+    that path to, draw for draw.
+
     Args:
         u: the secret direction (nonzero).
         rng: source of randomness (caller-owned for reproducibility).

@@ -70,6 +70,7 @@ from repro.net.protocol import (
     decode_frame,
     encode_frame,
     raise_error_response,
+    request_ids,
     request_to_dict,
     response_from_dict,
     spec_of,
@@ -234,7 +235,7 @@ class RemoteColumn:
             CreateColumnRequest(
                 column=self.column,
                 rows=rows,
-                row_ids=tuple(int(i) for i in row_ids),
+                row_ids=request_ids(row_ids),
                 config=dict(config or {}),
             )
         )
@@ -360,7 +361,7 @@ class RemoteColumn:
             RotateApplyRequest(
                 column=self.column,
                 rows=rows,
-                row_ids=tuple(int(i) for i in row_ids),
+                row_ids=request_ids(row_ids),
                 fence=None if fence is None else int(fence),
             )
         )

@@ -74,7 +74,7 @@ from repro.errors import (
     TransportError,
     UpdateError,
 )
-
+from repro.linalg.limbs import PackedInts
 from repro.net.binframe import (
     decode_binary_frame,
     encode_binary_frame,
@@ -110,7 +110,19 @@ def _column_from_wire(value) -> str:
     return value
 
 
+def request_ids(ids):
+    """Row ids as a request holds them: an upload's
+    :class:`~repro.linalg.limbs.PackedInts` run stays the run it is
+    (the frame codec writes its words; nothing is boxed on the way),
+    anything else becomes a tuple of ints."""
+    if type(ids) is PackedInts:
+        return ids
+    return tuple(int(i) for i in ids)
+
+
 def _ids_to_list(ids) -> List[int]:
+    if type(ids) is PackedInts:
+        return ids
     return [int(i) for i in ids]
 
 

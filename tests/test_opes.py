@@ -122,5 +122,7 @@ class TestOpesDatabase:
         db, __ = db_and_values
         db.query(0, 100)
         stats = db.server.stats_log[-1]
-        assert stats.crack_seconds == 0
-        assert stats.search_seconds < 0.01
+        # Two binary searches and nothing else, in counts: the order
+        # was public from the load on, so no query ever cracks.
+        assert (stats.cracks, stats.cracked_rows, stats.crack_seconds) == (0, 0, 0)
+        assert 0 < stats.comparisons <= 2 * len(db).bit_length()
