@@ -1,10 +1,12 @@
 """Micro-benchmarks of the scheme's primitive operations.
 
 Not a paper figure — the per-operation grounding for all of them:
-encryption in both modes, ambiguous (steered) encryption, decryption,
-the scalar-product comparison, a full-column vectorised comparison
-sweep, and an AVL search over encrypted keys.  Run across key sizes to
-see the O(l) comparison cost of Figure 12 at the operation level.
+encryption in both modes, ambiguous encryption (unsteered per value;
+steered as the 6 000-value set-up of the e2e ``ambiguity_range``
+workload), decryption, the scalar-product comparison, a full-column
+vectorised comparison sweep, and an AVL search over encrypted keys.
+Run across key sizes to see the O(l) comparison cost of Figure 12 at
+the operation level.
 
 Two cases at the default key time the column's bookkeeping rather than
 its arithmetic: one crack of a fresh 100k-row column (the shape of the
@@ -32,7 +34,7 @@ from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.server import SecureServer
 from repro.crypto.key import generate_key
-from repro.crypto.scheme import Encryptor, generate_steerable_key
+from repro.crypto.scheme import Encryptor
 from repro.net.protocol import (
     QueryRequest,
     QueryResponse,
@@ -80,13 +82,17 @@ def test_column_comparison_sweep(sized_encryptor, benchmark):
 
 
 def test_encrypt_ambiguous_steered(benchmark):
-    key = generate_steerable_key(4, (0, 2 ** 31), seed=0)
-    encryptor = Encryptor(key, seed=1)
-    benchmark(
-        lambda: encryptor.encrypt_value_ambiguous(
-            123456, fake_domain=(0, 2 ** 31)
-        )
+    """The set-up of the e2e ``ambiguity_range`` workload: 6 000 values
+    steered into their own domain under the harness's key."""
+    values = random.Random(3).sample(range(300_000), 6_000)
+    domain = (min(values), max(values) + 1)
+    client = TrustedClient(seed=11, ambiguity=True, fake_domain=domain)
+    block = benchmark.pedantic(
+        lambda: client.encryptor.encrypt_values_ambiguous(values, domain),
+        rounds=3,
     )
+    assert len(block) == 2 * len(values)
+    assert client.encryptor.steering_fallbacks == 0
 
 
 def test_encrypt_ambiguous_unsteered(benchmark):

@@ -28,6 +28,7 @@ from repro.crypto.scheme import (
     Encryptor,
     as_integer,
     as_integers,
+    checked_domain,
     generate_steerable_key,
 )
 from repro.core.query import EncryptedBound, EncryptedQuery
@@ -79,6 +80,10 @@ class TrustedClient:
             :meth:`encrypt_dataset` time, so fakes qualify for range
             queries about as often as real rows (the ~50% false
             positive rate of Figure 13a).
+
+    Raises:
+        AmbiguityError: ``fake_domain`` is empty or not a pair of
+            integers.
     """
 
     def __init__(
@@ -89,6 +94,8 @@ class TrustedClient:
         key_length: int = 4,
         fake_domain: Tuple[int, int] = None,
     ) -> None:
+        if fake_domain is not None:
+            fake_domain = checked_domain(fake_domain)
         self._key_was_auto_generated = key is None
         self._seed = seed
         self._key_length = key_length

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, islice
 from math import gcd, inf
 from operator import index, mul
@@ -45,7 +45,7 @@ from repro.errors import (
     EncryptionError,
     KeyGenerationError,
 )
-from repro.linalg.intmat import mat_vec, mat_transpose
+from repro.linalg.intmat import determinant, mat_vec, mat_transpose
 from repro.linalg.limbs import (
     DIGIT_FACTOR_LIMIT,
     FLOAT_DIGITS,
@@ -210,21 +210,21 @@ class Encryptor:
         self._digit_operand = digit_operand(open_rows)
         # Steering (Section 4.2) constrains the two length-l windows of
         # an (l+1)-vector: per window offset, the rows reading payload
-        # slot 0, payload slot 1 (and its negation, which reads xi) and
-        # the noise check ``r`` off the window — functions of the key
-        # alone, so built here and not per value.
-        payload0, payload1, noise = (
+        # slot 0, payload slot 1, its negation (which reads xi) and the
+        # noise check ``r`` off the window — the three columns of
+        # ``_open_matrix`` and one more, functions of the key alone, so
+        # built here and not per value.
+        self._windows = tuple(
             tuple(
                 (0,) * offset + tuple(row) + (0,) * (1 - offset)
-                for offset in (0, 1)
+                for row in (
+                    key.matrix[p0],
+                    key.matrix[p1],
+                    scale(key.matrix[p1], -1),
+                    key.ambiguity_row,
+                )
             )
-            for row in (key.matrix[p0], key.matrix[p1], key.ambiguity_row)
-        )
-        self._windows = (
-            payload0,
-            payload1,
-            tuple(scale(row, -1) for row in payload1),
-            noise,
+            for offset in (0, 1)
         )
         #: Count of ambiguous encryptions that fell back to an
         #: unsteered counterfeit (see generate_steerable_key).
@@ -501,11 +501,21 @@ class Encryptor:
         Raises:
             AmbiguityError: when no admissible ciphertext is found
                 within ``max_attempts``, steering is requested at
-                ``l = 3``, or ``fake_domain`` is empty.
+                ``l = 3``, or ``fake_domain`` is empty or ``fake_domain``
+                / ``fake_value`` is not made of integers.
         """
-        numerators, denominator = self._ambiguous_vector(
-            value, fake_domain, fake_value, max_attempts
-        )
+        value = as_integer(value)
+        if fake_domain is not None:
+            fake_domain = checked_domain(fake_domain)
+        if fake_value is not None:
+            fake_value = _counterfeit(fake_value)
+            numerators, denominator = self._steered_vector(
+                value, (fake_value, fake_value + 1), True, max_attempts
+            )
+        else:
+            numerators, denominator = self._ambiguous_vector(
+                value, fake_domain, max_attempts
+            )
         return AmbiguousCiphertext(numerators, denominator)
 
     def encrypt_values_ambiguous(
@@ -516,11 +526,15 @@ class Encryptor:
         The sibling of :meth:`encrypt_values`: value ``i`` becomes rows
         ``2i`` (the ``l``-prefix of its ambiguity vector) and ``2i + 1``
         (the ``l``-suffix), counterfeits steered into ``fake_domain``
-        when one is given.  Every random draw and the owner's
-        verification stay per value, in order — a rejected draw retries
-        before the next value draws — so the block is exactly what
-        :meth:`encrypt_value_ambiguous` produces value by value.
+        when one is given (checked once, here).  Every random draw and
+        the owner's verification stay per value, in order — a rejected
+        draw retries before the next value draws — so the block is
+        exactly what :meth:`encrypt_value_ambiguous` produces value by
+        value.
         """
+        if fake_domain is not None:
+            fake_domain = checked_domain(fake_domain)
+
         def encrypt(chunk):
             solved = [
                 self._ambiguous_vector(value, fake_domain) for value in chunk
@@ -545,22 +559,15 @@ class Encryptor:
     def _ambiguous_vector(
         self,
         value: int,
-        fake_domain: Tuple[int, int] = None,
-        fake_value: int = None,
+        fake_domain: Optional[Tuple[int, int]],
         max_attempts: int = 64,
     ) -> Tuple[IntVector, int]:
-        """One ambiguity vector as ``(numerators, denominator)`` —
-        :meth:`encrypt_value_ambiguous` before the container."""
-        value = as_integer(value)
-        if fake_domain is not None:
-            fake_domain = _checked_domain(fake_domain)
-        if fake_value is not None:
-            fake_domain = (int(fake_value), int(fake_value) + 1)
-        if fake_domain is not None:
-            return self._steered_vector(
-                value, fake_domain, fake_value is not None, max_attempts
-            )
-        return self._unsteered_vector(value, max_attempts)
+        """One ambiguity vector as ``(numerators, denominator)``, its
+        counterfeit steered into ``fake_domain`` (already checked) when
+        there is one."""
+        if fake_domain is None:
+            return self._unsteered_vector(value, max_attempts)
+        return self._steered_vector(value, fake_domain, False, max_attempts)
 
     def _unsteered_vector(
         self, value: int, max_attempts: int
@@ -572,12 +579,12 @@ class Encryptor:
             theta_as_suffix = bool(self._rng.getrandbits(1))
             ambiguous = self._attach_theta(real, theta_as_suffix)
             vector = ambiguous.numerators, ambiguous.denominator
-            is_real, _, _ = self._open_windows(
+            (real_value, _), (fake_value, _) = self._open_windows(
                 *vector, 0 if theta_as_suffix else 1
             )
-            if not is_real[0]:
+            if real_value is None:
                 raise AmbiguityError("real branch failed the odd-xi check")
-            if not is_real[1]:
+            if fake_value is None:
                 return vector
         raise AmbiguityError(
             "fake branch kept decrypting like a real row after %d attempts"
@@ -586,16 +593,30 @@ class Encryptor:
 
     def _open_windows(
         self, numerators: IntVector, denominator: int, real_offset: int
-    ) -> Tuple[List[bool], List[int], List[int]]:
-        """The (real, fake) windows of an ambiguity vector opened as
-        :meth:`decrypt_block` opens rows no word holds — the owner's
-        check of Section 4.2, on the Python ints it was solved in."""
-        length = self.key.length
-        fake_offset = 1 - real_offset
-        return self._open_exact(_object_matrix((
-            numerators[real_offset:real_offset + length] + (denominator,),
-            numerators[fake_offset:fake_offset + length] + (denominator,),
-        )))
+    ) -> List[Tuple[Optional[int], int]]:
+        """The owner's check of Section 4.2: the real, then the fake
+        window of an ambiguity vector opened as :meth:`_open_exact`
+        opens a row, in straight-line Python ints — per window ``(value,
+        xi)``, the plaintext (None unless the window passes all four
+        checks of :meth:`decrypt_block`) and the numerator of its ``xi``
+        over the positive ``denominator`` (0 where the noise check
+        fails).  The window rows make the products with ``M`` that
+        ``_open_matrix`` makes, each shifted to its window."""
+        opened = []
+        for offset in (real_offset, 1 - real_offset):
+            payload0, _, xi_row, noise = self._windows[offset]
+            xi = 0
+            if not sum(map(mul, noise, numerators)):
+                xi = sum(map(mul, xi_row, numerators))
+            scaled = sum(map(mul, payload0, numerators))
+            real = (
+                xi > 0
+                and xi % denominator == 0
+                and xi // denominator % 2 == 1
+                and scaled % xi == 0
+            )
+            opened.append((scaled // xi if real else None, xi))
+        return opened
 
     def _steered_vector(
         self,
@@ -634,15 +655,15 @@ class Encryptor:
                 solved = self._solve_steered(value, fake_domain, real_offset)
                 if solved is None:
                     continue
-                is_real, values, xi = self._open_windows(*solved, real_offset)
-                if not is_real[0] or values[0] != value:
-                    continue
-                # The counterfeit must fail the odd-integer convention
-                # yet keep a positive multiplier (xi's numerator is over
-                # a positive denominator).
-                if is_real[1] or xi[1] <= 0:
-                    continue
-                return solved
+                (real, _), (fake, fake_xi) = self._open_windows(
+                    *solved, real_offset
+                )
+                # The real window must decode to the value; the
+                # counterfeit must fail the odd-integer convention yet
+                # keep a positive multiplier (xi's numerator is over a
+                # positive denominator).
+                if real == value and fake is None and fake_xi > 0:
+                    return solved
         if strict:
             raise AmbiguityError(
                 "no admissible steered ciphertext in %d attempts" % max_attempts
@@ -672,34 +693,39 @@ class Encryptor:
         pseudo-value is a fractional-linear function of ``t``, so
         :meth:`_pick_parameter` can aim ``t`` at a counterfeit.
 
-        Everything is a Python int: the nullspace basis comes scaled by
-        one common factor ``D``, which scales ``b1``, ``b2`` and all six
+        Everything is a Python int, and the basis is read off the key's
+        plan (:attr:`_plans`): the constraint of the value is ``row0 +
+        v * row1`` and the other two do not involve ``v``, so each
+        nullspace vector, taken as Cramer cofactors over the plan's
+        pivot columns, is a linear form ``beta0 + v * beta1`` and so are
+        its products with the three rows the coefficients below read.
+        Those cofactors are the RREF basis times the pivots' minor
+        ``D(v) = d0 + v * d1`` — :func:`integer_nullspace`'s basis up to
+        one common factor, which scales ``b1``, ``b2`` and all six
         coefficients alike and cancels from ``t`` (a ratio), from every
-        sign test (a product of two) and from the result.  The surviving
-        vector is flipped positive and scaled so the real multiplier is
-        a random odd integer — the scale freedom is exactly the paper's
-        ``xi(v)`` — i.e. ``xi * (den*b1 + num*b2) / (p*den + q*num)`` at
-        ``t = num/den``, reduced to lowest terms.
+        sign test (a product of two) and from the reduced result.  The
+        surviving vector is flipped positive and scaled so the real
+        multiplier is a random odd integer — the scale freedom is
+        exactly the paper's ``xi(v)`` — i.e. ``xi * (den*b1 + num*b2) /
+        (p*den + q*num)`` at ``t = num/den``, reduced to lowest terms.
         """
-        payload0, payload1, payload1_negated, noise = self._windows
-        fake_offset = 1 - real_offset
-        basis, _ = integer_nullspace((
-            # payload0 + v * payload1 == 0: the real window decodes to v.
-            [
-                a + value * b
-                for a, b in zip(payload0[real_offset], payload1[real_offset])
-            ],
-            noise[real_offset],
-            noise[fake_offset],
-        ))
+        d0, d1, forms = self._plans[real_offset]
+        # Why the guard is sound.  RREF pivots greedily: a column is a
+        # pivot iff it is independent of the columns left of it, which
+        # makes the pivot set of a rank-3 system the first column triple
+        # in combinations order whose minor does not vanish.  Every
+        # triple before the plan's has a minor vanishing for every v, so
+        # wherever D(v) != 0 the plan's triple *is* that first one, and
+        # its cofactors are the RREF basis scaled by D(v).  D(v) == 0 (at
+        # most one integer v per key and window offset) is left to the
+        # elimination, which pivots further right or finds rank 2.
+        if d0 + value * d1:
+            basis = [[c + value * s for c, s in form] for form in forms]
+        else:
+            basis = self._eliminated(value, real_offset)
         b1, b2 = self._random_pencil(basis)
         # mu_re(t) = p + q t, mu_fk(t) = c0 + c1 t, P0_fk(t) = a0 + a1 t.
-        real_xi = payload1_negated[real_offset]
-        fake_xi = payload1_negated[fake_offset]
-        fake_payload0 = payload0[fake_offset]
-        p, q = dot(real_xi, b1), dot(real_xi, b2)
-        c0, c1 = dot(fake_xi, b1), dot(fake_xi, b2)
-        a0, a1 = dot(fake_payload0, b1), dot(fake_payload0, b2)
+        (p, c0, a0), (q, c1, a1) = b1[:3], b2[:3]
         parameter = self._pick_parameter(fake_domain, p, q, c0, c1, a0, a1)
         if parameter is None:
             return None
@@ -710,14 +736,50 @@ class Encryptor:
         xi = self._draw_odd_multiplier()
         if real_multiplier < 0:  # flip the vector, not the multiplier
             xi, real_multiplier = -xi, -real_multiplier
-        vector = [xi * (den * x + num * y) for x, y in zip(b1, b2)]
+        vector = [xi * (den * x + num * y) for x, y in zip(b1[3:], b2[3:])]
         if not any(vector):
             return None
         common = gcd(real_multiplier, *vector)
         return (
-            tuple(x // common for x in vector),
+            tuple([x // common for x in vector]),
             real_multiplier // common,
         )
+
+    @cached_property
+    def _plans(self) -> Tuple[tuple, tuple]:
+        """Per real-window offset, the steering plan ``(d0, d1, forms)``
+        of :func:`_steering_plan` — built on the first steered value,
+        not with the encryptor, which may never steer."""
+        return tuple(
+            _steering_plan(*self._steering_rows(real_offset))
+            for real_offset in (0, 1)
+        )
+
+    def _steering_rows(self, real_offset: int):
+        """The steering system at a real-window offset: the two rows
+        whose combination ``row0 + v * row1`` says the real window
+        decodes to ``v`` (payload slot 0 plus ``v`` times slot 1 is
+        zero), the two noise checks, and the rows read for ``mu_re``,
+        ``mu_fk`` and ``P0_fk``."""
+        payload0, payload1, real_xi, real_noise = self._windows[real_offset]
+        fake_payload0, _, fake_xi, fake_noise = self._windows[1 - real_offset]
+        return (
+            (payload0, payload1),
+            (real_noise, fake_noise),
+            (real_xi, fake_xi, fake_payload0),
+        )
+
+    def _eliminated(self, value: int, real_offset: int) -> List[List[int]]:
+        """:meth:`_solve_steered`'s basis where the plan's minor vanishes:
+        the system at ``value`` eliminated exactly, each vector behind
+        its three coefficients as the plan lays them out."""
+        (row0, row1), noise, coefficient_rows = self._steering_rows(
+            real_offset
+        )
+        basis, _ = integer_nullspace(
+            ([a + value * b for a, b in zip(row0, row1)],) + noise
+        )
+        return [_with_coefficients(coefficient_rows, x) for x in basis]
 
     def _random_pencil(self, basis) -> Tuple[list, list]:
         """Two random independent combinations of the nullspace basis."""
@@ -775,7 +837,7 @@ class Encryptor:
         # Accept-reject on uniform integer counterfeits: invert the
         # fractional-linear map c = P0 / mu_fk at the target.
         for _ in range(UNIFORM_TARGET_TRIES):
-            target = domain_lo + self._rng.randrange(span)
+            target = domain_lo + self._below(span)
             den = a1 - target * c1
             if den == 0:
                 continue
@@ -815,7 +877,7 @@ class Encryptor:
         feasible_points = [t for t in candidates if feasible(t)]
         if not feasible_points:
             return None
-        t = feasible_points[self._rng.randrange(len(feasible_points))]
+        t = feasible_points[self._below(len(feasible_points))]
         return t.numerator, t.denominator
 
     def _attach_theta(
@@ -1153,7 +1215,20 @@ class Encryptor:
 
     def _draw_odd_multiplier(self) -> int:
         """Draw ``xi``: odd, positive, uniform over ``[1, bound]``."""
-        return 2 * self._rng.randrange(self._xi_span) + 1
+        return 2 * self._below(self._xi_span) + 1
+
+    def _below(self, stop: int) -> int:
+        """``rng.randrange(stop)``: for a plain :class:`random.Random`
+        the words CPython's ``Random._randbelow`` reads, written out as
+        :meth:`_draw` writes them (C calls only); any subclass is called
+        as written."""
+        if not self._word_draws:
+            return self._rng.randrange(stop)
+        getrandbits, bits = self._rng.getrandbits, stop.bit_length()
+        r = getrandbits(bits)
+        while r >= stop:
+            r = getrandbits(bits)
+        return r
 
     def _draw_nonzero(self) -> int:
         """Draw ``lambda``: nonzero, uniform over ``[-bound, bound]``."""
@@ -1229,15 +1304,88 @@ def _int_array(integers: List[int]) -> np.ndarray:
         return boxed
 
 
-def _checked_domain(fake_domain: Tuple[int, int]) -> Tuple[int, int]:
-    """A counterfeit domain as a pair of ints; an empty one is refused
-    (it is half-open, so ``lo`` itself would lie outside it)."""
-    low, high = int(fake_domain[0]), int(fake_domain[1])
+def checked_domain(fake_domain: Tuple[int, int]) -> Tuple[int, int]:
+    """A counterfeit domain as the pair of ints it is: an end that
+    :func:`operator.index` refuses is refused rather than rounded, and
+    so is an empty domain (it is half-open, so ``lo`` itself would lie
+    outside it).
+
+    Raises:
+        AmbiguityError: either end is not an integer, or the domain is
+            empty.
+    """
+    low, high = map(_counterfeit, fake_domain)
     if high <= low:
         raise AmbiguityError(
             "fake_domain [%d, %d) is empty" % (low, high)
         )
     return low, high
+
+
+def _counterfeit(value) -> int:
+    """A counterfeit pseudo-value or domain end, :func:`as_integer`'s
+    way but with the ambiguity layer's error."""
+    try:
+        return index(value)
+    except TypeError:
+        raise AmbiguityError(
+            "counterfeits are integers, got %r" % (value,)
+        ) from None
+
+
+def _steering_plan(value_rows, noise_rows, coefficient_rows):
+    """What steering at one window offset reads of the key: ``(d0, d1,
+    forms)``.
+
+    The system is ``row0 + v * row1`` (``value_rows``) over the two
+    ``noise_rows``; by linearity in its first row, the minor over any
+    column triple is ``d0 + v * d1``, the minor at ``row0`` plus ``v``
+    times the minor at ``row1``.  The plan pivots on the first triple,
+    in :func:`itertools.combinations` order, whose minor is not
+    identically zero, and holds it as ``(d0, d1)``.  Each free column
+    ``f``, ascending, gets the nullspace vector with ``D(v)`` at ``f``,
+    0 at the other free columns and, at the pivot in slot ``m``, minus
+    the minor with column ``m`` replaced by column ``f`` (Cramer): linear
+    in ``v`` too, its products with ``coefficient_rows`` placed ahead of
+    it (:func:`_with_coefficients`).  ``forms`` is that, per free column,
+    as ``(constant, slope)`` pairs.  A system no triple spans for any
+    ``v`` has the plan ``(0, 0, ())``, whose minor always vanishes.
+    """
+    systems = [(row,) + tuple(noise_rows) for row in value_rows]
+
+    def minors(columns):
+        return [
+            determinant(tuple(tuple(row[c] for c in columns) for row in rows))
+            for rows in systems
+        ]
+
+    width = len(noise_rows[0])
+    for pivots in combinations(range(width), 3):
+        leading = minors(pivots)
+        if any(leading):
+            break
+    else:
+        return 0, 0, ()
+    forms = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        parts = [[0] * width for _ in systems]
+        for part, minor in zip(parts, leading):
+            part[free] = minor
+        for slot, column in enumerate(pivots):
+            replaced = minors(pivots[:slot] + (free,) + pivots[slot + 1:])
+            for part, minor in zip(parts, replaced):
+                part[column] = -minor
+        forms.append(tuple(zip(*(
+            _with_coefficients(coefficient_rows, part) for part in parts
+        ))))
+    return leading[0], leading[1], tuple(forms)
+
+
+def _with_coefficients(rows, vector) -> List[int]:
+    """``vector`` behind its products with ``rows``."""
+    return [dot(row, vector) for row in rows] + list(vector)
 
 
 def probe_steerable(
@@ -1259,7 +1407,7 @@ def probe_steerable(
     Raises:
         AmbiguityError: if ``fake_domain`` is empty.
     """
-    low, high = fake_domain = _checked_domain(fake_domain)
+    low, high = fake_domain = checked_domain(fake_domain)
     if key.length < 4:
         return False
     encryptor = Encryptor(key, seed=seed)

@@ -7,8 +7,8 @@ arbitrary-precision integers:
 * :mod:`repro.linalg.vectors` — dot products, scaling, sampling of
   integer vectors orthogonal to a secret direction.
 * :mod:`repro.linalg.intmat` — dense integer matrices, fraction-free
-  inversion, and random unimodular matrix generation (so that the key
-  matrix inverse is itself integral).
+  determinants, and random unimodular matrix generation (so that the
+  key matrix inverse is itself integral).
 * :mod:`repro.linalg.structured` — the structured matrices of the
   paper's Table 1 (expansion, permutation, complementary permutation,
   and cyclic shift), used by the ambiguity layer.
@@ -26,7 +26,6 @@ from repro.linalg.vectors import (
 )
 from repro.linalg.intmat import (
     identity,
-    mat_inverse_exact,
     mat_mul,
     mat_vec,
     mat_transpose,
@@ -49,7 +48,6 @@ __all__ = [
     "vec_add",
     "vec_sub",
     "identity",
-    "mat_inverse_exact",
     "mat_mul",
     "mat_vec",
     "mat_transpose",

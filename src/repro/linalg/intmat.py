@@ -7,15 +7,14 @@ inverse is applied at encryption time; we generate *unimodular* matrices
 that ``M^-1`` is itself an integer matrix and every ciphertext component
 stays an exact integer.
 
-For non-unimodular matrices (used in tests and in the ambiguity layer's
-intermediate algebra) :func:`mat_inverse_exact` returns the inverse as
-an exact rational pair ``(numerators, denominator)``.
+:func:`determinant` (fraction-free) is what the ambiguity layer reads
+its per-key steering plan off: 3 x 3 minors of the steering system
+(:mod:`repro.crypto.scheme`).
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from repro.linalg.vectors import IntVector
@@ -81,54 +80,6 @@ def determinant(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def mat_inverse_exact(m: IntMatrix) -> Tuple[IntMatrix, int]:
-    """Return the exact inverse of ``m`` as ``(numerators, denominator)``.
-
-    The inverse is ``numerators / denominator`` with integer numerators
-    and a single positive integer denominator, computed by Gauss-Jordan
-    elimination over :class:`fractions.Fraction`.
-
-    Raises:
-        ValueError: if ``m`` is singular or not square.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse requires a square matrix")
-    aug: List[List[Fraction]] = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if aug[r][col] != 0), None
-        )
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inv_frac = [row[n:] for row in aug]
-    denominator = 1
-    for row in inv_frac:
-        for x in row:
-            denominator = _lcm(denominator, x.denominator)
-    numerators = tuple(
-        tuple(int(x * denominator) for x in row) for row in inv_frac
-    )
-    return numerators, denominator
-
-
-def _lcm(a: int, b: int) -> int:
-    """Least common multiple of two positive integers."""
-    from math import gcd
-
-    return a // gcd(a, b) * b
 
 
 def random_unimodular(

@@ -1,7 +1,8 @@
 """Exact nullspaces of integer matrices.
 
 Shared by the ambiguity layer (steering the fake branch of a
-two-interpretation ciphertext onto a chosen counterfeit value) and the
+two-interpretation ciphertext onto a chosen counterfeit value, for the
+value where the key's steering plan cannot pivot) and the
 known-plaintext attack simulations.  Both pose homogeneous systems with
 integer coefficients and read only the solution space, so the one
 elimination here is fraction-free Gauss-Jordan over Python ints: every

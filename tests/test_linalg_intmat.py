@@ -7,7 +7,6 @@ import pytest
 from repro.linalg.intmat import (
     determinant,
     identity,
-    mat_inverse_exact,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -83,37 +82,6 @@ class TestDeterminant:
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
             )
             assert determinant(m) == expected
-
-
-class TestInverse:
-    def test_known_inverse(self):
-        numerators, denominator = mat_inverse_exact(((2, 0), (0, 4)))
-        assert denominator == 4
-        assert numerators == ((2, 0), (0, 1))
-
-    def test_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(10):
-            n = rng.randint(2, 5)
-            m = tuple(
-                tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n)
-            )
-            if determinant(m) == 0:
-                continue
-            numerators, denominator = mat_inverse_exact(m)
-            product = mat_mul(m, numerators)
-            assert product == tuple(
-                tuple(denominator if i == j else 0 for j in range(n))
-                for i in range(n)
-            )
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            mat_inverse_exact(((1, 2), (2, 4)))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            mat_inverse_exact(((1, 2, 3), (4, 5, 6)))
 
 
 class TestRandomUnimodular:
