@@ -12,9 +12,11 @@ Two cases at the default key time the column's bookkeeping rather than
 its arithmetic: one crack of a fresh 100k-row column (the shape of the
 e2e ``crack_cold`` workload) and one merge of 256 pending rows + 32
 tombstones into a 12k-row column holding ~1k cracks (``mixed_wal``).
-One times what the owner pays before any of that: the ``Ev``
-encryption of those 100k values under the e2e harness's key, drawn per
-value and multiplied through ``M^-1`` a chunk at a time.
+Three time what the owner pays before any of that: the ``Ev``
+encryption of those 100k values under the e2e harness's key, its draws
+alone (parsed off the generator's word stream), and the upload of the
+100k-row block over a loopback endpoint (``RemoteColumn.create``: the
+frame both ways and the catalog building the column).
 Two time what every query pays before the engine sees it: the client's
 request encode and the server's decode.  Three more time what a reply
 costs after the engine is done with it — the server's frame encode, the
@@ -34,7 +36,9 @@ from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.server import SecureServer
 from repro.crypto.key import generate_key
-from repro.crypto.scheme import Encryptor
+from repro.crypto.scheme import Encryptor, _chunks
+from repro.net.catalog import ColumnCatalog
+from repro.net.client import RemoteColumn
 from repro.net.protocol import (
     QueryRequest,
     QueryResponse,
@@ -45,6 +49,7 @@ from repro.net.protocol import (
     response_from_dict,
     response_to_dict,
 )
+from repro.net.transport import LoopbackTransport
 
 KEY_LENGTHS = (4, 16, 64)
 
@@ -130,6 +135,36 @@ def test_encrypt_values_100k(benchmark):
     assert client.decrypt_results(range(5), block[:5]).values.tolist() == (
         values[:5]
     )
+
+
+def test_draws_100k(benchmark):
+    """The draws alone of ``test_encrypt_values_100k``: ``xi`` and ``w``
+    of 100k values, parsed off the generator's words chunk by chunk."""
+    encryptor = TrustedClient(seed=11).encryptor
+    sizes = [len(chunk) for chunk in _chunks([0] * 100_000)]
+    drawn = benchmark.pedantic(
+        lambda: list(encryptor._chunk_draws(sizes)), rounds=3
+    )
+    assert sum(len(xis) for xis, _, _ in drawn) == 100_000
+
+
+def test_create_100k_rows_over_loopback(benchmark):
+    """The upload half of a set-up: a 100k-row block under the e2e
+    harness's key through ``RemoteColumn.create`` — request dict, frame,
+    decode, the catalog building the column, and the reply — onto a
+    fresh in-process endpoint each round."""
+    rows, row_ids = TrustedClient(seed=11).encrypt_dataset(
+        random.Random(1).sample(range(10**7), 100_000)
+    )
+
+    def endpoint():
+        transport = LoopbackTransport(ColumnCatalog())
+        return (RemoteColumn(transport, "values", codec="binary"),), {}
+
+    def create(remote):
+        assert remote.create(rows, row_ids) == 100_000
+
+    benchmark.pedantic(create, setup=endpoint, rounds=3)
 
 
 def test_merge_256_pending_into_1k_cracks(client, benchmark):

@@ -137,7 +137,13 @@ class TrustedClient:
             EncryptionError: a value that is not an integer (the scheme
                 is exact: nothing is rounded on the way in).
         """
-        values = as_integers(values)
+        return self._encrypt_dataset(as_integers(values))
+
+    def _encrypt_dataset(
+        self, values: List[int]
+    ) -> Tuple[RowBlock, List[int]]:
+        """:meth:`encrypt_dataset` of values :func:`as_integers` already
+        checked — an upload checks its column once."""
         if self.ambiguity and self.fake_domain is None and values:
             self.fake_domain = (min(values), max(values) + 1)
             if self._key_was_auto_generated and self.key.length >= 4:
@@ -156,8 +162,8 @@ class TrustedClient:
         row_ids = np.arange(len(rows), dtype=np.uint64)
         return rows, PackedInts(row_ids.reshape(-1, 1))
 
-    def _encrypt_rows(self, values: Iterable[int]) -> RowBlock:
-        """The physical rows of ``values`` as one block.
+    def _encrypt_rows(self, values: List[int]) -> RowBlock:
+        """The physical rows of checked ``values`` as one block.
 
         Counterfeit branches are steered into :attr:`fake_domain` when
         one is known (set explicitly or learned from the dataset) and
@@ -165,8 +171,8 @@ class TrustedClient:
         construction is used.
         """
         if not self.ambiguity:
-            return self._encryptor.encrypt_values(values)
-        return self._encryptor.encrypt_values_ambiguous(
+            return self._encryptor._encrypt_values(values)
+        return self._encryptor._encrypt_values_ambiguous(
             values, self.fake_domain if self.key.length >= 4 else None
         )
 

@@ -125,7 +125,8 @@ class OutsourcedDatabase:
             key_length=key_length,
             fake_domain=fake_domain,
         )
-        rows, row_ids = self.client.encrypt_dataset(values)
+        # Checked above: the client encrypts the list as it is.
+        rows, row_ids = self.client._encrypt_dataset(values)
         # The server keeps this configuration: a key rotation rebuilds
         # the column with every knob intact.
         server_config = dict(

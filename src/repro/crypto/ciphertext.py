@@ -34,7 +34,14 @@ from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
-from repro.linalg.limbs import common_width, from_ints, to_objects, widen
+from repro.linalg.limbs import (
+    bit_length,
+    common_width,
+    from_ints,
+    limb_count,
+    to_objects,
+    widen,
+)
 from repro.linalg.vectors import IntVector, dot
 
 _SIGN_SHIFT = np.uint64(63)
@@ -158,9 +165,14 @@ class RowBlock(Sequence):
     sequence — but makes Python ints only when a caller asks for a row,
     so the query path never does.  Immutable like the other containers:
     the block marks its array read-only.
+
+    ``numerator_bits`` is the largest bit-length among the numerators
+    where whoever built the block measured it (:meth:`stack`, the
+    owner's encryption, does), else None — so the frame codec need not
+    measure it again.
     """
 
-    __slots__ = ("limbs",)
+    __slots__ = ("limbs", "numerator_bits")
 
     def __init__(self, limbs: np.ndarray) -> None:
         if limbs.ndim != 3 or limbs.dtype != np.uint64 or not limbs.shape[1]:
@@ -174,14 +186,16 @@ class RowBlock(Sequence):
             raise ValueError("ciphertext denominator must be positive")
         limbs.flags.writeable = False
         self.limbs = limbs
+        self.numerator_bits = None
 
     @classmethod
-    def _of(cls, limbs: np.ndarray) -> "RowBlock":
+    def _of(cls, limbs: np.ndarray, numerator_bits: int = None) -> "RowBlock":
         """The block over ``limbs`` cut from blocks already checked (or
         built with denominators of one): nothing to validate again."""
         block = cls.__new__(cls)
         limbs.flags.writeable = False
         block.limbs = limbs
+        block.numerator_bits = numerator_bits
         return block
 
     @classmethod
@@ -220,6 +234,33 @@ class RowBlock(Sequence):
             return cls._of(block)
         block[:, length] = widen(denominators, k)
         return cls(block)
+
+    @classmethod
+    def stack(cls, length: int, parts: Sequence[np.ndarray]) -> "RowBlock":
+        """The block of the rows whose numerators are the limbs of
+        ``parts`` (``n_i x length x k_i`` each, in order) over
+        denominators of one, every integer in the fewest limbs that hold
+        the widest as :func:`~repro.linalg.limbs.from_ints` counts them:
+        one pass measures the parts, one writes the block."""
+        if not parts:
+            return cls.from_ints(length, (), ())
+        bits = max(map(bit_length, parts))
+        k = limb_count(bits)
+        block = np.empty(
+            (sum(map(len, parts)), length + 1, k), dtype=np.uint64
+        )
+        start = 0
+        for part in parts:
+            rows = block[start:start + len(part), :length]
+            part = widen(part[..., :k], k)
+            # Limb plane by limb plane: a part fresh from a digit
+            # product is limb-major, and each plane is one copy.
+            for j in range(k):
+                rows[..., j] = part[..., j]
+            start += len(part)
+        block[:, length] = 0
+        block[:, length, 0] = 1
+        return cls._of(block, bits)
 
     @classmethod
     def from_rows(cls, rows: Iterable[ValueCiphertext]) -> "RowBlock":

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd, inf
 from operator import index, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -38,6 +38,7 @@ from repro.crypto.ciphertext import (
     RowBlock,
     ValueCiphertext,
 )
+from repro.crypto.draws import DrawStream
 from repro.crypto.key import SecretKey, generate_key
 from repro.errors import (
     AmbiguityError,
@@ -50,7 +51,6 @@ from repro.linalg.limbs import (
     DIGIT_FACTOR_LIMIT,
     FLOAT_DIGITS,
     ROUNDING_LIMIT,
-    bit_length,
     carry_digits,
     digit_multiples,
     digit_operand,
@@ -61,7 +61,6 @@ from repro.linalg.limbs import (
     exact_products,
     from_ints,
     int_bit_length,
-    limb_count,
     proven_products,
     rounding_bound,
     to_digits,
@@ -89,6 +88,13 @@ _DIGITS_MIN_ROWS = 64
 #: Values :meth:`Encryptor.encrypt_values` /
 #: :meth:`Encryptor.encrypt_values_ambiguous` turn into limbs at a time.
 _ENCRYPT_CHUNK = 4096
+
+#: Fewest values :meth:`Encryptor.encrypt_values` reads off the
+#: generator's word stream (:class:`~repro.crypto.draws.DrawStream`):
+#: opening and handing back the stream costs ~0.3 ms, which the
+#: ~0.45 us a value it saves over :meth:`Encryptor._draw` repays from
+#: here on (EXPERIMENTS.md).
+_STREAM_MIN_VALUES = 640
 
 #: Draws of ``w`` a value gets before its noise is the key's fixed
 #: vector orthogonal to ``u`` (:meth:`Encryptor._draw`).
@@ -160,14 +166,19 @@ class Encryptor:
         # parameters: xi = 2 r + 1 with r below ``_xi_span``, a noise
         # sample below ``_noise_span`` less the magnitude; whether the
         # generator is the one whose ``randrange`` is known word for
-        # word; the test for "w collinear with u" (the first nonzero
-        # ``u_p`` and the other ``(i, u_i)``); how often w is redrawn —
-        # never at l = 3, where u's complement is {0} and the "fixed
-        # vector" below is zero — and what replaces it after that.
+        # word, and whether each draw is one of its words (a block's
+        # draws are then parsed off them, :class:`DrawStream`); the
+        # test for "w collinear with u" (the first nonzero ``u_p`` and
+        # the other ``(i, u_i)``); how often w is redrawn — never at
+        # l = 3, where u's complement is {0} and the "fixed vector"
+        # below is zero — and what replaces it after that.
         u = key.u
         self._xi_span = (multiplier_bound + 1) // 2
         self._noise_span = 2 * noise_magnitude + 1
         self._word_draws = type(self._rng) is random.Random
+        self._streamed = self._word_draws and (
+            max(self._xi_span, self._noise_span).bit_length() <= 32
+        )
         pivot = next(i for i, u_i in enumerate(u) if u_i)
         self._collinearity = (
             pivot,
@@ -276,8 +287,18 @@ class Encryptor:
         For a plain :class:`random.Random` those two calls are
         ``r = getrandbits(stop.bit_length())`` repeated while ``r >=
         stop`` (CPython's ``Random._randbelow``) — written out here, so
-        a value costs three C calls and no Python frame.  Any subclass
-        is called as written and its answers are taken as given.
+        a value costs no Python frame, only its ``getrandbits`` calls:
+        a stop just past a power of two (``2^15 + 1`` for ``w`` at the
+        default magnitude) and a stop that *is* one (``2^15`` for ``xi``
+        at the default bound, drawn in 16 bits) both reject about half
+        their words, so about six a value at ``l = 4``.  Any subclass is
+        called as written and its answers are taken as given.
+
+        The reference for a block of values: :meth:`encrypt_values`
+        parses the same words off the generator's stream
+        (:class:`~repro.crypto.draws.DrawStream`) where each draw is one
+        word and the block repays it, and is held to this loop draw for
+        draw (``tests/test_draw_stream.py``).
         """
         rng = self._rng
         half, span = self._xi_span, self._noise_span
@@ -348,37 +369,76 @@ class Encryptor:
         ``Ev(v) = M^-1 @ (xi * (payload(v) + noise_perp))`` with the
         multiplier ``xi`` odd and positive (the oddness carries the
         real/fake convention of Section 4.2 even for rows that are
-        never wrapped in ambiguity).  Only the draws are per value
-        (:meth:`_draw`); everything after them is arithmetic over the
-        chunk's arrays (:meth:`_images`), or — where the owner cannot
-        prove that arithmetic has head-room — the same pre-images boxed
-        and sent through ``M^-1`` as one big-int matrix product.
+        never wrapped in ambiguity).  The draws are the per-value loop's
+        (:meth:`_chunk_draws`); everything after them is
+        arithmetic over the chunk's arrays (:meth:`_images`), or — where
+        the owner cannot prove that arithmetic has head-room — the same
+        pre-images boxed and sent through ``M^-1`` as one big-int matrix
+        product.
         """
-        length = self.key.length
+        return self._encrypt_values(as_integers(values))
 
-        def encrypt(chunk):
-            drawn = self._draw(len(chunk))
-            limbs = self._images(chunk, *drawn)
-            if limbs is None:
-                limbs = self._boxed_images(chunk, *drawn)
-            return RowBlock.from_limbs(length, limbs)
+    def _encrypt_values(self, values: List[int]) -> RowBlock:
+        """:meth:`encrypt_values` of values :func:`as_integers` already
+        checked."""
+        chunks = _chunks(values)
+        draws = self._chunk_draws([len(chunk) for chunk in chunks])
+        # Chunk by chunk: the transients of one (boxed Python ints
+        # included) are gone before the next one's are made.
+        numerators = []
+        try:
+            for chunk, drawn in zip(chunks, draws):
+                limbs = self._images(chunk, *drawn)
+                if limbs is None:
+                    limbs = self._boxed_images(chunk, *drawn)
+                numerators.append(limbs)
+        finally:
+            draws.close()
+        return RowBlock.stack(self.key.length, numerators)
 
-        return self._encrypt_chunked(values, encrypt)
+    def _chunk_draws(self, sizes: List[int]):
+        """Per chunk of ``sizes``, :meth:`_draw` of that many values.
 
-    def _encrypt_chunked(self, values: Iterable[int], encrypt) -> RowBlock:
-        """One block of ``encrypt(chunk)`` over ``values`` in order,
-        :data:`_ENCRYPT_CHUNK` at a time: the arrays (or boxed Python
-        ints) of a chunk are gone before the next one's are made."""
-        values = iter(as_integers(values))
-        blocks = []
-        while True:
-            chunk = list(islice(values, _ENCRYPT_CHUNK))
-            if not chunk:
-                break
-            blocks.append(encrypt(chunk))
-        if not blocks:
-            return RowBlock.from_ints(self.key.length, (), ())
-        return RowBlock.concatenate(blocks)
+        Where every draw is one word of a plain :class:`random.Random`
+        and the block repays opening it (:data:`_STREAM_MIN_VALUES`),
+        the words are parsed off the generator's stream instead
+        (:class:`DrawStream`) — the same draws, as ``int64`` arrays —
+        and ``rng`` is handed back when the chunks are done or this
+        generator is closed early.  From a ``w`` the stream finds
+        collinear with ``u`` — it closes at that value — the loop draws
+        the rest.
+        """
+        stream = None
+        if self._streamed and sum(sizes) >= _STREAM_MIN_VALUES:
+            stream = DrawStream(
+                self._rng,
+                self._xi_span,
+                self._noise_span,
+                self._noise_magnitude,
+                self.key.u,
+                len(self.key.u) if self._noise_attempts else 0,
+            )
+        try:
+            for count in sizes:
+                if stream is None or stream.closed:
+                    yield self._draw(count)
+                    continue
+                xis, ws = stream.draw(count)
+                if not self._noise_attempts:
+                    # l = 3: no w is drawn, every value takes the fixed
+                    # vector.
+                    yield xis, np.zeros_like(xis), list(range(count))
+                    continue
+                taken = len(xis)
+                rest_xis, rest_ws, spent = self._draw(count - taken)
+                yield (
+                    np.concatenate((xis, np.array(rest_xis, dtype=np.int64))),
+                    np.concatenate((ws, np.array(rest_ws, dtype=np.int64))),
+                    [taken + row for row in spent],
+                )
+        finally:
+            if stream is not None:
+                stream.close()
 
     def _images(self, values, xis, ws, spent) -> Optional[np.ndarray]:
         """``n x l x k`` limbs of the ``Ev`` rows of a chunk, from its
@@ -438,9 +498,8 @@ class Encryptor:
             digits = carry_digits(
                 xi * to_digits(pre_images.view(np.uint64)[..., None])
             )
-        limbs = digits_to_limbs(exact_products(digits, operand))
-        # The fewest limbs that hold the widest, as from_ints counts.
-        return limbs[..., :limb_count(bit_length(limbs))]
+        # As many limbs as the digits fill: RowBlock.stack trims them.
+        return digits_to_limbs(exact_products(digits, operand))
 
     def _boxed_images(self, values, xis, ws, spent) -> np.ndarray:
         """:meth:`_images` in Python ints — the pre-images assembled one
@@ -450,6 +509,9 @@ class Encryptor:
         past its head-room, a generator that is not a plain
         :class:`random.Random`)."""
         width = len(self.key.u)
+        if isinstance(xis, np.ndarray):
+            # Read off the word stream: the Python ints they are.
+            xis, ws = xis.tolist(), ws.tolist()
         spent = set(spent)
         pre_images = [
             self._assemble(
@@ -534,6 +596,13 @@ class Encryptor:
         """
         if fake_domain is not None:
             fake_domain = checked_domain(fake_domain)
+        return self._encrypt_values_ambiguous(as_integers(values), fake_domain)
+
+    def _encrypt_values_ambiguous(
+        self, values: List[int], fake_domain: Optional[Tuple[int, int]]
+    ) -> RowBlock:
+        """:meth:`encrypt_values_ambiguous` of values :func:`as_integers`
+        already checked, into a domain :func:`checked_domain` did."""
 
         def encrypt(chunk):
             solved = [
@@ -554,7 +623,11 @@ class Encryptor:
                 ],
             )
 
-        return self._encrypt_chunked(values, encrypt)
+        # Chunk by chunk, so the boxed transients stay bounded.
+        blocks = [encrypt(chunk) for chunk in _chunks(values)]
+        if not blocks:
+            return RowBlock.from_ints(self.key.length, (), ())
+        return RowBlock.concatenate(blocks)
 
     def _ambiguous_vector(
         self,
@@ -1271,6 +1344,14 @@ def as_integers(values: Iterable) -> List[int]:
         raise EncryptionError(
             "the scheme encrypts integers: %s" % exc
         ) from None
+
+
+def _chunks(values: List[int]) -> List[List[int]]:
+    """``values`` in runs of :data:`_ENCRYPT_CHUNK`."""
+    return [
+        values[start:start + _ENCRYPT_CHUNK]
+        for start in range(0, len(values), _ENCRYPT_CHUNK)
+    ]
 
 
 def _fixed_orthogonal(u: Sequence[int]) -> IntVector:

@@ -153,7 +153,9 @@ def rows_to_dict(rows) -> Dict[str, Any]:
     (or integer by integer when the run is short: its choice)."""
     if isinstance(rows, RowBlock):
         length, k = rows.length, rows.limbs.shape[2]
-        numerators = PackedInts(rows.limbs[:, :-1].reshape(-1, k))
+        numerators = PackedInts(
+            rows.limbs[:, :-1].reshape(-1, k), rows.numerator_bits
+        )
         denominators = PackedInts(rows.limbs[:, -1])
         unit = not (
             (denominators.limbs[:, 0] != 1).any()

@@ -66,7 +66,6 @@ ROUNDING_LIMIT = 1 << 62
 #: which moves ``|f - w|`` by less than 2^12.
 _TEST_SLACK = 1 << 14
 _WORD_MASK = (1 << 64) - 1
-_ALL_ONES = np.uint64(_WORD_MASK)
 _TWO_64 = float(1 << 64)
 
 
@@ -137,24 +136,31 @@ def fits_word(limbs: np.ndarray) -> bool:
 def bit_length(limbs: np.ndarray) -> int:
     """The largest ``int.bit_length`` among the integers of ``limbs``
     (``... x k``; 0 for none) — of the magnitudes, as Python counts."""
-    k = limbs.shape[-1]
-    flat = limbs.reshape(-1, k)
-    if not len(flat):
+    if not limbs.size:
         return 0
-    # Folded on the sign: |x| for x >= 0, |x| - 1 for x < 0.
-    sign = (flat[:, k - 1:].view(np.int64) >> np.int64(63)).view(np.uint64)
-    folded = flat ^ sign
-    # Limb by limb: a reduction down the short axis is the slow one.
-    tops = [int(folded[:, j].max()) for j in range(k)]
-    j = max((j for j in range(k) if tops[j]), default=0)
-    top = tops[j]
-    bits = 64 * j + top.bit_length()
-    if top & (top + 1) == 0:
-        # The widest folded value may be 2^bits - 1: if it is, and
-        # folds a negative number, that number is -2^bits, one bit more.
-        power = (folded[:, j] == np.uint64(top)) & (sign[:, 0] != 0)
+    k = limbs.shape[-1]
+    # Folded on the sign: |x| for x >= 0, |x| - 1 for x < 0.  The widest
+    # is in the highest limb whose folded plane is not all zero, so the
+    # planes are folded from the top down, one at a time (nothing is
+    # reshaped or copied whole).  The top one's largest fold is the
+    # larger of its maximum and -1 - its minimum; where that is 0 every
+    # top limb is 0 or -1, i.e. the sign itself, and a lower plane
+    # folds by an xor with it.
+    top = limbs[..., k - 1].view(np.int64)
+    peak = max(int(top.max()), -1 - int(top.min()))
+    j = k - 1
+    while not peak and j:
+        j -= 1
+        peak = int((limbs[..., j] ^ limbs[..., k - 1]).max())
+    bits = 64 * j + peak.bit_length()
+    if peak & (peak + 1) == 0:
+        # The widest fold may be 2^bits - 1: if it is, and folds a
+        # negative number — limb j the complement of the fold, every
+        # limb below it zero — that number is -2^bits, one bit more.
+        power = limbs[..., j] == np.uint64(~peak & _WORD_MASK)
+        power &= top < 0
         for lower in range(j):
-            power &= folded[:, lower] == _ALL_ONES
+            power &= limbs[..., lower] == 0
         bits += bool(power.any())
     return bits
 
@@ -181,26 +187,25 @@ def to_wire(limbs: np.ndarray, width: int) -> bytes:
     """``limbs`` (``n x k``) as ``n`` signed big-endian integers of
     ``width`` bytes back to back — ``int.to_bytes(width, "big",
     signed=True)`` of each.  ``width`` must hold every one of them."""
-    size = 8 * limbs.shape[-1]
-    if width > size:
+    if width > 8 * limbs.shape[-1]:
         limbs = widen(limbs, (width + 7) // 8)
-        size = 8 * limbs.shape[-1]
-    octets = limbs[:, ::-1].astype(">u8").view(np.uint8)
-    return octets[:, size - width:].tobytes()
+    # Each integer's little-endian bytes, its low ``width`` of them read
+    # backwards: one strided pass straight into the bytes.
+    octets = limbs.astype("<u8", copy=False).view(np.uint8)
+    return octets[:, width - 1::-1].tobytes()
 
 
 def from_wire(payload: bytes, width: int) -> np.ndarray:
     """The inverse of :func:`to_wire`: ``len(payload) // width`` limbs
-    rows of ``ceil(width / 8)`` limbs, sign-extended."""
+    rows of ``ceil(width / 8)`` limbs, sign-extended — written in one
+    pass, each integer's bytes backwards into its limbs' bytes."""
     octets = np.frombuffer(payload, dtype=np.uint8).reshape(-1, width)
-    pad = -width % 8
-    if pad:
-        padded = np.empty((len(octets), width + pad), dtype=np.uint8)
-        padded[:, pad:] = octets
-        # 0x00 or 0xFF by each integer's sign bit.
-        padded[:, :pad] = (octets[:, :1].view(np.int8) >> 7).view(np.uint8)
-        octets = padded
-    return octets.view(">u8")[:, ::-1].astype(np.uint64)
+    limbs = np.empty((len(octets), (width + 7) // 8), dtype="<u8")
+    little = limbs.view(np.uint8)
+    little[:, :width] = octets[:, ::-1]
+    # 0x00 or 0xFF by each integer's sign bit.
+    little[:, width:] = (octets[:, :1].view(np.int8) >> 7).view(np.uint8)
+    return limbs.astype(np.uint64, copy=False)
 
 
 class PackedInts(list):
@@ -217,14 +222,17 @@ class PackedInts(list):
     method (``+``, ``*``, ``reversed``, ordering, ``copy``, ``count``,
     ``index``) answers from :meth:`tolist`, and every mutating one
     raises ``TypeError`` — nothing inherited is left to act on the
-    empty storage.
+    empty storage.  ``bits`` is the largest ``bit_length`` among the
+    integers where whoever made the run knows it (None: the codec
+    measures).
     """
 
-    __slots__ = ("limbs",)
+    __slots__ = ("limbs", "bits")
 
-    def __init__(self, limbs: np.ndarray) -> None:
+    def __init__(self, limbs: np.ndarray, bits: int = None) -> None:
         super().__init__()
         self.limbs = limbs
+        self.bits = bits
 
     def __len__(self) -> int:
         return len(self.limbs)

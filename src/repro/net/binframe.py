@@ -211,9 +211,12 @@ def _write_packed(out: bytearray, value: PackedInts) -> bool:
     """:func:`_write_intarray` for integers already held as limbs: the
     same bytes, by the same rules, with numpy — no integer is boxed."""
     limbs = value.limbs
-    # One limb is int64 as it stands; more are measured, and lie in
-    # int64 only below 64 bits (or at 64, when -2^63 is the widest).
-    bits = bit_length(limbs) if limbs.shape[1] > 1 else 0
+    # One limb is int64 as it stands; more are measured (unless the run
+    # knows its width), and lie in int64 only below 64 bits (or at 64,
+    # when -2^63 is the widest).
+    bits = value.bits
+    if bits is None:
+        bits = bit_length(limbs) if limbs.shape[1] > 1 else 0
     if bits < 64 or (bits == 64 and fits_word(limbs)):
         words = limbs[:, 0].view(np.int64)
         lo, hi = int(words.min()), int(words.max())
@@ -376,14 +379,24 @@ class _Reader:
         return len(self.buf) - self.pos
 
     def take(self, count: int) -> bytes:
+        start = self._skip(count)
+        return self.buf[start:self.pos]
+
+    def view(self, count: int) -> memoryview:
+        """:meth:`take` without the copy: the frame's own bytes."""
+        start = self._skip(count)
+        return memoryview(self.buf)[start:self.pos]
+
+    def _skip(self, count: int) -> int:
+        """Move past ``count`` bytes the frame must hold; where they
+        start."""
         if count > self.remaining:
             raise SerializationError(
                 "truncated binary frame (%d bytes needed, %d left)"
                 % (count, self.remaining)
             )
-        chunk = self.buf[self.pos:self.pos + count]
         self.pos += count
-        return chunk
+        return self.pos - count
 
     def byte(self) -> int:
         if self.pos >= len(self.buf):
@@ -505,12 +518,14 @@ def _read_value(reader: _Reader, depth: int) -> Any:
             raise SerializationError(
                 "int-array count %d exceeds remaining frame bytes" % count
             )
-        payload = reader.take(count * width)
         if count >= PACKED_MIN_LEN:
+            # Read where it lies in the frame: each way makes one array.
+            payload = reader.view(count * width)
             if code == _INTARRAY_WIDE:
                 return PackedInts(from_wire(payload, width))
             words = np.frombuffer(payload, dtype=dtype).astype(np.int64)
             return PackedInts(words.view(np.uint64).reshape(count, 1))
+        payload = reader.take(count * width)
         if code != _INTARRAY_WIDE:
             return list(struct.unpack(">%d%s" % (count, fmt), payload))
         return [

@@ -1037,7 +1037,7 @@ class ColumnCatalog:
             )
         rebuilt = SecureServer(
             request.rows,
-            list(request.row_ids),
+            request.row_ids,
             obs=self._obs,
             **server.config,
         )

@@ -130,6 +130,14 @@ def _ids_from_list(items) -> Tuple[int, ...]:
     return tuple(ints_from_wire(items, "row ids"))
 
 
+def _upload_ids_from_list(items):
+    """An upload's row ids as they arrive: the run a binary frame
+    decodes a long one to stays that run (the column reads its words),
+    anything else becomes a tuple of ints."""
+    ids = ints_from_wire(items, "row ids")
+    return ids if type(ids) is PackedInts else tuple(ids)
+
+
 def _strings_to_list(items) -> List[str]:
     return [str(item) for item in items]
 
@@ -308,6 +316,9 @@ STR = FieldType("STR", _as_is, str)
 INT = FieldType("INT", int, int)
 FLAG = FieldType("FLAG", bool, flag_from_wire, absent=False)
 IDS = FieldType("IDS", _ids_to_list, _ids_from_list)
+#: The ids of a whole column (create, rotation): :data:`IDS` that keeps
+#: a decoded run unboxed.
+UPLOAD_IDS = FieldType("UPLOAD_IDS", _ids_to_list, _upload_ids_from_list)
 #: A row set: any sequence of value ciphertexts encodes, as one flat
 #: block (see :func:`repro.crypto.serialization.rows_to_dict`); it
 #: decodes to a :class:`~repro.crypto.ciphertext.RowBlock`.
@@ -393,7 +404,7 @@ class CreateColumnRequest:
 
     column: str = wire(COLUMN)
     rows: Sequence[ValueCiphertext] = wire(ROWS)
-    row_ids: Tuple[int, ...] = wire(IDS)
+    row_ids: Tuple[int, ...] = wire(UPLOAD_IDS)
     config: Dict[str, Any] = wire(
         CONFIG, optional=True, default_factory=dict
     )
@@ -465,7 +476,7 @@ class RotateApplyRequest:
 
     column: str = wire(COLUMN)
     rows: Sequence[ValueCiphertext] = wire(ROWS)
-    row_ids: Tuple[int, ...] = wire(IDS)
+    row_ids: Tuple[int, ...] = wire(UPLOAD_IDS)
     fence: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 

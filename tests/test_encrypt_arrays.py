@@ -19,6 +19,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import client as client_module
+from repro.core import session as session_module
 from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.session import OutsourcedDatabase
@@ -510,6 +512,28 @@ class TestInputsAreIntegers:
         assert scheme.as_integers(values) is values
         assert scheme.as_integers((1, 2)) == [1, 2]
 
+    @pytest.mark.parametrize("ambiguity", (False, True))
+    def test_an_upload_checks_its_column_once(self, monkeypatch, ambiguity):
+        # Every public entry point checks (the refusals above); the
+        # session's upload checks once and hands the checked list down.
+        scans = []
+        checked = scheme.as_integers
+
+        def counted(values):
+            scans.append(len(values))
+            return checked(values)
+
+        for module in (scheme, client_module, session_module):
+            monkeypatch.setattr(module, "as_integers", counted)
+        values = random.Random(6).sample(range(10 ** 6), 700)
+        db = OutsourcedDatabase(values, seed=3, ambiguity=ambiguity)
+        assert scans == [700]
+        assert sorted(db.query(0, 10 ** 6).values.tolist()) == sorted(values)
+        del scans[:]
+        TrustedClient(seed=3, ambiguity=ambiguity).encrypt_dataset(values)
+        Encryptor(generate_key(4, seed=1), seed=1).encrypt_values(values)
+        assert scans == [700, 700]
+
     def test_parameters_are_validated_at_construction(self):
         key = generate_key(4, seed=1)
         with pytest.raises(EncryptionError):
@@ -548,6 +572,24 @@ class TestUploadIds:
             return encode_frame(request_to_dict(request), codec=codec)
 
         assert frame(ids) == frame(tuple(range(count)))
+
+    @pytest.mark.parametrize("seed", (3, 11))
+    def test_the_width_the_owner_measured_is_the_boxed_rows_width(self, seed):
+        # The frame codec takes an encrypted block's numerator width from
+        # the block instead of measuring it again: same bytes either way.
+        rows, ids = TrustedClient(seed=seed).encrypt_dataset(range(-900, 4000))
+        boxed = list(rows)
+        assert rows.numerator_bits == max(
+            x.bit_length() for row in boxed for x in row.numerators
+        )
+
+        def frame(block):
+            return encode_frame(request_to_dict(CreateColumnRequest(
+                column="values", rows=block, row_ids=ids, config={}
+            )), codec="binary")
+
+        assert frame(rows) == frame(boxed)
+        assert rows.take(slice(0, 10)).numerator_bits is None
 
     def test_a_column_takes_the_run_and_stays_strict(self):
         rows, ids = TrustedClient(seed=1).encrypt_dataset(range(300))

@@ -232,6 +232,7 @@ GENERATORS = {
     "OPT_INT": lambda rng: rng.choice((None, 0, 1, 7, 2 ** 40)),
     "FLAG": lambda rng: rng.random() < 0.3,
     "IDS": make_ids,
+    "UPLOAD_IDS": make_ids,
     "ROWS": make_rows,
     "QUERY": make_query,
     "SERVER_RESPONSE": make_server_response,
