@@ -18,9 +18,10 @@ alone (parsed off the generator's word stream), and the upload of the
 100k-row block over a loopback endpoint (``RemoteColumn.create``: the
 frame both ways and the catalog building the column).
 Two time what every query pays before the engine sees it: the client's
-request encode and the server's decode.  Three more time what a reply
-costs after the engine is done with it — the server's frame encode, the
-client's frame decode and its decrypt — at 150 rows (``range_tcp``; the
+request encode and the server's decode (envelope to frame and back, as
+``RemoteColumn`` and ``serve_frame`` run them).  Three more time what a
+reply costs after the engine is done with it — the server's frame
+encode, the client's frame decode and its decrypt — at 150 rows (``range_tcp``; the
 decrypt asserting that every row opened in proven 64-bit words) and at
 10 (``crack_cold``, where the per-frame and per-block fixed costs are
 all there is) — and one the decrypt of a 120-row ambiguity reply
@@ -42,12 +43,9 @@ from repro.net.client import RemoteColumn
 from repro.net.protocol import (
     QueryRequest,
     QueryResponse,
-    decode_frame,
-    encode_frame,
-    request_from_dict,
-    request_to_dict,
-    response_from_dict,
-    response_to_dict,
+    decode,
+    decode_request,
+    encode,
 )
 from repro.net.transport import LoopbackTransport
 
@@ -150,16 +148,16 @@ def test_draws_100k(benchmark):
 
 def test_create_100k_rows_over_loopback(benchmark):
     """The upload half of a set-up: a 100k-row block under the e2e
-    harness's key through ``RemoteColumn.create`` — request dict, frame,
-    decode, the catalog building the column, and the reply — onto a
-    fresh in-process endpoint each round."""
+    harness's key through ``RemoteColumn.create`` — frame, decode, the
+    catalog building the column, and the reply — onto a fresh
+    in-process endpoint each round."""
     rows, row_ids = TrustedClient(seed=11).encrypt_dataset(
         random.Random(1).sample(range(10**7), 100_000)
     )
 
     def endpoint():
         transport = LoopbackTransport(ColumnCatalog())
-        return (RemoteColumn(transport, "values", codec="binary"),), {}
+        return (RemoteColumn(transport, "values"),), {}
 
     def create(remote):
         assert remote.create(rows, row_ids) == 100_000
@@ -204,50 +202,44 @@ def served_column():
 
 @pytest.fixture(scope="module")
 def query_request(served_column):
-    """A two-sided query request and its binary frame."""
+    """A two-sided query request and its frame."""
     client, _, everything = served_column
     request = QueryRequest(
         column="values",
         query=client.make_query(everything[700], everything[849]),
     )
-    return request, encode_frame(request_to_dict(request), codec="binary")
+    return request, encode(request)
 
 
 def test_query_request_encode(query_request, benchmark):
     request, frame = query_request
-    encoded = benchmark(
-        lambda: encode_frame(request_to_dict(request), codec="binary")
-    )
-    assert encoded == frame
+    assert benchmark(lambda: encode(request, None)) == frame
 
 
 def test_query_request_decode(query_request, benchmark):
     request, frame = query_request
-    assert benchmark(lambda: request_from_dict(decode_frame(frame))) == request
+    assert benchmark(lambda: decode_request(frame)) == (request, None)
 
 
 @pytest.fixture(scope="module", params=(10, 150), ids="{}_rows".format)
 def reply(request, served_column):
-    """A query reply of that many rows and its binary frame."""
+    """A query reply of that many rows and its frame."""
     client, server, everything = served_column
     count = request.param
     message = client.make_query(everything[700], everything[700 + count - 1])
     reply = QueryResponse(response=server.execute(message))
     assert len(reply.response.rows) == count
-    return client, reply, encode_frame(response_to_dict(reply), codec="binary")
+    return client, reply, encode(reply)
 
 
 def test_response_encode(reply, benchmark):
     _, reply, frame = reply
-    encoded = benchmark(
-        lambda: encode_frame(response_to_dict(reply), codec="binary")
-    )
-    assert encoded == frame
+    assert benchmark(lambda: encode(reply)) == frame
 
 
 def test_response_decode(reply, benchmark):
     _, reply, frame = reply
-    decoded = benchmark(lambda: response_from_dict(decode_frame(frame)))
+    decoded = benchmark(lambda: decode(frame))
     assert decoded.response.rows == reply.response.rows
 
 

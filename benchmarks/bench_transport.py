@@ -1,16 +1,14 @@
-"""Transport-seam cost: codecs and batching for the Fig 9 query loop.
+"""Transport-seam cost: transports and batching for the Fig 9 query loop.
 
 The refactored client/server seam encodes every message to a frame even
 in-process, so the protocol itself has a measurable price.  This
-benchmark runs the same random-range workload through the transport and
-codec matrix — loopback vs TCP, JSON vs binary frames, sequential vs
-pipelined batches — against the same data and reports:
+benchmark runs the same random-range workload through the transport
+matrix — loopback vs TCP, sequential vs pipelined batches — against the
+same data and reports:
 
 * per-query latency (mean over the loop, after the upload);
 * exact workload bytes in both directions — identical across
-  *transports* for the same codec (frames are deterministic, asserted
-  here), and the binary/JSON byte ratio (the codec's reduction factor,
-  asserted >= 2x);
+  *transports* (frames are deterministic, asserted here);
 * the loopback-vs-TCP latency gap, and the speedup from shipping the
   workload in pipelined ``batch_request`` frames over TCP;
 * a durability matrix — acked-insert throughput per WAL fsync policy
@@ -78,14 +76,13 @@ def run_transport(
     queries,
     transport=None,
     column="values",
-    codec="json",
     batch=1,
 ) -> dict:
     """One full workload over one transport; returns timing + bytes."""
     tick = time.perf_counter()
     db = OutsourcedDatabase(
         values, seed=29, min_piece_size=8, transport=transport,
-        column=column, codec=codec,
+        column=column,
     )
     upload_seconds = time.perf_counter() - tick
     row_ids = []
@@ -101,7 +98,6 @@ def run_transport(
             row_ids.append(sorted(int(i) for i in result.logical_ids))
     query_seconds = time.perf_counter() - tick
     return {
-        "codec": codec,
         "batch": batch,
         "upload_seconds": upload_seconds,
         "query_seconds": query_seconds,
@@ -117,10 +113,7 @@ def bench(size: int, query_count: int) -> dict:
     values = [int(v) for v in np.random.default_rng(31).permutation(size)]
     queries = random_workload(query_count, (0, size), selectivity=0.01, seed=37)
 
-    runs = {
-        "loopback_json": run_transport(values, queries, codec="json"),
-        "loopback_binary": run_transport(values, queries, codec="binary"),
-    }
+    runs = {"loopback": run_transport(values, queries)}
 
     endpoint = serve()
     thread = threading.Thread(target=endpoint.serve_forever, daemon=True)
@@ -131,52 +124,40 @@ def bench(size: int, query_count: int) -> dict:
         # sizes stay comparable across runs (names must be unique at
         # the shared endpoint).
         tcp_matrix = (
-            ("tcp_json", "json", 1, "valuej"),
-            ("tcp_binary", "binary", 1, "valueb"),
-            ("tcp_binary_batched", "binary", BATCH_SIZE, "valuep"),
+            ("tcp", 1, "valuet"),
+            ("tcp_batched", BATCH_SIZE, "valuep"),
         )
-        for name, codec, batch, column in tcp_matrix:
+        for name, batch, column in tcp_matrix:
             with TcpTransport(host, port) as transport:
                 runs[name] = run_transport(
                     values, queries, transport=transport,
-                    column=column, codec=codec, batch=batch,
+                    column=column, batch=batch,
                 )
     finally:
         endpoint.stop()
         thread.join(timeout=5)
 
-    reference = runs["loopback_json"]["row_ids"]
+    reference = runs["loopback"]["row_ids"]
     for name, entry in runs.items():
         assert entry["row_ids"] == reference, "%s disagrees" % name
-    # Same codec + same batching => byte-identical traffic regardless
-    # of transport (frames are deterministic).
-    for codec in ("json", "binary"):
-        local, remote = runs["loopback_%s" % codec], runs["tcp_%s" % codec]
-        assert local["bytes_sent"] == remote["bytes_sent"]
-        assert local["bytes_received"] == remote["bytes_received"]
+    # Same batching => byte-identical traffic regardless of transport
+    # (frames are deterministic).
+    for direction in ("bytes_sent", "bytes_received"):
+        assert runs["loopback"][direction] == runs["tcp"][direction]
     for entry in runs.values():
         del entry["row_ids"]
-
-    json_bytes = (
-        runs["tcp_json"]["bytes_sent"] + runs["tcp_json"]["bytes_received"]
-    )
-    binary_bytes = (
-        runs["tcp_binary"]["bytes_sent"]
-        + runs["tcp_binary"]["bytes_received"]
-    )
     return {
         "size": size,
         "queries": query_count,
         "batch_size": BATCH_SIZE,
         **runs,
         "tcp_slowdown": _ratio(
-            runs["tcp_json"]["seconds_per_query"],
-            runs["loopback_json"]["seconds_per_query"],
+            runs["tcp"]["seconds_per_query"],
+            runs["loopback"]["seconds_per_query"],
         ),
-        "codec_reduction": _ratio(json_bytes, binary_bytes),
         "batching_speedup": _ratio(
-            runs["tcp_binary"]["seconds_per_query"],
-            runs["tcp_binary_batched"]["seconds_per_query"],
+            runs["tcp"]["seconds_per_query"],
+            runs["tcp_batched"]["seconds_per_query"],
         ),
     }
 
@@ -267,14 +248,9 @@ def _hot_column_rps(
     def connect():
         transport = TcpTransport(host, port)
         transports.append(transport)
-        # JSON frames: the C codec minimizes GIL-held Python per
-        # exchange, so the matrix measures lock/kernel parallelism
-        # rather than frame-encode contention.
         if shards > 1:
-            return ShardedRemoteColumn(
-                transport, "hot", shards=shards, codec="json"
-            )
-        return RemoteColumn(transport, "hot", codec="json")
+            return ShardedRemoteColumn(transport, "hot", shards=shards)
+        return RemoteColumn(transport, "hot")
 
     try:
         creator = connect()
@@ -487,10 +463,7 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
         output = os.path.join(RESULTS_DIR, "BENCH_transport.json")
     with open(output, "w") as handle:
         json.dump(report, handle, indent=2)
-    for name in (
-        "loopback_json", "loopback_binary", "tcp_json", "tcp_binary",
-        "tcp_binary_batched",
-    ):
+    for name in ("loopback", "tcp", "tcp_batched"):
         entry = report[name]
         print(
             "%-19s upload %.3fs  %.2f ms/query  %d sent / %d received bytes"
@@ -503,8 +476,6 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
             )
         )
     print("tcp slowdown:     %.2fx" % report["tcp_slowdown"])
-    print("codec reduction:  %.2fx fewer bytes (binary vs JSON)"
-          % report["codec_reduction"])
     print("batching speedup: %.2fx per query (TCP, batches of %d)"
           % (report["batching_speedup"], report["batch_size"]))
     print(
@@ -558,25 +529,16 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
 
 
 def test_transport_bench():
-    """Pytest entry point: the transport/codec matrix agrees, the
-    binary codec at least halves the byte volume, and batching cuts
-    round trips by the batch factor."""
+    """Pytest entry point: the transport matrix agrees byte for byte,
+    and batching cuts round trips by the batch factor."""
     report = main(smoke=True)
-    assert (
-        report["loopback_json"]["round_trips"]
-        == report["tcp_json"]["round_trips"]
-    )
-    assert (
-        report["loopback_json"]["bytes_sent"]
-        == report["tcp_json"]["bytes_sent"]
-    )
-    assert report["tcp_json"]["seconds_per_query"] > 0
-    # ISSUE acceptance: >= 2x frame-size reduction from the codec.
-    assert report["codec_reduction"] >= 2.0
+    assert report["loopback"]["round_trips"] == report["tcp"]["round_trips"]
+    assert report["loopback"]["bytes_sent"] == report["tcp"]["bytes_sent"]
+    assert report["tcp"]["seconds_per_query"] > 0
     # Batching collapses round trips; the latency speedup is recorded
     # (its exact value is machine-dependent).
-    batched = report["tcp_binary_batched"]
-    assert batched["round_trips"] < report["tcp_binary"]["round_trips"]
+    batched = report["tcp_batched"]
+    assert batched["round_trips"] < report["tcp"]["round_trips"]
     assert report["batching_speedup"] > 0
     for connections in CONNECTION_MATRIX:
         assert report["concurrency"][str(connections)] > 0

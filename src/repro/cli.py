@@ -118,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations", type=int, default=0, metavar="N",
         help="exit after N refreshes (default 0 = run until ctrl-c)",
     )
-    top.add_argument("--codec", choices=("auto", "json", "binary"),
-                     default="auto")
 
     sql = commands.add_parser("sql", help="run SQL over CSV tables")
     sql.add_argument(
@@ -135,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument(
         "--connect", metavar="HOST:PORT",
         help="host encrypted tables on a running `repro serve` endpoint",
-    )
-    sql.add_argument(
-        "--codec", choices=("auto", "json", "binary"), default="auto",
-        help="wire frame codec for encrypted tables",
     )
     sql.add_argument("statement", help="the SELECT statement")
 
@@ -319,11 +313,6 @@ def _add_workload_args(parser, optional_file: bool = False) -> None:
              "must pick distinct names)",
     )
     parser.add_argument(
-        "--codec", choices=("auto", "json", "binary"), default="auto",
-        help="wire frame codec (auto negotiates binary when the "
-             "endpoint supports it)",
-    )
-    parser.add_argument(
         "--batch", type=int, default=1, metavar="N",
         help="pipeline trace queries N at a time in one batched round "
              "trip each (--workload only; default 1 = unbatched)",
@@ -389,7 +378,6 @@ def _build_db(args, obs=None) -> OutsourcedDatabase:
         values, ambiguity=args.ambiguity, engine=args.engine, seed=args.seed,
         obs=obs, transport=transport,
         column=getattr(args, "column", "values"),
-        codec=getattr(args, "codec", "auto"),
         shards=getattr(args, "shards", 0) or 0,
     )
     where = " to %s" % args.connect if getattr(args, "connect", None) else ""
@@ -485,9 +473,7 @@ def _fetch_telemetry(args, sections=None):
     from repro.net import RemoteColumn
 
     transport = _make_transport(args)
-    remote = RemoteColumn(
-        transport, "telemetry", codec=getattr(args, "codec", "auto")
-    )
+    remote = RemoteColumn(transport, "telemetry")
     try:
         return remote.telemetry(sections)
     finally:
@@ -629,7 +615,7 @@ def _run_top(args) -> int:
     from repro.net import RemoteColumn
 
     transport = _make_transport(args)
-    remote = RemoteColumn(transport, "telemetry", codec=args.codec)
+    remote = RemoteColumn(transport, "telemetry")
     refreshes = 0
     try:
         while True:
@@ -670,7 +656,6 @@ def _run_sql(args) -> int:
                 OutsourcedTable(
                     columns, ambiguity=args.ambiguity, seed=args.seed,
                     transport=transport, namespace="%s." % name,
-                    codec=args.codec,
                 ),
             )
     out = execute_sql(catalog, args.statement)

@@ -181,8 +181,6 @@ class OutsourcedTable:
         namespace: prefix for this table's column names at the
             endpoint (needed when several tables share one server).
         obs: observability bundle for the client-side counters.
-        codec: wire frame codec (``"auto"`` negotiates binary, once,
-            for the shared transport; ``"json"``/``"binary"`` force).
         engine_kwargs: forwarded to every column engine.
     """
 
@@ -196,7 +194,6 @@ class OutsourcedTable:
         transport: Transport = None,
         namespace: str = "",
         obs: Observability = None,
-        codec: str = "auto",
         **engine_kwargs,
     ) -> None:
         if not columns:
@@ -229,9 +226,7 @@ class OutsourcedTable:
         self._handles: Dict[str, RemoteColumn] = {}
         for name, values in columns.items():
             rows, row_ids = self.client.encrypt_dataset(values)
-            handle = RemoteColumn(
-                transport, namespace + name, obs=self._obs, codec=codec
-            )
+            handle = RemoteColumn(transport, namespace + name, obs=self._obs)
             handle.create(rows, row_ids, dict(engine_kwargs))
             self._handles[name] = handle
         self.round_trips = 0

@@ -38,6 +38,7 @@ from repro.crypto.scheme import as_integer, as_integers
 from repro.errors import ProtocolError, QueryError, UpdateError
 from repro.net.catalog import ColumnCatalog
 from repro.net.client import RemoteColumn
+from repro.net.protocol import check_codec
 from repro.net.shard import ShardedRemoteColumn
 from repro.net.transport import LoopbackTransport, Transport
 from repro.obs import Observability
@@ -71,9 +72,8 @@ class OutsourcedDatabase:
         column: the name this session's column is registered under at
             the endpoint (sessions sharing one endpoint pick distinct
             names).
-        codec: wire frame codec — ``"auto"`` (default) negotiates the
-            compact binary codec with the endpoint; ``"json"`` /
-            ``"binary"`` force one.
+        codec: ``"auto"`` or ``"binary"``, accepted for older callers:
+            there is one frame codec, and this selects nothing.
         shards: ``0`` (default) registers one catalog column; ``N >= 1``
             spreads the column over N catalog shards behind a
             :class:`~repro.net.shard.ShardedRemoteColumn` — every query
@@ -105,6 +105,7 @@ class OutsourcedDatabase:
         codec: str = "auto",
         shards: int = 0,
     ) -> None:
+        check_codec(codec)
         values = as_integers(values)
         if jitter_pivots and engine != "adaptive":
             raise QueryError("jitter pivots require the adaptive engine")
@@ -154,12 +155,9 @@ class OutsourcedDatabase:
                 shards=self._shards,
                 physical_per_value=2 if ambiguity else 1,
                 obs=self._obs,
-                codec=codec,
             )
         else:
-            self._remote = RemoteColumn(
-                transport, column, obs=self._obs, codec=codec
-            )
+            self._remote = RemoteColumn(transport, column, obs=self._obs)
         self._remote.create(rows, row_ids, server_config)
         self._jitter_pivots = int(jitter_pivots)
         if pivot_domain is None and values:

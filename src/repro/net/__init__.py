@@ -4,13 +4,13 @@ The paper's threat model separates a trusted client from an
 honest-but-curious server; this package is that separation made
 mechanical.  It has three layers:
 
-* :mod:`repro.net.protocol` — serializable request/response envelopes
-  (query, insert, delete, merge, key-rotation begin/apply, column
-  upload, tuple-reconstruction fetch, codec-negotiation hello, and the
-  pipelined ``batch_request``/``batch_response`` pair) plus a
-  versioned error envelope, and two deterministic frame codecs: JSON
-  and the compact binary :mod:`repro.net.binframe` format
-  (auto-detected on decode, negotiated via hello).
+* :mod:`repro.net.protocol` — the request/response envelopes (query,
+  insert, delete, merge, key-rotation begin/apply, column upload,
+  tuple-reconstruction fetch, an endpoint hello, and the pipelined
+  ``batch_request``/``batch_response`` pair) plus a versioned error
+  envelope, and the one deterministic frame codec the envelope
+  registry builds over :mod:`repro.net.binframe`'s primitives
+  (:func:`~repro.net.protocol.encode` / :func:`~repro.net.protocol.decode`).
 * :mod:`repro.net.transport` — how frames move:
   :class:`LoopbackTransport` (in-process default; still encodes and
   decodes every message) and :class:`TcpTransport` (length-prefixed
@@ -39,15 +39,9 @@ to the primary.  Wire details are documented in ``docs/protocol.md``.
 
 from __future__ import annotations
 
-from repro.net.binframe import (
-    decode_binary_frame,
-    encode_binary_frame,
-    is_binary_frame,
-)
 from repro.net.catalog import ColumnCatalog
 from repro.net.client import RemoteColumn
 from repro.net.protocol import (
-    CODECS,
     PROTOCOL_VERSION,
     BatchRequest,
     BatchResponse,
@@ -56,10 +50,8 @@ from repro.net.protocol import (
     HelloResponse,
     TelemetryRequest,
     TelemetryResponse,
-    attach_trace,
-    decode_frame,
-    encode_frame,
-    frame_codec,
+    decode,
+    encode,
     request_from_dict,
     request_to_dict,
     response_from_dict,
@@ -81,7 +73,6 @@ from repro.net.transport import (
 __all__ = [
     "BatchRequest",
     "BatchResponse",
-    "CODECS",
     "CatalogTCPServer",
     "ColumnCatalog",
     "ErrorResponse",
@@ -97,13 +88,8 @@ __all__ = [
     "TelemetryRequest",
     "TelemetryResponse",
     "Transport",
-    "attach_trace",
-    "decode_binary_frame",
-    "decode_frame",
-    "encode_binary_frame",
-    "encode_frame",
-    "frame_codec",
-    "is_binary_frame",
+    "decode",
+    "encode",
     "request_from_dict",
     "request_to_dict",
     "response_from_dict",

@@ -9,9 +9,9 @@ protocol.  This mirrors the service-layer routing of Enc2DB and the
 client/enclave split of HardIDX (PAPERS.md): the trust boundary is a
 message interface, not a Python reference.
 
-Dispatch is the only door: a request envelope dict goes in, a response
-envelope dict comes out, and every server-side failure — unknown
-column, malformed payload, engine error — leaves as a versioned
+Dispatch is the only door: a request envelope goes in, a response
+envelope comes out, and every server-side failure — unknown column,
+undecodable frame, engine error — leaves as a versioned
 :class:`~repro.net.protocol.ErrorResponse` rather than an exception,
 so one bad client cannot take down a serving thread.
 
@@ -50,16 +50,18 @@ from repro.errors import (
     ReadOnlyError,
     ReproError,
     RotationConflictError,
+    SerializationError,
     UpdateError,
 )
 from repro.net.protocol import (
     CODECS,
     CONFIG_DEFAULTS,
-    PROTOCOL_VERSION,
+    ENVELOPES,
+    BatchRequest,
+    BatchResponse,
     CreateColumnRequest,
     CreateColumnResponse,
     DeleteRequest,
-    ErrorResponse,
     FetchRequest,
     FetchResponse,
     HelloRequest,
@@ -82,9 +84,7 @@ from repro.net.protocol import (
     error_response_for,
     request_from_dict,
     request_to_dict,
-    response_to_dict,
     spec_of,
-    trace_from_wire,
 )
 from repro.obs import Observability, SlowQueryLog, Span
 from repro.obs.telemetry import (
@@ -677,13 +677,15 @@ class ColumnCatalog:
 
     # -- dispatch ----------------------------------------------------------------
 
-    def dispatch(self, request_dict: Dict[str, Any]) -> Dict[str, Any]:
-        """One request envelope dict in, one response envelope dict out.
+    def dispatch(self, request, trace: Optional[Dict[str, Any]] = None):
+        """One request envelope in, one response envelope out.
 
-        Never raises for malformed or failing requests: every error is
-        returned as a typed :class:`ErrorResponse` envelope.  A
-        ``batch_request`` envelope is unpacked here, at the dict level,
-        so a malformed sub-request fails *its slot only* — the valid
+        ``request`` may also be the :class:`~repro.errors.SerializationError`
+        a frame raised instead of decoding: it is answered like any
+        failure.  Never raises for malformed or failing requests: every
+        error is returned as a typed :class:`ErrorResponse` envelope.  A
+        ``batch_request`` is served slot by slot, so a failing (or
+        undecodable) sub-request fails *its slot only* — the valid
         sub-requests around it still execute.
 
         ``net.requests`` counts *work units*: a batch adds one per
@@ -691,53 +693,37 @@ class ColumnCatalog:
         ``net.batches``), so request-rate metrics reflect actual load
         whether or not clients pipeline.
 
-        An envelope carrying a ``trace`` field links this dispatch into
-        the caller's distributed trace: the ``rpc-serve`` span adopts
-        the remote ``rpc`` span as its parent (a malformed field
-        degrades to an untraced dispatch, never an error).  Dispatches
+        ``trace`` — the request frame's trace context — links this
+        dispatch into the caller's distributed trace: the ``rpc-serve``
+        span adopts the remote ``rpc`` span as its parent.  Dispatches
         that cross the slow-query threshold are recorded in the
         endpoint's ring with their span breakdown.
         """
         metrics = self._obs.metrics
-        kind = request_dict.get("kind") if isinstance(request_dict, dict) else None
-        if kind == "batch_request":
-            items = request_dict.get("requests")
-            metrics.add(
-                "net.requests", len(items) if isinstance(items, list) else 1
-            )
-        else:
-            metrics.add("net.requests")
-        remote = trace_from_wire(
-            request_dict.get("trace") if isinstance(request_dict, dict)
-            else None
-        )
+        batch = type(request) is BatchRequest
+        metrics.add("net.requests", len(request.requests) if batch else 1)
+        kind = getattr(ENVELOPES.get(type(request)), "kind", None)
         started = time.perf_counter()
-        with self._obs.span("rpc-serve", remote=remote, kind=kind) as span:
-            if kind == "batch_request":
-                response = self._serve_batch(request_dict)
+        with self._obs.span("rpc-serve", remote=trace, kind=kind) as span:
+            if batch:
+                response = self._serve_batch(request)
             else:
-                response = response_to_dict(self._serve_one(request_dict))
+                response = self._serve_one(request)
         elapsed = time.perf_counter() - started
         if elapsed >= self._slow_log.threshold:
             metrics.add("net.slow_queries")
-            self._record_slow(request_dict, kind, elapsed, span)
+            self._record_slow(request, kind, elapsed, span)
         # Opportunistic snapshot-then-truncate: the dispatching worker
         # holds no locks here, so it can safely quiesce the catalog.
         self._maybe_checkpoint()
         return response
 
-    def _record_slow(self, request_dict: Any, kind: Any, elapsed: float,
+    def _record_slow(self, request, kind: Optional[str], elapsed: float,
                      span: Any) -> None:
         """Append one over-threshold dispatch to the slow-query ring."""
-        column = None
         extra: Dict[str, Any] = {}
-        if isinstance(request_dict, dict):
-            value = request_dict.get("column")
-            if isinstance(value, str):
-                column = value
-            items = request_dict.get("requests")
-            if kind == "batch_request" and isinstance(items, list):
-                extra["slots"] = len(items)
+        if type(request) is BatchRequest:
+            extra["slots"] = len(request.requests)
         trace_id = None
         breakdown = None
         if isinstance(span, Span):
@@ -746,7 +732,7 @@ class ColumnCatalog:
         self._slow_log.record(
             kind=str(kind),
             seconds=elapsed,
-            column=column,
+            column=getattr(request, "column", None),
             trace_id=trace_id,
             breakdown=breakdown,
             **extra,
@@ -806,16 +792,20 @@ class ColumnCatalog:
             name: available[name]() for name in wanted if name in available
         }
 
-    def _serve_one(self, request_dict: Dict[str, Any]):
-        """Decode and execute one envelope dict; errors become typed
-        error envelopes, never exceptions."""
-        try:
-            return self.handle(request_from_dict(request_dict))
-        except Exception as exc:  # a serving thread must survive anything
-            self._obs.metrics.add("net.errors")
-            return error_response_for(exc)
+    def _serve_one(self, request):
+        """Execute one envelope; a failure — or a request that never
+        decoded — becomes a typed error envelope, never an exception."""
+        if isinstance(request, ReproError):
+            error = request
+        else:
+            try:
+                return self.handle(request)
+            except Exception as exc:  # a serving thread must survive anything
+                error = exc
+        self._obs.metrics.add("net.errors")
+        return error_response_for(error)
 
-    def _serve_batch(self, request_dict: Dict[str, Any]) -> Dict[str, Any]:
+    def _serve_batch(self, request: BatchRequest) -> BatchResponse:
         """Execute every sub-envelope of a batch, isolating failures.
 
         Sub-requests targeting *distinct* columns run concurrently on
@@ -828,23 +818,16 @@ class ColumnCatalog:
         envelope.
         """
         metrics = self._obs.metrics
-        if request_dict.get("version") != PROTOCOL_VERSION:
-            return self._refuse(
-                "unsupported protocol version: %r"
-                % (request_dict.get("version"),)
-            )
-        items = request_dict.get("requests")
-        if not isinstance(items, list):
-            return self._refuse("batch requests must be a list")
-        # Group slot indices by target column.  Slots without a usable
-        # column string (malformed envelopes, create/hello) form
-        # singleton groups: they carry no per-column ordering contract.
+        items = request.requests
+        # Group slot indices by target column.  Slots without a column
+        # (undecodable slots, create/hello) form singleton groups: they
+        # carry no per-column ordering contract.
         groups: Dict[Any, List[int]] = {}
         for index, item in enumerate(items):
-            column = item.get("column") if isinstance(item, dict) else None
-            key = column if isinstance(column, str) else ("#slot", index)
+            column = getattr(item, "column", None)
+            key = ("#slot", index) if column is None else column
             groups.setdefault(key, []).append(index)
-        responses: List[Optional[Dict[str, Any]]] = [None] * len(items)
+        responses: List[Any] = [None] * len(items)
         # Export the enclosing rpc-serve span (dispatch opened it on
         # this thread) so slot spans running on pool threads still
         # parent to it — in-process context propagation across the
@@ -875,40 +858,24 @@ class ColumnCatalog:
                 future.result()
         metrics.add("net.batches")
         metrics.observe("net.batch_size", len(items))
-        return {
-            "kind": "batch_response",
-            "version": PROTOCOL_VERSION,
-            "responses": responses,
-        }
-
-    def _refuse(self, message: str) -> Dict[str, Any]:
-        """A counted ``serialization`` error envelope dict, for batch
-        envelopes rejected before any slot is decoded."""
-        self._obs.metrics.add("net.errors")
-        return response_to_dict(
-            ErrorResponse(code="serialization", message=message)
-        )
+        return BatchResponse(responses=tuple(responses))
 
     def _serve_slot(self, item: Any,
-                    context: Optional[Dict[str, Any]] = None
-                    ) -> Dict[str, Any]:
-        """Execute one batch slot (nested batches are rejected here).
+                    context: Optional[Dict[str, Any]] = None):
+        """Execute one batch slot (nested batches are refused here).
 
         ``context`` is the enclosing ``rpc-serve`` span's exported
         trace context; the slot's ``rpc-serve-slot`` span adopts it so
         slots served on the batch pool stay inside the dispatch's
-        subtree.  A slot envelope's own ``trace`` field (a client that
-        tagged sub-envelopes individually) is the fallback.
+        subtree.
         """
-        if isinstance(item, dict) and item.get("kind") == "batch_request":
-            return self._refuse("batch requests cannot nest")
-        if context is None and isinstance(item, dict):
-            context = trace_from_wire(item.get("trace"))
-        kind = item.get("kind") if isinstance(item, dict) else None
-        column = item.get("column") if isinstance(item, dict) else None
-        with self._obs.span("rpc-serve-slot", remote=context, kind=kind,
-                            column=column if isinstance(column, str) else None):
-            return response_to_dict(self._serve_one(item))
+        if type(item) is BatchRequest:
+            item = SerializationError("batch requests cannot nest")
+        spec = ENVELOPES.get(type(item))
+        with self._obs.span("rpc-serve-slot", remote=context,
+                            kind=spec and spec.kind,
+                            column=getattr(item, "column", None)):
+            return self._serve_one(item)
 
     def _batch_executor(self) -> Optional[ThreadPoolExecutor]:
         """The lazily-created batch pool, or None when parallel batches

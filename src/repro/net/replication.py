@@ -37,11 +37,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError, TransportError
 from repro.net.client import RemoteColumn
 from repro.net.protocol import (
+    ENVELOPES,
+    BatchRequest,
+    BatchResponse,
+    ErrorResponse,
     TelemetryRequest,
-    decode_frame,
-    encode_frame,
-    request_spec,
-    request_to_dict,
+    decode,
+    decode_request,
+    encode,
 )
 from repro.net.transport import Transport
 from repro.obs import Observability
@@ -274,17 +277,16 @@ class ReplicaSet(Transport):
     # -- Transport interface -----------------------------------------------------
 
     def exchange(self, frame: bytes, retryable: bool = False) -> bytes:
-        """Route one frame by its decoded kind (see class docstring)."""
+        """Route one frame by its decoded request (see class docstring)."""
         try:
-            payload = decode_frame(frame)
+            request, _ = decode_request(frame)
         except ReproError:
             # Undecodable frames are the primary's problem to reject.
             return self._primary_exchange(frame, retryable)
-        kind = payload.get("kind")
-        columns = self._read_columns(payload, kind)
+        columns = self._read_columns(request)
         if columns is None or not self.replicas:
             reply = self._primary_exchange(frame, retryable)
-            self._harvest_fences(payload, kind, reply)
+            self._harvest_fences(request, reply)
             return reply
         index = self._pick_replica(columns)
         if index is None:
@@ -310,7 +312,6 @@ class ReplicaSet(Transport):
 
     def close(self) -> None:
         """Close every underlying transport."""
-        self.negotiated_codec = None
         for transport in (self.primary,) + self.replicas:
             transport.close()
 
@@ -319,7 +320,7 @@ class ReplicaSet(Transport):
     @staticmethod
     def _is_error_reply(reply: bytes) -> bool:
         try:
-            return decode_frame(reply).get("kind") == "error_response"
+            return isinstance(decode(reply), ErrorResponse)
         except ReproError:
             return True
 
@@ -333,24 +334,21 @@ class ReplicaSet(Transport):
             )
 
     @staticmethod
-    def _read_columns(payload: Dict[str, Any],
-                      kind: Any) -> Optional[List[str]]:
-        """Columns a read-only frame addresses, or ``None`` when the
-        frame must go to the primary: anything but envelopes the
-        protocol registry marks ``replica_readable`` (and batches made
-        only of them), or a malformed frame."""
-        if kind == "batch_request":
-            items = payload.get("requests")
-            if not isinstance(items, list) or not items:
+    def _read_columns(request) -> Optional[List[str]]:
+        """Columns a read-only request addresses, or ``None`` when it
+        must go to the primary: anything but envelopes the protocol
+        registry marks ``replica_readable`` (and batches made only of
+        them)."""
+        if type(request) is BatchRequest:
+            items = request.requests
+            if not items:
                 return None
         else:
-            items = [payload]
+            items = (request,)
         columns: List[str] = []
         for item in items:
-            if not isinstance(item, dict):
-                return None
-            spec = request_spec(item.get("kind"))
-            column = item.get("column")
+            spec = ENVELOPES.get(type(item))
+            column = getattr(item, "column", None)
             if (spec is None or not spec.replica_readable
                     or not isinstance(column, str)):
                 return None
@@ -402,21 +400,14 @@ class ReplicaSet(Transport):
             cached = self._watermarks.get(index)
             if cached is not None and now - cached[0] < self.watermark_interval:
                 return cached[1]
-        frame = encode_frame(
-            request_to_dict(TelemetryRequest(sections=("replication",))),
-            codec="json",
-        )
+        frame = encode(TelemetryRequest(sections=("replication",)))
         try:
-            reply = decode_frame(
+            reply = decode(
                 self.replicas[index].exchange(frame, retryable=True)
             )
-        except ReproError:
+            epochs = reply.sections["replication"]["epochs"]
+        except (ReproError, AttributeError, KeyError, TypeError):
             return None
-        sections = reply.get("sections")
-        section = (
-            sections.get("replication") if isinstance(sections, dict) else None
-        )
-        epochs = section.get("epochs") if isinstance(section, dict) else None
         if not isinstance(epochs, dict):
             return None
         watermark = {
@@ -429,33 +420,23 @@ class ReplicaSet(Transport):
         self._obs.metrics.add("replicaset.watermark_polls")
         return watermark
 
-    def _harvest_fences(self, payload: Dict[str, Any], kind: Any,
-                        reply: bytes) -> None:
+    def _harvest_fences(self, request, reply: bytes) -> None:
         """Record the epoch each of our primary-bound writes reached
         (the mutation response's ``epoch`` field)."""
-        if kind == "batch_request":
-            items = payload.get("requests")
-            if not isinstance(items, list):
-                return
-            try:
-                responses = decode_frame(reply).get("responses")
-            except ReproError:
-                return
-            if not isinstance(responses, list):
-                return
-            for item, response in zip(items, responses):
-                self._harvest_one(item, response)
-            return
         try:
-            self._harvest_one(payload, decode_frame(reply))
+            response = decode(reply)
         except ReproError:
             return
-
-    def _harvest_one(self, request: Any, response: Any) -> None:
-        if not isinstance(request, dict) or not isinstance(response, dict):
+        if type(request) is BatchRequest:
+            if type(response) is BatchResponse:
+                for item, answer in zip(request.requests, response.responses):
+                    self._harvest_one(item, answer)
             return
-        epoch = response.get("epoch")
-        column = request.get("column")
+        self._harvest_one(request, response)
+
+    def _harvest_one(self, request, response) -> None:
+        epoch = getattr(response, "epoch", None)
+        column = getattr(request, "column", None)
         if (isinstance(epoch, int) and not isinstance(epoch, bool)
                 and isinstance(column, str)):
             # Epoch 0 (a create) is fence-worthy too: it pins reads to

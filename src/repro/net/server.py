@@ -40,13 +40,7 @@ import socket
 import threading
 
 from repro.net.catalog import ColumnCatalog
-from repro.net.protocol import (
-    ErrorResponse,
-    encode_frame,
-    error_response_for,
-    frame_codec,
-    response_to_dict,
-)
+from repro.net.protocol import ErrorResponse, encode, error_response_for
 from repro.net.transport import LENGTH_PREFIX, MAX_FRAME_BYTES, serve_frame
 
 
@@ -192,8 +186,8 @@ class CatalogTCPServer:
                     # endpoint has capacity.  During a graceful drain
                     # the frame is refused the same way (never silently
                     # dropped) and the connection then closes.
-                    alive = _write_frame(sock, _error_frame(
-                        ErrorResponse(code="busy", message=refusal), payload
+                    alive = _write_frame(sock, encode(
+                        ErrorResponse(code="busy", message=refusal)
                     )) and not self._draining
                 if not alive:
                     return
@@ -252,9 +246,7 @@ class CatalogTCPServer:
             # connection: it is counted, never silent, and answered
             # with a typed ``internal`` envelope.
             self._metrics.add("net.worker_errors")
-            return _write_frame(
-                sock, _error_frame(error_response_for(exc), payload)
-            )
+            return _write_frame(sock, encode(error_response_for(exc)))
 
     # -- shutdown ----------------------------------------------------------------
 
@@ -293,11 +285,6 @@ class CatalogTCPServer:
         self.catalog.close()
         for thread in connections.values():
             thread.join(timeout=5)
-
-
-def _error_frame(error: ErrorResponse, payload: bytes) -> bytes:
-    """An error envelope encoded in the codec ``payload`` arrived in."""
-    return encode_frame(response_to_dict(error), codec=frame_codec(payload))
 
 
 def _write_frame(sock: socket.socket, frame: bytes) -> bool:

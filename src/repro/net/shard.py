@@ -32,8 +32,8 @@ assigns dense local ids, and distinct shards map them to disjoint
 global ids, so inserts routed to any shard can never collide.
 
 The handle speaks through one carrier :class:`RemoteColumn` — batch
-sub-requests each name their own column, so a single negotiated
-transport serves every shard.
+sub-requests each name their own column, so a single transport serves
+every shard.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class ShardedRemoteColumn:
             ambiguity); an ambiguity pair always lands on one shard.
         obs: observability bundle (``net.shard_fanout`` histogram and
             the carrier's ``net.*`` counters report into it).
-        codec: forwarded to the carrier handle.
     """
 
     def __init__(
@@ -102,7 +101,6 @@ class ShardedRemoteColumn:
         shards: int,
         physical_per_value: int = 1,
         obs: Observability = None,
-        codec: str = "auto",
     ) -> None:
         if shards < 1:
             raise UpdateError("shard count must be >= 1, got %r" % (shards,))
@@ -115,7 +113,7 @@ class ShardedRemoteColumn:
         self._obs = obs if obs is not None else Observability()
         self._fanout = self._obs.metrics.histogram("net.shard_fanout")
         self._carrier = RemoteColumn(
-            transport, self.shard_names[0], obs=self._obs, codec=codec
+            transport, self.shard_names[0], obs=self._obs
         )
         self._next_insert_shard = 0
 
@@ -151,11 +149,6 @@ class ShardedRemoteColumn:
     def transport(self) -> Transport:
         """The shared underlying transport."""
         return self._carrier.transport
-
-    @property
-    def codec(self) -> str:
-        """The frame codec in effect on the carrier."""
-        return self._carrier.codec
 
     @property
     def last_sent_bytes(self) -> int:

@@ -28,13 +28,7 @@ import time
 from abc import ABC, abstractmethod
 
 from repro.errors import SerializationError, TransportError
-from repro.net.protocol import (
-    ErrorResponse,
-    decode_frame,
-    encode_frame,
-    frame_codec,
-    response_to_dict,
-)
+from repro.net.protocol import decode_request, encode
 
 #: Frame length prefix: 4-byte unsigned big-endian.
 LENGTH_PREFIX = struct.Struct(">I")
@@ -51,37 +45,23 @@ def serve_frame(catalog, payload: bytes) -> bytes:
 
     The one place a frame meets
     :meth:`~repro.net.catalog.ColumnCatalog.dispatch`, under every
-    transport: an undecodable frame is answered with a typed
-    ``serialization`` envelope, and the reply is encoded in the codec
-    the request arrived in, so JSON-only clients never see binary
-    frames.  ``server.bytes_shipped`` counts the reply's length: every
-    byte the endpoint ships, measured, under either transport.
+    transport: a frame that does not decode is dispatched as the
+    :class:`~repro.errors.SerializationError` it raised, and so
+    answered with a typed ``serialization`` envelope.
+    ``server.bytes_shipped`` counts the reply's length: every byte the
+    endpoint ships, measured, under either transport.
     """
     try:
-        request = decode_frame(payload)
+        request, trace = decode_request(payload)
     except SerializationError as exc:
-        response = response_to_dict(
-            ErrorResponse(code="serialization", message=str(exc))
-        )
-    else:
-        response = catalog.dispatch(request)
-    reply = encode_frame(response, codec=frame_codec(payload))
+        request, trace = exc, None
+    reply = encode(catalog.dispatch(request, trace))
     catalog.obs.metrics.add("server.bytes_shipped", len(reply))
     return reply
 
 
 class Transport(ABC):
     """One client's channel to a column-catalog endpoint."""
-
-    #: Frame codec agreed with this transport's peer; ``None`` until a
-    #: handle negotiates (see ``RemoteColumn._ensure_codec``).  Cached
-    #: here because many column handles share one transport — and
-    #: cleared on :meth:`close` (including the implicit close after a
-    #: connection loss), because the peer behind a *new* connection may
-    #: be a different, older server that no longer speaks the agreed
-    #: codec.  Handles re-check the cache on every call, so the first
-    #: exchange after a reconnect renegotiates.
-    negotiated_codec = None
 
     #: Total idempotent re-sends performed (see ``TcpTransport``
     #: retries); column handles read the delta per exchange to feed the
@@ -98,13 +78,7 @@ class Transport(ABC):
         """
 
     def close(self) -> None:
-        """Release any underlying resources (idempotent).
-
-        Subclasses overriding this must also drop
-        :attr:`negotiated_codec` — a closed transport's next
-        connection may reach a different peer.
-        """
-        self.negotiated_codec = None
+        """Release any underlying resources (idempotent)."""
 
     def __enter__(self) -> "Transport":
         return self
@@ -118,8 +92,7 @@ class LoopbackTransport(Transport):
     :class:`~repro.net.catalog.ColumnCatalog`.
 
     Both directions pass through the real frame codec
-    (:func:`serve_frame`, the function the TCP endpoint serves with):
-    the catalog dispatcher only ever sees decoded envelope dicts, and
+    (:func:`serve_frame`, the function the TCP endpoint serves with), so
     every request gets byte for byte the reply it would get behind a
     socket.
     """
@@ -259,15 +232,13 @@ class TcpTransport(Transport):
         return b"".join(chunks)
 
     def _drop_connection(self) -> None:
-        """Close the socket and forget the negotiated codec: the next
-        connection may reach a restarted (possibly older) peer."""
+        """Close the socket; the next exchange reconnects."""
         if self._sock is not None:
             try:
                 self._sock.close()
             except OSError:  # pragma: no cover - close is best effort
                 pass
             self._sock = None
-        self.negotiated_codec = None
 
     def close(self) -> None:
         self._drop_connection()

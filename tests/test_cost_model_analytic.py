@@ -12,7 +12,8 @@ from repro.bench.cost_model import (
     model_accuracy,
 )
 from repro.crypto.serialization import ciphertext_to_dict
-from repro.net.protocol import QueryRequest, encode_frame, request_to_dict
+from repro.net.binframe import encode_binary_frame
+from repro.net.protocol import QueryRequest, encode
 
 
 class TestFormulas:
@@ -76,8 +77,9 @@ class TestModelAgainstMeasurement:
 
 
 def wire_bytes(ciphertext) -> int:
-    """Encoded length of one ciphertext under the default frame codec."""
-    return len(encode_frame(ciphertext_to_dict(ciphertext), codec="binary"))
+    """Encoded length of one ciphertext's dict form, in the generic
+    binary grammar (how a snapshot or WAL record would hold it)."""
+    return len(encode_binary_frame(ciphertext_to_dict(ciphertext)))
 
 
 class TestTransferAccounting:
@@ -99,7 +101,7 @@ class TestTransferAccounting:
 
         def frame_bytes(query):
             request = QueryRequest(column="c", query=query)
-            return len(encode_frame(request_to_dict(request), codec="binary"))
+            return len(encode(request))
 
         client = TrustedClient(seed=1)
         two_sided = frame_bytes(client.make_query(1, 10))

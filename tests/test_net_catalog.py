@@ -3,16 +3,22 @@
 import pytest
 
 from repro.core.client import TrustedClient
-from repro.errors import QueryError, UpdateError
+from repro.errors import QueryError, SerializationError, UpdateError
 from repro.net.catalog import ColumnCatalog
 from repro.net.protocol import (
     PROTOCOL_VERSION,
+    BatchRequest,
+    BatchResponse,
+    ErrorResponse,
     InsertRequest,
     MergeRequest,
     QueryRequest,
-    request_to_dict,
-    response_from_dict,
+    QueryResponse,
+    decode,
+    encode,
+    spec_of,
 )
+from repro.net.transport import serve_frame
 from repro.obs import Observability
 
 
@@ -67,51 +73,59 @@ class TestRegistry:
         assert config["engine"] == "adaptive"  # defaults filled in
 
 
+def kinds(reply):
+    """The wire kinds of a batch reply's slots."""
+    return [spec_of(response).kind for response in reply.responses]
+
+
+def served(catalog, frame):
+    """The reply envelope the endpoint answers ``frame`` with."""
+    return decode(serve_frame(catalog, frame))
+
+
 class TestDispatch:
     def test_query_dispatch(self, loaded, client):
         request = QueryRequest(column="prices", query=client.make_query(15, 35))
-        reply = loaded.dispatch(request_to_dict(request))
-        response = response_from_dict(reply)
+        reply = loaded.dispatch(request)
+        assert isinstance(reply, QueryResponse)
         values = sorted(
-            client.encryptor.decrypt_value(row) for row in response.response.rows
+            client.encryptor.decrypt_value(row) for row in reply.response.rows
         )
         assert values == [20, 30]
 
     def test_unknown_column_becomes_error_envelope(self, loaded):
-        reply = loaded.dispatch(
-            request_to_dict(MergeRequest(column="volumes"))
-        )
-        assert reply["kind"] == "error_response"
-        assert reply["code"] == "query"
-        assert "volumes" in reply["message"]
+        reply = loaded.dispatch(MergeRequest(column="volumes"))
+        assert isinstance(reply, ErrorResponse)
+        assert reply.code == "query"
+        assert "volumes" in reply.message
 
     def test_malformed_request_becomes_error_envelope(self, loaded):
-        reply = loaded.dispatch(
-            {"kind": "query_request", "version": PROTOCOL_VERSION,
-             "column": "prices", "query": {"not": "a query"}}
-        )
-        assert reply["kind"] == "error_response"
-        assert reply["code"] == "serialization"
+        # A query_request for "prices" whose query has unknown flag bits.
+        frame = bytes((0xAE, PROTOCOL_VERSION, 5, 0, 6)) + b"prices"
+        reply = served(loaded, frame + bytes((0xFF, 0, 0, 1, 1)))
+        assert isinstance(reply, ErrorResponse)
+        assert reply.code == "serialization"
 
     def test_wrong_version_becomes_error_envelope(self, loaded):
-        reply = loaded.dispatch(
-            {"kind": "merge_request", "version": 99, "column": "prices"}
-        )
-        assert reply["kind"] == "error_response"
-        assert reply["code"] == "serialization"
+        frame = encode(MergeRequest(column="prices"))
+        reply = served(loaded, bytes((0xAE, 99)) + frame[2:])
+        assert isinstance(reply, ErrorResponse)
+        assert reply.code == "serialization"
+        assert "version" in reply.message
 
     def test_dispatch_never_raises(self, loaded):
-        for garbage in ({}, {"kind": 7}, {"kind": "query_request"}):
-            reply = loaded.dispatch(garbage)
-            assert reply["kind"] == "error_response"
+        for garbage in (b"", b"{}", b"\xae", bytes((0xAE, PROTOCOL_VERSION))):
+            assert served(loaded, garbage).code == "serialization"
+        for garbage in ({}, None, SerializationError("undecodable")):
+            assert isinstance(loaded.dispatch(garbage), ErrorResponse)
 
 
 class TestMetrics:
     def test_request_and_error_counters(self, loaded):
         metrics = loaded.obs.metrics
         base = metrics.counter_value("net.requests")
-        loaded.dispatch(request_to_dict(MergeRequest(column="prices")))
-        loaded.dispatch(request_to_dict(MergeRequest(column="volumes")))
+        loaded.dispatch(MergeRequest(column="prices"))
+        loaded.dispatch(MergeRequest(column="volumes"))
         assert metrics.counter_value("net.requests") == base + 2
         assert metrics.counter_value("net.errors") == 1
 
@@ -129,11 +143,8 @@ class TestMetrics:
         adds 3 (``net.batches`` counts the envelope itself)."""
         metrics = loaded.obs.metrics
         base = metrics.counter_value("net.requests")
-        batch = _batch(
-            [request_to_dict(MergeRequest(column="prices"))] * 3
-        )
-        reply = loaded.dispatch(batch)
-        assert reply["kind"] == "batch_response"
+        reply = loaded.dispatch(_batch([MergeRequest(column="prices")] * 3))
+        assert isinstance(reply, BatchResponse)
         assert metrics.counter_value("net.requests") == base + 3
         assert metrics.counter_value("net.batches") == 1
         assert metrics.histogram("net.batch_size").max == 3
@@ -141,20 +152,15 @@ class TestMetrics:
     def test_malformed_batch_counts_one_request(self, loaded):
         metrics = loaded.obs.metrics
         base = metrics.counter_value("net.requests")
-        reply = loaded.dispatch(
-            {"kind": "batch_request", "version": PROTOCOL_VERSION,
-             "requests": "nope"}
-        )
-        assert reply["kind"] == "error_response"
+        # A batch_request announcing 127 slots and holding none.
+        reply = served(loaded, bytes((0xAE, PROTOCOL_VERSION, 2, 0, 0x7F)))
+        assert isinstance(reply, ErrorResponse)
         assert metrics.counter_value("net.requests") == base + 1
+        assert metrics.counter_value("net.errors") == 1
 
 
 def _batch(items):
-    return {
-        "kind": "batch_request",
-        "version": PROTOCOL_VERSION,
-        "requests": list(items),
-    }
+    return BatchRequest(requests=tuple(items))
 
 
 @pytest.fixture()
@@ -171,89 +177,59 @@ def two_columns(client):
 class TestParallelBatch:
     def test_multi_column_batch_runs_on_the_pool(self, two_columns, client):
         metrics = two_columns.obs.metrics
-        reply = two_columns.dispatch(
-            _batch(
-                [
-                    request_to_dict(
-                        QueryRequest(column=c, query=client.make_query(0, 50))
-                    )
-                    for c in ("prices", "volumes", "prices")
-                ]
-            )
-        )
-        assert reply["kind"] == "batch_response"
-        assert len(reply["responses"]) == 3
-        assert all(
-            r["kind"] == "query_response" for r in reply["responses"]
-        )
+        reply = two_columns.dispatch(_batch(
+            QueryRequest(column=c, query=client.make_query(0, 50))
+            for c in ("prices", "volumes", "prices")
+        ))
+        assert kinds(reply) == ["query_response"] * 3
         assert metrics.counter_value("net.parallel_batches") == 1
         two_columns.close()
 
     def test_single_column_batch_stays_sequential(self, loaded, client):
         metrics = loaded.obs.metrics
-        loaded.dispatch(
-            _batch(
-                [
-                    request_to_dict(
-                        QueryRequest(
-                            column="prices", query=client.make_query(0, 50)
-                        )
-                    )
-                ]
-                * 3
-            )
-        )
+        loaded.dispatch(_batch(
+            [QueryRequest(column="prices", query=client.make_query(0, 50))]
+            * 3
+        ))
         assert metrics.counter_value("net.parallel_batches") == 0
 
     def test_responses_stay_positional(self, two_columns, client):
         """Slot order in the response matches the request, whatever the
         execution interleaving — including error slots."""
-        items = [
-            request_to_dict(MergeRequest(column="volumes")),
-            request_to_dict(MergeRequest(column="missing")),
-            request_to_dict(MergeRequest(column="prices")),
-        ]
-        reply = two_columns.dispatch(_batch(items))
-        kinds = [r["kind"] for r in reply["responses"]]
-        assert kinds == ["merge_response", "error_response", "merge_response"]
+        reply = two_columns.dispatch(_batch([
+            MergeRequest(column="volumes"),
+            MergeRequest(column="missing"),
+            MergeRequest(column="prices"),
+        ]))
+        assert kinds(reply) == [
+            "merge_response", "error_response", "merge_response"]
         two_columns.close()
 
     def test_same_column_slots_keep_order(self, two_columns, client):
         """An insert earlier in the batch is visible to a later query
         on the same column even when another column runs in parallel."""
         rows, _ = client.encrypt_dataset([25])
-        items = [
-            request_to_dict(InsertRequest(column="prices", rows=tuple(rows))),
-            request_to_dict(MergeRequest(column="prices")),
-            request_to_dict(
-                QueryRequest(column="prices", query=client.make_query(25, 25))
-            ),
-            request_to_dict(MergeRequest(column="volumes")),
-        ]
-        reply = two_columns.dispatch(_batch(items))
-        kinds = [r["kind"] for r in reply["responses"]]
-        assert kinds == [
+        reply = two_columns.dispatch(_batch([
+            InsertRequest(column="prices", rows=tuple(rows)),
+            MergeRequest(column="prices"),
+            QueryRequest(column="prices", query=client.make_query(25, 25)),
+            MergeRequest(column="volumes"),
+        ]))
+        assert kinds(reply) == [
             "insert_response",
             "merge_response",
             "query_response",
             "merge_response",
         ]
-        response = response_from_dict(reply["responses"][2])
-        assert len(response.response.rows) == 1
+        assert len(reply.responses[2].response.rows) == 1
         two_columns.close()
 
     def test_nested_batch_rejected_per_slot(self, loaded, client):
         reply = loaded.dispatch(
-            _batch(
-                [
-                    _batch([]),
-                    request_to_dict(MergeRequest(column="prices")),
-                ]
-            )
+            _batch([_batch([]), MergeRequest(column="prices")])
         )
-        kinds = [r["kind"] for r in reply["responses"]]
-        assert kinds == ["error_response", "merge_response"]
-        assert "nest" in reply["responses"][0]["message"]
+        assert kinds(reply) == ["error_response", "merge_response"]
+        assert "nest" in reply.responses[0].message
 
     def test_workers_disabled_falls_back_sequential(self, client):
         catalog = ColumnCatalog(obs=Observability(), batch_workers=1)
@@ -262,47 +238,24 @@ class TestParallelBatch:
         rows, row_ids = client.encrypt_dataset([3, 4])
         catalog.create_column("b", rows, row_ids)
         reply = catalog.dispatch(
-            _batch(
-                [
-                    request_to_dict(MergeRequest(column="a")),
-                    request_to_dict(MergeRequest(column="b")),
-                ]
-            )
+            _batch([MergeRequest(column="a"), MergeRequest(column="b")])
         )
-        assert [r["kind"] for r in reply["responses"]] == [
-            "merge_response",
-            "merge_response",
-        ]
+        assert kinds(reply) == ["merge_response", "merge_response"]
         assert (
             catalog.obs.metrics.counter_value("net.parallel_batches") == 0
         )
 
     def test_close_is_idempotent_and_serving_continues(self, two_columns):
         metrics = two_columns.obs.metrics
-        two_columns.dispatch(
-            _batch(
-                [
-                    request_to_dict(MergeRequest(column="prices")),
-                    request_to_dict(MergeRequest(column="volumes")),
-                ]
-            )
-        )
+        both = _batch([MergeRequest(column="prices"),
+                       MergeRequest(column="volumes")])
+        two_columns.dispatch(both)
         assert metrics.counter_value("net.parallel_batches") == 1
         two_columns.close()
         two_columns.close()
-        reply = two_columns.dispatch(
-            _batch(
-                [
-                    request_to_dict(MergeRequest(column="prices")),
-                    request_to_dict(MergeRequest(column="volumes")),
-                ]
-            )
-        )
+        reply = two_columns.dispatch(both)
         # Still answers, now sequentially: no new parallel batch.
-        assert [r["kind"] for r in reply["responses"]] == [
-            "merge_response",
-            "merge_response",
-        ]
+        assert kinds(reply) == ["merge_response", "merge_response"]
         assert metrics.counter_value("net.parallel_batches") == 1
 
 

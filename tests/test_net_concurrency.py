@@ -26,20 +26,21 @@ from repro.errors import (
     ProtocolError,
     ReproError,
     RotationConflictError,
+    SerializationError,
     ServerBusyError,
     TransportError,
 )
 from repro.net import ColumnCatalog, RemoteColumn, serve
 from repro.net.protocol import (
+    ENVELOPES,
     DeleteRequest,
     ErrorResponse,
-    HelloResponse,
     InsertRequest,
+    MergeRequest,
     MergeResponse,
-    decode_frame,
-    encode_frame,
-    frame_codec,
-    response_to_dict,
+    RotateApplyRequest,
+    decode,
+    encode,
 )
 from repro.net.server import CatalogTCPServer
 from repro.net.transport import (
@@ -76,11 +77,12 @@ class GatedCatalog(ColumnCatalog):
         self.entered = threading.Semaphore(0)
         self.gated_kinds = set()
 
-    def dispatch(self, request_dict):
-        if request_dict.get("kind") in self.gated_kinds:
+    def dispatch(self, request, trace=None):
+        spec = ENVELOPES.get(type(request))
+        if spec is not None and spec.kind in self.gated_kinds:
             self.entered.release()
             self.gate.wait()
-        return super().dispatch(request_dict)
+        return super().dispatch(request, trace)
 
 
 class CountingCatalog(ColumnCatalog):
@@ -91,12 +93,12 @@ class CountingCatalog(ColumnCatalog):
         self._count_lock = threading.Lock()
         self.active = self.peak = 0
 
-    def dispatch(self, request_dict):
+    def dispatch(self, request, trace=None):
         with self._count_lock:
             self.active += 1
             self.peak = max(self.peak, self.active)
         try:
-            return super().dispatch(request_dict)
+            return super().dispatch(request, trace)
         finally:
             with self._count_lock:
                 self.active -= 1
@@ -129,7 +131,7 @@ class TestSharedTransport:
             errors = []
 
             def hammer(name, db, row_ids):
-                handle = RemoteColumn(transport, name, codec="json")
+                handle = RemoteColumn(transport, name)
                 expected = set(int(v) for v in (
                     VALUES_A if name == "a" else VALUES_B
                 ))
@@ -227,18 +229,10 @@ class TestRotationFence:
             def __init__(self):
                 self.fired = False
 
-            @property
-            def negotiated_codec(self):
-                return getattr(inner, "negotiated_codec", None)
-
-            @negotiated_codec.setter
-            def negotiated_codec(self, value):
-                inner.negotiated_codec = value
-
             def exchange(self, frame, retryable=False):
                 if (
                     not self.fired
-                    and decode_frame(frame).get("kind") == "rotate_apply"
+                    and isinstance(decode(frame), RotateApplyRequest)
                 ):
                     self.fired = True
                     catalog.handle(
@@ -277,14 +271,13 @@ class TestWorkerPool:
         def handle():
             transport = TcpTransport(host, port)
             transports.append(transport)
-            return RemoteColumn(transport, "values", codec="json")
+            return RemoteColumn(transport, "values")
 
         try:
             setup = TcpTransport(host, port)
             transports.append(setup)
             OutsourcedDatabase(
                 list(range(20)), seed=3, transport=setup, column="values",
-                codec="json",
             )
             catalog.gated_kinds = {"fetch_request"}
             results = []
@@ -336,13 +329,10 @@ class TestWorkerPool:
             transports.append(setup)
             OutsourcedDatabase(
                 list(range(20)), seed=4, transport=setup, column="values",
-                codec="json",
             )
             bystander_transport = TcpTransport(host, port)
             transports.append(bystander_transport)
-            bystander = RemoteColumn(
-                bystander_transport, "values", codec="json"
-            )
+            bystander = RemoteColumn(bystander_transport, "values")
             assert len(bystander.fetch([0])) == 1  # connection established
             catalog.gated_kinds = {"fetch_request"}
             admitted_results = []
@@ -350,7 +340,7 @@ class TestWorkerPool:
             def admitted():
                 transport = TcpTransport(host, port)
                 transports.append(transport)
-                handle = RemoteColumn(transport, "values", codec="json")
+                handle = RemoteColumn(transport, "values")
                 admitted_results.append(handle.fetch([1]))
 
             clients = [
@@ -501,7 +491,7 @@ class TestWorkerPool:
         assert not any(t.is_alive() for t in threads)
 
 
-# -- reconnect, retry, renegotiation -------------------------------------------
+# -- reconnect and retry -------------------------------------------------------
 
 
 class TestReconnect:
@@ -524,7 +514,7 @@ class TestReconnect:
         revived_thread = start(revived)
         try:
             # The old connection is dead; the retryable query reconnects
-            # (renegotiating the codec) and succeeds transparently.
+            # and succeeds transparently.
             assert sorted(db.query(10, 40).values.tolist()) == expected
             assert transport.retry_count >= 1
             assert db.obs.metrics.counter_value("net.retries") >= 1
@@ -552,43 +542,26 @@ class TestReconnect:
         assert time.monotonic() - started < 2.0
         transport.close()
 
-    def test_close_clears_negotiated_codec(self):
-        server, thread = self._endpoint()
-        host, port = server.server_address
-        transport = TcpTransport(host, port)
-        try:
-            OutsourcedDatabase(list(range(10)), seed=7, transport=transport)
-            assert transport.negotiated_codec == "binary"
-            transport.close()
-            assert transport.negotiated_codec is None
-        finally:
-            server.stop()
-            thread.join(timeout=5)
-
-    def test_reconnect_renegotiates_the_codec(self):
-        """A connection loss clears the transport's codec cache, so the
-        next call after a restart negotiates from scratch (a JSON hello)
-        rather than assuming what the previous peer agreed to."""
+    def test_reconnect_sends_the_request_alone(self):
+        """After a restart the next frame on the new connection is the
+        request itself: there is no codec to agree on first."""
         server, thread = self._endpoint()
         host, port = server.server_address
         transport = TcpTransport(host, port, retries=2, backoff=0.01)
         db = OutsourcedDatabase(list(range(50)), seed=8, transport=transport)
         expected = sorted(db.query(5, 30).values.tolist())
-        assert transport.negotiated_codec == "binary"
         server.stop()
         thread.join(timeout=5)
         with pytest.raises(TransportError):
             db.query(5, 30)
-        assert transport.negotiated_codec is None
         revived = CatalogTCPServer((host, port), server.catalog)
         revived_thread = start(revived)
         try:
-            hellos = revived.catalog.obs.metrics.counter_value("net.requests")
+            requests = revived.catalog.obs.metrics.counter_value(
+                "net.requests")
             assert sorted(db.query(5, 30).values.tolist()) == expected
-            assert transport.negotiated_codec == "binary"
-            # hello + the query itself
             assert (revived.catalog.obs.metrics.counter_value("net.requests")
-                    == hellos + 2)
+                    == requests + 1)
         finally:
             revived.stop()
             revived_thread.join(timeout=5)
@@ -601,51 +574,42 @@ class _ScriptedTransport(Transport):
     def __init__(self, *responses):
         self.responses = list(responses)
         self.sent = []
-        self.negotiated_codec = None
 
     def exchange(self, frame, retryable=False):
         self.sent.append(frame)
-        return encode_frame(
-            response_to_dict(self.responses.pop(0)), codec=frame_codec(frame)
-        )
+        return encode(self.responses.pop(0))
 
     def close(self):
-        self.negotiated_codec = None
+        pass
 
 
-class TestCodecNegotiation:
+class TestOneCodec:
     MERGED = MergeResponse(delta=0, epoch=1)
 
-    @pytest.mark.parametrize("offered, chosen", [
-        (("binary", "json"), "binary"),
-        (("json", "binary"), "binary"),  # the client's own order wins
-        (("json",), "json"),
-        (("zstd",), "json"),
-    ])
-    def test_first_shared_codec_is_adopted(self, offered, chosen):
-        transport = _ScriptedTransport(
-            HelloResponse(codecs=offered), self.MERGED
-        )
-        remote = RemoteColumn(transport, "c")
+    @pytest.mark.parametrize("codec", ["auto", "binary"])
+    def test_the_first_exchange_is_the_request(self, codec):
+        transport = _ScriptedTransport(self.MERGED)
+        remote = RemoteColumn(transport, "c", codec=codec)
         assert remote.merge() == 0
-        assert remote.codec == transport.negotiated_codec == chosen
-        assert [frame_codec(f) for f in transport.sent] == ["json", chosen]
+        assert transport.sent == [encode(MergeRequest(column="c"))]
+
+    @pytest.mark.parametrize("codec", ["json", "zstd"])
+    def test_no_other_codec_is_accepted(self, codec):
+        with pytest.raises(SerializationError, match="codec"):
+            RemoteColumn(_ScriptedTransport(), "c", codec=codec)
+        with pytest.raises(SerializationError, match="codec"):
+            OutsourcedDatabase([1, 2, 3], seed=1, codec=codec)
 
     @pytest.mark.parametrize("code, error", [
         ("busy", ServerBusyError),
         ("transport", TransportError),
         ("protocol", ProtocolError),
     ])
-    def test_a_failed_hello_propagates_and_caches_nothing(self, code, error):
-        """No peer predates ``hello``: an error envelope in answer to
-        it is a failure, not a JSON-only server."""
+    def test_an_error_envelope_raises_its_type(self, code, error):
         transport = _ScriptedTransport(
-            ErrorResponse(code=code, message="no"),
-            HelloResponse(codecs=("binary",)), self.MERGED,
+            ErrorResponse(code=code, message="no"), self.MERGED,
         )
         remote = RemoteColumn(transport, "c")
         with pytest.raises(error):
             remote.merge()
-        assert transport.negotiated_codec is None
-        assert remote.merge() == 0  # the next call negotiates afresh
-        assert transport.negotiated_codec == "binary"
+        assert remote.merge() == 0  # the next call is served as ever

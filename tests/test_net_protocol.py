@@ -1,7 +1,5 @@
 """Unit tests for the wire-protocol envelopes and frame codec."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -15,8 +13,10 @@ from repro.errors import (
     TransportError,
     UpdateError,
 )
+from repro.net import protocol
 from repro.net.protocol import (
     CONFIG_DEFAULTS,
+    DICT_VERSION,
     PROTOCOL_VERSION,
     CreateColumnRequest,
     CreateColumnResponse,
@@ -35,7 +35,9 @@ from repro.net.protocol import (
     RotateApplyResponse,
     RotateBeginRequest,
     RotateBeginResponse,
+    decode,
     decode_frame,
+    encode,
     encode_frame,
     error_response_for,
     raise_error_response,
@@ -94,17 +96,19 @@ def sample_responses(rows):
 class TestRequestRoundTrip:
     def test_every_request_kind(self, client, rows):
         for request in sample_requests(client, rows):
-            data = request_to_dict(request)
-            assert data["version"] == PROTOCOL_VERSION
-            rebuilt = request_from_dict(decode_frame(encode_frame(data)))
+            frame = encode(request)
+            assert frame[:2] == bytes((0xAE, PROTOCOL_VERSION))
+            rebuilt = decode(frame)
             assert type(rebuilt) is type(request)
             assert rebuilt.column == request.column
-            data2 = request_to_dict(rebuilt)
-            assert encode_frame(data) == encode_frame(data2)
+            assert encode(rebuilt) == frame
+            data = request_to_dict(request)
+            assert data["version"] == DICT_VERSION
+            assert request_to_dict(request_from_dict(data)) == data
 
     def test_query_request_preserves_bounds(self, client):
         request = QueryRequest(column="c", query=client.make_query(5, 25))
-        rebuilt = request_from_dict(request_to_dict(request))
+        rebuilt = decode(encode(request))
         assert rebuilt.query.low is not None
         assert rebuilt.query.high is not None
         assert rebuilt.query.low_inclusive == request.query.low_inclusive
@@ -113,18 +117,20 @@ class TestRequestRoundTrip:
         request = QueryRequest(
             column="c", query=client.make_query(None, None)
         )
-        rebuilt = request_from_dict(request_to_dict(request))
+        rebuilt = decode(encode(request))
         assert rebuilt.query.low is None and rebuilt.query.high is None
 
 
 class TestResponseRoundTrip:
     def test_every_response_kind(self, rows):
         for response in sample_responses(rows):
-            data = response_to_dict(response)
-            assert data["version"] == PROTOCOL_VERSION
-            rebuilt = response_from_dict(decode_frame(encode_frame(data)))
+            frame = encode(response)
+            rebuilt = decode(frame)
             assert type(rebuilt) is type(response)
-            assert encode_frame(response_to_dict(rebuilt)) == encode_frame(data)
+            assert encode(rebuilt) == frame
+            data = response_to_dict(response)
+            assert data["version"] == DICT_VERSION
+            assert response_to_dict(response_from_dict(data)) == data
 
     def test_query_response_preserves_ids(self, rows):
         response = QueryResponse(
@@ -132,7 +138,7 @@ class TestResponseRoundTrip:
                 row_ids=np.array([4, 1], dtype=np.int64), rows=list(rows[:2])
             )
         )
-        rebuilt = response_from_dict(response_to_dict(response))
+        rebuilt = decode(encode(response))
         assert rebuilt.response.row_ids.tolist() == [4, 1]
         assert len(rebuilt.response.rows) == 2
 
@@ -144,25 +150,25 @@ class TestMalformedPayloads:
     def test_missing_column(self):
         with pytest.raises(SerializationError):
             request_from_dict(
-                {"kind": "merge_request", "version": PROTOCOL_VERSION}
+                {"kind": "merge_request", "version": DICT_VERSION}
             )
 
     def test_empty_column_name(self):
         with pytest.raises(SerializationError):
             request_from_dict(
-                {"kind": "merge_request", "version": PROTOCOL_VERSION,
+                {"kind": "merge_request", "version": DICT_VERSION,
                  "column": ""}
             )
 
     def test_unknown_kind(self):
         with pytest.raises(SerializationError):
             request_from_dict(
-                {"kind": "drop_table", "version": PROTOCOL_VERSION,
+                {"kind": "drop_table", "version": DICT_VERSION,
                  "column": "c"}
             )
         with pytest.raises(SerializationError):
             response_from_dict(
-                {"kind": "nope_response", "version": PROTOCOL_VERSION}
+                {"kind": "nope_response", "version": DICT_VERSION}
             )
 
     def test_wrong_version(self):
@@ -179,7 +185,7 @@ class TestMalformedPayloads:
         bound = client.make_query(5, 25).low
         payload = {
             "kind": "insert_request",
-            "version": PROTOCOL_VERSION,
+            "version": DICT_VERSION,
             "column": "c",
             "rows": [ciphertext_to_dict(bound.eb)],
         }
@@ -199,36 +205,124 @@ class TestMalformedPayloads:
     def test_non_integer_row_ids(self):
         with pytest.raises(SerializationError):
             request_from_dict(
-                {"kind": "delete_request", "version": PROTOCOL_VERSION,
+                {"kind": "delete_request", "version": DICT_VERSION,
                  "column": "c", "row_ids": ["zero"]}
             )
 
     def test_invalid_frame_bytes(self):
-        with pytest.raises(SerializationError):
-            decode_frame(b"\xff\xfe not json")
-        with pytest.raises(SerializationError):
-            decode_frame(b"[1, 2, 3]")
+        for frame in (b"\xff\xfe not json", b"[1, 2, 3]", b"", b"\xae"):
+            with pytest.raises(SerializationError):
+                decode(frame)
 
     def test_unencodable_frame(self):
+        with pytest.raises(SerializationError):
+            encode(InsertRequest(column="c", rows=(object(),)))
+        with pytest.raises(SerializationError):
+            encode({"payload": object()})
         with pytest.raises(SerializationError):
             encode_frame({"payload": object()})
 
 
+class TestConfigAtTheTrustBoundary:
+    """A ``create_column``'s engine knobs are checked where they arrive
+    — on a frame and in the dict form a WAL replays — not coerced:
+    ``bool("false")`` would turn three-way cracking *on*."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("engine", "btree"),
+        ("engine", 1),
+        ("auto_merge_threshold", "5"),
+        ("auto_merge_threshold", 0),
+        ("auto_merge_threshold", 2.0),
+        ("auto_merge_threshold", True),
+        ("min_piece_size", 1.9),
+        ("min_piece_size", True),
+        ("min_piece_size", 0),
+        ("min_piece_size", "4"),
+        ("use_three_way", "false"),
+        ("use_three_way", 0),
+        ("use_three_way", None),
+    ], ids=repr)
+    def test_a_value_the_engine_does_not_take_is_refused(self, rows, key,
+                                                         value):
+        from repro.net import ColumnCatalog, LoopbackTransport, RemoteColumn
+
+        request = CreateColumnRequest(
+            column="c", rows=rows, row_ids=(0, 1, 2), config={key: value}
+        )
+        with pytest.raises(SerializationError, match=key):
+            request_from_dict(request_to_dict(request))
+        with pytest.raises(SerializationError, match=key):
+            decode(encode(request))
+        catalog = ColumnCatalog()
+        remote = RemoteColumn(LoopbackTransport(catalog), "c")
+        with pytest.raises(SerializationError, match=key):
+            remote.create(rows, (0, 1, 2), {key: value})
+        assert catalog.column_names == []
+
+    @pytest.mark.parametrize("config", [
+        {},
+        {"engine": "scan"},
+        {"auto_merge_threshold": None, "use_three_way": False},
+        {"engine": "adaptive", "auto_merge_threshold": 5,
+         "min_piece_size": 8, "use_three_way": True},
+    ], ids=repr)
+    def test_the_values_the_engine_takes_pass(self, rows, config):
+        request = CreateColumnRequest(
+            column="c", rows=rows, row_ids=(0, 1, 2), config=config
+        )
+        assert decode(encode(request)).config == config
+        assert request_from_dict(request_to_dict(request)).config == config
+
+
+class TestIntegersAtTheTrustBoundary:
+    """``INT`` / ``OPT_INT`` in a dict form (a WAL or replication
+    entry) are integers or refused: ``int()`` would read ``"7"``,
+    ``7.9`` and ``True`` as 7, 7 and 1."""
+
+    ENVELOPES = (
+        (protocol.ReplicateEntriesRequest(replica_id="r", after_seq=3,
+                                          limit=5), ("after_seq", "limit")),
+        (protocol.ReplicateAckRequest(replica_id="r", seq=7), ("seq",)),
+        (InsertResponse(row_ids=(1,), epoch=7), ("epoch",)),
+        (DeleteResponse(deleted=1, epoch=2), ("deleted", "epoch")),
+        (protocol.ReplicateEntriesResponse(entries=(), seq=7), ("seq",)),
+    )
+
+    @pytest.mark.parametrize("value", ["7", 7.9, True], ids=repr)
+    def test_a_non_integer_is_refused(self, value, rows):
+        cases = self.ENVELOPES + ((
+            RotateApplyRequest(column="c", rows=rows, row_ids=(0, 1, 2),
+                               fence=7), ("fence",)),)
+        for envelope, keys in cases:
+            is_request = protocol.spec_of(envelope).is_request
+            to_dict = request_to_dict if is_request else response_to_dict
+            from_dict = request_from_dict if is_request else response_from_dict
+            payload = to_dict(envelope)
+            assert to_dict(from_dict(payload)) == payload
+            for key in keys:
+                with pytest.raises(SerializationError, match="integer"):
+                    from_dict(dict(payload, **{key: value}))
+
+
 class TestDeterministicFrames:
     def test_key_order_does_not_matter(self):
-        a = encode_frame({"kind": "merge_request", "version": 1, "column": "c"})
-        b = encode_frame({"column": "c", "version": 1, "kind": "merge_request"})
-        assert a == b
+        a = encode_frame(
+            {"kind": "merge_request", "version": DICT_VERSION, "column": "c"})
+        b = encode_frame(
+            {"column": "c", "version": DICT_VERSION, "kind": "merge_request"})
+        assert a == b == encode(MergeRequest(column="c"))
 
-    def test_no_whitespace(self):
-        frame = encode_frame({"kind": "x", "version": 1})
-        assert b" " not in frame
+    def test_no_keys(self):
+        """A frame is positional: the kind code, then the fields."""
+        frame = encode(MergeRequest(column="c"))
+        assert frame == bytes((0xAE, PROTOCOL_VERSION, 9, 0, 1)) + b"c"
+        assert b"column" not in frame
 
     def test_same_request_same_bytes(self, client, rows):
         request = InsertRequest(column="c", rows=rows)
-        assert encode_frame(request_to_dict(request)) == encode_frame(
-            request_to_dict(request)
-        )
+        assert encode(request) == encode(request)
+        assert encode(decode(encode(request))) == encode(request)
 
 
 class TestErrorEnvelopes:
@@ -276,25 +370,25 @@ class TestSizeEstimates:
             assert params[name].default == default
 
 
-def test_frame_json_round_trip():
-    payload = {"kind": "merge_request", "version": 1, "column": "c"}
+def test_frame_dict_round_trip():
+    """The dict-level adapter older callers use: ``encode_frame`` is
+    ``encode`` of the envelope a dict describes, ``decode_frame`` the
+    dict form of a frame's envelope."""
+    payload = request_to_dict(MergeRequest(column="c"))
     assert decode_frame(encode_frame(payload)) == payload
-    assert json.loads(encode_frame(payload).decode()) == payload
+    assert encode_frame(payload, codec="auto") == encode(MergeRequest("c"))
 
 
 class TestBinaryFrames:
-    """The compact codec against the same sample envelopes."""
+    """The one codec against the same sample envelopes."""
 
-    def test_auto_detection_by_magic_byte(self, client, rows):
+    def test_every_frame_is_binary(self, client, rows):
         from repro.net.protocol import frame_codec
 
-        payload = request_to_dict(MergeRequest(column="c"))
-        json_frame = encode_frame(payload, codec="json")
-        binary_frame = encode_frame(payload, codec="binary")
-        assert json_frame != binary_frame
-        assert frame_codec(json_frame) == "json"
-        assert frame_codec(binary_frame) == "binary"
-        assert decode_frame(json_frame) == decode_frame(binary_frame)
+        frame = encode(MergeRequest(column="c"))
+        assert frame_codec(frame) == "binary"
+        with pytest.raises(SerializationError, match="not a protocol"):
+            decode_frame(b'{"column":"c","kind":"merge_request"}')
 
     def test_every_envelope_round_trips_in_binary(self, client, rows):
         from repro.net.protocol import (
@@ -311,6 +405,7 @@ class TestBinaryFrames:
         for request in requests:
             data = request_to_dict(request)
             assert decode_frame(encode_frame(data, codec="binary")) == data
+            assert request_to_dict(decode(encode(request))) == data
         responses = sample_responses(rows) + [
             HelloResponse(),
             BatchResponse(responses=(MergeResponse(delta=0),)),
@@ -318,37 +413,39 @@ class TestBinaryFrames:
         for response in responses:
             data = response_to_dict(response)
             assert decode_frame(encode_frame(data, codec="binary")) == data
+            assert response_to_dict(decode(encode(response))) == data
 
-    def test_binary_frames_are_much_smaller(self, client):
-        """The headline claim: a realistic query-result frame (tens of
-        rows, so string interning amortises) shrinks by 2x or more;
-        even a tiny single-query request stays clearly smaller."""
-        bulk, __ = client.encrypt_dataset(list(range(1000, 1050)))
-        body = ServerResponse(
-            row_ids=np.arange(len(bulk), dtype=np.int64), rows=list(bulk)
-        )
-        payload = response_to_dict(QueryResponse(response=body))
-        json_size = len(encode_frame(payload, codec="json"))
-        binary_size = len(encode_frame(payload, codec="binary"))
-        assert binary_size * 2 <= json_size
+    def test_frames_are_smaller_than_the_generic_grammar(self, client):
+        """Positional frames drop every key and tag the generic grammar
+        (what version 3 sent) spells out: a query request at about half
+        its size, a reply smaller at any row count."""
+        from repro.net.binframe import encode_binary_frame
 
-        payload = request_to_dict(
-            QueryRequest(column="c", query=client.make_query(5, 25))
+        request = QueryRequest(column="c", query=client.make_query(5, 25))
+        assert len(encode(request)) * 1.8 <= len(
+            encode_binary_frame(request_to_dict(request))
         )
-        assert len(encode_frame(payload, codec="binary")) * 1.5 <= len(
-            encode_frame(payload, codec="json")
-        )
+        for count in (1, 10, 50):
+            bulk, __ = client.encrypt_dataset(list(range(1000, 1000 + count)))
+            reply = QueryResponse(response=ServerResponse(
+                row_ids=np.arange(count, dtype=np.int64), rows=list(bulk)
+            ))
+            assert len(encode(reply)) < len(
+                encode_binary_frame(response_to_dict(reply))
+            )
 
     def test_a_query_request_is_one_flat_block(self, monkeypatch):
         """The count-based gate CI runs by name.  Under the e2e
-        benchmark's key a two-sided query is 18 integers; nested one
-        object per ciphertext they were 59 generic values and 372
-        bytes, and going back there only reads slower, so it fails
-        here instead."""
+        benchmark's key a two-sided query is 18 integers in two runs
+        behind a flags byte, a length and a bound count: at most 160
+        bytes and not one generic value.  Written in the generic grammar
+        (keys, tags, interning) it was 271 bytes and 12 values, nested
+        one object per ciphertext 372 bytes and 59 values; going back
+        only reads slower, so it fails here instead."""
         from repro.net import binframe
 
         query = TrustedClient(seed=11).make_query(1000, 1010)
-        payload = request_to_dict(QueryRequest(column="values", query=query))
+        request = QueryRequest(column="values", query=query)
         write_value = binframe._write_value
         written = []
 
@@ -357,27 +454,26 @@ class TestBinaryFrames:
             write_value(out, value, interned, depth)
 
         monkeypatch.setattr(binframe, "_write_value", counted)
-        frame = encode_frame(payload, codec="binary")
-        assert len(frame) <= 280
-        assert len(written) <= 20
-        runs = [value for value in written if type(value) is list]
-        assert len(runs) == 2 and sum(map(len, runs)) == 18
+        frame = encode(request)
+        assert len(frame) <= 160
+        assert written == []
+        assert decode(frame) == request
 
     def test_unknown_codec_rejected(self):
-        with pytest.raises(SerializationError, match="codec"):
-            encode_frame({"kind": "merge_request", "version": 1}, codec="xml")
+        payload = request_to_dict(MergeRequest(column="c"))
+        for codec in ("xml", "json"):
+            with pytest.raises(SerializationError, match="codec"):
+                encode_frame(payload, codec=codec)
 
     def test_hello_round_trip(self):
         from repro.net.protocol import CODECS, HelloRequest, HelloResponse
 
         request = HelloRequest(codecs=("binary", "json"))
-        data = request_to_dict(request)
-        assert request_from_dict(decode_frame(encode_frame(data))) == request
+        assert decode(encode(request)) == request
+        assert request_from_dict(request_to_dict(request)) == request
         response = HelloResponse(codecs=CODECS)
-        data = response_to_dict(response)
-        assert (
-            response_from_dict(decode_frame(encode_frame(data))) == response
-        )
+        assert decode(encode(response)) == response
+        assert CODECS == ("binary",)
 
 
 class TestIntArrayFastPath:
@@ -517,6 +613,7 @@ class TestEnvelopeRegistry:
 
     def test_protocol_doc_table_equals_the_registry(self):
         import os
+        import re
 
         from repro.net.protocol import ENVELOPES
 
@@ -525,7 +622,8 @@ class TestEnvelopeRegistry:
 
         expected = []
         for spec in ENVELOPES.values():
-            expected.append("| `%s` | %s | %s | %s | %s |" % (
+            expected.append("| %d | `%s` | %s | %s | %s | %s |" % (
+                spec.code,
                 spec.kind,
                 cell("`%s: %s`" % (f.key, f.type.name) for f in spec.fields),
                 cell("`%s`" % f.key for f in spec.fields if f.optional),
@@ -539,6 +637,41 @@ class TestEnvelopeRegistry:
         with open(path, encoding="utf-8") as handle:
             documented = [
                 line.rstrip("\n") for line in handle
-                if line.startswith("| `") and line.count("|") == 6
+                if re.match(r"\| \d+ \| `", line)
             ]
         assert documented == expected
+
+
+def test_a_converged_query_makes_at_most_1100_python_calls():
+    """The count-based gate CI runs by name for the frame codec: one
+    converged ``crack_cold``-shaped query (100 000 rows, ten per
+    answer, the benchmark's key, loopback) from ``make_query`` to
+    decrypted result, counted by ``cProfile`` — the median of nine.
+    Through envelope dicts and the generic grammar these nine made a
+    median of 1 549 calls (1 477-1 622), the four codec steps 822 of a
+    10-row query's; written positionally, 951 (912-1 022) and 182.
+    Going back only reads slower, so it fails here instead."""
+    import cProfile
+    import pstats
+    import statistics
+
+    from repro.core.session import OutsourcedDatabase
+
+    rng = np.random.default_rng(20160626)
+    values = np.unique(rng.integers(0, 5_000_000, size=200_000))
+    values = rng.permutation(values)[:100_000]
+    ordered = np.sort(values)
+    starts = rng.integers(0, len(values) - 10, size=2_000)
+    queries = [(int(ordered[s]), int(ordered[s + 9])) for s in starts]
+    db = OutsourcedDatabase([int(v) for v in values], seed=11)
+    for low, high in queries[:1_991]:
+        db.query(low, high)
+    counts = []
+    for low, high in queries[1_991:]:
+        profile = cProfile.Profile()
+        profile.enable()
+        result = db.query(low, high)
+        profile.disable()
+        assert len(result.values) == 10
+        counts.append(pstats.Stats(profile).total_calls)
+    assert statistics.median(counts) <= 1_100, counts

@@ -2,13 +2,13 @@
 
 Three concerns:
 
-* *wire compatibility* — envelopes with tracing disabled carry no
-  ``trace`` field and are **byte-identical** to the pre-tracing
-  protocol (golden frames captured before the field existed), in both
-  codecs; malformed ``trace`` fields degrade to untraced dispatch.
+* *the trace section* — a request frame of a tracing-disabled peer
+  carries an empty trace section (one zero byte; golden frames pinned
+  below), a traced one the caller's context, which a batch's slots
+  inherit; a malformed section degrades to untraced dispatch.
 * *telemetry envelopes* — ``telemetry_request``/``telemetry_response``
-  round-trip both codecs, dispatch column-lessly through the catalog,
-  and support provider registration.
+  round-trip on a frame and in the dict form, dispatch column-lessly
+  through the catalog, and support provider registration.
 * *server-front accounting* — the ``net.queue_depth`` gauge decays to
   zero after a drain and a frame whose serving raises is counted
   (``net.worker_errors``) and answered, with the failing span keeping
@@ -31,43 +31,43 @@ from repro.net import (
     serve,
 )
 from repro.net.protocol import (
+    DICT_VERSION,
+    BatchRequest,
     FetchRequest,
     MergeRequest,
     TelemetryRequest,
     TelemetryResponse,
-    attach_trace,
-    decode_frame,
-    encode_frame,
+    decode,
+    decode_request,
+    encode,
     request_from_dict,
     request_to_dict,
     response_from_dict,
     response_to_dict,
     trace_from_wire,
 )
+from repro.net.binframe import write_value
 from repro.obs import Observability
 
 VALUES = list(np.random.default_rng(88).permutation(300))
 
-# Frames captured from the codec *before* the trace field existed.
-# Tracing-disabled peers must keep emitting exactly these bytes.  (The
-# one byte that differs from that capture is the envelope version,
-# 1 -> 2, which the row-block PR bumped for every envelope.)
-GOLDEN_MERGE_JSON = b'{"column":"values","kind":"merge_request","version":3}'
-GOLDEN_MERGE_BINARY = (
-    b"\xae\x01\x01\t\x03\x06\x06column\x06\x06values\x06\x04kind"
-    b"\x06\rmerge_request\x06\x07version\x03\x06"
-)
-GOLDEN_FETCH_JSON = (
-    b'{"column":"values","kind":"fetch_request",'
-    b'"row_ids":[0,1,2,3,4,5],"version":3}'
-)
-GOLDEN_FETCH_BINARY = (
-    b"\xae\x01\x01\t\x04\x06\x06column\x06\x06values\x06\x04kind"
-    b"\x06\rfetch_request\x06\x07row_ids\n\x00\x06\x00\x01\x02\x03"
-    b"\x04\x05\x06\x07version\x03\x06"
-)
+# The frames of two untraced requests: magic, version, kind code, an
+# empty trace section, then the fields (a column name; an id run).
+GOLDEN_MERGE = b"\xae\x04\x09\x00\x06values"
+GOLDEN_FETCH = b"\xae\x04\x06\x00\x06values\x00\x06\x00\x01\x02\x03\x04\x05"
 
 CTX = {"trace_id": "ab" * 8, "parent": "cafe0000-3", "sampled": True}
+
+
+def section(value):
+    """A trace section: its byte count, then one generic value."""
+    body = bytearray()
+    write_value(body, value)
+    return bytes((len(body),)) + bytes(body)
+
+
+#: :data:`CTX` as a frame's trace section.
+CTX_SECTION = section(CTX)
 
 
 @pytest.fixture()
@@ -83,47 +83,45 @@ def endpoint():
 
 
 class TestWireCompatibility:
-    """Satellite: untraced frames must not change by a single byte."""
+    """The trace section: one zero byte in an untraced frame, the
+    caller's context in a traced one — never a failed request."""
 
     def test_golden_frames_unchanged(self):
-        merge = request_to_dict(MergeRequest(column="values"))
-        fetch = request_to_dict(
-            FetchRequest(column="values", row_ids=(0, 1, 2, 3, 4, 5))
-        )
-        assert encode_frame(merge, codec="json") == GOLDEN_MERGE_JSON
-        assert encode_frame(merge, codec="binary") == GOLDEN_MERGE_BINARY
-        assert encode_frame(fetch, codec="json") == GOLDEN_FETCH_JSON
-        assert encode_frame(fetch, codec="binary") == GOLDEN_FETCH_BINARY
+        merge = MergeRequest(column="values")
+        fetch = FetchRequest(column="values", row_ids=(0, 1, 2, 3, 4, 5))
+        assert encode(merge) == encode(merge, None) == GOLDEN_MERGE
+        assert encode(fetch) == GOLDEN_FETCH
+        assert decode_request(GOLDEN_MERGE) == (merge, None)
 
-    def test_attach_trace_none_is_identity(self):
-        payload = request_to_dict(MergeRequest(column="values"))
-        assert attach_trace(payload, None) is payload
-        assert "trace" not in payload
+    def test_a_traced_frame_carries_the_context(self):
+        merge = MergeRequest(column="values")
+        frame = encode(merge, CTX)
+        assert frame == GOLDEN_MERGE[:3] + CTX_SECTION + GOLDEN_MERGE[4:]
+        assert decode_request(frame) == (merge, CTX)
+        assert decode(frame) == merge
+        # Responses have no section to carry one in.
+        reply = TelemetryResponse(sections={})
+        assert encode(reply, CTX) == encode(reply)
 
-    def test_attach_trace_sets_field_and_batch_slots(self):
-        batch = {
-            "kind": "batch_request",
-            "version": 1,
-            "requests": [
-                request_to_dict(MergeRequest(column="a")),
-                request_to_dict(MergeRequest(column="b")),
-            ],
-        }
-        attach_trace(batch, CTX)
-        assert batch["trace"] == CTX
-        for sub in batch["requests"]:
-            assert sub["trace"] == CTX
-            assert sub["trace"] is not CTX  # copies, not shared refs
+    def test_a_batch_carries_one_context_its_slots_inherit(self):
+        batch = BatchRequest(requests=(MergeRequest(column="a"),
+                                       MergeRequest(column="b")))
+        frame = encode(batch, CTX)
+        assert decode_request(frame) == (batch, CTX)
+        assert len(frame) == len(encode(batch)) + len(CTX_SECTION) - 1
 
-    def test_traced_frame_decodes_and_still_parses(self):
-        payload = attach_trace(
-            request_to_dict(MergeRequest(column="values")), CTX
-        )
-        for codec in ("json", "binary"):
-            decoded = decode_frame(encode_frame(payload, codec=codec))
-            assert decoded["trace"] == CTX
-            # The envelope parser tolerates (ignores) the extra key.
-            assert request_from_dict(decoded) == MergeRequest(column="values")
+    @pytest.mark.parametrize("malformed", [
+        section(None),
+        section({"trace_id": "ab" * 8}),                   # no parent
+        section(dict(CTX, sampled=7)),                     # not a boolean
+        section(dict(CTX, trace_id="")),                   # empty
+        b"\x01\xff",                                       # no value at all
+        b"\x03\x09\x01\x07",                               # a dangling key
+        b"\x02\x09\x05",                                   # a short dict
+    ], ids=repr)
+    def test_a_malformed_section_degrades_to_untraced(self, malformed):
+        frame = GOLDEN_MERGE[:3] + malformed + GOLDEN_MERGE[4:]
+        assert decode_request(frame) == (MergeRequest(column="values"), None)
 
     @pytest.mark.parametrize("bad", [
         None,
@@ -149,7 +147,7 @@ class TestWireCompatibility:
 
     def test_untraced_session_frames_carry_no_trace_field(self, endpoint):
         """A tracing-disabled client (the default) must put nothing on
-        the wire — recorded frames decode without a trace key."""
+        the wire — recorded frames decode without a trace context."""
         host, port = endpoint.server_address
         sent = []
 
@@ -164,10 +162,7 @@ class TestWireCompatibility:
             db.query_many([(0, 50), (100, 250)])
         assert sent
         for frame in sent:
-            decoded = decode_frame(frame)
-            assert "trace" not in decoded
-            for sub in decoded.get("requests", []):
-                assert "trace" not in sub
+            assert decode_request(frame)[1] is None
 
     def test_traced_session_frames_carry_the_context(self, endpoint):
         host, port = endpoint.server_address
@@ -183,43 +178,39 @@ class TestWireCompatibility:
             db = OutsourcedDatabase(VALUES[:80], seed=9, transport=transport,
                                     obs=obs)
             db.query(10, 200)
-        traced = [decode_frame(f) for f in sent if b"trace" in f]
-        assert traced  # every post-upload frame carries the field
-        for decoded in traced:
-            ctx = trace_from_wire(decoded["trace"])
-            assert ctx is not None
+        contexts = [decode_request(frame)[1] for frame in sent]
+        assert contexts and None not in contexts
+        for ctx in contexts:
+            assert trace_from_wire(ctx) == ctx
             assert ctx["sampled"] is True
 
 
 class TestTelemetryEnvelopes:
-    def test_round_trip_both_codecs(self):
+    def test_round_trip_frame_and_dict(self):
         request = TelemetryRequest(sections=("metrics", "pool"))
         response = TelemetryResponse(
             sections={"metrics": {"counters": {"net.requests": 3}}}
         )
-        for codec in ("json", "binary"):
-            req = request_from_dict(
-                decode_frame(encode_frame(request_to_dict(request),
-                                          codec=codec))
-            )
-            assert req == request
-            resp = response_from_dict(
-                decode_frame(encode_frame(response_to_dict(response),
-                                          codec=codec))
-            )
-            assert resp == response
+        assert decode(encode(request)) == request
+        assert request_from_dict(request_to_dict(request)) == request
+        assert decode(encode(response)) == response
+        assert response_from_dict(response_to_dict(response)) == response
 
     def test_sections_none_omitted_from_wire(self):
         payload = request_to_dict(TelemetryRequest())
         assert "sections" not in payload
         assert request_from_dict(payload) == TelemetryRequest(sections=None)
+        frame = encode(TelemetryRequest())
+        assert frame[4] == 0  # the presence bitmap: nothing follows
+        assert decode(frame) == TelemetryRequest(sections=None)
 
     def test_malformed_sections_rejected(self):
         with pytest.raises(SerializationError):
-            request_from_dict({"kind": "telemetry_request", "version": 1,
-                               "sections": [1, 2]})
+            request_from_dict({"kind": "telemetry_request",
+                               "version": DICT_VERSION, "sections": [1, 2]})
         with pytest.raises(SerializationError):
-            response_from_dict({"kind": "telemetry_response", "version": 1,
+            response_from_dict({"kind": "telemetry_response",
+                                "version": DICT_VERSION,
                                 "sections": ["not", "a", "dict"]})
 
 
@@ -247,11 +238,9 @@ class TestCatalogTelemetry:
 
     def test_dispatch_is_column_less(self):
         catalog = ColumnCatalog()
-        response = catalog.dispatch(
-            request_to_dict(TelemetryRequest(sections=("catalog",)))
-        )
-        assert response["kind"] == "telemetry_response"
-        assert response["sections"]["catalog"]["columns"] == []
+        response = catalog.dispatch(TelemetryRequest(sections=("catalog",)))
+        assert isinstance(response, TelemetryResponse)
+        assert response.sections["catalog"]["columns"] == []
 
     def test_loopback_client_method(self):
         catalog = ColumnCatalog()
@@ -318,10 +307,10 @@ class TestLiveTelemetry:
         obs.tracer.enable()
         original = catalog.dispatch
         try:
-            def exploding(request_dict):
-                if request_dict.get("kind") == "merge_request":
+            def exploding(request, trace=None):
+                if isinstance(request, MergeRequest):
                     raise RuntimeError("simulated defect below isolation")
-                return original(request_dict)
+                return original(request, trace)
 
             catalog.dispatch = exploding
             with TcpTransport(host, port) as transport:

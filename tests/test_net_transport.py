@@ -8,13 +8,17 @@ import pytest
 
 from repro.core.session import OutsourcedDatabase
 from repro.errors import ProtocolError, QueryError, TransportError
-from repro.net import ColumnCatalog, is_binary_frame, serve
+from repro.net import ColumnCatalog, serve
+from repro.net.binframe import write_varint
 from repro.net.protocol import (
+    PROTOCOL_VERSION,
+    BatchResponse,
+    ErrorResponse,
+    InsertRequest,
     MergeRequest,
-    decode_frame,
-    encode_frame,
-    frame_codec,
-    request_to_dict,
+    QueryRequest,
+    decode,
+    encode,
 )
 from repro.net.transport import LoopbackTransport, TcpTransport, Transport
 
@@ -24,14 +28,14 @@ VALUES = list(np.random.default_rng(77).permutation(400))
 # adaptive index from cold.
 WORKLOAD = [(30, 90), (200, 260), (10, 350), (120, 121), (0, 399), (55, 180)]
 
-BINARY_MERGE = encode_frame(
-    request_to_dict(MergeRequest(column="values")), codec="binary"
-)
+BINARY_MERGE = encode(MergeRequest(column="values"))
 MALFORMED_FRAMES = {
     "garbage": b"\x00\xffnot a frame",
+    "json": b'{"column":"values","kind":"merge_request","version":3}',
     "truncated-binary": BINARY_MERGE[:-3],
-    # the binary header, then 70 one-element lists nested in each other
-    "over-deep-binary": BINARY_MERGE[:3] + b"\x08\x01" * 70 + b"\x00",
+    # a hello whose codec list is 70 one-element lists nested in each other
+    "over-deep-binary": bytes((0xAE, PROTOCOL_VERSION, 1, 0))
+    + b"\x08\x01" * 70 + b"\x00",
 }
 
 
@@ -60,15 +64,6 @@ class RecordingTransport(Transport):
         self.inner = inner
         self.sent = []
         self.received = []
-
-    @property
-    def negotiated_codec(self):
-        return getattr(self.inner, "negotiated_codec", None)
-
-    @negotiated_codec.setter
-    def negotiated_codec(self, value):
-        if self.inner is not None:
-            self.inner.negotiated_codec = value
 
     def exchange(self, frame, retryable=False):
         self.sent.append(frame)
@@ -104,18 +99,18 @@ class TestLoopbackTcpEquivalence:
             tcp_db.query(low, high)
         tcp_db.insert(10 ** 6)
         loop_db.insert(10 ** 6)
-        # The hello and create frames are missing from the loopback
-        # recording (the wrapper was installed after upload); everything
-        # after must match byte for byte in both directions.
-        assert local.sent == tcp.sent[2:]
-        assert local.received == tcp.received[2:]
+        # The create frame is missing from the loopback recording (the
+        # wrapper was installed after upload); everything after must
+        # match byte for byte in both directions.
+        assert local.sent == tcp.sent[1:]
+        assert local.received == tcp.received[1:]
         tcp.close()
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_FRAMES))
     def test_malformed_frames_get_the_same_reply(self, endpoint, name):
         """Both transports serve through one function: an undecodable
         frame is answered — never raised — with the same typed
-        ``serialization`` envelope, in the codec it arrived in."""
+        ``serialization`` envelope."""
         frame = MALFORMED_FRAMES[name]
         host, port = endpoint.server_address
         with TcpTransport(host, port) as tcp:
@@ -124,11 +119,9 @@ class TestLoopbackTcpEquivalence:
                 tcp.exchange(frame),
             ]
         assert replies[0] == replies[1]
-        assert frame_codec(replies[0]) == frame_codec(frame)
-        reply = decode_frame(replies[0])
-        assert (reply["kind"], reply["code"]) == (
-            "error_response", "serialization"
-        )
+        reply = decode(replies[0])
+        assert isinstance(reply, ErrorResponse)
+        assert reply.code == "serialization"
 
     def test_updates_and_rotation_over_tcp(self, endpoint):
         host, port = endpoint.server_address
@@ -240,40 +233,37 @@ class TestBatches:
     def test_batch_isolates_malformed_sub_request(self, endpoint):
         """One garbage item inside a batch fails alone; the valid
         sub-requests around it are applied."""
-        from repro.net.protocol import (
-            PROTOCOL_VERSION,
-            InsertRequest,
-            MergeRequest,
-            decode_frame,
-            encode_frame,
-            request_to_dict,
-        )
+
+        def slot(body):
+            out = bytearray()
+            write_varint(out, len(body))
+            return bytes(out) + body
+
+        def body(request):
+            # A sub-frame: the kind code and fields, no trace section.
+            frame = encode(request)
+            return frame[2:3] + frame[4:]
 
         host, port = endpoint.server_address
         with TcpTransport(host, port) as transport:
             db = OutsourcedDatabase(VALUES[:40], seed=23, transport=transport)
             rows = db.client.encrypt_value(10 ** 6)
-            batch = {
-                "kind": "batch_request",
-                "version": PROTOCOL_VERSION,
-                "requests": [
-                    request_to_dict(
-                        InsertRequest(column="values", rows=tuple(rows))
-                    ),
-                    {"kind": "no_such_kind", "version": PROTOCOL_VERSION},
-                    request_to_dict(MergeRequest(column="values")),
-                ],
-            }
-            reply = decode_frame(transport.exchange(encode_frame(batch)))
-            assert reply["kind"] == "batch_response"
-            first, second, third = reply["responses"]
-            assert first["kind"] == "insert_response"
-            assert second["kind"] == "error_response"
-            assert second["code"] == "serialization"
-            assert third["kind"] == "merge_response"
+            merge = body(MergeRequest(column="values"))
+            frame = bytes((0xAE, PROTOCOL_VERSION, 2, 0, 3)) + b"".join((
+                slot(body(InsertRequest(column="values", rows=tuple(rows)))),
+                slot(bytes((99,)) + merge[1:]),  # a kind no one registered
+                slot(merge),
+            ))
+            reply = decode(transport.exchange(frame))
+            assert isinstance(reply, BatchResponse)
+            first, second, third = reply.responses
+            assert type(first).__name__ == "InsertResponse"
+            assert isinstance(second, ErrorResponse)
+            assert second.code == "serialization"
+            assert type(third).__name__ == "MergeResponse"
             # The insert and merge really happened: the new row is
             # fetchable by the id the batch assigned it.
-            fetched = db._remote.fetch(first["row_ids"])
+            fetched = db._remote.fetch(first.row_ids)
             assert len(fetched) == 1
             assert db.client.encryptor.decrypt_value(fetched[0]) == 10 ** 6
 
@@ -341,16 +331,19 @@ class TestLoopback:
         db._remote._transport = recorder
         db.query(0, 100)
         assert len(recorder.sent) == 1
-        # Loopback negotiates the compact binary codec by default.
-        assert is_binary_frame(recorder.sent[0])
+        assert recorder.sent[0][:2] == bytes((0xAE, PROTOCOL_VERSION))
+        assert isinstance(decode(recorder.sent[0]), QueryRequest)
         assert db.bytes_sent > 0 and db.bytes_received > 0
 
-    def test_loopback_json_codec_still_frames_json(self):
-        db = OutsourcedDatabase(VALUES[:50], seed=13, codec="json")
-        recorder = RecordingTransport(db.transport)
-        db._remote._transport = recorder
-        db.query(0, 100)
-        assert recorder.sent[0].startswith(b"{")
+    def test_loopback_codec_argument_selects_nothing(self):
+        sent = []
+        for codec in ("auto", "binary"):
+            db = OutsourcedDatabase(VALUES[:50], seed=13, codec=codec)
+            recorder = RecordingTransport(db.transport)
+            db._remote._transport = recorder
+            db.query(0, 100)
+            sent.append(recorder.sent)
+        assert sent[0] == sent[1]
 
     def test_loopback_transport_exposes_catalog(self):
         db = OutsourcedDatabase(VALUES[:10], seed=14)

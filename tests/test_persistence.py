@@ -229,19 +229,14 @@ class TestCatalogSnapshot:
 
     def test_restored_catalog_serves_dispatch(self):
         from repro.core.persistence import restore_catalog, snapshot_catalog
-        from repro.net.protocol import (
-            QueryRequest,
-            request_to_dict,
-            response_from_dict,
-        )
+        from repro.net.protocol import QueryRequest
 
         client, catalog = self.make_catalog()
         restored = restore_catalog(snapshot_catalog(catalog))
-        reply = restored.dispatch(request_to_dict(
-            QueryRequest(column="b", query=client.make_query(30, 50))))
-        response = response_from_dict(reply)
+        reply = restored.dispatch(
+            QueryRequest(column="b", query=client.make_query(30, 50)))
         values = [client.encryptor.decrypt_value(row)
-                  for row in response.response.rows]
+                  for row in reply.response.rows]
         assert values == [40]
 
     def test_wrong_kind_rejected(self):

@@ -1,7 +1,7 @@
 """Replication tests: WAL streaming, read-only replicas, ReplicaSet.
 
 Everything runs over loopback transports — the same envelopes and
-codecs as TCP without the sockets.  The kill -9 / restart path is
+frames as TCP without the sockets.  The kill -9 / restart path is
 covered separately in ``test_crash_recovery.py``.
 """
 
@@ -22,8 +22,9 @@ from repro.net.client import RemoteColumn
 from repro.net.protocol import (
     MergeRequest,
     QueryRequest,
-    decode_frame,
-    encode_frame,
+    QueryResponse,
+    decode,
+    encode,
 )
 from repro.net.replication import ReplicaSet, ReplicationClient
 from repro.net.transport import LoopbackTransport, Transport
@@ -244,7 +245,7 @@ class FailingTransport(Transport):
         raise TransportError("wire down")
 
     def close(self):
-        self.negotiated_codec = None
+        pass
 
 
 class TestReplicaSet:
@@ -330,12 +331,8 @@ class TestReplicaSet:
             LoopbackTransport(primary), [FailingTransport()],
             watermark_interval=0.0,
         )
-        frame = encode_frame(
-            {"kind": "query_request", "column": "t", **_query_payload(db)},
-            codec="json",
-        )
-        reply = decode_frame(replica_set.exchange(frame))
-        assert reply["kind"] == "query_response"
+        reply = decode(replica_set.exchange(_query_frame(db)))
+        assert isinstance(reply, QueryResponse)
         counters = replica_set._obs.metrics.snapshot()["counters"]
         assert counters.get("replicaset.failovers", 0) == 1
 
@@ -359,13 +356,8 @@ class TestReplicaSet:
             [LoopbackTransport(empty_replica)],
             watermark_interval=0.0,
         )
-        frame = encode_frame(
-            {"kind": "query_request", "column": "t",
-             **_query_payload(db)},
-            codec="json",
-        )
-        reply = decode_frame(fresh.exchange(frame))
-        assert reply["kind"] == "query_response"
+        reply = decode(fresh.exchange(_query_frame(db)))
+        assert isinstance(reply, QueryResponse)
         counters = fresh._obs.metrics.snapshot()["counters"]
         assert counters.get("replicaset.failovers", 0) == 1
 
@@ -384,12 +376,7 @@ class TestReplicaSet:
         replica_set.close()  # must not raise
 
 
-def _query_payload(db):
-    from repro.net.protocol import request_to_dict
-
-    payload = request_to_dict(
+def _query_frame(db):
+    return encode(
         QueryRequest(column="t", query=db.client.make_query(0, 100))
     )
-    payload.pop("kind")
-    payload.pop("column")
-    return payload
