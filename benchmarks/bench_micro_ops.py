@@ -27,20 +27,29 @@ decrypt asserting that every row opened in proven 64-bit words) and at
 all there is) — and one the decrypt of a 120-row ambiguity reply
 (``ambiguity_range``), which no word holds: every row must open in
 exact digits, none boxed.
+Three time a mutation's server-side costs besides its fsync, at the
+shapes of ``mixed_wal``: a one-row insert into a pending column of 200
+rows, the WAL append of that insert's record (encode included) under
+``fsync="never"``, and the recovery of a log of 1 000 such mutations.
 """
 
+import itertools
 import random
 
 import pytest
 
 from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
+from repro.core.persistence import recover_catalog
 from repro.core.server import SecureServer
+from repro.core.session import OutsourcedDatabase
+from repro.core.wal import WalWriter
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor, _chunks
 from repro.net.catalog import ColumnCatalog
 from repro.net.client import RemoteColumn
 from repro.net.protocol import (
+    InsertRequest,
     QueryRequest,
     QueryResponse,
     decode,
@@ -271,3 +280,72 @@ def test_decrypt_120_ambiguous_rows(benchmark):
     assert sorted(result.values.tolist()) == sorted(values)
     assert result.false_positives == 60
     assert (encryptor.exact_rows, encryptor.fast_rows % 120) == (0, 0)
+
+
+@pytest.fixture(scope="module")
+def one_row_inserts():
+    """The e2e harness's key, a 2 000-row column and 201 one-row insert
+    requests as the endpoint decodes them."""
+    client = TrustedClient(seed=11)
+    rng = random.Random(6)
+    rows, row_ids = client.encrypt_dataset(rng.sample(range(10**6), 2_000))
+    requests = [
+        decode(encode(InsertRequest(
+            column="bench",
+            rows=client.encryptor.encrypt_values([rng.randrange(10**6)]),
+        )))
+        for _ in range(201)
+    ]
+    return client, rows, row_ids, requests
+
+
+def test_insert_one_row_into_200_pending(one_row_inserts, benchmark):
+    client, rows, row_ids, requests = one_row_inserts
+
+    def server_with_200_pending():
+        server = SecureServer(rows, row_ids)
+        for index, request in enumerate(requests[:200]):
+            if index == 100:  # queries scan the pending rows
+                server.execute(client.make_query(0, 5_000))
+            server.insert(request.rows)
+        return (server,), {}
+
+    def insert(server):
+        assert server.insert(requests[200].rows) == [2_200]
+
+    benchmark.pedantic(insert, setup=server_with_200_pending, rounds=100)
+
+
+def test_wal_append_insert_record(one_row_inserts, tmp_path, benchmark):
+    request = one_row_inserts[3][0]
+    epochs = itertools.count(1)
+    with WalWriter(str(tmp_path), fsync="never") as writer:
+        benchmark(lambda: writer.append("bench", next(epochs), encode(request)))
+
+
+@pytest.fixture(scope="module")
+def mixed_log(tmp_path_factory):
+    """A WAL of 1 000 mutations after the upload, ``mixed_wal``'s way:
+    five inserts to a delete, merged past 256 pending rows."""
+    directory = str(tmp_path_factory.mktemp("mixed-log"))
+    with WalWriter(directory, fsync="never") as writer:
+        catalog = ColumnCatalog()
+        catalog.bind_wal(writer)
+        db = OutsourcedDatabase(
+            random.Random(7).sample(range(10**6), 2_000), seed=11,
+            auto_merge_threshold=256, transport=LoopbackTransport(catalog),
+            column="bench",
+        )
+        for step in range(1_000):
+            if step % 6 == 5:
+                db.delete(step)
+            else:
+                db.insert(step * 997 % 10**6)
+    return directory
+
+
+def test_replay_1000_records(mixed_log, benchmark):
+    __, info = benchmark.pedantic(
+        lambda: recover_catalog(mixed_log), rounds=5
+    )
+    assert info["replayed"] == 1_001  # the upload too

@@ -72,6 +72,7 @@ from repro.linalg.limbs import (
     to_float,
     to_objects,
     top_bits,
+    widen,
     word_operand,
 )
 
@@ -80,6 +81,14 @@ from repro.linalg.limbs import (
 #: where no word holds the product (~50 array calls, against ~0.7 us a
 #: row boxed and multiplied as Python ints).
 _DIGITS_MIN_ROWS = 96
+
+
+def _head_of(array: np.ndarray, capacity: int) -> np.ndarray:
+    """A buffer of ``capacity`` rows shaped like ``array``, whose first
+    rows are a copy of it."""
+    buffer = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
+    buffer[:len(array)] = array
+    return buffer
 
 
 class EncryptedColumn(CrackableColumn):
@@ -131,6 +140,13 @@ class EncryptedColumn(CrackableColumn):
             raise IndexStateError("row ids must be unique")
         # (sorted row ids, their physical indices), built on demand.
         self._id_order = None
+        #: An upper bound on every id the column holds (-1 when none):
+        #: ids ascending above it are new without a look at the others.
+        self._id_ceiling = int(ids.max()) if len(ids) else -1
+        #: None, or the buffers ``(limbs, row ids, floats or None)`` the
+        #: parallel arrays are the first ``len(self)`` rows of, with
+        #: spare rows behind them for appends (:meth:`insert_block`).
+        self._spare = None
         #: An upper bound on the bit-length of every numerator the
         #: column has held: measured here, raised from the top limbs
         #: alone (at most two bits loose) as rows arrive.
@@ -328,26 +344,42 @@ class EncryptedColumn(CrackableColumn):
         The ciphertext length must be the established ``_length`` —
         also once deletes have emptied the column; only a column that
         never held a row adopts the incoming length.
+
+        Rows that all go to the end, no wider than the store, with ids
+        ascending above every id the column holds (what
+        :meth:`SecureServer.insert` hands the pending column) are
+        written into spare rows behind the arrays, grown geometrically:
+        such an append costs the block, not the column.  Anything else
+        is spliced, and drops the spare rows.
         """
         positions = np.asarray(positions, dtype=np.int64).reshape(-1)
         row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
-        if not len(positions) == len(block) == len(row_ids):
+        count = len(block)
+        if not len(positions) == count == len(row_ids):
             raise IndexStateError("positions, rows and row ids differ in length")
-        if not len(block):
+        if not count:
             return
-        if positions.min() < 0 or positions.max() > len(self):
-            raise IndexStateError("insert position out of range")
+        size = len(self)
         if block.length != (self._length or block.length):
             raise IndexStateError("row has wrong ciphertext length")
+        limbs = block.limbs
+        bits = max(self._bits, top_bits(limbs[:, :-1]))
+        k = self._limbs.shape[2]
+        if (self._length and limbs.shape[2] <= k and (positions == size).all()
+                and row_ids[0] > self._id_ceiling
+                and (count == 1 or (row_ids[1:] > row_ids[:-1]).all())):
+            self._append(size, widen(limbs, k), row_ids, bits)
+            return
+        if positions.min() < 0 or positions.max() > size:
+            raise IndexStateError("insert position out of range")
         merged_ids = np.concatenate((self._row_ids, row_ids))
         if len(np.unique(merged_ids)) != len(merged_ids):
             raise IndexStateError("row id already present or repeated")
         store = self._limbs
         if not self._length:
-            store = store[:, :0].reshape(0, block.length + 1, store.shape[2])
-        store, incoming = common_width((store, block.limbs))
+            store = store[:, :0].reshape(0, block.length + 1, k)
+        store, incoming = common_width((store, limbs))
         floats = self._floats
-        bits = max(self._bits, top_bits(block.limbs[:, :-1]))
         if store is not self._limbs or (
             self._rounding_bound(bits) >= ROUNDING_LIMIT
         ):
@@ -362,6 +394,41 @@ class EncryptedColumn(CrackableColumn):
         self._length, self._bits, self._floats = block.length, bits, floats
         self._limbs = np.insert(store, positions, incoming, axis=0)
         self._row_ids = np.insert(self._row_ids, positions, row_ids)
+        self._id_ceiling = max(self._id_ceiling, int(row_ids.max()))
+        self._id_order = self._spare = None
+
+    def _append(self, size: int, incoming: np.ndarray, row_ids: np.ndarray,
+                bits: int) -> None:
+        """Write ``incoming`` (limbs at the store's width) and its ids
+        after the ``size`` rows the column holds, into the spare rows —
+        made, twice what the column then holds, when there are too few
+        of them or none for a float plane the column has since derived."""
+        end = size + len(row_ids)
+        floats = self._floats
+        if floats is not None and bits > self._bits and (
+            self._rounding_bound(bits) >= ROUNDING_LIMIT
+        ):
+            floats = None  # as the splice drops it
+        spare = self._spare
+        if spare is None or len(spare[0]) < end or (
+            floats is not None and spare[2] is None
+        ):
+            spare = tuple(
+                None if array is None else _head_of(array, 2 * end)
+                for array in (self._limbs, self._row_ids, floats)
+            )
+        limbs, ids, plane = spare
+        limbs[size:end] = incoming
+        ids[size:end] = row_ids
+        if floats is None:
+            plane = None
+        else:
+            plane[size:end] = to_float(incoming[:, :-1])
+            floats = plane[:end]
+        self._spare = limbs, ids, plane
+        self._limbs, self._row_ids, self._floats = limbs[:end], ids[:end], floats
+        self._bits = bits
+        self._id_ceiling = int(row_ids[-1])
         self._id_order = None
 
     def insert_at(self, position: int, row: ValueCiphertext, row_id: int) -> None:
@@ -377,7 +444,7 @@ class EncryptedColumn(CrackableColumn):
         self._row_ids = np.delete(self._row_ids, positions)
         if self._floats is not None:
             self._floats = np.delete(self._floats, positions, axis=0)
-        self._id_order = None
+        self._id_order = self._spare = None
 
     def delete_at(self, position: int) -> None:
         """Remove the row at ``position`` (:meth:`delete_positions` of one)."""
@@ -446,6 +513,13 @@ class EncryptedColumn(CrackableColumn):
         assert bit_length(self._numerators) <= self._bits, (
             "a numerator is wider than the tracked bit-length"
         )
+        assert len(self) == 0 or self._row_ids.max() <= self._id_ceiling, (
+            "a row id is above the tracked ceiling"
+        )
+        for array, buffer in zip(self._parallel_arrays(), self._spare or ()):
+            assert buffer is None or array.base is buffer, (
+                "an array is not the head of its spare rows"
+            )
         if self._floats is not None:
             assert self._rounding_bound(self._bits) < ROUNDING_LIMIT, (
                 "float plane kept for rows no bound can serve"

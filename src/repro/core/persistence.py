@@ -381,12 +381,12 @@ def recover_catalog(
         catalog = ColumnCatalog(obs=obs, **catalog_kwargs)
     replayed = skipped = 0
     last_seq = wal_seq
-    for entry in WalReader(directory).entries(after_seq=wal_seq):
-        if catalog.apply_wal_entry(entry):
+    for record in WalReader(directory).entries(after_seq=wal_seq):
+        if catalog.apply_record(record):
             replayed += 1
         else:
             skipped += 1
-        last_seq = entry["seq"]
+        last_seq = record.seq
     return catalog, {
         "snapshot": have_snapshot,
         "wal_seq": wal_seq,

@@ -204,14 +204,16 @@ class SecureServer:
         pending = self._pending
         try:
             block = RowBlock.from_rows(rows)
-            assigned = self._updates.next_row_id + np.arange(len(block))
-            pending.insert_block(np.full(len(block), len(pending)), block, assigned)
+            count = len(block)
+            assigned = self._updates.next_row_id + np.arange(count)
+            # At the end, in arrival order: an append into spare rows.
+            pending.insert_block([len(pending)] * count, block, assigned)
         except (ValueError, IndexStateError) as exc:
             raise UpdateError(str(exc)) from exc
-        self._updates.assign(len(block))
-        self._obs.metrics.add("server.rows_inserted", len(assigned))
+        self._updates.assign(count)
+        self._obs.metrics.add("server.rows_inserted", count)
         if self._obs.audit.enabled:
-            self._obs.audit.record("insert", rows=len(assigned))
+            self._obs.audit.record("insert", rows=count)
         threshold = self._config["auto_merge_threshold"]
         if threshold is not None and len(pending) > threshold:
             self.merge_pending()

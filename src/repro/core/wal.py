@@ -1,4 +1,4 @@
-"""Append-only write-ahead log of protocol mutation envelopes.
+"""Append-only write-ahead log of protocol mutation frames.
 
 The server's durability story before this module was a manual snapshot:
 a crash lost every crack, insert, and rotation since the last save.
@@ -6,23 +6,30 @@ The WAL closes that gap by reusing what the wire protocol already
 guarantees — every mutation (the request kinds the protocol registry
 marks ``journaled``: ``create_column`` / ``insert_request`` /
 ``delete_request`` / ``merge_request`` / ``rotate_apply``) is a
-deterministic, versioned envelope dict — and journaling exactly those
-envelopes to disk as they commit.  Restart = restore the last snapshot,
-then re-dispatch the logged envelopes after it; the same record stream
+deterministic, versioned request frame — and journaling exactly those
+frames to disk as they commit.  Restart = restore the last snapshot,
+then re-dispatch the logged requests after it; the same record stream
 doubles as the replication feed warm read replicas consume.
+
+This module handles records and bytes only: the catalog encodes the
+request it journals (:func:`repro.net.protocol.encode`, untraced) and
+decodes it again on replay.
 
 Record format (one mutation)::
 
     record  := length(4B, big-endian)  crc32(4B, big-endian)  payload
-    payload := binary frame (repro.net.binframe) of the entry dict
-               {"seq": n, "column": name, "epoch": e, "request": env}
+    payload := 0x01  varint(seq)  varint(epoch)
+               varint(len(column))  column (UTF-8)  frame
 
 ``seq`` is the log-global sequence number (1-based, contiguous within
 the retained segments); ``epoch`` is the column's per-column mutation
 epoch *after* the mutation (the PR 5 rotation-fence counter), which is
 the idempotence fence on replay: an entry whose epoch the restored
 column has already reached is skipped, an entry that would skip ahead
-is a gap, i.e. corruption.
+is a gap, i.e. corruption.  ``frame`` is the request's protocol frame,
+to the record's last byte.  A payload whose first byte is not the
+format byte — a record holding an entry dict, as the log was written
+before this format — is refused: there is no fallback reader.
 
 Segments: records append to ``wal-<first-seq>.seg`` files; a segment
 exceeding ``segment_bytes`` is closed and a new one started.
@@ -50,7 +57,8 @@ Fsync policy (the durability/latency dial, measured by
 Every append flushes the Python buffer to the OS regardless of policy,
 so concurrent readers (the replication feed) always see complete
 records, and a SIGKILL'd process loses nothing it acknowledged under
-``"never"`` either.
+``"never"`` either.  A flush or fsync a closing segment owes that fails
+raises, as an append's own does.
 """
 
 from __future__ import annotations
@@ -60,12 +68,16 @@ import os
 import struct
 import threading
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.errors import PersistenceError
+from repro.errors import PersistenceError, SerializationError
+from repro.net.binframe import Reader, write_text, write_varint
 
 #: Record header: payload length then CRC32 of the payload bytes.
 RECORD_HEADER = struct.Struct(">II")
+
+#: First byte of every record payload: the layout above.
+RECORD_FORMAT = 0x01
 
 #: Upper bound on one record's payload; larger announcements are
 #: corruption, not data (a rotate_apply of a huge column stays far
@@ -82,8 +94,20 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 FSYNC_POLICIES = ("always", "batch", "never")
 
 
+class WalRecord(NamedTuple):
+    """One journaled mutation, as the log holds it."""
+
+    seq: int
+    epoch: int
+    column: str
+    #: The request's protocol frame.
+    frame: bytes
+
+
 def entry_from_wire(data: Any) -> Dict[str, Any]:
-    """Validate one WAL/replication entry dict's shape.
+    """Validate one replication-feed entry dict's shape (the feed ships
+    each record as ``{"seq", "column", "epoch", "request"}`` with the
+    request in its dict form).
 
     Raises:
         PersistenceError: on anything but
@@ -127,17 +151,38 @@ def entry_from_wire(data: Any) -> Dict[str, Any]:
     return {"seq": seq, "column": column, "epoch": epoch, "request": request}
 
 
-def _encode_record(entry: Dict[str, Any]) -> bytes:
-    # Imported lazily so the storage layer never forces the net
-    # package's import order (binframe is a leaf module, but its
-    # package __init__ pulls in the whole net stack).
-    from repro.net.binframe import encode_binary_frame
-
-    try:
-        payload = encode_binary_frame(entry)
-    except Exception as exc:
-        raise PersistenceError("unencodable WAL entry: %s" % exc) from exc
+def _encode_record(seq: int, epoch: int, column: str, frame: bytes) -> bytes:
+    payload = bytearray((RECORD_FORMAT,))
+    write_varint(payload, seq)
+    write_varint(payload, epoch)
+    write_text(payload, column)
+    payload += frame
     return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _decode_record(payload: bytes) -> WalRecord:
+    """The record a CRC-checked payload holds.
+
+    Raises:
+        PersistenceError: a format byte other than :data:`RECORD_FORMAT`
+            (an entry-dict record from before it included), a truncated
+            varint, a ``seq`` below 1, an empty or non-UTF-8 column.
+    """
+    if not payload or payload[0] != RECORD_FORMAT:
+        raise PersistenceError(
+            "unknown WAL record format %r (a record holding an entry dict "
+            "predates the positional format and is not read)" % payload[:1]
+        )
+    reader = Reader(payload, 1)
+    try:
+        seq, epoch, column = reader.varint(), reader.varint(), reader.text()
+    except SerializationError as exc:
+        raise PersistenceError("malformed WAL record head: %s" % exc) from exc
+    if seq < 1 or not column:
+        raise PersistenceError(
+            "malformed WAL record head: seq %d, column %r" % (seq, column)
+        )
+    return WalRecord(seq, epoch, column, payload[reader.pos:])
 
 
 def _segment_files(directory: str) -> List[Tuple[int, str]]:
@@ -159,28 +204,26 @@ def _segment_files(directory: str) -> List[Tuple[int, str]]:
     return segments
 
 
-def _scan_segment(path: str, last: bool) -> Tuple[List[Dict[str, Any]], int]:
-    """Decode one segment; returns ``(entries, valid_byte_length)``.
+def _scan_segment(path: str, last: bool) -> Tuple[List[WalRecord], int]:
+    """Decode one segment; returns ``(records, valid_byte_length)``.
 
     ``last`` marks the newest segment, where a torn final record is
     tolerated (dropped); anywhere else the same damage is an error.
     """
-    from repro.net.binframe import decode_binary_frame
-
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
         raise PersistenceError("cannot read WAL segment %r: %s"
                                % (path, exc)) from exc
-    entries: List[Dict[str, Any]] = []
+    records: List[WalRecord] = []
     offset = 0
     while offset < len(blob):
         torn = "torn" if last else None
         header = blob[offset:offset + RECORD_HEADER.size]
         if len(header) < RECORD_HEADER.size:
             if torn and offset + len(header) == len(blob):
-                return entries, offset  # torn header at the tail
+                return records, offset  # torn header at the tail
             raise PersistenceError(
                 "%s: truncated record header at byte %d" % (path, offset)
             )
@@ -194,26 +237,35 @@ def _scan_segment(path: str, last: bool) -> Tuple[List[Dict[str, Any]], int]:
         payload = blob[start:start + length]
         if len(payload) < length:
             if torn and start + len(payload) == len(blob):
-                return entries, offset  # torn payload at the tail
+                return records, offset  # torn payload at the tail
             raise PersistenceError(
                 "%s: truncated record payload at byte %d" % (path, offset)
             )
         if zlib.crc32(payload) != crc:
             if torn and start + length == len(blob):
-                return entries, offset  # torn/corrupt final record
+                return records, offset  # torn/corrupt final record
             raise PersistenceError(
                 "%s: CRC mismatch at byte %d" % (path, offset)
             )
         try:
-            decoded = decode_binary_frame(payload)
-        except Exception as exc:
+            records.append(_decode_record(payload))
+        except PersistenceError as exc:
             raise PersistenceError(
-                "%s: undecodable record at byte %d: %s"
-                % (path, offset, exc)
+                "%s: record at byte %d: %s" % (path, offset, exc)
             ) from exc
-        entries.append(entry_from_wire(decoded))
         offset = start + length
-    return entries, offset
+    return records, offset
+
+
+def _check_sequence(path: str, first_seq: int,
+                    records: List[WalRecord]) -> None:
+    """Raise unless a segment's ``records`` number on from ``first_seq``."""
+    for expected, record in enumerate(records, first_seq):
+        if record.seq != expected:
+            raise PersistenceError(
+                "%s: sequence gap (expected %d, found %d)"
+                % (path, expected, record.seq)
+            )
 
 
 class WalWriter:
@@ -279,16 +331,21 @@ class WalWriter:
             return
         for index, (first_seq, path) in enumerate(segments):
             last = index == len(segments) - 1
-            entries, valid_length = _scan_segment(path, last=last)
-            if entries:
-                self._check_contiguity(first_seq, entries, path)
-                self.last_seq = entries[-1]["seq"]
+            records, valid_length = _scan_segment(path, last=last)
+            if records:
+                _check_sequence(path, first_seq, records)
+                if self.last_seq and first_seq != self.last_seq + 1:
+                    raise PersistenceError(
+                        "%s: segment starts at %d but the log ends at %d"
+                        % (path, first_seq, self.last_seq)
+                    )
+                self.last_seq = records[-1].seq
             if last:
                 size = os.path.getsize(path)
                 if valid_length < size:
                     with open(path, "r+b") as handle:
                         handle.truncate(valid_length)
-                if not entries:
+                if not records:
                     # A segment holding nothing valid carries no state.
                     os.remove(path)
                     self._segments -= 1
@@ -296,38 +353,23 @@ class WalWriter:
                 self._segment_first_seq = first_seq
                 self._segment_length = valid_length
 
-    def _check_contiguity(self, first_seq, entries, path) -> None:
-        expected = first_seq
-        for entry in entries:
-            if entry["seq"] != expected:
-                raise PersistenceError(
-                    "%s: sequence gap (expected %d, found %d)"
-                    % (path, expected, entry["seq"])
-                )
-            expected += 1
-        if self.last_seq and first_seq != self.last_seq + 1:
-            raise PersistenceError(
-                "%s: segment starts at %d but the log ends at %d"
-                % (path, first_seq, self.last_seq)
-            )
-
     # -- appending ---------------------------------------------------------------
 
-    def append(self, column: str, epoch: int,
-               request: Dict[str, Any]) -> int:
-        """Journal one mutation envelope; returns its sequence number.
+    def append(self, column: str, epoch: int, frame: bytes) -> int:
+        """Journal one mutation — ``column``, its epoch after it and its
+        request frame; returns the record's sequence number.
 
         The record is flushed to the OS before returning (readers see
         it immediately) and fsynced per the policy.
         """
+        if not column or epoch < 0:
+            raise PersistenceError(
+                "a WAL record needs a column name and an epoch >= 0, "
+                "not %r / %r" % (column, epoch)
+            )
         with self._lock:
             seq = self.last_seq + 1
-            record = _encode_record(entry_from_wire({
-                "seq": seq,
-                "column": column,
-                "epoch": int(epoch),
-                "request": request,
-            }))
+            record = _encode_record(seq, epoch, column, frame)
             handle = self._current_handle(seq, len(record))
             try:
                 handle.write(record)
@@ -461,16 +503,25 @@ class WalWriter:
             }
 
     def _close_handle_locked(self) -> None:
-        if self._handle is not None:
+        """Flush the open segment, fsync it unless the policy is
+        ``"never"``, and close it.  Under ``"batch"`` it may hold
+        acknowledged appends, so a failure raises."""
+        handle, self._handle = self._handle, None
+        if handle is None:
+            return
+        try:
             try:
-                self._handle.flush()
+                handle.flush()
                 if self.fsync != "never":
-                    os.fsync(self._handle.fileno())
-            except OSError:  # pragma: no cover - close is best effort
-                pass
-            self._handle.close()
-            self._handle = None
-            self._unsynced = 0
+                    os.fsync(handle.fileno())
+            finally:
+                handle.close()
+        except OSError as exc:
+            raise PersistenceError(
+                "closing WAL segment %r failed, %d appends may not be "
+                "durable: %s" % (handle.name, self._unsynced, exc)
+            ) from exc
+        self._unsynced = 0
 
     def close(self) -> None:
         """Flush, sync (unless policy ``never``), and close."""
@@ -485,7 +536,7 @@ class WalWriter:
 
 
 class WalReader:
-    """Reads validated entries back out of a WAL directory.
+    """Reads records back out of a WAL directory.
 
     A reader is a point-in-time scan over the segment files; it holds
     no file handles between calls, so it can run concurrently with a
@@ -497,8 +548,8 @@ class WalReader:
         self.directory = directory
 
     def entries(self, after_seq: int = 0,
-                limit: Optional[int] = None) -> Iterator[Dict[str, Any]]:
-        """Yield entries with ``seq > after_seq`` in sequence order.
+                limit: Optional[int] = None) -> Iterator[WalRecord]:
+        """Yield records with ``seq > after_seq`` in sequence order.
 
         Raises:
             PersistenceError: on non-tail corruption, sequence gaps
@@ -530,39 +581,19 @@ class WalReader:
                 # steady-state replication poll touches only the tail).
                 previous_seq = segments[index + 1][0] - 1
                 continue
-            entries, __ = _scan_segment(
+            records, __ = _scan_segment(
                 path, last=index == len(segments) - 1
             )
-            if entries:
-                expected = first_seq
-                for entry in entries:
-                    if entry["seq"] != expected:
-                        raise PersistenceError(
-                            "%s: sequence gap (expected %d, found %d)"
-                            % (path, expected, entry["seq"])
-                        )
-                    expected += 1
-                previous_seq = entries[-1]["seq"]
-            for entry in entries:
-                if entry["seq"] <= after_seq:
+            if records:
+                _check_sequence(path, first_seq, records)
+                previous_seq = records[-1].seq
+            for record in records:
+                if record.seq <= after_seq:
                     continue
-                yield entry
+                yield record
                 yielded += 1
                 if limit is not None and yielded >= limit:
                     return
-
-    def last_seq(self) -> int:
-        """Sequence number of the newest valid record (0 when empty)."""
-        seq = 0
-        for entry in self.entries():
-            seq = entry["seq"]
-        return seq
-
-
-def read_wal_entries(directory: str, after_seq: int = 0,
-                     limit: Optional[int] = None) -> List[Dict[str, Any]]:
-    """Materialised :meth:`WalReader.entries` (the replication feed)."""
-    return list(WalReader(directory).entries(after_seq, limit=limit))
 
 
 def wal_start_seq(directory: str) -> Optional[int]:

@@ -5,11 +5,11 @@ Two things live here.  The *primitives* are what
 in declared order (varints, zigzag ints, UTF-8 strings, ``int64`` runs,
 fixed-width runs of big integers, and a :class:`Reader` that reads each
 back with every bound checked).  The *generic grammar* below is a tagged
-encoding of plain dicts, lists and scalars: a WAL record is one, and so
-is every free-form envelope field (a config, telemetry sections, a
-snapshot) inside a frame.
+encoding of plain dicts, lists and scalars: every free-form envelope
+field (a config, telemetry sections, a snapshot, the replication feed's
+entries) inside a frame is one.
 
-Generic frame layout (WAL records)::
+Generic frame layout::
 
     frame   := MAGIC(0xAE)  VERSION(0x01)  CODEC_ID(0x01)  value
     value   := 0x00                                  # None
@@ -122,7 +122,7 @@ _SMALL_INT_LIMIT = 1 << 63
 #: count, back-reference, and small int the encoder can produce).
 _MAX_VARINT_BYTES = 10
 
-#: Maximum container nesting; WAL entries are a handful deep.
+#: Maximum container nesting; a feed's entries are a handful deep.
 _MAX_DEPTH = 64
 
 
@@ -375,7 +375,7 @@ def _write_value(out: bytearray, value: Any, interned: Dict[str, int],
 
 
 def encode_binary_frame(payload: Dict[str, Any]) -> bytes:
-    """Encode one dict (a WAL entry) to a canonical generic frame.
+    """Encode one dict to a canonical generic frame.
 
     Deterministic: sorted keys and encounter-order interning make the
     bytes a pure function of the dict's content.

@@ -81,6 +81,8 @@ from repro.net.protocol import (
     RotateBeginResponse,
     TelemetryRequest,
     TelemetryResponse,
+    decode_request,
+    encode,
     error_response_for,
     request_from_dict,
     request_to_dict,
@@ -421,7 +423,7 @@ class ColumnCatalog:
         """Journal every mutation this catalog commits to ``writer``.
 
         From this point each insert/delete/merge/rotate_apply appends
-        its wire envelope to the WAL *under the column lock, before the
+        its request frame to the WAL *under the column lock, before the
         response is returned*: an acknowledged mutation is always in
         the log (per the writer's fsync policy), an unacknowledged one
         may be lost on a crash.  Binding also exports the
@@ -467,7 +469,7 @@ class ColumnCatalog:
         return getattr(self._replaying, "active", False)
 
     def _log_mutation(self, column: str, epoch: int, request) -> None:
-        """Append one committed mutation's envelope to the WAL.
+        """Append one committed mutation's request frame to the WAL.
 
         Called under the column's lock (so per-column log order equals
         epoch order) and skipped while replaying — replayed entries are
@@ -477,10 +479,44 @@ class ColumnCatalog:
         wal = self._wal
         if wal is None or self._is_replaying():
             return
-        wal.append(column, int(epoch), request_to_dict(request))
+        wal.append(column, epoch, encode(request))
+
+    @staticmethod
+    def logged_request(record):
+        """The request a :class:`~repro.core.wal.WalRecord` journals.
+
+        Raises:
+            PersistenceError: a frame that does not decode, or decodes
+                to a kind the registry does not mark ``journaled``, or
+                to one addressing another column than the record.
+        """
+        try:
+            request, __ = decode_request(record.frame)
+        except SerializationError as exc:
+            raise PersistenceError(
+                "WAL record %d carries a malformed frame: %s"
+                % (record.seq, exc)
+            ) from exc
+        spec = spec_of(request)
+        if not spec.journaled or request.column != record.column:
+            raise PersistenceError(
+                "WAL record %d of column %r carries a %s frame"
+                % (record.seq, record.column, spec.kind)
+            )
+        return request
+
+    def apply_record(self, record) -> bool:
+        """:meth:`apply_wal_entry` of a record read off this endpoint's
+        own log (a :class:`~repro.core.wal.WalRecord`)."""
+        return self._apply_logged(
+            record.seq, record.column, record.epoch,
+            self.logged_request(record),
+        )
 
     def apply_wal_entry(self, entry: Dict[str, Any]) -> bool:
-        """Apply one logged mutation if the column hasn't seen it yet.
+        """Apply one logged mutation if the column hasn't seen it yet —
+        ``entry`` as the replication feed ships it, the request in its
+        dict form.
 
         The per-column epoch is the idempotence fence: an entry at or
         below the column's current epoch is already reflected (it was
@@ -493,8 +529,6 @@ class ColumnCatalog:
             PersistenceError: on a gap, an entry for an unknown column,
                 or an entry that fails to apply.
         """
-        column = entry["column"]
-        epoch = entry["epoch"]
         try:
             request = request_from_dict(entry["request"])
         except ReproError as exc:
@@ -502,17 +536,22 @@ class ColumnCatalog:
                 "WAL entry %d carries a malformed %r envelope: %s"
                 % (entry["seq"], entry["request"].get("kind"), exc)
             ) from exc
+        return self._apply_logged(
+            entry["seq"], entry["column"], entry["epoch"], request
+        )
+
+    def _apply_logged(self, seq: int, column: str, epoch: int,
+                      request) -> bool:
         with self._registry_lock:
             hosted = self._columns.get(column)
         if isinstance(request, CreateColumnRequest):
             if hosted is not None:
                 return False
-            self._apply_replayed(request, entry)
+            self._apply_replayed(seq, request)
             return True
         if hosted is None:
             raise PersistenceError(
-                "WAL entry %d mutates unknown column %r"
-                % (entry["seq"], column)
+                "WAL entry %d mutates unknown column %r" % (seq, column)
             )
         current = hosted.epoch
         if epoch <= current:
@@ -520,12 +559,12 @@ class ColumnCatalog:
         if epoch != current + 1:
             raise PersistenceError(
                 "WAL entry %d skips column %r from epoch %d to %d "
-                "(missing entries)" % (entry["seq"], column, current, epoch)
+                "(missing entries)" % (seq, column, current, epoch)
             )
-        self._apply_replayed(request, entry)
+        self._apply_replayed(seq, request)
         return True
 
-    def _apply_replayed(self, request, entry: Dict[str, Any]):
+    def _apply_replayed(self, seq: int, request):
         """Execute an already-logged envelope, bypassing the read-only
         refusal and the WAL append."""
         self._replaying.active = True
@@ -534,8 +573,7 @@ class ColumnCatalog:
         except ReproError as exc:
             raise PersistenceError(
                 "WAL entry %d (%s on %r) failed to apply: %s"
-                % (entry["seq"], entry["request"].get("kind"),
-                   entry["column"], exc)
+                % (seq, spec_of(request).kind, request.column, exc)
             ) from exc
         finally:
             self._replaying.active = False
@@ -650,7 +688,13 @@ class ColumnCatalog:
         limit = request.limit
         if limit is None or limit <= 0 or limit > MAX_REPLICATION_BATCH:
             limit = MAX_REPLICATION_BATCH
-        entries = tuple(WalReader(wal.directory).entries(after, limit=limit))
+        # The feed ships each record with its request in the dict form.
+        entries = tuple(
+            {"seq": record.seq, "column": record.column,
+             "epoch": record.epoch,
+             "request": request_to_dict(self.logged_request(record))}
+            for record in WalReader(wal.directory).entries(after, limit=limit)
+        )
         self._obs.metrics.add("replication.entries_served", len(entries))
         return ReplicateEntriesResponse(entries=entries, seq=head)
 

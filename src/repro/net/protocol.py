@@ -14,8 +14,9 @@ kind code, its fields (each a named :class:`FieldType` owning that
 field's frame writer and reader, its dict form and their validation),
 the reply it is answered with, and how it is classified (retried?
 served by a replica? refused by one? journaled?).  The frame codec, the
-catalog's dispatch, the client's retry and reply checks, replica read
-routing and the WAL's entry validation all read that table.
+catalog's dispatch and replay, the client's retry and reply checks,
+replica read routing and the replication feed's entry validation all
+read that table.
 
 A *frame* is one envelope as bytes, written by :func:`encode` and read
 by :func:`decode` straight from and into the envelope's attributes:
@@ -25,8 +26,9 @@ positional, no keys (layout in ``docs/protocol.md``).  It is
 deterministic, so the loopback and TCP transports produce byte-identical
 traffic for the same workload, and measured frame lengths are real
 transfer accounting.  A request frame may carry the caller's trace
-context.  The dict forms (``request_to_dict`` and its three siblings)
-are what the WAL and the replication feed journal.
+context.  A WAL record holds a mutation's request frame; the dict forms
+(``request_to_dict`` and its three siblings) are what the replication
+feed ships.
 
 Pipelining: a ``batch_request`` envelope carries N independent
 sub-request envelopes in one frame; the catalog answers with a
@@ -94,9 +96,9 @@ from repro.net.binframe import (
 #: never reinterpreted.
 PROTOCOL_VERSION = 4
 
-#: Version tag of an envelope's dict form, the layout WAL records and
-#: the replication feed carry: version 3's envelope dicts, which
-#: version 4 of the frames left as they were.
+#: Version tag of an envelope's dict form, the layout the replication
+#: feed carries: version 3's envelope dicts, which version 4 of the
+#: frames left as they were.
 DICT_VERSION = 3
 
 #: The frame codec there is.  ``hello`` still lists it, and the
@@ -1132,7 +1134,7 @@ def _from_dict(data: Dict[str, Any], is_request: Optional[bool]):
 
 def request_to_dict(request) -> Dict[str, Any]:
     """Serialize any request envelope to a JSON-compatible dict (the
-    form WAL entries and the replication feed carry)."""
+    form the replication feed carries)."""
     return _to_dict(request, True)
 
 

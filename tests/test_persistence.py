@@ -557,9 +557,10 @@ class TestCheckpointTrigger:
         import os
 
         from repro.core.wal import WalWriter
+        from repro.net.protocol import MergeRequest, encode
 
         directory = str(tmp_path)
-        request = {"kind": "merge_request", "version": 3, "column": "t"}
+        request = encode(MergeRequest(column="t"))
         with WalWriter(directory, segment_bytes=1, fsync="never") as writer:
             assert writer.segment_count() == 0
             for epoch in range(1, 4):

@@ -4,13 +4,15 @@ Until PR 20 a merge deleted and ripple-inserted one row at a time
 (``delete_at`` / ``insert_at`` rebuilding the column per row, one
 in-order tree walk per row) and the column kept an id -> position dict
 beside ``row_ids``.  Those per-row bodies live on here, verbatim but for
-the dict upkeep, as the reference the one-pass merge is checked against:
-same final physical order, same crack positions, same products spent on
-routing, same counters, same audit events.
+the column's bookkeeping (the id memo and ceiling, the spare rows), as
+the reference the one-pass merge is checked against: same final
+physical order, same crack positions, same products spent on routing,
+same counters, same audit events.
 
 Also here: the id -> position lookups against a dict rebuilt from
-``row_ids``, the snapshot pin (sha256 computed at the parent commit),
-and the regressions for the refused-mutation and mid-merge-failure bugs.
+``row_ids``, appends into spare rows against the splice, the snapshot
+pin (sha256 computed at the parent commit), and the regressions for the
+refused-mutation and mid-merge-failure bugs.
 """
 
 import collections
@@ -89,7 +91,8 @@ def ref_insert_at(column, position, row, row_id):
             column._row_ids[position:],
         )
     )
-    column._id_order = None
+    column._id_ceiling = max(column._id_ceiling, row_id)
+    column._id_order = column._spare = None
 
 
 def ref_plane_insert(column, position, row, k):
@@ -108,7 +111,7 @@ def ref_delete_at(column, position):
         column._floats = np.delete(column._floats, position, axis=0)
     column._limbs = np.delete(column._limbs, position, axis=0)
     column._row_ids = np.delete(column._row_ids, position)
-    column._id_order = None
+    column._id_order = column._spare = None
 
 
 def ref_route_row(engine, row):
@@ -438,6 +441,162 @@ class TestPositionsDerivedFromRowIds:
                 column.delete_positions(positions)
         assert column.row_ids.tolist() == [7, 9]
         assert column.rows_at([0, 1]) == block
+
+
+# -- an append into spare rows == the splice ------------------------------------
+
+
+class SplicedColumn(EncryptedColumn):
+    """The column with no append path: no id is ever above its ceiling,
+    so every insert takes the explicit-position splice."""
+
+    _id_ceiling = property(lambda self: float("inf"), lambda self, value: None)
+
+
+APPEND_OP = st.one_of(
+    st.tuples(st.just("append"), st.lists(VALUE, min_size=1, max_size=3),
+              st.sampled_from(["as-sent", "one-limb", "two-limb"])),
+    st.tuples(st.just("unordered"), st.lists(VALUE, min_size=2, max_size=3),
+              st.sampled_from(["descending", "below"])),
+    st.tuples(st.just("query"), VALUE, st.integers(0, 20)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6)),
+    st.tuples(st.just("merge")),
+)
+
+
+class TestAppendMatchesSplice:
+    """Rows appended into spare rows leave every array, the float plane,
+    ``_bits`` and every answer exactly as the splice leaves them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.sampled_from([3, 11]),  # numerators of 58 / 64 bits
+        values=st.lists(VALUE, max_size=12),
+        ops=st.lists(APPEND_OP, min_size=1, max_size=24),
+    )
+    def test_differential(self, seed, values, ops):
+        from repro.linalg.limbs import fits_word
+        from repro.net.protocol import InsertRequest, decode, encode
+
+        client = TrustedClient(seed=seed)
+        rows, row_ids = client.encrypt_dataset(values)
+        if not values:  # a column that has held no row yet
+            rows = client.encryptor.encrypt_values([0])[:0]
+        appended, spliced = (cls(rows, row_ids)
+                             for cls in (EncryptedColumn, SplicedColumn))
+        next_id = len(values)
+
+        def block_of(draws, shape):
+            block = client.encryptor.encrypt_values(draws)
+            if shape == "as-sent":  # the narrowest width, as decoded
+                sent = encode(InsertRequest(column="c", rows=block))
+                return decode(sent).rows
+            if shape == "one-limb" and fits_word(block.limbs):
+                return RowBlock._of(block.limbs[..., :1].copy())
+            return RowBlock._of(widen(block.limbs, 2))
+
+        for op in ops:
+            if op[0] == "append":
+                block = block_of(op[1], op[2])
+                ids = list(range(next_id, next_id + len(block)))
+            elif op[0] == "unordered":
+                block = block_of(op[1], "as-sent")
+                ids = list(range(next_id, next_id + len(block)))[::-1]
+                if op[2] == "below":  # unique, yet under the ceiling
+                    ids = [-1 - i for i in ids]
+            if op[0] in ("append", "unordered"):
+                next_id += len(block)
+                fits = block.limbs.shape[2] <= appended._limbs.shape[2]
+                for column in (appended, spliced):
+                    column.insert_block([len(column)] * len(block), block, ids)
+                # The append path took it, or the splice (and so dropped
+                # the spare rows): ids out of order, a wider block.
+                assert (appended._spare is not None) == (
+                    op[0] == "append" and fits
+                )
+            elif op[0] == "query":
+                query = client.make_query(op[1], op[1] + op[2])
+                assert (appended.row_ids_at(appended.scan_query(query)).tolist()
+                        == spliced.row_ids_at(spliced.scan_query(query)).tolist())
+            elif op[0] == "delete" and len(appended):
+                for column in (appended, spliced):
+                    column.delete_positions([op[1] % len(column)])
+            elif op[0] == "merge":
+                for column in (appended, spliced):
+                    column.delete_positions(np.arange(len(column)))
+            for column in (appended, spliced):
+                column.check_invariants()
+            assert np.array_equal(appended._limbs, spliced._limbs)
+            assert appended.row_ids.tolist() == spliced.row_ids.tolist()
+            assert appended._bits == spliced._bits
+            if spliced._floats is None:
+                assert appended._floats is None
+            else:
+                assert np.array_equal(appended._floats, spliced._floats)
+        assert spliced._spare is None
+
+    def test_the_pending_column_grows_by_doubling(self):
+        """Row after row, the pending column grows in place: the spare
+        rows are made twice what the column then holds, once they run
+        out or a float plane appears that they have no room for."""
+        client = TrustedClient(seed=11)
+        server = SecureServer(*client.encrypt_dataset(list(range(50))))
+        blocks = [client.encryptor.encrypt_values([v]) for v in range(40)]
+        server.insert(blocks[0])
+        server.execute(client.make_query(0, 10))  # a float plane to keep
+        capacities = []
+        for block in blocks[1:]:
+            server.insert(block)
+            capacities.append(len(server.pending._spare[0]))
+        assert capacities[:5] == [4, 4, 4, 10, 10]
+        assert capacities[-1] == 46
+        server.pending.check_invariants()
+        assert server.pending._floats is not None
+        assert server.merge_pending() == 40
+        assert server.pending_count == 0
+
+
+def test_a_one_row_insert_makes_at_most_60_python_calls():
+    """The count-based gate CI runs by name for the pending append: one
+    ``mixed_wal``-shaped insert (the benchmark's key, a one-row block as
+    a frame decodes it, a pending column of 100-300 rows that queries
+    keep scanning, so it has a float plane), counted by ``cProfile`` —
+    the median of nine.  Spliced in with ``np.insert`` per parallel
+    array and ``np.unique`` over every pending id, these nine made a
+    median of 123 calls; appended into spare rows, 54 (51-54).  Going
+    back only reads slower, so it fails here instead."""
+    import cProfile
+    import pstats
+    import random
+    import statistics
+
+    from repro.net.protocol import InsertRequest, decode, encode
+
+    client = TrustedClient(seed=11)
+    rng = random.Random(32)
+    server = SecureServer(*client.encrypt_dataset(rng.sample(range(10**6), 3000)))
+    blocks = [
+        decode(encode(InsertRequest(
+            column="bench",
+            rows=client.encryptor.encrypt_values([rng.randrange(10**6)]),
+        ))).rows
+        for _ in range(301)
+    ]
+    counts = []
+    for index, block in enumerate(blocks):
+        if index % 10 == 0:
+            low = rng.randrange(10**6)
+            server.execute(client.make_query(low, low + 1000))
+        if index % 25 == 0 and index >= 100:
+            profile = cProfile.Profile()
+            profile.enable()
+            server.insert(block)
+            profile.disable()
+            counts.append(pstats.Stats(profile).total_calls)
+        else:
+            server.insert(block)
+    assert server.pending._floats is not None
+    assert len(counts) == 9 and statistics.median(counts) <= 60, counts
 
 
 # -- snapshot bytes ---------------------------------------------------------------
