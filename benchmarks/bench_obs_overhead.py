@@ -16,16 +16,20 @@ cracking, edge scans, the kernel — so its cost has to be bounded:
   field is then never built, so the untraced loop *is* the baseline.
 
 Emits ``BENCH_obs_overhead.json`` plus the observability artifacts the
-run produced (``obs_overhead.metrics.json`` / ``.trace.jsonl``) under
-``benchmarks/results/`` — the files CI uploads.
+run produced (``obs_overhead.metrics.json`` / ``.trace.jsonl``) beside
+it — the files CI uploads.
 
-Run standalone (``python benchmarks/bench_obs_overhead.py [--smoke]``,
-``REPRO_BENCH_FAST=1`` also selects smoke scale) or through pytest
-(``pytest benchmarks/bench_obs_overhead.py``).
+Run standalone (``python benchmarks/bench_obs_overhead.py [--smoke]
+[--output PATH]``, ``REPRO_BENCH_FAST=1`` also selects smoke scale) or
+through pytest (``pytest benchmarks/bench_obs_overhead.py``, which
+writes under the test's temporary directory).  Only a full-mode run
+writes the checked-in files under ``benchmarks/results/`` by default; a
+smoke run writes only where ``--output`` says.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -242,14 +246,17 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
         "fig9_query_loop": loop,
         "tcp_propagation": tcp,
     }
-    if output is None:
+    if output is None and not smoke:
         os.makedirs(RESULTS_DIR, exist_ok=True)
         output = os.path.join(RESULTS_DIR, "BENCH_obs_overhead.json")
-    with open(output, "w") as handle:
-        json.dump(report, handle, indent=2)
-    artifacts = save_obs_artifacts(
-        "obs_overhead", traced_obs, directory=os.path.dirname(output)
-    )
+    artifacts = []
+    if output is not None:
+        with open(output, "w") as handle:
+            json.dump(report, handle, indent=2)
+        artifacts = [output] + save_obs_artifacts(
+            "obs_overhead", traced_obs,
+            directory=os.path.dirname(os.path.abspath(output)),
+        )
     print(
         "disabled span: %.0f ns/call (budget %.0f), singleton=%s, recorded=%d"
         % (
@@ -284,15 +291,14 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
             tcp["adopted_rpc_serve_spans"],
         )
     )
-    print("wrote %s" % output)
     for path in artifacts:
         print("wrote %s" % path)
     return report
 
 
-def test_obs_overhead():
+def test_obs_overhead(tmp_path):
     """Pytest entry point: the observability layer stays within budget."""
-    report = main(smoke=SMOKE)
+    report = main(smoke=SMOKE, output=str(tmp_path / "BENCH_obs_overhead.json"))
     disabled = report["disabled_span"]
     assert disabled["returns_null_singleton"]
     assert disabled["spans_recorded"] == 0
@@ -310,4 +316,9 @@ def test_obs_overhead():
 
 
 if __name__ == "__main__":
-    main(smoke=SMOKE or "--smoke" in sys.argv[1:])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--output", help="report path (default: the "
+                        "checked-in file in full mode, none with --smoke)")
+    args = parser.parse_args()
+    main(smoke=SMOKE or args.smoke, output=args.output)

@@ -15,15 +15,17 @@ same data and reports:
   (off/never/batch/always) and read throughput per replica count
   (0/1/2 with ``ReplicaSet`` routing at zero staleness).
 
-Emits ``BENCH_transport.json`` under ``benchmarks/results/``.
-
-Run standalone (``python benchmarks/bench_transport.py [--smoke]``,
-``REPRO_BENCH_FAST=1`` also selects smoke scale) or through pytest
-(``pytest benchmarks/bench_transport.py``).
+Run standalone (``python benchmarks/bench_transport.py [--smoke]
+[--output PATH]``, ``REPRO_BENCH_FAST=1`` also selects smoke scale) or
+through pytest (``pytest benchmarks/bench_transport.py``, which writes
+its report under the test's temporary directory).  Only a full-mode run
+writes the checked-in ``benchmarks/results/BENCH_transport.json`` by
+default; a smoke run writes only where ``--output`` says.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -458,11 +460,12 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
         "mode": "smoke" if smoke else "full",
         **result,
     }
-    if output is None:
+    if output is None and not smoke:
         os.makedirs(RESULTS_DIR, exist_ok=True)
         output = os.path.join(RESULTS_DIR, "BENCH_transport.json")
-    with open(output, "w") as handle:
-        json.dump(report, handle, indent=2)
+    if output is not None:
+        with open(output, "w") as handle:
+            json.dump(report, handle, indent=2)
     for name in ("loopback", "tcp", "tcp_batched"):
         entry = report[name]
         print(
@@ -524,14 +527,15 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
         )
     print("fsync=always overhead: %.2fx slower than no WAL"
           % durability["fsync_always_overhead"])
-    print("wrote %s" % output)
+    if output is not None:
+        print("wrote %s" % output)
     return report
 
 
-def test_transport_bench():
+def test_transport_bench(tmp_path):
     """Pytest entry point: the transport matrix agrees byte for byte,
     and batching cuts round trips by the batch factor."""
-    report = main(smoke=True)
+    report = main(smoke=True, output=str(tmp_path / "BENCH_transport.json"))
     assert report["loopback"]["round_trips"] == report["tcp"]["round_trips"]
     assert report["loopback"]["bytes_sent"] == report["tcp"]["bytes_sent"]
     assert report["tcp"]["seconds_per_query"] > 0
@@ -575,4 +579,9 @@ def test_transport_bench():
 
 
 if __name__ == "__main__":
-    sys.exit(0 if main(smoke=SMOKE or "--smoke" in sys.argv[1:]) else 1)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--output", help="report path (default: the "
+                        "checked-in file in full mode, none with --smoke)")
+    args = parser.parse_args()
+    sys.exit(0 if main(smoke=SMOKE or args.smoke, output=args.output) else 1)

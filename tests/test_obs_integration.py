@@ -19,6 +19,8 @@ Covers the cross-cutting contracts:
 import json
 import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +37,9 @@ from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.server import SecureServer
 from repro.core.session import OutsourcedDatabase
 from repro.cracking.index import QUERY_METRIC_NAMES, STATS_METRIC_OF_FIELD
+from repro.net import serve
+from repro.net.protocol import HelloRequest, encode
+from repro.net.transport import TcpTransport
 from repro.obs import Observability
 
 VALUES = [int(v) for v in np.random.default_rng(5).permutation(512)]
@@ -248,6 +253,27 @@ class TestStatsEqualRegistryDeltas:
             if name.startswith(("server.", "protocol.", "client."))
         )
         assert self._documented("server.", "protocol.", "client.") == emitted
+
+    def test_documented_frame_wait_metrics_are_emitted(self):
+        """Its ``net.frames_*`` rows are exactly what a TCP endpoint
+        emits once it has served a polled and a parked frame."""
+        endpoint = serve()
+        thread = threading.Thread(target=endpoint.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with TcpTransport(*endpoint.server_address) as transport:
+                hello = encode(HelloRequest())
+                for _ in range(5):
+                    transport.exchange(hello)
+                time.sleep(0.05)
+                transport.exchange(hello)
+        finally:
+            endpoint.stop()
+            thread.join(timeout=5)
+        counters = endpoint.catalog.obs.metrics.snapshot()["counters"]
+        assert self._documented("net.frames_") == sorted(
+            name for name in counters if name.startswith("net.frames_")
+        )
 
 
 class TestProtocolBytes:
