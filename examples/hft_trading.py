@@ -15,10 +15,9 @@ adversary's view), and runs a realistic analyst session:
   indexing's best case: only the hot band gets indexed),
 * end-of-day ingestion of a late batch of ticks via the update path.
 
-Timestamps and volumes stay on a plaintext table side by side: the
-select runs on the encrypted price column, then tuple reconstruction
-fetches the other attributes by position — the column-store flow of
-Section 2.2.
+Volumes stay in a plaintext array beside the outsourced prices: the
+select runs on the encrypted price column, and its logical ids index
+the volumes by position — the column-store flow of Section 2.2.
 
 Run:  python examples/hft_trading.py
 """
@@ -28,7 +27,6 @@ import time
 import numpy as np
 
 from repro import OutsourcedDatabase
-from repro.store.table import Table
 
 
 def make_tick_data(count, seed=0):
@@ -37,14 +35,12 @@ def make_tick_data(count, seed=0):
     steps = rng.integers(-50, 51, size=count)
     prices = 1_000_000 + np.cumsum(steps)  # fixed-point cents * 100
     volumes = rng.integers(1, 1000, size=count)
-    timestamps = np.arange(count) * 250  # one tick per 250ms
-    return prices.astype(np.int64), volumes.astype(np.int64), timestamps
+    return prices.astype(np.int64), volumes.astype(np.int64)
 
 
 def main():
     ticks = 20000
-    prices, volumes, timestamps = make_tick_data(ticks, seed=3)
-    side_table = Table({"volume": volumes, "timestamp": timestamps})
+    prices, volumes = make_tick_data(ticks, seed=3)
 
     print("outsourcing %d encrypted prices (ambiguity on)..." % ticks)
     tick = time.perf_counter()
@@ -62,11 +58,11 @@ def main():
         tick = time.perf_counter()
         result = db.query(low, high)
         elapsed = time.perf_counter() - tick
-        rows = side_table.fetch(result.logical_ids, ["volume"])
+        traded = int(volumes[result.logical_ids].sum())
         print(
             "  band [%d, %d]: %d ticks, %d shares traded "
             "(%.3fs, %d counterfeits dropped)"
-            % (low, high, len(result.values), int(rows["volume"].sum()),
+            % (low, high, len(result.values), traded,
                elapsed, result.false_positives)
         )
         expected = np.flatnonzero((prices >= low) & (prices <= high))

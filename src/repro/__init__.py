@@ -26,7 +26,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.net` — the wire seam: protocol envelopes, loopback/TCP
   transports, and the multi-column server catalog
   (``docs/protocol.md``).
-* :mod:`repro.store` — the column-store substrate and update buffer.
+* :mod:`repro.store` — the update ledger (row ids, tombstones).
 * :mod:`repro.workloads` — datasets and query workload generators.
 * :mod:`repro.analysis` — order-leakage metrics (Section 4.1).
 * :mod:`repro.obs` — tracing, metrics, and leakage auditing

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eight subcommands cover the common operator flows:
+Seven subcommands cover the common operator flows:
 
 * ``demo``   — a self-contained end-to-end demonstration (synthetic
   data, a query burst, adaptation statistics).
@@ -18,8 +18,6 @@ Eight subcommands cover the common operator flows:
   tree instead of running a workload.
 * ``top``    — a refreshing live monitor over a serving endpoint's
   telemetry (requests, queue depth, slow queries).
-* ``sql``    — load one or more CSV tables (encrypted by default) and
-  execute a SQL statement from the supported subset.
 * ``serve``  — host a column catalog on a TCP port; remote clients
   upload and query columns through the wire protocol.  ``--wal DIR``
   makes it durable (recover on start, journal every mutation,
@@ -29,7 +27,7 @@ Eight subcommands cover the common operator flows:
 * ``keygen`` — generate a secret key and print its JSON serialization
   (for sharing between trusted clients out of band).
 
-The workload commands (``query`` / ``stats`` / ``trace`` / ``sql``)
+The workload commands (``query`` / ``stats`` / ``trace``)
 default to an in-process server; ``--connect HOST:PORT`` points them
 at a running ``repro serve`` endpoint instead — same protocol, same
 results, real sockets.
@@ -44,17 +42,14 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro import OutsourcedDatabase, __version__
-from repro.core.encrypted_table import OutsourcedTable
 from repro.crypto import generate_key
 from repro.crypto.serialization import dumps
 from repro.errors import ReproError
-from repro.sql import Catalog, execute_sql
-from repro.store.table import Table
 from repro.workloads.datasets import unique_uniform
 
 
@@ -118,23 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations", type=int, default=0, metavar="N",
         help="exit after N refreshes (default 0 = run until ctrl-c)",
     )
-
-    sql = commands.add_parser("sql", help="run SQL over CSV tables")
-    sql.add_argument(
-        "--table", action="append", dest="tables", default=[],
-        metavar="NAME=FILE.csv", required=True,
-        help="register a CSV (header row of column names) as a table",
-    )
-    sql.add_argument("--plaintext", action="store_true",
-                     help="keep tables unencrypted (default: encrypted)")
-    sql.add_argument("--ambiguity", action="store_true",
-                     help="encrypt with counterfeit interpretations")
-    sql.add_argument("--seed", type=int, default=0)
-    sql.add_argument(
-        "--connect", metavar="HOST:PORT",
-        help="host encrypted tables on a running `repro serve` endpoint",
-    )
-    sql.add_argument("statement", help="the SELECT statement")
 
     serve = commands.add_parser(
         "serve", help="host a column catalog endpoint over TCP"
@@ -231,7 +209,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "stats": _run_stats,
             "trace": _run_trace,
             "top": _run_top,
-            "sql": _run_sql,
             "serve": _run_serve,
             "keygen": _run_keygen,
         }[args.command]
@@ -636,41 +613,6 @@ def _run_top(args) -> int:
         remote.close()
 
 
-def _run_sql(args) -> int:
-    catalog = Catalog()
-    transport = _make_transport(args)
-    for spec in args.tables:
-        name, __, path = spec.partition("=")
-        if not name or not path:
-            raise ReproError("table spec must be NAME=FILE.csv: %r" % spec)
-        columns = _read_csv(path)
-        if args.plaintext:
-            if args.ambiguity:
-                raise ReproError("--ambiguity requires encrypted tables")
-            if transport is not None:
-                raise ReproError("--connect requires encrypted tables")
-            catalog.register(name, Table(columns))
-        else:
-            catalog.register(
-                name,
-                OutsourcedTable(
-                    columns, ambiguity=args.ambiguity, seed=args.seed,
-                    transport=transport, namespace="%s." % name,
-                ),
-            )
-    out = execute_sql(catalog, args.statement)
-    names = [name for name in out if name != "logical_ids"]
-    widths = {name: max(len(name), 12) for name in names}
-    print("  ".join(name.rjust(widths[name]) for name in names))
-    print("  ".join("-" * widths[name] for name in names))
-    for index in range(len(out["logical_ids"])):
-        print("  ".join(
-            str(int(out[name][index])).rjust(widths[name]) for name in names
-        ))
-    print("(%d rows)" % len(out["logical_ids"]))
-    return 0
-
-
 def _run_serve(args) -> int:
     import signal
 
@@ -819,31 +761,6 @@ def _read_column(path: str) -> List[int]:
     if not values:
         raise ReproError("%s contains no values" % path)
     return values
-
-
-def _read_csv(path: str) -> Dict[str, List[int]]:
-    """Header row of column names, integer cells; comma-separated."""
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if len(lines) < 2:
-        raise ReproError("%s needs a header row and at least one data row" % path)
-    names = [name.strip() for name in lines[0].split(",")]
-    columns: Dict[str, List[int]] = {name: [] for name in names}
-    for line_number, line in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != len(names):
-            raise ReproError(
-                "%s:%d: expected %d cells, got %d"
-                % (path, line_number, len(names), len(cells))
-            )
-        for name, cell in zip(names, cells):
-            try:
-                columns[name].append(int(cell))
-            except ValueError:
-                raise ReproError(
-                    "%s:%d: not an integer: %r" % (path, line_number, cell)
-                ) from None
-    return columns
 
 
 def _preview(values: np.ndarray, limit: int = 8) -> str:

@@ -22,7 +22,6 @@ Client side and protocol:
 
 from repro.core.client import ClientResult, TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
-from repro.core.encrypted_table import OutsourcedTable, SecureTableServer
 from repro.core.opes_index import OpesOutsourcedDatabase
 from repro.core.persistence import restore_server, snapshot_server
 from repro.core.query import (
@@ -40,8 +39,6 @@ __all__ = [
     "ClientResult",
     "TrustedClient",
     "EncryptedColumn",
-    "OutsourcedTable",
-    "SecureTableServer",
     "OpesOutsourcedDatabase",
     "restore_server",
     "snapshot_server",

@@ -488,13 +488,8 @@ class EncryptedColumn(CrackableColumn):
         return int(self.positions_of([row_id])[0])
 
     def rows_by_ids(self, row_ids: Iterable[int]) -> RowBlock:
-        """Ciphertexts for the given row ids, in the given order.
-
-        Positional tuple reconstruction across sibling columns: a
-        select on one attribute returns qualifying ids; siblings
-        materialise the other attributes through this lookup,
-        regardless of how differently each column has been cracked.
-        """
+        """Ciphertexts for the given row ids, in the given order
+        (a ``fetch_request``), however the column has been cracked."""
         return self.rows_at(self.positions_of(row_ids))
 
     # -- verification -----------------------------------------------------------------

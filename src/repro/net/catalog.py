@@ -3,9 +3,8 @@
 One :class:`ColumnCatalog` is the whole server side of a deployment:
 it hosts many named columns — one
 :class:`~repro.core.server.SecureServer` engine each — behind a single
-dispatch entry point, so multiple sessions (and the SQL executor's
-multi-column tables) address columns by name through the same wire
-protocol.  This mirrors the service-layer routing of Enc2DB and the
+dispatch entry point, so multiple sessions address columns by name
+through the same wire protocol.  This mirrors the service-layer routing of Enc2DB and the
 client/enclave split of HardIDX (PAPERS.md): the trust boundary is a
 message interface, not a Python reference.
 

@@ -17,7 +17,6 @@ PACKAGES = [
     "repro.cracking",
     "repro.core",
     "repro.store",
-    "repro.sql",
     "repro.linalg",
     "repro.workloads",
     "repro.analysis",

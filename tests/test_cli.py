@@ -3,7 +3,6 @@
 import json
 import threading
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -13,18 +12,6 @@ from repro.cli import main
 def column_file(tmp_path):
     path = tmp_path / "values.txt"
     path.write_text("# comment\n10\n20\n30\n\n40\n")
-    return str(path)
-
-
-@pytest.fixture()
-def csv_file(tmp_path):
-    rng = np.random.default_rng(0)
-    prices = rng.permutation(50)
-    volumes = rng.integers(0, 10, 50)
-    lines = ["price,volume"]
-    lines += ["%d,%d" % (p, v) for p, v in zip(prices, volumes)]
-    path = tmp_path / "trades.csv"
-    path.write_text("\n".join(lines))
     return str(path)
 
 
@@ -78,51 +65,6 @@ class TestQuery:
         assert main(["query", str(path)]) == 2
 
 
-class TestSql:
-    def test_encrypted_select(self, capsys, csv_file):
-        code = main(
-            [
-                "sql",
-                "--table", "trades=%s" % csv_file,
-                "SELECT price, volume FROM trades "
-                "WHERE price BETWEEN 10 AND 20",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "(11 rows)" in out
-        assert "price" in out and "volume" in out
-
-    def test_plaintext_select(self, capsys, csv_file):
-        code = main(
-            [
-                "sql", "--plaintext",
-                "--table", "trades=%s" % csv_file,
-                "SELECT price FROM trades WHERE price = 7",
-            ]
-        )
-        assert code == 0
-        assert "(1 rows)" in capsys.readouterr().out
-
-    def test_bad_table_spec(self, capsys, csv_file):
-        assert main(["sql", "--table", "oops", "SELECT a FROM b"]) == 2
-
-    def test_sql_error_reported(self, capsys, csv_file):
-        code = main(
-            ["sql", "--table", "trades=%s" % csv_file, "SELECT nope FROM trades"]
-        )
-        assert code == 2
-        assert "unknown column" in capsys.readouterr().err
-
-    def test_malformed_csv(self, capsys, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1\n")
-        code = main(
-            ["sql", "--table", "t=%s" % path, "SELECT a FROM t"]
-        )
-        assert code == 2
-
-
 class TestKeygen:
     def test_emits_serialized_key(self, capsys):
         assert main(["keygen", "--length", "6", "--seed", "3"]) == 0
@@ -138,30 +80,6 @@ class TestKeygen:
         main(["keygen", "--seed", "5"])
         second = capsys.readouterr().out
         assert first == second
-
-
-class TestSqlAmbiguity:
-    def test_ambiguous_tables(self, capsys, csv_file):
-        code = main(
-            [
-                "sql", "--ambiguity",
-                "--table", "trades=%s" % csv_file,
-                "SELECT price FROM trades WHERE price BETWEEN 10 AND 20",
-            ]
-        )
-        assert code == 0
-        assert "(11 rows)" in capsys.readouterr().out
-
-    def test_ambiguity_requires_encryption(self, capsys, csv_file):
-        code = main(
-            [
-                "sql", "--ambiguity", "--plaintext",
-                "--table", "trades=%s" % csv_file,
-                "SELECT price FROM trades",
-            ]
-        )
-        assert code == 2
-        assert "requires encrypted" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -181,42 +181,6 @@ def test_cracking_beats_securescan_on_long_workloads():
     assert max(crack_products[-20:]) < len(values) / 5
 
 
-def test_sql_over_cracked_plaintext_table():
-    """The SQL executor drives through an attached cracking index on
-    plaintext tables (not just scans)."""
-    import numpy as np
-
-    from repro.sql import Catalog, execute_sql
-    from repro.store.table import Table
-
-    values = np.random.default_rng(91).permutation(2000)
-    table = Table({"a": values})
-    engine = table.crack_column("a")
-    catalog = Catalog({"t": table})
-    out = execute_sql(catalog, "SELECT a FROM t WHERE a BETWEEN 100 AND 300")
-    expected = np.flatnonzero((values >= 100) & (values <= 300))
-    assert np.array_equal(np.sort(out["logical_ids"]), expected)
-    assert len(engine.tree) >= 1  # the select cracked the column
-    engine.check_invariants()
-
-
-def test_table_one_sided_select():
-    import numpy as np
-
-    from repro.core.encrypted_table import OutsourcedTable
-
-    values = np.random.default_rng(92).permutation(300)
-    table = OutsourcedTable({"a": values}, seed=93)
-    selection = table.select("a", high=100)
-    assert sorted(selection.logical_ids.tolist()) == np.flatnonzero(
-        values <= 100
-    ).tolist()
-    selection = table.select("a", low=250, low_inclusive=False)
-    assert sorted(selection.logical_ids.tolist()) == np.flatnonzero(
-        values > 250
-    ).tolist()
-
-
 def test_grid_runner_accepts_session_kwargs():
     from repro.bench.figures import run_grid
 
@@ -229,19 +193,3 @@ def test_grid_runner_accepts_session_kwargs():
     )
     assert ("encrypted", 150) in traces
     assert len(traces[("encrypted", 150)].seconds) == 4
-
-
-def test_snapshot_of_table_column_engines():
-    """Each column engine of a table snapshots independently."""
-    import numpy as np
-
-    from repro.core.encrypted_table import OutsourcedTable
-
-    values = np.random.default_rng(94).permutation(200)
-    table = OutsourcedTable({"a": values, "b": values[::-1].copy()}, seed=95)
-    table.select("a", 20, 120)
-    engine = table.server.engine("a")
-    # Engines behind tables expose the same introspection surface as
-    # standalone ones.
-    engine.check_invariants()
-    assert engine.piece_boundaries()[0] == 0

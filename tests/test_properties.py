@@ -21,7 +21,8 @@ from repro.cracking.column import CrackerColumn
 from repro.cracking.index import AdaptiveIndex
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor, compare
-from repro.store.select import RangePredicate
+
+from conftest import reference_positions
 
 # One shared key/encryptor: hypothesis runs many examples and key
 # generation is the expensive part.
@@ -143,12 +144,12 @@ class TestEngineProperties:
     )
     def test_adaptive_index_matches_reference(self, data, queries, min_piece):
         index = AdaptiveIndex(data, min_piece_size=min_piece)
-        values = np.array(data, dtype=np.int64)
         for low, span, low_inclusive, high_inclusive in queries:
             high = low + span
             result = np.sort(index.query(low, high, low_inclusive, high_inclusive))
-            predicate = RangePredicate(low, high, low_inclusive, high_inclusive)
-            expected = np.flatnonzero(predicate.mask(values))
+            expected = reference_positions(
+                data, low, high, low_inclusive, high_inclusive
+            )
             assert np.array_equal(result, expected)
         index.check_invariants()
 
@@ -276,59 +277,6 @@ class TestOpesProperties:
         assert order_plain == order_cipher
         for value, ciphertext in zip(values, ciphertexts):
             assert _OPES.decrypt(ciphertext) == value
-
-
-class TestSqlParserProperties:
-    @given(
-        low=st.integers(-10 ** 6, 10 ** 6),
-        span=st.integers(0, 10 ** 6),
-        limit=st.integers(0, 100),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_between_round_trip(self, low, span, limit):
-        from repro.sql import parse_select
-
-        statement = parse_select(
-            "SELECT a FROM t WHERE a BETWEEN %d AND %d LIMIT %d"
-            % (low, low + span, limit)
-        )
-        predicate = statement.predicates[0]
-        assert (predicate.low, predicate.high) == (low, low + span)
-        assert statement.limit == limit
-
-    @given(
-        bounds=st.lists(
-            st.tuples(
-                st.integers(-100, 100),
-                st.sampled_from(["<", "<=", ">", ">=", "="]),
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_conjunction_intersection_sound(self, bounds):
-        from repro.sql import parse_select
-
-        clause = " AND ".join(
-            "a %s %d" % (operator, value) for value, operator in bounds
-        )
-        statement = parse_select("SELECT a FROM t WHERE " + clause)
-        merged = statement.predicates[0]
-        # The merged range accepts exactly the values every conjunct
-        # accepts.
-        for probe in range(-120, 121, 7):
-            individually = all(
-                {
-                    "<": probe < value,
-                    "<=": probe <= value,
-                    ">": probe > value,
-                    ">=": probe >= value,
-                    "=": probe == value,
-                }[operator]
-                for value, operator in bounds
-            )
-            assert merged.contains(probe) == individually, probe
 
 
 # Shared expensive fixtures for the property classes above.
