@@ -7,13 +7,50 @@ otherwise.
 
 from __future__ import annotations
 
+import faulthandler
 import random
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor
+
+#: Seconds one test (setup, call and teardown together) may take.  The
+#: slowest test takes a few seconds, so a test that reaches this is
+#: hung: it fails under its own name, with every thread's stack in its
+#: captured stderr, instead of stalling the run until an outer time
+#: limit kills it without a word.
+TEST_TIME_LIMIT = 60.0
+
+
+def _over_time(signum, frame):
+    faulthandler.dump_traceback(file=sys.stderr, all_threads=True)
+    pytest.fail(
+        "test ran past its %.0f s limit; every thread's stack is in "
+        "its captured stderr" % TEST_TIME_LIMIT,
+        pytrace=False,
+    )
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    armed = (
+        hasattr(signal, "setitimer")
+        and threading.current_thread() is threading.main_thread()
+    )
+    if armed:
+        previous = signal.signal(signal.SIGALRM, _over_time)
+        signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        if armed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_addoption(parser):

@@ -157,3 +157,34 @@ class TestKeyReuse:
             result = db.query(2, 2)
         assert len(db.client_stats) == CLIENT_STATS_KEPT == 4096
         assert db.client_stats[-1] is result
+
+
+class TestFetchByIds:
+    """A ``fetch_request`` materialises rows by id, in the order asked,
+    however far the column has been cracked."""
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    @pytest.mark.parametrize("ambiguity", [False, True])
+    def test_rows_come_back_in_the_order_asked(self, ambiguity, shards):
+        db = OutsourcedDatabase(
+            VALUES[:120], ambiguity=ambiguity, shards=shards, seed=13
+        )
+        for low, high in ((10, 60), (200, 300), (0, 399)):
+            db.query(low, high)
+        wanted = random.Random(3).sample(range(120), 30)
+        physical = [p for i in wanted for p in db._physical_ids_of(i)]
+        rows = db.remote.fetch(physical)
+        assert len(rows) == len(physical)
+        result = db.client.decrypt_results(physical, rows)
+        assert result.logical_ids.tolist() == wanted
+        assert result.values.tolist() == [VALUES[i] for i in wanted]
+        # Under ambiguity each value ships its fake face too, which the
+        # owner drops.
+        assert result.false_positives == (len(wanted) if ambiguity else 0)
+
+    def test_a_selections_ids_fetch_its_values(self, db):
+        selection = db.query(100, 180)
+        rows = db.remote.fetch(selection.logical_ids)
+        fetched = db.client.decrypt_results(selection.logical_ids, rows)
+        assert fetched.values.tolist() == selection.values.tolist()
+        db.server.engine.check_invariants()
