@@ -31,7 +31,7 @@ def test_hot_cold(benchmark):
         QUERIES, DOMAIN, selectivity=0.01,
         hot_fraction=HOT_FRACTION, hot_probability=0.95, seed=1,
     )
-    session = build_session(values, "encrypted", seed=2)
+    session = build_session(values, "encrypted", seed=2, min_piece_size=1)
     trace = run_session_sequence(session, queries)
     engine = session.server.engine
 

@@ -44,7 +44,7 @@ def test_robustness(benchmark):
     queries = random_workload(QUERIES, DOMAIN, selectivity=0.01, seed=4)
     rows = []
     for name, values in datasets().items():
-        cracking = build_session(values, "encrypted", seed=5)
+        cracking = build_session(values, "encrypted", seed=5, min_piece_size=1)
         scanning = build_session(values, "securescan", seed=5)
         crack_trace = run_session_sequence(cracking, queries)
         scan_trace = run_session_sequence(scanning, queries)

@@ -179,7 +179,7 @@ def test_merge_256_pending_into_1k_cracks(client, benchmark):
     rows, row_ids = client.encrypt_dataset(rng.sample(range(10**6), 12_000))
 
     def cracked_server_with_pending():
-        server = SecureServer(rows, row_ids)
+        server = SecureServer(rows, row_ids, min_piece_size=1)
         for _ in range(700):
             low = rng.randrange(10**6)
             server.execute(client.make_query(low, low + 100))

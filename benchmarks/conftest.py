@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.bench.figures import figure6_cumulative
+from repro.bench.figures import run_grid
 
 FAST = os.environ.get("REPRO_BENCH_FAST") == "1"
 LARGE = os.environ.get("REPRO_BENCH_LARGE") == "1"
@@ -44,11 +44,10 @@ DATA_KINDS = ("plain", "encrypted", "ambiguous", "securescan")
 
 @pytest.fixture(scope="session")
 def grid_traces():
-    """The shared (data kind x size) grid behind Figures 6-11."""
-    return figure6_cumulative(
-        sizes=SIZES,
-        query_count=QUERY_COUNT,
-        data_kinds=DATA_KINDS,
-        selectivity=0.01,
-        seed=0,
+    """The shared (data kind x size) grid behind Figures 6-11, cracked
+    to single rows as the paper's engine is (left unset, a word-sized
+    column would stop cracking at ~1K-row pieces)."""
+    return run_grid(
+        SIZES, DATA_KINDS, QUERY_COUNT, selectivity=0.01, seed=0,
+        session_kwargs={"min_piece_size": 1},
     )

@@ -119,8 +119,12 @@ def main():
     print("=" * 64)
     print("4. Order leakage by structure (Sections 4.1-4.2)")
     print("=" * 64)
+    # Cracked to single rows, as the paper's engine is: left unset, the
+    # threshold stops a word-sized column at ~1K-row pieces, and these
+    # 800 rows would never crack (nor leak order by structure).
     series = ablation_leakage(size=800, query_count=200,
-                              checkpoints=(1, 10, 50, 200), seed=0)
+                              checkpoints=(1, 10, 50, 200), seed=0,
+                              min_piece_size=1)
     print("  %-8s %-22s %-22s %-22s" % (
         "queries", "resolved (encrypted)", "resolved (ambig.phys)",
         "resolved (ambig.logical)"))

@@ -112,19 +112,20 @@ def figure12_key_size(
     query_count: int = 200,
     selectivity: float = 0.01,
     seed: int = 0,
+    **session_kwargs,
 ) -> Dict[int, QueryTrace]:
     """Figure 12: per-query cost of the encrypted engine vs key size ``l``.
 
     The paper uses 10M rows and reports response time rising
     proportionally with ``l`` for early queries and the effect fading
-    as the index converges.
+    as the index converges.  ``session_kwargs`` go to every session.
     """
     values = unique_uniform(size, DOMAIN, seed=seed)
     queries = random_workload(query_count, DOMAIN, selectivity, seed=seed + 1)
     traces: Dict[int, QueryTrace] = {}
     for length in key_lengths:
         session = build_session(
-            values, "encrypted", seed=seed, key_length=length
+            values, "encrypted", seed=seed, key_length=length, **session_kwargs
         )
         traces[length] = run_session_sequence(session, queries)
     return traces
@@ -234,7 +235,7 @@ def ablation_leakage(
     size: int = 3000,
     query_count: int = 400,
     checkpoints: Sequence[int] = (1, 5, 10, 25, 50, 100, 200, 400),
-    min_piece_size: int = 1,
+    min_piece_size: int = None,
     seed: int = 0,
 ) -> Dict[str, List[Tuple[int, float]]]:
     """Ablation 3: order leakage by structure over the query sequence.
@@ -242,6 +243,7 @@ def ablation_leakage(
     Tracks the resolved-order fraction (Section 4.1) for the encrypted
     engine, and — with ambiguity — the fraction of *logical* record
     pairs an adversary can still resolve (Section 4.2's defence).
+    ``min_piece_size`` is the sessions' (None: derived, their default).
     """
     values = unique_uniform(size, DOMAIN, seed=seed)
     queries = random_workload(query_count, DOMAIN, 0.01, seed=seed + 1)

@@ -83,6 +83,11 @@ from repro.linalg.limbs import (
 _DIGITS_MIN_ROWS = 96
 
 
+def _left_of(signs: np.ndarray, inclusive: bool) -> np.ndarray:
+    """Where products of these signs put a row left of a crack."""
+    return (signs <= 0 if inclusive else signs < 0).astype(bool, copy=False)
+
+
 def _head_of(array: np.ndarray, capacity: int) -> np.ndarray:
     """A buffer of ``capacity`` rows shaped like ``array``, whose first
     rows are a copy of it."""
@@ -211,37 +216,44 @@ class EncryptedColumn(CrackableColumn):
         Denominators are positive, so the signs of these integers equal
         the signs of the exact rational comparisons.
         """
+        return self._products(piece_lo, piece_hi, (bound,), signs)[:, 0]
+
+    def _products(self, piece_lo: int, piece_hi: int, bounds, signs: bool):
+        """:meth:`products` of the piece against each of ``bounds``, one
+        column each, in one pass: one span, one word-sized matmul, one
+        audit event and one count per bound."""
         self._check_range(piece_lo, piece_hi)
         rows = piece_hi - piece_lo
         audit = self._obs.audit
         if audit.enabled:
             # The access-pattern observation: which positions were
             # compared against which (opaque) bound ciphertext.
-            audit.record(
-                "products",
-                bound=audit.ref(bound),
-                lo=piece_lo,
-                hi=piece_hi,
-                rows=rows,
-            )
-        vector = bound.vector
+            for bound in bounds:
+                audit.record("products", bound=audit.ref(bound),
+                             lo=piece_lo, hi=piece_hi, rows=rows)
+        vectors = [bound.vector for bound in bounds]
         with self._obs.span("kernel-product", rows=rows):
-            proven = self._word_products(piece_lo, piece_hi, vector)
+            proven = self._word_products(piece_lo, piece_hi, vectors)
             if proven is None:
-                self.exact_products.add(rows)
-                return self._big_products(
-                    slice(piece_lo, piece_hi), vector, signs
-                )
+                self.exact_products.add(rows * len(vectors))
+                return np.column_stack([
+                    self._big_products(slice(piece_lo, piece_hi), vector, signs)
+                    for vector in vectors
+                ])
             words, accepted = proven
             if accepted.all():
-                self.fast_products.add(rows)
+                self.fast_products.add(words.size)
                 return words
-            missed = np.flatnonzero(~accepted)
-            self.fast_products.add(rows - len(missed))
-            self.exact_products.add(len(missed))
-            exact = self._big_products(piece_lo + missed, vector, signs)
-            products = words.astype(exact.dtype)
-            products[missed] = exact
+            missed = np.count_nonzero(~accepted)
+            self.fast_products.add(words.size - missed)
+            self.exact_products.add(missed)
+            products = words.astype(object)
+            for j, vector in enumerate(vectors):
+                rejected = np.flatnonzero(~accepted[:, j])
+                if len(rejected):
+                    products[rejected, j] = self._big_products(
+                        piece_lo + rejected, vector, signs
+                    )
             return products
 
     def _big_products(self, rows, vector, signs: bool = False) -> np.ndarray:
@@ -280,22 +292,44 @@ class EncryptedColumn(CrackableColumn):
             self._length, bits, bound_bits, self._limbs.shape[2]
         )
 
-    def _word_products(self, piece_lo: int, piece_hi: int, vector):
-        """``(words, accepted)``: the wrapped 64-bit products of the
-        piece and, per row, whether the acceptance inequality proves
-        the word is the product (:mod:`repro.linalg.limbs`).  None when
-        the operands' bit-lengths rule the proof out."""
-        bound = self._rounding_bound(self._bits, int_bit_length(vector))
+    def scans_in_words(self, bound: BoundCiphertext) -> bool:
+        """Whether this column's products against ``bound`` are tried in
+        proven machine words: the head-room test of :meth:`products`,
+        read off bit-lengths alone."""
+        return self._word_bound([bound.vector]) < ROUNDING_LIMIT
+
+    def _word_bound(self, vectors) -> int:
+        """The rounding bound of this column's products against every
+        bound vector of ``vectors``."""
+        return self._rounding_bound(self._bits, max(map(int_bit_length, vectors)))
+
+    def _word_products(self, piece_lo: int, piece_hi: int, vectors):
+        """``(words, accepted)``, one column per vector of ``vectors``:
+        the wrapped 64-bit products of the piece and, per product,
+        whether the acceptance inequality proves the word is the product
+        (:mod:`repro.linalg.limbs`).  None when the operands'
+        bit-lengths rule the proof out."""
+        bound = self._word_bound(vectors)
         if bound >= ROUNDING_LIMIT:
             return None
         if self._floats is None:
             self._floats = to_float(self._numerators)
+        low, floats = word_operand(vectors)
         return proven_products(
             self._limbs[piece_lo:piece_hi, :-1, 0],
             self._floats[piece_lo:piece_hi],
-            word_operand(vector),
+            (low.T, floats.T),
             bound,
         )
+
+    def below_each(self, piece_lo: int, piece_hi: int, cuts) -> list:
+        """:meth:`below` for each ``(bound, inclusive)`` of ``cuts``,
+        every bound multiplied in the same pass."""
+        signs = self._products(
+            piece_lo, piece_hi, [bound for bound, __ in cuts], signs=True
+        )
+        return [_left_of(column, inclusive)
+                for column, (__, inclusive) in zip(signs.T, cuts)]
 
     def below(
         self, piece_lo: int, piece_hi: int, bound: BoundCiphertext, inclusive: bool
@@ -304,8 +338,8 @@ class EncryptedColumn(CrackableColumn):
         ``inclusive``), read off the product signs — the server can
         evaluate this exactly because the client shipped the bound in
         ``Eb`` mode."""
-        products = self.products(piece_lo, piece_hi, bound, signs=True)
-        return (products <= 0 if inclusive else products < 0).astype(bool)
+        signs = self._products(piece_lo, piece_hi, (bound,), signs=True)
+        return _left_of(signs[:, 0], inclusive)
 
     def scan_query(self, query: EncryptedQuery) -> np.ndarray:
         """Physical indices of every row inside ``query``'s range — the

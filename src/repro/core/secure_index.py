@@ -25,7 +25,7 @@ client will discard.  Nothing here touches a key or a plaintext.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +48,10 @@ class SecureAdaptiveIndex(CrackingEngine):
         column: the encrypted column (owned by the engine thereafter).
         min_piece_size: pieces at or below this size are scanned with
             scalar products instead of cracked — the Section 2.2
-            threshold that also caps structural order leakage.
+            threshold that also caps structural order leakage.  None
+            (default) derives it from the column's arithmetic:
+            :data:`~repro.cracking.index.WORD_SCAN_ROWS` for products
+            proven in words, 1 (always crack) for exact ones.
         use_three_way: crack once, three ways, when both bounds land in
             a single raw piece.
         use_paper_tree_algorithms: route piece localisation through the
@@ -63,7 +66,7 @@ class SecureAdaptiveIndex(CrackingEngine):
     def __init__(
         self,
         column: EncryptedColumn,
-        min_piece_size: int = 1,
+        min_piece_size: Optional[int] = None,
         use_three_way: bool = False,
         use_paper_tree_algorithms: bool = False,
         obs: Observability = None,

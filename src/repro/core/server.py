@@ -17,7 +17,7 @@ volume (in bytes: :func:`repro.net.transport.serve_frame`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,9 @@ class SecureServer:
             (bounding the per-query pending-scan cost); None keeps
             merging fully manual.
         min_piece_size / use_three_way: forwarded to the adaptive
-            engine.
+            engine; ``min_piece_size`` None (default) derives the
+            scan-or-crack threshold from the column's arithmetic
+            (:class:`~repro.cracking.index.CrackingEngine`).
     """
 
     def __init__(
@@ -71,7 +73,7 @@ class SecureServer:
         row_ids: Sequence[int] = None,
         engine: str = "adaptive",
         auto_merge_threshold: int = None,
-        min_piece_size: int = 1,
+        min_piece_size: Optional[int] = None,
         use_three_way: bool = False,
         obs: Observability = None,
     ) -> None:
@@ -82,7 +84,9 @@ class SecureServer:
         self._config = {
             "engine": engine,
             "auto_merge_threshold": auto_merge_threshold,
-            "min_piece_size": max(1, int(min_piece_size)),
+            "min_piece_size": (
+                None if min_piece_size is None else max(1, int(min_piece_size))
+            ),
             "use_three_way": use_three_way,
         }
         self._obs = obs if obs is not None else Observability()

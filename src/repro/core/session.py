@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class OutsourcedDatabase:
             sharded machinery with identity routing (byte-identical
             results to an unsharded column).
         min_piece_size / use_three_way: forwarded to the server
-            engine.
+            engine; ``min_piece_size`` None (default) lets it derive
+            the scan-or-crack threshold from the column's arithmetic.
     """
 
     def __init__(
@@ -97,7 +98,7 @@ class OutsourcedDatabase:
         jitter_pivots: int = 0,
         pivot_domain: Tuple[int, int] = None,
         auto_merge_threshold: int = None,
-        min_piece_size: int = 1,
+        min_piece_size: Optional[int] = None,
         use_three_way: bool = False,
         obs: Observability = None,
         transport: Transport = None,

@@ -48,6 +48,19 @@ class CrackableColumn:
         ``inclusive``."""
         raise NotImplementedError
 
+    def below_each(self, piece_lo: int, piece_hi: int, cuts) -> list:
+        """:meth:`below` for each ``(bound, inclusive)`` of ``cuts``, in
+        order; a column that classifies against several bounds in one
+        pass overrides this."""
+        return [self.below(piece_lo, piece_hi, *cut) for cut in cuts]
+
+    def scans_in_words(self, bound) -> bool:
+        """Whether :meth:`below` against ``bound`` runs in proven
+        machine words, which makes scanning a piece cheaper than
+        cracking it; an engine left without a threshold reads its own
+        off this.  False unless a column proves it."""
+        return False
+
     def _apply_order(self, piece_lo: int, piece_hi: int, order: np.ndarray) -> None:
         """Permute every parallel array of ``[piece_lo, piece_hi)``."""
         raise NotImplementedError
@@ -106,8 +119,9 @@ class CrackableColumn:
             ``[split0, split1)``.
         """
         self._check_range(piece_lo, piece_hi)
-        before = self.below(piece_lo, piece_hi, low, not low_inclusive)
-        within = self.below(piece_lo, piece_hi, high, high_inclusive)
+        before, within = self.below_each(
+            piece_lo, piece_hi, ((low, not low_inclusive), (high, high_inclusive))
+        )
         regions = np.where(before, 0, np.where(within, 1, 2))
         order, count0, count01 = three_way_partition_order(regions)
         self._apply_order(piece_lo, piece_hi, order)
@@ -133,11 +147,18 @@ class CrackableColumn:
         comparison per row instead of two.
         """
         self._check_range(piece_lo, piece_hi)
-        mask = np.ones(piece_hi - piece_lo, dtype=bool)
-        if low is not None:
-            mask &= ~self.below(piece_lo, piece_hi, low, not low_inclusive)
-        if high is not None:
-            mask &= self.below(piece_lo, piece_hi, high, high_inclusive)
+        if low is None and high is None:
+            mask = np.ones(piece_hi - piece_lo, dtype=bool)
+        elif high is None:
+            mask = ~self.below(piece_lo, piece_hi, low, not low_inclusive)
+        elif low is None:
+            mask = self.below(piece_lo, piece_hi, high, high_inclusive)
+        else:
+            below_low, below_high = self.below_each(
+                piece_lo, piece_hi,
+                ((low, not low_inclusive), (high, high_inclusive)),
+            )
+            mask = below_high & ~below_low
         return piece_lo + np.flatnonzero(mask)
 
     # -- verification -------------------------------------------------------

@@ -142,12 +142,20 @@ def record_query_stats(stats_log: list, stats: QueryStats, metrics=None) -> None
         del stats_log[:-STATS_KEPT]
 
 
+#: Largest raw piece an engine left without a threshold scans rather
+#: than cracks where its column multiplies in proven words (the best
+#: of 64 - 4 096 on a fresh 100k-row column; EXPERIMENTS.md).
+WORD_SCAN_ROWS = 1024
+
+
 @dataclass
 class _BoundResolution:
-    """Where a query bound landed: an exact position or a raw piece."""
+    """Where a query bound landed: an exact position or a raw piece;
+    ``alone`` when that piece may be scanned against this bound only."""
 
     position: Optional[int] = None
     piece: Optional[Tuple[int, int]] = None
+    alone: bool = False
 
     @property
     def is_exact(self) -> bool:
@@ -169,7 +177,12 @@ class CrackingEngine:
         min_piece_size: pieces at or below this size are scanned rather
             than cracked (Section 2.2's cache-size threshold — also the
             mechanism that keeps the index from ever leaking a total
-            order).  1 means "always crack".
+            order).  1 means "always crack".  None derives it per bound
+            from the column's arithmetic: :data:`WORD_SCAN_ROWS` where
+            :meth:`~repro.cracking.column.CrackableColumn.scans_in_words`,
+            and there each edge piece is scanned against its own bound
+            only when the other's crack already lies beyond it; 1
+            elsewhere (an exact-arithmetic column always cracks).
         use_three_way: crack with one three-way pass when both query
             bounds land in the same piece (instead of two two-way
             cracks).
@@ -183,13 +196,15 @@ class CrackingEngine:
         self,
         column: CrackableColumn,
         compare_keys,
-        min_piece_size: int,
+        min_piece_size: Optional[int],
         use_three_way: bool,
         obs: Observability,
     ) -> None:
         self._column = column
         self._tree = AVLTree(compare_keys)
-        self._min_piece = max(1, int(min_piece_size))
+        self._min_piece = (
+            None if min_piece_size is None else max(1, int(min_piece_size))
+        )
         self._use_three_way = use_three_way
         self._obs = obs
         # The paper's findpiece / addCrack, as ``f(tree, key, ...,
@@ -273,17 +288,23 @@ class CrackingEngine:
         keys = (left_key, right_key)
         if not left.is_exact and not right.is_exact and left.piece == right.piece:
             return self._timed_scan(left.piece, keys, stats)
-        segments: List[np.ndarray] = []
-        if left.is_exact:
-            start = left.position
-        else:
-            start = left.piece[1]
-            segments.append(self._timed_scan(left.piece, keys, stats))
+        start = left.position if left.is_exact else left.piece[1]
         end = right.position if right.is_exact else right.piece[0]
+        # Left of the right piece every row is left of its crack, and
+        # right of the left piece right of that one, so a piece may be
+        # scanned against its own bound — unless the range is inverted,
+        # or the right bound cracked the left piece after it was found.
+        segments: List[np.ndarray] = []
+        if not left.is_exact:
+            alone = left.alone and start <= end
+            segments.append(self._timed_scan(
+                left.piece, (left_key, None) if alone else keys, stats))
         if start < end:
             segments.append(np.arange(start, end, dtype=np.int64))
         if not right.is_exact:
-            segments.append(self._timed_scan(right.piece, keys, stats))
+            alone = right.alone and start <= end
+            segments.append(self._timed_scan(
+                right.piece, (None, right_key) if alone else keys, stats))
         if not segments:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(segments)
@@ -305,9 +326,21 @@ class CrackingEngine:
             self._audit("find", bound=bound, position=node.position)
             return _BoundResolution(position=node.position)
         self._audit("find", bound=bound, lo=piece_lo, hi=piece_hi)
-        if piece_hi - piece_lo <= self._min_piece:
-            return _BoundResolution(piece=(piece_lo, piece_hi))
+        rows, alone = self._scan_policy(bound)
+        if piece_hi - piece_lo <= rows:
+            return _BoundResolution(piece=(piece_lo, piece_hi), alone=alone)
         return self._crack_piece(key, piece_lo, piece_hi, stats, located)
+
+    def _scan_policy(self, bound) -> Tuple[int, bool]:
+        """``(rows, alone)``: the largest raw piece ``bound`` is scanned
+        in rather than cracked, and whether such a scan may leave the
+        query's other bound out — ``min_piece_size`` when it was given,
+        else read off the column's arithmetic for this bound."""
+        if self._min_piece is not None:
+            return self._min_piece, False
+        if self._column.scans_in_words(bound):
+            return WORD_SCAN_ROWS, True
+        return 1, False
 
     def _crack_piece(
         self, key, piece_lo: int, piece_hi: int, stats: QueryStats, located=None
@@ -354,7 +387,7 @@ class CrackingEngine:
             return None
         piece_lo, piece_hi = piece
         rows = piece_hi - piece_lo
-        if rows <= self._min_piece:
+        if rows <= self._scan_policy(self._cut(left_key)[0])[0]:
             return None
         low, low_inclusive, high, high_inclusive = self._range(left_key, right_key)
         tick = time.perf_counter()

@@ -55,6 +55,7 @@ longer sure to pass, so nothing is attempted in words.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -330,6 +331,7 @@ def to_float(limbs: np.ndarray) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=256)
 def rounding_bound(length: int, abits: int, bbits: int, limbs: int = 1) -> int:
     """``E``: how far the float64 dot product of two length-``length``
     integer vectors below ``2^abits`` and ``2^bbits`` can lie from the

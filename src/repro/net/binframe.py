@@ -9,9 +9,8 @@ encoding of plain dicts, lists and scalars: every free-form envelope
 field (a config, telemetry sections, a snapshot, the replication feed's
 entries) inside a frame is one.
 
-Generic frame layout::
+Generic value layout (:func:`write_value` / :meth:`Reader.value`)::
 
-    frame   := MAGIC(0xAE)  VERSION(0x01)  CODEC_ID(0x01)  value
     value   := 0x00                                  # None
              | 0x01 | 0x02                           # False | True
              | 0x03 zigzag-varint                    # int, |v| < 2**63
@@ -37,10 +36,10 @@ integers or more is written from, and read back into, limbs with numpy
 — the same bytes, without a Python int per value.  Encoding is a pure
 function of the value (keys sorted, interning in encounter order).
 
-Decoding is hardened for hostile bytes: every malformed frame — bad
-magic, truncated varint, length or count exceeding the remaining
+Decoding is hardened for hostile bytes: every malformed value —
+truncated varint, length or count exceeding the remaining
 buffer, unknown tag, dangling back-reference, duplicate or non-string
-dict key, trailing bytes — raises a typed
+dict key — raises a typed
 :class:`~repro.errors.SerializationError`.  Never a raw
 ``struct.error``, an out-of-memory allocation, or a hang.
 """
@@ -61,17 +60,9 @@ from repro.linalg.limbs import (
     to_wire,
 )
 
-#: First byte of every frame, envelope or generic (never the first byte
-#: of valid UTF-8, so text is never mistaken for one).
+#: First byte of every envelope frame (never the first byte of valid
+#: UTF-8, so text is never mistaken for one).
 MAGIC = 0xAE
-
-#: Generic frame layout version.
-BINFRAME_VERSION = 1
-
-#: Codec identifier inside a generic frame's header.
-CODEC_ID = 1
-
-_HEADER = bytes((MAGIC, BINFRAME_VERSION, CODEC_ID))
 
 _TAG_NONE = 0x00
 _TAG_FALSE = 0x01
@@ -374,19 +365,6 @@ def _write_value(out: bytearray, value: Any, interned: Dict[str, int],
         )
 
 
-def encode_binary_frame(payload: Dict[str, Any]) -> bytes:
-    """Encode one dict to a canonical generic frame.
-
-    Deterministic: sorted keys and encounter-order interning make the
-    bytes a pure function of the dict's content.
-    """
-    if not isinstance(payload, dict):
-        raise SerializationError("frame payload must be a dict")
-    out = bytearray(_HEADER)
-    write_value(out, payload)
-    return bytes(out)
-
-
 # -- decoding -------------------------------------------------------------------
 
 
@@ -657,36 +635,3 @@ def _decode_utf8(payload: bytes) -> str:
         return payload.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SerializationError("invalid utf-8 in frame: %s" % exc) from exc
-
-
-def decode_binary_frame(frame: bytes) -> Dict[str, Any]:
-    """Parse a generic frame back into the dict it holds.
-
-    Raises:
-        SerializationError: on any malformed frame — wrong magic or
-            version, truncation, bad tags, trailing garbage.
-    """
-    if len(frame) < len(_HEADER):
-        raise SerializationError("binary frame shorter than its header")
-    if frame[0] != MAGIC:
-        raise SerializationError("bad binary frame magic: 0x%02x" % frame[0])
-    if frame[1] != BINFRAME_VERSION:
-        raise SerializationError(
-            "unsupported binary frame version: %d" % frame[1]
-        )
-    if frame[2] != CODEC_ID:
-        raise SerializationError("unsupported binary codec id: %d" % frame[2])
-    reader = Reader(frame, len(_HEADER))
-    try:
-        data = reader.value()
-    except SerializationError:
-        raise
-    except Exception as exc:  # defensive: no raw struct/overflow errors
-        raise SerializationError("corrupt binary frame: %s" % exc) from exc
-    if reader.remaining:
-        raise SerializationError(
-            "%d trailing bytes after binary frame value" % reader.remaining
-        )
-    if not isinstance(data, dict):
-        raise SerializationError("frame must encode an envelope object")
-    return data

@@ -111,7 +111,7 @@ CODECS: Tuple[str, ...] = ("binary",)
 CONFIG_DEFAULTS: Dict[str, Any] = {
     "engine": "adaptive",
     "auto_merge_threshold": None,
-    "min_piece_size": 1,
+    "min_piece_size": None,
     "use_three_way": False,
 }
 
@@ -121,7 +121,8 @@ _CONFIG_CHECKS: Dict[str, Callable[[Any], bool]] = {
     "engine": lambda value: type(value) is str and value in ENGINES,
     "auto_merge_threshold": lambda value: value is None or (
         type(value) is int and value >= 1),
-    "min_piece_size": lambda value: type(value) is int and value >= 1,
+    "min_piece_size": lambda value: value is None or (
+        type(value) is int and value >= 1),
     "use_three_way": lambda value: type(value) is bool,
 }
 

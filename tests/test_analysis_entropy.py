@@ -77,7 +77,9 @@ class TestAmbiguousEntropy:
 class TestEndToEndEntropy:
     def test_entropy_decreases_with_queries_but_ambiguity_keeps_more(self):
         values = np.random.default_rng(3).permutation(600)
-        plain_db = OutsourcedDatabase(values, seed=4)
+        # Cracked to single rows, as the paper's engine is (a word-class
+        # column's derived threshold would leave 600 rows uncracked).
+        plain_db = OutsourcedDatabase(values, seed=4, min_piece_size=1)
         ambiguous_db = OutsourcedDatabase(values, ambiguity=True, seed=4)
         import random
 

@@ -69,7 +69,9 @@ class TestSecureCountsMatchPlain:
     def test_same_data_comparisons_as_plain(self):
         client = TrustedClient(seed=3)
         rows, row_ids = client.encrypt_dataset(VALUES)
-        secure = SecureAdaptiveIndex(EncryptedColumn(rows, row_ids))
+        secure = SecureAdaptiveIndex(
+            EncryptedColumn(rows, row_ids), min_piece_size=1
+        )
         plain = AdaptiveIndex(VALUES)
         import random
 

@@ -12,8 +12,9 @@ from repro.bench.cost_model import (
     model_accuracy,
 )
 from repro.crypto.serialization import ciphertext_to_dict
-from repro.net.binframe import encode_binary_frame
 from repro.net.protocol import QueryRequest, encode
+
+from generic_values import encode_value
 
 
 class TestFormulas:
@@ -79,7 +80,7 @@ class TestModelAgainstMeasurement:
 def wire_bytes(ciphertext) -> int:
     """Encoded length of one ciphertext's dict form, in the generic
     binary grammar (how a snapshot or WAL record would hold it)."""
-    return len(encode_binary_frame(ciphertext_to_dict(ciphertext)))
+    return len(encode_value(ciphertext_to_dict(ciphertext)))
 
 
 class TestTransferAccounting:

@@ -287,11 +287,11 @@ def _queries():
 def _through(payload, codec):
     """A dict form after the trip it takes to disk: through JSON (a
     snapshot), or through the generic binary grammar (a WAL record)."""
-    from repro.net.binframe import decode_binary_frame, encode_binary_frame
+    from generic_values import decode_value, encode_value
 
     if codec == "json":
         return json.loads(json.dumps(payload))
-    return decode_binary_frame(encode_binary_frame({"p": payload}))["p"]
+    return decode_value(encode_value({"p": payload}))["p"]
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])

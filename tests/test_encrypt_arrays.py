@@ -120,7 +120,7 @@ def scalar_stream_digest():
 def audit_stream_digest():
     draw = random.Random(44)
     db = OutsourcedDatabase(
-        draw.sample(range(10 ** 6), 5_000), seed=11,
+        draw.sample(range(10 ** 6), 5_000), seed=11, min_piece_size=1,
         auto_merge_threshold=32, obs=Observability(audit=True),
     )
     live = list(range(5_000))

@@ -61,7 +61,9 @@ class TestCorruptedIndexState:
     def make_engine(self):
         client = TrustedClient(seed=7)
         rows, row_ids = client.encrypt_dataset(VALUES)
-        engine = SecureAdaptiveIndex(EncryptedColumn(rows, row_ids))
+        engine = SecureAdaptiveIndex(
+            EncryptedColumn(rows, row_ids), min_piece_size=1
+        )
         for low in (20, 80, 140):
             engine.query(client.make_query(low, low + 30))
         return client, engine

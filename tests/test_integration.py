@@ -159,7 +159,7 @@ def test_cracking_beats_securescan_on_long_workloads():
     machine's, the product count the algorithm's."""
     values = unique_uniform(3000, DOMAIN, seed=12)
     queries = random_workload(120, DOMAIN, selectivity=0.01, seed=13)
-    cracking = OutsourcedDatabase(values, seed=14)
+    cracking = OutsourcedDatabase(values, seed=14, min_piece_size=1)
     scanning = OutsourcedDatabase(values, engine="scan", seed=14)
 
     def products_per_query(db):

@@ -35,8 +35,6 @@ from repro.errors import SerializationError
 from repro.net import protocol
 from repro.net.binframe import (
     Reader,
-    decode_binary_frame,
-    encode_binary_frame,
     write_varint,
 )
 from repro.net.protocol import (
@@ -64,6 +62,8 @@ from repro.net.protocol import (
     wire,
 )
 from repro.net.transport import Transport
+
+from generic_values import LEGACY_HEADER, decode_value, encode_value
 
 FUZZ_SEED = 0x20160626
 
@@ -292,9 +292,9 @@ def from_dict(spec, payload):
 def assert_value_round_trip(payload):
     """``decode(encode(payload))`` must be ``payload`` in the generic
     grammar (WAL records, free-form fields), deterministically."""
-    frame = encode_binary_frame(payload)
-    assert encode_binary_frame(payload) == frame
-    assert decode_binary_frame(frame) == payload
+    frame = encode_value(payload)
+    assert encode_value(payload) == frame
+    assert decode_value(frame) == payload
 
 
 def assert_envelope_round_trips(spec, cases):
@@ -615,8 +615,6 @@ class TestBinaryInnerLoops:
     by a key-only path, one-byte varints without the loop, and values
     are told apart by exact type."""
 
-    HEADER = b"\xae\x01\x01"
-
     @pytest.mark.parametrize("key", [
         b"\x03\x02",              # an int
         b"\x08\x00",              # a list
@@ -627,23 +625,23 @@ class TestBinaryInnerLoops:
         b"\x0b",                  # no tag at all
     ], ids=lambda key: key.hex())
     def test_a_dict_key_is_a_string_or_nothing(self, key):
-        frame = self.HEADER + b"\x09\x01" + key + b"\x00"
+        frame = b"\x09\x01" + key + b"\x00"
         with pytest.raises(SerializationError, match="dict key"):
-            decode_binary_frame(frame)
-        for cut in range(len(self.HEADER), len(frame)):
+            decode_value(frame)
+        for cut in range(len(frame)):
             with pytest.raises(SerializationError):
-                decode_binary_frame(frame[:cut])
+                decode_value(frame[:cut])
 
     def test_a_key_back_reference_past_the_table(self):
-        one = self.HEADER + b"\x09\x02\x06\x01a\x00"
-        assert decode_binary_frame(one + b"\x06\x01b\x07\x00") == {
+        one = b"\x09\x02\x06\x01a\x00"
+        assert decode_value(one + b"\x06\x01b\x07\x00") == {
             "a": None, "b": "a"}
         for index in (b"\x01", b"\x7f", b"\x80\x01", b"\xff\xff\x03"):
             with pytest.raises(SerializationError, match="back-reference"):
-                decode_binary_frame(one + b"\x07" + index + b"\x00")
+                decode_value(one + b"\x07" + index + b"\x00")
         # ... and a key that repeats one by reference is a duplicate.
         with pytest.raises(SerializationError, match="duplicate"):
-            decode_binary_frame(one + b"\x07\x00\x00")
+            decode_value(one + b"\x07\x00\x00")
 
     def test_two_byte_varints_where_one_is_typical(self):
         # What the encoder writes once a count, a length or a
@@ -658,14 +656,14 @@ class TestBinaryInnerLoops:
         assert_value_round_trip(payload)
         # ... and what it never writes but the grammar allows: a small
         # number padded to two bytes reads as the one-byte form does.
-        plain = self.HEADER + b"\x09\x01\x06\x01a\x03\x02"
-        padded = self.HEADER + b"\x09\x81\x00\x06\x81\x00a\x03\x82\x00"
-        assert decode_binary_frame(plain) == decode_binary_frame(padded) == {"a": 1}
-        padded_ref = (self.HEADER + b"\x09\x02\x06\x01a\x00"
+        plain = b"\x09\x01\x06\x01a\x03\x02"
+        padded = b"\x09\x81\x00\x06\x81\x00a\x03\x82\x00"
+        assert decode_value(plain) == decode_value(padded) == {"a": 1}
+        padded_ref = (b"\x09\x02\x06\x01a\x00"
                       b"\x06\x01b\x07\x80\x00")
-        assert decode_binary_frame(padded_ref) == {"a": None, "b": "a"}
+        assert decode_value(padded_ref) == {"a": None, "b": "a"}
         with pytest.raises(SerializationError, match="varint"):
-            decode_binary_frame(self.HEADER + b"\x09" + b"\x80" * 10 + b"\x00")
+            decode_value(b"\x09" + b"\x80" * 10 + b"\x00")
 
     def test_an_int_is_not_a_bool_anywhere(self):
         payload = {
@@ -674,7 +672,7 @@ class TestBinaryInnerLoops:
             "ints": [1, 0, 1, 0],
             "flags": [True, False, True, False],
         }
-        decoded = decode_binary_frame(encode_binary_frame(payload))
+        decoded = decode_value(encode_value(payload))
         assert decoded == payload
         for key, value in payload.items():
             got = decoded[key]
@@ -685,10 +683,10 @@ class TestBinaryInnerLoops:
         # Only the run of plain ints may take the packed-array form.
         from repro.net.binframe import _TAG_INTARRAY
 
-        assert _TAG_INTARRAY in encode_binary_frame({"a": [1, 0, 1, 0]})[3:]
+        assert _TAG_INTARRAY in encode_value({"a": [1, 0, 1, 0]})
         for run in ([1, True, 0, False], [True, False, True, False]):
-            assert bytes([_TAG_INTARRAY]) not in encode_binary_frame(
-                {"a": run})[3:]
+            assert bytes([_TAG_INTARRAY]) not in encode_value(
+                {"a": run})
 
     def test_subclasses_encode_as_what_they_are(self):
         import enum
@@ -708,7 +706,7 @@ class TestBinaryInnerLoops:
         fancy = Table({Name("key"): Items([Level.HIGH, Name("text"), 1.5]),
                        "tuple": (1, 2)})
         plain = {"key": [7, "text", 1.5], "tuple": [1, 2]}
-        assert encode_binary_frame(fancy) == encode_binary_frame(plain)
+        assert encode_value(fancy) == encode_value(plain)
 
     @pytest.mark.parametrize("payload", [
         {1: "a"}, {"a": {2: "b"}}, {"a": 1, 2: "b"}, {"a": {None: 1}},
@@ -716,7 +714,7 @@ class TestBinaryInnerLoops:
     ], ids=repr)
     def test_what_does_not_encode_is_a_typed_error(self, payload):
         with pytest.raises(SerializationError):
-            encode_binary_frame(payload)
+            encode_value(payload)
 
 
 # -- what a version-4 endpoint refuses, and what fails alone -----------------------
@@ -757,8 +755,8 @@ class TestVersionFourFrames:
 
     def test_a_version_3_frame_is_refused(self):
         # What version 3 sent: the generic grammar over the envelope dict.
-        frame = encode_binary_frame(dict(request_to_dict(self.MERGE),
-                                         version=3))
+        frame = LEGACY_HEADER + encode_value(
+            dict(request_to_dict(self.MERGE), version=3))
         with pytest.raises(SerializationError, match="version: 1"):
             decode(frame)
         # Behind this version's header it still reads as nothing valid.
@@ -892,12 +890,12 @@ class TestRowBlockWire:
     def test_wide_mode_bytes(self):
         """One tag, the wide code, the width, the count, then fixed
         two's-complement runs — nothing per value."""
-        frame = encode_binary_frame({"n": [2 ** 63, -1, 0, -(2 ** 70)]})
+        frame = encode_value({"n": [2 ** 63, -1, 0, -(2 ** 70)]})
         body = frame[frame.index(b"\x0a"):]
         assert body[:4] == bytes((0x0A, 0x04, 9, 4))
         assert len(body) == 4 + 4 * 9
         assert body[4:13] == (2 ** 63).to_bytes(9, "big", signed=True)
-        assert decode_binary_frame(frame) == {
+        assert decode_value(frame) == {
             "n": [2 ** 63, -1, 0, -(2 ** 70)]}
 
     @pytest.mark.parametrize("tail", [
@@ -909,9 +907,9 @@ class TestRowBlockWire:
         bytes((0x0A, 0x04)),                       # truncated header
     ])
     def test_malformed_wide_arrays_are_typed_errors(self, tail):
-        head = encode_binary_frame({"n": 0})[:-2]  # ...key, no value
+        head = encode_value({"n": 0})[:-2]  # ...key, no value
         with pytest.raises(SerializationError):
-            decode_binary_frame(head + tail)
+            decode_value(head + tail)
 
     #: An ``insert_request`` frame up to its ``ROWS`` field (column "c").
     INSERT_HEAD = bytes((0xAE, PROTOCOL_VERSION, 7, 0, 1)) + b"c"

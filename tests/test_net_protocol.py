@@ -419,11 +419,11 @@ class TestBinaryFrames:
         """Positional frames drop every key and tag the generic grammar
         (what version 3 sent) spells out: a query request at about half
         its size, a reply smaller at any row count."""
-        from repro.net.binframe import encode_binary_frame
+        from generic_values import encode_value
 
         request = QueryRequest(column="c", query=client.make_query(5, 25))
         assert len(encode(request)) * 1.8 <= len(
-            encode_binary_frame(request_to_dict(request))
+            encode_value(request_to_dict(request))
         )
         for count in (1, 10, 50):
             bulk, __ = client.encrypt_dataset(list(range(1000, 1000 + count)))
@@ -431,7 +431,7 @@ class TestBinaryFrames:
                 row_ids=np.arange(count, dtype=np.int64), rows=list(bulk)
             ))
             assert len(encode(reply)) < len(
-                encode_binary_frame(response_to_dict(reply))
+                encode_value(response_to_dict(reply))
             )
 
     def test_a_query_request_is_one_flat_block(self, monkeypatch):
@@ -481,15 +481,15 @@ class TestIntArrayFastPath:
 
     @staticmethod
     def _encode(value):
-        from repro.net.binframe import encode_binary_frame
+        from generic_values import encode_value
 
-        return encode_binary_frame({"a": value})
+        return encode_value({"a": value})
 
     @staticmethod
     def _decode(frame):
-        from repro.net.binframe import decode_binary_frame
+        from generic_values import decode_value
 
-        return decode_binary_frame(frame)
+        return decode_value(frame)
 
     def test_round_trip_at_every_width(self):
         cases = [
@@ -554,10 +554,8 @@ class TestIntArrayFastPath:
         from repro.errors import SerializationError
         from repro.net.binframe import _TAG_INTARRAY
 
-        # Hand-build a frame whose count claims more payload than exists.
-        from repro.net.binframe import _HEADER
-
-        body = bytearray(_HEADER)
+        # Hand-build a value whose count claims more payload than exists.
+        body = bytearray()
         body.append(_TAG_INTARRAY)
         body.append(3)  # 8-byte width
         body.append(0x7F)  # count=127 -> needs 1016 bytes; none follow

@@ -90,6 +90,9 @@ class TestTracedQueryAcceptance:
             assert span.end is not None
 
     def test_jsonl_trace_reconciles_with_query_stats(self, traced, tmp_path):
+        """Stated in counts, which preemption between spans cannot move:
+        the dumped spans are the query's phases, one for each thing
+        its QueryStats counted."""
         obs, engine = traced
         path = obs.tracer.dump_jsonl(str(tmp_path / "query.trace.jsonl"))
         records = [
@@ -97,17 +100,25 @@ class TestTracedQueryAcceptance:
             for line in open(path).read().splitlines()
         ]
         stats = engine.stats_log[-1]
-        span_total = sum(
-            r["duration"] for r in records if r["name"] in PHASE_SPANS
-        )
-        # Phase spans sit strictly inside the QueryStats timing windows,
-        # so their sum can never exceed total_seconds — and since the
-        # spans wrap the actual work, it accounts for the bulk of it.
+        named = {name: [r for r in records if r["name"] == name]
+                 for name in PHASE_SPANS + ("engine-query",)}
+        (engine_query,) = named["engine-query"]
+        # One find per bound; one crack, one insert per crack.
+        assert len(named["find-piece"]) == 2
+        assert len(named["crack"]) == len(named["insert-bound"]) == stats.cracks
+        assert sum(r["rows"] for r in named["crack"]) == stats.cracked_rows
+        # Every product a crack or an edge scan made: one per cracked
+        # row, two (both bounds) per scanned one.
+        scanned = sum(r["hi"] - r["lo"] for r in named["edge-scan"])
+        assert scanned == 16
+        assert stats.kernel_fast_products == stats.cracked_rows + 2 * scanned
+        # The phases nest in the one engine-query span, and sit inside
+        # the QueryStats timing windows.
+        phases = [r for name in PHASE_SPANS for r in named[name]]
+        assert {r["parent"] for r in phases} == {engine_query["index"]}
+        span_total = sum(r["duration"] for r in phases)
         assert span_total <= stats.total_seconds * 1.001 + 1e-4
-        assert span_total >= stats.total_seconds * 0.5
-        engine_query = [r for r in records if r["name"] == "engine-query"]
-        assert len(engine_query) == 1
-        assert engine_query[0]["duration"] >= span_total
+        assert engine_query["duration"] >= span_total
 
     def test_kernel_product_spans_nest_under_phases(self, traced):
         obs, __ = traced
@@ -393,12 +404,15 @@ class TestCliObservability:
         snapshot = json.loads(out[out.index("{"):])
         assert snapshot["counters"]["protocol.round_trips"] == 1
 
-    def test_trace_subcommand_writes_jsonl(self, column_file, tmp_path,
-                                           capsys):
+    def test_trace_subcommand_writes_jsonl(self, tmp_path, capsys):
         from repro.cli import main
 
+        # More rows than a word-sized column scans uncracked.
+        path = tmp_path / "wide.txt"
+        path.write_text("\n".join(
+            str(v) for v in np.random.default_rng(5).permutation(4096)))
         output = str(tmp_path / "out.jsonl")
-        assert main(["trace", column_file, "--range", "5", "60",
+        assert main(["trace", str(path), "--range", "5", "60",
                      "--output", output]) == 0
         records = [
             json.loads(line) for line in open(output).read().splitlines()

@@ -349,10 +349,12 @@ class TestStatsEqualRegistryDelta:
 
     VALUES = [int(v) for v in np.random.default_rng(5).permutation(512)]
 
-    def _server(self, **config):
+    def _server(self, min_piece_size=1, **config):
         client = TrustedClient(seed=3)
         rows, row_ids = client.encrypt_dataset(self.VALUES)
-        return client, SecureServer(rows, row_ids, **config)
+        return client, SecureServer(
+            rows, row_ids, min_piece_size=min_piece_size, **config
+        )
 
     def _query_delta(self, client, server, low, high):
         column = server.engine.column

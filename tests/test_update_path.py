@@ -311,7 +311,8 @@ class TestBlockMergeMatchesPerRowReference:
 class TestMergeIsOnePass:
     def test_column_arrays_rebuilt_once_per_merge(self, monkeypatch):
         client = TrustedClient(seed=9)
-        server = SecureServer(*client.encrypt_dataset(list(range(0, 600, 3))))
+        server = SecureServer(*client.encrypt_dataset(list(range(0, 600, 3))),
+                              min_piece_size=1)
         for low in range(20, 580, 40):
             server.execute(client.make_query(low, low + 15))
         for value in range(1, 600, 10):  # 60 arrivals

@@ -35,7 +35,6 @@ from repro.core.wal import (
     write_json_atomic,
 )
 from repro.errors import PersistenceError, ReproError
-from repro.net.binframe import encode_binary_frame
 from repro.net.catalog import ColumnCatalog
 from repro.net.protocol import (
     MergeRequest,
@@ -43,6 +42,8 @@ from repro.net.protocol import (
     encode,
     request_to_dict,
 )
+
+from generic_values import LEGACY_HEADER, encode_value
 
 REQUEST = encode(MergeRequest(column="values"))
 
@@ -183,7 +184,7 @@ class TestRecordFormat:
         """The layout every record had before this one: no fallback."""
         entry = {"seq": 1, "column": "values", "epoch": 1,
                  "request": request_to_dict(MergeRequest(column="values"))}
-        self.write_log(str(tmp_path), encode_binary_frame(entry))
+        self.write_log(str(tmp_path), LEGACY_HEADER + encode_value(entry))
         with pytest.raises(PersistenceError, match="entry dict"):
             read_records(str(tmp_path))
         with pytest.raises(PersistenceError, match="entry dict"):
