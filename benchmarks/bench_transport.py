@@ -42,7 +42,6 @@ import tempfile
 import numpy as np
 
 from repro.bench.reporting import RESULTS_DIR
-from repro.core.client import TrustedClient
 from repro.core.session import OutsourcedDatabase
 from repro.core.wal import WalWriter
 from repro.net import (
@@ -51,7 +50,6 @@ from repro.net import (
     RemoteColumn,
     ReplicaSet,
     ReplicationClient,
-    ShardedRemoteColumn,
     TcpTransport,
     serve,
 )
@@ -65,12 +63,6 @@ BATCH_SIZE = 16
 
 #: Concurrent-connection counts for the server-front matrix.
 CONNECTION_MATRIX = (1, 4, 16)
-
-#: Shard count for the hot-column scatter-gather matrix.
-SHARDS = 4
-
-#: Connections hammering the one hot column.
-HOT_CONNECTIONS = 16
 
 
 def run_transport(
@@ -228,101 +220,6 @@ def bench_concurrency(ops: int) -> dict:
     }
 
 
-def _hot_column_rps(
-    shards: int, connections: int, ops: int, rows, row_ids, queries
-) -> float:
-    """Aggregate queries/sec for N connections hammering ONE column.
-
-    This is the scenario sharding exists for: every connection targets
-    the same logical column, so an unsharded column serializes the
-    whole matrix on one per-column lock while a sharded one runs each
-    query as a parallel scatter-gather over ``shards`` independent
-    locks (and each shard's scan kernel covers ``1/shards`` of the
-    rows).  The column uses the scan engine so the per-query work is
-    fixed and lock-bound, not cracking-order-dependent.
-    """
-    server = serve(workers=connections)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address
-    transports = []
-
-    def connect():
-        transport = TcpTransport(host, port)
-        transports.append(transport)
-        if shards > 1:
-            return ShardedRemoteColumn(transport, "hot", shards=shards)
-        return RemoteColumn(transport, "hot")
-
-    try:
-        creator = connect()
-        creator.create(rows, row_ids, {"engine": "scan"})
-        handles = [connect() for _ in range(connections)]
-        barrier = threading.Barrier(connections + 1)
-        errors = []
-
-        def worker(offset, handle):
-            try:
-                barrier.wait()
-                for step in range(ops):
-                    handle.query(queries[(offset + step) % len(queries)])
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        workers = [
-            threading.Thread(target=worker, args=(i, h), daemon=True)
-            for i, h in enumerate(handles)
-        ]
-        for w in workers:
-            w.start()
-        barrier.wait()
-        tick = time.perf_counter()
-        for w in workers:
-            w.join()
-        wall = time.perf_counter() - tick
-        assert not errors, errors
-        return connections * ops / wall
-    finally:
-        for transport in transports:
-            transport.close()
-        server.stop()
-        thread.join(timeout=5)
-
-
-def bench_sharded(size: int, ops: int) -> dict:
-    """Hot-column matrix: one logical column under 16 connections,
-    single vs ``SHARDS``-way scatter-gather.
-
-    Keyed like every other section (the default key), so each scan is
-    the exact big-int product kernel — Python arithmetic that holds
-    the GIL.  The column is sized for ~10 ms of it per query.
-    """
-    rng = np.random.default_rng(59)
-    values = [int(v) for v in rng.permutation(size)]
-    client = TrustedClient(seed=67)
-    rows, row_ids = client.encrypt_dataset(values)
-    span = max(1, size // 500)
-    queries = [
-        client.make_query(int(low), int(low) + span)
-        for low in rng.integers(0, size - span, 64)
-    ]
-    out = {
-        "size": size,
-        "ops_per_connection": ops,
-        "cpus": os.cpu_count() or 1,
-        "single": _hot_column_rps(
-            1, HOT_CONNECTIONS, ops, rows, row_ids, queries
-        ),
-        "sharded_%d" % SHARDS: _hot_column_rps(
-            SHARDS, HOT_CONNECTIONS, ops, rows, row_ids, queries
-        ),
-    }
-    out["sharded_vs_single_16"] = _ratio(
-        out["sharded_%d" % SHARDS], out["single"]
-    )
-    return out
-
-
 #: Fsync policies for the durability write matrix (None = no WAL).
 FSYNC_MATRIX = (None, "never", "batch", "always")
 
@@ -449,15 +346,11 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
     else:
         result = bench(size=8_000, query_count=128)
     result["concurrency"] = bench_concurrency(ops=40 if smoke else 200)
-    result["sharded"] = (
-        bench_sharded(size=32_000, ops=8)
-        if smoke
-        else bench_sharded(size=48_000, ops=16)
-    )
     result["durability"] = bench_durability(ops=40 if smoke else 200)
     report = {
         "benchmark": "transport",
         "mode": "smoke" if smoke else "full",
+        "cpus": os.cpu_count() or 1,
         **result,
     }
     if output is None and not smoke:
@@ -486,19 +379,6 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
         + "  ".join(
             "%2d conns %7.0f req/s" % (c, report["concurrency"][str(c)])
             for c in CONNECTION_MATRIX
-        )
-    )
-    sharded = report["sharded"]
-    print(
-        "hot column @%d conns:  single %7.0f q/s  %d shards %7.0f q/s "
-        "(%.2fx, %d cpus)"
-        % (
-            HOT_CONNECTIONS,
-            sharded["single"],
-            SHARDS,
-            sharded["sharded_%d" % SHARDS],
-            sharded["sharded_vs_single_16"],
-            os.cpu_count() or 1,
         )
     )
     durability = report["durability"]
@@ -546,12 +426,6 @@ def test_transport_bench(tmp_path):
     assert report["batching_speedup"] > 0
     for connections in CONNECTION_MATRIX:
         assert report["concurrency"][str(connections)] > 0
-    # The 4-shard vs single-column ratio is recorded, not gated: ROADMAP
-    # item 5 owns the prove-or-prune decision on shards.
-    sharded = report["sharded"]
-    assert sharded["single"] > 0
-    assert sharded["sharded_%d" % SHARDS] > 0
-    assert sharded["sharded_vs_single_16"] > 0, sharded
     # Durability matrix: every fsync policy sustains acked inserts and
     # logs one WAL append per mutation; fsync=always actually fsyncs.
     durability = report["durability"]

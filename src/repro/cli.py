@@ -134,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
              "backpressure (default: 2x workers)",
     )
     serve.add_argument(
-        "--batch-workers", type=int, default=8,
-        help="threads executing one batch's multi-column sub-requests "
-             "concurrently (sharded scatter-gather; 0 or 1 disables, "
-             "default 8)",
-    )
-    serve.add_argument(
         "--trace", metavar="FILE", default=None,
         help="enable server-side span tracing; the JSONL dump is "
              "written to FILE on shutdown (merge it with a client dump "
@@ -295,12 +289,6 @@ def _add_workload_args(parser, optional_file: bool = False) -> None:
              "trip each (--workload only; default 1 = unbatched)",
     )
     parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="spread the column over N catalog shards; each query fans "
-             "out as one parallel batch and every shard cracks "
-             "independently (default 0 = unsharded)",
-    )
-    parser.add_argument(
         "--replicas", action="append", default=[], metavar="HOST:PORT",
         help="route reads across these `repro serve --replica-of` "
              "endpoints while writes pin to --connect (repeatable; "
@@ -355,16 +343,9 @@ def _build_db(args, obs=None) -> OutsourcedDatabase:
         values, ambiguity=args.ambiguity, engine=args.engine, seed=args.seed,
         obs=obs, transport=transport,
         column=getattr(args, "column", "values"),
-        shards=getattr(args, "shards", 0) or 0,
     )
     where = " to %s" % args.connect if getattr(args, "connect", None) else ""
-    sharded = (
-        " across %d shards" % db.shard_count if db.shard_count else ""
-    )
-    print(
-        "outsourced %d values from %s%s%s"
-        % (len(values), args.file, where, sharded)
-    )
+    print("outsourced %d values from %s%s" % (len(values), args.file, where))
     return db
 
 
@@ -484,10 +465,8 @@ def _render_telemetry(sections) -> str:
         )
     catalog = sections.get("catalog")
     if isinstance(catalog, dict):
-        columns = catalog.get("columns") or []
         lines.append(
-            "catalog: %d columns, %d logical shard groups"
-            % (len(columns), len(catalog.get("shards") or {}))
+            "catalog: %d columns" % len(catalog.get("columns") or [])
         )
     replication = sections.get("replication")
     if isinstance(replication, dict):
@@ -627,7 +606,6 @@ def _run_serve(args) -> int:
     obs = Observability(tracing=bool(args.trace))
     catalog_kwargs = dict(
         obs=obs,
-        batch_workers=args.batch_workers,
         slow_query_threshold=args.slow_query_threshold,
         slow_query_capacity=args.slow_query_capacity,
     )

@@ -25,12 +25,11 @@ the same value the wire carries
 (:func:`repro.crypto.serialization.rows_to_dict`).  Counts live in the
 metrics registry, not in snapshots.  A catalog snapshot
 (``CATALOG_SNAPSHOT_VERSION``, versioned independently) carries the
-column map (name to server snapshot), the ``shards`` registry (logical
-sharded columns — geometry plus ordered shard column names), the
-per-column mutation ``epochs`` — the fence WAL replay uses to skip
-entries the snapshot already contains — and the optional ``wal_seq``
-watermark.  Only the current version of each is read: no other version
-was ever released, and anything else is rejected with a typed error.
+column map (name to server snapshot), the per-column mutation
+``epochs`` — the fence WAL replay uses to skip entries the snapshot
+already contains — and the optional ``wal_seq`` watermark.  Only the
+current version of each is read, and anything else is rejected with a
+typed error: no fallback reader.
 
 The file layer (:func:`save_snapshot` / :func:`load_snapshot` /
 :func:`recover_catalog` / :func:`checkpoint_catalog`) adds durability:
@@ -66,13 +65,12 @@ from repro.errors import (
     PersistenceError,
     ReproError,
     SerializationError,
-    UpdateError,
 )
 from repro.net.catalog import ColumnCatalog
 from repro.obs import Observability
 
 SNAPSHOT_VERSION = 4
-CATALOG_SNAPSHOT_VERSION = 4
+CATALOG_SNAPSHOT_VERSION = 5
 
 #: File name of the catalog snapshot inside a server data directory
 #: (next to the ``wal-*.seg`` segments).
@@ -183,9 +181,8 @@ def restore_server(
 def snapshot_catalog(
     catalog: ColumnCatalog, wal_seq: Optional[int] = None
 ) -> Dict[str, Any]:
-    """Serialize every column of an endpoint's catalog, plus the
-    logical-shard registry grouping shard columns back together and
-    each column's mutation epoch.
+    """Serialize every column of an endpoint's catalog, plus each
+    column's mutation epoch.
 
     ``wal_seq`` records the WAL position this snapshot captures (every
     logged entry with ``seq <= wal_seq`` is reflected in it); recovery
@@ -200,7 +197,6 @@ def snapshot_catalog(
             name: snapshot_server(catalog.server(name))
             for name in catalog.column_names
         },
-        "shards": catalog.shards(),
         "epochs": catalog.epochs(),
     }
     if wal_seq is not None:
@@ -214,9 +210,9 @@ def restore_catalog(
     """Rebuild a whole endpoint from a catalog snapshot.
 
     ``catalog_kwargs`` pass through to the
-    :class:`~repro.net.catalog.ColumnCatalog` constructor (batch pool
-    size, slow-query knobs), so a recovered serving endpoint keeps its
-    configured concurrency.
+    :class:`~repro.net.catalog.ColumnCatalog` constructor (the
+    slow-query knobs), so a recovered serving endpoint keeps its
+    configuration.
 
     Raises:
         SerializationError: on a malformed or wrong-kind snapshot.
@@ -235,7 +231,6 @@ def restore_catalog(
         columns = snapshot["columns"]
         items = sorted(columns.items())
         epochs = snapshot["epochs"]
-        shards = snapshot["shards"]
     except (AttributeError, KeyError, TypeError) as exc:
         raise SerializationError("malformed catalog snapshot: %s" % exc) from exc
     if not isinstance(epochs, dict):
@@ -260,45 +255,6 @@ def restore_catalog(
             restore_server(server_snapshot, obs=catalog.obs),
             epoch=epochs[name],
         )
-    if not isinstance(shards, dict):
-        raise SerializationError("catalog snapshot shards must be an object")
-    for logical, meta in sorted(shards.items()):
-        try:
-            count = int(meta["count"])
-            per_value = int(meta.get("physical_per_value", 1))
-            shard_columns = list(meta["columns"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(
-                "malformed shard registry entry %r: %s" % (logical, exc)
-            ) from exc
-        if len(shard_columns) != count:
-            raise SerializationError(
-                "shard registry entry %r lists %d columns for count %d"
-                % (logical, len(shard_columns), count)
-            )
-        for index, column_name in enumerate(shard_columns):
-            if column_name is None:
-                continue
-            if column_name not in columns:
-                raise SerializationError(
-                    "shard registry entry %r references missing column %r"
-                    % (logical, column_name)
-                )
-            try:
-                catalog.register_shard(
-                    column_name,
-                    {
-                        "of": logical,
-                        "index": index,
-                        "count": count,
-                        "physical_per_value": per_value,
-                    },
-                )
-            except UpdateError as exc:
-                raise SerializationError(
-                    "inconsistent shard registry entry %r: %s"
-                    % (logical, exc)
-                ) from exc
     return catalog
 
 

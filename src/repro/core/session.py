@@ -39,7 +39,6 @@ from repro.errors import ProtocolError, QueryError, UpdateError
 from repro.net.catalog import ColumnCatalog
 from repro.net.client import RemoteColumn
 from repro.net.protocol import check_codec
-from repro.net.shard import ShardedRemoteColumn
 from repro.net.transport import LoopbackTransport, Transport
 from repro.obs import Observability
 
@@ -74,13 +73,6 @@ class OutsourcedDatabase:
             names).
         codec: ``"auto"`` or ``"binary"``, accepted for older callers:
             there is one frame codec, and this selects nothing.
-        shards: ``0`` (default) registers one catalog column; ``N >= 1``
-            spreads the column over N catalog shards behind a
-            :class:`~repro.net.shard.ShardedRemoteColumn` — every query
-            fans out as one parallel batch and each shard cracks
-            independently under its own lock.  ``shards=1`` is the
-            sharded machinery with identity routing (byte-identical
-            results to an unsharded column).
         min_piece_size / use_three_way: forwarded to the server
             engine; ``min_piece_size`` None (default) lets it derive
             the scan-or-crack threshold from the column's arithmetic.
@@ -104,7 +96,6 @@ class OutsourcedDatabase:
         transport: Transport = None,
         column: str = "values",
         codec: str = "auto",
-        shards: int = 0,
     ) -> None:
         check_codec(codec)
         values = as_integers(values)
@@ -146,19 +137,7 @@ class OutsourcedDatabase:
             self._catalog = None
         self._transport = transport
         self._column_name = column
-        self._shards = int(shards)
-        if self._shards < 0:
-            raise UpdateError("shard count must be >= 0")
-        if self._shards:
-            self._remote = ShardedRemoteColumn(
-                transport,
-                column,
-                shards=self._shards,
-                physical_per_value=2 if ambiguity else 1,
-                obs=self._obs,
-            )
-        else:
-            self._remote = RemoteColumn(transport, column, obs=self._obs)
+        self._remote = RemoteColumn(transport, column, obs=self._obs)
         self._remote.create(rows, row_ids, server_config)
         self._jitter_pivots = int(jitter_pivots)
         if pivot_domain is None and values:
@@ -198,11 +177,6 @@ class OutsourcedDatabase:
         return self._transport
 
     @property
-    def shard_count(self) -> int:
-        """Number of catalog shards behind this session (0 = unsharded)."""
-        return self._shards
-
-    @property
     def server(self):
         """The in-process :class:`~repro.core.server.SecureServer`.
 
@@ -216,26 +190,7 @@ class OutsourcedDatabase:
                 "session is connected over a remote transport; "
                 "server state is not locally reachable"
             )
-        if self._shards:
-            raise ProtocolError(
-                "a sharded session has no single server; "
-                "use shard_servers()"
-            )
         return self._catalog.server(self._column_name)
-
-    def shard_servers(self):
-        """The in-process engines behind each shard, in shard order
-        (loopback sessions only — same restriction as :attr:`server`)."""
-        if self._catalog is None:
-            raise ProtocolError(
-                "session is connected over a remote transport; "
-                "server state is not locally reachable"
-            )
-        if not self._shards:
-            return [self._catalog.server(self._column_name)]
-        return [
-            self._catalog.server(name) for name in self._remote.shard_names
-        ]
 
     @server.setter
     def server(self, new_server) -> None:
@@ -302,9 +257,11 @@ class OutsourcedDatabase:
         low_inclusive, high_inclusive)`` tuples — or objects with an
         ``as_args()`` method, like the workload generators'
         ``RangeQuery``.  All queries ship in a single
-        ``batch_request`` frame; the server executes them in order
-        under the column lock, so results are identical to issuing
-        them sequentially, at a fraction of the round trips.  Counts as
+        ``batch_request`` frame; the server executes them in slot
+        order, each under the column lock in turn, so results are
+        identical to issuing them sequentially, at a fraction of the
+        round trips.  The batch is not atomic: another session's
+        request on the column may run between two slots.  Counts as
         one round trip (one frame each way).
         """
         specs = list(specs)
@@ -355,12 +312,7 @@ class OutsourcedDatabase:
         """
         value = as_integer(value)
         rows = self.client.encrypt_value(value)
-        if self._shards:
-            # The plaintext key hint routes the insert to its shard;
-            # only the trusted client side ever sees it.
-            physical_ids = self._remote.insert(rows, key_hint=value)
-        else:
-            physical_ids = self._remote.insert(rows)
+        physical_ids = self._remote.insert(rows)
         self._account_exchange()
         logical_id = self._logical_count
         self._logical_count += 1
@@ -413,15 +365,7 @@ class OutsourcedDatabase:
         :attr:`round_trips` / :attr:`client_stats` / :attr:`bytes_sent`,
         which account the observed workload only (the ``net.*``
         counters still see the maintenance frames).
-
-        A sharded session rotates shard by shard instead (see
-        :meth:`_rotate_key_sharded`): ids are *preserved* rather than
-        compacted — each shard's rebuild must stay self-contained — so
-        the returned mapping is the identity over live ids, and a fence
-        conflict retries only the conflicting shard.
         """
-        if self._shards:
-            return self._rotate_key_sharded(new_seed)
         self._obs.metrics.add("session.key_rotations")
         begin = self._remote.rotate_begin()
         response = begin.response
@@ -451,54 +395,6 @@ class OutsourcedDatabase:
         self._inserted_physical_to_logical = {}
         self._logical_to_physical = {}
         return mapping
-
-    def _rotate_key_sharded(self, new_seed: int = None) -> Dict[int, int]:
-        """Shard-by-shard key rotation, each shard under its own fence.
-
-        Unlike the unsharded path, logical ids are *not* compacted:
-        every re-encrypted row keeps its physical id, so each shard's
-        rotation is fully self-contained and a conflict on one shard
-        (a concurrent insert or delete that bumped its epoch) retries
-        that shard alone while the others' rebuilds stand.  The id
-        bookkeeping (insert maps, logical count) therefore survives
-        unchanged, and the returned mapping is the identity over the
-        ids seen live during the rotation.
-        """
-        self._obs.metrics.add("session.key_rotations")
-        old_client = self.client
-        new_client = TrustedClient(
-            key=None,
-            seed=new_seed,
-            ambiguity=old_client.ambiguity,
-            key_length=old_client.key.length,
-            fake_domain=old_client.fake_domain,
-        )
-        live: set = set()
-
-        def reencrypt(global_ids, rows):
-            # Decrypt this shard's live rows under the old key, then
-            # re-encrypt each logical value under the new key onto the
-            # *same* physical ids (ambiguity pairs included: the fresh
-            # pair lands on the pair's original two ids).
-            result = old_client.decrypt_results(
-                global_ids, rows, id_mapper=self._map_physical_ids
-            )
-            new_rows: List = []
-            new_ids: List[int] = []
-            for logical_id, value in zip(result.logical_ids, result.values):
-                logical_id, value = int(logical_id), int(value)
-                live.add(logical_id)
-                physicals = self._physical_ids_of(logical_id)
-                for offset, row in enumerate(new_client.encrypt_value(value)):
-                    new_rows.append(row)
-                    new_ids.append(physicals[offset])
-            return new_rows, new_ids
-
-        self._remote.rotate_shards(reencrypt)
-        # As in the unsharded path, the key switch commits only after
-        # every shard accepted its rebuild.
-        self.client = new_client
-        return {logical_id: logical_id for logical_id in sorted(live)}
 
     # -- internals --------------------------------------------------------------------
 

@@ -25,10 +25,7 @@ mechanical.  It has three layers:
   backpressure, graceful drain).
 
 :class:`~repro.net.client.RemoteColumn` is the client-side handle
-sessions hold instead of a server reference;
-:class:`~repro.net.shard.ShardedRemoteColumn` is its scatter-gather
-sibling, spreading one logical column over N catalog columns and
-fanning every operation out as one parallel batch.
+sessions hold instead of a server reference.
 :mod:`repro.net.replication` adds the multi-server topology: a
 :class:`~repro.net.replication.ReplicationClient` streams the
 primary's WAL into a warm read replica, and a
@@ -63,7 +60,6 @@ from repro.net.server import (
     CatalogTCPServer,
     serve,
 )
-from repro.net.shard import ShardedRemoteColumn, shard_column_names
 from repro.net.transport import (
     LoopbackTransport,
     TcpTransport,
@@ -83,7 +79,6 @@ __all__ = [
     "RemoteColumn",
     "ReplicaSet",
     "ReplicationClient",
-    "ShardedRemoteColumn",
     "TcpTransport",
     "TelemetryRequest",
     "TelemetryResponse",
@@ -95,6 +90,5 @@ __all__ = [
     "response_from_dict",
     "response_to_dict",
     "serve",
-    "shard_column_names",
     "trace_from_wire",
 ]

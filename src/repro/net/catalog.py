@@ -17,25 +17,14 @@ so one bad client cannot take down a serving thread.
 Columns are independently locked: concurrent sessions on different
 columns proceed in parallel and never interleave engine state, while
 requests against one column serialize (cracking mutates the column).
-A ``batch_request`` whose sub-requests target *distinct* columns is
-executed concurrently on a small per-catalog pool (sub-requests for
-the same column keep their slot order) — the server half of the
-scatter-gather fan-out that :class:`~repro.net.shard.ShardedRemoteColumn`
-performs on the client side.
-
-The catalog also records *shard metadata*: a column created with a
-``shard`` descriptor (``{"of": logical, "index": i, "count": n,
-"physical_per_value": p}``) is one slice of a logical sharded column.
-The catalog validates that sibling shards agree on the geometry and
-exposes the registry to persistence so snapshots restore the logical
-grouping.
+A ``batch_request`` is served slot by slot, in slot order, on the
+dispatching thread: each slot takes its column's lock on its own.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -131,18 +120,13 @@ class ColumnCatalog:
         obs: shared observability bundle; every hosted engine reports
             into it (one registry per endpoint).  A private bundle is
             created when omitted.
-        batch_workers: size of the pool that executes multi-column
-            batches concurrently.  The pool is created lazily on the
-            first batch that actually spans columns, so plain loopback
-            sessions never spawn a thread; ``<= 1`` disables parallel
-            batches entirely.
         slow_query_threshold: dispatches taking at least this many
             seconds land in the slow-query ring (served over
             ``telemetry_request``); ``0.0`` records every dispatch.
         slow_query_capacity: slow-query ring size.
     """
 
-    def __init__(self, obs: Observability = None, batch_workers: int = 8,
+    def __init__(self, obs: Observability = None,
                  slow_query_threshold: float = DEFAULT_SLOW_QUERY_THRESHOLD,
                  slow_query_capacity: int = DEFAULT_SLOW_QUERY_CAPACITY,
                  ) -> None:
@@ -155,13 +139,6 @@ class ColumnCatalog:
         self._telemetry_providers: Dict[str, Callable[[], Any]] = {}
         self._registry_lock = threading.Lock()
         self._columns: Dict[str, _Column] = {}
-        # Logical sharded columns: logical name -> {"count", \
-        # "physical_per_value", "columns": [shard column names]}.
-        self._shards: Dict[str, Dict[str, Any]] = {}
-        self._batch_workers = max(0, int(batch_workers))
-        self._pool_lock = threading.Lock()
-        self._batch_pool: Optional[ThreadPoolExecutor] = None
-        self._closed = False
         # Durability/replication plumbing (all optional; see bind_wal /
         # set_read_only).  ``_replaying`` marks the current thread as
         # applying already-logged entries, which bypasses both the WAL
@@ -198,19 +175,17 @@ class ColumnCatalog:
         rows: Sequence,
         row_ids: Optional[Sequence[int]] = None,
         config: Dict[str, Any] = None,
-        shard: Dict[str, Any] = None,
     ) -> SecureServer:
         """Create a named column from uploaded ciphertext rows.
 
         ``config`` takes the :class:`SecureServer` engine knobs (see
         :data:`~repro.net.protocol.CONFIG_DEFAULTS`); the server keeps
         it so key rotation can rebuild the engine with every knob
-        intact.  ``shard`` optionally declares this column one slice of
-        a logical sharded column (see :meth:`register_shard`).
+        intact.
 
         Raises:
-            UpdateError: empty name, duplicate column, or inconsistent
-                shard metadata.
+            UpdateError: empty name, duplicate column, or an unknown
+                config key.
         """
         if not name:
             raise UpdateError("column name must be non-empty")
@@ -221,10 +196,8 @@ class ColumnCatalog:
             raise UpdateError(
                 "unknown column config keys: %s" % ", ".join(sorted(unknown))
             )
-        if shard is not None:
-            self._check_shard(shard)
         server = SecureServer(rows, row_ids, obs=self._obs, **merged)
-        self.adopt_column(name, server, shard=shard)
+        self.adopt_column(name, server)
         self._obs.metrics.add("net.columns_created")
         return server
 
@@ -232,7 +205,6 @@ class ColumnCatalog:
         self,
         name: str,
         server: SecureServer,
-        shard: Dict[str, Any] = None,
         epoch: int = 0,
     ) -> None:
         """Install an already-built server under a name (the restore
@@ -244,102 +216,10 @@ class ColumnCatalog:
         """
         if not name:
             raise UpdateError("column name must be non-empty")
-        if shard is not None:
-            self._check_shard(shard)
         with self._registry_lock:
             if name in self._columns:
                 raise UpdateError("column %r already exists" % name)
             self._columns[name] = _Column(server, max(0, int(epoch)))
-        if shard is not None:
-            try:
-                self.register_shard(name, shard)
-            except UpdateError:
-                # Shard registration is part of creation: a geometry
-                # mismatch must not leave a half-registered column.
-                with self._registry_lock:
-                    self._columns.pop(name, None)
-                raise
-
-    @staticmethod
-    def _check_shard(shard: Dict[str, Any]) -> None:
-        """Validate one shard descriptor's shape before any state changes."""
-        if not isinstance(shard, dict):
-            raise UpdateError("shard metadata must be a dict")
-        logical = shard.get("of")
-        if not isinstance(logical, str) or not logical:
-            raise UpdateError("shard 'of' must be a non-empty string")
-        count = shard.get("count")
-        index = shard.get("index")
-        per_value = shard.get("physical_per_value", 1)
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise UpdateError("shard 'count' must be a positive int")
-        if (not isinstance(index, int) or isinstance(index, bool)
-                or not 0 <= index < count):
-            raise UpdateError(
-                "shard 'index' must be an int in [0, %r)" % count
-            )
-        if per_value not in (1, 2):
-            raise UpdateError("shard 'physical_per_value' must be 1 or 2")
-
-    def register_shard(self, name: str, shard: Dict[str, Any]) -> None:
-        """Record ``name`` as one slice of the logical column
-        ``shard["of"]``, checking the descriptor against any siblings
-        already registered.
-
-        Raises:
-            UpdateError: geometry mismatch with a sibling shard, or a
-                slot already taken.
-        """
-        self._check_shard(shard)
-        logical = shard["of"]
-        count = shard["count"]
-        index = shard["index"]
-        per_value = shard.get("physical_per_value", 1)
-        with self._registry_lock:
-            entry = self._shards.get(logical)
-            if entry is None:
-                entry = self._shards[logical] = {
-                    "count": count,
-                    "physical_per_value": per_value,
-                    "columns": [None] * count,
-                }
-            if entry["count"] != count:
-                raise UpdateError(
-                    "shard count mismatch for %r: %d registered, %d offered"
-                    % (logical, entry["count"], count)
-                )
-            if entry["physical_per_value"] != per_value:
-                raise UpdateError(
-                    "shard physical_per_value mismatch for %r" % logical
-                )
-            if entry["columns"][index] is not None:
-                raise UpdateError(
-                    "shard %d of %r already registered as %r"
-                    % (index, logical, entry["columns"][index])
-                )
-            entry["columns"][index] = name
-            self._set_shards_gauge()
-
-    def _set_shards_gauge(self) -> None:
-        """Write ``catalog.shards``; the caller holds the registry lock."""
-        self._obs.metrics.set("catalog.shards", sum(
-            column is not None
-            for meta in self._shards.values()
-            for column in meta["columns"]
-        ))
-
-    def shards(self) -> Dict[str, Dict[str, Any]]:
-        """Copy of the shard registry: logical name -> geometry +
-        ordered shard column names (``None`` for unregistered slots)."""
-        with self._registry_lock:
-            return {
-                logical: {
-                    "count": meta["count"],
-                    "physical_per_value": meta["physical_per_value"],
-                    "columns": list(meta["columns"]),
-                }
-                for logical, meta in self._shards.items()
-            }
 
     def _column(self, name: str) -> _Column:
         """The record of one hosted column.
@@ -631,11 +511,8 @@ class ColumnCatalog:
                 name: _Column(column.server, column.epoch)
                 for name, column in other._columns.items()
             }
-        shards = other.shards()
         with self._registry_lock:
             self._columns = columns
-            self._shards = shards
-            self._set_shards_gauge()
 
     def _require_wal(self):
         if self._wal is None:
@@ -807,11 +684,11 @@ class ColumnCatalog:
 
         Built-in sections: ``metrics`` (registry snapshot), ``tracer``
         (enabled flag, span count, per-name totals), ``slow_queries``
-        (the ring snapshot), ``catalog`` (hosted columns and shard
-        geometry).  Registered providers add more (the TCP server
-        exports ``pool``).  ``sections=None`` serves all;
-        unknown names are silently skipped so older servers stay
-        compatible with newer clients.
+        (the ring snapshot), ``catalog`` (the hosted columns).
+        Registered providers add more (the TCP server exports
+        ``pool``).  ``sections=None`` serves all; unknown names are
+        silently skipped so older servers stay compatible with newer
+        clients.
         """
         tracer = self._obs.tracer
         available: Dict[str, Callable[[], Any]] = {
@@ -822,11 +699,7 @@ class ColumnCatalog:
                 "summary": tracer.summary(),
             },
             "slow_queries": self._slow_log.snapshot,
-            "catalog": lambda: {
-                "columns": self.column_names,
-                "shards": self.shards(),
-                "batch_workers": self._batch_workers,
-            },
+            "catalog": lambda: {"columns": self.column_names},
         }
         with self._registry_lock:
             available.update(self._telemetry_providers)
@@ -849,100 +722,31 @@ class ColumnCatalog:
         return error_response_for(error)
 
     def _serve_batch(self, request: BatchRequest) -> BatchResponse:
-        """Execute every sub-envelope of a batch, isolating failures.
+        """Execute every sub-envelope of a batch in slot order, isolating
+        failures.
 
-        Sub-requests targeting *distinct* columns run concurrently on
-        the catalog's batch pool — each under its own per-column lock,
-        so they never interleave with other sessions' traffic on those
-        columns.  Sub-requests on the *same* column keep their slot
-        order (a later sub-request observes every earlier one on that
-        column), and the response array always matches request slots
-        positionally.  Each failure is confined to its slot as an error
-        envelope.
+        Each slot runs on this thread under its own column's lock, so a
+        later slot observes every earlier one and the response array
+        matches the request slots positionally.  Other sessions may
+        interleave between two slots.  Each failure is confined to its
+        slot as an error envelope.
         """
+        responses = tuple(self._serve_slot(item) for item in request.requests)
         metrics = self._obs.metrics
-        items = request.requests
-        # Group slot indices by target column.  Slots without a column
-        # (undecodable slots, create/hello) form singleton groups: they
-        # carry no per-column ordering contract.
-        groups: Dict[Any, List[int]] = {}
-        for index, item in enumerate(items):
-            column = getattr(item, "column", None)
-            key = ("#slot", index) if column is None else column
-            groups.setdefault(key, []).append(index)
-        responses: List[Any] = [None] * len(items)
-        # Export the enclosing rpc-serve span (dispatch opened it on
-        # this thread) so slot spans running on pool threads still
-        # parent to it — in-process context propagation across the
-        # batch pool.  None when tracing is off.
-        context = self._obs.tracer.wire_context()
-
-        def serve_group(indices: List[int]) -> None:
-            for index in indices:
-                responses[index] = self._serve_slot(items[index], context)
-
-        pool = self._batch_executor() if len(groups) > 1 else None
-        if pool is None:
-            for indices in groups.values():
-                serve_group(indices)
-        else:
-            metrics.add("net.parallel_batches")
-            # The dispatching thread serves the first group itself
-            # rather than idling on futures: one fewer pool hand-off
-            # per batch, and a saturated pool can never stall a batch
-            # completely.
-            group_list = list(groups.values())
-            futures = [
-                pool.submit(serve_group, indices)
-                for indices in group_list[1:]
-            ]
-            serve_group(group_list[0])
-            for future in futures:
-                future.result()
         metrics.add("net.batches")
-        metrics.observe("net.batch_size", len(items))
-        return BatchResponse(responses=tuple(responses))
+        metrics.observe("net.batch_size", len(responses))
+        return BatchResponse(responses=responses)
 
-    def _serve_slot(self, item: Any,
-                    context: Optional[Dict[str, Any]] = None):
-        """Execute one batch slot (nested batches are refused here).
-
-        ``context`` is the enclosing ``rpc-serve`` span's exported
-        trace context; the slot's ``rpc-serve-slot`` span adopts it so
-        slots served on the batch pool stay inside the dispatch's
-        subtree.
-        """
+    def _serve_slot(self, item: Any):
+        """Execute one batch slot (nested batches are refused here)
+        under an ``rpc-serve-slot`` span, a child of the dispatch's
+        ``rpc-serve``."""
         if type(item) is BatchRequest:
             item = SerializationError("batch requests cannot nest")
         spec = ENVELOPES.get(type(item))
-        with self._obs.span("rpc-serve-slot", remote=context,
-                            kind=spec and spec.kind,
+        with self._obs.span("rpc-serve-slot", kind=spec and spec.kind,
                             column=getattr(item, "column", None)):
             return self._serve_one(item)
-
-    def _batch_executor(self) -> Optional[ThreadPoolExecutor]:
-        """The lazily-created batch pool, or None when parallel batches
-        are disabled (``batch_workers <= 1``) or the catalog is closed."""
-        if self._batch_workers <= 1:
-            return None
-        with self._pool_lock:
-            if self._closed:
-                return None
-            if self._batch_pool is None:
-                self._batch_pool = ThreadPoolExecutor(
-                    max_workers=self._batch_workers,
-                    thread_name_prefix="repro-batch",
-                )
-            return self._batch_pool
-
-    def close(self) -> None:
-        """Shut down the batch pool (idempotent).  The catalog keeps
-        serving afterwards — batches just fall back to sequential."""
-        with self._pool_lock:
-            pool, self._batch_pool = self._batch_pool, None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def handle(self, request):
         """Execute one decoded request envelope against its column.
@@ -994,7 +798,6 @@ class ColumnCatalog:
             request.rows,
             request.row_ids,
             request.config,
-            shard=request.shard,
         )
         # Logged outside the (brand-new) column lock: a mutation can
         # only race this append if its issuer learned the column name

@@ -206,41 +206,6 @@ def _snapshot_payload(data) -> Dict[str, Any]:
     return data
 
 
-#: Keys a shard descriptor carries on the wire.
-_SHARD_KEYS = ("of", "index", "count", "physical_per_value")
-
-
-def _shard_descriptor(data) -> Dict[str, Any]:
-    """Validate a shard descriptor (the same check in both directions)."""
-    if not isinstance(data, dict):
-        raise SerializationError("shard metadata must be an object")
-    unknown = set(data) - set(_SHARD_KEYS)
-    if unknown:
-        raise SerializationError(
-            "unknown shard metadata keys: %s" % ", ".join(sorted(unknown))
-        )
-    logical = data.get("of")
-    if not isinstance(logical, str) or not logical:
-        raise SerializationError("shard 'of' must be a non-empty string")
-    try:
-        count = int(data["count"])
-        index = int(data["index"])
-        per_value = int(data.get("physical_per_value", 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError("malformed shard metadata: %s" % exc) from exc
-    if count < 1 or not 0 <= index < count or per_value not in (1, 2):
-        raise SerializationError(
-            "inconsistent shard metadata: index=%r count=%r "
-            "physical_per_value=%r" % (index, count, per_value)
-        )
-    return {
-        "of": logical,
-        "index": index,
-        "count": count,
-        "physical_per_value": per_value,
-    }
-
-
 def _epochs_to_dict(epochs) -> Dict[str, int]:
     return {str(name): int(epoch) for name, epoch in epochs.items()}
 
@@ -529,7 +494,6 @@ SERVER_RESPONSE = FieldType(
 )
 STR_LIST = _generic("STR_LIST", _strings_to_list, _strings_from_list)
 CONFIG = _generic("CONFIG", dict, _config_from_dict)
-SHARD = _generic("SHARD", _shard_descriptor, _shard_descriptor)
 REPLICA_ID = _text("REPLICA_ID", _name_from_wire("replica_id"))
 EPOCHS = _generic("EPOCHS", _epochs_to_dict, _epochs_from_dict)
 SECTIONS = _generic("SECTIONS", _sections_payload, _sections_payload)
@@ -541,7 +505,6 @@ REQUESTS = _batch("REQUESTS", True)
 RESPONSES = _batch("RESPONSES", False)
 OPT_INT = _nullable(INT)
 OPT_STR_LIST = _nullable(STR_LIST)
-OPT_SHARD = _nullable(SHARD)
 
 
 def wire(ftype: FieldType, key: str = "", optional: bool = False, **default):
@@ -595,21 +558,13 @@ class TelemetryRequest:
 
 @dataclass(frozen=True)
 class CreateColumnRequest:
-    """Upload a freshly encrypted column under a name.
-
-    ``shard`` optionally declares the column one slice of a logical
-    sharded column: ``{"of": logical_name, "index": i, "count": n,
-    "physical_per_value": p}``, omitted from the wire when ``None``.
-    """
+    """Upload a freshly encrypted column under a name."""
 
     column: str = wire(COLUMN)
     rows: Sequence[ValueCiphertext] = wire(ROWS)
     row_ids: Tuple[int, ...] = wire(UPLOAD_IDS)
     config: Dict[str, Any] = wire(
         CONFIG, optional=True, default_factory=dict
-    )
-    shard: Optional[Dict[str, Any]] = wire(
-        OPT_SHARD, optional=True, default=None
     )
 
 

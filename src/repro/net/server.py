@@ -341,9 +341,6 @@ class CatalogTCPServer:
             self._metrics.set("net.active_connections", 0)
         for sock in connections:
             _close(sock)
-        # The front is idle, so no batch can be in flight: shut down
-        # the catalog's parallel-batch pool with it.
-        self.catalog.close()
         for thread in connections.values():
             thread.join(timeout=5)
 

@@ -4,11 +4,12 @@ The acceptance test for the trace-propagation tentpole: with tracing
 enabled on both ends of a :class:`~repro.net.transport.TcpTransport`
 session, the client and server JSONL dumps merge into a single span
 tree — every server ``rpc-serve`` span's parent resolves to the client
-``rpc`` span that caused it, including pipelined batches and the
-4-shard scatter-gather fan-out.
+``rpc`` span that caused it, including pipelined batches, whose slot
+spans nest under the ``rpc-serve`` span of their own frame.
 """
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -55,14 +56,13 @@ class TestDistributedTrace:
                 db.query(low, high)
             db.query_many([(10, 90), (200, 300), (0, 150)])
 
-        # ...and a 4-shard session fanning every operation out.
+        # ...and a second connection's batch on another column.
         with TcpTransport(host, port) as transport:
-            sharded = OutsourcedDatabase(
+            other = OutsourcedDatabase(
                 VALUES[:200], seed=31, transport=transport,
-                obs=client_obs, shards=4, column="sharded",
+                obs=client_obs, column="batched",
             )
-            sharded.query(5, 180)
-            sharded.query(60, 61)
+            other.query_many([(5, 180), (60, 61)])
 
         client_path = str(tmp_path / "client.jsonl")
         server_path = str(tmp_path / "server.jsonl")
@@ -92,27 +92,23 @@ class TestDistributedTrace:
             merged_record = by_id[record["span_id"]]
             assert merged_record["tree_depth"] == parent["tree_depth"] + 1
 
-        # Batched sub-requests: slot spans nest under their dispatch's
-        # rpc-serve span (in-process propagation across the batch pool).
-        serve_ids = {r["span_id"] for r in serves}
+        # Batched sub-requests: every slot span is a child of its own
+        # frame's adopted rpc-serve span, one tree level below it, and a
+        # frame's slots start in slot order.
+        batch_serves = {r["span_id"]: r for r in serves
+                        if r["kind"] == "batch_request"}
+        assert len(batch_serves) == 2
         slots = [r for r in server_records if r["name"] == "rpc-serve-slot"]
-        assert slots
         for record in slots:
-            assert record.get("parent_id") in serve_ids, record
-
-        # The shard fan-out rode the same tree: the client's
-        # shard-fanout span covers 4 shards and owns batched rpcs whose
-        # rpc-serve adoptions are checked above.
-        fanouts = [r for r in client_records if r["name"] == "shard-fanout"]
-        assert fanouts
-        assert all(r["shards"] == 4 for r in fanouts)
-        fanout_ids = {r["span_id"] for r in fanouts}
-        fanout_rpcs = [r for r in client_records
-                       if r["name"] == "rpc"
-                       and r.get("parent_id") in fanout_ids]
-        assert fanout_rpcs
-        traced_batches = {r["span_id"] for r in fanout_rpcs}
-        assert any(s.get("parent_id") in traced_batches for s in serves)
+            serve_record = batch_serves[record.get("parent_id")]
+            assert record["trace_id"] == serve_record["trace_id"]
+            assert (by_id[record["span_id"]]["tree_depth"]
+                    == by_id[serve_record["span_id"]]["tree_depth"] + 1)
+        assert sorted(Counter(r["parent_id"] for r in slots).values()) == [
+            2, 3]
+        for serve_id in batch_serves:
+            starts = [r["start"] for r in slots if r["parent_id"] == serve_id]
+            assert starts == sorted(starts)
 
         # No server span floats free of the client's traces except the
         # worker-loop serve-frame roots (they wrap the socket read, not

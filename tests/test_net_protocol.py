@@ -214,6 +214,29 @@ class TestMalformedPayloads:
             with pytest.raises(SerializationError):
                 decode(frame)
 
+    def test_a_create_frame_marking_the_retired_shard_field(self, rows):
+        """``create_column`` once carried an optional second field, a
+        shard descriptor (presence bit ``1 << 1``).  The frame the old
+        codec wrote for it is a typed refusal, not a silent drop."""
+        from generic_values import encode_value
+        from repro.net.binframe import write_varint
+
+        request = CreateColumnRequest(
+            column="c", rows=rows, row_ids=(0, 1, 2),
+            config={"engine": "scan"},
+        )
+        frame = encode(request)
+        code = bytearray()
+        write_varint(code, protocol.spec_of(request).code)
+        # magic, version, kind code, an empty trace section: the bitmap.
+        at = 2 + len(code) + 1
+        assert frame[at] == 1 << 0
+        old = (frame[:at] + bytes((1 << 0 | 1 << 1,)) + frame[at + 1:]
+               + encode_value({"of": "c", "index": 0, "count": 2,
+                               "physical_per_value": 1}))
+        with pytest.raises(SerializationError, match="does not have"):
+            decode(old)
+
     def test_unencodable_frame(self):
         with pytest.raises(SerializationError):
             encode(InsertRequest(column="c", rows=(object(),)))

@@ -286,6 +286,37 @@ class TestStatsEqualRegistryDeltas:
             name for name in counters if name.startswith("net.frames_")
         )
 
+    def test_documented_net_and_catalog_metrics_are_the_emitted_names(self):
+        """Every ``net.*`` / ``catalog.*`` name the metric table and the
+        gauge / histogram prose of ``docs/observability.md`` document is
+        a metric-name literal under ``src/repro``, and every such literal
+        is documented."""
+        prefixes = ("net.", "catalog.")
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "docs", "observability.md"),
+                  encoding="utf-8") as handle:
+            text = handle.read()
+        prose = re.findall(r"^(?:Gauges|Histograms):.*?(?=\n\n)", text,
+                           re.MULTILINE | re.DOTALL)
+        assert len(prose) == 2
+        documented = set(self._documented(*prefixes)) | {
+            name
+            for paragraph in prose
+            for name in re.findall(r"`([^`]+)`", paragraph)
+            if name.startswith(prefixes)
+        }
+        literals = set()
+        for directory, __, files in os.walk(os.path.join(root, "src", "repro")):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(directory, name),
+                              encoding="utf-8") as handle:
+                        literals.update(re.findall(
+                            r"[\"'](?:net|catalog)\.[a-z_]+[\"']",
+                            handle.read(),
+                        ))
+        assert documented == {literal[1:-1] for literal in literals}
+
 
 class TestProtocolBytes:
     def test_bytes_counted_both_directions(self):

@@ -250,8 +250,8 @@ class TestCatalogSnapshot:
 
         with pytest.raises(SerializationError):
             restore_catalog({
-                "kind": "column_catalog", "version": 4,
-                "columns": {"a": {}}, "epochs": {"a": 0}, "shards": {},
+                "kind": "column_catalog", "version": 5,
+                "columns": {"a": {}}, "epochs": {"a": 0},
             })
 
 
@@ -302,9 +302,10 @@ class TestCatalogSnapshotV3:
         db.merge()
         return catalog, db
 
-    def test_current_catalog_version_is_4(self):
-        """Version 4 maps a column name straight to its server
-        snapshot (which carries the configuration)."""
+    def test_current_catalog_version_is_5(self):
+        """Version 5 maps a column name straight to its server
+        snapshot (which carries the configuration), with no shard
+        registry beside it."""
         from repro.core.persistence import (
             CATALOG_SNAPSHOT_VERSION,
             snapshot_catalog,
@@ -312,7 +313,8 @@ class TestCatalogSnapshotV3:
 
         catalog, _ = self.make_warm_catalog()
         snapshot = snapshot_catalog(catalog)
-        assert CATALOG_SNAPSHOT_VERSION == snapshot["version"] == 4
+        assert CATALOG_SNAPSHOT_VERSION == snapshot["version"] == 5
+        assert sorted(snapshot) == ["columns", "epochs", "kind", "version"]
         assert snapshot["columns"]["t"]["kind"] == "secure_server"
 
     def test_epochs_round_trip(self):
@@ -332,7 +334,7 @@ class TestCatalogSnapshotV3:
         snapshot = snapshot_catalog(catalog, wal_seq=17)
         assert snapshot["wal_seq"] == 17
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
     def test_any_other_version_rejected(self, version):
         from repro.core.persistence import restore_catalog, snapshot_catalog
         from repro.errors import SerializationError
@@ -343,7 +345,18 @@ class TestCatalogSnapshotV3:
         with pytest.raises(SerializationError, match="version"):
             restore_catalog(snapshot)
 
-    @pytest.mark.parametrize("missing", ["epochs", "shards", "columns"])
+    def test_a_version_4_snapshot_with_its_shard_registry_is_refused(self):
+        """Version 4 carried a shard registry; version 5 does not, and
+        no fallback reader takes the old form."""
+        from repro.core.persistence import restore_catalog, snapshot_catalog
+        from repro.errors import SerializationError
+
+        catalog, _ = self.make_warm_catalog()
+        snapshot = dict(snapshot_catalog(catalog), version=4, shards={})
+        with pytest.raises(SerializationError, match="version"):
+            restore_catalog(snapshot)
+
+    @pytest.mark.parametrize("missing", ["epochs", "columns"])
     def test_missing_sections_rejected(self, missing):
         from repro.core.persistence import restore_catalog, snapshot_catalog
         from repro.errors import SerializationError

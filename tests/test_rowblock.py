@@ -47,34 +47,36 @@ from repro.linalg.limbs import (
 from repro.linalg.vectors import dot, orthogonal_vector
 
 #: sha256 over the decrypted ``ClientResult`` stream of
-#: :func:`session_script` in all eight configurations, computed at the
-#: parent of the row-block PR (per-row wire form, per-row decrypt).
+#: :func:`session_script` in the four configurations below.  First
+#: computed at the parent of the row-block PR (per-row wire form,
+#: per-row decrypt) over eight, half of them on a sharded column.
+#: Sharding is gone, so the digest was recomputed at the parent of its
+#: deletion over the unsharded half only, in the same run that still
+#: matched the eight-configuration digest.
 RESULT_STREAM_SHA256 = (
-    "c906a220f923e4eca6e990d96f48c89581467972d0b06d12b68c2b844d50a0e0"
+    "6fa4bf82f6195653bb7c42b902b4760822ac3f5cdc115beca4172c508720b82a"
 )
 
 #: The configurations the pin was computed over.  Each names the frame
 #: codec it ran: a session could pick JSON frames then, and both codecs
 #: answered alike.  There is one codec now, so the two labels of one
-#: ``(ambiguity, shards)`` pair name the same session — it runs once and
-#: its results feed the digest under each label, which is unchanged.
+#: ``ambiguity`` setting name the same session — it runs once and its
+#: results feed the digest under each label.
 PIN_CONFIGS = [
-    (ambiguity, codec, shards)
+    (ambiguity, codec)
     for ambiguity in (False, True)
     for codec in ("json", "binary")
-    for shards in (0, 4)
 ]
 
 
-def session_script(ambiguity, shards):
+def session_script(ambiguity):
     """Yield every ``ClientResult`` of one fixed-seed session: ranges,
     points, one-sided and batched queries around inserts, deletes, a
     merge and a key rotation."""
     rng = random.Random(20160626)
     values = [rng.randrange(0, 5000) for _ in range(400)]
     db = OutsourcedDatabase(
-        values, ambiguity=ambiguity, seed=11, shards=shards,
-        min_piece_size=4,
+        values, ambiguity=ambiguity, seed=11, min_piece_size=4,
     )
     inserted = []
     for step in range(60):
@@ -117,14 +119,13 @@ def _result_bytes(result):
 def test_decrypted_result_stream_matches_the_per_row_parent():
     digest = hashlib.sha256()
     streams = {}
-    for ambiguity, codec, shards in PIN_CONFIGS:
-        digest.update(repr((ambiguity, codec, shards)).encode())
-        if (ambiguity, shards) not in streams:
-            streams[ambiguity, shards] = [
-                _result_bytes(result)
-                for result in session_script(ambiguity, shards)
+    for ambiguity, codec in PIN_CONFIGS:
+        digest.update(repr((ambiguity, codec)).encode())
+        if ambiguity not in streams:
+            streams[ambiguity] = [
+                _result_bytes(result) for result in session_script(ambiguity)
             ]
-        for chunk in streams[ambiguity, shards]:
+        for chunk in streams[ambiguity]:
             digest.update(chunk)
     assert digest.hexdigest() == RESULT_STREAM_SHA256
 
