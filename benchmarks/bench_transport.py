@@ -12,8 +12,7 @@ same data and reports:
 * the loopback-vs-TCP latency gap, and the speedup from shipping the
   workload in pipelined ``batch_request`` frames over TCP;
 * a durability matrix — acked-insert throughput per WAL fsync policy
-  (off/never/batch/always) and read throughput per replica count
-  (0/1/2 with ``ReplicaSet`` routing at zero staleness).
+  (off/never/batch/always).
 
 Run standalone (``python benchmarks/bench_transport.py [--smoke]
 [--output PATH]``, ``REPRO_BENCH_FAST=1`` also selects smoke scale) or
@@ -47,13 +46,9 @@ from repro.core.wal import WalWriter
 from repro.net import (
     ColumnCatalog,
     LoopbackTransport,
-    RemoteColumn,
-    ReplicaSet,
-    ReplicationClient,
     TcpTransport,
     serve,
 )
-from repro.obs import Observability
 from repro.workloads.generators import random_workload
 
 SMOKE = os.environ.get("REPRO_BENCH_FAST") == "1"
@@ -223,9 +218,6 @@ def bench_concurrency(ops: int) -> dict:
 #: Fsync policies for the durability write matrix (None = no WAL).
 FSYNC_MATRIX = (None, "never", "batch", "always")
 
-#: Replica counts for the read-routing matrix.
-REPLICA_MATRIX = (0, 1, 2)
-
 
 def _durable_insert_rate(fsync, directory: str, ops: int) -> dict:
     """Acked-insert throughput under one WAL fsync policy.
@@ -259,75 +251,14 @@ def _durable_insert_rate(fsync, directory: str, ops: int) -> dict:
     return out
 
 
-def _replica_read_rate(replica_count: int, directory: str, ops: int) -> dict:
-    """Read throughput and routing mix at one replica count.
-
-    0 replicas is the plain-primary baseline; otherwise a
-    :class:`ReplicaSet` routes the read loop across caught-up replicas
-    under a zero-staleness bound (the strictest setting — every read
-    must still be epoch-current).
-    """
-    primary = ColumnCatalog()
-    primary.bind_wal(WalWriter(directory, fsync="never"))
-    db = OutsourcedDatabase(
-        list(range(256)), seed=43, min_piece_size=8,
-        transport=LoopbackTransport(primary), column="durable",
-    )
-    query = db.client.make_query(0, 256)
-    replicas = []
-    for index in range(replica_count):
-        follower = ColumnCatalog()
-        follower.set_read_only("primary.bench:9045")
-        feed = ReplicationClient(
-            follower, LoopbackTransport(primary), "bench-%d" % index,
-            poll_interval=0.01,
-        )
-        feed.sync_once()
-        replicas.append(follower)
-    obs = Observability()
-    if replica_count:
-        transport = ReplicaSet(
-            LoopbackTransport(primary),
-            [LoopbackTransport(follower) for follower in replicas],
-            max_staleness_epochs=0,
-            obs=obs,
-        )
-    else:
-        transport = LoopbackTransport(primary)
-    handle = RemoteColumn(transport, "durable")
-    tick = time.perf_counter()
-    for _ in range(ops):
-        handle.query(query)
-    wall = time.perf_counter() - tick
-    return {
-        "replicas": replica_count,
-        "reads_per_second": _ratio(ops, wall),
-        "replica_reads": obs.metrics.counter_value(
-            "replicaset.reads_replica"
-        ),
-        "primary_reads": obs.metrics.counter_value(
-            "replicaset.reads_primary"
-        ),
-    }
-
-
 def bench_durability(ops: int) -> dict:
-    """Durability matrix: fsync policy x replica count.
-
-    The write side prices each WAL fsync policy against the no-WAL
-    baseline; the read side shows the ReplicaSet spreading a read loop
-    across caught-up replicas.
-    """
-    out = {"ops": ops, "fsync": {}, "replicas": {}}
+    """Durability matrix: each WAL fsync policy priced against the
+    no-WAL baseline."""
+    out = {"ops": ops, "fsync": {}}
     for fsync in FSYNC_MATRIX:
         with tempfile.TemporaryDirectory() as directory:
             out["fsync"][fsync or "off"] = _durable_insert_rate(
                 fsync, directory, ops
-            )
-    for count in REPLICA_MATRIX:
-        with tempfile.TemporaryDirectory() as directory:
-            out["replicas"][str(count)] = _replica_read_rate(
-                count, directory, ops
             )
     out["fsync_always_overhead"] = _ratio(
         out["fsync"]["off"]["inserts_per_second"],
@@ -393,18 +324,6 @@ def main(smoke: bool = SMOKE, output: str = None) -> dict:
                 entry["wal_fsyncs"],
             )
         )
-    for count in REPLICA_MATRIX:
-        entry = durability["replicas"][str(count)]
-        print(
-            "replicas=%d        %7.0f reads/s  %d via replica / %d via "
-            "primary"
-            % (
-                count,
-                entry["reads_per_second"],
-                entry["replica_reads"],
-                entry["primary_reads"],
-            )
-        )
     print("fsync=always overhead: %.2fx slower than no WAL"
           % durability["fsync_always_overhead"])
     if output is not None:
@@ -442,14 +361,6 @@ def test_transport_bench(tmp_path):
         >= durability["fsync"]["always"]["wal_appends"]
     )
     assert durability["fsync"]["never"]["wal_fsyncs"] == 0
-    # With caught-up replicas and no session writes, the read loop is
-    # served by replicas, not the primary.
-    for count in REPLICA_MATRIX:
-        entry = durability["replicas"][str(count)]
-        assert entry["reads_per_second"] > 0
-        if count:
-            assert entry["replica_reads"] > 0
-            assert entry["primary_reads"] == 0
 
 
 if __name__ == "__main__":

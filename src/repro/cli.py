@@ -21,9 +21,8 @@ Seven subcommands cover the common operator flows:
 * ``serve``  — host a column catalog on a TCP port; remote clients
   upload and query columns through the wire protocol.  ``--wal DIR``
   makes it durable (recover on start, journal every mutation,
-  checkpoint on shutdown); ``--replica-of HOST:PORT`` turns it into a
-  warm read replica streaming the primary's WAL; ``--trace FILE``
-  dumps the server-side span JSONL on shutdown (SIGTERM included).
+  checkpoint on shutdown); ``--trace FILE`` dumps the server-side span
+  JSONL on shutdown (SIGTERM included).
 * ``keygen`` — generate a secret key and print its JSON serialization
   (for sharing between trusted clients out of band).
 
@@ -168,22 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot-then-truncate the WAL once it exceeds N segment "
              "files (0 disables auto-checkpointing; default 4)",
     )
-    serve.add_argument(
-        "--replica-of", metavar="HOST:PORT", default=None,
-        help="run as a warm read replica of the given primary: stream "
-             "its WAL, serve reads, refuse mutations with a typed "
-             "read_only error",
-    )
-    serve.add_argument(
-        "--replica-id", default=None, metavar="NAME",
-        help="name this replica reports to the primary (default "
-             "HOST:PORT of this endpoint)",
-    )
-    serve.add_argument(
-        "--replica-poll", type=float, default=0.05, metavar="SECONDS",
-        help="seconds between WAL polls when the replica is caught up "
-             "(default 0.05)",
-    )
 
     keygen = commands.add_parser("keygen", help="generate a secret key")
     keygen.add_argument("--length", type=int, default=4)
@@ -288,18 +271,6 @@ def _add_workload_args(parser, optional_file: bool = False) -> None:
         help="pipeline trace queries N at a time in one batched round "
              "trip each (--workload only; default 1 = unbatched)",
     )
-    parser.add_argument(
-        "--replicas", action="append", default=[], metavar="HOST:PORT",
-        help="route reads across these `repro serve --replica-of` "
-             "endpoints while writes pin to --connect (repeatable; "
-             "requires --connect)",
-    )
-    parser.add_argument(
-        "--max-staleness", type=int, default=0, metavar="EPOCHS",
-        help="epochs a replica may trail a column this session wrote "
-             "before its reads divert to the primary (default 0 = "
-             "read-your-writes)",
-    )
 
 
 def _parse_address(address: str, flag: str):
@@ -310,30 +281,13 @@ def _parse_address(address: str, flag: str):
 
 
 def _make_transport(args):
-    """A TCP transport for ``--connect`` (wrapped in a
-    :class:`~repro.net.replication.ReplicaSet` when ``--replicas``
-    endpoints are given), or None for loopback."""
+    """A TCP transport for ``--connect``, or None for loopback."""
     address = getattr(args, "connect", None)
-    replicas = getattr(args, "replicas", None) or []
     if not address:
-        if replicas:
-            raise ReproError("--replicas requires --connect HOST:PORT")
         return None
     from repro.net.transport import TcpTransport
 
-    primary = TcpTransport(*_parse_address(address, "--connect"))
-    if not replicas:
-        return primary
-    from repro.net.replication import ReplicaSet
-
-    return ReplicaSet(
-        primary,
-        [
-            TcpTransport(*_parse_address(spec, "--replicas"))
-            for spec in replicas
-        ],
-        max_staleness_epochs=getattr(args, "max_staleness", 0),
-    )
+    return TcpTransport(*_parse_address(address, "--connect"))
 
 
 def _build_db(args, obs=None) -> OutsourcedDatabase:
@@ -468,34 +422,13 @@ def _render_telemetry(sections) -> str:
         lines.append(
             "catalog: %d columns" % len(catalog.get("columns") or [])
         )
-    replication = sections.get("replication")
-    if isinstance(replication, dict):
-        if replication.get("role") == "primary":
-            wal = replication.get("wal") or {}
-            lines.append(
-                "replication: primary — wal seq %s, %s segments, "
-                "%s bytes (fsync %s)"
-                % (wal.get("seq", 0), wal.get("segments", 0),
-                   wal.get("bytes", 0), wal.get("fsync", "?"))
-            )
-            for replica_id, info in sorted(
-                (replication.get("replicas") or {}).items()
-            ):
-                lines.append(
-                    "  replica %-20s acked seq %-8s lag %s epochs"
-                    % (replica_id, info.get("seq", 0),
-                       info.get("lag_epochs", "?"))
-                )
-        else:
-            lines.append(
-                "replication: replica %s — applied seq %s, "
-                "lag %s entries%s"
-                % (replication.get("replica_id", "?"),
-                   replication.get("applied_seq", 0),
-                   replication.get("lag_entries", 0),
-                   " (last error: %s)" % replication["last_error"]
-                   if replication.get("last_error") else "")
-            )
+    wal = sections.get("wal")
+    if isinstance(wal, dict):
+        lines.append(
+            "wal: seq %s, %s segments, %s bytes (fsync %s)"
+            % (wal.get("seq", 0), wal.get("segments", 0),
+               wal.get("bytes", 0), wal.get("fsync", "?"))
+        )
     slow = sections.get("slow_queries")
     if isinstance(slow, dict):
         entries = slow.get("entries") or []
@@ -598,11 +531,6 @@ def _run_serve(args) -> int:
     from repro.net import ColumnCatalog, serve as bind_endpoint
     from repro.obs import Observability
 
-    if args.replica_of and args.wal:
-        raise ReproError(
-            "--replica-of and --wal are mutually exclusive: a replica "
-            "streams the primary's WAL instead of keeping its own"
-        )
     obs = Observability(tracing=bool(args.trace))
     catalog_kwargs = dict(
         obs=obs,
@@ -641,23 +569,6 @@ def _run_serve(args) -> int:
     else:
         catalog = ColumnCatalog(**catalog_kwargs)
 
-    replication = None
-    if args.replica_of:
-        from repro.net.replication import ReplicationClient
-        from repro.net.transport import TcpTransport
-
-        catalog.set_read_only(args.replica_of)
-        primary_host, primary_port = _parse_address(
-            args.replica_of, "--replica-of"
-        )
-        replica_id = args.replica_id or "%s:%d" % (args.host, args.port)
-        replication = ReplicationClient(
-            catalog,
-            TcpTransport(primary_host, primary_port),
-            replica_id,
-            poll_interval=args.replica_poll,
-        )
-
     endpoint = bind_endpoint(
         catalog=catalog,
         host=args.host,
@@ -667,18 +578,12 @@ def _run_serve(args) -> int:
         queue_size=args.queue_size,
     )
     host, port = endpoint.server_address
-    role = (
-        "read replica of %s" % args.replica_of if args.replica_of
-        else "column catalog"
-    )
     print(
-        "serving %s on %s:%d "
+        "serving column catalog on %s:%d "
         "(%d workers, %d max connections; ctrl-c to stop)"
-        % (role, host, port, endpoint.workers, endpoint.max_connections),
+        % (host, port, endpoint.workers, endpoint.max_connections),
         flush=True,
     )
-    if replication is not None:
-        replication.start()
 
     # SIGTERM lands here as a KeyboardInterrupt so the finally block
     # below runs: the trace dump and the final checkpoint must survive
@@ -693,8 +598,6 @@ def _run_serve(args) -> int:
         print("stopping")
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
-        if replication is not None:
-            replication.close()
         endpoint.stop()
         if wal_writer is not None:
             from repro.core.persistence import checkpoint_catalog

@@ -8,8 +8,7 @@ marks ``journaled``: ``create_column`` / ``insert_request`` /
 ``delete_request`` / ``merge_request`` / ``rotate_apply``) is a
 deterministic, versioned request frame — and journaling exactly those
 frames to disk as they commit.  Restart = restore the last snapshot,
-then re-dispatch the logged requests after it; the same record stream
-doubles as the replication feed warm read replicas consume.
+then re-dispatch the logged requests after it.
 
 This module handles records and bytes only: the catalog encodes the
 request it journals (:func:`repro.net.protocol.encode`, untraced) and
@@ -55,9 +54,9 @@ Fsync policy (the durability/latency dial, measured by
   (kill -9) but not power loss.
 
 Every append flushes the Python buffer to the OS regardless of policy,
-so concurrent readers (the replication feed) always see complete
-records, and a SIGKILL'd process loses nothing it acknowledged under
-``"never"`` either.  A flush or fsync a closing segment owes that fails
+so a concurrent :class:`WalReader` always sees complete records, and a
+SIGKILL'd process loses nothing it acknowledged under ``"never"``
+either.  A flush or fsync a closing segment owes that fails
 raises, as an append's own does.
 """
 
@@ -102,53 +101,6 @@ class WalRecord(NamedTuple):
     column: str
     #: The request's protocol frame.
     frame: bytes
-
-
-def entry_from_wire(data: Any) -> Dict[str, Any]:
-    """Validate one replication-feed entry dict's shape (the feed ships
-    each record as ``{"seq", "column", "epoch", "request"}`` with the
-    request in its dict form).
-
-    Raises:
-        PersistenceError: on anything but
-            ``{"seq": int>=1, "column": str, "epoch": int>=0,
-            "request": dict}`` whose request is of a kind the protocol
-            registry marks ``journaled``.
-    """
-    # Imported here: repro.net.protocol itself imports repro.core.
-    from repro.net.protocol import request_spec
-
-    if not isinstance(data, dict):
-        raise PersistenceError("WAL entry must be an object, got %s"
-                               % type(data).__name__)
-    unknown = set(data) - {"seq", "column", "epoch", "request"}
-    if unknown:
-        raise PersistenceError(
-            "unknown WAL entry keys: %s" % ", ".join(sorted(unknown))
-        )
-    seq = data.get("seq")
-    epoch = data.get("epoch")
-    column = data.get("column")
-    request = data.get("request")
-    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 1:
-        raise PersistenceError("WAL entry seq must be an int >= 1: %r" % seq)
-    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
-        raise PersistenceError(
-            "WAL entry epoch must be an int >= 0: %r" % epoch
-        )
-    if not isinstance(column, str) or not column:
-        raise PersistenceError(
-            "WAL entry column must be a non-empty string: %r" % column
-        )
-    if not isinstance(request, dict):
-        raise PersistenceError("WAL entry request must be an envelope dict")
-    spec = request_spec(request.get("kind"))
-    if spec is None or not spec.journaled:
-        raise PersistenceError(
-            "WAL entry carries a non-mutation envelope: %r"
-            % request.get("kind")
-        )
-    return {"seq": seq, "column": column, "epoch": epoch, "request": request}
 
 
 def _encode_record(seq: int, epoch: int, column: str, frame: bytes) -> bytes:
@@ -547,8 +499,7 @@ class WalReader:
     def __init__(self, directory: str) -> None:
         self.directory = directory
 
-    def entries(self, after_seq: int = 0,
-                limit: Optional[int] = None) -> Iterator[WalRecord]:
+    def entries(self, after_seq: int = 0) -> Iterator[WalRecord]:
         """Yield records with ``seq > after_seq`` in sequence order.
 
         Raises:
@@ -561,7 +512,6 @@ class WalReader:
         if not os.path.isdir(self.directory):
             return
         segments = _segment_files(self.directory)
-        yielded = 0
         previous_seq = None
         for index, (first_seq, path) in enumerate(segments):
             if previous_seq is not None and first_seq != previous_seq + 1:
@@ -577,8 +527,7 @@ class WalReader:
                 )
             if (index + 1 < len(segments)
                     and segments[index + 1][0] <= after_seq + 1):
-                # Every record here is <= after_seq: skip the scan (the
-                # steady-state replication poll touches only the tail).
+                # Every record here is <= after_seq: skip the scan.
                 previous_seq = segments[index + 1][0] - 1
                 continue
             records, __ = _scan_segment(
@@ -588,23 +537,8 @@ class WalReader:
                 _check_sequence(path, first_seq, records)
                 previous_seq = records[-1].seq
             for record in records:
-                if record.seq <= after_seq:
-                    continue
-                yield record
-                yielded += 1
-                if limit is not None and yielded >= limit:
-                    return
-
-
-def wal_start_seq(directory: str) -> Optional[int]:
-    """First sequence number still retained on disk (``None`` when the
-    log is empty).  Lets the replication feed distinguish "you are
-    caught up" from "your position was compacted away — resubscribe"
-    without scanning any records."""
-    if not os.path.isdir(directory):
-        return None
-    segments = _segment_files(directory)
-    return segments[0][0] if segments else None
+                if record.seq > after_seq:
+                    yield record
 
 
 # -- atomic JSON files -----------------------------------------------------------

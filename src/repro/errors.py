@@ -87,12 +87,6 @@ class ServerBusyError(ReproError):
     even for non-idempotent operations."""
 
 
-class ReadOnlyError(UpdateError):
-    """The endpoint is a read replica: it serves queries, fetches, and
-    telemetry but refuses every mutation.  The message names the
-    primary endpoint writes must go to."""
-
-
 class RotationConflictError(UpdateError):
     """A ``rotate_apply`` was fenced off because the column mutated
     between ``rotate_begin`` and ``rotate_apply`` (a concurrent insert,

@@ -25,13 +25,8 @@ mechanical.  It has three layers:
   backpressure, graceful drain).
 
 :class:`~repro.net.client.RemoteColumn` is the client-side handle
-sessions hold instead of a server reference.
-:mod:`repro.net.replication` adds the multi-server topology: a
-:class:`~repro.net.replication.ReplicationClient` streams the
-primary's WAL into a warm read replica, and a
-:class:`~repro.net.replication.ReplicaSet` transport routes reads
-across replicas under a bounded-staleness guard while pinning writes
-to the primary.  Wire details are documented in ``docs/protocol.md``.
+sessions hold instead of a server reference.  Wire details are
+documented in ``docs/protocol.md``.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from repro.net.protocol import (
     response_to_dict,
     trace_from_wire,
 )
-from repro.net.replication import ReplicaSet, ReplicationClient
 from repro.net.server import (
     CatalogTCPServer,
     serve,
@@ -77,8 +71,6 @@ __all__ = [
     "LoopbackTransport",
     "PROTOCOL_VERSION",
     "RemoteColumn",
-    "ReplicaSet",
-    "ReplicationClient",
     "TcpTransport",
     "TelemetryRequest",
     "TelemetryResponse",

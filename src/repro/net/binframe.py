@@ -6,8 +6,7 @@ in declared order (varints, zigzag ints, UTF-8 strings, ``int64`` runs,
 fixed-width runs of big integers, and a :class:`Reader` that reads each
 back with every bound checked).  The *generic grammar* below is a tagged
 encoding of plain dicts, lists and scalars: every free-form envelope
-field (a config, telemetry sections, a snapshot, the replication feed's
-entries) inside a frame is one.
+field (a config, telemetry sections) inside a frame is one.
 
 Generic value layout (:func:`write_value` / :meth:`Reader.value`)::
 

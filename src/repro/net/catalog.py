@@ -35,7 +35,6 @@ from repro.errors import (
     PersistenceError,
     ProtocolError,
     QueryError,
-    ReadOnlyError,
     ReproError,
     RotationConflictError,
     SerializationError,
@@ -58,12 +57,6 @@ from repro.net.protocol import (
     MergeRequest,
     QueryRequest,
     QueryResponse,
-    ReplicateAckRequest,
-    ReplicateAckResponse,
-    ReplicateEntriesRequest,
-    ReplicateEntriesResponse,
-    ReplicateSubscribeRequest,
-    ReplicateSubscribeResponse,
     RotateApplyRequest,
     RotateBeginRequest,
     RotateBeginResponse,
@@ -72,8 +65,6 @@ from repro.net.protocol import (
     decode_request,
     encode,
     error_response_for,
-    request_from_dict,
-    request_to_dict,
     spec_of,
 )
 from repro.obs import Observability, SlowQueryLog, Span
@@ -81,10 +72,6 @@ from repro.obs.telemetry import (
     DEFAULT_SLOW_QUERY_CAPACITY,
     DEFAULT_SLOW_QUERY_THRESHOLD,
 )
-
-#: Cap on entries per ``replicate_entries`` reply: bounds frame size
-#: regardless of what limit the replica asks for.
-MAX_REPLICATION_BATCH = 256
 
 
 @dataclass
@@ -139,19 +126,12 @@ class ColumnCatalog:
         self._telemetry_providers: Dict[str, Callable[[], Any]] = {}
         self._registry_lock = threading.Lock()
         self._columns: Dict[str, _Column] = {}
-        # Durability/replication plumbing (all optional; see bind_wal /
-        # set_read_only).  ``_replaying`` marks the current thread as
-        # applying already-logged entries, which bypasses both the WAL
-        # append and the read-only refusal.
+        # Durability plumbing (optional; see bind_wal).
         self._wal = None
         self._wal_checkpoint: Optional[Callable[[], int]] = None
         self._checkpoint_segments = 0
         self._checkpoint_lock = threading.Lock()
-        self._read_only_primary: Optional[str] = None
-        self._replaying = threading.local()
-        # Replica progress reported through replicate_ack:
-        # replica_id -> {"seq", "epochs", "lag_epochs"}.
-        self._replicas: Dict[str, Dict[str, Any]] = {}
+
     @property
     def obs(self) -> Observability:
         """The endpoint-wide observability bundle."""
@@ -270,8 +250,8 @@ class ColumnCatalog:
         return self._column(name).epoch
 
     def epochs(self) -> Dict[str, int]:
-        """Every column's current mutation epoch (the replication
-        watermark a replica reports and a client routes reads by)."""
+        """Every column's current mutation epoch (the fence WAL replay
+        compares each record against)."""
         with self._registry_lock:
             return {name: column.epoch for name, column in self._columns.items()}
 
@@ -280,10 +260,10 @@ class ColumnCatalog:
         """Hold every column lock (in sorted name order) for the body.
 
         No mutation can commit while held, so the catalog state plus
-        the WAL head form a consistent cut — the checkpoint and
-        replica-subscribe snapshots are taken here.  Workers only ever
-        hold one column lock at a time and never this context, so the
-        sorted acquisition order cannot deadlock.
+        the WAL head form a consistent cut — checkpoint snapshots are
+        taken here.  Workers only ever hold one column lock at a time
+        and never this context, so the sorted acquisition order cannot
+        deadlock.
         """
         with self._registry_lock:
             locks = [self._columns[name].lock for name in sorted(self._columns)]
@@ -295,7 +275,7 @@ class ColumnCatalog:
             for lock in reversed(locks):
                 lock.release()
 
-    # -- durability / replication ------------------------------------------------
+    # -- durability --------------------------------------------------------------
 
     def bind_wal(self, writer, checkpoint: Callable[[], int] = None,
                  checkpoint_segments: int = 0) -> None:
@@ -305,9 +285,9 @@ class ColumnCatalog:
         its request frame to the WAL *under the column lock, before the
         response is returned*: an acknowledged mutation is always in
         the log (per the writer's fsync policy), an unacknowledged one
-        may be lost on a crash.  Binding also exports the
-        ``replication`` telemetry section and enables serving the
-        ``replicate_*`` envelopes.
+        may be lost on a crash.  Binding also exports the ``wal``
+        telemetry section: the writer's ``stats()`` (``seq``,
+        ``segments``, ``bytes``, ``fsync``) plus :meth:`epochs`.
 
         ``checkpoint`` (usually
         :func:`repro.core.persistence.checkpoint_catalog` curried with
@@ -320,43 +300,21 @@ class ColumnCatalog:
             writer.metrics = self.obs.metrics
         self._wal_checkpoint = checkpoint
         self._checkpoint_segments = max(0, int(checkpoint_segments))
-        self.register_telemetry_provider(
-            "replication", self._replication_telemetry
-        )
+        self.register_telemetry_provider("wal", self._wal_telemetry)
 
     @property
     def wal(self):
         """The bound :class:`~repro.core.wal.WalWriter` (or ``None``)."""
         return self._wal
 
-    def set_read_only(self, primary: str) -> None:
-        """Turn this catalog into a read replica of ``primary``.
-
-        Queries, fetches, hello, telemetry, and batches thereof keep
-        working; every mutation is refused with a typed ``read_only``
-        error naming the primary.  The replication apply path
-        (:meth:`apply_wal_entry`) bypasses the refusal.
-        """
-        self._read_only_primary = str(primary)
-
-    @property
-    def read_only_primary(self) -> Optional[str]:
-        """The primary this catalog replicates (``None`` on a primary)."""
-        return self._read_only_primary
-
-    def _is_replaying(self) -> bool:
-        return getattr(self._replaying, "active", False)
-
     def _log_mutation(self, column: str, epoch: int, request) -> None:
         """Append one committed mutation's request frame to the WAL.
 
-        Called under the column's lock (so per-column log order equals
-        epoch order) and skipped while replaying — replayed entries are
-        already in the log (restart) or belong to the primary's log
-        (replica).
+        Called under the column's lock, so per-column log order equals
+        epoch order.
         """
         wal = self._wal
-        if wal is None or self._is_replaying():
+        if wal is None:
             return
         wal.append(column, epoch, encode(request))
 
@@ -385,77 +343,57 @@ class ColumnCatalog:
         return request
 
     def apply_record(self, record) -> bool:
-        """:meth:`apply_wal_entry` of a record read off this endpoint's
-        own log (a :class:`~repro.core.wal.WalRecord`)."""
-        return self._apply_logged(
-            record.seq, record.column, record.epoch,
-            self.logged_request(record),
-        )
+        """Apply one record read off a WAL (a
+        :class:`~repro.core.wal.WalRecord`) if its column has not seen it
+        yet — recovery's replay step.
 
-    def apply_wal_entry(self, entry: Dict[str, Any]) -> bool:
-        """Apply one logged mutation if the column hasn't seen it yet —
-        ``entry`` as the replication feed ships it, the request in its
-        dict form.
-
-        The per-column epoch is the idempotence fence: an entry at or
+        The per-column epoch is the idempotence fence: a record at or
         below the column's current epoch is already reflected (it was
         in the snapshot) and is skipped; the successor epoch applies;
         anything further ahead is a gap, i.e. corruption.  A
-        ``create_column`` entry (epoch 0) is skipped when the column
-        exists.  Returns ``True`` when the entry mutated state.
+        ``create_column`` record (epoch 0) is skipped when the column
+        exists.  Returns ``True`` when the record mutated state.
+
+        Replay runs on a catalog with no WAL bound (the record is
+        already in the log it came from): applying it through a bound
+        one would journal it a second time.
 
         Raises:
-            PersistenceError: on a gap, an entry for an unknown column,
-                or an entry that fails to apply.
+            PersistenceError: a WAL is bound; a gap, a record for an
+                unknown column, or one that fails to apply (or to
+                decode, see :meth:`logged_request`).
         """
-        try:
-            request = request_from_dict(entry["request"])
-        except ReproError as exc:
+        if self._wal is not None:
             raise PersistenceError(
-                "WAL entry %d carries a malformed %r envelope: %s"
-                % (entry["seq"], entry["request"].get("kind"), exc)
-            ) from exc
-        return self._apply_logged(
-            entry["seq"], entry["column"], entry["epoch"], request
-        )
-
-    def _apply_logged(self, seq: int, column: str, epoch: int,
-                      request) -> bool:
+                "WAL record %d cannot be replayed into a journaled "
+                "catalog: it would be logged twice" % record.seq
+            )
+        request = self.logged_request(record)
+        seq, column, epoch = record.seq, record.column, record.epoch
         with self._registry_lock:
             hosted = self._columns.get(column)
         if isinstance(request, CreateColumnRequest):
             if hosted is not None:
                 return False
-            self._apply_replayed(seq, request)
-            return True
-        if hosted is None:
+        elif hosted is None:
             raise PersistenceError(
                 "WAL entry %d mutates unknown column %r" % (seq, column)
             )
-        current = hosted.epoch
-        if epoch <= current:
+        elif epoch <= hosted.epoch:
             return False
-        if epoch != current + 1:
+        elif epoch != hosted.epoch + 1:
             raise PersistenceError(
                 "WAL entry %d skips column %r from epoch %d to %d "
-                "(missing entries)" % (seq, column, current, epoch)
+                "(missing entries)" % (seq, column, hosted.epoch, epoch)
             )
-        self._apply_replayed(seq, request)
-        return True
-
-    def _apply_replayed(self, seq: int, request):
-        """Execute an already-logged envelope, bypassing the read-only
-        refusal and the WAL append."""
-        self._replaying.active = True
         try:
-            return self.handle(request)
+            self.handle(request)
         except ReproError as exc:
             raise PersistenceError(
                 "WAL entry %d (%s on %r) failed to apply: %s"
-                % (seq, spec_of(request).kind, request.column, exc)
+                % (seq, spec_of(request).kind, column, exc)
             ) from exc
-        finally:
-            self._replaying.active = False
+        return True
 
     def _maybe_checkpoint(self) -> None:
         """Opportunistic snapshot-then-truncate at the end of a
@@ -480,120 +418,13 @@ class ColumnCatalog:
         finally:
             self._checkpoint_lock.release()
 
-    def _replication_telemetry(self) -> Dict[str, Any]:
-        """The ``replication`` telemetry section (primary role)."""
+    def _wal_telemetry(self) -> Dict[str, Any]:
+        """The ``wal`` telemetry section: the log's head and size plus
+        every column's epoch."""
         wal = self._wal
-        with self._registry_lock:
-            replicas = {
-                replica_id: dict(info)
-                for replica_id, info in self._replicas.items()
-            }
-        return {
-            "role": "primary",
-            "wal": wal.stats() if wal is not None else None,
-            "epochs": self.epochs(),
-            "replicas": replicas,
-        }
-
-    def reset_state_from(self, other: "ColumnCatalog") -> None:
-        """Replace this catalog's entire column state with ``other``'s.
-
-        The replica resubscribe path: when the primary's log no longer
-        covers the replica's position, the replica restores a fresh
-        snapshot into a throwaway catalog and swaps it in here.  Column
-        locks are recreated (the snapshot's columns are new objects);
-        an in-flight read still holding an old lock finishes against
-        the old server object, which stays valid — it just returns the
-        pre-reset data one last time.
-        """
-        with other._registry_lock:
-            columns = {
-                name: _Column(column.server, column.epoch)
-                for name, column in other._columns.items()
-            }
-        with self._registry_lock:
-            self._columns = columns
-
-    def _require_wal(self):
-        if self._wal is None:
-            raise ProtocolError(
-                "this endpoint does not replicate (no WAL bound)"
-            )
-        return self._wal
-
-    def _serve_replicate_subscribe(
-        self, request: ReplicateSubscribeRequest
-    ) -> ReplicateSubscribeResponse:
-        """A replica joins: consistent snapshot + the WAL head it cuts."""
-        wal = self._require_wal()
-        from repro.core.persistence import snapshot_catalog
-
-        with self.quiesced():
-            seq = wal.last_seq
-            snapshot = snapshot_catalog(self, wal_seq=seq)
-        with self._registry_lock:
-            self._replicas.setdefault(
-                request.replica_id,
-                {"seq": seq, "epochs": {}, "lag_epochs": 0},
-            )
-        self._obs.metrics.add("replication.subscribes")
-        return ReplicateSubscribeResponse(snapshot=snapshot, seq=seq)
-
-    def _serve_replicate_entries(
-        self, request: ReplicateEntriesRequest
-    ) -> ReplicateEntriesResponse:
-        """The catch-up poll: WAL entries after the replica's position."""
-        wal = self._require_wal()
-        from repro.core.wal import WalReader, wal_start_seq
-
-        head = wal.last_seq
-        after = max(0, int(request.after_seq))
-        if after > head:
-            # The replica is ahead of this log: it subscribed to a
-            # different incarnation of the primary.  Resubscribe.
-            self._obs.metrics.add("replication.resets")
-            return ReplicateEntriesResponse(entries=(), seq=head, reset=True)
-        if after < head:
-            start = wal_start_seq(wal.directory)
-            if start is None or after + 1 < start:
-                # The requested range was compacted away.
-                self._obs.metrics.add("replication.resets")
-                return ReplicateEntriesResponse(
-                    entries=(), seq=head, reset=True
-                )
-        limit = request.limit
-        if limit is None or limit <= 0 or limit > MAX_REPLICATION_BATCH:
-            limit = MAX_REPLICATION_BATCH
-        # The feed ships each record with its request in the dict form.
-        entries = tuple(
-            {"seq": record.seq, "column": record.column,
-             "epoch": record.epoch,
-             "request": request_to_dict(self.logged_request(record))}
-            for record in WalReader(wal.directory).entries(after, limit=limit)
-        )
-        self._obs.metrics.add("replication.entries_served", len(entries))
-        return ReplicateEntriesResponse(entries=entries, seq=head)
-
-    def _serve_replicate_ack(
-        self, request: ReplicateAckRequest
-    ) -> ReplicateAckResponse:
-        """Record replica progress and publish its epoch lag."""
-        self._require_wal()
-        mine = self.epochs()
-        lag = sum(
-            max(0, epoch - int(request.epochs.get(name, 0)))
-            for name, epoch in mine.items()
-        )
-        with self._registry_lock:
-            self._replicas[request.replica_id] = {
-                "seq": int(request.seq),
-                "epochs": dict(request.epochs),
-                "lag_epochs": lag,
-            }
-        self._obs.metrics.set(
-            "replication.lag_epochs.%s" % request.replica_id, lag
-        )
-        return ReplicateAckResponse(lag_epochs=lag)
+        section = wal.stats() if wal is not None else {}
+        section["epochs"] = self.epochs()
+        return section
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -751,27 +582,17 @@ class ColumnCatalog:
     def handle(self, request):
         """Execute one decoded request envelope against its column.
 
-        On a read replica (:meth:`set_read_only`) every envelope the
-        protocol registry marks ``mutates`` is refused with a typed
-        :class:`~repro.errors.ReadOnlyError` naming the primary.  With
-        a WAL bound (:meth:`bind_wal`), each committed mutation's
+        With a WAL bound (:meth:`bind_wal`), each committed mutation's
         envelope is appended under the column lock before the response
         is returned, and mutation responses carry the column's new
-        epoch as a replica-read fence.  Batches never reach this
-        method: :meth:`dispatch` unpacks them slot by slot.
+        epoch.  Batches never reach this method: :meth:`dispatch`
+        unpacks them slot by slot.
         """
-        spec = spec_of(request)
-        primary = self._read_only_primary
-        if (primary is not None and spec.mutates
-                and not self._is_replaying()):
-            self._obs.metrics.add("replication.mutations_refused")
-            raise ReadOnlyError(
-                "this endpoint is a read replica; send %s to the primary "
-                "at %s" % (spec.kind, primary)
-            )
         handler = self._HANDLERS.get(type(request))
         if handler is None:
-            raise ProtocolError("unhandled request kind: %s" % spec.kind)
+            raise ProtocolError(
+                "unhandled request kind: %s" % spec_of(request).kind
+            )
         return handler(self, request)
 
     def _commit(self, request, **result):
@@ -867,9 +688,6 @@ class ColumnCatalog:
     _HANDLERS: Dict[type, Callable] = {
         HelloRequest: _hello,
         TelemetryRequest: _telemetry,
-        ReplicateSubscribeRequest: _serve_replicate_subscribe,
-        ReplicateEntriesRequest: _serve_replicate_entries,
-        ReplicateAckRequest: _serve_replicate_ack,
         CreateColumnRequest: _create,
         QueryRequest: _on_column(_query),
         FetchRequest: _on_column(_fetch),

@@ -46,12 +46,6 @@ from repro.net.protocol import (
     InsertRequest,
     MergeRequest,
     QueryRequest,
-    ReplicateAckRequest,
-    ReplicateAckResponse,
-    ReplicateEntriesRequest,
-    ReplicateEntriesResponse,
-    ReplicateSubscribeRequest,
-    ReplicateSubscribeResponse,
     RotateApplyRequest,
     RotateBeginRequest,
     RotateBeginResponse,
@@ -248,36 +242,6 @@ class RemoteColumn:
             else tuple(str(s) for s in sections)
         )
         return self.call(request).sections
-
-    # -- replication (replica-to-primary feed) -----------------------------------
-
-    def replicate_subscribe(self, replica_id: str) -> ReplicateSubscribeResponse:
-        """Join the primary's WAL feed; returns snapshot + its seq."""
-        return self.call(ReplicateSubscribeRequest(replica_id=str(replica_id)))
-
-    def replicate_entries(
-        self, replica_id: str, after_seq: int, limit: int = None
-    ) -> ReplicateEntriesResponse:
-        """Pull WAL entries after ``after_seq`` (``reset`` = resubscribe)."""
-        return self.call(
-            ReplicateEntriesRequest(
-                replica_id=str(replica_id),
-                after_seq=int(after_seq),
-                limit=None if limit is None else int(limit),
-            )
-        )
-
-    def replicate_ack(
-        self, replica_id: str, seq: int, epochs: Dict[str, int]
-    ) -> ReplicateAckResponse:
-        """Report applied progress; returns the primary's lag estimate."""
-        return self.call(
-            ReplicateAckRequest(
-                replica_id=str(replica_id),
-                seq=int(seq),
-                epochs={str(k): int(v) for k, v in dict(epochs).items()},
-            )
-        )
 
     def rotate_begin(self) -> RotateBeginResponse:
         """Merge pending state and fetch every live row for rotation.

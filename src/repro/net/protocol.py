@@ -13,10 +13,8 @@ What a message *is* is stated once, in the envelope registry below
 kind code, its fields (each a named :class:`FieldType` owning that
 field's frame writer and reader, its dict form and their validation),
 the reply it is answered with, and how it is classified (retried?
-served by a replica? refused by one? journaled?).  The frame codec, the
-catalog's dispatch and replay, the client's retry and reply checks,
-replica read routing and the replication feed's entry validation all
-read that table.
+journaled?).  The frame codec, the catalog's dispatch and replay and
+the client's retry and reply checks all read that table.
 
 A *frame* is one envelope as bytes, written by :func:`encode` and read
 by :func:`decode` straight from and into the envelope's attributes:
@@ -26,9 +24,10 @@ positional, no keys (layout in ``docs/protocol.md``).  It is
 deterministic, so the loopback and TCP transports produce byte-identical
 traffic for the same workload, and measured frame lengths are real
 transfer accounting.  A request frame may carry the caller's trace
-context.  A WAL record holds a mutation's request frame; the dict forms
-(``request_to_dict`` and its three siblings) are what the replication
-feed ships.
+context.  A WAL record holds a mutation's request frame.  The dict
+forms (``request_to_dict`` and its three siblings) have no caller in
+the package: ``benchmarks/e2e/staged.py`` times them as the staged
+codec path.
 
 Pipelining: a ``batch_request`` envelope carries N independent
 sub-request envelopes in one frame; the catalog answers with a
@@ -53,7 +52,6 @@ from repro.core.server import ENGINES, ServerResponse
 from repro.crypto.ciphertext import ValueCiphertext
 from repro.crypto.serialization import (
     QUERY_VERSION,
-    flag_from_wire,
     ints_from_wire,
     query_from_dict,
     query_to_dict,
@@ -66,7 +64,6 @@ from repro.errors import (
     PersistenceError,
     ProtocolError,
     QueryError,
-    ReadOnlyError,
     ReproError,
     RotationConflictError,
     SerializationError,
@@ -96,9 +93,8 @@ from repro.net.binframe import (
 #: never reinterpreted.
 PROTOCOL_VERSION = 4
 
-#: Version tag of an envelope's dict form, the layout the replication
-#: feed carries: version 3's envelope dicts, which version 4 of the
-#: frames left as they were.
+#: Version tag of an envelope's dict form: version 3's envelope dicts,
+#: which version 4 of the frames left as they were.
 DICT_VERSION = 3
 
 #: The frame codec there is.  ``hello`` still lists it, and the
@@ -198,47 +194,6 @@ def _sections_payload(data) -> Dict[str, Any]:
             "telemetry sections must be an object with string keys"
         )
     return dict(data)
-
-
-def _snapshot_payload(data) -> Dict[str, Any]:
-    if not isinstance(data, dict):
-        raise SerializationError("replication snapshot must be an object")
-    return data
-
-
-def _epochs_to_dict(epochs) -> Dict[str, int]:
-    return {str(name): int(epoch) for name, epoch in epochs.items()}
-
-
-def _epochs_from_dict(data) -> Dict[str, int]:
-    if not isinstance(data, dict):
-        raise SerializationError("epochs must be an object")
-    epochs = {}
-    for name, epoch in data.items():
-        if not isinstance(name, str) or not name:
-            raise SerializationError("epoch keys must be column names")
-        if (not isinstance(epoch, int) or isinstance(epoch, bool)
-                or epoch < 0):
-            raise SerializationError(
-                "epoch for column %r must be an int >= 0" % name
-            )
-        epochs[name] = epoch
-    return epochs
-
-
-def _wal_entries_to_list(entries) -> List[Dict[str, Any]]:
-    return [dict(entry) for entry in entries]
-
-
-def _wal_entries_from_list(items) -> Tuple[Dict[str, Any], ...]:
-    # Imported here: repro.core.wal owns the entry shape, and a
-    # module-level import would tie every protocol user to the WAL
-    # machinery.
-    from repro.core.wal import entry_from_wire
-
-    if not isinstance(items, list):
-        raise SerializationError("replication entries must be a list")
-    return tuple(entry_from_wire(item) for item in items)
 
 
 def _config_from_dict(data) -> Dict[str, Any]:
@@ -462,11 +417,6 @@ INT = FieldType(
     "INT", int, _int_from_wire,
     lambda out, value: write_zigzag(out, int(value)), Reader.zigzag,
 )
-FLAG = FieldType(
-    "FLAG", bool, flag_from_wire,
-    lambda out, value: out.append(1 if value else 0), Reader.flag,
-    absent=False,
-)
 IDS = FieldType(
     "IDS", _ids_to_list, _ids_from_list, _write_ids,
     lambda reader: tuple(reader.intarray(words_only=True)),
@@ -494,13 +444,7 @@ SERVER_RESPONSE = FieldType(
 )
 STR_LIST = _generic("STR_LIST", _strings_to_list, _strings_from_list)
 CONFIG = _generic("CONFIG", dict, _config_from_dict)
-REPLICA_ID = _text("REPLICA_ID", _name_from_wire("replica_id"))
-EPOCHS = _generic("EPOCHS", _epochs_to_dict, _epochs_from_dict)
 SECTIONS = _generic("SECTIONS", _sections_payload, _sections_payload)
-SNAPSHOT = _generic("SNAPSHOT", _snapshot_payload, _snapshot_payload)
-WAL_ENTRIES = _generic(
-    "WAL_ENTRIES", _wal_entries_to_list, _wal_entries_from_list
-)
 REQUESTS = _batch("REQUESTS", True)
 RESPONSES = _batch("RESPONSES", False)
 OPT_INT = _nullable(INT)
@@ -635,48 +579,6 @@ class RotateApplyRequest:
     fence: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
-@dataclass(frozen=True)
-class ReplicateSubscribeRequest:
-    """A read replica joins the primary's replication feed.
-
-    Column-less like ``hello`` — it addresses the serving process.  The
-    primary answers with a consistent catalog snapshot and the WAL
-    sequence number it captures, from which the replica starts pulling
-    entries.  ``replica_id`` names the replica in the primary's
-    telemetry (``replication.lag_epochs.<replica_id>``)."""
-
-    replica_id: str = wire(REPLICA_ID)
-
-
-@dataclass(frozen=True)
-class ReplicateEntriesRequest:
-    """Pull WAL entries after a sequence number (the catch-up loop).
-
-    The primary returns entries with ``seq > after_seq`` (bounded by
-    ``limit``) plus its current log head, so the replica knows how far
-    behind it still is.  If ``after_seq`` predates the primary's
-    retained log (compacted away), the reply carries ``reset`` and the
-    replica must re-subscribe from a fresh snapshot."""
-
-    replica_id: str = wire(REPLICA_ID)
-    after_seq: int = wire(INT)
-    limit: Optional[int] = wire(OPT_INT, optional=True, default=None)
-
-
-@dataclass(frozen=True)
-class ReplicateAckRequest:
-    """Report replication progress: the last applied sequence number
-    and the replica's per-column mutation epochs.  The primary compares
-    them against its own epochs to publish the per-replica
-    ``replication.lag_epochs`` gauge."""
-
-    replica_id: str = wire(REPLICA_ID)
-    seq: int = wire(INT)
-    epochs: Dict[str, int] = wire(
-        EPOCHS, optional=True, default_factory=dict
-    )
-
-
 # -- response envelopes ---------------------------------------------------------
 
 
@@ -716,8 +618,7 @@ class CreateColumnResponse:
 
     ``epoch`` is the column's mutation epoch after creation (0); like
     every mutation-response epoch it is omitted from the wire when
-    ``None``.  Clients use it as a read-your-writes fence when routing
-    reads across replicas."""
+    ``None``."""
 
     column: str = wire(STR)
     rows_stored: int = wire(INT)
@@ -742,8 +643,8 @@ class FetchResponse:
 class InsertResponse:
     """Physical ids assigned to buffered rows, in request order.
 
-    ``epoch`` is the column's mutation epoch after the insert (the
-    replica-read fence); omitted from the wire when ``None``."""
+    ``epoch`` is the column's mutation epoch after the insert, the
+    epoch the WAL records it at; omitted from the wire when ``None``."""
 
     row_ids: Tuple[int, ...] = wire(IDS)
     epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
@@ -793,39 +694,6 @@ class RotateApplyResponse:
 
 
 @dataclass(frozen=True)
-class ReplicateSubscribeResponse:
-    """A consistent catalog snapshot plus the WAL sequence number it
-    captures.  The replica restores the snapshot and pulls entries
-    after ``seq``."""
-
-    snapshot: Dict[str, Any] = wire(SNAPSHOT)
-    seq: int = wire(INT)
-
-
-@dataclass(frozen=True)
-class ReplicateEntriesResponse:
-    """WAL entries after the requested sequence number.
-
-    ``entries`` are the validated WAL entry dicts (``{"seq", "column",
-    "epoch", "request"}``); ``seq`` is the primary's current log head
-    (so ``seq - entries[-1].seq`` is the remaining backlog).  ``reset``
-    (omitted from the wire when false) means the requested range was
-    compacted away and the replica must re-subscribe."""
-
-    entries: Tuple[Dict[str, Any], ...] = wire(WAL_ENTRIES)
-    seq: int = wire(INT)
-    reset: bool = wire(FLAG, optional=True, default=False)
-
-
-@dataclass(frozen=True)
-class ReplicateAckResponse:
-    """Acknowledges a progress report with the lag the primary computed
-    from it (total epochs the replica is behind, summed over columns)."""
-
-    lag_epochs: int = wire(INT)
-
-
-@dataclass(frozen=True)
 class ErrorResponse:
     """A typed, versioned failure envelope.
 
@@ -842,7 +710,6 @@ class ErrorResponse:
 ERROR_CLASSES: Dict[str, type] = {
     "query": QueryError,
     "update": UpdateError,
-    "read_only": ReadOnlyError,
     "conflict": RotationConflictError,
     "serialization": SerializationError,
     "persistence": PersistenceError,
@@ -856,7 +723,6 @@ ERROR_CLASSES: Dict[str, type] = {
 _ERROR_CODES: Tuple[Tuple[type, str], ...] = (
     (ServerBusyError, "busy"),
     (RotationConflictError, "conflict"),
-    (ReadOnlyError, "read_only"),
     (TransportError, "transport"),
     (QueryError, "query"),
     (UpdateError, "update"),
@@ -914,10 +780,8 @@ class EnvelopeSpec:
     ``reply`` is the response type a
     request is answered with; a row without one describes a response
     envelope.  The flags classify requests: ``idempotent`` (the
-    transport may re-send it after a connection loss),
-    ``replica_readable`` (a read replica may answer it in the primary's
-    stead), ``mutates`` (changes column state: a read replica refuses
-    it) and ``journaled`` (the WAL records it — every mutation but
+    transport may re-send it after a connection loss) and
+    ``journaled`` (the WAL records it — every mutation but
     ``rotate_begin``, which merges pending rows yet bumps no epoch and
     leaves no log entry).
     """
@@ -928,8 +792,6 @@ class EnvelopeSpec:
     fields: Tuple[Field, ...]
     reply: Optional[type] = None
     idempotent: bool = False
-    replica_readable: bool = False
-    mutates: bool = False
     journaled: bool = False
     is_request: bool = field(init=False)
     optional: Tuple[Field, ...] = field(init=False)
@@ -941,7 +803,7 @@ class EnvelopeSpec:
 
 
 #: Envelope dataclass -> its registry row: the one definition the
-#: codecs, the catalog, the client, replica routing and the WAL read.
+#: codecs, the catalog, the client and WAL replay read.
 ENVELOPES: Dict[type, EnvelopeSpec] = {}
 
 #: Wire ``kind`` -> row, per direction (the dict decoders' lookup).
@@ -987,38 +849,20 @@ def spec_of(envelope, is_request: Optional[bool] = None) -> EnvelopeSpec:
     return spec
 
 
-def request_spec(kind) -> Optional[EnvelopeSpec]:
-    """The registry row of a request ``kind`` read off an envelope
-    dict, or ``None`` for anything that is not a known request kind."""
-    return _REQUEST_SPECS.get(kind) if isinstance(kind, str) else None
-
-
 register(HelloRequest, "hello", 1, HelloResponse, idempotent=True)
 register(BatchRequest, "batch_request", 2, BatchResponse)
 register(TelemetryRequest, "telemetry_request", 3, TelemetryResponse,
          idempotent=True)
 register(CreateColumnRequest, "create_column", 4, CreateColumnResponse,
-         mutates=True, journaled=True)
-register(QueryRequest, "query_request", 5, QueryResponse,
-         idempotent=True, replica_readable=True)
-register(FetchRequest, "fetch_request", 6, FetchResponse,
-         idempotent=True, replica_readable=True)
-register(InsertRequest, "insert_request", 7, InsertResponse,
-         mutates=True, journaled=True)
-register(DeleteRequest, "delete_request", 8, DeleteResponse,
-         mutates=True, journaled=True)
-register(MergeRequest, "merge_request", 9, MergeResponse,
-         mutates=True, journaled=True)
-register(RotateBeginRequest, "rotate_begin", 10, RotateBeginResponse,
-         mutates=True)
+         journaled=True)
+register(QueryRequest, "query_request", 5, QueryResponse, idempotent=True)
+register(FetchRequest, "fetch_request", 6, FetchResponse, idempotent=True)
+register(InsertRequest, "insert_request", 7, InsertResponse, journaled=True)
+register(DeleteRequest, "delete_request", 8, DeleteResponse, journaled=True)
+register(MergeRequest, "merge_request", 9, MergeResponse, journaled=True)
+register(RotateBeginRequest, "rotate_begin", 10, RotateBeginResponse)
 register(RotateApplyRequest, "rotate_apply", 11, RotateApplyResponse,
-         mutates=True, journaled=True)
-register(ReplicateSubscribeRequest, "replicate_subscribe", 12,
-         ReplicateSubscribeResponse, idempotent=True)
-register(ReplicateEntriesRequest, "replicate_entries", 13,
-         ReplicateEntriesResponse, idempotent=True)
-register(ReplicateAckRequest, "replicate_ack", 14, ReplicateAckResponse,
-         idempotent=True)
+         journaled=True)
 
 # A response's code is its request's plus 32; the error envelope's is 32.
 register(ErrorResponse, "error_response", 32)
@@ -1033,9 +877,6 @@ register(DeleteResponse, "delete_response", 40)
 register(MergeResponse, "merge_response", 41)
 register(RotateBeginResponse, "rotate_begin_response", 42)
 register(RotateApplyResponse, "rotate_apply_response", 43)
-register(ReplicateSubscribeResponse, "replicate_subscribe_response", 44)
-register(ReplicateEntriesResponse, "replicate_entries_response", 45)
-register(ReplicateAckResponse, "replicate_ack_response", 46)
 
 
 # -- dict forms -----------------------------------------------------------------
@@ -1089,8 +930,7 @@ def _from_dict(data: Dict[str, Any], is_request: Optional[bool]):
 
 
 def request_to_dict(request) -> Dict[str, Any]:
-    """Serialize any request envelope to a JSON-compatible dict (the
-    form the replication feed carries)."""
+    """Serialize any request envelope to a JSON-compatible dict."""
     return _to_dict(request, True)
 
 

@@ -2,8 +2,8 @@
 
 The grammar (:func:`repro.net.binframe.write_value` /
 :meth:`repro.net.binframe.Reader.value`) carries every free-form
-envelope field and the replication feed's entries, always inside some
-other frame.  Tests of the grammar itself read and write one value
+envelope field (a config, telemetry sections), always inside some other
+frame.  Tests of the grammar itself read and write one value
 alone: nothing before it, and nothing may follow it.
 """
 

@@ -114,6 +114,21 @@ class TestStatsAndTrace:
         assert "net.requests" in out
         assert "pool:" in out
         assert "tracer: disabled" in out
+        assert "wal:" not in out  # no WAL bound
+
+    def test_stats_connect_prints_one_wal_line(self, capsys, tmp_path,
+                                               live_endpoint):
+        from repro.core.wal import WalWriter
+
+        with WalWriter(str(tmp_path), fsync="never") as writer:
+            live_endpoint.catalog.bind_wal(writer)
+            host, port = live_endpoint.server_address
+            assert main(["stats", "--connect", "%s:%d" % (host, port)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("wal:")] == [
+            "wal: seq 0, 0 segments, 0 bytes (fsync never)"
+        ]
+        assert not [line for line in lines if "replica" in line]
 
     def test_stats_connect_json_matches_server(self, capsys, live_endpoint):
         host, port = live_endpoint.server_address
@@ -163,6 +178,26 @@ class TestStatsAndTrace:
         records = [json.loads(line)
                    for line in open(merged_path) if line.strip()]
         assert [r["tree_depth"] for r in records] == [0, 1]
+
+
+class TestRetiredReplicaFlags:
+    """The read-replica flags are gone: the parser refuses them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--replica-of", "127.0.0.1:9045"],
+        ["serve", "--replica-id", "r1"],
+        ["serve", "--replica-poll", "0.05"],
+        ["query", "values.txt", "--connect", "127.0.0.1:9045",
+         "--replicas", "127.0.0.1:9046"],
+        ["stats", "--connect", "127.0.0.1:9045", "--max-staleness", "2"],
+    ], ids=["replica-of", "replica-id", "replica-poll", "replicas",
+            "max-staleness"])
+    def test_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments: %s" % argv[-2] in (
+            capsys.readouterr().err)
 
 
 class TestTop:

@@ -123,7 +123,7 @@ QUERIES = [(0, 100), (5, 20), (40, 50)]
 def column_epochs(port):
     remote = RemoteColumn(TcpTransport("127.0.0.1", port), "telemetry")
     try:
-        return remote.telemetry(["replication"])["replication"]["epochs"]
+        return remote.telemetry(["wal"])["wal"]["epochs"]
     finally:
         remote.close()
 

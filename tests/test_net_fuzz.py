@@ -7,10 +7,10 @@ needs no edit here.  Three layers of confidence in the wire format:
 
 * *round-trip* — hostile-but-valid envelopes (256-bit numerators,
   empty row lists, unicode column names, boundary ids) must satisfy
-  ``decode(encode(x)) == x`` on a frame and in the dict form the WAL
-  journals, hundreds of cases per envelope kind (``--fuzz-cases``
-  scales it; 5000+ enables the deep nightly run).
-* *golden* — the frames of a fixed seeded corpus of all 29 kinds hash
+  ``decode(encode(x)) == x`` on a frame and in the dict form, hundreds
+  of cases per envelope kind (``--fuzz-cases`` scales it; 5000+
+  enables the deep nightly run).
+* *golden* — the frames of a fixed seeded corpus of all 23 kinds hash
   to a pinned value, and so do its dict forms.
 * *mutation* — valid frames are flipped, truncated, and spliced at
   random; every outcome must be a clean decode or a typed
@@ -154,13 +154,6 @@ def make_server_response(rng):
     )
 
 
-def make_epochs(rng):
-    return {
-        rng.choice(COLUMN_NAMES): rng.choice(BOUNDARY_IDS)
-        for _ in range(rng.randint(0, 4))
-    }
-
-
 def make_telemetry_sections(rng):
     """A hostile-but-valid telemetry payload: nested dicts, floats,
     unicode, empty sections.  Lists only (tuples decode as lists)."""
@@ -174,27 +167,6 @@ def make_telemetry_sections(rng):
             "nested": {"enabled": rng.random() < 0.5, "note": None},
         }
     return payload
-
-
-def make_wal_entries(rng):
-    """Valid WAL entry dicts, each carrying one journaled request.
-
-    Containers are JSON-normalized (lists, not tuples) so an entry
-    compares equal after a frame round trip.
-    """
-    journaled = [spec for spec in specs_sorted() if spec.journaled]
-    entries = []
-    for seq in range(1, rng.randint(1, 4)):
-        request = json.loads(json.dumps(
-            request_to_dict(make_envelope(rng, rng.choice(journaled)))
-        ))
-        entries.append({
-            "seq": seq,
-            "column": request["column"],
-            "epoch": rng.choice((0, 1, 7, 2 ** 40)),
-            "request": request,
-        })
-    return tuple(entries)
 
 
 def make_sub_envelopes(rng, is_request):
@@ -220,7 +192,6 @@ GENERATORS = {
     ),
     "INT": lambda rng: rng.choice(BOUNDARY_IDS) * rng.choice((1, -1)),
     "OPT_INT": lambda rng: rng.choice((None, 0, 1, 7, 2 ** 40)),
-    "FLAG": lambda rng: rng.random() < 0.3,
     "IDS": make_ids,
     "UPLOAD_IDS": make_ids,
     "ROWS": make_rows,
@@ -234,14 +205,7 @@ GENERATORS = {
     )),
     "CONFIG": lambda rng: {"engine": rng.choice(("adaptive", "scan")),
                            "min_piece_size": rng.randint(1, 64)},
-    "REPLICA_ID": lambda rng: rng.choice(
-        ("r1", "replica-λ", "10.0.0.7:9402", "r" * 100)
-    ),
-    "EPOCHS": make_epochs,
     "SECTIONS": make_telemetry_sections,
-    "SNAPSHOT": lambda rng: {"version": 3, "columns": [],
-                             "epochs": make_epochs(rng)},
-    "WAL_ENTRIES": make_wal_entries,
     "REQUESTS": lambda rng: make_sub_envelopes(rng, True),
     "RESPONSES": lambda rng: make_sub_envelopes(rng, False),
 }
@@ -313,10 +277,10 @@ class TestRegistryRoundTrips:
 
     def test_every_field_type_has_a_generator(self):
         """The completeness half of "a new envelope is fuzzed without
-        touching this file": all 29 envelopes are parametrized above
+        touching this file": all 23 envelopes are parametrized above
         straight from the registry, and every field type any of them
         uses can be generated."""
-        assert len(ENVELOPES) == 29
+        assert len(ENVELOPES) == 23
         used = {
             field.type.name
             for spec in ENVELOPES.values() for field in spec.fields
@@ -349,7 +313,7 @@ class TestHypotheticalEnvelope:
     @pytest.fixture()
     def ping(self):
         register(PingRequest, "ping", 30, PingResponse, idempotent=True,
-                 replica_readable=True, mutates=True, journaled=True)
+                 journaled=True)
         register(PingResponse, "ping_response", 62)
         yield spec_of(PingRequest(column="c", nonce=1))
         for cls in (PingRequest, PingResponse):
@@ -376,12 +340,11 @@ class TestHypotheticalEnvelope:
             register(HelloRequest, "hello_again", 30)
 
     def test_it_is_classified_everywhere(self, ping):
-        from repro.core.wal import entry_from_wire
-        from repro.errors import ProtocolError, ReadOnlyError
-        from repro.net import ColumnCatalog, RemoteColumn, ReplicaSet
+        from repro.core.wal import WalRecord
+        from repro.errors import ProtocolError
+        from repro.net import ColumnCatalog, RemoteColumn
 
         request = PingRequest(column="c", nonce=7)
-        payload = request_to_dict(request)
 
         class Echo(Transport):
             """Records ``retryable``; answers with the scripted reply."""
@@ -401,19 +364,12 @@ class TestHypotheticalEnvelope:
         transport.reply = HelloResponse()
         with pytest.raises(ProtocolError, match="expected PingResponse"):
             remote.call(request)
-        # replica_readable -> a ReplicaSet would route it to a replica
-        assert ReplicaSet._read_columns(request) == ["c"]
-        # journaled -> the WAL accepts it as an entry
-        entry = {"seq": 1, "column": "c", "epoch": 1, "request": payload}
-        assert entry_from_wire(entry) == entry
-        # mutates -> a read replica refuses it (before looking for a
-        # handler, which this catalog does not have)
-        catalog = ColumnCatalog()
+        # journaled -> replay reads it back off a WAL record
+        record = WalRecord(1, 1, "c", encode(request))
+        assert ColumnCatalog.logged_request(record) == request
+        # the catalog has no handler for it
         with pytest.raises(ProtocolError, match="unhandled request kind"):
-            catalog.handle(request)
-        catalog.set_read_only("primary:1")
-        with pytest.raises(ReadOnlyError, match="send ping to the primary"):
-            catalog.handle(request)
+            ColumnCatalog().handle(request)
 
 
 # -- the wire-compatibility golden ------------------------------------------------
@@ -441,21 +397,28 @@ GOLDEN_CASES = 12
 #: ``replicate_entries_response`` as a journaled entry,
 #: ``batch_response`` through the latter).
 #:
-#: The first half is the 27 kinds that cannot carry a query.
-GOLDEN_CORPUS_SHA256 = "40e8d17f562c3630bcaaae3ad566ab7ee228e7a5bfc2643b032f674c0f49ca1d"
+#: All three were re-pinned again when the six ``replicate_*`` kinds
+#: (codes 12-14 and 44-46) were deleted.  Each of the 21 other kinds
+#: hashes as it did at the parent, kind by kind; ``batch_request`` and
+#: ``batch_response`` moved only because their seeded streams draw
+#: slot kinds from the registry: the parent's corpus, with those draws
+#: restricted to the 23 surviving kinds, hashes exactly as this one.
+#:
+#: The first half is the 21 kinds that cannot carry a query.
+GOLDEN_CORPUS_SHA256 = "5235ef452dca6cf4ec0255cc8499f6f5013829757337a4e3ecd50327554eadc9"
 
 #: The second half: the kinds that can carry a query —
 #: ``query_request``, and ``batch_request``, whose seeded stream
 #: shifts for good at the first one it holds.
-GOLDEN_QUERY_CORPUS_SHA256 = "9c180f2af8bb3cdb361119c0fa7f1970a158ebd5db21dce66a0c0faa1048e3a4"
+GOLDEN_QUERY_CORPUS_SHA256 = "1f626f0bbc5f55b4f0cd3a095e2f660d0907fd292edeec85208fa0a4e364a907"
 
 #: sha256 over ``json.dumps(dict form, sort_keys=True)`` of every
 #: envelope of the corpus, first computed at the parent of the
-#: positional frame codec: the envelopes and their dict forms (what the
-#: replication feed ships) did not change with the frames.  Re-pinned
-#: with the halves above, for the same single cause.
+#: positional frame codec: the envelopes and their dict forms did not
+#: change with the frames.  Re-pinned with the halves above, both times
+#: for the cause named there.
 GOLDEN_DICT_SHA256 = (
-    "3ab73433587f2612e58c8062a78c76c2eb1b42b3f76b08574371f95df3aff2e9"
+    "2a1b581d819f7a3631fe0eecfd843999703d9b1c7484a7d7019a9dd965194517"
 )
 
 QUERY_KINDS = ("query_request", "batch_request")
@@ -476,7 +439,7 @@ def test_seeded_corpus_frames_match_the_pre_registry_golden():
     for spec, envelope in golden_corpus():
         kinds.add(spec.kind)
         digests[spec.kind in QUERY_KINDS].update(encode(envelope))
-    assert len(kinds) == 29
+    assert len(kinds) == 23
     assert digests[False].hexdigest() == GOLDEN_CORPUS_SHA256
     assert digests[True].hexdigest() == GOLDEN_QUERY_CORPUS_SHA256
 
@@ -717,6 +680,12 @@ class TestBinaryInnerLoops:
 # -- what a version-4 endpoint refuses, and what fails alone -----------------------
 
 
+#: Kind codes of the deleted read-replica feed (``replicate_subscribe``
+#: / ``_entries`` / ``_ack`` and their responses): a frame carrying one
+#: is an unknown kind.
+RETIRED_CODES = (12, 13, 14, 44, 45, 46)
+
+
 def _varint(value):
     out = bytearray()
     write_varint(out, value)
@@ -760,7 +729,9 @@ class TestVersionFourFrames:
         with pytest.raises(SerializationError):
             decode(bytes((0xAE, PROTOCOL_VERSION)) + frame[3:])
 
-    @pytest.mark.parametrize("code", [0, 15, 31, 47, 127, 128, 2 ** 20])
+    @pytest.mark.parametrize(
+        "code", sorted((0, 15, 31, 47, 127, 128, 2 ** 20) + RETIRED_CODES)
+    )
     def test_an_unknown_kind_code_is_refused(self, code):
         body = encode(self.MERGE)[3:]
         frame = bytes((0xAE, PROTOCOL_VERSION)) + _varint(code) + body
@@ -788,7 +759,13 @@ class TestVersionFourFrames:
         lambda body: bytes((2,)) + body[1:],           # a nested batch
         lambda body: body[:1] + bytes((0x7F,)) + body[2:],  # overlong name
         lambda body: body[:-1] + b"\xff",              # broken utf-8
-    ], ids=["unknown", "response", "nested", "overlong", "utf8"])
+    ] + [
+        # The retired replica-feed kinds, requests and responses.
+        (lambda code: lambda body: bytes((code,)) + body[1:])(code)
+        for code in RETIRED_CODES
+    ], ids=["unknown", "response", "nested", "overlong", "utf8"] + [
+        "retired-%d" % code for code in RETIRED_CODES
+    ])
     def test_a_corrupt_slot_fails_alone(self, corrupt):
         from repro.core.session import OutsourcedDatabase
         from repro.net.transport import serve_frame

@@ -299,17 +299,15 @@ class TestConfigAtTheTrustBoundary:
 
 
 class TestIntegersAtTheTrustBoundary:
-    """``INT`` / ``OPT_INT`` in a dict form (a WAL or replication
-    entry) are integers or refused: ``int()`` would read ``"7"``,
-    ``7.9`` and ``True`` as 7, 7 and 1."""
+    """``INT`` / ``OPT_INT`` in a dict form are integers or refused:
+    ``int()`` would read ``"7"``, ``7.9`` and ``True`` as 7, 7 and 1."""
 
     ENVELOPES = (
-        (protocol.ReplicateEntriesRequest(replica_id="r", after_seq=3,
-                                          limit=5), ("after_seq", "limit")),
-        (protocol.ReplicateAckRequest(replica_id="r", seq=7), ("seq",)),
         (InsertResponse(row_ids=(1,), epoch=7), ("epoch",)),
         (DeleteResponse(deleted=1, epoch=2), ("deleted", "epoch")),
-        (protocol.ReplicateEntriesResponse(entries=(), seq=7), ("seq",)),
+        (protocol.MergeResponse(delta=-3, epoch=4), ("delta", "epoch")),
+        (protocol.CreateColumnResponse(column="c", rows_stored=3, epoch=0),
+         ("rows_stored", "epoch")),
     )
 
     @pytest.mark.parametrize("value", ["7", 7.9, True], ids=repr)
@@ -377,6 +375,15 @@ class TestErrorEnvelopes:
     def test_unknown_code_degrades_to_protocol_error(self):
         with pytest.raises(ProtocolError):
             raise_error_response(ErrorResponse(code="future", message="?"))
+
+    def test_the_retired_read_only_code_degrades_to_protocol_error(self):
+        """What a read replica answered a mutation with: a typed
+        ``ProtocolError`` now, not a silent pass."""
+        assert "read_only" not in protocol.ERROR_CLASSES
+        with pytest.raises(ProtocolError, match="send merge_request"):
+            raise_error_response(ErrorResponse(
+                code="read_only",
+                message="send merge_request to the primary at h:1"))
 
     def test_foreign_exception_maps_to_internal(self):
         assert error_response_for(RuntimeError("boom")).code == "internal"
@@ -591,7 +598,7 @@ class TestEnvelopeRegistry:
     tests pin its classification and keep the documentation equal to
     it."""
 
-    FLAGS = ("idempotent", "replica_readable", "mutates", "journaled")
+    FLAGS = ("idempotent", "journaled")
 
     @staticmethod
     def flagged(flag):
@@ -607,15 +614,8 @@ class TestEnvelopeRegistry:
             "merge_request", "rotate_apply",
         }
         assert self.flagged("journaled") == journaled
-        # A replica refuses one kind more than the WAL records:
-        # rotate_begin merges pending rows but leaves no log entry.
-        assert self.flagged("mutates") == journaled | {"rotate_begin"}
-        assert self.flagged("replica_readable") == {
-            "query_request", "fetch_request",
-        }
         assert self.flagged("idempotent") == {
             "hello", "telemetry_request", "query_request", "fetch_request",
-            "replicate_subscribe", "replicate_entries", "replicate_ack",
         }
 
     def test_every_request_has_a_registered_reply(self):
@@ -623,7 +623,7 @@ class TestEnvelopeRegistry:
 
         requests = [s for s in ENVELOPES.values() if s.is_request]
         replies = {ENVELOPES[s.reply].kind for s in requests}
-        assert len(requests) == 14
+        assert len(requests) == 11
         # Every response but the error envelope answers one request.
         assert replies == {
             s.kind for s in ENVELOPES.values() if not s.is_request

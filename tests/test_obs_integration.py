@@ -286,12 +286,16 @@ class TestStatsEqualRegistryDeltas:
             name for name in counters if name.startswith("net.frames_")
         )
 
-    def test_documented_net_and_catalog_metrics_are_the_emitted_names(self):
-        """Every ``net.*`` / ``catalog.*`` name the metric table and the
-        gauge / histogram prose of ``docs/observability.md`` document is
-        a metric-name literal under ``src/repro``, and every such literal
-        is documented."""
-        prefixes = ("net.", "catalog.")
+    def test_documented_net_catalog_and_wal_metrics_are_the_emitted_names(
+        self
+    ):
+        """Every ``net.*`` / ``catalog.*`` / ``wal.*`` name the metric
+        table and the gauge / histogram prose of
+        ``docs/observability.md`` document is a metric-name literal under
+        ``src/repro``, and every such literal is documented.  No
+        ``replication.*`` / ``replicaset.*`` name is documented: read
+        replicas are deleted."""
+        prefixes = ("net.", "catalog.", "wal.")
         root = os.path.join(os.path.dirname(__file__), os.pardir)
         with open(os.path.join(root, "docs", "observability.md"),
                   encoding="utf-8") as handle:
@@ -312,10 +316,11 @@ class TestStatsEqualRegistryDeltas:
                     with open(os.path.join(directory, name),
                               encoding="utf-8") as handle:
                         literals.update(re.findall(
-                            r"[\"'](?:net|catalog)\.[a-z_]+[\"']",
+                            r"[\"'](?:net|catalog|wal)\.[a-z_]+[\"']",
                             handle.read(),
                         ))
         assert documented == {literal[1:-1] for literal in literals}
+        assert not re.findall(r"`replica(?:tion|set)\.", text)
 
 
 class TestProtocolBytes:

@@ -8,6 +8,7 @@ import pytest
 from repro.core.persistence import restore_server, snapshot_server
 from repro.core.session import OutsourcedDatabase
 from repro.errors import PersistenceError, SerializationError
+from repro.net.protocol import encode
 
 VALUES = list(np.random.default_rng(14).permutation(300))
 
@@ -501,6 +502,193 @@ class TestDurableRecovery:
         assert recovered.epochs() == catalog.epochs()
         assert recovered.epochs() != first
         assert info["replayed"] >= 2
+
+
+class TestReplayFence:
+    """The per-column epoch fence recovery replays each WAL record
+    through (:meth:`ColumnCatalog.apply_record`)."""
+
+    def make_durable(self, tmp_path):
+        return TestDurableRecovery().make_durable(tmp_path)
+
+    @staticmethod
+    def merge_record(seq, epoch):
+        from repro.core.wal import WalRecord
+        from repro.net.protocol import MergeRequest
+
+        return WalRecord(seq, epoch, "t", encode(MergeRequest(column="t")))
+
+    def test_an_epoch_gap_is_a_typed_error(self, tmp_path):
+        from repro.core.persistence import recover_catalog
+
+        catalog, db = self.make_durable(tmp_path)
+        db.merge()
+        catalog.wal.append(
+            "t", catalog.epoch("t") + 5,
+            self.merge_record(0, 0).frame,
+        )
+        with pytest.raises(PersistenceError, match="missing entries"):
+            recover_catalog(str(tmp_path))
+
+    def test_a_record_at_or_below_the_epoch_is_skipped(self, tmp_path):
+        from repro.core.persistence import recover_catalog
+
+        catalog, db = self.make_durable(tmp_path)
+        db.insert(42)
+        db.merge()
+        recovered, __ = recover_catalog(str(tmp_path))
+        before = recovered.epochs()
+        for epoch in range(before["t"] + 1):
+            assert recovered.apply_record(
+                self.merge_record(99, epoch)
+            ) is False
+        assert recovered.epochs() == before
+        # The successor epoch applies.
+        assert recovered.apply_record(
+            self.merge_record(99, before["t"] + 1)
+        ) is True
+        assert recovered.epoch("t") == before["t"] + 1
+
+    def test_a_create_record_for_an_existing_column_is_skipped(
+        self, tmp_path
+    ):
+        import os
+
+        from repro.core.persistence import (
+            SNAPSHOT_FILENAME,
+            recover_catalog,
+            save_snapshot,
+            snapshot_catalog,
+        )
+        from repro.core.wal import WalReader
+
+        catalog, db = self.make_durable(tmp_path)
+        db.insert(42)
+        (create,) = [record for record in WalReader(str(tmp_path)).entries()
+                     if record.epoch == 0]
+        recovered, __ = recover_catalog(str(tmp_path))
+        assert recovered.apply_record(create) is False
+        assert recovered.epochs() == catalog.epochs()
+        # A snapshot saved without a watermark replays the whole log:
+        # the create and the insert are skipped, one by one.
+        save_snapshot(os.path.join(str(tmp_path), SNAPSHOT_FILENAME),
+                      snapshot_catalog(catalog))
+        recovered, info = recover_catalog(str(tmp_path))
+        assert (info["replayed"], info["skipped"]) == (0, 2)
+        assert recovered.epochs() == catalog.epochs()
+
+    def test_a_malformed_frame_is_a_typed_error(self, tmp_path):
+        from repro.core.persistence import recover_catalog
+        from repro.core.wal import WalRecord
+
+        catalog, db = self.make_durable(tmp_path)
+        recovered, __ = recover_catalog(str(tmp_path))
+        record = WalRecord(2, 1, "t", b"not a frame")
+        with pytest.raises(PersistenceError, match="malformed frame"):
+            recovered.apply_record(record)
+        assert recovered.epochs() == catalog.epochs()
+
+    @pytest.mark.parametrize("kind", [
+        "create_column", "insert_request", "delete_request",
+        "merge_request", "rotate_apply",
+    ])
+    def test_replay_into_a_journaled_catalog_is_refused(self, tmp_path,
+                                                         kind):
+        from repro.core.wal import WalRecord
+        from repro.net import protocol
+
+        catalog, db = self.make_durable(tmp_path)
+        rows, ids = db.client.encrypt_dataset([2, 4])
+        request = {
+            "create_column": protocol.CreateColumnRequest(
+                column="u", rows=rows, row_ids=ids),
+            "insert_request": protocol.InsertRequest(column="t", rows=rows),
+            "delete_request": protocol.DeleteRequest(column="t",
+                                                     row_ids=(0,)),
+            "merge_request": protocol.MergeRequest(column="t"),
+            "rotate_apply": protocol.RotateApplyRequest(
+                column="t", rows=rows, row_ids=ids),
+        }[kind]
+        head = catalog.wal.last_seq
+        epochs = catalog.epochs()
+        epoch = 0 if kind == "create_column" else epochs["t"] + 1
+        record = WalRecord(head + 1, epoch, request.column, encode(request))
+        with pytest.raises(PersistenceError, match="logged twice"):
+            catalog.apply_record(record)
+        assert catalog.wal.last_seq == head
+        assert catalog.epochs() == epochs
+        assert len(catalog.server("t")) == 4
+
+    def test_the_wal_telemetry_section(self, tmp_path):
+        catalog, db = self.make_durable(tmp_path)
+        db.insert(42)
+        sections = catalog.telemetry()
+        assert "replication" not in sections
+        wal = sections["wal"]
+        assert set(wal) == {"seq", "segments", "bytes", "fsync", "epochs"}
+        assert wal["seq"] == catalog.wal.last_seq == 2
+        assert wal["fsync"] == "never"
+        assert wal["epochs"] == catalog.epochs() == {"t": 1}
+
+
+class TestRecoveryEqualsLive:
+    """A seeded mixed workload on a journaled endpoint — inserts,
+    deletes, merges, cracking queries and a key rotation — recovers to
+    the live catalog: the same epochs, and every range answered with
+    the plaintext model's values.  ``checkpoint`` snapshots halfway, so
+    replay starts from the snapshot's watermark instead of the log's
+    first record."""
+
+    STEPS = 40
+
+    @pytest.mark.parametrize("checkpoint", [False, True],
+                             ids=["log", "checkpoint"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_recovered_catalog_answers_like_the_live_one(
+        self, tmp_path, seed, checkpoint
+    ):
+        import random
+
+        from repro.core.persistence import (
+            checkpoint_catalog,
+            recover_catalog,
+        )
+
+        rng = random.Random(seed)
+        values = rng.sample(range(1_000), 48)
+        catalog, db = TestDurableRecovery().make_durable(tmp_path)
+        model = dict(enumerate([5, 1, 9, 3]))
+        for step in range(self.STEPS):
+            action = rng.random()
+            if step == self.STEPS // 2:
+                if checkpoint:
+                    checkpoint_catalog(catalog, str(tmp_path), catalog.wal)
+                mapping = db.rotate_key(new_seed=seed + 100)
+                model = {mapping[old]: value for old, value in model.items()}
+            elif action < 0.45:
+                value = values.pop()
+                model[db.insert(value)] = value
+            elif action < 0.65 and model:
+                victim = rng.choice(sorted(model))
+                db.delete(victim)
+                del model[victim]
+            elif action < 0.8:
+                db.merge()
+            else:
+                low = rng.randrange(1_000)
+                db.query(low, low + rng.randrange(200))
+        recovered, info = recover_catalog(str(tmp_path))
+        assert info["snapshot"] is checkpoint
+        assert recovered.epochs() == catalog.epochs()
+        for low, high in [(0, 1_000), (0, 99), (250, 600), (900, 999)]:
+            query = db.client.make_query(low, high)
+            expected = sorted(v for v in model.values() if low <= v <= high)
+            for served in (catalog, recovered):
+                response = served.server("t").execute(query)
+                result = db.client.decrypt_results(response.row_ids,
+                                                   response.rows)
+                assert sorted(map(int, result.values)) == expected
+        recovered.server("t").engine.check_invariants()
 
 
 class TestCheckpointTrigger:

@@ -1,10 +1,10 @@
 """Unit tests for the mutation write-ahead log (repro.core.wal).
 
 Covers the positional record format and its refusals (an entry-dict
-record from before it included), the feed entry's validation, segment
-rotation, reopen continuity, fsync policies and a failing fsync, torn-
-tail crash tolerance, snapshot-then-truncate compaction, and the atomic
-JSON file helpers — plus a seeded file-level fuzz pass asserting that
+record from before it included), what replay accepts as a record's
+frame, segment rotation, reopen continuity, fsync policies and a
+failing fsync, torn-tail crash tolerance, snapshot-then-truncate
+compaction, and the atomic JSON file helpers — plus a seeded file-level fuzz pass asserting that
 truncated and bit-flipped WAL bytes only ever surface as typed
 :class:`~repro.errors.PersistenceError` (or are silently dropped when
 they form the torn tail of the last segment), never as raw
@@ -14,6 +14,7 @@ they form the torn tail of the last segment), never as raw
 import json
 import os
 import random
+import re
 import struct
 import zlib
 
@@ -29,9 +30,7 @@ from repro.core.wal import (
     WalReader,
     WalRecord,
     WalWriter,
-    entry_from_wire,
     read_json_file,
-    wal_start_seq,
     write_json_atomic,
 )
 from repro.errors import PersistenceError, ReproError
@@ -53,47 +52,16 @@ def append_n(writer, count, start=0):
         writer.append("values", start + index + 1, REQUEST)
 
 
-def read_records(directory, after_seq=0, limit=None):
-    return list(WalReader(directory).entries(after_seq, limit=limit))
+def read_records(directory, after_seq=0):
+    return list(WalReader(directory).entries(after_seq))
 
 
-class TestEntryFromWire:
-    def test_valid_entry_round_trips(self):
-        entry = {"seq": 1, "column": "c", "epoch": 0,
-                 "request": {"kind": "create_column"}}
-        assert entry_from_wire(entry) == entry
-
-    @pytest.mark.parametrize("bad", [
-        None, [], "entry", 7,
-        {},  # missing everything
-        {"seq": 1, "column": "c", "epoch": 0},  # no request
-        {"seq": 0, "column": "c", "epoch": 0, "request": {"kind": "merge_request"}},
-        {"seq": True, "column": "c", "epoch": 0, "request": {"kind": "merge_request"}},
-        {"seq": 1, "column": "", "epoch": 0, "request": {"kind": "merge_request"}},
-        {"seq": 1, "column": "c", "epoch": -1, "request": {"kind": "merge_request"}},
-        {"seq": 1, "column": "c", "epoch": 0, "request": {"kind": "query_request"}},
-        {"seq": 1, "column": "c", "epoch": 0, "request": {"kind": "merge_request"}, "extra": 1},
-    ])
-    def test_malformed_entries_raise_typed_error(self, bad):
-        with pytest.raises(PersistenceError):
-            entry_from_wire(bad)
-
-    @pytest.mark.parametrize("kind", [
-        "create_column", "insert_request", "delete_request",
-        "merge_request", "rotate_apply",
-    ])
-    def test_every_journaled_kind_is_accepted(self, kind):
-        entry = {"seq": 1, "column": "c", "epoch": 1,
-                 "request": {"kind": kind}}
-        assert entry_from_wire(entry) == entry
-
-    @pytest.mark.parametrize("kind", [
-        "rotate_begin", "hello", "create_column_response", None, ["x"],
-    ])
-    def test_unjournaled_kinds_are_refused(self, kind):
-        with pytest.raises(PersistenceError, match="non-mutation"):
-            entry_from_wire({"seq": 1, "column": "c", "epoch": 1,
-                             "request": {"kind": kind}})
+def retained_start(directory):
+    """The first seq compaction kept, as the reader's refusal to read
+    from before it names it."""
+    with pytest.raises(PersistenceError, match="compacted away") as err:
+        read_records(directory)
+    return int(re.search(r"log starts at (\d+)", str(err.value)).group(1))
 
 
 class TestWriterReader:
@@ -131,14 +99,12 @@ class TestWriterReader:
         with pytest.raises(PersistenceError):
             WalWriter(str(tmp_path), fsync="sometimes")
 
-    def test_after_seq_and_limit(self, tmp_path):
+    def test_after_seq(self, tmp_path):
         with WalWriter(str(tmp_path), segment_bytes=256,
                        fsync="never") as writer:
             append_n(writer, 12)
         assert [r.seq for r in read_records(str(tmp_path),
                                             after_seq=9)] == [10, 11, 12]
-        assert [r.seq for r in read_records(str(tmp_path),
-                                            after_seq=2, limit=3)] == [3, 4, 5]
         assert read_records(str(tmp_path), after_seq=12) == []
 
     def test_stats_shape(self, tmp_path):
@@ -243,6 +209,96 @@ class TestRecordFormat:
                 with pytest.raises(PersistenceError):
                     writer.append(column, epoch, REQUEST)
             assert writer.last_seq == 0
+
+
+def journaled_requests():
+    """One request of every journaled kind, on the column ``values``."""
+    from repro.core.client import TrustedClient
+    from repro.net import protocol
+
+    rows, ids = TrustedClient(seed=3).encrypt_dataset([4, 8, 15])
+    return {
+        "create_column": protocol.CreateColumnRequest(
+            column="values", rows=rows, row_ids=ids,
+            config={"engine": "scan"}),
+        "insert_request": protocol.InsertRequest(column="values", rows=rows),
+        "delete_request": protocol.DeleteRequest(column="values",
+                                                 row_ids=(0, 2)),
+        "merge_request": MergeRequest(column="values"),
+        "rotate_apply": protocol.RotateApplyRequest(
+            column="values", rows=rows, row_ids=ids, fence=4),
+    }
+
+
+class TestLoggedRequest:
+    """What replay accepts as a record's frame: a request of a kind the
+    registry marks ``journaled``, on the record's column, and nothing
+    else (:meth:`ColumnCatalog.logged_request`)."""
+
+    JOURNALED = sorted(journaled_requests())
+
+    @staticmethod
+    def logged(frame):
+        return ColumnCatalog.logged_request(WalRecord(1, 1, "values", frame))
+
+    @pytest.mark.parametrize("kind", JOURNALED)
+    def test_every_journaled_kind_is_accepted(self, kind):
+        from repro.net.protocol import spec_of
+
+        frame = encode(journaled_requests()[kind])
+        request = self.logged(frame)
+        assert spec_of(request).kind == kind
+        assert encode(request) == frame
+
+    @pytest.mark.parametrize("kind", [
+        "hello", "batch_request", "telemetry_request", "query_request",
+        "fetch_request", "rotate_begin",
+    ])
+    def test_unjournaled_kinds_are_refused(self, kind):
+        from repro.core.client import TrustedClient
+        from repro.net import protocol
+
+        request = {
+            "hello": protocol.HelloRequest(),
+            "batch_request": protocol.BatchRequest(
+                requests=(MergeRequest(column="values"),)),
+            "telemetry_request": protocol.TelemetryRequest(),
+            "query_request": QueryRequest(
+                column="values",
+                query=TrustedClient(seed=3).make_query(1, 5)),
+            "fetch_request": protocol.FetchRequest(column="values",
+                                                   row_ids=(1,)),
+            "rotate_begin": protocol.RotateBeginRequest(column="values"),
+        }[kind]
+        with pytest.raises(PersistenceError, match="a %s frame" % kind):
+            self.logged(encode(request))
+
+    @pytest.mark.parametrize("kind", JOURNALED)
+    def test_a_journaled_kinds_reply_is_refused(self, kind):
+        from repro.net import protocol
+
+        reply = {
+            "create_column": protocol.CreateColumnResponse(
+                column="values", rows_stored=3, epoch=0),
+            "insert_request": protocol.InsertResponse(row_ids=(3, 4, 5),
+                                                      epoch=1),
+            "delete_request": protocol.DeleteResponse(deleted=2, epoch=2),
+            "merge_request": protocol.MergeResponse(delta=1, epoch=3),
+            "rotate_apply": protocol.RotateApplyResponse(rows_stored=3,
+                                                         epoch=4),
+        }[kind]
+        assert protocol.spec_of(journaled_requests()[kind]).reply is type(
+            reply)
+        with pytest.raises(PersistenceError, match="malformed frame"):
+            self.logged(encode(reply))
+
+    @pytest.mark.parametrize("code", [12, 13, 14])
+    def test_a_retired_replica_feed_kind_is_refused(self, code):
+        """The deleted ``replicate_*`` requests' codes are unknown kinds
+        on replay as on the wire."""
+        frame = REQUEST[:2] + bytes((code,)) + REQUEST[3:]
+        with pytest.raises(PersistenceError, match="kind code: %d" % code):
+            self.logged(frame)
 
 
 class TestFailingFsync:
@@ -365,13 +421,13 @@ class TestCompaction:
                        fsync="never") as writer:
             append_n(writer, 20)
             writer.compact(writer.last_seq)
-        start = wal_start_seq(str(tmp_path))
+        start = retained_start(str(tmp_path))  # refuses after_seq=0
         assert start > 1
         # Positions at or after the retained start still read fine.
-        assert [r.seq for r in read_records(str(tmp_path),
-                                            after_seq=start - 1)]
+        assert read_records(str(tmp_path),
+                            after_seq=start - 1)[0].seq == start
         with pytest.raises(PersistenceError):
-            read_records(str(tmp_path), after_seq=0)
+            read_records(str(tmp_path), after_seq=start - 2)
 
     def test_appends_continue_after_compaction(self, tmp_path):
         with WalWriter(str(tmp_path), segment_bytes=256,
@@ -380,7 +436,7 @@ class TestCompaction:
             writer.compact(writer.last_seq)
             assert writer.append("values", 21, REQUEST) == 21
         records = read_records(
-            str(tmp_path), after_seq=wal_start_seq(str(tmp_path)) - 1
+            str(tmp_path), after_seq=retained_start(str(tmp_path)) - 1
         )
         assert records[-1].seq == 21
 
