@@ -14,7 +14,7 @@ e2e ``crack_cold`` workload) and one merge of 256 pending rows + 32
 tombstones into a 12k-row column holding ~1k cracks (``mixed_wal``).
 Three time what the owner pays before any of that: the ``Ev``
 encryption of those 100k values under the e2e harness's key, its draws
-alone (parsed off the generator's word stream), and the upload of the
+alone (one SHAKE-256 call per 4 096-value chunk), and the upload of the
 100k-row block over a loopback endpoint (``RemoteColumn.create``: the
 frame both ways and the catalog building the column).
 Two time what every query pays before the engine sees it: the client's
@@ -146,11 +146,15 @@ def test_encrypt_values_100k(benchmark):
 
 def test_draws_100k(benchmark):
     """The draws alone of ``test_encrypt_values_100k``: ``xi`` and ``w``
-    of 100k values, parsed off the generator's words chunk by chunk."""
+    of 100k values, one keyed block draw per chunk."""
     encryptor = TrustedClient(seed=11).encryptor
     sizes = [len(chunk) for chunk in _chunks([0] * 100_000)]
     drawn = benchmark.pedantic(
-        lambda: list(encryptor._chunk_draws(sizes)), rounds=3
+        lambda: [
+            encryptor._block_draws(1, chunk, size)
+            for chunk, size in enumerate(sizes)
+        ],
+        rounds=3,
     )
     assert sum(len(xis) for xis, _, _ in drawn) == 100_000
 

@@ -122,7 +122,9 @@ class TcpTransport(Transport):
         host, port: the ``repro serve`` endpoint address.
         connect_timeout: seconds allowed for establishing the
             connection (lazily, on first exchange).
-        timeout: per-exchange send/receive deadline in seconds.
+        timeout: seconds one exchange — sending the request and
+            receiving the whole reply — may take, however the peer
+            paces its bytes (each re-send gets a deadline of its own).
         retries: how many times a *retryable* frame (flagged by the
             caller — queries, fetches, hello) may be re-sent after a
             mid-exchange connection loss.  0 (default) disables
@@ -166,7 +168,6 @@ class TcpTransport(Transport):
                 raise TransportError(
                     "cannot connect to %s:%d: %s" % (*self._address, exc)
                 ) from exc
-            sock.settimeout(self._timeout)
             self._sock = sock
         return self._sock
 
@@ -197,14 +198,18 @@ class TcpTransport(Transport):
         """One send/receive attempt; any failure drops the connection
         (the next attempt reconnects lazily)."""
         sock = self._connection()
+        deadline = time.monotonic() + self._timeout
         try:
+            _arm(sock, deadline)
             sock.sendall(LENGTH_PREFIX.pack(len(frame)) + frame)
-            (length,) = LENGTH_PREFIX.unpack(self._recv_exact(sock, 4))
+            (length,) = LENGTH_PREFIX.unpack(
+                self._recv_exact(sock, 4, deadline)
+            )
             if length > MAX_FRAME_BYTES:
                 raise TransportError(
                     "oversized response frame (%d bytes)" % length
                 )
-            return self._recv_exact(sock, length)
+            return self._recv_exact(sock, length, deadline)
         except TransportError:
             self._drop_connection()
             raise
@@ -217,10 +222,13 @@ class TcpTransport(Transport):
             ) from exc
 
     @staticmethod
-    def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    def _recv_exact(
+        sock: socket.socket, count: int, deadline: float
+    ) -> bytes:
         chunks = []
         remaining = count
         while remaining:
+            _arm(sock, deadline)
             chunk = sock.recv(remaining)
             if not chunk:
                 raise TransportError(
@@ -242,3 +250,16 @@ class TcpTransport(Transport):
 
     def close(self) -> None:
         self._drop_connection()
+
+
+def _arm(sock: socket.socket, deadline: float) -> None:
+    """Give ``sock``'s next send or receive what is left before
+    ``deadline`` (a ``time.monotonic`` instant).
+
+    Raises:
+        socket.timeout: nothing is left.
+    """
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise socket.timeout("exchange deadline passed")
+    sock.settimeout(left)

@@ -2,10 +2,13 @@
 
 Steering runs in Python ints (``Encryptor._solve_steered`` over
 ``linalg.solve.integer_nullspace``).  The ``Fraction`` implementation
-it replaced is kept here, verbatim, as :class:`FractionEncryptor` with
-its ``solve_affine``: the differential reference the integer path must
-match bit for bit — ciphertext or typed error, next random draw, and
-``steering_fallbacks``.
+it replaced is kept here as :class:`FractionEncryptor` with its
+``solve_affine``: the differential reference the integer path must
+match bit for bit — ciphertext or typed error, the stream's next word,
+and ``steering_fallbacks``.  Its code is the parent's but for its draws,
+which read the encryptor's keyed stream as the integer path does: a bit
+is a word's low bit, ``randint(-8, 8)`` is ``_below(17) - 8`` and
+``randrange(n)`` is ``_below(n)``.
 """
 
 from collections import Counter
@@ -253,7 +256,7 @@ class FractionEncryptor(Encryptor):
             )
         for _ in range(max_attempts):
             real = self.encrypt_value(value)
-            theta_as_suffix = bool(self._rng.getrandbits(1))
+            theta_as_suffix = bool(next(self._words) & 1)
             ambiguous = self._attach_theta(real, theta_as_suffix)
             prefix, suffix = ambiguous.interpretations()
             real_row = prefix if theta_as_suffix else suffix
@@ -283,7 +286,7 @@ class FractionEncryptor(Encryptor):
         if fake_value is not None:
             fake_domain = (fake_value, fake_value + 1)
         for _ in range(max_attempts):
-            first_variant = bool(self._rng.getrandbits(1))
+            first_variant = bool(next(self._words) & 1)
             for theta_as_suffix in (first_variant, not first_variant):
                 ambiguous = self._solve_steered(
                     value, fake_domain, theta_as_suffix
@@ -387,8 +390,8 @@ class FractionEncryptor(Encryptor):
         if len(basis) == 2:
             return list(basis[0]), list(basis[1])
         while True:
-            coeffs1 = [self._rng.randint(-8, 8) for _ in basis]
-            coeffs2 = [self._rng.randint(-8, 8) for _ in basis]
+            coeffs1 = [self._below(17) - 8 for _ in basis]
+            coeffs2 = [self._below(17) - 8 for _ in basis]
             # Independence of the coefficient vectors implies
             # independence of the combinations (basis is independent).
             cross_ok = any(
@@ -439,7 +442,7 @@ class FractionEncryptor(Encryptor):
         # fractional-linear map c = P0 / mu_fk at the target.
         span = fake_domain[1] - fake_domain[0]
         for _ in range(uniform_tries):
-            target = fake_domain[0] + self._rng.randrange(max(1, span))
+            target = fake_domain[0] + self._below(max(1, span))
             denominator = a1 - target * c1
             if denominator == 0:
                 continue
@@ -469,7 +472,7 @@ class FractionEncryptor(Encryptor):
         feasible_points = [t for t in candidates if feasible(t)]
         if not feasible_points:
             return None
-        return feasible_points[self._rng.randrange(len(feasible_points))]
+        return feasible_points[self._below(len(feasible_points))]
 
     def _attach_theta(
         self, real: ValueCiphertext, theta_as_suffix: bool
@@ -579,7 +582,7 @@ def test_integer_path_matches_fraction_reference(monkeypatch):
             )
             armed.clear()
             assert solved == expected
-            assert integer._rng.random() == reference._rng.random()
+            assert next(integer._words) == next(reference._words)
             if fractions_built["Fraction"] > before:
                 reached["root_candidates"] += 1
 
@@ -596,7 +599,7 @@ def test_integer_path_matches_fraction_reference(monkeypatch):
                 result = AmbiguityError
                 reached["strict_errors"] += 1
             outcomes.append((
-                result, encryptor.steering_fallbacks, encryptor._rng.random()
+                result, encryptor.steering_fallbacks, next(encryptor._words)
             ))
         assert outcomes[0] == outcomes[1]
         reached["unsteered_fallback"] += outcomes[1][1]
@@ -701,13 +704,15 @@ class TestBlockEncryption:
 
 class TestEmptyDomain:
     @pytest.mark.parametrize("fake_domain", [(10, 10), (10, 5)])
-    def test_refused_before_any_draw(self, steer_encryptor, fake_domain):
-        state = steer_encryptor._rng.getstate()
+    def test_refused_before_any_draw(
+        self, steer_encryptor, steerable_key, fake_domain
+    ):
+        twin = Encryptor(steerable_key, seed=2)
         with pytest.raises(AmbiguityError):
             steer_encryptor.encrypt_value_ambiguous(3, fake_domain=fake_domain)
         with pytest.raises(AmbiguityError):
             steer_encryptor.encrypt_values_ambiguous([3], fake_domain)
-        assert steer_encryptor._rng.getstate() == state
+        assert next(steer_encryptor._words) == next(twin._words)
 
     def test_one_value_domain_is_that_value(self, steer_encryptor):
         ambiguous = steer_encryptor.encrypt_value_ambiguous(

@@ -653,9 +653,11 @@ def send_frame(sock, frame):
 
 
 def read_frame(sock):
-    return TcpTransport._recv_exact(
-        sock, LENGTH_PREFIX.unpack(TcpTransport._recv_exact(sock, 4))[0]
+    deadline = time.monotonic() + 10
+    (length,) = LENGTH_PREFIX.unpack(
+        TcpTransport._recv_exact(sock, 4, deadline)
     )
+    return TcpTransport._recv_exact(sock, length, deadline)
 
 
 def waits(server):

@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -164,6 +165,38 @@ class TestFaults:
         with pytest.raises(TransportError):
             db.query(100, 200)
         transport.close()
+
+    def test_the_timeout_bounds_the_whole_exchange(self):
+        # A peer that sends its 12-byte reply one byte every 0.3 s: each
+        # recv returns well inside the timeout, the exchange does not.
+        listener = socket.create_server(("127.0.0.1", 0))
+        stop = threading.Event()
+
+        def trickle():
+            connection, _ = listener.accept()
+            with connection:
+                connection.recv(1024)
+                for byte in b"\x00\x00\x00\x08" + bytes(8):
+                    if stop.wait(0.3):
+                        return
+                    try:
+                        connection.sendall(bytes((byte,)))
+                    except OSError:
+                        return
+
+        peer = threading.Thread(target=trickle, daemon=True)
+        peer.start()
+        transport = TcpTransport(*listener.getsockname(), timeout=1.0)
+        started = time.monotonic()
+        try:
+            with pytest.raises(TransportError):
+                transport.exchange(b"ping")
+            assert time.monotonic() - started < 1.5
+        finally:
+            stop.set()
+            transport.close()
+            peer.join(timeout=5)
+            listener.close()
 
     def test_error_envelope_crosses_the_wire(self, endpoint):
         host, port = endpoint.server_address

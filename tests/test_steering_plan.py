@@ -4,11 +4,13 @@
 key fixes: the first column triple whose 3 x 3 minor ``D(v) = d0 +
 v * d1`` is not identically zero, and the basis as Cramer cofactors
 linear in ``v``.  Only where ``D(v) == 0`` does it eliminate.  What must
-not move is the bits: every sha256 below was computed at the parent
-commit (0cd5530, which ran ``integer_nullspace`` for every value and
-verified both windows through an object matrix) by running this file's
-own ``*_digest`` functions against that checkout — they use nothing the
-parent lacks.  Each covers the generator's next draw and
+not move is the bits: every sha256 below was first computed at the
+parent of the plan (0cd5530, which ran ``integer_nullspace`` for every
+value and verified both windows through an object matrix) by running
+this file's own ``*_digest`` functions against that checkout, and
+re-pinned once, with the same functions, when the owner's draws moved
+from the caller's Mersenne Twister to a keyed SHAKE-256 stream
+(CHANGES.md gives both values).  Each covers the stream's next word and
 ``steering_fallbacks``.
 
 The keys are chosen so that the pins reach what a plan can get wrong:
@@ -52,23 +54,17 @@ PLAN_KEYS = {
 UNREACHABLE = dict(length=4, key_seed=19)
 
 #: Per length, 3 keys x 2 000 values (each plan's integral ``v*``
-#: first), the next draw and ``steering_fallbacks`` after each block.
+#: first), the next word and ``steering_fallbacks`` after each block.
 STEERED_SHA256 = {
-    4: "43fa6b371338fb5143fa88cb24ef0b38bc0d4a60da0a6033e3b8b8d0fe618b43",
-    5: "20e906b196a73b77792b5f9694d98502bbc657caa6ec3e78319fdf2fa4b6b2b3",
-    6: "214f26ebf0317002248ece3fca793c57722b83d4d7d451bb1a98743309e2af02",
-    8: "67fd8b4aad7fbf8418e12b2d249589eeeade6c51c3cd0f2ada512ca6310c1514",
+    4: "64906fb0f3a6e905d3f94d9cf4fee20896e92b61c0f4aed16c9a0f5f94bea386",
+    5: "b27f0976a4abe6278673bafe4712c7412804bffe037f8ae2181ddae023361d61",
+    6: "48fb769d907f49f6e6ee4fe3ded1d8529e647391509de40bb18530b043d1866e",
+    8: "8aecb5bf89bd29ef378a788f0520bdc94aa21b4792be9bae7d3e58452d09ce5a",
 }
 #: The unsteered fallback, unsteered blocks and the strict
-#: ``fake_value`` error, each followed by the next draw.
+#: ``fake_value`` error, each followed by the next word.
 FALLBACK_SHA256 = (
-    "49fbff1a594d40d500009f2f74d6c5c028d735b75a5ac1b4a6795a237762b5f9"
-)
-#: Steering with a ``random.Random`` subclass, whose methods are called
-#: as written (its ``_randbelow`` reads ``random()``, not
-#: ``getrandbits``).
-SUBCLASS_SHA256 = (
-    "27a25d44c79a4788c09d19468f5ed33ba350913eb84605e70d302c7807797706"
+    "8185055c7c3d3151980cca01a5a007a6b299048261ebe0660f5bcf7fa8971338"
 )
 
 
@@ -117,10 +113,10 @@ def vanishing_values(key):
 
 
 def block_digest(digest, block, encryptor):
-    """A block's integers, the generator's next draw and the fallbacks."""
+    """A block's integers, the stream's next word and the fallbacks."""
     digest.update(repr(to_objects(block.limbs).tolist()).encode())
     digest.update(repr(
-        (encryptor._rng.random(), encryptor.steering_fallbacks)
+        (next(encryptor._words), encryptor.steering_fallbacks)
     ).encode())
 
 
@@ -157,44 +153,18 @@ def fallback_digest():
         except AmbiguityError:
             outcome = "refused"
         digest.update(repr(
-            (outcome, encryptor._rng.random(), encryptor.steering_fallbacks)
+            (outcome, next(encryptor._words), encryptor.steering_fallbacks)
         ).encode())
     return digest.hexdigest()
 
 
-class ReadsRandom(random.Random):
-    """A subclass overriding ``random``: CPython then draws its integers
-    from ``random()`` instead of ``getrandbits``."""
-
-    def random(self):
-        return super().random()
-
-
-def subclass_digest():
-    digest = hashlib.sha256()
-    for length in (4, 6):
-        key_seed = PLAN_KEYS[length][0]
-        key = generate_key(length, seed=key_seed)
-        encryptor = Encryptor(key, rng=ReadsRandom(key_seed))
-        values = vanishing_values(key) + random.Random(key_seed).sample(
-            range(*DOMAIN), 200
-        )
-        block_digest(
-            digest, encryptor.encrypt_values_ambiguous(values, DOMAIN), encryptor
-        )
-    return digest.hexdigest()
-
-
-class TestParentPins:
+class TestPins:
     @pytest.mark.parametrize("length", sorted(PLAN_KEYS))
     def test_steered_blocks(self, length):
         assert steered_digest(length) == STEERED_SHA256[length]
 
     def test_unsteered_fallback_and_strict_error(self):
         assert fallback_digest() == FALLBACK_SHA256
-
-    def test_a_subclassed_generator_is_called_as_written(self):
-        assert subclass_digest() == SUBCLASS_SHA256
 
 
 # -- the guard: an elimination only where the plan's minor vanishes ------------------------
@@ -356,13 +326,13 @@ class TestCounterfeitsAreIntegers:
     ])
     def test_refused_before_any_draw(self, steering):
         encryptor = Encryptor(generate_key(4, seed=13), seed=1)
-        state = encryptor._rng.getstate()
+        twin = Encryptor(generate_key(4, seed=13), seed=1)
         with pytest.raises(AmbiguityError):
             encryptor.encrypt_value_ambiguous(5, **steering)
         if "fake_domain" in steering:
             with pytest.raises(AmbiguityError):
                 encryptor.encrypt_values_ambiguous([5], steering["fake_domain"])
-        assert encryptor._rng.getstate() == state
+        assert next(encryptor._words) == next(twin._words)
 
     def test_the_client_refuses_them(self):
         for fake_domain in ((0.5, 9), ("0", "9"), (9, 9)):
@@ -418,4 +388,3 @@ if __name__ == "__main__":
     for length in sorted(PLAN_KEYS):
         print(length, steered_digest(length))
     print("fallback", fallback_digest())
-    print("subclass", subclass_digest())

@@ -627,22 +627,24 @@ class TestSnapshotBytesPinned:
     ``queries_served`` / ``rows_shipped`` / ``bytes_shipped`` /
     ``record_stats`` keys deleted, its four engine-configuration keys
     gathered under ``config`` (``engine_kind`` as ``engine``) and
-    ``version`` 3 read 4 — nothing else may have moved."""
+    ``version`` 3 read 4 — nothing else may have moved.  Re-pinned
+    once since, when the owner's draws moved to a keyed SHAKE-256
+    stream: the snapshot holds ciphertexts, and every one moved."""
 
     def test_cracks_pending_rows_and_tombstones(self):
         client, server = pinned_server()
         assert SNAPSHOT_VERSION == 4
         assert snapshot_digest(server) == (
-            "d40f7552023996c8cf1cf7d8c2fd577f619363917353af1076eeb3fbd36a3f2b"
+            "e224a05f1ca5499c0c28ec8d5b7b77bfdcd072d3b38a91feac746ae9a98cb14c"
         )
         server.merge_pending()  # empty pending block, merged physical order
         assert snapshot_digest(server) == (
-            "40760157f7561fa91c8bb5a0e0f371d853158b9978b8021f9b179493cdcf6de7"
+            "ac0a383cbce0b8c6df9e5ebc78cb66f50109afadd34130d36bab571aa8ca9127"
         )
         server.insert(client.encrypt_value(7))
         server.execute(client.make_query(0, 50))
         assert snapshot_digest(server) == (
-            "afb22b1398b2727c4fb3311780e5ed38b61213dd62d449e2eb477364abf2e802"
+            "7c81831d7bac39b93e916a606cf036588c9b91d29b52f32e8c5150eceefbde71"
         )
 
 
