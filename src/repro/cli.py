@@ -38,10 +38,11 @@ text and returns a process exit code, so it is scriptable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -290,17 +291,22 @@ def _make_transport(args):
     return TcpTransport(*_parse_address(address, "--connect"))
 
 
-def _build_db(args, obs=None) -> OutsourcedDatabase:
+@contextlib.contextmanager
+def _session(args, obs=None) -> Iterator[OutsourcedDatabase]:
+    """The session a ``query`` / ``stats`` / ``trace`` run works in; a
+    ``--connect`` transport is closed when the run ends, however."""
     values = _read_column(args.file)
     transport = _make_transport(args)
-    db = OutsourcedDatabase(
-        values, ambiguity=args.ambiguity, engine=args.engine, seed=args.seed,
-        obs=obs, transport=transport,
-        column=getattr(args, "column", "values"),
-    )
-    where = " to %s" % args.connect if getattr(args, "connect", None) else ""
-    print("outsourced %d values from %s%s" % (len(values), args.file, where))
-    return db
+    with transport or contextlib.nullcontext():
+        db = OutsourcedDatabase(
+            values, ambiguity=args.ambiguity, engine=args.engine,
+            seed=args.seed, obs=obs, transport=transport,
+            column=getattr(args, "column", "values"),
+        )
+        where = " to %s" % args.connect if transport is not None else ""
+        print("outsourced %d values from %s%s"
+              % (len(values), args.file, where))
+        yield db
 
 
 def _execute_workload(db: OutsourcedDatabase, args, verbose: bool = True) -> int:
@@ -346,15 +352,15 @@ def _execute_workload(db: OutsourcedDatabase, args, verbose: bool = True) -> int
 
 
 def _run_query(args) -> int:
-    db = _build_db(args)
-    _execute_workload(db, args)
-    if args.stats:
-        metrics = db.obs.metrics
-        print("protocol: %d round trips, %d bytes sent, %d bytes received"
-              % (db.round_trips, db.bytes_sent, db.bytes_received))
-        print("kernel:   %d fast products, %d exact products"
-              % (metrics.counter_value("kernel.fast_products"),
-                 metrics.counter_value("kernel.exact_products")))
+    with _session(args) as db:
+        _execute_workload(db, args)
+        if args.stats:
+            metrics = db.obs.metrics
+            print("protocol: %d round trips, %d bytes sent, %d bytes received"
+                  % (db.round_trips, db.bytes_sent, db.bytes_received))
+            print("kernel:   %d fast products, %d exact products"
+                  % (metrics.counter_value("kernel.fast_products"),
+                     metrics.counter_value("kernel.exact_products")))
     return 0
 
 
@@ -371,12 +377,12 @@ def _run_stats(args) -> int:
         else:
             print(_render_telemetry(sections))
         return 0
-    db = _build_db(args)
-    _execute_workload(db, args, verbose=False)
-    if args.json:
-        print(json.dumps(db.obs.snapshot(), indent=2, sort_keys=True))
-    else:
-        print(db.obs.metrics.render())
+    with _session(args) as db:
+        _execute_workload(db, args, verbose=False)
+        if args.json:
+            print(json.dumps(db.obs.snapshot(), indent=2, sort_keys=True))
+        else:
+            print(db.obs.metrics.render())
     return 0
 
 
@@ -457,8 +463,8 @@ def _run_trace(args) -> int:
     from repro.obs import Observability
 
     obs = Observability(tracing=True)
-    db = _build_db(args, obs=obs)
-    _execute_workload(db, args, verbose=False)
+    with _session(args, obs=obs) as db:
+        _execute_workload(db, args, verbose=False)
     obs.tracer.dump_jsonl(args.output)
     print("wrote %d spans to %s" % (len(obs.tracer.spans), args.output))
     for name, entry in sorted(obs.tracer.summary().items()):

@@ -403,3 +403,33 @@ class TestCliConnect:
         tcp_lines = [line for line in capsys.readouterr().out.splitlines()
                      if line.startswith("range ")]
         assert loop_lines == tcp_lines
+
+    def test_a_connected_run_closes_its_socket(self, endpoint, tmp_path):
+        """``query`` / ``stats`` / ``trace --connect`` close their
+        transport when the run ends: the collector finds no open socket
+        to warn about."""
+        import gc
+        import warnings
+
+        from repro.cli import main
+
+        host, port = endpoint.server_address
+        column_file = tmp_path / "col.txt"
+        column_file.write_text("\n".join(str(v) for v in VALUES[:120]))
+        runs = (
+            ["query", str(column_file), "--range", "10", "90"],
+            ["stats", str(column_file), "--point", "40"],
+            ["trace", str(column_file), "--range", "10", "90",
+             "--output", str(tmp_path / "trace.jsonl")],
+        )
+        for argv in runs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv + [
+                    "--connect", "%s:%d" % (host, port),
+                    "--column", "close-%s" % argv[0],
+                ]) == 0
+                gc.collect()
+            leaks = [str(warning.message) for warning in caught
+                     if issubclass(warning.category, ResourceWarning)]
+            assert leaks == [], argv[0]
