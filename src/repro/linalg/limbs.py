@@ -185,28 +185,35 @@ def top_bits(limbs: np.ndarray) -> int:
 
 
 def to_wire(limbs: np.ndarray, width: int) -> bytes:
-    """``limbs`` (``n x k``) as ``n`` signed big-endian integers of
-    ``width`` bytes back to back — ``int.to_bytes(width, "big",
-    signed=True)`` of each.  ``width`` must hold every one of them."""
+    """``limbs`` (``... x k``) as their integers' signed big-endian
+    bytes, ``width`` each, back to back in row-major order —
+    ``int.to_bytes(width, "big", signed=True)`` of each.  ``width`` must
+    hold every one of them."""
     if width > 8 * limbs.shape[-1]:
         limbs = widen(limbs, (width + 7) // 8)
     # Each integer's little-endian bytes, its low ``width`` of them read
     # backwards: one strided pass straight into the bytes.
     octets = limbs.astype("<u8", copy=False).view(np.uint8)
-    return octets[:, width - 1::-1].tobytes()
+    return octets[..., width - 1::-1].tobytes()
 
 
-def from_wire(payload: bytes, width: int) -> np.ndarray:
-    """The inverse of :func:`to_wire`: ``len(payload) // width`` limbs
-    rows of ``ceil(width / 8)`` limbs, sign-extended — written in one
-    pass, each integer's bytes backwards into its limbs' bytes."""
-    octets = np.frombuffer(payload, dtype=np.uint8).reshape(-1, width)
-    limbs = np.empty((len(octets), (width + 7) // 8), dtype="<u8")
-    little = limbs.view(np.uint8)
-    little[:, :width] = octets[:, ::-1]
+def from_wire(
+    payload: bytes, width: int, out: np.ndarray = None
+) -> np.ndarray:
+    """The inverse of :func:`to_wire`: ``len(payload) // width`` rows of
+    ``ceil(width / 8)`` limbs (or ``out``'s, little-endian, ``8 k >=
+    width``), sign-extended — each integer's bytes written backwards
+    into its limbs' bytes in one pass."""
+    if out is None:
+        out = np.empty((len(payload) // width, (width + 7) // 8), dtype="<u8")
+    octets = np.frombuffer(payload, dtype=np.uint8).reshape(
+        out.shape[:-1] + (width,)
+    )
+    little = out.view(np.uint8)
+    little[..., :width] = octets[..., ::-1]
     # 0x00 or 0xFF by each integer's sign bit.
-    little[:, width:] = (octets[:, :1].view(np.int8) >> 7).view(np.uint8)
-    return limbs.astype(np.uint64, copy=False)
+    little[..., width:] = (octets[..., :1].view(np.int8) >> 7).view(np.uint8)
+    return out.astype(np.uint64, copy=False)
 
 
 class PackedInts(list):

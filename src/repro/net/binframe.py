@@ -3,8 +3,10 @@
 Two things live here.  The *primitives* are what
 :mod:`repro.net.protocol` writes an envelope frame from, field by field
 in declared order (varints, zigzag ints, UTF-8 strings, ``int64`` runs,
-fixed-width runs of big integers, and a :class:`Reader` that reads each
-back with every bound checked).  The *generic grammar* below is a tagged
+fixed-width runs of big integers), and what reads them back with every
+bound checked: a :class:`Reader` cursor, and readers that index the
+frame's bytes and return ``(value, position past it)``, for the query
+round trip's body codecs.  The *generic grammar* below is a tagged
 encoding of plain dicts, lists and scalars: every free-form envelope
 field (a config, telemetry sections) inside a frame is one.
 
@@ -46,7 +48,7 @@ dict key — raises a typed
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -145,34 +147,47 @@ def write_text(out: bytearray, text: str) -> None:
     out += payload
 
 
-def write_words(out: bytearray, words: np.ndarray) -> None:
+def varints(*values: int) -> bytes:
+    """Unsigned varints back to back: ``bytes(values)`` when every one
+    is below 0x80, as nearly every length and count is."""
+    for value in values:
+        if value >= 0x80:
+            break
+    else:
+        return bytes(values)
+    out = bytearray()
+    for value in values:
+        write_varint(out, value)
+    return bytes(out)
+
+
+def word_array(words: np.ndarray) -> bytes:
     """``int64`` words as an int-array payload (what follows tag 0x0A):
     the narrowest width code their range fits, the count, then each
     word big-endian in that width."""
-    lo, hi = (int(words.min()), int(words.max())) if len(words) else (0, 0)
+    lo = hi = 0
+    if len(words):
+        lo = int(np.minimum.reduce(words))
+        hi = int(np.maximum.reduce(words))
     for code, (_, _, bound, dtype) in enumerate(_INTARRAY_WIDTHS):
         if -bound <= lo and hi < bound:
-            out.append(code)
-            write_varint(out, len(words))
-            out += words.astype(dtype).tobytes()
-            return
+            return varints(code, len(words)) + words.astype(dtype).tobytes()
 
 
-def write_run(out: bytearray, limbs: np.ndarray, bits: int = None) -> None:
-    """The ``n`` integers of ``n x k`` limbs as a *run*: a varint width
-    (two's-complement bytes of the widest; ``bits`` is its bit-length
-    where the caller knows it), then each integer big-endian in that
-    many bytes — :func:`~repro.linalg.limbs.to_wire`, whatever ``n``
-    (an empty run is width 1 alone)."""
-    if bits is None or not len(limbs):
+def limb_run(limbs: np.ndarray, bits: int = None) -> bytes:
+    """The integers of ``... x k`` limbs, in order, as a *run*: a varint
+    width (two's-complement bytes of the widest; ``bits`` is its
+    bit-length where the caller knows it), then each integer big-endian
+    in that many bytes — :func:`~repro.linalg.limbs.to_wire`, whatever
+    their count (an empty run is width 1 alone)."""
+    if bits is None or not limbs.size:
         bits = bit_length(limbs)
     width = bits // 8 + 1
-    write_varint(out, width)
-    out += to_wire(limbs, width)
+    return varints(width) + to_wire(limbs, width)
 
 
-def write_bigints(out: bytearray, values) -> None:
-    """:func:`write_run` for a sequence of Python ints: the same bytes,
+def bigint_run(values) -> bytes:
+    """:func:`limb_run` for a sequence of Python ints: the same bytes,
     joined into one big integer by shifts, not a call per value."""
     width = max(map(int.bit_length, values), default=0) // 8 + 1
     bits = 8 * width
@@ -180,8 +195,7 @@ def write_bigints(out: bytearray, values) -> None:
     total = 0
     for value in values:
         total = (total << bits) | (value & mask)
-    write_varint(out, width)
-    out += total.to_bytes(width * len(values), "big")
+    return varints(width) + total.to_bytes(width * len(values), "big")
 
 
 def write_value(out: bytearray, value: Any) -> None:
@@ -242,7 +256,7 @@ def _write_packed(out: bytearray, value: PackedInts) -> bool:
         bits = bit_length(limbs) if limbs.shape[1] > 1 else 0
     if bits < 64 or (bits == 64 and fits_word(limbs)):
         out.append(_TAG_INTARRAY)
-        write_words(out, limbs[:, 0].view(np.int64))
+        out += word_array(limbs[:, 0].view(np.int64))
         return True
     width = bits // 8 + 1
     if width > _INTARRAY_MAX_WIDTH:
@@ -367,6 +381,75 @@ def _write_value(out: bytearray, value: Any, interned: Dict[str, int],
 # -- decoding -------------------------------------------------------------------
 
 
+def read_varint(buf: bytes, pos: int) -> Tuple[int, int]:
+    """The unsigned varint at ``buf[pos]`` and the position past it."""
+    try:
+        byte = buf[pos]
+        if byte < 0x80:  # nearly every one
+            return byte, pos + 1
+        result = shift = 0
+        for pos in range(pos, pos + _MAX_VARINT_BYTES):
+            byte = buf[pos]
+            result |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return result, pos + 1
+            shift += 7
+    except IndexError:
+        raise SerializationError("truncated binary frame") from None
+    raise SerializationError("varint longer than %d bytes" % _MAX_VARINT_BYTES)
+
+
+def run_width(buf: bytes, pos: int, count: int) -> Tuple[int, int]:
+    """The width of the run of ``count`` integers at ``buf[pos]`` and
+    where its payload starts, checked against the bytes ``count`` of it
+    need before anything is allocated.  No bytes bound the width of an
+    empty run, so it must be the 1 every writer gives one."""
+    width, pos = read_varint(buf, pos)
+    if width < 1:
+        raise SerializationError("run width must be >= 1")
+    if not count and width != 1:
+        raise SerializationError("an empty run has width 1, not %d" % width)
+    if count * width > len(buf) - pos:
+        raise SerializationError(
+            "run of %d integers exceeds remaining frame bytes" % count
+        )
+    return width, pos
+
+
+def bigints_at(buf: bytes, pos: int, count: int) -> Tuple[List[int], int]:
+    """The ``count`` integers of the run :func:`bigint_run` wrote at
+    ``buf[pos]`` — split off one big integer by shifts, not a call per
+    value — and the position past it."""
+    width, pos = run_width(buf, pos, count)
+    end = pos + count * width
+    total = int.from_bytes(buf[pos:end], "big")
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    sign = 1 << (bits - 1)
+    values = [0] * count
+    for index in range(count - 1, -1, -1):
+        value = total & mask
+        total >>= bits
+        values[index] = value - ((value & sign) << 1)
+    return values, end
+
+
+def words_at(buf: bytes, pos: int) -> Tuple[np.ndarray, int]:
+    """The ``int64`` words of the int-array payload :func:`word_array`
+    wrote at ``buf[pos]`` (no wide mode), and the position past it."""
+    code = buf[pos]
+    if code >= _INTARRAY_WIDE:
+        raise SerializationError("invalid int-array width code: %d" % code)
+    count, pos = read_varint(buf, pos + 1)
+    dtype = _INTARRAY_WIDTHS[code][3]
+    end = pos + count * dtype.itemsize
+    if end > len(buf):
+        raise SerializationError(
+            "int-array count %d exceeds remaining frame bytes" % count
+        )
+    return np.frombuffer(buf, dtype, count, pos).astype(np.int64), end
+
+
 class Reader:
     """Bounds-checked cursor over frame bytes: one method per primitive
     the writers above emit."""
@@ -418,15 +501,8 @@ class Reader:
         if pos < self.end and buf[pos] < 0x80:
             self.pos = pos + 1
             return buf[pos]
-        result = 0
-        shift = 0
-        for count in range(_MAX_VARINT_BYTES):
-            byte = self.byte()
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-        raise SerializationError("varint longer than %d bytes" % _MAX_VARINT_BYTES)
+        value, self.pos = read_varint(buf, pos)
+        return value
 
     def zigzag(self) -> int:
         """What :func:`write_zigzag` wrote."""
@@ -435,24 +511,22 @@ class Reader:
             raise SerializationError("zigzag integer past 64 bits")
         return (raw >> 1) ^ -(raw & 1)
 
-    def flag(self) -> bool:
-        """One byte that is 0 or 1, as a boolean."""
-        value = self.byte()
-        if value > 1:
-            raise SerializationError("expected a boolean byte, got %d" % value)
-        return value == 1
-
     def text(self) -> str:
         """What :func:`write_text` wrote."""
-        return _decode_utf8(self.take(self.varint()))
+        return decode_text(self.take(self.varint()))
 
     def intarray(self, words_only: bool = False):
         """An int-array payload (what follows tag 0x0A): a list of ints,
         or from :data:`PACKED_MIN_LEN` integers a
         :class:`~repro.linalg.limbs.PackedInts` over their limbs.
         ``words_only`` refuses the wide mode, i.e. values past int64."""
+        if words_only:
+            words, self.pos = words_at(self.buf, self.pos)
+            if len(words) < PACKED_MIN_LEN:
+                return words.tolist()
+            return PackedInts(words.view(np.uint64).reshape(-1, 1))
         code = self.byte()
-        if code > _INTARRAY_WIDE - words_only:
+        if code > _INTARRAY_WIDE:
             raise SerializationError(
                 "invalid int-array width code: %d" % code
             )
@@ -481,42 +555,6 @@ class Reader:
             int.from_bytes(payload[start:start + width], "big", signed=True)
             for start in range(0, len(payload), width)
         ]
-
-    def run(self, count: int) -> np.ndarray:
-        """``count`` integers :func:`write_run` wrote, as ``count x
-        ceil(width / 8)`` limbs."""
-        width = self._width(count)
-        return from_wire(self.view(count * width), width)
-
-    def bigints(self, count: int) -> List[int]:
-        """``count`` integers :func:`write_bigints` wrote — split off
-        one big integer by shifts, not a call per value."""
-        width = self._width(count)
-        total = int.from_bytes(self.take(count * width), "big")
-        bits = 8 * width
-        mask = (1 << bits) - 1
-        sign = 1 << (bits - 1)
-        values = [0] * count
-        for index in range(count - 1, -1, -1):
-            value = total & mask
-            total >>= bits
-            values[index] = value - ((value & sign) << 1)
-        return values
-
-    def _width(self, count: int) -> int:
-        """A run's width, checked against the bytes ``count`` of it
-        need before anything is allocated.  No bytes bound the width of
-        an empty run, so it must be the 1 every writer gives one."""
-        width = self.varint()
-        if width < 1:
-            raise SerializationError("run width must be >= 1")
-        if not count and width != 1:
-            raise SerializationError("an empty run has width 1, not %d" % width)
-        if count * width > self.end - self.pos:
-            raise SerializationError(
-                "run of %d integers exceeds remaining frame bytes" % count
-            )
-        return width
 
     def value(self) -> Any:
         """One generic tagged value, with an intern table of its own."""
@@ -569,7 +607,7 @@ def _read_value(reader: Reader, depth: int) -> Any:
                 if tag == _TAG_STR:
                     if size > len(buf) - pos:
                         raise SerializationError("truncated binary frame")
-                    key = _decode_utf8(buf[pos:pos + size])
+                    key = decode_text(buf[pos:pos + size])
                     strings.append(key)
                     pos += size
                 elif tag == _TAG_STRREF:
@@ -629,7 +667,8 @@ def _read_value(reader: Reader, depth: int) -> Any:
     raise SerializationError("unknown binary frame tag: 0x%02x" % tag)
 
 
-def _decode_utf8(payload: bytes) -> str:
+def decode_text(payload: bytes) -> str:
+    """UTF-8 ``payload`` as a string, or a typed error."""
     try:
         return payload.decode("utf-8")
     except UnicodeDecodeError as exc:

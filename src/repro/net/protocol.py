@@ -20,14 +20,16 @@ A *frame* is one envelope as bytes, written by :func:`encode` and read
 by :func:`decode` straight from and into the envelope's attributes:
 ``MAGIC``, the protocol version, the kind code, a presence bitmap when
 the kind has optional fields, then each field in declared order —
-positional, no keys (layout in ``docs/protocol.md``).  It is
-deterministic, so the loopback and TCP transports produce byte-identical
-traffic for the same workload, and measured frame lengths are real
-transfer accounting.  A request frame may carry the caller's trace
-context.  A WAL record holds a mutation's request frame.  The dict
-forms (``request_to_dict`` and its three siblings) have no caller in
-the package: ``benchmarks/e2e/staged.py`` times them as the staged
-codec path.
+positional, no keys (layout in ``docs/protocol.md``).  The two kinds
+every query crosses, ``query_request`` and ``query_response``, are
+written and read by a body codec of their own, in one pass, to and
+from the same bytes.  A frame is deterministic, so the loopback and
+TCP transports produce byte-identical traffic for the same workload,
+and measured frame lengths are real transfer accounting.  A request
+frame may carry the caller's trace context.  A WAL record holds a
+mutation's request frame.  The dict forms (``request_to_dict`` and its
+three siblings) have no caller in the package:
+``benchmarks/e2e/staged.py`` times them as the staged codec path.
 
 Pipelining: a ``batch_request`` envelope carries N independent
 sub-request envelopes in one frame; the catalog answers with a
@@ -47,11 +49,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.query import EncryptedQuery
+from repro.core.query import EncryptedBound, EncryptedQuery
 from repro.core.server import ENGINES, ServerResponse
-from repro.crypto.ciphertext import ValueCiphertext
+from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.crypto.serialization import (
-    QUERY_VERSION,
     ints_from_wire,
     query_from_dict,
     query_to_dict,
@@ -71,16 +72,22 @@ from repro.errors import (
     TransportError,
     UpdateError,
 )
-from repro.linalg.limbs import PackedInts
+from repro.linalg.limbs import PackedInts, from_wire
 from repro.net.binframe import (
     MAGIC,
     Reader,
-    write_bigints,
-    write_run,
+    bigint_run,
+    bigints_at,
+    decode_text,
+    limb_run,
+    read_varint,
+    run_width,
+    varints,
+    word_array,
+    words_at,
     write_text,
     write_value,
     write_varint,
-    write_words,
     write_zigzag,
 )
 
@@ -92,6 +99,12 @@ from repro.net.binframe import (
 #: only.  A frame of an older version is refused with a typed error,
 #: never reinterpreted.
 PROTOCOL_VERSION = 4
+
+#: What every frame starts with.
+_FRAME_HEAD = bytes((MAGIC, PROTOCOL_VERSION))
+
+#: The bytes of a limb holding 1, as a row block stores it.
+_ONE_LIMB = np.ones(1, dtype=np.uint64).tobytes()
 
 #: Version tag of an envelope's dict form: version 3's envelope dicts,
 #: which version 4 of the frames left as they were.
@@ -171,7 +184,7 @@ def _ids_from_list(items) -> Tuple[int, ...]:
 
 
 def _write_ids(out: bytearray, ids) -> None:
-    write_words(out, np.asarray(ids, dtype=np.int64))
+    out += word_array(np.asarray(ids, dtype=np.int64))
 
 
 def _strings_to_list(items) -> List[str]:
@@ -229,88 +242,96 @@ def _batch_from_list(items, is_request: bool) -> Tuple[Any, ...]:
     return tuple(_from_dict(item, is_request) for item in items)
 
 
-# -- frame writers and readers of the structured types ---------------------------
+# -- row sets and server responses on a frame -----------------------------------
+
+
+def _block_parts(rows: RowBlock) -> List[bytes]:
+    """A row set on a frame: its ``length``, row count, a
+    unit-denominator flag, the numerator run and — unless the flag is
+    set — the denominator run, cut straight from the block's limbs."""
+    limbs = rows.limbs
+    count, length, k = limbs.shape
+    length -= 1
+    denominators = limbs[:, length]
+    # Every denominator is 1: its limbs' bytes are those of a 1, n times.
+    unit = denominators.tobytes() == _ONE_LIMB.ljust(8 * k, b"\0") * count
+    parts = [
+        varints(length, count if length else 0, unit),
+        limb_run(limbs[:, :length], rows.numerator_bits),
+    ]
+    if not unit:
+        parts.append(limb_run(denominators))
+    return parts
+
+
+def _block_at(buf: bytes, pos: int) -> Tuple[RowBlock, int]:
+    """The row set :func:`_block_parts` wrote at ``buf[pos]``, its limbs
+    written straight from the frame's bytes into one block, and the
+    position past it."""
+    length, pos = read_varint(buf, pos)
+    count, pos = read_varint(buf, pos)
+    unit = buf[pos]
+    if unit > 1:
+        raise SerializationError("expected a boolean byte, got %d" % unit)
+    if count and not length:
+        raise SerializationError("%d rows of no numerators" % count)
+    width, start = run_width(buf, pos + 1, count * length)
+    pos = start + count * length * width
+    widest = width
+    if not unit:
+        den_width, den_start = run_width(buf, pos, count)
+        pos = den_start + count * den_width
+        widest = max(width, den_width)
+    block = np.empty((count, length + 1, (widest + 7) // 8), dtype="<u8")
+    from_wire(buf[start:start + count * length * width], width,
+              block[:, :length])
+    if unit:  # every denominator 1
+        block[:, length] = (1,) + (0,) * (block.shape[2] - 1)
+        return RowBlock._of(block.astype(np.uint64, copy=False)), pos
+    from_wire(buf[den_start:pos], den_width, block[:, length])
+    try:
+        return RowBlock(block.astype(np.uint64, copy=False)), pos
+    except ValueError:
+        raise SerializationError(
+            "a block of %d rows needs %d positive denominators"
+            % (count, count)
+        ) from None
 
 
 def _write_rows(out: bytearray, rows) -> None:
-    """A row set: its ``length``, row count, a unit-denominator flag,
-    the numerator run and — unless the flag is set — the denominator
-    run, written from its dict form's runs as they are held."""
-    data = rows_to_dict(rows)
-    length, numerators = data["length"], data["numerators"]
-    denominators = data.get("denominators")
-    write_varint(out, length)
-    write_varint(out, len(numerators) // length if length else 0)
-    out.append(denominators is None)
-    for run in (numerators, denominators):
-        if type(run) is PackedInts:
-            write_run(out, run.limbs, run.bits)
-        elif run is not None:
-            write_bigints(out, run)
+    """A row set — a block or any sequence of value ciphertexts."""
+    out += b"".join(_block_parts(RowBlock.from_rows(rows)))
 
 
-def _read_block(reader: Reader) -> Dict[str, Any]:
-    """A row set's dict form, read off its frame layout."""
-    length = reader.varint()
-    count = reader.varint()
-    unit = reader.flag()
-    if count and not length:
-        raise SerializationError("%d rows of no numerators" % count)
-    return {
-        "length": length,
-        "numerators": PackedInts(reader.run(count * length)),
-        "denominators": [] if unit else PackedInts(reader.run(count)),
-    }
+def _response_parts(response: ServerResponse) -> List[bytes]:
+    """A server response on a frame: its row ids as one int array of
+    words, then its row set."""
+    return [
+        word_array(np.asarray(response.row_ids, dtype=np.int64)),
+        *_block_parts(response.rows),
+    ]
 
 
-#: Which sides a query has, by bits 2-3 of its flags byte.
-_SIDES = ("none", "low", "high", "both")
-
-
-def _write_query(out: bytearray, query: EncryptedQuery) -> None:
-    """A query: a flags byte (bit 0 ``low_inclusive``, bit 1
-    ``high_inclusive``, bits 2-3 its sides), ``length``, the bound
-    count, then the ``eb`` and ``ev`` runs of its dict form."""
-    data = query_to_dict(query)
-    length, ev = data["length"], data["ev"]
-    out.append(
-        data["low_inclusive"] | data["high_inclusive"] << 1
-        | _SIDES.index(data.get("sides", "both")) << 2
-    )
-    write_varint(out, length)
-    write_varint(out, len(ev) // (length + 1))
-    write_bigints(out, data["eb"])
-    write_bigints(out, ev)
-
-
-def _read_query(reader: Reader) -> EncryptedQuery:
-    flags = reader.byte()
-    if flags > 15:
-        raise SerializationError("unknown query flags: 0x%02x" % flags)
-    length = reader.varint()
-    count = reader.varint()
-    return query_from_dict({
-        "kind": "query", "version": QUERY_VERSION, "length": length,
-        "sides": _SIDES[flags >> 2], "low_inclusive": bool(flags & 1),
-        "high_inclusive": bool(flags & 2),
-        "eb": reader.bigints(count * length),
-        "ev": reader.bigints(count * (length + 1)),
-    })
-
-
-def _write_server_response(out: bytearray, response: ServerResponse) -> None:
-    _write_ids(out, response.row_ids)
-    _write_rows(out, response.rows)
-
-
-def _read_server_response(reader: Reader) -> ServerResponse:
-    ids = np.array(reader.intarray(words_only=True), dtype=np.int64)
-    rows = rows_from_dict(_read_block(reader))
+def _response_at(buf: bytes, pos: int) -> Tuple[ServerResponse, int]:
+    """The server response :func:`_response_parts` wrote at
+    ``buf[pos]``, and the position past it."""
+    ids, pos = words_at(buf, pos)
+    rows, pos = _block_at(buf, pos)
     if len(ids) != len(rows):
         raise SerializationError(
             "response carries %d row ids for %d rows" % (len(ids), len(rows))
         )
-    return ServerResponse(row_ids=ids, rows=rows)
+    return ServerResponse(row_ids=ids, rows=rows), pos
+
+
+def _field_reader(read: Callable[[bytes, int], Tuple[Any, int]]):
+    """The field reader of ``read``: it reads at the reader's position."""
+
+    def field_read(reader: Reader):
+        value, reader.pos = read(reader.buf, reader.pos)
+        return value
+
+    return field_read
 
 
 def _write_batch(out: bytearray, envelopes, is_request: bool) -> None:
@@ -321,8 +342,7 @@ def _write_batch(out: bytearray, envelopes, is_request: bool) -> None:
         spec = spec_of(envelope, is_request)
         if spec.cls in (BatchRequest, BatchResponse):
             raise SerializationError("batch requests cannot nest")
-        body = bytearray()
-        _write_envelope(body, spec, envelope)
+        body = _envelope_bytes(spec.code_bytes, spec, envelope)
         write_varint(out, len(body))
         out += body
 
@@ -358,14 +378,16 @@ class FieldType:
     reader, its dict form (``encode`` / ``decode``) and their
     validation.  ``read`` and ``decode`` raise ``SerializationError``
     (or ``KeyError`` / ``TypeError`` / ``ValueError``, which the
-    envelope decoders wrap) on a malformed wire value.  ``absent`` is
-    the attribute value an *optional* field leaves off the wire."""
+    envelope decoders wrap) on a malformed wire value.  A type with no
+    ``write`` / ``read`` is carried on a frame only by the body codec of
+    the envelope it belongs to.  ``absent`` is the attribute value an
+    *optional* field leaves off the wire."""
 
     name: str
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
-    write: Callable[[bytearray, Any], None]
-    read: Callable[[Reader], Any]
+    write: Optional[Callable[[bytearray, Any], None]] = None
+    read: Optional[Callable[[Reader], Any]] = None
     absent: Any = _ALWAYS_SENT
 
 
@@ -432,15 +454,17 @@ UPLOAD_IDS = FieldType(
 #: block (see :func:`repro.crypto.serialization.rows_to_dict`); it
 #: decodes to a :class:`~repro.crypto.ciphertext.RowBlock`.
 ROWS = FieldType(
-    "ROWS", rows_to_dict, rows_from_dict, _write_rows,
-    lambda reader: rows_from_dict(_read_block(reader)),
+    "ROWS", rows_to_dict, rows_from_dict, _write_rows, _field_reader(_block_at)
 )
-QUERY = FieldType(
-    "QUERY", query_to_dict, query_from_dict, _write_query, _read_query
-)
+#: A query: on a frame only in a ``query_request``, whose body codec
+#: writes and reads it (:func:`_write_query_request`).
+QUERY = FieldType("QUERY", query_to_dict, query_from_dict)
+#: A server response: a ``query_response``'s body codec and the
+#: ``rotate_begin_response`` field write and read it the same way.
 SERVER_RESPONSE = FieldType(
     "SERVER_RESPONSE", server_response_to_dict, server_response_from_dict,
-    _write_server_response, _read_server_response,
+    lambda out, response: out.extend(b"".join(_response_parts(response))),
+    _field_reader(_response_at),
 )
 STR_LIST = _generic("STR_LIST", _strings_to_list, _strings_from_list)
 CONFIG = _generic("CONFIG", dict, _config_from_dict)
@@ -784,6 +808,11 @@ class EnvelopeSpec:
     ``journaled`` (the WAL records it — every mutation but
     ``rotate_begin``, which merges pending rows yet bumps no epoch and
     leaves no log entry).
+
+    A kind may have a body codec: ``write_body(head, envelope)`` is
+    ``head`` (an untraced frame's :attr:`head`, or a batch slot's
+    :attr:`code_bytes`) and the fields, ``read_body(frame, pos)`` the
+    envelope whose fields run from ``frame[pos]`` to the end.
     """
 
     cls: type
@@ -793,13 +822,22 @@ class EnvelopeSpec:
     reply: Optional[type] = None
     idempotent: bool = False
     journaled: bool = False
+    write_body: Optional[Callable[[bytes, Any], bytes]] = None
+    read_body: Optional[Callable[[bytes, int], Any]] = None
     is_request: bool = field(init=False)
     optional: Tuple[Field, ...] = field(init=False)
+    code_bytes: bytes = field(init=False)
+    head: bytes = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "is_request", self.reply is not None)
+        is_request = self.reply is not None
+        object.__setattr__(self, "is_request", is_request)
         object.__setattr__(self, "optional", tuple(
             field_ for field_ in self.fields if field_.optional))
+        object.__setattr__(self, "code_bytes", varints(self.code))
+        # A request frame's trace section, empty when untraced: a 0.
+        object.__setattr__(self, "head", _FRAME_HEAD + self.code_bytes
+                           + (b"\x00" if is_request else b""))
 
 
 #: Envelope dataclass -> its registry row: the one definition the
@@ -815,11 +853,12 @@ _CODES: Dict[int, EnvelopeSpec] = {}
 
 
 def register(cls: type, kind: str, code: int, reply: type = None,
-             **flags) -> None:
+             **row) -> None:
     """Add one envelope to the protocol: a dataclass whose every field
     is declared with :func:`wire`, its wire ``kind``, its kind ``code``
     on a frame (one a registered kind holds is refused), and — for a
-    request — the reply type and classification flags."""
+    request — the reply type and classification flags; ``row`` may
+    also give the kind's body codec (see :class:`EnvelopeSpec`)."""
     if code in _CODES:
         raise ProtocolError(
             "kind code %d is %r's" % (code, _CODES[code].kind)
@@ -831,7 +870,7 @@ def register(cls: type, kind: str, code: int, reply: type = None,
         fields.append(
             Field(declared.name, ftype, key or declared.name, optional, bit)
         )
-    spec = EnvelopeSpec(cls, kind, code, tuple(fields), reply, **flags)
+    spec = EnvelopeSpec(cls, kind, code, tuple(fields), reply, **row)
     ENVELOPES[cls] = spec
     (_REQUEST_SPECS if spec.is_request else _RESPONSE_SPECS)[kind] = spec
     _CODES[code] = spec
@@ -849,13 +888,114 @@ def spec_of(envelope, is_request: Optional[bool] = None) -> EnvelopeSpec:
     return spec
 
 
+# -- the query round trip's body codecs: the per-field path's bytes and checks ----
+
+
+def _write_query_request(head: bytes, request: QueryRequest) -> bytes:
+    """``head``, the column, then the query: a flags byte (bit 0
+    ``low_inclusive``, bit 1 ``high_inclusive``, bits 2-3 its sides),
+    ``length``, the bound count, then the ``eb`` run (``length``
+    integers per bound) and the ``ev`` run (``length`` numerators and
+    the denominator per bound) over the bounds low, high, pivots."""
+    query = request.query
+    low, high = query.low, query.high
+    bounds = [bound for bound in (low, high) if bound is not None]
+    bounds += query.pivots
+    length = len(bounds[0].eb.vector) if bounds else 0
+    eb: List[int] = []
+    ev: List[int] = []
+    for bound in bounds:
+        vector, value = bound.eb.vector, bound.ev
+        if len(vector) != length or len(value.numerators) != length:
+            raise SerializationError(
+                "every bound of a query must have its length (%d)" % length
+            )
+        eb += vector
+        ev += value.numerators
+        ev.append(value.denominator)
+    column = str(request.column).encode("utf-8")
+    flags = (query.low_inclusive | query.high_inclusive << 1
+             | (low is not None) << 2 | (high is not None) << 3)
+    return b"".join((
+        head, varints(len(column)), column,
+        varints(flags, length, len(bounds)), bigint_run(eb), bigint_run(ev),
+    ))
+
+
+def _read_query_request(buf: bytes, pos: int) -> QueryRequest:
+    """What :func:`_write_query_request` wrote from ``buf[pos]`` on."""
+    size, pos = read_varint(buf, pos)
+    if pos + size > len(buf):
+        raise SerializationError("truncated binary frame")
+    column = decode_text(buf[pos:pos + size])
+    if not column:
+        raise SerializationError("column name must be a non-empty string")
+    flags = buf[pos + size]
+    if flags > 15:
+        raise SerializationError("unknown query flags: 0x%02x" % flags)
+    length, pos = read_varint(buf, pos + size + 1)
+    count, pos = read_varint(buf, pos)
+    eb, pos = bigints_at(buf, pos, count * length)
+    ev, pos = bigints_at(buf, pos, count * (length + 1))
+    if count and not length:
+        raise SerializationError("%d query bounds of length 0" % count)
+    sided = (flags >> 2 & 1) + (flags >> 3)
+    if count < sided:
+        raise SerializationError(
+            "query flags 0x%02x declare %d sides but it ships %d bounds"
+            % (flags, sided, count)
+        )
+    bounds = []
+    for index in range(count):
+        start = index * length
+        value = start + index
+        denominator = ev[value + length]
+        if denominator <= 0:
+            raise SerializationError(
+                "query bound denominator must be positive"
+            )
+        bounds.append(EncryptedBound(
+            BoundCiphertext(tuple(eb[start:start + length])),
+            ValueCiphertext(tuple(ev[value:value + length]), denominator),
+        ))
+    _read_to_end(buf, pos, "query_request")
+    return QueryRequest(column=column, query=EncryptedQuery(
+        low=bounds[0] if flags & 4 else None,
+        high=bounds[sided - 1] if flags & 8 else None,
+        low_inclusive=bool(flags & 1),
+        high_inclusive=bool(flags & 2),
+        pivots=tuple(bounds[sided:]),
+    ))
+
+
+def _write_query_response(head: bytes, reply: QueryResponse) -> bytes:
+    """``head``, then the reply's server response."""
+    return b"".join((head, *_response_parts(reply.response)))
+
+
+def _read_query_response(buf: bytes, pos: int) -> QueryResponse:
+    """What :func:`_write_query_response` wrote from ``buf[pos]`` on."""
+    response, pos = _response_at(buf, pos)
+    _read_to_end(buf, pos, "query_response")
+    return QueryResponse(response=response)
+
+
+def _read_to_end(buf: bytes, pos: int, kind: str) -> None:
+    """Refuse the bytes of a frame left after its envelope's fields."""
+    if pos != len(buf):
+        raise SerializationError(
+            "%d trailing bytes after a %s" % (len(buf) - pos, kind)
+        )
+
+
 register(HelloRequest, "hello", 1, HelloResponse, idempotent=True)
 register(BatchRequest, "batch_request", 2, BatchResponse)
 register(TelemetryRequest, "telemetry_request", 3, TelemetryResponse,
          idempotent=True)
 register(CreateColumnRequest, "create_column", 4, CreateColumnResponse,
          journaled=True)
-register(QueryRequest, "query_request", 5, QueryResponse, idempotent=True)
+register(QueryRequest, "query_request", 5, QueryResponse, idempotent=True,
+         write_body=_write_query_request, read_body=_read_query_request)
 register(FetchRequest, "fetch_request", 6, FetchResponse, idempotent=True)
 register(InsertRequest, "insert_request", 7, InsertResponse, journaled=True)
 register(DeleteRequest, "delete_request", 8, DeleteResponse, journaled=True)
@@ -870,7 +1010,8 @@ register(HelloResponse, "hello_response", 33)
 register(BatchResponse, "batch_response", 34)
 register(TelemetryResponse, "telemetry_response", 35)
 register(CreateColumnResponse, "create_column_response", 36)
-register(QueryResponse, "query_response", 37)
+register(QueryResponse, "query_response", 37,
+         write_body=_write_query_response, read_body=_read_query_response)
 register(FetchResponse, "fetch_response", 38)
 register(InsertResponse, "insert_response", 39)
 register(DeleteResponse, "delete_response", 40)
@@ -976,40 +1117,28 @@ def trace_from_wire(data) -> Optional[Dict[str, Any]]:
 
 # -- frames ---------------------------------------------------------------------
 
-#: What every frame starts with.
-_FRAME_HEAD = bytes((MAGIC, PROTOCOL_VERSION))
 
-
-def _write_envelope(out: bytearray, spec: EnvelopeSpec, envelope,
-                    trace=False) -> None:
-    """``envelope``'s kind code, then — on a request frame, ``trace``
-    not ``False`` — its trace section, then the presence bitmap of its
-    optional fields (when it has any), then every field it sends."""
-    write_varint(out, spec.code)
-    if trace is not False:
-        _write_trace(out, trace)
+def _envelope_bytes(head: bytes, spec: EnvelopeSpec, envelope) -> bytes:
+    """``head`` — a frame's magic, version, kind code and trace section,
+    or a batch slot's kind code — then ``envelope``'s body: by its
+    kind's body codec where it has one, else the presence bitmap of its
+    optional fields (when it has any) and every field it sends."""
+    if spec.write_body is not None:
+        return spec.write_body(head, envelope)
+    out = bytearray(head)
     sent = [f for f in spec.fields if not f.optional
             or getattr(envelope, f.attribute) is not f.type.absent]
     if spec.optional:
         write_varint(out, sum(f.bit for f in sent))
     for field_ in sent:
         field_.type.write(out, getattr(envelope, field_.attribute))
+    return bytes(out)
 
 
-def _read_envelope(reader: Reader, is_request: Optional[bool],
-                   top: bool = False):
-    """``(envelope, trace)`` read off ``reader``: a kind code of the
-    given direction (``None``: either), the trace section if ``top``
-    and a request, the bitmap, the fields."""
-    code = reader.varint()
-    spec = _CODES.get(code)
-    if spec is None or is_request not in (None, spec.is_request):
-        raise SerializationError(
-            "unknown %s kind code: %d" % (_direction(is_request), code)
-        )
-    if not top and spec.cls in (BatchRequest, BatchResponse):
-        raise SerializationError("batch requests cannot nest")
-    trace = _read_trace(reader) if top and spec.is_request else None
+def _read_fields(spec: EnvelopeSpec, buf: bytes, pos: int):
+    """The envelope of ``spec``'s kind whose presence bitmap and fields
+    run from ``buf[pos]`` to the end (a kind with no body codec)."""
+    reader = Reader(buf, pos)
     present = reader.varint() if spec.optional else 0
     if present >> len(spec.optional):
         raise SerializationError(
@@ -1017,46 +1146,60 @@ def _read_envelope(reader: Reader, is_request: Optional[bool],
         )
     values = {f.attribute: f.type.read(reader) for f in spec.fields
               if not f.bit or present & f.bit}
-    if reader.pos != reader.end:
-        raise SerializationError(
-            "%d trailing bytes after a %s" % (reader.remaining, spec.kind)
-        )
-    return spec.cls(**values), trace
+    _read_to_end(buf, reader.pos, spec.kind)
+    return spec.cls(**values)
 
 
-def _write_trace(out: bytearray, context: Optional[Dict[str, Any]]) -> None:
-    """A request's trace section: its byte count (0: untraced), then the
-    context as one generic value."""
+def _trace_section(context: Dict[str, Any]) -> bytes:
+    """A traced request's trace section: its byte count (an untraced
+    frame's is 0), then the context as one generic value."""
     section = bytearray()
-    if context is not None:
-        write_value(section, context)
-    write_varint(out, len(section))
-    out += section
+    write_value(section, context)
+    return varints(len(section)) + section
 
 
-def _read_trace(reader: Reader) -> Optional[Dict[str, Any]]:
-    section = reader.take(reader.varint())
+def _read_trace(section: bytes) -> Optional[Dict[str, Any]]:
     try:
-        return trace_from_wire(Reader(section).value()) if section else None
+        return trace_from_wire(Reader(section).value())
     except SerializationError:  # a malformed context degrades to none
         return None
 
 
 def _decode(frame: bytes, is_request: Optional[bool] = None, top=True):
-    """``(envelope, trace)`` of a whole frame (``top``) or batch slot;
-    every failure is a typed :class:`SerializationError` — no raw
-    ``struct`` / ``numpy`` / overflow error leaves the decoder."""
-    reader = Reader(frame)
+    """``(envelope, trace)`` of a whole frame (``top``) or batch slot:
+    the kind code of the given direction (``None``: either), the trace
+    section if ``top`` and a request, the body.  Every failure is a
+    typed :class:`SerializationError` — no raw ``struct`` / ``numpy`` /
+    overflow error leaves the decoder."""
     try:
+        pos = 0
         if top:
-            if reader.end < 3 or frame[0] != MAGIC:
+            if len(frame) < 3 or frame[0] != MAGIC:
                 raise SerializationError("not a protocol frame")
             if frame[1] != PROTOCOL_VERSION:
                 raise SerializationError(
                     "unsupported protocol version: %d" % frame[1]
                 )
-            reader.pos = 2
-        return _read_envelope(reader, is_request, top)
+            pos = 2
+        code, pos = read_varint(frame, pos)
+        spec = _CODES.get(code)
+        if spec is None or is_request not in (None, spec.is_request):
+            raise SerializationError(
+                "unknown %s kind code: %d" % (_direction(is_request), code)
+            )
+        if not top and spec.cls in (BatchRequest, BatchResponse):
+            raise SerializationError("batch requests cannot nest")
+        trace = None
+        if top and spec.is_request:
+            size, pos = read_varint(frame, pos)
+            if size:
+                if pos + size > len(frame):
+                    raise SerializationError("truncated trace section")
+                trace = _read_trace(frame[pos:pos + size])
+                pos += size
+        if spec.read_body is not None:
+            return spec.read_body(frame, pos), trace
+        return _read_fields(spec, frame, pos), trace
     except SerializationError:
         raise
     except Exception as exc:
@@ -1070,17 +1213,16 @@ def encode(envelope, trace: Optional[Dict[str, Any]] = None) -> bytes:
     shape); a request frame carries it, a response frame has none.
     """
     spec = spec_of(envelope)
-    out = bytearray(_FRAME_HEAD)
     try:
-        _write_envelope(
-            out, spec, envelope, trace if spec.is_request else False
-        )
+        head = spec.head
+        if trace is not None and spec.is_request:
+            head = _FRAME_HEAD + spec.code_bytes + _trace_section(trace)
+        return _envelope_bytes(head, spec, envelope)
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise SerializationError(
             "cannot serialize %s: %s" % (spec.kind, exc)
         ) from exc
-    return bytes(out)
 
 
 def decode(frame: bytes):

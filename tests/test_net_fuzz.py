@@ -1032,3 +1032,184 @@ class TestRowBlockWire:
                 decode_all_layers(frame)
             except SerializationError:
                 pass
+
+
+# -- the query round trip's body codecs -----------------------------------------
+
+#: Sessions whose query frames are pinned: a ``crack_cold``-shaped
+#: column (100 000 rows, ten per answer), a ``range_tcp``-shaped one
+#: (15 000 rows, 150 per answer: multi-byte varints, ids on the packed
+#: path) and an ambiguity one (6 000 values, 60 per answer: twice the
+#: rows, denominators other than 1).
+QUERY_SESSIONS = {
+    "crack_cold": dict(rows=100_000, answer=10, ambiguity=False),
+    "range_tcp": dict(rows=15_000, answer=150, ambiguity=False),
+    "ambiguity": dict(rows=6_000, answer=60, ambiguity=True),
+}
+
+#: The trace context of the one traced request frame of a session.
+QUERY_TRACE = {"trace_id": "5eed" * 8, "parent": "0a0b0c0d", "sampled": True}
+
+#: sha256 over each session's query exchanges, ``(requests, replies)``:
+#: 200 seeded two-sided queries, a low-only, a high-only and a
+#: none-sided one, a ``query_many`` batch of four, and — on the request
+#: side — the first query's frame traced.  Every frame is prefixed with
+#: its 4-byte length.  Computed at the parent of the kinds' body
+#: codecs, which write and read the bytes the per-field path did.
+QUERY_FRAME_SHA256 = {
+    "crack_cold": (
+        "842484e03079aa48682bf03f81f68ad148dd7c3e2f39c8091264fa1d677900ed",
+        "6119deb2f355f48e8babaaa9dd5405817c6345c0cf1422e361e1b841d3d1199a",
+    ),
+    "range_tcp": (
+        "cb44e677c2bb0eb6ae393e5a1d3af4681ac709643d52ebdaa139f6319d6f23cc",
+        "126da0aaf5265cd4f271c8aa10206e404a034927a41530632490c8783184e01c",
+    ),
+    "ambiguity": (
+        "0a614bbec3963d4ded3a9a00f4412cbe91c2faea29909c359f456a7eb595621a",
+        "4e67b6b3380608b4859efcbb23d56fe3bc349bfb64b34383ed4134f3f48e6c1b",
+    ),
+}
+
+
+class RecordingLoopback(Transport):
+    """An in-process endpoint that keeps every exchange."""
+
+    def __init__(self):
+        from repro.net.catalog import ColumnCatalog
+
+        self.catalog = ColumnCatalog()
+        self.exchanges = []
+
+    def exchange(self, frame, retryable=False):
+        from repro.net.transport import serve_frame
+
+        reply = serve_frame(self.catalog, frame)
+        self.exchanges.append((frame, reply))
+        return reply
+
+
+@pytest.fixture(scope="module")
+def query_exchanges():
+    """Per session: its query exchanges (request frame, reply frame) in
+    order — 200 queries, three open-sided ones, one batch — and the
+    first query's request frame traced."""
+    from repro.core.session import OutsourcedDatabase
+
+    sessions = {}
+    for name, shape in QUERY_SESSIONS.items():
+        rng = np.random.default_rng(20160626)
+        values = rng.permutation(np.unique(
+            rng.integers(0, 50 * shape["rows"], size=2 * shape["rows"])
+        ))[:shape["rows"]]
+        ordered = np.sort(values)
+        answer = shape["answer"]
+        starts = rng.integers(0, len(values) - answer, size=200)
+        spans = [(int(ordered[s]), int(ordered[s + answer - 1]))
+                 for s in starts]
+        transport = RecordingLoopback()
+        db = OutsourcedDatabase([int(v) for v in values], seed=11,
+                                ambiguity=shape["ambiguity"],
+                                transport=transport)
+        del transport.exchanges[:]
+        for low, high in spans:
+            db.query(low, high)
+        middle = int(ordered[len(ordered) // 2])
+        db.query(middle, None)
+        db.query(None, middle)
+        db.query()
+        db.query_many(spans[:4])
+        request, _ = decode_request(transport.exchanges[0][0])
+        sessions[name] = (transport.exchanges, encode(request, QUERY_TRACE))
+    return sessions
+
+
+class TestQueryBodyCodecs:
+    """``query_request`` and ``query_response`` are written and read by
+    one body codec each: the per-field path's bytes and checks."""
+
+    def test_the_two_kinds_have_body_codecs_and_nothing_else(self):
+        for kind in (protocol.QueryRequest, protocol.QueryResponse):
+            spec = ENVELOPES[kind]
+            assert spec.write_body is not None
+            assert spec.read_body is not None
+        assert protocol.QUERY.write is None and protocol.QUERY.read is None
+
+    @pytest.mark.parametrize("name", sorted(QUERY_SESSIONS))
+    def test_query_frames_are_byte_identical(self, query_exchanges, name):
+        exchanges, traced = query_exchanges[name]
+        assert len(exchanges) == 204
+        requests, replies = hashlib.sha256(), hashlib.sha256()
+        for frame, reply in exchanges:
+            requests.update(len(frame).to_bytes(4, "big") + frame)
+            replies.update(len(reply).to_bytes(4, "big") + reply)
+        requests.update(traced)
+        assert (requests.hexdigest(), replies.hexdigest()) == (
+            QUERY_FRAME_SHA256[name]
+        )
+
+    @pytest.mark.parametrize("name", sorted(QUERY_SESSIONS))
+    def test_every_frame_decodes_to_what_was_sent(self, query_exchanges,
+                                                  name):
+        exchanges, traced = query_exchanges[name]
+        request, trace = decode_request(traced)
+        assert trace == QUERY_TRACE
+        assert decode_request(exchanges[0][0]) == (request, None)
+        for frame, reply in exchanges:
+            request, _ = decode_request(frame)
+            assert encode(request) == frame
+            assert encode(decode(reply)) == reply
+
+    @pytest.mark.parametrize("name", sorted(QUERY_SESSIONS))
+    def test_every_cut_and_every_extra_byte_is_a_typed_error(
+        self, query_exchanges, name
+    ):
+        """Each shape a session sends — a query and its reply, the
+        traced query, a batch each way — cut at every offset, and with
+        one byte appended, raises SerializationError and nothing else."""
+        exchanges, traced = query_exchanges[name]
+        (request, reply), (batch, batch_reply) = exchanges[0], exchanges[-1]
+        for frame, read in ((request, decode_request), (traced,
+                            decode_request), (batch, decode_request),
+                            (reply, decode), (batch_reply, decode)):
+            read(frame)
+            for cut in range(len(frame)):
+                with pytest.raises(SerializationError):
+                    read(frame[:cut])
+            with pytest.raises(SerializationError, match="trailing"):
+                read(frame + b"\x00")
+
+    def test_round_trips_of_every_query_shape(self):
+        from repro.core.client import TrustedClient
+        from repro.crypto.ciphertext import RowBlock
+
+        client = TrustedClient(seed=11)
+        bound = client.encrypt_query_bound
+        shapes = (
+            EncryptedQuery(low=bound(5), high=None),
+            EncryptedQuery(low=None, high=bound(9), high_inclusive=False),
+            EncryptedQuery(low=None, high=None),
+            EncryptedQuery(low=bound(5), high=bound(9),
+                           pivots=(bound(6), bound(7), bound(8))),
+            EncryptedQuery(low=None, high=bound(9), pivots=(bound(3),)),
+        )
+        for query in shapes:
+            request = protocol.QueryRequest(column="c", query=query)
+            assert decode(encode(request)) == request
+            batch = BatchRequest(requests=(request, request))
+            assert decode(encode(batch)) == batch
+        rows, _ = client.encrypt_dataset([1, 2, 3])
+        ambiguous, _ = TrustedClient(seed=11, ambiguity=True).encrypt_dataset(
+            [1, 2, 3]
+        )
+        assert (ambiguous.limbs[:, -1, 0] != 1).any()
+        for block in (rows, ambiguous, rows.take(slice(0, 0)),
+                      RowBlock.from_rows(())):
+            reply = protocol.QueryResponse(response=ServerResponse(
+                row_ids=np.arange(len(block), dtype=np.int64), rows=block,
+            ))
+            batch = BatchResponse(responses=(reply, reply))
+            for rebuilt in (decode(encode(reply)).response,
+                            decode(encode(batch)).responses[1].response):
+                assert rebuilt.rows == block
+                assert rebuilt.row_ids.tolist() == list(range(len(block)))
