@@ -31,6 +31,8 @@ Three time a mutation's server-side costs besides its fsync, at the
 shapes of ``mixed_wal``: a one-row insert into a pending column of 200
 rows, the WAL append of that insert's record (encode included) under
 ``fsync="never"``, and the recovery of a log of 1 000 such mutations.
+Four more time a one-row insert's and a one-id delete's codec steps:
+the request's encode and decode, the reply's encode and decode.
 """
 
 import itertools
@@ -49,6 +51,7 @@ from repro.crypto.scheme import Encryptor, _chunks
 from repro.net.catalog import ColumnCatalog
 from repro.net.client import RemoteColumn
 from repro.net.protocol import (
+    DeleteRequest,
     InsertRequest,
     QueryRequest,
     QueryResponse,
@@ -56,7 +59,7 @@ from repro.net.protocol import (
     decode_request,
     encode,
 )
-from repro.net.transport import LoopbackTransport
+from repro.net.transport import LoopbackTransport, serve_frame
 
 KEY_LENGTHS = (4, 16, 64)
 
@@ -318,6 +321,43 @@ def test_insert_one_row_into_200_pending(one_row_inserts, benchmark):
         assert server.insert(requests[200].rows) == [2_200]
 
     benchmark.pedantic(insert, setup=server_with_200_pending, rounds=100)
+
+
+@pytest.fixture(scope="module", params=("insert", "delete"))
+def mutation(request, one_row_inserts):
+    """A one-row insert or a one-id delete request, the reply the
+    catalog answers it with, and both frames."""
+    client, rows, row_ids, inserts = one_row_inserts
+    catalog = ColumnCatalog()
+    RemoteColumn(LoopbackTransport(catalog), "bench").create(rows, row_ids)
+    message = {
+        "insert": InsertRequest(
+            column="bench", rows=client.encryptor.encrypt_values([17])),
+        "delete": DeleteRequest(column="bench", row_ids=(7,)),
+    }[request.param]
+    frame = encode(message)
+    reply_frame = serve_frame(catalog, frame)
+    return message, frame, decode(reply_frame), reply_frame
+
+
+def test_mutation_request_encode(mutation, benchmark):
+    message, frame, _, _ = mutation
+    assert benchmark(lambda: encode(message)) == frame
+
+
+def test_mutation_request_decode(mutation, benchmark):
+    message, frame, _, _ = mutation
+    assert benchmark(lambda: decode_request(frame)) == (message, None)
+
+
+def test_mutation_reply_encode(mutation, benchmark):
+    _, _, reply, reply_frame = mutation
+    assert benchmark(lambda: encode(reply)) == reply_frame
+
+
+def test_mutation_reply_decode(mutation, benchmark):
+    _, _, reply, reply_frame = mutation
+    assert benchmark(lambda: decode(reply_frame)) == reply
 
 
 def test_wal_append_insert_record(one_row_inserts, tmp_path, benchmark):
