@@ -105,10 +105,16 @@ class RemoteColumn:
         own).  Returns the per-item response envelopes in request
         order; failed items come back as :class:`ErrorResponse` objects
         for the caller to raise or tolerate — one bad item never
-        poisons the batch.
+        poisons the batch.  A reply of another length than the batch
+        is a :class:`ProtocolError`.
         """
         requests = tuple(requests)
         responses = self.call(BatchRequest(requests=requests)).responses
+        if len(responses) != len(requests):
+            raise ProtocolError(
+                "a batch of %d requests answered with %d responses"
+                % (len(requests), len(responses))
+            )
         for request, response in zip(requests, responses):
             if not isinstance(response, ErrorResponse):
                 self._check_reply(request, response)

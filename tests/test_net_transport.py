@@ -221,6 +221,26 @@ class TestFaults:
 
 
 class TestBatches:
+    @pytest.mark.parametrize("slots", [1, 5], ids=["short", "long"])
+    def test_a_reply_with_the_wrong_slot_count_is_refused(self, slots):
+        """Three merges answered by a batch of another length: the
+        client cannot pair the slots, so it raises instead of returning
+        what the reply happens to hold."""
+        from repro.net import RemoteColumn
+        from repro.net.protocol import MergeResponse
+
+        class Stub(Transport):
+            def exchange(self, frame, retryable=False):
+                return encode(BatchResponse(
+                    responses=(MergeResponse(delta=0),) * slots))
+
+            def close(self):
+                pass
+
+        remote = RemoteColumn(Stub(), "values")
+        with pytest.raises(ProtocolError, match="3 requests"):
+            remote.call_many([MergeRequest(column="values")] * 3)
+
     def test_query_many_matches_sequential_one_round_trip(self, endpoint):
         host, port = endpoint.server_address
         with TcpTransport(host, port) as transport:
