@@ -70,7 +70,7 @@ import zlib
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import PersistenceError, SerializationError
-from repro.net.binframe import Reader, write_text, write_varint
+from repro.net.binframe import read_varint, text_at, text_bytes, varints
 
 #: Record header: payload length then CRC32 of the payload bytes.
 RECORD_HEADER = struct.Struct(">II")
@@ -104,11 +104,8 @@ class WalRecord(NamedTuple):
 
 
 def _encode_record(seq: int, epoch: int, column: str, frame: bytes) -> bytes:
-    payload = bytearray((RECORD_FORMAT,))
-    write_varint(payload, seq)
-    write_varint(payload, epoch)
-    write_text(payload, column)
-    payload += frame
+    payload = b"".join((bytes((RECORD_FORMAT,)), varints(seq, epoch),
+                        text_bytes(column), frame))
     return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -125,16 +122,17 @@ def _decode_record(payload: bytes) -> WalRecord:
             "unknown WAL record format %r (a record holding an entry dict "
             "predates the positional format and is not read)" % payload[:1]
         )
-    reader = Reader(payload, 1)
     try:
-        seq, epoch, column = reader.varint(), reader.varint(), reader.text()
+        seq, pos = read_varint(payload, 1)
+        epoch, pos = read_varint(payload, pos)
+        column, pos = text_at(payload, pos)
     except SerializationError as exc:
         raise PersistenceError("malformed WAL record head: %s" % exc) from exc
     if seq < 1 or not column:
         raise PersistenceError(
             "malformed WAL record head: seq %d, column %r" % (seq, column)
         )
-    return WalRecord(seq, epoch, column, payload[reader.pos:])
+    return WalRecord(seq, epoch, column, payload[pos:])
 
 
 def _segment_files(directory: str) -> List[Tuple[int, str]]:

@@ -101,8 +101,9 @@ def ciphertext_to_dict(ciphertext: Ciphertext) -> Dict[str, Any]:
 
 
 def ints_from_wire(items, what: str):
-    """``items`` if it is a list of plain ints — or the packed run of
-    them a binary frame decodes to — else a typed error.
+    """``items`` if it is a list of plain ints — or a
+    :class:`~repro.linalg.limbs.PackedInts` run of them — else a typed
+    error.
 
     The trust-boundary integer check: ``"7"``, ``1.9`` and ``True``
     all pass ``int()``, so a tampered frame would silently become a
@@ -149,13 +150,10 @@ def rows_to_dict(rows) -> Dict[str, Any]:
     snapshots all carry this value.  A block's runs are
     :class:`~repro.linalg.limbs.PackedInts` over its own limbs — the
     lists of ints they stand for, stored as limbs: ``json`` writes them
-    as any list, the binary frame codec without boxing an integer
-    (or integer by integer when the run is short: its choice)."""
+    as any list."""
     if isinstance(rows, RowBlock):
         length, k = rows.length, rows.limbs.shape[2]
-        numerators = PackedInts(
-            rows.limbs[:, :-1].reshape(-1, k), rows.numerator_bits
-        )
+        numerators = PackedInts(rows.limbs[:, :-1].reshape(-1, k))
         denominators = PackedInts(rows.limbs[:, -1])
         unit = not (
             (denominators.limbs[:, 0] != 1).any()

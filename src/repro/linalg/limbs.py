@@ -11,11 +11,10 @@ and Python ints are made only where one is asked for.
 Four things rest on that layout:
 
 * **The wire.**  :func:`to_wire` / :func:`from_wire` turn limbs into the
-  fixed-width big-endian run of a binary frame's int array and back with
-  numpy — the same bytes ``int.to_bytes`` per integer produces, so
-  frames did not change.  :class:`PackedInts` is the value an envelope
-  dict carries for such a run: the list of ints it stands for, stored
-  as limbs.
+  fixed-width big-endian run of a frame's row block and back with
+  numpy — the same bytes ``int.to_bytes`` per integer produces.
+  :class:`PackedInts` is the value an envelope dict carries for such a
+  run: the list of ints it stands for, stored as limbs.
 * **The float plane.**  :func:`to_float` recombines limbs into one
   ``float64`` per integer: ``k`` conversions and ``k - 1`` additions.
 * **The proof.**  :func:`proven_products` multiplies in wrapping 64-bit
@@ -225,22 +224,18 @@ class PackedInts(list):
     membership and equality against any list of ints — either way
     round — read the limbs, so ``json`` writes it, the fuzz suites
     compare it and ``isinstance(x, list)`` checks pass it as the list
-    it stands for, while the binary frame codec writes and reads the
-    limbs without boxing an integer.  Every other reading ``list``
-    method (``+``, ``*``, ``reversed``, ordering, ``copy``, ``count``,
-    ``index``) answers from :meth:`tolist`, and every mutating one
-    raises ``TypeError`` — nothing inherited is left to act on the
-    empty storage.  ``bits`` is the largest ``bit_length`` among the
-    integers where whoever made the run knows it (None: the codec
-    measures).
+    it stands for, while a column's ids stay one array of words.  Every
+    other reading ``list`` method (``+``, ``*``, ``reversed``,
+    ordering, ``copy``, ``count``, ``index``) answers from
+    :meth:`tolist`, and every mutating one raises ``TypeError`` —
+    nothing inherited is left to act on the empty storage.
     """
 
-    __slots__ = ("limbs", "bits")
+    __slots__ = ("limbs",)
 
-    def __init__(self, limbs: np.ndarray, bits: int = None) -> None:
+    def __init__(self, limbs: np.ndarray) -> None:
         super().__init__()
         self.limbs = limbs
-        self.bits = bits
 
     def __len__(self) -> int:
         return len(self.limbs)

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SerializationError
 from repro.linalg import limbs as L
-from repro.net.binframe import PACKED_MIN_LEN
 
 from generic_values import decode_value, encode_value
 
@@ -141,10 +140,6 @@ class TestPackedInts:
         assert frame == encode_value({"run": values})
         decoded = decode_value(frame)["run"]
         assert decoded == values and isinstance(decoded, list)
-        # Long runs come back packed, short ones as plain lists.
-        assert (type(decoded) is L.PackedInts) == (
-            len(values) >= PACKED_MIN_LEN
-        )
 
 
 class TestFloatPlane:

@@ -46,7 +46,7 @@ from repro.net.protocol import (
     response_to_dict,
     trace_from_wire,
 )
-from repro.net.binframe import write_value
+from repro.net.binframe import value_bytes
 from repro.obs import Observability
 
 VALUES = list(np.random.default_rng(88).permutation(300))
@@ -61,9 +61,8 @@ CTX = {"trace_id": "ab" * 8, "parent": "cafe0000-3", "sampled": True}
 
 def section(value):
     """A trace section: its byte count, then one generic value."""
-    body = bytearray()
-    write_value(body, value)
-    return bytes((len(body),)) + bytes(body)
+    body = value_bytes(value)
+    return bytes((len(body),)) + body
 
 
 #: :data:`CTX` as a frame's trace section.
