@@ -17,9 +17,13 @@ encryption of those 100k values under the e2e harness's key, its draws
 alone (one SHAKE-256 call per 4 096-value chunk), and the upload of the
 100k-row block over a loopback endpoint (``RemoteColumn.create``: the
 frame both ways and the catalog building the column).
-Two time what every query pays before the engine sees it: the client's
-request encode and the server's decode (envelope to frame and back, as
-``RemoteColumn`` and ``serve_frame`` run them).  Three more time what a
+Three time what every query pays before the engine sees it: the
+client's ``make_query`` (both bounds in both modes) and its request
+encode, and the server's decode (envelope to frame and back, as
+``RemoteColumn`` and ``serve_frame`` run them).  One times what the
+server does with a converged ``crack_cold`` query: the catalog's
+``dispatch`` of its decoded request over a 100k-row column that 1 991
+such queries have cracked.  Three more time what a
 reply costs after the engine is done with it — the server's frame
 encode, the client's frame decode and its decrypt — at 150 rows (``range_tcp``; the
 decrypt asserting that every row opened in proven 64-bit words) and at
@@ -38,6 +42,7 @@ the request's encode and decode, the reply's encode and decode.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.client import TrustedClient
@@ -225,6 +230,44 @@ def query_request(served_column):
         query=client.make_query(everything[700], everything[849]),
     )
     return request, encode(request)
+
+
+def test_make_query(benchmark):
+    """A two-sided query under the e2e harness's key, as the session
+    builds one: both bounds in both modes."""
+    client = TrustedClient(seed=11)
+    query = benchmark(lambda: client.make_query(1_000_000, 1_000_450))
+    assert client.decrypt_results(
+        [0, 1], [query.low.ev, query.high.ev]
+    ).values.tolist() == [1_000_000, 1_000_450]
+
+
+@pytest.fixture(scope="module")
+def converged_crack_cold():
+    """A ``crack_cold``-shaped session after 1 991 ten-row queries over
+    its 100k rows, and the decoded requests of nine more."""
+    rng = np.random.default_rng(20160626)
+    values = np.unique(rng.integers(0, 5_000_000, size=200_000))
+    values = rng.permutation(values)[:100_000]
+    ordered = np.sort(values)
+    starts = rng.integers(0, len(values) - 10, size=2_000)
+    queries = [(int(ordered[s]), int(ordered[s + 9])) for s in starts]
+    db = OutsourcedDatabase(values.tolist(), seed=11)
+    for low, high in queries[:1_991]:
+        db.query(low, high)
+    requests = [
+        QueryRequest(column="values", query=db.client.make_query(low, high))
+        for low, high in queries[1_991:]
+    ]
+    return db, requests
+
+
+def test_dispatch_converged_crack_cold_query(converged_crack_cold, benchmark):
+    db, requests = converged_crack_cold
+    catalog = db._catalog
+    cycle = itertools.cycle(requests)
+    reply = benchmark(lambda: catalog.dispatch(next(cycle)))
+    assert len(reply.response.rows) == 10
 
 
 def test_query_request_encode(query_request, benchmark):
