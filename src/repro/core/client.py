@@ -5,7 +5,8 @@ Client-side duties in the paper's protocol (Sections 3-5.4):
 * encrypt the column before upload — one ``Ev`` row per value, or two
   physical rows per value when ambiguity is on (Section 4.2);
 * encrypt each query bound *twice* (``Eb`` for comparisons, ``Ev`` for
-  the AVL key — Section 4.3) and ship a single
+  the AVL key — Section 4.3), each form an affine map of an entry the
+  encryptor pooled, and ship a single
   :class:`~repro.core.query.EncryptedQuery`;
 * decrypt the returned rows, discard the ~50% ambiguity false
   positives (Figure 13a), and report plaintext results.
@@ -195,11 +196,9 @@ class TrustedClient:
     # -- queries -------------------------------------------------------------------
 
     def encrypt_query_bound(self, bound: int) -> EncryptedBound:
-        """Encrypt one bound in both modes (Section 4.3)."""
-        return EncryptedBound(
-            eb=self._encryptor.encrypt_bound(bound),
-            ev=self._encryptor.encrypt_value(bound),
-        )
+        """Encrypt one bound in both modes (Section 4.3), off the
+        encryptor's pools."""
+        return EncryptedBound(*self._encryptor._query_bound(as_integer(bound)))
 
     def make_query(
         self,
@@ -230,12 +229,13 @@ class TrustedClient:
             raise QueryError("query bounds are integers: %s" % exc) from None
         if low is not None and high is not None and low > high:
             raise QueryError("inverted range: low=%r > high=%r" % (low, high))
+        bound = self._encryptor._query_bound
         return EncryptedQuery(
-            low=None if low is None else self.encrypt_query_bound(low),
-            high=None if high is None else self.encrypt_query_bound(high),
+            low=None if low is None else EncryptedBound(*bound(low)),
+            high=None if high is None else EncryptedBound(*bound(high)),
             low_inclusive=low_inclusive,
             high_inclusive=high_inclusive,
-            pivots=tuple(self.encrypt_query_bound(p) for p in pivots),
+            pivots=tuple([EncryptedBound(*bound(p)) for p in pivots]),
         )
 
     # -- responses ---------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.query import EncryptedQuery
-from repro.cracking.index import QueryStats, record_query_stats
+from repro.cracking.index import QueryStats, record_query_stats, stats_counters
 from repro.obs import Observability
 
 
@@ -30,6 +30,7 @@ class SecureScan:
     ) -> None:
         self._column = column
         self._obs = obs if obs is not None else column.obs
+        self._stats_counters = stats_counters(self._obs.metrics)
         self.stats_log: List[QueryStats] = []
 
     @property
@@ -46,14 +47,19 @@ class SecureScan:
         return self._column
 
     def query(self, query: EncryptedQuery) -> Tuple[np.ndarray, List]:
-        """Answer one encrypted range query by scanning everything."""
-        indices = self.qualifying_indices(query)
+        """Answer one encrypted range query by scanning everything; its
+        scalar products land on the query's :class:`QueryStats`."""
+        products_before = self._column.product_counts()
+        try:
+            indices = self.qualifying_indices(query)
+        finally:
+            self._column.charge_products(self.stats_log[-1], products_before)
         return self._column.row_ids_at(indices), self._column.rows_at(indices)
 
     def qualifying_indices(self, query: EncryptedQuery) -> np.ndarray:
-        """Physical indices of qualifying rows (no side effects)."""
+        """Physical indices of qualifying rows (no side effects but the
+        query's stats entry; the caller charges its products)."""
         stats = QueryStats()
-        products_before = self._column.product_counts()
         tick = time.perf_counter()
         try:
             with self._obs.span("full-scan", rows=len(self._column)):
@@ -61,8 +67,7 @@ class SecureScan:
             stats.result_count = len(indices)
         finally:
             stats.scan_seconds = time.perf_counter() - tick
-            self._column.charge_products(stats, products_before)
-            record_query_stats(self.stats_log, stats, self._obs.metrics)
+            record_query_stats(self.stats_log, stats, self._stats_counters)
         audit = self._obs.audit
         if audit.enabled:
             audit.record(

@@ -159,7 +159,7 @@ class CrackableColumn:
                 ((low, not low_inclusive), (high, high_inclusive)),
             )
             mask = below_high & ~below_low
-        return piece_lo + np.flatnonzero(mask)
+        return piece_lo + mask.nonzero()[0]
 
     # -- verification -------------------------------------------------------
 

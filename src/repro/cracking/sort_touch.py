@@ -28,7 +28,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.cracking.cracker_tree import add_crack, find_piece
-from repro.cracking.index import AdaptiveIndex, BoundKey, QueryStats, _BoundResolution
+from repro.cracking.index import AdaptiveIndex, BoundKey, QueryStats
 
 
 class SortTouchAdaptiveIndex(AdaptiveIndex):
@@ -61,7 +61,7 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
         """Rows currently inside fully sorted intervals."""
         return sum(hi - lo for lo, hi in self._sorted_ranges)
 
-    def _resolve(self, key: BoundKey, stats: QueryStats) -> _BoundResolution:
+    def _place(self, key: BoundKey, stats: QueryStats):
         size = len(self._column)
         tick = time.perf_counter()
         node = self._tree.find(key)
@@ -69,7 +69,7 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
             piece_lo, piece_hi = find_piece(self._tree, key, size)
         stats.search_seconds += time.perf_counter() - tick
         if node is not None:
-            return _BoundResolution(position=node.position)
+            return node.position, None, False
 
         sorted_range = self._containing_sorted_range(piece_lo, piece_hi)
         if sorted_range is None and piece_hi - piece_lo <= self._sort_threshold:
@@ -81,7 +81,7 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
             sorted_range = (piece_lo, piece_hi)
 
         if sorted_range is None:
-            return self._crack_piece(key, piece_lo, piece_hi, stats)
+            return self._crack_piece(key, piece_lo, piece_hi, stats), None, False
         bound, inclusive = key
         tick = time.perf_counter()
         side = "right" if inclusive else "left"
@@ -93,7 +93,7 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
         tick = time.perf_counter()
         add_crack(self._tree, key, split, size)
         stats.insert_seconds += time.perf_counter() - tick
-        return _BoundResolution(position=split)
+        return split, None, False
 
     def _sort_piece(self, piece_lo: int, piece_hi: int) -> None:
         """Sort one piece in place (values and base positions together)."""

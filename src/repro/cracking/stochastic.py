@@ -27,7 +27,7 @@ import time
 from typing import Tuple
 
 from repro.cracking.cracker_tree import add_crack, find_piece
-from repro.cracking.index import AdaptiveIndex, BoundKey, QueryStats, _BoundResolution
+from repro.cracking.index import AdaptiveIndex, BoundKey, QueryStats
 
 
 class StochasticAdaptiveIndex(AdaptiveIndex):
@@ -54,10 +54,10 @@ class StochasticAdaptiveIndex(AdaptiveIndex):
         self._ddr_piece_limit = ddr_piece_limit
         self._pivot_rng = random.Random(seed)
 
-    def _resolve(self, key: BoundKey, stats: QueryStats) -> _BoundResolution:
+    def _place(self, key: BoundKey, stats: QueryStats):
         """Shrink the target piece with random pivots, then defer to base."""
         self._random_shrink(key, stats)
-        return super()._resolve(key, stats)
+        return super()._place(key, stats)
 
     def _random_shrink(self, key: BoundKey, stats: QueryStats) -> None:
         size = len(self._column)

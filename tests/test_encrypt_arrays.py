@@ -71,8 +71,11 @@ MIXED_WIDTH_SHA256 = (
 )
 #: 2 000 rounds of ``encrypt_value`` / ``encrypt_bound`` / ``make_query``
 #: (a pivot every seventh) at the benchmark's key, then the next word.
+#: Re-pinned once when ``make_query`` came to draw its bounds from the
+#: encryptor's pools: the queries' ciphertexts moved, and so did every
+#: later word of the sequential stream, which queries no longer read.
 SCALAR_STREAM_SHA256 = (
-    "50e3067a1bbb5e08b3b698b1e4760cdc6181ee3466bd0bd6b8cfdf3487611d17"
+    "3e39277eb865d96f1121bbc867ad6f70208335a516cfb6685eb2c54a1c5bf91c"
 )
 #: The audit events of 600 mixed operations on an audited session.
 AUDIT_STREAM_SHA256 = (

@@ -313,3 +313,49 @@ class TestLifetime:
             assert [ref() for ref in alive] == [None] * len(alive)
         finally:
             gc.enable()
+
+
+class TestQueryOfAnotherLength:
+    """A query whose bounds are not of the column's ciphertext length is
+    refused as a typed ``query`` error before the server touches
+    anything — not answered ``internal`` from deep in the kernel."""
+
+    @staticmethod
+    def _state(server):
+        engine, column = server.engine, server.engine.column
+        return (
+            [(node.position, id(node.key)) for node in engine.tree.in_order()],
+            column.rows_at(range(len(column))).limbs.tobytes(),
+            column.row_ids.tobytes(),
+            len(server.stats_log),
+            list(server.stats_log),
+        )
+
+    @pytest.mark.parametrize("cracked", (False, True), ids=("fresh", "cracked"))
+    @pytest.mark.parametrize("key_length", (3, 5))
+    @pytest.mark.parametrize("sides", ("two", "low", "high"))
+    def test_is_refused_before_any_descent(self, cracked, key_length, sides):
+        client = TrustedClient(seed=61)
+        catalog = ColumnCatalog(obs=Observability())
+        rows, row_ids = client.encrypt_dataset(list(range(0, 2_000, 5)))
+        catalog.create_column("prices", rows, row_ids, {"min_piece_size": 1})
+        if cracked:
+            for low in range(0, 2_000, 100):
+                reply = catalog.dispatch(QueryRequest(
+                    column="prices", query=client.make_query(low, low + 40)
+                ))
+                assert len(reply.response.rows) == 9
+        server = catalog.server("prices")
+        assert bool(len(server.engine.tree)) == cracked
+        before = self._state(server)
+        other = TrustedClient(seed=62, key_length=key_length)
+        bounds = {"two": (500, 900), "low": (500, None), "high": (None, 900)}
+        query = other.make_query(*bounds[sides])
+        reply = catalog.dispatch(QueryRequest(column="prices", query=query))
+        assert isinstance(reply, ErrorResponse)
+        assert reply.code == "query", reply
+        assert "length" in reply.message
+        assert self._state(server) == before
+        with pytest.raises(QueryError):
+            server.execute(query)
+        assert self._state(server) == before

@@ -1052,18 +1052,21 @@ QUERY_TRACE = {"trace_id": "5eed" * 8, "parent": "0a0b0c0d", "sampled": True}
 #: none-sided one, a ``query_many`` batch of four, and — on the request
 #: side — the first query's frame traced.  Every frame is prefixed with
 #: its 4-byte length.  Computed at the parent of the kinds' body
-#: codecs, which write and read the bytes the per-field path did.
+#: codecs, which write and read the bytes the per-field path did.  The
+#: request halves were re-pinned once, when query bounds came to be
+#: drawn from the encryptor's pools: the ciphertexts moved, the replies
+#: hash as before.
 QUERY_FRAME_SHA256 = {
     "crack_cold": (
-        "842484e03079aa48682bf03f81f68ad148dd7c3e2f39c8091264fa1d677900ed",
+        "7da9a3f6fd94df0cbee1928a57bbcd60ffee9ddadd7e7cf40514bc8c5fc7e507",
         "6119deb2f355f48e8babaaa9dd5405817c6345c0cf1422e361e1b841d3d1199a",
     ),
     "range_tcp": (
-        "cb44e677c2bb0eb6ae393e5a1d3af4681ac709643d52ebdaa139f6319d6f23cc",
+        "3e7b88f130f2b1533c6336bb3668945ec78458ca69cb1bfba371610c8653ba93",
         "126da0aaf5265cd4f271c8aa10206e404a034927a41530632490c8783184e01c",
     ),
     "ambiguity": (
-        "0a614bbec3963d4ded3a9a00f4412cbe91c2faea29909c359f456a7eb595621a",
+        "510c24ce8345df11847269c6468197b93db02e70066d3978ca1dd514aeed5b9d",
         "4e67b6b3380608b4859efcbb23d56fe3bc349bfb64b34383ed4134f3f48e6c1b",
     ),
 }

@@ -56,9 +56,13 @@ from repro.linalg.vectors import dot, orthogonal_vector
 #: matched the eight-configuration digest.  Re-pinned once more when the
 #: owner's draws moved to a keyed SHAKE-256 stream: the ambiguity
 #: sessions' counterfeits moved, and with them their false positives and
-#: returned rows; the plain sessions' results hash as before.
+#: returned rows; the plain sessions' results hash as before.  And once
+#: when query bounds came to be drawn from the encryptor's pools: queries
+#: stopped reading the sequential stream, so the counterfeits of rows
+#: inserted later moved; every result's real values and logical ids
+#: (71 per session, key rotation included) stayed the parent's.
 RESULT_STREAM_SHA256 = (
-    "553fea623ea059f62b525eb3981b51332c56c63aaacc25914a74eeea8bffdcae"
+    "b4cb3c9e05631d8ac3b28303797db4684c287994c23fb15bca2ad519df254d2f"
 )
 
 #: The configurations the pin was computed over.  Each names the frame

@@ -629,22 +629,24 @@ class TestSnapshotBytesPinned:
     gathered under ``config`` (``engine_kind`` as ``engine``) and
     ``version`` 3 read 4 — nothing else may have moved.  Re-pinned
     once since, when the owner's draws moved to a keyed SHAKE-256
-    stream: the snapshot holds ciphertexts, and every one moved."""
+    stream: the snapshot holds ciphertexts, and every one moved; and
+    once more when query bounds came to be drawn from the encryptor's
+    pools: the tree's keys are query ciphertexts."""
 
     def test_cracks_pending_rows_and_tombstones(self):
         client, server = pinned_server()
         assert SNAPSHOT_VERSION == 4
         assert snapshot_digest(server) == (
-            "e224a05f1ca5499c0c28ec8d5b7b77bfdcd072d3b38a91feac746ae9a98cb14c"
+            "ec53debb5194093d7f9b8b8408f66dc5ed365374978e6cf56e9d29f203aa5712"
         )
         server.merge_pending()  # empty pending block, merged physical order
         assert snapshot_digest(server) == (
-            "ac0a383cbce0b8c6df9e5ebc78cb66f50109afadd34130d36bab571aa8ca9127"
+            "478787604f28b45240f5a472bf6edc0c45383bc627983e4152b442736b5d05a3"
         )
         server.insert(client.encrypt_value(7))
         server.execute(client.make_query(0, 50))
         assert snapshot_digest(server) == (
-            "7c81831d7bac39b93e916a606cf036588c9b91d29b52f32e8c5150eceefbde71"
+            "f3952f3a604eadbcc5c04c223fd9719255f5fd789c8f444f9b5990f231b7f2b0"
         )
 
 
