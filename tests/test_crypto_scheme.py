@@ -1,9 +1,13 @@
 """Unit tests for the encryption scheme (paper, Section 3)."""
 
 import random
+from fractions import Fraction
+from operator import mul
 
+import numpy as np
 import pytest
 
+from repro.crypto import scheme
 from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor, compare
@@ -162,3 +166,142 @@ class TestEncryptorConfiguration:
         encryptor = Encryptor(key4, seed=0, multiplier_bound=8)
         draws = {encryptor._draw_odd_multiplier() for _ in range(200)}
         assert draws == {1, 3, 5, 7}
+
+
+# -- query bounds off the encryptor's pools --------------------------------------------
+
+
+def _pooled(encryptor, bound):
+    return encryptor._query_bound(bound)
+
+
+class TestPooledQueryBounds:
+    """``Encryptor._query_bound``: both forms of a bound as affine maps of
+    pooled entries (``make_query``'s path), against the scalar
+    ``encrypt_bound`` / ``encrypt_value``."""
+
+    @pytest.mark.parametrize("bound", [0, -1, -(10 ** 9), 2 ** 31 - 1, 2 ** 70])
+    def test_both_forms_open_to_the_bound(self, encryptor, bound):
+        key = encryptor.key
+        p0, p1 = key.payload_positions
+        for _ in range(3):
+            eb, ev = _pooled(encryptor, bound)
+            assert encryptor.decrypt_value(ev) == bound
+            pre_image, denominator = encryptor.pre_image(ev)
+            xi = -pre_image[p1]
+            assert denominator == 1 and xi > 0 and xi % 2 == 1
+            assert pre_image[p0] == xi * bound
+            noise = [pre_image[i] for i in key.noise_positions]
+            assert sum(n * u for n, u in zip(noise, key.u)) == 0
+            bound_pre_image = encryptor.bound_pre_image(eb)
+            assert (bound_pre_image[p0], bound_pre_image[p1]) == (1, bound)
+            # The bound's noise is lambda * u, lambda nonzero.
+            lam = {
+                Fraction(bound_pre_image[i], u)
+                for i, u in zip(key.noise_positions, key.u) if u
+            }
+            assert len(lam) == 1 and lam != {0}
+
+    def test_signs_against_scalar_rows_are_the_plaintext_order(self, encryptor):
+        rng = random.Random(5)
+        rows = {v: encryptor.encrypt_value(v) for v in range(-40, 41, 3)}
+        for _ in range(60):
+            bound = rng.randrange(-45, 46)
+            eb, ev = _pooled(encryptor, bound)
+            for value, row in rows.items():
+                assert compare(eb, row) == (value > bound) - (value < bound)
+                # And the Ev form orders against a scalar Eb as a tree key.
+                scalar = encryptor.encrypt_bound(value)
+                product = sum(map(mul, scalar.vector, ev.numerators))
+                assert (product > 0) - (product < 0) == (
+                    (bound > value) - (bound < value)
+                )
+
+    def test_no_entry_serves_two_bounds(self, key4):
+        # A wide multiplier bound: two lambdas or rows alike would be
+        # one entry served twice, not chance.
+        encryptor = Encryptor(key4, seed=9, multiplier_bound=1 << 40)
+        bounds = [_pooled(encryptor, 0) for _ in range(10_000)]
+        assert len({eb.vector for eb, __ in bounds}) == 10_000
+        assert len({ev.numerators for __, ev in bounds}) == 10_000
+
+    def test_a_pool_is_one_block_draw_at_a_time(self, encryptor):
+        _pooled(encryptor, 1)
+        assert encryptor._blocks == 1 and encryptor._bound_draws == 1
+        for _ in range(scheme._POOL_ENTRIES - 1):
+            _pooled(encryptor, 1)
+        assert encryptor._blocks == 1
+        _pooled(encryptor, 1)
+        assert encryptor._blocks == 2
+
+    def test_rejected_lambda_words_are_drawn_again(self, key4, monkeypatch):
+        calls = []
+        shake_words = scheme._shake_words
+
+        def rigged(key, label, size):
+            words = shake_words(key, label, size)
+            if label.startswith(b"bounds"):
+                calls.append(label)
+                if len(calls) == 1:
+                    # Every word past the last whole run of the span.
+                    return np.arange(size, dtype=np.uint64)[::-1] + np.uint64(
+                        (1 << 64) - size
+                    )
+            return words
+
+        monkeypatch.setattr(scheme, "_shake_words", rigged)
+        encryptor = Encryptor(key4, seed=3, multiplier_bound=(1 << 62) + 1)
+        eb, ev = _pooled(encryptor, 77)
+        assert len(calls) == 2
+        assert encryptor.decrypt_value(ev) == 77
+        assert compare(eb, encryptor.encrypt_value(78)) == 1
+        assert compare(eb, encryptor.encrypt_value(77)) == 0
+
+    def test_tiny_parameters_take_the_redraw_paths(self, key4):
+        # xi = 1 and lambda = +-1 only; w in {-1, 0, 1}^2 is zero (and
+        # drawn again off the sequential stream) one time in nine.
+        encryptor = Encryptor(key4, seed=4, multiplier_bound=1,
+                              noise_magnitude=1)
+        draw = encryptor._draw
+        redrawn = []
+
+        def watched(words):
+            redrawn.append(1)
+            return draw(words)
+
+        encryptor._draw = watched
+        for bound in range(-300, 300):
+            eb, ev = _pooled(encryptor, bound)
+            assert encryptor.decrypt_row(ev).multiplier == 1
+            assert encryptor.decrypt_value(ev) == bound
+            assert compare(eb, encryptor.encrypt_value(bound - 1)) == -1
+        assert redrawn
+
+    def test_a_rotated_session_serves_no_entry_of_the_old_key(self):
+        from repro.core.session import OutsourcedDatabase
+
+        db = OutsourcedDatabase(list(range(0, 3_000, 3)), seed=8)
+        assert len(db.query(300, 330).values) == 11
+        old = db.client.encryptor
+        old_rows = {row for row, __ in old._value_pool}
+        old_offsets = set(old._bound_pool)
+        assert old_rows and old_offsets
+        db.rotate_key(new_seed=21)
+        new = db.client.encryptor
+        assert new is not old and new.key != old.key
+        sent = []
+        make_query = db.client.make_query
+
+        def recorded(*args, **kwargs):
+            sent.append(make_query(*args, **kwargs))
+            return sent[-1]
+
+        db.client.make_query = recorded
+        for low in range(0, 3_000, 300):
+            assert len(db.query(low, low + 30).values) == 11
+        assert not old_rows & {row for row, __ in new._value_pool}
+        assert not old_offsets & set(new._bound_pool)
+        for query in sent:
+            for bound in (query.low, query.high):
+                assert new.decrypt_row(bound.ev).is_real
+                assert not old.decrypt_row(bound.ev).is_real
