@@ -30,7 +30,9 @@ decrypt asserting that every row opened in proven 64-bit words) and at
 10 (``crack_cold``, where the per-frame and per-block fixed costs are
 all there is) — and one the decrypt of a 120-row ambiguity reply
 (``ambiguity_range``), which no word holds: every row must open in
-exact digits, none boxed.
+exact digits, none boxed.  Two time the server's twin of that decrypt:
+``below`` over an ``ambiguity_range``-shaped piece of 64 rows (boxed)
+and of 200 (exact digits).
 Three time a mutation's server-side costs besides its fsync, at the
 shapes of ``mixed_wal``: a one-row insert into a pending column of 200
 rows, the WAL append of that insert's record (encode included) under
@@ -330,6 +332,30 @@ def test_decrypt_120_ambiguous_rows(benchmark):
     assert sorted(result.values.tolist()) == sorted(values)
     assert result.false_positives == 60
     assert (encryptor.exact_rows, encryptor.fast_rows % 120) == (0, 0)
+
+
+@pytest.fixture(scope="module", params=(64, 200), ids="{}_rows".format)
+def ambiguity_piece(request):
+    """A piece of an ``ambiguity_range``-shaped column — values steered
+    into their own 300 000-wide domain under the harness's key — that
+    long, and a bound inside the domain: no word holds these products,
+    and 96 rows is where the server turns from boxing to digits."""
+    count = request.param
+    values = random.Random(5).sample(range(300_000), count // 2)
+    domain = (min(values), max(values) + 1)
+    client = TrustedClient(seed=11, ambiguity=True, fake_domain=domain)
+    column = EncryptedColumn(*client.encrypt_dataset(values))
+    assert len(column) == count
+    return column, client.encrypt_query_bound(150_000).eb
+
+
+def test_below_on_an_ambiguity_column(ambiguity_piece, benchmark):
+    column, bound = ambiguity_piece
+    before = column.product_counts()
+    below = benchmark(lambda: column.below(0, len(column), bound, True))
+    assert len(below) == len(column)
+    fast, exact = column.product_counts()
+    assert fast == before[0] and exact > before[1]
 
 
 @pytest.fixture(scope="module")
