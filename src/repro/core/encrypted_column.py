@@ -28,22 +28,14 @@ numerator's two's-complement low word, so the column multiplies that in
 wrapping 64-bit arithmetic and proves, row by row, that the wrapped
 word is the true product — against a ``float64`` plane derived from
 the limbs in numpy, under the rounding bound of
-:mod:`repro.linalg.limbs` (where the rule and its proof live; the
-client's decrypt shares it).
-
-Rows that fail the test (their product does not fit a word) are
-computed exactly some other way, as is everything when the bound
-reaches ``2^62`` (a product that fits is no longer sure to pass, so the
-attempt could be wasted; ambiguity rows, whose numerators carry a
-58-bit denominator, are the case in point): 96 rows or more in 32-bit
-digits (:func:`repro.linalg.limbs.exact_products` — carries, no
-rounding, nothing boxed when only signs are wanted), fewer by boxing
-them for the object-dtype big-int matmul.  Bit-lengths and the row
-count are read off data the server holds anyway; nothing selects a
-kernel.
-The float plane is built when the first bound it can serve is
-multiplied, and from then on it is one more of the parallel arrays a
-crack permutes.
+:mod:`repro.linalg.limbs`.  Rows that fail the test, and every row when
+the bound reaches ``2^62`` (ambiguity rows, whose numerators carry a
+58-bit denominator), are multiplied exactly in digits or boxed ints:
+:func:`repro.linalg.limbs.multiply`, the client's open's entry point
+too, picks per row from bit-lengths and the row count, and with
+``signs`` boxes nothing in digits.  The float plane is built when the
+first bound it can serve is multiplied, and from then on it is one more
+of the parallel arrays a crack permutes.
 """
 
 from __future__ import annotations
@@ -58,29 +50,19 @@ from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.errors import IndexStateError
 from repro.obs import Observability
 from repro.linalg.limbs import (
+    PRODUCTS,
     ROUNDING_LIMIT,
+    SIGNS,
+    Operand,
     bit_length,
     common_width,
-    digit_operand,
-    digits_sign,
-    digits_to_limbs,
-    exact_products,
     int_bit_length,
-    proven_products,
+    multiply,
     rounding_bound,
-    to_digits,
     to_float,
-    to_objects,
     top_bits,
     widen,
-    word_operand,
 )
-
-
-#: Fewest rows :meth:`EncryptedColumn.products` multiplies in digits
-#: where no word holds the product (~50 array calls, against ~0.7 us a
-#: row boxed and multiplied as Python ints).
-_DIGITS_MIN_ROWS = 96
 
 
 def _left_of(signs: np.ndarray, inclusive: bool) -> np.ndarray:
@@ -166,8 +148,8 @@ class EncryptedColumn(CrackableColumn):
         #: Every ``Eb . Ev`` product the server computes counts on one
         #: of these two registry counters: a batched one (main or
         #: pending column) on ``fast_products`` when its word-sized
-        #: value was proven, on ``exact_products`` when the big-int
-        #: matmul computed it; the one-row ones of merge routing on
+        #: value was proven, on ``exact_products`` when exact digits or
+        #: boxed ints computed it; the one-row ones of merge routing on
         #: ``exact_products`` at their call site.
         self.fast_products = self._obs.metrics.counter("kernel.fast_products")
         self.exact_products = self._obs.metrics.counter("kernel.exact_products")
@@ -220,8 +202,9 @@ class EncryptedColumn(CrackableColumn):
 
     def _products(self, piece_lo: int, piece_hi: int, bounds, signs: bool):
         """:meth:`products` of the piece against each of ``bounds``, one
-        column each, in one pass: one span, one word-sized matmul, one
-        audit event and one count per bound."""
+        column each, in one pass: one span, one product
+        (:func:`repro.linalg.limbs.multiply`), one audit event and one
+        count per bound."""
         self._check_range(piece_lo, piece_hi)
         rows = piece_hi - piece_lo
         audit = self._obs.audit
@@ -231,48 +214,26 @@ class EncryptedColumn(CrackableColumn):
             for bound in bounds:
                 audit.record("products", bound=audit.ref(bound),
                              lo=piece_lo, hi=piece_hi, rows=rows)
-        vectors = [bound.vector for bound in bounds]
+        operand = Operand([bound.vector for bound in bounds])
         with self._obs.span("kernel-product", rows=rows):
-            proven = self._word_products(piece_lo, piece_hi, vectors)
-            if proven is None:
-                self.exact_products.add(rows * len(vectors))
-                return np.column_stack([
-                    self._big_products(slice(piece_lo, piece_hi), vector, signs)
-                    for vector in vectors
-                ])
-            words, accepted = proven
-            if accepted.all():
-                self.fast_products.add(words.size)
-                return words
-            missed = np.count_nonzero(~accepted)
-            self.fast_products.add(words.size - missed)
-            self.exact_products.add(missed)
-            products = words.astype(object)
-            for j, vector in enumerate(vectors):
-                rejected = np.flatnonzero(~accepted[:, j])
-                if len(rejected):
-                    products[rejected, j] = self._big_products(
-                        piece_lo + rejected, vector, signs
-                    )
+            floats = self._floats
+            if floats is None and (
+                self._rounding_bound(self._bits, operand.bits) < ROUNDING_LIMIT
+            ):
+                floats = self._floats = to_float(self._numerators)
+            if floats is not None:
+                floats = floats[piece_lo:piece_hi]
+            (products,), (proven, *__) = multiply(
+                self._limbs[piece_lo:piece_hi, :-1],
+                operand,
+                SIGNS if signs else PRODUCTS,
+                floats,
+                self._bits,
+            )
+            self.fast_products.add(proven)
+            if proven < products.size:
+                self.exact_products.add(products.size - proven)
             return products
-
-    def _big_products(self, rows, vector, signs: bool = False) -> np.ndarray:
-        """The products of ``rows`` (a slice or physical indices) no
-        word holds.  Enough of them to repay the array calls are
-        multiplied exactly in 32-bit digits
-        (:func:`repro.linalg.limbs.exact_products`) and only the
-        products boxed — or, with ``signs``, nothing at all; a few are
-        boxed for the occasion and go through the object-dtype big-int
-        matmul, the verifier of last resort."""
-        numerators = self._limbs[rows, :-1]
-        if len(numerators) >= _DIGITS_MIN_ROWS:
-            operand = digit_operand(vector)
-            if operand is not None:
-                digits = exact_products(to_digits(numerators), operand)[..., 0]
-                if signs:
-                    return digits_sign(digits)
-                return to_objects(digits_to_limbs(digits))
-        return to_objects(numerators) @ np.asarray(vector, dtype=object)
 
     def product_counts(self) -> Tuple[int, int]:
         """``(fast, exact)``: the two product counters' totals."""
@@ -296,31 +257,9 @@ class EncryptedColumn(CrackableColumn):
         """Whether this column's products against ``bound`` are tried in
         proven machine words: the head-room test of :meth:`products`,
         read off bit-lengths alone."""
-        return self._word_bound([bound.vector]) < ROUNDING_LIMIT
-
-    def _word_bound(self, vectors) -> int:
-        """The rounding bound of this column's products against every
-        bound vector of ``vectors``."""
-        return self._rounding_bound(self._bits, max(map(int_bit_length, vectors)))
-
-    def _word_products(self, piece_lo: int, piece_hi: int, vectors):
-        """``(words, accepted)``, one column per vector of ``vectors``:
-        the wrapped 64-bit products of the piece and, per product,
-        whether the acceptance inequality proves the word is the product
-        (:mod:`repro.linalg.limbs`).  None when the operands'
-        bit-lengths rule the proof out."""
-        bound = self._word_bound(vectors)
-        if bound >= ROUNDING_LIMIT:
-            return None
-        if self._floats is None:
-            self._floats = to_float(self._numerators)
-        low, floats = word_operand(vectors)
-        return proven_products(
-            self._limbs[piece_lo:piece_hi, :-1, 0],
-            self._floats[piece_lo:piece_hi],
-            (low.T, floats.T),
-            bound,
-        )
+        return self._rounding_bound(
+            self._bits, int_bit_length(bound.vector)
+        ) < ROUNDING_LIMIT
 
     def below_each(self, piece_lo: int, piece_hi: int, cuts) -> list:
         """:meth:`below` for each ``(bound, inclusive)`` of ``cuts``,

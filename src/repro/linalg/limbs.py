@@ -8,7 +8,7 @@ read off the widest integer of the set.  Gathers, permutations,
 concatenation and equality are then plain fixed-width array operations,
 and Python ints are made only where one is asked for.
 
-Four things rest on that layout:
+Five things rest on that layout:
 
 * **The wire.**  :func:`to_wire` / :func:`from_wire` turn limbs into the
   fixed-width big-endian run of a frame's row block and back with
@@ -20,14 +20,16 @@ Four things rest on that layout:
 * **The proof.**  :func:`proven_products` multiplies in wrapping 64-bit
   words — limb 0 *is* the low word — and accepts a product only where
   the float plane proves the word did not wrap, under
-  :func:`rounding_bound`.  The server's sign kernel
-  (:mod:`repro.core.encrypted_column`) and the client's decrypt
-  (:meth:`repro.crypto.scheme.Encryptor.decrypt_block`) share that one
-  rule.
+  :func:`rounding_bound`.
 * **Exact digits.**  Where no word holds a product,
   :func:`exact_products` still multiplies without boxing or rounding:
-  limbs viewed as 32-bit digits, one integer matmul, one carry pass
-  (last section of this module).
+  limbs viewed as 32-bit digits, one integer matmul, one carry pass.
+* **One exact product.**  :func:`multiply` alone picks among those two
+  and boxed ints (:func:`boxed_products`), per row, from bit-lengths and
+  the row count.  The server's sign kernel
+  (:mod:`repro.core.encrypted_column`) and the client's open
+  (:meth:`repro.crypto.scheme.Encryptor.decrypt_block`) call it, each
+  with what it reads of a product (last section of this module).
 
 The rule.  For integer vectors ``a`` (rows, ``k`` limbs each, below
 ``2^abits``) and ``b`` (below ``2^bbits``) of length ``l`` with exact
@@ -54,7 +56,8 @@ longer sure to pass, so nothing is attempted in words.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -354,14 +357,11 @@ def word_operand(integers) -> Tuple[np.ndarray, np.ndarray]:
     """The right-hand operand of a proven product — a vector of Python
     ints, or a matrix as a sequence of rows — as ``(low words,
     floats)``."""
-    if len(integers) and isinstance(integers[0], int):
-        low = [x & _WORD_MASK for x in integers]
-    else:
-        low = [[x & _WORD_MASK for x in row] for row in integers]
-    return (
-        np.array(low, dtype=np.uint64),
-        np.array(integers, dtype=np.float64),
-    )
+    try:
+        low = np.array(integers, dtype=np.int64).view(np.uint64)
+    except OverflowError:
+        low = (np.array(integers, dtype=object) & _WORD_MASK).astype(np.uint64)
+    return low, np.array(integers, dtype=np.float64)
 
 
 def proven_products(
@@ -545,3 +545,161 @@ def digit_multiples(
     exactly, and equal canonical digits are equal integers."""
     scaled = carry_digits(factors * digits)
     return (scaled[:-1] == targets).all(axis=0) & (scaled[-1] == 0)
+
+
+# -- one exact product, three arithmetics -------------------------------------------
+
+
+class Operand:
+    """The right-hand side of an exact product — an ``l x m`` integer
+    matrix, given by its ``m`` columns — prepared once in each form a
+    stage of :func:`multiply` reads: its bit-length here, its word,
+    digit and boxed forms when a stage first asks for them."""
+
+    def __init__(self, columns: Sequence[Sequence[int]]) -> None:
+        self.columns = columns
+        self.length = len(columns[0])
+        self.bits = max(map(int.bit_length, chain.from_iterable(columns)))
+        self._words = None
+
+    @property
+    def words(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(low words, floats)``, each ``l x m``: :func:`word_operand`."""
+        if self._words is None:
+            low, floats = word_operand(self.columns)
+            self._words = low.T, floats.T
+        return self._words
+
+    @cached_property
+    def digits(self):
+        """:func:`digit_operand`: ``l x m x d``, or None past its head-room."""
+        return digit_operand(tuple(zip(*self.columns)))
+
+    @cached_property
+    def objects(self) -> np.ndarray:
+        """The ``l x m`` object matrix of its Python ints."""
+        return np.array(self.columns, dtype=object).T
+
+
+def boxed_products(limbs: np.ndarray, operand: Operand) -> np.ndarray:
+    """``rows @ matrix`` boxed: the big-int matmul of last resort."""
+    return to_objects(limbs) @ operand.objects
+
+
+#: Where the word stage repays itself, by whether the caller passes a
+#: cached float plane: ``(fewest rows, least share proven)``.  A column
+#: has its plane and tries every piece; a block opened once builds one
+#: (~40 array calls, against microseconds a row boxed) from 32 rows,
+#: and is the digits' whole where words prove under a quarter of it
+#: (narrow ambiguity rows pass the bit-length test, then leave a word).
+_WORD_STAGE = {True: (0, 0.0), False: (32, 0.25)}
+#: Fewest rows the digit stage takes, by whether the operand has more
+#: than two columns: ~50 array calls whatever the rows, against a boxed
+#: dot product a row and column — from 96 rows against a column's one
+#: or two bounds, from 64 against a block's opening matrix.
+_DIGIT_ROWS = (96, 64)
+
+
+#: The readers of a caller that wants the products themselves, and of
+#: one that wants their signs (nothing boxed for digits).
+PRODUCTS = (None, lambda digits: ((to_objects(digits_to_limbs(digits)),), None),
+            None)
+SIGNS = (None, lambda digits: ((digits_sign(digits),), None), None)
+
+
+def multiply(limbs, operand: Operand, readers, floats=None, bits=None):
+    """The exact products of the rows of ``limbs`` (``n x l x k``) with
+    ``operand`` (``l x m``), each row in the cheapest arithmetic that
+    holds it: proven 64-bit words (:func:`proven_products`) where the
+    rounding bound of ``bits`` (default: :func:`top_bits`) allows it and
+    the acceptance test proves all of the row's products; exact 32-bit
+    digits (:func:`exact_products`) for the rows that leaves, when there
+    are enough of them; boxed ints (:func:`boxed_products`) for the
+    rest.  ``floats`` is a float plane the caller keeps (built here
+    otherwise); whether it passes one, the row count and the operand's
+    column count pick the crossovers (:data:`_WORD_STAGE`,
+    :data:`_DIGIT_ROWS`).
+
+    ``readers`` ``(words, digits, ints)`` turn one stage's products —
+    ``int64`` ``r x m``, canonical digits ``J x r x m``, Python ints ``r
+    x m`` — into a tuple of per-row arrays (None: the products
+    themselves); the digit reader also returns a mask of the rows it
+    leaves undecided (or None), which are boxed.  Returns those arrays
+    spliced in row order and ``(proven, words, digits, boxed)``: the
+    products the words proved, and the rows each stage settled.
+
+    Raises:
+        ValueError: rows of another length than the operand's.
+    """
+    count, length, k = limbs.shape
+    if length != operand.length:
+        raise ValueError(
+            "rows of length %d against an operand of %d"
+            % (length, operand.length)
+        )
+    read_words, read_digits, read_ints = readers
+    parts, proven, settled, left = [], 0, [0, 0, 0], None
+    fewest, share = _WORD_STAGE[floats is not None]
+    if count >= fewest:
+        bound = rounding_bound(
+            length, top_bits(limbs) if bits is None else bits, operand.bits, k
+        )
+        if bound < ROUNDING_LIMIT:
+            words, accepted = proven_products(
+                limbs[..., 0],
+                to_float(limbs) if floats is None else floats,
+                operand.words,
+                bound,
+            )
+            if accepted.all():
+                outputs = (words,) if read_words is None else read_words(words)
+                return outputs, (words.size, count, 0, 0)
+            whole = accepted.all(axis=1)
+            taken = whole.nonzero()[0]
+            if len(taken) >= share * count:
+                words = words[taken]
+                outputs = (words,) if read_words is None else read_words(words)
+                parts.append((taken, outputs))
+                proven, settled[0] = np.count_nonzero(accepted), len(taken)
+                left = (~whole).nonzero()[0]
+    rest = count if left is None else len(left)
+    if rest >= _DIGIT_ROWS[len(operand.columns) > 2] and (
+        operand.digits is not None
+    ):
+        block = limbs if left is None else limbs[left]
+        outputs, undecided = read_digits(
+            exact_products(to_digits(block), operand.digits)
+        )
+        if outputs is not None:
+            parts.append((left, outputs))
+        settled[1], rest = rest, 0
+        if undecided is not None:
+            left = undecided.nonzero()[0] if left is None else left[undecided]
+            rest = len(left)
+            settled[1] -= rest
+    if rest or not parts:
+        products = boxed_products(limbs if left is None else limbs[left], operand)
+        outputs = (products,) if read_ints is None else read_ints(products)
+        parts.append((left, outputs))
+        settled[2] = rest
+    counts = proven, *settled
+    if len(parts) == 1 and parts[0][0] is None:
+        return parts[0][1], counts
+    return _splice(count, parts), counts
+
+
+def _splice(count: int, parts) -> tuple:
+    """The per-row arrays of every stage's ``(rows, arrays)`` (rows None:
+    all of them) in one tuple, a later stage written over an earlier."""
+    spliced = []
+    for arrays in zip(*[outputs for __, outputs in parts]):
+        if arrays[0] is None:
+            spliced.append(None)
+            continue
+        out = np.empty(
+            (count,) + arrays[0].shape[1:], dtype=np.result_type(*arrays)
+        )
+        for (rows, __), array in zip(parts, arrays):
+            out[slice(None) if rows is None else rows] = array
+        spliced.append(out)
+    return tuple(spliced)

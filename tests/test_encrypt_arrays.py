@@ -641,7 +641,7 @@ class TestHeadRoom:
     def test_a_key_past_the_digit_product_is_boxed(self):
         key = generate_key(4, seed=904)
         encryptor = Encryptor(key, seed=4)
-        encryptor._inverse_operand = None
+        encryptor._inverse.digits = None  # past the digit product's head-room
         reference = Encryptor(key, seed=4)
         assert (
             encryptor.encrypt_values(VALUES) == reference.encrypt_values(VALUES)

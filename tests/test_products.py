@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import encrypted_column
 from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.server import SecureServer
 from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
+from repro.linalg import limbs
 from repro.linalg.limbs import to_objects
 
 NUMERATORS = st.integers(-(2 ** 256), 2 ** 256)
@@ -158,16 +158,17 @@ class TestExactProducts:
         column = _column(rows)
         boxed = []
         monkeypatch.setattr(
-            encrypted_column, "to_objects",
-            lambda limbs: (boxed.append(limbs.shape), to_objects(limbs))[1],
+            limbs, "to_objects",
+            lambda array: (boxed.append(array.shape), to_objects(array))[1],
         )
         for lo, hi in ((0, 200), (3, 99), (10, 50)):
             products = column.products(lo, hi, bound)
             assert products.dtype == object
             assert products.tolist() == truth[lo:hi]
-            # In digits only the products are boxed, not the rows.
+            # In digits only the products are boxed (one a row), not the
+            # rows (four numerators each).
             (shape,) = boxed
-            assert (len(shape) == 3) == (hi - lo < 96), shape
+            assert shape[:2] == (hi - lo, 4 if hi - lo < 96 else 1), shape
             boxed.clear()
             for inclusive in (False, True):
                 below = column.below(lo, hi, bound, inclusive)
@@ -178,6 +179,33 @@ class TestExactProducts:
                 boxed.clear()
         assert column.product_counts() == (0, 3 * (200 + 96 + 40))
         assert column._floats is None
+
+    def test_ambiguity_pieces_turn_to_digits_at_96_rows(self, monkeypatch):
+        # The server's twin of the client's stage pins: an ambiguity
+        # column's products are ruled out of words by bit-lengths, and
+        # a piece goes to digits from 96 rows up, boxed below.
+        client = TrustedClient(seed=11, ambiguity=True)
+        values = np.random.default_rng(2).integers(0, 2 ** 31, 60)
+        column = EncryptedColumn(*client.encrypt_dataset(values.tolist()))
+        bound = client.encrypt_query_bound(2 ** 30).eb
+        stages = []
+        for name, stage in (("proven_products", "words"),
+                            ("exact_products", "digits"),
+                            ("boxed_products", "boxed")):
+            def spy(first, *rest, _real=getattr(limbs, name), _stage=stage):
+                rows = first.shape[1] if _stage == "digits" else len(first)
+                stages.append((_stage, rows))
+                return _real(first, *rest)
+            monkeypatch.setattr(limbs, name, spy)
+        for rows, stage in ((95, "boxed"), (96, "digits"), (97, "digits")):
+            stages.clear()
+            below = column.below(0, rows, bound, True)
+            assert stages == [(stage, rows)]
+            assert below.tolist() == [
+                _dot(row.numerators, bound.vector) <= 0
+                for row in column.rows_at(range(rows))
+            ]
+        assert column.product_counts() == (0, 95 + 96 + 97)
 
     @pytest.mark.parametrize("numerator", [2 ** 256, 2 ** 1024, -(2 ** 2000)])
     def test_wide_numerators_skip_the_mirror(self, numerator):

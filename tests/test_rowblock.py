@@ -36,15 +36,9 @@ from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor
 from repro.errors import UpdateError
+from repro.linalg import limbs as L
 from repro.linalg.intmat import mat_vec
-from repro.linalg.limbs import (
-    DIGIT_FACTOR_LIMIT,
-    ROUNDING_LIMIT,
-    rounding_bound,
-    to_objects,
-    top_bits,
-    widen,
-)
+from repro.linalg.limbs import DIGIT_FACTOR_LIMIT, to_objects, widen
 from repro.linalg.vectors import dot, orthogonal_vector
 
 #: sha256 over the decrypted ``ClientResult`` stream of
@@ -387,6 +381,35 @@ def wide_quotients(encryptor, rows):
     return sum(map(undecided_in_digits, rows, opened))
 
 
+def spy_stages(monkeypatch):
+    """Record the stages of :func:`repro.linalg.limbs.multiply` that
+    run: ``(stages, boxed)`` — per stage tried, its name and the rows it
+    was tried on, in order; and every row boxed, as a tuple."""
+    stages, boxed = [], []
+
+    def rows_of(stage, arguments):
+        if stage == "digits":
+            return arguments[0].shape[1]
+        if stage == "boxed":
+            boxed.extend(map(tuple, to_objects(arguments[0]).tolist()))
+        return len(arguments[0])
+
+    for name, stage in (("proven_products", "words"),
+                        ("exact_products", "digits"),
+                        ("boxed_products", "boxed")):
+        def spy(*arguments, _real=getattr(L, name), _stage=stage):
+            stages.append((_stage, rows_of(_stage, arguments)))
+            return _real(*arguments)
+        monkeypatch.setattr(L, name, spy)
+    return stages, boxed
+
+
+def whole_block(stages, count):
+    """The stages that took all ``count`` rows of a block: ``["words"]``
+    when the words kept it, ``[..., "digits"]`` when digits opened it."""
+    return [stage for stage, rows in stages if rows == count]
+
+
 class TestWordSizedOpenMatchesBigInts:
     """``decrypt_block`` over 32+ rows multiplies limb 0 in wrapping
     64-bit words and keeps a row's result only where the float plane
@@ -397,7 +420,7 @@ class TestWordSizedOpenMatchesBigInts:
     @pytest.mark.parametrize("limbs", [1, 2, 3])
     @pytest.mark.parametrize("ambiguity", [False, True])
     @pytest.mark.parametrize("length", [3, 4, 8, 16, 32])
-    def test_differential(self, length, ambiguity, limbs):
+    def test_differential(self, length, ambiguity, limbs, monkeypatch):
         encryptor = Encryptor(generate_key(length=length, seed=3), seed=7)
         plaintexts = SMALL_PLAINTEXTS + (WIDE_PLAINTEXTS if limbs > 1 else [])
         if ambiguity:
@@ -412,29 +435,20 @@ class TestWordSizedOpenMatchesBigInts:
         block = RowBlock(store)
         rows = list(block)
 
-        refused, in_words, in_digits = [], [], []
-        open_exact = encryptor._open_exact
-        encryptor._open_exact = lambda boxed: (
-            refused.extend(boxed.tolist()), open_exact(boxed)
-        )[1]
-        for name, seen in (("_open_words", in_words), ("_open_digits", in_digits)):
-            def spy(*args, _opener=getattr(encryptor, name), _seen=seen):
-                result = _opener(*args)
-                _seen.append(result is not None)
-                return result
-            setattr(encryptor, name, spy)
+        stages, refused = spy_stages(monkeypatch)
         before = encryptor.fast_rows, encryptor.exact_rows
         result = encryptor.decrypt_block(block)
         fast = encryptor.fast_rows - before[0]
         exact = encryptor.exact_rows - before[1]
+        whole = whole_block(stages, len(rows))
 
         expected, opened = reference_open_block(encryptor, rows)
         assert result == expected
         assert fast + exact == len(rows) and exact == len(refused)
-        refused = {tuple(row) for row in refused}
+        refused = set(refused)
         word = range(-(2 ** 63), 2 ** 63)
-        if in_words == [True]:
-            assert not in_digits
+        if whole == ["words"]:
+            assert "digits" not in dict(stages)
             for row, triple in zip(rows, opened):
                 if not (
                     all(x in word for x in triple) and row.denominator in word
@@ -448,7 +462,7 @@ class TestWordSizedOpenMatchesBigInts:
             # No word could open it: exact digits did, and left to the
             # big-int loop only rows whose quotients leave 31 bits (the
             # plaintext 2^31 - 1 stays in digits, 2^31 does not).
-            assert in_words == [False] and in_digits == [True]
+            assert whole[-1] == "digits"
             for row, triple in zip(rows, opened):
                 assert (
                     row.numerators + (row.denominator,) in refused
@@ -458,13 +472,13 @@ class TestWordSizedOpenMatchesBigInts:
         if (length, ambiguity) == (4, False) and limbs < 3:
             # The paper's parameters: only rows that leave a word are
             # opened in big ints.
-            assert in_words == [True]
+            assert whole == ["words"]
             assert exact == sum(
                 not all(x in word for x in triple) for triple in opened
             )
             assert fast >= len(SMALL_PLAINTEXTS) - 1
 
-    def test_ambiguity_blocks_and_three_limbs_open_in_digits(self):
+    def test_ambiguity_blocks_and_three_limbs_open_in_digits(self, monkeypatch):
         # 87-bit opened values, and a store whose limb count alone puts
         # the rounding bound past 2^62: nothing is attempted in words,
         # and only a counterfeit whose multiplier leaves 31 bits is
@@ -472,8 +486,9 @@ class TestWordSizedOpenMatchesBigInts:
         client = TrustedClient(seed=11, ambiguity=True)
         rows, _ = client.encrypt_dataset(SMALL_PLAINTEXTS)
         encryptor = client.encryptor
-        assert encryptor._open_words(rows) is None
+        stages, __ = spy_stages(monkeypatch)
         is_real, values, _ = encryptor.decrypt_block(rows)
+        assert whole_block(stages, len(rows)) == ["digits"]
         assert sorted(values) == SMALL_PLAINTEXTS and sum(is_real) == len(values)
         wide = wide_quotients(encryptor, list(rows))
         assert wide <= 2
@@ -485,12 +500,15 @@ class TestWordSizedOpenMatchesBigInts:
         assert plain.encryptor.decrypt_block(block)[1] == SMALL_PLAINTEXTS * 2
         assert plain.encryptor.fast_rows == len(block)
         wide = RowBlock(widen(block.limbs, 3))
-        assert plain.encryptor._open_words(wide) is None
+        stages.clear()
         assert plain.encryptor.decrypt_block(wide)[1] == SMALL_PLAINTEXTS * 2
+        assert whole_block(stages, len(wide)) == ["digits"]
         assert plain.encryptor.fast_rows == 2 * len(block)
         assert plain.encryptor.exact_rows == 0
 
-    def test_words_hand_a_block_they_mostly_cannot_hold_to_digits(self):
+    def test_words_hand_a_block_they_mostly_cannot_hold_to_digits(
+        self, monkeypatch
+    ):
         # The narrowest ambiguity rows pass the word path's bit-length
         # precondition, then open to values past 2^63: it declines the
         # block and digits open it whole.  (Of the narrowest 200, about
@@ -502,16 +520,17 @@ class TestWordSizedOpenMatchesBigInts:
         tops = np.abs(rows.limbs[:, :-1, -1].view(np.int64)).max(axis=1)
         block = rows.take(np.sort(np.argsort(tops)[:200]))
         encryptor = client.encryptor
-        assert rounding_bound(
-            4, top_bits(block.limbs[:, :-1]), encryptor._open_bits, 2
-        ) < ROUNDING_LIMIT
-        assert encryptor._open_words(block) is None
+        stages, __ = spy_stages(monkeypatch)
         assert encryptor.decrypt_block(block) == reference_open_block(
             encryptor, list(block)
         )[0]
+        # Tried in words, then opened whole in digits.
+        assert whole_block(stages, len(block)) == ["words", "digits"]
         assert (encryptor.fast_rows, encryptor.exact_rows) == (200, 0)
 
-    def test_rows_words_refuse_go_to_digits_when_there_are_enough(self):
+    def test_rows_words_refuse_go_to_digits_when_there_are_enough(
+        self, monkeypatch
+    ):
         # 150 rows the words prove and 70 they cannot (plaintexts whose
         # xi * v leaves a word): the 70 are opened in digits, and what
         # digits leave undecided (quotients past 31 bits: all of them
@@ -520,18 +539,11 @@ class TestWordSizedOpenMatchesBigInts:
         values = SMALL_PLAINTEXTS * 3 + [0, 1, -1, -5, 7, 2 ** 30] \
             + [2 ** 62 + i for i in range(70)]
         block = encryptor.encrypt_values(values)
-        stages = []
-        for name in ("_open_words", "_open_digits", "_open_exact"):
-            def spy(rows, *args, _opener=getattr(encryptor, name), _name=name):
-                stages.append((_name, len(rows)))
-                return _opener(rows, *args)
-            setattr(encryptor, name, spy)
+        stages, __ = spy_stages(monkeypatch)
         is_real, opened, xi = encryptor.decrypt_block(block)
         assert opened == values and all(is_real)
         assert xi == reference_open_block(encryptor, list(block))[0][2]
-        assert stages == [
-            ("_open_words", 220), ("_open_digits", 70), ("_open_exact", 70),
-        ]
+        assert stages == [("words", 220), ("digits", 70), ("boxed", 70)]
         assert (encryptor.fast_rows, encryptor.exact_rows) == (150, 70)
         # ... and with small quotients digits settle what words refused:
         # rows scaled by 2^24 keep the precondition and open past a word.
@@ -547,7 +559,7 @@ class TestWordSizedOpenMatchesBigInts:
         )
         assert encryptor.decrypt_block(block)[1] == SMALL_PLAINTEXTS * 3
         (words, rows), (digits, refused) = stages
-        assert (words, rows, digits) == ("_open_words", 144, "_open_digits")
+        assert (words, rows, digits) == ("words", 144, "digits")
         assert 64 <= refused <= 96
         assert (encryptor.fast_rows, encryptor.exact_rows) == (150 + 144, 70)
 
