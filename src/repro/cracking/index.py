@@ -71,8 +71,8 @@ class QueryStats:
         kernel_fast_products: scalar products whose word-sized value
             was proven exact (secure engines only; 0 for plaintext
             engines).
-        kernel_exact_products: scalar products computed in big-int
-            arithmetic (likewise).
+        kernel_exact_products: scalar products computed in exact
+            digits or big-int arithmetic (likewise).
     """
 
     search_seconds: float = 0.0
