@@ -6,7 +6,8 @@ evolves" (Section 5) over three data types — plain, encrypted, and
 encrypted with ambiguity — plus the SecureScan baseline.
 :func:`build_session` constructs any of the four;
 :func:`run_plain_sequence` / :func:`run_session_sequence` produce a
-:class:`QueryTrace` with everything Figures 6-13 plot.
+:class:`QueryTrace` with everything Figures 6-12 plot, and
+:func:`run_client_sequence` the client-side costs of Figure 13.
 """
 
 from __future__ import annotations
@@ -101,6 +102,40 @@ def run_session_sequence(
         trace.result_counts.append(len(result.values))
         trace.client_seconds.append(result.decrypt_seconds)
         trace.false_positive_rates.append(result.false_positive_rate)
+        _harvest_stats(server_engine, trace)
+    return trace
+
+
+def run_client_sequence(
+    session: OutsourcedDatabase, queries: Sequence[RangeQuery]
+) -> QueryTrace:
+    """Replay a workload, opening every returned row (Figure 13).
+
+    Each query is one round trip through the session's protocol handle;
+    its reply is opened whole by the key and its real rows mapped to
+    logical ids, and that decrypt-and-filter is what ``client_seconds``
+    times.  The paper's client decrypts every row it receives, while a
+    session's client answers a row it opened before from memory
+    (:class:`~repro.core.client.OpenedRows`) — so this loop calls
+    :meth:`~repro.crypto.scheme.Encryptor.open_block` itself rather than
+    :meth:`~repro.core.session.OutsourcedDatabase.query`.
+    """
+    trace = QueryTrace()
+    client = session.client
+    server_engine = session.server.engine
+    for query in queries:
+        tick = time.perf_counter()
+        response = session.remote.query(client.make_query(*query.as_args()))
+        received = time.perf_counter()
+        is_real, values = client.encryptor.open_block(response.rows)
+        client.logical_id(np.asarray(response.row_ids, dtype=np.int64)[is_real])
+        done = time.perf_counter()
+        trace.seconds.append(done - tick)
+        trace.result_counts.append(len(values))
+        trace.client_seconds.append(done - received)
+        trace.false_positive_rates.append(
+            1 - len(values) / len(is_real) if len(is_real) else 0.0
+        )
         _harvest_stats(server_engine, trace)
     return trace
 
