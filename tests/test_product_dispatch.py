@@ -4,7 +4,9 @@ as its two callers meet it.
 * Count gates CI runs by name: the Python calls of the client's open of
   a reply shaped like each workload's, and of the server's ``below`` on
   a piece the words prove — so the layer that picks the arithmetic adds
-  no overhead of its own.
+  no overhead of its own; and those of a second decrypt of the same
+  ambiguity reply, which the client answers from its memory of opened
+  rows without a product.
 * A reply whose rows have another ciphertext length than the key's is
   refused with a typed :class:`~repro.errors.DecryptionError` before any
   product, at every block size and through a session: the server is
@@ -102,6 +104,48 @@ def test_opening_an_ambiguity_reply_makes_few_python_calls():
     assert len(blocks) == 9
     median, counts = _median_calls(db.client.encryptor.open_block, blocks)
     assert median <= 85, counts
+
+
+def _decrypted(client, reply):
+    result = client.decrypt_results(*reply)
+    return (
+        result.values.tolist(),
+        result.logical_ids.tolist(),
+        result.false_positives,
+    )
+
+
+def test_a_repeated_reply_is_not_opened_again():
+    """Nine 120-row replies of an ``ambiguity_range``-shaped session
+    (6 000 values over a 300 000-wide domain, steered counterfeits),
+    each decrypted once: the second decrypt of each opens no row,
+    answers all 120 from memory and makes at most 45 Python calls in
+    the median of nine (40 in fact; 86 when every reply was opened
+    again in exact digits)."""
+    rng = np.random.default_rng(1)
+    values = rng.permutation(np.unique(rng.integers(0, 300_000, 12_000)))[:6_000]
+    db = OutsourcedDatabase(values.tolist(), ambiguity=True, seed=11)
+    ordered = np.sort(values)
+    client = db.client
+    replies = []
+    for start in rng.integers(0, len(values) - 70, 2_000):
+        low, high = int(ordered[start]), int(ordered[start + 64])
+        response = db.remote.query(client.make_query(low, high))
+        if len(response.rows) == 120:
+            replies.append((response.row_ids, response.rows))
+        if len(replies) == 9:
+            break
+    assert len(replies) == 9
+    first = [_decrypted(client, reply) for reply in replies]
+    encryptor = client.encryptor
+    for reply, expected in zip(replies, first):
+        opened = encryptor.fast_rows, encryptor.exact_rows
+        cached = client.cached_rows
+        assert _decrypted(client, reply) == expected
+        assert (encryptor.fast_rows, encryptor.exact_rows) == opened
+        assert client.cached_rows - cached == 120
+    median, counts = _median_calls(client.decrypt_results, replies)
+    assert median <= 45, counts
 
 
 def test_below_on_a_word_proven_piece_makes_few_python_calls(served_column):
