@@ -6,7 +6,7 @@ cache size) without a significant performance drop" — and the
 threshold is what prevents the index from ever leaking the total
 order.
 
-Measured: growing the threshold shrinks the cracker tree and caps the
+Measured: growing the threshold shrinks the cracker index and caps the
 resolved-order fraction, while total workload time stays within a
 small factor of always-crack.
 
@@ -57,7 +57,7 @@ def encrypted_cell(kind, rows, queries, selectivity, threshold):
     return {
         "query_ms": 1e3 * trace.total_seconds() / queries,
         "engine_ms": 1e3 * float(np.mean(engine_seconds)),
-        "tree_nodes": len(engine.tree),
+        "tree_nodes": len(engine.cracks),
         "products": sum(trace.products) / queries,
         "resolved_order_fraction": resolved_order_fraction(
             engine.piece_boundaries(), len(engine)),

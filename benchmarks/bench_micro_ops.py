@@ -3,8 +3,8 @@
 Not a paper figure — the per-operation grounding for all of them:
 encryption in both modes, ambiguous encryption (unsteered per value;
 steered as the 6 000-value set-up of the e2e ``ambiguity_range``
-workload), decryption, the scalar-product comparison, a full-column
-vectorised comparison sweep, and an AVL search over encrypted keys.
+workload), decryption, the scalar-product comparison and a full-column
+vectorised comparison sweep.
 Run across key sizes to see the O(l) comparison cost of Figure 12 at
 the operation level.
 
@@ -209,9 +209,9 @@ def test_merge_256_pending_into_1k_cracks(client, benchmark):
         return (server,), {}
 
     def merge(server):
-        cracks = len(server.engine.tree)
+        cracks = len(server.engine.cracks)
         assert server.merge_pending() == 256 - 32
-        assert len(server.engine.tree) == cracks >= 1000
+        assert len(server.engine.cracks) == cracks >= 1000
         assert server.pending_count == 0
 
     benchmark.pedantic(merge, setup=cracked_server_with_pending, rounds=3)

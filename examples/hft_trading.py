@@ -80,7 +80,7 @@ def main():
         )
         half_width //= 4
     print("  index refined only around the queried band: %d crack bounds"
-          % len(db.server.engine.tree))
+          % len(db.server.engine.cracks))
 
     print("\n--- late batch ingestion ---")
     late_prices = [int(prices[-1]) + delta for delta in (-30, 5, 42)]

@@ -38,7 +38,7 @@ def main():
     print("\n=== server restart: snapshot -> restore ===")
     for low in (-40_000, -10_000, 20_000, 50_000):
         db.query(low, low + 15_000)
-    cracks_before = len(db.server.engine.tree)
+    cracks_before = len(db.server.engine.cracks)
     snapshot = snapshot_server(db.server)
     restored = restore_server(snapshot)
     print("snapshot carries %d rows + %d crack bounds"
@@ -47,7 +47,7 @@ def main():
     print("restored server answered a known range with %d new cracks "
           "(index survived the restart)"
           % restored.stats_log[-1].cracks)
-    assert len(restored.engine.tree) == cracks_before
+    assert len(restored.engine.cracks) == cracks_before
 
     print("\n=== key rotation after a suspected plaintext leak ===")
     before = sorted(db.query(-(10 ** 8), 10 ** 8).values.tolist())
@@ -60,7 +60,7 @@ def main():
     assert before == after
     assert db.client.key != old_key
     print("data intact, old-key ciphertexts now worthless, index rebuilt "
-          "from zero (%d bounds)" % len(db.server.engine.tree))
+          "from zero (%d bounds)" % len(db.server.engine.cracks))
 
 
 if __name__ == "__main__":

@@ -55,7 +55,8 @@ def main():
         per_query.append(time.perf_counter() - tick)
     print("first query   : %.4fs  (cracked the whole column)" % per_query[0])
     print("30th query    : %.4fs  (only touches small pieces)" % per_query[-1])
-    print("tree now holds %d encrypted crack bounds" % len(db.server.engine.tree))
+    print("index now holds %d encrypted crack bounds"
+          % len(db.server.engine.cracks))
 
     print("\n=== 4. Updates ===")
     new_id = db.insert(123456789)

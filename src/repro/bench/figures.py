@@ -308,7 +308,7 @@ def ablation_threshold(
     """Ablation 4: the piece-size cracking threshold (Section 2.2).
 
     Larger thresholds stop cracking earlier (bounded leakage, fewer
-    tree nodes) at the cost of scanning edge pieces; the paper argues
+    indexed cracks) at the cost of scanning edge pieces; the paper argues
     the threshold "can be bigger (e.g., L3 cache size) without a
     significant performance drop".
     """
@@ -321,7 +321,7 @@ def ablation_threshold(
         boundaries = engine.piece_boundaries()
         out[threshold] = {
             "total_seconds": trace.total_seconds(),
-            "tree_nodes": float(len(engine.tree)),
+            "tree_nodes": float(len(engine.cracks)),
             "resolved_order_fraction": resolved_order_fraction(
                 boundaries, len(engine)
             ),

@@ -221,8 +221,8 @@ def _run_demo(args) -> int:
     print("  first query : %.4fs" % seconds[0])
     print("  last query  : %.4fs" % seconds[-1])
     print("  total       : %.3fs" % sum(seconds))
-    print("  crack bounds in the encrypted AVL tree: %d"
-          % len(db.server.engine.tree))
+    print("  crack bounds in the cracker index: %d"
+          % len(db.server.engine.cracks))
     if args.ambiguity:
         rates = [r.false_positive_rate for r in db.client_stats if
                  r.returned_rows]

@@ -5,7 +5,7 @@ Server side:
 * :class:`repro.core.encrypted_column.EncryptedColumn` — ciphertext
   rows in a dense array, cracked through scalar-product sign tests.
 * :class:`repro.core.secure_index.SecureAdaptiveIndex` — the
-  query-triggered cracking engine with the encrypted AVL index
+  query-triggered cracking engine with the encrypted cracker index
   (Section 4.3).
 * :class:`repro.core.secure_scan.SecureScan` — the no-index baseline.
 * :class:`repro.core.server.SecureServer` — storage, query execution,

@@ -5,7 +5,7 @@ Client-side duties in the paper's protocol (Sections 3-5.4):
 * encrypt the column before upload — one ``Ev`` row per value, or two
   physical rows per value when ambiguity is on (Section 4.2);
 * encrypt each query bound *twice* (``Eb`` for comparisons, ``Ev`` for
-  the AVL key — Section 4.3), each form an affine map of an entry the
+  the crack key — Section 4.3), each form an affine map of an entry the
   encryptor pooled, and ship a single
   :class:`~repro.core.query.EncryptedQuery`;
 * decrypt the returned rows, discard the ~50% ambiguity false

@@ -4,10 +4,10 @@ A cloud server restarts; the adaptive index it cracked into existence
 must not evaporate with it (the entire point of adaptive indexing is
 that past queries already paid for it).  This module snapshots a
 :class:`~repro.core.server.SecureServer` — ciphertext rows in their
-current cracked order, the encrypted AVL tree (each node's double-
-encrypted bound and position), the pending-update buffer — into a
-JSON-compatible dictionary, and restores an equivalent server from it.
-:func:`snapshot_catalog` / :func:`restore_catalog` do the same for a
+current cracked order, the cracker index (each crack's double-
+encrypted bound and position, in key order), the pending-update
+buffer — into a JSON-compatible dictionary, and restores an
+equivalent server from it.  :func:`snapshot_catalog` / :func:`restore_catalog` do the same for a
 whole endpoint: every named column of a
 :class:`~repro.net.catalog.ColumnCatalog`, so a ``repro serve`` process
 can come back exactly where it crashed.
@@ -19,9 +19,9 @@ processing already revealed).
 
 Formats: a server snapshot (``SNAPSHOT_VERSION``) carries the engine
 configuration (``config``, keyed like
-:data:`~repro.net.protocol.CONFIG_DEFAULTS`), rows, tree and pending
-buffer — the column's rows and the pending rows each as one row block,
-the same value the wire carries
+:data:`~repro.net.protocol.CONFIG_DEFAULTS`), rows, cracks (``tree``)
+and pending buffer — the column's rows and the pending rows each as
+one row block, the same value the wire carries
 (:func:`repro.crypto.serialization.rows_to_dict`).  Counts live in the
 metrics registry, not in snapshots.  A catalog snapshot
 (``CATALOG_SNAPSHOT_VERSION``, versioned independently) carries the
@@ -82,15 +82,14 @@ def snapshot_server(server: SecureServer) -> Dict[str, Any]:
     engine = server.engine
     column = engine.column
     tree_nodes = []
-    if hasattr(engine, "tree"):
-        for node in engine.tree.in_order():
-            key: EncryptedBoundKey = node.key
+    if hasattr(engine, "cracks"):
+        for key, position in zip(engine.cracks.keys, engine.cracks.positions):
             tree_nodes.append(
                 {
                     "eb": ciphertext_to_dict(key.bound.eb),
                     "ev": ciphertext_to_dict(key.bound.ev),
                     "inclusive": key.inclusive,
-                    "position": node.position,
+                    "position": position,
                 }
             )
     pending = server.pending
@@ -119,12 +118,14 @@ def restore_server(
     """Rebuild an equivalent server from a snapshot.
 
     The restored server answers every query identically to the
-    original: the column keeps its cracked physical order and the AVL
-    tree its bounds and positions (rebalanced shape may differ — shape
-    is not part of the contract).
+    original: the column keeps its cracked physical order and the
+    cracker index its bounds and positions, loaded in snapshot order
+    and checked in one pass (keys strictly increasing, positions
+    non-decreasing within the column).
 
     Raises:
-        SerializationError: on a malformed or wrong-kind snapshot.
+        SerializationError: on a malformed or wrong-kind snapshot,
+            crack list included.
         PersistenceError: on a snapshot of any other format version
             (there is no second reader).
     """
@@ -143,7 +144,7 @@ def restore_server(
             obs=obs,
             **snapshot["config"],
         )
-        engine = server.engine
+        keys, positions = [], []
         for node_data in snapshot["tree"]:
             eb = ciphertext_from_dict(node_data["eb"])
             ev = ciphertext_from_dict(node_data["ev"])
@@ -151,11 +152,15 @@ def restore_server(
                 ev, ValueCiphertext
             ):
                 raise SerializationError("malformed tree node ciphertexts")
-            key = EncryptedBoundKey(
+            keys.append(EncryptedBoundKey(
                 EncryptedBound(eb=eb, ev=ev),
                 inclusive=bool(node_data["inclusive"]),
-            )
-            engine.tree.insert(key, int(node_data["position"]))
+            ))
+            positions.append(int(node_data["position"]))
+        if keys:
+            cracks = server.engine.cracks
+            cracks.keys, cracks.positions = keys, positions
+            cracks.check_invariants(len(server.engine.column))
         pending_ids = ints_from_wire(
             snapshot["pending"]["row_ids"], "pending row ids"
         )

@@ -25,10 +25,10 @@ class EncryptedBound:
 
     Attributes:
         eb: the ``Eb`` form, used for inequality checks against data
-            rows and against AVL keys.
+            rows and against crack keys.
         ev: the ``Ev`` form, stored as the key when the bound enters
-            the AVL tree (future bounds compare against it via their
-            own ``Eb`` form).
+            the cracker index (future bounds compare against it via
+            their own ``Eb`` form).
     """
 
     eb: BoundCiphertext
@@ -37,7 +37,7 @@ class EncryptedBound:
 
 @dataclass(frozen=True)
 class EncryptedBoundKey:
-    """An AVL tree key: an encrypted bound plus its crack flavour.
+    """A crack key: an encrypted bound plus its crack flavour.
 
     ``inclusive`` distinguishes the crack "rows with ``v < b`` before
     the position" (False) from "rows with ``v <= b``" (True); equal
@@ -50,10 +50,10 @@ class EncryptedBoundKey:
 
 
 def compare_encrypted_keys(a: EncryptedBoundKey, b: EncryptedBoundKey) -> int:
-    """Total order on encrypted tree keys.
+    """Total order on encrypted crack keys.
 
     The scalar product ``a.eb . b.ev`` equals ``xi * (b_value -
-    a_value)`` with ``xi > 0`` (tree ``Ev`` keys are encrypted without
+    a_value)`` with ``xi > 0`` (crack ``Ev`` keys are encrypted without
     ambiguity), so its sign orders the underlying plaintext bounds
     without revealing them; exact ties fall back to the inclusiveness
     flag.  This is the only value-to-value comparison in the system and

@@ -8,15 +8,14 @@ makes it secure is only how two things are compared:
 * data rows are classified against a query bound via
   ``sign(Eb(b) . Ev(v))``
   (:meth:`repro.core.encrypted_column.EncryptedColumn.below`);
-* AVL keys (previous bounds, stored in ``Ev`` mode) are compared to a
+* crack keys (previous bounds, stored in ``Ev`` mode) are compared to a
   new bound (arriving in ``Eb`` mode) the same way — the double
   encryption of Section 4.3
   (:func:`repro.core.query.compare_encrypted_keys`).
 
 On top of the driver this module adds what only a server over
 ciphertexts needs: per-query scalar-product accounting, the
-leakage-audit events, the pseudocode-literal tree procedures as a test
-oracle, and the one-pass ripple merge of the update path.
+leakage-audit events and the one-pass ripple merge of the update path.
 
 The engine works identically whether rows came from plain or ambiguous
 encryption: fake interpretations are just rows whose pseudo-values the
@@ -30,7 +29,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.cracking.index import CrackingEngine
-from repro.core.encrypted_avl import add_crack_encrypted, find_piece_encrypted
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.query import (
     EncryptedBoundKey,
@@ -54,9 +52,6 @@ class SecureAdaptiveIndex(CrackingEngine):
             proven in words, 1 (always crack) for exact ones.
         use_three_way: crack once, three ways, when both bounds land in
             a single raw piece.
-        use_paper_tree_algorithms: route piece localisation through the
-            pseudocode-literal transcriptions of Section 4.3 instead of
-            the generic helpers (identical results; fidelity mode).
         obs: observability bundle (tracing + metrics + audit); the
             engine adopts its column's bundle when omitted, so product
             accounting and engine accounting always share one metrics
@@ -68,7 +63,6 @@ class SecureAdaptiveIndex(CrackingEngine):
         column: EncryptedColumn,
         min_piece_size: Optional[int] = None,
         use_three_way: bool = False,
-        use_paper_tree_algorithms: bool = False,
         obs: Observability = None,
     ) -> None:
         super().__init__(
@@ -78,14 +72,6 @@ class SecureAdaptiveIndex(CrackingEngine):
             use_three_way,
             obs if obs is not None else column.obs,
         )
-        if use_paper_tree_algorithms:
-            # The transcriptions walk the tree themselves.
-            self._find_piece = lambda tree, key, size, located: (
-                find_piece_encrypted(tree, key, size)
-            )
-            self._add_crack = lambda tree, key, position, size, located: (
-                add_crack_encrypted(tree, key, position, size)
-            )
 
     # -- querying ---------------------------------------------------------------
 
@@ -134,24 +120,20 @@ class SecureAdaptiveIndex(CrackingEngine):
 
     # -- updates -------------------------------------------------------------------
 
-    def _route_row(self, row):
-        """Walk a new encrypted row down the tree: the first node right
-        of it in key order (None at the far right), whose position is
-        the upper edge of the row's piece.
+    @staticmethod
+    def _route_row(row, key: EncryptedBoundKey) -> int:
+        """Merge routing's comparator: -1 when a new encrypted row
+        belongs left of the crack ``key``, else 1 — so a row's
+        :meth:`~repro.cracking.cracks.CrackIndex.locate` rank is the
+        first crack right of it, whose position is the upper edge of
+        the row's piece.
 
-        The row is compared against each node's ``Eb`` form
-        (``sign(Eb(b_node) . Ev(v_new)) == sign(v_new - b_node)``) —
-        the server can do this without learning ``v_new``.
+        The row is compared against the key's ``Eb`` form
+        (``sign(Eb(b_key) . Ev(v_new)) == sign(v_new - b_key)``) — the
+        server can do this without learning ``v_new``.
         """
-        node, successor = self._tree.root, None
-        while node is not None:
-            self._column.exact_products.add()
-            sign = node.key.bound.eb.product_sign(row)
-            if sign < 0 or (sign == 0 and node.key.inclusive):
-                successor, node = node, node.left
-            else:
-                node = node.right
-        return successor
+        sign = key.bound.eb.product_sign(row)
+        return -1 if sign < 0 or (sign == 0 and key.inclusive) else 1
 
     def merge(self, block: RowBlock, row_ids, reclaimed_ids) -> None:
         """Land a whole merge in one pass: drop the rows ``reclaimed_ids``
@@ -166,35 +148,36 @@ class SecureAdaptiveIndex(CrackingEngine):
         column's width and id checks) runs before the first array is
         replaced, so a refused merge changes nothing.
         """
-        column, nodes = self._column, list(self._tree.in_order())
+        column, cracks = self._column, self._cracks
         row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
         doomed = np.sort(column.positions_of(reclaimed_ids))
         doomed_ids = column.row_ids_at(doomed)
         with self._obs.span("ripple-insert", rows=len(block)):
-            rank_of = {node: rank for rank, node in enumerate(nodes)}
-            ranks = np.array(
-                [rank_of.get(self._route_row(row), len(nodes)) for row in block],
-                dtype=np.int64,
-            )
+            # One product per comparison the routing searches make.
+            routed = cracks.comparison_count
+            try:
+                locate, route = cracks.locate, self._route_row
+                ranks = np.array(
+                    [locate(row, route)[1] for row in block], dtype=np.int64
+                )
+            finally:
+                column.exact_products.add(cracks.comparison_count - routed)
             order = np.argsort(ranks, kind="stable")
             ranks = ranks[order]
             # Crack positions in key order (the column end standing in
             # for "right of every crack"), moved by two prefix counts:
             # down by the doomed rows left, up by the new rows at or below.
-            cracks = np.array(
-                [node.position for node in nodes] + [len(column)], dtype=np.int64
-            )
-            kept = cracks - np.searchsorted(doomed, cracks)
+            edges = np.array(cracks.positions + [len(column)], dtype=np.int64)
+            kept = edges - np.searchsorted(doomed, edges)
             settled = kept + np.searchsorted(
-                ranks, np.arange(len(cracks)), side="right"
+                ranks, np.arange(len(edges)), side="right"
             )
-            targets = cracks[ranks]
+            targets = edges[ranks]
             column.insert_block(targets, block.take(order), row_ids[order])
             column.delete_positions(
                 doomed + np.searchsorted(targets, doomed, side="right")
             )
-            for node, position in zip(nodes, settled.tolist()):
-                node.position = position
+            cracks.positions[:] = settled[:-1].tolist()
         self._obs.metrics.add("index.row_deletes", len(doomed))
         self._obs.metrics.add("index.ripple_inserts", len(block))
         audit = self._obs.audit

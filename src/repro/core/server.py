@@ -1,12 +1,12 @@
 """The honest-but-curious server: stores ciphertexts, answers queries.
 
-The server holds only ciphertext rows and the encrypted AVL index; it
+The server holds only ciphertext rows and the encrypted cracker index; it
 executes queries "as with a non-encrypted database" (Section 3.3) —
 locate pieces, crack, return the qualifying rows — plus the update
 path of requirement 6: newly arriving encrypted rows land in a pending
 column (a second, never-cracked :class:`EncryptedColumn`) that is
 scanned per query until a merge ripples them into their pieces in one
-pass (routing each row down the tree with scalar products).
+pass (routing each row among the cracks with scalar products).
 
 Every response is a single message containing exactly the qualifying
 rows (requirement 5); the ``server.queries_served`` /
@@ -237,7 +237,7 @@ class SecureServer:
         """Fold the pending column into the main one; returns row delta.
 
         Under the adaptive engine the pending rows are *rippled* into
-        their pieces (tree-routed by scalar products); under the scan
+        their pieces (routed by scalar products); under the scan
         engine they are appended (order is irrelevant to a scan).
         Tombstoned rows are physically reclaimed.  The pending column
         and the ledger are cleared only once the engine's merge landed.

@@ -344,8 +344,8 @@ class OutsourcedDatabase:
         and ship every live row in one round; the client draws a fresh
         key, re-encrypts, and ships ``RotateApply``, on which the
         server rebuilds the column under its original configuration
-        (auto-merge threshold, three-way cracking, paper-tree
-        algorithms, stats recording, minimum piece size).  The adaptive
+        (auto-merge threshold, three-way cracking, stats recording,
+        minimum piece size).  The adaptive
         index restarts empty — its structure was derived under the old
         ciphertexts.
 

@@ -4,12 +4,12 @@ Self-contained adaptive-indexing machinery over *plaintext* columns —
 the baseline the paper builds on — plus the pieces shared with the
 encrypted engine:
 
-* :mod:`repro.cracking.avl` — AVL tree with a pluggable comparator
-  (the same tree indexes plaintext bounds and encrypted bound vectors).
+* :mod:`repro.cracking.cracks` — the cracker index: crack bounds in
+  key order under a pluggable comparator (the same index holds
+  plaintext bounds and encrypted bound vectors), with the paper's
+  ``findpiece`` and ``addCrack``.
 * :mod:`repro.cracking.algorithms` — ``CrackInTwo`` (the paper's
   Algorithm 1), a three-way variant, and vectorised equivalents.
-* :mod:`repro.cracking.cracker_tree` — the paper's ``findpiece`` and
-  ``addCrack`` procedures, generic over the key comparator.
 * :mod:`repro.cracking.column` / :mod:`repro.cracking.index` — the
   crack/scan kernel and the query driver both engines run, with their
   plaintext instances (cracker column, adaptive index).
@@ -19,17 +19,17 @@ encrypted engine:
 """
 
 from repro.cracking.adaptive_merging import AdaptiveMergingIndex
-from repro.cracking.avl import AVLTree
 from repro.cracking.baselines import FullScanIndex, FullSortIndex
 from repro.cracking.column import CrackerColumn
+from repro.cracking.cracks import CrackIndex
 from repro.cracking.index import AdaptiveIndex, QueryStats
 from repro.cracking.sort_touch import SortTouchAdaptiveIndex
 from repro.cracking.stochastic import StochasticAdaptiveIndex
 
 __all__ = [
     "AdaptiveMergingIndex",
-    "AVLTree",
     "CrackerColumn",
+    "CrackIndex",
     "AdaptiveIndex",
     "QueryStats",
     "FullScanIndex",

@@ -1,10 +1,10 @@
 """The cracking engine: one query driver, and its plaintext instance.
 
 Section 2.2's select operator answers a range query *and*, as a side
-effect, physically reorganises the touched pieces and refines the AVL
+effect, physically reorganises the touched pieces and refines the
 cracker index.  :class:`CrackingEngine` is that operator, written once
-over tree keys and physical index ranges.  It never looks inside a key
-— keys are ordered by the tree's comparator and classified against
+over crack keys and physical index ranges.  It never looks inside a key
+— keys are ordered by the index's comparator and classified against
 rows by the column's
 :meth:`~repro.cracking.column.CrackableColumn.below` mask — so the
 paper's server runs it "as with a non-encrypted database" (Section
@@ -27,15 +27,14 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cracking.avl import AVLTree
 from repro.cracking.column import CrackableColumn, CrackerColumn
-from repro.cracking.cracker_tree import add_crack, find_piece
-from repro.errors import IndexStateError, QueryError
+from repro.cracking.cracks import CrackIndex
+from repro.errors import QueryError
 from repro.obs import Observability
 
-#: Tree key: (bound, inclusive).  Node semantics: every row before the
-#: node's position satisfies ``value < bound`` (inclusive=False) or
-#: ``value <= bound`` (inclusive=True).  Lexicographic tuple order
+#: Crack key: (bound, inclusive).  Every row before the key's position
+#: satisfies ``value < bound`` (inclusive=False) or ``value <= bound``
+#: (inclusive=True).  Lexicographic tuple order
 #: (False < True) matches predicate-set inclusion over the integers.
 BoundKey = Tuple[int, bool]
 
@@ -54,10 +53,9 @@ class QueryStats:
     """Per-query cost breakdown (Figures 8-10 report these series).
 
     Attributes:
-        search_seconds: time locating pieces in the AVL tree.
+        search_seconds: time locating pieces in the cracker index.
         crack_seconds: time physically reorganising column pieces.
-        insert_seconds: time adding crack bounds to the tree
-            (including rebalancing).
+        insert_seconds: time adding crack bounds to the index.
         scan_seconds: time scanning sub-threshold edge pieces.
         result_count: number of qualifying rows returned.
         cracked_rows: rows physically touched by cracking.
@@ -66,8 +64,8 @@ class QueryStats:
         comparisons: predicate evaluations performed (cost model —
             machine-independent; for the secure engine each one is a
             scalar product): one per row classified by a crack, two per
-            row filtered by a two-sided scan, one per AVL key
-            comparison.
+            row filtered by a two-sided scan, one per key comparison
+            in the cracker index.
         kernel_fast_products: scalar products whose word-sized value
             was proven exact (secure engines only; 0 for plaintext
             engines).
@@ -155,9 +153,9 @@ WORD_SCAN_ROWS = 1024
 
 
 class CrackingEngine:
-    """Query-triggered cracking over a column and an AVL cracker tree.
+    """Query-triggered cracking over a column and its cracker index.
 
-    A tree key stands for the crack "every row before my position falls
+    A crack key stands for the crack "every row before my position falls
     left of me"; a range query is the rows right of its *left key* (the
     crack excluding too-low rows) and left of its *right key*.
     Subclasses build the keys, say how one is handed to the column
@@ -165,7 +163,7 @@ class CrackingEngine:
 
     Args:
         column: the column to crack (owned by the engine thereafter).
-        compare_keys: total order on tree keys (``-1/0/1``).
+        compare_keys: total order on crack keys (``-1/0/1``).
         min_piece_size: pieces at or below this size are scanned rather
             than cracked (Section 2.2's cache-size threshold — also the
             mechanism that keeps the index from ever leaking a total
@@ -193,20 +191,16 @@ class CrackingEngine:
         obs: Observability,
     ) -> None:
         self._column = column
-        self._tree = AVLTree(compare_keys)
+        self._cracks = CrackIndex(compare_keys)
         self._min_piece = (
             None if min_piece_size is None else max(1, int(min_piece_size))
         )
         self._use_three_way = use_three_way
         self._obs = obs
-        # The paper's findpiece / addCrack, as ``f(tree, key, ...,
-        # located)``: the last argument is the key's ``tree.locate``.
-        self._find_piece, self._add_crack = find_piece, add_crack
         self.stats_log: List[QueryStats] = []
         metrics = obs.metrics  # what booking a query writes, looked up once
         self._stats_counters = stats_counters(metrics)
         self._cracks_per_query = metrics.histogram("query.cracks_per_query")
-        self._avl_depth = metrics.gauge("index.avl_depth")
         self._pieces = metrics.gauge("index.pieces")
 
     @property
@@ -223,14 +217,14 @@ class CrackingEngine:
         return self._column
 
     @property
-    def tree(self) -> AVLTree:
-        """The AVL cracker index (read access for analysis)."""
-        return self._tree
+    def cracks(self) -> CrackIndex:
+        """The cracker index (read access for analysis)."""
+        return self._cracks
 
     # -- subclass hooks -----------------------------------------------------------
 
     def _cut(self, key) -> Tuple[object, bool]:
-        """``(bound, inclusive)`` of a tree key, as ``column.below`` takes them."""
+        """``(bound, inclusive)`` of a crack key, as ``column.below`` takes them."""
         raise NotImplementedError
 
     def _audit(self, kind: str, **fields) -> None:
@@ -249,19 +243,18 @@ class CrackingEngine:
         (one-sided: at most one piece is cracked); ``pivot_keys`` are
         cracked on first and do not affect the result."""
         stats = QueryStats()
-        tree = self._tree
-        tree_comparisons_before = tree.comparison_count
+        cracks = self._cracks
+        comparisons_before = cracks.comparison_count
         try:
             for key in pivot_keys:
                 self._place(key, stats)
             indices = self._execute(left_key, right_key, stats)
             stats.result_count = len(indices)
         finally:
-            stats.comparisons += tree.comparison_count - tree_comparisons_before
+            stats.comparisons += cracks.comparison_count - comparisons_before
             record_query_stats(self.stats_log, stats, self._stats_counters)
         self._cracks_per_query.observe(stats.cracks)
-        self._avl_depth.set(tree.height())
-        self._pieces.set(len(tree) + 1)
+        self._pieces.set(len(cracks) + 1)
         return indices
 
     def _execute(self, left_key, right_key, stats: QueryStats) -> np.ndarray:
@@ -307,23 +300,24 @@ class CrackingEngine:
         return np.concatenate(segments)
 
     def _place(self, key, stats: QueryStats):
-        """Locate ``key`` (one descent, its scan policy read once) and
+        """Locate ``key`` (one search, its scan policy read once) and
         crack its raw piece at once if past the threshold, so the next
-        key is located in the tree the crack left: ``(position, None,
+        key is located in the index the crack left: ``(position, None,
         False)``, or ``(None, piece, alone)`` for a piece to scan —
         ``alone`` when against this bound only."""
-        tree = self._tree
+        cracks = self._cracks
         bound = self._cut(key)[0]
         tick = time.perf_counter()
         with self._obs.span("find-piece"):
-            located = tree.locate(key)
-            node = located[0]
-            if node is None:
-                piece = self._find_piece(tree, key, len(self._column), located)
+            located = cracks.locate(key)
+            exact, rank = located
+            if not exact:
+                piece = cracks.piece(located, len(self._column))
         stats.search_seconds += time.perf_counter() - tick
-        if node is not None:
-            self._audit("find", bound=bound, position=node.position)
-            return node.position, None, False
+        if exact:
+            position = cracks.positions[rank]
+            self._audit("find", bound=bound, position=position)
+            return position, None, False
         self._audit("find", bound=bound, lo=piece[0], hi=piece[1])
         rows, alone = self._scan_policy(bound)
         if piece[1] - piece[0] <= rows:
@@ -345,7 +339,7 @@ class CrackingEngine:
         self, key, piece_lo: int, piece_hi: int, stats: QueryStats, located=None
     ) -> int:
         """Crack the raw piece ``key`` falls in and index the split
-        (down ``located``, the key's ``tree.locate``, when given);
+        (at ``located``, the key's ``cracks.locate``, when given);
         returns the split."""
         bound, inclusive = self._cut(key)
         rows = piece_hi - piece_lo
@@ -358,7 +352,7 @@ class CrackingEngine:
                     bound=bound, inclusive=inclusive)
         tick = time.perf_counter()
         with self._obs.span("insert-bound", position=split):
-            self._add_crack(self._tree, key, split, len(self._column), located)
+            self._cracks.add(key, split, len(self._column), located)
         stats.insert_seconds += time.perf_counter() - tick
         return split
 
@@ -373,15 +367,13 @@ class CrackingEngine:
         """
         size = len(self._column)
         tick = time.perf_counter()
-        tree = self._tree
-        located = tree.locate(left_key)
+        cracks = self._cracks
+        located = cracks.locate(left_key)
         same_piece = False
-        if located[0] is None:
-            right = tree.locate(right_key)
-            piece = self._find_piece(tree, left_key, size, located)
-            same_piece = right[0] is None and piece == self._find_piece(
-                tree, right_key, size, right
-            )
+        if not located[0]:
+            right = cracks.locate(right_key)
+            piece = cracks.piece(located, size)
+            same_piece = not right[0] and piece == cracks.piece(right, size)
         stats.search_seconds += time.perf_counter() - tick
         if not same_piece:
             return None
@@ -402,10 +394,10 @@ class CrackingEngine:
                     bound=low, bound_high=high, three_way=True)
         tick = time.perf_counter()
         with self._obs.span("insert-bound", position=split0):
-            self._add_crack(self._tree, left_key, split0, size, located)
+            self._cracks.add(left_key, split0, size, located)
         with self._obs.span("insert-bound", position=split1):
-            # Located afresh: the left key may just have joined the tree.
-            self._add_crack(self._tree, right_key, split1, size, None)
+            # Located afresh: the left key may just have joined the index.
+            self._cracks.add(right_key, split1, size)
         stats.insert_seconds += time.perf_counter() - tick
         return split0, split1
 
@@ -445,32 +437,30 @@ class CrackingEngine:
         Consecutive entries delimit the current pieces; the leakage
         analysis of Section 4.1 works from this structure.
         """
-        positions = sorted({node.position for node in self._tree.in_order()})
-        return [0] + positions + [len(self._column)]
+        return [0] + sorted(set(self._cracks.positions)) + [len(self._column)]
 
     def check_invariants(self) -> None:
         """Assert every indexed crack still partitions the column.
 
-        Notably the *server* can run this check itself — each node
-        stores the bound in the form ``below`` takes, so partition
+        Notably the *server* can run this check itself — each key
+        holds the bound in the form ``below`` takes, so partition
         membership is a sign test.  (It learns nothing new: the
         partition is exactly what cracking already revealed.)
 
         Raises:
+            IndexStateError: on a disordered or out-of-range index.
             AssertionError: on any violated cracking invariant.
         """
-        self._tree.check_invariants()
+        size = len(self._column)
+        self._cracks.check_invariants(size)
         # Before the partition checks: they classify through the column.
         self._column.check_invariants()
-        size = len(self._column)
-        for node in self._tree.in_order():
-            if not 0 <= node.position <= size:
-                raise IndexStateError("node position out of range")
-            below = self._column.below(0, size, *self._cut(node.key))
-            assert below[: node.position].all(), (
+        for key, position in zip(self._cracks.keys, self._cracks.positions):
+            below = self._column.below(0, size, *self._cut(key))
+            assert below[:position].all(), (
                 "rows before the crack violate its predicate"
             )
-            assert not below[node.position:].any(), (
+            assert not below[position:].any(), (
                 "rows after the crack violate its predicate"
             )
 

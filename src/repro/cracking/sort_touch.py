@@ -27,7 +27,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.cracking.cracker_tree import add_crack, find_piece
 from repro.cracking.index import AdaptiveIndex, BoundKey, QueryStats
 
 
@@ -62,14 +61,15 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
         return sum(hi - lo for lo, hi in self._sorted_ranges)
 
     def _place(self, key: BoundKey, stats: QueryStats):
-        size = len(self._column)
+        size, cracks = len(self._column), self._cracks
         tick = time.perf_counter()
-        node = self._tree.find(key)
-        if node is None:
-            piece_lo, piece_hi = find_piece(self._tree, key, size)
+        located = cracks.locate(key)
+        exact, rank = located
+        if not exact:
+            piece_lo, piece_hi = cracks.piece(located, size)
         stats.search_seconds += time.perf_counter() - tick
-        if node is not None:
-            return node.position, None, False
+        if exact:
+            return cracks.positions[rank], None, False
 
         sorted_range = self._containing_sorted_range(piece_lo, piece_hi)
         if sorted_range is None and piece_hi - piece_lo <= self._sort_threshold:
@@ -81,7 +81,10 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
             sorted_range = (piece_lo, piece_hi)
 
         if sorted_range is None:
-            return self._crack_piece(key, piece_lo, piece_hi, stats), None, False
+            return (
+                self._crack_piece(key, piece_lo, piece_hi, stats, located),
+                None, False,
+            )
         bound, inclusive = key
         tick = time.perf_counter()
         side = "right" if inclusive else "left"
@@ -91,7 +94,7 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
         )
         stats.search_seconds += time.perf_counter() - tick
         tick = time.perf_counter()
-        add_crack(self._tree, key, split, size)
+        cracks.add(key, split, size, located)
         stats.insert_seconds += time.perf_counter() - tick
         return split, None, False
 

@@ -11,7 +11,7 @@ data, so piece sizes shrink geometrically regardless of the workload.
 random) flavour on top of the plaintext engine: before the query-bound
 crack, the piece containing the bound is repeatedly split at a random
 resident value until it falls under ``ddr_piece_limit``; each auxiliary
-split is registered in the cracker tree like any other crack.
+split is registered in the cracker index like any other crack.
 
 The encrypted engine takes the client-assisted variant instead (the
 server cannot invent pivots it can compare — Section 5.5: data "can be
@@ -26,7 +26,6 @@ import random
 import time
 from typing import Tuple
 
-from repro.cracking.cracker_tree import add_crack, find_piece
 from repro.cracking.index import AdaptiveIndex, BoundKey, QueryStats
 
 
@@ -60,15 +59,19 @@ class StochasticAdaptiveIndex(AdaptiveIndex):
         return super()._place(key, stats)
 
     def _random_shrink(self, key: BoundKey, stats: QueryStats) -> None:
-        size = len(self._column)
+        size, cracks = len(self._column), self._cracks
         while True:
-            if self._tree.find(key) is not None:
+            located = cracks.locate(key)
+            if located[0]:
                 return
-            piece_lo, piece_hi = find_piece(self._tree, key, size)
+            piece_lo, piece_hi = cracks.piece(located, size)
             if piece_hi - piece_lo <= self._ddr_piece_limit:
                 return
             pivot_key = self._draw_pivot(piece_lo, piece_hi)
-            if pivot_key is None or self._tree.find(pivot_key) is not None:
+            if pivot_key is None:
+                return
+            pivot = cracks.locate(pivot_key)
+            if pivot[0]:
                 return
             tick = time.perf_counter()
             split = self._column.crack(piece_lo, piece_hi, pivot_key[0], pivot_key[1])
@@ -79,7 +82,7 @@ class StochasticAdaptiveIndex(AdaptiveIndex):
                 # Degenerate pivot (piece is constant-valued); stop.
                 return
             tick = time.perf_counter()
-            add_crack(self._tree, pivot_key, split, size)
+            cracks.add(pivot_key, split, size, pivot)
             stats.insert_seconds += time.perf_counter() - tick
 
     def _draw_pivot(self, piece_lo: int, piece_hi: int) -> Tuple[int, bool]:

@@ -13,8 +13,8 @@ Three instrument kinds cover everything the evaluation needs:
   products, bytes sent/received, cracks, phase seconds).  Values may
   be ints or floats; fractional "counters" are how phase *durations*
   accumulate.
-* :class:`Gauge` — a last-written value (current AVL depth, current
-  piece count, pending-buffer size).
+* :class:`Gauge` — a last-written value (current piece count,
+  pending-buffer size).
 * :class:`Histogram` — a distribution with nearest-rank percentiles
   (cracked-piece sizes, response bytes, cracks per query).  Up to
   :data:`Histogram.DEFAULT_MAX_SAMPLES` observations are kept verbatim

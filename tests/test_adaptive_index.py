@@ -89,11 +89,11 @@ class TestQueryCorrectness:
 
 class TestAdaptiveBehaviour:
     def test_tree_grows_with_queries(self, index):
-        assert len(index.tree) == 0
+        assert len(index.cracks) == 0
         index.query(100, 200)
-        assert len(index.tree) >= 1
+        assert len(index.cracks) >= 1
         index.query(300, 350)
-        assert len(index.tree) >= 3
+        assert len(index.cracks) >= 3
 
     def test_exact_repeat_does_not_crack(self, index):
         index.query(100, 200)
@@ -142,13 +142,13 @@ class TestThreshold:
             a = np.sort(unlimited.query(low, high))
             b = np.sort(limited.query(low, high))
             assert np.array_equal(a, b)
-        assert len(limited.tree) < len(unlimited.tree)
+        assert len(limited.cracks) < len(unlimited.cracks)
         limited.check_invariants()
 
     def test_threshold_equal_column_size_never_cracks(self, small_values):
         index = AdaptiveIndex(small_values, min_piece_size=len(small_values))
         index.query(10, 400)
-        assert len(index.tree) == 0
+        assert len(index.cracks) == 0
         assert all(s.cracks == 0 for s in index.stats_log)
 
 
@@ -169,7 +169,7 @@ class TestThreeWay:
         index = AdaptiveIndex(small_values, use_three_way=True)
         index.query(100, 200)
         assert index.stats_log[0].cracks == 1
-        assert len(index.tree) == 2
+        assert len(index.cracks) == 2
 
 
 class TestStats:

@@ -154,7 +154,7 @@ class TestAmbiguityColumns:
             for low in range(0, 300, 23):
                 assert sorted(db.query(low, low + 30).values) == sorted(
                     v for v in values if low <= v <= low + 30)
-            trees.append(len(db.server.engine.tree))
+            trees.append(len(db.server.engine.cracks))
             assert db.obs.metrics.counter_value("kernel.fast_products") > 0
         assert trees[0] < trees[1]
 
@@ -199,7 +199,7 @@ def gate_session(ambiguity):
 
 def test_a_word_column_stops_cracking_at_1k_row_pieces():
     db = gate_session(ambiguity=False)
-    assert len(db.server.engine.tree) == WORD_TREE_NODES
+    assert len(db.server.engine.cracks) == WORD_TREE_NODES
     # Every edge scan is one product pass, two-sided ones included.
     spans = db.obs.tracer.spans
     scans = [span.index for span in spans if span.name == "edge-scan"]
@@ -216,4 +216,4 @@ def test_a_word_column_stops_cracking_at_1k_row_pieces():
 
 def test_an_ambiguity_column_cracks_as_it_always_did():
     db = gate_session(ambiguity=True)
-    assert len(db.server.engine.tree) == AMBIGUITY_TREE_NODES
+    assert len(db.server.engine.cracks) == AMBIGUITY_TREE_NODES

@@ -33,12 +33,28 @@ GOLDEN_BEHAVIOUR_SHA256 = (
 )
 
 #: sha256 of ``golden_trace()``: the same plus ``comparisons``.  Re-pinned
-#: once, with the single descent: a cracked bound now costs one tree walk
-#: where it cost seven, so only that column moved (the secure two-way
-#: configurations count 3 338 / 3 002 / 3 975 comparisons where they
-#: counted 5 430 / 3 985 / 7 182).
+#: twice, each time only that column moved.  With the single descent a
+#: cracked bound cost one tree walk where it cost seven (the secure
+#: two-way configurations went from 5 430 / 3 985 / 7 182 to 3 338 /
+#: 3 002 / 3 975).  Then the AVL tree became a binary search over the
+#: sorted cracks, which makes at most ceil(log2(n + 1)) comparisons a
+#: search, where a tree walk makes its depth.  Per configuration
+#: (threshold 1 / 8; two-sided, one-sided, pivots), tree -> list:
+#:
+#: * plain and secure two-way, threshold 1: 3 338 -> 3 321,
+#:   3 002 -> 2 992; pivots 3 417 -> 3 431 plain, 3 975 -> 3 982 secure
+#: * plain and secure two-way, threshold 8: 3 461 -> 3 451,
+#:   3 001 -> 2 989; pivots 3 549 -> 3 556 plain, 4 062 -> 4 074 secure
+#: * secure three-way, threshold 1: 4 155 -> 4 143, 3 002 -> 2 992,
+#:   4 646 -> 4 655
+#: * secure three-way, threshold 8: 4 272 -> 4 268, 3 001 -> 2 989,
+#:   4 721 -> 4 734
+#:
+#: The pivots shape's query sequence is the one where the tree did
+#: better (+7 to +14): six exact hits cost 17 comparisons in the tree
+#: and 27 in the search (EXPERIMENTS.md).
 GOLDEN_TRACE_SHA256 = (
-    "852b1e7dae8f09d5f12dd32832409ffbd24bb479682b183bd619350b8ed47438"
+    "483529562dadc63a2f39b72a93f2361bc731f89f86b8a3076d269b89c4d8ad06"
 )
 
 ROWS = 400
@@ -146,32 +162,39 @@ def test_seeded_trace_matches_the_pre_driver_golden():
 #: sha256 of ``engine_pass_trace()``, computed at the commit before a
 #: query's keys were located in one pass and its bounds drawn from a
 #: pool.  The queries are built with the scalar ``encrypt_bound`` /
-#: ``encrypt_value``, so the pin reads the engine alone.
+#: ``encrypt_value``, so the pin reads the engine alone.  Re-pinned once
+#: when the AVL tree became a binary search over the sorted cracks: only
+#: ``comparisons`` (and its ``query.comparisons`` delta) moved, summed
+#: per configuration crack_cold 80 432 -> 80 407, range 69 908 -> 69 888,
+#: ambiguity 28 880 -> 28 873, min_piece_4 28 219 -> 28 207, three_way
+#: 46 671 -> 46 626, three_way_default 63 603 -> 63 616, pivots
+#: 25 601 -> 25 584, one_sided 33 904 -> 33 901, one_sided_cracking
+#: 21 099 -> 21 095.
 ENGINE_PASS_SHA256 = (
-    "1d84659eba4de6174f8825709b4738d5d32c709d524ca1ac6c927ed5a99b4e25"
+    "98524b9daa5225d6e39a46efd712622c01251f766ed9ddc52e06a9e40491a7bf"
 )
 
 #: Per configuration of ``engine_pass_trace()``, the sha256 of its
 #: records — the one to diff first when the whole pin moves.
 ENGINE_PASS_CONFIG_SHA256 = {
     "crack_cold":
-        "5e36f97b953a98803c97885e0f6deb62f7db62a3fc9afa8124f2826628a27f47",
+        "f3e9ccfef4743ced24c17ecdb70c4c657e498b8586794c719c48d3eddb775bb1",
     "range":
-        "dd9f2201d8a3575275520c3defa3ac3a70602cb39cfb6d2c4e6962362db07a6b",
+        "16ec2557d4187918ce0a6a43bf5b942e7806ec158df3df1e8d932f1068aef495",
     "ambiguity":
-        "9d27009383a50ff967a27b2d25f93d9a9b36cf906d53b7ae1320fb3772016e95",
+        "0b527706e136bb67c92fb5829c633cab704a27c0d76948ad5ea11891734c0784",
     "min_piece_4":
-        "22c364e7300e482f18ae57ccf4be7d1b48f1ea92d045678062878798c2b808e8",
+        "95ed7bca489979b03f2daf54afbfd9dc86030ae17d94166a72a6635de63786c8",
     "three_way":
-        "67bd472a7b362262bdefac28f46cc8cc847541d49e0c6ab48c5c5dc1f91e1f28",
+        "a78dcb89d0c5256326c26c2ec1d31fd57a152a2a2caf5db9527b6223bb8d3dfc",
     "three_way_default":
-        "ce58db61e19b3ca1bc73961e6824a9308836ddd9c351365e46e69b633b61bbd3",
+        "03e50f66cf9faa9eaeb582b5a75e2804dc4c2d5dc3871becd2fcd16ff24f9215",
     "pivots":
-        "ce3c2c36bdd3e43dbac37a724ac677ff079fac1531df7c40de1148ca74169c01",
+        "a0340f640c03a211907630d98747ade13632d904af613fd463cd7044a448248e",
     "one_sided":
-        "e707b2827cade0216619214b3b96367437143c8cb8264b12f42c3ead00b02b68",
+        "666713a7436af660f564e7eb5566dc654a1f39f51bed05e2a166075ab4d43225",
     "one_sided_cracking":
-        "63f2a63c93240ff61931aa054508948cffe4156fa386846aa6fa8c9529b69e4e",
+        "672e39468b0cb5fbaecd2b10de80abe484168bbc3dd70247ea32af8fb7bd4c27",
 }
 
 #: (name, rows, answer rows, ambiguity, server options, query shape).

@@ -70,8 +70,7 @@ class TestCorruptedIndexState:
 
     def test_tampered_node_position_caught(self):
         __, engine = self.make_engine()
-        node = engine.tree.min_node()
-        node.position += 3
+        engine.cracks.positions[0] += 3
         with pytest.raises(AssertionError):
             engine.check_invariants()
 

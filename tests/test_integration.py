@@ -12,9 +12,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.client import TrustedClient
-from repro.core.encrypted_column import EncryptedColumn
-from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.session import OutsourcedDatabase
 from repro.cracking.baselines import FullScanIndex, FullSortIndex
 from repro.cracking.index import AdaptiveIndex
@@ -33,27 +30,8 @@ DOMAIN = (0, 5000)
 VALUES = unique_uniform(SIZE, DOMAIN, seed=123)
 
 
-class PaperTreeIndex:
-    """The secure index on its pseudocode-literal findpiece/addCrack
-    path: a test oracle the serving stack does not expose, so it is
-    driven directly, with the plain engines' ``query`` signature."""
-
-    def __init__(self, values, seed):
-        self._client = TrustedClient(seed=seed)
-        rows, row_ids = self._client.encrypt_dataset(values)
-        self._engine = SecureAdaptiveIndex(
-            EncryptedColumn(rows, row_ids), use_paper_tree_algorithms=True
-        )
-        self.check_invariants = self._engine.check_invariants
-
-    def query(self, *bounds):
-        row_ids, __ = self._engine.query(self._client.make_query(*bounds))
-        return np.asarray(row_ids)
-
-
 def plain_engines():
     return {
-        "secure_paper_tree": PaperTreeIndex(VALUES, seed=1),
         "adaptive": AdaptiveIndex(VALUES),
         "adaptive_threshold": AdaptiveIndex(VALUES, min_piece_size=64),
         "adaptive_three_way": AdaptiveIndex(VALUES, use_three_way=True),

@@ -324,7 +324,8 @@ class TestQueryOfAnotherLength:
     def _state(server):
         engine, column = server.engine, server.engine.column
         return (
-            [(node.position, id(node.key)) for node in engine.tree.in_order()],
+            [(position, id(key)) for key, position
+             in zip(engine.cracks.keys, engine.cracks.positions)],
             column.rows_at(range(len(column))).limbs.tobytes(),
             column.row_ids.tobytes(),
             len(server.stats_log),
@@ -346,7 +347,7 @@ class TestQueryOfAnotherLength:
                 ))
                 assert len(reply.response.rows) == 9
         server = catalog.server("prices")
-        assert bool(len(server.engine.tree)) == cracked
+        assert bool(len(server.engine.cracks)) == cracked
         before = self._state(server)
         other = TrustedClient(seed=62, key_length=key_length)
         bounds = {"two": (500, 900), "low": (500, None), "high": (None, 900)}

@@ -721,6 +721,45 @@ def test_a_converged_query_makes_at_most_600_python_calls(converged_crack_cold):
     assert median <= 600, counts
 
 
+@pytest.fixture(scope="module")
+def converged_ambiguity_range():
+    """An ``ambiguity_range``-shaped session (6 000 values from a
+    300 000-wide domain, 1 % ranges, ambiguity on, the benchmark's key,
+    loopback) after 5 000 of its queries, which leave some 5 800
+    indexed cracks, and nine more such queries."""
+    from repro.core.session import OutsourcedDatabase
+
+    rng = np.random.default_rng(20160626)
+    values = np.unique(rng.integers(0, 300_000, size=12_000))
+    values = rng.permutation(values)[:6_000]
+    ordered = np.sort(values)
+    starts = rng.integers(0, len(values) - 59, size=5_009)
+    queries = [(int(ordered[s]), int(ordered[s + 59])) for s in starts]
+    db = OutsourcedDatabase([int(v) for v in values], seed=11, ambiguity=True)
+    for low, high in queries[:5_000]:
+        db.query(low, high)
+    return db, queries[5_000:]
+
+
+def test_a_converged_ambiguity_query_makes_at_most_650_python_calls(
+    converged_ambiguity_range,
+):
+    """The gate above over the ambiguity column, where the server's
+    cracker index is largest: one converged query, ``make_query`` to
+    decrypted result, 640 calls in the median of nine with the cracks
+    one sorted list under a binary search (669 with them in an AVL tree
+    whose insert walked its rebalancing chain back up; 674 in a
+    converged e2e ``ambiguity_range`` profile)."""
+    db, queries = converged_ambiguity_range
+    assert len(db.server.engine.cracks) > 5_000
+
+    def query(low, high):
+        assert len(db.query(low, high).values) == 60
+
+    median, counts = _median_calls(query, queries)
+    assert median <= 650, counts
+
+
 def test_make_query_makes_at_most_40_python_calls(converged_crack_cold):
     """The client's half of the gate above: a two-sided ``make_query``
     takes both forms of each bound off the encryptor's pools, 18 calls

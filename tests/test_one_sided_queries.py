@@ -65,7 +65,7 @@ class TestAdaptiveSpecifics:
         index.query(low=400)
         index.query(high=100)  # repeat: indexed, no crack
         assert index.stats_log[2].cracks == 0
-        assert len(index.tree) == 2
+        assert len(index.cracks) == 2
 
 
 class TestSecureSessions:

@@ -35,7 +35,7 @@ class TestSnapshot:
     def test_restored_index_state(self):
         db = warmed_db()
         restored = restore_server(snapshot_server(db.server))
-        assert len(restored.engine.tree) == len(db.server.engine.tree)
+        assert len(restored.engine.cracks) == len(db.server.engine.cracks)
         assert restored.engine.column.row_ids.tolist() == (
             db.server.engine.column.row_ids.tolist()
         )
@@ -118,6 +118,25 @@ class TestSnapshot:
         with pytest.raises(SerializationError):
             restore_server(snapshot)
 
+    def test_a_crack_outside_the_column_is_rejected(self):
+        db = warmed_db(min_piece_size=1)
+        snapshot = snapshot_server(db.server)
+        assert len(snapshot["tree"]) >= 3
+        snapshot["tree"][-1]["position"] = len(VALUES) + 1
+        with pytest.raises(SerializationError, match="malformed snapshot"):
+            restore_server(snapshot)
+
+    def test_cracks_with_swapped_positions_are_rejected(self):
+        db = warmed_db(min_piece_size=1)
+        snapshot = snapshot_server(db.server)
+        first, second = snapshot["tree"][0], snapshot["tree"][1]
+        assert first["position"] < second["position"]
+        first["position"], second["position"] = (
+            second["position"], first["position"]
+        )
+        with pytest.raises(SerializationError, match="malformed snapshot"):
+            restore_server(snapshot)
+
 
 class TestKeyRotation:
     def test_results_preserved(self):
@@ -143,7 +162,7 @@ class TestKeyRotation:
     def test_index_restarts_empty(self):
         db = warmed_db()
         db.rotate_key(new_seed=99)
-        assert len(db.server.engine.tree) == 0
+        assert len(db.server.engine.cracks) == 0
 
     def test_rotation_folds_in_updates(self):
         db = warmed_db()

@@ -9,6 +9,8 @@ error::RuntimeWarning`` is still the tripwire for an int64 *scalar*
 leaking into the ciphertext path.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -427,10 +429,31 @@ class TestStatsEqualRegistryDelta:
         before = column.product_counts()
         server.engine.insert_row(client.encrypt_value(1000)[0], 1000)
         routed = column.exact_products.value - before[1]
-        assert 0 < routed <= len(server.engine.tree)
+        # One binary search over the cracks, one product per probe.
+        assert 0 < routed <= math.ceil(math.log2(len(server.engine.cracks) + 1))
         assert column.fast_products.value == before[0]
         self._query_delta(client, server, 150, 250)
         assert column.product_counts() == (
             sum(stats.kernel_fast_products for stats in server.stats_log),
             routed,
         )
+
+    def test_a_merged_row_costs_at_most_log2_n_plus_1_products(self):
+        """Merge routing is one binary search per row over the n cracks:
+        at most ceil(log2(n + 1)) exact products a row, charged to the
+        registry and to no query."""
+        client, server = self._server()
+        for low in range(0, 512, 19):
+            self._query_delta(client, server, low, low + 7)
+        cracks = len(server.engine.cracks)
+        assert cracks > 40
+        for value in range(3, 483, 12):
+            server.insert(client.encrypt_value(value))
+        column = server.engine.column
+        before = column.product_counts()
+        queries = len(server.stats_log)
+        assert server.merge_pending() == 40
+        routed = column.exact_products.value - before[1]
+        assert 40 <= routed <= 40 * math.ceil(math.log2(cracks + 1))
+        assert len(server.stats_log) == queries
+        server.engine.check_invariants()

@@ -6,8 +6,7 @@ These pin the contracts everything else rests on:
   for arbitrary integers, including adversarially close ones;
 * cracking partitions (in-place and vectorised) preserve multisets and
   respect predicates for arbitrary inputs;
-* the AVL tree stays ordered and balanced under arbitrary insertion
-  sequences;
+* the cracker index stays ordered under arbitrary crack sequences;
 * adaptive engines return exactly the reference result set for
   arbitrary data and query sequences.
 """
@@ -16,8 +15,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cracking.algorithms import crack_in_two, partition_order
-from repro.cracking.avl import AVLTree
 from repro.cracking.column import CrackerColumn
+from repro.cracking.cracks import CrackIndex
 from repro.cracking.index import AdaptiveIndex
 from repro.crypto.key import generate_key
 from repro.crypto.scheme import Encryptor, compare
@@ -109,15 +108,15 @@ class TestCrackingProperties:
         assert sorted(order.tolist()) == list(range(len(mask)))
 
 
-class TestAVLProperties:
+class TestCrackIndexProperties:
     @given(keys=st.lists(st.integers(0, 10 ** 6), max_size=150))
     @settings(max_examples=60, deadline=None)
-    def test_tree_invariants(self, keys):
-        tree = AVLTree(lambda a, b: (a > b) - (a < b))
+    def test_index_invariants(self, keys):
+        index = CrackIndex(lambda a, b: (a > b) - (a < b))
         for key in keys:
-            tree.insert(key, key)
-        tree.check_invariants()
-        assert [n.key for n in tree.in_order()] == sorted(set(keys))
+            index.add(key, key + 1, 10 ** 6 + 2)
+        index.check_invariants(10 ** 6 + 2)
+        assert index.keys == sorted(set(keys))
 
 
 class TestEngineProperties:

@@ -67,7 +67,7 @@ class TestRobustness:
         index.query(100, 150)
         # The query introduces at most 2 bound cracks; the rest of the
         # tree are pivot cracks.
-        assert len(index.tree) > 2
+        assert len(index.cracks) > 2
 
     def test_pieces_bounded_after_first_query(self, values):
         limit = 2048

@@ -1,13 +1,14 @@
 """The columnar update path, pinned against the per-row path it replaced.
 
-Until PR 20 a merge deleted and ripple-inserted one row at a time
-(``delete_at`` / ``insert_at`` rebuilding the column per row, one
-in-order tree walk per row) and the column kept an id -> position dict
+A merge used to delete and ripple-insert one row at a time
+(``delete_at`` / ``insert_at`` rebuilding the column per row, one walk
+over every crack per row) and the column kept an id -> position dict
 beside ``row_ids``.  Those per-row bodies live on here, verbatim but for
-the column's bookkeeping (the id memo and ceiling, the spare rows), as
-the reference the one-pass merge is checked against: same final
-physical order, same crack positions, same products spent on routing,
-same counters, same audit events.
+the column's bookkeeping (the id memo and ceiling, the spare rows) and
+the cracker index (a tree then, the sorted crack lists now), as the
+reference the one-pass merge is checked against: same final physical
+order, same crack positions, same products spent on routing, same
+counters, same audit events.
 
 Also here: the id -> position lookups against a dict rebuilt from
 ``row_ids``, appends into spare rows against the splice, the snapshot
@@ -115,30 +116,30 @@ def ref_delete_at(column, position):
 
 
 def ref_route_row(engine, row):
-    node, successor = engine._tree.root, None
-    piece_lo, piece_hi = 0, len(engine._column)
-    while node is not None:
+    """Bisect the cracks for the first one right of ``row`` (its rank,
+    ``len(keys)`` at the far right), one product per probe."""
+    keys, positions = engine.cracks.keys, engine.cracks.positions
+    low, high = 0, len(keys)
+    while low < high:
+        middle = (low + high) // 2
         engine._column.exact_products.add()
-        sign = node.key.bound.eb.product_sign(row)
-        if sign < 0 or (sign == 0 and node.key.inclusive):
-            piece_hi, successor = node.position, node
-            node = node.left
+        sign = keys[middle].bound.eb.product_sign(row)
+        if sign < 0 or (sign == 0 and keys[middle].inclusive):
+            high = middle
         else:
-            piece_lo = node.position
-            node = node.right
-    return piece_lo, piece_hi, successor
+            low = middle + 1
+    piece_hi = positions[low] if low < len(keys) else len(engine._column)
+    return piece_hi, low
 
 
 def ref_insert_row(engine, row, row_id):
     """``SecureAdaptiveIndex.insert_row`` as it was: route, insert at the
-    piece's upper edge, walk the whole tree to bump what sorts above."""
-    __, piece_hi, successor = ref_route_row(engine, row)
+    piece's upper edge, walk every crack to bump what sorts above."""
+    piece_hi, successor = ref_route_row(engine, row)
     ref_insert_at(engine._column, piece_hi, row, row_id)
-    above = False
-    for node in engine._tree.in_order():
-        above = above or node is successor
-        if above:
-            node.position += 1
+    positions = engine.cracks.positions
+    for rank in range(successor, len(positions)):
+        positions[rank] += 1
     engine._obs.metrics.add("index.ripple_inserts")
     audit = engine._obs.audit
     if audit.enabled:
@@ -150,9 +151,10 @@ def ref_delete_row(engine, row_id):
     """``SecureAdaptiveIndex.delete_row`` as it was."""
     position = engine._column.physical_index_of(row_id)
     ref_delete_at(engine._column, position)
-    for node in engine._tree.in_order():
-        if node.position > position:
-            node.position -= 1
+    positions = engine.cracks.positions
+    for rank, crack in enumerate(positions):
+        if crack > position:
+            positions[rank] = crack - 1
     engine._obs.metrics.add("index.row_deletes")
     audit = engine._obs.audit
     if audit.enabled:
@@ -190,7 +192,7 @@ def client_for(ambiguity):
 
 
 def node_positions(server):
-    return [node.position for node in server.engine.tree.in_order()]
+    return list(server.engine.cracks.positions)
 
 
 def structural_events(server):
@@ -631,7 +633,7 @@ class TestSnapshotBytesPinned:
     once since, when the owner's draws moved to a keyed SHAKE-256
     stream: the snapshot holds ciphertexts, and every one moved; and
     once more when query bounds came to be drawn from the encryptor's
-    pools: the tree's keys are query ciphertexts."""
+    pools: the index's keys are query ciphertexts."""
 
     def test_cracks_pending_rows_and_tombstones(self):
         client, server = pinned_server()
