@@ -13,7 +13,7 @@ encrypted with ambiguity — plus the SecureScan baseline.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -114,18 +114,20 @@ def run_client_sequence(
     Each query is one round trip through the session's protocol handle;
     its reply is opened whole by the key and its real rows mapped to
     logical ids, and that decrypt-and-filter is what ``client_seconds``
-    times.  The paper's client decrypts every row it receives, while a
-    session's client answers a row it opened before from memory
-    (:class:`~repro.core.client.OpenedRows`) — so this loop calls
-    :meth:`~repro.crypto.scheme.Encryptor.open_block` itself rather than
-    :meth:`~repro.core.session.OutsourcedDatabase.query`.
+    times.  The paper's client is shipped and decrypts every row, while
+    a session's client is shipped a row once and answers it from memory
+    after that (:class:`~repro.core.client.OpenedRows`) — so this loop
+    sends its queries with no session token, which gets every row
+    whole, and calls :meth:`~repro.crypto.scheme.Encryptor.open_block`
+    itself rather than :meth:`~repro.core.session.OutsourcedDatabase.query`.
     """
     trace = QueryTrace()
     client = session.client
     server_engine = session.server.engine
     for query in queries:
         tick = time.perf_counter()
-        response = session.remote.query(client.make_query(*query.as_args()))
+        message = client.make_query(*query.as_args())
+        response = session.remote.query(replace(message, token=0))
         received = time.perf_counter()
         is_real, values = client.encryptor.open_block(response.rows)
         client.logical_id(np.asarray(response.row_ids, dtype=np.int64)[is_real])

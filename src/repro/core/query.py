@@ -82,6 +82,8 @@ class EncryptedQuery:
         pivots: optional extra client-supplied bounds the server may
             crack on (client-assisted stochastic cracking — the server
             cannot invent pivots it can compare, Section 5.5).
+        token: the issuing client's session token (0: none), under
+            which the server names by id alone a row it shipped whole.
     """
 
     low: Optional[EncryptedBound]
@@ -89,6 +91,7 @@ class EncryptedQuery:
     low_inclusive: bool = True
     high_inclusive: bool = True
     pivots: Tuple[EncryptedBound, ...] = field(default_factory=tuple)
+    token: int = 0
 
     @property
     def left_key(self) -> Optional[EncryptedBoundKey]:

@@ -262,16 +262,29 @@ class CrackingEngine:
         size = len(self._column)
         if size == 0:
             return np.empty(0, dtype=np.int64)
+        left_at = right_at = None
         if self._use_three_way and left_key is not None and right_key is not None:
-            three_way = self._try_three_way(left_key, right_key, stats)
+            three_way, left_at, right_at = self._try_three_way(
+                left_key, right_key, stats)
             if three_way is not None:
                 return np.arange(three_way[0], three_way[1], dtype=np.int64)
+        cracks, count = self._cracks, len(self._cracks)
         start, left_piece, left_alone = (
-            (0, None, False) if left_key is None else self._place(left_key, stats)
+            (0, None, False) if left_key is None
+            else self._place(left_key, stats, left_at)
         )
+        if right_at is not None and len(cracks) != count:
+            # If the left key alone went in, at its rank, a right key
+            # ranked after it moves up one; else it is located afresh.
+            exact, rank = right_at
+            if (len(cracks) != count + 1 or cracks.keys[left_at[1]] is not left_key
+                    or rank == left_at[1] and not exact):
+                right_at = None
+            elif rank >= left_at[1]:
+                right_at = (exact, rank + 1)
         end, right_piece, right_alone = (
             (size, None, False) if right_key is None
-            else self._place(right_key, stats)
+            else self._place(right_key, stats, right_at)
         )
         keys = (left_key, right_key)
         if left_piece is not None and left_piece == right_piece:
@@ -299,8 +312,9 @@ class CrackingEngine:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(segments)
 
-    def _place(self, key, stats: QueryStats):
-        """Locate ``key`` (one search, its scan policy read once) and
+    def _place(self, key, stats: QueryStats, located=None):
+        """Locate ``key`` (one search, none given its ``located``; its
+        scan policy read once) and
         crack its raw piece at once if past the threshold, so the next
         key is located in the index the crack left: ``(position, None,
         False)``, or ``(None, piece, alone)`` for a piece to scan —
@@ -309,7 +323,8 @@ class CrackingEngine:
         bound = self._cut(key)[0]
         tick = time.perf_counter()
         with self._obs.span("find-piece"):
-            located = cracks.locate(key)
+            if located is None:
+                located = cracks.locate(key)
             exact, rank = located
             if not exact:
                 piece = cracks.piece(located, len(self._column))
@@ -361,14 +376,16 @@ class CrackingEngine:
     ) -> Optional[Tuple[int, int]]:
         """One-pass three-way crack when both bounds share a raw piece.
 
-        Returns the qualifying physical range on success, None when the
-        preconditions fail (either bound already indexed, different
-        pieces, or the piece is below the cracking threshold).
+        Returns ``(range, left, right)``: the qualifying physical range
+        on success, None when the preconditions fail (either bound
+        already indexed, different pieces, or the piece is below the
+        cracking threshold), with each key's ``locate`` while still good.
         """
         size = len(self._column)
         tick = time.perf_counter()
         cracks = self._cracks
         located = cracks.locate(left_key)
+        right = None
         same_piece = False
         if not located[0]:
             right = cracks.locate(right_key)
@@ -376,11 +393,11 @@ class CrackingEngine:
             same_piece = not right[0] and piece == cracks.piece(right, size)
         stats.search_seconds += time.perf_counter() - tick
         if not same_piece:
-            return None
+            return None, located, right
         piece_lo, piece_hi = piece
         rows = piece_hi - piece_lo
         if rows <= self._scan_policy(self._cut(left_key)[0])[0]:
-            return None
+            return None, located, right
         low, low_inclusive, high, high_inclusive = self._range(left_key, right_key)
         tick = time.perf_counter()
         with self._obs.span("crack", lo=piece_lo, hi=piece_hi, rows=rows,
@@ -399,7 +416,7 @@ class CrackingEngine:
             # Located afresh: the left key may just have joined the index.
             self._cracks.add(right_key, split1, size)
         stats.insert_seconds += time.perf_counter() - tick
-        return split0, split1
+        return (split0, split1), None, None
 
     def _timed_scan(self, piece, keys, stats: QueryStats) -> np.ndarray:
         """Filter one sub-threshold edge piece with the full predicate."""

@@ -60,10 +60,11 @@ class SortTouchAdaptiveIndex(AdaptiveIndex):
         """Rows currently inside fully sorted intervals."""
         return sum(hi - lo for lo, hi in self._sorted_ranges)
 
-    def _place(self, key: BoundKey, stats: QueryStats):
+    def _place(self, key: BoundKey, stats: QueryStats, located=None):
         size, cracks = len(self._column), self._cracks
         tick = time.perf_counter()
-        located = cracks.locate(key)
+        if located is None:
+            located = cracks.locate(key)
         exact, rank = located
         if not exact:
             piece_lo, piece_hi = cracks.piece(located, size)

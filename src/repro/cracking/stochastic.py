@@ -53,8 +53,9 @@ class StochasticAdaptiveIndex(AdaptiveIndex):
         self._ddr_piece_limit = ddr_piece_limit
         self._pivot_rng = random.Random(seed)
 
-    def _place(self, key: BoundKey, stats: QueryStats):
-        """Shrink the target piece with random pivots, then defer to base."""
+    def _place(self, key: BoundKey, stats: QueryStats, located=None):
+        """Shrink the target piece with random pivots, then defer to base
+        (locating ``key`` again: the pivots may have moved its rank)."""
         self._random_shrink(key, stats)
         return super()._place(key, stats)
 

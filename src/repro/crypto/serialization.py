@@ -277,6 +277,7 @@ def query_to_dict(query) -> Dict[str, Any]:
     the order low, high, pivots — ``eb`` (``length`` integers per
     bound) and ``ev`` (``length`` numerators then the denominator per
     bound).  The pivot count is what the runs hold beyond the sides.
+    A query's session ``token`` is there when it has one.
 
     Every bound of a query has the query's one ``length``; a query
     that mixes lengths (no engine could answer it) does not encode.
@@ -311,6 +312,8 @@ def query_to_dict(query) -> Dict[str, Any]:
     sides = _QUERY_SIDES[query.low is not None, query.high is not None]
     if sides != "both":
         data["sides"] = sides
+    if query.token:
+        data["token"] = query.token
     return data
 
 
@@ -332,6 +335,9 @@ def query_from_dict(data: Dict[str, Any]):
     sided = has_low + has_high
     low_inclusive = flag_from_wire(data.get("low_inclusive"))
     high_inclusive = flag_from_wire(data.get("high_inclusive"))
+    token = data.get("token", 0)
+    if type(token) is not int or not 0 <= token < 1 << 64:
+        raise SerializationError("a query token is 0 .. 2^64 - 1")
     eb = list(ints_from_wire(data.get("eb"), "query eb run"))
     ev = list(ints_from_wire(data.get("ev"), "query ev run"))
     count, ragged = divmod(len(eb), length) if length else (0, len(eb))
@@ -362,6 +368,7 @@ def query_from_dict(data: Dict[str, Any]):
         low_inclusive=low_inclusive,
         high_inclusive=high_inclusive,
         pivots=tuple(bounds[sided:]),
+        token=token,
     )
 
 
@@ -400,7 +407,7 @@ def response_from_dict(data: Dict[str, Any]):
         raise SerializationError(
             "malformed response payload: %s" % exc
         ) from exc
-    if len(row_ids) != len(rows):
+    if np.count_nonzero(row_ids >= 0) != len(rows):
         raise SerializationError(
             "response carries %d row ids for %d rows"
             % (len(row_ids), len(rows))

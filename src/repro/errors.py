@@ -35,6 +35,10 @@ class DecryptionError(ReproError):
     given key (wrong key, corrupted ciphertext, or a fake branch)."""
 
 
+class RowNotHeldError(DecryptionError):
+    """A reply named by id alone a row the client does not hold."""
+
+
 class AmbiguityError(ReproError):
     """The ambiguity layer could not produce a valid two-branch
     ciphertext (e.g. both branches decrypt to odd integers after the

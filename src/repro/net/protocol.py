@@ -99,9 +99,10 @@ from repro.net.binframe import (
 #: flat block instead of a list of per-row ciphertext objects.  3: so
 #: does a query (the ``QUERY`` field).  4: a frame is positional — the
 #: kind code and the fields in declared order, no keys — and binary
-#: only.  A frame of an older version is refused with a typed error,
+#: only.  5: a query carries a session token, a reply names rows by id
+#: alone.  A frame of an older version is refused with a typed error,
 #: never reinterpreted.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: What every frame starts with.
 _FRAME_HEAD = bytes((MAGIC, PROTOCOL_VERSION))
@@ -317,7 +318,7 @@ def _block_at(buf: bytes, pos: int) -> Tuple[RowBlock, int]:
 
 def _response_parts(response: ServerResponse) -> List[bytes]:
     """A server response on a frame: its row ids as one int array of
-    words, then its row set."""
+    words, then its row set (the rows not named by id alone)."""
     return [
         word_array(np.asarray(response.row_ids, dtype=np.int64)),
         *_block_parts(response.rows),
@@ -329,7 +330,7 @@ def _response_at(buf: bytes, pos: int) -> Tuple[ServerResponse, int]:
     ``buf[pos]``, and the position past it."""
     ids, pos = words_at(buf, pos)
     rows, pos = _block_at(buf, pos)
-    if len(ids) != len(rows):
+    if np.count_nonzero(ids >= 0) != len(rows):  # the others: id-only
         raise SerializationError(
             "response carries %d row ids for %d rows" % (len(ids), len(rows))
         )
@@ -338,10 +339,11 @@ def _response_at(buf: bytes, pos: int) -> Tuple[ServerResponse, int]:
 
 def _query_parts(query: EncryptedQuery) -> List[bytes]:
     """A query on a frame: a flags byte (bit 0 ``low_inclusive``, bit 1
-    ``high_inclusive``, bits 2-3 its sides), ``length``, the bound
-    count, then the ``eb`` run (``length`` integers per bound) and the
-    ``ev`` run (``length`` numerators and the denominator per bound)
-    over the bounds low, high, pivots."""
+    ``high_inclusive``, bits 2-3 its sides, bit 4 a token), ``length``,
+    the bound count, the token's 8 bytes big-endian when there is one,
+    then the ``eb`` run (``length`` integers per bound) and the ``ev``
+    run (``length`` numerators and the denominator per bound) over the
+    bounds low, high, pivots."""
     low, high = query.low, query.high
     bounds = [bound for bound in (low, high) if bound is not None]
     bounds += query.pivots
@@ -357,25 +359,35 @@ def _query_parts(query: EncryptedQuery) -> List[bytes]:
         eb += vector
         ev += value.numerators
         ev.append(value.denominator)
+    token = query.token
     flags = (query.low_inclusive | query.high_inclusive << 1
-             | (low is not None) << 2 | (high is not None) << 3)
-    return [varints(flags, length, len(bounds)), bigint_run(eb),
-            bigint_run(ev)]
+             | (low is not None) << 2 | (high is not None) << 3
+             | (token != 0) << 4)
+    head = varints(flags, length, len(bounds))
+    if token:
+        head += token.to_bytes(8, "big")
+    return [head, bigint_run(eb), bigint_run(ev)]
 
 
 def _query_at(buf: bytes, pos: int) -> Tuple[EncryptedQuery, int]:
     """The query :func:`_query_parts` wrote at ``buf[pos]``, and the
     position past it."""
     flags = buf[pos]
-    if flags > 15:
+    if flags > 31:
         raise SerializationError("unknown query flags: 0x%02x" % flags)
     length, pos = read_varint(buf, pos + 1)
     count, pos = read_varint(buf, pos)
+    token = 0
+    if flags & 16:
+        token = int.from_bytes(buf[pos:pos + 8], "big")
+        pos += 8
+        if not token or pos > len(buf):
+            raise SerializationError("a query token is 8 bytes, not 0")
     eb, pos = bigints_at(buf, pos, count * length)
     ev, pos = bigints_at(buf, pos, count * (length + 1))
     if count and not length:
         raise SerializationError("%d query bounds of length 0" % count)
-    sided = (flags >> 2 & 1) + (flags >> 3)
+    sided = (flags >> 2 & 1) + (flags >> 3 & 1)
     if count < sided:
         raise SerializationError(
             "query flags 0x%02x declare %d sides but it ships %d bounds"
@@ -400,6 +412,7 @@ def _query_at(buf: bytes, pos: int) -> Tuple[EncryptedQuery, int]:
         low_inclusive=bool(flags & 1),
         high_inclusive=bool(flags & 2),
         pivots=tuple(bounds[sided:]),
+        token=token,
     ), pos
 
 

@@ -328,3 +328,54 @@ class TestEncryptedKeyOrder:
                     plain.locate(probe)
                 )
         assert encrypted.positions == plain.positions
+
+
+# -- one search per key, three-way engines too ----------------------------------
+
+
+def _three_way_engines():
+    """A plaintext and a secure three-way engine over one 4 000-value
+    column, each with the cracks of one three-way query."""
+    from repro.core.client import TrustedClient
+    from repro.core.encrypted_column import EncryptedColumn
+    from repro.core.secure_index import SecureAdaptiveIndex
+    from repro.cracking.index import AdaptiveIndex
+
+    values = random.Random(8).sample(range(10_000), 4_000)
+    client = TrustedClient(seed=3)
+    plain = AdaptiveIndex(values, use_three_way=True)
+    secure = SecureAdaptiveIndex(
+        EncryptedColumn(*client.encrypt_dataset(values)),
+        min_piece_size=1, use_three_way=True,
+    )
+    plain.query(1_000, 9_000)
+    secure.query(client.make_query(1_000, 9_000))
+    return (
+        (plain, lambda low, high: plain.query(low, high)),
+        (secure, lambda low, high: secure.query(client.make_query(low, high))),
+    )
+
+
+@pytest.mark.parametrize("engine", range(2), ids=["plain", "secure"])
+def test_a_declined_three_way_crack_searches_each_key_once(engine,
+                                                           monkeypatch):
+    """Bounds in two pieces crack two-way: the three-way check's two
+    searches are all the query makes (it made four when the placement
+    searched again), and a repeat of it makes two."""
+    index, query = _three_way_engines()[engine]
+    searched = []
+    locate = CrackIndex.locate
+
+    def spy(self, key, compare=None):
+        searched.append(key)
+        return locate(self, key, compare)
+
+    monkeypatch.setattr(CrackIndex, "locate", spy)
+    cracks = len(index.cracks)
+    query(500, 4_000)
+    assert len(index.cracks) == cracks + 2  # each bound cracked its piece
+    assert len(searched) == 2
+    del searched[:]
+    query(500, 4_000)
+    assert len(searched) == 2
+    index.check_invariants()

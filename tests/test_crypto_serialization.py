@@ -310,10 +310,11 @@ class TestFlatQuery:
         query = _queries()[shape]
         request = QueryRequest(column="c", query=query)
         payload = request_to_dict(request)
-        assert set(payload["query"]) - {"sides"} == {
+        assert set(payload["query"]) - {"sides", "token"} == {
             "kind", "version", "length", "low_inclusive", "high_inclusive",
             "eb", "ev",
         }
+        assert payload["query"].get("token", 0) == query.token
         restored = request_from_dict(_through(payload, codec))
         assert restored == request
         assert restored.query == query
@@ -331,6 +332,17 @@ class TestFlatQuery:
                     assert query_from_dict(
                         dict(payload, **{run: form})
                     ) == queries[shape]
+
+    @pytest.mark.parametrize(
+        "token", ["7", -1, 2 ** 64, 1.0, True, None], ids=repr
+    )
+    def test_a_token_is_checked_not_coerced(self, token, codec):
+        from repro.crypto.serialization import query_from_dict, query_to_dict
+
+        payload = query_to_dict(_queries()["two_sided"])
+        payload["token"] = token
+        with pytest.raises(SerializationError, match="token"):
+            query_from_dict(_through(payload, codec))
 
     @pytest.mark.parametrize("flag", ["low_inclusive", "high_inclusive"])
     @pytest.mark.parametrize(
@@ -454,7 +466,7 @@ class TestQueryFrames:
     the two runs — checked as its dict form is."""
 
     #: A ``query_request`` frame up to its ``QUERY`` field (column "c").
-    HEAD = bytes((0xAE, 4, 5, 0, 1)) + b"c"
+    HEAD = bytes((0xAE, 5, 5, 0, 1)) + b"c"
 
     @pytest.mark.parametrize("shape", sorted(_queries()))
     def test_round_trip(self, shape):
@@ -477,9 +489,21 @@ class TestQueryFrames:
         frame = self.HEAD + bytes((5, 1, 1, 1, 5, 1, 0xFD, 2))
         assert encode(request) == frame
         assert decode(frame) == request
+        # A session token sets flag bit 4 and follows the bound count
+        # as 8 bytes, big-endian.
+        tokened = QueryRequest(column="c", query=EncryptedQuery(
+            low=low, high=None, low_inclusive=True, high_inclusive=False,
+            token=0x0102030405060708,
+        ))
+        frame = self.HEAD + bytes((0x15, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8,
+                                   1, 5, 1, 0xFD, 2))
+        assert encode(tokened) == frame
+        assert decode(frame) == tokened
 
     @pytest.mark.parametrize("query", [
-        bytes((0x15, 1, 1, 1, 5, 1, 0xFD, 2)),   # an unknown flag bit
+        bytes((0x25, 1, 1, 1, 5, 1, 0xFD, 2)),   # an unknown flag bit
+        bytes((0x15, 1, 1, 1, 5, 1, 0xFD, 2)),   # a truncated token
+        bytes((0x15, 1, 1)) + bytes(8) + bytes((1, 5, 1, 0xFD, 2)),  # 0
         bytes((0x0D, 1, 1, 1, 5, 1, 0xFD, 2)),   # two sides, one bound
         bytes((5, 1, 1, 1, 5, 1, 0xFD, 0)),      # a zero denominator
         bytes((5, 1, 1, 1, 5, 1, 0xFD, 0xFE)),   # a negative one

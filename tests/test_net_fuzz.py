@@ -115,7 +115,8 @@ def make_bound(rng, width):
 
 def make_query(rng):
     """A query: one ciphertext length for all its bounds (they travel
-    as two flat runs), any subset of sides, a few pivots."""
+    as two flat runs), any subset of sides, a few pivots, a session
+    token or none."""
     width = rng.randint(1, 6)
     return EncryptedQuery(
         low=make_bound(rng, width) if rng.random() < 0.8 else None,
@@ -125,6 +126,7 @@ def make_query(rng):
         pivots=tuple(
             make_bound(rng, width) for _ in range(rng.randint(0, 3))
         ),
+        token=rng.choice((0, 1, 2 ** 64 - 1, rng.getrandbits(64) | 1)),
     )
 
 
@@ -142,12 +144,14 @@ def make_ids(rng):
 
 
 def make_server_response(rng):
+    """Whole rows under their ids, and a few rows named by id alone
+    (the id's complement) among them."""
     rows = make_rows(rng)
+    ids = [rng.choice(BOUNDARY_IDS) for _ in rows]
+    for _ in range(rng.randint(0, 3)):
+        ids.insert(rng.randint(0, len(ids)), -1 - rng.choice(BOUNDARY_IDS))
     return ServerResponse(
-        row_ids=np.array(
-            [rng.choice(BOUNDARY_IDS) for _ in rows], dtype=np.int64
-        ),
-        rows=list(rows),
+        row_ids=np.array(ids, dtype=np.int64), rows=list(rows),
     )
 
 
@@ -401,21 +405,28 @@ GOLDEN_CASES = 12
 #: slot kinds from the registry: the parent's corpus, with those draws
 #: restricted to the 23 surviving kinds, hashes exactly as this one.
 #:
+#: All three were re-pinned again by protocol version 5, on purpose:
+#: every frame's version byte moved, and the generators came to draw a
+#: session token for a query and rows named by id alone for a server
+#: response.  With the generators as they were, both halves hashed as
+#: before once each frame's version byte was read as 4, and the dict
+#: forms did not move.
+#:
 #: The first half is the 21 kinds that cannot carry a query.
-GOLDEN_CORPUS_SHA256 = "5235ef452dca6cf4ec0255cc8499f6f5013829757337a4e3ecd50327554eadc9"
+GOLDEN_CORPUS_SHA256 = "65047fe0c856a5c0a196e1a282a3e6a0703dcaa7b58f23757ffb51428ccbbdb2"
 
 #: The second half: the kinds that can carry a query —
 #: ``query_request``, and ``batch_request``, whose seeded stream
 #: shifts for good at the first one it holds.
-GOLDEN_QUERY_CORPUS_SHA256 = "1f626f0bbc5f55b4f0cd3a095e2f660d0907fd292edeec85208fa0a4e364a907"
+GOLDEN_QUERY_CORPUS_SHA256 = "192fd69126781ef4d8a5b7cac7d5dc11e96216728eceb937a65f67596b87eab3"
 
 #: sha256 over ``json.dumps(dict form, sort_keys=True)`` of every
 #: envelope of the corpus, first computed at the parent of the
 #: positional frame codec: the envelopes and their dict forms did not
-#: change with the frames.  Re-pinned with the halves above, both times
-#: for the cause named there.
+#: change with the frames.  Re-pinned with the halves above, each time
+#: for the cause named there (the last time for the generators' draws).
 GOLDEN_DICT_SHA256 = (
-    "2a1b581d819f7a3631fe0eecfd843999703d9b1c7484a7d7019a9dd965194517"
+    "0132dde798447549892d388c939123d819f2d21e04e867eaf3568b3f00aa400d"
 )
 
 QUERY_KINDS = ("query_request", "batch_request")
@@ -701,10 +712,10 @@ def _slots(frame):
     return spans
 
 
-class TestVersionFourFrames:
-    """Anything but a version-4 frame is refused with a typed error —
-    there is no JSON reader and no version-3 reader — and a batch slot
-    that does not decode fails alone."""
+class TestVersionFiveFrames:
+    """Anything but a version-5 frame is refused with a typed error —
+    there is no JSON reader and no version-3 or version-4 reader — and a
+    batch slot that does not decode fails alone."""
 
     MERGE = MergeRequest(column="values")
 
@@ -725,6 +736,12 @@ class TestVersionFourFrames:
         # Behind this version's header it still reads as nothing valid.
         with pytest.raises(SerializationError):
             decode(bytes((0xAE, PROTOCOL_VERSION)) + frame[3:])
+
+    def test_a_version_4_frame_is_refused(self):
+        frame = encode(self.MERGE)
+        assert frame[1] == PROTOCOL_VERSION == 5
+        with pytest.raises(SerializationError, match="version: 4"):
+            decode(frame[:1] + bytes((4,)) + frame[2:])
 
     @pytest.mark.parametrize(
         "code", sorted((0, 15, 31, 47, 127, 128, 2 ** 20) + RETIRED_CODES)
@@ -1055,19 +1072,24 @@ QUERY_TRACE = {"trace_id": "5eed" * 8, "parent": "0a0b0c0d", "sampled": True}
 #: codecs, which write and read the bytes the per-field path did.  The
 #: request halves were re-pinned once, when query bounds came to be
 #: drawn from the encryptor's pools: the ciphertexts moved, the replies
-#: hash as before.
+#: hash as before.  Both halves were re-pinned by protocol version 5: a
+#: query carries its session token and a reply names the rows already
+#: shipped to it by id alone.  With the token left off the queries and
+#: every frame's version byte read as 4, both halves hash as before; with
+#: it, the replies of the three sessions shrink from 8 079 999 / 2 305 119
+#: / 2 708 671 bytes to 4 479 961 / 662 179 / 740 134.
 QUERY_FRAME_SHA256 = {
     "crack_cold": (
-        "7da9a3f6fd94df0cbee1928a57bbcd60ffee9ddadd7e7cf40514bc8c5fc7e507",
-        "6119deb2f355f48e8babaaa9dd5405817c6345c0cf1422e361e1b841d3d1199a",
+        "1a74cdadc685fc97117d3f9b7bf85d0b914d3a4245f9f7637a726c9cebeb4b94",
+        "64ce60ec7b96ba07fe72616f19ff859978815b141a248bdf475be431d85f9893",
     ),
     "range_tcp": (
-        "3e7b88f130f2b1533c6336bb3668945ec78458ca69cb1bfba371610c8653ba93",
-        "126da0aaf5265cd4f271c8aa10206e404a034927a41530632490c8783184e01c",
+        "c254ae12c9b86e14979cc22efd793f77fa1167ad676d1f8ed9dd532a8cf4d6a9",
+        "f0a896d61972147e73e3ff20eaf90ac426fc74e305c26b01f42b169103de2b11",
     ),
     "ambiguity": (
-        "510c24ce8345df11847269c6468197b93db02e70066d3978ca1dd514aeed5b9d",
-        "4e67b6b3380608b4859efcbb23d56fe3bc349bfb64b34383ed4134f3f48e6c1b",
+        "077d4c8641fbe8dc835b31c0155647677223d187a9586e8965b1bc64e4816439",
+        "917cb1100b2b02c83f89fbfb9515a5d4f831241c46697727ef9598f29a714f9a",
     ),
 }
 
@@ -1230,9 +1252,14 @@ class TestQueryBodyCodecs:
 #: frames and of generic values: the sha256 of its re-encoding where it
 #: decodes, ``refused`` where it does not.  Computed before the codec
 #: had one field mechanism: a decoder that accepts more, or less, than
-#: it did moves it, whatever the encoder writes.
+#: it did moves it, whatever the encoder writes.  Re-pinned by protocol
+#: version 5 with the corpus above.  Over the version-4 corpus, each
+#: frame and re-encoding read with its version byte as 4, two of 7 605
+#: outcomes moved, both by design: a flip that wrote 5 into a version
+#: byte now decodes, and a flip that made a reply's id negative is now
+#: refused (the reply then ships more rows than it has whole ids).
 ACCEPT_REFUSE_SHA256 = (
-    "776aeded84b7ac7b3315acaf5ece053ca5f4bdf2d061a6acdf3c35dfc83dc2b2"
+    "c23aa5da76a80af443254a5a920dabc536fe417ce8d72d1870acba41736faa36"
 )
 
 #: Per input: the bytes themselves, eight byte flips, three truncations

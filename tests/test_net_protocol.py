@@ -1,10 +1,13 @@
 """Unit tests for the wire-protocol envelopes and frame codec."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.core.client import TrustedClient
 from repro.core.server import ServerResponse
+from repro.core.session import OutsourcedDatabase
 from repro.crypto.serialization import ciphertext_to_dict
 from repro.errors import (
     ProtocolError,
@@ -467,11 +470,13 @@ class TestBinaryFrames:
     def test_a_query_request_is_one_flat_block(self, monkeypatch):
         """The count-based gate CI runs by name.  Under the e2e
         benchmark's key a two-sided query is 18 integers in two runs
-        behind a flags byte, a length and a bound count: at most 160
-        bytes and not one generic value.  Written in the generic grammar
-        (keys, tags, interning) it was 271 bytes and 12 values, nested
-        one object per ciphertext 372 bytes and 59 values; going back
-        only reads slower, so it fails here instead."""
+        behind a flags byte, a length, a bound count and the client's
+        8-byte session token: at most 160 bytes (144 in fact, 136
+        without the token) and not one generic value.  Written in the
+        generic grammar (keys, tags, interning) it was 271 bytes and 12
+        values, nested one object per ciphertext 372 bytes and 59
+        values; going back only reads slower, so it fails here
+        instead."""
         from repro.net import binframe
 
         query = TrustedClient(seed=11).make_query(1000, 1010)
@@ -488,6 +493,26 @@ class TestBinaryFrames:
         assert len(frame) <= 160
         assert written == []
         assert decode(frame) == request
+
+    def test_a_repeated_reply_ships_no_ciphertext(self):
+        """The count-based gate CI runs by name.  A ``range_tcp``-shaped
+        query (15 000 rows under the e2e benchmark's key, a 150-row
+        answer) sent twice by one session: the second reply names its
+        rows by id alone, a frame of at most a quarter of the first's
+        bytes (310 against 5 711 in fact; the same 5 711 when every
+        reply shipped its rows whole).  Shipping them again answers as
+        correctly and only moves more bytes."""
+        values = random.Random(3).sample(range(2 ** 31), 15_000)
+        db = OutsourcedDatabase(values, seed=11)
+        ordered = sorted(values)
+        low, high = ordered[7_000], ordered[7_149]
+        first = db.query(low, high)
+        whole = db.remote.last_received_bytes
+        again = db.query(low, high)
+        repeated = db.remote.last_received_bytes
+        assert first.returned_rows == again.returned_rows == 150
+        assert sorted(again.values.tolist()) == ordered[7_000:7_150]
+        assert repeated <= whole / 4, (repeated, whole)
 
     def test_unknown_codec_rejected(self):
         payload = request_to_dict(MergeRequest(column="c"))

@@ -53,8 +53,8 @@ VALUES = list(np.random.default_rng(88).permutation(300))
 
 # The frames of two untraced requests: magic, version, kind code, an
 # empty trace section, then the fields (a column name; an id run).
-GOLDEN_MERGE = b"\xae\x04\x09\x00\x06values"
-GOLDEN_FETCH = b"\xae\x04\x06\x00\x06values\x00\x06\x00\x01\x02\x03\x04\x05"
+GOLDEN_MERGE = b"\xae\x05\x09\x00\x06values"
+GOLDEN_FETCH = b"\xae\x05\x06\x00\x06values\x00\x06\x00\x01\x02\x03\x04\x05"
 
 CTX = {"trace_id": "ab" * 8, "parent": "cafe0000-3", "sampled": True}
 

@@ -14,6 +14,7 @@ as its two callers meet it.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,9 @@ def test_opening_an_ambiguity_reply_makes_few_python_calls():
     blocks = []
     for start in rng.integers(0, len(values) - 60, 1_000):
         low, high = int(ordered[start]), int(ordered[start + 59])
-        rows = db.remote.query(db.client.make_query(low, high)).rows
+        # No session token: every reply comes whole.
+        query = replace(db.client.make_query(low, high), token=0)
+        rows = db.remote.query(query).rows
         if len(rows) == 109:
             blocks.append((rows,))
         if len(blocks) == 9:
@@ -116,34 +119,47 @@ def _decrypted(client, reply):
 
 
 def test_a_repeated_reply_is_not_opened_again():
-    """Nine 120-row replies of an ``ambiguity_range``-shaped session
+    """Nine 120-row queries of an ``ambiguity_range``-shaped session
     (6 000 values over a 300 000-wide domain, steered counterfeits),
-    each decrypted once: the second decrypt of each opens no row,
-    answers all 120 from memory and makes at most 45 Python calls in
-    the median of nine (40 in fact; 86 when every reply was opened
-    again in exact digits)."""
+    each sent twice: the second reply names its 120 rows by id alone
+    and ships no row, and its decrypt opens no row, answers all 120
+    from memory and makes at most 45 Python calls in the median of nine
+    (30 in fact; 40 when the reply shipped its rows again and the client
+    compared them limb for limb, 86 when it opened them again in exact
+    digits)."""
     rng = np.random.default_rng(1)
     values = rng.permutation(np.unique(rng.integers(0, 300_000, 12_000)))[:6_000]
     db = OutsourcedDatabase(values.tolist(), ambiguity=True, seed=11)
     ordered = np.sort(values)
     client = db.client
-    replies = []
+    queries = []
     for start in rng.integers(0, len(values) - 70, 2_000):
         low, high = int(ordered[start]), int(ordered[start + 64])
-        response = db.remote.query(client.make_query(low, high))
-        if len(response.rows) == 120:
-            replies.append((response.row_ids, response.rows))
-        if len(replies) == 9:
+        query = client.make_query(low, high)
+        response = db.remote.query(query)
+        values, logical_ids, fakes = _decrypted(
+            client, (response.row_ids, response.rows))
+        expected = (sorted(zip(values, logical_ids)), fakes)
+        if len(response.row_ids) == 120:
+            queries.append((query, response.row_ids, expected))
+        if len(queries) == 9:
             break
-    assert len(replies) == 9
-    first = [_decrypted(client, reply) for reply in replies]
+    assert len(queries) == 9
     encryptor = client.encryptor
-    for reply, expected in zip(replies, first):
+    replies = []
+    for query, ids, expected in queries:
+        again = db.remote.query(query)
+        assert len(again.rows) == 0
+        # The same rows, in the order the first query's cracks left.
+        assert sorted(~again.row_ids) == sorted(np.maximum(ids, ~ids))
         opened = encryptor.fast_rows, encryptor.exact_rows
         cached = client.cached_rows
-        assert _decrypted(client, reply) == expected
+        values, logical_ids, fakes = _decrypted(
+            client, (again.row_ids, again.rows))
+        assert (sorted(zip(values, logical_ids)), fakes) == expected
         assert (encryptor.fast_rows, encryptor.exact_rows) == opened
         assert client.cached_rows - cached == 120
+        replies.append((again.row_ids, again.rows))
     median, counts = _median_calls(client.decrypt_results, replies)
     assert median <= 45, counts
 
