@@ -19,6 +19,7 @@ import numpy as np
 
 from repro import OutsourcedDatabase
 from repro.core.persistence import restore_server, snapshot_server
+from repro.net.protocol import decode, encode
 
 
 def main():
@@ -39,10 +40,11 @@ def main():
     for low in (-40_000, -10_000, 20_000, 50_000):
         db.query(low, low + 15_000)
     cracks_before = len(db.server.engine.cracks)
-    snapshot = snapshot_server(db.server)
+    frame = encode(snapshot_server(db.server))  # what a checkpoint stores
+    snapshot = decode(frame)
     restored = restore_server(snapshot)
-    print("snapshot carries %d rows + %d crack bounds"
-          % (len(snapshot["row_ids"]), len(snapshot["tree"])))
+    print("snapshot carries %d rows + %d crack bounds in %d bytes"
+          % (len(snapshot.row_ids), len(snapshot.cracks.pivots), len(frame)))
     restored.execute(db.client.make_query(-40_000, -25_000))
     print("restored server answered a known range with %d new cracks "
           "(index survived the restart)"

@@ -62,7 +62,6 @@ raises, as an append's own does.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import threading
@@ -155,7 +154,8 @@ def _segment_files(directory: str) -> List[Tuple[int, str]]:
 
 
 def _scan_segment(path: str, last: bool) -> Tuple[List[WalRecord], int]:
-    """Decode one segment; returns ``(records, valid_byte_length)``.
+    """Decode one segment (or a checkpoint file, which holds records
+    too); returns ``(records, valid_byte_length)``.
 
     ``last`` marks the newest segment, where a torn final record is
     tolerated (dropped); anywhere else the same damage is an error.
@@ -164,7 +164,7 @@ def _scan_segment(path: str, last: bool) -> Tuple[List[WalRecord], int]:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
-        raise PersistenceError("cannot read WAL segment %r: %s"
+        raise PersistenceError("cannot read %r: %s"
                                % (path, exc)) from exc
     records: List[WalRecord] = []
     offset = 0
@@ -539,11 +539,11 @@ class WalReader:
                     yield record
 
 
-# -- atomic JSON files -----------------------------------------------------------
+# -- atomic files --------------------------------------------------------------
 
 
-def write_json_atomic(path: str, payload: Any) -> None:
-    """Write a JSON document so a crash can never corrupt the target.
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` so a crash can never corrupt it.
 
     The bytes go to ``path + ".tmp"`` first, are fsynced, and only then
     renamed over ``path`` (``os.replace`` is atomic on POSIX and
@@ -553,12 +553,12 @@ def write_json_atomic(path: str, payload: Any) -> None:
     """
     tmp_path = path + ".tmp"
     try:
-        with open(tmp_path, "w") as handle:
-            json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
+        with open(tmp_path, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
-    except (OSError, TypeError, ValueError) as exc:
+    except OSError as exc:
         try:
             os.remove(tmp_path)
         except OSError:
@@ -577,17 +577,3 @@ def write_json_atomic(path: str, payload: Any) -> None:
         pass
     finally:
         os.close(fd)
-
-
-def read_json_file(path: str) -> Any:
-    """Read a JSON document; malformed bytes raise
-    :class:`~repro.errors.PersistenceError` (never a raw decode
-    error)."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise PersistenceError("cannot read %r: %s" % (path, exc)) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-        raise PersistenceError("malformed JSON in %r: %s"
-                               % (path, exc)) from exc

@@ -1,23 +1,23 @@
-"""Stable JSON-compatible serialization for keys and ciphertexts.
+"""Stable JSON-compatible serialization for keys and message payloads.
 
 In the database-as-a-service deployment the data owner generates the
-key once, shares it with trusted clients out of band, and ships
-ciphertexts to the server; all three artefacts therefore need a stable
-wire format.  We use plain JSON-compatible dictionaries (Python ints
-are arbitrary precision, and JSON numbers carry them losslessly through
-Python's ``json`` module), each tagged with a ``kind`` and a format
-``version`` so future layouts can coexist.
+key once and shares it with trusted clients out of band: a key file is
+a plain JSON-compatible dictionary (Python ints are arbitrary
+precision, and JSON numbers carry them losslessly through Python's
+``json`` module), tagged with a ``kind`` and a format ``version``.
+Ciphertexts travel and rest only as protocol frames
+(:mod:`repro.net.protocol`); the row-set, query and response dicts
+below are the envelopes' dict forms.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Union
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.crypto.ciphertext import (
-    AmbiguousCiphertext,
     BoundCiphertext,
     RowBlock,
     ValueCiphertext,
@@ -32,8 +32,6 @@ FORMAT_VERSION = 1
 #: Layout version of the query payload.  2: one flat block (see
 #: :func:`query_to_dict`) instead of nested per-ciphertext objects.
 QUERY_VERSION = 2
-
-Ciphertext = Union[ValueCiphertext, BoundCiphertext, AmbiguousCiphertext]
 
 
 def key_to_dict(key: SecretKey) -> Dict[str, Any]:
@@ -73,33 +71,6 @@ def key_from_dict(data: Dict[str, Any]) -> SecretKey:
         raise SerializationError("malformed secret key payload: %s" % exc) from exc
 
 
-def ciphertext_to_dict(ciphertext: Ciphertext) -> Dict[str, Any]:
-    """Serialize any ciphertext kind to a JSON-compatible dictionary."""
-    if isinstance(ciphertext, ValueCiphertext):
-        return {
-            "kind": "value",
-            "version": FORMAT_VERSION,
-            "numerators": list(ciphertext.numerators),
-            "denominator": ciphertext.denominator,
-        }
-    if isinstance(ciphertext, BoundCiphertext):
-        return {
-            "kind": "bound",
-            "version": FORMAT_VERSION,
-            "vector": list(ciphertext.vector),
-        }
-    if isinstance(ciphertext, AmbiguousCiphertext):
-        return {
-            "kind": "ambiguous",
-            "version": FORMAT_VERSION,
-            "numerators": list(ciphertext.numerators),
-            "denominator": ciphertext.denominator,
-        }
-    raise SerializationError(
-        "cannot serialize object of type %s" % type(ciphertext).__name__
-    )
-
-
 def ints_from_wire(items, what: str):
     """``items`` if it is a list of plain ints — or a
     :class:`~repro.linalg.limbs.PackedInts` run of them — else a typed
@@ -116,29 +87,6 @@ def ints_from_wire(items, what: str):
     if type(items) is not list or not set(map(type, items)) <= {int}:
         raise SerializationError("%s must be a list of integers" % what)
     return items
-
-
-def ciphertext_from_dict(data: Dict[str, Any]) -> Ciphertext:
-    """Reconstruct a ciphertext from its dictionary form."""
-    kind = data.get("kind")
-    try:
-        if kind == "value":
-            return ValueCiphertext(
-                tuple(ints_from_wire(data["numerators"], "numerators")),
-                ints_from_wire([data["denominator"]], "denominator")[0],
-            )
-        if kind == "bound":
-            return BoundCiphertext(
-                tuple(ints_from_wire(data["vector"], "bound vector"))
-            )
-        if kind == "ambiguous":
-            return AmbiguousCiphertext(
-                tuple(ints_from_wire(data["numerators"], "numerators")),
-                ints_from_wire([data["denominator"]], "denominator")[0],
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError("malformed ciphertext payload: %s" % exc) from exc
-    raise SerializationError("unknown ciphertext kind: %r" % (kind,))
 
 
 def rows_to_dict(rows) -> Dict[str, Any]:
@@ -216,14 +164,12 @@ def _limbs_of(items) -> np.ndarray:
     return items.limbs if type(items) is PackedInts else from_ints(items)
 
 
-def dumps(obj: Union[SecretKey, Ciphertext]) -> str:
-    """Serialize a key or ciphertext to a JSON string."""
-    if isinstance(obj, SecretKey):
-        return json.dumps(key_to_dict(obj), separators=(",", ":"))
-    return json.dumps(ciphertext_to_dict(obj), separators=(",", ":"))
+def dumps(key: SecretKey) -> str:
+    """Serialize a key to a JSON string."""
+    return json.dumps(key_to_dict(key), separators=(",", ":"))
 
 
-def loads(text: str) -> Union[SecretKey, Ciphertext]:
+def loads(text: str) -> SecretKey:
     """Parse a JSON string produced by :func:`dumps`."""
     try:
         data = json.loads(text)
@@ -231,9 +177,7 @@ def loads(text: str) -> Union[SecretKey, Ciphertext]:
         raise SerializationError("invalid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise SerializationError("expected a JSON object")
-    if data.get("kind") == "secret_key":
-        return key_from_dict(data)
-    return ciphertext_from_dict(data)
+    return key_from_dict(data)
 
 
 def _check_kind(data: Dict[str, Any], expected: str,

@@ -11,10 +11,8 @@ from repro.bench.cost_model import (
     measure_against_model,
     model_accuracy,
 )
-from repro.crypto.serialization import ciphertext_to_dict
+from repro.net.binframe import bigint_run
 from repro.net.protocol import QueryRequest, encode
-
-from generic_values import encode_value
 
 
 class TestFormulas:
@@ -78,9 +76,11 @@ class TestModelAgainstMeasurement:
 
 
 def wire_bytes(ciphertext) -> int:
-    """Encoded length of one ciphertext's dict form, in the generic
-    binary grammar (how a snapshot or WAL record would hold it)."""
-    return len(encode_value(ciphertext_to_dict(ciphertext)))
+    """Encoded length of one ciphertext's integers as a frame's run
+    holds them (a query's ``eb`` / ``ev`` runs, a snapshot's cracks)."""
+    if hasattr(ciphertext, "vector"):
+        return len(bigint_run(list(ciphertext.vector)))
+    return len(bigint_run([*ciphertext.numerators, ciphertext.denominator]))
 
 
 class TestTransferAccounting:

@@ -19,7 +19,9 @@ two sides to that:
   clients under one token end in exact results, and a hostile server
   in the typed error;
 * an evicted token, a key rotation, a re-created column and a WAL
-  recovery each ship the next reply whole;
+  recovery each ship the next reply whole; a restored snapshot and a
+  recovered checkpoint keep the upload's row count, so after that reply
+  uploaded rows go by id alone again and merged inserts still whole;
 * an uploaded id names one ciphertext for the column's life: no
   sequence of updates, restores and recoveries gives a new row an id
   below the upload;
@@ -35,6 +37,7 @@ import pytest
 
 from repro.core.client import OpenedRows, TrustedClient
 from repro.core.persistence import (
+    checkpoint_catalog,
     recover_catalog,
     restore_server,
     snapshot_server,
@@ -331,13 +334,13 @@ def test_a_recreated_column_ships_every_row_whole_again():
     catalog.replace_server(db.column_name, SecureServer(rows, ids))
     assert sorted(db.query(*RANGE).values.tolist()) == EXPECTED
     assert len(transport.shipped.rows) == 60
-    # A restored server ships every reply whole: it cannot tell
-    # uploaded rows from merged inserts.
+    # A restored server knows the upload's row count: it ships the
+    # first reply whole to the token, and the repeat by id alone.
     catalog.replace_server(db.column_name, restore_server(
         snapshot_server(catalog.server(db.column_name))))
-    for _ in range(2):
+    for whole in (60, 0):
         assert sorted(db.query(*RANGE).values.tolist()) == EXPECTED
-        assert len(transport.shipped.rows) == 60
+        assert len(transport.shipped.rows) == whole
 
 
 def test_a_recovered_column_ships_every_row_whole_again(tmp_path):
@@ -350,6 +353,33 @@ def test_a_recovered_column_ships_every_row_whole_again(tmp_path):
     recovered, _ = recover_catalog(str(tmp_path))
     remote = RemoteColumn(LoopbackTransport(recovered), "t")
     for whole in (61, 1):  # the inserted row comes whole every time
+        response = remote.query(db.client.make_query(*RANGE))
+        assert len(response.rows) == whole
+        result = db.client.decrypt_results(
+            response.row_ids, response.rows, id_mapper=db._map_physical_ids)
+        assert sorted(result.values.tolist()) == sorted(
+            EXPECTED + [RANGE[0] + 1])
+
+
+def test_a_checkpointed_column_ships_uploaded_rows_once_and_inserts_always(
+        tmp_path):
+    """A catalog recovered from a checkpoint keeps the upload's row
+    count: its first reply goes whole, the repeat names the uploaded
+    rows by id alone, and an insert merged before the checkpoint comes
+    whole every time."""
+    catalog = ColumnCatalog()
+    catalog.bind_wal(WalWriter(str(tmp_path), fsync="never"))
+    db = OutsourcedDatabase(VALUES, seed=11, column="t",
+                            transport=LoopbackTransport(catalog))
+    db.insert(RANGE[0] + 1)
+    db.merge()
+    db.query(*RANGE)
+    checkpoint_catalog(catalog, str(tmp_path), catalog.wal)
+    recovered, info = recover_catalog(str(tmp_path))
+    assert info["snapshot"] and info["replayed"] == 0
+    assert recovered.server("t").uploaded == len(VALUES)
+    remote = RemoteColumn(LoopbackTransport(recovered), "t")
+    for whole in (61, 1):
         response = remote.query(db.client.make_query(*RANGE))
         assert len(response.rows) == whole
         result = db.client.decrypt_results(
@@ -380,7 +410,7 @@ def test_no_update_gives_a_new_row_an_id_below_the_upload(seed, tmp_path):
 
     def check(server):
         assert server.updates.next_row_id >= upload
-        assert snapshot_server(server)["next_row_id"] >= upload
+        assert snapshot_server(server).next_row_id >= upload
         ids = np.concatenate((server.engine.column.row_ids,
                               server.pending.row_ids))
         assert len(np.unique(ids)) == len(ids)

@@ -4,14 +4,13 @@ Covers the positional record format and its refusals (an entry-dict
 record from before it included), what replay accepts as a record's
 frame, segment rotation, reopen continuity, fsync policies and a
 failing fsync, torn-tail crash tolerance, snapshot-then-truncate
-compaction, and the atomic JSON file helpers — plus a seeded file-level fuzz pass asserting that
+compaction, and the atomic file writer — plus a seeded file-level fuzz pass asserting that
 truncated and bit-flipped WAL bytes only ever surface as typed
 :class:`~repro.errors.PersistenceError` (or are silently dropped when
 they form the torn tail of the last segment), never as raw
 ``KeyError`` / ``struct.error``.
 """
 
-import json
 import os
 import random
 import re
@@ -20,7 +19,7 @@ import zlib
 
 import pytest
 
-from repro.core.persistence import recover_catalog
+from repro.core.persistence import load_snapshot, recover_catalog
 from repro.core.wal import (
     DEFAULT_SEGMENT_BYTES,
     FSYNC_POLICIES,
@@ -30,8 +29,7 @@ from repro.core.wal import (
     WalReader,
     WalRecord,
     WalWriter,
-    read_json_file,
-    write_json_atomic,
+    write_atomic,
 )
 from repro.errors import PersistenceError, ReproError
 from repro.net.catalog import ColumnCatalog
@@ -441,37 +439,39 @@ class TestCompaction:
         assert records[-1].seq == 21
 
 
-class TestAtomicJson:
+class TestAtomicFile:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "snap.json")
-        write_json_atomic(path, {"version": 3, "epochs": {"c": 2}})
-        assert read_json_file(path) == {"version": 3, "epochs": {"c": 2}}
+        path = str(tmp_path / "snapshot-v6.wal")
+        write_atomic(path, b"generation 1")
+        with open(path, "rb") as handle:
+            assert handle.read() == b"generation 1"
         assert not [n for n in os.listdir(str(tmp_path)) if ".tmp" in n]
 
     def test_crash_mid_write_preserves_original(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "snap.json")
-        write_json_atomic(path, {"generation": 1})
+        path = str(tmp_path / "snapshot-v6.wal")
+        write_atomic(path, b"generation 1")
 
         def exploding_replace(src, dst):
             raise OSError("simulated crash before rename")
 
         monkeypatch.setattr(os, "replace", exploding_replace)
         with pytest.raises(PersistenceError):
-            write_json_atomic(path, {"generation": 2})
+            write_atomic(path, b"generation 2")
         monkeypatch.undo()
-        assert read_json_file(path) == {"generation": 1}
+        with open(path, "rb") as handle:
+            assert handle.read() == b"generation 1"
         assert not [n for n in os.listdir(str(tmp_path)) if ".tmp" in n]
 
     def test_missing_file_is_a_typed_error(self, tmp_path):
-        with pytest.raises(PersistenceError):
-            read_json_file(str(tmp_path / "absent.json"))
+        with pytest.raises(PersistenceError, match="cannot read"):
+            load_snapshot(str(tmp_path / "absent.wal"))
 
-    def test_invalid_json_is_a_typed_error(self, tmp_path):
-        path = str(tmp_path / "bad.json")
+    def test_garbage_bytes_are_a_typed_error(self, tmp_path):
+        path = str(tmp_path / "snapshot-v6.wal")
         with open(path, "w") as handle:
             handle.write('{"version": ')
         with pytest.raises(PersistenceError):
-            read_json_file(path)
+            load_snapshot(path)
 
 
 class TestWalFileFuzz:
