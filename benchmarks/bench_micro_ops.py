@@ -36,7 +36,10 @@ each decrypt, the key's open of the same rows alone (``open_block``).
 One times the decrypt of a 120-row reply of an
 ``ambiguity_range``-shaped session, the same reply again and again, as
 a range workload returns the same rows again and again (answered from
-the client's memory of opened rows).  Two time the server's twin of the
+the client's memory of opened rows).  Three time a repeated 150-row
+reply of a ``range_tcp``-shaped column, every row named by id alone:
+the server's encode of its frame, the client's decode and its answer
+from memory.  Two time the server's twin of the
 open: ``below`` over an ``ambiguity_range``-shaped piece of 64 rows
 (boxed) and of 200 (exact digits).
 Three time a mutation's server-side costs besides its fsync, at the
@@ -436,6 +439,50 @@ def test_decrypt_results_of_a_repeated_ambiguity_reply(
     assert result.values.tolist() == first.values.tolist()
     assert result.logical_ids.tolist() == first.logical_ids.tolist()
     assert result.false_positives == first.false_positives
+
+
+@pytest.fixture(scope="module")
+def repeated_150_row_reply():
+    """A ``range_tcp``-shaped column (15k rows under the e2e harness's
+    key) served to a client of its own, and the reply to a 150-row query
+    it sent twice — every row named by id alone — with its frame."""
+    values = random.Random(3).sample(range(2 ** 31), 15_000)
+    client = TrustedClient(seed=11)
+    server = SecureServer(*client.encrypt_dataset(values))
+    ordered = sorted(values)
+    query = client.make_query(ordered[3_000], ordered[3_149])
+    first = server.execute(query)
+    client.decrypt_results(first.row_ids, first.rows)
+    reply = QueryResponse(response=server.execute(query))
+    assert len(reply.response.row_ids) == 150
+    assert len(reply.response.rows) == 0
+    return client, reply, encode(reply), ordered[3_000:3_150]
+
+
+def test_repeated_reply_encode(repeated_150_row_reply, benchmark):
+    """The server's encode of a reply of 150 ids and no row."""
+    _, reply, frame, _ = repeated_150_row_reply
+    assert benchmark(lambda: encode(reply)) == frame
+
+
+def test_repeated_reply_decode(repeated_150_row_reply, benchmark):
+    """The client's decode of that frame."""
+    _, reply, frame, _ = repeated_150_row_reply
+    decoded = benchmark(lambda: decode(frame))
+    assert decoded.response.row_ids.tolist() == (
+        reply.response.row_ids.tolist())
+
+
+def test_decrypt_results_of_a_repeated_reply(
+    repeated_150_row_reply, benchmark
+):
+    """The client's answer to that reply: every row from memory."""
+    client, reply, _, expected = repeated_150_row_reply
+    response = reply.response
+    result = benchmark(
+        lambda: client.decrypt_results(response.row_ids, response.rows)
+    )
+    assert sorted(result.values.tolist()) == expected
 
 
 @pytest.fixture(scope="module", params=(64, 200), ids="{}_rows".format)

@@ -106,9 +106,9 @@ class OpenedRows:
     def open(
         self, ids: np.ndarray, block: RowBlock
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(is_real, values)`` of a reply: its ``int64`` ``ids`` as
-        shipped — an id-only row's as its complement ``-1 - id`` — and
-        ``block``, its whole rows in order.
+        """The ids and values of a reply's real rows, in reply order: its
+        ``int64`` ``ids`` as shipped — an id-only row's as its complement
+        ``-1 - id`` — and ``block``, its whole rows in order.
 
         Raises:
             RowNotHeldError: an id-only row the memory lacks.
@@ -117,30 +117,36 @@ class OpenedRows:
         if self._state is None:
             self._state = np.zeros(self.space + 1, dtype=np.int8)
             self._plain = np.empty(self.space + 1, dtype=np.int64)
-        if len(ids) == len(block):
+        count = len(block)
+        if len(ids) == count:  # every row whole
             real, values = self.encryptor.open_block(block)
             self._remember(ids, real, values)
-            return real, values
-        named = ids < 0
-        if len(ids) - np.count_nonzero(named) != len(block):
-            raise DecryptionError("a reply's whole ids and rows differ")
-        slots = np.minimum(~ids[named], self.space)
+            return ids[real], values
+        flipped = named = ~ids  # an id-only row's id; negative for a whole row
+        if count:
+            whole = ids >= 0
+            if np.count_nonzero(whole) != count:
+                raise DecryptionError("a reply's whole ids and rows differ")
+            named = flipped[~whole]
+        slots = np.minimum(named.view(np.uint64), self.space)  # -1 is huge
         state = self._state[slots]
-        if not state.all():
+        if not np.logical_and.reduce(state):
+            if not count and np.maximum.reduce(ids) >= 0:
+                raise DecryptionError("a reply's whole ids and rows differ")
             raise RowNotHeldError("a reply named by id alone a row not held")
         self.cached_rows += len(slots)
         held_real = state > 1
-        if not len(block):
-            return held_real, self._plain[slots][held_real]
-        whole = ~named
+        if not count:
+            named = named[held_real]
+            return named, self._plain[named]
         opened_real, opened_values = self.encryptor.open_block(block)
         self._remember(ids[whole], opened_real, opened_values)
         real = np.empty(len(ids), dtype=bool)
-        real[named], real[whole] = held_real, opened_real
+        real[~whole], real[whole] = held_real, opened_real
         plain = np.empty(len(ids), np.result_type(self._plain, opened_values))
-        plain[named] = self._plain[slots]
+        plain[~whole] = self._plain[slots]
         plain[np.flatnonzero(whole)[opened_real]] = opened_values
-        return real, plain[real]
+        return np.maximum(ids, flipped)[real], plain[real]
 
     def _remember(self, ids, real, values) -> None:
         """Write opened rows under their ``ids`` (in the space); a held row
@@ -150,12 +156,12 @@ class OpenedRows:
         slots = np.minimum(ids.view(np.uint64), self.space)  # -1 is huge
         held = self._state[slots]
         if held.any():
-            other = (held > 0) & (held != real + 1)
+            other = (held > 0) & ((held > 1) != real)
             other[real] |= (held[real] > 0) & (self._plain[slots[real]] != values)
             if other.any():
                 self._state[slots[other]] = 0
                 raise DecryptionError("a held row opened to another value")
-        self._state[slots] = real + 1
+        self._state[slots] = real.view(np.int8) + 1
         self._state[self.space] = 0
         self._plain[slots[real]] = values
 
@@ -388,20 +394,20 @@ class TrustedClient:
         # machine-word range arrive exact, as a Python big-int array.
         block = RowBlock.from_rows(rows)
         ids = np.asarray(row_ids, dtype=np.int64)
-        if len(ids) >= _WORD_STAGE[False][0]:
-            is_real, values = self._opened.open(ids, block)
-            if len(ids) != len(block):  # ids back from the complements
-                ids = np.maximum(ids, ~ids)
-        elif len(ids) == len(block):
+        returned = len(ids)
+        if returned >= _WORD_STAGE[False][0]:
+            real_ids, values = self._opened.open(ids, block)
+        elif returned == len(block):
             is_real, values = self._encryptor.open_block(block)
+            real_ids = ids[is_real]
         else:
             raise RowNotHeldError("a reply under the floor named rows by id")
-        logical_ids = id_mapper(ids[is_real])
+        logical_ids = np.asarray(id_mapper(real_ids), dtype=np.int64)
         elapsed = time.perf_counter() - tick
         return ClientResult(
             values=values,
-            logical_ids=np.array(logical_ids, dtype=np.int64),
-            false_positives=len(is_real) - len(values),
-            returned_rows=len(is_real),
+            logical_ids=logical_ids,
+            false_positives=returned - len(values),
+            returned_rows=returned,
             decrypt_seconds=elapsed,
         )

@@ -300,8 +300,9 @@ class EncryptedColumn(CrackableColumn):
 
     def rows_at(self, indices: Iterable[int]) -> RowBlock:
         """Ciphertexts at the given physical indices, as one block (a
-        single fancy index into the store)."""
-        return RowBlock._of(self._limbs[np.asarray(indices, dtype=np.int64)])
+        single fancy index into the store; none for no indices)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return RowBlock._of(self._limbs[indices if len(indices) else slice(0)])
 
     def row_ids_at(self, indices) -> np.ndarray:
         """Row ids at the given physical indices."""

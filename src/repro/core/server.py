@@ -193,10 +193,7 @@ class SecureServer:
                 live = ~self._updates.deleted_mask(row_ids)
                 if not live.all():
                     indices, row_ids = indices[live], row_ids[live]
-                held = self._held(query.token, row_ids)
-                if held is not None and held.any():
-                    indices = indices[~held]
-                    row_ids = np.where(held, ~row_ids, row_ids)
+                row_ids, indices = self._held(query.token, row_ids, indices)
                 rows = column.rows_at(indices)
                 with self._obs.span("pending-scan", pending=len(pending)):
                     if len(pending):
@@ -213,24 +210,31 @@ class SecureServer:
             audit.record("response", rows=len(row_ids))
         return ServerResponse(row_ids=row_ids, rows=rows)
 
-    def _held(self, token: int, row_ids: np.ndarray):
-        """Which of the indexed column's ``row_ids`` in a reply went whole
-        to ``token`` before, all marked now; None for a reply that goes
-        whole (under the word stage's floor of them, where the client's
-        memory starts: :class:`~repro.core.client.OpenedRows`)."""
+    def _held(self, token: int, row_ids: np.ndarray, indices: np.ndarray):
+        """The indexed column's ``row_ids`` in a reply as shipped — one
+        that went whole to ``token`` before as ``-1 - id``, all marked
+        now — and the ``indices`` of the rows that go whole.  A reply
+        under the word stage's floor of rows, where the client's memory
+        starts (:class:`~repro.core.client.OpenedRows`), goes whole."""
         if not token or len(row_ids) < _WORD_STAGE[False][0] or not self._uploaded:
-            return None
-        sent = self._sent.pop(token, None)
+            return row_ids, indices
+        sent = self._sent.get(token)
         if sent is None:
-            sent = np.zeros(self._uploaded + 1, dtype=bool)  # + never set
-        self._sent[token] = sent
-        if len(self._sent) > SENT_TOKENS:
-            self._sent.popitem(last=False)
-        slots = np.minimum(row_ids, self._uploaded)
+            sent = self._sent[token] = np.zeros(self._uploaded + 1, dtype=bool)
+            if len(self._sent) > SENT_TOKENS:
+                self._sent.popitem(last=False)
+        else:
+            self._sent.move_to_end(token)
+        slots = np.minimum(row_ids, self._uploaded)  # the last slot: never set
         held = sent[slots]
         sent[slots] = True
-        sent[self._uploaded] = False
-        return held
+        sent[-1] = False
+        count = np.count_nonzero(held)
+        if count == len(held):
+            return ~row_ids, indices[:0]
+        if not count:
+            return row_ids, indices
+        return np.where(held, ~row_ids, row_ids), indices[~held]
 
     # -- update path -----------------------------------------------------------------
 

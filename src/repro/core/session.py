@@ -449,11 +449,13 @@ class OutsourcedDatabase:
         ones (below the uploaded count) by one array operation, the
         inserted ones through the session's own map."""
         logical_ids = self.client.logical_id(physical_ids)
-        inserted = np.flatnonzero(physical_ids >= self._base_physical_count)
-        if len(inserted):
+        base = self._base_physical_count
+        if np.maximum.reduce(physical_ids, initial=-1) >= base:
+            inserted = physical_ids >= base
             logical_ids = logical_ids.copy()
             for slot, physical_id in zip(
-                inserted.tolist(), physical_ids[inserted].tolist()
+                np.flatnonzero(inserted).tolist(),
+                physical_ids[inserted].tolist(),
             ):
                 try:
                     logical_ids[slot] = self._inserted_physical_to_logical[

@@ -47,7 +47,8 @@ Fsync policy (the durability/latency dial, measured by
 ``benchmarks/bench_transport.py``):
 
 * ``"always"`` — fsync after every append; an acknowledged mutation
-  survives power loss.
+  survives power loss (a new segment's directory entry is fsynced
+  before its first append, as is a WAL directory the writer creates).
 * ``"batch"``  — fsync every ``batch_every`` appends (and on close /
   explicit :meth:`WalWriter.sync`); bounded loss window, much cheaper.
 * ``"never"``  — flush to the OS only; survives process crashes
@@ -260,7 +261,10 @@ class WalWriter:
         self._segment_length = 0
         self._segments = 0
         self._unsynced = 0
-        os.makedirs(directory, exist_ok=True)
+        if not os.path.isdir(directory):
+            os.makedirs(directory, exist_ok=True)
+            if fsync != "never":  # the new directory's entry
+                _sync_directory(os.path.dirname(os.path.abspath(directory)))
         self._recover_tail()
 
     @property
@@ -362,6 +366,8 @@ class WalWriter:
                     "cannot open WAL segment %r: %s" % (path, exc)
                 ) from exc
             if fresh:
+                if self.fsync != "never":  # the new segment's entry
+                    _sync_directory(self.directory)
                 self._segment_first_seq = seq
                 self._segment_length = 0
                 self._segments += 1
@@ -566,7 +572,12 @@ def write_atomic(path: str, data: bytes) -> None:
         raise PersistenceError(
             "cannot write %r atomically: %s" % (path, exc)
         ) from exc
-    directory = os.path.dirname(os.path.abspath(path))
+    _sync_directory(os.path.dirname(os.path.abspath(path)))
+
+
+def _sync_directory(directory: str) -> None:
+    """fsync ``directory``, so the entries created or renamed in it
+    survive power loss (where the platform lets one open it)."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform-dependent

@@ -47,6 +47,7 @@ backed by its own :class:`~repro.core.server.SecureServer` engine.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -271,6 +272,8 @@ def _block_parts(rows: RowBlock) -> List[bytes]:
     limbs = rows.limbs
     count, length, k = limbs.shape
     length -= 1
+    if not count:  # the header, then an empty run: width 1 alone
+        return [varints(length, 0, 1, 1)]
     denominators = limbs[:, length]
     # Every denominator is 1: its limbs' bytes are those of a 1, n times.
     unit = denominators.tobytes() == _ONE_LIMB.ljust(8 * k, b"\0") * count
@@ -292,6 +295,8 @@ def _block_at(buf: bytes, pos: int) -> Tuple[RowBlock, int]:
     unit = buf[pos]
     if unit > 1:
         raise SerializationError("expected a boolean byte, got %d" % unit)
+    if not count and buf[pos + 1:pos + 3 - unit] == b"\x01\x01"[unit:]:
+        return _no_rows(length), pos + 3 - unit  # its runs: width 1 alone
     if count and not length:
         raise SerializationError("%d rows of no numerators" % count)
     width, start = run_width(buf, pos + 1, count * length)
@@ -315,6 +320,13 @@ def _block_at(buf: bytes, pos: int) -> Tuple[RowBlock, int]:
             "a block of %d rows needs %d positive denominators"
             % (count, count)
         ) from None
+
+
+@functools.lru_cache(maxsize=8)
+def _no_rows(length: int) -> RowBlock:
+    """The block of no rows of ciphertext length ``length`` that
+    :func:`_block_at` reads, one per length: it has nothing to copy."""
+    return RowBlock._of(np.empty((0, length + 1, 1), dtype=np.uint64))
 
 
 def _response_parts(response: ServerResponse) -> List[bytes]:

@@ -867,3 +867,83 @@ def test_a_mutation_codec_round_trip_makes_at_most_120_and_95_calls():
     delete = _codec_calls(catalog, DeleteRequest(column="values",
                                                  row_ids=(7,)))
     assert insert <= 120 and delete <= 95, (insert, delete)
+
+
+def _repeated_reply_calls():
+    """A ``range_tcp``-shaped session (15 000 rows under the benchmark's
+    key, loopback) that sent ``query(3000, 3447)`` — 150 rows — once,
+    and the Python calls of that query sent again, all of whose rows the
+    reply names by id alone: its reply's encode, decode and the
+    session's ``_decrypt`` (each counted on its own, summed), and the
+    whole query, each the median of nine."""
+    import cProfile
+    import pstats
+    import statistics
+
+    from repro.net.transport import serve_frame
+
+    db = OutsourcedDatabase(list(range(0, 45_000, 3)), seed=11)
+    assert len(db.query(3_000, 3_447).values) == 150
+    message = db.client.make_query(3_000, 3_447)
+    reply_frame = serve_frame(db._catalog, encode(
+        QueryRequest(column="values", query=message)))
+    reply = decode(reply_frame)
+    response = reply.response
+    assert len(response.row_ids) == 150 and len(response.rows) == 0
+    steps = (lambda: encode(reply), lambda: decode(reply_frame),
+             lambda: db._decrypt(response, message))
+    counts = []
+    for _ in range(9):
+        total = 0
+        for step in steps:
+            profile = cProfile.Profile()
+            profile.enable()
+            step()
+            profile.disable()
+            total += pstats.Stats(profile).total_calls
+        counts.append(total)
+
+    def query():
+        result = db.query(3_000, 3_447)
+        assert result.values.tolist() == list(range(3_000, 3_448, 3))
+
+    whole, _ = _median_calls(query, [()] * 9)
+    return statistics.median(counts), whole
+
+
+def test_a_repeated_reply_costs_its_ids():
+    """The count-based gate CI runs by name for the id-only path: a
+    repeated 150-row reply's encode, decode and the session's decrypt
+    make at most 85 Python calls, and the whole query at most 360, each
+    the median of nine.  With every step doing the work of a reply that
+    carries rows — an empty block measured, written and read like a full
+    one, the held rows' ids rebuilt from their complements — they made
+    131 and 388.  Going back only reads slower, so it fails here
+    instead."""
+    steps, whole = _repeated_reply_calls()
+    assert steps <= 85 and whole <= 360, (steps, whole)
+
+
+@pytest.mark.parametrize("length", [4, 200])
+def test_an_empty_block_reads_as_the_general_reader_reads_it(length):
+    """A block of no rows is written and read from its header bytes; the
+    short cut takes the bytes a writer gives (flag 1 and one empty run,
+    or flag 0 and two) and leaves every other spelling to the general
+    reader, which gives the same block or the same refusal."""
+    head = protocol.varints(length, 0)
+    empty = protocol.RowBlock._of(np.zeros((0, length + 1, 1), np.uint64))
+    assert b"".join(protocol._block_parts(empty)) == head + b"\x01\x01"
+    read = {
+        spelling: protocol._block_at(head + spelling + b"!", 0)
+        for spelling in (b"\x01\x01", b"\x00\x01\x01",  # the short cut's
+                         b"\x01\x81\x00", b"\x00\x01\x81\x00")  # general
+    }
+    for spelling, (block, end) in read.items():
+        assert end == len(head) + len(spelling)
+        assert block.limbs.shape == (0, length + 1, 1)
+        assert block.limbs.dtype == np.uint64 and block.numerator_bits is None
+        assert not block.limbs.flags.writeable
+    for spelling in (b"\x01\x02", b"\x00\x01\x02", b"\x00\x02\x01", b"\x01",
+                     b"\x00\x01", b"\x02\x01", b"\x01\x00"):
+        with pytest.raises(SerializationError):
+            protocol._block_at(head + spelling, 0)

@@ -34,6 +34,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.client import OpenedRows, TrustedClient
 from repro.core.persistence import (
@@ -198,6 +199,22 @@ def test_a_hostile_id_only_row_is_a_typed_error(forged):
         slice(0, 0)))) == honest
 
 
+def test_a_whole_id_in_a_reply_of_no_rows_is_a_count_mismatch():
+    """An all-id-only reply that slips in one non-negative id — of a row
+    held or not — names a whole row it does not carry: the counts differ,
+    a ``DecryptionError`` that is not a miss (no re-send helps)."""
+    client, rows, ids = _client_and_rows()
+    honest = _as_tuple(client.decrypt_results(~ids[:40], rows.take(
+        slice(0, 0))))
+    for whole in (5, 39, 60, 2 ** 60):
+        reply = np.concatenate((~ids[:39], [whole]))
+        with pytest.raises(DecryptionError, match="differ") as err:
+            client.decrypt_results(reply, rows.take(slice(0, 0)))
+        assert not isinstance(err.value, RowNotHeldError)
+    assert _as_tuple(client.decrypt_results(~ids[:40], rows.take(
+        slice(0, 0)))) == honest
+
+
 def test_a_client_that_opened_nothing_holds_nothing():
     client = TrustedClient(seed=11)
     rows, ids = client.encrypt_dataset(range(1_000, 1_240, 3))
@@ -302,6 +319,26 @@ def test_an_evicted_token_gets_every_row_whole():
     assert _shipped_whole(server, replace(query, token=SENT_TOKENS)) == 60
     assert _shipped_whole(server, replace(query, token=1)) == 60  # evicted
     assert _shipped_whole(server, replace(query, token=0)) == 60  # no token
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_token_store_evicts_the_least_recently_used(seed):
+    """Tokens used in a seeded order, some again: the store keeps the
+    :data:`SENT_TOKENS` used last, and a reply to one it dropped comes
+    whole."""
+    rng = random.Random(seed)
+    client = TrustedClient(seed=11)
+    server = SecureServer(*client.encrypt_dataset(VALUES))
+    query = client.make_query(*RANGE)
+    used = []  # least recent first
+    for _ in range(60):
+        token = rng.randrange(1, 2 * SENT_TOKENS)
+        expected = 0 if token in used else 60
+        assert _shipped_whole(server, replace(query, token=token)) == expected
+        if token in used:
+            used.remove(token)
+        used = (used + [token])[-SENT_TOKENS:]
+        assert list(server._sent) == used
 
 
 def test_a_key_rotation_ships_every_row_whole_again():
@@ -520,3 +557,98 @@ def test_inserted_rows_are_shipped_and_opened_every_time():
     db.merge()
     db.query(*RANGE)
     assert len(transport.shipped.rows) == 3
+
+
+# -- a reply with a token answers as one without ------------------------------
+
+
+#: Query ranges over ``SPARSE`` (every value is 5 modulo 7): ``7 * start +
+#: 6`` up to ``7 * width`` beyond it holds ``width`` values, none at 0.
+SPARSE = list(range(5, 7_000, 7))
+STARTS = (0, 30, 60, 130)
+WIDTHS = (0, 5, 40, 70, 150)
+
+
+def _reply_kind(shipped):
+    """What a reply shipped: no rows, all whole, all by id, or mixed."""
+    named = int((shipped.row_ids < 0).sum())
+    if not len(shipped.row_ids):
+        return "empty"
+    return {0: "none held", len(shipped.row_ids): "all held"}.get(
+        named, "mixed")
+
+
+def _steps():
+    query = st.tuples(st.just("query"), st.sampled_from(STARTS),
+                      st.sampled_from(WIDTHS))
+    insert = st.tuples(st.just("insert"), st.integers(0, 300))
+    return st.lists(st.one_of(query, query, insert, st.just(("merge",)),
+                              st.tuples(st.just("delete"),
+                                        st.integers(0, 2_000))),
+                    min_size=1, max_size=14)
+
+
+def _answer_with_and_without_a_token(ambiguity, steps):
+    """Run ``steps`` on a session over ``SPARSE``, comparing each query's
+    answer with the answer to the same query sent with no token; returns
+    what each query's reply shipped (:func:`_reply_kind`)."""
+    transport = _Recording(ColumnCatalog())
+    db = OutsourcedDatabase(SPARSE, ambiguity=ambiguity, seed=11,
+                            transport=transport)
+    kinds = []
+    returned = 0
+    model = dict(enumerate(SPARSE))  # logical id -> value
+    for step in steps:
+        if step[0] == "insert":
+            model[db.insert(7 * step[1] + 5)] = 7 * step[1] + 5
+        elif step[0] == "merge":
+            db.merge()
+        elif step[0] == "delete":
+            victim = sorted(model)[step[1] % len(model)]
+            db.delete(victim)
+            del model[victim]
+        else:
+            low = 7 * step[1] + 6
+            high = low + 7 * step[2]
+            result = db.query(low, high)
+            kinds.append(_reply_kind(transport.shipped))
+            returned += result.returned_rows
+            message = replace(db.client.make_query(low, high), token=0)
+            reply = db.remote.query(message)
+            assert (reply.row_ids >= 0).all()
+            whole = db.client.decrypt_results(
+                reply.row_ids, reply.rows, id_mapper=db._map_physical_ids)
+            assert result.values.tolist() == whole.values.tolist()
+            assert result.logical_ids.tolist() == whole.logical_ids.tolist()
+            assert (result.returned_rows, result.false_positives) == (
+                whole.returned_rows, whole.false_positives)
+            assert sorted(zip(result.values.tolist(),
+                              result.logical_ids.tolist())) == sorted(
+                (v, i) for i, v in model.items() if low <= v <= high)
+    count = db.obs.metrics.counter_value
+    assert count("client.fast_rows") + count("client.exact_rows") + count(
+        "client.cached_rows") == returned
+    return kinds
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ambiguity=st.booleans(), steps=_steps())
+def test_a_reply_with_a_token_answers_as_one_without(ambiguity, steps):
+    """Over replies all held, none held, mixed and empty, with inserted
+    rows and without: the session's answer equals its client's answer to
+    the same query sent with no token (every row whole) — the values and
+    logical ids, in order — and ``client.fast_rows`` + ``exact_rows`` +
+    ``cached_rows`` add up to the rows returned."""
+    _answer_with_and_without_a_token(ambiguity, steps)
+
+
+@pytest.mark.parametrize("ambiguity", [False, True])
+def test_replies_of_every_kind_answer_as_without_a_token(ambiguity):
+    """The property above on a sequence that ships a reply of each kind,
+    inserted, merged and deleted rows among them."""
+    kinds = _answer_with_and_without_a_token(ambiguity, [
+        ("query", 30, 70), ("query", 30, 70), ("query", 0, 150),
+        ("query", 0, 0), ("insert", 40), ("query", 30, 70), ("merge",),
+        ("query", 30, 70), ("delete", 45), ("query", 0, 150)])
+    assert kinds == ["none held", "all held", "mixed", "empty", "mixed",
+                     "mixed", "mixed"]  # an inserted row comes whole

@@ -19,6 +19,7 @@ import zlib
 
 import pytest
 
+from repro.core import wal
 from repro.core.persistence import load_snapshot, recover_catalog
 from repro.core.wal import (
     DEFAULT_SEGMENT_BYTES,
@@ -335,6 +336,62 @@ class TestFailingFsync:
         assert writer.append("values", 2, REQUEST) == 2
         writer.close()
         assert [r.seq for r in read_records(str(tmp_path))] == [1, 2]
+
+
+class TestDirectoryEntries:
+    """A segment's directory entry, and a WAL directory's own, are made
+    durable when the writer creates them — before the segment's first
+    append returns under ``"always"`` — except under ``"never"``."""
+
+    @pytest.fixture()
+    def synced(self, monkeypatch):
+        """The fsyncs made from here on, each ``"dir"`` or ``"file"``."""
+        import stat
+
+        calls = []
+        real = os.fsync
+
+        def spy(fd):
+            directory = stat.S_ISDIR(os.fstat(fd).st_mode)
+            calls.append("dir" if directory else "file")
+            real(fd)
+
+        monkeypatch.setattr(wal.os, "fsync", spy)
+        return calls
+
+    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
+    def test_a_created_directory_and_each_new_segment_are_synced(
+        self, tmp_path, synced, policy
+    ):
+        size = len(record_bytes(head() + REQUEST))
+        writer = WalWriter(str(tmp_path / "wal"), segment_bytes=size,
+                           fsync=policy, batch_every=2)
+        assert synced == ([] if policy == "never" else ["dir"])
+        del synced[:]
+        for epoch in (1, 2, 3):  # one record a segment
+            writer.append("values", epoch, REQUEST)
+            synced.append("ack")
+        writer.close()
+        assert writer.segment_count() == 3
+        # A segment's entry is synced before its first append returns;
+        # closing a segment syncs what it owes.
+        assert synced == {
+            "always": ["dir", "file", "ack", "file"] * 3,
+            "batch": ["dir", "ack", "file"] * 3,
+            "never": ["ack"] * 3,
+        }[policy]
+
+    def test_an_existing_directory_is_not_synced_again(self, tmp_path, synced):
+        WalWriter(str(tmp_path), fsync="always").close()
+        assert synced == []
+
+    def test_a_reopened_segment_is_not_a_new_entry(self, tmp_path, synced):
+        with WalWriter(str(tmp_path), fsync="always") as writer:
+            append_n(writer, 1)
+        del synced[:]
+        with WalWriter(str(tmp_path), fsync="always") as writer:
+            append_n(writer, 1, start=1)
+        assert synced == ["file", "file"]  # the append's and the close's
 
 
 class TestTornTail:
