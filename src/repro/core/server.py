@@ -185,23 +185,28 @@ class SecureServer:
                 pending=len(self._pending),
             )
         pending = self._pending
+        updates = self._updates
+        tombstoned = updates.has_tombstones
         products_before = column.product_counts()
         with self._obs.span("server-execute", pending=len(pending)):
             try:
                 indices = self._engine.qualifying_indices(query)
                 row_ids = column.row_ids_at(indices)
-                live = ~self._updates.deleted_mask(row_ids)
-                if not live.all():
-                    indices, row_ids = indices[live], row_ids[live]
+                if tombstoned:
+                    live = ~updates.deleted_mask(row_ids)
+                    if not live.all():
+                        indices, row_ids = indices[live], row_ids[live]
                 row_ids, indices = self._held(query.token, row_ids, indices)
                 rows = column.rows_at(indices)
                 with self._obs.span("pending-scan", pending=len(pending)):
                     if len(pending):
                         matched = pending.scan_query(query)
                         pending_ids = pending.row_ids_at(matched)
-                        live = ~self._updates.deleted_mask(pending_ids)
-                        row_ids = np.concatenate((row_ids, pending_ids[live]))
-                        rows += pending.rows_at(matched[live])
+                        if tombstoned:
+                            live = ~updates.deleted_mask(pending_ids)
+                            matched, pending_ids = matched[live], pending_ids[live]
+                        row_ids = np.concatenate((row_ids, pending_ids))
+                        rows += pending.rows_at(matched)
             finally:  # on the entry the engine logged; pending counts alike
                 column.charge_products(self._engine.stats_log[-1], products_before)
         self._queries_served.add()

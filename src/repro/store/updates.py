@@ -43,6 +43,11 @@ class PendingUpdates:
         return set(self._tombstones)
 
     @property
+    def has_tombstones(self) -> bool:
+        """Whether any row id is tombstoned (without copying the set)."""
+        return bool(self._tombstones)
+
+    @property
     def next_row_id(self) -> int:
         """The id the next insert will receive."""
         return self._next_row_id

@@ -78,6 +78,31 @@ class TestUpdates:
         server.delete(ids)
         assert 55 not in query_values(server, client, 0, 100)
 
+    def test_no_tombstone_builds_no_mask(self, client, monkeypatch):
+        """A column with no tombstone answers, pending rows included,
+        without asking which of its rows are deleted; one with a
+        tombstone still drops it from the indexed and the pending part."""
+        from repro.store.updates import PendingUpdates
+
+        server = make_server(client)
+        pending_id = server.insert(client.encrypt_value(55))
+        asked = []
+        deleted_mask = PendingUpdates.deleted_mask
+
+        def refused(self, row_ids):
+            raise AssertionError("a mask with no tombstone")
+
+        monkeypatch.setattr(PendingUpdates, "deleted_mask", refused)
+        assert query_values(server, client, 0, 100) == sorted(VALUES + [55])
+        monkeypatch.setattr(
+            PendingUpdates, "deleted_mask",
+            lambda self, row_ids: asked.append(len(row_ids))
+            or deleted_mask(self, row_ids))
+        server.delete([VALUES.index(30)] + pending_id)
+        assert query_values(server, client, 0, 100) == sorted(
+            v for v in VALUES if v != 30)
+        assert asked == [len(VALUES), 1]  # the indexed rows, the pending one
+
     @pytest.mark.parametrize("engine", ["adaptive", "scan"])
     def test_merge_then_query(self, client, engine):
         server = make_server(client, engine)
