@@ -117,8 +117,8 @@ class OpenedRows:
         if self._state is None:
             self._state = np.zeros(self.space + 1, dtype=np.int8)
             self._plain = np.empty(self.space + 1, dtype=np.int64)
-        count = len(block)
-        if len(ids) == count:  # every row whole
+        count, size = len(block), len(ids)
+        if size == count:  # every row whole
             real, values = self.encryptor.open_block(block)
             self._remember(ids, real, values)
             return ids[real], values
@@ -128,22 +128,23 @@ class OpenedRows:
             if np.count_nonzero(whole) != count:
                 raise DecryptionError("a reply's whole ids and rows differ")
             named = flipped[~whole]
-        slots = np.minimum(named.view(np.uint64), self.space)  # -1 is huge
+        # As intp indices, clamped: -1 is huge as uint64.
+        slots = np.minimum(named.view(np.uint64), self.space).view(np.intp)
         state = self._state[slots]
-        if not np.logical_and.reduce(state):
+        if np.count_nonzero(state) != size - count:
             if not count and np.maximum.reduce(ids) >= 0:
                 raise DecryptionError("a reply's whole ids and rows differ")
             raise RowNotHeldError("a reply named by id alone a row not held")
-        self.cached_rows += len(slots)
+        self.cached_rows += size - count
         held_real = state > 1
         if not count:
             named = named[held_real]
             return named, self._plain[named]
         opened_real, opened_values = self.encryptor.open_block(block)
         self._remember(ids[whole], opened_real, opened_values)
-        real = np.empty(len(ids), dtype=bool)
+        real = np.empty(size, dtype=bool)
         real[~whole], real[whole] = held_real, opened_real
-        plain = np.empty(len(ids), np.result_type(self._plain, opened_values))
+        plain = np.empty(size, np.result_type(self._plain, opened_values))
         plain[~whole] = self._plain[slots]
         plain[np.flatnonzero(whole)[opened_real]] = opened_values
         return np.maximum(ids, flipped)[real], plain[real]
@@ -153,7 +154,8 @@ class OpenedRows:
         that opens to another value is dropped, a ``DecryptionError``."""
         if values.dtype.kind == "O" and self._plain.dtype.kind != "O":
             self._plain = self._plain.astype(object)
-        slots = np.minimum(ids.view(np.uint64), self.space)  # -1 is huge
+        # As intp indices, clamped: -1 is huge as uint64.
+        slots = np.minimum(ids.view(np.uint64), self.space).view(np.intp)
         held = self._state[slots]
         if held.any():
             other = (held > 0) & ((held > 1) != real)
