@@ -91,22 +91,6 @@ def run_grid(
     return traces
 
 
-def figure6_cumulative(
-    sizes: Sequence[int] = (1000, 2000, 4000, 8000, 16000, 32000),
-    query_count: int = 300,
-    data_kinds: Sequence[str] = ("plain", "encrypted", "ambiguous", "securescan"),
-    selectivity: float = 0.01,
-    seed: int = 0,
-) -> Dict[Tuple[str, int], QueryTrace]:
-    """Figures 6a-6f: cumulative response time per data type and size.
-
-    The paper plots the first 30 queries (6a-6c) and the full sequence
-    (6d-6f) for sizes 1M-32M; the scaled ladder keeps the x2 geometric
-    progression.  SecureScan appears as the dashed reference.
-    """
-    return run_grid(sizes, data_kinds, query_count, selectivity, seed)
-
-
 def figure12_key_size(
     key_lengths: Sequence[int] = (4, 8, 16, 32, 64),
     size: int = 10000,

@@ -133,11 +133,6 @@ class BoundRecoveryAttack:
         self._functional: Optional[Tuple[Fraction, ...]] = None
 
     @property
-    def observation_count(self) -> int:
-        """Number of plaintext-ciphertext pairs observed so far."""
-        return len(self._observations)
-
-    @property
     def functional(self) -> Optional[Tuple[Fraction, ...]]:
         """The fitted functional ``w``, or None before a successful fit."""
         return self._functional
@@ -204,11 +199,6 @@ class ValueRecoveryAttack:
         self._observations: List[Tuple[int, "ValueCiphertext"]] = []
         self._w1: Optional[Tuple[int, ...]] = None
         self._w2: Optional[Tuple[int, ...]] = None
-
-    @property
-    def observation_count(self) -> int:
-        """Number of plaintext-ciphertext pairs observed so far."""
-        return len(self._observations)
 
     def observe(self, plaintext_value: int, ciphertext) -> None:
         """Record one leaked value plaintext-ciphertext pair."""
