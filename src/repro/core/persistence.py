@@ -63,13 +63,15 @@ from repro.net.catalog import ColumnCatalog
 from repro.net.protocol import ColumnSnapshot, decode, encode
 from repro.obs import Observability
 
-#: Format of a server snapshot: 5, a ``ColumnSnapshot`` envelope that
-#: records the upload's row count (4: a JSON dict).
-SNAPSHOT_VERSION = 5
+#: Format of a server snapshot: 6, a ``ColumnSnapshot`` envelope whose
+#: config travels as JSON text (5: in the generic binary grammar; 4: a
+#: JSON dict).
+SNAPSHOT_VERSION = 6
 
-#: Format of a catalog checkpoint: 6, one WAL record per column holding
-#: its ``ColumnSnapshot`` frame (5: a JSON dict in ``snapshot.json``).
-CATALOG_SNAPSHOT_VERSION = 6
+#: Format of a catalog checkpoint: 7, one WAL record per column holding
+#: its protocol-6 ``ColumnSnapshot`` frame (6: a protocol-5 frame; 5: a
+#: JSON dict in ``snapshot.json``).
+CATALOG_SNAPSHOT_VERSION = 7
 
 #: File name of the catalog checkpoint inside a server data directory
 #: (next to the ``wal-*.seg`` segments); it names its format.

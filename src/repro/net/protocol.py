@@ -48,6 +48,7 @@ backed by its own :class:`~repro.core.server.SecureServer` engine.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -82,13 +83,12 @@ from repro.net.binframe import (
     bigint_run,
     bigints_at,
     bytes_at,
+    decode_text,
     limb_run,
     read_varint,
     run_width,
     text_at,
     text_bytes,
-    value_at,
-    value_bytes,
     varints,
     word_array,
     words_at,
@@ -102,9 +102,10 @@ from repro.net.binframe import (
 #: does a query (the ``QUERY`` field).  4: a frame is positional — the
 #: kind code and the fields in declared order, no keys — and binary
 #: only.  5: a query carries a session token, a reply names rows by id
-#: alone.  A frame of an older version is refused with a typed error,
-#: never reinterpreted.
-PROTOCOL_VERSION = 5
+#: alone.  6: a free-form field (a config, telemetry sections, a string
+#: list) and the trace section are JSON text.  A frame of an older
+#: version is refused with a typed error, never reinterpreted.
+PROTOCOL_VERSION = 6
 
 #: What every frame starts with.
 _FRAME_HEAD = bytes((MAGIC, PROTOCOL_VERSION))
@@ -487,17 +488,67 @@ class FieldType:
     absent: Any = _ALWAYS_SENT
 
 
-def _generic(name: str, encode: Callable, decode: Callable) -> FieldType:
-    """A free-form field: on a frame, one generic binframe value
-    holding the field's dict form."""
+def _json(call: Callable, value):
+    """``call(value)`` — a JSON write or read — with every way it can
+    fail a :class:`SerializationError`: a value past the recursion
+    limit, an integer past Python's 4 300 digits, malformed text, a
+    duplicate key, a value JSON cannot write."""
+    try:
+        return call(value)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise SerializationError("not a JSON field value: %s" % exc) from exc
+
+
+def _string_keys(value) -> None:
+    """Refuse a value whose JSON would not read back as it is: a dict
+    key that is not a string, which ``json.dumps`` makes one."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise SerializationError(
+                    "a JSON field's keys are strings, not %s"
+                    % type(key).__name__
+                )
+            _string_keys(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _string_keys(item)
+
+
+def _unique_keys(pairs) -> Dict[str, Any]:
+    """A JSON object's members, refused when a key repeats."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise SerializationError("duplicate key in a JSON field")
+    return out
+
+
+#: A JSON field's writer and reader: keys sorted, no spaces; a repeated
+#: key refused.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _dumps(value) -> str:
+    _string_keys(value)
+    return _ENCODER.encode(value)
+
+
+_loads = _DECODER.decode
+
+
+def _json_field(name: str, encode: Callable, decode: Callable) -> FieldType:
+    """A free-form field: on a frame, the JSON text of the field's dict
+    form (keys sorted, no spaces) as a UTF-8 string."""
+
+    def parts(value) -> List[bytes]:
+        return [text_bytes(_json(_dumps, encode(value)))]
 
     def at(buf: bytes, pos: int):
-        value, pos = value_at(buf, pos)
-        return decode(value), pos
+        text, pos = text_at(buf, pos)
+        return decode(_json(_loads, text)), pos
 
-    return FieldType(
-        name, encode, decode, lambda value: [value_bytes(encode(value))], at
-    )
+    return FieldType(name, encode, decode, parts, at)
 
 
 def _nullable(base: FieldType) -> FieldType:
@@ -565,9 +616,9 @@ SERVER_RESPONSE = FieldType(
     "SERVER_RESPONSE", server_response_to_dict, server_response_from_dict,
     _response_parts, _response_at,
 )
-STR_LIST = _generic("STR_LIST", _strings_to_list, _strings_from_list)
-CONFIG = _generic("CONFIG", dict, _config_from_dict)
-SECTIONS = _generic("SECTIONS", _sections_payload, _sections_payload)
+STR_LIST = _json_field("STR_LIST", _strings_to_list, _strings_from_list)
+CONFIG = _json_field("CONFIG", dict, _config_from_dict)
+SECTIONS = _json_field("SECTIONS", _sections_payload, _sections_payload)
 REQUESTS = _batch("REQUESTS", True)
 RESPONSES = _batch("RESPONSES", False)
 OPT_INT = _nullable(INT)
@@ -1175,14 +1226,13 @@ def _read_fields(spec: EnvelopeSpec, buf: bytes, pos: int):
 
 def _trace_section(context: Dict[str, Any]) -> bytes:
     """A traced request's trace section: its byte count (an untraced
-    frame's is 0), then the context as one generic value."""
-    section = value_bytes(context)
-    return varints(len(section)) + section
+    frame's is 0), then the context's JSON text."""
+    return text_bytes(_json(_dumps, context))
 
 
 def _read_trace(section: bytes) -> Optional[Dict[str, Any]]:
     try:
-        return trace_from_wire(value_at(section, 0)[0])
+        return trace_from_wire(_json(_loads, decode_text(section)))
     except SerializationError:  # a malformed context degrades to none
         return None
 
@@ -1244,7 +1294,7 @@ def encode(envelope, trace: Optional[Dict[str, Any]] = None) -> bytes:
 
 def decode(frame: bytes):
     """The envelope of a frame, either direction; anything but a
-    version-4 frame read to its last byte is a SerializationError."""
+    version-6 frame read to its last byte is a SerializationError."""
     return _decode(frame)[0]
 
 

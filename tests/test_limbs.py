@@ -5,9 +5,7 @@ arrays.  Everything above it assumes three things, each pinned here
 against Python's own integers: the conversions are exact both ways
 (bit-lengths, sign extension and wire bytes included), the float plane
 stays within the error the rounding bound charges for it, and a
-:class:`PackedInts` is the list of ints it stands for.  The last
-section feeds the binary frame codec hostile wide int-arrays: the only
-acceptable failure is a typed ``SerializationError``.
+:class:`PackedInts` is the list of ints it stands for.
 """
 
 import json
@@ -17,10 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SerializationError
 from repro.linalg import limbs as L
-
-from generic_values import decode_value, encode_value
+from repro.net.protocol import SECTIONS
 
 #: Integers that sit on every edge the limb arithmetic has.
 EDGES = sorted(
@@ -134,12 +130,13 @@ class TestPackedInts:
 
     @given(st.lists(INTS, max_size=80))
     @settings(max_examples=200, deadline=None)
-    def test_binary_frames_are_byte_identical_to_the_list_form(self, values):
+    def test_json_fields_are_byte_identical_to_the_list_form(self, values):
         packed = L.PackedInts(L.from_ints(values))
-        frame = encode_value({"run": packed})
-        assert frame == encode_value({"run": values})
-        decoded = decode_value(frame)["run"]
-        assert decoded == values and isinstance(decoded, list)
+        frame = b"".join(SECTIONS.parts({"run": packed}))
+        assert frame == b"".join(SECTIONS.parts({"run": values}))
+        decoded, end = SECTIONS.at(frame, 0)
+        assert end == len(frame)
+        assert decoded["run"] == values and isinstance(decoded["run"], list)
 
 
 class TestFloatPlane:
@@ -326,100 +323,3 @@ class TestDigits:
             np.array([_canonical(value, 6)]).T,
             np.array([left]).T,
         ).any()
-
-
-# -- hostile wide int-arrays -----------------------------------------------------------
-
-_WIDE = bytes((0x0A, 0x04))
-
-
-def _frame(array_bytes):
-    """The value ``{"x": <int array>}`` around raw int-array bytes."""
-    return bytes((0x09, 1, 0x06, 1)) + b"x" + array_bytes
-
-
-def _varint(value):
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        out.append(byte | 0x80 if value else byte)
-        if not value:
-            return bytes(out)
-
-
-class TestHostileWideArrays:
-    def test_the_frame_builder_builds_what_the_encoder_does(self):
-        values = [2 ** 70 + i for i in range(100)]
-        body = b"".join(v.to_bytes(9, "big", signed=True) for v in values)
-        frame = _frame(_WIDE + bytes((9,)) + _varint(100) + body)
-        assert frame == encode_value({"x": values})
-        assert decode_value(frame) == {"x": values}
-
-    @pytest.mark.parametrize("count", [4, 100, 2 ** 40, 2 ** 62])
-    def test_width_zero(self, count):
-        with pytest.raises(SerializationError, match="width must be >= 1"):
-            decode_value(_frame(_WIDE + bytes((0,)) + _varint(count)))
-
-    @pytest.mark.parametrize("width", [9, 16, 255])
-    @pytest.mark.parametrize("count", [100, 2 ** 31, 2 ** 62])
-    def test_count_times_width_past_the_buffer(self, width, count):
-        # Refused on the arithmetic, before anything is allocated.
-        frame = _frame(_WIDE + bytes((width,)) + _varint(count) + bytes(64))
-        with pytest.raises(SerializationError, match="exceeds remaining"):
-            decode_value(frame)
-
-    @pytest.mark.parametrize("count", [3, 100])
-    def test_truncation_mid_limb(self, count):
-        values = [-(2 ** 100) - i for i in range(count)]
-        frame = encode_value({"x": values})
-        for cut in (1, 7, 8, 13, 14):
-            with pytest.raises(SerializationError):
-                decode_value(frame[:-cut])
-
-    @pytest.mark.parametrize("count", [4, 70])
-    def test_width_255_is_the_widest_array(self, count):
-        values = [(-1) ** i * (2 ** 2039 - 1 - i) for i in range(count)]
-        frame = encode_value({"x": values})
-        assert frame[5:8] == _WIDE + bytes((255,))
-        assert decode_value(frame) == {"x": values}
-        packed = L.PackedInts(L.from_ints(values))
-        assert encode_value({"x": packed}) == frame
-        with pytest.raises(SerializationError):
-            decode_value(frame[:-200])
-
-    @pytest.mark.parametrize("count", [4, 70])
-    def test_beyond_2040_bits_falls_back_to_per_value_big_ints(self, count):
-        values = [2 ** 2040 + i for i in range(count)]
-        frame = encode_value({"x": values})
-        assert frame[5] == 0x08  # a generic list of tagged big ints
-        assert decode_value(frame) == {"x": values}
-        packed = L.PackedInts(L.from_ints(values))
-        assert encode_value({"x": packed}) == frame
-
-    def test_non_canonical_widths_decode_by_value(self):
-        # A peer may pad: width 16 for 65-bit values, width 3 for bytes.
-        values = [(-1) ** i * (2 ** 64 + i) for i in range(80)]
-        body = b"".join(v.to_bytes(16, "big", signed=True) for v in values)
-        frame = _frame(_WIDE + bytes((16,)) + _varint(80) + body)
-        assert decode_value(frame) == {"x": values}
-        small = [(-1) ** i * i for i in range(80)]
-        body = b"".join(v.to_bytes(3, "big", signed=True) for v in small)
-        frame = _frame(_WIDE + bytes((3,)) + _varint(80) + body)
-        decoded = decode_value(frame)
-        assert decoded == {"x": small}
-        # ... and re-encodes canonically (narrow mode, one byte each).
-        assert encode_value(decoded) == encode_value({"x": small})
-
-    def test_every_failure_is_typed_under_random_corruption(self):
-        rng = np.random.default_rng(20160626)
-        values = [int(v) * 2 ** 40 for v in rng.integers(-(2 ** 62), 2 ** 62, 90)]
-        frame = bytearray(encode_value({"x": values, "y": values[:5]}))
-        for _ in range(600):
-            mutated = bytearray(frame)
-            for _ in range(int(rng.integers(1, 4))):
-                mutated[int(rng.integers(0, 37))] = int(rng.integers(0, 256))
-            try:
-                decode_value(bytes(mutated))
-            except SerializationError:
-                pass  # anything else fails the test

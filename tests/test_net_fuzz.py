@@ -17,11 +17,16 @@ needs no edit here.  Three layers of confidence in the wire format:
   :class:`~repro.errors.SerializationError` — never a hang, a wrong
   value accepted silently at the envelope layer, or a raw
   ``struct.error`` / ``OverflowError`` / ``UnicodeDecodeError``.
+* *hostile JSON* — a free-form field's text with a repeated key, deep
+  nesting, a 5 000-digit integer, invalid UTF-8 or cut short is a
+  ``SerializationError`` in a frame and a batch slot, and an untraced
+  dispatch in a trace section.
 """
 
 import hashlib
 import json
 import random
+import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -59,8 +64,6 @@ from repro.net.protocol import (
     wire,
 )
 from repro.net.transport import Transport
-
-from generic_values import LEGACY_HEADER, decode_value, encode_value
 
 FUZZ_SEED = 0x20160626
 
@@ -241,12 +244,30 @@ def from_dict(spec, payload):
 # -- round-trip fuzzing ---------------------------------------------------------
 
 
+def field_bytes(payload):
+    """``payload`` as a frame's JSON field holds it (a telemetry
+    response's sections): its text's byte count, then the text."""
+    return b"".join(protocol.SECTIONS.parts(payload))
+
+
+def field_value(data):
+    """The object the JSON field ``data`` holds, which must be all of it.
+
+    Raises:
+        SerializationError: on a malformed field or bytes left over.
+    """
+    value, end = protocol.SECTIONS.at(data, 0)
+    if end != len(data):
+        raise SerializationError(
+            "%d trailing bytes after the field" % (len(data) - end))
+    return value
+
+
 def assert_value_round_trip(payload):
-    """``decode(encode(payload))`` must be ``payload`` in the generic
-    grammar (WAL records, free-form fields), deterministically."""
-    frame = encode_value(payload)
-    assert encode_value(payload) == frame
-    assert decode_value(frame) == payload
+    """``payload`` survives a JSON field, written deterministically."""
+    data = field_bytes(payload)
+    assert field_bytes(payload) == data
+    assert field_value(data) == payload
 
 
 def assert_envelope_round_trips(spec, cases):
@@ -418,14 +439,26 @@ GOLDEN_CASES = 12
 #: and ``batch_response``'s slot draws restricted to the other 23, both
 #: hash exactly as pinned before, and the second half did not move.
 #:
+#: Both halves were re-pinned by protocol version 6, on purpose: the
+#: version byte of every frame moved, and a free-form field (a config,
+#: telemetry sections, a string list) became JSON text.  Every frame of
+#: the corpus decodes to the envelope its version-5 frame decoded to,
+#: and :data:`GOLDEN_DICT_SHA256` did not move; 219 of the 288 frames
+#: equal their version-5 frames but for the version byte, and the 69
+#: others are exactly the ones holding a free-form field (``hello``,
+#: ``hello_response``, ``create_column``, ``column_snapshot`` and
+#: ``telemetry_response`` all 12, ``telemetry_request`` the 4 that
+#: name sections, 2 ``batch_request`` and 3 ``batch_response`` with
+#: such a slot).
+#:
 #: The first half is the 22 other kinds (``column_snapshot``, which
 #: holds its cracks as a query, came after the split).
-GOLDEN_CORPUS_SHA256 = "516f6ad4940f20e98b376a5abe07e67e3e568368da7828423ccf68b394ce60f6"
+GOLDEN_CORPUS_SHA256 = "f6c121993cdcae958f47ead275e3b22472156b4e9de3c223bd14df05716cbb57"
 
 #: The second half: the kinds that can carry a query —
 #: ``query_request``, and ``batch_request``, whose seeded stream
 #: shifts for good at the first one it holds.
-GOLDEN_QUERY_CORPUS_SHA256 = "192fd69126781ef4d8a5b7cac7d5dc11e96216728eceb937a65f67596b87eab3"
+GOLDEN_QUERY_CORPUS_SHA256 = "e926fef6bd15ee9454edd918b4da6b95c3ced1574f22077effddbdb773b058f2"
 
 #: sha256 over ``json.dumps(dict form, sort_keys=True)`` of every
 #: envelope of the corpus, first computed at the parent of the
@@ -584,43 +617,27 @@ class TestMutationFuzz:
                 )
 
 
-class TestBinaryInnerLoops:
-    """The cases the generic grammar's fast paths introduce (it carries
-    WAL records and every free-form envelope field): a dict key is read
-    by a key-only path, one-byte varints without the loop, and values
-    are told apart by exact type."""
+class TestJsonFields:
+    """A free-form field (``STR_LIST``, ``CONFIG``, ``SECTIONS``) and
+    the trace section are JSON text — keys sorted, no spaces — read
+    back as the value written, or refused with a typed error on either
+    side."""
 
-    @pytest.mark.parametrize("key", [
-        b"\x03\x02",              # an int
-        b"\x08\x00",              # a list
-        b"\x09\x00",              # a nested dict
-        b"\x0a\x00\x00",          # an int array
-        b"\x00", b"\x01", b"\x02",  # None, False, True
-        b"\x05" + b"\x00" * 8,     # a float
-        b"\x0b",                  # no tag at all
-    ], ids=lambda key: key.hex())
-    def test_a_dict_key_is_a_string_or_nothing(self, key):
-        frame = b"\x09\x01" + key + b"\x00"
-        with pytest.raises(SerializationError, match="dict key"):
-            decode_value(frame)
-        for cut in range(len(frame)):
-            with pytest.raises(SerializationError):
-                decode_value(frame[:cut])
+    def test_a_field_is_its_sorted_compact_text(self):
+        request = protocol.CreateColumnRequest(
+            column="c", rows=(), row_ids=(),
+            config={"min_piece_size": 4, "engine": "scan"})
+        text = b'{"engine":"scan","min_piece_size":4}'
+        assert encode(request).endswith(bytes((len(text),)) + text)
+        text = b'["binary","\\u03bb"]'
+        assert encode(HelloRequest(codecs=("binary", "λ"))) == bytes(
+            (0xAE, PROTOCOL_VERSION, 1, 0, len(text))) + text
+        traced = encode(MergeRequest(column="c"), {"parent": "p",
+                                                   "trace_id": "t"})
+        text = b'{"parent":"p","trace_id":"t"}'
+        assert traced[3:] == bytes((len(text),)) + text + b"\x01c"
 
-    def test_a_key_back_reference_past_the_table(self):
-        one = b"\x09\x02\x06\x01a\x00"
-        assert decode_value(one + b"\x06\x01b\x07\x00") == {
-            "a": None, "b": "a"}
-        for index in (b"\x01", b"\x7f", b"\x80\x01", b"\xff\xff\x03"):
-            with pytest.raises(SerializationError, match="back-reference"):
-                decode_value(one + b"\x07" + index + b"\x00")
-        # ... and a key that repeats one by reference is a duplicate.
-        with pytest.raises(SerializationError, match="duplicate"):
-            decode_value(one + b"\x07\x00\x00")
-
-    def test_two_byte_varints_where_one_is_typical(self):
-        # What the encoder writes once a count, a length or a
-        # back-reference passes 127 ...
+    def test_a_long_text_takes_a_longer_count(self):
         names = ["k%03d" % index for index in range(200)]
         payload = {
             "wide": {name: index for index, name in enumerate(names)},
@@ -629,16 +646,7 @@ class TestBinaryInnerLoops:
             "ints": [127, 128, -64, -65, 63, 64, 2 ** 14, -2 ** 14],
         }
         assert_value_round_trip(payload)
-        # ... and what it never writes but the grammar allows: a small
-        # number padded to two bytes reads as the one-byte form does.
-        plain = b"\x09\x01\x06\x01a\x03\x02"
-        padded = b"\x09\x81\x00\x06\x81\x00a\x03\x82\x00"
-        assert decode_value(plain) == decode_value(padded) == {"a": 1}
-        padded_ref = (b"\x09\x02\x06\x01a\x00"
-                      b"\x06\x01b\x07\x80\x00")
-        assert decode_value(padded_ref) == {"a": None, "b": "a"}
-        with pytest.raises(SerializationError, match="varint"):
-            decode_value(b"\x09" + b"\x80" * 10 + b"\x00")
+        assert field_bytes(payload)[0] >= 0x80  # a two-byte varint
 
     def test_an_int_is_not_a_bool_anywhere(self):
         payload = {
@@ -647,7 +655,7 @@ class TestBinaryInnerLoops:
             "ints": [1, 0, 1, 0],
             "flags": [True, False, True, False],
         }
-        decoded = decode_value(encode_value(payload))
+        decoded = field_value(field_bytes(payload))
         assert decoded == payload
         for key, value in payload.items():
             got = decoded[key]
@@ -655,13 +663,6 @@ class TestBinaryInnerLoops:
                 assert list(map(type, got)) == list(map(type, value))
             else:
                 assert type(got) is type(value)
-        # Only the run of plain ints may take the packed-array form.
-        from repro.net.binframe import _TAG_INTARRAY
-
-        assert _TAG_INTARRAY in encode_value({"a": [1, 0, 1, 0]})
-        for run in ([1, True, 0, False], [True, False, True, False]):
-            assert bytes([_TAG_INTARRAY]) not in encode_value(
-                {"a": run})
 
     def test_subclasses_encode_as_what_they_are(self):
         import enum
@@ -681,18 +682,177 @@ class TestBinaryInnerLoops:
         fancy = Table({Name("key"): Items([Level.HIGH, Name("text"), 1.5]),
                        "tuple": (1, 2)})
         plain = {"key": [7, "text", 1.5], "tuple": [1, 2]}
-        assert encode_value(fancy) == encode_value(plain)
+        assert field_bytes(fancy) == field_bytes(plain)
 
+    def test_floats_read_back_as_written(self):
+        import math
+
+        floats = [float("inf"), float("-inf"), -0.0, 0.1, 1e-300, 2.0 ** 70]
+        decoded = field_value(field_bytes({"f": floats, "nan": float("nan")}))
+        assert decoded["f"] == floats
+        assert math.copysign(1.0, decoded["f"][2]) == -1.0
+        assert math.isnan(decoded["nan"])
+
+    def test_integers_up_to_the_digit_limit(self):
+        widest = 10 ** 4299 - 1  # 4 299 digits
+        assert field_value(field_bytes({"n": -widest})) == {"n": -widest}
+        text = b'{"n":' + b"9" * 4301 + b"}"
+        with pytest.raises(SerializationError, match="JSON field"):
+            field_value(protocol.varints(len(text)) + text)
+
+    def test_a_repro_top_snapshot_round_trips(self):
+        """What ``repro top`` fetches — every section of a catalog that
+        served queries, inserts and a merge — with floats, infinities,
+        nested lists and unicode keys added, in one telemetry reply."""
+        from repro.core.session import OutsourcedDatabase
+
+        db = OutsourcedDatabase(list(range(2_000)), seed=3)
+        for low in range(0, 1_900, 95):
+            db.query(low, low + 60)
+        db.insert(5)
+        db.merge()
+        sections = db.transport.catalog.telemetry()
+        assert {"metrics", "tracer", "catalog"} <= set(sections)
+        sections["λ-extra"] = {
+            "数据": [[1.5, float("inf")], [float("-inf"), -0.0], []],
+            "🗝️": {"nested": [{"deep": [2 ** 70, None, True]}]},
+        }
+        reply = protocol.TelemetryResponse(sections=sections)
+        frame = encode(reply)
+        assert len(frame) > 1_000
+        assert decode(frame) == reply
+        assert encode(decode(frame)) == frame
+
+    @pytest.mark.parametrize("writer", ["field", "trace"])
     @pytest.mark.parametrize("payload", [
         {1: "a"}, {"a": {2: "b"}}, {"a": 1, 2: "b"}, {"a": {None: 1}},
         {"a": {("t",): 1}}, {"a": object()}, {"a": {1, 2}}, {"a": b"bytes"},
-    ], ids=repr)
-    def test_what_does_not_encode_is_a_typed_error(self, payload):
+        {"a": {1.5: 1}}, {"a": [{True: 1}]},
+        {"a": 10 ** 5000},
+        "nested",
+        "circular",
+    ], ids=lambda payload: payload if isinstance(payload, str) else "")
+    def test_what_does_not_encode_is_a_typed_error(self, payload, writer):
+        """Whatever JSON would not read back as written — a key that
+        ``json.dumps`` would make a string — or cannot write at all."""
+        if payload == "nested":
+            payload = {"a": []}
+            for _ in range(10_000):
+                payload = {"a": [payload]}
+        elif payload == "circular":
+            payload = {"a": []}
+            payload["a"].append(payload)
         with pytest.raises(SerializationError):
-            encode_value(payload)
+            if writer == "field":
+                field_bytes(payload)
+            else:
+                encode(MergeRequest(column="c"), payload)
 
 
-# -- what a version-4 endpoint refuses, and what fails alone -----------------------
+# -- hostile JSON text -------------------------------------------------------------
+
+
+#: JSON texts a field refuses, by what is wrong with them, each holding
+#: ``key``; ``match`` names the layer that refuses: the JSON reader, the
+#: UTF-8 check or the field's own check.
+HOSTILE_TEXTS = {
+    "duplicate-key": (b'{"%s":1,"%s":2}', "duplicate key"),
+    "nested-10000": (b'{"%s":' + b"[" * 10_000 + b"]" * 10_000 + b"}",
+                     "JSON field"),
+    "digits-5000": (b'{"%s":' + b"7" * 5_000 + b"}", "JSON field"),
+    "invalid-utf8": (b'{"%s":"\xff"}', "utf-8"),
+    "truncated": (b'{"%s":{"a', "JSON field"),
+    "nan": (b'{"%s":NaN}', "not a value the engine takes"),
+}
+
+
+def hostile(name, key):
+    text, match = HOSTILE_TEXTS[name]
+    return text.replace(b"%s", key.encode()), match
+
+
+def spliced(frame, text, other):
+    """``frame`` with its one JSON field of ``text`` holding ``other``."""
+    field = protocol.varints(len(text)) + text
+    assert frame.count(field) == 1
+    return frame.replace(field, protocol.varints(len(other)) + other)
+
+
+#: Per JSON field: a frame holding it, its text there, the key the
+#: hostile texts use and the cases that apply (NaN is a float, which
+#: telemetry may hold and a config may not).
+JSON_FIELD_FRAMES = {
+    "create_column.config": (
+        lambda: encode(protocol.CreateColumnRequest(
+            column="c", rows=(), row_ids=(), config={"engine": "scan"})),
+        b'{"engine":"scan"}', "min_piece_size", sorted(HOSTILE_TEXTS)),
+    "telemetry_response.sections": (
+        lambda: encode(protocol.TelemetryResponse(sections={"metrics": {}})),
+        b'{"metrics":{}}', "metrics",
+        sorted(set(HOSTILE_TEXTS) - {"nan"})),
+}
+
+#: ``(field, case)`` of every hostile text a field is fed.
+FIELD_CASES = [(where, case) for where, (_, _, _, cases)
+               in sorted(JSON_FIELD_FRAMES.items()) for case in cases]
+
+
+class TestHostileJsonFields:
+    """Each hostile text in a ``create_column`` config and a telemetry
+    reply's sections is a ``SerializationError`` — never another
+    exception — in a frame and in a batch slot, where it fails alone;
+    in a trace section it leaves the request untraced."""
+
+    @pytest.mark.parametrize("where, case", FIELD_CASES,
+                             ids=lambda value: value)
+    def test_a_hostile_field_is_a_typed_error(self, where, case):
+        make, text, key, _ = JSON_FIELD_FRAMES[where]
+        frame = make()
+        decode(frame)
+        other, match = hostile(case, key)
+        with pytest.raises(SerializationError, match=match):
+            decode(spliced(frame, text, other))
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TEXTS))
+    def test_a_hostile_config_fails_its_batch_slot_alone(self, case):
+        make, text, key, _ = JSON_FIELD_FRAMES["create_column.config"]
+        merge = MergeRequest(column="c")
+        batch = encode(BatchRequest(requests=(
+            merge, decode(make()), merge)))
+        other, match = hostile(case, key)
+        start, size = _slots(batch)[1]
+        slot = spliced(batch[start:start + size], text, other)
+        batch = (batch[:start - len(protocol.varints(size))]
+                 + protocol.varints(len(slot)) + slot + batch[start + size:])
+        first, middle, last = decode(batch).requests
+        assert first == last == merge
+        assert isinstance(middle, SerializationError)
+        assert re.search(match, str(middle)), middle
+
+    @pytest.mark.parametrize("where, case", FIELD_CASES,
+                             ids=lambda value: value)
+    def test_a_hostile_trace_section_dispatches_untraced(self, where, case,
+                                                         small_catalog):
+        from repro.net.transport import serve_frame
+
+        frame = encode(MergeRequest(column="values"))
+        assert frame[3] == 0  # an empty trace section
+        other, _ = hostile(case, JSON_FIELD_FRAMES[where][2])
+        traced = frame[:3] + protocol.varints(len(other)) + other + frame[4:]
+        assert decode_request(traced) == (MergeRequest(column="values"), None)
+        reply = decode(serve_frame(small_catalog, traced))
+        assert isinstance(reply, protocol.MergeResponse)
+
+
+@pytest.fixture(scope="module")
+def small_catalog():
+    """The catalog of a small session, for frames dispatched whole."""
+    from repro.core.session import OutsourcedDatabase
+
+    return OutsourcedDatabase(list(range(50)), seed=3).transport.catalog
+
+
+# -- what a version-6 endpoint refuses, and what fails alone -----------------------
 
 
 #: Kind codes of the deleted read-replica feed (``replicate_subscribe``
@@ -719,10 +879,10 @@ def _slots(frame):
     return spans
 
 
-class TestVersionFiveFrames:
-    """Anything but a version-5 frame is refused with a typed error —
-    there is no JSON reader and no version-3 or version-4 reader — and a
-    batch slot that does not decode fails alone."""
+class TestVersionSixFrames:
+    """Anything but a version-6 frame is refused with a typed error —
+    there is no JSON frame reader and no reader of versions 3 to 5 — and
+    a batch slot that does not decode fails alone."""
 
     MERGE = MergeRequest(column="values")
 
@@ -735,20 +895,23 @@ class TestVersionFiveFrames:
                 read(frame)
 
     def test_a_version_3_frame_is_refused(self):
-        # What version 3 sent: the generic grammar over the envelope dict.
-        frame = LEGACY_HEADER + encode_value(
-            dict(request_to_dict(self.MERGE), version=3))
+        # What version 3 sent: a header (magic, layout version 1, codec
+        # id 1), then {"column": "values", "kind": "merge_request",
+        # "version": 3} in that version's tagged value grammar.
+        frame = (b"\xae\x01\x01\t\x03\x06\x06column\x06\x06values"
+                 b"\x06\x04kind\x06\rmerge_request\x06\x07version\x03\x06")
         with pytest.raises(SerializationError, match="version: 1"):
             decode(frame)
         # Behind this version's header it still reads as nothing valid.
         with pytest.raises(SerializationError):
             decode(bytes((0xAE, PROTOCOL_VERSION)) + frame[3:])
 
-    def test_a_version_4_frame_is_refused(self):
+    @pytest.mark.parametrize("version", [4, 5])
+    def test_an_older_positional_frame_is_refused(self, version):
         frame = encode(self.MERGE)
-        assert frame[1] == PROTOCOL_VERSION == 5
-        with pytest.raises(SerializationError, match="version: 4"):
-            decode(frame[:1] + bytes((4,)) + frame[2:])
+        assert frame[1] == PROTOCOL_VERSION == 6
+        with pytest.raises(SerializationError, match="version: %d" % version):
+            decode(frame[:1] + bytes((version,)) + frame[2:])
 
     @pytest.mark.parametrize(
         "code", sorted((0, 15, 31, 47, 127, 128, 2 ** 20) + RETIRED_CODES)
@@ -854,11 +1017,10 @@ class TestRowBlockWire:
     consistent shape and nothing else; every refusal is a
     ``SerializationError``."""
 
-    #: Numerator magnitudes hitting each width of a frame's run and of
-    #: the generic grammar's int arrays (a WAL record of the block):
-    #: struct-packed 1/2/4/8 bytes, then the wide mode at 9, 10 (the
-    #: default key's ~77 bits), 34 and its 255-byte cap, then past it
-    #: (a generic list; a frame's run has no cap).
+    #: Numerator magnitudes hitting each width of a frame's run: 1, 2,
+    #: 4 and 8 bytes, then 9, 10 (the default key's ~77 bits), 34, 255
+    #: and 256 — a run has no cap.  The dict form takes each through a
+    #: JSON field too.
     WIDTH_BITS = (6, 14, 30, 62, 64, 77, 270, 2039, 2040)
 
     @pytest.mark.parametrize("bits", WIDTH_BITS)
@@ -881,30 +1043,6 @@ class TestRowBlockWire:
         for rebuilt in (decode(encode(request)), request_from_dict(payload)):
             assert rebuilt == request
             assert list(rebuilt.rows) == block
-
-    def test_wide_mode_bytes(self):
-        """One tag, the wide code, the width, the count, then fixed
-        two's-complement runs — nothing per value."""
-        frame = encode_value({"n": [2 ** 63, -1, 0, -(2 ** 70)]})
-        body = frame[frame.index(b"\x0a"):]
-        assert body[:4] == bytes((0x0A, 0x04, 9, 4))
-        assert len(body) == 4 + 4 * 9
-        assert body[4:13] == (2 ** 63).to_bytes(9, "big", signed=True)
-        assert decode_value(frame) == {
-            "n": [2 ** 63, -1, 0, -(2 ** 70)]}
-
-    @pytest.mark.parametrize("tail", [
-        bytes((0x0A, 0x04, 0, 1)),                 # width 0
-        bytes((0x0A, 0x05, 1, 1, 0)),              # width code past wide
-        bytes((0x0A, 0x04, 9, 2)) + b"\0" * 17,    # count * width > left
-        bytes((0x0A, 0x04, 9, 1)) + b"\0" * 10,    # trailing byte
-        bytes((0x0A, 0x04, 255, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)),  # huge count
-        bytes((0x0A, 0x04)),                       # truncated header
-    ])
-    def test_malformed_wide_arrays_are_typed_errors(self, tail):
-        head = encode_value({"n": 0})[:-2]  # ...key, no value
-        with pytest.raises(SerializationError):
-            decode_value(head + tail)
 
     #: An ``insert_request`` frame up to its ``ROWS`` field (column "c").
     INSERT_HEAD = bytes((0xAE, PROTOCOL_VERSION, 7, 0, 1)) + b"c"
@@ -1084,19 +1222,23 @@ QUERY_TRACE = {"trace_id": "5eed" * 8, "parent": "0a0b0c0d", "sampled": True}
 #: shipped to it by id alone.  With the token left off the queries and
 #: every frame's version byte read as 4, both halves hash as before; with
 #: it, the replies of the three sessions shrink from 8 079 999 / 2 305 119
-#: / 2 708 671 bytes to 4 479 961 / 662 179 / 740 134.
+#: / 2 708 671 bytes to 4 479 961 / 662 179 / 740 134.  Both halves
+#: were re-pinned by protocol version 6: each of the 204 requests and
+#: replies of a session equals its version-5 frame but for the version
+#: byte, and only the traced frame's section (JSON text now) moved
+#: beyond that — it decodes to the same request and context.
 QUERY_FRAME_SHA256 = {
     "crack_cold": (
-        "1a74cdadc685fc97117d3f9b7bf85d0b914d3a4245f9f7637a726c9cebeb4b94",
-        "64ce60ec7b96ba07fe72616f19ff859978815b141a248bdf475be431d85f9893",
+        "9ad4f2f9c103729e0ad57d6be2c88c4bb0a819498799d1b7dea8fab3289b4808",
+        "fee09236a07e5c84684a3c55d165e85ef9115363eee64c7ca40dfc1ef45a559e",
     ),
     "range_tcp": (
-        "c254ae12c9b86e14979cc22efd793f77fa1167ad676d1f8ed9dd532a8cf4d6a9",
-        "f0a896d61972147e73e3ff20eaf90ac426fc74e305c26b01f42b169103de2b11",
+        "0f8065768a4ebe066ff8fbd138400f11beb9a2816e2a3c448ae4aecddf066a96",
+        "258e2e9ee6d0e888f3e803fdc9f04b6779583014c7f40a04b5c78e1b67bed76f",
     ),
     "ambiguity": (
-        "077d4c8641fbe8dc835b31c0155647677223d187a9586e8965b1bc64e4816439",
-        "917cb1100b2b02c83f89fbfb9515a5d4f831241c46697727ef9598f29a714f9a",
+        "e62f8f61ccb3daede22cf1f35bbcdc520cfa958b52b4fd45ef06a590a3ac0542",
+        "9291124631e5b2328b0038f8ebcc48abf16bb5fa12e16e2a81134bf9ccde8de3",
     ),
 }
 
@@ -1256,7 +1398,7 @@ class TestQueryBodyCodecs:
 # -- what the decoder accepts ----------------------------------------------------
 
 #: sha256 over the outcome of every seeded mutation of the corpus's
-#: frames and of generic values: the sha256 of its re-encoding where it
+#: frames and of JSON fields: the sha256 of its re-encoding where it
 #: decodes, ``refused`` where it does not.  Computed before the codec
 #: had one field mechanism: a decoder that accepts more, or less, than
 #: it did moves it, whatever the encoder writes.  Re-pinned by protocol
@@ -1268,8 +1410,20 @@ class TestQueryBodyCodecs:
 #: Re-pinned once more with the corpus when ``column_snapshot`` was
 #: registered: over the corpus restricted to the other 23 kinds it
 #: hashes exactly as pinned before.
+#:
+#: Re-pinned by protocol version 6, whose free-form fields are JSON
+#: text: the generic-value inputs became JSON-field inputs (the
+#: corpus's dict forms as JSON fields, runs of integers and floats,
+#: integers on each side of the 4 300-digit limit).  Mutating each
+#: frame input off a seed of its own, 83 of 3 887 frame mutations
+#: change outcome, all in kinds with a JSON field or in a traced frame
+#: (where the free-form bytes, and so the bytes a mutation hits,
+#: moved): ``telemetry_response`` 41, ``hello_response`` 18, ``hello``
+#: 14, ``column_snapshot`` 2, ``create_column`` 1, ``batch_response``
+#: 1, ``telemetry_request`` 1 and 5 in four traced requests; none in
+#: the 16 kinds that hold no free-form field.
 ACCEPT_REFUSE_SHA256 = (
-    "2020aa4cdcf7e28cb480d6e77ab42890f8c3ce07b545de6491177add47c11214"
+    "83550027b5b856a774edaf31f89d97ad0fedf341e9984a2ab71ac7f4fb2bf292"
 )
 
 #: Per input: the bytes themselves, eight byte flips, three truncations
@@ -1277,31 +1431,19 @@ ACCEPT_REFUSE_SHA256 = (
 FLIPS, CUTS = 8, 3
 
 
-def _zigzag_int(value):
-    """A generic ``TAG_INT`` of ``value``, whatever its width: the
-    encoder writes one past 64 bits as a big int, but the grammar reads
-    a zigzag varint of up to 70 bits."""
-    return b"\x03" + _varint(value << 1 if value >= 0 else (-value << 1) - 1)
-
-
-def generic_inputs():
-    """Generic values as bytes: the corpus's dict forms, runs on each
-    side of 64 integers narrow and wide, and ``TAG_INT`` values of 63 to
-    70 bits alone, in a list and under a key."""
-    inputs = [encode_value(to_dict(spec, envelope))
+def field_inputs():
+    """JSON fields as bytes: the corpus's dict forms, runs of integers
+    narrow and wide, floats, and integers on each side of Python's
+    4 300-digit limit."""
+    inputs = [field_bytes(to_dict(spec, envelope))
               for spec, envelope in golden_corpus()]
-    for run in (list(range(-30, 33)), list(range(-32, 32)),
-                [2 ** 70 + i for i in range(-3, 61)],
-                [-(2 ** 69) + i for i in range(65)]):
-        inputs.append(encode_value({"run": run, "alone": run[0]}))
-    # Up to -2^69, whose zigzag form is the widest varint read (70
-    # bits); 2^69 needs 71 and is refused.
-    wide = [_zigzag_int(sign * (2 ** bits - 1))
-            for bits in range(63, 70) for sign in (1, -1)]
-    wide.append(_zigzag_int(-2 ** 69))
-    inputs += wide + [_zigzag_int(2 ** 69)]
-    inputs.append(b"\x08" + _varint(len(wide)) + b"".join(wide))
-    inputs.append(b"\x09\x01\x06\x01n" + wide[-1])
+    for run in (list(range(-30, 33)), [2 ** 70 + i for i in range(-3, 61)],
+                [-(2 ** 69) + i for i in range(65)],
+                [0.5, -0.0, float("inf"), float("-inf"), 1e300]):
+        inputs.append(field_bytes({"run": run, "alone": run[0]}))
+    inputs.append(field_bytes({"n": 10 ** 4299}))
+    text = b'{"n":1' + b"0" * 4300 + b"}"
+    inputs.append(protocol.varints(len(text)) + text)
     return inputs
 
 
@@ -1328,12 +1470,12 @@ def mutations(rng, data):
     yield data + bytes((rng.getrandbits(8),))
 
 
-def value_outcome(data):
+def field_outcome(data):
     try:
-        value = decode_value(data)
+        value = field_value(data)
     except SerializationError:
         return "refused"
-    return hashlib.sha256(encode_value(value)).hexdigest()
+    return hashlib.sha256(field_bytes(value)).hexdigest()
 
 
 def frame_outcome(frame):
@@ -1362,7 +1504,7 @@ class TestWhatTheDecoderAccepts:
         digest = hashlib.sha256()
         outcomes = {"refused": 0}
         for inputs, outcome in ((frame_inputs(), frame_outcome),
-                                (generic_inputs(), value_outcome)):
+                                (field_inputs(), field_outcome)):
             for data in inputs:
                 for mutated in mutations(rng, data):
                     result = outcome(mutated)

@@ -1,5 +1,6 @@
 """Unit tests for the wire-protocol envelopes and frame codec."""
 
+import json
 import random
 
 import numpy as np
@@ -221,7 +222,6 @@ class TestMalformedPayloads:
         """``create_column`` once carried an optional second field, a
         shard descriptor (presence bit ``1 << 1``).  The frame the old
         codec wrote for it is a typed refusal, not a silent drop."""
-        from generic_values import encode_value
         from repro.net.binframe import write_varint
 
         request = CreateColumnRequest(
@@ -234,9 +234,12 @@ class TestMalformedPayloads:
         # magic, version, kind code, an empty trace section: the bitmap.
         at = 2 + len(code) + 1
         assert frame[at] == 1 << 0
+        # The descriptor {"count": 2, "index": 0, "of": "c",
+        # "physical_per_value": 1} as the old codec's tagged value.
+        shard = (b"\t\x04\x06\x05count\x03\x04\x06\x05index\x03\x00"
+                 b"\x06\x02of\x06\x01c\x06\x12physical_per_value\x03\x02")
         old = (frame[:at] + bytes((1 << 0 | 1 << 1,)) + frame[at + 1:]
-               + encode_value({"of": "c", "index": 0, "count": 2,
-                               "physical_per_value": 1}))
+               + shard)
         with pytest.raises(SerializationError, match="does not have"):
             decode(old)
 
@@ -448,47 +451,49 @@ class TestBinaryFrames:
             assert decode_frame(encode_frame(data, codec="binary")) == data
             assert response_to_dict(decode(encode(response))) == data
 
-    def test_frames_are_smaller_than_the_generic_grammar(self, client):
-        """Positional frames drop every key and tag the generic grammar
-        (what version 3 sent) spells out: a query request at about half
-        its size, a reply smaller at any row count."""
-        from generic_values import encode_value
+    def test_frames_are_smaller_than_the_dict_forms_json(self, client):
+        """Positional frames drop every key and write integers as bytes,
+        not digits: a query request and a reply of any row count are
+        a fraction of the JSON text of their dict forms."""
+
+        def json_size(payload):
+            return len(json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")))
 
         request = QueryRequest(column="c", query=client.make_query(5, 25))
-        assert len(encode(request)) * 1.8 <= len(
-            encode_value(request_to_dict(request))
-        )
+        assert len(encode(request)) * 1.8 <= json_size(
+            request_to_dict(request))
         for count in (1, 10, 50):
             bulk, __ = client.encrypt_dataset(list(range(1000, 1000 + count)))
             reply = QueryResponse(response=ServerResponse(
                 row_ids=np.arange(count, dtype=np.int64), rows=list(bulk)
             ))
-            assert len(encode(reply)) < len(
-                encode_value(response_to_dict(reply))
-            )
+            assert len(encode(reply)) * 1.8 <= json_size(
+                response_to_dict(reply))
 
     def test_a_query_request_is_one_flat_block(self, monkeypatch):
         """The count-based gate CI runs by name.  Under the e2e
         benchmark's key a two-sided query is 18 integers in two runs
         behind a flags byte, a length, a bound count and the client's
         8-byte session token: at most 160 bytes (144 in fact, 136
-        without the token) and not one generic value.  Written in the
-        generic grammar (keys, tags, interning) it was 271 bytes and 12
-        values, nested one object per ciphertext 372 bytes and 59
-        values; going back only reads slower, so it fails here
-        instead."""
-        from repro.net import binframe
+        without the token) and not one free-form value (a JSON field's
+        text).  Written in the old tagged value grammar (keys, tags,
+        interning) it was 271 bytes and 12 values, nested one object
+        per ciphertext 372 bytes and 59 values; going back only reads
+        slower, so it fails here instead."""
+        dumps = protocol._dumps
+        written = []
+
+        def counted(value):
+            written.append(value)
+            return dumps(value)
 
         query = TrustedClient(seed=11).make_query(1000, 1010)
         request = QueryRequest(column="values", query=query)
-        write_value = binframe._write_value
-        written = []
-
-        def counted(out, value, interned, depth):
-            written.append(value)
-            write_value(out, value, interned, depth)
-
-        monkeypatch.setattr(binframe, "_write_value", counted)
+        monkeypatch.setattr(protocol, "_dumps", counted)
+        assert encode(CreateColumnRequest(
+            column="values", rows=(), row_ids=(), config={})) and written
+        del written[:]
         frame = encode(request)
         assert len(frame) <= 160
         assert written == []
@@ -529,93 +534,6 @@ class TestBinaryFrames:
         response = HelloResponse(codecs=CODECS)
         assert decode(encode(response)) == response
         assert CODECS == ("binary",)
-
-
-class TestIntArrayFastPath:
-    """The struct-packed encoding for homogeneous int lists (tag 0x0A)."""
-
-    @staticmethod
-    def _encode(value):
-        from generic_values import encode_value
-
-        return encode_value({"a": value})
-
-    @staticmethod
-    def _decode(frame):
-        from generic_values import decode_value
-
-        return decode_value(frame)
-
-    def test_round_trip_at_every_width(self):
-        cases = [
-            [0, 1, 2, 3],                                # 1-byte
-            [-128, 127, 0, 5],                           # 1-byte bounds
-            [-129, 128, 300, -4], [32767, -32768, 0, 1],  # 2-byte
-            [1 << 20, -(1 << 20), 3, 4],                 # 4-byte
-            [(1 << 31) - 1, -(1 << 31), 0, 9],           # 4-byte bounds
-            [1 << 40, -(1 << 40), 1, 2],                 # 8-byte
-            [(1 << 63) - 1, -(1 << 63), 0, 1],           # 8-byte bounds
-        ]
-        for values in cases:
-            decoded = self._decode(self._encode(values))["a"]
-            assert decoded == values
-            assert all(type(item) is int for item in decoded)
-
-    def test_fast_path_used_and_smaller(self):
-        from repro.net.binframe import _TAG_INTARRAY
-
-        values = list(range(200))
-        frame = self._encode(values)
-        assert _TAG_INTARRAY in frame
-        # 200 small ints: ~2 bytes each struct-packed vs 2-3 tagged.
-        assert len(frame) < 2 * 200 + 32
-
-    def test_ineligible_arrays_fall_back(self):
-        from repro.net.binframe import _TAG_INTARRAY
-
-        ineligible = [
-            [1, 2, 3],                      # too short
-            [1, 2, 3, True],                # bool is not a plain int
-            [1, 2, 3, 4.0],                 # float
-            [1, 2, 3, 1 << 63],             # beyond 64-bit signed
-            [1, 2, 3, -(1 << 63) - 1],
-            [1, 2, 3, "x"],
-        ]
-        for values in ineligible:
-            frame = self._encode(values)
-            assert self._decode(frame)["a"] == values
-            # Re-encode sanity: the round-tripped value still matches.
-            assert self._decode(self._encode(self._decode(frame)["a"]))
-
-    def test_bad_width_code_rejected(self):
-        from repro.errors import SerializationError
-        from repro.net.binframe import _TAG_INTARRAY
-
-        frame = self._encode([1, 2, 3, 4])
-        position = frame.index(_TAG_INTARRAY)
-        broken = bytearray(frame)
-        broken[position + 1] = 9  # only codes 0-3 are defined
-        with pytest.raises(SerializationError, match="width code"):
-            self._decode(bytes(broken))
-
-    def test_truncated_payload_rejected(self):
-        from repro.errors import SerializationError
-
-        frame = self._encode([1, 2, 3, 4])
-        with pytest.raises(SerializationError):
-            self._decode(frame[:-2])
-
-    def test_oversized_count_rejected(self):
-        from repro.errors import SerializationError
-        from repro.net.binframe import _TAG_INTARRAY
-
-        # Hand-build a value whose count claims more payload than exists.
-        body = bytearray()
-        body.append(_TAG_INTARRAY)
-        body.append(3)  # 8-byte width
-        body.append(0x7F)  # count=127 -> needs 1016 bytes; none follow
-        with pytest.raises(SerializationError, match="exceeds"):
-            self._decode(bytes(body))
 
 
 class TestEnvelopeRegistry:
@@ -736,8 +654,8 @@ def test_a_converged_query_makes_at_most_600_python_calls(converged_crack_cold):
     (773-785); by the two kinds' straight-line body codecs, 666
     (666-678); with every field a ``parts`` / ``at`` pair and no body
     codec, 674 (674-686); with bounds off the encryptor's pools and one
-    engine pass booked once, 516 (516-522).  Going back only reads
-    slower, so it fails here instead."""
+    engine pass booked once, 516 (516-522); 462 since.  Going back only
+    reads slower, so it fails here instead."""
     db, queries = converged_crack_cold
 
     def query(low, high):
@@ -801,7 +719,7 @@ def test_a_converged_dispatch_makes_at_most_300_python_calls(
     converged_crack_cold,
 ):
     """The server's half: ``ColumnCatalog.dispatch`` of a converged
-    ``crack_cold`` query, decoded, is one engine pass booked once — 229
+    ``crack_cold`` query, decoded, is one engine pass booked once — 209
     calls in the median of nine (354 when the engine and the server
     each charged the products and the registry was written name by
     name)."""
@@ -915,11 +833,11 @@ def test_a_repeated_reply_costs_its_ids():
     """The count-based gate CI runs by name for the id-only path: a
     repeated 150-row reply's encode, decode and the session's decrypt
     make at most 85 Python calls, and the whole query at most 360, each
-    the median of nine.  With every step doing the work of a reply that
-    carries rows — an empty block measured, written and read like a full
-    one, the held rows' ids rebuilt from their complements — they made
-    131 and 388.  Going back only reads slower, so it fails here
-    instead."""
+    the median of nine (84 and 337 in fact).  With every step doing the
+    work of a reply that carries rows — an empty block measured, written
+    and read like a full one, the held rows' ids rebuilt from their
+    complements — they made 131 and 388.  Going back only reads slower,
+    so it fails here instead."""
     steps, whole = _repeated_reply_calls()
     assert steps <= 85 and whole <= 360, (steps, whole)
 

@@ -15,6 +15,7 @@ Three concerns:
   the error.
 """
 
+import json
 import threading
 import time
 
@@ -46,23 +47,27 @@ from repro.net.protocol import (
     response_to_dict,
     trace_from_wire,
 )
-from repro.net.binframe import value_bytes
 from repro.obs import Observability
 
 VALUES = list(np.random.default_rng(88).permutation(300))
 
 # The frames of two untraced requests: magic, version, kind code, an
 # empty trace section, then the fields (a column name; an id run).
-GOLDEN_MERGE = b"\xae\x05\x09\x00\x06values"
-GOLDEN_FETCH = b"\xae\x05\x06\x00\x06values\x00\x06\x00\x01\x02\x03\x04\x05"
+GOLDEN_MERGE = b"\xae\x06\x09\x00\x06values"
+GOLDEN_FETCH = b"\xae\x06\x06\x00\x06values\x00\x06\x00\x01\x02\x03\x04\x05"
 
 CTX = {"trace_id": "ab" * 8, "parent": "cafe0000-3", "sampled": True}
 
 
-def section(value):
-    """A trace section: its byte count, then one generic value."""
-    body = value_bytes(value)
+def raw_section(body):
+    """A trace section of ``body``: its byte count, then the bytes."""
     return bytes((len(body),)) + body
+
+
+def section(value):
+    """A trace section: its byte count, then the value's JSON text."""
+    return raw_section(json.dumps(
+        value, sort_keys=True, separators=(",", ":")).encode())
 
 
 #: :data:`CTX` as a frame's trace section.
@@ -114,9 +119,10 @@ class TestWireCompatibility:
         section({"trace_id": "ab" * 8}),                   # no parent
         section(dict(CTX, sampled=7)),                     # not a boolean
         section(dict(CTX, trace_id="")),                   # empty
-        b"\x01\xff",                                       # no value at all
-        b"\x03\x09\x01\x07",                               # a dangling key
-        b"\x02\x09\x05",                                   # a short dict
+        b"\x01\xff",                                       # not UTF-8
+        raw_section(b'{"trace_id":"abab'),                 # cut short
+        raw_section(section(CTX)[1:-1] + b',"parent":"x"}'),  # a repeated key
+        raw_section(b"[" * 9 + b"]" * 9),                  # no object
     ], ids=repr)
     def test_a_malformed_section_degrades_to_untraced(self, malformed):
         frame = GOLDEN_MERGE[:3] + malformed + GOLDEN_MERGE[4:]

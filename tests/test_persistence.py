@@ -107,7 +107,7 @@ class TestSnapshot:
             with pytest.raises(SerializationError, match="column snapshot"):
                 restore_server(wrong)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
     def test_any_other_version_rejected(self, version):
         """There is no second reader: the frame's version byte is the
         protocol's."""
@@ -201,18 +201,18 @@ class TestKeyRotation:
 
 
 class TestSnapshotVersioning:
-    def test_current_version_is_5(self):
-        """Version 5 is one ``column_snapshot`` envelope: state only,
+    def test_current_version_is_6(self):
+        """Version 6 is one ``column_snapshot`` envelope: state only,
         the engine configuration under ``config`` (keyed like
-        ``CONFIG_DEFAULTS``), the upload's row count, and no counts —
-        those live in the metrics registry."""
+        ``CONFIG_DEFAULTS``, JSON text on the frame), the upload's row
+        count, and no counts — those live in the metrics registry."""
         from dataclasses import fields
 
         from repro.core.persistence import SNAPSHOT_VERSION
         from repro.net.protocol import CONFIG_DEFAULTS, ColumnSnapshot
 
         snapshot = snapshot_server(warmed_db().server)
-        assert SNAPSHOT_VERSION == 5
+        assert SNAPSHOT_VERSION == 6
         assert type(decode(encode(snapshot))) is ColumnSnapshot
         assert [f.name for f in fields(ColumnSnapshot)] == [
             "column", "epoch", "config", "rows", "row_ids", "cracks",
@@ -380,18 +380,19 @@ class TestCheckpointFile:
         save_snapshot(path, snapshot_catalog(catalog), wal_seq)
         return catalog, path
 
-    def test_current_catalog_version_is_6(self, tmp_path):
-        """Version 6: one record per column, in name order, its column
+    def test_current_catalog_version_is_7(self, tmp_path):
+        """Version 7: one record per column, in name order, its column
         the column's, its epoch field the file's record count and its
-        frame the column's snapshot (at the column's epoch)."""
+        frame the column's protocol-6 snapshot (at the column's
+        epoch)."""
         from repro.core.persistence import (
             CATALOG_SNAPSHOT_VERSION,
             SNAPSHOT_FILENAME,
         )
         from repro.core.wal import _scan_segment
 
-        assert CATALOG_SNAPSHOT_VERSION == 6
-        assert SNAPSHOT_FILENAME == "snapshot-v6.wal"
+        assert CATALOG_SNAPSHOT_VERSION == 7
+        assert SNAPSHOT_FILENAME == "snapshot-v7.wal"
         catalog, path = self.saved(tmp_path, wal_seq=9)
         records, __ = _scan_segment(path, last=False)
         assert [(r.seq, r.epoch, r.column) for r in records] == [
@@ -409,7 +410,8 @@ class TestCheckpointFile:
         assert restore_catalog(snapshots).epochs() == catalog.epochs()
 
     @pytest.mark.parametrize("name", [
-        "snapshot.json", "snapshot-v5.wal", "snapshot-v7.wal",
+        "snapshot.json", "snapshot-v5.wal", "snapshot-v6.wal",
+        "snapshot-v8.wal",
     ])
     def test_a_snapshot_of_any_other_version_is_refused(self, tmp_path,
                                                         name):
@@ -442,7 +444,7 @@ class TestCheckpointFile:
         # A checkpoint's temporary left by a crash is not a snapshot:
         # without one, the log alone is replayed (and here refused).
         os.remove(os.path.join(str(tmp_path), "snapshot.json"))
-        open(os.path.join(str(tmp_path), "snapshot-v6.wal.tmp"), "wb").close()
+        open(os.path.join(str(tmp_path), "snapshot-v7.wal.tmp"), "wb").close()
         with pytest.raises(PersistenceError, match="unknown column 't'"):
             recover_catalog(str(tmp_path))
 
@@ -490,7 +492,7 @@ class TestCheckpointFile:
     def test_a_frame_of_another_kind_is_refused(self, tmp_path):
         from repro.core.persistence import load_snapshot
 
-        path = str(tmp_path / "snapshot-v6.wal")
+        path = str(tmp_path / "snapshot-v7.wal")
         write_records(path, (1, 1, "t", encode(MergeRequest(column="t"))))
         with pytest.raises(PersistenceError, match="holds no snapshot"):
             load_snapshot(path)
@@ -498,12 +500,28 @@ class TestCheckpointFile:
         with pytest.raises(PersistenceError, match="malformed snapshot"):
             load_snapshot(path)
 
+    def test_a_version_5_snapshot_is_refused(self, tmp_path):
+        """A column snapshot of protocol version 5 (its config in the
+        tagged value grammar that version had) has no reader: its frame
+        is a typed refusal, and so is a checkpoint record holding one."""
+        from repro.core.persistence import load_snapshot, snapshot_catalog
+
+        catalog, __ = self.make_warm_catalog()
+        frame = encode(snapshot_catalog(catalog)[0])  # "t"
+        older = frame[:1] + bytes((5,)) + frame[2:]
+        with pytest.raises(SerializationError, match="version: 5"):
+            decode(older)
+        path = str(tmp_path / "snapshot-v7.wal")
+        write_records(path, (1, 1, "t", older))
+        with pytest.raises(PersistenceError, match="version: 5"):
+            load_snapshot(path)
+
     def test_a_record_of_another_column_is_refused(self, tmp_path):
         from repro.core.persistence import load_snapshot, snapshot_catalog
 
         catalog, __ = self.make_warm_catalog()
         frame = encode(snapshot_catalog(catalog)[0])  # "t"
-        path = str(tmp_path / "snapshot-v6.wal")
+        path = str(tmp_path / "snapshot-v7.wal")
         write_records(path, (1, 1, "ghost", frame))
         with pytest.raises(PersistenceError, match="holds no snapshot"):
             load_snapshot(path)
@@ -515,7 +533,7 @@ class TestCheckpointFile:
         from repro.core.persistence import load_snapshot, snapshot_catalog
 
         catalog, __ = self.make_warm_catalog()
-        path = str(tmp_path / "snapshot-v6.wal")
+        path = str(tmp_path / "snapshot-v7.wal")
         write_records(path, *(
             (seq, 2, snapshot.column, encode(snapshot))
             for seq, snapshot in zip(seqs, snapshot_catalog(catalog))))
@@ -958,7 +976,7 @@ def test_a_checkpoint_is_its_columns_frames(tmp_path):
     """A byte count, so it cannot flake: on a seeded, cracked 20k-row
     column the checkpoint file is at most 1.05x the column's
     ``create_column`` frame plus its cracks' ``QUERY`` bytes (1.002x in
-    fact: 786 832 B against 760 094 + 25 161 B, 387 cracks).  The JSON
+    fact: 786 846 B against 760 108 + 25 161 B, 387 cracks).  The JSON
     snapshot it replaced was 2.29x (1 798 517 B)."""
     import random
 

@@ -38,12 +38,20 @@ from repro.net.protocol import (
     MergeRequest,
     QueryRequest,
     encode,
-    request_to_dict,
 )
 
-from generic_values import LEGACY_HEADER, encode_value
 
 REQUEST = encode(MergeRequest(column="values"))
+
+#: A record as the log was written before records held frames: a
+#: header (magic, layout version 1, codec id 1), then the entry dict
+#: ``{"column": "values", "epoch": 1, "request": <merge_request's dict
+#: form>, "seq": 1}`` in that log's tagged binary value grammar.
+LEGACY_ENTRY = (
+    b"\xae\x01\x01\t\x04\x06\x06column\x06\x06values\x06\x05epoch\x03\x02"
+    b"\x06\x07request\t\x03\x07\x00\x07\x01\x06\x04kind"
+    b"\x06\rmerge_request\x06\x07version\x03\x06\x06\x03seq\x03\x02"
+)
 
 
 def append_n(writer, count, start=0):
@@ -147,9 +155,7 @@ class TestRecordFormat:
 
     def test_an_entry_dict_record_is_refused(self, tmp_path):
         """The layout every record had before this one: no fallback."""
-        entry = {"seq": 1, "column": "values", "epoch": 1,
-                 "request": request_to_dict(MergeRequest(column="values"))}
-        self.write_log(str(tmp_path), LEGACY_HEADER + encode_value(entry))
+        self.write_log(str(tmp_path), LEGACY_ENTRY)
         with pytest.raises(PersistenceError, match="entry dict"):
             read_records(str(tmp_path))
         with pytest.raises(PersistenceError, match="entry dict"):
@@ -498,14 +504,14 @@ class TestCompaction:
 
 class TestAtomicFile:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "snapshot-v6.wal")
+        path = str(tmp_path / "snapshot-v7.wal")
         write_atomic(path, b"generation 1")
         with open(path, "rb") as handle:
             assert handle.read() == b"generation 1"
         assert not [n for n in os.listdir(str(tmp_path)) if ".tmp" in n]
 
     def test_crash_mid_write_preserves_original(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "snapshot-v6.wal")
+        path = str(tmp_path / "snapshot-v7.wal")
         write_atomic(path, b"generation 1")
 
         def exploding_replace(src, dst):
@@ -524,7 +530,7 @@ class TestAtomicFile:
             load_snapshot(str(tmp_path / "absent.wal"))
 
     def test_garbage_bytes_are_a_typed_error(self, tmp_path):
-        path = str(tmp_path / "snapshot-v6.wal")
+        path = str(tmp_path / "snapshot-v7.wal")
         with open(path, "w") as handle:
             handle.write('{"version": ')
         with pytest.raises(PersistenceError):
