@@ -591,19 +591,23 @@ def _run_serve(args) -> int:
         flush=True,
     )
 
-    # SIGTERM lands here as a KeyboardInterrupt so the finally block
-    # below runs: the trace dump and the final checkpoint must survive
-    # `kill PID` exactly like ctrl-c, not just a clean return.
+    # SIGTERM and SIGINT land here as a KeyboardInterrupt so the finally
+    # block below runs: the trace dump and the final checkpoint must
+    # survive `kill PID` exactly like ctrl-c, not just a clean return.
+    # SIGINT is installed too: Python leaves it ignored when it starts
+    # ignored, as for a background job of a non-interactive shell.
     def _terminate(signum, frame):  # pragma: no cover - signal path
         raise KeyboardInterrupt
 
-    previous_sigterm = signal.signal(signal.SIGTERM, _terminate)
+    previous = {number: signal.signal(number, _terminate)
+                for number in (signal.SIGTERM, signal.SIGINT)}
     try:
         endpoint.serve_forever()
     except KeyboardInterrupt:
         print("stopping")
     finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
+        for number, handler in previous.items():
+            signal.signal(number, handler)
         endpoint.stop()
         if wal_writer is not None:
             from repro.core.persistence import checkpoint_catalog

@@ -405,10 +405,6 @@ class EncryptedColumn(CrackableColumn):
         self._id_ceiling = int(row_ids[-1])
         self._id_order = None
 
-    def insert_at(self, position: int, row: ValueCiphertext, row_id: int) -> None:
-        """Insert one row at ``position`` (:meth:`insert_block` of one)."""
-        self.insert_block([position], RowBlock.from_rows([row]), [row_id])
-
     def delete_positions(self, positions) -> None:
         """Physically remove the rows at ``positions`` in one pass."""
         positions = np.asarray(positions, dtype=np.int64).reshape(-1)
@@ -419,10 +415,6 @@ class EncryptedColumn(CrackableColumn):
         if self._floats is not None:
             self._floats = np.delete(self._floats, positions, axis=0)
         self._id_order = self._spare = None
-
-    def delete_at(self, position: int) -> None:
-        """Remove the row at ``position`` (:meth:`delete_positions` of one)."""
-        self.delete_positions([position])
 
     # -- row ids to positions ----------------------------------------------------------
 
@@ -456,10 +448,6 @@ class EncryptedColumn(CrackableColumn):
         except IndexStateError:
             return False
         return True
-
-    def physical_index_of(self, row_id: int) -> int:
-        """Current physical index of one row id (:meth:`positions_of`)."""
-        return int(self.positions_of([row_id])[0])
 
     def rows_by_ids(self, row_ids: Iterable[int]) -> RowBlock:
         """Ciphertexts for the given row ids, in the given order

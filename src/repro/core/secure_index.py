@@ -187,11 +187,3 @@ class SecureAdaptiveIndex(CrackingEngine):
             landed = kept[ranks] + np.arange(len(ranks))
             for row_id, position in zip(row_ids[order].tolist(), landed.tolist()):
                 audit.record("ripple-insert", row_id=row_id, position=position)
-
-    def insert_row(self, row, row_id: int) -> None:
-        """Ripple-insert one row into its piece (:meth:`merge` of one)."""
-        self.merge(RowBlock.from_rows([row]), [row_id], ())
-
-    def delete_row(self, row_id: int) -> None:
-        """Physically remove a row by id (:meth:`merge` of one)."""
-        self.merge(self._column.rows_at(()), (), [row_id])

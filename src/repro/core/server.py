@@ -28,7 +28,7 @@ from repro.core.encrypted_column import EncryptedColumn
 from repro.core.query import EncryptedQuery
 from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.secure_scan import SecureScan
-from repro.errors import IndexStateError, ProtocolError, UpdateError
+from repro.errors import ProtocolError, UpdateError
 from repro.linalg.limbs import _WORD_STAGE
 from repro.obs import Observability
 from repro.store.updates import PendingUpdates
@@ -243,28 +243,32 @@ class SecureServer:
 
     # -- update path -----------------------------------------------------------------
 
+    def insertable(self, rows: Sequence[ValueCiphertext]) -> RowBlock:
+        """``rows`` as the block :meth:`insert` appends, or an
+        :class:`UpdateError`: no rows, or rows not of the column's length."""
+        if not rows:
+            raise UpdateError("insert requires at least one row")
+        try:
+            block = RowBlock.from_rows(rows)
+        except ValueError as exc:
+            raise UpdateError(str(exc)) from exc
+        # Only a column that never held a row adopts the incoming length.
+        if block.length != (self._pending.ciphertext_length or block.length):
+            raise UpdateError("row has wrong ciphertext length")
+        return block
+
     def insert(self, rows: Sequence[ValueCiphertext]) -> List[int]:
         """Buffer newly arriving encrypted rows; returns assigned ids.
 
         With ``auto_merge_threshold`` configured, crossing it triggers
         an immediate merge (the inserted rows stay visible throughout).
-
-        Raises:
-            UpdateError: no rows, or rows not of the column's ciphertext
-                length; nothing has changed.
+        Rows :meth:`insertable` refuses change nothing.
         """
-        if not rows:
-            raise UpdateError("insert requires at least one row")
-        pending = self._pending
-        try:
-            block = RowBlock.from_rows(rows)
-            count = len(block)
-            assigned = self._updates.next_row_id + np.arange(count)
-            # At the end, in arrival order: an append into spare rows.
-            pending.insert_block([len(pending)] * count, block, assigned)
-        except (ValueError, IndexStateError) as exc:
-            raise UpdateError(str(exc)) from exc
-        self._updates.assign(count)
+        block = self.insertable(rows)
+        pending, count = self._pending, len(block)
+        assigned = self._updates.assign(count)
+        # At the end, in arrival order: an append into spare rows.
+        pending.insert_block([len(pending)] * count, block, assigned)
         self._obs.metrics.add("server.rows_inserted", count)
         if self._obs.audit.enabled:
             self._obs.audit.record("insert", rows=count)
@@ -273,12 +277,14 @@ class SecureServer:
             self.merge_pending()
         return assigned.tolist()
 
-    def delete(self, row_ids: Sequence[int]) -> None:
-        """Tombstone rows by physical id — all of them or, on a bad id, none."""
+    def delete(self, row_ids: Sequence[int]) -> int:
+        """Tombstone rows by physical id — all of them or, on a bad id
+        (:meth:`PendingUpdates.assigned`), none; returns how many."""
         self._updates.delete(row_ids)
         self._obs.metrics.add("server.rows_deleted", len(row_ids))
         if self._obs.audit.enabled:
             self._obs.audit.record("delete", rows=len(row_ids))
+        return len(row_ids)
 
     def merge_pending(self) -> int:
         """Fold the pending column into the main one; returns row delta.

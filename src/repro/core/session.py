@@ -341,8 +341,8 @@ class OutsourcedDatabase:
         scheme it is also the recovery path after a suspected
         known-plaintext exposure (the attacks of Section 3.5 break the
         *key*, not the primitive).  The rotation is a two-message
-        protocol: ``RotateBegin`` makes the server merge pending state
-        and ship every live row in one round; the client draws a fresh
+        protocol: ``RotateBegin`` makes the server ship every live row,
+        pending ones included, in one round; the client draws a fresh
         key, re-encrypts, and ships ``RotateApply``, on which the
         server rebuilds the column under its original configuration
         (auto-merge threshold, three-way cracking, stats recording,

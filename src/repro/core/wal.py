@@ -54,11 +54,19 @@ Fsync policy (the durability/latency dial, measured by
 * ``"never"``  — flush to the OS only; survives process crashes
   (kill -9) but not power loss.
 
-Every append flushes the Python buffer to the OS regardless of policy,
-so a concurrent :class:`WalReader` always sees complete records, and a
-SIGKILL'd process loses nothing it acknowledged under ``"never"``
-either.  A flush or fsync a closing segment owes that fails
-raises, as an append's own does.
+Every append writes its record to the OS in one unbuffered write
+regardless of policy, so a concurrent :class:`WalReader` always sees
+complete records, and a SIGKILL'd process loses nothing it
+acknowledged under ``"never"`` either.
+
+A refused append leaves no record behind: a failed (or short) write
+or a failed fsync of the record truncates the segment back to the
+record's start, and there is no buffer to hold its bytes for a later
+write.  After a failed fsync or a failed truncate the log's tail is
+unknown, so the writer then refuses every later append with a
+:class:`~repro.errors.PersistenceError`: no acknowledged record ever
+follows a refused one.  A flush or fsync a closing segment owes that
+fails raises, with no record of the append that rolled it written.
 """
 
 from __future__ import annotations
@@ -254,27 +262,19 @@ class WalWriter:
         self.segment_bytes = max(1, int(segment_bytes))
         self.fsync = fsync
         self.batch_every = max(1, int(batch_every))
-        self._metrics = metrics
+        self.metrics = metrics
         self._lock = threading.Lock()
         self._handle = None
         self._segment_first_seq = None
         self._segment_length = 0
         self._segments = 0
         self._unsynced = 0
+        self._refused: Optional[str] = None  # why appends are refused
         if not os.path.isdir(directory):
             os.makedirs(directory, exist_ok=True)
             if fsync != "never":  # the new directory's entry
                 _sync_directory(os.path.dirname(os.path.abspath(directory)))
         self._recover_tail()
-
-    @property
-    def metrics(self):
-        """The registry the ``wal.*`` counters report into (or None)."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
 
     def _recover_tail(self) -> None:
         """Position after the last valid record, truncating a torn one."""
@@ -313,8 +313,13 @@ class WalWriter:
         """Journal one mutation — ``column``, its epoch after it and its
         request frame; returns the record's sequence number.
 
-        The record is flushed to the OS before returning (readers see
+        The record is written to the OS before returning (readers see
         it immediately) and fsynced per the policy.
+
+        Raises:
+            PersistenceError: the write or fsync failed (the record is
+                truncated away), or the writer refuses appends since a
+                failed fsync or truncate.
         """
         if not column or epoch < 0:
             raise PersistenceError(
@@ -322,26 +327,43 @@ class WalWriter:
                 "not %r / %r" % (column, epoch)
             )
         with self._lock:
+            if self._refused is not None:
+                raise PersistenceError(
+                    "WAL in %r refuses appends since %s"
+                    % (self.directory, self._refused)
+                )
             seq = self.last_seq + 1
             record = _encode_record(seq, epoch, column, frame)
             handle = self._current_handle(seq, len(record))
+            sync = self.fsync == "always" or (
+                self.fsync == "batch" and self._unsynced + 1 >= self.batch_every
+            )
+            step = "write"
             try:
-                handle.write(record)
-                handle.flush()
+                if handle.write(record) != len(record):
+                    raise OSError("short write")
+                step = "fsync"
+                if sync:
+                    os.fsync(handle.fileno())
             except OSError as exc:
+                # Back to the record's start: no refused record stays.
+                try:
+                    handle.truncate(self._segment_length)
+                except OSError:
+                    step += " and truncate"
+                if step != "write":  # the log's tail is now unknown
+                    self._refused = "a failed %s: %s" % (step, exc)
                 raise PersistenceError(
-                    "WAL append failed in %r: %s" % (self.directory, exc)
+                    "WAL %s failed in %r: %s" % (step, self.directory, exc)
                 ) from exc
             self.last_seq = seq
             self._segment_length += len(record)
-            self._unsynced += 1
-            if self.fsync == "always" or (
-                self.fsync == "batch" and self._unsynced >= self.batch_every
-            ):
-                self._fsync_locked()
-            if self._metrics is not None:
-                self._metrics.add("wal.appends")
-                self._metrics.add("wal.bytes", len(record))
+            self._unsynced = 0 if sync else self._unsynced + 1
+            if self.metrics is not None:
+                if sync:
+                    self.metrics.add("wal.fsyncs")
+                self.metrics.add("wal.appends")
+                self.metrics.add("wal.bytes", len(record))
             return seq
 
     def _current_handle(self, seq: int, incoming: int):
@@ -360,7 +382,7 @@ class WalWriter:
                 SEGMENT_PATTERN % (seq if fresh else self._segment_first_seq),
             )
             try:
-                self._handle = open(path, "ab")
+                self._handle = open(path, "ab", buffering=0)
             except OSError as exc:
                 raise PersistenceError(
                     "cannot open WAL segment %r: %s" % (path, exc)
@@ -373,26 +395,11 @@ class WalWriter:
                 self._segments += 1
         return self._handle
 
-    def _fsync_locked(self) -> None:
-        if self._handle is None or self.fsync == "never":
-            self._unsynced = 0
-            return
-        try:
-            os.fsync(self._handle.fileno())
-        except OSError as exc:  # pragma: no cover - fs-dependent
-            raise PersistenceError(
-                "WAL fsync failed in %r: %s" % (self.directory, exc)
-            ) from exc
-        self._unsynced = 0
-        if self._metrics is not None:
-            self._metrics.add("wal.fsyncs")
-
     def sync(self) -> None:
         """Force outstanding appends to stable storage (any policy)."""
         with self._lock:
             if self._handle is not None:
                 try:
-                    self._handle.flush()
                     os.fsync(self._handle.fileno())
                 except OSError as exc:  # pragma: no cover - fs-dependent
                     raise PersistenceError(
@@ -400,8 +407,8 @@ class WalWriter:
                         % (self.directory, exc)
                     ) from exc
                 self._unsynced = 0
-                if self._metrics is not None:
-                    self._metrics.add("wal.fsyncs")
+                if self.metrics is not None:
+                    self.metrics.add("wal.fsyncs")
 
     # -- compaction --------------------------------------------------------------
 
@@ -459,15 +466,14 @@ class WalWriter:
             }
 
     def _close_handle_locked(self) -> None:
-        """Flush the open segment, fsync it unless the policy is
-        ``"never"``, and close it.  Under ``"batch"`` it may hold
-        acknowledged appends, so a failure raises."""
+        """fsync the open segment unless the policy is ``"never"``, and
+        close it.  Under ``"batch"`` it may hold acknowledged appends,
+        so a failure raises."""
         handle, self._handle = self._handle, None
         if handle is None:
             return
         try:
             try:
-                handle.flush()
                 if self.fsync != "never":
                     os.fsync(handle.fileno())
             finally:

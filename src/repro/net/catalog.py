@@ -87,15 +87,15 @@ class _Column:
 
 
 def _on_column(operation: Callable) -> Callable:
-    """Turn a ``(catalog, request, server)`` column operation into a
+    """Turn a ``(catalog, request, column)`` column operation into a
     handler ``(catalog, request)`` that runs it under the addressed
-    column's lock."""
+    column's lock (read ``column.server`` under it: a rotation swaps
+    the server)."""
 
     def handler(catalog, request):
         column = catalog._column(request.column)
         with column.lock:
-            # Read under the lock: a rotation swaps the server.
-            return operation(catalog, request, column.server)
+            return operation(catalog, request, column)
 
     return handler
 
@@ -124,7 +124,8 @@ class ColumnCatalog:
         # Extra telemetry sections (name -> zero-arg callable returning
         # a JSON-compatible payload); the TCP server registers "pool".
         self._telemetry_providers: Dict[str, Callable[[], Any]] = {}
-        self._registry_lock = threading.Lock()
+        # Re-entrant: a body run under quiesced() reads the registry.
+        self._registry_lock = threading.RLock()
         self._columns: Dict[str, _Column] = {}
         # Durability plumbing (optional; see bind_wal).
         self._wal = None
@@ -156,7 +157,9 @@ class ColumnCatalog:
         row_ids: Optional[Sequence[int]] = None,
         config: Dict[str, Any] = None,
     ) -> SecureServer:
-        """Create a named column from uploaded ciphertext rows.
+        """Create a named column from uploaded ciphertext rows — a
+        ``create_column`` request served in process, journaled like one
+        when a WAL is bound.
 
         ``config`` takes the :class:`SecureServer` engine knobs (see
         :data:`~repro.net.protocol.CONFIG_DEFAULTS`); the server keeps
@@ -167,19 +170,10 @@ class ColumnCatalog:
             UpdateError: empty name, duplicate column, or an unknown
                 config key.
         """
-        if not name:
-            raise UpdateError("column name must be non-empty")
-        merged = dict(CONFIG_DEFAULTS)
-        merged.update(config or {})
-        unknown = set(merged) - set(CONFIG_DEFAULTS)
-        if unknown:
-            raise UpdateError(
-                "unknown column config keys: %s" % ", ".join(sorted(unknown))
-            )
-        server = SecureServer(rows, row_ids, obs=self._obs, **merged)
-        self.adopt_column(name, server)
-        self._obs.metrics.add("net.columns_created")
-        return server
+        self._create(CreateColumnRequest(
+            column=name, rows=rows, row_ids=row_ids, config=config or {}
+        ))
+        return self.server(name)
 
     def adopt_column(
         self,
@@ -188,7 +182,7 @@ class ColumnCatalog:
         epoch: int = 0,
     ) -> None:
         """Install an already-built server under a name (the restore
-        path, and the registration half of :meth:`create_column`).
+        path; it journals nothing).
 
         ``epoch`` restores the column's mutation epoch from a snapshot,
         so WAL replay can fence out entries the snapshot already
@@ -237,7 +231,7 @@ class ColumnCatalog:
                 "column %r is journaled: replacing its server would bump "
                 "the epoch without a WAL entry" % name
             )
-        with self._registry_lock:
+        with column.lock:
             column.server = server
             column.epoch += 1
 
@@ -257,23 +251,25 @@ class ColumnCatalog:
 
     @contextmanager
     def quiesced(self):
-        """Hold every column lock (in sorted name order) for the body.
+        """Hold the registry lock and every column lock (in sorted name
+        order) for the body.
 
-        No mutation can commit while held, so the catalog state plus
-        the WAL head form a consistent cut — checkpoint snapshots are
-        taken here.  Workers only ever hold one column lock at a time
-        and never this context, so the sorted acquisition order cannot
-        deadlock.
+        No mutation can commit while held — a create commits under the
+        registry lock — so the catalog state plus the WAL head form a
+        consistent cut: checkpoint snapshots are taken here.  Workers
+        only ever hold one column lock at a time, never take the
+        registry lock while holding one, and never enter this context,
+        so the acquisition order cannot deadlock.
         """
         with self._registry_lock:
             locks = [self._columns[name].lock for name in sorted(self._columns)]
-        for lock in locks:
-            lock.acquire()
-        try:
-            yield
-        finally:
-            for lock in reversed(locks):
-                lock.release()
+            for lock in locks:
+                lock.acquire()
+            try:
+                yield
+            finally:
+                for lock in reversed(locks):
+                    lock.release()
 
     # -- durability --------------------------------------------------------------
 
@@ -281,13 +277,15 @@ class ColumnCatalog:
                  checkpoint_segments: int = 0) -> None:
         """Journal every mutation this catalog commits to ``writer``.
 
-        From this point each insert/delete/merge/rotate_apply appends
-        its request frame to the WAL *under the column lock, before the
-        response is returned*: an acknowledged mutation is always in
-        the log (per the writer's fsync policy), an unacknowledged one
-        may be lost on a crash.  Binding also exports the ``wal``
-        telemetry section: the writer's ``stats()`` (``seq``,
-        ``segments``, ``bytes``, ``fsync``) plus :meth:`epochs`.
+        From this point each create/insert/delete/merge/rotate_apply
+        appends its request frame to the WAL *under the column lock,
+        after the request is checked and before anything is applied*
+        (see :meth:`_commit`): an acknowledged mutation is always in the
+        log (per the writer's fsync policy), and one whose append fails
+        is answered with a :class:`~repro.errors.PersistenceError` and
+        applied nowhere.  Binding also exports the ``wal`` telemetry
+        section: the writer's ``stats()`` (``seq``, ``segments``,
+        ``bytes``, ``fsync``) plus :meth:`epochs`.
 
         ``checkpoint`` (usually
         :func:`repro.core.persistence.checkpoint_catalog` curried with
@@ -306,17 +304,6 @@ class ColumnCatalog:
     def wal(self):
         """The bound :class:`~repro.core.wal.WalWriter` (or ``None``)."""
         return self._wal
-
-    def _log_mutation(self, column: str, epoch: int, request) -> None:
-        """Append one committed mutation's request frame to the WAL.
-
-        Called under the column's lock, so per-column log order equals
-        epoch order.
-        """
-        wal = self._wal
-        if wal is None:
-            return
-        wal.append(column, epoch, encode(request))
 
     @staticmethod
     def logged_request(record):
@@ -582,11 +569,10 @@ class ColumnCatalog:
     def handle(self, request):
         """Execute one decoded request envelope against its column.
 
-        With a WAL bound (:meth:`bind_wal`), each committed mutation's
-        envelope is appended under the column lock before the response
-        is returned, and mutation responses carry the column's new
-        epoch.  Batches never reach this method: :meth:`dispatch`
-        unpacks them slot by slot.
+        Every mutation commits through :meth:`_commit`: checked, then
+        journaled (with a WAL bound, :meth:`bind_wal`), then applied,
+        and its response carries the column's new epoch.  Batches never
+        reach this method: :meth:`dispatch` unpacks them slot by slot.
         """
         handler = self._HANDLERS.get(type(request))
         if handler is None:
@@ -595,16 +581,24 @@ class ColumnCatalog:
             )
         return handler(self, request)
 
-    def _commit(self, request, **result):
-        """Commit the mutation ``request`` just applied (the caller
-        holds the column lock): bump the column's epoch, journal the
-        envelope at that epoch, and answer with the request's reply
-        type carrying ``result`` plus the epoch."""
-        with self._registry_lock:
-            column = self._columns[request.column]
-            column.epoch += 1
-            epoch = column.epoch
-        self._log_mutation(request.column, epoch, request)
+    def _commit(self, request, column: _Column,
+                apply: Callable[[], Dict[str, Any]]):
+        """Commit a checked mutation — under ``column``'s lock; a create
+        under the registry lock, so its name check, append and
+        registration are one step: append ``request`` to the WAL at
+        ``column.epoch + 1`` (fsynced per the writer's policy), then
+        apply it, bump the epoch and answer with its reply type carrying
+        ``apply()``'s fields and the epoch.  A failed append raises with
+        nothing applied.  Once appended, the epoch moves on even if the
+        apply fails, so the log and the column agree on the next epoch.
+        """
+        epoch = column.epoch + 1
+        if self._wal is not None:
+            self._wal.append(request.column, epoch, encode(request))
+        try:
+            result = apply()
+        finally:
+            column.epoch = epoch
         return spec_of(request).reply(epoch=epoch, **result)
 
     def _hello(self, request: HelloRequest) -> HelloResponse:
@@ -614,70 +608,75 @@ class ColumnCatalog:
         return TelemetryResponse(sections=self.telemetry(request.sections))
 
     def _create(self, request: CreateColumnRequest) -> CreateColumnResponse:
-        server = self.create_column(
-            request.column,
-            request.rows,
-            request.row_ids,
-            request.config,
-        )
-        # Logged outside the (brand-new) column lock: a mutation can
-        # only race this append if its issuer learned the column name
-        # before our response — i.e. out of band.
-        self._log_mutation(request.column, 0, request)
-        return CreateColumnResponse(
-            column=request.column, rows_stored=len(server), epoch=0
-        )
+        name = request.column
+        if not name:
+            raise UpdateError("column name must be non-empty")
+        config = dict(CONFIG_DEFAULTS)
+        config.update(request.config or {})
+        unknown = set(config) - set(CONFIG_DEFAULTS)
+        if unknown:
+            raise UpdateError(
+                "unknown column config keys: %s" % ", ".join(sorted(unknown))
+            )
+        server = SecureServer(request.rows, request.row_ids, obs=self._obs, **config)
+        column = _Column(server, -1)  # the create commits epoch 0
 
-    def _query(self, request: QueryRequest, server: SecureServer):
-        return QueryResponse(response=server.execute(request.query))
+        def register():
+            self._columns[name] = column
+            return {"column": name, "rows_stored": len(server)}
 
-    def _fetch(self, request: FetchRequest, server: SecureServer):
+        with self._registry_lock:
+            if name in self._columns:
+                raise UpdateError("column %r already exists" % name)
+            reply = self._commit(request, column, register)
+        self._obs.metrics.add("net.columns_created")
+        return reply
+
+    def _query(self, request: QueryRequest, column: _Column):
+        return QueryResponse(response=column.server.execute(request.query))
+
+    def _fetch(self, request: FetchRequest, column: _Column):
         return FetchResponse(
-            rows=server.engine.column.rows_by_ids(request.row_ids)
+            rows=column.server.engine.column.rows_by_ids(request.row_ids)
         )
 
-    def _insert(self, request: InsertRequest, server: SecureServer):
-        return self._commit(
-            request, row_ids=tuple(server.insert(request.rows))
-        )
+    def _insert(self, request: InsertRequest, column: _Column):
+        block = column.server.insertable(request.rows)
+        insert = column.server.insert
+        return self._commit(request, column, lambda: {"row_ids": tuple(insert(block))})
 
-    def _delete(self, request: DeleteRequest, server: SecureServer):
-        server.delete(request.row_ids)
-        return self._commit(request, deleted=len(request.row_ids))
+    def _delete(self, request: DeleteRequest, column: _Column):
+        row_ids = column.server.updates.assigned(request.row_ids)
+        delete = column.server.delete
+        return self._commit(request, column, lambda: {"deleted": delete(row_ids)})
 
-    def _merge(self, request: MergeRequest, server: SecureServer):
-        return self._commit(request, delta=server.merge_pending())
+    def _merge(self, request: MergeRequest, column: _Column):
+        merge = column.server.merge_pending
+        return self._commit(request, column, lambda: {"delta": merge()})
 
     def _rotate_begin(self, request: RotateBeginRequest,
-                      server: SecureServer) -> RotateBeginResponse:
-        # The merge below is part of the snapshot, so the fence is read
-        # *after* it: only mutations arriving between begin and apply
-        # can invalidate the token.
-        server.merge_pending()
-        everything = server.execute(EncryptedQuery(low=None, high=None))
-        return RotateBeginResponse(
-            response=everything, fence=self.epoch(request.column)
-        )
+                      column: _Column) -> RotateBeginResponse:
+        # Pending rows included: the rebuild replaces the whole column.
+        everything = column.server.execute(EncryptedQuery(low=None, high=None))
+        return RotateBeginResponse(response=everything, fence=column.epoch)
 
-    def _rotate_apply(self, request: RotateApplyRequest,
-                      server: SecureServer):
-        current = self.epoch(request.column)
-        if request.fence is not None and request.fence != current:
+    def _rotate_apply(self, request: RotateApplyRequest, column: _Column):
+        if request.fence is not None and request.fence != column.epoch:
             self._obs.metrics.add("net.rotation_conflicts")
             raise RotationConflictError(
                 "column %r mutated since rotate_begin "
                 "(epoch %d, fence %d); restart the rotation"
-                % (request.column, current, request.fence)
+                % (request.column, column.epoch, request.fence)
             )
         rebuilt = SecureServer(
-            request.rows,
-            request.row_ids,
-            obs=self._obs,
-            **server.config,
+            request.rows, request.row_ids, obs=self._obs, **column.server.config
         )
-        with self._registry_lock:
-            self._columns[request.column].server = rebuilt
-        return self._commit(request, rows_stored=len(rebuilt))
+
+        def swap():
+            column.server = rebuilt
+            return {"rows_stored": len(rebuilt)}
+
+        return self._commit(request, column, swap)
 
     #: Request type -> handler ``(catalog, request)``: the whole of
     #: dispatch.  Column operations run under their column's lock (see

@@ -250,7 +250,7 @@ class RemoteColumn:
         return self.call(request).sections
 
     def rotate_begin(self) -> RotateBeginResponse:
-        """Merge pending state and fetch every live row for rotation.
+        """Fetch every live row, pending ones included, for rotation.
 
         Returns the full envelope: ``.response`` holds the rows and
         ``.fence`` the mutation-epoch token to echo into

@@ -981,9 +981,8 @@ class EnvelopeSpec:
     request is answered with; a row without one describes a response
     envelope.  The flags classify requests: ``idempotent`` (the
     transport may re-send it after a connection loss) and
-    ``journaled`` (the WAL records it — every mutation but
-    ``rotate_begin``, which merges pending rows yet bumps no epoch and
-    leaves no log entry).
+    ``journaled`` (the WAL records it — every mutation;
+    ``rotate_begin`` only reads).
     """
 
     cls: type

@@ -14,7 +14,7 @@ are not rows: which id the next arrival gets, and which ids are dead.
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from typing import Iterable, List, Set
 
 import numpy as np
 
@@ -58,17 +58,19 @@ class PendingUpdates:
         self._next_row_id += count
         return np.arange(first, self._next_row_id, dtype=np.int64)
 
-    def delete(self, row_ids: Iterable[int]) -> None:
-        """Tombstone row ids (base or pending), all of them or none.
-
-        Deleting an id that was never assigned is an error; deleting
-        twice is idempotent.
-        """
+    def assigned(self, row_ids: Iterable[int]) -> List[int]:
+        """``row_ids`` as ints, or an :class:`UpdateError` for one this
+        ledger never assigned."""
         row_ids = [int(row_id) for row_id in row_ids]
         for row_id in row_ids:
             if not 0 <= row_id < self._next_row_id:
                 raise UpdateError("row id %d was never assigned" % row_id)
-        self._tombstones.update(row_ids)
+        return row_ids
+
+    def delete(self, row_ids: Iterable[int]) -> None:
+        """Tombstone row ids (base or pending), all of them or none
+        (:meth:`assigned`); deleting twice is idempotent."""
+        self._tombstones.update(self.assigned(row_ids))
 
     def deleted_mask(self, row_ids: np.ndarray) -> np.ndarray:
         """Boolean mask over ``row_ids``: which of them are tombstoned."""

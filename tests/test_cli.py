@@ -213,3 +213,34 @@ class TestTop:
     def test_connect_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["top"])
+
+
+def test_serve_stops_on_sigint_when_started_with_it_ignored():
+    """``repro serve`` started the way a non-interactive shell starts a
+    background job — SIGINT ignored, so Python installs no handler of
+    its own — still stops on ``kill -INT`` through the finally block
+    that writes its trace and final checkpoint."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--host", "127.0.0.1", "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        assert "serving column catalog" in process.stdout.readline()
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=20) == 0
+        assert "stopping" in process.stdout.read()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=20)
+        process.stdout.close()

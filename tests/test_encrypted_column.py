@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.encrypted_column import EncryptedColumn
+from repro.crypto.ciphertext import RowBlock
 from repro.errors import IndexStateError
 
 VALUES = [13, 16, 4, 9, 2, 12, 7, 1, 19, 3]
@@ -129,29 +130,31 @@ class TestScanQualifying:
 
 
 class TestUpdates:
-    def test_insert_at(self, column, encryptor):
+    def test_insert_one_row(self, column, encryptor):
         row = encryptor.encrypt_value(999)
-        column.insert_at(3, row, row_id=100)
+        column.insert_block([3], RowBlock.from_rows([row]), [100])
         assert len(column) == len(VALUES) + 1
         assert encryptor.decrypt_value(column.row(3)) == 999
         assert int(column.row_ids[3]) == 100
 
-    def test_delete_at(self, column, encryptor):
-        column.delete_at(0)
+    def test_delete_one_position(self, column, encryptor):
+        column.delete_positions([0])
         assert len(column) == len(VALUES) - 1
         assert encryptor.decrypt_value(column.row(0)) == VALUES[1]
 
-    def test_physical_index_of(self, column):
-        assert column.physical_index_of(4) == 4
+    def test_positions_of_one_id(self, column):
+        assert column.positions_of([4]).tolist() == [4]
         with pytest.raises(IndexStateError):
-            column.physical_index_of(999)
+            column.positions_of([999])
 
     def test_insert_bounds_checked(self, column, encryptor):
         with pytest.raises(IndexStateError):
-            column.insert_at(len(column) + 1, encryptor.encrypt_value(1), 0)
+            column.insert_block(
+                [len(column) + 1], RowBlock.from_rows([encryptor.encrypt_value(1)]), [0]
+            )
 
     def test_insert_into_empty(self, encryptor):
         column = EncryptedColumn([])
-        column.insert_at(0, encryptor.encrypt_value(5), 0)
+        column.insert_block([0], RowBlock.from_rows([encryptor.encrypt_value(5)]), [0])
         assert len(column) == 1
         assert encryptor.decrypt_value(column.row(0)) == 5

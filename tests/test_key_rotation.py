@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.session import OutsourcedDatabase
-from repro.crypto.ciphertext import ValueCiphertext
+from repro.crypto.ciphertext import RowBlock, ValueCiphertext
 from repro.errors import IndexStateError
 
 VALUES = [int(v) for v in np.random.default_rng(3).permutation(120)]
@@ -143,21 +143,26 @@ class TestRotationUnderUpdatesAndAmbiguity:
         assert sorted(db.query().values.tolist()) == sorted(VALUES)
 
 
+def one_row(components):
+    """The block of one row of these ciphertext components."""
+    return RowBlock.from_rows([ValueCiphertext(components)])
+
+
 class TestInsertAtLengthValidation:
     def test_emptied_column_still_validates_row_length(self):
         column = EncryptedColumn([ValueCiphertext((1, 2, 3))])
-        column.delete_at(0)
+        column.delete_positions([0])
         assert len(column) == 0
         with pytest.raises(IndexStateError):
-            column.insert_at(0, ValueCiphertext((1, 2, 3, 4)), row_id=7)
+            column.insert_block([0], one_row((1, 2, 3, 4)), [7])
         # A correct-length row is still welcome.
-        column.insert_at(0, ValueCiphertext((4, 5, 6)), row_id=7)
+        column.insert_block([0], one_row((4, 5, 6)), [7])
         assert len(column) == 1
         assert column.ciphertext_length == 3
 
     def test_never_populated_column_adopts_length(self):
         column = EncryptedColumn([])
-        column.insert_at(0, ValueCiphertext((1, 2)), row_id=0)
+        column.insert_block([0], one_row((1, 2)), [0])
         assert column.ciphertext_length == 2
         with pytest.raises(IndexStateError):
-            column.insert_at(0, ValueCiphertext((1, 2, 3)), row_id=1)
+            column.insert_block([0], one_row((1, 2, 3)), [1])

@@ -74,6 +74,26 @@ class TestRegistry:
         assert config["min_piece_size"] == 4
         assert config["engine"] == "adaptive"  # defaults filled in
 
+    def test_a_create_waits_out_a_quiesced_catalog(self, loaded, client):
+        """A checkpoint's cut is taken under ``quiesced``: a create that
+        committed inside it would be in the log below the checkpoint's
+        watermark yet missing from its snapshot, or snapshotted without
+        its lock."""
+        import threading
+
+        rows, row_ids = client.encrypt_dataset([1, 2])
+        creator = threading.Thread(
+            target=loaded.create_column, args=("volumes", rows, row_ids)
+        )
+        with loaded.quiesced():
+            creator.start()
+            creator.join(timeout=0.2)
+            assert creator.is_alive()
+            assert loaded.column_names == ["prices"]
+        creator.join(timeout=10)
+        assert not creator.is_alive()
+        assert loaded.column_names == ["prices", "volumes"]
+
 
 def kinds(reply):
     """The wire kinds of a batch reply's slots."""

@@ -19,7 +19,7 @@ from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.server import SecureServer
-from repro.crypto.ciphertext import BoundCiphertext, ValueCiphertext
+from repro.crypto.ciphertext import BoundCiphertext, RowBlock, ValueCiphertext
 from repro.linalg import limbs
 from repro.linalg.limbs import to_objects
 
@@ -222,7 +222,7 @@ class TestExactProducts:
         # once a wide row arrives.
         column = _column([[5, 7]])
         assert column.products(0, 1, BoundCiphertext((1, 2))).tolist() == [19]
-        column.insert_at(1, ValueCiphertext((numerator, 3)), 1)
+        column.insert_block([1], RowBlock.from_rows([ValueCiphertext((numerator, 3))]), [1])
         assert column.products(0, 2, BoundCiphertext((1, 2))).tolist() == [
             19, numerator + 6,
         ]
@@ -295,7 +295,7 @@ class TestForgedMirror:
         narrow = _column([[5, 7], [1, -1]])
         assert narrow.products(0, 2, BoundCiphertext((1, 1))).tolist() == [12, 0]
         assert narrow._limbs.shape == (2, 3, 1)
-        narrow.insert_at(1, ValueCiphertext((2 ** 70, 3)), 2)
+        narrow.insert_block([1], RowBlock.from_rows([ValueCiphertext((2 ** 70, 3))]), [2])
         narrow.check_invariants()
         assert narrow._limbs.shape == (3, 3, 2)
         assert narrow._limbs[1, :-1, 0].tolist() == [0, 3]
@@ -427,7 +427,7 @@ class TestStatsEqualRegistryDelta:
             self._query_delta(client, server, low, low + 50)
         column = server.engine.column
         before = column.product_counts()
-        server.engine.insert_row(client.encrypt_value(1000)[0], 1000)
+        server.engine.merge(RowBlock.from_rows(client.encrypt_value(1000)), [1000], ())
         routed = column.exact_products.value - before[1]
         # One binary search over the cracks, one product per probe.
         assert 0 < routed <= math.ceil(math.log2(len(server.engine.cracks) + 1))

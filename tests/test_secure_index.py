@@ -8,6 +8,7 @@ import pytest
 from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.secure_index import SecureAdaptiveIndex
+from repro.crypto.ciphertext import RowBlock
 
 from conftest import reference_positions
 
@@ -157,7 +158,7 @@ class TestUpdateRouting:
             low = rng.randrange(0, 280)
             engine.query(client.make_query(low, low + 10))
         new_row = client.encryptor.encrypt_value(137)
-        engine.insert_row(new_row, row_id=5000)
+        engine.merge(RowBlock.from_rows([new_row]), [5000], ())
         engine.check_invariants()
         ids, values = run_query(engine, client, 130, 140)
         assert 137 in values
@@ -166,7 +167,7 @@ class TestUpdateRouting:
     def test_delete_row(self, engine, client):
         engine.query(client.make_query(50, 100))
         victim = int(reference_positions(VALUES, 50, 100)[0])
-        engine.delete_row(victim)
+        engine.merge(engine.column.rows_at(()), (), [victim])
         engine.check_invariants()
         ids, __ = run_query(engine, client, 50, 100)
         assert victim not in ids

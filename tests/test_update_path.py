@@ -149,7 +149,7 @@ def ref_insert_row(engine, row, row_id):
 
 def ref_delete_row(engine, row_id):
     """``SecureAdaptiveIndex.delete_row`` as it was."""
-    position = engine._column.physical_index_of(row_id)
+    position = int(engine._column.positions_of([row_id])[0])
     ref_delete_at(engine._column, position)
     positions = engine.cracks.positions
     for rank, crack in enumerate(positions):
@@ -377,11 +377,11 @@ class TestPositionsDerivedFromRowIds:
             assert column.rows_by_ids(ids) == column.rows_at([expected[i] for i in ids])
             for row_id in ids[:3]:
                 assert row_id in column
-                assert column.physical_index_of(row_id) == expected[row_id]
+                assert column.positions_of([row_id]).tolist() == [expected[row_id]]
             for absent in (0, next_id, -4, 2**70):
                 assert absent not in column
                 with pytest.raises(IndexStateError):
-                    column.physical_index_of(absent)
+                    column.positions_of([absent])
                 with pytest.raises(IndexStateError):
                     column.positions_of(ids + [absent])
                 with pytest.raises(IndexStateError):
@@ -398,8 +398,9 @@ class TestPositionsDerivedFromRowIds:
                     encryptor.encrypt_bound(op[1] + op[2]), True,
                 )
             elif op[0] == "insert":
-                column.insert_at(
-                    op[2] % (size + 1), encryptor.encrypt_value(op[1]), next_id
+                column.insert_block(
+                    [op[2] % (size + 1)],
+                    RowBlock.from_rows([encryptor.encrypt_value(op[1])]), [next_id],
                 )
                 next_id += 3
             elif op[0] == "insert-block":
@@ -417,11 +418,7 @@ class TestPositionsDerivedFromRowIds:
                 assert column.row_ids.tolist() == merged
                 next_id += 3 * len(rows)
             elif op[0] == "delete" and size:
-                doomed = sorted({d % size for d in op[1]})
-                if len(doomed) == 1:
-                    column.delete_at(doomed[0])
-                else:
-                    column.delete_positions(doomed)
+                column.delete_positions(sorted({d % size for d in op[1]}))
             check()
 
     def test_refusals_change_nothing(self):
