@@ -45,7 +45,9 @@ from repro.core.session import OutsourcedDatabase
 from repro.core.wal import WalWriter
 from repro.net import (
     ColumnCatalog,
+    HelloRequest,
     LoopbackTransport,
+    RemoteColumn,
     TcpTransport,
     serve,
 )
@@ -154,24 +156,22 @@ def bench(size: int, query_count: int) -> dict:
 def _concurrent_rps(server, connections: int, ops: int) -> float:
     """Aggregate requests/second for N connections hammering one front.
 
-    Each connection gets its own transport, column, and thread; the
-    timed section is a fetch loop (no index cracking, so the number is
-    dominated by the server front, not the engine).
+    Each connection gets its own transport, handle, and thread; the
+    timed section is a ``hello`` loop (column-less, so no engine work:
+    the number is the server front's, not the index's).  One ``hello``
+    per connection before the clock starts opens its socket.
     """
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address
-    values = [int(v) for v in np.random.default_rng(53).permutation(200)]
     transports, handles = [], []
     try:
         for index in range(connections):
             transport = TcpTransport(host, port)
             transports.append(transport)
-            db = OutsourcedDatabase(
-                values, seed=47, min_piece_size=8, transport=transport,
-                column="cc-%d" % index,
-            )
-            handles.append(db._remote)
+            handle = RemoteColumn(transport, "cc-%d" % index)
+            handle.call(HelloRequest())
+            handles.append(handle)
         barrier = threading.Barrier(connections + 1)
         errors = []
 
@@ -179,7 +179,7 @@ def _concurrent_rps(server, connections: int, ops: int) -> float:
             try:
                 barrier.wait()
                 for _ in range(ops):
-                    handle.fetch((0, 1, 2, 3, 4, 5, 6, 7))
+                    handle.call(HelloRequest())
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 

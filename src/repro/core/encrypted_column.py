@@ -7,7 +7,7 @@ with a positive denominator, held as the limbs of a
 :class:`~repro.crypto.ciphertext.RowBlock` — an ``n x (l + 1) x k``
 ``uint64`` array, the reproduction's analogue of the paper's GMP
 arrays.  That array is the column's only copy of its rows: a crack
-permutes it, a fetch gathers from it, an insert or delete splices it,
+permutes it, a reply gathers from it, an insert or delete splices it,
 all as plain fixed-width array operations, and Python ints are made
 only for rows the exact fallback below must verify.
 
@@ -448,11 +448,6 @@ class EncryptedColumn(CrackableColumn):
         except IndexStateError:
             return False
         return True
-
-    def rows_by_ids(self, row_ids: Iterable[int]) -> RowBlock:
-        """Ciphertexts for the given row ids, in the given order
-        (a ``fetch_request``), however the column has been cracked."""
-        return self.rows_at(self.positions_of(row_ids))
 
     # -- verification -----------------------------------------------------------------
 

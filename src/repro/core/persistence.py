@@ -63,15 +63,15 @@ from repro.net.catalog import ColumnCatalog
 from repro.net.protocol import ColumnSnapshot, decode, encode
 from repro.obs import Observability
 
-#: Format of a server snapshot: 6, a ``ColumnSnapshot`` envelope whose
-#: config travels as JSON text (5: in the generic binary grammar; 4: a
-#: JSON dict).
-SNAPSHOT_VERSION = 6
+#: Format of a server snapshot: 7, a protocol-7 ``ColumnSnapshot``
+#: frame (6: protocol 6, its config as JSON text; 5: in the generic
+#: binary grammar; 4: a JSON dict).
+SNAPSHOT_VERSION = 7
 
-#: Format of a catalog checkpoint: 7, one WAL record per column holding
-#: its protocol-6 ``ColumnSnapshot`` frame (6: a protocol-5 frame; 5: a
-#: JSON dict in ``snapshot.json``).
-CATALOG_SNAPSHOT_VERSION = 7
+#: Format of a catalog checkpoint: 8, one WAL record per column holding
+#: its protocol-7 ``ColumnSnapshot`` frame (7: a protocol-6 frame; 6: a
+#: protocol-5 frame; 5: a JSON dict in ``snapshot.json``).
+CATALOG_SNAPSHOT_VERSION = 8
 
 #: File name of the catalog checkpoint inside a server data directory
 #: (next to the ``wal-*.seg`` segments); it names its format.

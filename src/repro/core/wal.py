@@ -62,7 +62,8 @@ acknowledged under ``"never"`` either.
 A refused append leaves no record behind: a failed (or short) write
 or a failed fsync of the record truncates the segment back to the
 record's start, and there is no buffer to hold its bytes for a later
-write.  After a failed fsync or a failed truncate the log's tail is
+write.  After a failed fsync — of a record, or of the directory a new
+segment was created in — or a failed truncate the log's tail is
 unknown, so the writer then refuses every later append with a
 :class:`~repro.errors.PersistenceError`: no acknowledged record ever
 follows a refused one.  A flush or fsync a closing segment owes that
@@ -388,11 +389,16 @@ class WalWriter:
                     "cannot open WAL segment %r: %s" % (path, exc)
                 ) from exc
             if fresh:
-                if self.fsync != "never":  # the new segment's entry
-                    _sync_directory(self.directory)
                 self._segment_first_seq = seq
                 self._segment_length = 0
                 self._segments += 1
+                if self.fsync != "never":  # the new segment's entry
+                    try:
+                        _sync_directory(self.directory)
+                    except PersistenceError as exc:
+                        # Whether the segment survives power loss is unknown.
+                        self._refused = "a failed directory fsync: %s" % exc
+                        raise
         return self._handle
 
     def sync(self) -> None:
@@ -560,8 +566,9 @@ def write_atomic(path: str, data: bytes) -> None:
     The bytes go to ``path + ".tmp"`` first, are fsynced, and only then
     renamed over ``path`` (``os.replace`` is atomic on POSIX and
     Windows).  The directory entry is fsynced too, so the rename itself
-    survives power loss.  On any failure the original file is intact
-    and the temporary is cleaned up.
+    survives power loss; a failed directory fsync raises, the file then
+    in place but perhaps not durable.  On any other failure the
+    original file is intact and the temporary is cleaned up.
     """
     tmp_path = path + ".tmp"
     try:
@@ -583,14 +590,20 @@ def write_atomic(path: str, data: bytes) -> None:
 
 def _sync_directory(directory: str) -> None:
     """fsync ``directory``, so the entries created or renamed in it
-    survive power loss (where the platform lets one open it)."""
+    survive power loss (where the platform lets one open it).
+
+    Raises:
+        PersistenceError: the directory opened but its fsync failed.
+    """
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform-dependent
         return
     try:
         os.fsync(fd)
-    except OSError:  # pragma: no cover - not all platforms allow it
-        pass
+    except OSError as exc:
+        raise PersistenceError(
+            "fsync of directory %r failed: %s" % (directory, exc)
+        ) from exc
     finally:
         os.close(fd)

@@ -6,7 +6,7 @@ mechanical.  It has three layers:
 
 * :mod:`repro.net.protocol` — the request/response envelopes (query,
   insert, delete, merge, key-rotation begin/apply, column upload,
-  tuple-reconstruction fetch, an endpoint hello, and the pipelined
+  telemetry, an endpoint hello, and the pipelined
   ``batch_request``/``batch_response`` pair) plus a versioned error
   envelope, and the one deterministic frame codec the envelope
   registry builds over :mod:`repro.net.binframe`'s primitives

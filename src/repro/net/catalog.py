@@ -49,8 +49,6 @@ from repro.net.protocol import (
     CreateColumnRequest,
     CreateColumnResponse,
     DeleteRequest,
-    FetchRequest,
-    FetchResponse,
     HelloRequest,
     HelloResponse,
     InsertRequest,
@@ -571,7 +569,7 @@ class ColumnCatalog:
 
         Every mutation commits through :meth:`_commit`: checked, then
         journaled (with a WAL bound, :meth:`bind_wal`), then applied,
-        and its response carries the column's new epoch.  Batches never
+        moving the column's epoch on by one.  Batches never
         reach this method: :meth:`dispatch` unpacks them slot by slot.
         """
         handler = self._HANDLERS.get(type(request))
@@ -588,7 +586,7 @@ class ColumnCatalog:
         registration are one step: append ``request`` to the WAL at
         ``column.epoch + 1`` (fsynced per the writer's policy), then
         apply it, bump the epoch and answer with its reply type carrying
-        ``apply()``'s fields and the epoch.  A failed append raises with
+        ``apply()``'s fields.  A failed append raises with
         nothing applied.  Once appended, the epoch moves on even if the
         apply fails, so the log and the column agree on the next epoch.
         """
@@ -599,7 +597,7 @@ class ColumnCatalog:
             result = apply()
         finally:
             column.epoch = epoch
-        return spec_of(request).reply(epoch=epoch, **result)
+        return spec_of(request).reply(**result)
 
     def _hello(self, request: HelloRequest) -> HelloResponse:
         return HelloResponse(codecs=CODECS)
@@ -612,7 +610,7 @@ class ColumnCatalog:
         if not name:
             raise UpdateError("column name must be non-empty")
         config = dict(CONFIG_DEFAULTS)
-        config.update(request.config or {})
+        config.update(request.config)
         unknown = set(config) - set(CONFIG_DEFAULTS)
         if unknown:
             raise UpdateError(
@@ -635,11 +633,6 @@ class ColumnCatalog:
     def _query(self, request: QueryRequest, column: _Column):
         return QueryResponse(response=column.server.execute(request.query))
 
-    def _fetch(self, request: FetchRequest, column: _Column):
-        return FetchResponse(
-            rows=column.server.engine.column.rows_by_ids(request.row_ids)
-        )
-
     def _insert(self, request: InsertRequest, column: _Column):
         block = column.server.insertable(request.rows)
         insert = column.server.insert
@@ -661,7 +654,7 @@ class ColumnCatalog:
         return RotateBeginResponse(response=everything, fence=column.epoch)
 
     def _rotate_apply(self, request: RotateApplyRequest, column: _Column):
-        if request.fence is not None and request.fence != column.epoch:
+        if request.fence != column.epoch:
             self._obs.metrics.add("net.rotation_conflicts")
             raise RotationConflictError(
                 "column %r mutated since rotate_begin "
@@ -689,7 +682,6 @@ class ColumnCatalog:
         TelemetryRequest: _telemetry,
         CreateColumnRequest: _create,
         QueryRequest: _on_column(_query),
-        FetchRequest: _on_column(_fetch),
         InsertRequest: _on_column(_insert),
         DeleteRequest: _on_column(_delete),
         MergeRequest: _on_column(_merge),

@@ -35,14 +35,12 @@ from typing import Any, Dict, List, Sequence
 
 from repro.core.query import EncryptedQuery
 from repro.core.server import ServerResponse
-from repro.crypto.ciphertext import RowBlock
 from repro.errors import ProtocolError
 from repro.net.protocol import (
     BatchRequest,
     CreateColumnRequest,
     DeleteRequest,
     ErrorResponse,
-    FetchRequest,
     InsertRequest,
     MergeRequest,
     QueryRequest,
@@ -205,15 +203,6 @@ class RemoteColumn:
             out.append(response.response)
         return out
 
-    def fetch(self, row_ids: Sequence[int]) -> RowBlock:
-        """Materialise rows by physical id (tuple reconstruction)."""
-        response = self.call(
-            FetchRequest(
-                column=self.column, row_ids=tuple(int(i) for i in row_ids)
-            )
-        )
-        return response.rows
-
     def insert(self, rows: Sequence) -> List[int]:
         """Buffer new encrypted rows; returns their assigned ids."""
         response = self.call(
@@ -262,7 +251,7 @@ class RemoteColumn:
         self,
         rows: Sequence,
         row_ids: Sequence[int],
-        fence: int = None,
+        fence: int,
     ) -> int:
         """Replace the column with re-encrypted rows; returns the count.
 
@@ -275,7 +264,7 @@ class RemoteColumn:
                 column=self.column,
                 rows=rows,
                 row_ids=request_ids(row_ids),
-                fence=None if fence is None else int(fence),
+                fence=int(fence),
             )
         )
         return response.rows_stored

@@ -19,12 +19,12 @@ that table.
 
 A *frame* is one envelope as bytes, written by :func:`encode` and read
 by :func:`decode` straight from and into the envelope's attributes:
-``MAGIC``, the protocol version, the kind code, a presence bitmap when
-the kind has optional fields, then each field in declared order —
-positional, no keys (layout in ``docs/protocol.md``).  Every kind's
-body is joined from its fields' parts by one writer and read by one
-reader threading a position through its fields' ``at``, in whole
-frames, traced frames and batch slots alike.  A frame is
+``MAGIC``, the protocol version, the kind code, then every field in
+declared order — positional, no keys, none left out (layout in
+``docs/protocol.md``).  Every kind's body is joined from its fields'
+parts by one writer and read by one reader threading a position
+through its fields' ``at``, in whole frames, traced frames and batch
+slots alike.  A frame is
 deterministic, so the loopback and TCP transports produce
 byte-identical traffic for the same workload, and measured frame
 lengths are real transfer accounting.  A request frame may carry the
@@ -103,9 +103,11 @@ from repro.net.binframe import (
 #: kind code and the fields in declared order, no keys — and binary
 #: only.  5: a query carries a session token, a reply names rows by id
 #: alone.  6: a free-form field (a config, telemetry sections, a string
-#: list) and the trace section are JSON text.  A frame of an older
-#: version is refused with a typed error, never reinterpreted.
-PROTOCOL_VERSION = 6
+#: list) and the trace section are JSON text.  7: every field is always
+#: sent — no presence bitmap — and the fetch kind and the mutation
+#: replies' epochs are gone.  A frame of an older version is refused
+#: with a typed error, never reinterpreted.
+PROTOCOL_VERSION = 7
 
 #: What every frame starts with.
 _FRAME_HEAD = bytes((MAGIC, PROTOCOL_VERSION))
@@ -432,7 +434,7 @@ def _query_at(buf: bytes, pos: int) -> Tuple[EncryptedQuery, int]:
 
 def _batch_parts(envelopes, is_request: bool) -> List[bytes]:
     """A count, then each envelope as a length-prefixed sub-frame: its
-    kind code, presence bitmap and fields."""
+    kind code and fields."""
     parts = [varints(len(envelopes))]
     for envelope in envelopes:
         spec = spec_of(envelope, is_request)
@@ -464,10 +466,6 @@ def _batch_at(buf: bytes, pos: int, is_request: bool):
     return tuple(slots), pos
 
 
-#: ``FieldType.absent`` of a type whose every value goes on the wire.
-_ALWAYS_SENT = object()
-
-
 @dataclass(frozen=True)
 class FieldType:
     """A named wire field type: owns one field's frame bytes, its dict
@@ -477,15 +475,13 @@ class FieldType:
     with the position past it.  ``at`` and ``decode`` raise
     ``SerializationError`` (or ``KeyError`` / ``TypeError`` /
     ``ValueError``, which the envelope decoders wrap) on a malformed
-    wire value.  ``absent`` is the attribute value an *optional* field
-    leaves off the wire."""
+    wire value."""
 
     name: str
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
     parts: Callable[[Any], List[bytes]]
     at: Callable[[bytes, int], Tuple[Any, int]]
-    absent: Any = _ALWAYS_SENT
 
 
 def _json(call: Callable, value):
@@ -551,19 +547,6 @@ def _json_field(name: str, encode: Callable, decode: Callable) -> FieldType:
     return FieldType(name, encode, decode, parts, at)
 
 
-def _nullable(base: FieldType) -> FieldType:
-    """``OPT_<base>``: ``None`` stays off the wire and a wire ``null``
-    decodes to ``None``."""
-    return FieldType(
-        "OPT_" + base.name,
-        base.encode,
-        lambda value: None if value is None else base.decode(value),
-        base.parts,
-        base.at,
-        absent=None,
-    )
-
-
 def _batch(name: str, is_request: bool) -> FieldType:
     """``REQUESTS`` / ``RESPONSES``: a batch's slots, one direction."""
     return FieldType(
@@ -617,19 +600,23 @@ SERVER_RESPONSE = FieldType(
     _response_parts, _response_at,
 )
 STR_LIST = _json_field("STR_LIST", _strings_to_list, _strings_from_list)
+#: Telemetry section names, or ``None`` — JSON ``null`` — for all.
+NAMES = _json_field(
+    "NAMES",
+    lambda items: None if items is None else _strings_to_list(items),
+    lambda items: None if items is None else _strings_from_list(items),
+)
 CONFIG = _json_field("CONFIG", dict, _config_from_dict)
 SECTIONS = _json_field("SECTIONS", _sections_payload, _sections_payload)
 REQUESTS = _batch("REQUESTS", True)
 RESPONSES = _batch("RESPONSES", False)
-OPT_INT = _nullable(INT)
-OPT_STR_LIST = _nullable(STR_LIST)
 
 
-def wire(ftype: FieldType, key: str = "", optional: bool = False, **default):
+def wire(ftype: FieldType, key: str = "", **default):
     """Declare an envelope attribute's wire form on the dataclass
-    field itself (see :class:`Field` for ``key`` and ``optional``);
-    ``default`` / ``default_factory`` pass through to the dataclass."""
-    return field(metadata={"wire": (ftype, key, optional)}, **default)
+    field itself (see :class:`Field` for ``key``); ``default`` /
+    ``default_factory`` pass through to the dataclass."""
+    return field(metadata={"wire": (ftype, key)}, **default)
 
 
 # -- request envelopes ----------------------------------------------------------
@@ -664,14 +651,12 @@ class TelemetryRequest:
     Column-less like ``hello`` — it addresses the serving process, not
     a column.  ``sections`` optionally restricts the reply to named
     sections (``metrics``, ``tracer``, ``slow_queries``, ``catalog``,
-    ``pool``, ...); ``None`` (omitted from the wire) means *all*.
+    ``pool``, ...); ``None`` (JSON ``null`` on the wire) means *all*.
     Unknown section names are ignored, so clients stay compatible with
     servers that export fewer sections.
     """
 
-    sections: Optional[Tuple[str, ...]] = wire(
-        OPT_STR_LIST, optional=True, default=None
-    )
+    sections: Optional[Tuple[str, ...]] = wire(NAMES, default=None)
 
 
 @dataclass(frozen=True)
@@ -681,9 +666,7 @@ class CreateColumnRequest:
     column: str = wire(COLUMN)
     rows: Sequence[ValueCiphertext] = wire(ROWS)
     row_ids: Tuple[int, ...] = wire(UPLOAD_IDS)
-    config: Dict[str, Any] = wire(
-        CONFIG, optional=True, default_factory=dict
-    )
+    config: Dict[str, Any] = wire(CONFIG)
 
 
 @dataclass(frozen=True)
@@ -692,15 +675,6 @@ class QueryRequest:
 
     column: str = wire(COLUMN)
     query: EncryptedQuery = wire(QUERY)
-
-
-@dataclass(frozen=True)
-class FetchRequest:
-    """Materialise rows of a named column by physical id (tuple
-    reconstruction)."""
-
-    column: str = wire(COLUMN)
-    row_ids: Tuple[int, ...] = wire(IDS)
 
 
 @dataclass(frozen=True)
@@ -728,8 +702,9 @@ class MergeRequest:
 
 @dataclass(frozen=True)
 class RotateBeginRequest:
-    """Start a key rotation: merge pending state and return every live
-    row of the column (the client re-encrypts them under a new key)."""
+    """Start a key rotation: return every live row of the column,
+    pending ones included (the client re-encrypts them under a new
+    key), and the column's epoch as the rotation's fence."""
 
     column: str = wire(COLUMN)
 
@@ -744,13 +719,12 @@ class RotateApplyRequest:
     ``fence`` is the mutation epoch returned by ``rotate_begin``: the
     catalog refuses the apply with a ``conflict`` error envelope if the
     column mutated since that epoch, so concurrent inserts or deletes
-    are never silently erased by the rebuild.  ``None`` (a pre-fence
-    client) skips the check."""
+    are never silently erased by the rebuild."""
 
     column: str = wire(COLUMN)
     rows: Sequence[ValueCiphertext] = wire(ROWS)
     row_ids: Tuple[int, ...] = wire(UPLOAD_IDS)
-    fence: Optional[int] = wire(OPT_INT, optional=True, default=None)
+    fence: int = wire(INT)
 
 
 # -- response envelopes ---------------------------------------------------------
@@ -788,15 +762,10 @@ class TelemetryResponse:
 
 @dataclass(frozen=True)
 class CreateColumnResponse:
-    """Acknowledges a column upload with the stored physical row count.
-
-    ``epoch`` is the column's mutation epoch after creation (0); like
-    every mutation-response epoch it is omitted from the wire when
-    ``None``."""
+    """Acknowledges a column upload with the stored physical row count."""
 
     column: str = wire(STR)
     rows_stored: int = wire(INT)
-    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -807,41 +776,24 @@ class QueryResponse:
 
 
 @dataclass(frozen=True)
-class FetchResponse:
-    """Rows materialised by id, parallel to the requested ids."""
-
-    rows: Sequence[ValueCiphertext] = wire(ROWS)
-
-
-@dataclass(frozen=True)
 class InsertResponse:
-    """Physical ids assigned to buffered rows, in request order.
-
-    ``epoch`` is the column's mutation epoch after the insert, the
-    epoch the WAL records it at; omitted from the wire when ``None``."""
+    """Physical ids assigned to buffered rows, in request order."""
 
     row_ids: Tuple[int, ...] = wire(IDS)
-    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
 class DeleteResponse:
-    """Acknowledges tombstoning with the number of ids processed.
-
-    ``epoch`` as on :class:`InsertResponse`."""
+    """Acknowledges tombstoning with the number of ids processed."""
 
     deleted: int = wire(INT)
-    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
 class MergeResponse:
-    """Row-count delta applied by the merge (inserts minus reclaims).
-
-    ``epoch`` as on :class:`InsertResponse`."""
+    """Row-count delta applied by the merge (inserts minus reclaims)."""
 
     delta: int = wire(INT)
-    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -850,21 +802,17 @@ class RotateBeginResponse:
 
     ``fence`` is the column's mutation epoch at snapshot time; the
     client echoes it in ``rotate_apply`` so the catalog can reject the
-    rebuild if the column mutated in between.  ``None`` only from a
-    pre-fence server."""
+    rebuild if the column mutated in between."""
 
     response: ServerResponse = wire(SERVER_RESPONSE, key="body")
-    fence: Optional[int] = wire(OPT_INT, optional=True, default=None)
+    fence: int = wire(INT)
 
 
 @dataclass(frozen=True)
 class RotateApplyResponse:
-    """Acknowledges the rebuilt column with its stored row count.
-
-    ``epoch`` as on :class:`InsertResponse`."""
+    """Acknowledges the rebuilt column with its stored row count."""
 
     rows_stored: int = wire(INT)
-    epoch: Optional[int] = wire(OPT_INT, optional=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -956,17 +904,12 @@ class Field:
     """One envelope attribute on the wire (declared with :func:`wire`).
 
     ``key`` is the attribute's key in the dict form (the attribute name
-    unless given).  An ``optional`` field may be missing from a frame —
-    the attribute then keeps its dataclass default — and is left off
-    the wire while it holds its type's ``absent`` value; ``bit`` marks
-    it sent in a frame's presence bitmap (0 for a field always sent).
+    unless given).  Every field is sent, in declared order.
     """
 
     attribute: str
     type: FieldType
     key: str
-    optional: bool
-    bit: int = 0
 
 
 @dataclass(frozen=True)
@@ -975,12 +918,10 @@ class EnvelopeSpec:
     one message kind.
 
     ``code`` is the kind on a frame.  ``fields`` are the dataclass's
-    :func:`wire` declarations, in order, and ``optional`` those of them
-    a frame's presence bitmap covers.
-    ``reply`` is the response type a
-    request is answered with; a row without one describes a response
-    envelope.  The flags classify requests: ``idempotent`` (the
-    transport may re-send it after a connection loss) and
+    :func:`wire` declarations, in order.  ``reply`` is the response
+    type a request is answered with; a row without one describes a
+    response envelope.  The flags classify requests: ``idempotent``
+    (the transport may re-send it after a connection loss) and
     ``journaled`` (the WAL records it — every mutation;
     ``rotate_begin`` only reads).
     """
@@ -993,15 +934,12 @@ class EnvelopeSpec:
     idempotent: bool = False
     journaled: bool = False
     is_request: bool = field(init=False)
-    optional: Tuple[Field, ...] = field(init=False)
     code_bytes: bytes = field(init=False)
     head: bytes = field(init=False)
 
     def __post_init__(self) -> None:
         is_request = self.reply is not None
         object.__setattr__(self, "is_request", is_request)
-        object.__setattr__(self, "optional", tuple(
-            field_ for field_ in self.fields if field_.optional))
         object.__setattr__(self, "code_bytes", varints(self.code))
         # A request frame's trace section, empty when untraced: a 0.
         object.__setattr__(self, "head", _FRAME_HEAD + self.code_bytes
@@ -1032,11 +970,8 @@ def register(cls: type, kind: str, code: int, reply: type = None,
         )
     fields = []
     for declared in dataclass_fields(cls):
-        ftype, key, optional = declared.metadata["wire"]
-        bit = 1 << sum(f.optional for f in fields) if optional else 0
-        fields.append(
-            Field(declared.name, ftype, key or declared.name, optional, bit)
-        )
+        ftype, key = declared.metadata["wire"]
+        fields.append(Field(declared.name, ftype, key or declared.name))
     spec = EnvelopeSpec(cls, kind, code, tuple(fields), reply, idempotent,
                         journaled)
     ENVELOPES[cls] = spec
@@ -1063,7 +998,6 @@ register(TelemetryRequest, "telemetry_request", 3, TelemetryResponse,
 register(CreateColumnRequest, "create_column", 4, CreateColumnResponse,
          journaled=True)
 register(QueryRequest, "query_request", 5, QueryResponse, idempotent=True)
-register(FetchRequest, "fetch_request", 6, FetchResponse, idempotent=True)
 register(InsertRequest, "insert_request", 7, InsertResponse, journaled=True)
 register(DeleteRequest, "delete_request", 8, DeleteResponse, journaled=True)
 register(MergeRequest, "merge_request", 9, MergeResponse, journaled=True)
@@ -1078,7 +1012,6 @@ register(BatchResponse, "batch_response", 34)
 register(TelemetryResponse, "telemetry_response", 35)
 register(CreateColumnResponse, "create_column_response", 36)
 register(QueryResponse, "query_response", 37)
-register(FetchResponse, "fetch_response", 38)
 register(InsertResponse, "insert_response", 39)
 register(DeleteResponse, "delete_response", 40)
 register(MergeResponse, "merge_response", 41)
@@ -1099,10 +1032,8 @@ def _to_dict(envelope, is_request: Optional[bool]) -> Dict[str, Any]:
     spec = spec_of(envelope, is_request)
     payload = {"kind": spec.kind, "version": DICT_VERSION}
     for field_ in spec.fields:
-        value = getattr(envelope, field_.attribute)
-        if field_.optional and value is field_.type.absent:
-            continue
-        payload[field_.key] = field_.type.encode(value)
+        payload[field_.key] = field_.type.encode(
+            getattr(envelope, field_.attribute))
     return payload
 
 
@@ -1128,8 +1059,6 @@ def _from_dict(data: Dict[str, Any], is_request: Optional[bool]):
     values = {}
     try:
         for field_ in spec.fields:
-            if field_.optional and field_.key not in data:
-                continue
             values[field_.attribute] = field_.type.decode(data[field_.key])
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(
@@ -1188,34 +1117,20 @@ def trace_from_wire(data) -> Optional[Dict[str, Any]]:
 
 def _envelope_bytes(head: bytes, spec: EnvelopeSpec, envelope) -> bytes:
     """``head`` — a frame's magic, version, kind code and trace section,
-    or a batch slot's kind code — then ``envelope``'s body: the presence
-    bitmap of its optional fields (when it has any), then every field it
-    sends."""
+    or a batch slot's kind code — then ``envelope``'s body: every field,
+    in declared order."""
     parts = [head]
-    sent = spec.fields
-    if spec.optional:
-        sent = [f for f in sent if not f.optional
-                or getattr(envelope, f.attribute) is not f.type.absent]
-        parts.append(varints(sum(f.bit for f in sent)))
-    for field_ in sent:
+    for field_ in spec.fields:
         parts += field_.type.parts(getattr(envelope, field_.attribute))
     return b"".join(parts)
 
 
 def _read_fields(spec: EnvelopeSpec, buf: bytes, pos: int):
-    """The envelope of ``spec``'s kind whose presence bitmap and fields
-    run from ``buf[pos]`` to the end."""
-    present = 0
-    if spec.optional:
-        present, pos = read_varint(buf, pos)
-        if present >> len(spec.optional):
-            raise SerializationError(
-                "%s frame marks fields it does not have" % spec.kind
-            )
+    """The envelope of ``spec``'s kind whose fields run from
+    ``buf[pos]`` to the end."""
     values = {}
     for field_ in spec.fields:
-        if not field_.bit or present & field_.bit:
-            values[field_.attribute], pos = field_.type.at(buf, pos)
+        values[field_.attribute], pos = field_.type.at(buf, pos)
     if pos != len(buf):
         raise SerializationError(
             "%d trailing bytes after a %s" % (len(buf) - pos, spec.kind)
@@ -1293,7 +1208,7 @@ def encode(envelope, trace: Optional[Dict[str, Any]] = None) -> bytes:
 
 def decode(frame: bytes):
     """The envelope of a frame, either direction; anything but a
-    version-6 frame read to its last byte is a SerializationError."""
+    version-7 frame read to its last byte is a SerializationError."""
     return _decode(frame)[0]
 
 

@@ -126,7 +126,7 @@ class TcpTransport(Transport):
             receiving the whole reply — may take, however the peer
             paces its bytes (each re-send gets a deadline of its own).
         retries: how many times a *retryable* frame (flagged by the
-            caller — queries, fetches, hello) may be re-sent after a
+            caller — queries, telemetry, hello) may be re-sent after a
             mid-exchange connection loss.  0 (default) disables
             retries; mutating frames are never retried regardless.
         backoff: initial delay in seconds before the first re-send;

@@ -474,7 +474,7 @@ class TestQueryFrames:
     the two runs — checked as its dict form is."""
 
     #: A ``query_request`` frame up to its ``QUERY`` field (column "c").
-    HEAD = bytes((0xAE, 6, 5, 0, 1)) + b"c"
+    HEAD = bytes((0xAE, 7, 5, 0, 1)) + b"c"
 
     @pytest.mark.parametrize("shape", sorted(_queries()))
     def test_round_trip(self, shape):

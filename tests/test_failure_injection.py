@@ -4,13 +4,14 @@ applied nowhere."""
 
 import errno
 import os
+import stat
 
 import numpy as np
 import pytest
 
 from repro.core.client import TrustedClient
 from repro.core.encrypted_column import EncryptedColumn
-from repro.core.persistence import recover_catalog
+from repro.core.persistence import checkpoint_catalog, recover_catalog
 from repro.core.query import EncryptedQuery
 from repro.core.secure_index import SecureAdaptiveIndex
 from repro.core.session import OutsourcedDatabase
@@ -280,6 +281,74 @@ def test_a_failed_fsync_under_always_keeps_no_row(tmp_path, monkeypatch):
     assert column_state(recovered) == column_state(catalog)
 
 
+def failing_directory_fsync(real):
+    """``os.fsync`` failing on a directory's descriptor, ``real`` on a
+    file's."""
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, "Input/output error")
+        real(fd)
+
+    return fsync
+
+
+def wal_segments(directory):
+    return sorted(name for name in os.listdir(directory)
+                  if name.startswith("wal-"))
+
+
+@pytest.mark.parametrize("fsync", ["always", "batch"])
+def test_a_failed_directory_fsync_refuses_a_new_segments_append(
+        tmp_path, monkeypatch, fsync):
+    """The append that opens a new segment, whose directory fsync
+    fails: the segment's entry may not survive power loss, so the
+    append is refused with nothing applied, and so is every later one,
+    as after a failed record fsync.  It used to be acknowledged."""
+    catalog, writer, db = durable_session(str(tmp_path), fsync, range(100))
+    db.insert(500)
+    before, journaled = column_state(catalog), writer.last_seq
+    writer.segment_bytes = 1  # the next record opens a segment
+    monkeypatch.setattr(os, "fsync", failing_directory_fsync(os.fsync))
+    with pytest.raises(PersistenceError, match="directory"):
+        db.insert(501)
+    monkeypatch.undo()
+    assert column_state(catalog) == before
+    assert writer.last_seq == journaled
+    with pytest.raises(PersistenceError, match="refuses appends"):
+        db.insert(502)
+    assert column_state(catalog) == before
+    assert sorted(db.query(99, 600).values) == [99, 500]
+    writer.close()
+    recovered, __ = recover_catalog(str(tmp_path))
+    assert recovered.epochs() == catalog.epochs()
+    assert column_state(recovered) == column_state(catalog)
+
+
+def test_a_failed_directory_fsync_fails_the_checkpoint_and_keeps_the_log(
+        tmp_path, monkeypatch):
+    """A checkpoint whose rename cannot be made durable fails, and the
+    segments it would have compacted stay: the log still holds every
+    acknowledged mutation, and appends go on.  It used to compact them
+    under a snapshot that might not survive power loss."""
+    catalog, writer, db = durable_session(str(tmp_path), "always", range(100))
+    writer.segment_bytes = 1  # a segment a record
+    for value in (500, 501, 502):
+        db.insert(value)
+    segments = wal_segments(str(tmp_path))
+    assert len(segments) == 4
+    monkeypatch.setattr(os, "fsync", failing_directory_fsync(os.fsync))
+    with pytest.raises(PersistenceError, match="directory"):
+        checkpoint_catalog(catalog, str(tmp_path), writer)
+    monkeypatch.undo()
+    assert wal_segments(str(tmp_path)) == segments
+    db.insert(503)
+    writer.close()
+    recovered, __ = recover_catalog(str(tmp_path))
+    assert recovered.epochs() == catalog.epochs() == {"values": 4}
+    assert column_state(recovered) == column_state(catalog)
+
+
 def test_racing_creates_and_inserts_are_journaled_in_the_order_they_apply(tmp_path):
     """Per column name, four threads create it from different uploads
     while two more insert into it as soon as it exists, with the switch
@@ -306,7 +375,7 @@ def test_racing_creates_and_inserts_are_journaled_in_the_order_they_apply(tmp_pa
     def create(name, rows, ids):
         try:
             created[name].append(catalog.handle(CreateColumnRequest(
-                column=name, rows=rows, row_ids=request_ids(ids))))
+                column=name, rows=rows, row_ids=request_ids(ids), config={})))
         except UpdateError:
             pass
 

@@ -28,6 +28,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.query import EncryptedQuery
 from repro.core.session import OutsourcedDatabase
 from repro.errors import (
     ProtocolError,
@@ -44,6 +45,7 @@ from repro.net.protocol import (
     DeleteRequest,
     ErrorResponse,
     HelloRequest,
+    HelloResponse,
     InsertRequest,
     MergeRequest,
     MergeResponse,
@@ -140,26 +142,22 @@ class TestSharedTransport:
             db_b = OutsourcedDatabase(
                 VALUES_B, seed=2, transport=transport, column="b"
             )
-            plans = [
-                ("a", db_a, [0, 1, 2]),
-                ("b", db_b, [0, 1, 2, 3, 4]),
-            ]
+            plans = [("a", db_a, VALUES_A), ("b", db_b, VALUES_B)]
             errors = []
+            everything = EncryptedQuery(low=None, high=None)
 
-            def hammer(name, db, row_ids):
+            def hammer(name, db, values):
                 handle = RemoteColumn(transport, name)
-                expected = set(int(v) for v in (
-                    VALUES_A if name == "a" else VALUES_B
-                ))
                 try:
                     for _ in range(25):
-                        rows = handle.fetch(row_ids)
-                        assert len(rows) == len(row_ids)
-                        for row in rows:
-                            value = db.client.encryptor.decrypt_value(row)
-                            assert value in expected, (
-                                "cross-delivered row: %r" % (value,)
-                            )
+                        # Unbounded and tokenless: every row, whole.
+                        answer = handle.query(everything)
+                        is_real, opened = db.client.encryptor.open_block(
+                            answer.rows)
+                        assert is_real.all()
+                        assert sorted(opened.tolist()) == sorted(values), (
+                            "cross-delivered rows in column %r" % name
+                        )
                 except Exception as exc:  # surfaced after join
                     errors.append(exc)
 
@@ -189,8 +187,8 @@ class TestRotationFence:
         db = self._loopback_db()
         catalog = db.transport.catalog
         begin = db._remote.rotate_begin()
-        assert begin.fence is not None
         epoch_at_begin = catalog.epoch("values")
+        assert begin.fence == epoch_at_begin
         # A concurrent session sneaks an insert in between the two
         # rotation messages.
         catalog.handle(
@@ -217,18 +215,6 @@ class TestRotationFence:
             db._remote.rotate_apply(
                 begin.response.rows, begin.response.row_ids, fence=begin.fence
             )
-
-    def test_unfenced_apply_still_allowed(self):
-        """A legacy client that sends no fence keeps last-writer-wins
-        semantics (the pre-fence wire format is unchanged)."""
-        db = self._loopback_db()
-        catalog = db.transport.catalog
-        begin = db._remote.rotate_begin()
-        catalog.handle(DeleteRequest(column="values", row_ids=(0,)))
-        stored = db._remote.rotate_apply(
-            begin.response.rows, begin.response.row_ids, fence=None
-        )
-        assert stored == len(begin.response.row_ids)
 
     def test_session_rotate_key_surfaces_conflict_and_recovers(self):
         """End-to-end: a mutation racing ``rotate_key`` surfaces as
@@ -295,16 +281,16 @@ class TestWorkerPool:
             OutsourcedDatabase(
                 list(range(20)), seed=3, transport=setup, column="values",
             )
-            catalog.gated_kinds = {"fetch_request"}
+            catalog.gated_kinds = {"hello"}
             results = []
 
-            def fetch_one(h):
-                results.append(h.fetch([0]))
+            def hello(h):
+                results.append(h.call(HelloRequest()))
 
-            occupant = threading.Thread(target=fetch_one, args=(handle(),))
+            occupant = threading.Thread(target=hello, args=(handle(),))
             occupant.start()
             assert catalog.entered.acquire(timeout=10)  # worker is parked
-            queued = threading.Thread(target=fetch_one, args=(handle(),))
+            queued = threading.Thread(target=hello, args=(handle(),))
             queued.start()
             deadline = time.monotonic() + 10
             # the one place in the waiting room fills
@@ -314,13 +300,13 @@ class TestWorkerPool:
             # Worker busy + queue full: the next request is refused
             # with a typed busy envelope, not dropped or queued.
             with pytest.raises(ServerBusyError, match="queue full"):
-                handle().fetch([0])
+                handle().call(HelloRequest())
             assert catalog.obs.metrics.counter_value("net.busy_rejected") >= 1
             catalog.gate.set()
             occupant.join(timeout=10)
             queued.join(timeout=10)
             # Backpressure never lost the admitted requests.
-            assert len(results) == 2 and all(len(r) == 1 for r in results)
+            assert results == [HelloResponse()] * 2
         finally:
             catalog.gate.set()
             server.stop()
@@ -349,15 +335,16 @@ class TestWorkerPool:
             bystander_transport = TcpTransport(host, port)
             transports.append(bystander_transport)
             bystander = RemoteColumn(bystander_transport, "values")
-            assert len(bystander.fetch([0])) == 1  # connection established
-            catalog.gated_kinds = {"fetch_request"}
+            # connection established
+            assert bystander.call(HelloRequest()) == HelloResponse()
+            catalog.gated_kinds = {"hello"}
             admitted_results = []
 
             def admitted():
                 transport = TcpTransport(host, port)
                 transports.append(transport)
                 handle = RemoteColumn(transport, "values")
-                admitted_results.append(handle.fetch([1]))
+                admitted_results.append(handle.call(HelloRequest()))
 
             clients = [
                 threading.Thread(target=admitted) for _ in range(1 + waiting)
@@ -377,7 +364,7 @@ class TestWorkerPool:
                 time.sleep(0.01)
             # A frame arriving during the drain gets a typed refusal.
             with pytest.raises(ServerBusyError, match="draining"):
-                bystander.fetch([0])
+                bystander.call(HelloRequest())
             # ... while every admitted request still completes.
             catalog.gate.set()
             for client in clients:
@@ -385,7 +372,7 @@ class TestWorkerPool:
             stopper.join(timeout=30)
             assert not stopper.is_alive()
             assert len(admitted_results) == 1 + waiting
-            assert all(len(rows) == 1 for rows in admitted_results)
+            assert admitted_results == [HelloResponse()] * (1 + waiting)
             assert catalog.obs.metrics.gauge("net.queue_depth").value == 0
             # The endpoint is really gone afterwards.
             probe = TcpTransport(host, port, connect_timeout=2.0)
@@ -600,7 +587,7 @@ class _ScriptedTransport(Transport):
 
 
 class TestOneCodec:
-    MERGED = MergeResponse(delta=0, epoch=1)
+    MERGED = MergeResponse(delta=0)
 
     @pytest.mark.parametrize("codec", ["auto", "binary"])
     def test_the_first_exchange_is_the_request(self, codec):

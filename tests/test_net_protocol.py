@@ -26,8 +26,6 @@ from repro.net.protocol import (
     DeleteRequest,
     DeleteResponse,
     ErrorResponse,
-    FetchRequest,
-    FetchResponse,
     InsertRequest,
     InsertResponse,
     MergeRequest,
@@ -70,12 +68,11 @@ def sample_requests(client, rows):
             config={"engine": "adaptive", "min_piece_size": 2},
         ),
         QueryRequest(column="c", query=query),
-        FetchRequest(column="c", row_ids=(2, 0)),
         InsertRequest(column="c", rows=rows[:1]),
         DeleteRequest(column="c", row_ids=(1,)),
         MergeRequest(column="c"),
         RotateBeginRequest(column="c"),
-        RotateApplyRequest(column="c", rows=rows, row_ids=(0, 1, 2)),
+        RotateApplyRequest(column="c", rows=rows, row_ids=(0, 1, 2), fence=5),
     ]
 
 
@@ -86,11 +83,10 @@ def sample_responses(rows):
     return [
         CreateColumnResponse(column="c", rows_stored=3),
         QueryResponse(response=body),
-        FetchResponse(rows=rows[:2]),
         InsertResponse(row_ids=(3, 4)),
         DeleteResponse(deleted=2),
         MergeResponse(delta=1),
-        RotateBeginResponse(response=body),
+        RotateBeginResponse(response=body, fence=5),
         RotateApplyResponse(rows_stored=3),
         ErrorResponse(code="query", message="unknown column: 'x'"),
     ]
@@ -218,31 +214,6 @@ class TestMalformedPayloads:
             with pytest.raises(SerializationError):
                 decode(frame)
 
-    def test_a_create_frame_marking_the_retired_shard_field(self, rows):
-        """``create_column`` once carried an optional second field, a
-        shard descriptor (presence bit ``1 << 1``).  The frame the old
-        codec wrote for it is a typed refusal, not a silent drop."""
-        from repro.net.binframe import write_varint
-
-        request = CreateColumnRequest(
-            column="c", rows=rows, row_ids=(0, 1, 2),
-            config={"engine": "scan"},
-        )
-        frame = encode(request)
-        code = bytearray()
-        write_varint(code, protocol.spec_of(request).code)
-        # magic, version, kind code, an empty trace section: the bitmap.
-        at = 2 + len(code) + 1
-        assert frame[at] == 1 << 0
-        # The descriptor {"count": 2, "index": 0, "of": "c",
-        # "physical_per_value": 1} as the old codec's tagged value.
-        shard = (b"\t\x04\x06\x05count\x03\x04\x06\x05index\x03\x00"
-                 b"\x06\x02of\x06\x01c\x06\x12physical_per_value\x03\x02")
-        old = (frame[:at] + bytes((1 << 0 | 1 << 1,)) + frame[at + 1:]
-               + shard)
-        with pytest.raises(SerializationError, match="does not have"):
-            decode(old)
-
     def test_unencodable_frame(self):
         with pytest.raises(SerializationError):
             encode(InsertRequest(column="c", rows=(object(),)))
@@ -305,15 +276,14 @@ class TestConfigAtTheTrustBoundary:
 
 
 class TestIntegersAtTheTrustBoundary:
-    """``INT`` / ``OPT_INT`` in a dict form are integers or refused:
-    ``int()`` would read ``"7"``, ``7.9`` and ``True`` as 7, 7 and 1."""
+    """``INT`` in a dict form is an integer or refused: ``int()`` would
+    read ``"7"``, ``7.9`` and ``True`` as 7, 7 and 1."""
 
     ENVELOPES = (
-        (InsertResponse(row_ids=(1,), epoch=7), ("epoch",)),
-        (DeleteResponse(deleted=1, epoch=2), ("deleted", "epoch")),
-        (protocol.MergeResponse(delta=-3, epoch=4), ("delta", "epoch")),
-        (protocol.CreateColumnResponse(column="c", rows_stored=3, epoch=0),
-         ("rows_stored", "epoch")),
+        (DeleteResponse(deleted=1), ("deleted",)),
+        (protocol.MergeResponse(delta=-3), ("delta",)),
+        (protocol.CreateColumnResponse(column="c", rows_stored=3),
+         ("rows_stored",)),
     )
 
     @pytest.mark.parametrize("value", ["7", 7.9, True], ids=repr)
@@ -558,7 +528,7 @@ class TestEnvelopeRegistry:
         }
         assert self.flagged("journaled") == journaled
         assert self.flagged("idempotent") == {
-            "hello", "telemetry_request", "query_request", "fetch_request",
+            "hello", "telemetry_request", "query_request",
         }
 
     def test_every_request_has_a_registered_reply(self):
@@ -566,7 +536,7 @@ class TestEnvelopeRegistry:
 
         requests = [s for s in ENVELOPES.values() if s.is_request]
         replies = {ENVELOPES[s.reply].kind for s in requests}
-        assert len(requests) == 11
+        assert len(requests) == 10
         # Every response but the error envelope and a checkpoint's
         # column snapshot answers one request.
         assert replies == {
@@ -587,11 +557,10 @@ class TestEnvelopeRegistry:
 
         expected = []
         for spec in ENVELOPES.values():
-            expected.append("| %d | `%s` | %s | %s | %s | %s |" % (
+            expected.append("| %d | `%s` | %s | %s | %s |" % (
                 spec.code,
                 spec.kind,
                 cell("`%s: %s`" % (f.key, f.type.name) for f in spec.fields),
-                cell("`%s`" % f.key for f in spec.fields if f.optional),
                 "`%s`" % ENVELOPES[spec.reply].kind if spec.is_request
                 else "—",
                 cell(flag for flag in self.FLAGS if getattr(spec, flag)),
@@ -779,7 +748,7 @@ def test_a_mutation_codec_round_trip_makes_at_most_120_and_95_calls():
     catalog = ColumnCatalog()
     rows, row_ids = client.encrypt_dataset(list(range(0, 3_000, 3)))
     serve_frame(catalog, encode(CreateColumnRequest(
-        column="values", rows=rows, row_ids=row_ids)))
+        column="values", rows=rows, row_ids=row_ids, config={})))
     insert = _codec_calls(catalog, InsertRequest(
         column="values", rows=client.encryptor.encrypt_values([1_000_001])))
     delete = _codec_calls(catalog, DeleteRequest(column="values",

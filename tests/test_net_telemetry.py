@@ -34,7 +34,7 @@ from repro.net import (
 from repro.net.protocol import (
     DICT_VERSION,
     BatchRequest,
-    FetchRequest,
+    DeleteRequest,
     MergeRequest,
     TelemetryRequest,
     TelemetryResponse,
@@ -53,8 +53,8 @@ VALUES = list(np.random.default_rng(88).permutation(300))
 
 # The frames of two untraced requests: magic, version, kind code, an
 # empty trace section, then the fields (a column name; an id run).
-GOLDEN_MERGE = b"\xae\x06\x09\x00\x06values"
-GOLDEN_FETCH = b"\xae\x06\x06\x00\x06values\x00\x06\x00\x01\x02\x03\x04\x05"
+GOLDEN_MERGE = b"\xae\x07\x09\x00\x06values"
+GOLDEN_DELETE = b"\xae\x07\x08\x00\x06values\x00\x06\x00\x01\x02\x03\x04\x05"
 
 CTX = {"trace_id": "ab" * 8, "parent": "cafe0000-3", "sampled": True}
 
@@ -92,9 +92,9 @@ class TestWireCompatibility:
 
     def test_golden_frames_unchanged(self):
         merge = MergeRequest(column="values")
-        fetch = FetchRequest(column="values", row_ids=(0, 1, 2, 3, 4, 5))
+        delete = DeleteRequest(column="values", row_ids=(0, 1, 2, 3, 4, 5))
         assert encode(merge) == encode(merge, None) == GOLDEN_MERGE
-        assert encode(fetch) == GOLDEN_FETCH
+        assert encode(delete) == GOLDEN_DELETE
         assert decode_request(GOLDEN_MERGE) == (merge, None)
 
     def test_a_traced_frame_carries_the_context(self):
@@ -201,12 +201,12 @@ class TestTelemetryEnvelopes:
         assert decode(encode(response)) == response
         assert response_from_dict(response_to_dict(response)) == response
 
-    def test_sections_none_omitted_from_wire(self):
+    def test_sections_none_is_sent_as_null(self):
         payload = request_to_dict(TelemetryRequest())
-        assert "sections" not in payload
+        assert payload["sections"] is None
         assert request_from_dict(payload) == TelemetryRequest(sections=None)
         frame = encode(TelemetryRequest())
-        assert frame[4] == 0  # the presence bitmap: nothing follows
+        assert frame[4:] == b"\x04null"  # every section
         assert decode(frame) == TelemetryRequest(sections=None)
 
     def test_malformed_sections_rejected(self):

@@ -314,11 +314,12 @@ class TestBatches:
             assert isinstance(second, ErrorResponse)
             assert second.code == "serialization"
             assert type(third).__name__ == "MergeResponse"
-            # The insert and merge really happened: the new row is
-            # fetchable by the id the batch assigned it.
-            fetched = db._remote.fetch(first.row_ids)
-            assert len(fetched) == 1
-            assert db.client.encryptor.decrypt_value(fetched[0]) == 10 ** 6
+            # The insert and merge really happened: a query answers the
+            # new row under the id the batch assigned it.
+            answer = db._remote.query(db.client.make_query(10 ** 6, 10 ** 6))
+            assert answer.row_ids.tolist() == list(first.row_ids)
+            result = db.client.decrypt_results(answer.row_ids, answer.rows)
+            assert result.values.tolist() == [10 ** 6]
 
     def test_client_send_path_enforces_frame_cap(self, endpoint, monkeypatch):
         """Oversized request frames are refused before the socket is

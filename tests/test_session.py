@@ -274,28 +274,23 @@ class TestKeyReuse:
         assert db.client_stats[-1] is result
 
 
-class TestFetchByIds:
-    """A ``fetch_request`` materialises rows by id, in the order asked,
-    however far the column has been cracked."""
+class TestAnswersById:
+    """A query names each row it answers by the id its value was stored
+    under, however far the column has been cracked, merged or
+    tombstoned."""
 
     @pytest.mark.parametrize("ambiguity", [False, True])
-    def test_rows_come_back_in_the_order_asked(self, ambiguity):
+    def test_each_row_comes_back_under_its_id(self, ambiguity):
         db = OutsourcedDatabase(VALUES[:120], ambiguity=ambiguity, seed=13)
         for low, high in ((10, 60), (200, 300), (0, 399)):
             db.query(low, high)
-        wanted = random.Random(3).sample(range(120), 30)
-        physical = [p for i in wanted for p in db._physical_ids_of(i)]
-        rows = db.remote.fetch(physical)
-        assert len(rows) == len(physical)
-        result = db.client.decrypt_results(physical, rows)
-        assert result.logical_ids.tolist() == wanted
-        assert result.values.tolist() == [VALUES[i] for i in wanted]
-        # Under ambiguity each value ships its fake face too, which the
-        # owner drops.
-        assert result.false_positives == (len(wanted) if ambiguity else 0)
+        for i in random.Random(3).sample(range(120), 30):
+            result = db.query(VALUES[i], VALUES[i])
+            assert result.logical_ids.tolist() == [i]
+            assert result.values.tolist() == [VALUES[i]]
 
     @pytest.mark.parametrize("ambiguity", [False, True])
-    def test_the_order_holds_after_inserts_deletes_and_a_merge(
+    def test_the_ids_hold_after_inserts_deletes_and_a_merge(
         self, ambiguity
     ):
         db = OutsourcedDatabase(VALUES[:60], ambiguity=ambiguity, seed=14)
@@ -303,23 +298,21 @@ class TestFetchByIds:
         inserted = [db.insert(v) for v in (1000, 1001)]
         db.delete(5)
         db.merge()
-        wanted = [inserted[1], 0, 59, inserted[0], 30]
-        physical = [p for i in wanted for p in db._physical_ids_of(i)]
-        rows = db.remote.fetch(physical)
-        result = db.client.decrypt_results(
-            physical, rows, id_mapper=db._map_physical_ids
-        )
-        assert result.logical_ids.tolist() == wanted
-        assert result.values.tolist() == [
-            1001, VALUES[0], VALUES[59], 1000, VALUES[30]
-        ]
+        for i, value in ((inserted[1], 1001), (0, VALUES[0]),
+                         (59, VALUES[59]), (inserted[0], 1000),
+                         (30, VALUES[30])):
+            result = db.query(value, value)
+            assert result.logical_ids.tolist() == [i]
+            assert result.values.tolist() == [value]
+        assert db.query(VALUES[5], VALUES[5]).values.tolist() == []
         db.server.engine.check_invariants()
 
-    def test_a_selections_ids_fetch_its_values(self, db):
+    def test_a_repeated_selection_names_the_same_rows(self, db):
         selection = db.query(100, 180)
-        rows = db.remote.fetch(selection.logical_ids)
-        fetched = db.client.decrypt_results(selection.logical_ids, rows)
-        assert fetched.values.tolist() == selection.values.tolist()
+        again = db.query(100, 180)
+        assert sorted(zip(again.logical_ids.tolist(), again.values.tolist())) \
+            == sorted(zip(selection.logical_ids.tolist(),
+                          selection.values.tolist()))
         db.server.engine.check_invariants()
 
 

@@ -257,7 +257,7 @@ class TestLoggedRequest:
 
     @pytest.mark.parametrize("kind", [
         "hello", "batch_request", "telemetry_request", "query_request",
-        "fetch_request", "rotate_begin",
+        "rotate_begin",
     ])
     def test_unjournaled_kinds_are_refused(self, kind):
         from repro.core.client import TrustedClient
@@ -271,8 +271,6 @@ class TestLoggedRequest:
             "query_request": QueryRequest(
                 column="values",
                 query=TrustedClient(seed=3).make_query(1, 5)),
-            "fetch_request": protocol.FetchRequest(column="values",
-                                                   row_ids=(1,)),
             "rotate_begin": protocol.RotateBeginRequest(column="values"),
         }[kind]
         with pytest.raises(PersistenceError, match="a %s frame" % kind):
@@ -284,23 +282,21 @@ class TestLoggedRequest:
 
         reply = {
             "create_column": protocol.CreateColumnResponse(
-                column="values", rows_stored=3, epoch=0),
-            "insert_request": protocol.InsertResponse(row_ids=(3, 4, 5),
-                                                      epoch=1),
-            "delete_request": protocol.DeleteResponse(deleted=2, epoch=2),
-            "merge_request": protocol.MergeResponse(delta=1, epoch=3),
-            "rotate_apply": protocol.RotateApplyResponse(rows_stored=3,
-                                                         epoch=4),
+                column="values", rows_stored=3),
+            "insert_request": protocol.InsertResponse(row_ids=(3, 4, 5)),
+            "delete_request": protocol.DeleteResponse(deleted=2),
+            "merge_request": protocol.MergeResponse(delta=1),
+            "rotate_apply": protocol.RotateApplyResponse(rows_stored=3),
         }[kind]
         assert protocol.spec_of(journaled_requests()[kind]).reply is type(
             reply)
         with pytest.raises(PersistenceError, match="malformed frame"):
             self.logged(encode(reply))
 
-    @pytest.mark.parametrize("code", [12, 13, 14])
-    def test_a_retired_replica_feed_kind_is_refused(self, code):
-        """The deleted ``replicate_*`` requests' codes are unknown kinds
-        on replay as on the wire."""
+    @pytest.mark.parametrize("code", [6, 12, 13, 14])
+    def test_a_retired_request_kind_is_refused(self, code):
+        """The deleted ``fetch_request`` and ``replicate_*`` requests'
+        codes are unknown kinds on replay as on the wire."""
         frame = REQUEST[:2] + bytes((code,)) + REQUEST[3:]
         with pytest.raises(PersistenceError, match="kind code: %d" % code):
             self.logged(frame)
