@@ -141,13 +141,14 @@ def restore_server(
                 "%d crack slots for %d crack keys" % (len(slots), len(bounds))
             )
         if bounds:
-            cracks = server.engine.cracks
-            cracks.keys = [
-                EncryptedBoundKey(bound, inclusive=bool(slot & 1))
-                for bound, slot in zip(bounds, slots)
-            ]
-            cracks.positions = [slot >> 1 for slot in slots]
-            cracks.check_invariants(len(server.engine.column))
+            # The index's search is written for the column's length.
+            snapshot.cracks.check_length(server.engine.column.ciphertext_length)
+            server.engine.cracks.load(
+                [EncryptedBoundKey(bound, inclusive=bool(slot & 1))
+                 for bound, slot in zip(bounds, slots)],
+                [slot >> 1 for slot in slots],
+                len(server.engine.column),
+            )
         if len(snapshot.pending_ids) != len(snapshot.pending_rows):
             raise SerializationError("pending row ids and rows differ in length")
         server.restore_updates(

@@ -56,8 +56,11 @@ def compare_encrypted_keys(a: EncryptedBoundKey, b: EncryptedBoundKey) -> int:
     a_value)`` with ``xi > 0`` (crack ``Ev`` keys are encrypted without
     ambiguity), so its sign orders the underlying plaintext bounds
     without revealing them; exact ties fall back to the inclusiveness
-    flag.  This is the only value-to-value comparison in the system and
-    it is possible *only* because each bound was shipped in both modes.
+    flag.  It is possible *only* because each bound was shipped in both
+    modes.  The secure engine's index searches with this product written
+    out (:class:`repro.core.secure_index.SecureCrackIndex`); this
+    function is the reference every such probe must equal, and orders
+    that index's invariant check.
     """
     product = sum(map(mul, a.bound.eb.vector, b.bound.ev.numerators))
     if product > 0:

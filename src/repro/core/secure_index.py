@@ -10,8 +10,9 @@ makes it secure is only how two things are compared:
   (:meth:`repro.core.encrypted_column.EncryptedColumn.below`);
 * crack keys (previous bounds, stored in ``Ev`` mode) are compared to a
   new bound (arriving in ``Eb`` mode) the same way — the double
-  encryption of Section 4.3
-  (:func:`repro.core.query.compare_encrypted_keys`).
+  encryption of Section 4.3 — by :class:`SecureCrackIndex`, whose
+  search is the products of
+  :func:`repro.core.query.compare_encrypted_keys` written out.
 
 On top of the driver this module adds what only a server over
 ciphertexts needs: per-query scalar-product accounting, the
@@ -24,10 +25,12 @@ client will discard.  Nothing here touches a key or a plaintext.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.cracking.cracks import CrackIndex
 from repro.cracking.index import CrackingEngine
 from repro.core.encrypted_column import EncryptedColumn
 from repro.core.query import (
@@ -36,7 +39,111 @@ from repro.core.query import (
     compare_encrypted_keys,
 )
 from repro.crypto.ciphertext import BoundCiphertext, RowBlock
+from repro.errors import IndexStateError
+from repro.linalg.limbs import to_objects
 from repro.obs import Observability
+
+#: The index's two binary searches for one ciphertext length, each
+#: probe one exact product written out term by term (``{b}`` / ``{v}``
+#: unpack ``l`` ints): a new bound's ``Eb`` against the keys' ``Ev``,
+#: ties broken on the flag as :func:`compare_encrypted_keys` does, and
+#: merge routing, a row's numerators against the keys' ``Eb``, a zero
+#: product sending it left of an inclusive key (``v <= b``).
+_SEARCHES = """
+def search(eb, inclusive, evs, flags):
+    {b} = eb
+    low, high, probes = 0, len(evs), 0
+    while low < high:
+        middle = (low + high) >> 1
+        probes += 1
+        {v} = evs[middle]
+        product = {product}
+        if product > 0 or not product and inclusive < flags[middle]:
+            high = middle
+        elif product or inclusive > flags[middle]:
+            low = middle + 1
+        else:
+            return True, middle, probes
+    return False, low, probes
+
+def route(rows, ebs, flags):
+    ranks, probes, size = [], 0, len(ebs)
+    for {v} _ in rows:
+        low, high = 0, size
+        while low < high:
+            middle = (low + high) >> 1
+            probes += 1
+            {b} = ebs[middle]
+            product = {product}
+            if product < 0 or not product and flags[middle]:
+                high = middle
+            else:
+                low = middle + 1
+        ranks.append(low)
+    return ranks, probes
+"""
+
+
+@lru_cache(maxsize=None)
+def _searches(length: int):
+    """``(search, route)`` for keys of ciphertext length ``length``,
+    compiled once per length, as :mod:`dataclasses` writes ``__init__``:
+    only the integer ``length`` enters the source."""
+    namespace = {}
+    exec(_SEARCHES.format(
+        b="".join("b%d, " % i for i in range(length)),
+        v="".join("v%d, " % i for i in range(length)),
+        product=" + ".join("b%d * v%d" % (i, i) for i in range(length)),
+    ), namespace)
+    return namespace["search"], namespace["route"]
+
+
+class SecureCrackIndex(CrackIndex):
+    """The secure engine's cracker index: beside ``keys`` and
+    ``positions``, flat lists in key order of the keys' ``Ev``
+    numerators, ``Eb`` vectors and ``inclusive`` flags, searched with
+    one exact product per probe — the probes, ranks and
+    ``comparison_count`` of ``CrackIndex(compare_encrypted_keys)``."""
+
+    def __init__(self) -> None:
+        super().__init__(compare_encrypted_keys)
+        self._evs, self._ebs, self._inclusive = [], [], []
+        self._search = self._route = None  # picked by the first key's length
+
+    def _insert(self, rank: int, key: EncryptedBoundKey, position: int) -> None:
+        super()._insert(rank, key, position)
+        bound = key.bound
+        if not self._evs:
+            self._search, self._route = _searches(len(bound.eb.vector))
+        self._evs.insert(rank, bound.ev.numerators)
+        self._ebs.insert(rank, bound.eb.vector)
+        self._inclusive.insert(rank, key.inclusive)
+
+    def locate(self, key: EncryptedBoundKey) -> Tuple[bool, int]:
+        if not self._evs:
+            return False, 0
+        exact, rank, probes = self._search(
+            key.bound.eb.vector, key.inclusive, self._evs, self._inclusive)
+        self.comparison_count += probes
+        return exact, rank
+
+    def route(self, block: RowBlock) -> List[int]:
+        """Merge routing: per row of ``block`` (boxed once) the rank of
+        the first key right of it, whose position is the upper edge of
+        the row's piece (one product per probe, counted)."""
+        if not self._ebs:
+            return [0] * len(block)
+        ranks, probes = self._route(
+            to_objects(block.limbs).tolist(), self._ebs, self._inclusive)
+        self.comparison_count += probes
+        return ranks
+
+    def check_invariants(self, size: int) -> None:
+        super().check_invariants(size)
+        if list(zip(self._evs, self._ebs, self._inclusive)) != [
+            (key.bound.ev.numerators, key.bound.eb.vector, key.inclusive)
+                for key in self.keys]:
+            raise IndexStateError("flat crack lists differ from the keys")
 
 
 class SecureAdaptiveIndex(CrackingEngine):
@@ -67,7 +174,7 @@ class SecureAdaptiveIndex(CrackingEngine):
     ) -> None:
         super().__init__(
             column,
-            compare_encrypted_keys,
+            SecureCrackIndex(),
             min_piece_size,
             use_three_way,
             obs if obs is not None else column.obs,
@@ -120,21 +227,6 @@ class SecureAdaptiveIndex(CrackingEngine):
 
     # -- updates -------------------------------------------------------------------
 
-    @staticmethod
-    def _route_row(row, key: EncryptedBoundKey) -> int:
-        """Merge routing's comparator: -1 when a new encrypted row
-        belongs left of the crack ``key``, else 1 — so a row's
-        :meth:`~repro.cracking.cracks.CrackIndex.locate` rank is the
-        first crack right of it, whose position is the upper edge of
-        the row's piece.
-
-        The row is compared against the key's ``Eb`` form
-        (``sign(Eb(b_key) . Ev(v_new)) == sign(v_new - b_key)``) — the
-        server can do this without learning ``v_new``.
-        """
-        sign = key.bound.eb.product_sign(row)
-        return -1 if sign < 0 or (sign == 0 and key.inclusive) else 1
-
     def merge(self, block: RowBlock, row_ids, reclaimed_ids) -> None:
         """Land a whole merge in one pass: drop the rows ``reclaimed_ids``
         name, ripple ``block``'s rows (ids ``row_ids``) each to the upper
@@ -155,13 +247,8 @@ class SecureAdaptiveIndex(CrackingEngine):
         with self._obs.span("ripple-insert", rows=len(block)):
             # One product per comparison the routing searches make.
             routed = cracks.comparison_count
-            try:
-                locate, route = cracks.locate, self._route_row
-                ranks = np.array(
-                    [locate(row, route)[1] for row in block], dtype=np.int64
-                )
-            finally:
-                column.exact_products.add(cracks.comparison_count - routed)
+            ranks = np.array(cracks.route(block), dtype=np.int64)
+            column.exact_products.add(cracks.comparison_count - routed)
             order = np.argsort(ranks, kind="stable")
             ranks = ranks[order]
             # Crack positions in key order (the column end standing in

@@ -14,7 +14,12 @@ A key ``k`` at ``position`` records that a past crack partitioned the
 column there: every row before ``position`` sorts left of ``k``, every
 row from ``position`` on does not.  The comparator is the engine's:
 a tuple comparison for plaintext bounds, ``sign(Eb(new) . Ev(key))``
-for encrypted ones (Section 4.3).
+for encrypted ones (Section 4.3).  The secure engine's index
+(:class:`repro.core.secure_index.SecureCrackIndex`) keeps the keys'
+vectors in flat lists beside them and writes that product out term by
+term, one probe no function call; its merge routing searches the same
+lists.  ``compare`` stays the reference it equals and orders a restored
+index's check.
 """
 
 from __future__ import annotations
@@ -31,12 +36,11 @@ class CrackIndex:
     """Crack bounds in key order: ``keys[i]`` splits at ``positions[i]``.
 
     Args:
-        compare: total order on keys; for the secure engine the only
-            place encrypted bounds are compared to each other.
+        compare: total order on keys (``-1/0/1``).
 
-    ``comparison_count`` counts every comparison :meth:`locate` makes,
-    merge routing's included (the cost model's index term; for the
-    secure engine each is a scalar product).
+    ``comparison_count`` counts every comparison a search makes (the
+    cost model's index term; for the secure engine each is a scalar
+    product, merge routing's included).
     """
 
     def __init__(self, compare: Comparator) -> None:
@@ -48,18 +52,14 @@ class CrackIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def locate(self, key, compare: Comparator = None) -> Tuple[bool, int]:
+    def locate(self, key) -> Tuple[bool, int]:
         """One binary search: ``(exact, rank)``.
 
         On an exact match ``keys[rank]`` equals ``key``; otherwise
-        ``rank`` keys sort before it, the key's place in the lists.
-        ``compare`` replaces the index's comparator for this search
-        (merge routing orders a row against the keys).  A located rank
-        is only good until the index next changes.
+        ``rank`` keys sort before it, the key's place in the lists.  A
+        located rank is only good until the index next changes.
         """
-        if compare is None:
-            compare = self._compare
-        keys = self.keys
+        compare, keys = self._compare, self.keys
         low, high, probes = 0, len(keys), 0
         while low < high:
             middle = (low + high) >> 1
@@ -109,8 +109,23 @@ class CrackIndex:
             (rank and positions[rank - 1] == position)
             or (rank < len(positions) and positions[rank] == position)
         ):
-            self.keys.insert(rank, key)
-            positions.insert(rank, position)
+            self._insert(rank, key, position)
+
+    def _insert(self, rank: int, key, position: int) -> None:
+        """Put ``key`` in at ``rank``, splitting at ``position``."""
+        self.keys.insert(rank, key)
+        self.positions.insert(rank, position)
+
+    def load(self, keys: List, positions: List[int], size: int) -> None:
+        """Fill an empty index with ``keys`` at ``positions`` (a
+        snapshot's, in key order) and :meth:`check_invariants`; an
+        :class:`IndexStateError` on a non-empty index or uneven lists."""
+        if self.keys or len(keys) != len(positions):
+            raise IndexStateError("a load fills an empty index, a position "
+                                  "per key")
+        for rank, key in enumerate(keys):
+            self._insert(rank, key, positions[rank])
+        self.check_invariants(size)
 
     def check_invariants(self, size: int) -> None:
         """Keys strictly increasing (``n - 1`` comparisons), positions

@@ -163,7 +163,7 @@ class CrackingEngine:
 
     Args:
         column: the column to crack (owned by the engine thereafter).
-        compare_keys: total order on crack keys (``-1/0/1``).
+        cracks: the empty cracker index, which orders the crack keys.
         min_piece_size: pieces at or below this size are scanned rather
             than cracked (Section 2.2's cache-size threshold — also the
             mechanism that keeps the index from ever leaking a total
@@ -185,13 +185,13 @@ class CrackingEngine:
     def __init__(
         self,
         column: CrackableColumn,
-        compare_keys,
+        cracks: CrackIndex,
         min_piece_size: Optional[int],
         use_three_way: bool,
         obs: Observability,
     ) -> None:
         self._column = column
-        self._cracks = CrackIndex(compare_keys)
+        self._cracks = cracks
         self._min_piece = (
             None if min_piece_size is None else max(1, int(min_piece_size))
         )
@@ -501,7 +501,7 @@ class AdaptiveIndex(CrackingEngine):
     ) -> None:
         super().__init__(
             CrackerColumn(values),
-            _compare_bound_keys,
+            CrackIndex(_compare_bound_keys),
             min_piece_size,
             use_three_way,
             obs if obs is not None else Observability(),

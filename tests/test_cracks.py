@@ -3,9 +3,10 @@
 :class:`~repro.cracking.cracks.CrackIndex` is held to a brute-force scan
 over its own keys: ``locate``'s rank is the number of keys below the
 searched one, ``piece`` runs from the floor key's position to the
-ceiling key's.  The generic cases run twice, over integer keys and over
-encrypted bound keys ordered by scalar products (Section 4.3), the two
-comparators the engines pass.
+ceiling key's.  The generic cases run three times: over integer keys,
+over encrypted bound keys ordered by scalar products (Section 4.3), the
+two comparators, and over the secure engine's index, whose search
+writes those products out.
 """
 
 import math
@@ -44,6 +45,10 @@ class Flavour:
         self._encryptor = encryptor
 
     def index(self):
+        if self.name == "secure":
+            from repro.core.secure_index import SecureCrackIndex
+
+            return SecureCrackIndex()
         return CrackIndex(int_cmp if self.name == "plain" else compare_encrypted_keys)
 
     def key(self, bound):
@@ -59,7 +64,7 @@ class Flavour:
         return index
 
 
-@pytest.fixture(params=("plain", "encrypted"))
+@pytest.fixture(params=("plain", "encrypted", "secure"))
 def flavour(request, encryptor):
     return Flavour(request.param, encryptor)
 
@@ -162,19 +167,6 @@ class TestLocateAndPiece:
         assert index.locate(key) == (True, located[1])
         index.check_invariants(10**6)
 
-    def test_a_compare_given_to_locate_replaces_the_comparator(self, flavour):
-        """Merge routing's search: a side rule that never ties."""
-        index = flavour.build({10: 100, 20: 200, 30: 300})
-        bounds = [10, 20, 30]
-
-        def right_of(value, key):
-            bound = bounds[index.keys.index(key)]
-            return -1 if value <= bound else 1
-
-        for value, rank in ((5, 0), (10, 0), (11, 1), (20, 1), (29, 2), (31, 3)):
-            assert index.locate(value, right_of) == (False, rank)
-        assert index.locate(flavour.key(20)) == (True, 1)
-
 
 class TestAdd:
     def test_boundary_positions_are_not_stored(self, flavour):
@@ -240,6 +232,28 @@ class TestAdd:
                 cracks[bound] = position
             assert index.positions == [cracks[b] for b in sorted(cracks)]
         index.check_invariants(size)
+
+
+class TestLoad:
+    def test_a_load_equals_the_adds(self, flavour, rng):
+        built = flavour.build(monotone_cracks(rng, 30))
+        loaded = flavour.index()
+        loaded.load(built.keys, built.positions, 10**6)
+        assert (loaded.keys, loaded.positions) == (built.keys, built.positions)
+        probe = flavour.key(50001)
+        assert loaded.locate(probe) == built.locate(probe)
+
+    def test_a_non_empty_index_or_uneven_lists_are_refused(self, flavour):
+        built = flavour.build({10: 100, 20: 200})
+        with pytest.raises(IndexStateError):
+            built.load(built.keys, built.positions, 1000)
+        with pytest.raises(IndexStateError):
+            flavour.index().load(built.keys, [100], 1000)
+
+    def test_a_disordered_load_is_refused(self, flavour):
+        built = flavour.build({10: 100, 20: 200})
+        with pytest.raises(IndexStateError):
+            flavour.index().load(built.keys[::-1], built.positions, 1000)
 
 
 class TestCheckInvariants:
@@ -364,13 +378,14 @@ def test_a_declined_three_way_crack_searches_each_key_once(engine,
     searched again), and a repeat of it makes two."""
     index, query = _three_way_engines()[engine]
     searched = []
-    locate = CrackIndex.locate
+    kind = type(index.cracks)  # the secure engine's index has its own search
+    locate = kind.locate
 
-    def spy(self, key, compare=None):
+    def spy(self, key):
         searched.append(key)
-        return locate(self, key, compare)
+        return locate(self, key)
 
-    monkeypatch.setattr(CrackIndex, "locate", spy)
+    monkeypatch.setattr(kind, "locate", spy)
     cracks = len(index.cracks)
     query(500, 4_000)
     assert len(index.cracks) == cracks + 2  # each bound cracked its piece
@@ -379,3 +394,68 @@ def test_a_declined_three_way_crack_searches_each_key_once(engine,
     query(500, 4_000)
     assert len(searched) == 2
     index.check_invariants()
+
+
+# -- the secure index's written-out products against the reference ---------------
+
+
+def route_row(row, key):
+    """Merge routing's rule, the reference ``SecureCrackIndex.route``
+    equals: -1 when a new encrypted row belongs left of the crack
+    ``key``, else 1 — so a row's rank is the first crack right of it,
+    whose position is the upper edge of the row's piece.  The row meets
+    the key's ``Eb`` form (``sign(Eb(b) . Ev(v)) == sign(v - b)``): the
+    server orders it without learning ``v``."""
+    sign = key.bound.eb.product_sign(row)
+    return -1 if sign < 0 or (sign == 0 and key.inclusive) else 1
+
+
+@pytest.mark.parametrize("ambiguity", (False, True), ids=["plain", "ambiguity"])
+@pytest.mark.parametrize("length", (3, 4, 6, 8))
+def test_the_secure_index_searches_like_the_reference_comparator(length,
+                                                                 ambiguity):
+    """``SecureCrackIndex`` against ``CrackIndex(compare_encrypted_keys)``
+    on the same keys, from an empty and a one-key index up: the same
+    ``(exact, rank)`` and ``comparison_count`` for the indexed keys
+    themselves, fresh encryptions of indexed bounds in both flavours and
+    bounds in between; merge routing's ranks and products equal to a
+    search of the same keys under :func:`route_row`."""
+    from repro.core.client import TrustedClient
+    from repro.core.secure_index import SecureCrackIndex
+
+    client = TrustedClient(seed=length, ambiguity=ambiguity, key_length=length)
+    rng = random.Random(length)
+    rows = client.encrypt_dataset(rng.sample(range(-5, 205), 60))[0]
+
+    def key(bound, inclusive):
+        return EncryptedBoundKey(client.encrypt_query_bound(bound), inclusive)
+
+    def same(search, index, reference_search):
+        """Equal results at equal comparisons: ``flat`` against ``index``."""
+        before = flat.comparison_count, index.comparison_count
+        assert search() == reference_search()
+        assert (flat.comparison_count - before[0]
+                == index.comparison_count - before[1])
+
+    for count in (0, 1, 2, 9, 40):
+        flat, reference = SecureCrackIndex(), CrackIndex(compare_encrypted_keys)
+        cracked = {(rng.randrange(200), rng.random() < 0.5) for _ in range(count)}
+        for bound, inclusive in cracked:
+            indexed = key(bound, inclusive)
+            position = 2 * bound + inclusive + 1
+            same(lambda: flat.add(indexed, position, 1000), reference,
+                 lambda: reference.add(indexed, position, 1000))
+        assert flat.keys == reference.keys and len(flat) == len(cracked)
+        probes = list(flat.keys) + [
+            key(bound + shift, inclusive)
+            for bound, __ in cracked for shift in (-1, 0, 1)
+            for inclusive in (False, True)
+        ] + [key(rng.randrange(-10, 210), rng.random() < 0.5) for _ in range(20)]
+        for probe in probes:
+            same(lambda: flat.locate(probe), reference,
+                 lambda: reference.locate(probe))
+        routing = CrackIndex(route_row)
+        routing.keys = reference.keys
+        same(lambda: flat.route(rows), routing,
+             lambda: [routing.locate(row)[1] for row in rows])
+        flat.check_invariants(1000)

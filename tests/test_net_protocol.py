@@ -659,10 +659,11 @@ def test_a_converged_ambiguity_query_makes_at_most_650_python_calls(
 ):
     """The gate above over the ambiguity column, where the server's
     cracker index is largest: one converged query, ``make_query`` to
-    decrypted result, 640 calls in the median of nine with the cracks
-    one sorted list under a binary search (669 with them in an AVL tree
-    whose insert walked its rebalancing chain back up; 674 in a
-    converged e2e ``ambiguity_range`` profile)."""
+    decrypted result, 502 calls in the median of nine with each probe of
+    the index one written-out product (551 with each a
+    ``compare_encrypted_keys`` call; 640 when this gate was set, with
+    the cracks one sorted list under a binary search; 669 with them in
+    an AVL tree whose insert walked its rebalancing chain back up)."""
     db, queries = converged_ambiguity_range
     assert len(db.server.engine.cracks) > 5_000
 
@@ -671,6 +672,23 @@ def test_a_converged_ambiguity_query_makes_at_most_650_python_calls(
 
     median, counts = _median_calls(query, queries)
     assert median <= 650, counts
+
+
+def test_a_crack_index_probe_is_a_product_not_a_call(
+    converged_ambiguity_range,
+):
+    """The index alone under the gate above: a ``locate`` on the
+    converged ambiguity index (5 830 keys, 12-13 probes) makes 4 Python
+    calls in the median of nine, whatever its depth — the locate, its
+    search written out for the column's ciphertext length, one ``len``
+    and the profiler's own ``disable`` (27 when each probe called
+    ``compare_encrypted_keys`` and its ``sum``)."""
+    db, queries = converged_ambiguity_range
+    cracks = db.server.engine.cracks
+    assert len(cracks) > 5_000
+    keys = [(db.client.make_query(*bounds).left_key,) for bounds in queries]
+    median, counts = _median_calls(cracks.locate, keys)
+    assert median <= 4, counts
 
 
 def test_make_query_makes_at_most_40_python_calls(converged_crack_cold):

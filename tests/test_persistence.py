@@ -64,6 +64,36 @@ class TestSnapshot:
         stats = restored.stats_log[-1]
         assert stats.cracks == 0  # bounds already indexed pre-snapshot
 
+    @pytest.mark.parametrize("ambiguity", (False, True))
+    def test_a_restored_index_searches_like_the_original(self, ambiguity):
+        """The restored index is loaded, not rebuilt by adds: its next
+        merge routes with as many products, and its next queries answer
+        with the original's rows, ids and comparison counts."""
+        db = warmed_db(ambiguity=ambiguity, min_piece_size=1)
+        restored = restore_server(decode(encode(snapshot_server(db.server))))
+        rows = [row for value in (7, 130, 299, 1000)
+                for row in db.client.encrypt_value(value)]
+        routed = []
+        for server in (db.server, restored):
+            server.insert(rows)
+            before = server.engine.cracks.comparison_count
+            server.merge_pending()
+            routed.append(server.engine.cracks.comparison_count - before)
+        assert routed[0] == routed[1] > 0
+
+        def counts(stats):
+            return (stats.comparisons, stats.cracks, stats.cracked_rows,
+                    stats.result_count, stats.kernel_exact_products)
+
+        for low, high in [(50, 120), (10, 40), (130, 290), (121, 199)]:
+            query = replace(db.client.make_query(low, high), token=0)
+            original, again = db.server.execute(query), restored.execute(query)
+            assert again.row_ids.tolist() == original.row_ids.tolist()
+            assert again.rows == original.rows
+            assert counts(restored.stats_log[-1]) == counts(
+                db.server.stats_log[-1])
+        restored.engine.check_invariants()
+
     def test_pending_state_survives(self):
         db = warmed_db()
         db.insert(5555)
@@ -252,6 +282,20 @@ class TestSnapshotVersioning:
         refused(replace(snapshot, uploaded=snapshot.next_row_id + 1),
                 "malformed snapshot")
         refused(replace(snapshot, uploaded=-1), "malformed snapshot")
+
+    def test_crack_keys_of_another_ciphertext_length_are_refused(self):
+        """The index's search is written for the column's length: keys
+        of another are refused on restore, not met by the next query."""
+        from repro.core.client import TrustedClient
+
+        snapshot = snapshot_server(warmed_db(min_piece_size=1).server)
+        assert snapshot.crack_slots
+        other = TrustedClient(seed=15, key_length=5)
+        pivots = tuple(other.encrypt_query_bound(bound)
+                       for bound in range(len(snapshot.crack_slots)))
+        refused(replace(snapshot, cracks=replace(snapshot.cracks,
+                                                 pivots=pivots)),
+                "ciphertext length")
 
 
 class TestCatalogSnapshot:
